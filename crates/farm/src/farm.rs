@@ -284,6 +284,45 @@ struct ParkedJob {
     ready_at: u64,
 }
 
+/// The dispatch epoch at which the policy last placed nothing: the
+/// queue's membership version plus every worker's `(dispatchable,
+/// loaded config)`. By the [`SchedPolicy::pick`] contract a pass
+/// depends on nothing else, so while the epoch is unchanged dispatch
+/// would pass again and can be skipped outright.
+#[derive(Debug, Default)]
+struct IdleEpoch {
+    recorded: bool,
+    queue_version: u64,
+    workers: Vec<(bool, usize)>,
+}
+
+impl IdleEpoch {
+    /// Whether the policy is known to place nothing right now.
+    fn holds(&self, queue: &SubmitQueue, workers: &[Worker]) -> bool {
+        self.recorded
+            && self.queue_version == queue.version()
+            && self.workers.len() == workers.len()
+            && self
+                .workers
+                .iter()
+                .zip(workers)
+                .all(|(&key, w)| key == Self::worker_key(w))
+    }
+
+    /// Records that the policy just passed on the current epoch.
+    fn record(&mut self, queue: &SubmitQueue, workers: &[Worker]) {
+        self.recorded = true;
+        self.queue_version = queue.version();
+        self.workers.clear();
+        self.workers.extend(workers.iter().map(Self::worker_key));
+    }
+
+    /// The part of a worker's state a policy's pass may depend on.
+    fn worker_key(w: &Worker) -> (bool, usize) {
+        (w.is_dispatchable(), w.loaded_config())
+    }
+}
+
 /// A multi-OCP serving pool on one shared bus.
 ///
 /// Construction order matters to arbitration: the host master is
@@ -340,6 +379,8 @@ pub struct Farm {
     wall: std::time::Duration,
     /// Reusable per-worker swap-cost buffers for dispatch.
     swap_scratch: Vec<Vec<u64>>,
+    /// The last dispatch epoch on which the policy placed nothing.
+    idle_epoch: IdleEpoch,
     /// Reusable injection buffer for the chaos plan.
     injection_scratch: Vec<crate::chaos::Injection>,
 }
@@ -392,6 +433,7 @@ impl Farm {
             skipped_cycles: 0,
             wall: std::time::Duration::ZERO,
             swap_scratch: Vec::new(),
+            idle_epoch: IdleEpoch::default(),
             injection_scratch: Vec::new(),
         }
     }
@@ -754,20 +796,22 @@ impl Farm {
     /// quiescent. The minimum over:
     ///
     /// * dispatch — pending work plus a dispatchable worker means the
-    ///   very next tick may launch a job (or charge an alloc stall);
+    ///   very next tick may launch a job (or charge an alloc stall),
+    ///   unless the policy already passed on the current dispatch
+    ///   epoch (see [`IdleEpoch`]);
     /// * every worker's OCP and health-timer horizon (an armed
     ///   watchdog's expiry rides the OCP horizon, so a hang inside a
     ///   skipped window fires at the identical cycle in both modes);
     /// * every parked retry's unpark tick;
-    /// * with [`LivenessConfig::early_drop`] on, every queued/parked
-    ///   deadline's drop tick and every in-flight deadline's abort
-    ///   tick;
+    /// * with [`LivenessConfig::early_drop`] on, the queue's earliest
+    ///   hopeless threshold, every parked deadline's drop tick and
+    ///   every in-flight deadline's abort tick;
     /// * an armed chaos squat's release tick (bounds the leap so
     ///   `run_until_idle` observes the release at the exact cycle
     ///   single-stepping would, and terminates then);
     /// * the shared bus.
     fn idle_horizon(&self) -> Option<u64> {
-        if !self.queue.is_empty() && self.workers.iter().any(Worker::is_dispatchable) {
+        if self.may_dispatch() {
             return Some(1);
         }
         // A bus with a beat in flight pins the min to one cycle, so
@@ -799,16 +843,13 @@ impl Farm {
             // whose pre-tick cycle first satisfies `now > threshold`
             // (i.e. at `threshold + 1`); an in-flight abort likewise at
             // `deadline + 1`.
-            for job in self
-                .queue
-                .pending()
+            for threshold in self
+                .parked
                 .iter()
-                .chain(self.parked.iter().map(|p| &p.job))
+                .filter_map(|p| p.job.hopeless_after())
+                .chain(self.queue.earliest_hopeless())
             {
-                if let Some(d) = job.deadline {
-                    let threshold = d.saturating_sub(job.kind.core_latency_estimate());
-                    merge(Some((threshold + 2).saturating_sub(now)));
-                }
+                merge(Some((threshold + 2).saturating_sub(now)));
             }
             for w in &self.workers {
                 if let Some(d) = w.active.as_ref().and_then(|a| a.job.deadline) {
@@ -941,12 +982,26 @@ impl Farm {
         )
     }
 
+    /// Whether a dispatch round now could place a job or charge an
+    /// alloc stall: work is queued, some worker is dispatchable, and
+    /// the policy has not already passed on this dispatch epoch.
+    fn may_dispatch(&self) -> bool {
+        !self.queue.is_empty()
+            && self.workers.iter().any(Worker::is_dispatchable)
+            && !self.idle_epoch.holds(&self.queue, &self.workers)
+    }
+
     /// One scheduling round: asks the policy for assignments until it
     /// passes or shared memory runs out.
+    ///
+    /// Runs every tick but is event-driven: a pass is remembered
+    /// against the dispatch epoch ([`IdleEpoch`]), and until the queue
+    /// membership, a worker's availability or a loaded configuration
+    /// changes the round returns before building any policy view. An
+    /// alloc stall is a pick, not a pass, so it records nothing and the
+    /// next tick retries (and counts another stall).
     fn dispatch(&mut self) {
-        // Runs every tick: get out before building any policy view
-        // when there is nothing to place or nowhere to place it.
-        if self.queue.is_empty() || !self.workers.iter().any(Worker::is_dispatchable) {
+        if !self.may_dispatch() {
             return;
         }
         let now = self.now();
@@ -973,6 +1028,7 @@ impl Farm {
                 })
                 .collect();
             let Some(pick) = self.policy.pick(now, self.queue.pending(), &views) else {
+                self.idle_epoch.record(&self.queue, &self.workers);
                 break;
             };
             let worker = &self.workers[pick.worker_index];
@@ -1248,8 +1304,12 @@ impl Farm {
         if !self.config.liveness.early_drop {
             return;
         }
-        for job in self.queue.reap_expired(|job| deadline_hopeless(job, now)) {
-            self.drop_deadline_missed(job, 0, now, now);
+        // The queue indexes its earliest hopeless threshold, so the
+        // O(queue) reap only runs on ticks where it removes something.
+        if self.queue.earliest_hopeless().is_some_and(|t| now > t) {
+            for job in self.queue.reap_expired(|job| deadline_hopeless(job, now)) {
+                self.drop_deadline_missed(job, 0, now, now);
+            }
         }
         let mut i = 0;
         while i < self.parked.len() {
@@ -1358,6 +1418,5 @@ impl Farm {
 /// the benefit of the doubt and only dropped once the math is
 /// unarguable.
 fn deadline_hopeless(job: &PendingJob, now: u64) -> bool {
-    job.deadline
-        .is_some_and(|d| now > d.saturating_sub(job.kind.core_latency_estimate()))
+    job.hopeless_after().is_some_and(|t| now > t)
 }

@@ -2,8 +2,11 @@
 //!
 //! A policy sees the pending queue (submission order) and a snapshot of
 //! every worker, and names one `(job, worker)` pairing at a time; the
-//! farm calls [`SchedPolicy::pick`] repeatedly each cycle until the
-//! policy passes. Three policies ship with the crate:
+//! farm calls [`SchedPolicy::pick`] repeatedly until the policy passes.
+//! A pass is remembered: the farm does not ask again until the queue's
+//! membership, a worker's availability or a loaded DPR configuration
+//! changes (see the contract on [`SchedPolicy::pick`]). Three policies
+//! ship with the crate:
 //!
 //! * [`FifoPolicy`] — serve in arrival order on the first capable idle
 //!   worker;
@@ -89,6 +92,20 @@ pub trait SchedPolicy {
     /// assignment the farm re-invokes `pick` with the dispatched job
     /// removed and the chosen worker busy, so policies never see stale
     /// state.
+    ///
+    /// # Contract
+    ///
+    /// `None` must mean exactly "no pair of an `idle` worker and a
+    /// queued job exists such that the job
+    /// [allows](PendingJob::allows_worker) the worker and the worker
+    /// [supports](WorkerView::supports) its kind". Whether a pick
+    /// exists may therefore depend only on `queue` and `workers` —
+    /// never on `now`, on swap costs or on the policy's own state.
+    /// Those may only steer *which* pair is picked (as
+    /// [`DprAffinityPolicy`]'s patience does). The farm relies on this:
+    /// after a pass it skips dispatch, and lets fast-forward leap, until
+    /// the queue membership, a worker's `idle` flag or a loaded
+    /// configuration changes.
     fn pick(
         &mut self,
         now: u64,
@@ -193,7 +210,10 @@ impl SchedPolicy for RoundRobinPolicy {
 ///
 /// Starvation guard: a job older than `patience` cycles is served at
 /// the next opportunity even if that forces a swap, so a continuous
-/// stream of one kind cannot starve the others indefinitely.
+/// stream of one kind cannot starve the others indefinitely. Patience
+/// only reorders: whenever any runnable pair exists, the last resort
+/// (swap for the oldest runnable job) finds one, so the policy passes
+/// on exactly the states the other policies pass on.
 #[derive(Debug)]
 pub struct DprAffinityPolicy {
     patience: u64,
@@ -422,5 +442,99 @@ mod tests {
             .pick(1_000, &queue, &workers)
             .unwrap();
         assert_eq!(pick.queue_index, 0, "over-patience job served first");
+    }
+
+    /// The [`SchedPolicy::pick`] contract the farm's dispatch memo
+    /// rests on, over seeded random queues and pools: every policy
+    /// passes exactly when no (idle, allowed, capable) pair exists,
+    /// whatever `now`, its patience or its own state, and every pick it
+    /// makes is such a pair.
+    #[test]
+    fn policies_pass_exactly_when_no_runnable_pair_exists() {
+        use ouessant_sim::rng::XorShift64;
+
+        const KINDS: [JobKind; 4] = [
+            IDCT,
+            DFT,
+            JobKind::Copy { scale: 3 },
+            JobKind::Dft { points: 1024 },
+        ];
+        let mut rng = XorShift64::new(0x0E55_A417);
+        let mut round_robin = RoundRobinPolicy::new();
+        let (mut passes, mut picks) = (0, 0);
+        for _ in 0..4_000 {
+            let n_workers = rng.gen_range_u32(1..6) as usize;
+            let pool: Vec<(Vec<JobKind>, Vec<u64>, usize, bool)> = (0..n_workers)
+                .map(|_| {
+                    let n_caps = rng.gen_range_u32(1..3) as usize;
+                    let first = rng.gen_range_u32(0..4) as usize;
+                    let caps: Vec<JobKind> = (0..n_caps).map(|c| KINDS[(first + c) % 4]).collect();
+                    let costs = caps.iter().map(|_| rng.gen_range_u64(0..20_000)).collect();
+                    let loaded = rng.gen_range_u32(0..n_caps as u32) as usize;
+                    (caps, costs, loaded, rng.gen_range_u32(0..3) != 0)
+                })
+                .collect();
+            let workers: Vec<WorkerView<'_>> = pool
+                .iter()
+                .enumerate()
+                .map(|(index, (caps, costs, loaded, idle))| WorkerView {
+                    index,
+                    idle: *idle,
+                    caps,
+                    loaded: *loaded,
+                    swap_costs: costs,
+                })
+                .collect();
+            let queue: VecDeque<PendingJob> = (0..rng.gen_range_u32(0..7))
+                .map(|i| {
+                    let kind = KINDS[rng.gen_range_u32(0..4) as usize];
+                    let mut j = job(u64::from(i), kind, rng.gen_range_u64(0..50_000));
+                    if rng.gen_range_u32(0..3) == 0 {
+                        j.avoid_worker = Some(rng.gen_range_u32(0..n_workers as u32) as usize);
+                    }
+                    j
+                })
+                .collect();
+            let runnable = |a: Assignment| {
+                let (job, w) = (&queue[a.queue_index], &workers[a.worker_index]);
+                w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some()
+            };
+            let exists = queue.iter().any(|job| {
+                workers
+                    .iter()
+                    .any(|w| w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some())
+            });
+            let patience = rng.gen_range_u64(0..20_000);
+            for now in [0, rng.gen_range_u64(0..100_000), u64::MAX / 2] {
+                let verdicts = [
+                    FifoPolicy::new().pick(now, &queue, &workers),
+                    round_robin.pick(now, &queue, &workers),
+                    DprAffinityPolicy::with_patience(patience).pick(now, &queue, &workers),
+                ];
+                for (policy, verdict) in ["fifo", "round-robin", "dpr-affinity"]
+                    .into_iter()
+                    .zip(verdicts)
+                {
+                    assert_eq!(
+                        verdict.is_some(),
+                        exists,
+                        "{policy} at now={now}: pick {verdict:?} on queue {queue:?}"
+                    );
+                    if let Some(a) = verdict {
+                        assert!(runnable(a), "{policy} picked an unrunnable pair {a:?}");
+                    }
+                }
+            }
+            if exists {
+                picks += 1;
+            } else {
+                passes += 1;
+            }
+        }
+        // The generator must cover both verdicts well.
+        assert!(
+            passes > 500 && picks > 500,
+            "{passes} passes, {picks} picks"
+        );
     }
 }

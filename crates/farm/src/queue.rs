@@ -154,6 +154,16 @@ impl PendingJob {
     pub fn allows_worker(&self, index: usize) -> bool {
         self.avoid_worker != Some(index)
     }
+
+    /// The last cycle at which this job could still meet its deadline
+    /// if dispatched, by the kind's (optimistic, core-latency-only)
+    /// service estimate; `None` without a deadline. Past it the job is
+    /// hopeless.
+    #[must_use]
+    pub(crate) fn hopeless_after(&self) -> Option<u64> {
+        self.deadline
+            .map(|d| d.saturating_sub(self.kind.core_latency_estimate()))
+    }
 }
 
 /// A bounded, priority-ordered queue of admitted jobs.
@@ -171,6 +181,12 @@ impl PendingJob {
 /// higher-priority submission evict the youngest lowest-class queued
 /// job (never a retry) — the farm drains the evictions via
 /// [`SubmitQueue::take_shed`] and records them.
+///
+/// Every membership change (admission, requeue, eviction, dispatch,
+/// reap) bumps a version number, and the queue keeps the earliest
+/// deadline-drop threshold of its jobs up to date, so the farm can tell
+/// in O(1) whether anything changed since its last dispatch round and
+/// when the next deadline drop is due.
 #[derive(Debug)]
 pub struct SubmitQueue {
     jobs: VecDeque<PendingJob>,
@@ -192,6 +208,11 @@ pub struct SubmitQueue {
     /// High-water mark of the queue depth.
     peak_depth: usize,
     admitted: u64,
+    /// Membership version, bumped on every insertion and removal.
+    version: u64,
+    /// Earliest hopeless threshold among the queued jobs, recomputed
+    /// whenever `version` moves.
+    earliest_hopeless: Option<u64>,
 }
 
 impl SubmitQueue {
@@ -215,6 +236,8 @@ impl SubmitQueue {
             rejected_unsafe: 0,
             peak_depth: 0,
             admitted: 0,
+            version: 0,
+            earliest_hopeless: None,
         }
     }
 
@@ -294,6 +317,34 @@ impl SubmitQueue {
         self.peak_depth
     }
 
+    /// The membership version: bumped by every admission, requeue,
+    /// eviction, dispatch and reap that changes which jobs are queued,
+    /// never by anything else. Equal versions mean an identical queue.
+    #[must_use]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The earliest cycle after which some queued job is hopeless (the
+    /// minimum [`PendingJob::hopeless_after`]); `None` when no queued
+    /// job carries a deadline. O(1): maintained on every membership
+    /// change.
+    #[must_use]
+    pub(crate) fn earliest_hopeless(&self) -> Option<u64> {
+        self.earliest_hopeless
+    }
+
+    /// Records a membership change: bumps the version and refreshes the
+    /// deadline index.
+    fn changed(&mut self) {
+        self.version += 1;
+        self.earliest_hopeless = self
+            .jobs
+            .iter()
+            .filter_map(PendingJob::hopeless_after)
+            .min();
+    }
+
     /// The queued jobs in submission order (for policies).
     #[must_use]
     pub fn pending(&self) -> &VecDeque<PendingJob> {
@@ -367,6 +418,7 @@ impl SubmitQueue {
                 Some(idx) => {
                     let evicted = self.jobs.remove(idx).expect("rposition is in range");
                     self.shed_out.push(evicted);
+                    self.changed();
                 }
                 None => {
                     self.rejected_full += 1;
@@ -404,6 +456,7 @@ impl SubmitQueue {
             .position(|j| j.priority < job.priority)
             .unwrap_or(self.jobs.len());
         self.jobs.insert(pos, job);
+        self.changed();
     }
 
     /// Puts a fault-bounced job back in line for another attempt (in
@@ -432,16 +485,7 @@ impl SubmitQueue {
         &mut self,
         expired: impl Fn(&PendingJob) -> bool,
     ) -> Vec<PendingJob> {
-        let mut dead = Vec::new();
-        self.jobs.retain(|job| {
-            if expired(job) {
-                dead.push(job.clone());
-                false
-            } else {
-                true
-            }
-        });
-        dead
+        self.evict(expired)
     }
 
     /// Evicts every queued job whose kind no worker can serve any more
@@ -452,15 +496,25 @@ impl SubmitQueue {
         &mut self,
         serviceable: impl Fn(JobKind) -> bool,
     ) -> Vec<PendingJob> {
+        self.evict(|job| !serviceable(job.kind))
+    }
+
+    /// Moves every job matching `evict` out of the queue, in queue
+    /// order, keeping the survivors' order (one rotation through the
+    /// deque: no clones, no reallocation).
+    fn evict(&mut self, evict: impl Fn(&PendingJob) -> bool) -> Vec<PendingJob> {
         let mut dead = Vec::new();
-        self.jobs.retain(|job| {
-            if serviceable(job.kind) {
-                true
+        for _ in 0..self.jobs.len() {
+            let job = self.jobs.pop_front().expect("rotating a counted deque");
+            if evict(&job) {
+                dead.push(job);
             } else {
-                dead.push(job.clone());
-                false
+                self.jobs.push_back(job);
             }
-        });
+        }
+        if !dead.is_empty() {
+            self.changed();
+        }
         dead
     }
 
@@ -471,9 +525,12 @@ impl SubmitQueue {
     /// Panics if `index` is out of range — policies must return indices
     /// into the queue they were shown.
     pub fn take(&mut self, index: usize) -> PendingJob {
-        self.jobs
+        let job = self
+            .jobs
             .remove(index)
-            .expect("policy returned an out-of-range queue index")
+            .expect("policy returned an out-of-range queue index");
+        self.changed();
+        job
     }
 }
 
@@ -622,5 +679,48 @@ mod tests {
         let dead_ids: Vec<u64> = dead.iter().map(|j| j.id.0).collect();
         assert_eq!(dead_ids, vec![0, 1]);
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn version_and_deadline_index_follow_membership() {
+        let mut q = SubmitQueue::new(3);
+        q.set_overload_policy(Some(3), 0);
+        assert_eq!((q.version(), q.earliest_hopeless()), (0, None));
+        // IDCT's core-latency estimate is 64 cycles.
+        q.submit(JobId(0), idct_spec().with_deadline(1_000), 0, 1024, true)
+            .unwrap();
+        q.submit(JobId(1), idct_spec().with_deadline(500), 0, 1024, true)
+            .unwrap();
+        q.submit(JobId(2), idct_spec(), 0, 1024, true).unwrap();
+        assert_eq!((q.version(), q.earliest_hopeless()), (3, Some(436)));
+
+        // Rejections leave the version alone.
+        assert!(q.submit(JobId(3), idct_spec(), 0, 1024, true).is_err());
+        assert_eq!(q.version(), 3);
+
+        // A shed eviction and its admission are two changes.
+        q.submit(JobId(4), idct_spec().with_priority(1), 0, 1024, true)
+            .unwrap();
+        assert_eq!(q.take_shed()[0].id, JobId(2));
+        assert_eq!(q.version(), 5);
+
+        // Reaps that remove nothing are not changes.
+        assert!(q.reap_expired(|_| false).is_empty());
+        assert!(q.reap_unserviceable(|_| true).is_empty());
+        assert_eq!(q.version(), 5);
+
+        // Removing the earliest deadline moves the index to the next.
+        let dead = q.reap_expired(|j| j.id == JobId(1));
+        assert_eq!(dead[0].id, JobId(1));
+        assert_eq!((q.version(), q.earliest_hopeless()), (6, Some(936)));
+
+        let taken = q.take(1);
+        assert_eq!(taken.id, JobId(0));
+        assert_eq!((q.version(), q.earliest_hopeless()), (7, None));
+
+        q.requeue(taken);
+        assert_eq!((q.version(), q.earliest_hopeless()), (8, Some(936)));
+        assert_eq!(q.reap_unserviceable(|_| false).len(), 2);
+        assert_eq!((q.version(), q.len()), (9, 0));
     }
 }

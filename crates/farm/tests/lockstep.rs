@@ -646,3 +646,116 @@ fn fast_forward_skips_a_meaningful_fraction() {
         report.total_cycles
     );
 }
+
+/// The dispatch-epoch regression: a heterogeneous pool whose IDCT
+/// worker sits idle for most of the run while compute-bound DFT jobs
+/// queue behind the one DFT worker and sleeping copy jobs behind the
+/// IDCT/copy DPR worker. Once the policy has passed on that state,
+/// dispatch must stay quiet — and fast-forward must leap — until the
+/// queue, a worker's availability or a loaded configuration changes,
+/// with deadline drops, retries and alloc stalls (a chaos squat on the
+/// tight shared memory) landing at the identical cycles in both
+/// stepping modes.
+#[test]
+fn idle_incapable_worker_does_not_pin_the_horizon() {
+    const DFT1K: JobKind = JobKind::Dft { points: 1024 };
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    // Every 5th job carries a deadline its queue position cannot meet,
+    // so the early-drop sweep has work to do.
+    let specs: Vec<JobSpec> = (0..40u32)
+        .map(|i| {
+            let spec = match i % 4 {
+                0 if i % 8 == 0 => JobSpec::new(IDCT, payload(IDCT, &mut rng)),
+                0 => {
+                    // Alternating sizes: a big copy does not fit in the
+                    // hole a small one leaves.
+                    let words = if i % 16 == 4 { 16 } else { 64 };
+                    let input = (0..words)
+                        .map(|_| rng.gen_range_i32(-1024..1024) as u32)
+                        .collect();
+                    let program = ProgramBuilder::new()
+                        .transfer_to_coprocessor(1, 0, words, 64, 0)
+                        .expect("payload fits the offset field")
+                        .wait(8_000)
+                        .execs_op(words as u16)
+                        .transfer_from_coprocessor(2, 0, words, 64, 0)
+                        .expect("payload fits the offset field")
+                        .eop()
+                        .finish()
+                        .expect("sleeping copy program is valid");
+                    JobSpec::new(COPY3, input).with_microcode(program)
+                }
+                _ => JobSpec::new(DFT1K, payload(DFT1K, &mut rng)),
+            };
+            if i % 5 == 4 {
+                spec.with_deadline(60_000 + 4_000 * u64::from(i))
+            } else {
+                spec
+            }
+        })
+        .collect();
+    let chaos = ChaosConfig {
+        seed: 0xE90C_4A11,
+        controller_one_in: 150_000,
+        bus_one_in: 0,
+        bitstream_one_in: 0,
+        alloc_one_in: 8_000,
+        alloc_hold: 3_000,
+        wedge_one_in: 200_000,
+        slow_one_in: 0,
+        slow_stall: 0,
+    };
+    let run = |policy_name: &str, fast_forward: bool| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                queue_capacity: 64,
+                // Room for one DFT job plus a few small ones: a chaos
+                // squat on the rest stalls the next small dispatch.
+                shared_words: 5 * 1024,
+                fifo_depth: 4096,
+                faults: FAULTS,
+                liveness: LivenessConfig {
+                    default_cycles_budget: Some(WATCHDOG_BUDGET),
+                    early_drop: true,
+                    ..LivenessConfig::default()
+                },
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy(policy_name),
+        );
+        farm.add_worker(IDCT);
+        farm.add_worker(DFT1K);
+        farm.add_dpr_worker(&[(IDCT, 20_000), (COPY3, 20_000)]);
+        farm.arm_chaos(FaultPlan::new(chaos.clone()));
+        for spec in &specs {
+            farm.submit(spec.clone())
+                .expect("queue sized for the workload");
+        }
+        let cycles = farm
+            .run_until_idle(400_000_000)
+            .expect("campaign must drain");
+        (fingerprint(&farm, cycles), farm.report())
+    };
+    let (mut stalls, mut drops, mut faults) = (0, 0, 0);
+    for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
+        let (fast, report) = run(policy_name, true);
+        let (slow, _) = run(policy_name, false);
+        assert_eq!(
+            fast, slow,
+            "fast-forward diverged from single-stepping ({policy_name})"
+        );
+        assert!(
+            report.skipped_fraction() >= 0.5,
+            "an idle incapable worker pinned the horizon ({policy_name}): only {:.1}% leaped",
+            report.skipped_fraction() * 100.0
+        );
+        assert_eq!(fast.records.len(), specs.len(), "a job was stranded");
+        stalls += fast.alloc_stalls;
+        drops += fast.jobs_deadline_missed;
+        faults += fast.worker_faults;
+    }
+    assert!(stalls > 0, "no alloc stall was ever charged");
+    assert!(drops > 0, "the tight deadlines never tripped early drop");
+    assert!(faults > 0, "the chaos plan never faulted a worker");
+}

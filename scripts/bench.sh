@@ -8,6 +8,7 @@
 #
 #   scripts/bench.sh           # full campaigns, BENCH_farm.json
 #   scripts/bench.sh --smoke   # reduced job counts (CI), BENCH_farm_smoke.json
+#   scripts/bench.sh --out F   # write (and validate) F instead
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,15 @@ if [[ "${1:-}" == "--smoke" ]]; then
     args+=(--smoke)
     shift
 fi
+# The harness honours the last `--out`, so a caller's own `--out PATH`
+# wins over the default: validate the file actually written.
+prev=""
+for arg in "$@"; do
+    if [[ "$prev" == "--out" ]]; then
+        out="$arg"
+    fi
+    prev="$arg"
+done
 args+=(--out "$out" "$@")
 
 echo "==> cargo build --release (ouessant-bench)"
