@@ -416,16 +416,18 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
-    /// The fast-forward horizon refined with the RAC socket the
-    /// controller is waiting on.
+    /// The fast-forward horizon refined with the RAC socket and the bus
+    /// the controller is waiting on.
     ///
     /// The standalone [`NextEvent`] impl must answer `Some(1)` for
-    /// [`ControllerState::RacWait`] because the controller alone cannot
-    /// see when `end_op` will fire; the embedding OCP owns both halves
-    /// and can substitute the socket's horizon — which is where the
-    /// Table I compute latencies (the big idle windows) live.
+    /// [`ControllerState::RacWait`], [`ControllerState::TransferBusWait`]
+    /// and [`ControllerState::LoadProgram`] because the controller alone
+    /// cannot see when `end_op` fires or its burst completes; the
+    /// embedding OCP owns the socket and is handed the bus, so it can
+    /// substitute their horizons — the Table I compute latencies and
+    /// the data phases of DMA bursts.
     #[must_use]
-    pub fn horizon_with(&self, socket: &RacSocket) -> Option<Cycle> {
+    pub fn horizon_with(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
         if self.wedged {
             // A wedged FSM never changes state on its own; only the
             // watchdog (merged by the embedding OCP) bounds the window.
@@ -438,6 +440,14 @@ impl Controller {
             // never fires — the embedding OCP turns that into a
             // single-step safety net while the controller is active.
             ControllerState::RacWait => socket.horizon(),
+            // While the burst is in flight each tick only charges a
+            // transfer or program-load cycle, and the port cannot
+            // complete before the bus's next event.
+            ControllerState::TransferBusWait | ControllerState::LoadProgram
+                if self.dma.is_pending(bus) =>
+            {
+                bus.horizon()
+            }
             _ => self.horizon(),
         }
     }
@@ -830,13 +840,15 @@ impl Controller {
 
 impl NextEvent for Controller {
     /// The countdown states (`wait`, `rcfg`) expose their full windows;
-    /// every other active state may transition on its very next tick.
+    /// every other active state answers `Some(1)` from the controller's
+    /// own view.
     ///
     /// `Idle` reports quiescent *from the controller's own view*: a
     /// pending S bit lives in the register file, so the embedding OCP
-    /// checks `start_pending` before trusting `None`. `RacWait` is
-    /// conservatively `Some(1)` here; [`Controller::horizon_with`]
-    /// refines it with the socket's horizon.
+    /// checks `start_pending` before trusting `None`. `RacWait` and the
+    /// two bus-wait states are conservatively `Some(1)` here;
+    /// [`Controller::horizon_with`] refines them with the socket's and
+    /// the bus's horizons.
     fn horizon(&self) -> Option<Cycle> {
         if self.wedged {
             return None;
@@ -878,6 +890,10 @@ impl NextEvent for Controller {
             // Waiting on `end_op`: each skipped tick would have charged
             // one RAC-wait cycle.
             ControllerState::RacWait => self.stats.rac_wait_cycles += n,
+            // Burst still in flight: likewise one transfer or
+            // program-load cycle per skipped tick.
+            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
+            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
             s => debug_assert!(false, "advance in non-pure state {s:?}"),
         }
     }

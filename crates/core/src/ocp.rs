@@ -382,12 +382,13 @@ impl Ocp {
             total_cycles: self.total_cycles,
         }
     }
-}
 
-impl ouessant_sim::NextEvent for Ocp {
-    /// Combines the controller's horizon (refined with the socket's, so
-    /// `RacWait` exposes the RAC's compute countdown) and the socket's
-    /// own horizon, with two guards:
+    /// The fast-forward horizon of the whole coprocessor on `bus` (see
+    /// [`ouessant_sim::NextEvent`] for the contract): the controller's
+    /// horizon, refined with the socket's (so `RacWait` exposes the
+    /// RAC's compute countdown) and the bus's (so a DMA burst in flight
+    /// exposes its data phase), combined with the socket's own horizon.
+    /// Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an undelivered completion
     ///   event forces single-stepping (the next tick is an event);
@@ -403,12 +404,13 @@ impl ouessant_sim::NextEvent for Ocp {
     /// single-step safety net: it provably cannot transition by
     /// itself, so the watchdog budget (or, unarmed, quiescence) is the
     /// honest horizon and a hang window can be leapt in one go.
-    fn horizon(&self) -> Option<Cycle> {
+    #[must_use]
+    pub fn horizon_on(&self, bus: &dyn SystemBus) -> Option<Cycle> {
         if self.pending_event.is_some() || self.regs.start_pending() {
             return Some(Cycle::new(1));
         }
         let mut h = ouessant_sim::min_horizon(
-            self.controller.horizon_with(&self.socket),
+            self.controller.horizon_with(&self.socket, bus),
             self.socket.horizon(),
         );
         if let Some(wd) = &self.watchdog {
@@ -422,19 +424,23 @@ impl ouessant_sim::NextEvent for Ocp {
         h
     }
 
-    /// Replays `cycles` pure ticks: the cycle counter, the socket's
-    /// busy accounting and countdowns, and the controller's counters
-    /// all move exactly as `cycles` real ticks would have moved them.
-    /// The D-bit edge detector needs no replay — D only changes on
+    /// Replays `cycles` pure ticks inside a window bounded by
+    /// [`Ocp::horizon_on`]: the cycle counter, the socket's busy
+    /// accounting and countdowns, and the controller's counters all
+    /// move exactly as `cycles` real ticks would have moved them. The
+    /// D-bit edge detector needs no replay — D only changes on
     /// controller transitions, which are never inside a pure window.
-    fn advance(&mut self, cycles: Cycle) {
+    /// The bus is advanced separately by its owner.
+    pub fn advance(&mut self, cycles: Cycle) {
         self.total_cycles += cycles.count();
         self.socket.advance(cycles);
-        self.controller.advance(cycles);
+        ouessant_sim::NextEvent::advance(&mut self.controller, cycles);
         // Watchdog countdown: a pure window by definition has no
-        // progress pulses, so every skipped tick decrements — exactly
-        // what `tick` would have done. The horizon clamps windows to
-        // `remaining - 1`, so the bite itself always happens in `tick`.
+        // progress pulses (no instruction retires and no transfer
+        // completes inside it), so every skipped tick decrements —
+        // exactly what `tick` would have done. The horizon clamps
+        // windows to `remaining - 1`, so the bite itself always happens
+        // in `tick`.
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() {
                 debug_assert!(

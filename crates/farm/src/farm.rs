@@ -49,7 +49,7 @@ use std::fmt;
 
 use ouessant::ExecError;
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
-use ouessant_sim::bus::{Bus, BusConfig};
+use ouessant_sim::bus::{Bus, BusConfig, BusStats};
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
@@ -561,6 +561,13 @@ impl Farm {
         std::mem::take(&mut self.completed)
     }
 
+    /// Aggregate statistics of the shared bus (cycles, busy cycles,
+    /// grants, beats, contention).
+    #[must_use]
+    pub fn bus_stats(&self) -> BusStats {
+        self.bus.stats()
+    }
+
     /// Cycles dispatch was blocked on shared-memory pressure.
     #[must_use]
     pub fn alloc_stalls(&self) -> u64 {
@@ -799,9 +806,10 @@ impl Farm {
     ///   very next tick may launch a job (or charge an alloc stall),
     ///   unless the policy already passed on the current dispatch
     ///   epoch (see [`IdleEpoch`]);
-    /// * every worker's OCP and health-timer horizon (an armed
-    ///   watchdog's expiry rides the OCP horizon, so a hang inside a
-    ///   skipped window fires at the identical cycle in both modes);
+    /// * every worker's OCP and health-timer horizon (a worker waiting
+    ///   on its DMA burst defers to the bus, and an armed watchdog's
+    ///   expiry rides the OCP horizon, so a hang inside a skipped
+    ///   window fires at the identical cycle in both modes);
     /// * every parked retry's unpark tick;
     /// * with [`LivenessConfig::early_drop`] on, the queue's earliest
     ///   hopeless threshold, every parked deadline's drop tick and
@@ -814,9 +822,11 @@ impl Farm {
         if self.may_dispatch() {
             return Some(1);
         }
-        // A bus with a beat in flight pins the min to one cycle, so
-        // skip the (much costlier) per-worker scan outright; this is
-        // the common case on transfer-saturated campaigns.
+        // A bus in a grant, address or arbitration cycle (or beating
+        // on a slave that may fault) pins the min to one cycle, so skip
+        // the (much costlier) per-worker scan outright. Inside a
+        // sub-burst's data phase the bus horizon reaches its last beat
+        // and the scan decides.
         let bus = ouessant_sim::NextEvent::horizon(&self.bus).map(u64::from);
         if bus == Some(1) {
             return Some(1);
@@ -831,7 +841,7 @@ impl Farm {
         };
         merge(bus);
         for w in &self.workers {
-            merge(w.horizon_at(now, &self.config.faults));
+            merge(w.horizon_at(now, &self.config.faults, &self.bus));
         }
         for p in &self.parked {
             // Unpark happens in the tick whose pre-tick cycle first

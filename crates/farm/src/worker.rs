@@ -39,6 +39,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use ouessant::controller::ControllerStats;
 use ouessant::{ExecError, Ocp, OcpConfig};
 use ouessant_isa::{Instruction, ProgAddr, Program, ProgramBuilder};
 use ouessant_rac::dft::DftRac;
@@ -474,6 +475,13 @@ impl Worker {
         self.loaded
     }
 
+    /// Cumulative statistics of this worker's OCP controller (transfer,
+    /// program-load, RAC-wait and active cycles, words, instructions).
+    #[must_use]
+    pub fn controller_stats(&self) -> ControllerStats {
+        self.ocp.stats().controller
+    }
+
     /// Places `job` on this (dispatchable) worker: writes microcode and
     /// payload into the leased regions, programs the bank registers and
     /// pulls the start bit. The job's first cycle is the *next* `tick`.
@@ -554,7 +562,7 @@ impl Worker {
     /// inside a window bounded by [`Worker::horizon_at`]; leaves the
     /// worker bit-identical to `cycles` calls of [`Worker::tick`].
     pub(crate) fn advance(&mut self, cycles: u64) {
-        ouessant_sim::NextEvent::advance(&mut self.ocp, ouessant_sim::Cycle::new(cycles));
+        self.ocp.advance(ouessant_sim::Cycle::new(cycles));
         if self.active.is_some() {
             self.busy_cycles += cycles;
         }
@@ -562,8 +570,9 @@ impl Worker {
 
     /// The earliest future tick (1-based offset from cycle `now`) at
     /// which this worker's observable state can change, or `None` if it
-    /// is quiescent. Combines the OCP's own horizon with the worker's
-    /// health timers, which single-stepping advances in
+    /// is quiescent. Combines the OCP's horizon on the shared `bus`
+    /// (which exposes the data phase of the worker's own DMA burst) with
+    /// the worker's health timers, which single-stepping advances in
     /// [`Worker::advance_health`]:
     ///
     /// * a recovering worker retries [`Ocp::try_recover`] every tick,
@@ -572,11 +581,11 @@ impl Worker {
     ///   `quarantine_until`;
     /// * a degraded worker heals when the post-tick cycle reaches
     ///   `degraded_since + fault_window`.
-    pub(crate) fn horizon_at(&self, now: u64, cfg: &FaultConfig) -> Option<u64> {
+    pub(crate) fn horizon_at(&self, now: u64, cfg: &FaultConfig, bus: &Bus) -> Option<u64> {
         if self.recovering {
             return Some(1);
         }
-        let mut h = ouessant_sim::NextEvent::horizon(&self.ocp).map(u64::from);
+        let mut h = self.ocp.horizon_on(bus).map(u64::from);
         let mut merge = |event_in: u64| {
             let e = event_in.max(1);
             h = Some(h.map_or(e, |cur| cur.min(e)));

@@ -6,16 +6,19 @@
 //! provably-idle windows — and asserts the two farms are
 //! observationally identical: same simulated cycle count, same
 //! `JobRecord` stream (ids, outcomes, timestamps, outputs), same lease
-//! ledger, same per-worker counters, same chaos statistics and RNG
-//! consumption. Fast-forward is a pure wall-time optimisation; any
+//! ledger, same bus statistics, same per-worker counters (including
+//! each controller's cycle and word counters), same chaos statistics
+//! and RNG consumption. Fast-forward is a pure wall-time optimisation; any
 //! divergence here is a correctness bug, not a tuning matter.
 
+use ouessant::controller::ControllerStats;
 use ouessant_farm::{
     ChaosConfig, ChaosStats, DprAffinityPolicy, Farm, FarmConfig, FarmError, FaultConfig,
     FaultPlan, FifoPolicy, JobKind, JobOutcome, JobSpec, LivenessConfig, RoundRobinPolicy,
     SchedPolicy, WorkerHealth,
 };
 use ouessant_isa::ProgramBuilder;
+use ouessant_sim::bus::BusStats;
 use ouessant_sim::XorShift64;
 
 const IDCT: JobKind = JobKind::Idct;
@@ -117,6 +120,7 @@ struct Fingerprint {
     jobs_shed: u64,
     jobs_deadline_missed: u64,
     rejected_shed: u64,
+    bus: BusStats,
     workers: Vec<WorkerKey>,
     chaos: Option<ChaosStats>,
 }
@@ -147,6 +151,7 @@ struct WorkerKey {
     faults: u64,
     quarantines: u64,
     loaded: usize,
+    controller: ControllerStats,
 }
 
 fn fingerprint(farm: &Farm, cycles_run: u64) -> Fingerprint {
@@ -181,6 +186,7 @@ fn fingerprint(farm: &Farm, cycles_run: u64) -> Fingerprint {
         jobs_shed: report.jobs_shed,
         jobs_deadline_missed: report.jobs_deadline_missed,
         rejected_shed: report.rejected_shed,
+        bus: farm.bus_stats(),
         workers: farm
             .workers()
             .iter()
@@ -196,6 +202,7 @@ fn fingerprint(farm: &Farm, cycles_run: u64) -> Fingerprint {
                 faults: w.faults_total(),
                 quarantines: w.quarantines_total(),
                 loaded: w.loaded_config(),
+                controller: w.controller_stats(),
             })
             .collect(),
         chaos: farm.chaos_stats(),

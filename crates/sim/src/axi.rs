@@ -26,9 +26,11 @@ use crate::trace::Trace;
 ///
 /// The Ouessant bus interface is written against this trait; porting the
 /// OCP to a new interconnect means implementing `SystemBus` (the "bus
-/// master FSM / bus slave FSM" box of the paper's Figure 3), nothing
-/// else.
-pub trait SystemBus {
+/// master FSM / bus slave FSM" box of the paper's Figure 3) plus its
+/// [`NextEvent`](crate::event::NextEvent) horizon, nothing else. The
+/// horizon lets a master waiting on its burst defer to the bus when
+/// fast-forwarding.
+pub trait SystemBus: crate::event::NextEvent {
     /// Registers a master and returns its id.
     fn register_master(&mut self, name: &str) -> MasterId;
 
@@ -135,6 +137,9 @@ impl BusSlave for BoxedSlave {
     }
     fn sequential_wait_states(&self) -> u32 {
         self.0.sequential_wait_states()
+    }
+    fn fault_free(&self) -> bool {
+        self.0.fault_free()
     }
 }
 

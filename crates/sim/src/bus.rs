@@ -233,6 +233,15 @@ pub trait BusSlave {
     fn sequential_wait_states(&self) -> u32 {
         0
     }
+
+    /// Whether every in-window access succeeds. The bus rejects bursts
+    /// that leave the window at [`Bus::try_begin`], so for such a slave
+    /// the beats of a sub-burst are fixed by the protocol alone and
+    /// fast-forward may apply them in bulk. The default `false` keeps
+    /// the bus single-stepping, so a fault lands on its exact beat.
+    fn fault_free(&self) -> bool {
+        false
+    }
 }
 
 /// Errors surfaced by [`Bus::try_begin`] or recorded in a completion.
@@ -333,7 +342,10 @@ pub struct BusStats {
     pub grants: u64,
     /// Data beats completed.
     pub beats: u64,
-    /// Cycles a master spent requesting while another held the bus.
+    /// Cycles a master spent requesting while another held the bus,
+    /// summed over masters. Charged on the owner's grant, address and
+    /// non-final beat cycles only: its wait-state cycles and the final
+    /// beat of each sub-burst charge nothing.
     pub contention_cycles: u64,
 }
 
@@ -347,7 +359,9 @@ pub struct MasterStats {
     pub beats: u64,
     /// Transactions retired without fault.
     pub txns_completed: u64,
-    /// Cycles spent requesting while another master held the bus.
+    /// Cycles spent requesting while another master held the bus, as
+    /// counted by [`BusStats::contention_cycles`] (wait-state cycles of
+    /// the owner charge nothing).
     pub contention_cycles: u64,
 }
 
@@ -358,6 +372,31 @@ struct OutstandingTxn {
     read_data: Vec<u32>,
     issued_at: Cycle,
     slave_idx: usize,
+}
+
+impl OutstandingTxn {
+    /// Moves the next data beat through `slave` (the transaction's own),
+    /// returning the slave's fault, if any. Shared by `tick` and the
+    /// bulk beats of `advance`; inlined because both are hot paths.
+    #[inline]
+    fn move_beat(&mut self, slave: &mut SlaveEntry) -> Option<SlaveFault> {
+        let offset = self.req.addr + u32::from(self.beats_done) * 4 - slave.base;
+        let fault = match self.req.kind {
+            TxnKind::Read => match slave.device.read_word(offset) {
+                Ok(v) => {
+                    self.read_data.push(v);
+                    None
+                }
+                Err(e) => Some(e),
+            },
+            TxnKind::Write => {
+                let value = self.req.data[usize::from(self.beats_done)];
+                slave.device.write_word(offset, value).err()
+            }
+        };
+        self.beats_done += 1;
+        fault
+    }
 }
 
 #[derive(Debug)]
@@ -713,25 +752,9 @@ impl Bus {
                             .outstanding
                             .as_mut()
                             .expect("granted master has an outstanding txn");
-                        let beat_addr = txn.req.addr + u32::from(txn.beats_done) * 4;
-                        let slave = &mut self.slaves[txn.slave_idx];
-                        let offset = beat_addr - slave.base;
-                        let fault = match txn.req.kind {
-                            TxnKind::Read => match slave.device.read_word(offset) {
-                                Ok(v) => {
-                                    txn.read_data.push(v);
-                                    None
-                                }
-                                Err(e) => Some(e),
-                            },
-                            TxnKind::Write => {
-                                let value = txn.req.data[txn.beats_done as usize];
-                                slave.device.write_word(offset, value).err()
-                            }
-                        };
+                        let fault = txn.move_beat(&mut self.slaves[txn.slave_idx]);
                         self.stats.beats += 1;
                         port.stats.beats += 1;
-                        txn.beats_done += 1;
 
                         if let Some(fault) = fault {
                             let txn = port.outstanding.take().expect("present");
@@ -847,26 +870,106 @@ impl Bus {
 }
 
 impl crate::event::NextEvent for Bus {
-    /// `Some(1)` whenever any transfer machinery could move (a grant is
-    /// active or any master has a transaction queued) — the bus is a
-    /// cycle-accurate arbiter, so busy cycles are never skipped. `None`
-    /// when no master is requesting: idle ticks only advance `now` and
-    /// the cycle counter.
+    /// Inside a sub-burst the remaining timing is fixed by the
+    /// protocol: `wait_left` wait states, then one beat every
+    /// `sequential_wait_states + 1` cycles. On a
+    /// [`BusSlave::fault_free`] slave the horizon is the cycle of the
+    /// sub-burst's last beat, the first tick that can complete a
+    /// transaction, release the bus or re-arbitrate. Grant, address and
+    /// arbitration cycles, and beats on a slave that may fault, answer
+    /// `Some(1)`. `None` when no master is requesting: idle ticks only
+    /// advance `now` and the cycle counter.
     fn horizon(&self) -> Option<Cycle> {
-        if self.active.is_some() || self.masters.iter().any(|m| m.outstanding.is_some()) {
-            Some(Cycle::new(1))
-        } else {
-            None
+        match &self.active {
+            Some(ActiveGrant {
+                master,
+                phase:
+                    Phase::Beat {
+                        wait_left,
+                        sub_beats_left,
+                    },
+            }) => {
+                let txn = self.masters[*master]
+                    .outstanding
+                    .as_ref()
+                    .expect("granted master has an outstanding txn");
+                let slave = &self.slaves[txn.slave_idx].device;
+                if !slave.fault_free() {
+                    return Some(Cycle::new(1));
+                }
+                let period = u64::from(slave.sequential_wait_states()) + 1;
+                Some(Cycle::new(
+                    u64::from(*wait_left) + 1 + (u64::from(*sub_beats_left) - 1) * period,
+                ))
+            }
+            Some(_) => Some(Cycle::new(1)),
+            None if self.masters.iter().any(|m| m.outstanding.is_some()) => Some(Cycle::new(1)),
+            None => None,
         }
     }
 
+    /// Replays `cycles` idle ticks, or the wait states and non-final
+    /// beats of the current sub-burst: reads land in the transaction's
+    /// data, writes reach the slave, and every other requesting master
+    /// is charged one contention cycle per *beat*, exactly as `tick`
+    /// charges them (wait-state cycles charge nothing).
     fn advance(&mut self, cycles: Cycle) {
-        debug_assert!(
-            self.active.is_none() && self.masters.iter().all(|m| m.outstanding.is_none()),
-            "bus advanced across a non-idle window"
-        );
+        let n = cycles.count();
+        if n == 0 {
+            return;
+        }
         self.now += cycles;
-        self.stats.cycles += cycles.count();
+        self.stats.cycles += n;
+        let Some(grant) = self.active.as_mut() else {
+            debug_assert!(
+                self.masters.iter().all(|m| m.outstanding.is_none()),
+                "bus advanced across an arbitration cycle"
+            );
+            return;
+        };
+        let Phase::Beat {
+            wait_left,
+            sub_beats_left,
+        } = &mut grant.phase
+        else {
+            panic!("bus advanced across an address cycle");
+        };
+        self.stats.busy_cycles += n;
+        if n <= u64::from(*wait_left) {
+            *wait_left -= n as u32;
+            return;
+        }
+        let owner = grant.master;
+        let port = &mut self.masters[owner];
+        let txn = port
+            .outstanding
+            .as_mut()
+            .expect("granted master has an outstanding txn");
+        let slave = &mut self.slaves[txn.slave_idx];
+        debug_assert!(slave.device.fault_free(), "bulk beats on a faulting slave");
+        // The first beat lands after the wait states, then one every
+        // `period` cycles; the cycles after the last beat count down
+        // the next wait.
+        let period = u64::from(slave.device.sequential_wait_states()) + 1;
+        let after_first = n - u64::from(*wait_left) - 1;
+        let beats = 1 + after_first / period;
+        debug_assert!(
+            beats < u64::from(*sub_beats_left),
+            "bus advanced past the sub-burst's last beat"
+        );
+        *wait_left = (period - 1 - after_first % period) as u32;
+        *sub_beats_left -= beats as u16;
+        for _ in 0..beats {
+            assert!(txn.move_beat(slave).is_none(), "a fault-free slave faulted");
+        }
+        self.stats.beats += beats;
+        port.stats.beats += beats;
+        for (i, p) in self.masters.iter_mut().enumerate() {
+            if i != owner && p.outstanding.is_some() {
+                p.stats.contention_cycles += beats;
+                self.stats.contention_cycles += beats;
+            }
+        }
     }
 }
 
@@ -1147,6 +1250,66 @@ mod tests {
         );
         assert_eq!(bus.master_name(ocp), "ocp");
         assert_eq!(bus.num_masters(), 2);
+    }
+
+    #[test]
+    fn horizon_reaches_the_last_beat_of_the_sub_burst() {
+        use crate::event::NextEvent;
+        let mut bus = Bus::new(BusConfig::default());
+        let m = bus.register_master("cpu");
+        bus.add_slave(
+            0,
+            Sram::with_words(
+                64,
+                SramConfig {
+                    first_access_wait_states: 3,
+                    sequential_wait_states: 1,
+                },
+            ),
+        );
+        assert_eq!(bus.horizon(), None);
+        bus.try_begin(m, TxnRequest::read(0, 4)).unwrap();
+        // Arbitration, grant and address cycles single-step.
+        for _ in 0..2 {
+            assert_eq!(bus.horizon(), Some(Cycle::new(1)));
+            bus.tick();
+        }
+        // 3 waits + beat, then 3 × (1 wait + beat): the last beat is 10
+        // cycles out, matching `wait_states_charged`' 12-cycle total.
+        assert_eq!(bus.horizon(), Some(Cycle::new(10)));
+        bus.advance(Cycle::new(9));
+        assert_eq!(bus.horizon(), Some(Cycle::new(1)));
+        assert!(bus.poll(m).is_pending());
+        bus.tick();
+        let c = bus.take_completion(m).unwrap().unwrap();
+        assert_eq!(c.cycles, 12);
+        assert_eq!(bus.stats().beats, 4);
+    }
+
+    #[test]
+    fn wait_state_cycles_charge_no_contention() {
+        let mut bus = Bus::new(BusConfig::default());
+        let a = bus.register_master("a");
+        let b = bus.register_master("b");
+        bus.add_slave(
+            0,
+            Sram::with_words(
+                64,
+                SramConfig {
+                    first_access_wait_states: 5,
+                    sequential_wait_states: 3,
+                },
+            ),
+        );
+        bus.try_begin(a, TxnRequest::read(0, 2)).unwrap();
+        bus.try_begin(b, TxnRequest::read_word(0x40)).unwrap();
+        let c = bus.run_to_completion(a).unwrap();
+        // `a` holds the bus for grant + address + 5 waits + beat +
+        // 3 waits + final beat = 12 cycles, but `b` is charged only for
+        // the grant, the address and the non-final beat.
+        assert_eq!(c.cycles, 12);
+        assert_eq!(bus.master_stats(b).contention_cycles, 3);
+        assert_eq!(bus.stats().contention_cycles, 3);
     }
 
     #[test]

@@ -187,6 +187,11 @@ impl BusSlave for Sram {
     fn sequential_wait_states(&self) -> u32 {
         self.config.sequential_wait_states
     }
+
+    /// Every in-window word exists, so an accepted burst never faults.
+    fn fault_free(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

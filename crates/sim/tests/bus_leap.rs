@@ -1,0 +1,281 @@
+//! Differential test of burst-level fast-forward on the AHB-like bus.
+//!
+//! Twin buses replay the same seeded traffic: one is ticked every
+//! cycle, the other leaps `horizon − 1` cycles with
+//! [`NextEvent::advance`] and then ticks. At every completion both must
+//! agree on the completion itself (data, `issued_at`, `completed_at`),
+//! the aggregate [`BusStats`] and every master's [`MasterStats`]; at
+//! the end, the memory contents must match too.
+
+use ouessant_sim::bus::{
+    ArbiterPolicy, Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats,
+    PortState, SlaveFault, TxnRequest,
+};
+use ouessant_sim::memory::{Sram, SramConfig};
+use ouessant_sim::{Cycle, NextEvent, XorShift64};
+
+const SRAM_BASE: u32 = 0x4000_0000;
+const SRAM_WORDS: u32 = 4096;
+const FLAKY_BASE: u32 = 0x9000_0000;
+const FLAKY_WORDS: u32 = 512;
+/// Word offsets at and beyond this fault on the flaky slave.
+const FLAKY_LIMIT: u32 = 256;
+
+/// A slave that faults on part of its window, so it must keep the bus
+/// single-stepping (the default `fault_free() == false`).
+struct Flaky {
+    words: Vec<u32>,
+}
+
+impl BusSlave for Flaky {
+    fn name(&self) -> &str {
+        "flaky"
+    }
+    fn size(&self) -> u32 {
+        FLAKY_WORDS * 4
+    }
+    fn read_word(&mut self, offset: u32) -> Result<u32, SlaveFault> {
+        let i = offset / 4;
+        if i >= FLAKY_LIMIT {
+            return Err(SlaveFault {
+                reason: format!("word {i} not implemented"),
+            });
+        }
+        Ok(self.words[i as usize])
+    }
+    fn write_word(&mut self, offset: u32, value: u32) -> Result<(), SlaveFault> {
+        let i = offset / 4;
+        if i >= FLAKY_LIMIT {
+            return Err(SlaveFault {
+                reason: format!("word {i} not implemented"),
+            });
+        }
+        self.words[i as usize] = value;
+        Ok(())
+    }
+    fn first_access_wait_states(&self) -> u32 {
+        2
+    }
+}
+
+/// One master's scripted transaction: issued `delay` cycles after the
+/// master's previous completion was taken (or after cycle 0).
+#[derive(Clone)]
+struct Step {
+    delay: u64,
+    req: TxnRequest,
+}
+
+#[derive(Clone)]
+struct Scenario {
+    config: BusConfig,
+    sram: SramConfig,
+    with_flaky: bool,
+    scripts: Vec<Vec<Step>>,
+}
+
+/// What the harness observes at a completion.
+#[derive(Debug, PartialEq)]
+struct Observation {
+    now: u64,
+    master: usize,
+    completion: Result<Completion, BusError>,
+    bus: BusStats,
+    masters: Vec<MasterStats>,
+}
+
+fn scenario(seed: u64) -> Scenario {
+    let mut rng = XorShift64::new(seed);
+    let masters = 1 + rng.gen_range_u32(0..4) as usize;
+    let max_burst_beats = [1u16, 3, 4, 16, 64, 256][rng.gen_range_u32(0..6) as usize];
+    let config = BusConfig {
+        max_burst_beats,
+        arbiter: if rng.gen_bool() {
+            ArbiterPolicy::FixedPriority
+        } else {
+            ArbiterPolicy::RoundRobin
+        },
+    };
+    let sram = SramConfig {
+        first_access_wait_states: rng.gen_range_u32(0..8),
+        sequential_wait_states: rng.gen_range_u32(0..8),
+    };
+    let with_flaky = rng.gen_range_u32(0..3) == 0;
+    let scripts = (0..masters)
+        .map(|_| {
+            let txns = 1 + rng.gen_range_u32(0..6);
+            (0..txns)
+                .map(|_| {
+                    let delay = rng.gen_range_u64(0..40);
+                    let flaky = with_flaky && rng.gen_range_u32(0..4) == 0;
+                    let (base, words) = if flaky {
+                        (FLAKY_BASE, FLAKY_WORDS)
+                    } else {
+                        (SRAM_BASE, SRAM_WORDS)
+                    };
+                    let beats = 1 + rng.gen_range_u32(0..300);
+                    let start = rng.gen_range_u32(0..words - beats + 1);
+                    let addr = base + start * 4;
+                    let req = if rng.gen_bool() {
+                        TxnRequest::read(addr, beats as u16)
+                    } else {
+                        TxnRequest::write(addr, rng.vec_u32(beats as usize))
+                    };
+                    Step { delay, req }
+                })
+                .collect()
+        })
+        .collect();
+    Scenario {
+        config,
+        sram,
+        with_flaky,
+        scripts,
+    }
+}
+
+struct Run {
+    observations: Vec<Observation>,
+    memory: Vec<u32>,
+    leaped: u64,
+}
+
+fn build(s: &Scenario) -> (Bus, Vec<MasterId>) {
+    let mut bus = Bus::new(s.config);
+    let ids = (0..s.scripts.len())
+        .map(|i| bus.register_master(&format!("m{i}")))
+        .collect();
+    let mut sram = Sram::with_words(SRAM_WORDS as usize, s.sram);
+    let mut rng = XorShift64::new(0x5EED);
+    sram.store_slice(0, &rng.vec_u32(SRAM_WORDS as usize))
+        .unwrap();
+    bus.add_slave(SRAM_BASE, sram);
+    if s.with_flaky {
+        bus.add_slave(
+            FLAKY_BASE,
+            Flaky {
+                words: (0..FLAKY_WORDS).collect(),
+            },
+        );
+    }
+    (bus, ids)
+}
+
+/// Runs `s` to completion, ticking every cycle or leaping.
+fn run(s: &Scenario, leap: bool) -> Run {
+    let (mut bus, ids) = build(s);
+    let mut next = vec![0usize; ids.len()];
+    let mut issue_at: Vec<Option<u64>> = s
+        .scripts
+        .iter()
+        .map(|script| script.first().map(|step| step.delay))
+        .collect();
+    let mut observations = Vec::new();
+    let mut leaped = 0;
+    loop {
+        let now = bus.now().count();
+        for (i, &m) in ids.iter().enumerate() {
+            if bus.poll(m) == PortState::Complete {
+                let completion = bus.take_completion(m).expect("complete");
+                observations.push(Observation {
+                    now,
+                    master: i,
+                    completion,
+                    bus: bus.stats(),
+                    masters: ids.iter().map(|&id| bus.master_stats(id)).collect(),
+                });
+                next[i] += 1;
+                issue_at[i] = s.scripts[i].get(next[i]).map(|step| now + step.delay);
+            }
+            if bus.poll(m) == PortState::Idle && issue_at[i].is_some_and(|t| t <= now) {
+                bus.try_begin(m, s.scripts[i][next[i]].req.clone())
+                    .expect("scripted request is valid");
+                issue_at[i] = None;
+            }
+        }
+        let pending = ids.iter().any(|&m| bus.poll(m) != PortState::Idle);
+        let next_issue = issue_at.iter().flatten().min().copied();
+        if !pending && next_issue.is_none() {
+            break;
+        }
+        if leap {
+            // Leap the bus's pure window, but never past a cycle at
+            // which the harness issues a request.
+            let mut window = bus.horizon().map_or(u64::MAX, |h| h.count() - 1);
+            if let Some(t) = next_issue {
+                window = window.min(t - now - 1);
+            }
+            if window > 0 && window < u64::MAX {
+                bus.advance(Cycle::new(window));
+                leaped += window;
+            }
+        }
+        bus.tick();
+        assert!(bus.now().count() < 10_000_000, "scenario did not drain");
+    }
+    let memory = (0..SRAM_WORDS)
+        .map(|i| bus.debug_read(SRAM_BASE + i * 4).unwrap())
+        .collect();
+    Run {
+        observations,
+        memory,
+        leaped,
+    }
+}
+
+#[test]
+fn leaping_the_bus_matches_ticking_it() {
+    let mut leaped = 0;
+    let mut faults = 0;
+    for seed in 1..=300u64 {
+        let s = scenario(seed);
+        let ticked = run(&s, false);
+        let fast = run(&s, true);
+        assert_eq!(
+            fast.observations, ticked.observations,
+            "completions or stats diverged (seed {seed})"
+        );
+        assert!(
+            fast.memory == ticked.memory,
+            "memory contents diverged (seed {seed})"
+        );
+        assert_eq!(ticked.leaped, 0);
+        leaped += fast.leaped;
+        faults += ticked
+            .observations
+            .iter()
+            .filter(|o| o.completion.is_err())
+            .count();
+    }
+    assert!(leaped > 100_000, "the bus barely leaped ({leaped} cycles)");
+    assert!(faults > 0, "no scenario exercised a slave fault");
+}
+
+/// Beats on a slave that may fault keep the horizon at one cycle, so
+/// the fault lands on the same cycle whether the driver leaps or not.
+#[test]
+fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
+    let mut s = scenario(1);
+    s.with_flaky = true;
+    s.config.max_burst_beats = 16;
+    // One read crossing into the faulting words at beat 5.
+    s.scripts = vec![vec![Step {
+        delay: 0,
+        req: TxnRequest::read(FLAKY_BASE + (FLAKY_LIMIT - 4) * 4, 32),
+    }]];
+    let (mut bus, ids) = build(&s);
+    bus.try_begin(ids[0], s.scripts[0][0].req.clone()).unwrap();
+    while bus.poll(ids[0]).is_pending() {
+        assert_eq!(bus.horizon(), Some(Cycle::new(1)));
+        bus.tick();
+    }
+    let ticked = run(&s, false);
+    let fast = run(&s, true);
+    assert_eq!(fast.observations, ticked.observations);
+    assert_eq!(fast.leaped, 0);
+    let first = &ticked.observations[0];
+    assert!(matches!(first.completion, Err(BusError::Fault(_))));
+    // grant + address + 2 wait states + 5 beats: the fault is on beat 5.
+    assert_eq!(first.now, 9);
+    assert_eq!(first.bus.beats, 5);
+}

@@ -51,7 +51,8 @@ pub struct SocConfig {
     /// Event-horizon fast-forwarding in [`Soc::start_and_wait`]: leap
     /// over cycles during which neither the OCP nor the bus can change
     /// observable state (RAC compute latency, `wait`/`rcfg`
-    /// countdowns). Bit-exact with cycle-by-cycle stepping; disable to
+    /// countdowns, the data phase of a DMA sub-burst). Bit-exact with
+    /// cycle-by-cycle stepping; disable to
     /// cross-check or to single-step under a debugger.
     pub fast_forward: bool,
 }
@@ -311,7 +312,7 @@ impl Soc {
             // cycle-by-cycle stepping.
             if self.config.fast_forward {
                 let horizon = ouessant_sim::min_horizon(
-                    NextEvent::horizon(&self.ocp),
+                    self.ocp.horizon_on(&self.bus),
                     NextEvent::horizon(&self.bus),
                 );
                 // A quiescent system (e.g. a program that halted without
@@ -327,7 +328,7 @@ impl Soc {
                 }
                 if skip > 0 {
                     let leap = ouessant_sim::Cycle::new(skip);
-                    NextEvent::advance(&mut self.ocp, leap);
+                    self.ocp.advance(leap);
                     NextEvent::advance(&mut self.bus, leap);
                     run_cycles += skip;
                 }
@@ -499,41 +500,74 @@ mod tests {
 
     #[test]
     fn fast_forward_matches_cycle_stepping() {
-        for completion in [
-            CompletionMode::Interrupt,
-            CompletionMode::Polling { interval: 50 },
-        ] {
-            let run = |fast_forward: bool| {
-                let config = SocConfig {
-                    completion,
-                    fast_forward,
-                    ..SocConfig::default()
-                };
-                let mut soc = Soc::new(Box::new(PassthroughRac::new(0)), config);
-                let ram = soc.config().ram_base;
-                let program = assemble(
-                    "mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nwait 200\nmvfc BANK2,0,DMA16,FIFO0\neop",
-                )
+        use ouessant_isa::{Program, ProgramBuilder};
+        use ouessant_rac::dft::DftRac;
+
+        // One DMA16 sub-burst each way around a `wait`.
+        let passthrough =
+            assemble("mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nwait 200\nmvfc BANK2,0,DMA16,FIFO0\neop")
                 .unwrap();
-                soc.load_words(ram, &program.to_words()).unwrap();
-                let input: Vec<u32> = (0..16).map(|i| 0xBEEF_0000 + i).collect();
-                soc.load_words(ram + 0x1000, &input).unwrap();
-                soc.configure(
-                    &[(0, ram), (1, ram + 0x1000), (2, ram + 0x2000)],
-                    program.len() as u32,
-                )
-                .unwrap();
-                let report = soc.start_and_wait(100_000).unwrap();
-                let out = soc.read_words(ram + 0x2000, 16).unwrap();
-                let bus = soc.bus().stats();
-                (report, out, bus.cycles, bus.beats, bus.contention_cycles)
-            };
-            let fast = run(true);
-            let slow = run(false);
-            assert_eq!(
-                fast, slow,
-                "fast-forward must be bit-exact ({completion:?})"
-            );
+        // The Table I DFT program: 512 words each way in DMA64
+        // transfers of four sub-bursts each, behind a program load of
+        // two sub-bursts.
+        let dft = ProgramBuilder::new()
+            .transfer_to_coprocessor(1, 0, 512, 64, 0)
+            .unwrap()
+            .execs_op(0)
+            .transfer_from_coprocessor(2, 0, 512, 64, 0)
+            .unwrap()
+            .eop()
+            .finish()
+            .unwrap();
+        let cases: [(&str, &Program, usize); 2] =
+            [("passthrough", &passthrough, 16), ("dft256", &dft, 512)];
+        for (name, program, words) in cases {
+            for sram in [
+                SramConfig::no_wait(),
+                SramConfig::default(),
+                SramConfig {
+                    first_access_wait_states: 7,
+                    sequential_wait_states: 7,
+                },
+            ] {
+                for completion in [
+                    CompletionMode::Interrupt,
+                    CompletionMode::Polling { interval: 50 },
+                ] {
+                    let run = |fast_forward: bool| {
+                        let config = SocConfig {
+                            sram,
+                            completion,
+                            fast_forward,
+                            ..SocConfig::default()
+                        };
+                        let rac: Box<dyn Rac> = if name == "dft256" {
+                            Box::new(DftRac::new(256))
+                        } else {
+                            Box::new(PassthroughRac::new(0))
+                        };
+                        let mut soc = Soc::new(rac, config);
+                        let ram = soc.config().ram_base;
+                        soc.load_words(ram, &program.to_words()).unwrap();
+                        let input: Vec<u32> = (0..words as u32).map(|i| 0xBEEF_0000 + i).collect();
+                        soc.load_words(ram + 0x1000, &input).unwrap();
+                        soc.configure(
+                            &[(0, ram), (1, ram + 0x1000), (2, ram + 0x2000)],
+                            program.len() as u32,
+                        )
+                        .unwrap();
+                        let report = soc.start_and_wait(1_000_000).unwrap();
+                        let out = soc.read_words(ram + 0x2000, words).unwrap();
+                        (report, out, soc.bus().stats(), soc.ocp().stats().controller)
+                    };
+                    let fast = run(true);
+                    let slow = run(false);
+                    assert_eq!(
+                        fast, slow,
+                        "fast-forward must be bit-exact ({name}, {sram:?}, {completion:?})"
+                    );
+                }
+            }
         }
     }
 

@@ -1,188 +1,13 @@
 //! Regenerates the complete paper evaluation in one run — every table,
 //! figure-derived artifact, in-text number and ablation — as a markdown
 //! report on stdout (the source of EXPERIMENTS.md's measured column).
+//! The same report is pinned byte for byte by `tests/golden/paper.txt`.
 //!
 //! ```text
 //! cargo run --release --example reproduce_all
 //! ```
 
-use ouessant_isa::opt::optimize;
-use ouessant_isa::{assemble, FIGURE4_SOURCE};
-use ouessant_rac::dft::dft_latency;
-use ouessant_resources::estimate::ocp_overhead;
-use ouessant_resources::{
-    dpr_region_estimate, estimate_fmax, estimate_ocp, rac_estimate, Device, OcpParams, RacKind,
-};
-use ouessant_sim::memory::SramConfig;
-use ouessant_sim::Frequency;
-use ouessant_soc::app::{dft_experiment, idct_experiment, transfer_experiment, ExperimentConfig};
-use ouessant_soc::os::OsModel;
-use ouessant_soc::soc::{CompletionMode, SocConfig};
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("# Ouessant reproduction report\n");
-
-    // ---- Table I ----
-    println!("## Table I (Linux, mmap driver, 50 MHz)\n");
-    println!("| Row | Lat. | HW | SW | Gain | paper |");
-    println!("|---|---:|---:|---:|---:|---|");
-    let config = ExperimentConfig::paper_linux();
-    let idct = idct_experiment(&config)?;
-    println!(
-        "| IDCT | {} | {} | {} | {:.2} | 18 / 3000 / 5000 / 1.67 |",
-        idct.latency, idct.hw_cycles, idct.sw_cycles, idct.gain
-    );
-    let dft = dft_experiment(&config)?;
-    println!(
-        "| DFT | {} | {} | {} | {:.2} | 2485 / 7000 / 600k / 85 |",
-        dft.latency, dft.hw_cycles, dft.sw_cycles, dft.gain
-    );
-
-    // ---- §V-B in-text ----
-    println!("\n## §V-B in-text numbers\n");
-    let bare = dft_experiment(&ExperimentConfig::paper_baremetal())?;
-    println!(
-        "- DFT baremetal: **{}** cycles (paper 4000)",
-        bare.machine_cycles
-    );
-    println!(
-        "- Linux overhead: **{}** cycles (paper 3000)",
-        dft.hw_cycles - bare.hw_cycles
-    );
-    let transfer = bare.machine_cycles - dft_latency(256);
-    println!(
-        "- transfer: **{} cycles / {} words = {:.2} cy/word** (paper ~1500, ~1.5)",
-        transfer,
-        bare.words,
-        transfer as f64 / bare.words as f64
-    );
-
-    // ---- §V-A resources ----
-    println!("\n## §V-A resources (analytical)\n");
-    let params = OcpParams::default();
-    let overhead = ocp_overhead(&estimate_ocp(&params));
-    println!(
-        "- OCP overhead: **{} LUT / {} FF** (paper < 1000 / < 750) → {}",
-        overhead.lut,
-        overhead.ff,
-        if overhead.lut < 1000 && overhead.ff < 750 {
-            "claim HOLDS"
-        } else {
-            "claim VIOLATED"
-        }
-    );
-    let timing = estimate_fmax(&params);
-    println!(
-        "- timing: fmax {} at 50 MHz system clock → {}",
-        timing.fmax(),
-        if timing.meets(Frequency::mhz(50)) {
-            "no timing errors"
-        } else {
-            "FAILS"
-        }
-    );
-    println!(
-        "- utilization on {}: {}",
-        Device::artix7_100t().name,
-        Device::artix7_100t().utilization(overhead)
-    );
-
-    // ---- Ablations ----
-    println!("\n## Ablation A1: burst length (cycles/word, 1024 words)\n");
-    println!("| burst | cy/word |");
-    println!("|---|---:|");
-    for burst in [8u16, 16, 32, 64, 128, 256] {
-        let r = transfer_experiment(
-            &ExperimentConfig {
-                burst,
-                ..ExperimentConfig::paper_baremetal()
-            },
-            512,
-        )?;
-        println!("| DMA{burst} | {:.3} |", r.cycles_per_word());
-    }
-
-    println!("\n## Ablation A2: completion mode (DFT baremetal machine cycles)\n");
-    for (name, mode) in [
-        ("interrupt", CompletionMode::Interrupt),
-        ("poll/16", CompletionMode::Polling { interval: 16 }),
-        ("poll/1024", CompletionMode::Polling { interval: 1024 }),
-    ] {
-        let base = ExperimentConfig::paper_baremetal();
-        let row = dft_experiment(&ExperimentConfig {
-            soc: SocConfig {
-                completion: mode,
-                ..base.soc
-            },
-            ..base
-        })?;
-        println!("- {name}: {} cycles", row.machine_cycles);
-    }
-
-    println!("\n## Ablation A3: driver strategy (DFT HW cycles)\n");
-    for os in [
-        OsModel::Baremetal,
-        OsModel::linux_mmap(),
-        OsModel::linux_copy(),
-    ] {
-        let row = dft_experiment(&ExperimentConfig {
-            os,
-            ..ExperimentConfig::paper_linux()
-        })?;
-        println!("- {os}: {} cycles (gain {:.1})", row.hw_cycles, row.gain);
-    }
-
-    println!("\n## Ablation A4: SRAM wait states (cy/word at DMA64)\n");
-    for ws in [0u32, 1, 3, 7] {
-        let base = ExperimentConfig::paper_baremetal();
-        let r = transfer_experiment(
-            &ExperimentConfig {
-                soc: SocConfig {
-                    sram: SramConfig {
-                        first_access_wait_states: ws,
-                        sequential_wait_states: 0,
-                    },
-                    ..base.soc
-                },
-                ..base
-            },
-            512,
-        )?;
-        println!("- {ws} wait states: {:.3} cy/word", r.cycles_per_word());
-    }
-
-    println!("\n## Ablation A5: gain vs DFT size (Linux)\n");
-    println!("| N | gain |");
-    println!("|---:|---:|");
-    for n in [16usize, 64, 256, 1024] {
-        let row = dft_experiment(&ExperimentConfig {
-            dft_points: n,
-            burst: 64.min((n * 2) as u16),
-            ..ExperimentConfig::paper_linux()
-        })?;
-        println!("| {n} | {:.1} |", row.gain);
-    }
-
-    println!("\n## Ablation A6: DPR area trade-off\n");
-    let kinds = [RacKind::Idct, RacKind::SpiralDft { points: 256 }];
-    let sum = rac_estimate(kinds[0]) + rac_estimate(kinds[1]);
-    let region = dpr_region_estimate(&kinds);
-    println!("- two static regions: {sum}");
-    println!("- one DPR region:     {region}");
-
-    // ---- Microcode optimizer ----
-    println!("\n## Microcode optimizer on Figure 4\n");
-    let original = assemble(FIGURE4_SOURCE)?;
-    let (optimized, stats) = optimize(&original)?;
-    println!(
-        "- {} instructions → {} ({} transfers coalesced, {} loops created), same {} words",
-        stats.before,
-        stats.after,
-        stats.coalesced,
-        stats.loops_created,
-        optimized.static_words_transferred()
-    );
-
-    println!("\ndone: every experiment regenerated.");
+    print!("{}", ouessant_repro::report::paper_report()?);
     Ok(())
 }

@@ -38,4 +38,7 @@ cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --h
 echo "==> fast-forward benchmark smoke (bit-exactness gate)"
 bash scripts/bench.sh --smoke
 
+echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> CI green"
