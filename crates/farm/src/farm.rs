@@ -935,12 +935,6 @@ impl Farm {
         self.skipped_cycles
     }
 
-    /// Host wall time spent inside [`Farm::run_until_idle`] so far.
-    #[must_use]
-    pub fn wall_time(&self) -> std::time::Duration {
-        self.wall
-    }
-
     /// Builds the aggregate serving report.
     #[must_use]
     pub fn report(&self) -> FarmReport {

@@ -13,9 +13,9 @@
 
 use ouessant::controller::ControllerStats;
 use ouessant_farm::{
-    ChaosConfig, ChaosStats, DprAffinityPolicy, Farm, FarmConfig, FarmError, FaultConfig,
-    FaultPlan, FifoPolicy, JobKind, JobOutcome, JobSpec, LivenessConfig, RoundRobinPolicy,
-    SchedPolicy, WorkerHealth,
+    ChaosConfig, ChaosStats, DprAffinityPolicy, Farm, FarmConfig, FarmError, FarmReport,
+    FaultConfig, FaultPlan, FifoPolicy, JobKind, JobOutcome, JobSpec, LivenessConfig,
+    RoundRobinPolicy, SchedPolicy, WorkerHealth,
 };
 use ouessant_isa::ProgramBuilder;
 use ouessant_sim::bus::BusStats;
@@ -81,26 +81,58 @@ fn liveness_watched() -> LivenessConfig {
     }
 }
 
-fn build_farm(policy_name: &str, fast_forward: bool) -> Farm {
-    build_farm_with(policy_name, fast_forward, LivenessConfig::default())
+/// A copy job whose custom microcode sleeps `waits[0]` cycles before
+/// `exec` and `waits[1]` cycles after it, between its two bursts (a zero
+/// wait is left out).
+fn sleeping_copy(input: Vec<u32>, waits: [u16; 2]) -> JobSpec {
+    let words = u32::try_from(input.len()).expect("payload fits u32");
+    let mut program = ProgramBuilder::new()
+        .transfer_to_coprocessor(1, 0, words, 64, 0)
+        .expect("payload fits the offset field");
+    if waits[0] > 0 {
+        program = program.wait(waits[0]);
+    }
+    program = program.execs_op(u16::try_from(words).expect("payload fits u16"));
+    if waits[1] > 0 {
+        program = program.wait(waits[1]);
+    }
+    let program = program
+        .transfer_from_coprocessor(2, 0, words, 64, 0)
+        .expect("payload fits the offset field")
+        .eop()
+        .finish()
+        .expect("sleeping copy program is structurally valid");
+    JobSpec::new(COPY3, input).with_microcode(program)
 }
 
-fn build_farm_with(policy_name: &str, fast_forward: bool, liveness: LivenessConfig) -> Farm {
-    let mut farm = Farm::new(
-        FarmConfig {
-            queue_capacity: 512,
-            faults: FAULTS,
-            liveness,
-            fast_forward,
-            ..FarmConfig::default()
-        },
-        policy(policy_name),
-    );
-    farm.add_worker(IDCT);
-    farm.add_worker(DFT64);
-    farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
-    farm.add_dpr_worker(&[(COPY3, 40_000), (DFT64, 60_000)]);
-    farm
+/// The four-worker redundant pool (IDCT, DFT64 and two DPR workers)
+/// under [`FAULTS`], with `chaos` armed when given, as a builder taking
+/// the stepping mode.
+fn redundant_pool(
+    policy_name: &str,
+    liveness: LivenessConfig,
+    chaos: Option<ChaosConfig>,
+) -> impl Fn(bool) -> Farm + '_ {
+    move |fast_forward| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                queue_capacity: 512,
+                faults: FAULTS,
+                liveness: liveness.clone(),
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy(policy_name),
+        );
+        farm.add_worker(IDCT);
+        farm.add_worker(DFT64);
+        farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
+        farm.add_dpr_worker(&[(COPY3, 40_000), (DFT64, 60_000)]);
+        if let Some(config) = &chaos {
+            farm.arm_chaos(FaultPlan::new(config.clone()));
+        }
+        farm
+    }
 }
 
 /// Everything observable about a finished run, minus host wall time.
@@ -209,16 +241,14 @@ fn fingerprint(farm: &Farm, cycles_run: u64) -> Fingerprint {
     }
 }
 
+/// Runs `specs` to completion on the farm `build` makes for one
+/// stepping mode, and fingerprints the result.
 fn run_campaign(
-    policy_name: &str,
-    chaos: Option<ChaosConfig>,
+    build: &dyn Fn(bool) -> Farm,
     specs: &[JobSpec],
     fast_forward: bool,
-) -> Fingerprint {
-    let mut farm = build_farm(policy_name, fast_forward);
-    if let Some(config) = chaos.clone() {
-        farm.arm_chaos(FaultPlan::new(config));
-    }
+) -> (Fingerprint, FarmReport) {
+    let mut farm = build(fast_forward);
     for spec in specs {
         farm.submit(spec.clone())
             .expect("queue sized for the whole workload");
@@ -229,22 +259,25 @@ fn run_campaign(
     if !fast_forward {
         assert_eq!(farm.skipped_cycles(), 0, "single-stepping never leaps");
     }
-    fingerprint(&farm, cycles)
+    let report = farm.report();
+    assert_eq!(report.skipped_cycles, farm.skipped_cycles());
+    (fingerprint(&farm, cycles), report)
 }
 
+/// Runs a campaign in both stepping modes, asserts the two fingerprints
+/// are equal, and returns the fast-forward run.
 fn assert_lockstep(
-    policy_name: &str,
-    chaos: Option<ChaosConfig>,
+    build: &dyn Fn(bool) -> Farm,
     specs: &[JobSpec],
     tag: &str,
-) -> Fingerprint {
-    let fast = run_campaign(policy_name, chaos.clone(), specs, true);
-    let slow = run_campaign(policy_name, chaos, specs, false);
+) -> (Fingerprint, FarmReport) {
+    let (fast, report) = run_campaign(build, specs, true);
+    let (slow, _) = run_campaign(build, specs, false);
     assert_eq!(
         fast, slow,
-        "fast-forward diverged from single-stepping ({tag}, {policy_name})"
+        "fast-forward diverged from single-stepping ({tag})"
     );
-    fast
+    (fast, report)
 }
 
 /// A calm (chaos-free) campaign must be bit-exact under every policy.
@@ -252,7 +285,8 @@ fn assert_lockstep(
 fn calm_campaign_is_bit_exact_under_every_policy() {
     let specs = workload(48, WORKLOAD_SEED);
     for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
-        assert_lockstep(policy_name, None, &specs, "calm");
+        let build = redundant_pool(policy_name, LivenessConfig::default(), None);
+        assert_lockstep(&build, &specs, &format!("calm, {policy_name}"));
     }
 }
 
@@ -286,7 +320,9 @@ fn chaos_matrix_sweep_is_bit_exact() {
         // matrix, or the sweep proves nothing about that seam.
         let mut fired = 0;
         for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
-            let cell = assert_lockstep(policy_name, Some(config.clone()), &specs, seam);
+            let build =
+                redundant_pool(policy_name, LivenessConfig::default(), Some(config.clone()));
+            let (cell, _) = assert_lockstep(&build, &specs, &format!("{seam}, {policy_name}"));
             let stats = cell.chaos.expect("campaign was armed");
             fired += stats.worker_faults() + stats.alloc_squats;
         }
@@ -309,9 +345,8 @@ fn full_chaos_campaign_is_bit_exact() {
         slow_one_in: 0,
         slow_stall: 0,
     };
-    let fast = run_campaign("round-robin", Some(config.clone()), &specs, true);
-    let slow = run_campaign("round-robin", Some(config), &specs, false);
-    assert_eq!(fast, slow, "acceptance campaign diverged");
+    let build = redundant_pool("round-robin", LivenessConfig::default(), Some(config));
+    let (fast, _) = assert_lockstep(&build, &specs, "acceptance chaos");
     let stats = fast.chaos.expect("campaign was armed");
     assert!(
         stats.worker_faults() > 0 && stats.alloc_squats > 0,
@@ -323,36 +358,46 @@ fn full_chaos_campaign_is_bit_exact() {
     );
 }
 
-/// Seeded random *custom microcode* jobs: programs with random-length
-/// `wait` sleeps on both sides of `exec` stress the `WaitCycles`
-/// horizon (the largest single-program leap source) and must replay
-/// bit-exact through admission verification, dispatch and service.
+/// Seeded *custom microcode* jobs must replay bit-exact through
+/// admission verification, dispatch and service. Two spec sets:
+///
+/// * random: random-length `wait` sleeps on both sides of `exec`
+///   stress the `WaitCycles` horizon (the largest single-program leap
+///   source);
+/// * duty-cycle: every job sleeps 16 000 cycles between its two
+///   bursts, the way a sensor-driven pipeline gates on a frame period,
+///   so almost the whole campaign is leaped.
 #[test]
-fn random_microcode_campaign_is_bit_exact() {
+fn microcode_campaigns_are_bit_exact() {
     let mut rng = XorShift64::new(0x5EED_C0DE);
-    let mut specs = Vec::new();
-    for _ in 0..24 {
-        let words = rng.gen_range_u32(8..64);
-        let input: Vec<u32> = (0..words)
-            .map(|_| rng.gen_range_i32(-1024..1024) as u32)
-            .collect();
-        let pre_wait = rng.gen_range_u32(1..5_000) as u16;
-        let post_wait = rng.gen_range_u32(1..5_000) as u16;
-        let program = ProgramBuilder::new()
-            .transfer_to_coprocessor(1, 0, words, 64, 0)
-            .expect("payload fits the offset field")
-            .wait(pre_wait)
-            .execs_op(u16::try_from(words).expect("payload fits u16"))
-            .wait(post_wait)
-            .transfer_from_coprocessor(2, 0, words, 64, 0)
-            .expect("payload fits the offset field")
-            .eop()
-            .finish()
-            .expect("generated program is structurally valid");
-        specs.push(JobSpec::new(JobKind::Copy { scale: 3 }, input).with_microcode(program));
-    }
+    let random: Vec<JobSpec> = (0..24)
+        .map(|_| {
+            let words = rng.gen_range_u32(8..64);
+            let input = (0..words)
+                .map(|_| rng.gen_range_i32(-1024..1024) as u32)
+                .collect();
+            let pre_wait = rng.gen_range_u32(1..5_000) as u16;
+            let post_wait = rng.gen_range_u32(1..5_000) as u16;
+            sleeping_copy(input, [pre_wait, post_wait])
+        })
+        .collect();
+    // 16 000 fits the 14-bit `wait` immediate (at most 16 383); a wider
+    // value is silently masked by the encoder today, so a 60 000-cycle
+    // sleep would run as `wait 10848`.
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    let duty_cycle: Vec<JobSpec> = (0..48)
+        .map(|_| sleeping_copy(payload(COPY3, &mut rng), [16_000, 0]))
+        .collect();
     for policy_name in ["fifo", "round-robin"] {
-        assert_lockstep(policy_name, None, &specs, "random-microcode");
+        let build = redundant_pool(policy_name, LivenessConfig::default(), None);
+        assert_lockstep(&build, &random, &format!("random microcode, {policy_name}"));
+        let (_, report) =
+            assert_lockstep(&build, &duty_cycle, &format!("duty cycle, {policy_name}"));
+        assert!(
+            report.skipped_fraction() >= 0.9,
+            "duty-cycle campaign leaped only {:.1}% ({policy_name})",
+            report.skipped_fraction() * 100.0
+        );
     }
 }
 
@@ -365,7 +410,7 @@ fn stall_fires_at_identical_cycle_in_both_modes() {
     let fuel = 1_000;
     let mut errs = Vec::new();
     for fast_forward in [true, false] {
-        let mut farm = build_farm("fifo", fast_forward);
+        let mut farm = redundant_pool("fifo", LivenessConfig::default(), None)(fast_forward);
         for spec in &specs {
             farm.submit(spec.clone()).unwrap();
         }
@@ -387,30 +432,6 @@ fn stall_fires_at_identical_cycle_in_both_modes() {
     );
     assert_eq!(fast_err, slow_err, "stall snapshots diverged");
     assert_eq!(fast_fp, slow_fp, "post-stall farm state diverged");
-}
-
-fn run_liveness_campaign(
-    policy_name: &str,
-    chaos: Option<ChaosConfig>,
-    specs: &[JobSpec],
-    fast_forward: bool,
-    liveness: LivenessConfig,
-) -> Fingerprint {
-    let mut farm = build_farm_with(policy_name, fast_forward, liveness);
-    if let Some(config) = chaos {
-        farm.arm_chaos(FaultPlan::new(config));
-    }
-    for spec in specs {
-        farm.submit(spec.clone())
-            .expect("queue sized for the whole workload");
-    }
-    let cycles = farm
-        .run_until_idle(400_000_000)
-        .expect("campaign must drain");
-    if !fast_forward {
-        assert_eq!(farm.skipped_cycles(), 0, "single-stepping never leaps");
-    }
-    fingerprint(&farm, cycles)
 }
 
 /// The 2-stall-seam × 3-policy sweep: wedged handshakes and slowed
@@ -446,24 +467,8 @@ fn hang_seam_sweep_is_bit_exact() {
         let mut fired = 0;
         let mut detected = 0;
         for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
-            let fast = run_liveness_campaign(
-                policy_name,
-                Some(config.clone()),
-                &specs,
-                true,
-                liveness_watched(),
-            );
-            let slow = run_liveness_campaign(
-                policy_name,
-                Some(config.clone()),
-                &specs,
-                false,
-                liveness_watched(),
-            );
-            assert_eq!(
-                fast, slow,
-                "hang campaign diverged between modes ({seam}, {policy_name})"
-            );
+            let build = redundant_pool(policy_name, liveness_watched(), Some(config.clone()));
+            let (fast, _) = assert_lockstep(&build, &specs, &format!("{seam}, {policy_name}"));
             let stats = fast.chaos.expect("campaign was armed");
             fired += stats.wedges + stats.rac_stalls;
             detected += fast.hangs_detected;
@@ -482,7 +487,7 @@ fn watchdog_fires_at_identical_cycle_in_both_modes() {
     let specs = workload(6, WORKLOAD_SEED);
     let mut fps = Vec::new();
     for fast_forward in [true, false] {
-        let mut farm = build_farm_with("fifo", fast_forward, liveness_watched());
+        let mut farm = redundant_pool("fifo", liveness_watched(), None)(fast_forward);
         for spec in &specs {
             farm.submit(spec.clone()).unwrap();
         }
@@ -557,7 +562,11 @@ fn hang_campaign_acceptance() {
     };
 
     // Fault-free baseline: no chaos, no enforcement — all 240 complete.
-    let baseline = run_liveness_campaign("round-robin", None, &specs, true, liveness_watched());
+    let (baseline, _) = run_campaign(
+        &redundant_pool("round-robin", liveness_watched(), None),
+        &specs,
+        true,
+    );
     let baseline_outputs: std::collections::HashMap<u64, &Vec<u32>> =
         baseline.records.iter().map(|r| (r.id, &r.output)).collect();
     assert_eq!(
@@ -566,16 +575,12 @@ fn hang_campaign_acceptance() {
         "baseline must serve everything"
     );
 
-    let config = ChaosConfig::hang(0x0CEA_4A46);
-    let fast = run_liveness_campaign(
+    let build = redundant_pool(
         "round-robin",
-        Some(config.clone()),
-        &specs,
-        true,
-        liveness.clone(),
+        liveness,
+        Some(ChaosConfig::hang(0x0CEA_4A46)),
     );
-    let slow = run_liveness_campaign("round-robin", Some(config), &specs, false, liveness);
-    assert_eq!(fast, slow, "acceptance campaign diverged between modes");
+    let (fast, _) = assert_lockstep(&build, &specs, "hang acceptance");
 
     let stats = fast.chaos.expect("campaign was armed");
     assert!(
@@ -619,39 +624,40 @@ fn hang_campaign_acceptance() {
 }
 
 /// The fast path must actually skip work on a compute-dominated
-/// campaign — otherwise the benchmark harness is measuring nothing.
-/// Large DFTs are the honest case: a 1024-point transform computes
-/// for `n log2 n + 3n/2 + 53` cycles between its two DMA bursts, so
-/// most of a job's lifetime is a provably-pure window.
+/// campaign, bit-exactly. Large DFTs on one worker are the honest
+/// case: an `n`-point transform computes for `n log2 n + 3n/2 + 53`
+/// cycles between its two DMA bursts, so most of a job's lifetime is a
+/// provably-pure window — over half at 1024 points, over 90% at 4096.
 #[test]
 fn fast_forward_skips_a_meaningful_fraction() {
-    let kind = JobKind::Dft { points: 1024 };
-    let mut rng = XorShift64::new(WORKLOAD_SEED);
-    let specs: Vec<JobSpec> = (0..12)
-        .map(|_| JobSpec::new(kind, payload(kind, &mut rng)))
-        .collect();
-    let mut farm = Farm::new(
-        FarmConfig {
-            fifo_depth: 4096,
-            fast_forward: true,
-            ..FarmConfig::default()
-        },
-        policy("fifo"),
-    );
-    farm.add_worker(kind);
-    for spec in &specs {
-        farm.submit(spec.clone()).unwrap();
+    for (points, jobs, fifo_depth, min_skipped) in [(1024, 12, 4096, 0.5), (4096, 8, 8192, 0.9)] {
+        let kind = JobKind::Dft { points };
+        let mut rng = XorShift64::new(WORKLOAD_SEED);
+        let specs: Vec<JobSpec> = (0..jobs)
+            .map(|_| JobSpec::new(kind, payload(kind, &mut rng)))
+            .collect();
+        let build = |fast_forward| {
+            let mut farm = Farm::new(
+                FarmConfig {
+                    fifo_depth,
+                    fast_forward,
+                    ..FarmConfig::default()
+                },
+                policy("fifo"),
+            );
+            farm.add_worker(kind);
+            farm
+        };
+        let (_, report) = assert_lockstep(&build, &specs, &format!("DFT{points}"));
+        assert!(
+            report.skipped_fraction() > min_skipped,
+            "DFT{points}: expected >{:.0}% of cycles leaped, got {:.1}% ({} of {})",
+            min_skipped * 100.0,
+            report.skipped_fraction() * 100.0,
+            report.skipped_cycles,
+            report.total_cycles
+        );
     }
-    farm.run_until_idle(400_000_000).unwrap();
-    let report = farm.report();
-    assert_eq!(report.skipped_cycles, farm.skipped_cycles());
-    assert!(
-        report.skipped_fraction() > 0.5,
-        "expected >50% of cycles leaped, got {:.1}% ({} of {})",
-        report.skipped_fraction() * 100.0,
-        report.skipped_cycles,
-        report.total_cycles
-    );
 }
 
 /// The dispatch-epoch regression: a heterogeneous pool whose IDCT
@@ -680,17 +686,7 @@ fn idle_incapable_worker_does_not_pin_the_horizon() {
                     let input = (0..words)
                         .map(|_| rng.gen_range_i32(-1024..1024) as u32)
                         .collect();
-                    let program = ProgramBuilder::new()
-                        .transfer_to_coprocessor(1, 0, words, 64, 0)
-                        .expect("payload fits the offset field")
-                        .wait(8_000)
-                        .execs_op(words as u16)
-                        .transfer_from_coprocessor(2, 0, words, 64, 0)
-                        .expect("payload fits the offset field")
-                        .eop()
-                        .finish()
-                        .expect("sleeping copy program is valid");
-                    JobSpec::new(COPY3, input).with_microcode(program)
+                    sleeping_copy(input, [8_000, 0])
                 }
                 _ => JobSpec::new(DFT1K, payload(DFT1K, &mut rng)),
             };
@@ -712,7 +708,7 @@ fn idle_incapable_worker_does_not_pin_the_horizon() {
         slow_one_in: 0,
         slow_stall: 0,
     };
-    let run = |policy_name: &str, fast_forward: bool| {
+    let build = |policy_name: &str, fast_forward: bool| {
         let mut farm = Farm::new(
             FarmConfig {
                 queue_capacity: 64,
@@ -735,22 +731,14 @@ fn idle_incapable_worker_does_not_pin_the_horizon() {
         farm.add_worker(DFT1K);
         farm.add_dpr_worker(&[(IDCT, 20_000), (COPY3, 20_000)]);
         farm.arm_chaos(FaultPlan::new(chaos.clone()));
-        for spec in &specs {
-            farm.submit(spec.clone())
-                .expect("queue sized for the workload");
-        }
-        let cycles = farm
-            .run_until_idle(400_000_000)
-            .expect("campaign must drain");
-        (fingerprint(&farm, cycles), farm.report())
+        farm
     };
     let (mut stalls, mut drops, mut faults) = (0, 0, 0);
     for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
-        let (fast, report) = run(policy_name, true);
-        let (slow, _) = run(policy_name, false);
-        assert_eq!(
-            fast, slow,
-            "fast-forward diverged from single-stepping ({policy_name})"
+        let (fast, report) = assert_lockstep(
+            &|fast_forward| build(policy_name, fast_forward),
+            &specs,
+            policy_name,
         );
         assert!(
             report.skipped_fraction() >= 0.5,

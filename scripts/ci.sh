@@ -3,10 +3,8 @@
 #
 # The workspace must build with no network access (zero registry
 # dependencies); --offline enforces that invariant on every run. The
-# legacy criterion bench sources under crates/bench/benches/ are kept
-# as reference but not built (autobenches = false); the wall-time
-# harness (crates/bench/src/main.rs) is dependency-free and runs here
-# in smoke mode.
+# lockstep suite is the fast-forward bit-exactness oracle; perfbench/
+# (its own workspace) is the benchmark, and its own tests run last.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,8 +33,8 @@ cargo test -q --offline -p ouessant-farm --test lockstep hang
 echo "==> chaos + hang campaign demo (fixed seeds, reproducible)"
 cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 >/dev/null
 
-echo "==> fast-forward benchmark smoke (bit-exactness gate)"
-bash scripts/bench.sh --smoke
+echo "==> fast-forward lockstep oracle (bit-exactness gate)"
+cargo test -q --offline -p ouessant-farm --test lockstep
 
 echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

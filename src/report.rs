@@ -11,8 +11,10 @@ use std::error::Error;
 use std::fmt::Write;
 
 use ouessant_isa::opt::optimize;
-use ouessant_isa::{assemble, FIGURE4_SOURCE};
+use ouessant_isa::{assemble, ProgramBuilder, FIGURE4_SOURCE};
 use ouessant_rac::dft::dft_latency;
+use ouessant_rac::passthrough::PassthroughRac;
+use ouessant_rac::slot::ReconfigurableSlot;
 use ouessant_resources::estimate::ocp_overhead;
 use ouessant_resources::{
     dpr_region_estimate, estimate_fmax, estimate_ocp, rac_estimate, Device, OcpParams, RacKind,
@@ -21,7 +23,48 @@ use ouessant_sim::memory::SramConfig;
 use ouessant_sim::Frequency;
 use ouessant_soc::app::{dft_experiment, idct_experiment, transfer_experiment, ExperimentConfig};
 use ouessant_soc::os::OsModel;
-use ouessant_soc::soc::{CompletionMode, SocConfig};
+use ouessant_soc::soc::{CompletionMode, Soc, SocConfig};
+
+/// Bitstream size of each A6 configuration: an 8192-cycle swap.
+const DPR_BITSTREAM_BYTES: u64 = 32 * 1024;
+/// Phases in the A6 amortisation sweep, alternating two configurations.
+const DPR_PHASES: u16 = 4;
+
+/// Ablation A6's amortisation sweep: [`DPR_PHASES`] alternating phases of
+/// `blocks_per_phase` 16-word blocks on one reconfigurable slot, with an
+/// `rcfg` at the start of each phase (the first is a one-cycle reload
+/// of the active configuration). Returns the run's machine cycles.
+fn dpr_phases_cycles(blocks_per_phase: u16) -> Result<u64, Box<dyn Error>> {
+    let mut b = ProgramBuilder::new();
+    for phase in 0..DPR_PHASES {
+        b = b
+            .rcfg(phase % 2)
+            .ldo(0, 0)?
+            .ldo(1, 0)?
+            .ldc(0, blocks_per_phase)?;
+        let loop_top = b.here();
+        b = b
+            .mvtcr(1, 0, 16, 0)?
+            .execs_op(16)
+            .mvfcr(2, 1, 16, 0)?
+            .djnz(0, loop_top)?;
+    }
+    let program = b.eop().finish()?;
+
+    let slot = ReconfigurableSlot::new()
+        .with_config(Box::new(PassthroughRac::new(0)), DPR_BITSTREAM_BYTES)
+        .with_config(Box::new(PassthroughRac::scaling(3, 0)), DPR_BITSTREAM_BYTES);
+    let mut soc = Soc::new(Box::new(slot), SocConfig::default());
+    let ram = soc.config().ram_base;
+    soc.load_words(ram, &program.to_words())?;
+    let input: Vec<u32> = (0..u32::from(blocks_per_phase) * 16).collect();
+    soc.load_words(ram + 0x4000, &input)?;
+    soc.configure(
+        &[(0, ram), (1, ram + 0x4000), (2, ram + 0x2_0000)],
+        program.len() as u32,
+    )?;
+    Ok(soc.start_and_wait(100_000_000)?.run_cycles)
+}
 
 /// Runs every experiment and renders the report.
 ///
@@ -212,6 +255,21 @@ pub fn paper_report() -> Result<String, Box<dyn Error>> {
     let region = dpr_region_estimate(&kinds);
     writeln!(out, "- two static regions: {sum}")?;
     writeln!(out, "- one DPR region:     {region}")?;
+    writeln!(
+        out,
+        "\nSwap amortisation: {DPR_PHASES} phases of N 16-word blocks, alternating two \
+         configurations ({DPR_BITSTREAM_BYTES}-byte bitstreams, one swap between phases).\n"
+    )?;
+    writeln!(out, "| blocks/phase | cycles | cy/block |")?;
+    writeln!(out, "|---:|---:|---:|")?;
+    for blocks in [1u16, 2, 4, 8, 16] {
+        let cycles = dpr_phases_cycles(blocks)?;
+        writeln!(
+            out,
+            "| {blocks} | {cycles} | {:.1} |",
+            cycles as f64 / f64::from(DPR_PHASES * blocks)
+        )?;
+    }
 
     // ---- Microcode optimizer ----
     writeln!(out, "\n## Microcode optimizer on Figure 4\n")?;
