@@ -58,7 +58,7 @@ use crate::chaos::{ChaosStats, FaultPlan};
 use crate::job::{FailReason, JobId, JobKind, JobOutcome, JobRecord, JobSpec};
 use crate::policy::{SchedPolicy, WorkerView};
 use crate::queue::{PendingJob, SubmitError, SubmitQueue};
-use crate::stats::{FarmReport, WorkerReport};
+use crate::stats::{FarmReport, LatencyStats, Ledger, WorkerReport};
 use crate::worker::{
     adapt_custom_program, build_program, JobRegions, Worker, WorkerFaultKind, WorkerHealth,
 };
@@ -277,6 +277,14 @@ const OCP_BASE: u32 = 0x8000_0000;
 /// Spacing between worker register windows.
 const OCP_STRIDE: u32 = 0x1_0000;
 
+/// What a completed run leaves for its job's record.
+#[derive(Debug, Default)]
+struct Served {
+    swapped: bool,
+    contention_cycles: u64,
+    output: Vec<u32>,
+}
+
 /// A fault-bounced job waiting out its retry backoff.
 #[derive(Debug)]
 struct ParkedJob {
@@ -350,33 +358,19 @@ pub struct Farm {
     alloc: BankAllocator,
     policy: Box<dyn SchedPolicy>,
     config: FarmConfig,
+    /// Finished-job records not yet taken.
     completed: Vec<JobRecord>,
+    /// Jobs admitted so far; the next admission's id.
     next_id: u64,
-    /// Cycles dispatch was blocked on shared-memory pressure.
-    alloc_stalls: u64,
+    /// The cumulative books behind every report count.
+    ledger: Ledger,
     /// Fault-bounced jobs waiting out their retry backoff.
     parked: Vec<ParkedJob>,
     /// Armed chaos campaign, if any.
     chaos: Option<FaultPlan>,
-    worker_faults: u64,
-    retries: u64,
-    quarantines: u64,
-    /// Watchdog firings (no-progress budgets exhausted).
-    hangs_detected: u64,
-    /// Workers yanked back from a hung or overdue job (watchdog and
-    /// host-side deadline aborts).
-    aborts: u64,
-    /// Jobs evicted from a full queue by higher-priority admissions.
-    jobs_shed: u64,
-    /// Queued/parked/in-flight jobs dropped for hopeless deadlines.
-    deadline_drops: u64,
     /// Set by a fault under `fail_fast`; `run_until_idle` converts it
     /// into an `Err` at the end of the tick.
     fault_abort: Option<(usize, WorkerFaultKind)>,
-    /// Simulated cycles covered by fast-forward leaps (⊆ total cycles).
-    skipped_cycles: u64,
-    /// Host wall time spent inside `run_until_idle`.
-    wall: std::time::Duration,
     /// Reusable per-worker swap-cost buffers for dispatch.
     swap_scratch: Vec<Vec<u64>>,
     /// The last dispatch epoch on which the policy placed nothing.
@@ -419,19 +413,10 @@ impl Farm {
             config,
             completed: Vec::new(),
             next_id: 0,
-            alloc_stalls: 0,
+            ledger: Ledger::default(),
             parked: Vec::new(),
             chaos: None,
-            worker_faults: 0,
-            retries: 0,
-            quarantines: 0,
-            hangs_detected: 0,
-            aborts: 0,
-            jobs_shed: 0,
-            deadline_drops: 0,
             fault_abort: None,
-            skipped_cycles: 0,
-            wall: std::time::Duration::ZERO,
             swap_scratch: Vec::new(),
             idle_epoch: IdleEpoch::default(),
             injection_scratch: Vec::new(),
@@ -549,14 +534,17 @@ impl Farm {
         self.workers.iter().filter(|w| !w.is_idle()).count()
     }
 
-    /// Finished jobs (completed *and* permanently failed), in finish
+    /// Finished jobs not yet taken, whatever their outcome, in finish
     /// order.
     #[must_use]
     pub fn records(&self) -> &[JobRecord] {
         &self.completed
     }
 
-    /// Drains the finished-job records.
+    /// Drains the finished-job records. The [`report`](Farm::report)'s
+    /// counts are cumulative and stay as they are; its latency
+    /// distributions cover only the records still held, so they start
+    /// over.
     pub fn take_records(&mut self) -> Vec<JobRecord> {
         std::mem::take(&mut self.completed)
     }
@@ -571,33 +559,13 @@ impl Farm {
     /// Cycles dispatch was blocked on shared-memory pressure.
     #[must_use]
     pub fn alloc_stalls(&self) -> u64 {
-        self.alloc_stalls
-    }
-
-    /// Watchdog firings so far (no-progress budgets exhausted).
-    #[must_use]
-    pub fn hangs_detected(&self) -> u64 {
-        self.hangs_detected
-    }
-
-    /// Workers yanked back from a hung or overdue job so far (watchdog
-    /// plus host-side deadline aborts).
-    #[must_use]
-    pub fn aborts(&self) -> u64 {
-        self.aborts
-    }
-
-    /// Jobs evicted from a full queue by higher-priority admissions so
-    /// far.
-    #[must_use]
-    pub fn jobs_shed(&self) -> u64 {
-        self.jobs_shed
+        self.ledger.alloc_stalls
     }
 
     /// Jobs dropped or aborted for hopeless deadlines so far.
     #[must_use]
     pub fn deadline_drops(&self) -> u64 {
-        self.deadline_drops
+        self.ledger.deadline_missed
     }
 
     /// Words of shared job memory currently leased (0 at idle — the
@@ -631,12 +599,16 @@ impl Farm {
     /// The other variants reject malformed or unserviceable jobs at
     /// admission (see [`SubmitError`]).
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
+        self.admit(spec).inspect_err(|e| self.ledger.reject(e))
+    }
+
+    /// Verifies and queues `spec`, recording any evictions it causes.
+    fn admit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         if let Some(program) = &spec.microcode {
             // One instruction of headroom: serving the job on a DPR
             // worker prepends an `rcfg` (see `adapt_custom_program`).
             let limit = MAX_PROGRAM_LEN - 1;
             if program.len() > limit {
-                self.queue.note_unsafe_rejection();
                 return Err(SubmitError::MicrocodeTooLong {
                     len: program.len(),
                     limit,
@@ -651,7 +623,6 @@ impl Farm {
             .with_fifo_depth(u32::try_from(self.config.fifo_depth).unwrap_or(u32::MAX));
             let analysis = verify(program, &config);
             if analysis.has_errors() {
-                self.queue.note_unsafe_rejection();
                 return Err(SubmitError::RejectedMicrocode {
                     diagnostics: analysis,
                 });
@@ -672,20 +643,7 @@ impl Farm {
         // low-class job: record the eviction so the books still
         // balance (`admitted = completed + failed + missed + shed`).
         for job in self.queue.take_shed() {
-            self.jobs_shed += 1;
-            self.completed.push(JobRecord {
-                id: job.id,
-                kind: job.kind,
-                worker: 0,
-                outcome: JobOutcome::ShedOverload,
-                submitted_at: job.submitted_at,
-                started_at: now,
-                completed_at: now,
-                swapped: false,
-                contention_cycles: 0,
-                deadline: job.deadline,
-                output: Vec::new(),
-            });
+            self.finish(job, 0, now, JobOutcome::ShedOverload, None);
         }
         Ok(admitted)
     }
@@ -760,7 +718,7 @@ impl Farm {
     pub fn run_until_idle(&mut self, fuel: u64) -> Result<u64, FarmError> {
         let wall_start = std::time::Instant::now();
         let result = self.run_until_idle_inner(fuel);
-        self.wall += wall_start.elapsed();
+        self.ledger.host_wall += wall_start.elapsed();
         result
     }
 
@@ -915,7 +873,7 @@ impl Farm {
             w.advance(leap);
         }
         ouessant_sim::NextEvent::advance(&mut self.bus, ouessant_sim::Cycle::new(leap));
-        self.skipped_cycles += leap;
+        self.ledger.skipped_cycles += leap;
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults
             // and run the back half of that tick (no completions are
@@ -932,14 +890,16 @@ impl Farm {
     /// Simulated cycles covered by fast-forward leaps so far.
     #[must_use]
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
+        self.ledger.skipped_cycles
     }
 
-    /// Builds the aggregate serving report.
+    /// Builds the aggregate serving report: counts from the ledger and
+    /// the workers, distributions from the records still held (see
+    /// [`FarmReport`]).
     #[must_use]
     pub fn report(&self) -> FarmReport {
         let total_cycles = self.now();
-        let workers = self
+        let workers: Vec<WorkerReport> = self
             .workers
             .iter()
             .map(|w| {
@@ -963,27 +923,64 @@ impl Farm {
                 }
             })
             .collect();
-        FarmReport::build(
-            self.policy.name().to_string(),
-            &self.completed,
-            &self.queue,
-            self.alloc.stats(),
+        // Distributions describe served work: the other outcomes carry
+        // no meaningful timings.
+        let done: Vec<&JobRecord> = self
+            .completed
+            .iter()
+            .filter(|r| r.outcome.is_completed())
+            .collect();
+        let distribution = |f: fn(&JobRecord) -> u64| {
+            LatencyStats::from_samples(done.iter().map(|r| f(r)).collect())
+        };
+        let ledger = &self.ledger;
+        let mut per_kind: Vec<(String, u64)> = ledger
+            .per_kind
+            .iter()
+            .map(|(kind, n)| (kind.to_string(), *n))
+            .collect();
+        per_kind.sort();
+        let wall = ledger.host_wall.as_secs_f64();
+        FarmReport {
+            policy: self.policy.name().to_string(),
+            total_cycles,
+            jobs_admitted: self.next_id,
+            jobs_completed: ledger.completed,
+            jobs_failed_permanent: ledger.failed_permanent,
+            jobs_deadline_missed: ledger.deadline_missed,
+            jobs_shed: ledger.shed,
+            worker_faults: workers.iter().map(|w| w.faults).sum(),
+            retries: ledger.retries,
+            quarantines: workers.iter().map(|w| w.quarantines).sum(),
+            hangs_detected: ledger.hangs_detected,
+            aborts: ledger.aborts,
+            rejected_full: ledger.rejected_full,
+            rejected_shed: ledger.rejected_shed,
+            rejected_invalid: ledger.rejected_invalid,
+            rejected_unsafe: ledger.rejected_unsafe,
+            queue_peak_depth: self.queue.peak_depth(),
+            queue_wait: distribution(JobRecord::queue_wait),
+            service: distribution(JobRecord::service_cycles),
+            latency: distribution(JobRecord::latency),
+            throughput_jobs_per_mcycle: if total_cycles == 0 {
+                0.0
+            } else {
+                ledger.completed as f64 * 1.0e6 / total_cycles as f64
+            },
+            swaps: workers.iter().map(|w| w.swaps).sum(),
+            deadline_misses: ledger.late,
+            contention_cycles: ledger.contention_cycles,
+            per_kind,
+            alloc: self.alloc.stats(),
             workers,
-            crate::stats::FaultTally {
-                worker_faults: self.worker_faults,
-                retries: self.retries,
-                quarantines: self.quarantines,
+            skipped_cycles: ledger.skipped_cycles,
+            host_wall_seconds: wall,
+            cycles_per_second: if wall == 0.0 {
+                0.0
+            } else {
+                total_cycles as f64 / wall
             },
-            crate::stats::LivenessTally {
-                hangs_detected: self.hangs_detected,
-                aborts: self.aborts,
-            },
-            crate::stats::PerfTally {
-                total_cycles,
-                skipped_cycles: self.skipped_cycles,
-                host_wall: self.wall,
-            },
-        )
+        }
     }
 
     /// Whether a dispatch round now could place a job or charge an
@@ -1070,7 +1067,7 @@ impl Farm {
                 job_kind.output_words(input_words),
             ) else {
                 // Memory pressure: leave the job queued; retry next cycle.
-                self.alloc_stalls += 1;
+                self.ledger.alloc_stalls += 1;
                 break;
             };
             let mut job = self.queue.take(pick.queue_index);
@@ -1146,9 +1143,8 @@ impl Farm {
     }
 
     /// Harvests finished jobs: reads back outputs, frees regions and
-    /// appends the records.
+    /// finishes the jobs.
     fn collect_completions(&mut self) {
-        let now = self.now();
         for wi in 0..self.workers.len() {
             if self.workers[wi].ocp.poll_completion().is_none() {
                 continue;
@@ -1171,21 +1167,15 @@ impl Farm {
             for region in [done.regions.prog, done.regions.input, done.regions.output] {
                 self.alloc.free(region).expect("regions leased at dispatch");
             }
-            self.completed.push(JobRecord {
-                id: done.job.id,
-                kind: done.job.kind,
-                worker: wi,
-                outcome: JobOutcome::Completed {
-                    attempts: done.job.attempts + 1,
-                },
-                submitted_at: done.job.submitted_at,
-                started_at: done.started_at,
-                completed_at: now,
+            let outcome = JobOutcome::Completed {
+                attempts: done.job.attempts + 1,
+            };
+            let served = Served {
                 swapped: done.swapped,
                 contention_cycles: contention_now - done.contention_at_start,
-                deadline: done.job.deadline,
                 output,
-            });
+            };
+            self.finish(done.job, wi, done.started_at, outcome, Some(served));
         }
     }
 
@@ -1203,13 +1193,12 @@ impl Farm {
                 // Still draining a fault we already processed.
                 continue;
             }
-            self.worker_faults += 1;
             if matches!(kind, WorkerFaultKind::Hang { .. }) {
                 // The watchdog bit: the abort it forces (drain, reset,
                 // breaker, retry) is the crash path below — only the
                 // ledger differs.
-                self.hangs_detected += 1;
-                self.aborts += 1;
+                self.ledger.hangs_detected += 1;
+                self.ledger.aborts += 1;
             }
             let dead_job = self.workers[wi].take_faulted_job().map(|done| {
                 // The leak fix: a dead job's leases go back to the
@@ -1235,11 +1224,8 @@ impl Farm {
 
             let tripped = self.workers[wi].record_fault(now, &self.config.faults);
             self.workers[wi].begin_recovery();
-            if tripped {
-                self.quarantines += 1;
-                if self.workers[wi].is_permanently_dead() {
-                    self.reap_hopeless_jobs(now);
-                }
+            if tripped && self.workers[wi].is_permanently_dead() {
+                self.reap_hopeless_jobs(now);
             }
 
             let Some(mut job) = dead_job else {
@@ -1263,7 +1249,7 @@ impl Farm {
                 };
                 let ready_at = now + self.config.faults.retry_backoff * u64::from(job.attempts);
                 self.parked.push(ParkedJob { job, ready_at });
-                self.retries += 1;
+                self.ledger.retries += 1;
             }
         }
     }
@@ -1312,7 +1298,7 @@ impl Farm {
         // O(queue) reap only runs on ticks where it removes something.
         if self.queue.earliest_hopeless().is_some_and(|t| now > t) {
             for job in self.queue.reap_expired(|job| deadline_hopeless(job, now)) {
-                self.drop_deadline_missed(job, 0, now, now);
+                self.drop_deadline_missed(job, 0, now);
             }
         }
         let mut i = 0;
@@ -1323,7 +1309,7 @@ impl Farm {
             }
             let ParkedJob { job, .. } = self.parked.remove(i);
             let worker = job.avoid_worker.unwrap_or(0);
-            self.drop_deadline_missed(job, worker, now, now);
+            self.drop_deadline_missed(job, worker, now);
         }
         for wi in 0..self.workers.len() {
             let overdue = self.workers[wi]
@@ -1338,35 +1324,23 @@ impl Farm {
             let Some(done) = self.workers[wi].abort_active(&mut self.bus) else {
                 continue;
             };
-            self.aborts += 1;
+            self.ledger.aborts += 1;
             for region in [done.regions.prog, done.regions.input, done.regions.output] {
                 self.alloc.free(region).expect("regions leased at dispatch");
             }
             let mut job = done.job;
             job.attempts += 1;
-            self.drop_deadline_missed(job, wi, done.started_at, now);
+            self.drop_deadline_missed(job, wi, done.started_at);
         }
     }
 
-    /// Records a deadline miss (empty output — the job was dropped or
-    /// aborted, never finished).
-    fn drop_deadline_missed(&mut self, job: PendingJob, worker: usize, started_at: u64, now: u64) {
-        self.deadline_drops += 1;
-        self.completed.push(JobRecord {
-            id: job.id,
-            kind: job.kind,
-            worker,
-            outcome: JobOutcome::DeadlineMissed {
-                attempts: job.attempts,
-            },
-            submitted_at: job.submitted_at,
-            started_at,
-            completed_at: now,
-            swapped: false,
-            contention_cycles: 0,
-            deadline: job.deadline,
-            output: Vec::new(),
-        });
+    /// Records a deadline miss: the job was dropped or aborted, never
+    /// finished.
+    fn drop_deadline_missed(&mut self, job: PendingJob, worker: usize, started_at: u64) {
+        let outcome = JobOutcome::DeadlineMissed {
+            attempts: job.attempts,
+        };
+        self.finish(job, worker, started_at, outcome, None);
     }
 
     /// Fails every queued and parked job whose kind lost its last
@@ -1394,25 +1368,47 @@ impl Farm {
         }
     }
 
-    /// Records a permanent failure (empty output, zero service time —
-    /// a faulted worker's output is never trusted).
+    /// Records a permanent failure (zero service time — a faulted
+    /// worker's output is never trusted).
     fn fail_job(&mut self, job: PendingJob, worker: usize, now: u64, reason: FailReason) {
-        self.completed.push(JobRecord {
+        let outcome = JobOutcome::FailedPermanent {
+            attempts: job.attempts,
+            reason,
+        };
+        self.finish(job, worker, now, outcome, None);
+    }
+
+    /// The one place a job ends: builds its record, finished now, and
+    /// enters the outcome in the ledger. `served` carries what a
+    /// completed run leaves behind; every other outcome has no output.
+    fn finish(
+        &mut self,
+        job: PendingJob,
+        worker: usize,
+        started_at: u64,
+        outcome: JobOutcome,
+        served: Option<Served>,
+    ) {
+        let Served {
+            swapped,
+            contention_cycles,
+            output,
+        } = served.unwrap_or_default();
+        let record = JobRecord {
             id: job.id,
             kind: job.kind,
             worker,
-            outcome: JobOutcome::FailedPermanent {
-                attempts: job.attempts,
-                reason,
-            },
+            outcome,
             submitted_at: job.submitted_at,
-            started_at: now,
-            completed_at: now,
-            swapped: false,
-            contention_cycles: 0,
+            started_at,
+            completed_at: self.now(),
+            swapped,
+            contention_cycles,
             deadline: job.deadline,
-            output: Vec::new(),
-        });
+            output,
+        };
+        self.ledger.finish(&record);
+        self.completed.push(record);
     }
 }
 

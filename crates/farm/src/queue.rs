@@ -197,17 +197,8 @@ pub struct SubmitQueue {
     shed_floor: u8,
     /// Jobs evicted by higher-priority submissions, awaiting pickup.
     shed_out: Vec<PendingJob>,
-    /// Submissions rejected with `QueueFull`.
-    rejected_full: u64,
-    /// Submissions rejected with `ShedOverload`.
-    rejected_shed: u64,
-    /// Submissions rejected for any other reason.
-    rejected_invalid: u64,
-    /// Submissions whose custom microcode failed static verification.
-    rejected_unsafe: u64,
     /// High-water mark of the queue depth.
     peak_depth: usize,
-    admitted: u64,
     /// Membership version, bumped on every insertion and removal.
     version: u64,
     /// Earliest hopeless threshold among the queued jobs, recomputed
@@ -230,12 +221,7 @@ impl SubmitQueue {
             shed_watermark: None,
             shed_floor: 1,
             shed_out: Vec::new(),
-            rejected_full: 0,
-            rejected_shed: 0,
-            rejected_invalid: 0,
-            rejected_unsafe: 0,
             peak_depth: 0,
-            admitted: 0,
             version: 0,
             earliest_hopeless: None,
         }
@@ -268,47 +254,6 @@ impl SubmitQueue {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Total jobs admitted since creation.
-    #[must_use]
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Submissions rejected with [`SubmitError::QueueFull`].
-    #[must_use]
-    pub fn rejected_full(&self) -> u64 {
-        self.rejected_full
-    }
-
-    /// Submissions rejected with [`SubmitError::ShedOverload`].
-    #[must_use]
-    pub fn rejected_shed(&self) -> u64 {
-        self.rejected_shed
-    }
-
-    /// Submissions rejected for malformed payloads or unserviceable
-    /// kinds.
-    #[must_use]
-    pub fn rejected_invalid(&self) -> u64 {
-        self.rejected_invalid
-    }
-
-    /// Submissions whose custom microcode the static analyzer
-    /// rejected (see [`SubmitError::RejectedMicrocode`]).
-    #[must_use]
-    pub fn rejected_unsafe(&self) -> u64 {
-        self.rejected_unsafe
-    }
-
-    /// Counts one microcode-verification rejection.
-    ///
-    /// The verification itself happens in the farm front-end (it needs
-    /// the pool's memory map and FIFO depth); the queue only owns the
-    /// counter so all admission statistics live in one place.
-    pub(crate) fn note_unsafe_rejection(&mut self) {
-        self.rejected_unsafe += 1;
     }
 
     /// High-water mark of the queue depth.
@@ -371,12 +316,10 @@ impl SubmitQueue {
     ) -> Result<JobId, SubmitError> {
         let got = u32::try_from(spec.input.len()).unwrap_or(u32::MAX);
         if got == 0 {
-            self.rejected_invalid += 1;
             return Err(SubmitError::EmptyPayload);
         }
         if let Some(expected) = spec.kind.required_input_words() {
             if got != expected {
-                self.rejected_invalid += 1;
                 return Err(SubmitError::BadPayload {
                     kind: spec.kind,
                     expected,
@@ -385,19 +328,16 @@ impl SubmitQueue {
             }
         }
         if got > payload_limit {
-            self.rejected_invalid += 1;
             return Err(SubmitError::PayloadTooLarge {
                 got,
                 limit: payload_limit,
             });
         }
         if !serviceable {
-            self.rejected_invalid += 1;
             return Err(SubmitError::NoCapableWorker { kind: spec.kind });
         }
         if let Some(watermark) = self.shed_watermark {
             if self.jobs.len() >= watermark && spec.priority < self.shed_floor {
-                self.rejected_shed += 1;
                 return Err(SubmitError::ShedOverload {
                     queued: self.jobs.len(),
                     watermark,
@@ -421,7 +361,6 @@ impl SubmitQueue {
                     self.changed();
                 }
                 None => {
-                    self.rejected_full += 1;
                     return Err(SubmitError::QueueFull {
                         capacity: self.capacity,
                     });
@@ -441,7 +380,6 @@ impl SubmitQueue {
             input: spec.input,
             microcode: spec.microcode,
         });
-        self.admitted += 1;
         self.peak_depth = self.peak_depth.max(self.jobs.len());
         Ok(id)
     }
@@ -551,7 +489,6 @@ mod tests {
             q.submit(JobId(2), idct_spec(), 0, 1024, true),
             Err(SubmitError::QueueFull { capacity: 2 })
         );
-        assert_eq!(q.rejected_full(), 1);
         assert_eq!(q.peak_depth(), 2);
     }
 
@@ -587,7 +524,6 @@ mod tests {
                 kind: JobKind::Copy { scale: 1 }
             })
         );
-        assert_eq!(q.rejected_invalid(), 4);
         assert!(q.is_empty(), "rejects consume no slot");
     }
 
@@ -629,7 +565,6 @@ mod tests {
                 watermark: 2
             })
         );
-        assert_eq!(q.rejected_shed(), 1);
         // At-or-above the floor still gets in until true capacity.
         q.submit(JobId(3), idct_spec().with_priority(1), 0, 1024, true)
             .unwrap();

@@ -2,10 +2,12 @@
 //! [`FarmReport`].
 
 use std::fmt;
+use std::time::Duration;
 
 use ouessant_soc::alloc::AllocStats;
 
-use crate::job::{JobOutcome, JobRecord};
+use crate::job::{JobKind, JobOutcome, JobRecord};
+use crate::queue::SubmitError;
 use crate::worker::WorkerHealth;
 
 /// Distribution summary of a cycle-count sample set (nearest-rank
@@ -94,6 +96,12 @@ pub struct WorkerReport {
 }
 
 /// The pool-level serving report.
+///
+/// Every count is cumulative since [`Farm::new`](crate::Farm::new):
+/// [`Farm::take_records`](crate::Farm::take_records) does not reset
+/// it. The three distributions ([`queue_wait`](Self::queue_wait),
+/// [`service`](Self::service), [`latency`](Self::latency)) cover the
+/// completed jobs whose records the farm still holds.
 #[derive(Debug, Clone)]
 pub struct FarmReport {
     /// Scheduling policy that produced this run.
@@ -102,7 +110,7 @@ pub struct FarmReport {
     pub total_cycles: u64,
     /// Jobs admitted into the queue.
     ///
-    /// At idle the books must balance: `jobs_admitted = jobs_completed +
+    /// At idle the books balance: `jobs_admitted = jobs_completed +
     /// jobs_failed_permanent + jobs_deadline_missed + jobs_shed`
     /// (rejected submissions never consume a queue slot and are
     /// counted separately).
@@ -118,11 +126,13 @@ pub struct FarmReport {
     /// Admitted jobs evicted from a full queue by higher-priority
     /// admissions (`JobOutcome::ShedOverload`).
     pub jobs_shed: u64,
-    /// Worker faults absorbed (organic or injected).
+    /// Worker faults absorbed (organic or injected): the sum of the
+    /// workers' [`faults`](WorkerReport::faults).
     pub worker_faults: u64,
     /// Fault-bounced jobs re-enqueued for another attempt.
     pub retries: u64,
-    /// Circuit-breaker trips across the pool.
+    /// Circuit-breaker trips across the pool: the sum of the workers'
+    /// [`quarantines`](WorkerReport::quarantines).
     pub quarantines: u64,
     /// Watchdog firings (no-progress budgets exhausted on workers).
     pub hangs_detected: u64,
@@ -140,11 +150,12 @@ pub struct FarmReport {
     pub rejected_unsafe: u64,
     /// High-water mark of the queue depth.
     pub queue_peak_depth: usize,
-    /// Cycles jobs waited in the queue.
+    /// Cycles jobs waited in the queue (held records only).
     pub queue_wait: LatencyStats,
-    /// Dispatch-to-completion cycles (includes swaps).
+    /// Dispatch-to-completion cycles, including swaps (held records
+    /// only).
     pub service: LatencyStats,
-    /// End-to-end (submit-to-completion) cycles.
+    /// End-to-end (submit-to-completion) cycles (held records only).
     pub latency: LatencyStats,
     /// Completed jobs per million simulated cycles.
     pub throughput_jobs_per_mcycle: f64,
@@ -152,7 +163,7 @@ pub struct FarmReport {
     pub swaps: u64,
     /// Jobs that finished after their deadline.
     pub deadline_misses: u64,
-    /// Total bus-contention cycles charged to workers.
+    /// Bus-contention cycles charged to completed jobs.
     pub contention_cycles: u64,
     /// Completed-job counts per kind (kind name, count), sorted by name.
     pub per_kind: Vec<(String, u64)>,
@@ -170,130 +181,82 @@ pub struct FarmReport {
     pub cycles_per_second: f64,
 }
 
-/// Pool-level fault bookkeeping the farm feeds into the report.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FaultTally {
-    /// Worker faults absorbed (organic or injected).
-    pub worker_faults: u64,
+/// The farm's books: every count since [`Farm::new`] that no other
+/// state already holds. Job outcomes enter through
+/// [`Ledger::finish`] and rejections through [`Ledger::reject`], one
+/// call per finished job or refused submission, so the report's
+/// books equation holds by construction.
+///
+/// [`Farm::new`]: crate::Farm::new
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    pub completed: u64,
+    pub failed_permanent: u64,
+    pub deadline_missed: u64,
+    pub shed: u64,
+    /// Completions past their deadline.
+    pub late: u64,
+    /// Bus-contention cycles charged to completed jobs.
+    pub contention_cycles: u64,
+    /// Completions per kind, in first-completion order.
+    pub per_kind: Vec<(JobKind, u64)>,
+    pub rejected_full: u64,
+    pub rejected_shed: u64,
+    pub rejected_invalid: u64,
+    pub rejected_unsafe: u64,
     /// Fault-bounced jobs re-enqueued for another attempt.
     pub retries: u64,
-    /// Circuit-breaker trips across the pool.
-    pub quarantines: u64,
-}
-
-/// Pool-level liveness bookkeeping the farm feeds into the report
-/// (job-level shed/missed counts come from the records themselves).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LivenessTally {
     /// Watchdog firings.
     pub hangs_detected: u64,
     /// Watchdog plus deadline aborts.
     pub aborts: u64,
-}
-
-/// Host-side performance bookkeeping the farm feeds into the report.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PerfTally {
-    /// Total simulated cycles the farm has run.
-    pub total_cycles: u64,
+    /// Cycles dispatch was blocked on shared-memory pressure.
+    pub alloc_stalls: u64,
     /// Simulated cycles covered by fast-forward leaps.
     pub skipped_cycles: u64,
     /// Host wall time spent inside `run_until_idle`.
-    pub host_wall: std::time::Duration,
+    pub host_wall: Duration,
 }
 
-impl FarmReport {
-    /// Builds the aggregate report from completed-job records and the
-    /// admission queue's counters.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // one arg per tally source, assembled in one place
-    pub(crate) fn build(
-        policy: String,
-        records: &[JobRecord],
-        queue: &crate::queue::SubmitQueue,
-        alloc: AllocStats,
-        workers: Vec<WorkerReport>,
-        faults: FaultTally,
-        liveness: LivenessTally,
-        perf: PerfTally,
-    ) -> Self {
-        let total_cycles = perf.total_cycles;
-        let rejected_full = queue.rejected_full();
-        let rejected_invalid = queue.rejected_invalid();
-        let rejected_unsafe = queue.rejected_unsafe();
-        let queue_peak_depth = queue.peak_depth();
-        // Timing distributions and throughput describe *served* work;
-        // permanently failed jobs carry no meaningful timings.
-        let done: Vec<&JobRecord> = records
-            .iter()
-            .filter(|r| r.outcome.is_completed())
-            .collect();
-        let mut failed_permanent = 0u64;
-        let mut deadline_missed = 0u64;
-        let mut shed = 0u64;
-        for r in records {
-            match r.outcome {
-                JobOutcome::Completed { .. } => {}
-                JobOutcome::FailedPermanent { .. } => failed_permanent += 1,
-                JobOutcome::DeadlineMissed { .. } => deadline_missed += 1,
-                JobOutcome::ShedOverload => shed += 1,
+impl Ledger {
+    /// Enters one finished job's outcome.
+    pub(crate) fn finish(&mut self, record: &JobRecord) {
+        match record.outcome {
+            JobOutcome::Completed { .. } => {
+                self.completed += 1;
+                if !record.met_deadline() {
+                    self.late += 1;
+                }
+                self.contention_cycles += record.contention_cycles;
+                match self.per_kind.iter_mut().find(|(k, _)| *k == record.kind) {
+                    Some((_, n)) => *n += 1,
+                    None => self.per_kind.push((record.kind, 1)),
+                }
             }
-        }
-        let queue_wait = LatencyStats::from_samples(done.iter().map(|r| r.queue_wait()).collect());
-        let service = LatencyStats::from_samples(done.iter().map(|r| r.service_cycles()).collect());
-        let latency = LatencyStats::from_samples(done.iter().map(|r| r.latency()).collect());
-        let mut per_kind: Vec<(String, u64)> = Vec::new();
-        for r in &done {
-            let name = r.kind.to_string();
-            match per_kind.iter_mut().find(|(k, _)| *k == name) {
-                Some((_, n)) => *n += 1,
-                None => per_kind.push((name, 1)),
-            }
-        }
-        per_kind.sort();
-        let throughput = if total_cycles == 0 {
-            0.0
-        } else {
-            done.len() as f64 * 1.0e6 / total_cycles as f64
-        };
-        Self {
-            policy,
-            total_cycles,
-            jobs_admitted: queue.admitted(),
-            jobs_completed: done.len() as u64,
-            jobs_failed_permanent: failed_permanent,
-            jobs_deadline_missed: deadline_missed,
-            jobs_shed: shed,
-            worker_faults: faults.worker_faults,
-            retries: faults.retries,
-            quarantines: faults.quarantines,
-            hangs_detected: liveness.hangs_detected,
-            aborts: liveness.aborts,
-            rejected_full,
-            rejected_shed: queue.rejected_shed(),
-            rejected_invalid,
-            rejected_unsafe,
-            queue_peak_depth,
-            queue_wait,
-            service,
-            latency,
-            throughput_jobs_per_mcycle: throughput,
-            swaps: workers.iter().map(|w| w.swaps).sum(),
-            deadline_misses: done.iter().filter(|r| !r.met_deadline()).count() as u64,
-            contention_cycles: done.iter().map(|r| r.contention_cycles).sum(),
-            per_kind,
-            alloc,
-            workers,
-            skipped_cycles: perf.skipped_cycles,
-            host_wall_seconds: perf.host_wall.as_secs_f64(),
-            cycles_per_second: if perf.host_wall.is_zero() {
-                0.0
-            } else {
-                total_cycles as f64 / perf.host_wall.as_secs_f64()
-            },
+            JobOutcome::FailedPermanent { .. } => self.failed_permanent += 1,
+            JobOutcome::DeadlineMissed { .. } => self.deadline_missed += 1,
+            JobOutcome::ShedOverload => self.shed += 1,
         }
     }
 
+    /// Enters one refused submission under its class.
+    pub(crate) fn reject(&mut self, error: &SubmitError) {
+        let class = match error {
+            SubmitError::QueueFull { .. } => &mut self.rejected_full,
+            SubmitError::ShedOverload { .. } => &mut self.rejected_shed,
+            SubmitError::RejectedMicrocode { .. } | SubmitError::MicrocodeTooLong { .. } => {
+                &mut self.rejected_unsafe
+            }
+            SubmitError::EmptyPayload
+            | SubmitError::BadPayload { .. }
+            | SubmitError::PayloadTooLarge { .. }
+            | SubmitError::NoCapableWorker { .. } => &mut self.rejected_invalid,
+        };
+        *class += 1;
+    }
+}
+
+impl FarmReport {
     /// Fraction of simulated cycles covered by fast-forward leaps
     /// (0.0 when the farm single-stepped throughout).
     #[must_use]

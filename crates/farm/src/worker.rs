@@ -266,7 +266,6 @@ pub struct Worker {
     /// Host-side mirror of the loaded configuration index. Accurate
     /// because this worker is the only issuer of `rcfg` on its slot.
     loaded: usize,
-    reconfigurable: bool,
     pub(crate) active: Option<ActiveJob>,
     jobs_served: u64,
     swaps: u64,
@@ -293,20 +292,13 @@ pub struct Worker {
 }
 
 impl Worker {
-    fn base_state(
-        name: String,
-        ocp: Ocp,
-        caps: Vec<JobKind>,
-        swap_cycles: Vec<u64>,
-        reconfigurable: bool,
-    ) -> Self {
+    fn base_state(name: String, ocp: Ocp, caps: Vec<JobKind>, swap_cycles: Vec<u64>) -> Self {
         Self {
             name,
             ocp,
             caps,
             swap_cycles,
             loaded: 0,
-            reconfigurable,
             active: None,
             jobs_served: 0,
             swaps: 0,
@@ -327,13 +319,7 @@ impl Worker {
     pub(crate) fn fixed(bus: &mut Bus, base: u32, kind: JobKind, fifo_depth: usize) -> Self {
         let ocp = Ocp::attach(bus, base, rac_for(kind), OcpConfig { fifo_depth });
         ocp.regs().set_irq_enabled(true);
-        Self::base_state(
-            format!("{kind}@{base:#010x}"),
-            ocp,
-            vec![kind],
-            vec![0],
-            false,
-        )
+        Self::base_state(format!("{kind}@{base:#010x}"), ocp, vec![kind], vec![0])
     }
 
     /// Attaches a DPR worker at `base` whose slot holds one
@@ -368,7 +354,7 @@ impl Worker {
         }
         let ocp = Ocp::attach(bus, base, Box::new(slot), OcpConfig { fifo_depth });
         ocp.regs().set_irq_enabled(true);
-        Self::base_state(format!("dpr@{base:#010x}"), ocp, caps, swap_cycles, true)
+        Self::base_state(format!("dpr@{base:#010x}"), ocp, caps, swap_cycles)
     }
 
     /// The worker's display name.
@@ -381,12 +367,6 @@ impl Worker {
     #[must_use]
     pub fn caps(&self) -> &[JobKind] {
         &self.caps
-    }
-
-    /// Whether the worker carries a reconfigurable slot.
-    #[must_use]
-    pub fn is_reconfigurable(&self) -> bool {
-        self.reconfigurable
     }
 
     /// Whether the worker has no job on it this cycle.
@@ -692,9 +672,11 @@ impl Worker {
         self.fault_acknowledged = true;
     }
 
-    /// Marks the fault harvested without recovering (fail-fast mode:
-    /// the controller is left in its faulted state for postmortem).
+    /// Counts the fault and marks it harvested without touching the
+    /// breaker or recovering (fail-fast mode: the controller is left
+    /// in its faulted state for postmortem).
     pub(crate) fn acknowledge_fault(&mut self) {
+        self.faults_total += 1;
         self.fault_acknowledged = true;
     }
 

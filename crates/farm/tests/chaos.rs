@@ -7,8 +7,8 @@ use std::collections::HashMap;
 use ouessant::ExecError;
 use ouessant_farm::{
     ChaosConfig, DprAffinityPolicy, Farm, FarmConfig, FarmError, FaultConfig, FaultPlan,
-    FifoPolicy, JobKind, JobOutcome, JobSpec, RoundRobinPolicy, SchedPolicy, SubmitError,
-    WorkerHealth,
+    FifoPolicy, JobKind, JobOutcome, JobRecord, JobSpec, RoundRobinPolicy, SchedPolicy,
+    SubmitError, WorkerHealth, WorkerReport,
 };
 use ouessant_sim::XorShift64;
 
@@ -91,10 +91,42 @@ fn baseline_outputs(policy_name: &str, specs: Vec<JobSpec>) -> HashMap<u64, Vec<
         .collect()
 }
 
+/// Serves `specs` in `batches` equal batches, taking the records after
+/// each one as a long-running client would, and checks the books at
+/// every batch boundary: they are cumulative, so draining the records
+/// must not unbalance them. Returns every record, in batch order.
+fn serve_in_batches(farm: &mut Farm, specs: Vec<JobSpec>, batches: usize) -> Vec<JobRecord> {
+    let per_batch = specs.len().div_ceil(batches);
+    let mut records = Vec::new();
+    for batch in specs.chunks(per_batch) {
+        serve(farm, batch.to_vec());
+        let report = farm.report();
+        assert_eq!(
+            report.jobs_admitted,
+            report.jobs_completed
+                + report.jobs_failed_permanent
+                + report.jobs_deadline_missed
+                + report.jobs_shed,
+            "every admitted job ends completed, failed, missed or shed — none stranded"
+        );
+        let sum = |f: fn(&WorkerReport) -> u64| report.workers.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|w| w.jobs), report.jobs_completed);
+        assert_eq!(sum(|w| w.faults), report.worker_faults);
+        assert_eq!(sum(|w| w.quarantines), report.quarantines);
+        records.extend(farm.take_records());
+    }
+    records
+}
+
 /// The invariants every chaos run must hold, regardless of what was
 /// injected: books balance, nothing stranded, nothing leaked, and
 /// every surviving output is bit-exact against the fault-free run.
-fn assert_campaign_invariants(farm: &Farm, submitted: u64, baseline: &HashMap<u64, Vec<u32>>) {
+fn assert_campaign_invariants(
+    farm: &Farm,
+    records: &[JobRecord],
+    submitted: u64,
+    baseline: &HashMap<u64, Vec<u32>>,
+) {
     let report = farm.report();
     assert_eq!(report.jobs_admitted, submitted, "no rejections expected");
     assert_eq!(
@@ -103,7 +135,7 @@ fn assert_campaign_invariants(farm: &Farm, submitted: u64, baseline: &HashMap<u6
         "every admitted job must end as completed or failed — none stranded"
     );
     assert_eq!(
-        farm.records().len() as u64,
+        records.len() as u64,
         submitted,
         "every admitted job has a record"
     );
@@ -115,7 +147,7 @@ fn assert_campaign_invariants(farm: &Farm, submitted: u64, baseline: &HashMap<u6
         report.alloc.allocs, report.alloc.frees,
         "every lease returned"
     );
-    for r in farm.records() {
+    for r in records {
         match &r.outcome {
             JobOutcome::Completed { attempts } => {
                 assert!(*attempts >= 1);
@@ -295,6 +327,12 @@ fn fail_fast_aborts_loudly_but_still_leaks_nothing() {
         1,
         "the dead job got a permanent-failure record"
     );
+    let report = farm.report();
+    assert_eq!(report.worker_faults, 1, "the fault is counted");
+    assert_eq!(
+        report.workers[0].faults, 1,
+        "on the worker that suffered it"
+    );
 }
 
 /// The circuit breaker: a worker that keeps faulting is quarantined
@@ -393,8 +431,8 @@ fn run_matrix_cell(policy_name: &str, seam: &str) -> u64 {
 
     let mut farm = redundant_farm(policy_name, CAMPAIGN_FAULTS.clone());
     farm.arm_chaos(FaultPlan::new(config));
-    serve(&mut farm, specs);
-    assert_campaign_invariants(&farm, n as u64, &baseline);
+    let records = serve_in_batches(&mut farm, specs, 2);
+    assert_campaign_invariants(&farm, &records, n as u64, &baseline);
 
     let stats = farm.chaos_stats().expect("campaign was armed");
     match seam {
@@ -447,8 +485,8 @@ fn full_chaos_campaign_completes_every_retryable_job() {
         slow_one_in: 0,
         slow_stall: 0,
     }));
-    serve(&mut farm, specs);
-    assert_campaign_invariants(&farm, n as u64, &baseline);
+    let records = serve_in_batches(&mut farm, specs, 3);
+    assert_campaign_invariants(&farm, &records, n as u64, &baseline);
 
     let report = farm.report();
     let stats = farm.chaos_stats().unwrap();

@@ -55,13 +55,12 @@ fn watchdog_aborts_wedged_worker_and_retries() {
 
     farm.run_until_idle(10_000_000)
         .expect("the watchdog must free the pool");
-    assert_eq!(farm.hangs_detected(), 1);
-    assert_eq!(farm.aborts(), 1);
     assert!(!farm.workers()[0].is_wedged(), "recovery cleared the wedge");
 
     let report = farm.report();
     assert_eq!(report.jobs_completed, 3, "no job lost to the hang");
     assert_eq!(report.hangs_detected, 1);
+    assert_eq!(report.aborts, 1);
     assert_eq!(report.worker_faults, 1, "a hang is a worker fault");
     assert_eq!(report.retries, 1);
     assert_eq!(report.alloc.words_in_use, 0, "no leaked leases");
@@ -139,8 +138,7 @@ fn early_drop_reaps_hopeless_jobs_and_aborts_overdue_work() {
     );
     assert_eq!(farm.deadline_drops(), 5);
     assert_eq!(
-        farm.aborts(),
-        1,
+        report.aborts, 1,
         "the one dispatched job was aborted in flight"
     );
     assert_eq!(
@@ -186,7 +184,7 @@ fn deadline_abort_returns_worker_to_service() {
 
     farm.run_until_idle(10_000_000).expect("must drain");
     let report = farm.report();
-    assert_eq!(farm.aborts(), 1, "the overdue job was aborted in flight");
+    assert_eq!(report.aborts, 1, "the overdue job was aborted in flight");
     assert_eq!(report.jobs_deadline_missed, 1);
     assert_eq!(
         report.jobs_completed, 1,
@@ -243,7 +241,7 @@ fn overload_sheds_low_priority_work_gracefully() {
     farm.submit(spec(1)).unwrap();
     // A full queue: urgent work evicts the youngest priority-0 job.
     farm.submit(spec(2)).unwrap();
-    assert_eq!(farm.jobs_shed(), 1, "the eviction was recorded");
+    assert_eq!(farm.report().jobs_shed, 1, "the eviction was recorded");
 
     farm.run_until_idle(10_000_000).expect("must drain");
     let report = farm.report();

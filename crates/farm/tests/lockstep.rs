@@ -503,8 +503,9 @@ fn watchdog_fires_at_identical_cycle_in_both_modes() {
         farm.inject_worker_wedge(1);
         assert!(farm.workers()[1].is_wedged(), "wedge must land");
         let cycles = farm.run_until_idle(10_000_000).expect("must drain");
-        assert_eq!(farm.hangs_detected(), 1, "exactly one watchdog firing");
-        assert_eq!(farm.aborts(), 1);
+        let report = farm.report();
+        assert_eq!(report.hangs_detected, 1, "exactly one watchdog firing");
+        assert_eq!(report.aborts, 1);
         fps.push(fingerprint(&farm, cycles));
     }
     assert_eq!(

@@ -4,10 +4,11 @@
 use std::collections::HashMap;
 
 use ouessant_farm::{
-    DprAffinityPolicy, Farm, FarmConfig, FifoPolicy, JobId, JobKind, JobSpec, RoundRobinPolicy,
-    SubmitError,
+    DprAffinityPolicy, Farm, FarmConfig, FifoPolicy, JobId, JobKind, JobSpec, LivenessConfig,
+    RoundRobinPolicy, SubmitError,
 };
-use ouessant_isa::{Program, ProgramBuilder};
+use ouessant_isa::operands::MAX_PROGRAM_LEN;
+use ouessant_isa::{Instruction, Program, ProgramBuilder};
 use ouessant_sim::XorShift64;
 
 const IDCT: JobKind = JobKind::Idct;
@@ -74,10 +75,27 @@ fn backpressure_returns_queue_full() {
     assert_eq!(farm.records().len(), 5);
 }
 
+/// Every refused submission lands in exactly one report class: full,
+/// shed (overload), invalid or unsafe (microcode), and none of them is
+/// an admission.
 #[test]
-fn admission_rejects_unserviceable_and_malformed_jobs() {
-    let mut farm = Farm::new(FarmConfig::default(), Box::new(FifoPolicy::new()));
+fn admission_sorts_every_rejection_into_its_class() {
+    let mut farm = Farm::new(
+        FarmConfig {
+            queue_capacity: 2,
+            liveness: LivenessConfig {
+                shed_watermark: Some(1),
+                shed_floor: 1,
+                ..LivenessConfig::default()
+            },
+            ..FarmConfig::default()
+        },
+        Box::new(FifoPolicy::new()),
+    );
     farm.add_worker(IDCT);
+    let idct = |priority: u8| JobSpec::new(IDCT, vec![0; 64]).with_priority(priority);
+
+    // Invalid: an unserviceable kind and a malformed payload.
     assert!(matches!(
         farm.submit(JobSpec::new(DFT64, vec![0; 128])),
         Err(SubmitError::NoCapableWorker { .. })
@@ -86,7 +104,47 @@ fn admission_rejects_unserviceable_and_malformed_jobs() {
         farm.submit(JobSpec::new(IDCT, vec![0; 63])),
         Err(SubmitError::BadPayload { .. })
     ));
-    assert_eq!(farm.report().rejected_invalid, 2);
+    // Unsafe: microcode the analyzer refuses, and microcode too long
+    // to take the DPR `rcfg` prepend.
+    let overflow = ProgramBuilder::new()
+        .mvtc(1, 16256, 256, 0)
+        .unwrap()
+        .execs()
+        .eop()
+        .finish()
+        .unwrap();
+    assert!(matches!(
+        farm.submit(idct(1).with_microcode(overflow)),
+        Err(SubmitError::RejectedMicrocode { .. })
+    ));
+    let mut insns = vec![Instruction::Nop; MAX_PROGRAM_LEN - 1];
+    insns.push(Instruction::Eop);
+    let too_long = Program::new(insns).unwrap();
+    assert!(matches!(
+        farm.submit(idct(1).with_microcode(too_long)),
+        Err(SubmitError::MicrocodeTooLong { .. })
+    ));
+    // Shed: past the watermark, below-floor work is refused.
+    farm.submit(idct(1)).unwrap();
+    farm.submit(idct(1)).unwrap();
+    assert!(matches!(
+        farm.submit(idct(0)),
+        Err(SubmitError::ShedOverload { .. })
+    ));
+    // Full: at capacity with nothing lower to evict.
+    assert_eq!(
+        farm.submit(idct(1)),
+        Err(SubmitError::QueueFull { capacity: 2 })
+    );
+
+    farm.run_until_idle(1_000_000).unwrap();
+    let report = farm.report();
+    assert_eq!(report.rejected_invalid, 2);
+    assert_eq!(report.rejected_unsafe, 2);
+    assert_eq!(report.rejected_shed, 1);
+    assert_eq!(report.rejected_full, 1);
+    assert_eq!(report.jobs_admitted, 2, "rejections are not admissions");
+    assert_eq!(report.jobs_completed, 2);
 }
 
 #[test]
