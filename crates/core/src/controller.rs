@@ -425,7 +425,7 @@ impl Controller {
     /// cannot see when `end_op` fires or its burst completes; the
     /// embedding OCP owns the socket and is handed the bus, so it can
     /// substitute their horizons — the Table I compute latencies and
-    /// the data phases of DMA bursts.
+    /// the bus's next transaction completion.
     #[must_use]
     pub fn horizon_with(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
         if self.wedged {
@@ -442,7 +442,7 @@ impl Controller {
             ControllerState::RacWait => socket.horizon(),
             // While the burst is in flight each tick only charges a
             // transfer or program-load cycle, and the port cannot
-            // complete before the bus's next event.
+            // complete before the bus's next completion.
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {

@@ -387,7 +387,8 @@ impl Ocp {
     /// [`ouessant_sim::NextEvent`] for the contract): the controller's
     /// horizon, refined with the socket's (so `RacWait` exposes the
     /// RAC's compute countdown) and the bus's (so a DMA burst in flight
-    /// exposes its data phase), combined with the socket's own horizon.
+    /// exposes the bus's next transaction completion), combined with
+    /// the socket's own horizon.
     /// Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an undelivered completion

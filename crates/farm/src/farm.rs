@@ -780,11 +780,10 @@ impl Farm {
         if self.may_dispatch() {
             return Some(1);
         }
-        // A bus in a grant, address or arbitration cycle (or beating
-        // on a slave that may fault) pins the min to one cycle, so skip
-        // the (much costlier) per-worker scan outright. Inside a
-        // sub-burst's data phase the bus horizon reaches its last beat
-        // and the scan decides.
+        // A bus one cycle from a completion (or from a beat on a slave
+        // that may fault) pins the min to one cycle, so skip the (much
+        // costlier) per-worker scan outright. Otherwise the bus horizon
+        // reaches its next completion and the scan decides.
         let bus = ouessant_sim::NextEvent::horizon(&self.bus).map(u64::from);
         if bus == Some(1) {
             return Some(1);

@@ -551,7 +551,8 @@ impl Worker {
     /// The earliest future tick (1-based offset from cycle `now`) at
     /// which this worker's observable state can change, or `None` if it
     /// is quiescent. Combines the OCP's horizon on the shared `bus`
-    /// (which exposes the data phase of the worker's own DMA burst) with
+    /// (which reaches the bus's next transaction completion while the
+    /// worker's own DMA burst is in flight) with
     /// the worker's health timers, which single-stepping advances in
     /// [`Worker::advance_health`]:
     ///

@@ -18,7 +18,7 @@ use ouessant_farm::{
     RoundRobinPolicy, SchedPolicy, WorkerHealth,
 };
 use ouessant_isa::ProgramBuilder;
-use ouessant_sim::bus::BusStats;
+use ouessant_sim::bus::{ArbiterPolicy, BusConfig, BusStats};
 use ouessant_sim::XorShift64;
 
 const IDCT: JobKind = JobKind::Idct;
@@ -113,10 +113,21 @@ fn redundant_pool(
     liveness: LivenessConfig,
     chaos: Option<ChaosConfig>,
 ) -> impl Fn(bool) -> Farm + '_ {
+    redundant_pool_on(BusConfig::default(), policy_name, liveness, chaos)
+}
+
+/// [`redundant_pool`] on a bus configured as `bus`.
+fn redundant_pool_on(
+    bus: BusConfig,
+    policy_name: &str,
+    liveness: LivenessConfig,
+    chaos: Option<ChaosConfig>,
+) -> impl Fn(bool) -> Farm + '_ {
     move |fast_forward| {
         let mut farm = Farm::new(
             FarmConfig {
                 queue_capacity: 512,
+                bus,
                 faults: FAULTS,
                 liveness: liveness.clone(),
                 fast_forward,
@@ -287,6 +298,34 @@ fn calm_campaign_is_bit_exact_under_every_policy() {
     for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
         let build = redundant_pool(policy_name, LivenessConfig::default(), None);
         assert_lockstep(&build, &specs, &format!("calm, {policy_name}"));
+    }
+}
+
+/// Round-robin arbitration with 4-beat sub-bursts: every DMA burst
+/// re-arbitrates several times, mostly against other workers' bursts,
+/// so a leap crosses many grants, address phases and sub-burst
+/// releases. Bit-exact under every policy, and the leaps must reach
+/// the transaction's completion rather than stop at each sub-burst.
+#[test]
+fn round_robin_short_sub_burst_campaign_is_bit_exact() {
+    let specs = workload(48, WORKLOAD_SEED);
+    let bus = BusConfig {
+        max_burst_beats: 4,
+        arbiter: ArbiterPolicy::RoundRobin,
+    };
+    for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
+        let build = redundant_pool_on(bus, policy_name, LivenessConfig::default(), None);
+        let (fast, report) = assert_lockstep(&build, &specs, &format!("RR bus, {policy_name}"));
+        assert!(
+            fast.bus.contention_cycles > 0,
+            "workers never contended ({policy_name})"
+        );
+        // Leaping one sub-burst at a time reaches only 64–71% here.
+        assert!(
+            report.skipped_fraction() >= 0.85,
+            "leaps stop short of the completion ({policy_name}): only {:.1}% leaped",
+            report.skipped_fraction() * 100.0
+        );
     }
 }
 

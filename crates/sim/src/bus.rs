@@ -19,6 +19,11 @@
 //! bus-grant signalling: [`Bus::try_begin`] raises the request,
 //! [`Bus::tick`] advances one clock cycle, [`Bus::poll`] samples the
 //! port, and [`Bus::take_completion`] retires the finished transaction.
+//!
+//! For fast-forward the bus is a [`NextEvent`](crate::event::NextEvent):
+//! its horizon is the next transaction completion, and `advance` leaps
+//! to it through every grant, address phase, wait state, beat and
+//! re-arbitration on the way.
 
 use std::error::Error;
 use std::fmt;
@@ -236,9 +241,10 @@ pub trait BusSlave {
 
     /// Whether every in-window access succeeds. The bus rejects bursts
     /// that leave the window at [`Bus::try_begin`], so for such a slave
-    /// the beats of a sub-burst are fixed by the protocol alone and
-    /// fast-forward may apply them in bulk. The default `false` keeps
-    /// the bus single-stepping, so a fault lands on its exact beat.
+    /// the beats of a transfer are fixed by the protocol alone and
+    /// fast-forward may leap through them. The default `false` stops
+    /// every leap at this slave's next beat, so a fault lands on its
+    /// exact cycle.
     fn fault_free(&self) -> bool {
         false
     }
@@ -376,8 +382,8 @@ struct OutstandingTxn {
 
 impl OutstandingTxn {
     /// Moves the next data beat through `slave` (the transaction's own),
-    /// returning the slave's fault, if any. Shared by `tick` and the
-    /// bulk beats of `advance`; inlined because both are hot paths.
+    /// returning the slave's fault, if any. Inlined: it is the inner
+    /// loop of every burst, ticked or leaped.
     #[inline]
     fn move_beat(&mut self, slave: &mut SlaveEntry) -> Option<SlaveFault> {
         let offset = self.req.addr + u32::from(self.beats_done) * 4 - slave.base;
@@ -407,7 +413,7 @@ struct MasterPort {
     stats: MasterStats,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Grant issued this cycle; address phase next.
     Granted,
@@ -415,10 +421,20 @@ enum Phase {
     Beat { wait_left: u32, sub_beats_left: u16 },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct ActiveGrant {
     master: usize,
     phase: Phase,
+}
+
+/// The data-phase timing rule: cycles from a point with `wait` wait
+/// states before the next beat through the `beat`-th beat from there
+/// (1-based), each later beat preceded by `seq_wait` wait states. With
+/// the grant and address cycles and [`Bus::sub_burst_beats`] it is the
+/// whole timing of a sub-burst, and `tick`, `advance` and `horizon` all
+/// read it from here.
+fn beat_offset(wait: u32, seq_wait: u32, beat: u64) -> u64 {
+    u64::from(wait) + beat + (beat - 1) * u64::from(seq_wait)
 }
 
 struct SlaveEntry {
@@ -456,8 +472,14 @@ pub struct Bus {
 
 impl Bus {
     /// Creates an empty bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_burst_beats` is zero: a sub-burst moves at
+    /// least one beat.
     #[must_use]
     pub fn new(config: BusConfig) -> Self {
+        assert!(config.max_burst_beats > 0, "sub-bursts need a beat");
         Self {
             config,
             now: Cycle::ZERO,
@@ -667,161 +689,204 @@ impl Bus {
         self.masters[master.0].completion.take()
     }
 
-    /// Charges one contention cycle to every requesting master while a
-    /// *different* master owns the bus, and returns the number charged.
+    /// Charges `cycles` contention cycles to every requesting master
+    /// other than `owner`.
     ///
-    /// Called *after* arbitration, so the master granted this cycle is
-    /// never charged for the cycle it won, and nobody is charged during
-    /// the unowned re-arbitration gap between sub-bursts — contention
+    /// The contention rule: a cycle is charged when the owner spends it
+    /// on its grant, its address phase or a non-final beat of its
+    /// sub-burst. Its wait states charge nothing, and neither does the
+    /// final (or faulting) beat of a sub-burst, the unowned cycle in
+    /// which the bus is released to re-arbitration. The master granted
+    /// in a cycle is never charged for the cycle it won. Contention thus
     /// measures time spent losing the bus to somebody else, which is
     /// what a pool scheduler wants attributed per worker.
-    fn charge_contention(&mut self) -> u64 {
-        let Some(owner) = self.active.as_ref().map(|a| a.master) else {
-            return 0;
-        };
-        let mut contending = 0;
+    fn charge_contention(&mut self, owner: usize, cycles: u64) {
         for (i, p) in self.masters.iter_mut().enumerate() {
-            if p.outstanding.is_some() && i != owner {
-                p.stats.contention_cycles += 1;
-                contending += 1;
+            if i != owner && p.outstanding.is_some() {
+                p.stats.contention_cycles += cycles;
+                self.stats.contention_cycles += cycles;
             }
         }
-        contending
+    }
+
+    /// Beats in the next sub-burst of a transaction with `remaining`
+    /// beats left (AHB INCR16 splitting).
+    fn sub_burst_beats(&self, remaining: u16) -> u16 {
+        remaining.min(self.config.max_burst_beats)
     }
 
     /// Advances the bus by one clock cycle.
     pub fn tick(&mut self) {
-        self.now = self.now.next();
-        self.stats.cycles += 1;
+        self.run(1);
+    }
 
-        match self.active.take() {
-            None => {
-                if let Some(winner) = self.arbitrate() {
-                    self.stats.grants += 1;
-                    self.stats.busy_cycles += 1;
-                    self.masters[winner].stats.grants += 1;
-                    self.last_grantee = winner;
-                    if self.trace.is_enabled() {
-                        self.trace.record(
-                            self.now,
-                            "bus",
-                            format!("grant to {}", self.masters[winner].name),
-                        );
+    /// Runs `n` clock cycles, leaving the bus exactly as `n` calls to
+    /// [`Bus::tick`] would: grant and address cycles one at a time, wait
+    /// states and beats in bulk, with every completion, fault, release
+    /// and grant (and its trace entry) on its own cycle. Sound for any
+    /// `n` as long as no master calls [`Bus::try_begin`] or
+    /// [`Bus::take_completion`] in between, which is what the
+    /// fast-forward contract guarantees.
+    fn run(&mut self, mut n: u64) {
+        while n > 0 {
+            n -= match self.active {
+                None => match self.arbitrate() {
+                    Some(winner) => self.grant(winner),
+                    None => {
+                        // Nobody requests, and nobody can before `n` ends.
+                        self.now += Cycle::new(n);
+                        self.stats.cycles += n;
+                        return;
                     }
-                    self.active = Some(ActiveGrant {
-                        master: winner,
-                        phase: Phase::Granted,
-                    });
-                }
-            }
-            Some(mut grant) => {
-                self.stats.busy_cycles += 1;
-                match grant.phase {
-                    Phase::Granted => {
-                        // Address phase: compute sub-burst length and the
-                        // first-access wait states.
-                        let txn = self.masters[grant.master]
-                            .outstanding
-                            .as_ref()
-                            .expect("granted master has an outstanding txn");
-                        let remaining = txn.req.beats - txn.beats_done;
-                        let sub = remaining.min(self.config.max_burst_beats);
-                        let wait = self.slaves[txn.slave_idx].device.first_access_wait_states();
-                        grant.phase = Phase::Beat {
-                            wait_left: wait,
-                            sub_beats_left: sub,
-                        };
-                        self.active = Some(grant);
-                    }
-                    Phase::Beat {
-                        wait_left,
-                        sub_beats_left,
-                    } => {
-                        if wait_left > 0 {
-                            grant.phase = Phase::Beat {
-                                wait_left: wait_left - 1,
-                                sub_beats_left,
-                            };
-                            self.active = Some(grant);
-                            return;
-                        }
-                        // Complete one beat.
-                        let master_idx = grant.master;
-                        let port = &mut self.masters[master_idx];
-                        let txn = port
-                            .outstanding
-                            .as_mut()
-                            .expect("granted master has an outstanding txn");
-                        let fault = txn.move_beat(&mut self.slaves[txn.slave_idx]);
-                        self.stats.beats += 1;
-                        port.stats.beats += 1;
+                },
+                Some(ActiveGrant {
+                    master,
+                    phase: Phase::Granted,
+                }) => self.address(master),
+                Some(ActiveGrant {
+                    master,
+                    phase:
+                        Phase::Beat {
+                            wait_left,
+                            sub_beats_left,
+                        },
+                }) => self.data_phase(master, wait_left, sub_beats_left, n),
+            };
+        }
+    }
 
-                        if let Some(fault) = fault {
-                            let txn = port.outstanding.take().expect("present");
-                            port.completion = Some(Err(BusError::Fault(fault)));
-                            if self.trace.is_enabled() {
-                                self.trace.record(
-                                    self.now,
-                                    "bus",
-                                    format!("fault at {:#010x}", txn.req.addr),
-                                );
-                            }
-                            return;
-                        }
+    /// The arbitration cycle that grants the bus to `winner`. Returns
+    /// the one cycle run.
+    fn grant(&mut self, winner: usize) -> u64 {
+        self.elapse_busy(1);
+        self.stats.grants += 1;
+        self.masters[winner].stats.grants += 1;
+        self.last_grantee = winner;
+        if self.trace.is_enabled() {
+            self.trace.record(
+                self.now,
+                "bus",
+                format!("grant to {}", self.masters[winner].name),
+            );
+        }
+        self.active = Some(ActiveGrant {
+            master: winner,
+            phase: Phase::Granted,
+        });
+        self.charge_contention(winner, 1);
+        1
+    }
 
-                        let txn_done = txn.beats_done == txn.req.beats;
-                        if txn_done {
-                            let txn = port.outstanding.take().expect("present");
-                            let completion = Completion {
-                                kind: txn.req.kind,
-                                addr: txn.req.addr,
-                                data: txn.read_data,
-                                issued_at: txn.issued_at,
-                                completed_at: self.now,
-                                cycles: self.now.count() - txn.issued_at.count(),
-                            };
-                            if self.trace.is_enabled() {
-                                self.trace.record(
-                                    self.now,
-                                    "bus",
-                                    format!(
-                                        "{} completes {} ({} beats, {} cy)",
-                                        port.name, txn.req.kind, txn.req.beats, completion.cycles
-                                    ),
-                                );
-                            }
-                            port.completion = Some(Ok(completion));
-                            port.stats.txns_completed += 1;
-                            // Bus returns to arbitration next cycle.
-                        } else if sub_beats_left == 1 {
-                            // Sub-burst boundary: release the bus and
-                            // re-arbitrate (the transaction stays queued).
-                            if self.trace.is_enabled() {
-                                self.trace.record(
-                                    self.now,
-                                    "bus",
-                                    format!("{} sub-burst boundary", port.name),
-                                );
-                            }
-                        } else {
-                            let wait = self.slaves[self.masters[master_idx]
-                                .outstanding
-                                .as_ref()
-                                .expect("present")
-                                .slave_idx]
-                                .device
-                                .sequential_wait_states();
-                            grant.phase = Phase::Beat {
-                                wait_left: wait,
-                                sub_beats_left: sub_beats_left - 1,
-                            };
-                            self.active = Some(grant);
-                        }
-                    }
-                }
+    /// `owner`'s address phase, which fixes the sub-burst's length and
+    /// its first-access wait states. Returns the one cycle run.
+    fn address(&mut self, owner: usize) -> u64 {
+        let txn = self.masters[owner]
+            .outstanding
+            .as_ref()
+            .expect("granted master has an outstanding txn");
+        self.active = Some(ActiveGrant {
+            master: owner,
+            phase: Phase::Beat {
+                wait_left: self.slaves[txn.slave_idx].device.first_access_wait_states(),
+                sub_beats_left: self.sub_burst_beats(txn.req.beats - txn.beats_done),
+            },
+        });
+        self.elapse_busy(1);
+        self.charge_contention(owner, 1);
+        1
+    }
+
+    /// Moves `now` and the cycle counters over `cycles` owned cycles.
+    fn elapse_busy(&mut self, cycles: u64) {
+        self.now += Cycle::new(cycles);
+        self.stats.cycles += cycles;
+        self.stats.busy_cycles += cycles;
+    }
+
+    /// Runs at most `n` cycles of `owner`'s data phase, which has
+    /// `wait_left` wait states before its next beat and `sub_beats_left`
+    /// beats to go: wait states, then beats in bulk, ending early at the
+    /// sub-burst's final beat or at a beat the slave faults. Returns the
+    /// cycles run.
+    fn data_phase(&mut self, owner: usize, wait_left: u32, sub_beats_left: u16, n: u64) -> u64 {
+        let port = &mut self.masters[owner];
+        let txn = port
+            .outstanding
+            .as_mut()
+            .expect("granted master has an outstanding txn");
+        let slave = &mut self.slaves[txn.slave_idx];
+        let seq_wait = slave.device.sequential_wait_states();
+        let mut beats = 0;
+        let mut fault = None;
+        while beats < u64::from(sub_beats_left) && beat_offset(wait_left, seq_wait, beats + 1) <= n
+        {
+            beats += 1;
+            fault = txn.move_beat(slave);
+            if fault.is_some() {
+                break;
             }
         }
-        self.stats.contention_cycles += self.charge_contention();
+        port.stats.beats += beats;
+        self.stats.beats += beats;
+        let released = fault.is_some() || beats == u64::from(sub_beats_left);
+        let ran = if released {
+            beat_offset(wait_left, seq_wait, beats)
+        } else {
+            n
+        };
+        self.elapse_busy(ran);
+        if !released {
+            self.active = Some(ActiveGrant {
+                master: owner,
+                phase: Phase::Beat {
+                    wait_left: (beat_offset(wait_left, seq_wait, beats + 1) - n - 1) as u32,
+                    sub_beats_left: sub_beats_left - beats as u16,
+                },
+            });
+            self.charge_contention(owner, beats);
+            return ran;
+        }
+        // The bus is released: it re-arbitrates next cycle, and its
+        // final beat charges nobody.
+        self.active = None;
+        self.charge_contention(owner, beats - 1);
+        let port = &mut self.masters[owner];
+        let txn = port.outstanding.as_ref().expect("present");
+        if let Some(fault) = fault {
+            if self.trace.is_enabled() {
+                self.trace
+                    .record(self.now, "bus", format!("fault at {:#010x}", txn.req.addr));
+            }
+            port.outstanding = None;
+            port.completion = Some(Err(BusError::Fault(fault)));
+        } else if txn.beats_done == txn.req.beats {
+            let txn = port.outstanding.take().expect("present");
+            let completion = Completion {
+                kind: txn.req.kind,
+                addr: txn.req.addr,
+                data: txn.read_data,
+                issued_at: txn.issued_at,
+                completed_at: self.now,
+                cycles: self.now.count() - txn.issued_at.count(),
+            };
+            if self.trace.is_enabled() {
+                self.trace.record(
+                    self.now,
+                    "bus",
+                    format!(
+                        "{} completes {} ({} beats, {} cy)",
+                        port.name, txn.req.kind, txn.req.beats, completion.cycles
+                    ),
+                );
+            }
+            port.completion = Some(Ok(completion));
+            port.stats.txns_completed += 1;
+        } else if self.trace.is_enabled() {
+            // Sub-burst boundary: the transaction stays queued.
+            self.trace
+                .record(self.now, "bus", format!("{} sub-burst boundary", port.name));
+        }
+        ran
     }
 
     fn arbitrate(&self) -> Option<usize> {
@@ -869,107 +934,147 @@ impl Bus {
     }
 }
 
-impl crate::event::NextEvent for Bus {
-    /// Inside a sub-burst the remaining timing is fixed by the
-    /// protocol: `wait_left` wait states, then one beat every
-    /// `sequential_wait_states + 1` cycles. On a
-    /// [`BusSlave::fault_free`] slave the horizon is the cycle of the
-    /// sub-burst's last beat, the first tick that can complete a
-    /// transaction, release the bus or re-arbitrate. Grant, address and
-    /// arbitration cycles, and beats on a slave that may fault, answer
-    /// `Some(1)`. `None` when no master is requesting: idle ticks only
-    /// advance `now` and the cycle counter.
-    fn horizon(&self) -> Option<Cycle> {
-        match &self.active {
-            Some(ActiveGrant {
-                master,
-                phase:
-                    Phase::Beat {
-                        wait_left,
-                        sub_beats_left,
-                    },
-            }) => {
-                let txn = self.masters[*master]
-                    .outstanding
-                    .as_ref()
-                    .expect("granted master has an outstanding txn");
-                let slave = &self.slaves[txn.slave_idx].device;
-                if !slave.fault_free() {
-                    return Some(Cycle::new(1));
-                }
-                let period = u64::from(slave.sequential_wait_states()) + 1;
-                Some(Cycle::new(
-                    u64::from(*wait_left) + 1 + (u64::from(*sub_beats_left) - 1) * period,
-                ))
+/// A master granted in the rounds of re-arbitration ahead, as
+/// [`Bus::horizon`] sees it.
+struct Requester {
+    /// Its place in every round (0 is granted first).
+    pos: usize,
+    /// Beats left once the current sub-burst ends.
+    left: u64,
+    first_wait: u32,
+    seq_wait: u32,
+    fault_free: bool,
+}
+
+impl Requester {
+    /// Cycles from the grant of a sub-burst of `beats` beats through its
+    /// last beat.
+    fn sub_burst_cycles(&self, beats: u64) -> u64 {
+        2 + beat_offset(self.first_wait, self.seq_wait, beats)
+    }
+}
+
+impl Bus {
+    /// The masters granted after the current sub-burst, whose owner (the
+    /// last grantee) has `in_flight` beats in it. The requesting set is
+    /// fixed in a fast-forward window, so every re-arbitration has a
+    /// fixed winner: fixed priority re-grants the top requester until it
+    /// completes, and round robin grants every requester one sub-burst
+    /// per round, in the order [`Bus::arbitrate`] rotates through them.
+    fn rotation(&self, in_flight: u16) -> impl Iterator<Item = Requester> + '_ {
+        let n = self.masters.len();
+        let granted = match self.config.arbiter {
+            ArbiterPolicy::FixedPriority => {
+                let top = self.masters.iter().position(|m| m.outstanding.is_some());
+                top.map_or(0..0, |i| i..i + 1)
             }
-            Some(_) => Some(Cycle::new(1)),
-            None if self.masters.iter().any(|m| m.outstanding.is_some()) => Some(Cycle::new(1)),
-            None => None,
+            ArbiterPolicy::RoundRobin => 0..n,
+        };
+        granted.filter_map(move |i| {
+            let txn = self.masters[i].outstanding.as_ref()?;
+            let slave = &self.slaves[txn.slave_idx].device;
+            let in_flight = if i == self.last_grantee { in_flight } else { 0 };
+            Some(Requester {
+                pos: (i + n - self.last_grantee - 1) % n,
+                left: u64::from(txn.req.beats - txn.beats_done - in_flight),
+                first_wait: slave.first_access_wait_states(),
+                seq_wait: slave.sequential_wait_states(),
+                fault_free: slave.fault_free(),
+            })
+        })
+    }
+}
+
+impl crate::event::NextEvent for Bus {
+    /// The tick of the next transaction completion, or of the next beat
+    /// on a slave that is not [`BusSlave::fault_free`] if that comes
+    /// first, so a fault lands on its exact cycle. `None` when no master
+    /// is requesting: idle ticks only advance `now` and the cycle
+    /// counter.
+    ///
+    /// Until then the requesting set cannot change: a master begins or
+    /// retires a transaction only in its own tick, which its own horizon
+    /// already counts as an event. So the window's timing is fixed by
+    /// the protocol: the rest of the current sub-burst, then the
+    /// rotation of grants, each sub-burst taking a grant cycle,
+    /// an address cycle and `beat_offset` data cycles. O(masters), no
+    /// allocation.
+    fn horizon(&self) -> Option<Cycle> {
+        let max = u64::from(self.config.max_burst_beats);
+        // Cycles to the end of the owner's current sub-burst.
+        let mut cycles = 0;
+        let mut in_flight = 0;
+        if let Some(ActiveGrant { master, phase }) = self.active {
+            let txn = self.masters[master]
+                .outstanding
+                .as_ref()
+                .expect("granted master has an outstanding txn");
+            let slave = &self.slaves[txn.slave_idx].device;
+            let remaining = txn.req.beats - txn.beats_done;
+            let (wait, beats) = match phase {
+                Phase::Granted => {
+                    cycles = 1;
+                    let beats = self.sub_burst_beats(remaining);
+                    (slave.first_access_wait_states(), beats)
+                }
+                Phase::Beat {
+                    wait_left,
+                    sub_beats_left,
+                } => (wait_left, sub_beats_left),
+            };
+            if !slave.fault_free() {
+                return Some(Cycle::new(cycles + beat_offset(wait, 0, 1)));
+            }
+            cycles += beat_offset(wait, slave.sequential_wait_states(), u64::from(beats));
+            if beats == remaining {
+                return Some(Cycle::new(cycles));
+            }
+            in_flight = beats;
         }
+        // Over the rounds ahead: the first to complete (fewest
+        // sub-bursts left, then earliest in the round), the cycles of a
+        // round of full sub-bursts, and the earliest faulting requester.
+        let mut round = 0;
+        let mut first = None;
+        let mut faulting = None;
+        for r in self.rotation(in_flight) {
+            round += r.sub_burst_cycles(max);
+            let key = (r.left.div_ceil(max), r.pos);
+            if first.is_none_or(|f| key < f) {
+                first = Some(key);
+            }
+            if !r.fault_free && faulting.is_none_or(|p| r.pos < p) {
+                faulting = Some(r.pos);
+            }
+        }
+        let (sub_bursts, pos) = first?;
+        // A faulting requester granted before the completer's last
+        // sub-burst stops the walk at its first beat.
+        let (rounds, target) = match faulting {
+            Some(p) if sub_bursts > 1 || p <= pos => (0, p),
+            _ => (sub_bursts - 1, pos),
+        };
+        cycles += rounds * round;
+        for r in self.rotation(in_flight) {
+            if r.pos < target {
+                cycles += r.sub_burst_cycles(max);
+            } else if r.pos == target {
+                let beat = if r.fault_free {
+                    r.left - rounds * max
+                } else {
+                    1
+                };
+                cycles += r.sub_burst_cycles(beat);
+            }
+        }
+        Some(Cycle::new(cycles))
     }
 
-    /// Replays `cycles` idle ticks, or the wait states and non-final
-    /// beats of the current sub-burst: reads land in the transaction's
-    /// data, writes reach the slave, and every other requesting master
-    /// is charged one contention cycle per *beat*, exactly as `tick`
-    /// charges them (wait-state cycles charge nothing).
+    /// Replays `cycles` ticks: grants, address phases, wait states,
+    /// beats and sub-burst releases, with every statistic, contention
+    /// charge and trace entry on the cycle `tick` would put it.
     fn advance(&mut self, cycles: Cycle) {
-        let n = cycles.count();
-        if n == 0 {
-            return;
-        }
-        self.now += cycles;
-        self.stats.cycles += n;
-        let Some(grant) = self.active.as_mut() else {
-            debug_assert!(
-                self.masters.iter().all(|m| m.outstanding.is_none()),
-                "bus advanced across an arbitration cycle"
-            );
-            return;
-        };
-        let Phase::Beat {
-            wait_left,
-            sub_beats_left,
-        } = &mut grant.phase
-        else {
-            panic!("bus advanced across an address cycle");
-        };
-        self.stats.busy_cycles += n;
-        if n <= u64::from(*wait_left) {
-            *wait_left -= n as u32;
-            return;
-        }
-        let owner = grant.master;
-        let port = &mut self.masters[owner];
-        let txn = port
-            .outstanding
-            .as_mut()
-            .expect("granted master has an outstanding txn");
-        let slave = &mut self.slaves[txn.slave_idx];
-        debug_assert!(slave.device.fault_free(), "bulk beats on a faulting slave");
-        // The first beat lands after the wait states, then one every
-        // `period` cycles; the cycles after the last beat count down
-        // the next wait.
-        let period = u64::from(slave.device.sequential_wait_states()) + 1;
-        let after_first = n - u64::from(*wait_left) - 1;
-        let beats = 1 + after_first / period;
-        debug_assert!(
-            beats < u64::from(*sub_beats_left),
-            "bus advanced past the sub-burst's last beat"
-        );
-        *wait_left = (period - 1 - after_first % period) as u32;
-        *sub_beats_left -= beats as u16;
-        for _ in 0..beats {
-            assert!(txn.move_beat(slave).is_none(), "a fault-free slave faulted");
-        }
-        self.stats.beats += beats;
-        port.stats.beats += beats;
-        for (i, p) in self.masters.iter_mut().enumerate() {
-            if i != owner && p.outstanding.is_some() {
-                p.stats.contention_cycles += beats;
-                self.stats.contention_cycles += beats;
-            }
-        }
+        self.run(cycles.count());
     }
 }
 
@@ -1208,6 +1313,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sub-bursts need a beat")]
+    fn zero_beat_sub_bursts_are_rejected() {
+        let _ = Bus::new(BusConfig {
+            max_burst_beats: 0,
+            ..BusConfig::default()
+        });
+    }
+
+    #[test]
     fn stats_accumulate() {
         let (mut bus, m) = bus_with_sram();
         bus.try_begin(m, TxnRequest::write(0x4000_0000, vec![0; 32]))
@@ -1253,7 +1367,7 @@ mod tests {
     }
 
     #[test]
-    fn horizon_reaches_the_last_beat_of_the_sub_burst() {
+    fn horizon_reaches_the_transaction_completion() {
         use crate::event::NextEvent;
         let mut bus = Bus::new(BusConfig::default());
         let m = bus.register_master("cpu");
@@ -1269,21 +1383,63 @@ mod tests {
         );
         assert_eq!(bus.horizon(), None);
         bus.try_begin(m, TxnRequest::read(0, 4)).unwrap();
-        // Arbitration, grant and address cycles single-step.
-        for _ in 0..2 {
-            assert_eq!(bus.horizon(), Some(Cycle::new(1)));
-            bus.tick();
-        }
-        // 3 waits + beat, then 3 × (1 wait + beat): the last beat is 10
-        // cycles out, matching `wait_states_charged`' 12-cycle total.
-        assert_eq!(bus.horizon(), Some(Cycle::new(10)));
-        bus.advance(Cycle::new(9));
+        // Grant + address + (3 waits + beat) + 3 × (1 wait + beat): the
+        // completion is 12 cycles out, `wait_states_charged`' total.
+        assert_eq!(bus.horizon(), Some(Cycle::new(12)));
+        bus.advance(Cycle::new(11));
         assert_eq!(bus.horizon(), Some(Cycle::new(1)));
         assert!(bus.poll(m).is_pending());
         bus.tick();
         let c = bus.take_completion(m).unwrap().unwrap();
         assert_eq!(c.cycles, 12);
         assert_eq!(bus.stats().beats, 4);
+        assert_eq!(bus.horizon(), None);
+    }
+
+    #[test]
+    fn horizon_spans_re_arbitrations_to_the_first_completion() {
+        use crate::event::NextEvent;
+        // Sub-bursts of 4 beats, 2 first and 1 sequential wait states:
+        // a full sub-burst is grant + address + 2 waits + 4 beats + 3
+        // waits = 11 cycles. `a` needs 4 + 4 + 2 beats, `b` 4 + 1.
+        for (arbiter, first, at) in [
+            // `a` outranks `b` and keeps the bus: 11 + 11 + 7.
+            (ArbiterPolicy::FixedPriority, 0, 29),
+            // `b` goes first (rotation starts after M0), then they
+            // alternate: b 11, a 11, b 2 + 2 waits + 1 beat = 27.
+            (ArbiterPolicy::RoundRobin, 1, 27),
+        ] {
+            let mut bus = Bus::new(BusConfig {
+                max_burst_beats: 4,
+                arbiter,
+            });
+            let ids = [bus.register_master("a"), bus.register_master("b")];
+            bus.add_slave(
+                0,
+                Sram::with_words(
+                    64,
+                    SramConfig {
+                        first_access_wait_states: 2,
+                        sequential_wait_states: 1,
+                    },
+                ),
+            );
+            bus.try_begin(ids[0], TxnRequest::read(0, 10)).unwrap();
+            bus.try_begin(ids[1], TxnRequest::write(0x80, vec![7; 5]))
+                .unwrap();
+            assert_eq!(bus.horizon(), Some(Cycle::new(at)), "{arbiter:?}");
+            let mut ticks = 0;
+            while ids.iter().all(|&m| bus.poll(m).is_pending()) {
+                bus.tick();
+                ticks += 1;
+                if ticks < at {
+                    assert_eq!(bus.horizon(), Some(Cycle::new(at - ticks)));
+                }
+            }
+            assert_eq!(ticks, at, "{arbiter:?}");
+            assert!(bus.poll(ids[first]).is_complete(), "{arbiter:?}");
+            assert_eq!(bus.stats().grants, 3, "{arbiter:?}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Event-horizon fast-forwarding: skip provably-idle cycles in O(1).
+//! Event-horizon fast-forwarding: skip provably-pure cycles in bulk.
 //!
 //! A cycle-level simulation of the paper's platform spends most of its
 //! host time ticking FSMs that *cannot* change observable state for a
-//! statically-knowable number of cycles: a DMA burst with `wait_left`
-//! cycles before its next beat, a RAC counting down its Table I compute
-//! latency, a DPR slot streaming a bitstream through the ICAP, a farm
-//! worker parked in retry backoff or quarantine cooldown. [`NextEvent`]
+//! statically-knowable number of cycles: a DMA transfer whose grants,
+//! wait states and beats the bus protocol fixes up to its completion,
+//! a RAC counting down its Table I compute latency, a DPR slot
+//! streaming a bitstream through the ICAP, a farm worker parked in
+//! retry backoff or quarantine cooldown. [`NextEvent`]
 //! lets each component *declare* that window so a driver loop can leap
 //! over it instead of looping through it — the same lever fast ISA
 //! simulators pull to beat naive interpreters, applied to a SoC.
@@ -17,21 +18,26 @@
 //! * [`NextEvent::horizon`] returns the earliest *future* cycle, as an
 //!   offset from now, at which the component's observable state can
 //!   change. `Some(k)` (with `k ≥ 1`) means the next `k - 1` ticks are
-//!   **pure**: they only update monotonic counters and countdowns in a
-//!   way that [`NextEvent::advance`] can replay in O(1), and the k-th
-//!   tick is the first that may do anything else (retire an FSM state,
-//!   move data, raise an interrupt, win arbitration …). `Some(1)` is
-//!   always a safe answer for a busy component — it simply forces the
-//!   driver to single-step. `None` means the component is quiescent: no
-//!   number of ticks will ever change its observable state (it still
-//!   tolerates [`NextEvent::advance`], which must replay idle ticks).
-//! * [`NextEvent::advance`]`(n)` bulk-applies `n` ticks under the
+//!   **pure**: nothing another component can observe changes before
+//!   tick `k`, which is the first that may (retire an FSM state,
+//!   complete a bus transaction, raise an interrupt …). A pure tick may
+//!   still change the component's own state — counters, countdowns,
+//!   even data a bus burst moves between a master's transaction and a
+//!   slave — as long as no other component can read it before tick `k`.
+//!   `Some(1)` is always a safe answer for a busy component — it simply
+//!   forces the driver to single-step. `None` means the component is
+//!   quiescent: no number of ticks will ever change its observable
+//!   state (it still tolerates [`NextEvent::advance`], which must
+//!   replay idle ticks).
+//! * [`NextEvent::advance`]`(n)` replays `n` ticks exactly, under the
 //!   promise that all of them are pure, i.e. `n ≤ horizon() - 1` (or
 //!   the component is quiescent). After `advance(n)` the component must
 //!   be **bit-identical** to the state after `n` real `tick()` calls —
-//!   including cycle counters, utilization statistics, and countdowns —
-//!   so that a fast-forwarded run and a cycle-by-cycle run can never be
-//!   told apart.
+//!   including cycle counters, utilization statistics, countdowns and
+//!   any data moved — so that a fast-forwarded run and a cycle-by-cycle
+//!   run can never be told apart. Countdowns replay in O(1); work that
+//!   moves data (a bus burst's beats) is replayed in bulk, skipping only
+//!   the per-tick overhead.
 //!
 //! A driver combines horizons with [`min_horizon`] (treating `None` as
 //! +∞), leaps `min - 1` cycles with `advance`, then executes the event
@@ -54,7 +60,7 @@ pub trait NextEvent {
     /// `None` = quiescent (no future tick changes observable state).
     fn horizon(&self) -> Option<Cycle>;
 
-    /// Bulk-applies `cycles` pure ticks in O(1).
+    /// Replays `cycles` pure ticks in bulk.
     ///
     /// Callers must guarantee `cycles ≤ horizon() - 1` (quiescent
     /// components accept any count). Afterwards the component is

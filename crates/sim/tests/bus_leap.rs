@@ -1,18 +1,21 @@
-//! Differential test of burst-level fast-forward on the AHB-like bus.
+//! Differential test of transaction-level fast-forward on the AHB-like
+//! bus.
 //!
 //! Twin buses replay the same seeded traffic: one is ticked every
 //! cycle, the other leaps `horizon − 1` cycles with
 //! [`NextEvent::advance`] and then ticks. At every completion both must
 //! agree on the completion itself (data, `issued_at`, `completed_at`),
 //! the aggregate [`BusStats`] and every master's [`MasterStats`]; at
-//! the end, the memory contents must match too.
+//! the end, the memory contents and the [`Trace`] (every request,
+//! grant, sub-burst boundary, completion and fault, with its cycle)
+//! must match too.
 
 use ouessant_sim::bus::{
     ArbiterPolicy, Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats,
     PortState, SlaveFault, TxnRequest,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{Cycle, NextEvent, XorShift64};
+use ouessant_sim::{Cycle, NextEvent, Trace, TraceEvent, XorShift64};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;
@@ -21,8 +24,8 @@ const FLAKY_WORDS: u32 = 512;
 /// Word offsets at and beyond this fault on the flaky slave.
 const FLAKY_LIMIT: u32 = 256;
 
-/// A slave that faults on part of its window, so it must keep the bus
-/// single-stepping (the default `fault_free() == false`).
+/// A slave that faults on part of its window, so the bus must stop
+/// every leap at its beats (the default `fault_free() == false`).
 struct Flaky {
     words: Vec<u32>,
 }
@@ -84,6 +87,51 @@ struct Observation {
     masters: Vec<MasterStats>,
 }
 
+/// Scripts for `masters` masters: up to `txns` transactions each, of
+/// `beats` beats, `delay` cycles apart, a quarter of them on the flaky
+/// slave when it is mapped.
+fn scripts(
+    rng: &mut XorShift64,
+    masters: usize,
+    txns: u32,
+    beats: std::ops::Range<u32>,
+    delay: u64,
+    with_flaky: bool,
+) -> Vec<Vec<Step>> {
+    (0..masters)
+        .map(|_| {
+            (0..1 + rng.gen_range_u32(0..txns))
+                .map(|_| {
+                    let delay = rng.gen_range_u64(0..delay);
+                    let flaky = with_flaky && rng.gen_range_u32(0..4) == 0;
+                    let (base, words) = if flaky {
+                        (FLAKY_BASE, FLAKY_WORDS)
+                    } else {
+                        (SRAM_BASE, SRAM_WORDS)
+                    };
+                    let beats = rng.gen_range_u32(beats.clone());
+                    let start = rng.gen_range_u32(0..words - beats + 1);
+                    let addr = base + start * 4;
+                    let req = if rng.gen_bool() {
+                        TxnRequest::read(addr, beats as u16)
+                    } else {
+                        TxnRequest::write(addr, rng.vec_u32(beats as usize))
+                    };
+                    Step { delay, req }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn wait_states(rng: &mut XorShift64) -> SramConfig {
+    SramConfig {
+        first_access_wait_states: rng.gen_range_u32(0..8),
+        sequential_wait_states: rng.gen_range_u32(0..8),
+    }
+}
+
+/// Broad traffic: 1–4 masters, any sub-burst length, long idle gaps.
 fn scenario(seed: u64) -> Scenario {
     let mut rng = XorShift64::new(seed);
     let masters = 1 + rng.gen_range_u32(0..4) as usize;
@@ -96,36 +144,36 @@ fn scenario(seed: u64) -> Scenario {
             ArbiterPolicy::RoundRobin
         },
     };
-    let sram = SramConfig {
-        first_access_wait_states: rng.gen_range_u32(0..8),
-        sequential_wait_states: rng.gen_range_u32(0..8),
-    };
+    let sram = wait_states(&mut rng);
     let with_flaky = rng.gen_range_u32(0..3) == 0;
-    let scripts = (0..masters)
-        .map(|_| {
-            let txns = 1 + rng.gen_range_u32(0..6);
-            (0..txns)
-                .map(|_| {
-                    let delay = rng.gen_range_u64(0..40);
-                    let flaky = with_flaky && rng.gen_range_u32(0..4) == 0;
-                    let (base, words) = if flaky {
-                        (FLAKY_BASE, FLAKY_WORDS)
-                    } else {
-                        (SRAM_BASE, SRAM_WORDS)
-                    };
-                    let beats = 1 + rng.gen_range_u32(0..300);
-                    let start = rng.gen_range_u32(0..words - beats + 1);
-                    let addr = base + start * 4;
-                    let req = if rng.gen_bool() {
-                        TxnRequest::read(addr, beats as u16)
-                    } else {
-                        TxnRequest::write(addr, rng.vec_u32(beats as usize))
-                    };
-                    Step { delay, req }
-                })
-                .collect()
-        })
-        .collect();
+    let scripts = scripts(&mut rng, masters, 6, 1..301, 40, with_flaky);
+    Scenario {
+        config,
+        sram,
+        with_flaky,
+        scripts,
+    }
+}
+
+/// Contended traffic: 2–4 masters back to back, every transaction
+/// several sub-bursts of 1–4 beats long, so most of a leap is
+/// re-arbitration. Odd seeds use round robin, even ones fixed priority.
+fn contended(seed: u64) -> Scenario {
+    let mut rng = XorShift64::new(seed);
+    let masters = 2 + rng.gen_range_u32(0..3) as usize;
+    let max_burst_beats = 1 + rng.gen_range_u32(0..4) as u16;
+    let config = BusConfig {
+        max_burst_beats,
+        arbiter: if seed % 2 == 1 {
+            ArbiterPolicy::RoundRobin
+        } else {
+            ArbiterPolicy::FixedPriority
+        },
+    };
+    let sram = wait_states(&mut rng);
+    let with_flaky = rng.gen_range_u32(0..4) == 0;
+    let min_beats = u32::from(max_burst_beats) + 1;
+    let scripts = scripts(&mut rng, masters, 4, min_beats..65, 3, with_flaky);
     Scenario {
         config,
         sram,
@@ -137,11 +185,14 @@ fn scenario(seed: u64) -> Scenario {
 struct Run {
     observations: Vec<Observation>,
     memory: Vec<u32>,
+    trace: Vec<TraceEvent>,
+    cycles: u64,
     leaped: u64,
 }
 
 fn build(s: &Scenario) -> (Bus, Vec<MasterId>) {
     let mut bus = Bus::new(s.config);
+    bus.trace = Trace::enabled(1 << 20);
     let ids = (0..s.scripts.len())
         .map(|i| bus.register_master(&format!("m{i}")))
         .collect();
@@ -216,43 +267,89 @@ fn run(s: &Scenario, leap: bool) -> Run {
     let memory = (0..SRAM_WORDS)
         .map(|i| bus.debug_read(SRAM_BASE + i * 4).unwrap())
         .collect();
+    assert_eq!(bus.trace.dropped(), 0, "trace ring too small");
     Run {
         observations,
         memory,
+        trace: bus.trace.events().iter().cloned().collect(),
+        cycles: bus.now().count(),
         leaped,
     }
+}
+
+/// Runs both twins of `s` and asserts they cannot be told apart;
+/// returns the ticked and the leaping twin.
+fn assert_twins_agree(s: &Scenario, seed: u64) -> (Run, Run) {
+    let ticked = run(s, false);
+    let fast = run(s, true);
+    assert_eq!(
+        fast.observations, ticked.observations,
+        "completions or stats diverged (seed {seed})"
+    );
+    assert!(
+        fast.memory == ticked.memory,
+        "memory contents diverged (seed {seed})"
+    );
+    assert_eq!(fast.trace, ticked.trace, "traces diverged (seed {seed})");
+    assert_eq!(ticked.leaped, 0);
+    (ticked, fast)
+}
+
+fn faults(run: &Run) -> usize {
+    run.observations
+        .iter()
+        .filter(|o| o.completion.is_err())
+        .count()
 }
 
 #[test]
 fn leaping_the_bus_matches_ticking_it() {
     let mut leaped = 0;
-    let mut faults = 0;
+    let mut faulted = 0;
     for seed in 1..=300u64 {
-        let s = scenario(seed);
-        let ticked = run(&s, false);
-        let fast = run(&s, true);
-        assert_eq!(
-            fast.observations, ticked.observations,
-            "completions or stats diverged (seed {seed})"
-        );
-        assert!(
-            fast.memory == ticked.memory,
-            "memory contents diverged (seed {seed})"
-        );
-        assert_eq!(ticked.leaped, 0);
+        let (ticked, fast) = assert_twins_agree(&scenario(seed), seed);
         leaped += fast.leaped;
-        faults += ticked
-            .observations
-            .iter()
-            .filter(|o| o.completion.is_err())
-            .count();
+        faulted += faults(&ticked);
     }
     assert!(leaped > 100_000, "the bus barely leaped ({leaped} cycles)");
-    assert!(faults > 0, "no scenario exercised a slave fault");
+    assert!(faulted > 0, "no scenario exercised a slave fault");
 }
 
-/// Beats on a slave that may fault keep the horizon at one cycle, so
-/// the fault lands on the same cycle whether the driver leaps or not.
+/// 2–4 masters hold multi-sub-burst transactions at once under both
+/// arbiters, so every leap crosses grants, address phases and
+/// re-arbitrations. On SRAM-only scenarios the only cycles left to
+/// tick are completions and the harness's issue cycles, so the leaping
+/// twin must leap most of the run: a horizon that fell back to one
+/// cycle (or stopped at sub-burst boundaries) fails the floor.
+#[test]
+fn contended_multi_sub_burst_leaps_match_ticking() {
+    let mut faulted = 0;
+    let mut sram_only = [0; 2];
+    for seed in 1..=300u64 {
+        let s = contended(seed);
+        let (ticked, fast) = assert_twins_agree(&s, seed);
+        faulted += faults(&ticked);
+        if !s.with_flaky {
+            let share = fast.leaped as f64 / fast.cycles as f64;
+            assert!(
+                share >= 0.9,
+                "seed {seed} leaped only {:.3} of {} cycles",
+                share,
+                fast.cycles
+            );
+            sram_only[(seed % 2) as usize] += 1;
+        }
+    }
+    assert!(faulted > 0, "no scenario exercised a slave fault");
+    assert!(
+        sram_only.iter().all(|&n| n > 50),
+        "too few SRAM-only scenarios per arbiter: {sram_only:?}"
+    );
+}
+
+/// Beats on a slave that may fault stop every leap, so the fault lands
+/// on the same cycle whether the driver leaps or not; the grant,
+/// address and wait-state cycles before the first beat still leap.
 #[test]
 fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
     let mut s = scenario(1);
@@ -265,14 +362,20 @@ fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
     }]];
     let (mut bus, ids) = build(&s);
     bus.try_begin(ids[0], s.scripts[0][0].req.clone()).unwrap();
+    // Grant, address and 2 wait states: the first beat is at cycle 5.
+    assert_eq!(bus.horizon(), Some(Cycle::new(5)));
     while bus.poll(ids[0]).is_pending() {
-        assert_eq!(bus.horizon(), Some(Cycle::new(1)));
+        let h = bus.horizon().expect("a request is pending").count();
+        let next_beat = 5 + bus.stats().beats;
+        assert!(
+            bus.now().count() + h <= next_beat,
+            "horizon {h} at cycle {} reaches past the beat at {next_beat}",
+            bus.now().count()
+        );
         bus.tick();
     }
-    let ticked = run(&s, false);
-    let fast = run(&s, true);
-    assert_eq!(fast.observations, ticked.observations);
-    assert_eq!(fast.leaped, 0);
+    let (ticked, fast) = assert_twins_agree(&s, 1);
+    assert_eq!(fast.leaped, 4);
     let first = &ticked.observations[0];
     assert!(matches!(first.completion, Err(BusError::Fault(_))));
     // grant + address + 2 wait states + 5 beats: the fault is on beat 5.

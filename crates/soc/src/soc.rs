@@ -51,7 +51,7 @@ pub struct SocConfig {
     /// Event-horizon fast-forwarding in [`Soc::start_and_wait`]: leap
     /// over cycles during which neither the OCP nor the bus can change
     /// observable state (RAC compute latency, `wait`/`rcfg`
-    /// countdowns, the data phase of a DMA sub-burst). Bit-exact with
+    /// countdowns, a DMA transfer up to its completion). Bit-exact with
     /// cycle-by-cycle stepping; disable to
     /// cross-check or to single-step under a debugger.
     pub fast_forward: bool,

@@ -28,7 +28,6 @@ cargo test -q --offline -p ouessant-farm --test chaos
 
 echo "==> seeded hang-seam sweep (watchdogs, deadlines, shedding; zero stranded jobs or leaked leases)"
 cargo test -q --offline -p ouessant-farm --test liveness
-cargo test -q --offline -p ouessant-farm --test lockstep hang
 
 echo "==> chaos + hang campaign demo (fixed seeds, reproducible)"
 cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 >/dev/null
