@@ -23,7 +23,7 @@ use ouessant_isa::operands::{Bank, BurstLen, FifoId, MAX_PROGRAM_LEN};
 use ouessant_isa::{DecodeError, Instruction};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{BusError, MasterId};
-use ouessant_sim::{Cycle, NextEvent, SystemBus};
+use ouessant_sim::{Cycle, SystemBus};
 
 use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
@@ -163,11 +163,10 @@ pub enum ControllerState {
     },
     /// `sync` instruction waiting for all FIFOs to drain.
     SyncWait,
-    /// Partial bitstream loading into the RAC slot (`rcfg`).
-    ReconfigWait {
-        /// Cycles remaining of the bitstream transfer.
-        left: u64,
-    },
+    /// Partial bitstream loading into the RAC slot (`rcfg`): waits,
+    /// like [`ControllerState::RacWait`], until the socket deasserts
+    /// busy — the slot counts the load down itself.
+    ReconfigWait,
     /// Stopped on a fatal error.
     Faulted(ExecError),
 }
@@ -187,7 +186,7 @@ impl ControllerState {
             ControllerState::RacWait => 7,
             ControllerState::WaitCycles { .. } => 8,
             ControllerState::SyncWait => 9,
-            ControllerState::ReconfigWait { .. } => 10,
+            ControllerState::ReconfigWait => 10,
             ControllerState::Faulted(_) => 15,
         }
     }
@@ -257,8 +256,6 @@ pub struct Controller {
     preloaded: bool,
     wedged: bool,
     stats: ControllerStats,
-    started_at: u64,
-    cycle: u64,
 }
 
 impl Controller {
@@ -279,8 +276,6 @@ impl Controller {
             preloaded: false,
             wedged: false,
             stats: ControllerStats::default(),
-            started_at: 0,
-            cycle: 0,
         }
     }
 
@@ -416,30 +411,31 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
-    /// The fast-forward horizon refined with the RAC socket and the bus
-    /// the controller is waiting on.
+    /// The fast-forward horizon (see [`ouessant_sim::NextEvent`] for
+    /// the contract), given the RAC socket and the bus the controller
+    /// waits on.
     ///
-    /// The standalone [`NextEvent`] impl must answer `Some(1)` for
-    /// [`ControllerState::RacWait`], [`ControllerState::TransferBusWait`]
-    /// and [`ControllerState::LoadProgram`] because the controller alone
-    /// cannot see when `end_op` fires or its burst completes; the
-    /// embedding OCP owns the socket and is handed the bus, so it can
-    /// substitute their horizons — the Table I compute latencies and
-    /// the bus's next transaction completion.
+    /// `Idle` reports quiescent *from the controller's own view*: a
+    /// pending S bit lives in the register file, so the embedding OCP
+    /// checks `start_pending` before trusting `None`.
     #[must_use]
-    pub fn horizon_with(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
+    pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
         if self.wedged {
             // A wedged FSM never changes state on its own; only the
             // watchdog (merged by the embedding OCP) bounds the window.
             return None;
         }
         match &self.state {
-            // Ticks in RacWait only bump `rac_wait_cycles` until the
-            // socket deasserts busy, so the socket's own horizon bounds
-            // the window. A quiescent socket (idle RAC) means `end_op`
-            // never fires — the embedding OCP turns that into a
-            // single-step safety net while the controller is active.
-            ControllerState::RacWait => socket.horizon(),
+            ControllerState::Idle | ControllerState::Faulted(_) => None,
+            ControllerState::WaitCycles { left } => Some(Cycle::new(u64::from(*left).max(1))),
+            // Ticks in RacWait only bump `rac_wait_cycles`, and ticks in
+            // ReconfigWait do nothing, until the socket deasserts busy —
+            // at the end of the Table I compute latency or the bitstream
+            // load — so the socket's own horizon bounds the window. A
+            // quiescent socket (idle RAC) means `end_op` never fires —
+            // the embedding OCP turns that into a single-step safety net
+            // while the controller is active.
+            ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
             // While the burst is in flight each tick only charges a
             // transfer or program-load cycle, and the port cannot
             // complete before the bus's next completion.
@@ -448,7 +444,41 @@ impl Controller {
             {
                 bus.horizon()
             }
-            _ => self.horizon(),
+            _ => Some(Cycle::new(1)),
+        }
+    }
+
+    /// Replays `cycles` pure ticks inside a window bounded by
+    /// [`Controller::horizon`]: the per-state counters move exactly as
+    /// `cycles` real ticks would have moved them.
+    pub fn advance(&mut self, cycles: Cycle) {
+        let n = cycles.count();
+        if self.is_active() {
+            self.stats.active_cycles += n;
+        }
+        if self.wedged {
+            // Frozen: mirror the wedged `step_fsm` early return — only
+            // the active counter moves.
+            return;
+        }
+        match &mut self.state {
+            // Idle / faulted ticks change nothing (a start cannot be
+            // pending, or the horizon was 1).
+            ControllerState::Idle | ControllerState::Faulted(_) => {}
+            // The slot counts the bitstream load down itself.
+            ControllerState::ReconfigWait => {}
+            ControllerState::WaitCycles { left } => {
+                debug_assert!(n < u64::from(*left), "advanced past the wait window");
+                *left -= n as u16;
+            }
+            // Waiting on `end_op`: each skipped tick would have charged
+            // one RAC-wait cycle.
+            ControllerState::RacWait => self.stats.rac_wait_cycles += n,
+            // Burst still in flight: likewise one transfer or
+            // program-load cycle per skipped tick.
+            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
+            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
+            s => debug_assert!(false, "advance in non-pure state {s:?}"),
         }
     }
 
@@ -483,7 +513,6 @@ impl Controller {
         socket: &mut RacSocket,
         irq: &IrqLine,
     ) {
-        self.cycle += 1;
         if self.is_active() {
             self.stats.active_cycles += 1;
         }
@@ -501,7 +530,6 @@ impl Controller {
                         self.set_fault(ExecError::BadProgSize { size });
                         return;
                     }
-                    self.started_at = self.cycle;
                     self.stats.active_cycles += 1; // count the start cycle
                     self.prog_len = size as u16;
                     self.counters = [0; 4];
@@ -622,9 +650,9 @@ impl Controller {
                     self.state = ControllerState::SyncWait;
                 }
             }
-            ControllerState::ReconfigWait { left } => {
-                if left > 1 {
-                    self.state = ControllerState::ReconfigWait { left: left - 1 };
+            ControllerState::ReconfigWait => {
+                if socket.busy() {
+                    self.state = ControllerState::ReconfigWait;
                 } else {
                     self.retire();
                 }
@@ -718,7 +746,7 @@ impl Controller {
                 use ouessant_rac::rac::ReconfigResponse;
                 match socket.reconfigure(slot) {
                     ReconfigResponse::Started { cycles } if cycles > 0 => {
-                        self.state = ControllerState::ReconfigWait { left: cycles };
+                        self.state = ControllerState::ReconfigWait;
                     }
                     ReconfigResponse::Started { .. } => self.retire(),
                     ReconfigResponse::Unsupported => {
@@ -838,67 +866,6 @@ impl Controller {
     }
 }
 
-impl NextEvent for Controller {
-    /// The countdown states (`wait`, `rcfg`) expose their full windows;
-    /// every other active state answers `Some(1)` from the controller's
-    /// own view.
-    ///
-    /// `Idle` reports quiescent *from the controller's own view*: a
-    /// pending S bit lives in the register file, so the embedding OCP
-    /// checks `start_pending` before trusting `None`. `RacWait` and the
-    /// two bus-wait states are conservatively `Some(1)` here;
-    /// [`Controller::horizon_with`] refines them with the socket's and
-    /// the bus's horizons.
-    fn horizon(&self) -> Option<Cycle> {
-        if self.wedged {
-            return None;
-        }
-        match &self.state {
-            ControllerState::Idle | ControllerState::Faulted(_) => None,
-            ControllerState::WaitCycles { left } => Some(Cycle::new(u64::from(*left).max(1))),
-            ControllerState::ReconfigWait { left } => Some(Cycle::new((*left).max(1))),
-            _ => Some(Cycle::new(1)),
-        }
-    }
-
-    fn advance(&mut self, cycles: Cycle) {
-        let n = cycles.count();
-        if n == 0 {
-            return;
-        }
-        self.cycle += n;
-        if self.is_active() {
-            self.stats.active_cycles += n;
-        }
-        if self.wedged {
-            // Frozen: mirror the wedged `step_fsm` early return — only
-            // the cycle and active counters move.
-            return;
-        }
-        match &mut self.state {
-            // Idle / faulted ticks only advance the cycle counter (a
-            // start cannot be pending, or the horizon was 1).
-            ControllerState::Idle | ControllerState::Faulted(_) => {}
-            ControllerState::WaitCycles { left } => {
-                debug_assert!(n < u64::from(*left), "advanced past the wait window");
-                *left -= n as u16;
-            }
-            ControllerState::ReconfigWait { left } => {
-                debug_assert!(n < *left, "advanced past the bitstream load");
-                *left -= n;
-            }
-            // Waiting on `end_op`: each skipped tick would have charged
-            // one RAC-wait cycle.
-            ControllerState::RacWait => self.stats.rac_wait_cycles += n,
-            // Burst still in flight: likewise one transfer or
-            // program-load cycle per skipped tick.
-            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
-            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
-            s => debug_assert!(false, "advance in non-pure state {s:?}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,7 +883,7 @@ mod tests {
             ControllerState::RacWait,
             ControllerState::WaitCycles { left: 1 },
             ControllerState::SyncWait,
-            ControllerState::ReconfigWait { left: 1 },
+            ControllerState::ReconfigWait,
             ControllerState::Faulted(ExecError::PcOverrun { pc: 0 }),
         ];
         let mut ids: Vec<u32> = states.iter().map(ControllerState::id).collect();

@@ -86,5 +86,5 @@ pub mod regs;
 pub use banks::{BankTranslation, TranslateError};
 pub use controller::{Controller, ControllerState, ExecError};
 pub use interface::{IrqLine, RegSlavePort};
-pub use ocp::{CompletionCallback, Ocp, OcpCompletion, OcpConfig, OcpStats};
+pub use ocp::{Ocp, OcpConfig};
 pub use regs::{RegisterFile, RegsHandle, CTRL_D, CTRL_IE, CTRL_S};

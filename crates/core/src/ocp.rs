@@ -30,32 +30,6 @@ impl Default for OcpConfig {
     }
 }
 
-/// Aggregated statistics of one OCP (see also [`ControllerStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OcpStats {
-    /// Controller-level statistics.
-    pub controller: ControllerStats,
-    /// Cycles the OCP has been ticked in total.
-    pub total_cycles: u64,
-}
-
-/// A completion event: one program run finished (the D bit rose).
-///
-/// Snapshot of the counters a dispatcher wants when deciding what to
-/// schedule next, without re-reading the register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OcpCompletion {
-    /// OCP-local cycle count at completion.
-    pub at_cycle: u64,
-    /// Program runs completed since reset (including this one).
-    pub runs_completed: u64,
-    /// Words DMA-transferred since reset.
-    pub words_transferred: u64,
-}
-
-/// Callback invoked from [`Ocp::tick`] when a run completes.
-pub type CompletionCallback = Box<dyn FnMut(&OcpCompletion)>;
-
 /// The per-OCP hang watchdog.
 ///
 /// Armed by the host with a cycle budget; pulsed by *observable
@@ -83,11 +57,8 @@ pub struct Ocp {
     controller: Controller,
     socket: RacSocket,
     base: Addr,
-    total_cycles: u64,
-    /// Edge detector for the D bit (a start clears D, re-arming it).
-    done_seen: bool,
-    pending_event: Option<OcpCompletion>,
-    on_complete: Option<CompletionCallback>,
+    /// A run completed (`eop` set D) and no dispatcher has polled it.
+    completed: bool,
     watchdog: Option<Watchdog>,
 }
 
@@ -96,10 +67,7 @@ impl std::fmt::Debug for Ocp {
         f.debug_struct("Ocp")
             .field("base", &format_args!("{:#010x}", self.base))
             .field("controller", &self.controller)
-            .field("total_cycles", &self.total_cycles)
-            .field("done_seen", &self.done_seen)
-            .field("pending_event", &self.pending_event)
-            .field("on_complete", &self.on_complete.is_some())
+            .field("completed", &self.completed)
             .finish_non_exhaustive()
     }
 }
@@ -130,10 +98,7 @@ impl Ocp {
             controller,
             socket,
             base,
-            total_cycles: 0,
-            done_seen: false,
-            pending_event: None,
-            on_complete: None,
+            completed: false,
             watchdog: None,
         }
     }
@@ -278,7 +243,7 @@ impl Ocp {
             // (and a DPR slot's configuration) reset, no stale event
             // or interrupt.
             self.socket.reset();
-            self.pending_event = None;
+            self.completed = false;
             self.irq.clear();
             return true;
         }
@@ -299,7 +264,7 @@ impl Ocp {
             return false;
         }
         self.socket.reset();
-        self.pending_event = None;
+        self.completed = false;
         self.irq.clear();
         self.watchdog = None;
         true
@@ -309,10 +274,14 @@ impl Ocp {
     /// runs (it is an independent piece of hardware); the controller
     /// FSM steps alongside it.
     pub fn tick(&mut self, bus: &mut dyn SystemBus) {
-        self.total_cycles += 1;
         self.socket.tick();
+        let runs = self.controller.stats().runs_completed;
         self.controller
             .tick(bus, &self.regs, &mut self.socket, &self.irq);
+        // Completion: `eop`, the only writer of D, retired this cycle.
+        if self.controller.stats().runs_completed != runs {
+            self.completed = true;
+        }
 
         // Watchdog: pulse on progress, count down otherwise, bite at
         // zero. Only an *active* controller is watched — an idle or
@@ -334,65 +303,38 @@ impl Ocp {
                 }
             }
         }
-
-        // Completion edge: the D bit rose this cycle (a start clears D,
-        // so back-to-back runs produce one event each).
-        let done = self.regs.done();
-        if done && !self.done_seen {
-            let stats = self.controller.stats();
-            let event = OcpCompletion {
-                at_cycle: self.total_cycles,
-                runs_completed: stats.runs_completed,
-                words_transferred: stats.words_transferred,
-            };
-            if let Some(cb) = self.on_complete.as_mut() {
-                cb(&event);
-            }
-            self.pending_event = Some(event);
-        }
-        self.done_seen = done;
     }
 
-    /// Non-blocking completion poll for dispatchers: returns the event
+    /// Non-blocking completion poll for dispatchers: returns `true`
     /// for a finished run exactly once, acknowledging the interrupt
     /// line as a side effect (the dispatcher *is* the handler).
     ///
     /// A pool scheduler calls this every cycle instead of re-reading
     /// the D bit and manually clearing the IRQ.
-    pub fn poll_completion(&mut self) -> Option<OcpCompletion> {
-        let event = self.pending_event.take();
-        if event.is_some() && self.irq.is_raised() {
+    pub fn poll_completion(&mut self) -> bool {
+        let completed = std::mem::take(&mut self.completed);
+        if completed {
             self.irq.clear();
         }
-        event
+        completed
     }
 
-    /// Registers a callback fired from [`Ocp::tick`] at every run
-    /// completion (IRQ-style delivery; [`Ocp::poll_completion`] still
-    /// observes the same events).
-    pub fn set_on_complete(&mut self, callback: CompletionCallback) {
-        self.on_complete = Some(callback);
-    }
-
-    /// Aggregated statistics.
+    /// Statistics of the controller's program runs.
     #[must_use]
-    pub fn stats(&self) -> OcpStats {
-        OcpStats {
-            controller: self.controller.stats(),
-            total_cycles: self.total_cycles,
-        }
+    pub fn stats(&self) -> ControllerStats {
+        self.controller.stats()
     }
 
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
     /// [`ouessant_sim::NextEvent`] for the contract): the controller's
-    /// horizon, refined with the socket's (so `RacWait` exposes the
-    /// RAC's compute countdown) and the bus's (so a DMA burst in flight
+    /// horizon, refined with the socket's (so `RacWait` and
+    /// `ReconfigWait` expose the RAC's compute countdown and the
+    /// bitstream load) and the bus's (so a DMA burst in flight
     /// exposes the bus's next transaction completion), combined with
-    /// the socket's own horizon.
-    /// Two guards apply:
+    /// the socket's own horizon. Two guards apply:
     ///
-    /// * an armed-but-unconsumed S bit or an undelivered completion
-    ///   event forces single-stepping (the next tick is an event);
+    /// * an armed-but-unconsumed S bit or an unpolled completion
+    ///   forces single-stepping (the next tick is an event);
     /// * an *active* controller whose combined horizon is `None` (e.g.
     ///   `wrac` parked on an idle RAC, or `sync` stuck on a FIFO the
     ///   RAC will never drain) also single-steps — the OCP never
@@ -407,11 +349,11 @@ impl Ocp {
     /// honest horizon and a hang window can be leapt in one go.
     #[must_use]
     pub fn horizon_on(&self, bus: &dyn SystemBus) -> Option<Cycle> {
-        if self.pending_event.is_some() || self.regs.start_pending() {
+        if self.completed || self.regs.start_pending() {
             return Some(Cycle::new(1));
         }
         let mut h = ouessant_sim::min_horizon(
-            self.controller.horizon_with(&self.socket, bus),
+            self.controller.horizon(&self.socket, bus),
             self.socket.horizon(),
         );
         if let Some(wd) = &self.watchdog {
@@ -426,16 +368,14 @@ impl Ocp {
     }
 
     /// Replays `cycles` pure ticks inside a window bounded by
-    /// [`Ocp::horizon_on`]: the cycle counter, the socket's busy
-    /// accounting and countdowns, and the controller's counters all
-    /// move exactly as `cycles` real ticks would have moved them. The
-    /// D-bit edge detector needs no replay — D only changes on
-    /// controller transitions, which are never inside a pure window.
-    /// The bus is advanced separately by its owner.
+    /// [`Ocp::horizon_on`]: the socket's countdowns and the
+    /// controller's counters move exactly as `cycles` real ticks would
+    /// have moved them. Completion needs no replay — `eop` is never
+    /// inside a pure window. The bus is advanced separately by its
+    /// owner.
     pub fn advance(&mut self, cycles: Cycle) {
-        self.total_cycles += cycles.count();
         self.socket.advance(cycles);
-        ouessant_sim::NextEvent::advance(&mut self.controller, cycles);
+        self.controller.advance(cycles);
         // Watchdog countdown: a pure window by definition has no
         // progress pulses (no instruction retires and no transfer
         // completes inside it), so every skipped tick decrements —
@@ -525,8 +465,8 @@ mod tests {
             );
         }
         let stats = fx.ocp.stats();
-        assert_eq!(stats.controller.words_transferred, 32);
-        assert_eq!(stats.controller.runs_completed, 1);
+        assert_eq!(stats.words_transferred, 32);
+        assert_eq!(stats.runs_completed, 1);
     }
 
     #[test]
@@ -726,14 +666,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(fx.ocp.stats().controller.runs_completed, 3);
+        assert_eq!(fx.ocp.stats().runs_completed, 3);
     }
 
     #[test]
     fn completion_events_fire_once_per_run() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let mut fx = fixture(Box::new(PassthroughRac::new(0)));
         let program =
             assemble("mvtc BANK1,0,DMA4,FIFO0\nexecs 4\nmvfc BANK2,0,DMA4,FIFO0\neop").unwrap();
@@ -742,29 +679,68 @@ mod tests {
         fx.ocp.regs().set_bank(2, RAM_BASE + 0x2000).unwrap();
         fx.ocp.regs().set_irq_enabled(true);
 
-        let fired: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = fired.clone();
-        fx.ocp
-            .set_on_complete(Box::new(move |e| sink.borrow_mut().push(e.runs_completed)));
-
-        assert!(fx.ocp.poll_completion().is_none(), "no event before a run");
-        for run in 1..=3u64 {
+        assert!(!fx.ocp.poll_completion(), "no event before a run");
+        for _ in 0..3 {
             fx.run(10_000);
-            let event = fx.ocp.poll_completion().expect("event after run");
-            assert_eq!(event.runs_completed, run);
+            assert!(fx.ocp.poll_completion(), "event after run");
             assert!(
                 !fx.ocp.irq().is_raised(),
                 "poll_completion acknowledges the IRQ"
             );
-            assert!(fx.ocp.poll_completion().is_none(), "event delivered once");
+            assert!(!fx.ocp.poll_completion(), "event delivered once");
             // Ticking an idle, still-done OCP must not re-fire the edge.
             for _ in 0..50 {
                 fx.ocp.tick(&mut fx.bus);
                 ouessant_sim::SystemBus::tick(&mut fx.bus);
             }
-            assert!(fx.ocp.poll_completion().is_none());
+            assert!(!fx.ocp.poll_completion());
         }
-        assert_eq!(*fired.borrow(), vec![1, 2, 3], "callback saw each run once");
+    }
+
+    #[test]
+    fn rcfg_waits_for_the_load_through_a_rac_stall() {
+        use crate::controller::ControllerState;
+        use ouessant_rac::slot::ReconfigurableSlot;
+
+        // Configuration 1 loads in 800 bytes / 4 per cycle = 200 cycles.
+        let slot = ReconfigurableSlot::new()
+            .with_config(Box::new(PassthroughRac::new(0)), 400)
+            .with_config(Box::new(PassthroughRac::scaling(3, 0)), 800);
+        let mut fx = fixture(Box::new(slot));
+        fx.load_program(&assemble("rcfg 1\neop").unwrap());
+        fx.ocp.regs().start();
+        let tick = |fx: &mut Fixture| {
+            fx.ocp.tick(&mut fx.bus);
+            ouessant_sim::SystemBus::tick(&mut fx.bus);
+        };
+        while *fx.ocp.controller().state() != ControllerState::ReconfigWait {
+            tick(&mut fx);
+        }
+        for _ in 0..3 {
+            tick(&mut fx);
+        }
+        // A stall freezes the slot, and with it the bitstream countdown.
+        fx.ocp.inject_rac_stall(150);
+        let mut ticks = 3;
+        while fx.ocp.socket().rac().busy() {
+            assert_eq!(
+                *fx.ocp.controller().state(),
+                ControllerState::ReconfigWait,
+                "rcfg retired {ticks} ticks in, with the region still dark"
+            );
+            tick(&mut fx);
+            ticks += 1;
+        }
+        assert_ne!(
+            *fx.ocp.controller().state(),
+            ControllerState::ReconfigWait,
+            "rcfg retires on the tick the load ends"
+        );
+        assert_eq!(ticks, 200 + 150);
+        for _ in 0..3 {
+            tick(&mut fx);
+        }
+        assert!(fx.ocp.regs().done(), "eop follows the load");
     }
 
     #[test]

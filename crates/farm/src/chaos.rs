@@ -255,7 +255,7 @@ impl FaultPlan {
             }
             let state = worker.ocp.controller().state();
             match state {
-                ControllerState::ReconfigWait { .. } => {
+                ControllerState::ReconfigWait => {
                     if self.roll(self.config.bitstream_one_in) {
                         out.push(Injection::Bitstream {
                             worker: wi,

@@ -1145,7 +1145,7 @@ impl Farm {
     /// finishes the jobs.
     fn collect_completions(&mut self) {
         for wi in 0..self.workers.len() {
-            if self.workers[wi].ocp.poll_completion().is_none() {
+            if !self.workers[wi].ocp.poll_completion() {
                 continue;
             }
             let done = self.workers[wi]

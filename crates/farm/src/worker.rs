@@ -459,7 +459,7 @@ impl Worker {
     /// program-load, RAC-wait and active cycles, words, instructions).
     #[must_use]
     pub fn controller_stats(&self) -> ControllerStats {
-        self.ocp.stats().controller
+        self.ocp.stats()
     }
 
     /// Places `job` on this (dispatchable) worker: writes microcode and

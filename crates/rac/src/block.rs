@@ -58,7 +58,7 @@ pub struct BlockRac<K: BlockKernel> {
 impl<K: BlockKernel> BlockRac<K> {
     /// Wraps a kernel.
     #[must_use]
-    pub fn new(kernel: K) -> Self {
+    pub fn from_kernel(kernel: K) -> Self {
         Self {
             kernel,
             state: State::Idle,
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn latency_is_exact() {
-        let mut s = RacSocket::new(Box::new(BlockRac::new(Sum4)), 16);
+        let mut s = RacSocket::new(Box::new(BlockRac::from_kernel(Sum4)), 16);
         for w in [1, 2, 3, 4] {
             s.push_input(0, w).unwrap();
         }
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn waits_for_full_block() {
-        let mut s = RacSocket::new(Box::new(BlockRac::new(Sum4)), 16);
+        let mut s = RacSocket::new(Box::new(BlockRac::from_kernel(Sum4)), 16);
         s.push_input(0, 1).unwrap();
         s.start(0);
         for _ in 0..50 {
@@ -253,7 +253,7 @@ mod tests {
                 (0..8).collect()
             }
         }
-        let mut s = RacSocket::new(Box::new(BlockRac::new(Producer)), 4);
+        let mut s = RacSocket::new(Box::new(BlockRac::from_kernel(Producer)), 4);
         s.push_input(0, 0).unwrap();
         s.start(0);
         for _ in 0..10 {
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn ops_done_counts() {
-        let mut s = RacSocket::new(Box::new(BlockRac::new(Sum4)), 16);
+        let mut s = RacSocket::new(Box::new(BlockRac::from_kernel(Sum4)), 16);
         for round in 0..3u32 {
             for w in 0..4u32 {
                 s.push_input(0, round * 4 + w).unwrap();
@@ -281,7 +281,7 @@ mod tests {
         }
         // Downcast-free check through the Rac trait is not possible;
         // recreate the socket pattern via a fresh BlockRac instead.
-        let mut direct = BlockRac::new(Sum4);
+        let mut direct = BlockRac::from_kernel(Sum4);
         assert_eq!(direct.ops_done(), 0);
         direct.reset();
         assert_eq!(direct.ops_done(), 0);

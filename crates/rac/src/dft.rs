@@ -198,12 +198,9 @@ impl BlockKernel for DftKernel {
 /// assert_eq!(cycles, PAPER_DFT_LATENCY + 1);
 /// # Ok::<(), ouessant_rac::rac::RacError>(())
 /// ```
-#[derive(Debug)]
-pub struct DftRac {
-    inner: BlockRac<DftKernel>,
-}
+pub type DftRac = BlockRac<DftKernel>;
 
-impl DftRac {
+impl BlockRac<DftKernel> {
     /// A DFT core for `points` complex points.
     ///
     /// # Panics
@@ -213,9 +210,7 @@ impl DftRac {
     #[must_use]
     pub fn new(points: usize) -> Self {
         let _ = dft_latency(points); // validates the size
-        Self {
-            inner: BlockRac::new(DftKernel { points }),
-        }
+        Self::from_kernel(DftKernel { points })
     }
 
     /// The 256-point configuration used in the paper's experiments.
@@ -227,7 +222,7 @@ impl DftRac {
     /// Transform size in complex points.
     #[must_use]
     pub fn points(&self) -> usize {
-        self.inner.kernel().points
+        self.kernel().points
     }
 
     /// Core latency in cycles (the paper's *Lat.* column).
@@ -239,31 +234,7 @@ impl DftRac {
     /// Transforms completed since the last reset.
     #[must_use]
     pub fn transforms_done(&self) -> u64 {
-        self.inner.ops_done()
-    }
-}
-
-impl crate::rac::Rac for DftRac {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn start(&mut self, op: u16) {
-        self.inner.start(op);
-    }
-    fn busy(&self) -> bool {
-        self.inner.busy()
-    }
-    fn tick(&mut self, io: &mut crate::rac::RacIo<'_>) {
-        self.inner.tick(io);
-    }
-    fn horizon(&self) -> Option<ouessant_sim::Cycle> {
-        self.inner.horizon()
-    }
-    fn advance(&mut self, cycles: ouessant_sim::Cycle) {
-        self.inner.advance(cycles);
+        self.ops_done()
     }
 }
 

@@ -178,54 +178,25 @@ impl BlockKernel for IdctKernel {
 /// assert_eq!(hw, idct_2d_fixed(&block)); // bit-exact vs the data path
 /// # Ok::<(), ouessant_rac::rac::RacError>(())
 /// ```
-#[derive(Debug)]
-pub struct IdctRac {
-    inner: BlockRac<IdctKernel>,
-}
+pub type IdctRac = BlockRac<IdctKernel>;
 
-impl IdctRac {
+impl BlockRac<IdctKernel> {
     /// Creates the IDCT accelerator.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            inner: BlockRac::new(IdctKernel),
-        }
+        Self::from_kernel(IdctKernel)
     }
 
     /// Blocks processed since the last reset.
     #[must_use]
     pub fn blocks_done(&self) -> u64 {
-        self.inner.ops_done()
+        self.ops_done()
     }
 }
 
-impl Default for IdctRac {
+impl Default for BlockRac<IdctKernel> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl crate::rac::Rac for IdctRac {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn start(&mut self, op: u16) {
-        self.inner.start(op);
-    }
-    fn busy(&self) -> bool {
-        self.inner.busy()
-    }
-    fn tick(&mut self, io: &mut crate::rac::RacIo<'_>) {
-        self.inner.tick(io);
-    }
-    fn horizon(&self) -> Option<ouessant_sim::Cycle> {
-        self.inner.horizon()
-    }
-    fn advance(&mut self, cycles: ouessant_sim::Cycle) {
-        self.inner.advance(cycles);
     }
 }
 

@@ -12,7 +12,6 @@
 //! fixed-width hardware MAC array would).
 
 use crate::block::{BlockKernel, BlockRac};
-use crate::rac::{Rac, RacIo};
 
 /// Maximum supported dimension (bounded by the FIFO/BRAM budget).
 pub const MAX_DIM: usize = 64;
@@ -102,54 +101,25 @@ impl BlockKernel for MatMulKernel {
 /// assert_eq!(c, matmul_i32(n, &a, &b)); // [19, 22, 43, 50]
 /// # Ok::<(), ouessant_rac::rac::RacError>(())
 /// ```
-#[derive(Debug)]
-pub struct MatMulRac {
-    inner: BlockRac<MatMulKernel>,
-}
+pub type MatMulRac = BlockRac<MatMulKernel>;
 
-impl MatMulRac {
+impl BlockRac<MatMulKernel> {
     /// Creates the accelerator.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            inner: BlockRac::new(MatMulKernel),
-        }
+        Self::from_kernel(MatMulKernel)
     }
 
     /// Products computed since reset.
     #[must_use]
     pub fn products_done(&self) -> u64 {
-        self.inner.ops_done()
+        self.ops_done()
     }
 }
 
-impl Default for MatMulRac {
+impl Default for BlockRac<MatMulKernel> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Rac for MatMulRac {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn start(&mut self, op: u16) {
-        self.inner.start(op);
-    }
-    fn busy(&self) -> bool {
-        self.inner.busy()
-    }
-    fn tick(&mut self, io: &mut RacIo<'_>) {
-        self.inner.tick(io);
-    }
-    fn horizon(&self) -> Option<ouessant_sim::Cycle> {
-        self.inner.horizon()
-    }
-    fn advance(&mut self, cycles: ouessant_sim::Cycle) {
-        self.inner.advance(cycles);
     }
 }
 

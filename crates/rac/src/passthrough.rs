@@ -8,7 +8,6 @@
 //! FIFO arrangement of Figure 2.
 
 use ouessant_sim::fifo::WidthAdapter;
-use ouessant_sim::Cycle;
 
 use crate::rac::{Rac, RacIo};
 
@@ -31,6 +30,8 @@ pub struct PassthroughRac {
     to_consume: usize,
     /// (ready_at_tick, value) queue.
     in_flight: std::collections::VecDeque<(u64, u32)>,
+    /// Busy ticks since reset, the clock in-flight deadlines are set
+    /// against (words are in flight only while busy).
     tick_count: u64,
 }
 
@@ -83,10 +84,10 @@ impl Rac for PassthroughRac {
     }
 
     fn tick(&mut self, io: &mut RacIo<'_>) {
-        self.tick_count += 1;
         if !self.busy {
             return;
         }
+        self.tick_count += 1;
         // Consume one word per cycle.
         if self.to_consume > 0 || !io.inputs[0].is_empty() {
             if let Ok(w) = io.inputs[0].pop() {
@@ -107,15 +108,6 @@ impl Rac for PassthroughRac {
         if self.to_consume == 0 && io.inputs[0].is_empty() && self.in_flight.is_empty() {
             self.busy = false; // end_op
         }
-    }
-
-    // The default `horizon` (busy → next tick, idle → quiescent) is
-    // right for this streaming pipe, but its idle tick still counts
-    // `tick_count`, so a fast-forwarded idle window must replay that
-    // counter to stay bit-identical.
-    fn advance(&mut self, cycles: Cycle) {
-        debug_assert!(!self.busy, "passthrough advanced while busy");
-        self.tick_count += cycles.count();
     }
 }
 

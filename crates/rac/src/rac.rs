@@ -115,7 +115,9 @@ pub trait Rac {
     ///
     /// Static accelerators return [`ReconfigResponse::Unsupported`]
     /// (the default); reconfigurable slots switch their active
-    /// configuration and report the bitstream load latency.
+    /// configuration, report the bitstream load latency and hold
+    /// [`Rac::busy`] asserted until the load ends (the controller's
+    /// `rcfg` waits on `busy`, as `exec` does).
     fn reconfigure(&mut self, slot: u16) -> ReconfigResponse {
         let _ = slot;
         ReconfigResponse::Unsupported
@@ -142,9 +144,8 @@ pub trait Rac {
     ///
     /// Callers guarantee `cycles ≤ horizon() - 1` (or the RAC is idle).
     /// The default is a no-op, correct for RACs whose idle `tick` does
-    /// not touch state; RACs with free-running counters (e.g.
-    /// [`crate::passthrough::PassthroughRac`]) must override it to keep
-    /// fast-forwarded state bit-identical to ticked state.
+    /// not touch state; RACs that override [`Rac::horizon`] with a
+    /// countdown window override this to replay it.
     fn advance(&mut self, cycles: Cycle) {
         let _ = cycles;
     }
@@ -179,7 +180,6 @@ pub struct RacSocket {
     rac: Box<dyn Rac>,
     inputs: Vec<SyncFifo<u32>>,
     outputs: Vec<SyncFifo<u32>>,
-    busy_cycles: u64,
     /// Injected slow-silicon stall: while nonzero the accelerator is
     /// frozen (no ticks reach it) but reports busy, stretching the
     /// compute latency by exactly this many cycles.
@@ -215,7 +215,6 @@ impl RacSocket {
             rac,
             inputs,
             outputs,
-            busy_cycles: 0,
             stall_left: 0,
         }
     }
@@ -323,12 +322,8 @@ impl RacSocket {
     }
 
     /// Advances the accelerator one clock cycle (a stalled accelerator
-    /// burns the cycle frozen: busy accounting accrues, the RAC does
-    /// not tick).
+    /// burns the cycle frozen: the RAC does not tick).
     pub fn tick(&mut self) {
-        if self.busy() {
-            self.busy_cycles += 1;
-        }
         if self.stall_left > 0 {
             self.stall_left -= 1;
             return;
@@ -372,15 +367,11 @@ impl RacSocket {
         self.rac.horizon()
     }
 
-    /// Bulk-applies `cycles` pure ticks: replays the per-tick
-    /// busy-cycle accounting (busyness is constant across a pure
-    /// window) and forwards to the accelerator — unless a stall is
-    /// pending, in which case the window burns down the stall with the
-    /// RAC frozen, exactly as `cycles` real ticks would.
+    /// Bulk-applies `cycles` pure ticks: forwards to the accelerator —
+    /// unless a stall is pending, in which case the window burns down
+    /// the stall with the RAC frozen, exactly as `cycles` real ticks
+    /// would.
     pub fn advance(&mut self, cycles: Cycle) {
-        if self.busy() {
-            self.busy_cycles += cycles.count();
-        }
         if self.stall_left > 0 {
             debug_assert!(cycles.count() < self.stall_left, "advanced past the stall");
             self.stall_left -= cycles.count();
@@ -398,14 +389,7 @@ impl RacSocket {
         for f in &mut self.outputs {
             f.clear();
         }
-        self.busy_cycles = 0;
         self.stall_left = 0;
-    }
-
-    /// Total cycles spent with `busy()` asserted.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 }
 
@@ -475,15 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_cycles_counted() {
-        let mut s = RacSocket::new(Box::new(Doubler::new()), 16);
-        s.push_input(0, 1).unwrap();
-        s.start(0);
-        s.run_until_done(100);
-        assert_eq!(s.busy_cycles(), 6);
-    }
-
-    #[test]
     fn bad_fifo_index_rejected() {
         let mut s = RacSocket::new(Box::new(Doubler::new()), 16);
         assert_eq!(
@@ -517,7 +492,6 @@ mod tests {
         s.reset();
         assert!(!s.busy());
         assert!(s.all_fifos_empty());
-        assert_eq!(s.busy_cycles(), 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::bus::{
     Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, TxnKind, TxnRequest,
 };
 use crate::clock::Cycle;
-use crate::trace::Trace;
 
 /// Object-safe façade over a system bus, implemented by the AHB-like
 /// [`crate::bus::Bus`] and the AXI-like [`AxiBus`].
@@ -233,8 +232,6 @@ pub struct AxiBus {
     completions: Vec<Vec<Result<Completion, BusError>>>,
     slaves: Vec<SlaveEntry>,
     stats: BusStats,
-    /// Shared trace (disabled by default).
-    pub trace: Trace,
 }
 
 impl AxiBus {
@@ -250,7 +247,6 @@ impl AxiBus {
             completions: Vec::new(),
             slaves: Vec::new(),
             stats: BusStats::default(),
-            trace: Trace::disabled(),
         }
     }
 

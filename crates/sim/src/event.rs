@@ -6,10 +6,19 @@
 //! wait states and beats the bus protocol fixes up to its completion,
 //! a RAC counting down its Table I compute latency, a DPR slot
 //! streaming a bitstream through the ICAP, a farm worker parked in
-//! retry backoff or quarantine cooldown. [`NextEvent`]
-//! lets each component *declare* that window so a driver loop can leap
-//! over it instead of looping through it — the same lever fast ISA
-//! simulators pull to beat naive interpreters, applied to a SoC.
+//! retry backoff or quarantine cooldown. A component *declares* that
+//! window so a driver loop can leap over it instead of looping through
+//! it — the same lever fast ISA simulators pull to beat naive
+//! interpreters, applied to a SoC.
+//!
+//! [`NextEvent`] is the bus contract: `Bus` and `AxiBus` implement it,
+//! and `SystemBus` has it as a supertrait so an OCP can ask whatever
+//! bus it sits on. The OCP layers state the same contract through
+//! their own `horizon`/`advance` methods (the `Rac` trait's, then
+//! inherent ones on `RacSocket`, `Controller` and `Ocp`), because their
+//! horizons depend on the socket and the bus around them. Each layer states a pure window once: a
+//! controller waiting on its RAC defers to the socket's countdown
+//! rather than keeping a second one.
 //!
 //! # Contract
 //!

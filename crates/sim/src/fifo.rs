@@ -357,27 +357,6 @@ impl WidthAdapter {
     }
 }
 
-impl<T> crate::event::NextEvent for SyncFifo<T> {
-    /// FIFOs are passive: they change state only when an owner pushes
-    /// or pops, never from the passage of time, so they are always
-    /// quiescent from the fast-forward kernel's point of view.
-    fn horizon(&self) -> Option<crate::clock::Cycle> {
-        None
-    }
-
-    fn advance(&mut self, _cycles: crate::clock::Cycle) {}
-}
-
-impl crate::event::NextEvent for WidthAdapter {
-    /// Width adapters are passive, like [`SyncFifo`]: no tick, no
-    /// timers, so always quiescent.
-    fn horizon(&self) -> Option<crate::clock::Cycle> {
-        None
-    }
-
-    fn advance(&mut self, _cycles: crate::clock::Cycle) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -300,20 +300,7 @@ impl OuessantDevice {
         let report = self.soc.start_and_wait(100_000_000)?;
         // The fixed OS crossing; per-word copy costs were charged at the
         // buffer accesses (where the copies actually happen).
-        let os_cycles = match self.os {
-            OsModel::Baremetal => 0,
-            OsModel::LinuxMmap {
-                syscall,
-                driver,
-                cache,
-            }
-            | OsModel::LinuxCopy {
-                syscall,
-                driver,
-                cache,
-                ..
-            } => 2 * syscall + driver + cache,
-        };
+        let os_cycles = self.os.invocation_overhead(0);
         self.os_cycles_total += os_cycles;
         Ok(DriverStats {
             machine_cycles: config_cycles + report.machine_cycles(),

@@ -378,7 +378,10 @@ impl Soc {
             }
         }
 
-        let stats = self.ocp.stats().controller;
+        // The CPU has seen the run finish: consume the completion so the
+        // OCP's horizon stops single-stepping for it in the next run.
+        self.ocp.poll_completion();
+        let stats = self.ocp.stats();
         Ok(OffloadReport {
             config_cycles,
             run_cycles,
@@ -502,6 +505,7 @@ mod tests {
     fn fast_forward_matches_cycle_stepping() {
         use ouessant_isa::{Program, ProgramBuilder};
         use ouessant_rac::dft::DftRac;
+        use ouessant_rac::slot::ReconfigurableSlot;
 
         // One DMA16 sub-burst each way around a `wait`.
         let passthrough =
@@ -519,9 +523,20 @@ mod tests {
             .eop()
             .finish()
             .unwrap();
-        let cases: [(&str, &Program, usize); 2] =
-            [("passthrough", &passthrough, 16), ("dft256", &dft, 512)];
-        for (name, program, words) in cases {
+        // Swap the DPR slot to its inactive configuration (the x3
+        // scaler) for one transfer, then back: two bitstream loads.
+        let dpr = assemble(
+            "rcfg 1\nmvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\nrcfg 0\neop",
+        )
+        .unwrap();
+        // (name, program, words per direction, back-to-back runs)
+        let cases: [(&str, &Program, usize, u32); 4] = [
+            ("passthrough", &passthrough, 16, 1),
+            ("dft256", &dft, 512, 1),
+            ("passthrough_delay5", &passthrough, 16, 2),
+            ("dpr_swap", &dpr, 16, 1),
+        ];
+        for (name, program, words, runs) in cases {
             for sram in [
                 SramConfig::no_wait(),
                 SramConfig::default(),
@@ -541,24 +556,34 @@ mod tests {
                             fast_forward,
                             ..SocConfig::default()
                         };
-                        let rac: Box<dyn Rac> = if name == "dft256" {
-                            Box::new(DftRac::new(256))
-                        } else {
-                            Box::new(PassthroughRac::new(0))
+                        let rac: Box<dyn Rac> = match name {
+                            "dft256" => Box::new(DftRac::new(256)),
+                            "passthrough_delay5" => Box::new(PassthroughRac::new(5)),
+                            "dpr_swap" => Box::new(
+                                ReconfigurableSlot::new()
+                                    .with_config(Box::new(PassthroughRac::new(0)), 4_000)
+                                    .with_config(Box::new(PassthroughRac::scaling(3, 0)), 8_000),
+                            ),
+                            _ => Box::new(PassthroughRac::new(0)),
                         };
                         let mut soc = Soc::new(rac, config);
                         let ram = soc.config().ram_base;
                         soc.load_words(ram, &program.to_words()).unwrap();
-                        let input: Vec<u32> = (0..words as u32).map(|i| 0xBEEF_0000 + i).collect();
-                        soc.load_words(ram + 0x1000, &input).unwrap();
-                        soc.configure(
-                            &[(0, ram), (1, ram + 0x1000), (2, ram + 0x2000)],
-                            program.len() as u32,
-                        )
-                        .unwrap();
-                        let report = soc.start_and_wait(1_000_000).unwrap();
-                        let out = soc.read_words(ram + 0x2000, words).unwrap();
-                        (report, out, soc.bus().stats(), soc.ocp().stats().controller)
+                        let mut per_run = Vec::new();
+                        for r in 0..runs {
+                            let input: Vec<u32> = (0..words as u32)
+                                .map(|i| 0xBEEF_0000 + (r << 12) + i)
+                                .collect();
+                            soc.load_words(ram + 0x1000, &input).unwrap();
+                            soc.configure(
+                                &[(0, ram), (1, ram + 0x1000), (2, ram + 0x2000)],
+                                program.len() as u32,
+                            )
+                            .unwrap();
+                            let report = soc.start_and_wait(1_000_000).unwrap();
+                            per_run.push((report, soc.read_words(ram + 0x2000, words).unwrap()));
+                        }
+                        (per_run, soc.bus().stats(), soc.ocp().stats())
                     };
                     let fast = run(true);
                     let slow = run(false);
@@ -566,6 +591,10 @@ mod tests {
                         fast, slow,
                         "fast-forward must be bit-exact ({name}, {sram:?}, {completion:?})"
                     );
+                    if name == "dpr_swap" {
+                        let out = &fast.0[0].1;
+                        assert_eq!(out[1], (0xBEEF_0001u32).wrapping_mul(3), "x3 config ran");
+                    }
                 }
             }
         }

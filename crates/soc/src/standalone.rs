@@ -202,7 +202,7 @@ mod tests {
         sys.load_words(0x4000_1000, &[1; 16]).unwrap();
         sys.run_once(100_000).unwrap();
         assert_eq!(
-            sys.ocp().stats().controller.program_load_cycles,
+            sys.ocp().stats().program_load_cycles,
             0,
             "standalone mode must not fetch microcode over the bus"
         );
@@ -218,7 +218,7 @@ mod tests {
         sys.load_words(0x4000_1000, &[7; 16]).unwrap();
         sys.run_repeatedly(5, 100_000).unwrap();
         assert_eq!(sys.runs(), 5);
-        assert_eq!(sys.ocp().stats().controller.runs_completed, 5);
+        assert_eq!(sys.ocp().stats().runs_completed, 5);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("offload finished in {cycles} cycles");
-    let stats = ocp.stats().controller;
+    let stats = ocp.stats();
     println!(
         "words transferred: {}   instructions retired: {}",
         stats.words_transferred, stats.instructions_retired

@@ -20,20 +20,15 @@ cargo build --release --offline --workspace
 echo "==> microcode fixture verification (ouas verify)"
 bash scripts/verify_fixtures.sh
 
-echo "==> cargo test (offline, all workspace members)"
+# The workspace run includes ouessant-farm's seeded chaos sweep (fault
+# injection), hang-seam sweep (watchdogs, deadlines, shedding; zero
+# stranded jobs or leaked leases) and fast-forward lockstep oracle
+# (bit-exactness gate).
+echo "==> cargo test (offline, all workspace members; chaos, liveness and lockstep suites included)"
 cargo test -q --offline --workspace
-
-echo "==> seeded chaos sweep (fault injection, fixed seeds)"
-cargo test -q --offline -p ouessant-farm --test chaos
-
-echo "==> seeded hang-seam sweep (watchdogs, deadlines, shedding; zero stranded jobs or leaked leases)"
-cargo test -q --offline -p ouessant-farm --test liveness
 
 echo "==> chaos + hang campaign demo (fixed seeds, reproducible)"
 cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 >/dev/null
-
-echo "==> fast-forward lockstep oracle (bit-exactness gate)"
-cargo test -q --offline -p ouessant-farm --test lockstep
 
 echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
