@@ -15,6 +15,10 @@
 //! * each instruction costs 1 fetch + 1 decode cycle, plus its execute
 //!   time: transfers occupy the bus for their burst, `exec` waits for the
 //!   RAC, register operations take a single cycle.
+//!
+//! The simulator decodes the program store once, when it is loaded, so
+//! the `Decode` cycle is a table read and a fetch/decode pair ahead of a
+//! decodable word is a pure two-cycle window for fast-forward.
 
 use std::error::Error;
 use std::fmt;
@@ -213,21 +217,21 @@ pub struct ControllerStats {
 }
 
 impl ControllerStats {
-    /// Effective transfer cost in cycles per word, the paper's §V-B
-    /// metric ("around 1.5 cycles per word were required").
+    /// Bus cycles per data word: `transfer_cycles / words_transferred`,
+    /// the cycles a data burst was in flight divided by the words it
+    /// moved (0 before any transfer).
     ///
-    /// Includes the per-instruction overhead of issuing the transfers
-    /// but not the RAC compute time.
+    /// It excludes the fetch/decode/issue cycles of the transfer
+    /// instructions, any wait for FIFO space or occupancy, and the RAC
+    /// compute time. It is therefore not the end-to-end figure behind
+    /// the paper's §V-B "around 1.5 cycles per word": ROADMAP item 5
+    /// records that the Table I definition gives 1.41 cy/word while an
+    /// end-to-end DMA64 offload costs 1.911 cy/word.
     #[must_use]
     pub fn cycles_per_word(&self) -> f64 {
         if self.words_transferred == 0 {
             return 0.0;
         }
-        // Per-transfer-instruction fetch/decode/issue overhead is part
-        // of moving data, so charge transfer_cycles plus three cycles
-        // per retired transfer instruction — conservatively approximated
-        // by the recorded transfer bus cycles only when instruction
-        // counts are unavailable.
         self.transfer_cycles as f64 / self.words_transferred as f64
     }
 }
@@ -246,7 +250,9 @@ pub struct Controller {
     state: ControllerState,
     dma: DmaPort,
     xlate: BankTranslation,
-    program: Vec<u32>,
+    /// The program store, decoded once when it is loaded: entry `pc`
+    /// is what the `Decode` cycle yields for the word at `pc`.
+    program: Vec<Result<Instruction, DecodeError>>,
     pc: u16,
     prog_len: u16,
     current: Option<Instruction>,
@@ -326,7 +332,7 @@ impl Controller {
     /// (standalone mode: the paper's §VI mentions "standalone operation
     /// … to provide control for processor-free designs").
     pub fn preload_program(&mut self, words: &[u32]) {
-        self.program = words.to_vec();
+        self.program = predecode(words);
         self.prog_len = words.len() as u16;
         self.preloaded = true;
     }
@@ -444,8 +450,18 @@ impl Controller {
             {
                 bus.horizon()
             }
+            // Fetch and decode of a word that decodes only walk the FSM
+            // towards `Execute`, whose dispatch is the event. An
+            // overrunning pc or an undecodable word faults on its own
+            // tick instead, so it single-steps.
+            ControllerState::Fetch if self.decodes_at_pc() => Some(Cycle::new(3)),
+            ControllerState::Decode if self.decodes_at_pc() => Some(Cycle::new(2)),
             _ => Some(Cycle::new(1)),
         }
+    }
+
+    fn decodes_at_pc(&self) -> bool {
+        matches!(self.program.get(usize::from(self.pc)), Some(Ok(_)))
     }
 
     /// Replays `cycles` pure ticks inside a window bounded by
@@ -478,8 +494,36 @@ impl Controller {
             // program-load cycle per skipped tick.
             ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
             ControllerState::LoadProgram => self.stats.program_load_cycles += n,
+            // Fetch → Decode → Execute, latching the predecoded entry on
+            // the way into `Execute` as the `Decode` tick does.
+            ControllerState::Fetch | ControllerState::Decode => {
+                for _ in 0..n {
+                    debug_assert!(
+                        self.state != ControllerState::Execute,
+                        "advanced past the dispatch"
+                    );
+                    if self.state == ControllerState::Fetch {
+                        self.state = ControllerState::Decode;
+                    } else {
+                        self.current = self.program[usize::from(self.pc)].ok();
+                        self.state = ControllerState::Execute;
+                    }
+                }
+            }
             s => debug_assert!(false, "advance in non-pure state {s:?}"),
         }
+    }
+
+    /// Publishes the FSM state, pc, retired instructions and
+    /// transferred words to the debug register window.
+    pub(crate) fn publish_debug(&self, regs: &RegsHandle) {
+        let (state_id, retired, words, pc) = (
+            self.state.id(),
+            self.stats.instructions_retired as u32,
+            self.stats.words_transferred as u32,
+            u32::from(self.pc),
+        );
+        regs.with_mut(|r| r.set_debug(state_id, retired, words, pc));
     }
 
     /// Advances the controller one clock cycle.
@@ -494,13 +538,7 @@ impl Controller {
         irq: &IrqLine,
     ) {
         self.step_fsm(bus, regs, socket, irq);
-        let (state_id, retired, words, pc) = (
-            self.state.id(),
-            self.stats.instructions_retired as u32,
-            self.stats.words_transferred as u32,
-            u32::from(self.pc),
-        );
-        regs.with_mut(|r| r.set_debug(state_id, retired, words, pc));
+        self.publish_debug(regs);
     }
 
     /// One FSM step; the public [`Controller::tick`] wraps it so the
@@ -567,7 +605,7 @@ impl Controller {
                         self.set_fault(e.into());
                     }
                     Some(Ok(c)) => {
-                        self.program = c.data;
+                        self.program = predecode(&c.data);
                         self.pc = 0;
                         self.state = ControllerState::Fetch;
                     }
@@ -580,21 +618,18 @@ impl Controller {
                 }
                 self.state = ControllerState::Decode;
             }
-            ControllerState::Decode => {
-                let word = self.program[usize::from(self.pc)];
-                match Instruction::decode(word) {
-                    Ok(insn) => {
-                        self.current = Some(insn);
-                        self.state = ControllerState::Execute;
-                    }
-                    Err(source) => {
-                        self.set_fault(ExecError::BadInstruction {
-                            pc: self.pc,
-                            source,
-                        });
-                    }
+            ControllerState::Decode => match self.program[usize::from(self.pc)] {
+                Ok(insn) => {
+                    self.current = Some(insn);
+                    self.state = ControllerState::Execute;
                 }
-            }
+                Err(source) => {
+                    self.set_fault(ExecError::BadInstruction {
+                        pc: self.pc,
+                        source,
+                    });
+                }
+            },
             ControllerState::Execute => {
                 let insn = self.current.expect("decode set current");
                 self.dispatch(insn, bus, regs, socket, irq);
@@ -864,6 +899,11 @@ impl Controller {
     pub fn burst_fits(burst: BurstLen, fifo_depth: usize) -> bool {
         usize::from(burst.words()) <= fifo_depth
     }
+}
+
+/// Decodes a program store once, entry by entry.
+fn predecode(words: &[u32]) -> Vec<Result<Instruction, DecodeError>> {
+    words.iter().map(|&w| Instruction::decode(w)).collect()
 }
 
 #[cfg(test)]

@@ -368,14 +368,15 @@ impl Ocp {
     }
 
     /// Replays `cycles` pure ticks inside a window bounded by
-    /// [`Ocp::horizon_on`]: the socket's countdowns and the
-    /// controller's counters move exactly as `cycles` real ticks would
-    /// have moved them. Completion needs no replay — `eop` is never
-    /// inside a pure window. The bus is advanced separately by its
-    /// owner.
+    /// [`Ocp::horizon_on`]: the socket's countdowns and FIFO streams,
+    /// the controller's counters and fetch/decode steps, and the debug
+    /// register window move exactly as `cycles` real ticks would have
+    /// moved them. Completion needs no replay — `eop` is never inside a
+    /// pure window. The bus is advanced separately by its owner.
     pub fn advance(&mut self, cycles: Cycle) {
         self.socket.advance(cycles);
         self.controller.advance(cycles);
+        self.controller.publish_debug(&self.regs);
         // Watchdog countdown: a pure window by definition has no
         // progress pulses (no instruction retires and no transfer
         // completes inside it), so every skipped tick decrements —
@@ -397,6 +398,7 @@ impl Ocp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerState;
     use ouessant_isa::{assemble, Program, ProgramBuilder};
     use ouessant_rac::idct::{idct_2d_fixed, IdctRac};
     use ouessant_rac::passthrough::PassthroughRac;
@@ -421,19 +423,41 @@ mod tests {
 
     impl Fixture {
         fn load_program(&mut self, program: &Program) {
-            for (i, w) in program.to_words().iter().enumerate() {
+            self.load_words(&program.to_words());
+        }
+
+        fn load_words(&mut self, words: &[u32]) {
+            for (i, w) in words.iter().enumerate() {
                 self.bus.debug_write(RAM_BASE + (i as u32) * 4, *w).unwrap();
             }
             self.ocp.regs().set_bank(0, RAM_BASE).unwrap();
-            self.ocp.regs().set_prog_size(program.len() as u32).unwrap();
+            self.ocp.regs().set_prog_size(words.len() as u32).unwrap();
+        }
+
+        fn step(&mut self) {
+            self.ocp.tick(&mut self.bus);
+            ouessant_sim::SystemBus::tick(&mut self.bus);
+        }
+
+        /// The debug register window (state, pc, retired, words) as the
+        /// host reads it, plus the FSM state, statistics and watchdog.
+        fn observed(&self) -> ([u32; 4], ControllerState, ControllerStats, Option<u64>) {
+            use crate::regs::{REG_DBG_PC, REG_DBG_RETIRED, REG_DBG_STATE, REG_DBG_WORDS};
+            let dbg = [REG_DBG_STATE, REG_DBG_PC, REG_DBG_RETIRED, REG_DBG_WORDS]
+                .map(|r| self.ocp.regs().with(|f| f.bus_read(r).unwrap()));
+            (
+                dbg,
+                self.ocp.controller().state().clone(),
+                self.ocp.stats(),
+                self.ocp.watchdog_remaining(),
+            )
         }
 
         fn run(&mut self, max_cycles: u64) -> u64 {
             self.ocp.regs().start();
             let mut cycles = 0;
             while !self.ocp.regs().done() {
-                self.ocp.tick(&mut self.bus);
-                ouessant_sim::SystemBus::tick(&mut self.bus);
+                self.step();
                 cycles += 1;
                 if let Some(f) = self.ocp.fault() {
                     panic!("OCP faulted after {cycles} cycles: {f}");
@@ -526,8 +550,7 @@ mod tests {
         fx.load_program(&program);
         fx.ocp.regs().start();
         for _ in 0..1000 {
-            fx.ocp.tick(&mut fx.bus);
-            ouessant_sim::SystemBus::tick(&mut fx.bus);
+            fx.step();
         }
         assert!(!fx.ocp.regs().done());
         assert!(!fx.ocp.is_active());
@@ -593,8 +616,7 @@ mod tests {
         fx.ocp.regs().start();
         let mut faulted = false;
         for _ in 0..10_000 {
-            fx.ocp.tick(&mut fx.bus);
-            ouessant_sim::SystemBus::tick(&mut fx.bus);
+            fx.step();
             if fx.ocp.fault().is_some() {
                 faulted = true;
                 break;
@@ -614,8 +636,7 @@ mod tests {
         });
         fx.ocp.regs().start();
         for _ in 0..10 {
-            fx.ocp.tick(&mut fx.bus);
-            ouessant_sim::SystemBus::tick(&mut fx.bus);
+            fx.step();
         }
         assert!(matches!(
             fx.ocp.fault(),
@@ -690,8 +711,7 @@ mod tests {
             assert!(!fx.ocp.poll_completion(), "event delivered once");
             // Ticking an idle, still-done OCP must not re-fire the edge.
             for _ in 0..50 {
-                fx.ocp.tick(&mut fx.bus);
-                ouessant_sim::SystemBus::tick(&mut fx.bus);
+                fx.step();
             }
             assert!(!fx.ocp.poll_completion());
         }
@@ -699,7 +719,6 @@ mod tests {
 
     #[test]
     fn rcfg_waits_for_the_load_through_a_rac_stall() {
-        use crate::controller::ControllerState;
         use ouessant_rac::slot::ReconfigurableSlot;
 
         // Configuration 1 loads in 800 bytes / 4 per cycle = 200 cycles.
@@ -709,15 +728,11 @@ mod tests {
         let mut fx = fixture(Box::new(slot));
         fx.load_program(&assemble("rcfg 1\neop").unwrap());
         fx.ocp.regs().start();
-        let tick = |fx: &mut Fixture| {
-            fx.ocp.tick(&mut fx.bus);
-            ouessant_sim::SystemBus::tick(&mut fx.bus);
-        };
         while *fx.ocp.controller().state() != ControllerState::ReconfigWait {
-            tick(&mut fx);
+            fx.step();
         }
         for _ in 0..3 {
-            tick(&mut fx);
+            fx.step();
         }
         // A stall freezes the slot, and with it the bitstream countdown.
         fx.ocp.inject_rac_stall(150);
@@ -728,7 +743,7 @@ mod tests {
                 ControllerState::ReconfigWait,
                 "rcfg retired {ticks} ticks in, with the region still dark"
             );
-            tick(&mut fx);
+            fx.step();
             ticks += 1;
         }
         assert_ne!(
@@ -738,9 +753,124 @@ mod tests {
         );
         assert_eq!(ticks, 200 + 150);
         for _ in 0..3 {
-            tick(&mut fx);
+            fx.step();
         }
         assert!(fx.ocp.regs().done(), "eop follows the load");
+    }
+
+    /// Starts two fixtures from `build` and runs one single-stepped and
+    /// the other leaping every window [`Ocp::horizon_on`] (merged with
+    /// the bus's) allows, comparing [`Fixture::observed`] after every
+    /// leap and every tick. Returns the cycle the run ended on (done or
+    /// faulted), the fault, and the number of leaps.
+    fn leap_against_steps(build: impl Fn() -> Fixture, max: u64) -> (u64, Option<ExecError>, u64) {
+        use ouessant_sim::NextEvent;
+        let (mut slow, mut fast) = (build(), build());
+        slow.ocp.regs().start();
+        fast.ocp.regs().start();
+        let (mut cycle, mut leaps) = (0, 0);
+        while cycle < max {
+            let h = ouessant_sim::min_horizon(
+                fast.ocp.horizon_on(&fast.bus),
+                NextEvent::horizon(&fast.bus),
+            );
+            let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
+            if skip > 0 {
+                fast.ocp.advance(Cycle::new(skip));
+                NextEvent::advance(&mut fast.bus, Cycle::new(skip));
+                for _ in 0..skip {
+                    slow.step();
+                }
+                cycle += skip;
+                leaps += 1;
+                assert_eq!(fast.observed(), slow.observed(), "leap to cycle {cycle}");
+            }
+            fast.step();
+            slow.step();
+            cycle += 1;
+            assert_eq!(fast.observed(), slow.observed(), "tick {cycle}");
+            if slow.ocp.fault().is_some() || slow.ocp.regs().done() {
+                break;
+            }
+        }
+        (cycle, slow.ocp.fault().cloned(), leaps)
+    }
+
+    #[test]
+    fn fetch_decode_leaps_fault_on_the_stepped_cycle() {
+        use ouessant_isa::Instruction;
+        let (nop, eop) = (Instruction::Nop.encode(), Instruction::Eop.encode());
+        let reserved = 31u32 << 27;
+        let loaded = |words: Vec<u32>| {
+            move || {
+                let mut fx = fixture(Box::new(PassthroughRac::new(0)));
+                fx.load_words(&words);
+                fx
+            }
+        };
+
+        // Predecoded at the bank-0 load; faults in its own Decode tick.
+        let (_, fault, leaps) = leap_against_steps(loaded(vec![nop, nop, reserved, eop]), 1_000);
+        assert!(
+            matches!(fault, Some(ExecError::BadInstruction { pc: 2, .. })),
+            "{fault:?}"
+        );
+        assert!(leaps >= 2, "the two nops' fetch/decode pairs leap");
+
+        // No `eop`: the Fetch tick past the end overruns.
+        let (_, fault, _) = leap_against_steps(loaded(vec![nop, nop]), 1_000);
+        assert_eq!(fault, Some(ExecError::PcOverrun { pc: 2 }));
+
+        // Standalone, so the budget counts from the start tick (cycle
+        // 1): budget 2 bites in the first Fetch tick, budget 3 in the
+        // Decode tick right after a one-cycle leap, and from budget 4
+        // every retired nop pulses the watchdog in time.
+        let mut program = vec![nop; 8];
+        program.push(eop);
+        for (budget, bite_at) in [(1, Some(1)), (2, Some(2)), (3, Some(3)), (4, None)] {
+            let (cycle, fault, _) = leap_against_steps(
+                || {
+                    let mut fx = fixture(Box::new(PassthroughRac::new(0)));
+                    fx.ocp.preload_program(&program);
+                    fx.ocp.regs().set_prog_size(program.len() as u32).unwrap();
+                    fx.ocp.arm_watchdog(budget);
+                    fx
+                },
+                1_000,
+            );
+            match bite_at {
+                Some(at) => assert_eq!((cycle, fault), (at, Some(ExecError::Hang { budget }))),
+                None => assert_eq!(fault, None, "budget {budget}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stream_and_decode_leaps_keep_the_debug_window_in_step() {
+        let check = |rac: fn() -> Box<dyn Rac>, source: &str| {
+            let program = assemble(source).unwrap();
+            let (_, fault, leaps) = leap_against_steps(
+                || {
+                    let mut fx = fixture(rac());
+                    fx.load_program(&program);
+                    fx.ocp.regs().set_bank(1, RAM_BASE + 0x1000).unwrap();
+                    fx.ocp.regs().set_bank(2, RAM_BASE + 0x2000).unwrap();
+                    fx
+                },
+                100_000,
+            );
+            assert_eq!(fault, None, "{source}");
+            assert!(leaps > 0, "{source}");
+        };
+        check(
+            || Box::new(PassthroughRac::scaling(3, 0)),
+            "mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop",
+        );
+        check(
+            || Box::new(IdctRac::new()),
+            "ldc R0,3\nagain:\nnop\ndjnz R0,again\nwait 5\n\
+             mvtc BANK1,0,DMA64,FIFO0\nexecs\nmvfc BANK2,0,DMA64,FIFO0\neop",
+        );
     }
 
     #[test]

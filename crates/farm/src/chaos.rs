@@ -272,6 +272,9 @@ impl FaultPlan {
                     }
                 }
                 ControllerState::Idle | ControllerState::Faulted(_) => {}
+                // Fetch, Decode and Execute share this category (and no
+                // stall die below), so a fetch/decode leap keeps the
+                // dice constant across its window.
                 _ => {
                     if self.roll(self.config.controller_one_in) {
                         out.push(Injection::Controller { worker: wi });

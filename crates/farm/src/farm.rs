@@ -595,7 +595,7 @@ impl Farm {
     /// watermark and the job is below the priority floor. A
     /// high-priority submission into a *full* queue may instead evict
     /// the youngest lowest-class queued job, which is recorded as
-    /// [`JobOutcome::ShedOverload`](crate::job::JobOutcome::ShedOverload).
+    /// [`JobOutcome::ShedOverload`].
     /// The other variants reject malformed or unserviceable jobs at
     /// admission (see [`SubmitError`]).
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {

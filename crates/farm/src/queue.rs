@@ -179,8 +179,8 @@ impl PendingJob {
 /// watermark, below-floor submissions are refused with
 /// [`SubmitError::ShedOverload`], and a *full* queue lets a
 /// higher-priority submission evict the youngest lowest-class queued
-/// job (never a retry) — the farm drains the evictions via
-/// [`SubmitQueue::take_shed`] and records them.
+/// job (never a retry) — the farm drains the evictions and records
+/// them.
 ///
 /// Every membership change (admission, requeue, eviction, dispatch,
 /// reap) bumps a version number, and the queue keeps the earliest

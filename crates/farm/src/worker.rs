@@ -594,7 +594,7 @@ impl Worker {
 
     /// The controller fault that killed this worker, if any, classified
     /// by seam. The structured [`ExecError`] behind it is available via
-    /// [`Ocp::fault`] on [`Worker::ocp`] inside the crate.
+    /// [`Ocp::fault`] on the worker's OCP inside the crate.
     #[must_use]
     pub fn fault(&self) -> Option<WorkerFaultKind> {
         self.ocp.fault().map(WorkerFaultKind::classify)

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::Cycle;
 
 use crate::rac::{Rac, RacIo};
@@ -155,11 +156,10 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
         }
     }
 
-    fn horizon(&self) -> Option<Cycle> {
+    fn horizon(&self, _inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
         match self.state {
             State::Idle => None,
-            // Collecting and draining interact with the FIFOs, whose
-            // contents the controller can change any cycle.
+            // Collecting and draining move FIFO words; they single-step.
             State::Collecting | State::Draining => Some(Cycle::new(1)),
             // The latency countdown is pure: `cycles_left - 1` ticks
             // only decrement the counter, then the transition to
@@ -169,7 +169,7 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
         }
     }
 
-    fn advance(&mut self, cycles: Cycle) {
+    fn advance(&mut self, cycles: Cycle, _io: &mut RacIo<'_>) {
         let n = cycles.count();
         if n == 0 {
             return;

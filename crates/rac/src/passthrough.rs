@@ -7,7 +7,8 @@
 //! efficiency is measured) and reproduce the serializing/deserializing
 //! FIFO arrangement of Figure 2.
 
-use ouessant_sim::fifo::WidthAdapter;
+use ouessant_sim::fifo::{SyncFifo, WidthAdapter};
+use ouessant_sim::Cycle;
 
 use crate::rac::{Rac, RacIo};
 
@@ -108,6 +109,41 @@ impl Rac for PassthroughRac {
         if self.to_consume == 0 && io.inputs[0].is_empty() && self.in_flight.is_empty() {
             self.busy = false; // end_op
         }
+    }
+
+    /// Closed form for the zero-delay steady state (no word in flight):
+    /// each tick moves one waiting input word to the output. With `L`
+    /// words waiting and `S` words of output space, the first
+    /// `min(L, S)` ticks are pure moves; the event is the tick that
+    /// takes the last waiting word (and may raise `end_op`) or the
+    /// first one that finds the output full. A pipeline delay, a word
+    /// in flight or an empty input single-steps.
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+        if !self.busy {
+            return None;
+        }
+        let waiting = inputs[0].len();
+        if self.delay > 0 || !self.in_flight.is_empty() || waiting == 0 {
+            return Some(Cycle::new(1));
+        }
+        Some(Cycle::new(waiting.min(outputs[0].space() + 1) as u64))
+    }
+
+    fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
+        if !self.busy {
+            return; // idle ticks are no-ops
+        }
+        let n = cycles.count();
+        for _ in 0..n {
+            let w = io.inputs[0]
+                .pop()
+                .expect("horizon counted the waiting words");
+            io.outputs[0]
+                .push(w.wrapping_mul(self.scale))
+                .expect("horizon counted the output space");
+        }
+        self.tick_count += n;
+        self.to_consume = self.to_consume.saturating_sub(n as usize);
     }
 }
 

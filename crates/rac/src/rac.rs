@@ -125,14 +125,23 @@ pub trait Rac {
 
     /// Fast-forward horizon (see `ouessant_sim::event::NextEvent`): the
     /// earliest future tick, as a 1-based offset from now, at which the
-    /// accelerator's observable state can change.
+    /// accelerator's observable state can change, given a read-only
+    /// view of the socket's FIFOs.
+    ///
+    /// Inside the window nobody but the accelerator touches those
+    /// FIFOs (the controller moves words only on its own event ticks),
+    /// so a streaming accelerator may count its bulk FIFO moves as pure
+    /// ticks and leave the event to the tick that empties, fills or
+    /// ends something.
     ///
     /// The default is maximally conservative — `Some(1)` while busy
     /// (single-step every cycle), `None` when idle (idle ticks must be
     /// no-ops, which holds for every in-tree RAC). Accelerators with a
-    /// pure latency countdown (e.g. [`crate::block::BlockRac`]) override
-    /// this to expose the whole countdown window.
-    fn horizon(&self) -> Option<Cycle> {
+    /// pure latency countdown (e.g. [`crate::block::BlockRac`]) or a
+    /// closed-form stream (e.g. [`crate::passthrough::PassthroughRac`])
+    /// override this to expose the whole window.
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+        let _ = (inputs, outputs);
         if self.busy() {
             Some(Cycle::new(1))
         } else {
@@ -140,14 +149,16 @@ pub trait Rac {
         }
     }
 
-    /// Bulk-applies `cycles` provably-pure ticks in O(1).
+    /// Bulk-applies `cycles` provably-pure ticks on the socket's FIFOs,
+    /// leaving the accelerator and `io` exactly as `cycles` calls of
+    /// [`Rac::tick`] would.
     ///
     /// Callers guarantee `cycles ≤ horizon() - 1` (or the RAC is idle).
     /// The default is a no-op, correct for RACs whose idle `tick` does
     /// not touch state; RACs that override [`Rac::horizon`] with a
-    /// countdown window override this to replay it.
-    fn advance(&mut self, cycles: Cycle) {
-        let _ = cycles;
+    /// wider window override this to replay it.
+    fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
+        let _ = (cycles, io);
     }
 }
 
@@ -335,15 +346,16 @@ impl RacSocket {
         self.rac.tick(&mut io);
     }
 
-    /// Ticks until `busy()` deasserts, returning the number of cycles
-    /// consumed.
+    /// Ticks until [`RacSocket::busy`] deasserts — through an injected
+    /// stall as well as the accelerator's own work — returning the
+    /// number of cycles consumed.
     ///
     /// # Panics
     ///
     /// Panics if the accelerator is still busy after `max_cycles`.
     pub fn run_until_done(&mut self, max_cycles: u64) -> u64 {
         let mut cycles = 0;
-        while self.rac.busy() {
+        while self.busy() {
             self.tick();
             cycles += 1;
             assert!(
@@ -357,14 +369,14 @@ impl RacSocket {
 
     /// Fast-forward horizon of the socket: the stall countdown while
     /// one is injected (the frozen accelerator cannot change state any
-    /// earlier), otherwise the wrapped accelerator's horizon (the
-    /// FIFOs are passive and never constrain it).
+    /// earlier), otherwise the wrapped accelerator's horizon over the
+    /// socket's FIFOs.
     #[must_use]
     pub fn horizon(&self) -> Option<Cycle> {
         if self.stall_left > 0 {
             return Some(Cycle::new(self.stall_left));
         }
-        self.rac.horizon()
+        self.rac.horizon(&self.inputs, &self.outputs)
     }
 
     /// Bulk-applies `cycles` pure ticks: forwards to the accelerator —
@@ -377,7 +389,11 @@ impl RacSocket {
             self.stall_left -= cycles.count();
             return;
         }
-        self.rac.advance(cycles);
+        let mut io = RacIo {
+            inputs: &mut self.inputs,
+            outputs: &mut self.outputs,
+        };
+        self.rac.advance(cycles, &mut io);
     }
 
     /// Resets the accelerator and clears every FIFO.
@@ -456,6 +472,23 @@ mod tests {
         assert_eq!(cycles, 6);
         assert_eq!(s.pop_output(0).unwrap(), 42);
         assert!(s.all_fifos_empty());
+    }
+
+    #[test]
+    fn run_until_done_waits_out_an_injected_stall() {
+        let mut s = RacSocket::new(Box::new(Doubler::new()), 16);
+        s.inject_stall(7);
+        assert_eq!(
+            s.run_until_done(100),
+            7,
+            "an idle RAC's stall still holds busy"
+        );
+        assert!(!s.busy());
+        s.push_input(0, 21).unwrap();
+        s.start(0);
+        s.inject_stall(4);
+        assert_eq!(s.run_until_done(100), 6 + 4);
+        assert_eq!(s.pop_output(0).unwrap(), 42);
     }
 
     #[test]

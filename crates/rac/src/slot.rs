@@ -8,6 +8,7 @@
 //! that is currently "loaded", and charges a bitstream-transfer latency
 //! on every swap (triggered by the extension ISA's `rcfg` instruction).
 
+use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::Cycle;
 
 use crate::rac::{Rac, RacIo, ReconfigResponse};
@@ -225,7 +226,7 @@ impl Rac for ReconfigurableSlot {
         self.active_mut().tick(io);
     }
 
-    fn horizon(&self) -> Option<Cycle> {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
         if self.loading_left > 0 {
             // The bitstream load is a pure countdown; the region going
             // live again is the event.
@@ -234,10 +235,10 @@ impl Rac for ReconfigurableSlot {
         if self.configs.is_empty() {
             return None;
         }
-        self.configs[self.active].rac.horizon()
+        self.configs[self.active].rac.horizon(inputs, outputs)
     }
 
-    fn advance(&mut self, cycles: Cycle) {
+    fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
         let n = cycles.count();
         if n == 0 {
             return;
@@ -248,7 +249,7 @@ impl Rac for ReconfigurableSlot {
             return; // region is dark during the load, like tick()
         }
         if let Some(c) = self.configs.get_mut(self.active) {
-            c.rac.advance(cycles);
+            c.rac.advance(cycles, io);
         }
     }
 

@@ -4,7 +4,7 @@
 //! (counter exhausted) or jumps to its absolute target; `eop` and
 //! `halt` terminate the program. The CFG is therefore a vector of
 //! successor lists plus a reachability bitmap computed from entry 0 —
-//! enough for the worklist dataflow in [`crate::hazards`] and for
+//! enough for the worklist dataflow of the hazard checks and for
 //! dead-code reporting.
 
 use ouessant_isa::{Instruction, Program};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: formatting, lints, offline build, full test suite.
+# Tier-1 CI gate: formatting, lints, rustdoc, offline build, full test suite.
 #
 # The workspace must build with no network access (zero registry
 # dependencies); --offline enforces that invariant on every run. The
@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
