@@ -424,6 +424,15 @@ impl Controller {
     /// `Idle` reports quiescent *from the controller's own view*: a
     /// pending S bit lives in the register file, so the embedding OCP
     /// checks `start_pending` before trusting `None`.
+    ///
+    /// A finished burst in `TransferBusWait` or `LoadProgram` is picked
+    /// up as the window's first tick, and the window carries on through
+    /// `Fetch` and `Decode` to the `Execute` dispatch: `Some(4)` when
+    /// the entry the pickup leads to decodes, `Some(2)` when it does
+    /// not (so `PcOverrun` or `BadInstruction` still faults on its own
+    /// tick). The pickup single-steps when the burst failed, or when a
+    /// read would push its words into a busy socket (the RAC would see
+    /// its FIFOs change inside its own window).
     #[must_use]
     pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
         if self.wedged {
@@ -450,25 +459,71 @@ impl Controller {
             {
                 bus.horizon()
             }
+            // The pickup, then `Fetch` and `Decode` of the entry it
+            // leads to: word 0 of a loaded program, the next instruction
+            // after a transfer.
+            ControllerState::LoadProgram => match self.dma.peek_completion(bus) {
+                Some(Ok(c)) => pickup_window(
+                    c.data
+                        .first()
+                        .is_some_and(|&w| Instruction::decode(w).is_ok()),
+                ),
+                _ => Some(Cycle::new(1)),
+            },
+            ControllerState::TransferBusWait => match self.dma.peek_completion(bus) {
+                Some(Ok(_))
+                    if !(socket.busy()
+                        && matches!(
+                            self.pending_transfer,
+                            Some(PendingTransfer::ToCoprocessor { .. })
+                        )) =>
+                {
+                    pickup_window(self.decodes_at(self.pc + 1))
+                }
+                _ => Some(Cycle::new(1)),
+            },
             // Fetch and decode of a word that decodes only walk the FSM
             // towards `Execute`, whose dispatch is the event. An
             // overrunning pc or an undecodable word faults on its own
             // tick instead, so it single-steps.
-            ControllerState::Fetch if self.decodes_at_pc() => Some(Cycle::new(3)),
-            ControllerState::Decode if self.decodes_at_pc() => Some(Cycle::new(2)),
+            ControllerState::Fetch if self.decodes_at(self.pc) => Some(Cycle::new(3)),
+            ControllerState::Decode if self.decodes_at(self.pc) => Some(Cycle::new(2)),
             _ => Some(Cycle::new(1)),
         }
     }
 
-    fn decodes_at_pc(&self) -> bool {
-        matches!(self.program.get(usize::from(self.pc)), Some(Ok(_)))
+    fn decodes_at(&self, pc: u16) -> bool {
+        matches!(self.program.get(usize::from(pc)), Some(Ok(_)))
     }
 
-    /// Replays `cycles` pure ticks inside a window bounded by
+    /// Whether the next tick picks up a burst that completed without
+    /// error, moving the FSM from `TransferBusWait` or `LoadProgram`
+    /// to `Fetch`.
+    #[must_use]
+    pub fn picks_up(&self, bus: &dyn SystemBus) -> bool {
+        !self.wedged
+            && matches!(
+                self.state,
+                ControllerState::TransferBusWait | ControllerState::LoadProgram
+            )
+            && matches!(self.dma.peek_completion(bus), Some(Ok(_)))
+    }
+
+    /// Whether the next tick retires a transfer by picking up its burst
+    /// (a [`Controller::picks_up`] out of `TransferBusWait`): observable
+    /// progress, which pulses the OCP watchdog.
+    #[must_use]
+    pub(crate) fn retires_on_pickup(&self, bus: &dyn SystemBus) -> bool {
+        self.state == ControllerState::TransferBusWait && self.picks_up(bus)
+    }
+
+    /// Replays `cycles` ticks inside a window bounded by
     /// [`Controller::horizon`]: the per-state counters move exactly as
-    /// `cycles` real ticks would have moved them.
-    pub fn advance(&mut self, cycles: Cycle) {
-        let n = cycles.count();
+    /// `cycles` real ticks would have moved them. A pickup runs as the
+    /// window's first tick, through the same code the tick runs, so it
+    /// retires the port's completion before the owner advances the bus.
+    pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus, socket: &mut RacSocket) {
+        let mut n = cycles.count();
         if self.is_active() {
             self.stats.active_cycles += n;
         }
@@ -476,6 +531,11 @@ impl Controller {
             // Frozen: mirror the wedged `step_fsm` early return — only
             // the active counter moves.
             return;
+        }
+        if self.picks_up(bus) {
+            let state = std::mem::replace(&mut self.state, ControllerState::Idle);
+            self.await_burst(state, bus, socket);
+            n -= 1;
         }
         match &mut self.state {
             // Idle / faulted ticks change nothing (a start cannot be
@@ -597,19 +657,8 @@ impl Controller {
                     self.state = ControllerState::Idle;
                 }
             }
-            ControllerState::LoadProgram => {
-                self.stats.program_load_cycles += 1;
-                match self.dma.take_completion(bus) {
-                    None => self.state = ControllerState::LoadProgram,
-                    Some(Err(e)) => {
-                        self.set_fault(e.into());
-                    }
-                    Some(Ok(c)) => {
-                        self.program = predecode(&c.data);
-                        self.pc = 0;
-                        self.state = ControllerState::Fetch;
-                    }
-                }
+            state @ (ControllerState::LoadProgram | ControllerState::TransferBusWait) => {
+                self.await_burst(state, bus, socket);
             }
             ControllerState::Fetch => {
                 if usize::from(self.pc) >= self.program.len() {
@@ -637,31 +686,6 @@ impl Controller {
             ControllerState::TransferFifoWait => {
                 let insn = self.current.expect("transfer in progress");
                 self.try_issue_transfer(insn, bus, regs, socket);
-            }
-            ControllerState::TransferBusWait => {
-                self.stats.transfer_cycles += 1;
-                match self.dma.take_completion(bus) {
-                    None => self.state = ControllerState::TransferBusWait,
-                    Some(Err(e)) => {
-                        self.set_fault(e.into());
-                    }
-                    Some(Ok(c)) => {
-                        // Reads deliver their payload into the input FIFO
-                        // here; writes were counted when their payload was
-                        // popped at issue time.
-                        if let Some(PendingTransfer::ToCoprocessor { fifo }) =
-                            self.pending_transfer.take()
-                        {
-                            for w in &c.data {
-                                socket
-                                    .push_input(fifo.index(), *w)
-                                    .expect("space reserved before issue");
-                            }
-                            self.stats.words_transferred += c.data.len() as u64;
-                        }
-                        self.retire();
-                    }
-                }
             }
             ControllerState::RacWait => {
                 self.stats.rac_wait_cycles += 1;
@@ -694,6 +718,49 @@ impl Controller {
             }
             ControllerState::Faulted(e) => {
                 self.state = ControllerState::Faulted(e);
+            }
+        }
+    }
+
+    /// One `LoadProgram` or `TransferBusWait` tick (`state` is the
+    /// state the tick started in): charges the load or transfer cycle
+    /// and, once the port has completed, picks the burst up — the
+    /// program is predecoded, or a read's payload lands in its input
+    /// FIFO and the transfer retires.
+    fn await_burst(
+        &mut self,
+        state: ControllerState,
+        bus: &mut dyn SystemBus,
+        socket: &mut RacSocket,
+    ) {
+        let loading = state == ControllerState::LoadProgram;
+        if loading {
+            self.stats.program_load_cycles += 1;
+        } else {
+            self.stats.transfer_cycles += 1;
+        }
+        match self.dma.take_completion(bus) {
+            None => self.state = state,
+            Some(Err(e)) => self.set_fault(e.into()),
+            Some(Ok(c)) if loading => {
+                self.program = predecode(&c.data);
+                self.pc = 0;
+                self.state = ControllerState::Fetch;
+            }
+            Some(Ok(c)) => {
+                // Reads deliver their payload into the input FIFO here;
+                // writes were counted when their payload was popped at
+                // issue time.
+                if let Some(PendingTransfer::ToCoprocessor { fifo }) = self.pending_transfer.take()
+                {
+                    for w in &c.data {
+                        socket
+                            .push_input(fifo.index(), *w)
+                            .expect("space reserved before issue");
+                    }
+                    self.stats.words_transferred += c.data.len() as u64;
+                }
+                self.retire();
             }
         }
     }
@@ -899,6 +966,13 @@ impl Controller {
     pub fn burst_fits(burst: BurstLen, fifo_depth: usize) -> bool {
         usize::from(burst.words()) <= fifo_depth
     }
+}
+
+/// The horizon of a pickup: through `Fetch` and `Decode` to the
+/// `Execute` dispatch when the next entry decodes, else only the pickup
+/// (the `Fetch` or `Decode` tick after it faults).
+fn pickup_window(next_decodes: bool) -> Option<Cycle> {
+    Some(Cycle::new(if next_decodes { 4 } else { 2 }))
 }
 
 /// Decodes a program store once, entry by entry.

@@ -164,6 +164,16 @@ impl DmaPort {
     pub fn take_completion(&self, bus: &mut dyn SystemBus) -> Option<Result<Completion, BusError>> {
         bus.take_completion(self.master)
     }
+
+    /// The finished transaction [`DmaPort::take_completion`] would
+    /// retire, left in place.
+    #[must_use]
+    pub fn peek_completion<'b>(
+        &self,
+        bus: &'b dyn SystemBus,
+    ) -> Option<&'b Result<Completion, BusError>> {
+        bus.peek_completion(self.master)
+    }
 }
 
 #[cfg(test)]

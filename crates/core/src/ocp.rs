@@ -48,6 +48,20 @@ struct Watchdog {
     progress: (u64, u64),
 }
 
+impl Watchdog {
+    /// Reloads the budget if the controller's progress signature moved
+    /// since the last look (a pulse), returning whether it did.
+    fn pulse(&mut self, stats: ControllerStats) -> bool {
+        let progress = (stats.instructions_retired, stats.words_transferred);
+        if progress == self.progress {
+            return false;
+        }
+        self.progress = progress;
+        self.remaining = self.budget;
+        true
+    }
+}
+
 /// An Ouessant coprocessor instance.
 ///
 /// See the [crate documentation](crate) for a full integration example.
@@ -287,19 +301,12 @@ impl Ocp {
         // zero. Only an *active* controller is watched — an idle or
         // already-faulted one holds the countdown.
         if let Some(wd) = &mut self.watchdog {
-            if self.controller.is_active() {
-                let stats = self.controller.stats();
-                let progress = (stats.instructions_retired, stats.words_transferred);
-                if progress == wd.progress {
-                    wd.remaining -= 1;
-                    if wd.remaining == 0 {
-                        let budget = wd.budget;
-                        self.watchdog = None;
-                        self.controller.inject_fault(ExecError::Hang { budget });
-                    }
-                } else {
-                    wd.progress = progress;
-                    wd.remaining = wd.budget;
+            if self.controller.is_active() && !wd.pulse(self.controller.stats()) {
+                wd.remaining -= 1;
+                if wd.remaining == 0 {
+                    let budget = wd.budget;
+                    self.watchdog = None;
+                    self.controller.inject_fault(ExecError::Hang { budget });
                 }
             }
         }
@@ -343,6 +350,9 @@ impl Ocp {
     /// An armed watchdog over an active controller bounds the window
     /// by its remaining budget, so the bite always lands on a real
     /// tick — identical cycle in single-step and fast-forward modes. A
+    /// window that opens with a transfer pickup is bounded by `1 +
+    /// budget` instead: the pickup retires an instruction, so its tick
+    /// pulses the watchdog and the countdown restarts there. A
     /// *wedged* controller is the one active state exempt from the
     /// single-step safety net: it provably cannot transition by
     /// itself, so the watchdog budget (or, unarmed, quiescence) is the
@@ -358,7 +368,12 @@ impl Ocp {
         );
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
-                h = ouessant_sim::min_horizon(h, Some(Cycle::new(wd.remaining.max(1))));
+                let bite = if self.controller.retires_on_pickup(bus) {
+                    1 + wd.budget
+                } else {
+                    wd.remaining.max(1)
+                };
+                h = ouessant_sim::min_horizon(h, Some(Cycle::new(bite)));
             }
         }
         if h.is_none() && self.controller.is_active() && !self.controller.is_wedged() {
@@ -367,29 +382,31 @@ impl Ocp {
         h
     }
 
-    /// Replays `cycles` pure ticks inside a window bounded by
+    /// Replays `cycles` ticks inside a window bounded by
     /// [`Ocp::horizon_on`]: the socket's countdowns and FIFO streams,
-    /// the controller's counters and fetch/decode steps, and the debug
-    /// register window move exactly as `cycles` real ticks would have
-    /// moved them. Completion needs no replay — `eop` is never inside a
-    /// pure window. The bus is advanced separately by its owner.
-    pub fn advance(&mut self, cycles: Cycle) {
+    /// the controller's pickup, counters and fetch/decode steps, the
+    /// debug register window and the watchdog move exactly as `cycles`
+    /// real ticks would have moved them. Completion needs no replay —
+    /// `eop` is never inside a window. A pickup retires the port's
+    /// completion on `bus`; the owner advances the bus itself,
+    /// afterwards.
+    pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
+        // A read pickup only fills the input FIFOs of an idle socket
+        // (the horizon single-steps it otherwise), whose window ignores
+        // them, so the socket may leap first.
         self.socket.advance(cycles);
-        self.controller.advance(cycles);
+        self.controller.advance(cycles, bus, &mut self.socket);
         self.controller.publish_debug(&self.regs);
-        // Watchdog countdown: a pure window by definition has no
-        // progress pulses (no instruction retires and no transfer
-        // completes inside it), so every skipped tick decrements —
-        // exactly what `tick` would have done. The horizon clamps
-        // windows to `remaining - 1`, so the bite itself always happens
-        // in `tick`.
+        // Watchdog: the only progress a window can hold is a transfer
+        // pickup on its first tick, which reloads the budget as `tick`
+        // would; every other tick decrements. The horizon keeps the
+        // bite itself on a stepped tick.
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() {
-                debug_assert!(
-                    cycles.count() < wd.remaining,
-                    "advanced past the watchdog bite"
-                );
-                wd.remaining -= cycles.count();
+                let pulsed = wd.pulse(self.controller.stats());
+                let n = cycles.count() - u64::from(pulsed);
+                debug_assert!(n < wd.remaining, "advanced past the watchdog bite");
+                wd.remaining -= n;
             }
         }
     }
@@ -402,26 +419,35 @@ mod tests {
     use ouessant_isa::{assemble, Program, ProgramBuilder};
     use ouessant_rac::idct::{idct_2d_fixed, IdctRac};
     use ouessant_rac::passthrough::PassthroughRac;
+    use ouessant_rac::rac::RacIo;
+    use ouessant_sim::axi::{AxiBus, AxiConfig};
     use ouessant_sim::bus::{Bus, BusConfig};
+    use ouessant_sim::fifo::SyncFifo;
     use ouessant_sim::memory::{Sram, SramConfig};
 
     const RAM_BASE: Addr = 0x4000_0000;
     const OCP_BASE: Addr = 0x8000_0000;
 
-    struct Fixture {
-        bus: Bus,
+    struct Fixture<B = Bus> {
+        bus: B,
         ocp: Ocp,
     }
 
     fn fixture(rac: Box<dyn Rac>) -> Fixture {
-        let mut bus = Bus::new(BusConfig::default());
+        fixture_on(Bus::new(BusConfig::default()), rac)
+    }
+
+    fn fixture_on<B: SystemBus>(mut bus: B, rac: Box<dyn Rac>) -> Fixture<B> {
         let _cpu = bus.register_master("cpu");
-        bus.add_slave(RAM_BASE, Sram::with_words(16384, SramConfig::no_wait()));
+        bus.add_slave_boxed(
+            RAM_BASE,
+            Box::new(Sram::with_words(16384, SramConfig::no_wait())),
+        );
         let ocp = Ocp::attach(&mut bus, OCP_BASE, rac, OcpConfig::default());
         Fixture { bus, ocp }
     }
 
-    impl Fixture {
+    impl<B: SystemBus> Fixture<B> {
         fn load_program(&mut self, program: &Program) {
             self.load_words(&program.to_words());
         }
@@ -436,20 +462,31 @@ mod tests {
 
         fn step(&mut self) {
             self.ocp.tick(&mut self.bus);
-            ouessant_sim::SystemBus::tick(&mut self.bus);
+            SystemBus::tick(&mut self.bus);
         }
 
         /// The debug register window (state, pc, retired, words) as the
-        /// host reads it, plus the FSM state, statistics and watchdog.
-        fn observed(&self) -> ([u32; 4], ControllerState, ControllerStats, Option<u64>) {
+        /// host reads it, plus the FSM state, statistics, watchdog and
+        /// the FIFO view of the RAC (input space, output occupancy).
+        fn observed(
+            &self,
+        ) -> (
+            [u32; 4],
+            ControllerState,
+            ControllerStats,
+            Option<u64>,
+            (usize, usize),
+        ) {
             use crate::regs::{REG_DBG_PC, REG_DBG_RETIRED, REG_DBG_STATE, REG_DBG_WORDS};
             let dbg = [REG_DBG_STATE, REG_DBG_PC, REG_DBG_RETIRED, REG_DBG_WORDS]
                 .map(|r| self.ocp.regs().with(|f| f.bus_read(r).unwrap()));
+            let socket = self.ocp.socket();
             (
                 dbg,
                 self.ocp.controller().state().clone(),
                 self.ocp.stats(),
                 self.ocp.watchdog_remaining(),
+                (socket.input_space(0), socket.output_available(0)),
             )
         }
 
@@ -758,17 +795,49 @@ mod tests {
         assert!(fx.ocp.regs().done(), "eop follows the load");
     }
 
-    /// Starts two fixtures from `build` and runs one single-stepped and
-    /// the other leaping every window [`Ocp::horizon_on`] (merged with
-    /// the bus's) allows, comparing [`Fixture::observed`] after every
-    /// leap and every tick. Returns the cycle the run ended on (done or
-    /// faulted), the fault, and the number of leaps.
-    fn leap_against_steps(build: impl Fn() -> Fixture, max: u64) -> (u64, Option<ExecError>, u64) {
-        use ouessant_sim::NextEvent;
+    /// A leap the fast twin took: FSM state and pc before it, FSM
+    /// state after it.
+    type Leap = (ControllerState, u16, ControllerState);
+
+    /// Starts two fixtures from `build` and single-steps both until
+    /// `until` holds for them (checked before every step).
+    fn start_pair<B: SystemBus>(
+        build: impl Fn() -> Fixture<B>,
+        until: impl Fn(&Fixture<B>) -> bool,
+    ) -> (Fixture<B>, Fixture<B>) {
         let (mut slow, mut fast) = (build(), build());
         slow.ocp.regs().start();
         fast.ocp.regs().start();
-        let (mut cycle, mut leaps) = (0, 0);
+        while !until(&slow) {
+            slow.step();
+            fast.step();
+            assert_eq!(fast.observed(), slow.observed());
+        }
+        (slow, fast)
+    }
+
+    /// Starts two fixtures from `build` and runs them through
+    /// [`leap_pair`].
+    fn leap_against_steps<B: SystemBus>(
+        build: impl Fn() -> Fixture<B>,
+        max: u64,
+    ) -> (u64, Option<ExecError>, Vec<Leap>) {
+        let (slow, fast) = start_pair(build, |_| true);
+        leap_pair(slow, fast, max)
+    }
+
+    /// Runs `slow` single-stepped and `fast` leaping every window
+    /// [`Ocp::horizon_on`] (merged with the bus's) allows, comparing
+    /// [`Fixture::observed`] after every leap and every tick. Returns
+    /// the cycle the run ended on (done or faulted, counted from the
+    /// call), the fault, and the leaps taken.
+    fn leap_pair<B: SystemBus>(
+        mut slow: Fixture<B>,
+        mut fast: Fixture<B>,
+        max: u64,
+    ) -> (u64, Option<ExecError>, Vec<Leap>) {
+        use ouessant_sim::NextEvent;
+        let (mut cycle, mut leaps) = (0, Vec::new());
         while cycle < max {
             let h = ouessant_sim::min_horizon(
                 fast.ocp.horizon_on(&fast.bus),
@@ -776,13 +845,15 @@ mod tests {
             );
             let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
             if skip > 0 {
-                fast.ocp.advance(Cycle::new(skip));
+                let from = fast.ocp.controller().state().clone();
+                let pc = fast.ocp.controller().pc();
+                fast.ocp.advance(Cycle::new(skip), &mut fast.bus);
                 NextEvent::advance(&mut fast.bus, Cycle::new(skip));
                 for _ in 0..skip {
                     slow.step();
                 }
                 cycle += skip;
-                leaps += 1;
+                leaps.push((from, pc, fast.ocp.controller().state().clone()));
                 assert_eq!(fast.observed(), slow.observed(), "leap to cycle {cycle}");
             }
             fast.step();
@@ -794,6 +865,14 @@ mod tests {
             }
         }
         (cycle, slow.ocp.fault().cloned(), leaps)
+    }
+
+    /// Whether any leap left `TransferBusWait` (i.e. crossed a transfer
+    /// pickup).
+    fn any_transfer_pickup(leaps: &[Leap]) -> bool {
+        leaps.iter().any(|(from, _, after)| {
+            *from == ControllerState::TransferBusWait && *after != ControllerState::TransferBusWait
+        })
     }
 
     #[test]
@@ -815,7 +894,7 @@ mod tests {
             matches!(fault, Some(ExecError::BadInstruction { pc: 2, .. })),
             "{fault:?}"
         );
-        assert!(leaps >= 2, "the two nops' fetch/decode pairs leap");
+        assert!(leaps.len() >= 2, "the two nops' fetch/decode pairs leap");
 
         // No `eop`: the Fetch tick past the end overruns.
         let (_, fault, _) = leap_against_steps(loaded(vec![nop, nop]), 1_000);
@@ -848,19 +927,9 @@ mod tests {
     #[test]
     fn stream_and_decode_leaps_keep_the_debug_window_in_step() {
         let check = |rac: fn() -> Box<dyn Rac>, source: &str| {
-            let program = assemble(source).unwrap();
-            let (_, fault, leaps) = leap_against_steps(
-                || {
-                    let mut fx = fixture(rac());
-                    fx.load_program(&program);
-                    fx.ocp.regs().set_bank(1, RAM_BASE + 0x1000).unwrap();
-                    fx.ocp.regs().set_bank(2, RAM_BASE + 0x2000).unwrap();
-                    fx
-                },
-                100_000,
-            );
+            let (_, fault, leaps) = leap_against_steps(|| offload(fixture(rac()), source), 100_000);
             assert_eq!(fault, None, "{source}");
-            assert!(leaps > 0, "{source}");
+            assert!(!leaps.is_empty(), "{source}");
         };
         check(
             || Box::new(PassthroughRac::scaling(3, 0)),
@@ -871,6 +940,199 @@ mod tests {
             "ldc R0,3\nagain:\nnop\ndjnz R0,again\nwait 5\n\
              mvtc BANK1,0,DMA64,FIFO0\nexecs\nmvfc BANK2,0,DMA64,FIFO0\neop",
         );
+    }
+
+    /// `fx` loaded with the program `source`, bank 1 on the input data
+    /// and bank 2 on the output area.
+    fn offload<B: SystemBus>(mut fx: Fixture<B>, source: &str) -> Fixture<B> {
+        fx.load_program(&assemble(source).unwrap());
+        fx.ocp.regs().set_bank(1, RAM_BASE + 0x1000).unwrap();
+        fx.ocp.regs().set_bank(2, RAM_BASE + 0x2000).unwrap();
+        fx
+    }
+
+    /// A RAC that sleeps while starved: busy from `start` until it has
+    /// popped `op` input words, one per tick, and quiescent while its
+    /// input FIFO is empty. That horizon is honest under the [`Rac`]
+    /// contract, since only the accelerator touches its FIFOs inside a
+    /// window — so a read must not land words in it mid-window.
+    #[derive(Debug, Default)]
+    struct SleepsWhileStarved {
+        left: u16,
+    }
+
+    impl Rac for SleepsWhileStarved {
+        fn name(&self) -> &str {
+            "sleeps-while-starved"
+        }
+
+        fn reset(&mut self) {
+            self.left = 0;
+        }
+
+        fn start(&mut self, op: u16) {
+            self.left = op;
+        }
+
+        fn busy(&self) -> bool {
+            self.left > 0
+        }
+
+        fn tick(&mut self, io: &mut RacIo<'_>) {
+            if self.left > 0 && io.inputs[0].pop().is_ok() {
+                self.left -= 1;
+            }
+        }
+
+        fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+            (self.left > 0 && !inputs[0].is_empty()).then_some(Cycle::new(1))
+        }
+    }
+
+    #[test]
+    fn transfer_pickups_leap_through_fetch_and_decode() {
+        use ControllerState::{Execute, LoadProgram, TransferBusWait};
+        // The program load, the mvtc into an idle RAC (pc 0) and the
+        // mvfc out of a finished one (pc 2) each leap to the dispatch
+        // of the next instruction, on both buses.
+        let source = "mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop";
+        let passthrough = || Box::new(PassthroughRac::new(0));
+        let (_, ahb_fault, ahb) =
+            leap_against_steps(|| offload(fixture(passthrough()), source), 10_000);
+        let (_, axi_fault, axi) = leap_against_steps(
+            || {
+                let bus = AxiBus::new(AxiConfig::default());
+                offload(fixture_on(bus, passthrough()), source)
+            },
+            10_000,
+        );
+        for (fault, leaps) in [(ahb_fault, ahb), (axi_fault, axi)] {
+            assert_eq!(fault, None);
+            for pickup in [
+                (LoadProgram, 0, Execute),
+                (TransferBusWait, 0, Execute),
+                (TransferBusWait, 2, Execute),
+            ] {
+                assert!(leaps.contains(&pickup), "{pickup:?} in {leaps:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_into_a_busy_socket_single_steps_its_pickup() {
+        let racs: [fn() -> Box<dyn Rac>; 2] = [
+            || Box::new(SleepsWhileStarved::default()),
+            || Box::new(PassthroughRac::new(0)),
+        ];
+        for rac in racs {
+            let (_, fault, leaps) = leap_against_steps(
+                || {
+                    offload(
+                        fixture(rac()),
+                        "execn 4\nmvtc BANK1,0,DMA4,FIFO0\nwrac\neop",
+                    )
+                },
+                10_000,
+            );
+            assert_eq!(fault, None);
+            assert!(!any_transfer_pickup(&leaps), "{leaps:?}");
+        }
+    }
+
+    #[test]
+    fn pickup_faults_land_on_their_own_cycle() {
+        use ControllerState::{Fetch, LoadProgram, TransferBusWait};
+        let loaded = |words: Vec<u32>| {
+            move || {
+                let mut fx = offload(fixture(Box::new(PassthroughRac::new(0))), "eop");
+                fx.load_words(&words);
+                fx
+            }
+        };
+
+        // Word 0 of the loaded program does not decode: the pickup
+        // leaps alone and the Decode tick faults.
+        let eop = ouessant_isa::Instruction::Eop.encode();
+        let (_, fault, leaps) = leap_against_steps(loaded(vec![31 << 27, eop]), 1_000);
+        assert!(
+            matches!(fault, Some(ExecError::BadInstruction { pc: 0, .. })),
+            "{fault:?}"
+        );
+        assert!(leaps.contains(&(LoadProgram, 0, Fetch)), "{leaps:?}");
+
+        // No `eop` after the transfer: the pickup leaps alone and the
+        // Fetch tick overruns.
+        let mut words = assemble("mvtc BANK1,0,DMA4,FIFO0\neop").unwrap().to_words();
+        words.pop();
+        let (_, fault, leaps) = leap_against_steps(loaded(words), 1_000);
+        assert_eq!(fault, Some(ExecError::PcOverrun { pc: 1 }));
+        assert!(leaps.contains(&(TransferBusWait, 0, Fetch)), "{leaps:?}");
+
+        // A burst over the register window, a slave that is not
+        // `fault_free`, faults at its third beat: the failed pickup
+        // single-steps into `Faulted`.
+        let (_, fault, leaps) = leap_against_steps(
+            || {
+                let fx = offload(
+                    fixture(Box::new(PassthroughRac::new(0))),
+                    "mvtc BANK1,0,DMA8,FIFO0\neop",
+                );
+                fx.ocp.regs().set_bank(1, OCP_BASE + 0x20).unwrap();
+                fx
+            },
+            1_000,
+        );
+        assert!(matches!(fault, Some(ExecError::Bus(_))), "{fault:?}");
+        assert!(!any_transfer_pickup(&leaps), "{leaps:?}");
+    }
+
+    #[test]
+    fn a_transfer_pickup_pulses_the_watchdog_inside_its_leap() {
+        use ouessant_sim::bus::PortState;
+        use ouessant_sim::NextEvent;
+        use ControllerState::{Execute, TransferBusWait};
+        let build = || {
+            offload(
+                fixture(Box::new(PassthroughRac::new(0))),
+                "mvtc BANK1,0,DMA4,FIFO0\nnop\nnop\neop",
+            )
+        };
+        let in_burst = |fx: &Fixture| *fx.ocp.controller().state() == TransferBusWait;
+        let completed =
+            |fx: &Fixture| in_burst(fx) && fx.bus.poll(fx.ocp.bus_master()) == PortState::Complete;
+        let completing =
+            |fx: &Fixture| in_burst(fx) && NextEvent::horizon(&fx.bus) == Some(Cycle::new(1));
+        let armed = |until: &dyn Fn(&Fixture) -> bool, budget: u64| {
+            let (mut slow, mut fast) = start_pair(build, until);
+            slow.ocp.arm_watchdog(budget);
+            fast.ocp.arm_watchdog(budget);
+            leap_pair(slow, fast, 1_000)
+        };
+        for budget in 1..=5 {
+            // Armed on the completed burst: the pickup (cycle 1) pulses,
+            // so budgets 1 and 2 bite in the Fetch and Decode ticks
+            // right after it, and from budget 3 the nop retiring in
+            // cycle 4 pulses in time.
+            let (cycle, fault, leaps) = armed(&completed, budget);
+            if budget <= 2 {
+                assert_eq!(
+                    (cycle, fault),
+                    (budget + 1, Some(ExecError::Hang { budget }))
+                );
+            } else {
+                assert_eq!(fault, None, "budget {budget}");
+                assert!(leaps.contains(&(TransferBusWait, 0, Execute)), "{leaps:?}");
+            }
+            // Armed a cycle earlier, the countdown is one short at the
+            // pickup (cycle 2), which reloads it: budget 1 bites before,
+            // budget 2 in the Decode tick (cycle 4).
+            let (cycle, fault, _) = armed(&completing, budget);
+            match budget {
+                1 => assert_eq!((cycle, fault), (1, Some(ExecError::Hang { budget }))),
+                2 => assert_eq!((cycle, fault), (4, Some(ExecError::Hang { budget }))),
+                _ => assert_eq!(fault, None, "budget {budget}"),
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! [`AllocError::OutOfMemory`]: ouessant_soc::alloc::AllocError::OutOfMemory
 
 use ouessant::ExecError;
-use ouessant_sim::bus::{BusError, SlaveFault};
+use ouessant_sim::bus::{Bus, BusError, SlaveFault};
 use ouessant_sim::rng::XorShift64;
 use ouessant_soc::alloc::{BankAllocator, Region};
 
@@ -162,7 +162,7 @@ struct Squat {
 /// replay the campaign's per-cycle dice over a skipped window (keeping
 /// the RNG stream bit-identical to single-stepping) and then land the
 /// injection at exactly the cycle the dice chose.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Injection {
     /// Poison the DPR load in flight on `worker`.
     Bitstream {
@@ -180,6 +180,14 @@ pub(crate) enum Injection {
     SlowRac { worker: usize, stall: u64 },
 }
 
+/// One armed die of a window's schedule: the odds it rolls at every
+/// cycle and the injection a hit lands.
+#[derive(Debug, Clone, Copy)]
+struct Die {
+    one_in: u32,
+    hit: Injection,
+}
+
 /// A seeded, armed chaos campaign. Build one from a [`ChaosConfig`]
 /// and hand it to [`Farm::arm_chaos`].
 ///
@@ -190,6 +198,8 @@ pub struct FaultPlan {
     config: ChaosConfig,
     stats: ChaosStats,
     squat: Option<Squat>,
+    /// The armed dice of the current window (reused across windows).
+    dice: Vec<Die>,
 }
 
 impl FaultPlan {
@@ -201,6 +211,7 @@ impl FaultPlan {
             config,
             stats: ChaosStats::default(),
             squat: None,
+            dice: Vec::new(),
         }
     }
 
@@ -215,96 +226,126 @@ impl FaultPlan {
     }
 
     /// One chaos step at cycle `now`, run by the farm after workers
-    /// tick. `work_pending` gates new allocator squats: a squat is only
-    /// worth taking while there are jobs it can starve, and never
-    /// squatting an idle farm guarantees `run_until_idle` terminates.
+    /// tick: a window of one cycle. `work_pending` gates new allocator
+    /// squats: a squat is only worth taking while there are jobs it
+    /// can starve, and never squatting an idle farm guarantees
+    /// `run_until_idle` terminates.
     ///
     /// `scratch` is a reusable injection buffer (cleared here).
     pub(crate) fn tick(
         &mut self,
         now: u64,
         workers: &mut [Worker],
+        bus: &Bus,
         alloc: &mut BankAllocator,
         work_pending: bool,
         scratch: &mut Vec<Injection>,
     ) {
         scratch.clear();
-        self.roll_cycle(now, workers, alloc, work_pending, scratch);
+        self.arm_dice(workers, bus);
+        self.roll_cycle(now, alloc, work_pending, scratch);
         Self::apply(workers, scratch);
     }
 
-    /// Rolls one cycle's dice without touching any worker, pushing the
-    /// hits onto `out`. Squat release and take still happen here (they
-    /// only touch the allocator), so the squat timeline is exact even
-    /// when the farm replays a skipped window through this method.
+    /// Lists the window's armed dice, in the order every cycle rolls
+    /// them: workers by pool index, and for each its crash die, then
+    /// its wedge die, then its slow-RAC die. A die with `one_in = 0`
+    /// would draw nothing, so it is left out.
     ///
-    /// The dice are rolled in a fixed order — worker seams by pool
-    /// index, then the squat — so the RNG stream is a pure function of
-    /// each worker's (constant-per-window) controller-state category.
-    pub(crate) fn roll_cycle(
-        &mut self,
-        now: u64,
-        workers: &[Worker],
-        alloc: &mut BankAllocator,
-        work_pending: bool,
-        out: &mut Vec<Injection>,
-    ) {
+    /// Each worker's dice follow the category of the state it is in
+    /// after the window's first tick, which a window keeps to its end
+    /// (a category change is an event bounding the window). That is
+    /// its current state, except for a controller still at a pickup —
+    /// possible only before the first tick of a fast-forward window,
+    /// which picks the burst up — which counts as `Fetch`.
+    fn arm_dice(&mut self, workers: &[Worker], bus: &Bus) {
+        let c = &self.config;
+        self.dice.clear();
         for (wi, worker) in workers.iter().enumerate() {
             if worker.active.is_none() || worker.ocp.fault().is_some() || worker.ocp.is_wedged() {
                 continue;
             }
-            let state = worker.ocp.controller().state();
-            match state {
-                ControllerState::ReconfigWait => {
-                    if self.roll(self.config.bitstream_one_in) {
-                        out.push(Injection::Bitstream {
-                            worker: wi,
-                            slot: worker.loaded_config() as u16,
-                            available: worker.caps().len(),
-                        });
-                        self.stats.bitstream_faults += 1;
-                    }
-                }
-                ControllerState::LoadProgram | ControllerState::TransferBusWait => {
-                    if self.roll(self.config.bus_one_in) {
-                        out.push(Injection::Bus { worker: wi });
-                        self.stats.bus_faults += 1;
-                    }
-                }
-                ControllerState::Idle | ControllerState::Faulted(_) => {}
+            let controller = worker.ocp.controller();
+            let state = if controller.picks_up(bus) {
+                &ControllerState::Fetch
+            } else {
+                controller.state()
+            };
+            let crash = match state {
+                ControllerState::ReconfigWait => Some(Die {
+                    one_in: c.bitstream_one_in,
+                    hit: Injection::Bitstream {
+                        worker: wi,
+                        slot: worker.loaded_config() as u16,
+                        available: worker.caps().len(),
+                    },
+                }),
+                ControllerState::LoadProgram | ControllerState::TransferBusWait => Some(Die {
+                    one_in: c.bus_one_in,
+                    hit: Injection::Bus { worker: wi },
+                }),
+                ControllerState::Idle | ControllerState::Faulted(_) => None,
                 // Fetch, Decode and Execute share this category (and no
                 // stall die below), so a fetch/decode leap keeps the
                 // dice constant across its window.
-                _ => {
-                    if self.roll(self.config.controller_one_in) {
-                        out.push(Injection::Controller { worker: wi });
-                        self.stats.controller_faults += 1;
-                    }
-                }
-            }
-            // Stall dice roll after the crash dice, in a fixed order, so
-            // the RNG stream stays a pure function of the (window-
-            // constant) state category. The wedge seam targets handshake
-            // states — places a real FSM can deadlock on a peer that
-            // never answers.
-            if matches!(
+                _ => Some(Die {
+                    one_in: c.controller_one_in,
+                    hit: Injection::Controller { worker: wi },
+                }),
+            };
+            // The wedge seam targets handshake states — places a real
+            // FSM can deadlock on a peer that never answers.
+            let wedge = matches!(
                 state,
                 ControllerState::LoadProgram
                     | ControllerState::TransferFifoWait
                     | ControllerState::TransferBusWait
                     | ControllerState::SyncWait
                     | ControllerState::RacWait
-            ) && self.roll(self.config.wedge_one_in)
-            {
-                out.push(Injection::Wedge { worker: wi });
-                self.stats.wedges += 1;
-            }
-            if matches!(state, ControllerState::RacWait) && self.roll(self.config.slow_one_in) {
-                out.push(Injection::SlowRac {
+            )
+            .then_some(Die {
+                one_in: c.wedge_one_in,
+                hit: Injection::Wedge { worker: wi },
+            });
+            let slow = matches!(state, ControllerState::RacWait).then_some(Die {
+                one_in: c.slow_one_in,
+                hit: Injection::SlowRac {
                     worker: wi,
-                    stall: self.config.slow_stall,
-                });
-                self.stats.rac_stalls += 1;
+                    stall: c.slow_stall,
+                },
+            });
+            self.dice.extend(
+                [crash, wedge, slow]
+                    .into_iter()
+                    .flatten()
+                    .filter(|d| d.one_in > 0),
+            );
+        }
+    }
+
+    /// Rolls one cycle of the armed dice without touching any worker,
+    /// pushing the hits onto `out`, then the allocator squat. Squat
+    /// release and take still happen here (they only touch the
+    /// allocator), so the squat timeline is exact even when the farm
+    /// replays a skipped window through this method.
+    fn roll_cycle(
+        &mut self,
+        now: u64,
+        alloc: &mut BankAllocator,
+        work_pending: bool,
+        out: &mut Vec<Injection>,
+    ) {
+        for die in &self.dice {
+            if self.rng.gen_range_u32(0..die.one_in) == 0 {
+                let count = match die.hit {
+                    Injection::Bitstream { .. } => &mut self.stats.bitstream_faults,
+                    Injection::Bus { .. } => &mut self.stats.bus_faults,
+                    Injection::Controller { .. } => &mut self.stats.controller_faults,
+                    Injection::Wedge { .. } => &mut self.stats.wedges,
+                    Injection::SlowRac { .. } => &mut self.stats.rac_stalls,
+                };
+                *count += 1;
+                out.push(die.hit);
             }
         }
 
@@ -362,31 +403,32 @@ impl FaultPlan {
         }
     }
 
-    /// Replays up to `max` cycles of dice starting at cycle `start`,
-    /// stopping after the first cycle that injects. Returns the number
-    /// of cycles consumed (`1..=max`); hits land on `out`.
+    /// Replays the dice of the cycles in `window`, stopping after the
+    /// first cycle that injects. Returns the number of cycles consumed
+    /// (at least one, at most the whole window); hits land on `out`.
     ///
-    /// Worker states are read but never written: inside a provably-pure
-    /// window every worker's controller-state *category* is constant
-    /// (a category change would be an event bounding the window), so
-    /// the dice rolled here are exactly the dice single-stepping would
-    /// roll.
+    /// Worker states are read but never written, before the window's
+    /// first tick: the dice are listed once, from the state each worker
+    /// will be in after that tick, and the list is rolled every cycle —
+    /// exactly the dice single-stepping would roll.
     pub(crate) fn fast_forward(
         &mut self,
-        start: u64,
-        max: u64,
+        window: std::ops::Range<u64>,
         workers: &[Worker],
+        bus: &Bus,
         alloc: &mut BankAllocator,
         work_pending: bool,
         out: &mut Vec<Injection>,
     ) -> u64 {
-        for i in 0..max {
-            self.roll_cycle(start + i, workers, alloc, work_pending, out);
+        self.arm_dice(workers, bus);
+        let start = window.start;
+        for now in window.clone() {
+            self.roll_cycle(now, alloc, work_pending, out);
             if !out.is_empty() {
-                return i + 1;
+                return now - start + 1;
             }
         }
-        max
+        window.end - start
     }
 
     /// When the held squat (if any) will release its lease.

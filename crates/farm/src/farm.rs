@@ -684,6 +684,7 @@ impl Farm {
             plan.tick(
                 now,
                 &mut self.workers,
+                &self.bus,
                 &mut self.alloc,
                 work_pending,
                 &mut self.injection_scratch,
@@ -834,11 +835,14 @@ impl Farm {
     /// front of `now`, or fall back to a single [`Farm::tick`] when the
     /// window is empty.
     ///
-    /// With chaos armed, the plan's dice are replayed cycle-by-cycle
-    /// over the window (identical RNG stream to single-stepping); the
-    /// leap stops at the first cycle that injects, the injections land
-    /// there, and the fault machinery runs exactly as it would have in
-    /// that tick.
+    /// A worker whose DMA burst has completed picks it up on the
+    /// window's first cycle, inside the leap. With chaos armed, the
+    /// plan lists the window's armed dice once, from each worker's
+    /// state after that first cycle, and rolls the list for every
+    /// cycle of the window (identical RNG stream to single-stepping);
+    /// the leap stops at the first cycle that injects, the injections
+    /// land there, and the fault machinery runs exactly as it would
+    /// have in that tick.
     fn leap_or_tick(&mut self, start: u64, fuel: u64) {
         let now = self.now();
         let remaining = fuel - (now - start);
@@ -858,9 +862,9 @@ impl Farm {
         self.injection_scratch.clear();
         let leap = match self.chaos.as_mut() {
             Some(plan) => plan.fast_forward(
-                now,
-                bound,
+                now..now + bound,
                 &self.workers,
+                &self.bus,
                 &mut self.alloc,
                 work_pending,
                 &mut self.injection_scratch,
@@ -869,7 +873,7 @@ impl Farm {
         };
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
         for w in &mut self.workers {
-            w.advance(leap);
+            w.advance(leap, &mut self.bus);
         }
         ouessant_sim::NextEvent::advance(&mut self.bus, ouessant_sim::Cycle::new(leap));
         self.ledger.skipped_cycles += leap;

@@ -538,11 +538,12 @@ impl Worker {
         }
     }
 
-    /// Bulk-applies `cycles` provably-idle ticks in O(1). Only sound
+    /// Bulk-applies `cycles` provably-pure ticks (a DMA pickup on the
+    /// first of them retires its completion on `bus`). Only sound
     /// inside a window bounded by [`Worker::horizon_at`]; leaves the
     /// worker bit-identical to `cycles` calls of [`Worker::tick`].
-    pub(crate) fn advance(&mut self, cycles: u64) {
-        self.ocp.advance(ouessant_sim::Cycle::new(cycles));
+    pub(crate) fn advance(&mut self, cycles: u64, bus: &mut Bus) {
+        self.ocp.advance(ouessant_sim::Cycle::new(cycles), bus);
         if self.active.is_some() {
             self.busy_cycles += cycles;
         }

@@ -37,6 +37,7 @@
 //! floating-point golden model with the same `1/N` scaling.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 use crate::block::{BlockKernel, BlockRac};
 use crate::fixed::{q15_mul, sat32, to_q15};
@@ -110,13 +111,7 @@ pub fn dft_fixed(input: &[(i32, i32)]) -> Vec<(i32, i32)> {
         data[j] = x;
     }
 
-    // Twiddle table: W_N^k = e^{-2πik/N}, Q15.
-    let twiddle: Vec<(i32, i32)> = (0..n / 2)
-        .map(|k| {
-            let angle = -2.0 * PI * k as f64 / n as f64;
-            (to_q15(angle.cos()), to_q15(angle.sin()))
-        })
-        .collect();
+    let twiddle = twiddles(stages);
 
     let mut half = 1usize;
     for _ in 0..stages {
@@ -145,6 +140,21 @@ pub fn dft_fixed(input: &[(i32, i32)]) -> Vec<(i32, i32)> {
         half *= 2;
     }
     data
+}
+
+/// The Q15 twiddle table `W_N^k = e^{-2πik/N}`, `k < N/2`, of the
+/// `N = 2^stages`-point DFT, built on first use.
+fn twiddles(stages: u32) -> &'static [(i32, i32)] {
+    static TABLES: [OnceLock<Vec<(i32, i32)>>; 10] = [const { OnceLock::new() }; 10];
+    TABLES[stages as usize - 3].get_or_init(|| {
+        let n = 1usize << stages;
+        (0..n / 2)
+            .map(|k| {
+                let angle = -2.0 * PI * k as f64 / n as f64;
+                (to_q15(angle.cos()), to_q15(angle.sin()))
+            })
+            .collect()
+    })
 }
 
 /// Kernel description driving [`BlockRac`].

@@ -18,6 +18,7 @@
 //! by property tests).
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 use crate::block::{BlockKernel, BlockRac};
 
@@ -33,17 +34,20 @@ const SCALE_BITS: u32 = 14;
 const PASS_BITS: u32 = 3;
 
 /// `table[u][x]` = `c(u)/2 · cos((2x+1)uπ/16)` in `SCALE_BITS` fixed
-/// point, with `c(0) = 1/√2` and `c(u>0) = 1`.
-fn cos_table() -> [[i32; 8]; 8] {
-    let mut t = [[0i32; 8]; 8];
-    for (u, row) in t.iter_mut().enumerate() {
-        let cu = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
-        for (x, e) in row.iter_mut().enumerate() {
-            let v = cu / 2.0 * ((2 * x as u32 + 1) as f64 * u as f64 * PI / 16.0).cos();
-            *e = (v * f64::from(1 << SCALE_BITS)).round() as i32;
+/// point, with `c(0) = 1/√2` and `c(u>0) = 1`, built on first use.
+fn cos_table() -> &'static [[i32; 8]; 8] {
+    static TABLE: OnceLock<[[i32; 8]; 8]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = [[0i32; 8]; 8];
+        for (u, row) in t.iter_mut().enumerate() {
+            let cu = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
+            for (x, e) in row.iter_mut().enumerate() {
+                let v = cu / 2.0 * ((2 * x as u32 + 1) as f64 * u as f64 * PI / 16.0).cos();
+                *e = (v * f64::from(1 << SCALE_BITS)).round() as i32;
+            }
         }
-    }
-    t
+        t
+    })
 }
 
 /// Reference 2-D IDCT over `f64`, row-column decomposition.

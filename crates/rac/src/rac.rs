@@ -128,11 +128,13 @@ pub trait Rac {
     /// accelerator's observable state can change, given a read-only
     /// view of the socket's FIFOs.
     ///
-    /// Inside the window nobody but the accelerator touches those
-    /// FIFOs (the controller moves words only on its own event ticks),
-    /// so a streaming accelerator may count its bulk FIFO moves as pure
-    /// ticks and leave the event to the tick that empties, fills or
-    /// ends something.
+    /// Inside a busy accelerator's window nobody else touches those
+    /// FIFOs (the controller moves words only on its own event ticks;
+    /// a read it picks up mid-window lands only in an idle
+    /// accelerator's inputs, which idle ticks ignore), so a streaming
+    /// accelerator may count its bulk FIFO moves as pure ticks and
+    /// leave the event to the tick that empties, fills or ends
+    /// something.
     ///
     /// The default is maximally conservative — `Some(1)` while busy
     /// (single-step every cycle), `None` when idle (idle ticks must be

@@ -55,6 +55,10 @@ pub trait SystemBus: crate::event::NextEvent {
     /// Retires a finished transaction.
     fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>>;
 
+    /// The finished transaction [`SystemBus::take_completion`] would
+    /// retire next, left in place.
+    fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>>;
+
     /// Un-timed read for test setup / inspection.
     ///
     /// # Errors
@@ -100,6 +104,10 @@ impl SystemBus for crate::bus::Bus {
 
     fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>> {
         crate::bus::Bus::take_completion(self, master)
+    }
+
+    fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
+        crate::bus::Bus::peek_completion(self, master)
     }
 
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
@@ -516,6 +524,10 @@ impl SystemBus for AxiBus {
         } else {
             Some(self.completions[m].remove(0))
         }
+    }
+
+    fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
+        self.completions[master.index()].first()
     }
 
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {

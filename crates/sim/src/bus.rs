@@ -689,6 +689,17 @@ impl Bus {
         self.masters[master.0].completion.take()
     }
 
+    /// The finished transaction [`Bus::take_completion`] would retire,
+    /// left in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `master` was not registered on this bus.
+    #[must_use]
+    pub fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
+        self.masters[master.0].completion.as_ref()
+    }
+
     /// Charges `cycles` contention cycles to every requesting master
     /// other than `owner`.
     ///

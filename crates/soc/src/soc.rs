@@ -328,7 +328,7 @@ impl Soc {
                 }
                 if skip > 0 {
                     let leap = ouessant_sim::Cycle::new(skip);
-                    self.ocp.advance(leap);
+                    self.ocp.advance(leap, &mut self.bus);
                     NextEvent::advance(&mut self.bus, leap);
                     run_cycles += skip;
                 }

@@ -30,8 +30,10 @@ bash scripts/verify_fixtures.sh
 echo "==> cargo test (offline, all workspace members; chaos, liveness and lockstep suites included)"
 cargo test -q --offline --workspace
 
-echo "==> chaos + hang campaign demo (fixed seeds, reproducible)"
-cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 >/dev/null
+# Every line but the `host:` wall-clock ones is simulated, hence pinned.
+echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
+cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 \
+    | grep -v '^host:' | diff -u tests/golden/farm_demo.txt -
 
 echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
