@@ -27,7 +27,7 @@ use ouessant_isa::operands::{Bank, BurstLen, FifoId, MAX_PROGRAM_LEN};
 use ouessant_isa::{DecodeError, Instruction};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{BusError, MasterId};
-use ouessant_sim::{Cycle, SystemBus};
+use ouessant_sim::{observed_horizon, Cycle, SystemBus};
 
 use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
@@ -452,12 +452,13 @@ impl Controller {
             // while the controller is active.
             ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
             // While the burst is in flight each tick only charges a
-            // transfer or program-load cycle, and the port cannot
-            // complete before the bus's next completion.
+            // transfer or program-load cycle, and the port cannot be
+            // seen to complete before the tick after the bus's next
+            // completion.
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {
-                bus.horizon()
+                observed_horizon(bus.horizon())
             }
             // The pickup, then `Fetch` and `Decode` of the entry it
             // leads to: word 0 of a loaded program, the next instruction

@@ -337,8 +337,10 @@ impl Ocp {
     /// horizon, refined with the socket's (so `RacWait` and
     /// `ReconfigWait` expose the RAC's compute countdown and the
     /// bitstream load) and the bus's (so a DMA burst in flight
-    /// exposes the bus's next transaction completion), combined with
-    /// the socket's own horizon. Two guards apply:
+    /// exposes the tick after the bus's next transaction completion,
+    /// the first the controller can see it on, see
+    /// [`ouessant_sim::observed_horizon`]), combined with the socket's
+    /// own horizon. Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an unpolled completion
     ///   forces single-stepping (the next tick is an event);
@@ -827,7 +829,9 @@ mod tests {
     }
 
     /// Runs `slow` single-stepped and `fast` leaping every window
-    /// [`Ocp::horizon_on`] (merged with the bus's) allows, comparing
+    /// [`Ocp::horizon_on`] (merged with the bus's, through
+    /// [`ouessant_sim::observed_horizon`]) allows and stepping where it
+    /// allows none, as `Farm::leap_or_tick` does, comparing
     /// [`Fixture::observed`] after every leap and every tick. Returns
     /// the cycle the run ended on (done or faulted, counted from the
     /// call), the fault, and the leaps taken.
@@ -841,7 +845,7 @@ mod tests {
         while cycle < max {
             let h = ouessant_sim::min_horizon(
                 fast.ocp.horizon_on(&fast.bus),
-                NextEvent::horizon(&fast.bus),
+                ouessant_sim::observed_horizon(NextEvent::horizon(&fast.bus)),
             );
             let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
             if skip > 0 {
@@ -855,6 +859,9 @@ mod tests {
                 cycle += skip;
                 leaps.push((from, pc, fast.ocp.controller().state().clone()));
                 assert_eq!(fast.observed(), slow.observed(), "leap to cycle {cycle}");
+                // A window can end on a bus completion, which the next
+                // window picks up: leap again before stepping.
+                continue;
             }
             fast.step();
             slow.step();
@@ -1016,6 +1023,39 @@ mod tests {
                 assert!(leaps.contains(&pickup), "{pickup:?} in {leaps:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_burst_in_flight_is_seen_the_tick_after_its_completion() {
+        use ouessant_sim::bus::PortState;
+        use ouessant_sim::NextEvent;
+        use ControllerState::TransferBusWait;
+        let in_flight = |fx: &Fixture| {
+            *fx.ocp.controller().state() == TransferBusWait
+                && fx.bus.poll(fx.ocp.bus_master()) == PortState::Pending
+        };
+        let (mut fx, _) = start_pair(
+            || {
+                offload(
+                    fixture(Box::new(PassthroughRac::new(0))),
+                    "mvtc BANK1,0,DMA16,FIFO0\neop",
+                )
+            },
+            in_flight,
+        );
+        let h = fx.ocp.horizon_on(&fx.bus).expect("a burst is in flight");
+        assert_eq!(
+            Some(h),
+            ouessant_sim::observed_horizon(NextEvent::horizon(&fx.bus))
+        );
+        // The bus completes on tick `h - 1`; the pickup is tick `h`.
+        for _ in 1..h.count() {
+            fx.step();
+        }
+        assert_eq!(fx.bus.poll(fx.ocp.bus_master()), PortState::Complete);
+        assert_eq!(*fx.ocp.controller().state(), TransferBusWait);
+        fx.step();
+        assert_ne!(*fx.ocp.controller().state(), TransferBusWait);
     }
 
     #[test]

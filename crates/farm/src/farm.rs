@@ -776,17 +776,13 @@ impl Farm {
     /// * an armed chaos squat's release tick (bounds the leap so
     ///   `run_until_idle` observes the release at the exact cycle
     ///   single-stepping would, and terminates then);
-    /// * the shared bus.
+    /// * the tick after the shared bus's next event. Everything that
+    ///   reads a port or a fault ticks before the bus (the back half of
+    ///   [`Farm::tick`] reads only OCP flags, and a recovering worker
+    ///   single-steps), so a completion joins the window before its
+    ///   pickup (see [`ouessant_sim::observed_horizon`]).
     fn idle_horizon(&self) -> Option<u64> {
         if self.may_dispatch() {
-            return Some(1);
-        }
-        // A bus one cycle from a completion (or from a beat on a slave
-        // that may fault) pins the min to one cycle, so skip the (much
-        // costlier) per-worker scan outright. Otherwise the bus horizon
-        // reaches its next completion and the scan decides.
-        let bus = ouessant_sim::NextEvent::horizon(&self.bus).map(u64::from);
-        if bus == Some(1) {
             return Some(1);
         }
         let now = self.now();
@@ -797,7 +793,10 @@ impl Farm {
                 h = Some(h.map_or(e, |cur| cur.min(e)));
             }
         };
-        merge(bus);
+        merge(
+            ouessant_sim::observed_horizon(ouessant_sim::NextEvent::horizon(&self.bus))
+                .map(u64::from),
+        );
         for w in &self.workers {
             merge(w.horizon_at(now, &self.config.faults, &self.bus));
         }
@@ -835,14 +834,14 @@ impl Farm {
     /// front of `now`, or fall back to a single [`Farm::tick`] when the
     /// window is empty.
     ///
-    /// A worker whose DMA burst has completed picks it up on the
-    /// window's first cycle, inside the leap. With chaos armed, the
-    /// plan lists the window's armed dice once, from each worker's
-    /// state after that first cycle, and rolls the list for every
-    /// cycle of the window (identical RNG stream to single-stepping);
-    /// the leap stops at the first cycle that injects, the injections
-    /// land there, and the fault machinery runs exactly as it would
-    /// have in that tick.
+    /// A DMA burst may complete on the window's last cycle; its worker
+    /// picks it up on the next window's first cycle, inside that leap.
+    /// With chaos armed, the plan lists the window's armed dice once,
+    /// from each worker's state after that first cycle, and rolls the
+    /// list for every cycle of the window (identical RNG stream to
+    /// single-stepping); the leap stops at the first cycle that
+    /// injects, the injections land there, and the fault machinery
+    /// runs exactly as it would have in that tick.
     fn leap_or_tick(&mut self, start: u64, fuel: u64) {
         let now = self.now();
         let remaining = fuel - (now - start);
@@ -879,8 +878,8 @@ impl Farm {
         self.ledger.skipped_cycles += leap;
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults
-            // and run the back half of that tick (no completions are
-            // possible inside a pure window, so collection is skipped).
+            // and run the back half of that tick (no OCP finishes
+            // inside a pure window, so collection is skipped).
             FaultPlan::apply(&mut self.workers, &self.injection_scratch);
             self.handle_faults();
             let now = self.now();

@@ -552,19 +552,20 @@ impl Worker {
     /// The earliest future tick (1-based offset from cycle `now`) at
     /// which this worker's observable state can change, or `None` if it
     /// is quiescent. Combines the OCP's horizon on the shared `bus`
-    /// (which reaches the bus's next transaction completion while the
-    /// worker's own DMA burst is in flight) with
+    /// (which reaches the tick after the bus's next transaction
+    /// completion while the worker's own DMA burst is in flight) with
     /// the worker's health timers, which single-stepping advances in
     /// [`Worker::advance_health`]:
     ///
     /// * a recovering worker retries [`Ocp::try_recover`] every tick,
-    ///   so it always single-steps;
+    ///   and a fault the farm has not absorbed yet (one injected
+    ///   between ticks) is handled on the next, so both single-step;
     /// * a timed quarantine lifts when the post-tick cycle reaches
     ///   `quarantine_until`;
     /// * a degraded worker heals when the post-tick cycle reaches
     ///   `degraded_since + fault_window`.
     pub(crate) fn horizon_at(&self, now: u64, cfg: &FaultConfig, bus: &Bus) -> Option<u64> {
-        if self.recovering {
+        if self.recovering || (self.ocp.fault().is_some() && !self.fault_acknowledged) {
             return Some(1);
         }
         let mut h = self.ocp.horizon_on(bus).map(u64::from);

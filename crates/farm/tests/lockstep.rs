@@ -12,6 +12,7 @@
 //! divergence here is a correctness bug, not a tuning matter.
 
 use ouessant::controller::ControllerStats;
+use ouessant::ExecError;
 use ouessant_farm::{
     ChaosConfig, ChaosStats, DprAffinityPolicy, Farm, FarmConfig, FarmError, FarmReport,
     FaultConfig, FaultPlan, FifoPolicy, JobKind, JobOutcome, JobSpec, LivenessConfig,
@@ -473,6 +474,55 @@ fn stall_fires_at_identical_cycle_in_both_modes() {
     assert_eq!(fast_fp, slow_fp, "post-stall farm state diverged");
 }
 
+/// A fault forced onto a worker between ticks is absorbed on the next
+/// tick in both stepping modes, wherever the job is — loading its
+/// program, in a burst, computing — or on the idle worker, even when
+/// the faulted worker's OCP is otherwise quiescent.
+#[test]
+fn a_fault_injected_between_ticks_is_handled_on_the_next_tick() {
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    let spec = JobSpec::new(IDCT, payload(IDCT, &mut rng));
+    // The outcome of a fault on `worker` at cycle `at`, or `None` once
+    // the job has finished by then.
+    let run = |at: u64, worker: usize, fast_forward: bool| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy("fifo"),
+        );
+        farm.add_worker(IDCT);
+        farm.add_worker(IDCT);
+        farm.submit(spec.clone()).unwrap();
+        // Fuel `at` stalls both modes on cycle `at` while the job runs.
+        if farm.run_until_idle(at).is_ok() {
+            return None;
+        }
+        farm.inject_worker_fault(
+            worker,
+            ExecError::Injected {
+                cause: "test: upset",
+            },
+        );
+        let result = farm.run_until_idle(200_000);
+        let cycles = *result.as_ref().unwrap_or(&0);
+        Some((result, farm.now(), fingerprint(&farm, cycles)))
+    };
+    let mut swept = 0;
+    for at in 1.. {
+        let outcomes = [0, 1].map(|worker| (run(at, worker, true), run(at, worker, false)));
+        if outcomes.iter().any(|(fast, _)| fast.is_none()) {
+            break;
+        }
+        for (worker, (fast, slow)) in outcomes.into_iter().enumerate() {
+            assert_eq!(fast, slow, "fault on worker {worker} at cycle {at}");
+        }
+        swept = at;
+    }
+    assert!(swept > 100, "the job ran for only {swept} cycles");
+}
+
 /// The 2-stall-seam × 3-policy sweep: wedged handshakes and slowed
 /// RACs are *silent* — only the watchdog horizon makes them
 /// observable — so this is the sharpest test of the liveness layer's
@@ -695,6 +745,35 @@ fn fast_forward_skips_a_meaningful_fraction() {
             min_skipped * 100.0,
             report.skipped_fraction() * 100.0,
             report.skipped_cycles,
+            report.total_cycles
+        );
+    }
+}
+
+/// Pins how many cycles of one job still single-step, per kind, so a
+/// horizon that falls back to `Some(1)` fails here even though every
+/// lockstep check stays green.
+#[test]
+fn one_job_steps_a_pinned_number_of_cycles() {
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    for (kind, stepped) in [(IDCT, 6), (DFT64, 8), (COPY3, 6)] {
+        let spec = JobSpec::new(kind, payload(kind, &mut rng));
+        let build = |fast_forward| {
+            let mut farm = Farm::new(
+                FarmConfig {
+                    fast_forward,
+                    ..FarmConfig::default()
+                },
+                policy("fifo"),
+            );
+            farm.add_worker(kind);
+            farm
+        };
+        let (_, report) = assert_lockstep(&build, &[spec], &format!("one {kind}"));
+        assert_eq!(
+            report.total_cycles - report.skipped_cycles,
+            stepped,
+            "{kind}: stepped cycles of {}",
             report.total_cycles
         );
     }

@@ -156,31 +156,49 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
         }
     }
 
-    fn horizon(&self, _inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
         match self.state {
             State::Idle => None,
-            // Collecting and draining move FIFO words; they single-step.
-            State::Collecting | State::Draining => Some(Cycle::new(1)),
-            // The latency countdown is pure: `cycles_left - 1` ticks
-            // only decrement the counter, then the transition to
-            // `Draining` is the event (a zero-latency kernel moves on
-            // its very next tick).
-            State::Computing { cycles_left } => Some(Cycle::new(cycles_left.max(1))),
+            // The collect tick, then the latency countdown, only move
+            // words nobody else reads inside the window; the drain that
+            // raises `end_op` is the event. Short of a block, ticks
+            // change nothing until the controller delivers more words,
+            // which is its own event.
+            State::Collecting => (inputs[0].len() >= self.kernel.input_len(self.op)).then(|| {
+                let lat = self.kernel.latency(self.op).saturating_sub(1);
+                Cycle::new(2 + lat.max(1))
+            }),
+            // `cycles_left` ticks (one for a zero-latency kernel) reach
+            // `Draining`; the tick after drains.
+            State::Computing { cycles_left } => Some(Cycle::new(cycles_left.max(1) + 1)),
+            // The drain pushes the outputs and drops `busy`.
+            State::Draining => Some(Cycle::new(1)),
         }
     }
 
-    fn advance(&mut self, cycles: Cycle, _io: &mut RacIo<'_>) {
-        let n = cycles.count();
+    fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
+        let mut n = cycles.count();
+        if n > 0 && self.state == State::Collecting {
+            self.tick(io);
+            n -= 1;
+        }
         if n == 0 {
             return;
         }
-        match &mut self.state {
+        match self.state {
             State::Computing { cycles_left } => {
-                debug_assert!(n < *cycles_left, "advanced past the compute horizon");
-                *cycles_left -= n;
+                let to_drain = cycles_left.max(1);
+                debug_assert!(n <= to_drain, "advanced past the drain");
+                self.state = if n == to_drain {
+                    State::Draining
+                } else {
+                    State::Computing {
+                        cycles_left: cycles_left - n,
+                    }
+                };
             }
-            State::Idle => {} // idle ticks are no-ops
-            s => debug_assert!(false, "advance in non-pure state {s:?}"),
+            State::Idle | State::Collecting => {} // idle and starved ticks are no-ops
+            State::Draining => debug_assert!(false, "advanced into the drain"),
         }
     }
 }

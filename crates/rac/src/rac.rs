@@ -129,18 +129,19 @@ pub trait Rac {
     /// view of the socket's FIFOs.
     ///
     /// Inside a busy accelerator's window nobody else touches those
-    /// FIFOs (the controller moves words only on its own event ticks;
-    /// a read it picks up mid-window lands only in an idle
-    /// accelerator's inputs, which idle ticks ignore), so a streaming
-    /// accelerator may count its bulk FIFO moves as pure ticks and
-    /// leave the event to the tick that empties, fills or ends
-    /// something.
+    /// FIFOs, and nobody reads them: the controller moves words only
+    /// on its own event ticks, every controller state that reads a
+    /// FIFO single-steps, and a read it picks up mid-window lands only
+    /// in an idle accelerator's inputs, which idle ticks ignore. So an
+    /// accelerator may count its FIFO moves (a stream's words, a
+    /// block's collect) as pure ticks and leave the event to the tick
+    /// that empties, fills or ends something.
     ///
     /// The default is maximally conservative — `Some(1)` while busy
     /// (single-step every cycle), `None` when idle (idle ticks must be
     /// no-ops, which holds for every in-tree RAC). Accelerators with a
-    /// pure latency countdown (e.g. [`crate::block::BlockRac`]) or a
-    /// closed-form stream (e.g. [`crate::passthrough::PassthroughRac`])
+    /// collect-compute-drain cycle (e.g. [`crate::block::BlockRac`]) or
+    /// a closed-form stream (e.g. [`crate::passthrough::PassthroughRac`])
     /// override this to expose the whole window.
     fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
         let _ = (inputs, outputs);

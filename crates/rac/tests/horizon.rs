@@ -15,6 +15,7 @@
 //! A `Box<dyn Rac>` cannot be cloned, so twins are rebuilt from the
 //! scenario and replayed through its action log.
 
+use ouessant_rac::block::{BlockKernel, BlockRac};
 use ouessant_rac::dft::DftRac;
 use ouessant_rac::idct::IdctRac;
 use ouessant_rac::matmul::MatMulRac;
@@ -230,9 +231,12 @@ fn advance_matches_ticking_below_the_horizon() {
         act(Action::Start(scenario.op), &mut live, &mut log);
         for _ in 0..24 {
             let Some(h) = live.horizon().map(Cycle::count) else {
-                // End of operation: refill and issue the next `exec`.
+                // A block short of words waits for more; at the end of
+                // the operation, refill and start the next `exec`.
                 act(live.draw_io(&mut rng), &mut live, &mut log);
-                act(Action::Start(scenario.op), &mut live, &mut log);
+                if !live.rac.busy() {
+                    act(Action::Start(scenario.op), &mut live, &mut log);
+                }
                 continue;
             };
             let checked = check_window(&scenario, &log, h);
@@ -277,4 +281,66 @@ fn streaming_passthrough_answers_in_closed_form() {
     }
     let idle = PassthroughRac::new(0);
     assert_eq!(idle.horizon(&[SyncFifo::new("in0", 1)], &[]), None);
+}
+
+/// A one-word-in, one-word-out kernel of a chosen latency.
+struct Latency(u64);
+
+impl BlockKernel for Latency {
+    fn name(&self) -> &str {
+        "latency"
+    }
+    fn input_len(&self, _op: u16) -> usize {
+        2
+    }
+    fn latency(&self, _op: u16) -> u64 {
+        self.0
+    }
+    fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
+        vec![input[0] + input[1]]
+    }
+}
+
+#[test]
+fn block_rac_leaps_from_exec_to_its_drain() {
+    for lat in [0, 1, 2, 3, 10] {
+        let mut twin = Twin {
+            rac: Box::new(BlockRac::from_kernel(Latency(lat))),
+            inputs: vec![SyncFifo::new("in0", 4)],
+            outputs: vec![SyncFifo::new("out0", 4)],
+        };
+        twin.rac.start(0);
+        twin.apply(&Action::Io {
+            pops: 0,
+            pushes: vec![5],
+        });
+        // Short of a block: quiescent, and ticks change nothing.
+        let starved = twin.observe();
+        assert_eq!(starved.horizon, None, "latency {lat}");
+        for _ in 0..5 {
+            twin.apply(&Action::Tick);
+        }
+        assert_eq!(twin.observe(), starved, "latency {lat}");
+        assert!(twin.rac.busy());
+
+        // A full block: the collect tick, the countdown, then the drain.
+        twin.apply(&Action::Io {
+            pops: 0,
+            pushes: vec![6],
+        });
+        let drain = 2 + lat.saturating_sub(1).max(1);
+        assert_eq!(twin.horizon(), Some(Cycle::new(drain)), "latency {lat}");
+        twin.apply(&Action::Tick);
+        // `Computing { c }` with `c = lat - 1` answers `max(c, 1) + 1`.
+        let computing = lat.saturating_sub(1).max(1) + 1;
+        assert_eq!(twin.horizon(), Some(Cycle::new(computing)), "latency {lat}");
+        for left in (1..computing).rev() {
+            twin.apply(&Action::Tick);
+            assert!(twin.rac.busy() && twin.outputs[0].is_empty());
+            assert_eq!(twin.horizon(), Some(Cycle::new(left)), "latency {lat}");
+        }
+        twin.apply(&Action::Tick);
+        assert!(!twin.rac.busy(), "latency {lat}: end_op on tick {drain}");
+        assert_eq!(twin.outputs[0].pop(), Ok(11));
+    }
 }

@@ -22,7 +22,8 @@
 //!
 //! For fast-forward the bus is a [`NextEvent`](crate::event::NextEvent):
 //! its horizon is the next transaction completion, and `advance` leaps
-//! to it through every grant, address phase, wait state, beat and
+//! to it (or through it, since no master sees it before the next tick)
+//! through every grant, address phase, wait state, beat and
 //! re-arbitration on the way.
 
 use std::error::Error;

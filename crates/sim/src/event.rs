@@ -53,6 +53,12 @@
 //! cycle with a real `tick()`. Components may *underestimate* their
 //! horizon (costing speed, never correctness); they must never
 //! overestimate it.
+//!
+//! One rule refines this for the bus: nothing observes a bus event on
+//! the tick it happens. Masters tick before the bus and read their
+//! ports in their own tick, so a bus's owner merges its horizon through
+//! [`observed_horizon`] (one tick later) and leaps *through* the bus's
+//! event tick; a bus's `advance` accepts `n ≤ horizon()` for that.
 
 use crate::clock::Cycle;
 
@@ -72,7 +78,8 @@ pub trait NextEvent {
     /// Replays `cycles` pure ticks in bulk.
     ///
     /// Callers must guarantee `cycles ≤ horizon() - 1` (quiescent
-    /// components accept any count). Afterwards the component is
+    /// components accept any count), or `cycles ≤ horizon()` for a bus
+    /// (see [`observed_horizon`]). Afterwards the component is
     /// bit-identical to having been `tick()`ed `cycles` times.
     fn advance(&mut self, cycles: Cycle);
 }
@@ -90,6 +97,22 @@ pub fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
+/// The first tick at which an owner that ticks *before* the bus can
+/// observe the bus event at `bus_event` (the bus's
+/// [`NextEvent::horizon`]): the tick after it.
+///
+/// A master reads its port in its own tick, which runs before the
+/// bus's, so a completion (or a slave fault) the bus records in tick
+/// `c` is first seen in tick `c + 1`. The completion tick is therefore
+/// pure for everyone but the bus, and an owner may leap through it:
+/// the bus replays its own event inside [`NextEvent::advance`]. An
+/// owner that reads a port *after* the bus ticks (a CPU polling
+/// inside the same cycle) must keep the raw horizon instead.
+#[must_use]
+pub fn observed_horizon(bus_event: Option<Cycle>) -> Option<Cycle> {
+    bus_event.map(|c| c + Cycle::new(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +124,12 @@ mod tests {
         assert_eq!(min_horizon(c(5), None), c(5));
         assert_eq!(min_horizon(None, c(7)), c(7));
         assert_eq!(min_horizon(None, None), None);
+    }
+
+    #[test]
+    fn a_bus_event_is_observed_on_the_next_tick() {
+        assert_eq!(observed_horizon(Some(Cycle::new(1))), Some(Cycle::new(2)));
+        assert_eq!(observed_horizon(Some(Cycle::new(9))), Some(Cycle::new(10)));
+        assert_eq!(observed_horizon(None), None);
     }
 }

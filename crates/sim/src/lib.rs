@@ -63,7 +63,7 @@ pub mod vcd;
 pub use axi::{AxiBus, AxiConfig, SystemBus};
 pub use bus::{Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest};
 pub use clock::{Cycle, Frequency};
-pub use event::{min_horizon, NextEvent};
+pub use event::{min_horizon, observed_horizon, NextEvent};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

@@ -51,7 +51,7 @@ pub struct SocConfig {
     /// Event-horizon fast-forwarding in [`Soc::start_and_wait`]: leap
     /// over cycles during which neither the OCP nor the bus can change
     /// observable state (RAC compute latency, `wait`/`rcfg`
-    /// countdowns, a DMA transfer up to its completion). Bit-exact with
+    /// countdowns, a DMA transfer through its completion). Bit-exact with
     /// cycle-by-cycle stepping; disable to
     /// cross-check or to single-step under a debugger.
     pub fast_forward: bool,
@@ -311,10 +311,16 @@ impl Soc {
             // issue so both fire at the identical simulated cycle as
             // cycle-by-cycle stepping.
             if self.config.fast_forward {
-                let horizon = ouessant_sim::min_horizon(
-                    self.ocp.horizon_on(&self.bus),
-                    NextEvent::horizon(&self.bus),
-                );
+                // The OCP ticks before the bus, so it sees a bus event
+                // only on the next tick; an outstanding CPU poll is read
+                // right after `tick_system`, on the event tick itself.
+                let bus = NextEvent::horizon(&self.bus);
+                let bus = if poll_outstanding {
+                    bus
+                } else {
+                    ouessant_sim::observed_horizon(bus)
+                };
+                let horizon = ouessant_sim::min_horizon(self.ocp.horizon_on(&self.bus), bus);
                 // A quiescent system (e.g. a program that halted without
                 // setting D) still times out: leap straight to budget.
                 let mut skip = horizon.map_or(u64::MAX, |h| u64::from(h).saturating_sub(1));

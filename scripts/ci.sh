@@ -13,6 +13,8 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# perfbench/ is its own workspace, which `--workspace` does not reach.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
