@@ -754,11 +754,9 @@ impl Controller {
                 // issue time.
                 if let Some(PendingTransfer::ToCoprocessor { fifo }) = self.pending_transfer.take()
                 {
-                    for w in &c.data {
-                        socket
-                            .push_input(fifo.index(), *w)
-                            .expect("space reserved before issue");
-                    }
+                    socket
+                        .push_inputs(fifo.index(), &c.data)
+                        .expect("space reserved before issue");
                     self.stats.words_transferred += c.data.len() as u64;
                 }
                 self.retire();
@@ -937,13 +935,9 @@ impl Controller {
             self.dma.begin_read(bus, addr, burst.words())
         } else {
             let mut payload = Vec::with_capacity(words);
-            for _ in 0..words {
-                payload.push(
-                    socket
-                        .pop_output(fifo.index())
-                        .expect("occupancy checked above"),
-                );
-            }
+            socket
+                .pop_outputs(fifo.index(), words, &mut payload)
+                .expect("occupancy checked above");
             self.pending_transfer = Some(PendingTransfer::FromCoprocessor);
             self.stats.words_transferred += words as u64;
             self.dma.begin_write(bus, addr, payload)

@@ -1155,13 +1155,13 @@ impl Farm {
                 .note_completion()
                 .expect("completion event implies an active job");
             let mut output = Vec::with_capacity(done.output_words as usize);
-            for i in 0..done.output_words {
-                output.push(
-                    self.bus
-                        .debug_read(done.regions.output.base() + i * 4)
-                        .expect("output region is mapped SRAM"),
-                );
-            }
+            self.bus
+                .debug_read_words(
+                    done.regions.output.base(),
+                    done.output_words as usize,
+                    &mut output,
+                )
+                .expect("output region is mapped SRAM");
             let contention_now = self
                 .bus
                 .master_stats(self.workers[wi].ocp.bus_master())

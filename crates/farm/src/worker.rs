@@ -490,14 +490,10 @@ impl Worker {
         // untimed debug writes — the timed cost of the host's own bus
         // traffic is the OS/driver model's concern (ouessant-soc), not
         // the pool's.
-        for (i, w) in program.to_words().iter().enumerate() {
-            bus.debug_write(regions.prog.base() + (i as u32) * 4, *w)
-                .expect("program region is mapped SRAM");
-        }
-        for (i, w) in job.input.iter().enumerate() {
-            bus.debug_write(regions.input.base() + (i as u32) * 4, *w)
-                .expect("input region is mapped SRAM");
-        }
+        bus.debug_write_words(regions.prog.base(), &program.to_words())
+            .expect("program region is mapped SRAM");
+        bus.debug_write_words(regions.input.base(), &job.input)
+            .expect("input region is mapped SRAM");
         let regs = self.ocp.regs();
         regs.set_bank(PROG_BANK, regions.prog.base())
             .expect("allocator regions are word-aligned");

@@ -120,9 +120,9 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
                 let needed = self.kernel.input_len(self.op);
                 if io.inputs[0].len() >= needed {
                     let mut block = Vec::with_capacity(needed);
-                    for _ in 0..needed {
-                        block.push(io.inputs[0].pop().expect("length checked"));
-                    }
+                    io.inputs[0]
+                        .pop_into(needed, &mut block)
+                        .expect("length checked");
                     self.staged_output = self.kernel.compute(self.op, &block);
                     self.drained = 0;
                     // The collect cycle itself counts as the first busy
@@ -141,12 +141,14 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
                 }
             }
             State::Draining => {
-                while self.drained < self.staged_output.len() && !io.outputs[0].is_full() {
-                    io.outputs[0]
-                        .push(self.staged_output[self.drained])
-                        .expect("checked not full");
-                    self.drained += 1;
-                }
+                let end = self
+                    .staged_output
+                    .len()
+                    .min(self.drained + io.outputs[0].space());
+                io.outputs[0]
+                    .push_slice(&self.staged_output[self.drained..end])
+                    .expect("sized to the space");
+                self.drained = end;
                 if self.drained == self.staged_output.len() {
                     self.staged_output.clear();
                     self.ops_done += 1;

@@ -134,14 +134,10 @@ impl Rac for PassthroughRac {
             return; // idle ticks are no-ops
         }
         let n = cycles.count();
-        for _ in 0..n {
-            let w = io.inputs[0]
-                .pop()
-                .expect("horizon counted the waiting words");
-            io.outputs[0]
-                .push(w.wrapping_mul(self.scale))
-                .expect("horizon counted the output space");
-        }
+        let scale = self.scale;
+        io.inputs[0]
+            .move_into(n as usize, &mut io.outputs[0], |w| w.wrapping_mul(scale))
+            .expect("horizon counted the waiting words and the output space");
         self.tick_count += n;
         self.to_consume = self.to_consume.saturating_sub(n as usize);
     }

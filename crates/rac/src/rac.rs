@@ -282,6 +282,46 @@ impl RacSocket {
             .map_err(RacError::from)
     }
 
+    /// Pushes `words` into input FIFO `index` in one copy, as one
+    /// [`RacSocket::push_input`] per word would (the controller side of
+    /// a `mvtc` burst's delivery).
+    ///
+    /// # Errors
+    ///
+    /// [`RacError::NoSuchFifo`], or [`RacError::Fifo`] if the words do
+    /// not all fit (then none is pushed).
+    pub fn push_inputs(&mut self, index: usize, words: &[u32]) -> Result<(), RacError> {
+        self.inputs
+            .get_mut(index)
+            .ok_or(RacError::NoSuchFifo { index, input: true })?
+            .push_slice(words)
+            .map_err(RacError::from)
+    }
+
+    /// Pops `count` words from output FIFO `index` into `out` in one
+    /// copy, as `count` calls of [`RacSocket::pop_output`] would (the
+    /// controller side of `mvfc`).
+    ///
+    /// # Errors
+    ///
+    /// [`RacError::NoSuchFifo`], or [`RacError::Fifo`] if fewer than
+    /// `count` words are held (then none is popped).
+    pub fn pop_outputs(
+        &mut self,
+        index: usize,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), RacError> {
+        self.outputs
+            .get_mut(index)
+            .ok_or(RacError::NoSuchFifo {
+                index,
+                input: false,
+            })?
+            .pop_into(count, out)
+            .map_err(RacError::from)
+    }
+
     /// Free space of input FIFO `index`, in words.
     #[must_use]
     pub fn input_space(&self, index: usize) -> usize {
@@ -511,6 +551,34 @@ mod tests {
                 input: false
             })
         );
+    }
+
+    #[test]
+    fn bulk_fifo_access_moves_whole_slices_or_nothing() {
+        let mut s = RacSocket::new(Box::new(Doubler::new()), 4);
+        assert_eq!(
+            s.push_inputs(1, &[1]),
+            Err(RacError::NoSuchFifo {
+                index: 1,
+                input: true
+            })
+        );
+        s.push_inputs(0, &[1, 2, 3]).unwrap();
+        assert_eq!(
+            s.push_inputs(0, &[4, 5]),
+            Err(RacError::Fifo(FifoError::Overflow))
+        );
+        assert_eq!(s.input_space(0), 1, "a rejected slice pushes nothing");
+        s.start(0);
+        s.run_until_done(100);
+        let mut out = vec![0];
+        assert_eq!(
+            s.pop_outputs(0, 4, &mut out),
+            Err(RacError::Fifo(FifoError::Underflow))
+        );
+        s.pop_outputs(0, 3, &mut out).unwrap();
+        assert_eq!(out, [0, 2, 4, 6]);
+        assert!(s.all_fifos_empty());
     }
 
     #[test]

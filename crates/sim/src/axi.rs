@@ -63,14 +63,16 @@ pub trait SystemBus: crate::event::NextEvent {
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::Unmapped`] or a slave fault.
+    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or a
+    /// slave fault.
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError>;
 
     /// Un-timed write for test setup.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::Unmapped`] or a slave fault.
+    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or a
+    /// slave fault.
     fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError>;
 
     /// Aggregate statistics.
@@ -138,6 +140,21 @@ impl BusSlave for BoxedSlave {
     }
     fn write_word(&mut self, offset: u32, value: u32) -> Result<(), crate::bus::SlaveFault> {
         self.0.write_word(offset, value)
+    }
+    fn read_words(
+        &mut self,
+        offset: u32,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), crate::bus::SlaveFault> {
+        self.0.read_words(offset, count, out)
+    }
+    fn write_words(
+        &mut self,
+        offset: u32,
+        data: &[u32],
+    ) -> Result<(), (usize, crate::bus::SlaveFault)> {
+        self.0.write_words(offset, data)
     }
     fn first_access_wait_states(&self) -> u32 {
         self.0.first_access_wait_states()
@@ -263,6 +280,16 @@ impl AxiBus {
             .iter()
             .position(|s| addr >= s.base && u64::from(addr) < s.base as u64 + s.size as u64)
             .ok_or(BusError::Unmapped { addr })
+    }
+
+    /// The slave index and offset of a debug access to `addr`, which
+    /// must be word-aligned.
+    fn debug_decode(&self, addr: Addr) -> Result<(usize, u32), BusError> {
+        if !addr.is_multiple_of(4) {
+            return Err(BusError::Unaligned { addr });
+        }
+        let idx = self.decode(addr)?;
+        Ok((idx, addr - self.slaves[idx].base))
     }
 
     fn validate(&self, req: &TxnRequest) -> Result<usize, BusError> {
@@ -534,8 +561,7 @@ impl SystemBus for AxiBus {
     }
 
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        let idx = self.decode(addr)?;
-        let offset = addr - self.slaves[idx].base;
+        let (idx, offset) = self.debug_decode(addr)?;
         self.slaves[idx]
             .device
             .read_word(offset)
@@ -543,8 +569,7 @@ impl SystemBus for AxiBus {
     }
 
     fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        let idx = self.decode(addr)?;
-        let offset = addr - self.slaves[idx].base;
+        let (idx, offset) = self.debug_decode(addr)?;
         self.slaves[idx]
             .device
             .write_word(offset, value)
@@ -628,6 +653,20 @@ mod tests {
         );
         // But a write is a different channel:
         assert!(bus.try_begin(m, TxnRequest::write(0, vec![1])).is_ok());
+    }
+
+    #[test]
+    fn unaligned_debug_access_is_rejected() {
+        let (mut bus, _) = axi_with_sram();
+        bus.debug_write(0x100, 0xAAAA).unwrap();
+        let unaligned = BusError::Unaligned { addr: 0x103 };
+        assert_eq!(bus.debug_write(0x103, 0xBBBB), Err(unaligned.clone()));
+        assert_eq!(bus.debug_read(0x103), Err(unaligned));
+        assert_eq!(
+            bus.debug_read(0x100),
+            Ok(0xAAAA),
+            "the word below is intact"
+        );
     }
 
     #[test]

@@ -230,6 +230,42 @@ pub trait BusSlave {
     /// Returns a [`SlaveFault`] for offsets the device cannot serve.
     fn write_word(&mut self, offset: u32, value: u32) -> Result<(), SlaveFault>;
 
+    /// Reads `count` consecutive words starting at `offset`, appending
+    /// them to `out`, exactly as `count` calls of
+    /// [`BusSlave::read_word`] would: the words before the first fault
+    /// are appended, and that fault is returned.
+    ///
+    /// # Errors
+    ///
+    /// The [`SlaveFault`] of the first word that fails.
+    fn read_words(
+        &mut self,
+        offset: u32,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), SlaveFault> {
+        for i in 0..count {
+            out.push(self.read_word(offset + (i as u32) * 4)?);
+        }
+        Ok(())
+    }
+
+    /// Writes `data` to consecutive words starting at `offset`, exactly
+    /// as one [`BusSlave::write_word`] per word would: the words before
+    /// the first fault are written.
+    ///
+    /// # Errors
+    ///
+    /// The index in `data` and the [`SlaveFault`] of the first word
+    /// that fails.
+    fn write_words(&mut self, offset: u32, data: &[u32]) -> Result<(), (usize, SlaveFault)> {
+        for (i, &value) in data.iter().enumerate() {
+            self.write_word(offset + (i as u32) * 4, value)
+                .map_err(|e| (i, e))?;
+        }
+        Ok(())
+    }
+
     /// Wait states before the first beat of a sub-burst.
     fn first_access_wait_states(&self) -> u32 {
         0
@@ -382,27 +418,34 @@ struct OutstandingTxn {
 }
 
 impl OutstandingTxn {
-    /// Moves the next data beat through `slave` (the transaction's own),
-    /// returning the slave's fault, if any. Inlined: it is the inner
-    /// loop of every burst, ticked or leaped.
-    #[inline]
-    fn move_beat(&mut self, slave: &mut SlaveEntry) -> Option<SlaveFault> {
+    /// Moves the next `count` data beats through `slave` (the
+    /// transaction's own) in one slave call, returning the beats moved
+    /// and the slave's fault, if any. A faulting beat counts as moved
+    /// and ends the run: the beats after it are not attempted.
+    fn move_beats(&mut self, slave: &mut SlaveEntry, count: u16) -> (u16, Option<SlaveFault>) {
         let offset = self.req.addr + u32::from(self.beats_done) * 4 - slave.base;
-        let fault = match self.req.kind {
-            TxnKind::Read => match slave.device.read_word(offset) {
-                Ok(v) => {
-                    self.read_data.push(v);
-                    None
+        let (moved, fault) = match self.req.kind {
+            TxnKind::Read => {
+                let before = self.read_data.len();
+                match slave
+                    .device
+                    .read_words(offset, usize::from(count), &mut self.read_data)
+                {
+                    Ok(()) => (count, None),
+                    Err(e) => ((self.read_data.len() - before) as u16 + 1, Some(e)),
                 }
-                Err(e) => Some(e),
-            },
+            }
             TxnKind::Write => {
-                let value = self.req.data[usize::from(self.beats_done)];
-                slave.device.write_word(offset, value).err()
+                let start = usize::from(self.beats_done);
+                let data = &self.req.data[start..start + usize::from(count)];
+                match slave.device.write_words(offset, data) {
+                    Ok(()) => (count, None),
+                    Err((i, e)) => (i as u16 + 1, Some(e)),
+                }
             }
         };
-        self.beats_done += 1;
-        fault
+        self.beats_done += moved;
+        (moved, fault)
     }
 }
 
@@ -436,6 +479,13 @@ struct ActiveGrant {
 /// read it from here.
 fn beat_offset(wait: u32, seq_wait: u32, beat: u64) -> u64 {
     u64::from(wait) + beat + (beat - 1) * u64::from(seq_wait)
+}
+
+/// The inverse of [`beat_offset`]: how many beats, from a point with
+/// `wait` wait states before the next one, end within `n` cycles.
+fn beats_within(wait: u32, seq_wait: u32, n: u64) -> u64 {
+    n.checked_sub(u64::from(wait) + 1)
+        .map_or(0, |slack| slack / (1 + u64::from(seq_wait)) + 1)
 }
 
 struct SlaveEntry {
@@ -576,10 +626,10 @@ impl Bus {
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::Unmapped`] or the slave's fault.
+    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
+    /// slave's fault.
     pub fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        let idx = self.decode(addr)?;
-        let offset = addr - self.slaves[idx].base;
+        let (idx, offset) = self.debug_decode(addr)?;
         self.slaves[idx]
             .device
             .read_word(offset)
@@ -590,14 +640,81 @@ impl Bus {
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::Unmapped`] or the slave's fault.
+    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
+    /// slave's fault.
     pub fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        let idx = self.decode(addr)?;
-        let offset = addr - self.slaves[idx].base;
+        let (idx, offset) = self.debug_decode(addr)?;
         self.slaves[idx]
             .device
             .write_word(offset, value)
             .map_err(BusError::Fault)
+    }
+
+    /// Un-timed read of `count` consecutive words from `addr`, appended
+    /// to `out`: one [`Bus::debug_read`] per word, with each slave's
+    /// share of the range copied in one [`BusSlave::read_words`] call.
+    /// The words before the first error are appended.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bus::debug_read`], for the first word that fails.
+    pub fn debug_read_words(
+        &mut self,
+        addr: Addr,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), BusError> {
+        let mut done = 0;
+        while done < count {
+            let (idx, offset, fit) = self.debug_span(addr, done)?;
+            let n = fit.min(count - done);
+            self.slaves[idx]
+                .device
+                .read_words(offset, n, out)
+                .map_err(BusError::Fault)?;
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Un-timed write of `data` to consecutive words from `addr`: one
+    /// [`Bus::debug_write`] per word, with each slave's share of the
+    /// range copied in one [`BusSlave::write_words`] call. The words
+    /// before the first error are written.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bus::debug_write`], for the first word that fails.
+    pub fn debug_write_words(&mut self, addr: Addr, data: &[u32]) -> Result<(), BusError> {
+        let mut done = 0;
+        while done < data.len() {
+            let (idx, offset, fit) = self.debug_span(addr, done)?;
+            let n = fit.min(data.len() - done);
+            self.slaves[idx]
+                .device
+                .write_words(offset, &data[done..done + n])
+                .map_err(|(_, e)| BusError::Fault(e))?;
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// The slave index and offset of a debug access to `addr`, which
+    /// must be word-aligned.
+    fn debug_decode(&self, addr: Addr) -> Result<(usize, u32), BusError> {
+        if !addr.is_multiple_of(4) {
+            return Err(BusError::Unaligned { addr });
+        }
+        let idx = self.decode(addr)?;
+        Ok((idx, addr - self.slaves[idx].base))
+    }
+
+    /// The slave, offset and words left in its window of the `done`-th
+    /// word of a debug range starting at `addr`.
+    fn debug_span(&self, addr: Addr, done: usize) -> Result<(usize, u32, usize), BusError> {
+        let (idx, offset) = self.debug_decode(addr + (done as u32) * 4)?;
+        let fit = (self.slaves[idx].size - offset).div_ceil(4) as usize;
+        Ok((idx, offset, fit))
     }
 
     fn decode(&self, addr: Addr) -> Result<usize, BusError> {
@@ -818,8 +935,9 @@ impl Bus {
     /// Runs at most `n` cycles of `owner`'s data phase, which has
     /// `wait_left` wait states before its next beat and `sub_beats_left`
     /// beats to go: wait states, then beats in bulk, ending early at the
-    /// sub-burst's final beat or at a beat the slave faults. Returns the
-    /// cycles run.
+    /// sub-burst's final beat or at a beat the slave faults. Every beat
+    /// is still timed by [`beat_offset`]; only the data of the beats
+    /// that fit moves in one slave call. Returns the cycles run.
     fn data_phase(&mut self, owner: usize, wait_left: u32, sub_beats_left: u16, n: u64) -> u64 {
         let port = &mut self.masters[owner];
         let txn = port
@@ -828,16 +946,13 @@ impl Bus {
             .expect("granted master has an outstanding txn");
         let slave = &mut self.slaves[txn.slave_idx];
         let seq_wait = slave.device.sequential_wait_states();
-        let mut beats = 0;
-        let mut fault = None;
-        while beats < u64::from(sub_beats_left) && beat_offset(wait_left, seq_wait, beats + 1) <= n
-        {
-            beats += 1;
-            fault = txn.move_beat(slave);
-            if fault.is_some() {
-                break;
-            }
-        }
+        let fit = beats_within(wait_left, seq_wait, n).min(u64::from(sub_beats_left)) as u16;
+        let (beats, fault) = if fit > 0 {
+            txn.move_beats(slave, fit)
+        } else {
+            (0, None)
+        };
+        let beats = u64::from(beats);
         port.stats.beats += beats;
         self.stats.beats += beats;
         let released = fault.is_some() || beats == u64::from(sub_beats_left);
@@ -1478,6 +1593,143 @@ mod tests {
         assert_eq!(c.cycles, 12);
         assert_eq!(bus.master_stats(b).contention_cycles, 3);
         assert_eq!(bus.stats().contention_cycles, 3);
+    }
+
+    /// The closed form against the loop it replaced, which tried one
+    /// more beat while the next one still ended within `n` cycles.
+    #[test]
+    fn closed_form_beat_count_matches_the_stepping_loop() {
+        for wait in 0..=3 {
+            for seq_wait in 0..=3 {
+                for sub_beats in 1..=16u64 {
+                    for n in 1..=80 {
+                        let mut beats = 0;
+                        while beats < sub_beats && beat_offset(wait, seq_wait, beats + 1) <= n {
+                            beats += 1;
+                        }
+                        assert_eq!(
+                            beats_within(wait, seq_wait, n).min(sub_beats),
+                            beats,
+                            "wait {wait}, seq {seq_wait}, sub-burst {sub_beats}, n {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A slave whose words from offset 8 on fault.
+    struct Holey;
+
+    impl BusSlave for Holey {
+        fn name(&self) -> &str {
+            "holey"
+        }
+        fn size(&self) -> u32 {
+            64
+        }
+        fn read_word(&mut self, offset: u32) -> Result<u32, SlaveFault> {
+            self.write_word(offset, 0).map(|()| offset)
+        }
+        fn write_word(&mut self, offset: u32, _: u32) -> Result<(), SlaveFault> {
+            if offset >= 8 {
+                return Err(SlaveFault {
+                    reason: format!("hole at {offset}"),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_faulting_beat_is_counted_and_ends_the_burst_on_its_own_cycle() {
+        for req in [
+            TxnRequest::read(0, 6),
+            TxnRequest::write(0, vec![1, 2, 3, 4, 5, 6]),
+        ] {
+            let mut bus = Bus::new(BusConfig::default());
+            let m = bus.register_master("cpu");
+            bus.add_slave(0, Holey);
+            bus.try_begin(m, req.clone()).unwrap();
+            // Grant, address, two good beats and the faulting third.
+            for _ in 0..4 {
+                bus.tick();
+                assert!(bus.poll(m).is_pending(), "{req:?}");
+            }
+            bus.tick();
+            assert_eq!(
+                bus.take_completion(m),
+                Some(Err(BusError::Fault(SlaveFault {
+                    reason: "hole at 8".into()
+                })))
+            );
+            assert_eq!(bus.stats().beats, 3, "{req:?}");
+            assert_eq!(bus.master_stats(m).beats, 3, "{req:?}");
+            assert_eq!(bus.stats().busy_cycles, 5, "{req:?}");
+        }
+    }
+
+    /// Two adjacent memories, an unmapped gap, then a third memory; each
+    /// word holds its own address.
+    fn patchwork() -> Bus {
+        let mut bus = Bus::new(BusConfig::default());
+        for base in [0x00, 0x10, 0x30] {
+            bus.add_slave(base, Sram::with_words(4, SramConfig::no_wait()));
+            for a in (base..base + 0x10).step_by(4) {
+                bus.debug_write(a, a).unwrap();
+            }
+        }
+        bus
+    }
+
+    fn mapped_words(bus: &mut Bus) -> Vec<Result<u32, BusError>> {
+        (0..0x40).step_by(4).map(|a| bus.debug_read(a)).collect()
+    }
+
+    /// Every range from every word address: the bulk debug calls give
+    /// the result, the memory contents and the read-back words of one
+    /// single-word call per word.
+    #[test]
+    fn debug_words_equal_per_word_calls_across_slaves_and_gaps() {
+        for addr in (0..0x44).step_by(4) {
+            for count in 0..=14usize {
+                let data: Vec<u32> = (0..count as u32).map(|i| 0xD000 + i).collect();
+                let (mut bulk, mut single) = (patchwork(), patchwork());
+                let bulk_write = bulk.debug_write_words(addr, &data);
+                let single_write = data
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(i, &w)| single.debug_write(addr + (i as u32) * 4, w));
+                assert_eq!(bulk_write, single_write, "write {addr:#x}+{count}");
+                assert_eq!(mapped_words(&mut bulk), mapped_words(&mut single));
+
+                let mut bulk_out = Vec::new();
+                let bulk_read = bulk.debug_read_words(addr, count, &mut bulk_out);
+                let mut single_out = Vec::new();
+                let single_read = (0..count as u32).try_for_each(|i| {
+                    single_out.push(single.debug_read(addr + i * 4)?);
+                    Ok(())
+                });
+                assert_eq!(bulk_read, single_read, "read {addr:#x}+{count}");
+                assert_eq!(bulk_out, single_out, "read {addr:#x}+{count}");
+            }
+        }
+    }
+
+    #[test]
+    fn unaligned_debug_access_is_rejected() {
+        let mut bus = patchwork();
+        let unaligned = BusError::Unaligned { addr: 0x13 };
+        assert_eq!(bus.debug_write(0x13, 0xBBBB), Err(unaligned.clone()));
+        assert_eq!(bus.debug_read(0x13), Err(unaligned.clone()));
+        assert_eq!(
+            bus.debug_write_words(0x13, &[0xBBBB]),
+            Err(unaligned.clone())
+        );
+        let mut out = Vec::new();
+        assert_eq!(bus.debug_read_words(0x13, 1, &mut out), Err(unaligned));
+        assert!(out.is_empty());
+        assert_eq!(bus.debug_read(0x10), Ok(0x10), "the word below is intact");
     }
 
     #[test]

@@ -148,8 +148,7 @@ impl<T> SyncFifo<T> {
             return Err(FifoError::Overflow);
         }
         self.items.push_back(item);
-        self.stats.pushes += 1;
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.items.len());
+        self.note_pushes(1);
         Ok(())
     }
 
@@ -169,6 +168,80 @@ impl<T> SyncFifo<T> {
                 Err(FifoError::Underflow)
             }
         }
+    }
+
+    /// Appends every item of `items`, in order, with the contents and
+    /// statistics of one [`SyncFifo::push`] per item.
+    ///
+    /// # Errors
+    ///
+    /// [`FifoError::Overflow`] if they do not all fit: nothing is
+    /// pushed, and the rejection is counted once.
+    pub fn push_slice(&mut self, items: &[T]) -> Result<(), FifoError>
+    where
+        T: Clone,
+    {
+        if items.len() > self.space() {
+            self.stats.overflows += 1;
+            return Err(FifoError::Overflow);
+        }
+        self.items.extend(items.iter().cloned());
+        self.note_pushes(items.len());
+        Ok(())
+    }
+
+    /// Removes the `n` oldest items, appending them to `out` in order,
+    /// with the statistics of `n` [`SyncFifo::pop`]s.
+    ///
+    /// # Errors
+    ///
+    /// [`FifoError::Underflow`] if fewer than `n` are held: nothing is
+    /// popped, and the rejection is counted once.
+    pub fn pop_into(&mut self, n: usize, out: &mut Vec<T>) -> Result<(), FifoError> {
+        if n > self.items.len() {
+            self.stats.underflows += 1;
+            return Err(FifoError::Underflow);
+        }
+        out.extend(self.items.drain(..n));
+        self.stats.pops += n as u64;
+        Ok(())
+    }
+
+    /// Moves the `n` oldest items into `dst`, mapped through `f`, with
+    /// the contents and statistics of `n` pairs of [`SyncFifo::pop`]
+    /// here and [`SyncFifo::push`] there.
+    ///
+    /// # Errors
+    ///
+    /// [`FifoError::Underflow`] (counted here) if fewer than `n` items
+    /// are held, else [`FifoError::Overflow`] (counted in `dst`) if
+    /// `dst` has less than `n` space: nothing moves.
+    pub fn move_into<U>(
+        &mut self,
+        n: usize,
+        dst: &mut SyncFifo<U>,
+        f: impl FnMut(T) -> U,
+    ) -> Result<(), FifoError> {
+        if n > self.items.len() {
+            self.stats.underflows += 1;
+            return Err(FifoError::Underflow);
+        }
+        if n > dst.space() {
+            dst.stats.overflows += 1;
+            return Err(FifoError::Overflow);
+        }
+        dst.items.extend(self.items.drain(..n).map(f));
+        self.stats.pops += n as u64;
+        dst.note_pushes(n);
+        Ok(())
+    }
+
+    /// Counts `n` accepted pushes that brought the FIFO to its current
+    /// occupancy (occupancy only rises over a run of pushes, so its
+    /// high-water mark is the end of the run).
+    fn note_pushes(&mut self, n: usize) {
+        self.stats.pushes += n as u64;
+        self.stats.max_occupancy = self.stats.max_occupancy.max(self.items.len());
     }
 
     /// Peeks at the oldest item without removing it.
@@ -395,6 +468,103 @@ mod tests {
         assert_eq!(f.front(), Some(&7));
         f.clear();
         assert!(f.is_empty());
+    }
+
+    fn contents<T: Clone>(f: &SyncFifo<T>) -> Vec<T> {
+        f.items.iter().cloned().collect()
+    }
+
+    /// Random runs of bulk operations against the same runs of single
+    /// ones: equal contents and equal statistics after every step, and
+    /// a rejected bulk operation moves nothing.
+    #[test]
+    fn bulk_operations_equal_runs_of_single_ones() {
+        let mut rng = crate::rng::XorShift64::new(0xF1F0);
+        for _ in 0..200 {
+            let cap = rng.gen_range_u32(1..9) as usize;
+            let (mut bulk_a, mut bulk_b) = (SyncFifo::new("a", cap), SyncFifo::new("b", cap));
+            let (mut one_a, mut one_b) = (SyncFifo::new("a", cap), SyncFifo::new("b", cap));
+            for _ in 0..40 {
+                let n = rng.gen_range_u32(0..cap as u32 + 2) as usize;
+                let (before_a, before_b) = (contents(&bulk_a), contents(&bulk_b));
+                let (stats_a, stats_b) = (bulk_a.stats(), bulk_b.stats());
+                let result = match rng.gen_range_u32(0..3) {
+                    0 => {
+                        let items = rng.vec_u32(n);
+                        let r = bulk_a.push_slice(&items);
+                        if r.is_ok() {
+                            for &w in &items {
+                                one_a.push(w).unwrap();
+                            }
+                        }
+                        r
+                    }
+                    1 => {
+                        let mut out = vec![7];
+                        let r = bulk_a.pop_into(n, &mut out);
+                        if r.is_ok() {
+                            let single: Vec<u32> = (0..n).map(|_| one_a.pop().unwrap()).collect();
+                            assert_eq!(out[1..], single[..]);
+                        } else {
+                            assert_eq!(out, [7]);
+                        }
+                        r
+                    }
+                    _ => {
+                        let r = bulk_a.move_into(n, &mut bulk_b, |w| w ^ 0xFF);
+                        if r.is_ok() {
+                            for _ in 0..n {
+                                one_b.push(one_a.pop().unwrap() ^ 0xFF).unwrap();
+                            }
+                        }
+                        r
+                    }
+                };
+                match result {
+                    Ok(()) => {
+                        assert_eq!(bulk_a.stats(), one_a.stats());
+                        assert_eq!(bulk_b.stats(), one_b.stats());
+                    }
+                    Err(e) => {
+                        // Nothing moved; the rejection is counted once,
+                        // on the side that refused.
+                        assert_eq!(contents(&bulk_a), before_a);
+                        assert_eq!(contents(&bulk_b), before_b);
+                        let counted = |s: FifoStats| s.overflows + s.underflows;
+                        let rejected = counted(bulk_a.stats()) + counted(bulk_b.stats());
+                        assert_eq!(rejected, counted(stats_a) + counted(stats_b) + 1, "{e}");
+                        // Align the single-step twins' rejection counts.
+                        one_a.stats = bulk_a.stats();
+                        one_b.stats = bulk_b.stats();
+                    }
+                }
+                assert_eq!(contents(&bulk_a), contents(&one_a));
+                assert_eq!(contents(&bulk_b), contents(&one_b));
+            }
+        }
+    }
+
+    #[test]
+    fn push_slice_raises_the_high_water_mark() {
+        let mut f = SyncFifo::new("t", 8);
+        f.push_slice(&[1, 2, 3]).unwrap();
+        let mut out = Vec::new();
+        f.pop_into(2, &mut out).unwrap();
+        f.push_slice(&[4]).unwrap();
+        assert_eq!(out, [1, 2]);
+        assert_eq!(
+            f.stats(),
+            FifoStats {
+                pushes: 4,
+                pops: 2,
+                max_occupancy: 3,
+                overflows: 0,
+                underflows: 0,
+            }
+        );
+        assert_eq!(f.push_slice(&[0; 7]), Err(FifoError::Overflow));
+        assert_eq!(f.pop_into(3, &mut out), Err(FifoError::Underflow));
+        assert_eq!(contents(&f), [3, 4]);
     }
 
     #[test]

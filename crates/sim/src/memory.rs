@@ -104,9 +104,10 @@ impl Sram {
     ///
     /// [`SlaveFault`] if `index` is out of range.
     pub fn load(&self, index: usize) -> Result<u32, SlaveFault> {
-        self.words.get(index).copied().ok_or_else(|| SlaveFault {
-            reason: format!("word index {index} out of range ({})", self.words.len()),
-        })
+        self.words
+            .get(index)
+            .copied()
+            .ok_or_else(|| self.out_of_range(index))
     }
 
     /// Writes the word at `index` (word-granular, un-timed).
@@ -120,9 +121,14 @@ impl Sram {
                 *w = value;
                 Ok(())
             }
-            None => Err(SlaveFault {
-                reason: format!("word index {index} out of range ({})", self.words.len()),
-            }),
+            None => Err(self.out_of_range(index)),
+        }
+    }
+
+    /// The fault of a word access at `index`, past the end.
+    fn out_of_range(&self, index: usize) -> SlaveFault {
+        SlaveFault {
+            reason: format!("word index {index} out of range ({})", self.words.len()),
         }
     }
 
@@ -180,6 +186,41 @@ impl BusSlave for Sram {
         self.store((offset / 4) as usize, value)
     }
 
+    /// One bounds check and one slice copy; an out-of-range tail copies
+    /// the words that exist and faults as `read_word` would on the
+    /// first one missing.
+    fn read_words(
+        &mut self,
+        offset: u32,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), SlaveFault> {
+        let start = (offset / 4) as usize;
+        let present = self.words.len().saturating_sub(start).min(count);
+        if present > 0 {
+            out.extend_from_slice(&self.words[start..start + present]);
+        }
+        if present < count {
+            return Err(self.out_of_range(start + present));
+        }
+        Ok(())
+    }
+
+    /// One bounds check and one slice copy; an out-of-range tail writes
+    /// the words that fit and faults as `write_word` would on the first
+    /// one that does not.
+    fn write_words(&mut self, offset: u32, data: &[u32]) -> Result<(), (usize, SlaveFault)> {
+        let start = (offset / 4) as usize;
+        let present = self.words.len().saturating_sub(start).min(data.len());
+        if present > 0 {
+            self.words[start..start + present].copy_from_slice(&data[..present]);
+        }
+        if present < data.len() {
+            return Err((present, self.out_of_range(start + present)));
+        }
+        Ok(())
+    }
+
     fn first_access_wait_states(&self) -> u32 {
         self.config.first_access_wait_states
     }
@@ -229,6 +270,45 @@ mod tests {
         assert_eq!(ram.read_word(12).unwrap(), 99);
         assert_eq!(ram.load(3).unwrap(), 99);
         assert_eq!(BusSlave::size(&ram), 32);
+    }
+
+    /// Every range of a small memory, in range or running off its end:
+    /// the bulk calls move the words and return the fault the per-word
+    /// calls would, on the first word out of range.
+    #[test]
+    fn bulk_words_equal_per_word_calls() {
+        const WORDS: usize = 6;
+        for start in 0..WORDS as u32 + 2 {
+            for count in 0..WORDS + 3 {
+                let offset = start * 4;
+                let data: Vec<u32> = (0..count as u32).map(|i| 0xA0 + i).collect();
+                let mut bulk = Sram::with_words(WORDS, SramConfig::no_wait());
+                let mut single = bulk.clone();
+
+                let bulk_write = bulk.write_words(offset, &data);
+                let single_write = data.iter().enumerate().try_for_each(|(i, &w)| {
+                    single
+                        .write_word(offset + (i as u32) * 4, w)
+                        .map_err(|e| (i, e))
+                });
+                assert_eq!(bulk_write, single_write, "write {start}+{count}");
+                assert_eq!(bulk.words, single.words, "write {start}+{count}");
+
+                let mut bulk_out = vec![1];
+                let bulk_read = bulk.read_words(offset, count, &mut bulk_out);
+                let mut single_out = vec![1];
+                let single_read = (0..count).try_for_each(|i| {
+                    single_out.push(single.read_word(offset + (i as u32) * 4)?);
+                    Ok(())
+                });
+                assert_eq!(bulk_read, single_read, "read {start}+{count}");
+                assert_eq!(bulk_out, single_out, "read {start}+{count}");
+            }
+        }
+        let mut ram = Sram::with_words(WORDS, SramConfig::no_wait());
+        let (index, fault) = ram.write_words(16, &[0; 4]).unwrap_err();
+        assert_eq!(index, 2);
+        assert_eq!(fault.reason, "word index 6 out of range (6)");
     }
 
     #[test]

@@ -197,10 +197,7 @@ impl Soc {
     ///
     /// Propagates bus mapping faults.
     pub fn load_words(&mut self, addr: Addr, words: &[u32]) -> Result<(), SocError> {
-        for (i, w) in words.iter().enumerate() {
-            self.bus.debug_write(addr + (i as u32) * 4, *w)?;
-        }
-        Ok(())
+        Ok(self.bus.debug_write_words(addr, words)?)
     }
 
     /// Un-timed bulk read from RAM.
@@ -209,13 +206,9 @@ impl Soc {
     ///
     /// Propagates bus mapping faults.
     pub fn read_words(&mut self, addr: Addr, count: usize) -> Result<Vec<u32>, SocError> {
-        (0..count)
-            .map(|i| {
-                self.bus
-                    .debug_read(addr + (i as u32) * 4)
-                    .map_err(SocError::from)
-            })
-            .collect()
+        let mut words = Vec::with_capacity(count);
+        self.bus.debug_read_words(addr, count, &mut words)?;
+        Ok(words)
     }
 
     fn tick_system(&mut self) {

@@ -86,12 +86,9 @@ impl StandaloneSystem {
     ///
     /// Propagates bus mapping faults.
     pub fn load_words(&mut self, addr: Addr, words: &[u32]) -> Result<(), SocError> {
-        for (i, w) in words.iter().enumerate() {
-            self.bus
-                .debug_write(addr + (i as u32) * 4, *w)
-                .map_err(SocError::Bus)?;
-        }
-        Ok(())
+        self.bus
+            .debug_write_words(addr, words)
+            .map_err(SocError::Bus)
     }
 
     /// Un-timed memory read.
@@ -100,13 +97,11 @@ impl StandaloneSystem {
     ///
     /// Propagates bus mapping faults.
     pub fn read_words(&mut self, addr: Addr, count: usize) -> Result<Vec<u32>, SocError> {
-        (0..count)
-            .map(|i| {
-                self.bus
-                    .debug_read(addr + (i as u32) * 4)
-                    .map_err(SocError::Bus)
-            })
-            .collect()
+        let mut words = Vec::with_capacity(count);
+        self.bus
+            .debug_read_words(addr, count, &mut words)
+            .map_err(SocError::Bus)?;
+        Ok(words)
     }
 
     /// Arms the start strap and runs one program to completion,

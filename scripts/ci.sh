@@ -18,6 +18,7 @@ cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D 
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --manifest-path perfbench/Cargo.toml --no-deps
 
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
