@@ -417,8 +417,8 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
-    /// The fast-forward horizon (see [`ouessant_sim::NextEvent`] for
-    /// the contract), given the RAC socket and the bus the controller
+    /// The fast-forward horizon (see [`ouessant_sim::event`] for the
+    /// contract), given the RAC socket and the bus the controller
     /// waits on.
     ///
     /// `Idle` reports quiescent *from the controller's own view*: a

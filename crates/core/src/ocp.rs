@@ -333,7 +333,7 @@ impl Ocp {
     }
 
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
-    /// [`ouessant_sim::NextEvent`] for the contract): the controller's
+    /// [`ouessant_sim::event`] for the contract): the controller's
     /// horizon, refined with the socket's (so `RacWait` and
     /// `ReconfigWait` expose the RAC's compute countdown and the
     /// bitstream load) and the bus's (so a DMA burst in flight
@@ -840,19 +840,18 @@ mod tests {
         mut fast: Fixture<B>,
         max: u64,
     ) -> (u64, Option<ExecError>, Vec<Leap>) {
-        use ouessant_sim::NextEvent;
         let (mut cycle, mut leaps) = (0, Vec::new());
         while cycle < max {
             let h = ouessant_sim::min_horizon(
                 fast.ocp.horizon_on(&fast.bus),
-                ouessant_sim::observed_horizon(NextEvent::horizon(&fast.bus)),
+                ouessant_sim::observed_horizon(fast.bus.horizon()),
             );
             let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
             if skip > 0 {
                 let from = fast.ocp.controller().state().clone();
                 let pc = fast.ocp.controller().pc();
                 fast.ocp.advance(Cycle::new(skip), &mut fast.bus);
-                NextEvent::advance(&mut fast.bus, Cycle::new(skip));
+                fast.bus.advance(Cycle::new(skip));
                 for _ in 0..skip {
                     slow.step();
                 }
@@ -1028,7 +1027,6 @@ mod tests {
     #[test]
     fn a_burst_in_flight_is_seen_the_tick_after_its_completion() {
         use ouessant_sim::bus::PortState;
-        use ouessant_sim::NextEvent;
         use ControllerState::TransferBusWait;
         let in_flight = |fx: &Fixture| {
             *fx.ocp.controller().state() == TransferBusWait
@@ -1044,10 +1042,7 @@ mod tests {
             in_flight,
         );
         let h = fx.ocp.horizon_on(&fx.bus).expect("a burst is in flight");
-        assert_eq!(
-            Some(h),
-            ouessant_sim::observed_horizon(NextEvent::horizon(&fx.bus))
-        );
+        assert_eq!(Some(h), ouessant_sim::observed_horizon(fx.bus.horizon()));
         // The bus completes on tick `h - 1`; the pickup is tick `h`.
         for _ in 1..h.count() {
             fx.step();
@@ -1129,7 +1124,6 @@ mod tests {
     #[test]
     fn a_transfer_pickup_pulses_the_watchdog_inside_its_leap() {
         use ouessant_sim::bus::PortState;
-        use ouessant_sim::NextEvent;
         use ControllerState::{Execute, TransferBusWait};
         let build = || {
             offload(
@@ -1140,8 +1134,7 @@ mod tests {
         let in_burst = |fx: &Fixture| *fx.ocp.controller().state() == TransferBusWait;
         let completed =
             |fx: &Fixture| in_burst(fx) && fx.bus.poll(fx.ocp.bus_master()) == PortState::Complete;
-        let completing =
-            |fx: &Fixture| in_burst(fx) && NextEvent::horizon(&fx.bus) == Some(Cycle::new(1));
+        let completing = |fx: &Fixture| in_burst(fx) && fx.bus.horizon() == Some(Cycle::new(1));
         let armed = |until: &dyn Fn(&Fixture) -> bool, budget: u64| {
             let (mut slow, mut fast) = start_pair(build, until);
             slow.ocp.arm_watchdog(budget);

@@ -225,28 +225,6 @@ impl FaultPlan {
         one_in > 0 && self.rng.gen_range_u32(0..one_in) == 0
     }
 
-    /// One chaos step at cycle `now`, run by the farm after workers
-    /// tick: a window of one cycle. `work_pending` gates new allocator
-    /// squats: a squat is only worth taking while there are jobs it
-    /// can starve, and never squatting an idle farm guarantees
-    /// `run_until_idle` terminates.
-    ///
-    /// `scratch` is a reusable injection buffer (cleared here).
-    pub(crate) fn tick(
-        &mut self,
-        now: u64,
-        workers: &mut [Worker],
-        bus: &Bus,
-        alloc: &mut BankAllocator,
-        work_pending: bool,
-        scratch: &mut Vec<Injection>,
-    ) {
-        scratch.clear();
-        self.arm_dice(workers, bus);
-        self.roll_cycle(now, alloc, work_pending, scratch);
-        Self::apply(workers, scratch);
-    }
-
     /// Lists the window's armed dice, in the order every cycle rolls
     /// them: workers by pool index, and for each its crash die, then
     /// its wedge die, then its slow-RAC die. A die with `one_in = 0`

@@ -681,14 +681,18 @@ impl Farm {
             || !self.parked.is_empty()
             || self.workers.iter().any(|w| !w.is_idle());
         if let Some(plan) = self.chaos.as_mut() {
-            plan.tick(
-                now,
-                &mut self.workers,
+            // A one-cycle window, rolled after the workers tick (so no
+            // controller is at a pickup) and landed at once.
+            self.injection_scratch.clear();
+            plan.fast_forward(
+                now..now + 1,
+                &self.workers,
                 &self.bus,
                 &mut self.alloc,
                 work_pending,
                 &mut self.injection_scratch,
             );
+            FaultPlan::apply(&mut self.workers, &self.injection_scratch);
         }
         self.bus.tick();
         self.collect_completions();
@@ -793,10 +797,7 @@ impl Farm {
                 h = Some(h.map_or(e, |cur| cur.min(e)));
             }
         };
-        merge(
-            ouessant_sim::observed_horizon(ouessant_sim::NextEvent::horizon(&self.bus))
-                .map(u64::from),
-        );
+        merge(ouessant_sim::observed_horizon(self.bus.horizon()).map(u64::from));
         for w in &self.workers {
             merge(w.horizon_at(now, &self.config.faults, &self.bus));
         }
@@ -874,7 +875,7 @@ impl Farm {
         for w in &mut self.workers {
             w.advance(leap, &mut self.bus);
         }
-        ouessant_sim::NextEvent::advance(&mut self.bus, ouessant_sim::Cycle::new(leap));
+        self.bus.advance(ouessant_sim::Cycle::new(leap));
         self.ledger.skipped_cycles += leap;
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults

@@ -123,7 +123,7 @@ pub trait Rac {
         ReconfigResponse::Unsupported
     }
 
-    /// Fast-forward horizon (see `ouessant_sim::event::NextEvent`): the
+    /// Fast-forward horizon (see `ouessant_sim::event`): the
     /// earliest future tick, as a 1-based offset from now, at which the
     /// accelerator's observable state can change, given a read-only
     /// view of the socket's FIFOs.

@@ -9,14 +9,18 @@
 //! of two cycles, and bursts that are not split into sub-bursts (AXI4
 //! supports up to 256 beats per burst).
 //!
+//! Only that FSM is AXI's own. The address map (decode, request
+//! validation, debug access) and the accepted-transaction record are
+//! the ones [`crate::bus::Bus`] uses, so the two models differ exactly in
+//! their handshake and arbitration phases.
+//!
 //! Both buses implement [`SystemBus`], so the Ouessant bus interface (in
 //! the `ouessant` crate) runs unmodified on either — reproducing the
 //! paper's portability claim as a compile-time fact.
 
-use std::fmt;
-
 use crate::bus::{
-    Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, TxnKind, TxnRequest,
+    Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, SlaveMap, Txn, TxnKind,
+    TxnRequest,
 };
 use crate::clock::Cycle;
 
@@ -25,11 +29,10 @@ use crate::clock::Cycle;
 ///
 /// The Ouessant bus interface is written against this trait; porting the
 /// OCP to a new interconnect means implementing `SystemBus` (the "bus
-/// master FSM / bus slave FSM" box of the paper's Figure 3) plus its
-/// [`NextEvent`](crate::event::NextEvent) horizon, nothing else. The
-/// horizon lets a master waiting on its burst defer to the bus when
-/// fast-forwarding.
-pub trait SystemBus: crate::event::NextEvent {
+/// master FSM / bus slave FSM" box of the paper's Figure 3), its
+/// fast-forward horizon included, nothing else. The horizon lets a
+/// master waiting on its burst defer to the bus when fast-forwarding.
+pub trait SystemBus {
     /// Registers a master and returns its id.
     fn register_master(&mut self, name: &str) -> MasterId;
 
@@ -77,94 +80,27 @@ pub trait SystemBus: crate::event::NextEvent {
 
     /// Aggregate statistics.
     fn stats(&self) -> BusStats;
-}
 
-impl SystemBus for crate::bus::Bus {
-    fn register_master(&mut self, name: &str) -> MasterId {
-        crate::bus::Bus::register_master(self, name)
-    }
+    /// The earliest future cycle (as a 1-based offset from now) at
+    /// which the bus's observable state can change: a transaction
+    /// completes or a slave faults.
+    ///
+    /// `Some(1)` = "may change on the very next tick" (single-step);
+    /// `Some(k)` = "ticks `1..k` are pure, tick `k` is the event";
+    /// `None` = quiescent (no master is requesting). See the
+    /// [`event`](crate::event) module for the whole contract.
+    fn horizon(&self) -> Option<Cycle>;
 
-    fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn BusSlave>) {
-        crate::bus::Bus::add_slave(self, base, BoxedSlave(device));
-    }
-
-    fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
-        crate::bus::Bus::try_begin(self, master, req)
-    }
-
-    fn tick(&mut self) {
-        crate::bus::Bus::tick(self);
-    }
-
-    fn now(&self) -> Cycle {
-        crate::bus::Bus::now(self)
-    }
-
-    fn poll(&self, master: MasterId) -> PortState {
-        crate::bus::Bus::poll(self, master)
-    }
-
-    fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>> {
-        crate::bus::Bus::take_completion(self, master)
-    }
-
-    fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
-        crate::bus::Bus::peek_completion(self, master)
-    }
-
-    fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        crate::bus::Bus::debug_read(self, addr)
-    }
-
-    fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        crate::bus::Bus::debug_write(self, addr, value)
-    }
-
-    fn stats(&self) -> BusStats {
-        crate::bus::Bus::stats(self)
-    }
-}
-
-/// Adapter letting a `Box<dyn BusSlave>` satisfy `impl BusSlave`.
-struct BoxedSlave(Box<dyn BusSlave>);
-
-impl BusSlave for BoxedSlave {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn size(&self) -> u32 {
-        self.0.size()
-    }
-    fn read_word(&mut self, offset: u32) -> Result<u32, crate::bus::SlaveFault> {
-        self.0.read_word(offset)
-    }
-    fn write_word(&mut self, offset: u32, value: u32) -> Result<(), crate::bus::SlaveFault> {
-        self.0.write_word(offset, value)
-    }
-    fn read_words(
-        &mut self,
-        offset: u32,
-        count: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<(), crate::bus::SlaveFault> {
-        self.0.read_words(offset, count, out)
-    }
-    fn write_words(
-        &mut self,
-        offset: u32,
-        data: &[u32],
-    ) -> Result<(), (usize, crate::bus::SlaveFault)> {
-        self.0.write_words(offset, data)
-    }
-    fn first_access_wait_states(&self) -> u32 {
-        self.0.first_access_wait_states()
-    }
-    fn sequential_wait_states(&self) -> u32 {
-        self.0.sequential_wait_states()
-    }
-    fn fault_free(&self) -> bool {
-        self.0.fault_free()
-    }
+    /// Replays `cycles` ticks in bulk.
+    ///
+    /// Callers must guarantee `cycles ≤ horizon()` (a quiescent bus
+    /// accepts any count): nothing observes a bus event on the tick it
+    /// happens, so an owner may leap through it (see
+    /// [`observed_horizon`](crate::event::observed_horizon)), and no
+    /// master calls [`SystemBus::try_begin`] or
+    /// [`SystemBus::take_completion`] in between. Afterwards the bus is
+    /// bit-identical to having been `tick()`ed `cycles` times.
+    fn advance(&mut self, cycles: Cycle);
 }
 
 /// AXI bus parameters.
@@ -183,15 +119,8 @@ impl Default for AxiConfig {
     }
 }
 
-#[derive(Debug)]
-struct Slot {
-    req: TxnRequest,
-    beats_done: u16,
-    read_data: Vec<u32>,
-    issued_at: Cycle,
-    slave_idx: usize,
-}
-
+/// The transaction a channel is moving, and the cycles before its next
+/// beat: address-channel setup first, then the slave's wait states.
 #[derive(Debug)]
 struct ChannelActive {
     master: usize,
@@ -202,25 +131,64 @@ struct ChannelActive {
 /// One direction (read or write) of the AXI interconnect.
 #[derive(Debug, Default)]
 struct Channel {
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<Txn>>,
     active: Option<ChannelActive>,
     beats: u64,
     grants: u64,
 }
 
-struct SlaveEntry {
-    base: Addr,
-    size: u32,
-    device: Box<dyn BusSlave>,
-}
+impl Channel {
+    /// One cycle of this channel: a grant to the lowest queued master
+    /// when idle, else a setup or wait-state cycle, else one beat. A
+    /// finished or faulted transaction frees the channel and posts its
+    /// completion to its master.
+    fn tick(
+        &mut self,
+        now: Cycle,
+        setup: u32,
+        slaves: &mut SlaveMap,
+        completions: &mut [Vec<Result<Completion, BusError>>],
+    ) {
+        let Some(active) = self.active.as_mut() else {
+            if let Some(master) = self.slots.iter().position(Option::is_some) {
+                let txn = self.slots[master].as_ref().expect("present");
+                self.grants += 1;
+                self.active = Some(ChannelActive {
+                    master,
+                    setup_left: setup,
+                    wait_left: slaves.device(txn.slave_idx).first_access_wait_states(),
+                });
+            }
+            return;
+        };
+        if active.setup_left > 0 {
+            active.setup_left -= 1;
+            return;
+        }
+        if active.wait_left > 0 {
+            active.wait_left -= 1;
+            return;
+        }
+        let master = active.master;
+        let txn = self.slots[master].as_mut().expect("active slot");
+        let (_, fault) = txn.move_beats(slaves, 1);
+        self.beats += 1;
+        if let Some(fault) = fault {
+            self.slots[master] = None;
+            self.active = None;
+            completions[master].push(Err(BusError::Fault(fault)));
+        } else if txn.is_done() {
+            let txn = self.slots[master].take().expect("present");
+            self.active = None;
+            completions[master].push(Ok(txn.finish(now)));
+        } else {
+            active.wait_left = slaves.device(txn.slave_idx).sequential_wait_states();
+        }
+    }
 
-impl fmt::Debug for SlaveEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlaveEntry")
-            .field("base", &format_args!("{:#010x}", self.base))
-            .field("size", &self.size)
-            .field("device", &self.device.name())
-            .finish()
+    /// Whether the channel holds or queues any transaction.
+    fn is_busy(&self) -> bool {
+        self.active.is_some() || self.slots.iter().any(Option::is_some)
     }
 }
 
@@ -251,12 +219,11 @@ impl fmt::Debug for SlaveEntry {
 pub struct AxiBus {
     config: AxiConfig,
     now: Cycle,
-    master_names: Vec<String>,
     read: Channel,
     write: Channel,
     completions: Vec<Vec<Result<Completion, BusError>>>,
-    slaves: Vec<SlaveEntry>,
-    stats: BusStats,
+    slaves: SlaveMap,
+    busy_cycles: u64,
 }
 
 impl AxiBus {
@@ -266,129 +233,11 @@ impl AxiBus {
         Self {
             config,
             now: Cycle::ZERO,
-            master_names: Vec::new(),
             read: Channel::default(),
             write: Channel::default(),
             completions: Vec::new(),
-            slaves: Vec::new(),
-            stats: BusStats::default(),
-        }
-    }
-
-    fn decode(&self, addr: Addr) -> Result<usize, BusError> {
-        self.slaves
-            .iter()
-            .position(|s| addr >= s.base && u64::from(addr) < s.base as u64 + s.size as u64)
-            .ok_or(BusError::Unmapped { addr })
-    }
-
-    /// The slave index and offset of a debug access to `addr`, which
-    /// must be word-aligned.
-    fn debug_decode(&self, addr: Addr) -> Result<(usize, u32), BusError> {
-        if !addr.is_multiple_of(4) {
-            return Err(BusError::Unaligned { addr });
-        }
-        let idx = self.decode(addr)?;
-        Ok((idx, addr - self.slaves[idx].base))
-    }
-
-    fn validate(&self, req: &TxnRequest) -> Result<usize, BusError> {
-        if !req.addr().is_multiple_of(4) {
-            return Err(BusError::Unaligned { addr: req.addr() });
-        }
-        if req.beats() == 0 {
-            return Err(BusError::EmptyBurst);
-        }
-        let idx = self.decode(req.addr())?;
-        let s = &self.slaves[idx];
-        if u64::from(req.addr()) + u64::from(req.beats()) * 4 > s.base as u64 + s.size as u64 {
-            return Err(BusError::CrossesSlaveBoundary {
-                addr: req.addr(),
-                beats: req.beats(),
-            });
-        }
-        Ok(idx)
-    }
-
-    fn tick_channel(
-        now: Cycle,
-        kind: TxnKind,
-        channel: &mut Channel,
-        slaves: &mut [SlaveEntry],
-        completions: &mut [Vec<Result<Completion, BusError>>],
-        stats: &mut BusStats,
-    ) {
-        if channel.active.is_none() {
-            if let Some(master) = channel.slots.iter().position(Option::is_some) {
-                channel.grants += 1;
-                stats.grants += 1;
-                channel.active = Some(ChannelActive {
-                    master,
-                    setup_left: 0,       // setup counted below via config at issue
-                    wait_left: u32::MAX, // sentinel: initialize on first processing tick
-                });
-                let slot = channel.slots[master].as_ref().expect("present");
-                let first_ws = slaves[slot.slave_idx].device.first_access_wait_states();
-                let active = channel.active.as_mut().expect("just set");
-                active.wait_left = first_ws;
-                // The grant itself costs this cycle; setup follows.
-                return;
-            }
-            return;
-        }
-        let active = channel.active.as_mut().expect("checked");
-        if active.setup_left > 0 {
-            active.setup_left -= 1;
-            return;
-        }
-        if active.wait_left > 0 {
-            active.wait_left -= 1;
-            return;
-        }
-        // Complete one beat.
-        let master = active.master;
-        let slot = channel.slots[master].as_mut().expect("active slot");
-        let beat_addr = slot.req.addr() + u32::from(slot.beats_done) * 4;
-        let entry = &mut slaves[slot.slave_idx];
-        let offset = beat_addr - entry.base;
-        let fault = match kind {
-            TxnKind::Read => match entry.device.read_word(offset) {
-                Ok(v) => {
-                    slot.read_data.push(v);
-                    None
-                }
-                Err(e) => Some(e),
-            },
-            TxnKind::Write => {
-                let value = slot.req.write_data()[slot.beats_done as usize];
-                entry.device.write_word(offset, value).err()
-            }
-        };
-        channel.beats += 1;
-        stats.beats += 1;
-        slot.beats_done += 1;
-
-        if let Some(fault) = fault {
-            channel.slots[master] = None;
-            channel.active = None;
-            completions[master].push(Err(BusError::Fault(fault)));
-            return;
-        }
-        if slot.beats_done == slot.req.beats() {
-            let slot = channel.slots[master].take().expect("present");
-            channel.active = None;
-            completions[master].push(Ok(Completion {
-                kind,
-                addr: slot.req.addr(),
-                data: slot.read_data,
-                issued_at: slot.issued_at,
-                completed_at: now,
-                cycles: now.count() - slot.issued_at.count(),
-            }));
-        } else {
-            active.wait_left = slaves[channel.slots[master].as_ref().expect("present").slave_idx]
-                .device
-                .sequential_wait_states();
+            slaves: SlaveMap::default(),
+            busy_cycles: 0,
         }
     }
 
@@ -399,68 +248,22 @@ impl AxiBus {
     }
 }
 
-impl crate::event::NextEvent for AxiBus {
-    /// `Some(1)` while either channel is active or any master has a
-    /// transaction queued on either channel; `None` when both channels
-    /// are drained — idle ticks only advance `now` and the cycle
-    /// counter (pending completions are inert until a master collects
-    /// them).
-    fn horizon(&self) -> Option<Cycle> {
-        let busy = self.read.active.is_some()
-            || self.write.active.is_some()
-            || self.read.slots.iter().any(Option::is_some)
-            || self.write.slots.iter().any(Option::is_some);
-        if busy {
-            Some(Cycle::new(1))
-        } else {
-            None
-        }
-    }
-
-    /// Idle ticks in O(1). A busy bus is advanced through at most its
-    /// event tick (its owner leaps to
-    /// [`observed_horizon`](crate::event::observed_horizon)), which
-    /// replays as a real tick.
-    fn advance(&mut self, cycles: Cycle) {
-        if self.horizon().is_some() {
-            for _ in 0..cycles.count() {
-                SystemBus::tick(self);
-            }
-        } else {
-            self.now += cycles;
-            self.stats.cycles += cycles.count();
-        }
-    }
-}
-
 impl SystemBus for AxiBus {
-    fn register_master(&mut self, name: &str) -> MasterId {
-        self.master_names.push(name.to_string());
+    /// The name is not kept: the AXI model records no trace.
+    fn register_master(&mut self, _name: &str) -> MasterId {
         self.read.slots.push(None);
         self.write.slots.push(None);
         self.completions.push(Vec::new());
-        MasterId::from_index(self.master_names.len() - 1)
+        MasterId::from_index(self.completions.len() - 1)
     }
 
     fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn BusSlave>) {
-        assert_eq!(base % 4, 0, "slave base must be word-aligned");
-        let size = device.size();
-        assert!(size > 0, "slave window must be non-empty");
-        let end = base as u64 + size as u64;
-        for s in &self.slaves {
-            let s_end = s.base as u64 + s.size as u64;
-            assert!(
-                end <= s.base as u64 || s_end <= base as u64,
-                "slave window overlaps {}",
-                s.device.name()
-            );
-        }
-        self.slaves.push(SlaveEntry { base, size, device });
+        self.slaves.add(base, device);
     }
 
     fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
         let m = master.index();
-        if m >= self.master_names.len() {
+        if m >= self.completions.len() {
             return Err(BusError::UnknownMaster);
         }
         let channel = match req.kind() {
@@ -470,65 +273,19 @@ impl SystemBus for AxiBus {
         if channel.slots[m].is_some() {
             return Err(BusError::Busy);
         }
-        let slave_idx = self.validate(&req)?;
-        let channel = match req.kind() {
-            TxnKind::Read => &mut self.read,
-            TxnKind::Write => &mut self.write,
-        };
-        channel.slots[m] = Some(Slot {
-            read_data: Vec::with_capacity(if req.kind() == TxnKind::Read {
-                req.beats() as usize
-            } else {
-                0
-            }),
-            req,
-            beats_done: 0,
-            issued_at: self.now,
-            slave_idx,
-        });
-        // Channel setup cost is charged on grant.
-        if let Some(active) = channel.active.as_mut() {
-            let _ = active; // another master owns the channel; nothing to do
-        }
+        let slave_idx = self.slaves.validate(&req)?;
+        channel.slots[m] = Some(Txn::new(req, slave_idx, self.now));
         Ok(())
     }
 
     fn tick(&mut self) {
         self.now = self.now.next();
-        self.stats.cycles += 1;
-        // Charge the channel-setup cycles by injecting them at grant
-        // time: a freshly granted active entry gets setup_left set here.
         let setup = self.config.channel_setup_cycles;
-        let pre_read_active = self.read.active.is_none();
-        let pre_write_active = self.write.active.is_none();
-        Self::tick_channel(
-            self.now,
-            TxnKind::Read,
-            &mut self.read,
-            &mut self.slaves,
-            &mut self.completions,
-            &mut self.stats,
-        );
-        Self::tick_channel(
-            self.now,
-            TxnKind::Write,
-            &mut self.write,
-            &mut self.slaves,
-            &mut self.completions,
-            &mut self.stats,
-        );
-        if pre_read_active {
-            if let Some(a) = self.read.active.as_mut() {
-                a.setup_left = setup;
-            }
-        }
-        if pre_write_active {
-            if let Some(a) = self.write.active.as_mut() {
-                a.setup_left = setup;
-            }
+        for channel in [&mut self.read, &mut self.write] {
+            channel.tick(self.now, setup, &mut self.slaves, &mut self.completions);
         }
         if self.read.active.is_some() || self.write.active.is_some() {
-            self.stats.busy_cycles += 1;
+            self.busy_cycles += 1;
         }
     }
 
@@ -561,23 +318,43 @@ impl SystemBus for AxiBus {
     }
 
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        let (idx, offset) = self.debug_decode(addr)?;
-        self.slaves[idx]
-            .device
-            .read_word(offset)
-            .map_err(BusError::Fault)
+        self.slaves.debug_read(addr)
     }
 
     fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        let (idx, offset) = self.debug_decode(addr)?;
-        self.slaves[idx]
-            .device
-            .write_word(offset, value)
-            .map_err(BusError::Fault)
+        self.slaves.debug_write(addr, value)
     }
 
     fn stats(&self) -> BusStats {
-        self.stats
+        BusStats {
+            cycles: self.now.count(),
+            busy_cycles: self.busy_cycles,
+            grants: self.read.grants + self.write.grants,
+            beats: self.read.beats + self.write.beats,
+            contention_cycles: 0,
+        }
+    }
+
+    /// `Some(1)` while either channel is active or any master has a
+    /// transaction queued on either channel; `None` when both channels
+    /// are drained — idle ticks only advance `now` (pending completions
+    /// are inert until a master collects them).
+    fn horizon(&self) -> Option<Cycle> {
+        (self.read.is_busy() || self.write.is_busy()).then_some(Cycle::new(1))
+    }
+
+    /// Idle ticks in O(1). A busy bus is advanced through at most its
+    /// event tick (its owner leaps to
+    /// [`observed_horizon`](crate::event::observed_horizon)), which
+    /// replays as a real tick.
+    fn advance(&mut self, cycles: Cycle) {
+        if self.horizon().is_some() {
+            for _ in 0..cycles.count() {
+                self.tick();
+            }
+        } else {
+            self.now += cycles;
+        }
     }
 }
 
@@ -669,21 +446,40 @@ mod tests {
         );
     }
 
+    /// Every `try_begin` rejection the two buses share, driven through
+    /// the same trait object on each. (`Busy` differs by design: AXI
+    /// accepts a read and a write at once.)
     #[test]
     fn validation_mirrors_ahb() {
-        let (mut bus, m) = axi_with_sram();
-        assert_eq!(
-            bus.try_begin(m, TxnRequest::read_word(2)),
-            Err(BusError::Unaligned { addr: 2 })
-        );
-        assert_eq!(
-            bus.try_begin(m, TxnRequest::read(0, 0)),
-            Err(BusError::EmptyBurst)
-        );
-        assert_eq!(
-            bus.try_begin(m, TxnRequest::read_word(0x9000_0000)),
-            Err(BusError::Unmapped { addr: 0x9000_0000 })
-        );
+        fn rejections(bus: &mut dyn SystemBus) {
+            let m = bus.register_master("m");
+            bus.add_slave_boxed(0, Box::new(Sram::with_words(1024, SramConfig::no_wait())));
+            let crossing = |addr, beats| BusError::CrossesSlaveBoundary { addr, beats };
+            for (req, err) in [
+                (TxnRequest::read_word(2), BusError::Unaligned { addr: 2 }),
+                (
+                    TxnRequest::write_word(0x13, 1),
+                    BusError::Unaligned { addr: 0x13 },
+                ),
+                (TxnRequest::read(0, 0), BusError::EmptyBurst),
+                (TxnRequest::write(0x10, Vec::new()), BusError::EmptyBurst),
+                (
+                    TxnRequest::read_word(0x9000_0000),
+                    BusError::Unmapped { addr: 0x9000_0000 },
+                ),
+                (TxnRequest::read(0xFFC, 2), crossing(0xFFC, 2)),
+                (TxnRequest::write(0xFF8, vec![0; 3]), crossing(0xFF8, 3)),
+            ] {
+                assert_eq!(bus.try_begin(m, req.clone()), Err(err), "{req:?}");
+                assert_eq!(bus.poll(m), PortState::Idle, "{req:?} queued nothing");
+            }
+            assert_eq!(
+                bus.try_begin(MasterId::from_index(1), TxnRequest::read_word(0)),
+                Err(BusError::UnknownMaster)
+            );
+        }
+        rejections(&mut crate::bus::Bus::new(crate::bus::BusConfig::default()));
+        rejections(&mut AxiBus::new(AxiConfig::default()));
     }
 
     #[test]

@@ -20,15 +20,20 @@
 //! [`Bus::tick`] advances one clock cycle, [`Bus::poll`] samples the
 //! port, and [`Bus::take_completion`] retires the finished transaction.
 //!
-//! For fast-forward the bus is a [`NextEvent`](crate::event::NextEvent):
-//! its horizon is the next transaction completion, and `advance` leaps
-//! to it (or through it, since no master sees it before the next tick)
-//! through every grant, address phase, wait state, beat and
-//! re-arbitration on the way.
+//! For fast-forward, [`Bus::horizon`] is the next transaction
+//! completion, and [`Bus::advance`] leaps to it (or through it, since
+//! no master sees it before the next tick) through every grant, address
+//! phase, wait state, beat and re-arbitration on the way.
+//!
+//! The address map (`SlaveMap`: decode, request validation, debug
+//! access) and the accepted-transaction record (`Txn`) are shared with
+//! the AXI-like [`crate::axi::AxiBus`]; each bus keeps only its own
+//! timing FSM.
 
 use std::error::Error;
 use std::fmt;
 
+use crate::axi::SystemBus;
 use crate::clock::Cycle;
 use crate::trace::Trace;
 
@@ -304,7 +309,8 @@ pub enum BusError {
         /// Offending address.
         addr: Addr,
     },
-    /// The burst would cross out of its slave's window.
+    /// The burst would cross out of its slave's window (or a debug
+    /// range would run past the top of the address space).
     CrossesSlaveBoundary {
         /// Start address.
         addr: Addr,
@@ -408,21 +414,54 @@ pub struct MasterStats {
     pub contention_cycles: u64,
 }
 
+/// An accepted transaction, as both bus models hold it from
+/// `try_begin` to its completion: the request, its progress and the
+/// slave [`SlaveMap::validate`] found for it.
 #[derive(Debug)]
-struct OutstandingTxn {
+pub(crate) struct Txn {
     req: TxnRequest,
     beats_done: u16,
     read_data: Vec<u32>,
     issued_at: Cycle,
-    slave_idx: usize,
+    pub(crate) slave_idx: usize,
 }
 
-impl OutstandingTxn {
-    /// Moves the next `count` data beats through `slave` (the
-    /// transaction's own) in one slave call, returning the beats moved
-    /// and the slave's fault, if any. A faulting beat counts as moved
-    /// and ends the run: the beats after it are not attempted.
-    fn move_beats(&mut self, slave: &mut SlaveEntry, count: u16) -> (u16, Option<SlaveFault>) {
+impl Txn {
+    /// Accepts `req` at cycle `now`, bound for slave `slave_idx`.
+    pub(crate) fn new(req: TxnRequest, slave_idx: usize, now: Cycle) -> Self {
+        let capacity = match req.kind {
+            TxnKind::Read => usize::from(req.beats),
+            TxnKind::Write => 0,
+        };
+        Self {
+            req,
+            beats_done: 0,
+            read_data: Vec::with_capacity(capacity),
+            issued_at: now,
+            slave_idx,
+        }
+    }
+
+    /// Beats not yet moved.
+    pub(crate) fn remaining(&self) -> u16 {
+        self.req.beats - self.beats_done
+    }
+
+    /// Whether every beat has moved.
+    pub(crate) fn is_done(&self) -> bool {
+        self.beats_done == self.req.beats
+    }
+
+    /// Moves the next `count` data beats through the transaction's
+    /// slave in one slave call, returning the beats moved and the
+    /// slave's fault, if any. A faulting beat counts as moved and ends
+    /// the run: the beats after it are not attempted.
+    pub(crate) fn move_beats(
+        &mut self,
+        slaves: &mut SlaveMap,
+        count: u16,
+    ) -> (u16, Option<SlaveFault>) {
+        let slave = &mut slaves.slaves[self.slave_idx];
         let offset = self.req.addr + u32::from(self.beats_done) * 4 - slave.base;
         let (moved, fault) = match self.req.kind {
             TxnKind::Read => {
@@ -447,12 +486,24 @@ impl OutstandingTxn {
         self.beats_done += moved;
         (moved, fault)
     }
+
+    /// The completion of a transaction whose last beat moved at `now`.
+    pub(crate) fn finish(self, now: Cycle) -> Completion {
+        Completion {
+            kind: self.req.kind,
+            addr: self.req.addr,
+            data: self.read_data,
+            issued_at: self.issued_at,
+            completed_at: now,
+            cycles: now.count() - self.issued_at.count(),
+        }
+    }
 }
 
 #[derive(Debug)]
 struct MasterPort {
     name: String,
-    outstanding: Option<OutstandingTxn>,
+    outstanding: Option<Txn>,
     completion: Option<Result<Completion, BusError>>,
     stats: MasterStats,
 }
@@ -504,6 +555,158 @@ impl fmt::Debug for SlaveEntry {
     }
 }
 
+impl SlaveEntry {
+    /// One past the last byte of the window.
+    fn end(&self) -> u64 {
+        u64::from(self.base) + u64::from(self.size)
+    }
+}
+
+/// The address map both bus models share: the mapped slaves and every
+/// rule that depends only on where they sit — integration asserts,
+/// address decode, request validation and un-timed debug access. A bus
+/// adds only its timing FSM on top.
+#[derive(Debug, Default)]
+pub(crate) struct SlaveMap {
+    slaves: Vec<SlaveEntry>,
+}
+
+impl SlaveMap {
+    /// Maps `device` at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not word-aligned, the window is empty or it
+    /// overlaps an existing slave — all static SoC integration errors.
+    pub(crate) fn add(&mut self, base: Addr, device: Box<dyn BusSlave>) {
+        assert_eq!(base % 4, 0, "slave base must be word-aligned");
+        let size = device.size();
+        assert!(size > 0, "slave window must be non-empty");
+        let end = u64::from(base) + u64::from(size);
+        for s in &self.slaves {
+            assert!(
+                end <= u64::from(s.base) || s.end() <= u64::from(base),
+                "slave window {base:#010x}..{end:#010x} overlaps {}",
+                s.device.name()
+            );
+        }
+        self.slaves.push(SlaveEntry { base, size, device });
+    }
+
+    /// The slave at index `idx`, as [`SlaveMap::validate`] returned it.
+    pub(crate) fn device(&self, idx: usize) -> &dyn BusSlave {
+        self.slaves[idx].device.as_ref()
+    }
+
+    fn decode(&self, addr: Addr) -> Result<usize, BusError> {
+        self.slaves
+            .iter()
+            .position(|s| addr >= s.base && u64::from(addr) < s.end())
+            .ok_or(BusError::Unmapped { addr })
+    }
+
+    /// The slave a transaction request is bound for: the request must
+    /// be word-aligned, move at least one beat, start on a mapped
+    /// address and stay inside that slave's window.
+    pub(crate) fn validate(&self, req: &TxnRequest) -> Result<usize, BusError> {
+        if !req.addr.is_multiple_of(4) {
+            return Err(BusError::Unaligned { addr: req.addr });
+        }
+        if req.beats == 0 {
+            return Err(BusError::EmptyBurst);
+        }
+        let idx = self.decode(req.addr)?;
+        if u64::from(req.addr) + u64::from(req.beats) * 4 > self.slaves[idx].end() {
+            return Err(BusError::CrossesSlaveBoundary {
+                addr: req.addr,
+                beats: req.beats,
+            });
+        }
+        Ok(idx)
+    }
+
+    /// The slave and offset of a debug access to `addr`, which must be
+    /// word-aligned.
+    fn debug_decode(&mut self, addr: Addr) -> Result<(&mut SlaveEntry, u32), BusError> {
+        if !addr.is_multiple_of(4) {
+            return Err(BusError::Unaligned { addr });
+        }
+        let idx = self.decode(addr)?;
+        let s = &mut self.slaves[idx];
+        let offset = addr - s.base;
+        Ok((s, offset))
+    }
+
+    /// The slave, offset and words left in its window of the `done`-th
+    /// word of a debug range starting at `addr`. A range that would
+    /// run past the top of the address space ends there with
+    /// [`BusError::CrossesSlaveBoundary`] (its start, and its length
+    /// saturated to `u16`), as the slave mapped at the top ends it.
+    fn debug_span(
+        &mut self,
+        addr: Addr,
+        done: usize,
+        count: usize,
+    ) -> Result<(&mut SlaveEntry, u32, usize), BusError> {
+        let word = u32::try_from(done)
+            .ok()
+            .and_then(|d| d.checked_mul(4))
+            .and_then(|off| addr.checked_add(off))
+            .ok_or(BusError::CrossesSlaveBoundary {
+                addr,
+                beats: u16::try_from(count).unwrap_or(u16::MAX),
+            })?;
+        let (s, offset) = self.debug_decode(word)?;
+        let fit = (s.size - offset).div_ceil(4) as usize;
+        Ok((s, offset, fit.min(count - done)))
+    }
+
+    /// Un-timed read of one word.
+    pub(crate) fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
+        let (s, offset) = self.debug_decode(addr)?;
+        s.device.read_word(offset).map_err(BusError::Fault)
+    }
+
+    /// Un-timed write of one word.
+    pub(crate) fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
+        let (s, offset) = self.debug_decode(addr)?;
+        s.device.write_word(offset, value).map_err(BusError::Fault)
+    }
+
+    /// Un-timed read of `count` words from `addr`, each slave's share
+    /// in one [`BusSlave::read_words`] call.
+    pub(crate) fn debug_read_words(
+        &mut self,
+        addr: Addr,
+        count: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), BusError> {
+        let mut done = 0;
+        while done < count {
+            let (s, offset, n) = self.debug_span(addr, done, count)?;
+            s.device
+                .read_words(offset, n, out)
+                .map_err(BusError::Fault)?;
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Un-timed write of `data` from `addr`, each slave's share in one
+    /// [`BusSlave::write_words`] call.
+    pub(crate) fn debug_write_words(&mut self, addr: Addr, data: &[u32]) -> Result<(), BusError> {
+        let mut done = 0;
+        while done < data.len() {
+            let (s, offset, n) = self.debug_span(addr, done, data.len())?;
+            s.device
+                .write_words(offset, &data[done..done + n])
+                .map_err(|(_, e)| BusError::Fault(e))?;
+            done += n;
+        }
+        Ok(())
+    }
+}
+
 /// The AHB-like system bus.
 ///
 /// See the [module documentation](self) for the timing model and an
@@ -513,7 +716,7 @@ pub struct Bus {
     config: BusConfig,
     now: Cycle,
     masters: Vec<MasterPort>,
-    slaves: Vec<SlaveEntry>,
+    slaves: SlaveMap,
     active: Option<ActiveGrant>,
     last_grantee: usize,
     stats: BusStats,
@@ -535,7 +738,7 @@ impl Bus {
             config,
             now: Cycle::ZERO,
             masters: Vec::new(),
-            slaves: Vec::new(),
+            slaves: SlaveMap::default(),
             active: None,
             last_grantee: 0,
             stats: BusStats::default(),
@@ -597,28 +800,10 @@ impl Bus {
     ///
     /// # Panics
     ///
-    /// Panics if `base` is not word-aligned or the window overlaps an
-    /// existing slave — both are static SoC integration errors.
+    /// Panics if `base` is not word-aligned, the window is empty or it
+    /// overlaps an existing slave — all static SoC integration errors.
     pub fn add_slave(&mut self, base: Addr, device: impl BusSlave + 'static) {
-        assert_eq!(base % 4, 0, "slave base must be word-aligned");
-        let size = device.size();
-        assert!(size > 0, "slave window must be non-empty");
-        let end = base as u64 + size as u64;
-        for s in &self.slaves {
-            let s_end = s.base as u64 + s.size as u64;
-            assert!(
-                end <= s.base as u64 || s_end <= base as u64,
-                "slave window {:#010x}..{:#010x} overlaps {}",
-                base,
-                end,
-                s.device.name()
-            );
-        }
-        self.slaves.push(SlaveEntry {
-            base,
-            size,
-            device: Box::new(device),
-        });
+        self.slaves.add(base, Box::new(device));
     }
 
     /// Direct, un-timed access to a mapped slave for test setup and
@@ -629,11 +814,7 @@ impl Bus {
     /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
     /// slave's fault.
     pub fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        let (idx, offset) = self.debug_decode(addr)?;
-        self.slaves[idx]
-            .device
-            .read_word(offset)
-            .map_err(BusError::Fault)
+        self.slaves.debug_read(addr)
     }
 
     /// Direct, un-timed write to a mapped slave (test setup only).
@@ -643,11 +824,7 @@ impl Bus {
     /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
     /// slave's fault.
     pub fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        let (idx, offset) = self.debug_decode(addr)?;
-        self.slaves[idx]
-            .device
-            .write_word(offset, value)
-            .map_err(BusError::Fault)
+        self.slaves.debug_write(addr, value)
     }
 
     /// Un-timed read of `count` consecutive words from `addr`, appended
@@ -657,24 +834,16 @@ impl Bus {
     ///
     /// # Errors
     ///
-    /// As [`Bus::debug_read`], for the first word that fails.
+    /// As [`Bus::debug_read`], for the first word that fails, and
+    /// [`BusError::CrossesSlaveBoundary`] for a range that runs past
+    /// the top of the address space (after the words below it).
     pub fn debug_read_words(
         &mut self,
         addr: Addr,
         count: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), BusError> {
-        let mut done = 0;
-        while done < count {
-            let (idx, offset, fit) = self.debug_span(addr, done)?;
-            let n = fit.min(count - done);
-            self.slaves[idx]
-                .device
-                .read_words(offset, n, out)
-                .map_err(BusError::Fault)?;
-            done += n;
-        }
-        Ok(())
+        self.slaves.debug_read_words(addr, count, out)
     }
 
     /// Un-timed write of `data` to consecutive words from `addr`: one
@@ -684,44 +853,11 @@ impl Bus {
     ///
     /// # Errors
     ///
-    /// As [`Bus::debug_write`], for the first word that fails.
+    /// As [`Bus::debug_write`], for the first word that fails, and
+    /// [`BusError::CrossesSlaveBoundary`] for a range that runs past
+    /// the top of the address space (after the words below it).
     pub fn debug_write_words(&mut self, addr: Addr, data: &[u32]) -> Result<(), BusError> {
-        let mut done = 0;
-        while done < data.len() {
-            let (idx, offset, fit) = self.debug_span(addr, done)?;
-            let n = fit.min(data.len() - done);
-            self.slaves[idx]
-                .device
-                .write_words(offset, &data[done..done + n])
-                .map_err(|(_, e)| BusError::Fault(e))?;
-            done += n;
-        }
-        Ok(())
-    }
-
-    /// The slave index and offset of a debug access to `addr`, which
-    /// must be word-aligned.
-    fn debug_decode(&self, addr: Addr) -> Result<(usize, u32), BusError> {
-        if !addr.is_multiple_of(4) {
-            return Err(BusError::Unaligned { addr });
-        }
-        let idx = self.decode(addr)?;
-        Ok((idx, addr - self.slaves[idx].base))
-    }
-
-    /// The slave, offset and words left in its window of the `done`-th
-    /// word of a debug range starting at `addr`.
-    fn debug_span(&self, addr: Addr, done: usize) -> Result<(usize, u32, usize), BusError> {
-        let (idx, offset) = self.debug_decode(addr + (done as u32) * 4)?;
-        let fit = (self.slaves[idx].size - offset).div_ceil(4) as usize;
-        Ok((idx, offset, fit))
-    }
-
-    fn decode(&self, addr: Addr) -> Result<usize, BusError> {
-        self.slaves
-            .iter()
-            .position(|s| addr >= s.base && u64::from(addr) < s.base as u64 + s.size as u64)
-            .ok_or(BusError::Unmapped { addr })
+        self.slaves.debug_write_words(addr, data)
     }
 
     /// Raises a bus request for `master`.
@@ -737,21 +873,7 @@ impl Bus {
         if port.outstanding.is_some() || port.completion.is_some() {
             return Err(BusError::Busy);
         }
-        if !req.addr.is_multiple_of(4) {
-            return Err(BusError::Unaligned { addr: req.addr });
-        }
-        if req.beats == 0 {
-            return Err(BusError::EmptyBurst);
-        }
-        let slave_idx = self.decode(req.addr)?;
-        let slave = &self.slaves[slave_idx];
-        let end = u64::from(req.addr) + u64::from(req.beats) * 4;
-        if end > slave.base as u64 + slave.size as u64 {
-            return Err(BusError::CrossesSlaveBoundary {
-                addr: req.addr,
-                beats: req.beats,
-            });
-        }
+        let slave_idx = self.slaves.validate(&req)?;
         if self.trace.is_enabled() {
             self.trace.record(
                 self.now,
@@ -762,17 +884,7 @@ impl Bus {
                 ),
             );
         }
-        self.masters[master.0].outstanding = Some(OutstandingTxn {
-            read_data: Vec::with_capacity(if req.kind == TxnKind::Read {
-                req.beats as usize
-            } else {
-                0
-            }),
-            req,
-            beats_done: 0,
-            issued_at: self.now,
-            slave_idx,
-        });
+        self.masters[master.0].outstanding = Some(Txn::new(req, slave_idx, self.now));
         Ok(())
     }
 
@@ -864,7 +976,6 @@ impl Bus {
                     None => {
                         // Nobody requests, and nobody can before `n` ends.
                         self.now += Cycle::new(n);
-                        self.stats.cycles += n;
                         return;
                     }
                 },
@@ -916,8 +1027,8 @@ impl Bus {
         self.active = Some(ActiveGrant {
             master: owner,
             phase: Phase::Beat {
-                wait_left: self.slaves[txn.slave_idx].device.first_access_wait_states(),
-                sub_beats_left: self.sub_burst_beats(txn.req.beats - txn.beats_done),
+                wait_left: self.slaves.device(txn.slave_idx).first_access_wait_states(),
+                sub_beats_left: self.sub_burst_beats(txn.remaining()),
             },
         });
         self.elapse_busy(1);
@@ -928,7 +1039,6 @@ impl Bus {
     /// Moves `now` and the cycle counters over `cycles` owned cycles.
     fn elapse_busy(&mut self, cycles: u64) {
         self.now += Cycle::new(cycles);
-        self.stats.cycles += cycles;
         self.stats.busy_cycles += cycles;
     }
 
@@ -944,11 +1054,10 @@ impl Bus {
             .outstanding
             .as_mut()
             .expect("granted master has an outstanding txn");
-        let slave = &mut self.slaves[txn.slave_idx];
-        let seq_wait = slave.device.sequential_wait_states();
+        let seq_wait = self.slaves.device(txn.slave_idx).sequential_wait_states();
         let fit = beats_within(wait_left, seq_wait, n).min(u64::from(sub_beats_left)) as u16;
         let (beats, fault) = if fit > 0 {
-            txn.move_beats(slave, fit)
+            txn.move_beats(&mut self.slaves, fit)
         } else {
             (0, None)
         };
@@ -986,23 +1095,17 @@ impl Bus {
             }
             port.outstanding = None;
             port.completion = Some(Err(BusError::Fault(fault)));
-        } else if txn.beats_done == txn.req.beats {
+        } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
-            let completion = Completion {
-                kind: txn.req.kind,
-                addr: txn.req.addr,
-                data: txn.read_data,
-                issued_at: txn.issued_at,
-                completed_at: self.now,
-                cycles: self.now.count() - txn.issued_at.count(),
-            };
+            let beats = txn.req.beats;
+            let completion = txn.finish(self.now);
             if self.trace.is_enabled() {
                 self.trace.record(
                     self.now,
                     "bus",
                     format!(
                         "{} completes {} ({} beats, {} cy)",
-                        port.name, txn.req.kind, txn.req.beats, completion.cycles
+                        port.name, completion.kind, beats, completion.cycles
                     ),
                 );
             }
@@ -1057,7 +1160,10 @@ impl Bus {
     /// Aggregate statistics.
     #[must_use]
     pub fn stats(&self) -> BusStats {
-        self.stats
+        BusStats {
+            cycles: self.now.count(),
+            ..self.stats
+        }
     }
 }
 
@@ -1099,25 +1205,23 @@ impl Bus {
         };
         granted.filter_map(move |i| {
             let txn = self.masters[i].outstanding.as_ref()?;
-            let slave = &self.slaves[txn.slave_idx].device;
+            let slave = self.slaves.device(txn.slave_idx);
             let in_flight = if i == self.last_grantee { in_flight } else { 0 };
             Some(Requester {
                 pos: (i + n - self.last_grantee - 1) % n,
-                left: u64::from(txn.req.beats - txn.beats_done - in_flight),
+                left: u64::from(txn.remaining() - in_flight),
                 first_wait: slave.first_access_wait_states(),
                 seq_wait: slave.sequential_wait_states(),
                 fault_free: slave.fault_free(),
             })
         })
     }
-}
 
-impl crate::event::NextEvent for Bus {
-    /// The tick of the next transaction completion, or of the next beat
-    /// on a slave that is not [`BusSlave::fault_free`] if that comes
-    /// first, so a fault lands on its exact cycle. `None` when no master
-    /// is requesting: idle ticks only advance `now` and the cycle
-    /// counter.
+    /// The fast-forward horizon (see [`SystemBus::horizon`] for the
+    /// contract): the tick of the next transaction completion, or of
+    /// the next beat on a slave that is not [`BusSlave::fault_free`] if
+    /// that comes first, so a fault lands on its exact cycle. `None`
+    /// when no master is requesting: idle ticks only advance `now`.
     ///
     /// Until then the requesting set cannot change: a master begins or
     /// retires a transaction only in its own tick, which its own horizon
@@ -1126,7 +1230,8 @@ impl crate::event::NextEvent for Bus {
     /// rotation of grants, each sub-burst taking a grant cycle,
     /// an address cycle and `beat_offset` data cycles. O(masters), no
     /// allocation.
-    fn horizon(&self) -> Option<Cycle> {
+    #[must_use]
+    pub fn horizon(&self) -> Option<Cycle> {
         let max = u64::from(self.config.max_burst_beats);
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;
@@ -1136,8 +1241,8 @@ impl crate::event::NextEvent for Bus {
                 .outstanding
                 .as_ref()
                 .expect("granted master has an outstanding txn");
-            let slave = &self.slaves[txn.slave_idx].device;
-            let remaining = txn.req.beats - txn.beats_done;
+            let slave = self.slaves.device(txn.slave_idx);
+            let remaining = txn.remaining();
             let (wait, beats) = match phase {
                 Phase::Granted => {
                     cycles = 1;
@@ -1197,11 +1302,66 @@ impl crate::event::NextEvent for Bus {
         Some(Cycle::new(cycles))
     }
 
-    /// Replays `cycles` ticks: grants, address phases, wait states,
-    /// beats and sub-burst releases, with every statistic, contention
-    /// charge and trace entry on the cycle `tick` would put it.
-    fn advance(&mut self, cycles: Cycle) {
+    /// Replays `cycles` ticks (see [`SystemBus::advance`]): grants,
+    /// address phases, wait states, beats and sub-burst releases, with
+    /// every statistic, contention charge and trace entry on the cycle
+    /// `tick` would put it.
+    pub fn advance(&mut self, cycles: Cycle) {
         self.run(cycles.count());
+    }
+}
+
+impl SystemBus for Bus {
+    fn register_master(&mut self, name: &str) -> MasterId {
+        Bus::register_master(self, name)
+    }
+
+    fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn BusSlave>) {
+        self.slaves.add(base, device);
+    }
+
+    fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
+        Bus::try_begin(self, master, req)
+    }
+
+    fn tick(&mut self) {
+        Bus::tick(self);
+    }
+
+    fn now(&self) -> Cycle {
+        Bus::now(self)
+    }
+
+    fn poll(&self, master: MasterId) -> PortState {
+        Bus::poll(self, master)
+    }
+
+    fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>> {
+        Bus::take_completion(self, master)
+    }
+
+    fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
+        Bus::peek_completion(self, master)
+    }
+
+    fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
+        Bus::debug_read(self, addr)
+    }
+
+    fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
+        Bus::debug_write(self, addr, value)
+    }
+
+    fn stats(&self) -> BusStats {
+        Bus::stats(self)
+    }
+
+    fn horizon(&self) -> Option<Cycle> {
+        Bus::horizon(self)
+    }
+
+    fn advance(&mut self, cycles: Cycle) {
+        Bus::advance(self, cycles);
     }
 }
 
@@ -1431,12 +1591,20 @@ mod tests {
 
     #[test]
     fn overlapping_slaves_panic() {
-        let mut bus = Bus::new(BusConfig::default());
-        bus.add_slave(0, Sram::with_words(256, SramConfig::no_wait()));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            bus.add_slave(0x100, Sram::with_words(256, SramConfig::no_wait()));
-        }));
-        assert!(result.is_err());
+        let buses: [Box<dyn SystemBus>; 2] = [
+            Box::new(Bus::new(BusConfig::default())),
+            Box::new(crate::axi::AxiBus::new(crate::axi::AxiConfig::default())),
+        ];
+        for mut bus in buses {
+            bus.add_slave_boxed(0, Box::new(Sram::with_words(256, SramConfig::no_wait())));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bus.add_slave_boxed(
+                    0x100,
+                    Box::new(Sram::with_words(256, SramConfig::no_wait())),
+                );
+            }));
+            assert!(result.is_err());
+        }
     }
 
     #[test]
@@ -1495,7 +1663,6 @@ mod tests {
 
     #[test]
     fn horizon_reaches_the_transaction_completion() {
-        use crate::event::NextEvent;
         let mut bus = Bus::new(BusConfig::default());
         let m = bus.register_master("cpu");
         bus.add_slave(
@@ -1525,7 +1692,6 @@ mod tests {
 
     #[test]
     fn horizon_spans_re_arbitrations_to_the_first_completion() {
-        use crate::event::NextEvent;
         // Sub-bursts of 4 beats, 2 first and 1 sequential wait states:
         // a full sub-burst is grant + address + 2 waits + 4 beats + 3
         // waits = 11 cycles. `a` needs 4 + 4 + 2 beats, `b` 4 + 1.
@@ -1730,6 +1896,35 @@ mod tests {
         assert_eq!(bus.debug_read_words(0x13, 1, &mut out), Err(unaligned));
         assert!(out.is_empty());
         assert_eq!(bus.debug_read(0x10), Ok(0x10), "the word below is intact");
+    }
+
+    /// SRAM at the bottom and at the top of the address space: a debug
+    /// range that runs past the top stops there, after the words below
+    /// it, instead of wrapping round to address 0.
+    #[test]
+    fn debug_ranges_stop_at_the_top_of_the_address_space() {
+        let mut bus = Bus::new(BusConfig::default());
+        bus.add_slave(0, Sram::with_words(64, SramConfig::no_wait()));
+        bus.add_slave(0xFFFF_FF00, Sram::with_words(64, SramConfig::no_wait()));
+        bus.debug_write(0, 0xDEAD).unwrap();
+        bus.debug_write(0xFFFF_FFFC, 0xBEEF).unwrap();
+        let past_top = BusError::CrossesSlaveBoundary {
+            addr: 0xFFFF_FFFC,
+            beats: 2,
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            bus.debug_read_words(0xFFFF_FFFC, 2, &mut out),
+            Err(past_top.clone())
+        );
+        assert_eq!(out, [0xBEEF], "the word below the top is read");
+        assert_eq!(bus.debug_write_words(0xFFFF_FFFC, &[1, 2]), Err(past_top));
+        assert_eq!(
+            bus.debug_read(0xFFFF_FFFC),
+            Ok(1),
+            "the top word is written"
+        );
+        assert_eq!(bus.debug_read(0), Ok(0xDEAD), "word 0 is intact");
     }
 
     #[test]

@@ -11,20 +11,23 @@
 //! it — the same lever fast ISA simulators pull to beat naive
 //! interpreters, applied to a SoC.
 //!
-//! [`NextEvent`] is the bus contract: `Bus` and `AxiBus` implement it,
-//! and `SystemBus` has it as a supertrait so an OCP can ask whatever
-//! bus it sits on. The OCP layers state the same contract through
-//! their own `horizon`/`advance` methods (the `Rac` trait's, then
-//! inherent ones on `RacSocket`, `Controller` and `Ocp`), because their
-//! horizons depend on the socket and the bus around them. Each layer states a pure window once: a
-//! controller waiting on its RAC defers to the socket's countdown
-//! rather than keeping a second one.
+//! For the bus the contract is part of
+//! [`SystemBus`](crate::axi::SystemBus): its
+//! [`horizon`](crate::axi::SystemBus::horizon) and
+//! [`advance`](crate::axi::SystemBus::advance), which `Bus` and
+//! `AxiBus` implement, so an OCP can ask whatever bus it sits on. The
+//! OCP layers state the same contract through their own
+//! `horizon`/`advance` methods (the `Rac` trait's, then inherent ones
+//! on `RacSocket`, `Controller` and `Ocp`), because their horizons
+//! depend on the socket and the bus around them. Each layer states a
+//! pure window once: a controller waiting on its RAC defers to the
+//! socket's countdown rather than keeping a second one.
 //!
 //! # Contract
 //!
 //! For a component whose per-cycle behaviour is `tick()`:
 //!
-//! * [`NextEvent::horizon`] returns the earliest *future* cycle, as an
+//! * `horizon()` returns the earliest *future* cycle, as an
 //!   offset from now, at which the component's observable state can
 //!   change. `Some(k)` (with `k ≥ 1`) means the next `k - 1` ticks are
 //!   **pure**: nothing another component can observe changes before
@@ -36,9 +39,9 @@
 //!   `Some(1)` is always a safe answer for a busy component — it simply
 //!   forces the driver to single-step. `None` means the component is
 //!   quiescent: no number of ticks will ever change its observable
-//!   state (it still tolerates [`NextEvent::advance`], which must
+//!   state (it still tolerates `advance`, which must
 //!   replay idle ticks).
-//! * [`NextEvent::advance`]`(n)` replays `n` ticks exactly, under the
+//! * `advance(n)` replays `n` ticks exactly, under the
 //!   promise that all of them are pure, i.e. `n ≤ horizon() - 1` (or
 //!   the component is quiescent). After `advance(n)` the component must
 //!   be **bit-identical** to the state after `n` real `tick()` calls —
@@ -62,28 +65,6 @@
 
 use crate::clock::Cycle;
 
-/// A component that can report when its next observable event occurs
-/// and bulk-apply the idle cycles before it.
-///
-/// See the [module documentation](self) for the exact contract.
-pub trait NextEvent {
-    /// The earliest future cycle (as a 1-based offset from now) at
-    /// which this component's observable state can change.
-    ///
-    /// `Some(1)` = "may change on the very next tick" (single-step);
-    /// `Some(k)` = "ticks `1..k` are pure, tick `k` is the event";
-    /// `None` = quiescent (no future tick changes observable state).
-    fn horizon(&self) -> Option<Cycle>;
-
-    /// Replays `cycles` pure ticks in bulk.
-    ///
-    /// Callers must guarantee `cycles ≤ horizon() - 1` (quiescent
-    /// components accept any count), or `cycles ≤ horizon()` for a bus
-    /// (see [`observed_horizon`]). Afterwards the component is
-    /// bit-identical to having been `tick()`ed `cycles` times.
-    fn advance(&mut self, cycles: Cycle);
-}
-
 /// Combines two horizons, treating `None` as "never" (+∞).
 ///
 /// The result is the earlier of the two events: the horizon a driver
@@ -99,13 +80,15 @@ pub fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
 
 /// The first tick at which an owner that ticks *before* the bus can
 /// observe the bus event at `bus_event` (the bus's
-/// [`NextEvent::horizon`]): the tick after it.
+/// [`SystemBus::horizon`](crate::axi::SystemBus::horizon)): the tick
+/// after it.
 ///
 /// A master reads its port in its own tick, which runs before the
 /// bus's, so a completion (or a slave fault) the bus records in tick
 /// `c` is first seen in tick `c + 1`. The completion tick is therefore
 /// pure for everyone but the bus, and an owner may leap through it:
-/// the bus replays its own event inside [`NextEvent::advance`]. An
+/// the bus replays its own event inside
+/// [`SystemBus::advance`](crate::axi::SystemBus::advance). An
 /// owner that reads a port *after* the bus ticks (a CPU polling
 /// inside the same cycle) must keep the raw horizon instead.
 #[must_use]

@@ -19,9 +19,10 @@
 //! * [`memory`] — an SRAM model with configurable first-access and
 //!   sequential-beat wait states;
 //! * [`trace`] — optional event tracing shared by all components;
-//! * [`event`] — the [`NextEvent`] fast-forward contract: components
-//!   declare their next observable event so driver loops can leap over
-//!   provably-idle cycles instead of ticking through them.
+//! * [`event`] — the fast-forward contract: components declare their
+//!   next observable event so driver loops can leap over provably-idle
+//!   cycles instead of ticking through them (for a bus, through
+//!   [`SystemBus::horizon`] and [`SystemBus::advance`]).
 //!
 //! Everything is deterministic and single-threaded: hardware concurrency
 //! is modeled by explicit `tick()` calls, one per clock cycle.
@@ -63,7 +64,7 @@ pub mod vcd;
 pub use axi::{AxiBus, AxiConfig, SystemBus};
 pub use bus::{Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest};
 pub use clock::{Cycle, Frequency};
-pub use event::{min_horizon, observed_horizon, NextEvent};
+pub use event::{min_horizon, observed_horizon};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

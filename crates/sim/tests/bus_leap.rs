@@ -3,7 +3,7 @@
 //!
 //! Twin buses replay the same seeded traffic: one is ticked every
 //! cycle, the other leaps `horizon − 1` cycles with
-//! [`NextEvent::advance`] and then ticks. At every completion both must
+//! [`Bus::advance`] and then ticks. At every completion both must
 //! agree on the completion itself (data, `issued_at`, `completed_at`),
 //! the aggregate [`BusStats`] and every master's [`MasterStats`]; at
 //! the end, the memory contents and the [`Trace`] (every request,
@@ -15,7 +15,7 @@ use ouessant_sim::bus::{
     PortState, SlaveFault, TxnRequest,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{Cycle, NextEvent, Trace, TraceEvent, XorShift64};
+use ouessant_sim::{Cycle, Trace, TraceEvent, XorShift64};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;

@@ -14,7 +14,7 @@ use ouessant::ocp::{Ocp, OcpConfig};
 use ouessant_rac::rac::Rac;
 use ouessant_sim::bus::{Addr, Bus, BusConfig, BusError, PortState, TxnRequest};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{MasterId, NextEvent, SystemBus};
+use ouessant_sim::{MasterId, SystemBus};
 
 /// How the CPU learns that the OCP finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,7 +307,7 @@ impl Soc {
                 // The OCP ticks before the bus, so it sees a bus event
                 // only on the next tick; an outstanding CPU poll is read
                 // right after `tick_system`, on the event tick itself.
-                let bus = NextEvent::horizon(&self.bus);
+                let bus = self.bus.horizon();
                 let bus = if poll_outstanding {
                     bus
                 } else {
@@ -328,7 +328,7 @@ impl Soc {
                 if skip > 0 {
                     let leap = ouessant_sim::Cycle::new(skip);
                     self.ocp.advance(leap, &mut self.bus);
-                    NextEvent::advance(&mut self.bus, leap);
+                    self.bus.advance(leap);
                     run_cycles += skip;
                 }
             }

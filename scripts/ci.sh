@@ -33,6 +33,11 @@ bash scripts/verify_fixtures.sh
 echo "==> cargo test (offline, all workspace members; chaos, liveness and lockstep suites included)"
 cargo test -q --offline --workspace
 
+# Debug builds panic on integer overflow where release builds wrap, so
+# the sim crate's address arithmetic is also checked as it ships.
+echo "==> cargo test --release -p ouessant-sim (overflow wraps instead of panicking)"
+cargo test -q --offline --release -p ouessant-sim
+
 # Every line but the `host:` wall-clock ones is simulated, hence pinned.
 echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
 cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 \
