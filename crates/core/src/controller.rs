@@ -23,11 +23,11 @@
 use std::error::Error;
 use std::fmt;
 
-use ouessant_isa::operands::{Bank, BurstLen, FifoId, MAX_PROGRAM_LEN};
+use ouessant_isa::operands::{Bank, BurstLen, FifoId, OffsetReg, MAX_PROGRAM_LEN};
 use ouessant_isa::{DecodeError, Instruction};
 use ouessant_rac::rac::RacSocket;
-use ouessant_sim::bus::{BusError, MasterId};
-use ouessant_sim::{observed_horizon, Cycle, SystemBus};
+use ouessant_sim::bus::{BusError, MasterId, TxnKind, TxnRequest};
+use ouessant_sim::{observed_horizon, BusWindow, Cycle, SystemBus, WindowIssue};
 
 use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
@@ -224,15 +224,86 @@ impl ControllerStats {
     /// It excludes the fetch/decode/issue cycles of the transfer
     /// instructions, any wait for FIFO space or occupancy, and the RAC
     /// compute time. It is therefore not the end-to-end figure behind
-    /// the paper's §V-B "around 1.5 cycles per word": ROADMAP item 5
-    /// records that the Table I definition gives 1.41 cy/word while an
-    /// end-to-end DMA64 offload costs 1.911 cy/word.
+    /// the paper's §V-B "around 1.5 cycles per word": the ROADMAP item
+    /// on per-cycle attribution inside the OCP and bus records that the
+    /// Table I definition gives 1.41 cy/word while an end-to-end DMA64
+    /// offload costs 1.911 cy/word.
     #[must_use]
     pub fn cycles_per_word(&self) -> f64 {
         if self.words_transferred == 0 {
             return 0.0;
         }
         self.transfer_cycles as f64 / self.words_transferred as f64
+    }
+}
+
+/// A transfer instruction's operands, its word offset resolved against
+/// the offset registers.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    to_coprocessor: bool,
+    bank: Bank,
+    word_offset: u32,
+    burst: BurstLen,
+    fifo: FifoId,
+    post_inc: Option<OffsetReg>,
+}
+
+impl Transfer {
+    /// The operands of `insn`, or `None` if it is not a transfer.
+    fn of(insn: Instruction, offset_regs: &[u16; 4]) -> Option<Self> {
+        let reg_offset = |reg: OffsetReg| u32::from(offset_regs[reg.index()]);
+        let (to_coprocessor, bank, word_offset, burst, fifo, post_inc) = match insn {
+            Instruction::Mvtc {
+                bank,
+                offset,
+                burst,
+                fifo,
+            } => (true, bank, u32::from(offset.value()), burst, fifo, None),
+            Instruction::Mvfc {
+                bank,
+                offset,
+                burst,
+                fifo,
+            } => (false, bank, u32::from(offset.value()), burst, fifo, None),
+            Instruction::Mvtcr {
+                bank,
+                reg,
+                burst,
+                fifo,
+            } => (true, bank, reg_offset(reg), burst, fifo, Some(reg)),
+            Instruction::Mvfcr {
+                bank,
+                reg,
+                burst,
+                fifo,
+            } => (false, bank, reg_offset(reg), burst, fifo, Some(reg)),
+            _ => return None,
+        };
+        Some(Self {
+            to_coprocessor,
+            bank,
+            word_offset,
+            burst,
+            fifo,
+            post_inc,
+        })
+    }
+
+    /// Whether the FIFO side is ready: space for the burst in its input
+    /// FIFO, or the burst's words in its output FIFO, once `pushed`
+    /// words have landed in an input FIFO first.
+    fn fifo_ready(&self, socket: &RacSocket, pushed: Option<(FifoId, usize)>) -> bool {
+        let words = usize::from(self.burst.words());
+        let fifo = self.fifo.index();
+        if self.to_coprocessor {
+            let pushed = pushed
+                .filter(|(f, _)| f.index() == fifo)
+                .map_or(0, |(_, n)| n);
+            socket.input_space(fifo).saturating_sub(pushed) >= words
+        } else {
+            socket.output_available(fifo) >= words
+        }
     }
 }
 
@@ -417,28 +488,106 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
+    /// The transfer this controller can issue inside the next
+    /// fast-forward window (see [`BusWindow`]): the `Execute` of
+    /// `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on the window's first tick, or,
+    /// with `chain`, the one the FSM reaches through ticks of its own —
+    /// a transfer pickup or the program load's, then `Fetch` and
+    /// `Decode`. Only an issue the tick would make qualifies: the FIFO
+    /// has the space or the words (after the pickup's read lands), and
+    /// the bank translates; [`BusWindow::plan`] then asks the bus. The
+    /// RAC must be idle, so nothing but the controller touches its FIFOs
+    /// in the window. A write's payload stands in as zeros: it leaves
+    /// the output FIFO only when the issue's tick runs.
+    #[must_use]
+    pub fn window_issue(
+        &self,
+        socket: &RacSocket,
+        bus: &dyn SystemBus,
+        regs: &RegsHandle,
+        chain: bool,
+    ) -> Option<WindowIssue> {
+        let decoded = |pc: u16| self.program.get(usize::from(pc))?.as_ref().ok().copied();
+        let (prefix, insn, pushed) = match &self.state {
+            ControllerState::Execute if !self.wedged => (0, self.current?, None),
+            _ if !chain || self.wedged => return None,
+            ControllerState::Decode => (1, decoded(self.pc)?, None),
+            ControllerState::Fetch => (2, decoded(self.pc)?, None),
+            ControllerState::TransferBusWait => {
+                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
+                    return None;
+                };
+                let pushed = match self.pending_transfer {
+                    Some(PendingTransfer::ToCoprocessor { fifo }) => Some((fifo, c.data.len())),
+                    _ => None,
+                };
+                (3, decoded(self.pc + 1)?, pushed)
+            }
+            ControllerState::LoadProgram => {
+                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
+                    return None;
+                };
+                (3, Instruction::decode(*c.data.first()?).ok()?, None)
+            }
+            _ => return None,
+        };
+        let t = Transfer::of(insn, &self.offset_regs)?;
+        if socket.busy() || !t.fifo_ready(socket, pushed) {
+            return None;
+        }
+        let addr = regs
+            .with(|r| self.xlate.translate(r, t.bank, t.word_offset))
+            .ok()?;
+        let words = t.burst.words();
+        let req = if t.to_coprocessor {
+            TxnRequest::read(addr, words)
+        } else {
+            TxnRequest::write(addr, vec![0; usize::from(words)])
+        };
+        Some(WindowIssue {
+            master: self.master(),
+            prefix,
+            req,
+        })
+    }
+
     /// The fast-forward horizon (see [`ouessant_sim::event`] for the
-    /// contract), given the RAC socket and the bus the controller
-    /// waits on.
+    /// contract), given the RAC socket, the bus the controller waits on
+    /// and the bus side of the window, which its leap loop planned for
+    /// every master at once (see [`BusWindow::plan`]).
     ///
     /// `Idle` reports quiescent *from the controller's own view*: a
     /// pending S bit lives in the register file, so the embedding OCP
     /// checks `start_pending` before trusting `None`.
     ///
-    /// A finished burst in `TransferBusWait` or `LoadProgram` is picked
-    /// up as the window's first tick, and the window carries on through
-    /// `Fetch` and `Decode` to the `Execute` dispatch: `Some(4)` when
-    /// the entry the pickup leads to decodes, `Some(2)` when it does
-    /// not (so `PcOverrun` or `BadInstruction` still faults on its own
-    /// tick). The pickup single-steps when the burst failed, or when a
-    /// read would push its words into a busy socket (the RAC would see
-    /// its FIFOs change inside its own window).
+    /// A burst in flight defers to the window's bus event: the port
+    /// cannot be seen to complete before the tick after it. When the
+    /// window issues this controller's transfer (its
+    /// [`Controller::window_issue`]), the window runs through the issue
+    /// into that burst on the same terms.
+    ///
+    /// Otherwise a finished burst in `TransferBusWait` or `LoadProgram`
+    /// is picked up as the window's first tick, and the window carries
+    /// on through `Fetch` and `Decode` to the `Execute` dispatch:
+    /// `Some(4)` when the entry the pickup leads to decodes, `Some(2)`
+    /// when it does not (so `PcOverrun` or `BadInstruction` still
+    /// faults on its own tick). The pickup single-steps when the burst
+    /// failed, or when a read would push its words into a busy socket
+    /// (the RAC would see its FIFOs change inside its own window).
     #[must_use]
-    pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Cycle> {
+    pub fn horizon(
+        &self,
+        socket: &RacSocket,
+        bus: &dyn SystemBus,
+        window: &BusWindow,
+    ) -> Option<Cycle> {
         if self.wedged {
             // A wedged FSM never changes state on its own; only the
             // watchdog (merged by the embedding OCP) bounds the window.
             return None;
+        }
+        if window.issue_of(self.master()).is_some() {
+            return observed_horizon(window.event());
         }
         match &self.state {
             ControllerState::Idle | ControllerState::Faulted(_) => None,
@@ -446,19 +595,23 @@ impl Controller {
             // Ticks in RacWait only bump `rac_wait_cycles`, and ticks in
             // ReconfigWait do nothing, until the socket deasserts busy —
             // at the end of the Table I compute latency or the bitstream
-            // load — so the socket's own horizon bounds the window. A
-            // quiescent socket (idle RAC) means `end_op` never fires —
-            // the embedding OCP turns that into a single-step safety net
-            // while the controller is active.
+            // load — so the socket's own horizon bounds the window. Once
+            // busy is low (a `wrac` after the RAC finished), the next
+            // tick retires. A busy socket that is quiescent (a RAC
+            // starved of input) never deasserts busy: the watchdog, or
+            // the embedding OCP's single-step safety net, bounds that.
+            ControllerState::RacWait | ControllerState::ReconfigWait if !socket.busy() => {
+                Some(Cycle::new(1))
+            }
             ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
             // While the burst is in flight each tick only charges a
             // transfer or program-load cycle, and the port cannot be
             // seen to complete before the tick after the bus's next
-            // completion.
+            // event.
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {
-                observed_horizon(bus.horizon())
+                observed_horizon(window.event())
             }
             // The pickup, then `Fetch` and `Decode` of the entry it
             // leads to: word 0 of a loaded program, the next instruction
@@ -510,34 +663,97 @@ impl Controller {
             && matches!(self.dma.peek_completion(bus), Some(Ok(_)))
     }
 
-    /// Whether the next tick retires a transfer by picking up its burst
-    /// (a [`Controller::picks_up`] out of `TransferBusWait`): observable
-    /// progress, which pulses the OCP watchdog.
-    #[must_use]
-    pub(crate) fn retires_on_pickup(&self, bus: &dyn SystemBus) -> bool {
-        self.state == ControllerState::TransferBusWait && self.picks_up(bus)
+    /// The ticks of the window `window` on which the controller makes
+    /// observable progress (retires an instruction or moves a word,
+    /// which pulses the OCP watchdog), in order: a transfer pickup on
+    /// the first tick, and the window's issue of an `mvfc`/`mvfcr`,
+    /// whose payload leaves the FIFO then.
+    pub(crate) fn progress_ticks(
+        &self,
+        bus: &dyn SystemBus,
+        window: &BusWindow,
+    ) -> impl Iterator<Item = u64> {
+        let pickup =
+            (self.state == ControllerState::TransferBusWait && self.picks_up(bus)).then_some(1);
+        let write = window
+            .issue_of(self.master())
+            .filter(|i| i.req.kind() == TxnKind::Write)
+            .map(|i| i.prefix + 1);
+        pickup.into_iter().chain(write)
     }
 
     /// Replays `cycles` ticks inside a window bounded by
     /// [`Controller::horizon`]: the per-state counters move exactly as
     /// `cycles` real ticks would have moved them. A pickup runs as the
-    /// window's first tick, through the same code the tick runs, so it
-    /// retires the port's completion before the owner advances the bus.
-    pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus, socket: &mut RacSocket) {
-        let mut n = cycles.count();
+    /// window's first tick and the window's issue on its own tick,
+    /// both through the same code the tick runs: the pickup retires the
+    /// port's completion, and the issue begins its burst on `bus`,
+    /// which its owner has advanced to the issue's cycle.
+    ///
+    /// Returns the last window tick (1-based) with observable progress
+    /// (a retired instruction or a moved word), if any ran.
+    pub fn advance(
+        &mut self,
+        cycles: Cycle,
+        bus: &mut dyn SystemBus,
+        socket: &mut RacSocket,
+        regs: &RegsHandle,
+    ) -> Option<u64> {
+        let n = cycles.count();
         if self.is_active() {
             self.stats.active_cycles += n;
         }
         if self.wedged {
             // Frozen: mirror the wedged `step_fsm` early return — only
             // the active counter moves.
-            return;
+            return None;
         }
+        let mut ran = 0;
+        let mut progress = None;
         if self.picks_up(bus) {
+            if self.state == ControllerState::TransferBusWait {
+                progress = Some(1);
+            }
             let state = std::mem::replace(&mut self.state, ControllerState::Idle);
             self.await_burst(state, bus, socket);
-            n -= 1;
+            ran = 1;
         }
+        // Fetch → Decode → Execute, latching the predecoded entry on the
+        // way into `Execute` as the `Decode` tick does; an `Execute`
+        // inside the window is the window's issue.
+        while ran < n
+            && matches!(
+                self.state,
+                ControllerState::Fetch | ControllerState::Decode | ControllerState::Execute
+            )
+        {
+            ran += 1;
+            match self.state {
+                ControllerState::Fetch => self.state = ControllerState::Decode,
+                ControllerState::Decode => {
+                    self.current = self.program[usize::from(self.pc)].ok();
+                    self.state = ControllerState::Execute;
+                }
+                _ => {
+                    let insn = self.current.expect("decode set current");
+                    debug_assert!(
+                        Transfer::of(insn, &self.offset_regs).is_some(),
+                        "advanced past the dispatch"
+                    );
+                    let words = self.stats.words_transferred;
+                    self.try_issue_transfer(insn, bus, regs, socket);
+                    debug_assert_eq!(
+                        self.state,
+                        ControllerState::TransferBusWait,
+                        "an in-window issue succeeds"
+                    );
+                    if self.stats.words_transferred != words {
+                        progress = Some(ran);
+                    }
+                }
+            }
+        }
+        let rest = n - ran;
         match &mut self.state {
             // Idle / faulted ticks change nothing (a start cannot be
             // pending, or the horizon was 1).
@@ -545,34 +761,21 @@ impl Controller {
             // The slot counts the bitstream load down itself.
             ControllerState::ReconfigWait => {}
             ControllerState::WaitCycles { left } => {
-                debug_assert!(n < u64::from(*left), "advanced past the wait window");
-                *left -= n as u16;
+                debug_assert!(rest < u64::from(*left), "advanced past the wait window");
+                *left -= rest as u16;
             }
             // Waiting on `end_op`: each skipped tick would have charged
             // one RAC-wait cycle.
-            ControllerState::RacWait => self.stats.rac_wait_cycles += n,
+            ControllerState::RacWait => self.stats.rac_wait_cycles += rest,
             // Burst still in flight: likewise one transfer or
             // program-load cycle per skipped tick.
-            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
-            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
-            // Fetch → Decode → Execute, latching the predecoded entry on
-            // the way into `Execute` as the `Decode` tick does.
-            ControllerState::Fetch | ControllerState::Decode => {
-                for _ in 0..n {
-                    debug_assert!(
-                        self.state != ControllerState::Execute,
-                        "advanced past the dispatch"
-                    );
-                    if self.state == ControllerState::Fetch {
-                        self.state = ControllerState::Decode;
-                    } else {
-                        self.current = self.program[usize::from(self.pc)].ok();
-                        self.state = ControllerState::Execute;
-                    }
-                }
-            }
+            ControllerState::TransferBusWait => self.stats.transfer_cycles += rest,
+            ControllerState::LoadProgram => self.stats.program_load_cycles += rest,
+            // The walk above ran to the window's end.
+            ControllerState::Fetch | ControllerState::Decode | ControllerState::Execute => {}
             s => debug_assert!(false, "advance in non-pure state {s:?}"),
         }
+        progress
     }
 
     /// Publishes the FSM state, pc, retired instructions and
@@ -868,61 +1071,14 @@ impl Controller {
         regs: &RegsHandle,
         socket: &mut RacSocket,
     ) {
-        // Resolve direction, bank, offset, burst, fifo.
-        let (to_coprocessor, bank, word_offset, burst, fifo, post_inc_reg) = match insn {
-            Instruction::Mvtc {
-                bank,
-                offset,
-                burst,
-                fifo,
-            } => (true, bank, u32::from(offset.value()), burst, fifo, None),
-            Instruction::Mvfc {
-                bank,
-                offset,
-                burst,
-                fifo,
-            } => (false, bank, u32::from(offset.value()), burst, fifo, None),
-            Instruction::Mvtcr {
-                bank,
-                reg,
-                burst,
-                fifo,
-            } => (
-                true,
-                bank,
-                u32::from(self.offset_regs[reg.index()]),
-                burst,
-                fifo,
-                Some(reg),
-            ),
-            Instruction::Mvfcr {
-                bank,
-                reg,
-                burst,
-                fifo,
-            } => (
-                false,
-                bank,
-                u32::from(self.offset_regs[reg.index()]),
-                burst,
-                fifo,
-                Some(reg),
-            ),
-            _ => unreachable!("only transfer instructions reach try_issue_transfer"),
-        };
-
-        let words = usize::from(burst.words());
-        if to_coprocessor {
-            if socket.input_space(fifo.index()) < words {
-                self.state = ControllerState::TransferFifoWait;
-                return;
-            }
-        } else if socket.output_available(fifo.index()) < words {
+        let t = Transfer::of(insn, &self.offset_regs)
+            .expect("only transfer instructions reach try_issue_transfer");
+        if !t.fifo_ready(socket, None) {
             self.state = ControllerState::TransferFifoWait;
             return;
         }
 
-        let addr = match regs.with(|r| self.xlate.translate(r, bank, word_offset)) {
+        let addr = match regs.with(|r| self.xlate.translate(r, t.bank, t.word_offset)) {
             Ok(a) => a,
             Err(e) => {
                 self.set_fault(e.into());
@@ -930,13 +1086,14 @@ impl Controller {
             }
         };
 
-        let issue_result = if to_coprocessor {
-            self.pending_transfer = Some(PendingTransfer::ToCoprocessor { fifo });
-            self.dma.begin_read(bus, addr, burst.words())
+        let words = usize::from(t.burst.words());
+        let issue_result = if t.to_coprocessor {
+            self.pending_transfer = Some(PendingTransfer::ToCoprocessor { fifo: t.fifo });
+            self.dma.begin_read(bus, addr, t.burst.words())
         } else {
             let mut payload = Vec::with_capacity(words);
             socket
-                .pop_outputs(fifo.index(), words, &mut payload)
+                .pop_outputs(t.fifo.index(), words, &mut payload)
                 .expect("occupancy checked above");
             self.pending_transfer = Some(PendingTransfer::FromCoprocessor);
             self.stats.words_transferred += words as u64;
@@ -947,8 +1104,8 @@ impl Controller {
             self.set_fault(e.into());
             return;
         }
-        if let Some(reg) = post_inc_reg {
-            let v = u32::from(self.offset_regs[reg.index()]) + u32::from(burst.words());
+        if let Some(reg) = t.post_inc {
+            let v = u32::from(self.offset_regs[reg.index()]) + u32::from(t.burst.words());
             self.offset_regs[reg.index()] = (v % (1 << 14)) as u16;
         }
         self.state = ControllerState::TransferBusWait;

@@ -8,7 +8,7 @@
 
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::Addr;
-use ouessant_sim::{Cycle, SystemBus};
+use ouessant_sim::{BusWindow, Cycle, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerStats, ExecError};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
@@ -332,49 +332,74 @@ impl Ocp {
         self.controller.stats()
     }
 
+    /// The transfer this coprocessor can issue inside the next
+    /// fast-forward window (see [`Controller::window_issue`]), for the
+    /// leap loop to plan the window with ([`BusWindow::plan`]).
+    #[must_use]
+    pub fn window_issue(&self, bus: &dyn SystemBus, chain: bool) -> Option<WindowIssue> {
+        self.controller
+            .window_issue(&self.socket, bus, &self.regs, chain)
+    }
+
+    /// The window of a leap loop that owns this coprocessor alone among
+    /// the masters that can issue: [`BusWindow::plan`] over its
+    /// [`Ocp::window_issue`], chains allowed.
+    #[must_use]
+    pub fn window_on(&self, bus: &dyn SystemBus) -> BusWindow {
+        BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain))
+    }
+
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
-    /// [`ouessant_sim::event`] for the contract): the controller's
-    /// horizon, refined with the socket's (so `RacWait` and
-    /// `ReconfigWait` expose the RAC's compute countdown and the
-    /// bitstream load) and the bus's (so a DMA burst in flight
-    /// exposes the tick after the bus's next transaction completion,
-    /// the first the controller can see it on, see
+    /// [`ouessant_sim::event`] for the contract), in the window
+    /// `window` its leap loop planned: the controller's horizon, refined
+    /// with the socket's (so `RacWait` and `ReconfigWait` expose the
+    /// RAC's compute countdown and the bitstream load) and the
+    /// window's bus event (so a DMA burst in flight, or one the window
+    /// issues, exposes the tick after the bus's next event, the first
+    /// the controller can see it on, see
     /// [`ouessant_sim::observed_horizon`]), combined with the socket's
     /// own horizon. Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an unpolled completion
     ///   forces single-stepping (the next tick is an event);
     /// * an *active* controller whose combined horizon is `None` (e.g.
-    ///   `wrac` parked on an idle RAC, or `sync` stuck on a FIFO the
-    ///   RAC will never drain) also single-steps — the OCP never
-    ///   declares a busy worker quiescent, it just stops predicting.
+    ///   `exec` waiting on a RAC starved of input) also single-steps —
+    ///   the OCP never declares a busy worker quiescent, it just stops
+    ///   predicting.
     ///
     /// An armed watchdog over an active controller bounds the window
-    /// by its remaining budget, so the bite always lands on a real
-    /// tick — identical cycle in single-step and fast-forward modes. A
-    /// window that opens with a transfer pickup is bounded by `1 +
-    /// budget` instead: the pickup retires an instruction, so its tick
-    /// pulses the watchdog and the countdown restarts there. A
-    /// *wedged* controller is the one active state exempt from the
-    /// single-step safety net: it provably cannot transition by
-    /// itself, so the watchdog budget (or, unarmed, quiescence) is the
-    /// honest horizon and a hang window can be leapt in one go.
+    /// by the tick it would bite on, so the bite always lands on a real
+    /// tick — identical cycle in single-step and fast-forward modes.
+    /// That is its remaining budget, unless the window holds progress
+    /// (a transfer pickup on its first tick, an `mvfc` issue, which
+    /// retire an instruction or move words): each progress tick reached
+    /// before the bite reloads the countdown, so the bound is the last
+    /// such tick plus the budget. A *wedged* controller is the one
+    /// active state exempt from the single-step safety net: it
+    /// provably cannot transition by itself, so the watchdog budget
+    /// (or, unarmed, quiescence) is the honest horizon and a hang
+    /// window can be leapt in one go.
     #[must_use]
-    pub fn horizon_on(&self, bus: &dyn SystemBus) -> Option<Cycle> {
+    pub fn horizon_on(&self, bus: &dyn SystemBus, window: &BusWindow) -> Option<Cycle> {
         if self.completed || self.regs.start_pending() {
             return Some(Cycle::new(1));
         }
         let mut h = ouessant_sim::min_horizon(
-            self.controller.horizon(&self.socket, bus),
+            self.controller.horizon(&self.socket, bus, window),
             self.socket.horizon(),
         );
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
-                let bite = if self.controller.retires_on_pickup(bus) {
-                    1 + wd.budget
-                } else {
-                    wd.remaining.max(1)
-                };
+                let bite = self.controller.progress_ticks(bus, window).fold(
+                    wd.remaining.max(1),
+                    |due, tick| {
+                        if tick <= due {
+                            tick + wd.budget
+                        } else {
+                            due
+                        }
+                    },
+                );
                 h = ouessant_sim::min_horizon(h, Some(Cycle::new(bite)));
             }
         }
@@ -386,27 +411,33 @@ impl Ocp {
 
     /// Replays `cycles` ticks inside a window bounded by
     /// [`Ocp::horizon_on`]: the socket's countdowns and FIFO streams,
-    /// the controller's pickup, counters and fetch/decode steps, the
-    /// debug register window and the watchdog move exactly as `cycles`
-    /// real ticks would have moved them. Completion needs no replay —
-    /// `eop` is never inside a window. A pickup retires the port's
-    /// completion on `bus`; the owner advances the bus itself,
-    /// afterwards.
+    /// the controller's pickup, counters, fetch/decode steps and the
+    /// window's issue, the debug register window and the watchdog move
+    /// exactly as `cycles` real ticks would have moved them. Completion
+    /// needs no replay — `eop` is never inside a window. A pickup
+    /// retires the port's completion on `bus` and an issue begins a
+    /// burst there; the owner has advanced the bus to the issue's
+    /// cycle ([`BusWindow::bus_prefix`]) and advances it over the rest
+    /// of the window afterwards.
     pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
         // A read pickup only fills the input FIFOs of an idle socket
-        // (the horizon single-steps it otherwise), whose window ignores
-        // them, so the socket may leap first.
+        // (the horizon single-steps it otherwise), and an issue only
+        // reads or drains the FIFOs of an idle one, whose window
+        // ignores them, so the socket may leap first.
         self.socket.advance(cycles);
-        self.controller.advance(cycles, bus, &mut self.socket);
+        let progress = self
+            .controller
+            .advance(cycles, bus, &mut self.socket, &self.regs);
         self.controller.publish_debug(&self.regs);
-        // Watchdog: the only progress a window can hold is a transfer
-        // pickup on its first tick, which reloads the budget as `tick`
-        // would; every other tick decrements. The horizon keeps the
-        // bite itself on a stepped tick.
+        // Watchdog: progress (a transfer pickup, an `mvfc` issue)
+        // reloads the budget as `tick` would, and every tick after the
+        // last one decrements. The horizon keeps the bite itself on a
+        // stepped tick.
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() {
                 let pulsed = wd.pulse(self.controller.stats());
-                let n = cycles.count() - u64::from(pulsed);
+                debug_assert_eq!(pulsed, progress.is_some(), "progress pulses the watchdog");
+                let n = cycles.count() - progress.unwrap_or(0);
                 debug_assert!(n < wd.remaining, "advanced past the watchdog bite");
                 wd.remaining -= n;
             }
@@ -423,6 +454,7 @@ mod tests {
     use ouessant_rac::passthrough::PassthroughRac;
     use ouessant_rac::rac::RacIo;
     use ouessant_sim::axi::{AxiBus, AxiConfig};
+    use ouessant_sim::bus::BusError;
     use ouessant_sim::bus::{Bus, BusConfig};
     use ouessant_sim::fifo::SyncFifo;
     use ouessant_sim::memory::{Sram, SramConfig};
@@ -490,6 +522,13 @@ mod tests {
                 self.ocp.watchdog_remaining(),
                 (socket.input_space(0), socket.output_available(0)),
             )
+        }
+
+        /// Every word of the RAM, read through the bus's debug port.
+        fn memory(&mut self) -> Vec<u32> {
+            (0..16384)
+                .map(|i| self.bus.debug_read(RAM_BASE + i * 4).unwrap())
+                .collect()
         }
 
         fn run(&mut self, max_cycles: u64) -> u64 {
@@ -829,7 +868,7 @@ mod tests {
     }
 
     /// Runs `slow` single-stepped and `fast` leaping every window
-    /// [`Ocp::horizon_on`] (merged with the bus's, through
+    /// [`Ocp::horizon_on`] (merged with the window's bus event, through
     /// [`ouessant_sim::observed_horizon`]) allows and stepping where it
     /// allows none, as `Farm::leap_or_tick` does, comparing
     /// [`Fixture::observed`] after every leap and every tick. Returns
@@ -842,16 +881,19 @@ mod tests {
     ) -> (u64, Option<ExecError>, Vec<Leap>) {
         let (mut cycle, mut leaps) = (0, Vec::new());
         while cycle < max {
+            let window = fast.ocp.window_on(&fast.bus);
             let h = ouessant_sim::min_horizon(
-                fast.ocp.horizon_on(&fast.bus),
-                ouessant_sim::observed_horizon(fast.bus.horizon()),
+                fast.ocp.horizon_on(&fast.bus, &window),
+                ouessant_sim::observed_horizon(window.event()),
             );
             let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
             if skip > 0 {
                 let from = fast.ocp.controller().state().clone();
                 let pc = fast.ocp.controller().pc();
+                let prefix = window.bus_prefix(skip);
+                fast.bus.advance(Cycle::new(prefix));
                 fast.ocp.advance(Cycle::new(skip), &mut fast.bus);
-                fast.bus.advance(Cycle::new(skip));
+                fast.bus.advance(Cycle::new(skip - prefix));
                 for _ in 0..skip {
                     slow.step();
                 }
@@ -870,6 +912,10 @@ mod tests {
                 break;
             }
         }
+        assert!(
+            fast.memory() == slow.memory(),
+            "memory diverged by cycle {cycle}"
+        );
         (cycle, slow.ocp.fault().cloned(), leaps)
     }
 
@@ -997,10 +1043,14 @@ mod tests {
 
     #[test]
     fn transfer_pickups_leap_through_fetch_and_decode() {
-        use ControllerState::{Execute, LoadProgram, TransferBusWait};
+        use ControllerState::{Execute, Fetch, LoadProgram, TransferBusWait};
         // The program load, the mvtc into an idle RAC (pc 0) and the
         // mvfc out of a finished one (pc 2) each leap to the dispatch
-        // of the next instruction, on both buses.
+        // of the next instruction, on both buses. On the AHB-like bus,
+        // which answers the issue what-if, the load's window runs on
+        // through the mvtc's issue into its burst, and so does the
+        // window from the Fetch of the mvfc after `execs`; the AXI-like
+        // bus declines it, so those issues stay stepped events.
         let source = "mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop";
         let passthrough = || Box::new(PassthroughRac::new(0));
         let (_, ahb_fault, ahb) =
@@ -1012,14 +1062,19 @@ mod tests {
             },
             10_000,
         );
-        for (fault, leaps) in [(ahb_fault, ahb), (axi_fault, axi)] {
+        let pickups = [(TransferBusWait, 0, Execute), (TransferBusWait, 2, Execute)];
+        let ahb_expected = [
+            (LoadProgram, 0, TransferBusWait),
+            (Fetch, 2, TransferBusWait),
+        ];
+        let axi_expected = [(LoadProgram, 0, Execute)];
+        for (fault, leaps, expected) in [
+            (ahb_fault, ahb, &ahb_expected[..]),
+            (axi_fault, axi, &axi_expected[..]),
+        ] {
             assert_eq!(fault, None);
-            for pickup in [
-                (LoadProgram, 0, Execute),
-                (TransferBusWait, 0, Execute),
-                (TransferBusWait, 2, Execute),
-            ] {
-                assert!(leaps.contains(&pickup), "{pickup:?} in {leaps:?}");
+            for leap in pickups.iter().chain(expected) {
+                assert!(leaps.contains(leap), "{leap:?} in {leaps:?}");
             }
         }
     }
@@ -1041,7 +1096,11 @@ mod tests {
             },
             in_flight,
         );
-        let h = fx.ocp.horizon_on(&fx.bus).expect("a burst is in flight");
+        let window = fx.ocp.window_on(&fx.bus);
+        let h = fx
+            .ocp
+            .horizon_on(&fx.bus, &window)
+            .expect("a burst is in flight");
         assert_eq!(Some(h), ouessant_sim::observed_horizon(fx.bus.horizon()));
         // The bus completes on tick `h - 1`; the pickup is tick `h`.
         for _ in 1..h.count() {
@@ -1164,6 +1223,135 @@ mod tests {
                 1 => assert_eq!((cycle, fault), (1, Some(ExecError::Hang { budget }))),
                 2 => assert_eq!((cycle, fault), (4, Some(ExecError::Hang { budget }))),
                 _ => assert_eq!(fault, None, "budget {budget}"),
+            }
+        }
+    }
+
+    #[test]
+    fn issues_leap_inside_windows_through_loops_and_post_increments() {
+        use ControllerState::{Fetch, TransferBusWait};
+        // `ldo` and each `djnz` step, and the window after each runs on
+        // through `Fetch`, `Decode` and the `mvtcr`/`mvfcr` issue (pc 2
+        // and 7) into its burst, post-incrementing the offset register:
+        // four windows per loop.
+        let source = "ldc R0,4\nldo O0,0\nin_loop:\nmvtcr BANK1,O0,DMA16,FIFO0\n\
+                      djnz R0,in_loop\nexecs 64\nldc R1,4\nldo O1,0\nout_loop:\n\
+                      mvfcr BANK2,O1,DMA16,FIFO0\ndjnz R1,out_loop\neop";
+        let build = || {
+            let mut fx = offload(fixture(Box::new(PassthroughRac::scaling(3, 0))), source);
+            for i in 0..64u32 {
+                fx.bus.debug_write(RAM_BASE + 0x1000 + i * 4, i).unwrap();
+            }
+            fx
+        };
+        let (_, fault, leaps) = leap_against_steps(build, 100_000);
+        assert_eq!(fault, None);
+        for chain in [(Fetch, 2, TransferBusWait), (Fetch, 7, TransferBusWait)] {
+            let n = leaps.iter().filter(|&l| *l == chain).count();
+            assert_eq!(n, 4, "{chain:?} in {leaps:?}");
+        }
+    }
+
+    #[test]
+    fn issues_that_fault_or_fail_their_fifo_check_step() {
+        let build = |source: &'static str| {
+            move || {
+                let fx = offload(fixture(Box::new(PassthroughRac::new(0))), source);
+                // Bank 4 translates to no slave, bank 5 to the last two
+                // words of the RAM.
+                fx.ocp.regs().set_bank(4, 0x1000_0000).unwrap();
+                fx.ocp.regs().set_bank(5, RAM_BASE + 16382 * 4).unwrap();
+                fx
+            }
+        };
+        // Neither the pickup's window nor the window at `Execute` holds
+        // an issue that faults: the fault lands on its own tick.
+        for (source, bank) in [
+            ("mvtc BANK1,0,DMA4,FIFO0\nmvtc BANK3,0,DMA4,FIFO0\neop", 3),
+            ("mvtc BANK1,0,DMA4,FIFO0\nmvtc BANK4,0,DMA4,FIFO0\neop", 4),
+            ("mvtc BANK1,0,DMA4,FIFO0\nmvtc BANK5,0,DMA4,FIFO0\neop", 5),
+        ] {
+            let (cycle, fault, _) = leap_against_steps(build(source), 1_000);
+            let fault = fault.unwrap_or_else(|| panic!("bank {bank} must fault"));
+            match bank {
+                3 => assert!(matches!(fault, ExecError::Translate(_)), "{fault}"),
+                4 => assert!(
+                    matches!(fault, ExecError::Bus(BusError::Unmapped { .. })),
+                    "{fault}"
+                ),
+                _ => assert!(
+                    matches!(fault, ExecError::Bus(BusError::CrossesSlaveBoundary { .. })),
+                    "{fault}"
+                ),
+            }
+            assert!(cycle > 1, "bank {bank}");
+        }
+        // The fifth 256-word `mvtc` into a 1024-word FIFO finds it
+        // full only once the fourth's pickup lands its words, and an
+        // `mvfc` of more words than the FIFO holds finds it short: each
+        // falls into `TransferFifoWait` on its own tick, and stays there.
+        let fill = "mvtc BANK1,0,DMA256,FIFO0\nmvtc BANK1,256,DMA256,FIFO0\n\
+                    mvtc BANK1,512,DMA256,FIFO0\nmvtc BANK1,768,DMA256,FIFO0\n\
+                    mvtc BANK1,0,DMA256,FIFO0\neop";
+        let (_, fault, leaps) = leap_against_steps(build(fill), 3_000);
+        assert_eq!(fault, None);
+        assert!(
+            leaps
+                .iter()
+                .all(|(_, _, after)| *after != ControllerState::TransferFifoWait),
+            "{leaps:?}"
+        );
+        let (_, fault, leaps) = leap_against_steps(
+            build("mvtc BANK1,0,DMA4,FIFO0\nexecs 4\nmvfc BANK2,0,DMA8,FIFO0\neop"),
+            200,
+        );
+        assert_eq!(fault, None);
+        assert!(
+            leaps
+                .iter()
+                .all(|(_, _, after)| *after != ControllerState::TransferFifoWait),
+            "{leaps:?}"
+        );
+    }
+
+    #[test]
+    fn an_mvfc_issue_inside_a_window_pulses_the_watchdog() {
+        use ouessant_sim::bus::PortState;
+        use ControllerState::TransferBusWait;
+        // The first mvfc's pickup (window tick 1) and the second's
+        // issue (tick 4) both pulse, and the second burst completes on
+        // tick 21: budgets 1 and 2 bite in the Fetch and Decode ticks
+        // between the pulses, budgets 3 to 17 inside the burst, counted
+        // from the issue, and from budget 18 the second pickup pulses
+        // in time.
+        let build = || {
+            offload(
+                fixture(Box::new(PassthroughRac::new(0))),
+                "mvtc BANK1,0,DMA32,FIFO0\nexecs 32\nmvfc BANK2,0,DMA2,FIFO0\n\
+                 mvfc BANK2,2,DMA16,FIFO0\nnop\neop",
+            )
+        };
+        let first_mvfc_done = |fx: &Fixture| {
+            fx.ocp.controller().pc() == 2
+                && *fx.ocp.controller().state() == TransferBusWait
+                && fx.bus.poll(fx.ocp.bus_master()) == PortState::Complete
+        };
+        for budget in 1..=20 {
+            let (mut slow, mut fast) = start_pair(build, first_mvfc_done);
+            slow.ocp.arm_watchdog(budget);
+            fast.ocp.arm_watchdog(budget);
+            let (cycle, fault, leaps) = leap_pair(slow, fast, 1_000);
+            let hang = Some(ExecError::Hang { budget });
+            match budget {
+                1..=2 => assert_eq!((cycle, fault), (budget + 1, hang)),
+                3..=17 => assert_eq!((cycle, fault), (4 + budget, hang)),
+                _ => {
+                    assert_eq!(fault, None, "budget {budget}");
+                    assert!(
+                        leaps.contains(&(TransferBusWait, 2, TransferBusWait)),
+                        "{leaps:?}"
+                    );
+                }
             }
         }
     }

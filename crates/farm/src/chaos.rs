@@ -47,7 +47,7 @@
 //! [`AllocError::OutOfMemory`]: ouessant_soc::alloc::AllocError::OutOfMemory
 
 use ouessant::ExecError;
-use ouessant_sim::bus::{Bus, BusError, SlaveFault};
+use ouessant_sim::bus::{Bus, BusError, MasterId, SlaveFault};
 use ouessant_sim::rng::XorShift64;
 use ouessant_soc::alloc::{BankAllocator, Region};
 
@@ -233,10 +233,11 @@ impl FaultPlan {
     /// Each worker's dice follow the category of the state it is in
     /// after the window's first tick, which a window keeps to its end
     /// (a category change is an event bounding the window). That is
-    /// its current state, except for a controller still at a pickup —
-    /// possible only before the first tick of a fast-forward window,
-    /// which picks the burst up — which counts as `Fetch`.
-    fn arm_dice(&mut self, workers: &[Worker], bus: &Bus) {
+    /// its current state, except before the first tick of a
+    /// fast-forward window: a controller still at a pickup, which that
+    /// tick picks up, counts as `Fetch`, and the `issuer`, whose
+    /// `Execute` begins its burst on that tick, as `TransferBusWait`.
+    fn arm_dice(&mut self, workers: &[Worker], bus: &Bus, issuer: Option<MasterId>) {
         let c = &self.config;
         self.dice.clear();
         for (wi, worker) in workers.iter().enumerate() {
@@ -246,6 +247,8 @@ impl FaultPlan {
             let controller = worker.ocp.controller();
             let state = if controller.picks_up(bus) {
                 &ControllerState::Fetch
+            } else if issuer == Some(controller.master()) {
+                &ControllerState::TransferBusWait
             } else {
                 controller.state()
             };
@@ -387,18 +390,22 @@ impl FaultPlan {
     ///
     /// Worker states are read but never written, before the window's
     /// first tick: the dice are listed once, from the state each worker
-    /// will be in after that tick, and the list is rolled every cycle —
-    /// exactly the dice single-stepping would roll.
+    /// will be in after that tick (`issuer` is the worker whose
+    /// transfer the window issues on it, if any), and the list is
+    /// rolled every cycle — exactly the dice single-stepping would
+    /// roll.
+    #[allow(clippy::too_many_arguments)] // the window, the pool it reads and the ledger it writes
     pub(crate) fn fast_forward(
         &mut self,
         window: std::ops::Range<u64>,
         workers: &[Worker],
         bus: &Bus,
+        issuer: Option<MasterId>,
         alloc: &mut BankAllocator,
         work_pending: bool,
         out: &mut Vec<Injection>,
     ) -> u64 {
-        self.arm_dice(workers, bus);
+        self.arm_dice(workers, bus, issuer);
         let start = window.start;
         for now in window.clone() {
             self.roll_cycle(now, alloc, work_pending, out);

@@ -51,6 +51,7 @@ use ouessant::ExecError;
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
 use ouessant_sim::bus::{Bus, BusConfig, BusStats};
 use ouessant_sim::memory::{Sram, SramConfig};
+use ouessant_sim::{BusWindow, Cycle};
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
 
@@ -688,6 +689,7 @@ impl Farm {
                 now..now + 1,
                 &self.workers,
                 &self.bus,
+                None,
                 &mut self.alloc,
                 work_pending,
                 &mut self.injection_scratch,
@@ -785,11 +787,23 @@ impl Farm {
     ///   [`Farm::tick`] reads only OCP flags, and a recovering worker
     ///   single-steps), so a completion joins the window before its
     ///   pickup (see [`ouessant_sim::observed_horizon`]).
-    fn idle_horizon(&self) -> Option<u64> {
+    ///
+    /// The bus side is planned once, as a [`BusWindow`] every worker
+    /// reads: a worker may issue a transfer inside the window, and the
+    /// bus's next event then counts its request. Chained issues (after
+    /// a pickup, `Fetch` or `Decode` of the worker's own) are left out
+    /// while chaos is armed, because a window's dice follow each
+    /// worker's state after its first tick and a chain changes it later.
+    fn idle_horizon(&self) -> (Option<u64>, BusWindow) {
         if self.may_dispatch() {
-            return Some(1);
+            return (Some(1), BusWindow::default());
         }
         let now = self.now();
+        let window = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
+            self.workers
+                .iter()
+                .filter_map(move |w| w.window_issue(&self.bus, chain))
+        });
         let mut h: Option<u64> = None;
         let mut merge = |e: Option<u64>| {
             if let Some(e) = e {
@@ -797,9 +811,9 @@ impl Farm {
                 h = Some(h.map_or(e, |cur| cur.min(e)));
             }
         };
-        merge(ouessant_sim::observed_horizon(self.bus.horizon()).map(u64::from));
+        merge(ouessant_sim::observed_horizon(window.event()).map(u64::from));
         for w in &self.workers {
-            merge(w.horizon_at(now, &self.config.faults, &self.bus));
+            merge(w.horizon_at(now, &self.config.faults, &self.bus, &window));
         }
         for p in &self.parked {
             // Unpark happens in the tick whose pre-tick cycle first
@@ -828,7 +842,7 @@ impl Farm {
         if let Some(release_at) = self.chaos.as_ref().and_then(FaultPlan::squat_release_at) {
             merge(Some((release_at + 1).saturating_sub(now)));
         }
-        h
+        (h, window)
     }
 
     /// One fast-forward step: leap over the provably-pure window in
@@ -837,16 +851,20 @@ impl Farm {
     ///
     /// A DMA burst may complete on the window's last cycle; its worker
     /// picks it up on the next window's first cycle, inside that leap.
-    /// With chaos armed, the plan lists the window's armed dice once,
-    /// from each worker's state after that first cycle, and rolls the
-    /// list for every cycle of the window (identical RNG stream to
-    /// single-stepping); the leap stops at the first cycle that
-    /// injects, the injections land there, and the fault machinery
-    /// runs exactly as it would have in that tick.
+    /// A worker the window issues for begins its burst inside the leap
+    /// too: the bus first advances over the ticks before the issue, so
+    /// the request meets it on its own cycle. With chaos armed, the
+    /// plan lists the window's armed dice once, from each worker's
+    /// state after that first cycle, and rolls the list for every cycle
+    /// of the window (identical RNG stream to single-stepping); the
+    /// leap stops at the first cycle that injects, the injections land
+    /// there, and the fault machinery runs exactly as it would have in
+    /// that tick.
     fn leap_or_tick(&mut self, start: u64, fuel: u64) {
         let now = self.now();
         let remaining = fuel - (now - start);
-        let bound = match self.idle_horizon() {
+        let (horizon, window) = self.idle_horizon();
+        let bound = match horizon {
             Some(h) => (h - 1).min(remaining),
             None => remaining,
         };
@@ -865,6 +883,7 @@ impl Farm {
                 now..now + bound,
                 &self.workers,
                 &self.bus,
+                window.issuer(),
                 &mut self.alloc,
                 work_pending,
                 &mut self.injection_scratch,
@@ -872,10 +891,12 @@ impl Farm {
             None => bound,
         };
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
+        let prefix = window.bus_prefix(leap);
+        self.bus.advance(Cycle::new(prefix));
         for w in &mut self.workers {
             w.advance(leap, &mut self.bus);
         }
-        self.bus.advance(ouessant_sim::Cycle::new(leap));
+        self.bus.advance(Cycle::new(leap - prefix));
         self.ledger.skipped_cycles += leap;
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults
@@ -1422,4 +1443,158 @@ impl Farm {
 /// unarguable.
 fn deadline_hopeless(job: &PendingJob, now: u64) -> bool {
     job.hopeless_after().is_some_and(|t| now > t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::{ChaosConfig, Injection};
+    use crate::policy::FifoPolicy;
+    use ouessant_isa::assemble;
+    use ouessant_sim::XorShift64;
+
+    const COPY3: JobKind = JobKind::Copy { scale: 3 };
+
+    /// Two copy workers and an IDCT worker serving a copy whose first
+    /// transfer waits `wait` cycles, a built-in copy and an IDCT job.
+    fn skewed_pool(wait: u16, chaos: Option<ChaosConfig>) -> Farm {
+        let mut farm = Farm::new(FarmConfig::default(), Box::new(FifoPolicy::new()));
+        farm.add_worker(COPY3);
+        farm.add_worker(COPY3);
+        farm.add_worker(JobKind::Idct);
+        if let Some(config) = chaos {
+            farm.arm_chaos(FaultPlan::new(config));
+        }
+        let mut rng = XorShift64::new(u64::from(wait) + 1);
+        let mut words = |n: usize| rng.vec_u32(n).iter().map(|w| w % 2048).collect();
+        let delayed = assemble(&format!(
+            "wait {wait}\nmvtc BANK1,0,DMA16,FIFO0\nmvtc BANK1,16,DMA16,FIFO0\nexecs 32\n\
+             mvfc BANK2,0,DMA16,FIFO0\nmvfc BANK2,16,DMA16,FIFO0\neop"
+        ))
+        .expect("valid microcode");
+        for spec in [
+            JobSpec::new(COPY3, words(32)).with_microcode(delayed),
+            JobSpec::new(COPY3, words(32)),
+            JobSpec::new(JobKind::Idct, words(64)),
+        ] {
+            farm.submit(spec).expect("admitted");
+        }
+        farm
+    }
+
+    /// The window issues each worker could make, first-tick only unless
+    /// `chain`.
+    fn candidates(farm: &Farm, chain: bool) -> Vec<(usize, u64)> {
+        farm.workers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.window_issue(&farm.bus, chain).map(|c| (i, c.prefix)))
+            .collect()
+    }
+
+    #[test]
+    fn at_most_one_transfer_issues_per_window() {
+        let (mut ties, mut bounded) = (0, 0);
+        for wait in 0..48 {
+            let mut farm = skewed_pool(wait, None);
+            while farm.in_flight() > 0 || farm.queue_len() > 0 {
+                let first_tick = candidates(&farm, false);
+                let (h, window) = farm.idle_horizon();
+                if first_tick.len() >= 2 {
+                    // Two first-tick issuers: neither issues, so the
+                    // window is the one tick that issues both.
+                    assert_eq!((h, window.issuer()), (Some(1), None));
+                    ties += 1;
+                } else if let [(issuer, 0)] = first_tick[..] {
+                    let chains = candidates(&farm, true);
+                    for &(other, prefix) in chains.iter().filter(|c| c.0 != issuer) {
+                        // The issue is the first tick's; a worker that
+                        // gets to its own `Execute` later ends the
+                        // window in front of it.
+                        let issuer = farm.workers[issuer].ocp.bus_master();
+                        assert_eq!(window.issuer(), Some(issuer));
+                        assert!(h.is_some_and(|h| h <= prefix + 1), "{other}: {h:?}");
+                        bounded += 1;
+                    }
+                }
+                farm.tick();
+            }
+        }
+        assert!(
+            ties > 0,
+            "no two workers reached a transfer's Execute together"
+        );
+        assert!(bounded > 0, "no second issuer bounded a window");
+    }
+
+    #[test]
+    fn with_chaos_armed_only_first_tick_issues_leap_and_roll_the_burst_dice() {
+        // Armed, but with dice that never roll: only the plan's rules
+        // are under test here.
+        let quiet = ChaosConfig {
+            controller_one_in: 0,
+            bus_one_in: 0,
+            bitstream_one_in: 0,
+            alloc_one_in: 0,
+            wedge_one_in: 0,
+            slow_one_in: 0,
+            ..ChaosConfig::new(1)
+        };
+        let certain = ChaosConfig {
+            controller_one_in: 1,
+            bus_one_in: 1,
+            wedge_one_in: 1,
+            slow_one_in: 1,
+            slow_stall: 1,
+            ..quiet.clone()
+        };
+        let mut issues = 0;
+        let mut farm = skewed_pool(0, Some(quiet));
+        while farm.in_flight() > 0 || farm.queue_len() > 0 {
+            let (_, window) = farm.idle_horizon();
+            assert_eq!(
+                window.bus_prefix(u64::MAX),
+                0,
+                "a chained issue under chaos"
+            );
+            if let Some(issuer) = window.issuer() {
+                issues += 1;
+                let w = farm
+                    .workers
+                    .iter()
+                    .position(|w| w.ocp.bus_master() == issuer)
+                    .expect("the issuer is a worker");
+                // Every armed die hits at once: the issuer rolls its
+                // burst's bus and wedge dice, not `Execute`'s.
+                let roll = |issuer| {
+                    let mut out = Vec::new();
+                    let now = farm.now();
+                    FaultPlan::new(certain.clone()).fast_forward(
+                        now..now + 1,
+                        &farm.workers,
+                        &farm.bus,
+                        issuer,
+                        &mut BankAllocator::new(0, 1024),
+                        false,
+                        &mut out,
+                    );
+                    out.into_iter()
+                        .filter(|inj| match *inj {
+                            Injection::Bus { worker }
+                            | Injection::Controller { worker }
+                            | Injection::Wedge { worker } => worker == w,
+                            _ => false,
+                        })
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    roll(Some(issuer)),
+                    [Injection::Bus { worker: w }, Injection::Wedge { worker: w }]
+                );
+                assert_eq!(roll(None), [Injection::Controller { worker: w }]);
+            }
+            farm.tick();
+        }
+        assert!(issues > 0, "no window issued a transfer");
+    }
 }

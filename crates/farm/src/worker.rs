@@ -48,6 +48,7 @@ use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
 use ouessant_rac::slot::{ReconfigurableSlot, ICAP_BYTES_PER_CYCLE};
 use ouessant_sim::bus::{Bus, BusError};
+use ouessant_sim::{BusWindow, WindowIssue};
 use ouessant_soc::alloc::Region;
 
 use crate::farm::FaultConfig;
@@ -545,13 +546,24 @@ impl Worker {
         }
     }
 
+    /// The transfer this worker's OCP can issue inside the next
+    /// fast-forward window (see [`Ocp::window_issue`]); `None` while
+    /// the worker single-steps anyway (recovering, or holding a fault
+    /// the farm has not absorbed).
+    pub(crate) fn window_issue(&self, bus: &Bus, chain: bool) -> Option<WindowIssue> {
+        if self.recovering || self.ocp.fault().is_some() {
+            return None;
+        }
+        self.ocp.window_issue(bus, chain)
+    }
+
     /// The earliest future tick (1-based offset from cycle `now`) at
     /// which this worker's observable state can change, or `None` if it
-    /// is quiescent. Combines the OCP's horizon on the shared `bus`
-    /// (which reaches the tick after the bus's next transaction
-    /// completion while the worker's own DMA burst is in flight) with
-    /// the worker's health timers, which single-stepping advances in
-    /// [`Worker::advance_health`]:
+    /// is quiescent. Combines the OCP's horizon on the shared `bus` in
+    /// the farm's `window` (which reaches the tick after the bus's next
+    /// event while the worker's own DMA burst is in flight, or when the
+    /// window issues one) with the worker's health timers, which
+    /// single-stepping advances in [`Worker::advance_health`]:
     ///
     /// * a recovering worker retries [`Ocp::try_recover`] every tick,
     ///   and a fault the farm has not absorbed yet (one injected
@@ -560,11 +572,17 @@ impl Worker {
     ///   `quarantine_until`;
     /// * a degraded worker heals when the post-tick cycle reaches
     ///   `degraded_since + fault_window`.
-    pub(crate) fn horizon_at(&self, now: u64, cfg: &FaultConfig, bus: &Bus) -> Option<u64> {
+    pub(crate) fn horizon_at(
+        &self,
+        now: u64,
+        cfg: &FaultConfig,
+        bus: &Bus,
+        window: &BusWindow,
+    ) -> Option<u64> {
         if self.recovering || (self.ocp.fault().is_some() && !self.fault_acknowledged) {
             return Some(1);
         }
-        let mut h = self.ocp.horizon_on(bus).map(u64::from);
+        let mut h = self.ocp.horizon_on(bus, window).map(u64::from);
         let mut merge = |event_in: u64| {
             let e = event_in.max(1);
             h = Some(h.map_or(e, |cur| cur.min(e)));

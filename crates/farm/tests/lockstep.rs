@@ -18,7 +18,7 @@ use ouessant_farm::{
     FaultConfig, FaultPlan, FifoPolicy, JobKind, JobOutcome, JobSpec, LivenessConfig,
     RoundRobinPolicy, SchedPolicy, WorkerHealth,
 };
-use ouessant_isa::ProgramBuilder;
+use ouessant_isa::{assemble, ProgramBuilder};
 use ouessant_sim::bus::{ArbiterPolicy, BusConfig, BusStats};
 use ouessant_sim::XorShift64;
 
@@ -750,17 +750,184 @@ fn fast_forward_skips_a_meaningful_fraction() {
     }
 }
 
+/// A copy job running the assembled `source`, which must leave the
+/// payload's words in bank 2.
+fn copy_job(input: Vec<u32>, source: &str) -> JobSpec {
+    let program = assemble(source).unwrap_or_else(|e| panic!("{e}: {source}"));
+    JobSpec::new(COPY3, input).with_microcode(program)
+}
+
+/// `words` seeded payload words.
+fn words(n: u32, rng: &mut XorShift64) -> Vec<u32> {
+    (0..n)
+        .map(|_| rng.gen_range_i32(-1024..1024) as u32)
+        .collect()
+}
+
+/// A pool of two copy workers and one IDCT worker, the watchdog armed,
+/// as a builder taking the stepping mode.
+fn copy_pool(fast_forward: bool) -> Farm {
+    let mut farm = Farm::new(
+        FarmConfig {
+            queue_capacity: 512,
+            faults: FAULTS,
+            liveness: liveness_watched(),
+            fast_forward,
+            ..FarmConfig::default()
+        },
+        policy("round-robin"),
+    );
+    farm.add_worker(COPY3);
+    farm.add_worker(COPY3);
+    farm.add_worker(IDCT);
+    farm
+}
+
+/// Transfers issue inside fast-forward windows wherever a program
+/// reaches them, bit-exactly:
+///
+/// * `mvtcr`/`mvfcr` post-increment their offset register inside the
+///   window that issues them, in `ldc`/`djnz` loops whose `djnz` steps
+///   and whose next window chains through `Fetch` and `Decode` into the
+///   issue;
+/// * an `execn`-streamed copy's first `mvfc` finds too few words in
+///   its FIFO yet: its `Execute` falls into `TransferFifoWait` on a
+///   stepped tick, and its issues meet a busy RAC, so they step;
+/// * a `wait` of every length from 0 to 47 cycles in front of one
+///   worker's first transfer shifts its `Execute` against the other
+///   workers', so some pairs reach `Execute` of a transfer on the same
+///   cycle (neither issues in the window) and others one, two or three
+///   ticks apart (the first issues, the second bounds the window).
+#[test]
+fn in_window_issues_are_bit_exact_across_program_shapes() {
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    let looped = |n: u32| {
+        format!(
+            "ldc R0,{n}\nldo O0,0\nin_loop:\nmvtcr BANK1,O0,DMA16,FIFO0\ndjnz R0,in_loop\n\
+             execs {w}\nldc R1,{n}\nldo O1,0\nout_loop:\nmvfcr BANK2,O1,DMA16,FIFO0\n\
+             djnz R1,out_loop\neop",
+            w = 16 * n
+        )
+    };
+    let loops: Vec<JobSpec> = (1..=12)
+        .map(|n| copy_job(words(16 * n, &mut rng), &looped(n)))
+        .collect();
+    assert_lockstep(&copy_pool, &loops, "offset-register loops");
+
+    let streamed = "execn 64\nmvtc BANK1,0,DMA64,FIFO0\n\
+                    mvfc BANK2,0,DMA32,FIFO0\nmvfc BANK2,32,DMA32,FIFO0\nwrac\neop";
+    let streams: Vec<JobSpec> = (0..12)
+        .map(|_| copy_job(words(64, &mut rng), streamed))
+        .collect();
+    assert_lockstep(&copy_pool, &streams, "FIFO waits");
+
+    for wait in 0..48 {
+        let delayed = format!(
+            "wait {wait}\nmvtc BANK1,0,DMA16,FIFO0\nmvtc BANK1,16,DMA16,FIFO0\nexecs 32\n\
+             mvfc BANK2,0,DMA16,FIFO0\nmvfc BANK2,16,DMA16,FIFO0\neop"
+        );
+        let specs = [
+            copy_job(words(32, &mut rng), &delayed),
+            JobSpec::new(COPY3, words(32, &mut rng)),
+            JobSpec::new(IDCT, payload(IDCT, &mut rng)),
+        ];
+        assert_lockstep(&copy_pool, &specs, &format!("wait {wait}"));
+    }
+}
+
+/// The sparse-idle pool of the benchmark, scaled down: 4096-point DFTs
+/// on 8192-word FIFOs beside copy workers running sleeping microcode.
+/// Nearly every burst issues inside a window on an idle bus.
+#[test]
+fn sparse_idle_pool_is_bit_exact() {
+    const DFT4K: JobKind = JobKind::Dft { points: 4096 };
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    let specs: Vec<JobSpec> = (0..6)
+        .map(|i| {
+            if i % 3 == 0 {
+                JobSpec::new(DFT4K, payload(DFT4K, &mut rng))
+            } else {
+                let n = rng.gen_range_u32(16..65);
+                sleeping_copy(words(n, &mut rng), [16_000, 0])
+            }
+        })
+        .collect();
+    let build = |fast_forward| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                queue_capacity: 64,
+                fifo_depth: 8192,
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy("round-robin"),
+        );
+        farm.add_worker(DFT4K);
+        farm.add_worker(COPY3);
+        farm.add_worker(COPY3);
+        farm
+    };
+    let (_, report) = assert_lockstep(&build, &specs, "sparse idle");
+    let stepped = report.total_cycles - report.skipped_cycles;
+    assert!(
+        stepped < 100,
+        "{stepped} of {} cycles stepped",
+        report.total_cycles
+    );
+}
+
+/// With chaos armed, a window issues a transfer only on its first tick
+/// (the `Execute` a pickup's window stops in front of), and the dice it
+/// rolls from there are the burst's: the bus and wedge dice, at rates
+/// that land hits inside those windows.
+#[test]
+fn chaos_dice_follow_first_tick_issues() {
+    let config = ChaosConfig {
+        seed: 0x155E_D1CE,
+        controller_one_in: 0,
+        bus_one_in: 1_500,
+        bitstream_one_in: 0,
+        alloc_one_in: 0,
+        alloc_hold: 0,
+        wedge_one_in: 4_000,
+        slow_one_in: 0,
+        slow_stall: 0,
+    };
+    let specs = workload(48, WORKLOAD_SEED);
+    let build = redundant_pool("round-robin", liveness_watched(), Some(config));
+    let (fast, _) = assert_lockstep(&build, &specs, "bus and wedge dice");
+    let stats = fast.chaos.expect("campaign was armed");
+    assert!(
+        stats.bus_faults > 0 && stats.wedges > 0,
+        "both dice must hit: {stats:?}"
+    );
+    assert!(fast.hangs_detected > 0, "a wedge must trip the watchdog");
+}
+
 /// Pins how many cycles of one job still single-step, per kind, so a
 /// horizon that falls back to `Some(1)` fails here even though every
-/// lockstep check stays green.
+/// lockstep check stays green. Every DMA burst of a lone job meets an
+/// idle bus, so it issues inside a window: what steps is the launch,
+/// the `exec` dispatch, its `end_op` retire and the `eop`, whatever the
+/// payload size — a 4096-point DFT's 128 bursts step no more than a
+/// 64-point one's 2.
 #[test]
 fn one_job_steps_a_pinned_number_of_cycles() {
+    const DFT4K: JobKind = JobKind::Dft { points: 4096 };
     let mut rng = XorShift64::new(WORKLOAD_SEED);
-    for (kind, stepped) in [(IDCT, 6), (DFT64, 8), (COPY3, 6)] {
+    let mut stepped_by_kind = Vec::new();
+    let default_depth = FarmConfig::default().fifo_depth;
+    for (kind, fifo_depth, stepped) in [
+        (IDCT, default_depth, 4),
+        (DFT64, default_depth, 4),
+        (COPY3, default_depth, 4),
+        (DFT4K, 8192, 4),
+    ] {
         let spec = JobSpec::new(kind, payload(kind, &mut rng));
         let build = |fast_forward| {
             let mut farm = Farm::new(
                 FarmConfig {
+                    fifo_depth,
                     fast_forward,
                     ..FarmConfig::default()
                 },
@@ -770,13 +937,18 @@ fn one_job_steps_a_pinned_number_of_cycles() {
             farm
         };
         let (_, report) = assert_lockstep(&build, &[spec], &format!("one {kind}"));
+        let steps = report.total_cycles - report.skipped_cycles;
         assert_eq!(
-            report.total_cycles - report.skipped_cycles,
-            stepped,
+            steps, stepped,
             "{kind}: stepped cycles of {}",
             report.total_cycles
         );
+        stepped_by_kind.push(steps);
     }
+    assert_eq!(
+        stepped_by_kind[1], stepped_by_kind[3],
+        "a 4096-point DFT steps more cycles than a 64-point one: a burst on an idle bus stepped"
+    );
 }
 
 /// The dispatch-epoch regression: a heterogeneous pool whose IDCT

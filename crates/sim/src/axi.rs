@@ -91,6 +91,19 @@ pub trait SystemBus {
     /// [`event`](crate::event) module for the whole contract.
     fn horizon(&self) -> Option<Cycle>;
 
+    /// The [`SystemBus::horizon`] the bus would have right after
+    /// `master` issues `req`, before this cycle's tick, or `None`. It
+    /// lets a master issue inside a fast-forward window instead of on a
+    /// stepped tick (see [`BusWindow`](crate::event::BusWindow)), so an
+    /// answer must be exact, and `None` whenever the issue would fail
+    /// (a completion still waiting on `master`'s port aside). The
+    /// default declines every request, which keeps each issue a
+    /// stepped event.
+    fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
+        let _ = (master, req);
+        None
+    }
+
     /// Replays `cycles` ticks in bulk.
     ///
     /// Callers must guarantee `cycles ≤ horizon()` (a quiescent bus

@@ -24,6 +24,8 @@
 //! completion, and [`Bus::advance`] leaps to it (or through it, since
 //! no master sees it before the next tick) through every grant, address
 //! phase, wait state, beat and re-arbitration on the way.
+//! [`Bus::horizon_with`] answers the same question with one more
+//! request issued, so a master's issue can sit inside a leap too.
 //!
 //! The address map (`SlaveMap`: decode, request validation, debug
 //! access) and the accepted-transaction record (`Txn`) are shared with
@@ -108,10 +110,13 @@ impl TxnRequest {
         Self::read(addr, 1)
     }
 
-    /// A burst write of `data` starting at `addr`.
+    /// A burst write of `data` starting at `addr`. A payload longer
+    /// than a burst can be (`u16::MAX` beats) is kept whole, so the bus
+    /// rejects it with [`BusError::PayloadLength`] instead of moving
+    /// part of it.
     #[must_use]
     pub fn write(addr: Addr, data: Vec<u32>) -> Self {
-        let beats = data.len() as u16;
+        let beats = u16::try_from(data.len()).unwrap_or(u16::MAX);
         Self {
             kind: TxnKind::Write,
             addr,
@@ -304,6 +309,14 @@ pub enum BusError {
     },
     /// A zero-beat transaction was requested.
     EmptyBurst,
+    /// A write's payload is not exactly its burst's beats (a payload
+    /// longer than `u16::MAX` words).
+    PayloadLength {
+        /// Beats of the burst.
+        beats: u16,
+        /// Words of the payload.
+        words: usize,
+    },
     /// No slave is mapped at the address range.
     Unmapped {
         /// Offending address.
@@ -329,6 +342,10 @@ impl fmt::Display for BusError {
             BusError::Busy => f.write_str("master already has a transaction outstanding"),
             BusError::Unaligned { addr } => write!(f, "address {addr:#010x} is not word-aligned"),
             BusError::EmptyBurst => f.write_str("burst of zero beats"),
+            BusError::PayloadLength { beats, words } => write!(
+                f,
+                "write payload of {words} words does not fit its burst of {beats} beats"
+            ),
             BusError::Unmapped { addr } => write!(f, "no slave mapped at {addr:#010x}"),
             BusError::CrossesSlaveBoundary { addr, beats } => write!(
                 f,
@@ -606,11 +623,18 @@ impl SlaveMap {
     }
 
     /// The slave a transaction request is bound for: the request must
-    /// be word-aligned, move at least one beat, start on a mapped
-    /// address and stay inside that slave's window.
+    /// be word-aligned, carry exactly one payload word per beat if it
+    /// writes, move at least one beat, start on a mapped address and
+    /// stay inside that slave's window.
     pub(crate) fn validate(&self, req: &TxnRequest) -> Result<usize, BusError> {
         if !req.addr.is_multiple_of(4) {
             return Err(BusError::Unaligned { addr: req.addr });
+        }
+        if req.kind == TxnKind::Write && req.data.len() != usize::from(req.beats) {
+            return Err(BusError::PayloadLength {
+                beats: req.beats,
+                words: req.data.len(),
+            });
         }
         if req.beats == 0 {
             return Err(BusError::EmptyBurst);
@@ -1169,6 +1193,7 @@ impl Bus {
 
 /// A master granted in the rounds of re-arbitration ahead, as
 /// [`Bus::horizon`] sees it.
+#[derive(Clone, Copy)]
 struct Requester {
     /// Its place in every round (0 is granted first).
     pos: usize,
@@ -1187,29 +1212,55 @@ impl Requester {
     }
 }
 
+/// A request [`Bus::horizon_with`] adds to the requesting set: its
+/// master's index, its beats and the slave it is bound for.
+#[derive(Clone, Copy)]
+struct Issuer {
+    master: usize,
+    beats: u16,
+    slave_idx: usize,
+}
+
 impl Bus {
+    /// The beats left and the slave of master `i`'s request: its
+    /// outstanding transaction, or the `issuer`'s what-if request.
+    fn request(&self, i: usize, issuer: Option<Issuer>) -> Option<(u16, usize)> {
+        match issuer {
+            Some(r) if r.master == i => Some((r.beats, r.slave_idx)),
+            _ => {
+                let txn = self.masters[i].outstanding.as_ref()?;
+                Some((txn.remaining(), txn.slave_idx))
+            }
+        }
+    }
+
     /// The masters granted after the current sub-burst, whose owner (the
-    /// last grantee) has `in_flight` beats in it. The requesting set is
-    /// fixed in a fast-forward window, so every re-arbitration has a
-    /// fixed winner: fixed priority re-grants the top requester until it
-    /// completes, and round robin grants every requester one sub-burst
-    /// per round, in the order [`Bus::arbitrate`] rotates through them.
-    fn rotation(&self, in_flight: u16) -> impl Iterator<Item = Requester> + '_ {
+    /// last grantee) has `in_flight` beats in it, with `issuer`'s
+    /// request added. The requesting set is fixed in a fast-forward
+    /// window, so every re-arbitration has a fixed winner: fixed
+    /// priority re-grants the top requester until it completes, and
+    /// round robin grants every requester one sub-burst per round, in
+    /// the order [`Bus::arbitrate`] rotates through them.
+    fn rotation(
+        &self,
+        in_flight: u16,
+        issuer: Option<Issuer>,
+    ) -> impl Iterator<Item = Requester> + '_ {
         let n = self.masters.len();
         let granted = match self.config.arbiter {
             ArbiterPolicy::FixedPriority => {
-                let top = self.masters.iter().position(|m| m.outstanding.is_some());
+                let top = (0..n).find(|&i| self.request(i, issuer).is_some());
                 top.map_or(0..0, |i| i..i + 1)
             }
             ArbiterPolicy::RoundRobin => 0..n,
         };
         granted.filter_map(move |i| {
-            let txn = self.masters[i].outstanding.as_ref()?;
-            let slave = self.slaves.device(txn.slave_idx);
+            let (remaining, slave_idx) = self.request(i, issuer)?;
+            let slave = self.slaves.device(slave_idx);
             let in_flight = if i == self.last_grantee { in_flight } else { 0 };
             Some(Requester {
                 pos: (i + n - self.last_grantee - 1) % n,
-                left: u64::from(txn.remaining() - in_flight),
+                left: u64::from(remaining - in_flight),
                 first_wait: slave.first_access_wait_states(),
                 seq_wait: slave.sequential_wait_states(),
                 fault_free: slave.fault_free(),
@@ -1232,6 +1283,36 @@ impl Bus {
     /// allocation.
     #[must_use]
     pub fn horizon(&self) -> Option<Cycle> {
+        self.next_event(None)
+    }
+
+    /// The horizon the bus would have if `master` issued `req` now,
+    /// before this cycle's tick: [`Bus::horizon`] right after
+    /// [`Bus::try_begin`]`(master, req)`, worked out in closed form
+    /// (no clone, O(masters)). `None` when that `try_begin` would fail,
+    /// so the what-if accepts exactly the requests the bus does. A
+    /// completion still waiting on `master`'s port is ignored: it does
+    /// not move the timing, and a master picks its last burst up before
+    /// it issues the next one.
+    ///
+    /// On an idle bus the answer does not depend on `now`, so an issue
+    /// `k` idle ticks ahead completes `k` ticks later.
+    #[must_use]
+    pub fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
+        if self.masters.get(master.0)?.outstanding.is_some() {
+            return None;
+        }
+        let slave_idx = self.slaves.validate(req).ok()?;
+        self.next_event(Some(Issuer {
+            master: master.0,
+            beats: req.beats,
+            slave_idx,
+        }))
+    }
+
+    /// [`Bus::horizon`] with `issuer`'s request added to the requesting
+    /// set.
+    fn next_event(&self, issuer: Option<Issuer>) -> Option<Cycle> {
         let max = u64::from(self.config.max_burst_beats);
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;
@@ -1265,39 +1346,45 @@ impl Bus {
         }
         // Over the rounds ahead: the first to complete (fewest
         // sub-bursts left, then earliest in the round), the cycles of a
-        // round of full sub-bursts, and the earliest faulting requester.
+        // round of full sub-bursts, the earliest faulting requester and
+        // the earliest requester of all.
         let mut round = 0;
-        let mut first = None;
-        let mut faulting = None;
-        for r in self.rotation(in_flight) {
+        let mut first: Option<((u64, usize), Requester)> = None;
+        let mut faulting: Option<Requester> = None;
+        let mut earliest = usize::MAX;
+        for r in self.rotation(in_flight, issuer) {
             round += r.sub_burst_cycles(max);
             let key = (r.left.div_ceil(max), r.pos);
-            if first.is_none_or(|f| key < f) {
-                first = Some(key);
+            if first.is_none_or(|(f, _)| key < f) {
+                first = Some((key, r));
             }
-            if !r.fault_free && faulting.is_none_or(|p| r.pos < p) {
-                faulting = Some(r.pos);
+            if !r.fault_free && faulting.is_none_or(|f| r.pos < f.pos) {
+                faulting = Some(r);
             }
+            earliest = earliest.min(r.pos);
         }
-        let (sub_bursts, pos) = first?;
+        let ((sub_bursts, pos), completer) = first?;
         // A faulting requester granted before the completer's last
         // sub-burst stops the walk at its first beat.
         let (rounds, target) = match faulting {
-            Some(p) if sub_bursts > 1 || p <= pos => (0, p),
-            _ => (sub_bursts - 1, pos),
+            Some(f) if sub_bursts > 1 || f.pos <= pos => (0, f),
+            _ => (sub_bursts - 1, completer),
         };
         cycles += rounds * round;
-        for r in self.rotation(in_flight) {
-            if r.pos < target {
-                cycles += r.sub_burst_cycles(max);
-            } else if r.pos == target {
-                let beat = if r.fault_free {
-                    r.left - rounds * max
-                } else {
-                    1
-                };
-                cycles += r.sub_burst_cycles(beat);
-            }
+        let beat = if target.fault_free {
+            target.left - rounds * max
+        } else {
+            1
+        };
+        cycles += target.sub_burst_cycles(beat);
+        // The requesters granted before the target in its round (none
+        // when it is the earliest, a lone requester always).
+        if target.pos > earliest {
+            cycles += self
+                .rotation(in_flight, issuer)
+                .filter(|r| r.pos < target.pos)
+                .map(|r| r.sub_burst_cycles(max))
+                .sum::<u64>();
         }
         Some(Cycle::new(cycles))
     }
@@ -1358,6 +1445,10 @@ impl SystemBus for Bus {
 
     fn horizon(&self) -> Option<Cycle> {
         Bus::horizon(self)
+    }
+
+    fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
+        Bus::horizon_with(self, master, req)
     }
 
     fn advance(&mut self, cycles: Cycle) {
@@ -1936,5 +2027,77 @@ mod tests {
         assert_eq!(bus.poll(m), PortState::Idle);
         assert_eq!(bus.stats().busy_cycles, 0);
         assert_eq!(bus.now().count(), 10);
+    }
+
+    /// A write whose payload is longer than a burst can be is rejected
+    /// whole on both buses, by the issue what-if too, and queues
+    /// nothing: 65 536 words used to wrap to an empty burst and 65 537
+    /// to a one-beat burst that completed `Ok`.
+    #[test]
+    fn write_payloads_longer_than_a_burst_are_rejected() {
+        fn check(bus: &mut dyn SystemBus) {
+            let m = bus.register_master("dma");
+            bus.add_slave_boxed(0, Box::new(Sram::with_words(70_000, SramConfig::no_wait())));
+            for words in [65_536, 65_537] {
+                let req = TxnRequest::write(0, vec![7; words]);
+                assert_eq!(req.beats(), u16::MAX);
+                assert_eq!(bus.horizon_with(m, &req), None, "{words} words");
+                assert_eq!(
+                    bus.try_begin(m, req),
+                    Err(BusError::PayloadLength {
+                        beats: u16::MAX,
+                        words
+                    }),
+                    "{words} words"
+                );
+                assert_eq!(bus.poll(m), PortState::Idle, "{words} words queued nothing");
+                assert_eq!(bus.debug_read(4), Ok(0), "{words} words wrote nothing");
+            }
+            // The longest burst still goes through.
+            bus.try_begin(m, TxnRequest::write(0, vec![7; 65_535]))
+                .expect("a full-length burst is valid");
+        }
+        check(&mut Bus::new(BusConfig::default()));
+        check(&mut crate::axi::AxiBus::new(
+            crate::axi::AxiConfig::default(),
+        ));
+    }
+
+    #[test]
+    fn the_issue_what_if_equals_the_horizon_after_the_issue() {
+        let (mut bus, m) = bus_with_sram();
+        let other = bus.register_master("dma");
+        let req = TxnRequest::read(0x4000_0000, 40);
+        // Idle: a lone request, its sub-bursts back to back.
+        let alone = bus.horizon_with(m, &req);
+        assert_eq!(alone, Some(Cycle::new(2 * (2 + 16) + 2 + 8)));
+        // A waiting completion does not move it; an outstanding burst
+        // makes the issue fail.
+        bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
+            .unwrap();
+        assert_eq!(bus.horizon_with(m, &req), None);
+        bus.run_to_completion(m).unwrap();
+        bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
+            .unwrap();
+        bus.tick();
+        bus.tick();
+        bus.tick();
+        assert_eq!(bus.poll(m), PortState::Complete);
+        assert_eq!(bus.horizon_with(m, &req), alone);
+        bus.take_completion(m);
+        // Behind another master's burst, as `try_begin` then `horizon`
+        // has it.
+        bus.try_begin(other, TxnRequest::read(0x4000_0100, 20))
+            .unwrap();
+        bus.tick();
+        let what_if = bus.horizon_with(m, &req);
+        bus.try_begin(m, req).unwrap();
+        assert_eq!(what_if, bus.horizon());
+        // Rejections match `try_begin`'s.
+        assert_eq!(
+            bus.horizon_with(other, &TxnRequest::read(0x4000_0000, 1)),
+            None
+        );
+        assert_eq!(bus.horizon_with(m, &TxnRequest::read_word(3)), None);
     }
 }

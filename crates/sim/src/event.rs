@@ -12,9 +12,9 @@
 //! interpreters, applied to a SoC.
 //!
 //! For the bus the contract is part of
-//! [`SystemBus`](crate::axi::SystemBus): its
-//! [`horizon`](crate::axi::SystemBus::horizon) and
-//! [`advance`](crate::axi::SystemBus::advance), which `Bus` and
+//! [`SystemBus`]: its
+//! [`horizon`](SystemBus::horizon) and
+//! [`advance`](SystemBus::advance), which `Bus` and
 //! `AxiBus` implement, so an OCP can ask whatever bus it sits on. The
 //! OCP layers state the same contract through their own
 //! `horizon`/`advance` methods (the `Rac` trait's, then inherent ones
@@ -62,7 +62,16 @@
 //! ports in their own tick, so a bus's owner merges its horizon through
 //! [`observed_horizon`] (one tick later) and leaps *through* the bus's
 //! event tick; a bus's `advance` accepts `n ≤ horizon()` for that.
+//!
+//! A window may also hold one master's *issue* (see [`BusWindow`]):
+//! the leap loop works out the bus's horizon with that request added
+//! ([`SystemBus::horizon_with`]),
+//! advances the bus over the ticks before the issue, lets the master
+//! issue through its own `advance`, then advances the bus over the
+//! rest of the window.
 
+use crate::axi::SystemBus;
+use crate::bus::{MasterId, TxnRequest};
 use crate::clock::Cycle;
 
 /// Combines two horizons, treating `None` as "never" (+∞).
@@ -80,7 +89,7 @@ pub fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
 
 /// The first tick at which an owner that ticks *before* the bus can
 /// observe the bus event at `bus_event` (the bus's
-/// [`SystemBus::horizon`](crate::axi::SystemBus::horizon)): the tick
+/// [`SystemBus::horizon`]): the tick
 /// after it.
 ///
 /// A master reads its port in its own tick, which runs before the
@@ -88,12 +97,113 @@ pub fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
 /// `c` is first seen in tick `c + 1`. The completion tick is therefore
 /// pure for everyone but the bus, and an owner may leap through it:
 /// the bus replays its own event inside
-/// [`SystemBus::advance`](crate::axi::SystemBus::advance). An
+/// [`SystemBus::advance`]. An
 /// owner that reads a port *after* the bus ticks (a CPU polling
 /// inside the same cycle) must keep the raw horizon instead.
 #[must_use]
 pub fn observed_horizon(bus_event: Option<Cycle>) -> Option<Cycle> {
     bus_event.map(|c| c + Cycle::new(1))
+}
+
+/// A transfer a bus master can issue inside a fast-forward window: its
+/// request, and the window ticks before the one that issues it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowIssue {
+    /// The issuing master.
+    pub master: MasterId,
+    /// Window ticks before the issue's own: 0 when the window's first
+    /// tick issues, more when the master gets there through ticks of
+    /// its own first (which only a window on an idle bus may hold).
+    pub prefix: u64,
+    /// The request. The bus times and validates a request by its
+    /// kind, address and length alone, so a write's payload may stand
+    /// in for words the master reads only when it issues.
+    pub req: TxnRequest,
+}
+
+/// The bus side of one fast-forward window, worked out once by the
+/// leap loop for every master on the bus: the bus's next event, and the
+/// one transfer the window issues, if any.
+///
+/// The rules that keep the window sound:
+///
+/// * at most one master issues in a window. Of the masters that can,
+///   the one with the fewest ticks to go issues; if two tie, none does
+///   (each candidate's own horizon ends the window before its issue,
+///   so two first-tick issuers single-step);
+/// * a window issues after ticks of its own (`prefix > 0`) only when
+///   the leap loop allows chains and no master is requesting, so the bus
+///   state the issue meets is the one it has now;
+/// * the bus must answer [`SystemBus::horizon_with`]: a request it
+///   declines or would reject stays a stepped event.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BusWindow {
+    event: Option<Cycle>,
+    issue: Option<WindowIssue>,
+}
+
+impl BusWindow {
+    /// Plans the window on `bus`. `candidates(chain)` lists the issues
+    /// the masters can make inside it, and may leave out those with a
+    /// prefix when `chain` is false; `chains` says whether the leap loop
+    /// lets a window chain an issue after ticks of its own at all.
+    pub fn plan<I>(bus: &dyn SystemBus, chains: bool, candidates: impl FnOnce(bool) -> I) -> Self
+    where
+        I: IntoIterator<Item = WindowIssue>,
+    {
+        let event = bus.horizon();
+        let chain = chains && event.is_none();
+        let mut first: Option<WindowIssue> = None;
+        let mut tied = false;
+        for c in candidates(chain) {
+            if c.prefix > 0 && !chain {
+                continue;
+            }
+            match &first {
+                Some(f) if c.prefix > f.prefix => {}
+                Some(f) if c.prefix == f.prefix => tied = true,
+                _ => {
+                    first = Some(c);
+                    tied = false;
+                }
+            }
+        }
+        let issue = first.filter(|_| !tied);
+        match issue.and_then(|i| bus.horizon_with(i.master, &i.req).map(|h| (i, h))) {
+            Some((i, h)) => Self {
+                event: Some(h + Cycle::new(i.prefix)),
+                issue: Some(i),
+            },
+            None => Self { event, issue: None },
+        }
+    }
+
+    /// The bus's next event, as an offset from now, with the window's
+    /// issue included: what every master waiting on the bus defers to.
+    #[must_use]
+    pub fn event(&self) -> Option<Cycle> {
+        self.event
+    }
+
+    /// The window's issue, if `master` makes it.
+    #[must_use]
+    pub fn issue_of(&self, master: MasterId) -> Option<&WindowIssue> {
+        self.issue.as_ref().filter(|i| i.master == master)
+    }
+
+    /// The master that issues in the window, if any.
+    #[must_use]
+    pub fn issuer(&self) -> Option<MasterId> {
+        self.issue.as_ref().map(|i| i.master)
+    }
+
+    /// Ticks the leap loop advances the bus by before the masters advance
+    /// over the window, so that the issue meets the bus on its own
+    /// cycle: the issue's prefix, capped at the window's `leap`.
+    #[must_use]
+    pub fn bus_prefix(&self, leap: u64) -> u64 {
+        self.issue.as_ref().map_or(0, |i| i.prefix.min(leap))
+    }
 }
 
 #[cfg(test)]
@@ -107,6 +217,106 @@ mod tests {
         assert_eq!(min_horizon(c(5), None), c(5));
         assert_eq!(min_horizon(None, c(7)), c(7));
         assert_eq!(min_horizon(None, None), None);
+    }
+
+    mod window {
+        use super::super::*;
+        use crate::axi::{AxiBus, AxiConfig};
+        use crate::bus::{Bus, BusConfig};
+        use crate::memory::{Sram, SramConfig};
+
+        /// An idle bus with three masters and a wait-free SRAM at 0.
+        fn bus() -> (Bus, [MasterId; 3]) {
+            let mut bus = Bus::new(BusConfig::default());
+            let ids = ["a", "b", "c"].map(|n| bus.register_master(n));
+            bus.add_slave(0, Sram::with_words(1024, SramConfig::no_wait()));
+            (bus, ids)
+        }
+
+        fn issue(master: MasterId, prefix: u64) -> WindowIssue {
+            WindowIssue {
+                master,
+                prefix,
+                req: TxnRequest::read(0x40, 4),
+            }
+        }
+
+        /// Grant, address and four beats.
+        const ALONE: u64 = 6;
+
+        fn at(cycles: u64) -> Option<Cycle> {
+            Some(Cycle::new(cycles))
+        }
+
+        #[test]
+        fn one_issue_per_window_the_earliest_and_never_a_tie() {
+            let (bus, [a, b, c]) = bus();
+            let plan = |issues: Vec<WindowIssue>| BusWindow::plan(&bus, true, |_| issues);
+            assert_eq!(plan(vec![]), BusWindow::default());
+            let w = plan(vec![issue(a, 3), issue(b, 0)]);
+            assert_eq!((w.issuer(), w.event()), (Some(b), at(ALONE)));
+            assert_eq!(w.bus_prefix(100), 0);
+            let w = plan(vec![issue(a, 3), issue(b, 1), issue(c, 3)]);
+            assert_eq!((w.issuer(), w.event()), (Some(b), at(ALONE + 1)));
+            assert!(w.issue_of(b).is_some() && w.issue_of(a).is_none());
+            // Two first-tick issuers, or two chains reaching their
+            // issue together: neither issues inside the window.
+            assert_eq!(plan(vec![issue(a, 0), issue(c, 0)]).issuer(), None);
+            assert_eq!(plan(vec![issue(a, 3), issue(c, 3)]).issuer(), None);
+            assert_eq!(
+                plan(vec![issue(a, 3), issue(c, 3), issue(b, 4)]).issuer(),
+                None
+            );
+        }
+
+        #[test]
+        fn chains_need_an_idle_bus_and_the_loops_leave() {
+            let (mut bus, [a, b, _]) = bus();
+            let w = BusWindow::plan(&bus, true, |chain| {
+                assert!(chain, "an idle bus chains");
+                vec![issue(a, 3)]
+            });
+            assert_eq!(w.event(), at(ALONE + 3));
+            assert_eq!((w.bus_prefix(100), w.bus_prefix(2)), (3, 2));
+            // Chaos armed: chains are left out.
+            let w = BusWindow::plan(&bus, false, |chain| {
+                assert!(!chain);
+                vec![issue(a, 3)]
+            });
+            assert_eq!(w, BusWindow::default());
+            // A master requesting: chains are left out, first-tick
+            // issues still count the requester ahead of them.
+            bus.try_begin(b, TxnRequest::read(0, 4)).unwrap();
+            let w = BusWindow::plan(&bus, true, |chain| {
+                assert!(!chain, "a busy bus does not chain");
+                vec![issue(a, 3)]
+            });
+            assert_eq!((w.issuer(), w.event()), (None, bus.horizon()));
+            let w = BusWindow::plan(&bus, true, |_| vec![issue(a, 0)]);
+            assert_eq!(w.issuer(), Some(a));
+            assert_eq!(w.event(), bus.horizon_with(a, &issue(a, 0).req));
+            assert_eq!(w.event(), at(ALONE));
+        }
+
+        #[test]
+        fn a_request_the_bus_rejects_or_declines_stays_an_event() {
+            let (bus, [a, _, _]) = bus();
+            let unmapped = WindowIssue {
+                req: TxnRequest::read(0x10_0000, 4),
+                ..issue(a, 0)
+            };
+            assert_eq!(
+                BusWindow::plan(&bus, true, |_| vec![unmapped]),
+                BusWindow::default()
+            );
+            let mut axi = AxiBus::new(AxiConfig::default());
+            let m = axi.register_master("m");
+            axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
+            assert_eq!(
+                BusWindow::plan(&axi, true, |_| vec![issue(m, 0)]),
+                BusWindow::default()
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * [`event`] — the fast-forward contract: components declare their
 //!   next observable event so driver loops can leap over provably-idle
 //!   cycles instead of ticking through them (for a bus, through
-//!   [`SystemBus::horizon`] and [`SystemBus::advance`]).
+//!   [`SystemBus::horizon`] and [`SystemBus::advance`], and
+//!   [`BusWindow`], which lets one master's transfer issue inside a
+//!   leap).
 //!
 //! Everything is deterministic and single-threaded: hardware concurrency
 //! is modeled by explicit `tick()` calls, one per clock cycle.
@@ -64,7 +66,7 @@ pub mod vcd;
 pub use axi::{AxiBus, AxiConfig, SystemBus};
 pub use bus::{Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest};
 pub use clock::{Cycle, Frequency};
-pub use event::{min_horizon, observed_horizon};
+pub use event::{min_horizon, observed_horizon, BusWindow, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

@@ -9,6 +9,12 @@
 //! the end, the memory contents and the [`Trace`] (every request,
 //! grant, sub-burst boundary, completion and fault, with its cycle)
 //! must match too.
+//!
+//! Every issue of either twin also checks the issue what-if against the
+//! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
+//! equal [`Bus::horizon`] right after it (and be `None` for a request
+//! the bus rejects), and on an idle bus the what-if taken ahead of the
+//! issue, any number of idle cycles before, must not change.
 
 use ouessant_sim::bus::{
     ArbiterPolicy, Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats,
@@ -188,6 +194,47 @@ struct Run {
     trace: Vec<TraceEvent>,
     cycles: u64,
     leaped: u64,
+    /// Issues whose what-if was checked, and those checked from idle
+    /// cycles before the issue.
+    what_ifs: (u64, u64),
+}
+
+/// Requests the bus must reject, derived from `req`: unaligned, and
+/// running past the end of the address map.
+fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
+    let beats = req.beats();
+    [
+        TxnRequest::read(req.addr() + 2, beats),
+        TxnRequest::read(SRAM_BASE + (SRAM_WORDS - 1) * 4, 2),
+    ]
+}
+
+/// Issues `req` for master `m`, checking the what-if first: it equals
+/// the horizon right after the issue, a rejected variant of the
+/// request has none (and queues nothing), and `ahead` — a what-if
+/// taken on the idle bus some cycles before — matches too.
+fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Option<Cycle>>) {
+    for bad in rejected_variants(&req) {
+        assert_eq!(bus.horizon_with(m, &bad), None, "{bad:?}");
+        assert!(bus.try_begin(m, bad).is_err());
+        assert_eq!(bus.poll(m), PortState::Idle);
+    }
+    let what_if = bus.horizon_with(m, &req);
+    bus.try_begin(m, req).expect("scripted request is valid");
+    assert_eq!(
+        what_if,
+        bus.horizon(),
+        "what-if at cycle {}",
+        bus.now().count()
+    );
+    if let Some(ahead) = ahead {
+        assert_eq!(
+            ahead,
+            what_if,
+            "what-if ahead of cycle {}",
+            bus.now().count()
+        );
+    }
 }
 
 fn build(s: &Scenario) -> (Bus, Vec<MasterId>) {
@@ -223,6 +270,10 @@ fn run(s: &Scenario, leap: bool) -> Run {
         .collect();
     let mut observations = Vec::new();
     let mut leaped = 0;
+    let mut what_ifs = (0, 0);
+    // The what-if of the next issue on an idle bus, taken when the bus
+    // went idle, per master.
+    let mut ahead: Vec<Option<Option<Cycle>>> = vec![None; ids.len()];
     loop {
         let now = bus.now().count();
         for (i, &m) in ids.iter().enumerate() {
@@ -239,8 +290,11 @@ fn run(s: &Scenario, leap: bool) -> Run {
                 issue_at[i] = s.scripts[i].get(next[i]).map(|step| now + step.delay);
             }
             if bus.poll(m) == PortState::Idle && issue_at[i].is_some_and(|t| t <= now) {
-                bus.try_begin(m, s.scripts[i][next[i]].req.clone())
-                    .expect("scripted request is valid");
+                let idle = bus.horizon().is_none();
+                let ahead = ahead[i].take().filter(|_| idle);
+                what_ifs.0 += 1;
+                what_ifs.1 += u64::from(ahead.is_some());
+                issue_checked(&mut bus, m, s.scripts[i][next[i]].req.clone(), ahead);
                 issue_at[i] = None;
             }
         }
@@ -248,6 +302,14 @@ fn run(s: &Scenario, leap: bool) -> Run {
         let next_issue = issue_at.iter().flatten().min().copied();
         if !pending && next_issue.is_none() {
             break;
+        }
+        if !pending {
+            // Idle until the next issue: its what-if holds from here.
+            for (i, &m) in ids.iter().enumerate() {
+                if issue_at[i] == next_issue && ahead[i].is_none() {
+                    ahead[i] = Some(bus.horizon_with(m, &s.scripts[i][next[i]].req));
+                }
+            }
         }
         if leap {
             // Leap the bus's pure window, but never past a cycle at
@@ -274,6 +336,7 @@ fn run(s: &Scenario, leap: bool) -> Run {
         trace: bus.trace.events().iter().cloned().collect(),
         cycles: bus.now().count(),
         leaped,
+        what_ifs,
     }
 }
 
@@ -313,6 +376,31 @@ fn leaping_the_bus_matches_ticking_it() {
     }
     assert!(leaped > 100_000, "the bus barely leaped ({leaped} cycles)");
     assert!(faulted > 0, "no scenario exercised a slave fault");
+}
+
+/// The issue what-if, checked at every issue of both twins of every
+/// scenario family (see [`issue_checked`]): both arbiters, every
+/// wait-state and sub-burst configuration, the faulting slave, busy
+/// and idle buses, and idle buses seen cycles ahead of the issue.
+#[test]
+fn the_issue_what_if_matches_the_bus_after_the_issue() {
+    let (mut checked, mut ahead, mut flaky) = (0, 0, 0);
+    for seed in 1..=100u64 {
+        for s in [scenario(seed), contended(seed)] {
+            let (ticked, fast) = assert_twins_agree(&s, seed);
+            for run in [&ticked, &fast] {
+                checked += run.what_ifs.0;
+                ahead += run.what_ifs.1;
+            }
+            flaky += u64::from(s.with_flaky);
+        }
+    }
+    assert!(checked > 2_000, "only {checked} issues checked");
+    assert!(
+        ahead > 500,
+        "only {ahead} issues checked from idle cycles ahead"
+    );
+    assert!(flaky > 20, "only {flaky} scenarios map the faulting slave");
 }
 
 /// 2–4 masters hold multi-sub-burst transactions at once under both

@@ -307,13 +307,16 @@ impl Soc {
                 // The OCP ticks before the bus, so it sees a bus event
                 // only on the next tick; an outstanding CPU poll is read
                 // right after `tick_system`, on the event tick itself.
-                let bus = self.bus.horizon();
+                // The window may hold the OCP's next transfer issue,
+                // which its bus event then counts.
+                let window = self.ocp.window_on(&self.bus);
                 let bus = if poll_outstanding {
-                    bus
+                    window.event()
                 } else {
-                    ouessant_sim::observed_horizon(bus)
+                    ouessant_sim::observed_horizon(window.event())
                 };
-                let horizon = ouessant_sim::min_horizon(self.ocp.horizon_on(&self.bus), bus);
+                let horizon =
+                    ouessant_sim::min_horizon(self.ocp.horizon_on(&self.bus, &window), bus);
                 // A quiescent system (e.g. a program that halted without
                 // setting D) still times out: leap straight to budget.
                 let mut skip = horizon.map_or(u64::MAX, |h| u64::from(h).saturating_sub(1));
@@ -326,9 +329,13 @@ impl Soc {
                     }
                 }
                 if skip > 0 {
-                    let leap = ouessant_sim::Cycle::new(skip);
-                    self.ocp.advance(leap, &mut self.bus);
-                    self.bus.advance(leap);
+                    // The bus reaches the issue's cycle before the OCP
+                    // issues on it.
+                    let prefix = window.bus_prefix(skip);
+                    self.bus.advance(ouessant_sim::Cycle::new(prefix));
+                    self.ocp
+                        .advance(ouessant_sim::Cycle::new(skip), &mut self.bus);
+                    self.bus.advance(ouessant_sim::Cycle::new(skip - prefix));
                     run_cycles += skip;
                 }
             }

@@ -46,4 +46,13 @@ cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --h
 echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+# The fast-forward leaps carry debug assertions (advanced past the
+# dispatch, past the watchdog bite, leap within the pure window) that a
+# release build drops; run the benchmark's own pools once with them on,
+# in a target directory of their own so the timed build stays as it is.
+echo "==> perfbench stepping-mode check with debug assertions (release)"
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/perfbench-da \
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml \
+    --test benchmark stepping_modes_agree_on_every_farm_workload
+
 echo "==> CI green"
