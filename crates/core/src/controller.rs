@@ -23,10 +23,10 @@
 use std::error::Error;
 use std::fmt;
 
-use ouessant_isa::operands::{Bank, BurstLen, FifoId, OffsetReg, MAX_PROGRAM_LEN};
-use ouessant_isa::{DecodeError, Instruction};
+use ouessant_isa::operands::{Bank, BurstLen, FifoId, MAX_PROGRAM_LEN};
+use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
-use ouessant_sim::bus::{BusError, MasterId, TxnKind, TxnRequest};
+use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
 use ouessant_sim::{observed_horizon, BusWindow, Cycle, SystemBus, WindowIssue};
 
 use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
@@ -237,83 +237,11 @@ impl ControllerStats {
     }
 }
 
-/// A transfer instruction's operands, its word offset resolved against
-/// the offset registers.
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    to_coprocessor: bool,
-    bank: Bank,
-    word_offset: u32,
-    burst: BurstLen,
-    fifo: FifoId,
-    post_inc: Option<OffsetReg>,
-}
-
-impl Transfer {
-    /// The operands of `insn`, or `None` if it is not a transfer.
-    fn of(insn: Instruction, offset_regs: &[u16; 4]) -> Option<Self> {
-        let reg_offset = |reg: OffsetReg| u32::from(offset_regs[reg.index()]);
-        let (to_coprocessor, bank, word_offset, burst, fifo, post_inc) = match insn {
-            Instruction::Mvtc {
-                bank,
-                offset,
-                burst,
-                fifo,
-            } => (true, bank, u32::from(offset.value()), burst, fifo, None),
-            Instruction::Mvfc {
-                bank,
-                offset,
-                burst,
-                fifo,
-            } => (false, bank, u32::from(offset.value()), burst, fifo, None),
-            Instruction::Mvtcr {
-                bank,
-                reg,
-                burst,
-                fifo,
-            } => (true, bank, reg_offset(reg), burst, fifo, Some(reg)),
-            Instruction::Mvfcr {
-                bank,
-                reg,
-                burst,
-                fifo,
-            } => (false, bank, reg_offset(reg), burst, fifo, Some(reg)),
-            _ => return None,
-        };
-        Some(Self {
-            to_coprocessor,
-            bank,
-            word_offset,
-            burst,
-            fifo,
-            post_inc,
-        })
-    }
-
-    /// Whether the FIFO side is ready: space for the burst in its input
-    /// FIFO, or the burst's words in its output FIFO, once `pushed`
-    /// words have landed in an input FIFO first.
-    fn fifo_ready(&self, socket: &RacSocket, pushed: Option<(FifoId, usize)>) -> bool {
-        let words = usize::from(self.burst.words());
-        let fifo = self.fifo.index();
-        if self.to_coprocessor {
-            let pushed = pushed
-                .filter(|(f, _)| f.index() == fifo)
-                .map_or(0, |(_, n)| n);
-            socket.input_space(fifo).saturating_sub(pushed) >= words
-        } else {
-            socket.output_available(fifo) >= words
-        }
-    }
-}
-
-#[derive(Debug)]
-enum PendingTransfer {
-    /// Read from memory into input FIFO `fifo`.
-    ToCoprocessor { fifo: FifoId },
-    /// Write from output FIFO to memory (payload already popped).
-    FromCoprocessor,
-}
+/// The FSM's walk to its next `Execute` through ticks of its own (see
+/// [`Controller::walk`]): the ticks before the `Execute` tick, the
+/// instruction it dispatches, and the input FIFO a read pickup on the
+/// way pushes its words into, with their count.
+type Walk = (u64, Option<Instruction>, Option<(FifoId, usize)>);
 
 /// The controller: FSM + program store + extension registers.
 #[derive(Debug)]
@@ -327,7 +255,9 @@ pub struct Controller {
     pc: u16,
     prog_len: u16,
     current: Option<Instruction>,
-    pending_transfer: Option<PendingTransfer>,
+    /// The input FIFO the read in flight fills (`None` for a write,
+    /// whose payload left its output FIFO at issue).
+    pending_read: Option<FifoId>,
     counters: [u16; 4],
     offset_regs: [u16; 4],
     preloaded: bool,
@@ -347,7 +277,7 @@ impl Controller {
             pc: 0,
             prog_len: 0,
             current: None,
-            pending_transfer: None,
+            pending_read: None,
             counters: [0; 4],
             offset_regs: [0; 4],
             preloaded: false,
@@ -470,7 +400,7 @@ impl Controller {
         self.state = ControllerState::Idle;
         self.wedged = false;
         self.current = None;
-        self.pending_transfer = None;
+        self.pending_read = None;
         self.pc = 0;
         self.counters = [0; 4];
         self.offset_regs = [0; 4];
@@ -488,17 +418,87 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
+    /// The walk the FSM makes to its next `Execute` through ticks of
+    /// its own, if it makes one: 0 ticks in `Execute`, 1 from `Decode`,
+    /// 2 from `Fetch`, 3 from the pickup of a burst that completed
+    /// without error in `TransferBusWait` or `LoadProgram` (which leads
+    /// to the next instruction or to word 0 of the loaded program). The
+    /// instruction is `None` when the entry reached lies past the
+    /// program or does not decode, so its `Fetch` or `Decode` faults. A
+    /// read pickup into a busy socket walks nowhere: the RAC would see
+    /// its FIFOs change inside its own window.
+    fn walk(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Walk> {
+        let entry = |pc: u16| self.program.get(usize::from(pc))?.as_ref().ok().copied();
+        match &self.state {
+            _ if self.wedged => None,
+            ControllerState::Execute => Some((0, self.current, None)),
+            ControllerState::Decode => Some((1, entry(self.pc), None)),
+            ControllerState::Fetch => Some((2, entry(self.pc), None)),
+            ControllerState::TransferBusWait => {
+                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
+                    return None;
+                };
+                let pushed = self.pending_read.map(|fifo| (fifo, c.data.len()));
+                (pushed.is_none() || !socket.busy()).then_some((3, entry(self.pc + 1), pushed))
+            }
+            ControllerState::LoadProgram => {
+                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
+                    return None;
+                };
+                let word0 = c.data.first().and_then(|&w| Instruction::decode(w).ok());
+                Some((3, word0, None))
+            }
+            _ => None,
+        }
+    }
+
+    /// The word offset transfer `t` starts at: its immediate, or the
+    /// offset register it names, which its issue post-increments.
+    fn word_offset(&self, t: &Transfer) -> u32 {
+        match t.offset {
+            TransferOffset::Immediate(offset) => u32::from(offset.value()),
+            TransferOffset::Register(reg) => u32::from(self.offset_regs[reg.index()]),
+        }
+    }
+
+    /// The latched instruction as a transfer, if it is one.
+    fn current_transfer(&self) -> Option<Transfer> {
+        Transfer::from_instruction(0, self.current.as_ref()?)
+    }
+
+    /// The one issue check of transfer `t`: `None` while its FIFO side
+    /// is not ready (space for the burst in its input FIFO once the
+    /// `pushed` words of a pickup have landed, or the burst's words in
+    /// its output FIFO), else the bus address its bank and offset
+    /// translate to, or the translation's error.
+    fn issue_check(
+        &self,
+        t: &Transfer,
+        socket: &RacSocket,
+        regs: &RegsHandle,
+        pushed: Option<(FifoId, usize)>,
+    ) -> Option<Result<Addr, TranslateError>> {
+        let words = usize::from(t.burst.words());
+        let fifo = t.fifo.index();
+        let ready = if t.to_coprocessor {
+            let pushed = pushed.filter(|&(f, _)| f == t.fifo).map_or(0, |(_, n)| n);
+            socket.input_space(fifo).saturating_sub(pushed) >= words
+        } else {
+            socket.output_available(fifo) >= words
+        };
+        ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.word_offset(t))))
+    }
+
     /// The transfer this controller can issue inside the next
     /// fast-forward window (see [`BusWindow`]): the `Execute` of
     /// `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on the window's first tick, or,
-    /// with `chain`, the one the FSM reaches through ticks of its own —
-    /// a transfer pickup or the program load's, then `Fetch` and
-    /// `Decode`. Only an issue the tick would make qualifies: the FIFO
-    /// has the space or the words (after the pickup's read lands), and
-    /// the bank translates; [`BusWindow::plan`] then asks the bus. The
-    /// RAC must be idle, so nothing but the controller touches its FIFOs
-    /// in the window. A write's payload stands in as zeros: it leaves
-    /// the output FIFO only when the issue's tick runs.
+    /// with `chain`, the one the FSM reaches through ticks of its own
+    /// (its walk: a transfer pickup or the program load's, then `Fetch`
+    /// and `Decode`). Only an issue the tick would make qualifies: it
+    /// passes the issue check (after the pickup's read lands), and
+    /// [`BusWindow::plan`] then asks the bus about its burst's shape.
+    /// The RAC must be idle, so nothing but the controller touches its
+    /// FIFOs in the window.
     #[must_use]
     pub fn window_issue(
         &self,
@@ -507,47 +507,25 @@ impl Controller {
         regs: &RegsHandle,
         chain: bool,
     ) -> Option<WindowIssue> {
-        let decoded = |pc: u16| self.program.get(usize::from(pc))?.as_ref().ok().copied();
-        let (prefix, insn, pushed) = match &self.state {
-            ControllerState::Execute if !self.wedged => (0, self.current?, None),
-            _ if !chain || self.wedged => return None,
-            ControllerState::Decode => (1, decoded(self.pc)?, None),
-            ControllerState::Fetch => (2, decoded(self.pc)?, None),
-            ControllerState::TransferBusWait => {
-                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
-                    return None;
-                };
-                let pushed = match self.pending_transfer {
-                    Some(PendingTransfer::ToCoprocessor { fifo }) => Some((fifo, c.data.len())),
-                    _ => None,
-                };
-                (3, decoded(self.pc + 1)?, pushed)
-            }
-            ControllerState::LoadProgram => {
-                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
-                    return None;
-                };
-                (3, Instruction::decode(*c.data.first()?).ok()?, None)
-            }
-            _ => return None,
-        };
-        let t = Transfer::of(insn, &self.offset_regs)?;
-        if socket.busy() || !t.fifo_ready(socket, pushed) {
+        let (ticks, insn, pushed) = self.walk(socket, bus)?;
+        if socket.busy() || (ticks > 0 && !chain) {
             return None;
         }
-        let addr = regs
-            .with(|r| self.xlate.translate(r, t.bank, t.word_offset))
-            .ok()?;
-        let words = t.burst.words();
-        let req = if t.to_coprocessor {
-            TxnRequest::read(addr, words)
+        let t = Transfer::from_instruction(0, &insn?)?;
+        let addr = self.issue_check(&t, socket, regs, pushed)?.ok()?;
+        let kind = if t.to_coprocessor {
+            TxnKind::Read
         } else {
-            TxnRequest::write(addr, vec![0; usize::from(words)])
+            TxnKind::Write
         };
         Some(WindowIssue {
             master: self.master(),
-            prefix,
-            req,
+            prefix: ticks,
+            shape: TxnShape {
+                kind,
+                addr,
+                beats: t.burst.words(),
+            },
         })
     }
 
@@ -566,14 +544,12 @@ impl Controller {
     /// [`Controller::window_issue`]), the window runs through the issue
     /// into that burst on the same terms.
     ///
-    /// Otherwise a finished burst in `TransferBusWait` or `LoadProgram`
-    /// is picked up as the window's first tick, and the window carries
-    /// on through `Fetch` and `Decode` to the `Execute` dispatch:
-    /// `Some(4)` when the entry the pickup leads to decodes, `Some(2)`
-    /// when it does not (so `PcOverrun` or `BadInstruction` still
-    /// faults on its own tick). The pickup single-steps when the burst
-    /// failed, or when a read would push its words into a busy socket
-    /// (the RAC would see its FIFOs change inside its own window).
+    /// Otherwise the window follows the FSM's walk to its next
+    /// `Execute`, whose dispatch is the event: a finished burst is
+    /// picked up as the window's first tick, and `Fetch` and `Decode`
+    /// carry on. When the entry the walk reaches does not decode, its
+    /// `Fetch` or `Decode` tick faults (`PcOverrun`, `BadInstruction`)
+    /// and so single-steps, and only a pickup before it leaps.
     #[must_use]
     pub fn horizon(
         &self,
@@ -613,41 +589,12 @@ impl Controller {
             {
                 observed_horizon(window.event())
             }
-            // The pickup, then `Fetch` and `Decode` of the entry it
-            // leads to: word 0 of a loaded program, the next instruction
-            // after a transfer.
-            ControllerState::LoadProgram => match self.dma.peek_completion(bus) {
-                Some(Ok(c)) => pickup_window(
-                    c.data
-                        .first()
-                        .is_some_and(|&w| Instruction::decode(w).is_ok()),
-                ),
-                _ => Some(Cycle::new(1)),
-            },
-            ControllerState::TransferBusWait => match self.dma.peek_completion(bus) {
-                Some(Ok(_))
-                    if !(socket.busy()
-                        && matches!(
-                            self.pending_transfer,
-                            Some(PendingTransfer::ToCoprocessor { .. })
-                        )) =>
-                {
-                    pickup_window(self.decodes_at(self.pc + 1))
-                }
-                _ => Some(Cycle::new(1)),
-            },
-            // Fetch and decode of a word that decodes only walk the FSM
-            // towards `Execute`, whose dispatch is the event. An
-            // overrunning pc or an undecodable word faults on its own
-            // tick instead, so it single-steps.
-            ControllerState::Fetch if self.decodes_at(self.pc) => Some(Cycle::new(3)),
-            ControllerState::Decode if self.decodes_at(self.pc) => Some(Cycle::new(2)),
-            _ => Some(Cycle::new(1)),
+            _ => Some(Cycle::new(match self.walk(socket, bus) {
+                Some((ticks, Some(_), _)) => ticks + 1,
+                Some((ticks, None, _)) => ticks.saturating_sub(2) + 1,
+                None => 1,
+            })),
         }
-    }
-
-    fn decodes_at(&self, pc: u16) -> bool {
-        matches!(self.program.get(usize::from(pc)), Some(Ok(_)))
     }
 
     /// Whether the next tick picks up a burst that completed without
@@ -677,7 +624,7 @@ impl Controller {
             (self.state == ControllerState::TransferBusWait && self.picks_up(bus)).then_some(1);
         let write = window
             .issue_of(self.master())
-            .filter(|i| i.req.kind() == TxnKind::Write)
+            .filter(|i| i.shape.kind == TxnKind::Write)
             .map(|i| i.prefix + 1);
         pickup.into_iter().chain(write)
     }
@@ -735,13 +682,9 @@ impl Controller {
                     self.state = ControllerState::Execute;
                 }
                 _ => {
-                    let insn = self.current.expect("decode set current");
-                    debug_assert!(
-                        Transfer::of(insn, &self.offset_regs).is_some(),
-                        "advanced past the dispatch"
-                    );
+                    let t = self.current_transfer().expect("advanced past the dispatch");
                     let words = self.stats.words_transferred;
-                    self.try_issue_transfer(insn, bus, regs, socket);
+                    self.try_issue_transfer(t, bus, regs, socket);
                     debug_assert_eq!(
                         self.state,
                         ControllerState::TransferBusWait,
@@ -888,8 +831,8 @@ impl Controller {
                 self.dispatch(insn, bus, regs, socket, irq);
             }
             ControllerState::TransferFifoWait => {
-                let insn = self.current.expect("transfer in progress");
-                self.try_issue_transfer(insn, bus, regs, socket);
+                let t = self.current_transfer().expect("transfer in progress");
+                self.try_issue_transfer(t, bus, regs, socket);
             }
             ControllerState::RacWait => {
                 self.stats.rac_wait_cycles += 1;
@@ -955,8 +898,7 @@ impl Controller {
                 // Reads deliver their payload into the input FIFO here;
                 // writes were counted when their payload was popped at
                 // issue time.
-                if let Some(PendingTransfer::ToCoprocessor { fifo }) = self.pending_transfer.take()
-                {
+                if let Some(fifo) = self.pending_read.take() {
                     socket
                         .push_inputs(fifo.index(), &c.data)
                         .expect("space reserved before issue");
@@ -977,12 +919,6 @@ impl Controller {
     ) {
         match insn {
             Instruction::Nop => self.retire(),
-            Instruction::Mvtc { .. }
-            | Instruction::Mvfc { .. }
-            | Instruction::Mvtcr { .. }
-            | Instruction::Mvfcr { .. } => {
-                self.try_issue_transfer(insn, bus, regs, socket);
-            }
             Instruction::Exec { op } => {
                 socket.start(op);
                 self.state = ControllerState::RacWait;
@@ -1032,8 +968,8 @@ impl Controller {
                 self.retire();
             }
             Instruction::Addo { reg, delta } => {
-                let v = i32::from(self.offset_regs[reg.index()]) + i32::from(delta);
-                self.offset_regs[reg.index()] = (v.rem_euclid(1 << 14)) as u16;
+                let v = i64::from(self.offset_regs[reg.index()]) + i64::from(delta);
+                self.offset_regs[reg.index()] = wrap_offset(v);
                 self.retire();
             }
             Instruction::Wait { cycles } => {
@@ -1061,52 +997,57 @@ impl Controller {
                     }
                 }
             }
+            // `mvtc`/`mvfc`/`mvtcr`/`mvfcr`, through their common view.
+            _ => {
+                let t = Transfer::from_instruction(0, &insn)
+                    .expect("every other instruction is a transfer");
+                self.try_issue_transfer(t, bus, regs, socket);
+            }
         }
     }
 
+    /// Issues transfer `t` if its issue check passes: a read reserves
+    /// its input FIFO, a write pops its payload from the output FIFO,
+    /// and a register offset is post-incremented. A FIFO side that is
+    /// not ready waits in `TransferFifoWait`; a bank that does not
+    /// translate, or a burst the bus rejects, faults.
     fn try_issue_transfer(
         &mut self,
-        insn: Instruction,
+        t: Transfer,
         bus: &mut dyn SystemBus,
         regs: &RegsHandle,
         socket: &mut RacSocket,
     ) {
-        let t = Transfer::of(insn, &self.offset_regs)
-            .expect("only transfer instructions reach try_issue_transfer");
-        if !t.fifo_ready(socket, None) {
-            self.state = ControllerState::TransferFifoWait;
-            return;
-        }
-
-        let addr = match regs.with(|r| self.xlate.translate(r, t.bank, t.word_offset)) {
-            Ok(a) => a,
-            Err(e) => {
+        let addr = match self.issue_check(&t, socket, regs, None) {
+            None => {
+                self.state = ControllerState::TransferFifoWait;
+                return;
+            }
+            Some(Err(e)) => {
                 self.set_fault(e.into());
                 return;
             }
+            Some(Ok(addr)) => addr,
         };
-
-        let words = usize::from(t.burst.words());
+        let words = t.burst.words();
+        self.pending_read = t.to_coprocessor.then_some(t.fifo);
         let issue_result = if t.to_coprocessor {
-            self.pending_transfer = Some(PendingTransfer::ToCoprocessor { fifo: t.fifo });
-            self.dma.begin_read(bus, addr, t.burst.words())
+            self.dma.begin_read(bus, addr, words)
         } else {
-            let mut payload = Vec::with_capacity(words);
+            let mut payload = Vec::with_capacity(usize::from(words));
             socket
-                .pop_outputs(t.fifo.index(), words, &mut payload)
+                .pop_outputs(t.fifo.index(), usize::from(words), &mut payload)
                 .expect("occupancy checked above");
-            self.pending_transfer = Some(PendingTransfer::FromCoprocessor);
-            self.stats.words_transferred += words as u64;
+            self.stats.words_transferred += u64::from(words);
             self.dma.begin_write(bus, addr, payload)
         };
-
         if let Err(e) = issue_result {
             self.set_fault(e.into());
             return;
         }
-        if let Some(reg) = t.post_inc {
-            let v = u32::from(self.offset_regs[reg.index()]) + u32::from(t.burst.words());
-            self.offset_regs[reg.index()] = (v % (1 << 14)) as u16;
+        if let TransferOffset::Register(reg) = t.offset {
+            let next = self.word_offset(&t) + u32::from(words);
+            self.offset_regs[reg.index()] = wrap_offset(i64::from(next));
         }
         self.state = ControllerState::TransferBusWait;
     }
@@ -1120,11 +1061,10 @@ impl Controller {
     }
 }
 
-/// The horizon of a pickup: through `Fetch` and `Decode` to the
-/// `Execute` dispatch when the next entry decodes, else only the pickup
-/// (the `Fetch` or `Decode` tick after it faults).
-fn pickup_window(next_decodes: bool) -> Option<Cycle> {
-    Some(Cycle::new(if next_decodes { 4 } else { 2 }))
+/// An offset register's value after an `addo` or a post-increment
+/// takes it to `v`: offsets wrap at the 14-bit offset field's range.
+fn wrap_offset(v: i64) -> u16 {
+    v.rem_euclid(1 << 14) as u16
 }
 
 /// Decodes a program store once, entry by entry.

@@ -416,9 +416,9 @@ impl Ocp {
     /// exactly as `cycles` real ticks would have moved them. Completion
     /// needs no replay — `eop` is never inside a window. A pickup
     /// retires the port's completion on `bus` and an issue begins a
-    /// burst there; the owner has advanced the bus to the issue's
-    /// cycle ([`BusWindow::bus_prefix`]) and advances it over the rest
-    /// of the window afterwards.
+    /// burst there: call it inside [`BusWindow::leap`], which has
+    /// advanced the bus to the issue's cycle and advances it over the
+    /// rest of the window afterwards.
     pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
         // A read pickup only fills the input FIFOs of an idle socket
         // (the horizon single-steps it otherwise), and an issue only
@@ -686,6 +686,53 @@ mod tests {
         assert_eq!(results[0], results[1]);
     }
 
+    /// The offset registers wrap at 2^14 under a transfer's
+    /// post-increment and under `addo` alike: a burst from word 16 380
+    /// leaves its register at 4, so the next burst reads bank word 4
+    /// and leaves 12, and `addo -16` wraps that back to 16 380. The
+    /// bank sits in an SRAM of its own that holds all three bursts.
+    #[test]
+    fn offset_registers_wrap_at_the_offset_range() {
+        const BANK: Addr = 0x5000_0000;
+        const WORDS: u32 = (1 << 14) + 8;
+        let build = || {
+            let mut fx = fixture(Box::new(PassthroughRac::new(0)));
+            let sram = Sram::with_words(WORDS as usize, SramConfig::no_wait());
+            fx.bus.add_slave(BANK, sram);
+            for i in 0..WORDS {
+                fx.bus.debug_write(BANK + i * 4, 0xB000_0000 + i).unwrap();
+            }
+            let program = assemble(
+                "
+                ldo O0,16380
+                mvtcr BANK1,O0,DMA8,FIFO0
+                mvtcr BANK1,O0,DMA8,FIFO0
+                addo O0,-16
+                mvtcr BANK1,O0,DMA8,FIFO0
+                execs 24
+                mvfc BANK2,0,DMA24,FIFO0
+                eop
+                ",
+            )
+            .unwrap();
+            fx.load_program(&program);
+            fx.ocp.regs().set_bank(1, BANK).unwrap();
+            fx.ocp.regs().set_bank(2, RAM_BASE + 0x1000).unwrap();
+            fx
+        };
+        let mut fx = build();
+        fx.run(10_000);
+        let out: Vec<u32> = (0..24)
+            .map(|i| fx.bus.debug_read(RAM_BASE + 0x1000 + i * 4).unwrap())
+            .collect();
+        let burst = |from: u32| (from..from + 8).map(|i| 0xB000_0000 + i);
+        let expected: Vec<u32> = burst(16_380).chain(burst(4)).chain(burst(16_380)).collect();
+        assert_eq!(out, expected);
+        // The same wraps inside fast-forward windows.
+        let (_, fault, _) = leap_against_steps(build, 10_000);
+        assert_eq!(fault, None);
+    }
+
     #[test]
     fn unconfigured_bank_faults() {
         let mut fx = fixture(Box::new(PassthroughRac::new(0)));
@@ -890,10 +937,9 @@ mod tests {
             if skip > 0 {
                 let from = fast.ocp.controller().state().clone();
                 let pc = fast.ocp.controller().pc();
-                let prefix = window.bus_prefix(skip);
-                fast.bus.advance(Cycle::new(prefix));
-                fast.ocp.advance(Cycle::new(skip), &mut fast.bus);
-                fast.bus.advance(Cycle::new(skip - prefix));
+                window.leap(&mut fast.bus, skip, |bus| {
+                    fast.ocp.advance(Cycle::new(skip), bus);
+                });
                 for _ in 0..skip {
                     slow.step();
                 }

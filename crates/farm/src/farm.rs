@@ -51,7 +51,7 @@ use ouessant::ExecError;
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
 use ouessant_sim::bus::{Bus, BusConfig, BusStats};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{BusWindow, Cycle};
+use ouessant_sim::BusWindow;
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
 
@@ -678,9 +678,7 @@ impl Farm {
         for w in &mut self.workers {
             w.tick(&mut self.bus);
         }
-        let work_pending = !self.queue.is_empty()
-            || !self.parked.is_empty()
-            || self.workers.iter().any(|w| !w.is_idle());
+        let work_pending = self.work_pending();
         if let Some(plan) = self.chaos.as_mut() {
             // A one-cycle window, rolled after the workers tick (so no
             // controller is at a pickup) and landed at once.
@@ -733,11 +731,7 @@ impl Farm {
         let start = self.now();
         loop {
             let squatting = self.chaos.as_ref().is_some_and(FaultPlan::holding_squat);
-            if self.queue.is_empty()
-                && self.parked.is_empty()
-                && self.in_flight() == 0
-                && !squatting
-            {
+            if !self.work_pending() && !squatting {
                 break;
             }
             if self.now() - start >= fuel {
@@ -874,9 +868,7 @@ impl Farm {
         }
         // Frozen for the whole window: queue/park/in-flight membership
         // only changes at events, which the horizon excludes.
-        let work_pending = !self.queue.is_empty()
-            || !self.parked.is_empty()
-            || self.workers.iter().any(|w| !w.is_idle());
+        let work_pending = self.work_pending();
         self.injection_scratch.clear();
         let leap = match self.chaos.as_mut() {
             Some(plan) => plan.fast_forward(
@@ -891,12 +883,11 @@ impl Farm {
             None => bound,
         };
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
-        let prefix = window.bus_prefix(leap);
-        self.bus.advance(Cycle::new(prefix));
-        for w in &mut self.workers {
-            w.advance(leap, &mut self.bus);
-        }
-        self.bus.advance(Cycle::new(leap - prefix));
+        window.leap(&mut self.bus, leap, |bus| {
+            for w in &mut self.workers {
+                w.advance(leap, bus);
+            }
+        });
         self.ledger.skipped_cycles += leap;
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults
@@ -1166,6 +1157,20 @@ impl Farm {
         }
     }
 
+    /// Returns a job's three shared-memory leases to the allocator.
+    fn free_leases(&mut self, regions: JobRegions) {
+        for region in [regions.prog, regions.input, regions.output] {
+            self.alloc.free(region).expect("regions leased at dispatch");
+        }
+    }
+
+    /// Whether any job is queued, parked for retry or in flight.
+    fn work_pending(&self) -> bool {
+        !self.queue.is_empty()
+            || !self.parked.is_empty()
+            || self.workers.iter().any(|w| !w.is_idle())
+    }
+
     /// Harvests finished jobs: reads back outputs, frees regions and
     /// finishes the jobs.
     fn collect_completions(&mut self) {
@@ -1188,9 +1193,7 @@ impl Farm {
                 .bus
                 .master_stats(self.workers[wi].ocp.bus_master())
                 .contention_cycles;
-            for region in [done.regions.prog, done.regions.input, done.regions.output] {
-                self.alloc.free(region).expect("regions leased at dispatch");
-            }
+            self.free_leases(done.regions);
             let outcome = JobOutcome::Completed {
                 attempts: done.job.attempts + 1,
             };
@@ -1228,9 +1231,7 @@ impl Farm {
                 // The leak fix: a dead job's leases go back to the
                 // allocator the moment the fault is absorbed, exactly
                 // as a completion would return them.
-                for region in [done.regions.prog, done.regions.input, done.regions.output] {
-                    self.alloc.free(region).expect("regions leased at dispatch");
-                }
+                self.free_leases(done.regions);
                 done.job
             });
 
@@ -1349,9 +1350,7 @@ impl Farm {
                 continue;
             };
             self.ledger.aborts += 1;
-            for region in [done.regions.prog, done.regions.input, done.regions.output] {
-                self.alloc.free(region).expect("regions leased at dispatch");
-            }
+            self.free_leases(done.regions);
             let mut job = done.job;
             job.attempts += 1;
             self.drop_deadline_missed(job, wi, done.started_at);
@@ -1552,8 +1551,9 @@ mod tests {
         let mut farm = skewed_pool(0, Some(quiet));
         while farm.in_flight() > 0 || farm.queue_len() > 0 {
             let (_, window) = farm.idle_horizon();
+            let issue = window.issuer().and_then(|m| window.issue_of(m));
             assert_eq!(
-                window.bus_prefix(u64::MAX),
+                issue.map_or(0, |i| i.prefix),
                 0,
                 "a chained issue under chaos"
             );

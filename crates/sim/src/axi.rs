@@ -20,7 +20,7 @@
 
 use crate::bus::{
     Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, SlaveMap, Txn, TxnKind,
-    TxnRequest,
+    TxnRequest, TxnShape,
 };
 use crate::clock::Cycle;
 
@@ -92,15 +92,15 @@ pub trait SystemBus {
     fn horizon(&self) -> Option<Cycle>;
 
     /// The [`SystemBus::horizon`] the bus would have right after
-    /// `master` issues `req`, before this cycle's tick, or `None`. It
-    /// lets a master issue inside a fast-forward window instead of on a
-    /// stepped tick (see [`BusWindow`](crate::event::BusWindow)), so an
-    /// answer must be exact, and `None` whenever the issue would fail
-    /// (a completion still waiting on `master`'s port aside). The
-    /// default declines every request, which keeps each issue a
+    /// `master` issues a burst of `shape`, before this cycle's tick, or
+    /// `None`. It lets a master issue inside a fast-forward window
+    /// instead of on a stepped tick (see [`BusWindow`](crate::event::BusWindow)),
+    /// so an answer must be exact, and `None` whenever `try_begin` would
+    /// reject the burst (a completion waiting on `master`'s port aside).
+    /// The default declines every request, which keeps each issue a
     /// stepped event.
-    fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
-        let _ = (master, req);
+    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
+        let _ = (master, shape);
         None
     }
 
@@ -169,7 +169,7 @@ impl Channel {
                 self.active = Some(ChannelActive {
                     master,
                     setup_left: setup,
-                    wait_left: slaves.device(txn.slave_idx).first_access_wait_states(),
+                    wait_left: slaves.timing(txn.slave_idx).first_wait,
                 });
             }
             return;
@@ -195,7 +195,7 @@ impl Channel {
             self.active = None;
             completions[master].push(Ok(txn.finish(now)));
         } else {
-            active.wait_left = slaves.device(txn.slave_idx).sequential_wait_states();
+            active.wait_left = slaves.timing(txn.slave_idx).seq_wait;
         }
     }
 
@@ -283,10 +283,7 @@ impl SystemBus for AxiBus {
             TxnKind::Read => &mut self.read,
             TxnKind::Write => &mut self.write,
         };
-        if channel.slots[m].is_some() {
-            return Err(BusError::Busy);
-        }
-        let slave_idx = self.slaves.validate(&req)?;
+        let slave_idx = self.slaves.validate(&req, channel.slots[m].is_some())?;
         channel.slots[m] = Some(Txn::new(req, slave_idx, self.now));
         Ok(())
     }

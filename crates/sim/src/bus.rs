@@ -24,13 +24,14 @@
 //! completion, and [`Bus::advance`] leaps to it (or through it, since
 //! no master sees it before the next tick) through every grant, address
 //! phase, wait state, beat and re-arbitration on the way.
-//! [`Bus::horizon_with`] answers the same question with one more
-//! request issued, so a master's issue can sit inside a leap too.
+//! [`Bus::horizon_with`] answers the same question with one more burst
+//! issued, given by its [`TxnShape`], so a master's issue can sit
+//! inside a leap too.
 //!
-//! The address map (`SlaveMap`: decode, request validation, debug
-//! access) and the accepted-transaction record (`Txn`) are shared with
-//! the AXI-like [`crate::axi::AxiBus`]; each bus keeps only its own
-//! timing FSM.
+//! The address map (`SlaveMap`: decode, the span check `try_begin` and
+//! the what-if share, slave timing read at mapping, debug access) and
+//! the accepted-transaction record (`Txn`) are shared with the AXI-like
+//! [`crate::axi::AxiBus`]; each bus keeps only its own timing FSM.
 
 use std::error::Error;
 use std::fmt;
@@ -86,9 +87,7 @@ impl fmt::Display for TxnKind {
 /// A transaction request: a word-aligned address plus a burst of beats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnRequest {
-    kind: TxnKind,
-    addr: Addr,
-    beats: u16,
+    shape: TxnShape,
     data: Vec<u32>,
 }
 
@@ -97,9 +96,11 @@ impl TxnRequest {
     #[must_use]
     pub fn read(addr: Addr, beats: u16) -> Self {
         Self {
-            kind: TxnKind::Read,
-            addr,
-            beats,
+            shape: TxnShape {
+                kind: TxnKind::Read,
+                addr,
+                beats,
+            },
             data: Vec::new(),
         }
     }
@@ -118,9 +119,11 @@ impl TxnRequest {
     pub fn write(addr: Addr, data: Vec<u32>) -> Self {
         let beats = u16::try_from(data.len()).unwrap_or(u16::MAX);
         Self {
-            kind: TxnKind::Write,
-            addr,
-            beats,
+            shape: TxnShape {
+                kind: TxnKind::Write,
+                addr,
+                beats,
+            },
             data,
         }
     }
@@ -134,26 +137,39 @@ impl TxnRequest {
     /// The transaction kind.
     #[must_use]
     pub fn kind(&self) -> TxnKind {
-        self.kind
+        self.shape.kind
     }
 
     /// The start address.
     #[must_use]
     pub fn addr(&self) -> Addr {
-        self.addr
+        self.shape.addr
     }
 
     /// Number of data beats.
     #[must_use]
     pub fn beats(&self) -> u16 {
-        self.beats
+        self.shape.beats
     }
 
-    /// The write payload (empty for reads).
+    /// The request's shape: what the bus times and checks it by.
     #[must_use]
-    pub fn write_data(&self) -> &[u32] {
-        &self.data
+    pub fn shape(&self) -> TxnShape {
+        self.shape
     }
+}
+
+/// A request without its payload: all the bus times a burst and checks
+/// where it lands by, so a master can ask about a burst before it has
+/// the words it will write ([`Bus::horizon_with`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxnShape {
+    /// Read or write.
+    pub kind: TxnKind,
+    /// The start address.
+    pub addr: Addr,
+    /// Number of data beats.
+    pub beats: u16,
 }
 
 /// The result of a finished transaction.
@@ -219,6 +235,11 @@ impl Error for SlaveFault {}
 /// word-aligned. Wait states let a slave model its access latency; the
 /// bus charges `first_access_wait_states` before the first beat of every
 /// sub-burst and `sequential_wait_states` between subsequent beats.
+///
+/// The bus reads `first_access_wait_states`, `sequential_wait_states`
+/// and `fault_free` once, when the slave is mapped, and times every
+/// burst by those values: they must not change while the slave is
+/// mapped.
 pub trait BusSlave {
     /// Name used in traces and error messages.
     fn name(&self) -> &str;
@@ -446,8 +467,8 @@ pub(crate) struct Txn {
 impl Txn {
     /// Accepts `req` at cycle `now`, bound for slave `slave_idx`.
     pub(crate) fn new(req: TxnRequest, slave_idx: usize, now: Cycle) -> Self {
-        let capacity = match req.kind {
-            TxnKind::Read => usize::from(req.beats),
+        let capacity = match req.shape.kind {
+            TxnKind::Read => usize::from(req.shape.beats),
             TxnKind::Write => 0,
         };
         Self {
@@ -461,12 +482,12 @@ impl Txn {
 
     /// Beats not yet moved.
     pub(crate) fn remaining(&self) -> u16 {
-        self.req.beats - self.beats_done
+        self.req.shape.beats - self.beats_done
     }
 
     /// Whether every beat has moved.
     pub(crate) fn is_done(&self) -> bool {
-        self.beats_done == self.req.beats
+        self.beats_done == self.req.shape.beats
     }
 
     /// Moves the next `count` data beats through the transaction's
@@ -479,8 +500,8 @@ impl Txn {
         count: u16,
     ) -> (u16, Option<SlaveFault>) {
         let slave = &mut slaves.slaves[self.slave_idx];
-        let offset = self.req.addr + u32::from(self.beats_done) * 4 - slave.base;
-        let (moved, fault) = match self.req.kind {
+        let offset = self.req.shape.addr + u32::from(self.beats_done) * 4 - slave.base;
+        let (moved, fault) = match self.req.shape.kind {
             TxnKind::Read => {
                 let before = self.read_data.len();
                 match slave
@@ -507,8 +528,8 @@ impl Txn {
     /// The completion of a transaction whose last beat moved at `now`.
     pub(crate) fn finish(self, now: Cycle) -> Completion {
         Completion {
-            kind: self.req.kind,
-            addr: self.req.addr,
+            kind: self.req.shape.kind,
+            addr: self.req.shape.addr,
             data: self.read_data,
             issued_at: self.issued_at,
             completed_at: now,
@@ -556,9 +577,28 @@ fn beats_within(wait: u32, seq_wait: u32, n: u64) -> u64 {
         .map_or(0, |slack| slack / (1 + u64::from(seq_wait)) + 1)
 }
 
+/// A slave's [`BusSlave::first_access_wait_states`],
+/// [`BusSlave::sequential_wait_states`] and [`BusSlave::fault_free`],
+/// read once when it is mapped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlaveTiming {
+    pub(crate) first_wait: u32,
+    pub(crate) seq_wait: u32,
+    pub(crate) fault_free: bool,
+}
+
+impl SlaveTiming {
+    /// Cycles from the grant of a sub-burst of `beats` beats through
+    /// its last beat.
+    fn sub_burst_cycles(self, beats: u64) -> u64 {
+        2 + beat_offset(self.first_wait, self.seq_wait, beats)
+    }
+}
+
 struct SlaveEntry {
     base: Addr,
     size: u32,
+    timing: SlaveTiming,
     device: Box<dyn BusSlave>,
 }
 
@@ -607,12 +647,23 @@ impl SlaveMap {
                 s.device.name()
             );
         }
-        self.slaves.push(SlaveEntry { base, size, device });
+        let timing = SlaveTiming {
+            first_wait: device.first_access_wait_states(),
+            seq_wait: device.sequential_wait_states(),
+            fault_free: device.fault_free(),
+        };
+        self.slaves.push(SlaveEntry {
+            base,
+            size,
+            timing,
+            device,
+        });
     }
 
-    /// The slave at index `idx`, as [`SlaveMap::validate`] returned it.
-    pub(crate) fn device(&self, idx: usize) -> &dyn BusSlave {
-        self.slaves[idx].device.as_ref()
+    /// The timing of the slave at index `idx`, as [`SlaveMap::span`]
+    /// returned it.
+    pub(crate) fn timing(&self, idx: usize) -> SlaveTiming {
+        self.slaves[idx].timing
     }
 
     fn decode(&self, addr: Addr) -> Result<usize, BusError> {
@@ -622,28 +673,38 @@ impl SlaveMap {
             .ok_or(BusError::Unmapped { addr })
     }
 
-    /// The slave a transaction request is bound for: the request must
-    /// be word-aligned, carry exactly one payload word per beat if it
-    /// writes, move at least one beat, start on a mapped address and
-    /// stay inside that slave's window.
-    pub(crate) fn validate(&self, req: &TxnRequest) -> Result<usize, BusError> {
-        if !req.addr.is_multiple_of(4) {
-            return Err(BusError::Unaligned { addr: req.addr });
+    /// The slave a burst of `shape` from a master port that is `busy`
+    /// or not is bound for: the port must be free, the address
+    /// word-aligned, the burst at least one beat long, its start mapped
+    /// and the whole burst inside that slave's window.
+    pub(crate) fn span(&self, shape: TxnShape, busy: bool) -> Result<usize, BusError> {
+        if busy {
+            return Err(BusError::Busy);
         }
-        if req.kind == TxnKind::Write && req.data.len() != usize::from(req.beats) {
-            return Err(BusError::PayloadLength {
-                beats: req.beats,
-                words: req.data.len(),
-            });
+        if !shape.addr.is_multiple_of(4) {
+            return Err(BusError::Unaligned { addr: shape.addr });
         }
-        if req.beats == 0 {
+        if shape.beats == 0 {
             return Err(BusError::EmptyBurst);
         }
-        let idx = self.decode(req.addr)?;
-        if u64::from(req.addr) + u64::from(req.beats) * 4 > self.slaves[idx].end() {
+        let idx = self.decode(shape.addr)?;
+        if u64::from(shape.addr) + u64::from(shape.beats) * 4 > self.slaves[idx].end() {
             return Err(BusError::CrossesSlaveBoundary {
-                addr: req.addr,
-                beats: req.beats,
+                addr: shape.addr,
+                beats: shape.beats,
+            });
+        }
+        Ok(idx)
+    }
+
+    /// The slave a request is bound for: [`SlaveMap::span`] of its
+    /// shape, and a write must carry exactly one payload word per beat.
+    pub(crate) fn validate(&self, req: &TxnRequest, busy: bool) -> Result<usize, BusError> {
+        let idx = self.span(req.shape, busy)?;
+        if req.shape.kind == TxnKind::Write && req.data.len() != usize::from(req.shape.beats) {
+            return Err(BusError::PayloadLength {
+                beats: req.shape.beats,
+                words: req.data.len(),
             });
         }
         Ok(idx)
@@ -743,7 +804,7 @@ pub struct Bus {
     slaves: SlaveMap,
     active: Option<ActiveGrant>,
     last_grantee: usize,
-    stats: BusStats,
+    busy_cycles: u64,
     /// Shared trace (disabled by default).
     pub trace: Trace,
 }
@@ -765,7 +826,7 @@ impl Bus {
             slaves: SlaveMap::default(),
             active: None,
             last_grantee: 0,
-            stats: BusStats::default(),
+            busy_cycles: 0,
             trace: Trace::disabled(),
         }
     }
@@ -894,17 +955,15 @@ impl Bus {
     /// See [`BusError`]. On `Err` nothing is queued.
     pub fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
         let port = self.masters.get(master.0).ok_or(BusError::UnknownMaster)?;
-        if port.outstanding.is_some() || port.completion.is_some() {
-            return Err(BusError::Busy);
-        }
-        let slave_idx = self.slaves.validate(&req)?;
+        let busy = port.outstanding.is_some() || port.completion.is_some();
+        let slave_idx = self.slaves.validate(&req, busy)?;
         if self.trace.is_enabled() {
             self.trace.record(
                 self.now,
                 "bus",
                 format!(
                     "{} requests {} of {} beats at {:#010x}",
-                    self.masters[master.0].name, req.kind, req.beats, req.addr
+                    self.masters[master.0].name, req.shape.kind, req.shape.beats, req.shape.addr
                 ),
             );
         }
@@ -969,7 +1028,6 @@ impl Bus {
         for (i, p) in self.masters.iter_mut().enumerate() {
             if i != owner && p.outstanding.is_some() {
                 p.stats.contention_cycles += cycles;
-                self.stats.contention_cycles += cycles;
             }
         }
     }
@@ -1023,7 +1081,6 @@ impl Bus {
     /// the one cycle run.
     fn grant(&mut self, winner: usize) -> u64 {
         self.elapse_busy(1);
-        self.stats.grants += 1;
         self.masters[winner].stats.grants += 1;
         self.last_grantee = winner;
         if self.trace.is_enabled() {
@@ -1051,7 +1108,7 @@ impl Bus {
         self.active = Some(ActiveGrant {
             master: owner,
             phase: Phase::Beat {
-                wait_left: self.slaves.device(txn.slave_idx).first_access_wait_states(),
+                wait_left: self.slaves.timing(txn.slave_idx).first_wait,
                 sub_beats_left: self.sub_burst_beats(txn.remaining()),
             },
         });
@@ -1063,7 +1120,7 @@ impl Bus {
     /// Moves `now` and the cycle counters over `cycles` owned cycles.
     fn elapse_busy(&mut self, cycles: u64) {
         self.now += Cycle::new(cycles);
-        self.stats.busy_cycles += cycles;
+        self.busy_cycles += cycles;
     }
 
     /// Runs at most `n` cycles of `owner`'s data phase, which has
@@ -1078,7 +1135,7 @@ impl Bus {
             .outstanding
             .as_mut()
             .expect("granted master has an outstanding txn");
-        let seq_wait = self.slaves.device(txn.slave_idx).sequential_wait_states();
+        let seq_wait = self.slaves.timing(txn.slave_idx).seq_wait;
         let fit = beats_within(wait_left, seq_wait, n).min(u64::from(sub_beats_left)) as u16;
         let (beats, fault) = if fit > 0 {
             txn.move_beats(&mut self.slaves, fit)
@@ -1087,7 +1144,6 @@ impl Bus {
         };
         let beats = u64::from(beats);
         port.stats.beats += beats;
-        self.stats.beats += beats;
         let released = fault.is_some() || beats == u64::from(sub_beats_left);
         let ran = if released {
             beat_offset(wait_left, seq_wait, beats)
@@ -1114,14 +1170,14 @@ impl Bus {
         let txn = port.outstanding.as_ref().expect("present");
         if let Some(fault) = fault {
             if self.trace.is_enabled() {
-                self.trace
-                    .record(self.now, "bus", format!("fault at {:#010x}", txn.req.addr));
+                let msg = format!("fault at {:#010x}", txn.req.shape.addr);
+                self.trace.record(self.now, "bus", msg);
             }
             port.outstanding = None;
             port.completion = Some(Err(BusError::Fault(fault)));
         } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
-            let beats = txn.req.beats;
+            let beats = txn.req.shape.beats;
             let completion = txn.finish(self.now);
             if self.trace.is_enabled() {
                 self.trace.record(
@@ -1181,13 +1237,21 @@ impl Bus {
         self.take_completion(master).expect("completion present")
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics: the grants, beats and contention cycles
+    /// are the sums of the per-master ones.
     #[must_use]
     pub fn stats(&self) -> BusStats {
-        BusStats {
+        let mut stats = BusStats {
             cycles: self.now.count(),
-            ..self.stats
+            busy_cycles: self.busy_cycles,
+            ..BusStats::default()
+        };
+        for p in &self.masters {
+            stats.grants += p.stats.grants;
+            stats.beats += p.stats.beats;
+            stats.contention_cycles += p.stats.contention_cycles;
         }
+        stats
     }
 }
 
@@ -1199,17 +1263,8 @@ struct Requester {
     pos: usize,
     /// Beats left once the current sub-burst ends.
     left: u64,
-    first_wait: u32,
-    seq_wait: u32,
-    fault_free: bool,
-}
-
-impl Requester {
-    /// Cycles from the grant of a sub-burst of `beats` beats through its
-    /// last beat.
-    fn sub_burst_cycles(&self, beats: u64) -> u64 {
-        2 + beat_offset(self.first_wait, self.seq_wait, beats)
-    }
+    /// Its slave's timing.
+    timing: SlaveTiming,
 }
 
 /// A request [`Bus::horizon_with`] adds to the requesting set: its
@@ -1256,14 +1311,11 @@ impl Bus {
         };
         granted.filter_map(move |i| {
             let (remaining, slave_idx) = self.request(i, issuer)?;
-            let slave = self.slaves.device(slave_idx);
             let in_flight = if i == self.last_grantee { in_flight } else { 0 };
             Some(Requester {
                 pos: (i + n - self.last_grantee - 1) % n,
                 left: u64::from(remaining - in_flight),
-                first_wait: slave.first_access_wait_states(),
-                seq_wait: slave.sequential_wait_states(),
-                fault_free: slave.fault_free(),
+                timing: self.slaves.timing(slave_idx),
             })
         })
     }
@@ -1286,26 +1338,24 @@ impl Bus {
         self.next_event(None)
     }
 
-    /// The horizon the bus would have if `master` issued `req` now,
-    /// before this cycle's tick: [`Bus::horizon`] right after
-    /// [`Bus::try_begin`]`(master, req)`, worked out in closed form
-    /// (no clone, O(masters)). `None` when that `try_begin` would fail,
-    /// so the what-if accepts exactly the requests the bus does. A
-    /// completion still waiting on `master`'s port is ignored: it does
-    /// not move the timing, and a master picks its last burst up before
-    /// it issues the next one.
+    /// The horizon the bus would have if `master` issued a request of
+    /// `shape` now, before this cycle's tick: [`Bus::horizon`] right
+    /// after [`Bus::try_begin`], worked out in closed form (no clone,
+    /// O(masters)). `None` when the burst fails the checks `try_begin`
+    /// makes of it (see [`BusError`]; a write's payload length is the
+    /// one check that needs the payload). A completion still waiting on
+    /// `master`'s port is ignored: it does not move the timing, and a
+    /// master picks its last burst up before it issues the next one.
     ///
     /// On an idle bus the answer does not depend on `now`, so an issue
     /// `k` idle ticks ahead completes `k` ticks later.
     #[must_use]
-    pub fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
-        if self.masters.get(master.0)?.outstanding.is_some() {
-            return None;
-        }
-        let slave_idx = self.slaves.validate(req).ok()?;
+    pub fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
+        let port = self.masters.get(master.0)?;
+        let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
         self.next_event(Some(Issuer {
             master: master.0,
-            beats: req.beats,
+            beats: shape.beats,
             slave_idx,
         }))
     }
@@ -1322,23 +1372,22 @@ impl Bus {
                 .outstanding
                 .as_ref()
                 .expect("granted master has an outstanding txn");
-            let slave = self.slaves.device(txn.slave_idx);
+            let timing = self.slaves.timing(txn.slave_idx);
             let remaining = txn.remaining();
             let (wait, beats) = match phase {
                 Phase::Granted => {
                     cycles = 1;
-                    let beats = self.sub_burst_beats(remaining);
-                    (slave.first_access_wait_states(), beats)
+                    (timing.first_wait, self.sub_burst_beats(remaining))
                 }
                 Phase::Beat {
                     wait_left,
                     sub_beats_left,
                 } => (wait_left, sub_beats_left),
             };
-            if !slave.fault_free() {
+            if !timing.fault_free {
                 return Some(Cycle::new(cycles + beat_offset(wait, 0, 1)));
             }
-            cycles += beat_offset(wait, slave.sequential_wait_states(), u64::from(beats));
+            cycles += beat_offset(wait, timing.seq_wait, u64::from(beats));
             if beats == remaining {
                 return Some(Cycle::new(cycles));
             }
@@ -1353,12 +1402,12 @@ impl Bus {
         let mut faulting: Option<Requester> = None;
         let mut earliest = usize::MAX;
         for r in self.rotation(in_flight, issuer) {
-            round += r.sub_burst_cycles(max);
+            round += r.timing.sub_burst_cycles(max);
             let key = (r.left.div_ceil(max), r.pos);
             if first.is_none_or(|(f, _)| key < f) {
                 first = Some((key, r));
             }
-            if !r.fault_free && faulting.is_none_or(|f| r.pos < f.pos) {
+            if !r.timing.fault_free && faulting.is_none_or(|f| r.pos < f.pos) {
                 faulting = Some(r);
             }
             earliest = earliest.min(r.pos);
@@ -1371,19 +1420,19 @@ impl Bus {
             _ => (sub_bursts - 1, completer),
         };
         cycles += rounds * round;
-        let beat = if target.fault_free {
+        let beat = if target.timing.fault_free {
             target.left - rounds * max
         } else {
             1
         };
-        cycles += target.sub_burst_cycles(beat);
+        cycles += target.timing.sub_burst_cycles(beat);
         // The requesters granted before the target in its round (none
         // when it is the earliest, a lone requester always).
         if target.pos > earliest {
             cycles += self
                 .rotation(in_flight, issuer)
                 .filter(|r| r.pos < target.pos)
-                .map(|r| r.sub_burst_cycles(max))
+                .map(|r| r.timing.sub_burst_cycles(max))
                 .sum::<u64>();
         }
         Some(Cycle::new(cycles))
@@ -1447,8 +1496,8 @@ impl SystemBus for Bus {
         Bus::horizon(self)
     }
 
-    fn horizon_with(&self, master: MasterId, req: &TxnRequest) -> Option<Cycle> {
-        Bus::horizon_with(self, master, req)
+    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
+        Bus::horizon_with(self, master, shape)
     }
 
     fn advance(&mut self, cycles: Cycle) {
@@ -2030,9 +2079,9 @@ mod tests {
     }
 
     /// A write whose payload is longer than a burst can be is rejected
-    /// whole on both buses, by the issue what-if too, and queues
-    /// nothing: 65 536 words used to wrap to an empty burst and 65 537
-    /// to a one-beat burst that completed `Ok`.
+    /// whole on both buses and queues nothing: 65 536 words used to
+    /// wrap to an empty burst and 65 537 to a one-beat burst that
+    /// completed `Ok`.
     #[test]
     fn write_payloads_longer_than_a_burst_are_rejected() {
         fn check(bus: &mut dyn SystemBus) {
@@ -2041,7 +2090,6 @@ mod tests {
             for words in [65_536, 65_537] {
                 let req = TxnRequest::write(0, vec![7; words]);
                 assert_eq!(req.beats(), u16::MAX);
-                assert_eq!(bus.horizon_with(m, &req), None, "{words} words");
                 assert_eq!(
                     bus.try_begin(m, req),
                     Err(BusError::PayloadLength {
@@ -2069,13 +2117,13 @@ mod tests {
         let other = bus.register_master("dma");
         let req = TxnRequest::read(0x4000_0000, 40);
         // Idle: a lone request, its sub-bursts back to back.
-        let alone = bus.horizon_with(m, &req);
+        let alone = bus.horizon_with(m, req.shape());
         assert_eq!(alone, Some(Cycle::new(2 * (2 + 16) + 2 + 8)));
         // A waiting completion does not move it; an outstanding burst
         // makes the issue fail.
         bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
             .unwrap();
-        assert_eq!(bus.horizon_with(m, &req), None);
+        assert_eq!(bus.horizon_with(m, req.shape()), None);
         bus.run_to_completion(m).unwrap();
         bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
             .unwrap();
@@ -2083,21 +2131,21 @@ mod tests {
         bus.tick();
         bus.tick();
         assert_eq!(bus.poll(m), PortState::Complete);
-        assert_eq!(bus.horizon_with(m, &req), alone);
+        assert_eq!(bus.horizon_with(m, req.shape()), alone);
         bus.take_completion(m);
         // Behind another master's burst, as `try_begin` then `horizon`
         // has it.
         bus.try_begin(other, TxnRequest::read(0x4000_0100, 20))
             .unwrap();
         bus.tick();
-        let what_if = bus.horizon_with(m, &req);
+        let what_if = bus.horizon_with(m, req.shape());
         bus.try_begin(m, req).unwrap();
         assert_eq!(what_if, bus.horizon());
         // Rejections match `try_begin`'s.
         assert_eq!(
-            bus.horizon_with(other, &TxnRequest::read(0x4000_0000, 1)),
+            bus.horizon_with(other, TxnRequest::read(0x4000_0000, 1).shape()),
             None
         );
-        assert_eq!(bus.horizon_with(m, &TxnRequest::read_word(3)), None);
+        assert_eq!(bus.horizon_with(m, TxnRequest::read_word(3).shape()), None);
     }
 }

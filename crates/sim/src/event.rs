@@ -64,14 +64,14 @@
 //! event tick; a bus's `advance` accepts `n ≤ horizon()` for that.
 //!
 //! A window may also hold one master's *issue* (see [`BusWindow`]):
-//! the leap loop works out the bus's horizon with that request added
-//! ([`SystemBus::horizon_with`]),
-//! advances the bus over the ticks before the issue, lets the master
-//! issue through its own `advance`, then advances the bus over the
-//! rest of the window.
+//! the leap loop works out the bus's horizon with that burst added
+//! ([`SystemBus::horizon_with`], given its [`TxnShape`]), then
+//! [`BusWindow::leap`] advances the bus over the ticks before the
+//! issue, the masters (the issuer issues in its own `advance`), then
+//! the bus over the rest of the window.
 
 use crate::axi::SystemBus;
-use crate::bus::{MasterId, TxnRequest};
+use crate::bus::{MasterId, TxnShape};
 use crate::clock::Cycle;
 
 /// Combines two horizons, treating `None` as "never" (+∞).
@@ -106,8 +106,8 @@ pub fn observed_horizon(bus_event: Option<Cycle>) -> Option<Cycle> {
 }
 
 /// A transfer a bus master can issue inside a fast-forward window: its
-/// request, and the window ticks before the one that issues it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// burst's shape, and the window ticks before the one that issues it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowIssue {
     /// The issuing master.
     pub master: MasterId,
@@ -115,10 +115,10 @@ pub struct WindowIssue {
     /// tick issues, more when the master gets there through ticks of
     /// its own first (which only a window on an idle bus may hold).
     pub prefix: u64,
-    /// The request. The bus times and validates a request by its
-    /// kind, address and length alone, so a write's payload may stand
-    /// in for words the master reads only when it issues.
-    pub req: TxnRequest,
+    /// The burst's kind, address and beats: all the bus times and
+    /// checks it by, so a write needs none of the words the master
+    /// reads only when it issues.
+    pub shape: TxnShape,
 }
 
 /// The bus side of one fast-forward window, worked out once by the
@@ -169,7 +169,7 @@ impl BusWindow {
             }
         }
         let issue = first.filter(|_| !tied);
-        match issue.and_then(|i| bus.horizon_with(i.master, &i.req).map(|h| (i, h))) {
+        match issue.and_then(|i| bus.horizon_with(i.master, i.shape).map(|h| (i, h))) {
             Some((i, h)) => Self {
                 event: Some(h + Cycle::new(i.prefix)),
                 issue: Some(i),
@@ -197,11 +197,22 @@ impl BusWindow {
         self.issue.as_ref().map(|i| i.master)
     }
 
-    /// Ticks the leap loop advances the bus by before the masters advance
-    /// over the window, so that the issue meets the bus on its own
-    /// cycle: the issue's prefix, capped at the window's `leap`.
-    #[must_use]
-    pub fn bus_prefix(&self, leap: u64) -> u64 {
+    /// Leaps `bus` and the masters on it over the first `n` ticks of
+    /// the window, in the one order that puts the window's issue on its
+    /// own cycle: the bus over the ticks before the issue, then
+    /// `masters`, which advance over all `n` ticks and may issue on the
+    /// bus, then the bus over the rest.
+    pub fn leap<B: SystemBus + ?Sized>(&self, bus: &mut B, n: u64, masters: impl FnOnce(&mut B)) {
+        let prefix = self.bus_prefix(n);
+        bus.advance(Cycle::new(prefix));
+        masters(bus);
+        bus.advance(Cycle::new(n - prefix));
+    }
+
+    /// Ticks the bus leaps before the masters advance over the window,
+    /// so that the issue meets the bus on its own cycle: the issue's
+    /// prefix, capped at the window's `leap`.
+    fn bus_prefix(&self, leap: u64) -> u64 {
         self.issue.as_ref().map_or(0, |i| i.prefix.min(leap))
     }
 }
@@ -222,7 +233,7 @@ mod tests {
     mod window {
         use super::super::*;
         use crate::axi::{AxiBus, AxiConfig};
-        use crate::bus::{Bus, BusConfig};
+        use crate::bus::{Bus, BusConfig, TxnRequest};
         use crate::memory::{Sram, SramConfig};
 
         /// An idle bus with three masters and a wait-free SRAM at 0.
@@ -237,7 +248,7 @@ mod tests {
             WindowIssue {
                 master,
                 prefix,
-                req: TxnRequest::read(0x40, 4),
+                shape: TxnRequest::read(0x40, 4).shape(),
             }
         }
 
@@ -294,7 +305,7 @@ mod tests {
             assert_eq!((w.issuer(), w.event()), (None, bus.horizon()));
             let w = BusWindow::plan(&bus, true, |_| vec![issue(a, 0)]);
             assert_eq!(w.issuer(), Some(a));
-            assert_eq!(w.event(), bus.horizon_with(a, &issue(a, 0).req));
+            assert_eq!(w.event(), bus.horizon_with(a, issue(a, 0).shape));
             assert_eq!(w.event(), at(ALONE));
         }
 
@@ -302,7 +313,7 @@ mod tests {
         fn a_request_the_bus_rejects_or_declines_stays_an_event() {
             let (bus, [a, _, _]) = bus();
             let unmapped = WindowIssue {
-                req: TxnRequest::read(0x10_0000, 4),
+                shape: TxnRequest::read(0x10_0000, 4).shape(),
                 ..issue(a, 0)
             };
             assert_eq!(

@@ -64,7 +64,9 @@ pub mod trace;
 pub mod vcd;
 
 pub use axi::{AxiBus, AxiConfig, SystemBus};
-pub use bus::{Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest};
+pub use bus::{
+    Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest, TxnShape,
+};
 pub use clock::{Cycle, Frequency};
 pub use event::{min_horizon, observed_horizon, BusWindow, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};

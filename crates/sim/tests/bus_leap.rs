@@ -215,11 +215,11 @@ fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
 /// taken on the idle bus some cycles before — matches too.
 fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Option<Cycle>>) {
     for bad in rejected_variants(&req) {
-        assert_eq!(bus.horizon_with(m, &bad), None, "{bad:?}");
+        assert_eq!(bus.horizon_with(m, bad.shape()), None, "{bad:?}");
         assert!(bus.try_begin(m, bad).is_err());
         assert_eq!(bus.poll(m), PortState::Idle);
     }
-    let what_if = bus.horizon_with(m, &req);
+    let what_if = bus.horizon_with(m, req.shape());
     bus.try_begin(m, req).expect("scripted request is valid");
     assert_eq!(
         what_if,
@@ -307,7 +307,7 @@ fn run(s: &Scenario, leap: bool) -> Run {
             // Idle until the next issue: its what-if holds from here.
             for (i, &m) in ids.iter().enumerate() {
                 if issue_at[i] == next_issue && ahead[i].is_none() {
-                    ahead[i] = Some(bus.horizon_with(m, &s.scripts[i][next[i]].req));
+                    ahead[i] = Some(bus.horizon_with(m, s.scripts[i][next[i]].req.shape()));
                 }
             }
         }

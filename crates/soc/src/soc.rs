@@ -329,13 +329,9 @@ impl Soc {
                     }
                 }
                 if skip > 0 {
-                    // The bus reaches the issue's cycle before the OCP
-                    // issues on it.
-                    let prefix = window.bus_prefix(skip);
-                    self.bus.advance(ouessant_sim::Cycle::new(prefix));
-                    self.ocp
-                        .advance(ouessant_sim::Cycle::new(skip), &mut self.bus);
-                    self.bus.advance(ouessant_sim::Cycle::new(skip - prefix));
+                    window.leap(&mut self.bus, skip, |bus| {
+                        self.ocp.advance(ouessant_sim::Cycle::new(skip), bus);
+                    });
                     run_cycles += skip;
                 }
             }

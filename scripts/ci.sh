@@ -34,9 +34,11 @@ echo "==> cargo test (offline, all workspace members; chaos, liveness and lockst
 cargo test -q --offline --workspace
 
 # Debug builds panic on integer overflow where release builds wrap, so
-# the sim crate's address arithmetic is also checked as it ships.
-echo "==> cargo test --release -p ouessant-sim (overflow wraps instead of panicking)"
+# the sim crate's address arithmetic and the controller's offset and
+# countdown arithmetic are also checked as they ship.
+echo "==> cargo test --release -p ouessant-sim -p ouessant (overflow wraps instead of panicking)"
 cargo test -q --offline --release -p ouessant-sim
+cargo test -q --offline --release -p ouessant
 
 # Every line but the `host:` wall-clock ones is simulated, hence pinned.
 echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
