@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ouessant_isa::operands::{Bank, BurstLen, FifoId, MAX_PROGRAM_LEN};
+use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN};
 use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
@@ -253,7 +253,6 @@ pub struct Controller {
     /// is what the `Decode` cycle yields for the word at `pc`.
     program: Vec<Result<Instruction, DecodeError>>,
     pc: u16,
-    prog_len: u16,
     current: Option<Instruction>,
     /// The input FIFO the read in flight fills (`None` for a write,
     /// whose payload left its output FIFO at issue).
@@ -275,7 +274,6 @@ impl Controller {
             xlate: BankTranslation::new(),
             program: Vec::new(),
             pc: 0,
-            prog_len: 0,
             current: None,
             pending_read: None,
             counters: [0; 4],
@@ -334,7 +332,6 @@ impl Controller {
     /// … to provide control for processor-free designs").
     pub fn preload_program(&mut self, words: &[u32]) {
         self.program = predecode(words);
-        self.prog_len = words.len() as u16;
         self.preloaded = true;
     }
 
@@ -406,7 +403,6 @@ impl Controller {
         self.offset_regs = [0; 4];
         if !self.preloaded {
             self.program.clear();
-            self.prog_len = 0;
         }
         true
     }
@@ -426,8 +422,10 @@ impl Controller {
     /// instruction is `None` when the entry reached lies past the
     /// program or does not decode, so its `Fetch` or `Decode` faults. A
     /// read pickup into a busy socket walks nowhere: the RAC would see
-    /// its FIFOs change inside its own window.
-    fn walk(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Walk> {
+    /// its FIFOs change inside its own window. Neither does a wedged
+    /// FSM. Whether the next tick walks is also whether a leap steps it
+    /// (see [`Ocp::advance`](crate::Ocp::advance)).
+    pub(crate) fn walk(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Walk> {
         let entry = |pc: u16| self.program.get(usize::from(pc))?.as_ref().ok().copied();
         match &self.state {
             _ if self.wedged => None,
@@ -629,23 +627,15 @@ impl Controller {
         pickup.into_iter().chain(write)
     }
 
-    /// Replays `cycles` ticks inside a window bounded by
+    /// Replays `cycles` countdown ticks inside a window bounded by
     /// [`Controller::horizon`]: the per-state counters move exactly as
-    /// `cycles` real ticks would have moved them. A pickup runs as the
-    /// window's first tick and the window's issue on its own tick,
-    /// both through the same code the tick runs: the pickup retires the
-    /// port's completion, and the issue begins its burst on `bus`,
-    /// which its owner has advanced to the issue's cycle.
-    ///
-    /// Returns the last window tick (1-based) with observable progress
-    /// (a retired instruction or a moved word), if any ran.
-    pub fn advance(
-        &mut self,
-        cycles: Cycle,
-        bus: &mut dyn SystemBus,
-        socket: &mut RacSocket,
-        regs: &RegsHandle,
-    ) -> Option<u64> {
+    /// `cycles` real ticks would have moved them. Only the states a tick
+    /// leaves in place qualify: `WaitCycles`, `RacWait`, `ReconfigWait`,
+    /// `TransferBusWait` or `LoadProgram` with the burst still in
+    /// flight, `Idle`, `Faulted`, and any wedged state. The ticks that
+    /// move the FSM (its walk) are the controller's own, which the
+    /// embedding [`Ocp::advance`](crate::Ocp::advance) steps first.
+    pub fn advance(&mut self, cycles: Cycle) {
         let n = cycles.count();
         if self.is_active() {
             self.stats.active_cycles += n;
@@ -653,76 +643,32 @@ impl Controller {
         if self.wedged {
             // Frozen: mirror the wedged `step_fsm` early return — only
             // the active counter moves.
-            return None;
+            return;
         }
-        let mut ran = 0;
-        let mut progress = None;
-        if self.picks_up(bus) {
-            if self.state == ControllerState::TransferBusWait {
-                progress = Some(1);
-            }
-            let state = std::mem::replace(&mut self.state, ControllerState::Idle);
-            self.await_burst(state, bus, socket);
-            ran = 1;
-        }
-        // Fetch → Decode → Execute, latching the predecoded entry on the
-        // way into `Execute` as the `Decode` tick does; an `Execute`
-        // inside the window is the window's issue.
-        while ran < n
-            && matches!(
-                self.state,
-                ControllerState::Fetch | ControllerState::Decode | ControllerState::Execute
-            )
-        {
-            ran += 1;
-            match self.state {
-                ControllerState::Fetch => self.state = ControllerState::Decode,
-                ControllerState::Decode => {
-                    self.current = self.program[usize::from(self.pc)].ok();
-                    self.state = ControllerState::Execute;
-                }
-                _ => {
-                    let t = self.current_transfer().expect("advanced past the dispatch");
-                    let words = self.stats.words_transferred;
-                    self.try_issue_transfer(t, bus, regs, socket);
-                    debug_assert_eq!(
-                        self.state,
-                        ControllerState::TransferBusWait,
-                        "an in-window issue succeeds"
-                    );
-                    if self.stats.words_transferred != words {
-                        progress = Some(ran);
-                    }
-                }
-            }
-        }
-        let rest = n - ran;
         match &mut self.state {
             // Idle / faulted ticks change nothing (a start cannot be
-            // pending, or the horizon was 1).
-            ControllerState::Idle | ControllerState::Faulted(_) => {}
-            // The slot counts the bitstream load down itself.
-            ControllerState::ReconfigWait => {}
+            // pending, or the horizon was 1), and the slot counts the
+            // bitstream load down itself.
+            ControllerState::Idle | ControllerState::Faulted(_) | ControllerState::ReconfigWait => {
+            }
             ControllerState::WaitCycles { left } => {
-                debug_assert!(rest < u64::from(*left), "advanced past the wait window");
-                *left -= rest as u16;
+                let n = u16::try_from(n).ok().filter(|&n| n < *left);
+                *left -= n.expect("advanced past the wait window");
             }
             // Waiting on `end_op`: each skipped tick would have charged
             // one RAC-wait cycle.
-            ControllerState::RacWait => self.stats.rac_wait_cycles += rest,
+            ControllerState::RacWait => self.stats.rac_wait_cycles += n,
             // Burst still in flight: likewise one transfer or
             // program-load cycle per skipped tick.
-            ControllerState::TransferBusWait => self.stats.transfer_cycles += rest,
-            ControllerState::LoadProgram => self.stats.program_load_cycles += rest,
-            // The walk above ran to the window's end.
-            ControllerState::Fetch | ControllerState::Decode | ControllerState::Execute => {}
-            s => debug_assert!(false, "advance in non-pure state {s:?}"),
+            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
+            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
+            s => debug_assert!(n == 0, "advance in non-pure state {s:?}"),
         }
-        progress
     }
 
     /// Publishes the FSM state, pc, retired instructions and
     /// transferred words to the debug register window.
+    #[allow(clippy::cast_possible_truncation)] // the 32-bit debug counters wrap, as in hardware
     pub(crate) fn publish_debug(&self, regs: &RegsHandle) {
         let (state_id, retired, words, pc) = (
             self.state.id(),
@@ -749,9 +695,11 @@ impl Controller {
     }
 
     /// One FSM step; the public [`Controller::tick`] wraps it so the
-    /// debug registers are refreshed on every exit path.
+    /// debug registers are refreshed on every exit path, and
+    /// [`Ocp::advance`](crate::Ocp::advance) takes it for the ticks of a
+    /// leap that walk.
     #[allow(clippy::too_many_lines)] // one arm per FSM state, kept together deliberately
-    fn step_fsm(
+    pub(crate) fn step_fsm(
         &mut self,
         bus: &mut dyn SystemBus,
         regs: &RegsHandle,
@@ -771,12 +719,14 @@ impl Controller {
             ControllerState::Idle => {
                 if regs.with_mut(|r| r.take_start()) {
                     let size = regs.with(|r| r.prog_size());
-                    if size == 0 || size as usize > MAX_PROGRAM_LEN {
-                        self.set_fault(ExecError::BadProgSize { size });
-                        return;
-                    }
+                    let len = match u16::try_from(size) {
+                        Ok(len) if len != 0 && usize::from(len) <= MAX_PROGRAM_LEN => len,
+                        _ => {
+                            self.set_fault(ExecError::BadProgSize { size });
+                            return;
+                        }
+                    };
                     self.stats.active_cycles += 1; // count the start cycle
-                    self.prog_len = size as u16;
                     self.counters = [0; 4];
                     self.offset_regs = [0; 4];
                     if self.preloaded {
@@ -787,7 +737,10 @@ impl Controller {
                         return;
                     }
                     // Burst-read the whole microcode from bank 0.
-                    let bank0 = Bank::new(PROGRAM_BANK as u8).expect("bank 0 valid");
+                    let bank0 = u8::try_from(PROGRAM_BANK)
+                        .ok()
+                        .and_then(|b| Bank::new(b).ok());
+                    let bank0 = bank0.expect("bank 0 valid");
                     let addr = match regs.with(|r| self.xlate.translate(r, bank0, 0)) {
                         Ok(a) => a,
                         Err(e) => {
@@ -795,7 +748,7 @@ impl Controller {
                             return;
                         }
                     };
-                    if let Err(e) = self.dma.begin_read(bus, addr, self.prog_len) {
+                    if let Err(e) = self.dma.begin_read(bus, addr, len) {
                         self.set_fault(e.into());
                         return;
                     }
@@ -1051,18 +1004,11 @@ impl Controller {
         }
         self.state = ControllerState::TransferBusWait;
     }
-
-    /// Validates a burst against a FIFO depth: a transfer larger than
-    /// the FIFO can never complete. Exposed so the host library can warn
-    /// at configuration time.
-    #[must_use]
-    pub fn burst_fits(burst: BurstLen, fifo_depth: usize) -> bool {
-        usize::from(burst.words()) <= fifo_depth
-    }
 }
 
 /// An offset register's value after an `addo` or a post-increment
 /// takes it to `v`: offsets wrap at the 14-bit offset field's range.
+#[allow(clippy::cast_possible_truncation)] // `rem_euclid` leaves 0..2^14, which fits
 fn wrap_offset(v: i64) -> u16 {
     v.rem_euclid(1 << 14) as u16
 }
@@ -1096,12 +1042,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), states.len());
-    }
-
-    #[test]
-    fn burst_fits_check() {
-        assert!(Controller::burst_fits(BurstLen::new(64).unwrap(), 64));
-        assert!(!Controller::burst_fits(BurstLen::new(65).unwrap(), 64));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::Addr;
 use ouessant_sim::{BusWindow, Cycle, SystemBus, WindowIssue};
 
-use crate::controller::{Controller, ControllerStats, ExecError};
+use crate::controller::{Controller, ControllerState, ControllerStats, ExecError};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
 use crate::regs::RegsHandle;
 
@@ -296,10 +296,14 @@ impl Ocp {
         if self.controller.stats().runs_completed != runs {
             self.completed = true;
         }
+        self.watch();
+    }
 
-        // Watchdog: pulse on progress, count down otherwise, bite at
-        // zero. Only an *active* controller is watched — an idle or
-        // already-faulted one holds the countdown.
+    /// The watchdog's rule for one tick, after the controller's step:
+    /// pulse on progress, count down otherwise, bite at zero. Only an
+    /// *active* controller is watched — an idle or already-faulted one
+    /// holds the countdown.
+    fn watch(&mut self) {
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() && !wd.pulse(self.controller.stats()) {
                 wd.remaining -= 1;
@@ -410,36 +414,45 @@ impl Ocp {
     }
 
     /// Replays `cycles` ticks inside a window bounded by
-    /// [`Ocp::horizon_on`]: the socket's countdowns and FIFO streams,
-    /// the controller's pickup, counters, fetch/decode steps and the
-    /// window's issue, the debug register window and the watchdog move
-    /// exactly as `cycles` real ticks would have moved them. Completion
-    /// needs no replay — `eop` is never inside a window. A pickup
-    /// retires the port's completion on `bus` and an issue begins a
-    /// burst there: call it inside [`BusWindow::leap`], which has
-    /// advanced the bus to the issue's cycle and advances it over the
-    /// rest of the window afterwards.
+    /// [`Ocp::horizon_on`], leaving the coprocessor as `cycles` real
+    /// ticks would have. The socket leaps first. Then, while the
+    /// controller's walk says the next tick moves its FSM (the pickup of
+    /// a burst that completed without error, `Fetch`, `Decode`, and the
+    /// window's issue in `Execute`), the controller steps that tick
+    /// itself and the watchdog applies its per-tick rule. The ticks left
+    /// are countdowns, replayed in bulk by [`Controller::advance`] and
+    /// the watchdog, and the debug register window is refreshed once.
+    /// Completion needs no replay — `eop` is never inside a window. A
+    /// pickup retires the port's completion on `bus` and an issue
+    /// begins a burst there: call it inside [`BusWindow::leap`], which
+    /// has advanced the bus to the issue's cycle and advances it over
+    /// the rest of the window afterwards.
     pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
         // A read pickup only fills the input FIFOs of an idle socket
-        // (the horizon single-steps it otherwise), and an issue only
+        // (the walk stops in front of it otherwise), and an issue only
         // reads or drains the FIFOs of an idle one, whose window
         // ignores them, so the socket may leap first.
         self.socket.advance(cycles);
-        let progress = self
-            .controller
-            .advance(cycles, bus, &mut self.socket, &self.regs);
+        let mut rest = cycles.count();
+        while rest > 0 && self.controller.walk(&self.socket, bus).is_some() {
+            let executes = *self.controller.state() == ControllerState::Execute;
+            self.controller
+                .step_fsm(bus, &self.regs, &mut self.socket, &self.irq);
+            debug_assert!(
+                !executes || *self.controller.state() == ControllerState::TransferBusWait,
+                "an in-window dispatch is the window's issue"
+            );
+            self.watch();
+            rest -= 1;
+        }
+        self.controller.advance(Cycle::new(rest));
         self.controller.publish_debug(&self.regs);
-        // Watchdog: progress (a transfer pickup, an `mvfc` issue)
-        // reloads the budget as `tick` would, and every tick after the
-        // last one decrements. The horizon keeps the bite itself on a
-        // stepped tick.
+        // Countdown ticks make no progress. The horizon keeps the bite
+        // itself on a stepped tick.
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() {
-                let pulsed = wd.pulse(self.controller.stats());
-                debug_assert_eq!(pulsed, progress.is_some(), "progress pulses the watchdog");
-                let n = cycles.count() - progress.unwrap_or(0);
-                debug_assert!(n < wd.remaining, "advanced past the watchdog bite");
-                wd.remaining -= n;
+                debug_assert!(rest < wd.remaining, "advanced past the watchdog bite");
+                wd.remaining -= rest;
             }
         }
     }
@@ -448,7 +461,6 @@ impl Ocp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerState;
     use ouessant_isa::{assemble, Program, ProgramBuilder};
     use ouessant_rac::idct::{idct_2d_fixed, IdctRac};
     use ouessant_rac::passthrough::PassthroughRac;
@@ -1399,6 +1411,55 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_wedge_leaps_to_the_watchdog_bite_without_walking() {
+        use ouessant_sim::bus::PortState;
+        use std::cell::Cell;
+        use ControllerState::{Decode, Execute, Fetch, LoadProgram, TransferBusWait};
+        let budget = 30;
+        let build = || {
+            offload(
+                fixture(Box::new(PassthroughRac::new(4))),
+                "mvtc BANK1,0,DMA8,FIFO0\nexecs 8\nmvfc BANK2,0,DMA8,FIFO0\neop",
+            )
+        };
+        let cycles = build().run(1_000);
+        let mut walked = Vec::new();
+        for t in 0..cycles {
+            // Both twins single-stepped `t` cycles into the program,
+            // then wedged with the watchdog reloaded.
+            let steps = Cell::new(0);
+            let (mut slow, mut fast) = start_pair(build, |_| {
+                steps.set(steps.get() + 1);
+                steps.get() > t
+            });
+            if !slow.ocp.is_active() {
+                continue;
+            }
+            for fx in [&mut slow, &mut fast] {
+                fx.ocp.inject_wedge();
+                fx.ocp.arm_watchdog(budget);
+            }
+            let controller = slow.ocp.controller();
+            let (state, pc) = (controller.state().clone(), controller.pc());
+            let completed = slow.bus.poll(slow.ocp.bus_master()) == PortState::Complete;
+            let walks = matches!(state, Fetch | Decode | Execute)
+                || (matches!(state, TransferBusWait | LoadProgram) && completed);
+            let (cycle, fault, leaps) = leap_pair(slow, fast, 1_000);
+            let hang = Some(ExecError::Hang { budget });
+            assert_eq!((cycle, fault), (budget, hang), "wedged at {t} in {state:?}");
+            if walks {
+                // A state the FSM would walk out of leaps to the bite
+                // in one go, and stays put.
+                assert_eq!(leaps, [(state.clone(), pc, state.clone())], "wedged at {t}");
+                walked.push(state);
+            }
+        }
+        for state in [Fetch, Decode, Execute, TransferBusWait, LoadProgram] {
+            assert!(walked.contains(&state), "{state:?} in {walked:?}");
         }
     }
 

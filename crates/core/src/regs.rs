@@ -272,7 +272,7 @@ impl RegsHandle {
     ///
     /// [`ConfigError::BadBank`] or [`ConfigError::UnalignedBase`].
     pub fn set_bank(&self, index: u8, base: u32) -> Result<(), ConfigError> {
-        if index >= NUM_BANKS as u8 {
+        if u16::from(index) >= NUM_BANKS {
             return Err(ConfigError::BadBank { index });
         }
         if !base.is_multiple_of(4) {

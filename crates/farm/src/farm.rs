@@ -49,9 +49,9 @@ use std::fmt;
 
 use ouessant::ExecError;
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
-use ouessant_sim::bus::{Bus, BusConfig, BusStats};
+use ouessant_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::BusWindow;
+use ouessant_sim::{min_horizon, BusWindow};
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
 
@@ -61,7 +61,7 @@ use crate::policy::{SchedPolicy, WorkerView};
 use crate::queue::{PendingJob, SubmitError, SubmitQueue};
 use crate::stats::{FarmReport, LatencyStats, Ledger, WorkerReport};
 use crate::worker::{
-    adapt_custom_program, build_program, JobRegions, Worker, WorkerFaultKind, WorkerHealth,
+    adapt_custom_program, build_program, due_at, JobRegions, Worker, WorkerFaultKind, WorkerHealth,
 };
 
 /// Fault-handling policy: retry budget, circuit breaker, quarantine.
@@ -678,24 +678,44 @@ impl Farm {
         for w in &mut self.workers {
             w.tick(&mut self.bus);
         }
+        // A one-cycle window, rolled after the workers tick (so no
+        // controller is at a pickup) and landed at once.
         let work_pending = self.work_pending();
-        if let Some(plan) = self.chaos.as_mut() {
-            // A one-cycle window, rolled after the workers tick (so no
-            // controller is at a pickup) and landed at once.
-            self.injection_scratch.clear();
-            plan.fast_forward(
-                now..now + 1,
-                &self.workers,
-                &self.bus,
-                None,
-                &mut self.alloc,
-                work_pending,
-                &mut self.injection_scratch,
-            );
+        if self.roll_chaos(now..now + 1, None, work_pending).is_some() {
             FaultPlan::apply(&mut self.workers, &self.injection_scratch);
         }
         self.bus.tick();
         self.collect_completions();
+        self.settle_faults();
+    }
+
+    /// Rolls the armed chaos plan's dice over the cycles `window` into
+    /// the injection scratch (see [`FaultPlan::fast_forward`]), `issuer`
+    /// being the master the window issues for. Returns the cycles the
+    /// plan lets pass, or `None` when no plan is armed; the scratch is
+    /// left empty then.
+    fn roll_chaos(
+        &mut self,
+        window: std::ops::Range<u64>,
+        issuer: Option<MasterId>,
+        work_pending: bool,
+    ) -> Option<u64> {
+        self.injection_scratch.clear();
+        let plan = self.chaos.as_mut()?;
+        Some(plan.fast_forward(
+            window,
+            &self.workers,
+            &self.bus,
+            issuer,
+            &mut self.alloc,
+            work_pending,
+            &mut self.injection_scratch,
+        ))
+    }
+
+    /// The back half of a tick, after the bus: faults are handled, then
+    /// every worker's health moves to the post-tick cycle.
+    fn settle_faults(&mut self) {
         self.handle_faults();
         let now = self.now();
         for w in &mut self.workers {
@@ -798,21 +818,17 @@ impl Farm {
                 .iter()
                 .filter_map(move |w| w.window_issue(&self.bus, chain))
         });
-        let mut h: Option<u64> = None;
-        let mut merge = |e: Option<u64>| {
-            if let Some(e) = e {
-                let e = e.max(1);
-                h = Some(h.map_or(e, |cur| cur.min(e)));
-            }
-        };
-        merge(ouessant_sim::observed_horizon(window.event()).map(u64::from));
+        let mut h = ouessant_sim::observed_horizon(window.event());
         for w in &self.workers {
-            merge(w.horizon_at(now, &self.config.faults, &self.bus, &window));
+            h = min_horizon(
+                h,
+                w.horizon_at(now, &self.config.faults, &self.bus, &window),
+            );
         }
         for p in &self.parked {
             // Unpark happens in the tick whose pre-tick cycle first
             // satisfies `ready_at <= now`.
-            merge(Some((p.ready_at + 1).saturating_sub(now)));
+            h = min_horizon(h, due_at(p.ready_at + 1, now));
         }
         if self.config.liveness.early_drop {
             // Deadline events: a queued/parked drop fires in the tick
@@ -825,18 +841,18 @@ impl Farm {
                 .filter_map(|p| p.job.hopeless_after())
                 .chain(self.queue.earliest_hopeless())
             {
-                merge(Some((threshold + 2).saturating_sub(now)));
+                h = min_horizon(h, due_at(threshold + 2, now));
             }
             for w in &self.workers {
                 if let Some(d) = w.active.as_ref().and_then(|a| a.job.deadline) {
-                    merge(Some((d + 2).saturating_sub(now)));
+                    h = min_horizon(h, due_at(d + 2, now));
                 }
             }
         }
         if let Some(release_at) = self.chaos.as_ref().and_then(FaultPlan::squat_release_at) {
-            merge(Some((release_at + 1).saturating_sub(now)));
+            h = min_horizon(h, due_at(release_at + 1, now));
         }
-        (h, window)
+        (h.map(u64::from), window)
     }
 
     /// One fast-forward step: leap over the provably-pure window in
@@ -869,19 +885,9 @@ impl Farm {
         // Frozen for the whole window: queue/park/in-flight membership
         // only changes at events, which the horizon excludes.
         let work_pending = self.work_pending();
-        self.injection_scratch.clear();
-        let leap = match self.chaos.as_mut() {
-            Some(plan) => plan.fast_forward(
-                now..now + bound,
-                &self.workers,
-                &self.bus,
-                window.issuer(),
-                &mut self.alloc,
-                work_pending,
-                &mut self.injection_scratch,
-            ),
-            None => bound,
-        };
+        let leap = self
+            .roll_chaos(now..now + bound, window.issuer(), work_pending)
+            .unwrap_or(bound);
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
         window.leap(&mut self.bus, leap, |bus| {
             for w in &mut self.workers {
@@ -894,11 +900,7 @@ impl Farm {
             // and run the back half of that tick (no OCP finishes
             // inside a pure window, so collection is skipped).
             FaultPlan::apply(&mut self.workers, &self.injection_scratch);
-            self.handle_faults();
-            let now = self.now();
-            for w in &mut self.workers {
-                w.advance_health(&mut self.bus, now, &self.config.faults);
-            }
+            self.settle_faults();
         }
     }
 

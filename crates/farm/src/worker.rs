@@ -48,7 +48,7 @@ use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
 use ouessant_rac::slot::{ReconfigurableSlot, ICAP_BYTES_PER_CYCLE};
 use ouessant_sim::bus::{Bus, BusError};
-use ouessant_sim::{BusWindow, WindowIssue};
+use ouessant_sim::{min_horizon, BusWindow, Cycle, WindowIssue};
 use ouessant_soc::alloc::Region;
 
 use crate::farm::FaultConfig;
@@ -164,6 +164,13 @@ pub(crate) struct JobRegions {
     pub prog: Region,
     pub input: Region,
     pub output: Region,
+}
+
+/// The horizon, seen from cycle `now`, of an event due when the cycle
+/// reaches `at`: at least 1, since an event already due lands on the
+/// next tick.
+pub(crate) fn due_at(at: u64, now: u64) -> Option<Cycle> {
+    Some(Cycle::new(at.saturating_sub(now).max(1)))
 }
 
 /// Builds one job's microcode: optional `rcfg`, input transfer,
@@ -540,7 +547,7 @@ impl Worker {
     /// inside a window bounded by [`Worker::horizon_at`]; leaves the
     /// worker bit-identical to `cycles` calls of [`Worker::tick`].
     pub(crate) fn advance(&mut self, cycles: u64, bus: &mut Bus) {
-        self.ocp.advance(ouessant_sim::Cycle::new(cycles), bus);
+        self.ocp.advance(Cycle::new(cycles), bus);
         if self.active.is_some() {
             self.busy_cycles += cycles;
         }
@@ -578,27 +585,19 @@ impl Worker {
         cfg: &FaultConfig,
         bus: &Bus,
         window: &BusWindow,
-    ) -> Option<u64> {
+    ) -> Option<Cycle> {
         if self.recovering || (self.ocp.fault().is_some() && !self.fault_acknowledged) {
-            return Some(1);
+            return Some(Cycle::new(1));
         }
-        let mut h = self.ocp.horizon_on(bus, window).map(u64::from);
-        let mut merge = |event_in: u64| {
-            let e = event_in.max(1);
-            h = Some(h.map_or(e, |cur| cur.min(e)));
+        let timer = match self.health {
+            WorkerHealth::Quarantined => self.quarantine_until,
+            WorkerHealth::Degraded => Some(self.degraded_since + cfg.fault_window),
+            WorkerHealth::Healthy => None,
         };
-        match self.health {
-            WorkerHealth::Quarantined => {
-                if let Some(until) = self.quarantine_until {
-                    merge(until.saturating_sub(now));
-                }
-            }
-            WorkerHealth::Degraded => {
-                merge((self.degraded_since + cfg.fault_window).saturating_sub(now));
-            }
-            WorkerHealth::Healthy => {}
-        }
-        h
+        min_horizon(
+            self.ocp.horizon_on(bus, window),
+            timer.and_then(|at| due_at(at, now)),
+        )
     }
 
     /// Completion accounting hook for the farm's poll loop.
