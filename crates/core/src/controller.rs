@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN};
+use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN, NUM_FIFOS};
 use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
@@ -238,10 +238,48 @@ impl ControllerStats {
 }
 
 /// The FSM's walk to its next `Execute` through ticks of its own (see
-/// [`Controller::walk`]): the ticks before the `Execute` tick, the
-/// instruction it dispatches, and the input FIFO a read pickup on the
-/// way pushes its words into, with their count.
-type Walk = (u64, Option<Instruction>, Option<(FifoId, usize)>);
+/// [`Controller::walk`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    /// Ticks before the `Execute` tick.
+    pub(crate) ticks: u64,
+    /// The program entry the `Execute` tick dispatches.
+    pc: u16,
+    /// Its instruction, `None` when the entry lies past the program or
+    /// does not decode.
+    insn: Option<Instruction>,
+    /// The input FIFO a read pickup on the way pushes its words into,
+    /// with their count.
+    pushed: Option<(FifoId, usize)>,
+    /// Whether the walk's first tick picks a transfer up, which
+    /// retires it: observable progress.
+    pub(crate) retires: bool,
+}
+
+/// Ticks a pickup takes to the next `Execute`: the pickup itself, then
+/// `Fetch` and `Decode`.
+const PICKUP_TICKS: u64 = 3;
+
+/// The words the bursts of a run push into each input FIFO and pop from
+/// each output FIFO ahead of an issue, which its issue check counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct FifoLedger {
+    pushed: [usize; NUM_FIFOS as usize],
+    popped: [usize; NUM_FIFOS as usize],
+}
+
+impl FifoLedger {
+    /// Counts `words` pushed into input FIFO `fifo` (a read) or popped
+    /// from output FIFO `fifo` (a write).
+    fn count(&mut self, read: bool, fifo: FifoId, words: usize) {
+        let side = if read {
+            &mut self.pushed
+        } else {
+            &mut self.popped
+        };
+        side[fifo.index()] += words;
+    }
+}
 
 /// The controller: FSM + program store + extension registers.
 #[derive(Debug)]
@@ -426,27 +464,61 @@ impl Controller {
     /// FSM. Whether the next tick walks is also whether a leap steps it
     /// (see [`Ocp::advance`](crate::Ocp::advance)).
     pub(crate) fn walk(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Walk> {
-        let entry = |pc: u16| self.program.get(usize::from(pc))?.as_ref().ok().copied();
+        let entry = self.entries(bus);
+        let to = |ticks: u64, pc: u16| Walk {
+            ticks,
+            pc,
+            insn: entry(pc),
+            pushed: None,
+            retires: false,
+        };
         match &self.state {
             _ if self.wedged => None,
-            ControllerState::Execute => Some((0, self.current, None)),
-            ControllerState::Decode => Some((1, entry(self.pc), None)),
-            ControllerState::Fetch => Some((2, entry(self.pc), None)),
+            ControllerState::Execute => Some(Walk {
+                insn: self.current,
+                ..to(0, self.pc)
+            }),
+            ControllerState::Decode => Some(to(1, self.pc)),
+            ControllerState::Fetch => Some(to(2, self.pc)),
             ControllerState::TransferBusWait => {
                 let Some(Ok(c)) = self.dma.peek_completion(bus) else {
                     return None;
                 };
                 let pushed = self.pending_read.map(|fifo| (fifo, c.data.len()));
-                (pushed.is_none() || !socket.busy()).then_some((3, entry(self.pc + 1), pushed))
+                (pushed.is_none() || !socket.busy()).then_some(Walk {
+                    pushed,
+                    retires: true,
+                    ..to(PICKUP_TICKS, self.pc + 1)
+                })
             }
             ControllerState::LoadProgram => {
-                let Some(Ok(c)) = self.dma.peek_completion(bus) else {
+                let Some(Ok(_)) = self.dma.peek_completion(bus) else {
                     return None;
                 };
-                let word0 = c.data.first().and_then(|&w| Instruction::decode(w).ok());
-                Some((3, word0, None))
+                Some(to(PICKUP_TICKS, 0))
             }
             _ => None,
+        }
+    }
+
+    /// The program entries as the FSM's next `Decode` ticks will find
+    /// them: `None` for an entry past the program or one that does not
+    /// decode. That is the program store, unless a program load waits to
+    /// be picked up: then it is the program the pickup stores.
+    fn entries<'a>(&'a self, bus: &'a dyn SystemBus) -> impl Fn(u16) -> Option<Instruction> + 'a {
+        let loaded = match self.state {
+            ControllerState::LoadProgram => match self.dma.peek_completion(bus) {
+                Some(Ok(c)) => Some(&c.data),
+                _ => None,
+            },
+            _ => None,
+        };
+        move |pc| {
+            let pc = usize::from(pc);
+            match loaded {
+                Some(words) => words.get(pc).and_then(|&w| Instruction::decode(w).ok()),
+                None => self.program.get(pc)?.as_ref().ok().copied(),
+            }
         }
     }
 
@@ -465,38 +537,39 @@ impl Controller {
     }
 
     /// The one issue check of transfer `t`: `None` while its FIFO side
-    /// is not ready (space for the burst in its input FIFO once the
-    /// `pushed` words of a pickup have landed, or the burst's words in
-    /// its output FIFO), else the bus address its bank and offset
-    /// translate to, or the translation's error.
+    /// is not ready (space for the burst in its input FIFO, or the
+    /// burst's words in its output FIFO, once the words `ledger` counts
+    /// ahead of it have landed or left), else the bus address its bank
+    /// and offset translate to, or the translation's error.
     fn issue_check(
         &self,
         t: &Transfer,
         socket: &RacSocket,
         regs: &RegsHandle,
-        pushed: Option<(FifoId, usize)>,
+        ledger: &FifoLedger,
     ) -> Option<Result<Addr, TranslateError>> {
         let words = usize::from(t.burst.words());
         let fifo = t.fifo.index();
         let ready = if t.to_coprocessor {
-            let pushed = pushed.filter(|&(f, _)| f == t.fifo).map_or(0, |(_, n)| n);
-            socket.input_space(fifo).saturating_sub(pushed) >= words
+            socket.input_space(fifo).saturating_sub(ledger.pushed[fifo]) >= words
         } else {
-            socket.output_available(fifo) >= words
+            socket
+                .output_available(fifo)
+                .saturating_sub(ledger.popped[fifo])
+                >= words
         };
         ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.word_offset(t))))
     }
 
-    /// The transfer this controller can issue inside the next
-    /// fast-forward window (see [`BusWindow`]): the `Execute` of
-    /// `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on the window's first tick, or,
+    /// The first transfer of the run this controller can issue inside
+    /// the next fast-forward window (see [`BusWindow`]): the `Execute`
+    /// of `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on the window's first tick, or,
     /// with `chain`, the one the FSM reaches through ticks of its own
     /// (its walk: a transfer pickup or the program load's, then `Fetch`
-    /// and `Decode`). Only an issue the tick would make qualifies: it
-    /// passes the issue check (after the pickup's read lands), and
-    /// [`BusWindow::plan`] then asks the bus about its burst's shape.
-    /// The RAC must be idle, so nothing but the controller touches its
-    /// FIFOs in the window.
+    /// and `Decode`). Only an issue the tick would make qualifies (see
+    /// [`Controller::run_after`]); [`BusWindow::plan`] then asks the bus
+    /// about its burst's shape. The RAC must be idle, so nothing but the
+    /// controller touches its FIFOs in the window.
     #[must_use]
     pub fn window_issue(
         &self,
@@ -505,12 +578,86 @@ impl Controller {
         regs: &RegsHandle,
         chain: bool,
     ) -> Option<WindowIssue> {
-        let (ticks, insn, pushed) = self.walk(socket, bus)?;
-        if socket.busy() || (ticks > 0 && !chain) {
+        self.first_issue(socket, bus, regs, chain)
+            .map(|(issue, ..)| issue)
+    }
+
+    /// The run's later transfers, after its first (the chained
+    /// [`Controller::window_issue`]), lazily: each next program entry,
+    /// issued 3 ticks (its pickup, `Fetch` and `Decode`) after the last
+    /// one's completion, as the program the FSM will find holds it (see
+    /// `Controller::entries`). Like the first, each must pass the issue
+    /// check once the words of the pickup and of the bursts ahead of it
+    /// have landed or left, and its bank must translate; unlike it, it
+    /// must have an immediate offset, which no issue before it moves.
+    /// [`BusWindow::extend_run`] then asks the bus about its burst's
+    /// shape. The RAC stays idle: a run holds no `exec`. The run ends at
+    /// the first entry that does not qualify (a `djnz` or any other
+    /// instruction among them), which then steps as any other.
+    pub fn run_after<'a>(
+        &'a self,
+        socket: &'a RacSocket,
+        bus: &'a dyn SystemBus,
+        regs: &'a RegsHandle,
+    ) -> impl Iterator<Item = WindowIssue> + 'a {
+        let mut at = self
+            .first_issue(socket, bus, regs, true)
+            .map(|(_, pc, ledger)| (pc, ledger));
+        let entry = self.entries(bus);
+        std::iter::from_fn(move || {
+            let (pc, ledger) = at.as_mut()?;
+            *pc += 1;
+            let issue = self.issue(entry(*pc), PICKUP_TICKS, socket, regs, ledger, true);
+            if issue.is_none() {
+                at = None;
+            }
+            issue
+        })
+    }
+
+    /// The run's first issue (see [`Controller::window_issue`]), with
+    /// its program entry and the FIFO words it and the pickup before it
+    /// push or pop.
+    fn first_issue(
+        &self,
+        socket: &RacSocket,
+        bus: &dyn SystemBus,
+        regs: &RegsHandle,
+        chain: bool,
+    ) -> Option<(WindowIssue, u16, FifoLedger)> {
+        let walk = self.walk(socket, bus)?;
+        if socket.busy() || (walk.ticks > 0 && !chain) {
             return None;
         }
+        let mut ledger = FifoLedger::default();
+        if let Some((fifo, words)) = walk.pushed {
+            ledger.count(true, fifo, words);
+        }
+        let issue = self.issue(walk.insn, walk.ticks, socket, regs, &mut ledger, false)?;
+        Some((issue, walk.pc, ledger))
+    }
+
+    /// The issue of `insn`, `prefix` ticks ahead, if it is a transfer
+    /// the tick would issue: it passes the issue check, counting the
+    /// words `ledger` holds, and its bank translates. A `later` issue of
+    /// a run must also have an immediate offset. The issue's words join
+    /// the ledger.
+    fn issue(
+        &self,
+        insn: Option<Instruction>,
+        prefix: u64,
+        socket: &RacSocket,
+        regs: &RegsHandle,
+        ledger: &mut FifoLedger,
+        later: bool,
+    ) -> Option<WindowIssue> {
         let t = Transfer::from_instruction(0, &insn?)?;
-        let addr = self.issue_check(&t, socket, regs, pushed)?.ok()?;
+        if later && !matches!(t.offset, TransferOffset::Immediate(_)) {
+            return None;
+        }
+        let addr = self.issue_check(&t, socket, regs, ledger)?.ok()?;
+        let words = t.burst.words();
+        ledger.count(t.to_coprocessor, t.fifo, usize::from(words));
         let kind = if t.to_coprocessor {
             TxnKind::Read
         } else {
@@ -518,11 +665,11 @@ impl Controller {
         };
         Some(WindowIssue {
             master: self.master(),
-            prefix: ticks,
+            prefix,
             shape: TxnShape {
                 kind,
                 addr,
-                beats: t.burst.words(),
+                beats: words,
             },
         })
     }
@@ -538,9 +685,10 @@ impl Controller {
     ///
     /// A burst in flight defers to the window's bus event: the port
     /// cannot be seen to complete before the tick after it. When the
-    /// window issues this controller's transfer (its
-    /// [`Controller::window_issue`]), the window runs through the issue
-    /// into that burst on the same terms.
+    /// window issues this controller's transfers (its
+    /// [`Controller::window_issue`] and [`Controller::run_after`]), the
+    /// window runs through the issues and their bursts on the same
+    /// terms: its event is the run's last completion.
     ///
     /// Otherwise the window follows the FSM's walk to its next
     /// `Execute`, whose dispatch is the event: a finished burst is
@@ -588,8 +736,12 @@ impl Controller {
                 observed_horizon(window.event())
             }
             _ => Some(Cycle::new(match self.walk(socket, bus) {
-                Some((ticks, Some(_), _)) => ticks + 1,
-                Some((ticks, None, _)) => ticks.saturating_sub(2) + 1,
+                Some(Walk {
+                    ticks,
+                    insn: Some(_),
+                    ..
+                }) => ticks + 1,
+                Some(Walk { ticks, .. }) => ticks.saturating_sub(2) + 1,
                 None => 1,
             })),
         }
@@ -606,25 +758,6 @@ impl Controller {
                 ControllerState::TransferBusWait | ControllerState::LoadProgram
             )
             && matches!(self.dma.peek_completion(bus), Some(Ok(_)))
-    }
-
-    /// The ticks of the window `window` on which the controller makes
-    /// observable progress (retires an instruction or moves a word,
-    /// which pulses the OCP watchdog), in order: a transfer pickup on
-    /// the first tick, and the window's issue of an `mvfc`/`mvfcr`,
-    /// whose payload leaves the FIFO then.
-    pub(crate) fn progress_ticks(
-        &self,
-        bus: &dyn SystemBus,
-        window: &BusWindow,
-    ) -> impl Iterator<Item = u64> {
-        let pickup =
-            (self.state == ControllerState::TransferBusWait && self.picks_up(bus)).then_some(1);
-        let write = window
-            .issue_of(self.master())
-            .filter(|i| i.shape.kind == TxnKind::Write)
-            .map(|i| i.prefix + 1);
-        pickup.into_iter().chain(write)
     }
 
     /// Replays `cycles` countdown ticks inside a window bounded by
@@ -971,7 +1104,7 @@ impl Controller {
         regs: &RegsHandle,
         socket: &mut RacSocket,
     ) {
-        let addr = match self.issue_check(&t, socket, regs, None) {
+        let addr = match self.issue_check(&t, socket, regs, &FifoLedger::default()) {
             None => {
                 self.state = ControllerState::TransferFifoWait;
                 return;

@@ -7,7 +7,7 @@
 //! clock cycle.
 
 use ouessant_rac::rac::{Rac, RacSocket};
-use ouessant_sim::bus::Addr;
+use ouessant_sim::bus::{Addr, TxnKind};
 use ouessant_sim::{BusWindow, Cycle, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError};
@@ -336,21 +336,35 @@ impl Ocp {
         self.controller.stats()
     }
 
-    /// The transfer this coprocessor can issue inside the next
-    /// fast-forward window (see [`Controller::window_issue`]), for the
-    /// leap loop to plan the window with ([`BusWindow::plan`]).
+    /// The first transfer of the run this coprocessor can issue inside
+    /// the next fast-forward window (see [`Controller::window_issue`]),
+    /// for the leap loop to plan the window with ([`BusWindow::plan`]).
     #[must_use]
     pub fn window_issue(&self, bus: &dyn SystemBus, chain: bool) -> Option<WindowIssue> {
         self.controller
             .window_issue(&self.socket, bus, &self.regs, chain)
     }
 
+    /// Adds the rest of this coprocessor's run to `window`, if the
+    /// window issues for it ([`BusWindow::extend_run`] over
+    /// [`Controller::run_after`]), as far as the window can reach before
+    /// tick `limit`, the rest of the leap loop's merged horizon.
+    pub fn extend_run(&self, bus: &dyn SystemBus, window: &mut BusWindow, limit: Option<Cycle>) {
+        if window.issue_of(self.bus_master()).is_some() {
+            window.extend_run(bus, limit, || {
+                self.controller.run_after(&self.socket, bus, &self.regs)
+            });
+        }
+    }
+
     /// The window of a leap loop that owns this coprocessor alone among
     /// the masters that can issue: [`BusWindow::plan`] over its
-    /// [`Ocp::window_issue`], chains allowed.
+    /// [`Ocp::window_issue`], chains allowed, with its whole run.
     #[must_use]
     pub fn window_on(&self, bus: &dyn SystemBus) -> BusWindow {
-        BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain))
+        let mut window = BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain));
+        self.extend_run(bus, &mut window, None);
+        window
     }
 
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
@@ -374,11 +388,14 @@ impl Ocp {
     /// An armed watchdog over an active controller bounds the window
     /// by the tick it would bite on, so the bite always lands on a real
     /// tick — identical cycle in single-step and fast-forward modes.
-    /// That is its remaining budget, unless the window holds progress
-    /// (a transfer pickup on its first tick, an `mvfc` issue, which
-    /// retire an instruction or move words): each progress tick reached
-    /// before the bite reloads the countdown, so the bound is the last
-    /// such tick plus the budget. A *wedged* controller is the one
+    /// That is its remaining budget, unless the window holds progress:
+    /// each progress tick reached before the bite reloads the
+    /// countdown, so the bound is the last such tick plus the budget.
+    /// The progress ticks are read off the plan the leap replays: the
+    /// walk's first tick when it picks a transfer up, then each burst
+    /// of the window's run (see [`BusWindow::run_of`]), whose `mvfc`
+    /// issue moves its words and whose pickup, the tick after its
+    /// completion, retires it. A *wedged* controller is the one
     /// active state exempt from the single-step safety net: it
     /// provably cannot transition by itself, so the watchdog budget
     /// (or, unarmed, quiescence) is the honest horizon and a hang
@@ -394,16 +411,22 @@ impl Ocp {
         );
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
-                let bite = self.controller.progress_ticks(bus, window).fold(
-                    wd.remaining.max(1),
-                    |due, tick| {
+                let walk = self.controller.walk(&self.socket, bus);
+                let pickup = walk.filter(|w| w.retires).map(|_| 1);
+                let run = window.run_of(self.bus_master()).flat_map(|b| {
+                    let write = (b.kind == TxnKind::Write).then_some(b.issue);
+                    write.into_iter().chain([b.complete + 1])
+                });
+                let bite = pickup
+                    .into_iter()
+                    .chain(run)
+                    .fold(wd.remaining.max(1), |due, tick| {
                         if tick <= due {
                             tick + wd.budget
                         } else {
                             due
                         }
-                    },
-                );
+                    });
                 h = ouessant_sim::min_horizon(h, Some(Cycle::new(bite)));
             }
         }
@@ -417,16 +440,16 @@ impl Ocp {
     /// [`Ocp::horizon_on`], leaving the coprocessor as `cycles` real
     /// ticks would have. The socket leaps first. Then, while the
     /// controller's walk says the next tick moves its FSM (the pickup of
-    /// a burst that completed without error, `Fetch`, `Decode`, and the
-    /// window's issue in `Execute`), the controller steps that tick
-    /// itself and the watchdog applies its per-tick rule. The ticks left
+    /// a burst that completed without error, `Fetch`, `Decode`, and a
+    /// run's issue in `Execute`), the controller steps that tick itself
+    /// and the watchdog applies its per-tick rule. The ticks left
     /// are countdowns, replayed in bulk by [`Controller::advance`] and
     /// the watchdog, and the debug register window is refreshed once.
     /// Completion needs no replay — `eop` is never inside a window. A
     /// pickup retires the port's completion on `bus` and an issue
     /// begins a burst there: call it inside [`BusWindow::leap`], which
-    /// has advanced the bus to the issue's cycle and advances it over
-    /// the rest of the window afterwards.
+    /// advances the issuer of a run once per burst, with the bus on the
+    /// issue's cycle, and advances the bus over the burst afterwards.
     pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
         // A read pickup only fills the input FIFOs of an idle socket
         // (the walk stops in front of it otherwise), and an issue only
@@ -440,7 +463,7 @@ impl Ocp {
                 .step_fsm(bus, &self.regs, &mut self.socket, &self.irq);
             debug_assert!(
                 !executes || *self.controller.state() == ControllerState::TransferBusWait,
-                "an in-window dispatch is the window's issue"
+                "an in-window dispatch is one of the run's issues"
             );
             self.watch();
             rest -= 1;
@@ -483,13 +506,17 @@ mod tests {
         fixture_on(Bus::new(BusConfig::default()), rac)
     }
 
-    fn fixture_on<B: SystemBus>(mut bus: B, rac: Box<dyn Rac>) -> Fixture<B> {
+    fn fixture_on<B: SystemBus>(bus: B, rac: Box<dyn Rac>) -> Fixture<B> {
+        fixture_with(bus, rac, OcpConfig::default())
+    }
+
+    fn fixture_with<B: SystemBus>(mut bus: B, rac: Box<dyn Rac>, config: OcpConfig) -> Fixture<B> {
         let _cpu = bus.register_master("cpu");
         bus.add_slave_boxed(
             RAM_BASE,
             Box::new(Sram::with_words(16384, SramConfig::no_wait())),
         );
-        let ocp = Ocp::attach(&mut bus, OCP_BASE, rac, OcpConfig::default());
+        let ocp = Ocp::attach(&mut bus, OCP_BASE, rac, config);
         Fixture { bus, ocp }
     }
 
@@ -949,8 +976,11 @@ mod tests {
             if skip > 0 {
                 let from = fast.ocp.controller().state().clone();
                 let pc = fast.ocp.controller().pc();
-                window.leap(&mut fast.bus, skip, |bus| {
-                    fast.ocp.advance(Cycle::new(skip), bus);
+                let ocp = &mut fast.ocp;
+                window.leap(&mut fast.bus, skip, |bus, who, ticks| {
+                    if who.includes(ocp.bus_master()) {
+                        ocp.advance(Cycle::new(ticks), bus);
+                    }
                 });
                 for _ in 0..skip {
                     slow.step();
@@ -1461,6 +1491,192 @@ mod tests {
         for state in [Fetch, Decode, Execute, TransferBusWait, LoadProgram] {
             assert!(walked.contains(&state), "{state:?} in {walked:?}");
         }
+    }
+
+    /// A passthrough OCP with `fifo_depth`-word FIFOs running `source`
+    /// from a program store that held another program before (so a run
+    /// planned at the load's pickup must read the program the load
+    /// brings), bank 1 on 4096 input words at word 4096 of the RAM,
+    /// bank 2 on the output area at word 8192, and bank 4 on no slave.
+    fn run_fixture(source: &str, fifo_depth: usize) -> Fixture {
+        let bus = Bus::new(BusConfig::default());
+        let rac = Box::new(PassthroughRac::scaling(3, 0));
+        let mut fx = fixture_with(bus, rac, OcpConfig { fifo_depth });
+        fx.load_program(&assemble("nop\nnop\nnop\nnop\nnop\nnop\nnop\neop").unwrap());
+        fx.run(100);
+        assert!(fx.ocp.poll_completion());
+        fx.load_program(&assemble(source).unwrap());
+        fx.ocp.regs().set_bank(1, RAM_BASE + 0x4000).unwrap();
+        fx.ocp.regs().set_bank(2, RAM_BASE + 0x8000).unwrap();
+        fx.ocp.regs().set_bank(4, 0x1000_0000).unwrap();
+        for i in 0..4096u32 {
+            fx.bus.debug_write(RAM_BASE + 0x4000 + i * 4, i).unwrap();
+        }
+        fx
+    }
+
+    /// `n` bursts of `dir` (`mvtc` or `mvfc`) of `words` words each,
+    /// back to back through bank `bank`.
+    fn bursts(dir: &str, bank: u8, n: u32, words: u32) -> String {
+        (0..n)
+            .map(|i| format!("{dir} BANK{bank},{},DMA{words},FIFO0\n", i * words))
+            .collect()
+    }
+
+    #[test]
+    fn each_transfer_run_leaps_in_one_window_on_an_idle_bus() {
+        use ControllerState::{Execute, Fetch, LoadProgram, RacWait, TransferBusWait};
+        // 16 `mvtc` of 256 words, `execs`, 16 `mvfc` of 256 words: each
+        // run is one window, from the walk to its first issue through
+        // its last completion, and the pickup after it walks to the
+        // next `Execute`.
+        let source = format!(
+            "{}execs 4096\n{}eop",
+            bursts("mvtc", 1, 16, 256),
+            bursts("mvfc", 2, 16, 256)
+        );
+        let (_, fault, leaps) = leap_against_steps(|| run_fixture(&source, 4096), 100_000);
+        assert_eq!(fault, None);
+        assert_eq!(
+            leaps,
+            [
+                (LoadProgram, 7, LoadProgram),
+                (LoadProgram, 7, TransferBusWait),
+                (TransferBusWait, 15, Execute),
+                (RacWait, 16, RacWait),
+                (Fetch, 17, TransferBusWait),
+                (TransferBusWait, 32, Execute),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_run_stops_in_front_of_an_entry_that_cannot_join_it() {
+        use ControllerState::{Execute, Fetch, LoadProgram, TransferBusWait, TransferFifoWait};
+        let leaps = |source: &str, depth| {
+            let (_, fault, leaps) = leap_against_steps(|| run_fixture(source, depth), 5_000);
+            (fault, leaps)
+        };
+        let load = (LoadProgram, 7, LoadProgram);
+        // A FIFO of 1024 words holds four 256-word bursts: the fifth
+        // waits for space on its own `Execute` tick, and stays there.
+        let (fault, runs) = leaps(&format!("{}eop", bursts("mvtc", 1, 5, 256)), 1024);
+        assert_eq!(fault, None);
+        assert_eq!(
+            runs,
+            [
+                load.clone(),
+                (LoadProgram, 7, TransferBusWait),
+                (TransferBusWait, 3, Execute),
+            ]
+        );
+        // A register offset ends the run in front of it, and starts the
+        // next; its post-increment leaves the `mvtc` after it to join.
+        let source = format!(
+            "{}mvtcr BANK1,O0,DMA16,FIFO0\nmvtc BANK1,48,DMA16,FIFO0\neop",
+            bursts("mvtc", 1, 2, 16)
+        );
+        let (fault, runs) = leaps(&source, 1024);
+        assert_eq!(fault, None);
+        assert_eq!(
+            runs,
+            [
+                load.clone(),
+                (LoadProgram, 7, TransferBusWait),
+                (TransferBusWait, 1, TransferBusWait),
+                (TransferBusWait, 3, Execute),
+            ]
+        );
+        // A `djnz` ends the run: every loop pass is one window.
+        let source = format!(
+            "ldc R0,3\nagain:\n{}djnz R0,again\neop",
+            bursts("mvtc", 1, 2, 16)
+        );
+        let (fault, runs) = leaps(&source, 1024);
+        assert_eq!(fault, None);
+        let pass = [(Fetch, 1, TransferBusWait), (TransferBusWait, 2, Execute)];
+        let mut expected = vec![load.clone(), (LoadProgram, 7, Execute)];
+        for _ in 0..3 {
+            expected.extend(pass.clone());
+        }
+        expected.push((Fetch, 4, Execute));
+        assert_eq!(runs, expected);
+        // A bank on no slave: the bus declines the burst, which faults
+        // on its own `Execute` tick.
+        let source = format!("{}mvtc BANK4,0,DMA16,FIFO0\neop", bursts("mvtc", 1, 2, 16));
+        let (fault, runs) = leaps(&source, 1024);
+        assert!(
+            matches!(fault, Some(ExecError::Bus(BusError::Unmapped { .. }))),
+            "{fault:?}"
+        );
+        assert_eq!(
+            runs,
+            [
+                load,
+                (LoadProgram, 7, TransferBusWait),
+                (TransferBusWait, 1, Execute),
+            ]
+        );
+        assert!(!runs.iter().any(|l| l.2 == TransferFifoWait));
+    }
+
+    #[test]
+    fn the_watchdog_bites_mid_run_on_its_cycle_and_spares_a_longer_budget() {
+        // The cycles on which a single-stepped run makes progress: the
+        // watchdog's budget counts from the last one.
+        let source = format!(
+            "{}execs 128\n{}eop",
+            bursts("mvtc", 1, 8, 16),
+            bursts("mvfc", 2, 8, 16)
+        );
+        let build = |budget: Option<u64>| {
+            let source = source.clone();
+            move || {
+                let mut fx = run_fixture(&source, 1024);
+                if let Some(budget) = budget {
+                    fx.ocp.arm_watchdog(budget);
+                }
+                fx
+            }
+        };
+        let mut fx = build(None)();
+        fx.ocp.regs().start();
+        let mut progress = vec![0];
+        let stats = fx.ocp.stats();
+        let mut signature = (stats.instructions_retired, stats.words_transferred);
+        for cycle in 1..10_000 {
+            fx.step();
+            let stats = fx.ocp.stats();
+            if (stats.instructions_retired, stats.words_transferred) != signature {
+                signature = (stats.instructions_retired, stats.words_transferred);
+                progress.push(cycle);
+            }
+            if fx.ocp.regs().done() {
+                break;
+            }
+        }
+        let gaps: Vec<u64> = progress.windows(2).map(|w| w[1] - w[0]).collect();
+        // A burst's gap: its pickup, `Fetch`, `Decode`, then grant,
+        // address and 16 beats to the next pickup.
+        assert!(gaps.contains(&21), "{gaps:?}");
+        let (_, _, unwatched) = leap_against_steps(build(None), 10_000);
+        for budget in [5, 20] {
+            // The first gap that outlasts the budget bites at its end.
+            let (from, _) = progress
+                .iter()
+                .zip(&gaps)
+                .find(|(_, &gap)| gap > budget)
+                .expect("a gap outlasts the budget");
+            let (cycle, fault, _) = leap_against_steps(build(Some(budget)), 10_000);
+            assert_eq!(fault, Some(ExecError::Hang { budget }));
+            assert_eq!(cycle, from + budget, "budget {budget}");
+        }
+        // A budget longer than every gap never bites, and costs no
+        // window: each pickup and each `mvfc` issue reloads it mid-run.
+        let budget = gaps.iter().max().copied().unwrap_or(0) + 1;
+        let (_, fault, watched) = leap_against_steps(build(Some(budget)), 10_000);
+        assert_eq!(fault, None);
+        assert_eq!(watched, unwatched);
     }
 
     #[test]

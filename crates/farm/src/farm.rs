@@ -803,23 +803,28 @@ impl Farm {
     ///   pickup (see [`ouessant_sim::observed_horizon`]).
     ///
     /// The bus side is planned once, as a [`BusWindow`] every worker
-    /// reads: a worker may issue a transfer inside the window, and the
-    /// bus's next event then counts its request. Chained issues (after
-    /// a pickup, `Fetch` or `Decode` of the worker's own) are left out
-    /// while chaos is armed, because a window's dice follow each
-    /// worker's state after its first tick and a chain changes it later.
+    /// reads: a worker may issue a run of transfers inside the window,
+    /// and the bus's next event is then the run's last completion.
+    /// Chained issues (after a pickup, `Fetch` or `Decode` of the
+    /// worker's own), and so runs, are left out while chaos is armed,
+    /// because a window's dice follow each worker's state after its
+    /// first tick and a chain changes it later. The run is planned last,
+    /// as far as every other term reaches: a window that may chain has
+    /// an idle bus, so no other worker's horizon reads it.
     fn idle_horizon(&self) -> (Option<u64>, BusWindow) {
         if self.may_dispatch() {
             return (Some(1), BusWindow::default());
         }
         let now = self.now();
-        let window = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
+        let mut window = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
             self.workers
                 .iter()
                 .filter_map(move |w| w.window_issue(&self.bus, chain))
         });
-        let mut h = ouessant_sim::observed_horizon(window.event());
-        for w in &self.workers {
+        let issuer = window.issuer();
+        let is_issuer = |w: &Worker| Some(w.ocp.bus_master()) == issuer;
+        let mut h = None;
+        for w in self.workers.iter().filter(|w| !is_issuer(w)) {
             h = min_horizon(
                 h,
                 w.horizon_at(now, &self.config.faults, &self.bus, &window),
@@ -852,6 +857,14 @@ impl Farm {
         if let Some(release_at) = self.chaos.as_ref().and_then(FaultPlan::squat_release_at) {
             h = min_horizon(h, due_at(release_at + 1, now));
         }
+        if let Some(w) = self.workers.iter().find(|w| is_issuer(w)) {
+            w.ocp.extend_run(&self.bus, &mut window, h);
+            h = min_horizon(
+                h,
+                w.horizon_at(now, &self.config.faults, &self.bus, &window),
+            );
+        }
+        h = min_horizon(h, ouessant_sim::observed_horizon(window.event()));
         (h.map(u64::from), window)
     }
 
@@ -861,9 +874,11 @@ impl Farm {
     ///
     /// A DMA burst may complete on the window's last cycle; its worker
     /// picks it up on the next window's first cycle, inside that leap.
-    /// A worker the window issues for begins its burst inside the leap
-    /// too: the bus first advances over the ticks before the issue, so
-    /// the request meets it on its own cycle. With chaos armed, the
+    /// A worker the window issues for begins its run of bursts inside
+    /// the leap too: the other workers advance over the whole leap,
+    /// then the run replays one burst at a time (see
+    /// [`BusWindow::leap`]), so each request meets the bus on its own
+    /// cycle. With chaos armed, the
     /// plan lists the window's armed dice once, from each worker's
     /// state after that first cycle, and rolls the list for every cycle
     /// of the window (identical RNG stream to single-stepping); the
@@ -889,9 +904,11 @@ impl Farm {
             .roll_chaos(now..now + bound, window.issuer(), work_pending)
             .unwrap_or(bound);
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
-        window.leap(&mut self.bus, leap, |bus| {
+        window.leap(&mut self.bus, leap, |bus, who, ticks| {
             for w in &mut self.workers {
-                w.advance(leap, bus);
+                if who.includes(w.ocp.bus_master()) {
+                    w.advance(ticks, bus);
+                }
             }
         });
         self.ledger.skipped_cycles += leap;

@@ -8,8 +8,8 @@
 use std::fmt;
 
 use ouessant_isa::Program;
-use ouessant_rac::dft::{dft_fixed, dft_latency};
-use ouessant_rac::idct::{idct_2d_fixed, BLOCK_LEN};
+use ouessant_rac::dft::{dft_latency, dft_words};
+use ouessant_rac::idct::{idct_words, BLOCK_LEN};
 
 use crate::worker::WorkerFaultKind;
 
@@ -70,23 +70,8 @@ impl JobKind {
     #[must_use]
     pub fn expected_output(&self, input: &[u32]) -> Vec<u32> {
         match self {
-            JobKind::Idct => {
-                let coeffs: Vec<i32> = input.iter().map(|&w| w as i32).collect();
-                idct_2d_fixed(&coeffs)
-                    .into_iter()
-                    .map(|v| v as u32)
-                    .collect()
-            }
-            JobKind::Dft { .. } => {
-                let samples: Vec<(i32, i32)> = input
-                    .chunks_exact(2)
-                    .map(|w| (w[0] as i32, w[1] as i32))
-                    .collect();
-                dft_fixed(&samples)
-                    .into_iter()
-                    .flat_map(|(re, im)| [re as u32, im as u32])
-                    .collect()
-            }
+            JobKind::Idct => idct_words(input),
+            JobKind::Dft { .. } => dft_words(input),
             JobKind::Copy { scale } => input.iter().map(|w| w.wrapping_mul(*scale)).collect(),
         }
     }

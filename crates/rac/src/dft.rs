@@ -142,6 +142,25 @@ pub fn dft_fixed(input: &[(i32, i32)]) -> Vec<(i32, i32)> {
     data
 }
 
+/// [`dft_fixed`] on the wire format: each complex sample as two
+/// two's-complement words, real part first, in and out, as the
+/// accelerator's FIFOs carry them.
+///
+/// # Panics
+///
+/// Panics unless `words` holds a power of two in `8..=4096` of samples.
+#[must_use]
+pub fn dft_words(words: &[u32]) -> Vec<u32> {
+    let samples: Vec<(i32, i32)> = words
+        .chunks_exact(2)
+        .map(|w| (w[0] as i32, w[1] as i32))
+        .collect();
+    dft_fixed(&samples)
+        .into_iter()
+        .flat_map(|(re, im)| [re as u32, im as u32])
+        .collect()
+}
+
 /// The Q15 twiddle table `W_N^k = e^{-2πik/N}`, `k < N/2`, of the
 /// `N = 2^stages`-point DFT, built on first use.
 fn twiddles(stages: u32) -> &'static [(i32, i32)] {
@@ -177,14 +196,7 @@ impl BlockKernel for DftKernel {
     }
 
     fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
-        let samples: Vec<(i32, i32)> = input
-            .chunks_exact(2)
-            .map(|w| (w[0] as i32, w[1] as i32))
-            .collect();
-        dft_fixed(&samples)
-            .into_iter()
-            .flat_map(|(re, im)| [re as u32, im as u32])
-            .collect()
+        dft_words(input)
     }
 }
 

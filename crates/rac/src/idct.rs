@@ -135,6 +135,22 @@ pub fn idct_2d_fixed(coeffs: &[i32]) -> Vec<i32> {
     out
 }
 
+/// [`idct_2d_fixed`] on the wire format: one two's-complement
+/// coefficient per 32-bit word in, one sample per word out, as the
+/// accelerator's FIFOs carry them.
+///
+/// # Panics
+///
+/// Panics if `words` is not 64 words long.
+#[must_use]
+pub fn idct_words(words: &[u32]) -> Vec<u32> {
+    let coeffs: Vec<i32> = words.iter().map(|&w| w as i32).collect();
+    idct_2d_fixed(&coeffs)
+        .into_iter()
+        .map(|v| v as u32)
+        .collect()
+}
+
 /// Kernel description driving [`BlockRac`].
 #[derive(Debug, Default)]
 pub struct IdctKernel;
@@ -153,11 +169,7 @@ impl BlockKernel for IdctKernel {
     }
 
     fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
-        let coeffs: Vec<i32> = input.iter().map(|&w| w as i32).collect();
-        idct_2d_fixed(&coeffs)
-            .into_iter()
-            .map(|v| v as u32)
-            .collect()
+        idct_words(input)
     }
 }
 

@@ -23,7 +23,8 @@
 //! For fast-forward, [`Bus::horizon`] is the next transaction
 //! completion, and [`Bus::advance`] leaps to it (or through it, since
 //! no master sees it before the next tick) through every grant, address
-//! phase, wait state, beat and re-arbitration on the way.
+//! phase, wait state, beat and re-arbitration on the way; a lone
+//! requester's whole transaction is one closed-form step.
 //! [`Bus::horizon_with`] answers the same question with one more burst
 //! issued, given by its [`TxnShape`], so a master's issue can sit
 //! inside a leap too.
@@ -275,8 +276,8 @@ pub trait BusSlave {
         count: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), SlaveFault> {
-        for i in 0..count {
-            out.push(self.read_word(offset + (i as u32) * 4)?);
+        for word in (offset..).step_by(4).take(count) {
+            out.push(self.read_word(word)?);
         }
         Ok(())
     }
@@ -290,9 +291,8 @@ pub trait BusSlave {
     /// The index in `data` and the [`SlaveFault`] of the first word
     /// that fails.
     fn write_words(&mut self, offset: u32, data: &[u32]) -> Result<(), (usize, SlaveFault)> {
-        for (i, &value) in data.iter().enumerate() {
-            self.write_word(offset + (i as u32) * 4, value)
-                .map_err(|e| (i, e))?;
+        for (i, (&value, word)) in data.iter().zip((offset..).step_by(4)).enumerate() {
+            self.write_word(word, value).map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -501,6 +501,8 @@ impl Txn {
     ) -> (u16, Option<SlaveFault>) {
         let slave = &mut slaves.slaves[self.slave_idx];
         let offset = self.req.shape.addr + u32::from(self.beats_done) * 4 - slave.base;
+        // A slave call moves at most `count` words before its fault.
+        let through = |moved: usize| u16::try_from(moved).map_or(count, |m| m + 1);
         let (moved, fault) = match self.req.shape.kind {
             TxnKind::Read => {
                 let before = self.read_data.len();
@@ -509,7 +511,7 @@ impl Txn {
                     .read_words(offset, usize::from(count), &mut self.read_data)
                 {
                     Ok(()) => (count, None),
-                    Err(e) => ((self.read_data.len() - before) as u16 + 1, Some(e)),
+                    Err(e) => (through(self.read_data.len() - before), Some(e)),
                 }
             }
             TxnKind::Write => {
@@ -517,7 +519,7 @@ impl Txn {
                 let data = &self.req.data[start..start + usize::from(count)];
                 match slave.device.write_words(offset, data) {
                     Ok(()) => (count, None),
-                    Err((i, e)) => (i as u16 + 1, Some(e)),
+                    Err((i, e)) => (through(i), Some(e)),
                 }
             }
         };
@@ -1044,13 +1046,17 @@ impl Bus {
     }
 
     /// Runs `n` clock cycles, leaving the bus exactly as `n` calls to
-    /// [`Bus::tick`] would: grant and address cycles one at a time, wait
-    /// states and beats in bulk, with every completion, fault, release
-    /// and grant (and its trace entry) on its own cycle. Sound for any
-    /// `n` as long as no master calls [`Bus::try_begin`] or
-    /// [`Bus::take_completion`] in between, which is what the
-    /// fast-forward contract guarantees.
+    /// [`Bus::tick`] would: the rest of a lone requester's transaction
+    /// in one step when it fits (see [`Bus::finish_alone`]), otherwise
+    /// grant and address cycles one at a time, wait states and beats in
+    /// bulk, with every completion, fault, release and grant (and its
+    /// trace entry) on its own cycle. Sound for any `n` as long as no
+    /// master calls [`Bus::try_begin`] or [`Bus::take_completion`] in
+    /// between, which is what the fast-forward contract guarantees.
     fn run(&mut self, mut n: u64) {
+        if n > 1 {
+            n -= self.finish_alone(n).unwrap_or(0);
+        }
         while n > 0 {
             n -= match self.active {
                 None => match self.arbitrate() {
@@ -1075,6 +1081,104 @@ impl Bus {
                 }) => self.data_phase(master, wait_left, sub_beats_left, n),
             };
         }
+    }
+
+    /// The rest of the transaction of the one master requesting, in
+    /// one step, if it completes within `n` cycles on a
+    /// [`BusSlave::fault_free`] slave: the beats move in one slave call,
+    /// and `now`, the busy cycles and the master's grants (one per
+    /// sub-burst still to start), beats and completed transactions are
+    /// charged in closed form, by the [`SlaveTiming::sub_burst_cycles`]
+    /// rule [`Bus::horizon`] reads. Nobody else requests, so nobody is
+    /// charged contention. With the trace on, every grant, sub-burst
+    /// boundary and the completion are recorded on the cycles stepping
+    /// would record them. Returns the cycles run, or `None` (and runs
+    /// nothing) when the bus is contended, the slave may fault or the
+    /// transaction does not complete within `n`.
+    fn finish_alone(&mut self, n: u64) -> Option<u64> {
+        let mut requesting =
+            (0..self.masters.len()).filter(|&i| self.masters[i].outstanding.is_some());
+        let owner = requesting.next()?;
+        if requesting.next().is_some() {
+            return None;
+        }
+        let txn = self.masters[owner]
+            .outstanding
+            .as_ref()
+            .expect("requesting");
+        let timing = self.slaves.timing(txn.slave_idx);
+        if !timing.fault_free {
+            return None;
+        }
+        let (head, in_flight) = self.in_flight().map_or((0, 0), |f| (f.cycles(), f.beats));
+        let max = u64::from(self.config.max_burst_beats);
+        let left = u64::from(txn.remaining() - in_flight);
+        let tail = match left % max {
+            0 => 0,
+            beats => timing.sub_burst_cycles(beats),
+        };
+        let cycles = head + left / max * timing.sub_burst_cycles(max) + tail;
+        if cycles > n {
+            return None;
+        }
+        if self.trace.is_enabled() {
+            self.trace_sub_bursts(owner, head, left, timing);
+        }
+        let port = &mut self.masters[owner];
+        let mut txn = port.outstanding.take().expect("requesting");
+        let (moved, _) = txn.move_beats(&mut self.slaves, txn.remaining());
+        port.stats.grants += left.div_ceil(max);
+        port.stats.beats += u64::from(moved);
+        self.active = None;
+        self.last_grantee = owner;
+        self.elapse_busy(cycles);
+        self.complete(owner, txn);
+        Some(cycles)
+    }
+
+    /// Records the trace entries of the rest of `owner`'s transaction
+    /// but its completion: the boundary ending the sub-burst in flight,
+    /// `head` cycles from now (none when nothing is in flight), then the
+    /// grant and, but for the last, the boundary of each sub-burst that
+    /// moves the `left` beats after it.
+    fn trace_sub_bursts(&mut self, owner: usize, head: u64, mut left: u64, timing: SlaveTiming) {
+        let name = &self.masters[owner].name;
+        let max = u64::from(self.config.max_burst_beats);
+        let mut at = self.now + Cycle::new(head);
+        let boundary = || format!("{name} sub-burst boundary");
+        if head > 0 && left > 0 {
+            self.trace.record(at, "bus", boundary());
+        }
+        while left > 0 {
+            self.trace
+                .record(at + Cycle::new(1), "bus", format!("grant to {name}"));
+            let beats = left.min(max);
+            at += Cycle::new(timing.sub_burst_cycles(beats));
+            left -= beats;
+            if left > 0 {
+                self.trace.record(at, "bus", boundary());
+            }
+        }
+    }
+
+    /// Retires `owner`'s transaction `txn`, whose last beat moved on the
+    /// cycle just run: its completion waits on the port.
+    fn complete(&mut self, owner: usize, txn: Txn) {
+        let beats = txn.req.shape.beats;
+        let completion = txn.finish(self.now);
+        let port = &mut self.masters[owner];
+        if self.trace.is_enabled() {
+            self.trace.record(
+                self.now,
+                "bus",
+                format!(
+                    "{} completes {} ({} beats, {} cy)",
+                    port.name, completion.kind, beats, completion.cycles
+                ),
+            );
+        }
+        port.completion = Some(Ok(completion));
+        port.stats.txns_completed += 1;
     }
 
     /// The arbitration cycle that grants the bus to `winner`. Returns
@@ -1136,15 +1240,16 @@ impl Bus {
             .as_mut()
             .expect("granted master has an outstanding txn");
         let seq_wait = self.slaves.timing(txn.slave_idx).seq_wait;
-        let fit = beats_within(wait_left, seq_wait, n).min(u64::from(sub_beats_left)) as u16;
-        let (beats, fault) = if fit > 0 {
+        let fit = u16::try_from(beats_within(wait_left, seq_wait, n))
+            .map_or(sub_beats_left, |b| b.min(sub_beats_left));
+        let (moved, fault) = if fit > 0 {
             txn.move_beats(&mut self.slaves, fit)
         } else {
             (0, None)
         };
-        let beats = u64::from(beats);
+        let beats = u64::from(moved);
         port.stats.beats += beats;
-        let released = fault.is_some() || beats == u64::from(sub_beats_left);
+        let released = fault.is_some() || moved == sub_beats_left;
         let ran = if released {
             beat_offset(wait_left, seq_wait, beats)
         } else {
@@ -1152,11 +1257,15 @@ impl Bus {
         };
         self.elapse_busy(ran);
         if !released {
+            // The next beat lies past the `n` cycles run, by at most its
+            // own wait states.
+            let wait_left = u32::try_from(beat_offset(wait_left, seq_wait, beats + 1) - n - 1)
+                .expect("at most one beat's wait states are left");
             self.active = Some(ActiveGrant {
                 master: owner,
                 phase: Phase::Beat {
-                    wait_left: (beat_offset(wait_left, seq_wait, beats + 1) - n - 1) as u32,
-                    sub_beats_left: sub_beats_left - beats as u16,
+                    wait_left,
+                    sub_beats_left: sub_beats_left - moved,
                 },
             });
             self.charge_contention(owner, beats);
@@ -1177,20 +1286,7 @@ impl Bus {
             port.completion = Some(Err(BusError::Fault(fault)));
         } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
-            let beats = txn.req.shape.beats;
-            let completion = txn.finish(self.now);
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    self.now,
-                    "bus",
-                    format!(
-                        "{} completes {} ({} beats, {} cy)",
-                        port.name, completion.kind, beats, completion.cycles
-                    ),
-                );
-            }
-            port.completion = Some(Ok(completion));
-            port.stats.txns_completed += 1;
+            self.complete(owner, txn);
         } else if self.trace.is_enabled() {
             // Sub-burst boundary: the transaction stays queued.
             self.trace
@@ -1252,6 +1348,29 @@ impl Bus {
             stats.contention_cycles += p.stats.contention_cycles;
         }
         stats
+    }
+}
+
+/// The sub-burst holding the bus, as [`Bus::horizon`] and the lone
+/// requester's closed form see it.
+struct InFlight {
+    /// Its slave's timing.
+    timing: SlaveTiming,
+    /// Beats its transaction has left, this sub-burst's included.
+    remaining: u16,
+    /// Cycles before its data phase: 1 for the address cycle of a
+    /// sub-burst granted on the last cycle, else 0.
+    address: u64,
+    /// Wait states before its next beat.
+    wait: u32,
+    /// Beats it has left.
+    beats: u16,
+}
+
+impl InFlight {
+    /// Cycles from now through its last beat.
+    fn cycles(&self) -> u64 {
+        self.address + beat_offset(self.wait, self.timing.seq_wait, u64::from(self.beats))
     }
 }
 
@@ -1360,6 +1479,31 @@ impl Bus {
         }))
     }
 
+    /// The sub-burst that holds the bus, if any: see [`InFlight`].
+    fn in_flight(&self) -> Option<InFlight> {
+        let ActiveGrant { master, phase } = self.active?;
+        let txn = self.masters[master]
+            .outstanding
+            .as_ref()
+            .expect("granted master has an outstanding txn");
+        let timing = self.slaves.timing(txn.slave_idx);
+        let remaining = txn.remaining();
+        let (address, wait, beats) = match phase {
+            Phase::Granted => (1, timing.first_wait, self.sub_burst_beats(remaining)),
+            Phase::Beat {
+                wait_left,
+                sub_beats_left,
+            } => (0, wait_left, sub_beats_left),
+        };
+        Some(InFlight {
+            timing,
+            remaining,
+            address,
+            wait,
+            beats,
+        })
+    }
+
     /// [`Bus::horizon`] with `issuer`'s request added to the requesting
     /// set.
     fn next_event(&self, issuer: Option<Issuer>) -> Option<Cycle> {
@@ -1367,31 +1511,15 @@ impl Bus {
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;
         let mut in_flight = 0;
-        if let Some(ActiveGrant { master, phase }) = self.active {
-            let txn = self.masters[master]
-                .outstanding
-                .as_ref()
-                .expect("granted master has an outstanding txn");
-            let timing = self.slaves.timing(txn.slave_idx);
-            let remaining = txn.remaining();
-            let (wait, beats) = match phase {
-                Phase::Granted => {
-                    cycles = 1;
-                    (timing.first_wait, self.sub_burst_beats(remaining))
-                }
-                Phase::Beat {
-                    wait_left,
-                    sub_beats_left,
-                } => (wait_left, sub_beats_left),
-            };
-            if !timing.fault_free {
-                return Some(Cycle::new(cycles + beat_offset(wait, 0, 1)));
+        if let Some(f) = self.in_flight() {
+            if !f.timing.fault_free {
+                return Some(Cycle::new(f.address + beat_offset(f.wait, 0, 1)));
             }
-            cycles += beat_offset(wait, timing.seq_wait, u64::from(beats));
-            if beats == remaining {
+            cycles = f.cycles();
+            if f.beats == f.remaining {
                 return Some(Cycle::new(cycles));
             }
-            in_flight = beats;
+            in_flight = f.beats;
         }
         // Over the rounds ahead: the first to complete (fewest
         // sub-bursts left, then earliest in the round), the cycles of a

@@ -147,18 +147,20 @@ impl Frequency {
         self.hz
     }
 
-    /// Wall-clock duration of `cycles` at this frequency.
+    /// Wall-clock duration of `cycles` at this frequency (saturating at
+    /// `u64::MAX` nanoseconds).
     #[must_use]
     pub fn duration_of(self, cycles: Cycle) -> std::time::Duration {
-        let nanos = (cycles.count() as u128 * 1_000_000_000) / self.hz as u128;
-        std::time::Duration::from_nanos(nanos as u64)
+        let nanos = (u128::from(cycles.count()) * 1_000_000_000) / u128::from(self.hz);
+        std::time::Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 
     /// Number of cycles elapsed in `duration` at this frequency
-    /// (rounded down).
+    /// (rounded down, saturating at `u64::MAX`).
     #[must_use]
     pub fn cycles_in(self, duration: std::time::Duration) -> Cycle {
-        Cycle::new((duration.as_nanos() * self.hz as u128 / 1_000_000_000) as u64)
+        let cycles = duration.as_nanos() * u128::from(self.hz) / 1_000_000_000;
+        Cycle::new(u64::try_from(cycles).unwrap_or(u64::MAX))
     }
 }
 

@@ -63,15 +63,20 @@
 //! [`observed_horizon`] (one tick later) and leaps *through* the bus's
 //! event tick; a bus's `advance` accepts `n ≤ horizon()` for that.
 //!
-//! A window may also hold one master's *issue* (see [`BusWindow`]):
-//! the leap loop works out the bus's horizon with that burst added
-//! ([`SystemBus::horizon_with`], given its [`TxnShape`]), then
-//! [`BusWindow::leap`] advances the bus over the ticks before the
-//! issue, the masters (the issuer issues in its own `advance`), then
-//! the bus over the rest of the window.
+//! A window may also hold one master's *run* (see [`BusWindow`]): the
+//! DMA bursts it issues back to back while nothing else touches the
+//! bus. The leap loop works out the bus's horizon with the first burst
+//! added ([`SystemBus::horizon_with`], given its [`TxnShape`]) and, on
+//! an idle bus, adds each later burst after the ticks its master takes
+//! to get from one completion to the next issue, as far as the rest of
+//! the window reaches. [`BusWindow::leap`] then advances every other
+//! master over the window once, and replays the run one burst at a
+//! time: the bus over the ticks before the issue, the issuer through
+//! its issue and the burst, then the bus over the burst. On an
+//! otherwise idle bus each burst is one closed-form step of the bus.
 
 use crate::axi::SystemBus;
-use crate::bus::{MasterId, TxnShape};
+use crate::bus::{MasterId, TxnKind, TxnShape};
 use crate::clock::Cycle;
 
 /// Combines two horizons, treating `None` as "never" (+∞).
@@ -111,9 +116,11 @@ pub fn observed_horizon(bus_event: Option<Cycle>) -> Option<Cycle> {
 pub struct WindowIssue {
     /// The issuing master.
     pub master: MasterId,
-    /// Window ticks before the issue's own: 0 when the window's first
-    /// tick issues, more when the master gets there through ticks of
-    /// its own first (which only a window on an idle bus may hold).
+    /// Ticks before the issue's own: for a run's first burst, the
+    /// window ticks before it (0 when the window's first tick issues,
+    /// more when the master gets there through ticks of its own first,
+    /// which only a window on an idle bus may hold); for a later burst,
+    /// the ticks after the last burst's completion.
     pub prefix: u64,
     /// The burst's kind, address and beats: all the bus times and
     /// checks it by, so a write needs none of the words the master
@@ -121,9 +128,43 @@ pub struct WindowIssue {
     pub shape: TxnShape,
 }
 
+/// One burst of a window's run, on the window's ticks (the first is
+/// tick 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunBurst {
+    /// Read or write.
+    pub kind: TxnKind,
+    /// The tick its master issues it on.
+    pub issue: u64,
+    /// The tick of the bus's first event after the issue: on an idle
+    /// bus, the burst's completion, which its master picks up on the
+    /// tick after.
+    pub complete: u64,
+}
+
+/// The masters one step of [`BusWindow::leap`] advances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Advancing {
+    /// The run's issuer alone, over the ticks of one of its bursts.
+    Issuer(MasterId),
+    /// Every master but the run's issuer (if any), over the whole leap.
+    AllBut(Option<MasterId>),
+}
+
+impl Advancing {
+    /// Whether this step advances `master`.
+    #[must_use]
+    pub fn includes(self, master: MasterId) -> bool {
+        match self {
+            Advancing::Issuer(m) => m == master,
+            Advancing::AllBut(issuer) => issuer != Some(master),
+        }
+    }
+}
+
 /// The bus side of one fast-forward window, worked out once by the
 /// leap loop for every master on the bus: the bus's next event, and the
-/// one transfer the window issues, if any.
+/// run of transfers the window issues, if any.
 ///
 /// The rules that keep the window sound:
 ///
@@ -134,19 +175,29 @@ pub struct WindowIssue {
 /// * a window issues after ticks of its own (`prefix > 0`) only when
 ///   the leap loop allows chains and no master is requesting, so the bus
 ///   state the issue meets is the one it has now;
-/// * the bus must answer [`SystemBus::horizon_with`]: a request it
-///   declines or would reject stays a stepped event.
+/// * the issuer's later bursts join its run (see
+///   [`BusWindow::extend_run`]) only on such an idle bus, where nothing
+///   but the issuer requests until the window ends, so each burst's
+///   timing does not depend on when it issues;
+/// * the bus must answer [`SystemBus::horizon_with`] for every burst
+///   of the run: a request it declines or would reject stays a stepped
+///   event, and ends the run in front of it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BusWindow {
     event: Option<Cycle>,
-    issue: Option<WindowIssue>,
+    /// The run's first burst, as a candidate and on the window's ticks.
+    issue: Option<(WindowIssue, RunBurst)>,
+    /// The run's later bursts.
+    later: Vec<RunBurst>,
+    chain: bool,
 }
 
 impl BusWindow {
-    /// Plans the window on `bus`. `candidates(chain)` lists the issues
-    /// the masters can make inside it, and may leave out those with a
-    /// prefix when `chain` is false; `chains` says whether the leap loop
-    /// lets a window chain an issue after ticks of its own at all.
+    /// Plans the window on `bus`, with at most the first burst of its
+    /// run. `candidates(chain)` lists the issues the masters can make
+    /// inside it, and may leave out those with a prefix when `chain` is
+    /// false; `chains` says whether the leap loop lets a window chain
+    /// an issue after ticks of its own at all.
     pub fn plan<I>(bus: &dyn SystemBus, chains: bool, candidates: impl FnOnce(bool) -> I) -> Self
     where
         I: IntoIterator<Item = WindowIssue>,
@@ -170,50 +221,141 @@ impl BusWindow {
         }
         let issue = first.filter(|_| !tied);
         match issue.and_then(|i| bus.horizon_with(i.master, i.shape).map(|h| (i, h))) {
-            Some((i, h)) => Self {
-                event: Some(h + Cycle::new(i.prefix)),
-                issue: Some(i),
+            Some((i, h)) => {
+                let first = RunBurst {
+                    kind: i.shape.kind,
+                    issue: i.prefix + 1,
+                    complete: h.count() + i.prefix,
+                };
+                Self {
+                    event: Some(Cycle::new(first.complete)),
+                    issue: Some((i, first)),
+                    later: Vec::new(),
+                    chain,
+                }
+            }
+            None => Self {
+                event,
+                ..Self::default()
             },
-            None => Self { event, issue: None },
         }
     }
 
+    /// Adds the issuer's `later` bursts to the run, in order, each
+    /// issued `prefix` ticks after the last one's completion. A burst
+    /// joins only in a window that may chain (see [`BusWindow`]), and
+    /// only if the bus answers [`SystemBus::horizon_with`] for it; the
+    /// run ends at the first that does not. On an idle bus that answer
+    /// does not depend on `now`, so it times the burst wherever it
+    /// issues. Bursts are drawn only while the run ends before tick
+    /// `limit`, the rest of the merged horizon: a leap never reaches
+    /// past it, so the plan pays for at most one burst it does not
+    /// replay, and `later` is not even called when the first burst
+    /// reaches it. The window's event becomes the run's last
+    /// completion.
+    pub fn extend_run<I: IntoIterator<Item = WindowIssue>>(
+        &mut self,
+        bus: &dyn SystemBus,
+        limit: Option<Cycle>,
+        later: impl FnOnce() -> I,
+    ) {
+        let Some((_, first)) = self.issue.filter(|_| self.chain) else {
+            return;
+        };
+        let mut last = self.later.last().unwrap_or(&first).complete;
+        // The issuer sees its last burst complete on the tick after.
+        let short = |last: u64| limit.is_none_or(|l| last + 1 < l.count());
+        if !short(last) {
+            return;
+        }
+        for next in later() {
+            let Some(h) = bus.horizon_with(next.master, next.shape) else {
+                break;
+            };
+            let issue = last + next.prefix + 1;
+            last = issue - 1 + h.count();
+            self.later.push(RunBurst {
+                kind: next.shape.kind,
+                issue,
+                complete: last,
+            });
+            if !short(last) {
+                break;
+            }
+        }
+        self.event = Some(Cycle::new(last));
+    }
+
     /// The bus's next event, as an offset from now, with the window's
-    /// issue included: what every master waiting on the bus defers to.
+    /// run included: the run's last completion when it has one, and
+    /// what every master waiting on the bus defers to.
     #[must_use]
     pub fn event(&self) -> Option<Cycle> {
         self.event
     }
 
-    /// The window's issue, if `master` makes it.
+    /// The first burst of the window's run, if `master` issues it.
     #[must_use]
     pub fn issue_of(&self, master: MasterId) -> Option<&WindowIssue> {
-        self.issue.as_ref().filter(|i| i.master == master)
+        self.issue
+            .as_ref()
+            .map(|(i, _)| i)
+            .filter(|i| i.master == master)
+    }
+
+    /// The bursts of the window's run, in order, if `master` issues
+    /// them (else none).
+    pub fn run_of(&self, master: MasterId) -> impl Iterator<Item = &RunBurst> {
+        let run = self.issue.as_ref().filter(|(i, _)| i.master == master);
+        let later = run.map_or(&[][..], |_| &self.later[..]);
+        run.map(|(_, first)| first).into_iter().chain(later)
     }
 
     /// The master that issues in the window, if any.
     #[must_use]
     pub fn issuer(&self) -> Option<MasterId> {
-        self.issue.as_ref().map(|i| i.master)
+        self.issue.as_ref().map(|(i, _)| i.master)
     }
 
     /// Leaps `bus` and the masters on it over the first `n` ticks of
-    /// the window, in the one order that puts the window's issue on its
-    /// own cycle: the bus over the ticks before the issue, then
-    /// `masters`, which advance over all `n` ticks and may issue on the
-    /// bus, then the bus over the rest.
-    pub fn leap<B: SystemBus + ?Sized>(&self, bus: &mut B, n: u64, masters: impl FnOnce(&mut B)) {
-        let prefix = self.bus_prefix(n);
-        bus.advance(Cycle::new(prefix));
-        masters(bus);
-        bus.advance(Cycle::new(n - prefix));
-    }
-
-    /// Ticks the bus leaps before the masters advance over the window,
-    /// so that the issue meets the bus on its own cycle: the issue's
-    /// prefix, capped at the window's `leap`.
-    fn bus_prefix(&self, leap: u64) -> u64 {
-        self.issue.as_ref().map_or(0, |i| i.prefix.min(leap))
+    /// the window, which must not pass the window's event. `masters`
+    /// advances the masters a step names (see [`Advancing`]) over the
+    /// ticks it is given, and may issue on the bus. Every master but the
+    /// issuer advances first, over all `n` ticks: inside the window
+    /// none of them touches the bus or the issuer's side of it. Then
+    /// the run replays one burst at a time, in the one order that puts
+    /// each issue on its own cycle: the bus over the ticks before the
+    /// issue, the issuer through its issue and the burst, then the bus
+    /// over the burst, so the issuer still sees it in flight on its
+    /// last tick.
+    pub fn leap<B: SystemBus + ?Sized>(
+        &self,
+        bus: &mut B,
+        n: u64,
+        mut masters: impl FnMut(&mut B, Advancing, u64),
+    ) {
+        masters(bus, Advancing::AllBut(self.issuer()), n);
+        let mut done = 0;
+        let Some((issue, _)) = &self.issue else {
+            bus.advance(Cycle::new(n));
+            return;
+        };
+        for b in self.run_of(issue.master) {
+            if done == n {
+                break;
+            }
+            let before = (b.issue - 1).min(n);
+            bus.advance(Cycle::new(before - done));
+            let end = b.complete.min(n);
+            masters(bus, Advancing::Issuer(issue.master), end - done);
+            debug_assert!(
+                end < b.issue || bus.horizon() == Some(Cycle::new(b.complete + 1 - b.issue)),
+                "the issuer issues its run's burst on the tick planned for it"
+            );
+            bus.advance(Cycle::new(end - before));
+            done = end;
+        }
+        bus.advance(Cycle::new(n - done));
     }
 }
 
@@ -259,6 +401,119 @@ mod tests {
             Some(Cycle::new(cycles))
         }
 
+        /// A read of [`issue`]'s shape issued on tick `issue`, its bus
+        /// event on tick `complete`.
+        fn burst(issue: u64, complete: u64) -> RunBurst {
+            RunBurst {
+                kind: TxnKind::Read,
+                issue,
+                complete,
+            }
+        }
+
+        /// The bursts of `w`'s run that `master` issues.
+        fn bursts_of(w: &BusWindow, master: MasterId) -> Vec<RunBurst> {
+            w.run_of(master).copied().collect()
+        }
+
+        /// `n` later bursts of `master`, each 3 ticks after the last
+        /// completion.
+        fn later(master: MasterId, n: usize) -> impl Iterator<Item = WindowIssue> {
+            std::iter::repeat_n(issue(master, 3), n)
+        }
+
+        #[test]
+        fn runs_add_later_bursts_on_an_idle_bus_up_to_the_limit() {
+            let (mut bus, [a, b, _]) = bus();
+            let plan = |bus: &Bus| BusWindow::plan(bus, true, |_| vec![issue(a, 2)]);
+            let mut w = plan(&bus);
+            w.extend_run(&bus, None, || later(a, 2));
+            // Each later burst issues on the 4th tick after the last
+            // completion: the master's pickup, `Fetch` and `Decode`
+            // come first.
+            let run = [
+                burst(3, ALONE + 2),
+                burst(ALONE + 6, 2 * ALONE + 5),
+                burst(2 * ALONE + 9, 3 * ALONE + 8),
+            ];
+            assert_eq!(
+                (bursts_of(&w, a), w.event()),
+                (run.to_vec(), at(3 * ALONE + 8))
+            );
+            // A leap ends before tick `limit`: bursts join only while
+            // the run's end, seen the tick after its last completion,
+            // comes before it.
+            for (limit, len) in [
+                (ALONE + 3, 1),
+                (ALONE + 4, 2),
+                (2 * ALONE + 6, 2),
+                (2 * ALONE + 7, 3),
+            ] {
+                let mut w = plan(&bus);
+                w.extend_run(&bus, at(limit), || later(a, 2));
+                assert_eq!(bursts_of(&w, a), &run[..len], "limit {limit}");
+                assert_eq!(w.event(), at(run[len - 1].complete));
+            }
+            // A burst the bus declines ends the run in front of it, and
+            // the bursts after it are not drawn.
+            let mut w = plan(&bus);
+            let unmapped = WindowIssue {
+                shape: TxnRequest::read(0x10_0000, 4).shape(),
+                ..issue(a, 3)
+            };
+            let mut drawn = 0;
+            let bursts = [issue(a, 3), unmapped, issue(a, 3)].into_iter();
+            w.extend_run(&bus, None, || bursts.inspect(|_| drawn += 1));
+            assert_eq!((bursts_of(&w, a), drawn), (run[..2].to_vec(), 2));
+            // Chains off, or a master requesting: no later burst joins.
+            let mut w = BusWindow::plan(&bus, false, |_| vec![issue(a, 0)]);
+            w.extend_run(&bus, None, || later(a, 2));
+            assert_eq!(bursts_of(&w, a), [burst(1, ALONE)]);
+            bus.try_begin(b, TxnRequest::read(0, 4)).unwrap();
+            let mut w = BusWindow::plan(&bus, true, |_| vec![issue(a, 0)]);
+            w.extend_run(&bus, None, || later(a, 2));
+            assert_eq!(bursts_of(&w, a).len(), 1);
+        }
+
+        #[test]
+        fn a_leap_replays_the_run_one_burst_at_a_time() {
+            let (bus0, [a, b, _]) = bus();
+            let mut w = BusWindow::plan(&bus0, true, |_| vec![issue(a, 2)]);
+            w.extend_run(&bus0, None, || later(a, 2));
+            let run = bursts_of(&w, a);
+            for n in 1..=w.event().map_or(0, Cycle::count) {
+                let (mut bus, _) = bus();
+                let mut steps = Vec::new();
+                w.leap(&mut bus, n, |bus, who, ticks| {
+                    if who == Advancing::Issuer(a) {
+                        // The issuer picks its last burst up, then issues
+                        // the next on the step's first cycle, if the leap
+                        // reaches it.
+                        let _ = bus.take_completion(a);
+                        if run[steps.len() - 1].issue <= n {
+                            bus.try_begin(a, TxnRequest::read(0x40, 4)).unwrap();
+                        }
+                    }
+                    steps.push((who, ticks, bus.now().count()));
+                });
+                assert_eq!(bus.now().count(), n, "leap of {n}");
+                assert_eq!(steps[0], (Advancing::AllBut(Some(a)), n, 0));
+                let issuer = &steps[1..];
+                assert_eq!(issuer.iter().map(|s| s.1).sum::<u64>(), n, "leap of {n}");
+                for (step, b) in issuer.iter().zip(&run) {
+                    // The bus meets each issue on its own cycle.
+                    assert_eq!(step.2, (b.issue - 1).min(n), "leap of {n}");
+                }
+                // One step per burst whose ticks the leap enters.
+                let entered = 1 + run.iter().filter(|b| b.complete < n).count();
+                assert_eq!(issuer.len(), entered.min(run.len()), "leap of {n}");
+            }
+            assert!(Advancing::AllBut(Some(a)).includes(b));
+            assert!(!Advancing::AllBut(Some(a)).includes(a));
+            assert!(Advancing::AllBut(None).includes(a));
+            assert!(!Advancing::Issuer(a).includes(b));
+        }
+
         #[test]
         fn one_issue_per_window_the_earliest_and_never_a_tie() {
             let (bus, [a, b, c]) = bus();
@@ -266,7 +521,8 @@ mod tests {
             assert_eq!(plan(vec![]), BusWindow::default());
             let w = plan(vec![issue(a, 3), issue(b, 0)]);
             assert_eq!((w.issuer(), w.event()), (Some(b), at(ALONE)));
-            assert_eq!(w.bus_prefix(100), 0);
+            assert_eq!(bursts_of(&w, b), [burst(1, ALONE)]);
+            assert_eq!(bursts_of(&w, a), []);
             let w = plan(vec![issue(a, 3), issue(b, 1), issue(c, 3)]);
             assert_eq!((w.issuer(), w.event()), (Some(b), at(ALONE + 1)));
             assert!(w.issue_of(b).is_some() && w.issue_of(a).is_none());
@@ -288,7 +544,7 @@ mod tests {
                 vec![issue(a, 3)]
             });
             assert_eq!(w.event(), at(ALONE + 3));
-            assert_eq!((w.bus_prefix(100), w.bus_prefix(2)), (3, 2));
+            assert_eq!(bursts_of(&w, a), [burst(4, ALONE + 3)]);
             // Chaos armed: chains are left out.
             let w = BusWindow::plan(&bus, false, |chain| {
                 assert!(!chain);

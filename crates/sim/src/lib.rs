@@ -23,8 +23,8 @@
 //!   next observable event so driver loops can leap over provably-idle
 //!   cycles instead of ticking through them (for a bus, through
 //!   [`SystemBus::horizon`] and [`SystemBus::advance`], and
-//!   [`BusWindow`], which lets one master's transfer issue inside a
-//!   leap).
+//!   [`BusWindow`], which lets one master's run of back-to-back
+//!   transfers issue inside a leap).
 //!
 //! Everything is deterministic and single-threaded: hardware concurrency
 //! is modeled by explicit `tick()` calls, one per clock cycle.
@@ -52,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod axi;
 pub mod bus;
@@ -68,7 +69,7 @@ pub use bus::{
     Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest, TxnShape,
 };
 pub use clock::{Cycle, Frequency};
-pub use event::{min_horizon, observed_horizon, BusWindow, WindowIssue};
+pub use event::{min_horizon, observed_horizon, Advancing, BusWindow, RunBurst, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

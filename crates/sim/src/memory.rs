@@ -175,7 +175,7 @@ impl BusSlave for Sram {
     }
 
     fn size(&self) -> u32 {
-        (self.words.len() * 4) as u32
+        u32::try_from(self.words.len() * 4).expect("an SRAM window fits the 32-bit address space")
     }
 
     fn read_word(&mut self, offset: u32) -> Result<u32, SlaveFault> {

@@ -65,7 +65,9 @@ impl XorShift64 {
     pub fn gen_range_u32(&mut self, range: std::ops::Range<u32>) -> u32 {
         assert!(range.start < range.end, "empty range");
         let span = u64::from(range.end - range.start);
-        range.start + (self.next_u64() % span) as u32
+        #[allow(clippy::cast_possible_truncation)] // below `span`, a `u32` difference
+        let off = (self.next_u64() % span) as u32;
+        range.start + off
     }
 
     /// A uniform draw from `range` over `u64` (empty ranges panic).
@@ -83,6 +85,7 @@ impl XorShift64 {
     /// # Panics
     ///
     /// Panics if `range` is empty.
+    #[allow(clippy::cast_possible_truncation)] // the draw lies inside `range`, an `i32` range
     pub fn gen_range_i32(&mut self, range: std::ops::Range<i32>) -> i32 {
         assert!(range.start < range.end, "empty range");
         let span = (i64::from(range.end) - i64::from(range.start)) as u64;

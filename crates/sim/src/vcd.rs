@@ -114,7 +114,7 @@ impl VcdWriter {
         let mut code = String::new();
         let mut i = index;
         loop {
-            code.push(char::from(b'!' + (i % 94) as u8));
+            code.push(char::from(b'!' + u8::try_from(i % 94).expect("below 94")));
             i /= 94;
             if i == 0 {
                 break;

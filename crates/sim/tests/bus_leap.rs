@@ -3,12 +3,16 @@
 //!
 //! Twin buses replay the same seeded traffic: one is ticked every
 //! cycle, the other leaps `horizon − 1` cycles with
-//! [`Bus::advance`] and then ticks. At every completion both must
-//! agree on the completion itself (data, `issued_at`, `completed_at`),
-//! the aggregate [`BusStats`] and every master's [`MasterStats`]; at
-//! the end, the memory contents and the [`Trace`] (every request,
-//! grant, sub-burst boundary, completion and fault, with its cycle)
-//! must match too.
+//! [`Bus::advance`] and then ticks, and a third leaps *through* each
+//! event (`horizon` cycles, as an owner that observes the bus a tick
+//! later does), so a lone requester's whole transaction runs in one
+//! closed-form step. At every completion all must agree on the
+//! completion itself (data, `issued_at`, `completed_at`), the aggregate
+//! [`BusStats`] and every master's [`MasterStats`]; at the end, the
+//! memory contents must match too. Every scenario runs twice: with the
+//! [`Trace`] on, where the traces (every request, grant, sub-burst
+//! boundary, completion and fault, with its cycle) must match as well,
+//! and with it off, which takes the closed form's untraced path.
 //!
 //! Every issue of either twin also checks the issue what-if against the
 //! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
@@ -161,6 +165,35 @@ fn scenario(seed: u64) -> Scenario {
     }
 }
 
+/// One master issuing back-to-back bursts of 1–200 beats, each 3 idle
+/// cycles after the last completion (an OCP's pickup, `Fetch` and
+/// `Decode`), over wait-state SRAM and, in a third of the scenarios,
+/// over the faulting slave too.
+fn lone(seed: u64) -> Scenario {
+    let mut rng = XorShift64::new(seed);
+    let max_burst_beats = [1u16, 3, 16, 64, 256][rng.gen_range_u32(0..5) as usize];
+    let config = BusConfig {
+        max_burst_beats,
+        arbiter: if rng.gen_bool() {
+            ArbiterPolicy::FixedPriority
+        } else {
+            ArbiterPolicy::RoundRobin
+        },
+    };
+    let sram = wait_states(&mut rng);
+    let with_flaky = rng.gen_range_u32(0..3) == 0;
+    let mut scripts = scripts(&mut rng, 1, 12, 1..201, 1, with_flaky);
+    for step in &mut scripts[0] {
+        step.delay = 3;
+    }
+    Scenario {
+        config,
+        sram,
+        with_flaky,
+        scripts,
+    }
+}
+
 /// Contended traffic: 2–4 masters back to back, every transaction
 /// several sub-bursts of 1–4 beats long, so most of a leap is
 /// re-arbitration. Odd seeds use round robin, even ones fixed priority.
@@ -237,9 +270,11 @@ fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Opti
     }
 }
 
-fn build(s: &Scenario) -> (Bus, Vec<MasterId>) {
+fn build(s: &Scenario, traced: bool) -> (Bus, Vec<MasterId>) {
     let mut bus = Bus::new(s.config);
-    bus.trace = Trace::enabled(1 << 20);
+    if traced {
+        bus.trace = Trace::enabled(1 << 20);
+    }
     let ids = (0..s.scripts.len())
         .map(|i| bus.register_master(&format!("m{i}")))
         .collect();
@@ -259,9 +294,20 @@ fn build(s: &Scenario) -> (Bus, Vec<MasterId>) {
     (bus, ids)
 }
 
-/// Runs `s` to completion, ticking every cycle or leaping.
-fn run(s: &Scenario, leap: bool) -> Run {
-    let (mut bus, ids) = build(s);
+/// How a twin drives the bus between the harness's issues.
+#[derive(Clone, Copy, PartialEq)]
+enum Drive {
+    /// One tick at a time.
+    Tick,
+    /// Leaps `horizon − 1` cycles, then ticks the event.
+    Leap,
+    /// Leaps `horizon` cycles, through the event.
+    Through,
+}
+
+/// Runs `s` to completion, driven by `drive`, with the trace on or off.
+fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
+    let (mut bus, ids) = build(s, traced);
     let mut next = vec![0usize; ids.len()];
     let mut issue_at: Vec<Option<u64>> = s
         .scripts
@@ -311,16 +357,18 @@ fn run(s: &Scenario, leap: bool) -> Run {
                 }
             }
         }
-        if leap {
-            // Leap the bus's pure window, but never past a cycle at
-            // which the harness issues a request.
-            let mut window = bus.horizon().map_or(u64::MAX, |h| h.count() - 1);
-            if let Some(t) = next_issue {
-                window = window.min(t - now - 1);
-            }
-            if window > 0 && window < u64::MAX {
-                bus.advance(Cycle::new(window));
-                leaped += window;
+        // Leap the bus's pure window, but never past a cycle at which
+        // the harness issues a request.
+        let through = u64::from(drive == Drive::Through);
+        let mut window = bus.horizon().map_or(u64::MAX, |h| h.count() - 1 + through);
+        if let Some(t) = next_issue {
+            window = window.min(t - now - 1 + through);
+        }
+        if drive != Drive::Tick && window > 0 && window < u64::MAX {
+            bus.advance(Cycle::new(window));
+            leaped += window;
+            if drive == Drive::Through {
+                continue;
             }
         }
         bus.tick();
@@ -340,22 +388,33 @@ fn run(s: &Scenario, leap: bool) -> Run {
     }
 }
 
-/// Runs both twins of `s` and asserts they cannot be told apart;
-/// returns the ticked and the leaping twin.
+/// Runs the twins of `s`, traced and untraced, and asserts they cannot
+/// be told apart; returns the traced ticked and leaping twins.
 fn assert_twins_agree(s: &Scenario, seed: u64) -> (Run, Run) {
-    let ticked = run(s, false);
-    let fast = run(s, true);
-    assert_eq!(
-        fast.observations, ticked.observations,
-        "completions or stats diverged (seed {seed})"
-    );
-    assert!(
-        fast.memory == ticked.memory,
-        "memory contents diverged (seed {seed})"
-    );
-    assert_eq!(fast.trace, ticked.trace, "traces diverged (seed {seed})");
-    assert_eq!(ticked.leaped, 0);
-    (ticked, fast)
+    let mut traced = None;
+    for trace in [true, false] {
+        let ticked = run(s, Drive::Tick, trace);
+        assert_eq!(ticked.leaped, 0);
+        let leaping = [Drive::Leap, Drive::Through].map(|drive| run(s, drive, trace));
+        for fast in &leaping {
+            assert_eq!(
+                fast.observations, ticked.observations,
+                "completions or stats diverged (seed {seed}, trace {trace})"
+            );
+            assert!(
+                fast.memory == ticked.memory,
+                "memory contents diverged (seed {seed}, trace {trace})"
+            );
+            assert_eq!(fast.trace, ticked.trace, "traces diverged (seed {seed})");
+        }
+        if trace {
+            let [fast, _] = leaping;
+            traced = Some((ticked, fast));
+        } else {
+            assert!(ticked.trace.is_empty());
+        }
+    }
+    traced.expect("the traced twins ran")
 }
 
 fn faults(run: &Run) -> usize {
@@ -448,7 +507,7 @@ fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
         delay: 0,
         req: TxnRequest::read(FLAKY_BASE + (FLAKY_LIMIT - 4) * 4, 32),
     }]];
-    let (mut bus, ids) = build(&s);
+    let (mut bus, ids) = build(&s, true);
     bus.try_begin(ids[0], s.scripts[0][0].req.clone()).unwrap();
     // Grant, address and 2 wait states: the first beat is at cycle 5.
     assert_eq!(bus.horizon(), Some(Cycle::new(5)));
@@ -469,4 +528,30 @@ fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
     // grant + address + 2 wait states + 5 beats: the fault is on beat 5.
     assert_eq!(first.now, 9);
     assert_eq!(first.bus.beats, 5);
+}
+
+/// A lone master's back-to-back bursts: the leaping-through twin runs
+/// each transaction that fits its leap in one closed-form step, over
+/// every sub-burst length and wait-state configuration, and keeps
+/// stepping the beats on the faulting slave. Grants, beats, busy cycles,
+/// completions, memory and (traced) every grant and sub-burst boundary
+/// must match the ticked twin.
+#[test]
+fn a_lone_master_s_back_to_back_bursts_match_ticking() {
+    let (mut txns, mut multi, mut faulted, mut flaky) = (0, 0, 0, 0);
+    for seed in 1..=200u64 {
+        let s = lone(seed);
+        let (ticked, _) = assert_twins_agree(&s, seed);
+        txns += ticked.observations.len();
+        multi += s.scripts[0]
+            .iter()
+            .filter(|step| step.req.beats() > s.config.max_burst_beats)
+            .count();
+        faulted += faults(&ticked);
+        flaky += u64::from(s.with_flaky);
+    }
+    assert!(txns > 1_000, "only {txns} transactions");
+    assert!(multi > 500, "only {multi} multi-sub-burst transactions");
+    assert!(faulted > 0, "no scenario exercised a slave fault");
+    assert!(flaky > 30, "only {flaky} scenarios map the faulting slave");
 }

@@ -307,8 +307,8 @@ impl Soc {
                 // The OCP ticks before the bus, so it sees a bus event
                 // only on the next tick; an outstanding CPU poll is read
                 // right after `tick_system`, on the event tick itself.
-                // The window may hold the OCP's next transfer issue,
-                // which its bus event then counts.
+                // The window may hold the OCP's next run of transfers,
+                // whose last completion is then its bus event.
                 let window = self.ocp.window_on(&self.bus);
                 let bus = if poll_outstanding {
                     window.event()
@@ -329,8 +329,11 @@ impl Soc {
                     }
                 }
                 if skip > 0 {
-                    window.leap(&mut self.bus, skip, |bus| {
-                        self.ocp.advance(ouessant_sim::Cycle::new(skip), bus);
+                    let ocp = &mut self.ocp;
+                    window.leap(&mut self.bus, skip, |bus, who, ticks| {
+                        if who.includes(ocp.bus_master()) {
+                            ocp.advance(ouessant_sim::Cycle::new(ticks), bus);
+                        }
                     });
                     run_cycles += skip;
                 }
