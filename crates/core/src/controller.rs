@@ -258,7 +258,7 @@ pub(crate) struct Walk {
 
 /// Ticks a pickup takes to the next `Execute`: the pickup itself, then
 /// `Fetch` and `Decode`.
-const PICKUP_TICKS: u64 = 3;
+pub(crate) const PICKUP_TICKS: u64 = 3;
 
 /// The words the bursts of a run push into each input FIFO and pop from
 /// each output FIFO ahead of an issue, which its issue check counts.
@@ -561,70 +561,38 @@ impl Controller {
         ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.word_offset(t))))
     }
 
-    /// The first transfer of the run this controller can issue inside
-    /// the next fast-forward window (see [`BusWindow`]): the `Execute`
-    /// of `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on the window's first tick, or,
-    /// with `chain`, the one the FSM reaches through ticks of its own
-    /// (its walk: a transfer pickup or the program load's, then `Fetch`
-    /// and `Decode`). Only an issue the tick would make qualifies (see
-    /// [`Controller::run_after`]); [`BusWindow::plan`] then asks the bus
+    /// The run of transfers this controller can issue inside the next
+    /// fast-forward window (see [`BusWindow`]): its first issue, and
+    /// the bursts of the later ones, lazily.
+    ///
+    /// The first is the `Execute` of `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on
+    /// the window's first tick, or, with `chain`, the one the FSM
+    /// reaches through ticks of its own (its walk: a transfer pickup or
+    /// the program load's, then `Fetch` and `Decode`). Only an issue the
+    /// tick would make qualifies; [`BusWindow::plan`] then asks the bus
     /// about its burst's shape. The RAC must be idle, so nothing but the
     /// controller touches its FIFOs in the window.
+    ///
+    /// Each later one is the next program entry, issued 3 ticks (its
+    /// pickup, `Fetch` and `Decode`) after the last one's completion,
+    /// as the program the FSM will find holds it (see
+    /// `Controller::entries`). The iterator starts from the first
+    /// issue's entry and FIFO words. Like the first, each must pass the
+    /// issue check once the words of the pickup and of the bursts ahead
+    /// of it have landed or left, and its bank must translate; unlike
+    /// it, it must have an immediate offset, which no issue before it
+    /// moves. [`BusWindow::extend_run`] then asks the bus about its
+    /// burst's shape. The RAC stays idle: a run holds no `exec`. The run
+    /// ends at the first entry that does not qualify (a `djnz` or any
+    /// other instruction among them), which then steps as any other.
     #[must_use]
-    pub fn window_issue(
-        &self,
-        socket: &RacSocket,
-        bus: &dyn SystemBus,
-        regs: &RegsHandle,
-        chain: bool,
-    ) -> Option<WindowIssue> {
-        self.first_issue(socket, bus, regs, chain)
-            .map(|(issue, ..)| issue)
-    }
-
-    /// The run's later transfers, after its first (the chained
-    /// [`Controller::window_issue`]), lazily: each next program entry,
-    /// issued 3 ticks (its pickup, `Fetch` and `Decode`) after the last
-    /// one's completion, as the program the FSM will find holds it (see
-    /// `Controller::entries`). Like the first, each must pass the issue
-    /// check once the words of the pickup and of the bursts ahead of it
-    /// have landed or left, and its bank must translate; unlike it, it
-    /// must have an immediate offset, which no issue before it moves.
-    /// [`BusWindow::extend_run`] then asks the bus about its burst's
-    /// shape. The RAC stays idle: a run holds no `exec`. The run ends at
-    /// the first entry that does not qualify (a `djnz` or any other
-    /// instruction among them), which then steps as any other.
-    pub fn run_after<'a>(
+    pub fn window_issue<'a>(
         &'a self,
         socket: &'a RacSocket,
         bus: &'a dyn SystemBus,
         regs: &'a RegsHandle,
-    ) -> impl Iterator<Item = WindowIssue> + 'a {
-        let mut at = self
-            .first_issue(socket, bus, regs, true)
-            .map(|(_, pc, ledger)| (pc, ledger));
-        let entry = self.entries(bus);
-        std::iter::from_fn(move || {
-            let (pc, ledger) = at.as_mut()?;
-            *pc += 1;
-            let issue = self.issue(entry(*pc), PICKUP_TICKS, socket, regs, ledger, true);
-            if issue.is_none() {
-                at = None;
-            }
-            issue
-        })
-    }
-
-    /// The run's first issue (see [`Controller::window_issue`]), with
-    /// its program entry and the FIFO words it and the pickup before it
-    /// push or pop.
-    fn first_issue(
-        &self,
-        socket: &RacSocket,
-        bus: &dyn SystemBus,
-        regs: &RegsHandle,
         chain: bool,
-    ) -> Option<(WindowIssue, u16, FifoLedger)> {
+    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
         let walk = self.walk(socket, bus)?;
         if socket.busy() || (walk.ticks > 0 && !chain) {
             return None;
@@ -633,24 +601,33 @@ impl Controller {
         if let Some((fifo, words)) = walk.pushed {
             ledger.count(true, fifo, words);
         }
-        let issue = self.issue(walk.insn, walk.ticks, socket, regs, &mut ledger, false)?;
-        Some((issue, walk.pc, ledger))
+        let first = WindowIssue {
+            master: self.master(),
+            prefix: walk.ticks,
+            shape: self.issue(walk.insn, socket, regs, &mut ledger, false)?,
+        };
+        let entry = self.entries(bus);
+        let mut pc = walk.pc;
+        let later = std::iter::from_fn(move || {
+            pc += 1;
+            self.issue(entry(pc), socket, regs, &mut ledger, true)
+        });
+        Some((first, later))
     }
 
-    /// The issue of `insn`, `prefix` ticks ahead, if it is a transfer
-    /// the tick would issue: it passes the issue check, counting the
-    /// words `ledger` holds, and its bank translates. A `later` issue of
-    /// a run must also have an immediate offset. The issue's words join
-    /// the ledger.
+    /// The burst `insn` issues, if it is a transfer the tick would
+    /// issue: it passes the issue check, counting the words `ledger`
+    /// holds, and its bank translates. A `later` issue of a run must
+    /// also have an immediate offset. The issue's words join the
+    /// ledger.
     fn issue(
         &self,
         insn: Option<Instruction>,
-        prefix: u64,
         socket: &RacSocket,
         regs: &RegsHandle,
         ledger: &mut FifoLedger,
         later: bool,
-    ) -> Option<WindowIssue> {
+    ) -> Option<TxnShape> {
         let t = Transfer::from_instruction(0, &insn?)?;
         if later && !matches!(t.offset, TransferOffset::Immediate(_)) {
             return None;
@@ -663,14 +640,10 @@ impl Controller {
         } else {
             TxnKind::Write
         };
-        Some(WindowIssue {
-            master: self.master(),
-            prefix,
-            shape: TxnShape {
-                kind,
-                addr,
-                beats: words,
-            },
+        Some(TxnShape {
+            kind,
+            addr,
+            beats: words,
         })
     }
 
@@ -686,9 +659,9 @@ impl Controller {
     /// A burst in flight defers to the window's bus event: the port
     /// cannot be seen to complete before the tick after it. When the
     /// window issues this controller's transfers (its
-    /// [`Controller::window_issue`] and [`Controller::run_after`]), the
-    /// window runs through the issues and their bursts on the same
-    /// terms: its event is the run's last completion.
+    /// [`Controller::window_issue`]), the window runs through the issues
+    /// and their bursts on the same terms: its event is the run's last
+    /// burst's.
     ///
     /// Otherwise the window follows the FSM's walk to its next
     /// `Execute`, whose dispatch is the event: a finished burst is

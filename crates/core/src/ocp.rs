@@ -7,10 +7,10 @@
 //! clock cycle.
 
 use ouessant_rac::rac::{Rac, RacSocket};
-use ouessant_sim::bus::{Addr, TxnKind};
+use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
 use ouessant_sim::{BusWindow, Cycle, SystemBus, WindowIssue};
 
-use crate::controller::{Controller, ControllerState, ControllerStats, ExecError};
+use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
 use crate::regs::RegsHandle;
 
@@ -336,25 +336,31 @@ impl Ocp {
         self.controller.stats()
     }
 
-    /// The first transfer of the run this coprocessor can issue inside
-    /// the next fast-forward window (see [`Controller::window_issue`]),
-    /// for the leap loop to plan the window with ([`BusWindow::plan`]).
+    /// The run of transfers this coprocessor can issue inside the next
+    /// fast-forward window (see [`Controller::window_issue`]): its first
+    /// issue, for the leap loop to plan the window with
+    /// ([`BusWindow::plan`]), and the rest, for [`Ocp::extend_run`].
     #[must_use]
-    pub fn window_issue(&self, bus: &dyn SystemBus, chain: bool) -> Option<WindowIssue> {
+    pub fn window_issue<'a>(
+        &'a self,
+        bus: &'a dyn SystemBus,
+        chain: bool,
+    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
         self.controller
             .window_issue(&self.socket, bus, &self.regs, chain)
     }
 
-    /// Adds the rest of this coprocessor's run to `window`, if the
-    /// window issues for it ([`BusWindow::extend_run`] over
-    /// [`Controller::run_after`]), as far as the window can reach before
-    /// tick `limit`, the rest of the leap loop's merged horizon.
-    pub fn extend_run(&self, bus: &dyn SystemBus, window: &mut BusWindow, limit: Option<Cycle>) {
-        if window.issue_of(self.bus_master()).is_some() {
-            window.extend_run(bus, limit, || {
-                self.controller.run_after(&self.socket, bus, &self.regs)
-            });
-        }
+    /// Adds `later`, the rest of the run whose first burst `window`
+    /// issues (see [`Ocp::window_issue`]), to the window
+    /// ([`BusWindow::extend_run`]), as far as it can reach before tick
+    /// `limit`, the rest of the leap loop's merged horizon.
+    pub fn extend_run(
+        bus: &dyn SystemBus,
+        window: &mut BusWindow,
+        limit: Option<Cycle>,
+        later: impl IntoIterator<Item = TxnShape>,
+    ) {
+        window.extend_run(bus, limit, PICKUP_TICKS, later);
     }
 
     /// The window of a leap loop that owns this coprocessor alone among
@@ -362,8 +368,10 @@ impl Ocp {
     /// [`Ocp::window_issue`], chains allowed, with its whole run.
     #[must_use]
     pub fn window_on(&self, bus: &dyn SystemBus) -> BusWindow {
-        let mut window = BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain));
-        self.extend_run(bus, &mut window, None);
+        let (mut window, later) = BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain));
+        if let Some(later) = later {
+            Ocp::extend_run(bus, &mut window, None, later);
+        }
         window
     }
 
@@ -415,7 +423,7 @@ impl Ocp {
                 let pickup = walk.filter(|w| w.retires).map(|_| 1);
                 let run = window.run_of(self.bus_master()).flat_map(|b| {
                     let write = (b.kind == TxnKind::Write).then_some(b.issue);
-                    write.into_iter().chain([b.complete + 1])
+                    write.into_iter().chain(b.completes.then_some(b.event + 1))
                 });
                 let bite = pickup
                     .into_iter()
@@ -1266,6 +1274,27 @@ mod tests {
         );
         assert!(matches!(fault, Some(ExecError::Bus(_))), "{fault:?}");
         assert!(!any_transfer_pickup(&leaps), "{leaps:?}");
+    }
+
+    #[test]
+    fn a_run_over_a_slave_that_may_fault_steps_each_pickup() {
+        // The register window reads at 0x20 and 0x24 and faults at
+        // 0x28. The bus's event for a burst over it is the burst's first
+        // beat, not its completion, so no burst joins a run after one
+        // of these: each pickup lands on its own cycle, whether the
+        // burst after it reads or faults.
+        for (second, faults) in [("DMA2", false), ("DMA4", true)] {
+            let source = format!("mvtc BANK1,0,DMA2,FIFO0\nmvtc BANK1,0,{second},FIFO0\neop");
+            let (_, fault, _) = leap_against_steps(
+                || {
+                    let fx = offload(fixture(Box::new(PassthroughRac::new(0))), &source);
+                    fx.ocp.regs().set_bank(1, OCP_BASE + 0x20).unwrap();
+                    fx
+                },
+                1_000,
+            );
+            assert_eq!(fault.is_some(), faults, "{second}: {fault:?}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ouessant::ExecError;
+use ouessant::{ExecError, Ocp};
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
 use ouessant_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use ouessant_sim::memory::{Sram, SramConfig};
@@ -816,7 +816,7 @@ impl Farm {
             return (Some(1), BusWindow::default());
         }
         let now = self.now();
-        let mut window = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
+        let (mut window, later) = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
             self.workers
                 .iter()
                 .filter_map(move |w| w.window_issue(&self.bus, chain))
@@ -858,7 +858,9 @@ impl Farm {
             h = min_horizon(h, due_at(release_at + 1, now));
         }
         if let Some(w) = self.workers.iter().find(|w| is_issuer(w)) {
-            w.ocp.extend_run(&self.bus, &mut window, h);
+            if let Some(later) = later {
+                Ocp::extend_run(&self.bus, &mut window, h, later);
+            }
             h = min_horizon(
                 h,
                 w.horizon_at(now, &self.config.faults, &self.bus, &window),
@@ -1506,7 +1508,7 @@ mod tests {
         farm.workers
             .iter()
             .enumerate()
-            .filter_map(|(i, w)| w.window_issue(&farm.bus, chain).map(|c| (i, c.prefix)))
+            .filter_map(|(i, w)| w.window_issue(&farm.bus, chain).map(|(c, _)| (i, c.prefix)))
             .collect()
     }
 

@@ -47,7 +47,7 @@ use ouessant_rac::idct::IdctRac;
 use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
 use ouessant_rac::slot::{ReconfigurableSlot, ICAP_BYTES_PER_CYCLE};
-use ouessant_sim::bus::{Bus, BusError};
+use ouessant_sim::bus::{Bus, BusError, TxnShape};
 use ouessant_sim::{min_horizon, BusWindow, Cycle, WindowIssue};
 use ouessant_soc::alloc::Region;
 
@@ -553,11 +553,15 @@ impl Worker {
         }
     }
 
-    /// The transfer this worker's OCP can issue inside the next
-    /// fast-forward window (see [`Ocp::window_issue`]); `None` while
-    /// the worker single-steps anyway (recovering, or holding a fault
-    /// the farm has not absorbed).
-    pub(crate) fn window_issue(&self, bus: &Bus, chain: bool) -> Option<WindowIssue> {
+    /// The run of transfers this worker's OCP can issue inside the
+    /// next fast-forward window (see [`Ocp::window_issue`]); `None`
+    /// while the worker single-steps anyway (recovering, or holding a
+    /// fault the farm has not absorbed).
+    pub(crate) fn window_issue<'a>(
+        &'a self,
+        bus: &'a Bus,
+        chain: bool,
+    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
         if self.recovering || self.ocp.fault().is_some() {
             return None;
         }

@@ -104,6 +104,16 @@ pub trait SystemBus {
         None
     }
 
+    /// Whether a burst of `shape` is bound for a slave that never
+    /// faults (see [`BusSlave::fault_free`]). Alone on the bus, such a
+    /// burst's [`SystemBus::horizon_with`] is its completion; any
+    /// other's may be an earlier beat, which could fault. The default
+    /// says no.
+    fn never_faults(&self, shape: TxnShape) -> bool {
+        let _ = shape;
+        false
+    }
+
     /// Replays `cycles` ticks in bulk.
     ///
     /// Callers must guarantee `cycles ≤ horizon()` (a quiescent bus

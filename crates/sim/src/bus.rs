@@ -1142,22 +1142,36 @@ impl Bus {
     /// grant and, but for the last, the boundary of each sub-burst that
     /// moves the `left` beats after it.
     fn trace_sub_bursts(&mut self, owner: usize, head: u64, mut left: u64, timing: SlaveTiming) {
-        let name = &self.masters[owner].name;
         let max = u64::from(self.config.max_burst_beats);
         let mut at = self.now + Cycle::new(head);
-        let boundary = || format!("{name} sub-burst boundary");
         if head > 0 && left > 0 {
-            self.trace.record(at, "bus", boundary());
+            self.trace_boundary(at, owner);
         }
         while left > 0 {
-            self.trace
-                .record(at + Cycle::new(1), "bus", format!("grant to {name}"));
+            self.trace_grant(at + Cycle::new(1), owner);
             let beats = left.min(max);
             at += Cycle::new(timing.sub_burst_cycles(beats));
             left -= beats;
             if left > 0 {
-                self.trace.record(at, "bus", boundary());
+                self.trace_boundary(at, owner);
             }
+        }
+    }
+
+    /// Records the grant of the bus to `owner` on cycle `at`.
+    fn trace_grant(&mut self, at: Cycle, owner: usize) {
+        if self.trace.is_enabled() {
+            let msg = format!("grant to {}", self.masters[owner].name);
+            self.trace.record(at, "bus", msg);
+        }
+    }
+
+    /// Records the end of one of `owner`'s sub-bursts on cycle `at`,
+    /// its transaction still queued.
+    fn trace_boundary(&mut self, at: Cycle, owner: usize) {
+        if self.trace.is_enabled() {
+            let msg = format!("{} sub-burst boundary", self.masters[owner].name);
+            self.trace.record(at, "bus", msg);
         }
     }
 
@@ -1187,13 +1201,7 @@ impl Bus {
         self.elapse_busy(1);
         self.masters[winner].stats.grants += 1;
         self.last_grantee = winner;
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.now,
-                "bus",
-                format!("grant to {}", self.masters[winner].name),
-            );
-        }
+        self.trace_grant(self.now, winner);
         self.active = Some(ActiveGrant {
             master: winner,
             phase: Phase::Granted,
@@ -1287,10 +1295,8 @@ impl Bus {
         } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
             self.complete(owner, txn);
-        } else if self.trace.is_enabled() {
-            // Sub-burst boundary: the transaction stays queued.
-            self.trace
-                .record(self.now, "bus", format!("{} sub-burst boundary", port.name));
+        } else {
+            self.trace_boundary(self.now, owner);
         }
         ran
     }
@@ -1626,6 +1632,12 @@ impl SystemBus for Bus {
 
     fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
         Bus::horizon_with(self, master, shape)
+    }
+
+    fn never_faults(&self, shape: TxnShape) -> bool {
+        self.slaves
+            .span(shape, false)
+            .is_ok_and(|i| self.slaves.timing(i).fault_free)
     }
 
     fn advance(&mut self, cycles: Cycle) {
