@@ -23,6 +23,7 @@
 use std::error::Error;
 use std::fmt;
 
+use ouessant_isa::control::{ControlState, Flow};
 use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN, NUM_FIFOS};
 use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
@@ -295,8 +296,7 @@ pub struct Controller {
     /// The input FIFO the read in flight fills (`None` for a write,
     /// whose payload left its output FIFO at issue).
     pending_read: Option<FifoId>,
-    counters: [u16; 4],
-    offset_regs: [u16; 4],
+    control: ControlState,
     preloaded: bool,
     wedged: bool,
     stats: ControllerStats,
@@ -314,8 +314,7 @@ impl Controller {
             pc: 0,
             current: None,
             pending_read: None,
-            counters: [0; 4],
-            offset_regs: [0; 4],
+            control: ControlState::default(),
             preloaded: false,
             wedged: false,
             stats: ControllerStats::default(),
@@ -437,8 +436,7 @@ impl Controller {
         self.current = None;
         self.pending_read = None;
         self.pc = 0;
-        self.counters = [0; 4];
-        self.offset_regs = [0; 4];
+        self.control = ControlState::default();
         if !self.preloaded {
             self.program.clear();
         }
@@ -522,15 +520,6 @@ impl Controller {
         }
     }
 
-    /// The word offset transfer `t` starts at: its immediate, or the
-    /// offset register it names, which its issue post-increments.
-    fn word_offset(&self, t: &Transfer) -> u32 {
-        match t.offset {
-            TransferOffset::Immediate(offset) => u32::from(offset.value()),
-            TransferOffset::Register(reg) => u32::from(self.offset_regs[reg.index()]),
-        }
-    }
-
     /// The latched instruction as a transfer, if it is one.
     fn current_transfer(&self) -> Option<Transfer> {
         Transfer::from_instruction(0, self.current.as_ref()?)
@@ -558,7 +547,7 @@ impl Controller {
                 .saturating_sub(ledger.popped[fifo])
                 >= words
         };
-        ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.word_offset(t))))
+        ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.control.offset(t))))
     }
 
     /// The run of transfers this controller can issue inside the next
@@ -833,8 +822,7 @@ impl Controller {
                         }
                     };
                     self.stats.active_cycles += 1; // count the start cycle
-                    self.counters = [0; 4];
-                    self.offset_regs = [0; 4];
+                    self.control = ControlState::default();
                     if self.preloaded {
                         // Standalone mode (§VI): the microcode sits in an
                         // internal ROM, no bank-0 fetch needed.
@@ -1004,32 +992,16 @@ impl Controller {
                 self.current = None;
                 self.state = ControllerState::Idle;
             }
-            Instruction::Ldc { counter, imm } => {
-                self.counters[counter.index()] = imm;
+            Instruction::Ldc { .. }
+            | Instruction::Djnz { .. }
+            | Instruction::Ldo { .. }
+            | Instruction::Addo { .. } => {
+                let flow = self.control.step(&insn);
+                // A taken `djnz` retires too, then fetches its target.
                 self.retire();
-            }
-            Instruction::Djnz { counter, target } => {
-                let c = &mut self.counters[counter.index()];
-                if *c > 0 {
-                    *c -= 1;
-                }
-                if *c > 0 {
-                    self.stats.instructions_retired += 1;
+                if let Flow::Jump(target) = flow {
                     self.pc = target.value();
-                    self.current = None;
-                    self.state = ControllerState::Fetch;
-                } else {
-                    self.retire();
                 }
-            }
-            Instruction::Ldo { reg, imm } => {
-                self.offset_regs[reg.index()] = imm;
-                self.retire();
-            }
-            Instruction::Addo { reg, delta } => {
-                let v = i64::from(self.offset_regs[reg.index()]) + i64::from(delta);
-                self.offset_regs[reg.index()] = wrap_offset(v);
-                self.retire();
             }
             Instruction::Wait { cycles } => {
                 if cycles == 0 {
@@ -1104,19 +1076,9 @@ impl Controller {
             self.set_fault(e.into());
             return;
         }
-        if let TransferOffset::Register(reg) = t.offset {
-            let next = self.word_offset(&t) + u32::from(words);
-            self.offset_regs[reg.index()] = wrap_offset(i64::from(next));
-        }
+        self.control.resolve(&t);
         self.state = ControllerState::TransferBusWait;
     }
-}
-
-/// An offset register's value after an `addo` or a post-increment
-/// takes it to `v`: offsets wrap at the 14-bit offset field's range.
-#[allow(clippy::cast_possible_truncation)] // `rem_euclid` leaves 0..2^14, which fits
-fn wrap_offset(v: i64) -> u16 {
-    v.rem_euclid(1 << 14) as u16
 }
 
 /// Decodes a program store once, entry by entry.

@@ -315,13 +315,11 @@ fn parse_statement(
             count(2)?;
             let reg = parse_offset_reg(operands[0]).map_err(|m| bad(1, m))?;
             let delta = parse_signed(operands[1]).map_err(|m| bad(2, m))?;
-            if !(-8192..=8191).contains(&delta) {
-                return Err(bad(2, format!("delta {delta} outside -8192..=8191")));
-            }
-            Instruction::Addo {
-                reg,
-                delta: delta as i16,
-            }
+            let delta = i16::try_from(delta)
+                .ok()
+                .filter(|d| (-8192..=8191).contains(d))
+                .ok_or_else(|| bad(2, format!("delta {delta} outside -8192..=8191")))?;
+            Instruction::Addo { reg, delta }
         }
         Opcode::Mvtcr | Opcode::Mvfcr => {
             count(4)?;
@@ -433,11 +431,10 @@ fn parse_offset(text: &str) -> Result<Offset, String> {
 
 fn parse_imm14(text: &str) -> Result<u16, String> {
     let n = parse_number(text)?;
-    if n > crate::operands::MAX_IMM {
-        Err(format!("immediate {n} exceeds 14 bits"))
-    } else {
-        Ok(n as u16)
-    }
+    u16::try_from(n)
+        .ok()
+        .filter(|&imm| u32::from(imm) <= crate::operands::MAX_IMM)
+        .ok_or_else(|| format!("immediate {n} exceeds 14 bits"))
 }
 
 /// The verbatim microcode listing of the paper's Figure 4, with the

@@ -424,6 +424,7 @@ impl Instruction {
                 let delta = if raw >= 1 << 13 { raw - (1 << 14) } else { raw };
                 Instruction::Addo {
                     reg: OffsetReg::new(reg2())?,
+                    #[allow(clippy::cast_possible_truncation)] // sign-extended 14 bits: -8192..=8191
                     delta: delta as i16,
                 }
             }

@@ -38,6 +38,10 @@
 //! * [`instruction`] — the [`Instruction`] enum with bit-exact
 //!   [`Instruction::encode`] / [`Instruction::decode`];
 //! * [`program`] — validated instruction sequences ([`Program`]);
+//! * [`control`] — the loop counters and offset registers of the
+//!   extension ISA ([`control::ControlState`]), the one definition of
+//!   `ldc`/`djnz`/`ldo`/`addo` and the post-increment that the
+//!   controller executes and [`Program::walk`] runs from reset;
 //! * [`asm`] — a line-oriented assembler for the textual microcode syntax
 //!   used in the paper's Figure 4 (`mvtc BANK1,0,DMA64,FIFO0`);
 //! * [`disasm`] — the inverse pretty-printer.
@@ -64,8 +68,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Narrowing casts must be proven in range (`try_from`, or a local
+// allow that says why); test code is exempt.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod asm;
+pub mod control;
 pub mod disasm;
 pub mod instruction;
 pub mod opcode;

@@ -197,7 +197,7 @@ bounded_operand!(
 
 bounded_operand!(
     /// An instruction address inside the program store (`djnz` target).
-    ProgAddr, "program address", raw: u16, max: (MAX_PROGRAM_LEN - 1) as u32, display: "@"
+    ProgAddr, "program address", raw: u16, max: (1 << PROG_ADDR_BITS) - 1, display: "@"
 );
 
 /// A burst transfer length in words, `1..=256`.
@@ -243,6 +243,7 @@ impl BurstLen {
 
     /// The `length - 1` field encoding.
     #[must_use]
+    #[allow(clippy::cast_possible_truncation)] // a burst of 1..=256 words encodes as 0..=255
     pub fn to_field(self) -> u8 {
         (self.0 - 1) as u8
     }

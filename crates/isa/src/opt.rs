@@ -141,9 +141,9 @@ pub fn rollup_loops(program: &Program) -> Result<(Program, OptStats), ValidateEr
         if run_len >= MIN_ROLLUP {
             let head = Transfer::from_instruction(i, &insns[i])
                 .expect("run_length only reports transfer runs");
-            let start = head
-                .start_offset()
-                .expect("run_length only reports immediate-offset runs");
+            let TransferOffset::Immediate(start) = head.offset else {
+                unreachable!("run_length only reports immediate-offset runs");
+            };
             let (oreg, creg) = if head.to_coprocessor {
                 (0u8, 0u8)
             } else {
@@ -152,11 +152,11 @@ pub fn rollup_loops(program: &Program) -> Result<(Program, OptStats), ValidateEr
             let reg = OffsetReg::new(oreg).expect("register id valid");
             out.push(Instruction::Ldo {
                 reg,
-                imm: start as u16,
+                imm: start.value(),
             });
             out.push(Instruction::Ldc {
                 counter: Counter::new(creg).expect("counter id valid"),
-                imm: run_len as u16,
+                imm: u16::try_from(run_len).expect("a run fits the program store"),
             });
             let body_pc = out.len();
             out.push(
@@ -168,7 +168,10 @@ pub fn rollup_loops(program: &Program) -> Result<(Program, OptStats), ValidateEr
             );
             out.push(Instruction::Djnz {
                 counter: Counter::new(creg).expect("counter id valid"),
-                target: ProgAddr::new(body_pc as u16).expect("program fits the store"),
+                target: u16::try_from(body_pc)
+                    .ok()
+                    .and_then(|pc| ProgAddr::new(pc).ok())
+                    .expect("program fits the store"),
             });
             loops_created += 1;
             i += run_len;

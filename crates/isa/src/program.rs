@@ -13,6 +13,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Index;
 
+use crate::control::Walk;
 use crate::instruction::{DecodeError, Instruction};
 use crate::operands::{
     Bank, BurstLen, Counter, FifoId, Offset, OffsetReg, ProgAddr, MAX_PROGRAM_LEN,
@@ -182,42 +183,27 @@ impl Program {
         Self::new(instructions).map_err(ProgramFromWordsError::Validate)
     }
 
-    /// Total number of data words this program moves over the bus
-    /// assuming every `djnz` loop body executes its counter's full count.
+    /// The program's control skeleton executed from reset: each
+    /// executed pc, with the word offset a transfer starts at (see
+    /// [`Walk`]).
+    #[must_use]
+    pub fn walk(&self) -> Walk<'_> {
+        Walk::new(self)
+    }
+
+    /// Total number of data words this program moves over the bus,
+    /// summed over its [`Program::walk`].
     ///
-    /// For straight-line programs (as in the paper's Figure 4) this is
-    /// exact; for looped programs it is exact when each counter is loaded
-    /// once with `ldc` before its `djnz`.
+    /// The count is exact for any program that reaches `eop` or `halt`
+    /// within the walk's budget ([`WALK_BUDGET`] instructions); a
+    /// program that does not counts the words moved up to there.
+    ///
+    /// [`WALK_BUDGET`]: crate::control::WALK_BUDGET
     #[must_use]
     pub fn static_words_transferred(&self) -> u64 {
-        // Straight-line contribution.
-        let mut total: u64 = 0;
-        let mut counter_values = [0u64; 4];
-        let mut i = 0usize;
-        let mut fuel = 1_000_000u64; // defensive bound against accidental infinite loops
-        while i < self.instructions.len() && fuel > 0 {
-            fuel -= 1;
-            match self.instructions[i] {
-                Instruction::Ldc { counter, imm } => {
-                    counter_values[counter.index()] = u64::from(imm);
-                }
-                Instruction::Djnz { counter, target } if counter_values[counter.index()] > 0 => {
-                    counter_values[counter.index()] -= 1;
-                    if counter_values[counter.index()] > 0 {
-                        i = usize::from(target.value());
-                        continue;
-                    }
-                }
-                Instruction::Eop | Instruction::Halt => {
-                    total += u64::from(self.instructions[i].words_transferred());
-                    break;
-                }
-                _ => {}
-            }
-            total += u64::from(self.instructions[i].words_transferred());
-            i += 1;
-        }
-        total
+        self.walk()
+            .map(|(pc, _)| u64::from(self.instructions[pc].words_transferred()))
+            .sum()
     }
 }
 
@@ -385,7 +371,7 @@ impl ProgramBuilder {
         let mut remaining = total_words;
         let mut offset = u32::from(start_offset);
         while remaining > 0 {
-            let this = remaining.min(u32::from(chunk)) as u16;
+            let this = u16::try_from(remaining).map_or(chunk, |r| r.min(chunk));
             self = self.mvtc(bank, u16::try_from(offset).unwrap_or(u16::MAX), this, fifo)?;
             offset += u32::from(this);
             remaining -= u32::from(this);
@@ -410,7 +396,7 @@ impl ProgramBuilder {
         let mut remaining = total_words;
         let mut offset = u32::from(start_offset);
         while remaining > 0 {
-            let this = remaining.min(u32::from(chunk)) as u16;
+            let this = u16::try_from(remaining).map_or(chunk, |r| r.min(chunk));
             self = self.mvfc(bank, u16::try_from(offset).unwrap_or(u16::MAX), this, fifo)?;
             offset += u32::from(this);
             remaining -= u32::from(this);

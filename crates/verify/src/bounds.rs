@@ -1,27 +1,26 @@
 //! Bank-bounds, unmapped-bank and FIFO-capacity analysis.
 //!
-//! Two tiers. Immediate-offset transfers (`mvtc`/`mvfc`) are checked
-//! statically over every CFG-reachable instruction — their footprint
-//! is `offset + burst` regardless of loop trip counts. Register-offset
+//! Two tiers. Tier A checks immediate-offset transfers (`mvtc`/`mvfc`)
+//! statically over every CFG-reachable instruction: their footprint is
+//! `offset + burst`, whatever the loop trip counts. Register-offset
 //! transfers (`mvtcr`/`mvfcr`) depend on `ldo`/`addo`/post-increment
 //! history, but the controller's counters and offset registers are
-//! fully deterministic from reset, so the pass *walks* the program
-//! concretely (same semantics as the controller FSM, fuel-bounded) and
-//! records the worst offset each transfer instruction ever issues —
-//! this is what makes "worst-case loop trip count" bounds exact rather
-//! than widened.
+//! fully deterministic from reset, so Tier B iterates the shared
+//! [`ControlState`] walk ([`Program::walk`], the definition the
+//! controller FSM executes, bounded by [`WALK_BUDGET`]) and checks the
+//! worst offset each transfer instruction ever issues. That makes the
+//! bounds exact rather than widened.
+//!
+//! [`ControlState`]: ouessant_isa::control::ControlState
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use ouessant_isa::operands::{MAX_OFFSET, NUM_COUNTERS, NUM_OFFSET_REGS};
-use ouessant_isa::{Instruction, Program, Transfer, TransferOffset};
+use ouessant_isa::control::WALK_BUDGET;
+use ouessant_isa::{Program, Transfer, TransferOffset};
 
 use crate::cfg::Cfg;
 use crate::config::{BankModel, VerifyConfig};
 use crate::diag::{DiagKind, Diagnostic, Severity};
-
-/// Abort the concrete walk after this many executed instructions.
-const WALK_FUEL: u64 = 2_000_000;
 
 fn overflow_diag(t: &Transfer, start: u32, capacity: u32) -> Diagnostic {
     let end = start + u32::from(t.burst.words());
@@ -95,61 +94,28 @@ pub(crate) fn analyze(program: &Program, cfg: &Cfg, config: &VerifyConfig) -> Ve
     out
 }
 
-/// Executes the program's control skeleton concretely from reset and
-/// records the worst start offset of every register-offset transfer.
+/// Walks the program's control skeleton from reset and checks the
+/// worst start offset of every register-offset transfer.
 fn walk(program: &Program, config: &VerifyConfig) -> Vec<Diagnostic> {
-    let mut counters = [0u64; NUM_COUNTERS as usize];
-    let mut oregs = [0u32; NUM_OFFSET_REGS as usize];
-    let wrap = MAX_OFFSET + 1;
     // pc -> worst start offset seen across all iterations.
-    let mut worst: HashMap<usize, u32> = HashMap::new();
-    let mut pc = 0usize;
-    let mut fuel = WALK_FUEL;
-    let mut exhausted = None;
-    while pc < program.len() {
-        if fuel == 0 {
-            exhausted = Some(pc);
-            break;
+    let mut worst: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut walk = program.walk();
+    for (pc, start) in walk.by_ref() {
+        if let Some(start) = start {
+            let w = worst.entry(pc).or_insert(start);
+            *w = (*w).max(start);
         }
-        fuel -= 1;
-        match program[pc] {
-            Instruction::Ldc { counter, imm } => counters[counter.index()] = u64::from(imm),
-            Instruction::Ldo { reg, imm } => oregs[reg.index()] = u32::from(imm),
-            Instruction::Addo { reg, delta } => {
-                let v = i64::from(oregs[reg.index()]) + i64::from(delta);
-                oregs[reg.index()] = v.rem_euclid(i64::from(wrap)) as u32;
-            }
-            Instruction::Djnz { counter, target } if counters[counter.index()] > 0 => {
-                counters[counter.index()] -= 1;
-                if counters[counter.index()] > 0 {
-                    pc = target.index();
-                    continue;
-                }
-            }
-            Instruction::Mvtcr { reg, burst, .. } | Instruction::Mvfcr { reg, burst, .. } => {
-                let start = oregs[reg.index()];
-                worst
-                    .entry(pc)
-                    .and_modify(|w| *w = (*w).max(start))
-                    .or_insert(start);
-                oregs[reg.index()] = (start + u32::from(burst.words())) % wrap;
-            }
-            Instruction::Eop | Instruction::Halt => break,
-            _ => {}
-        }
-        pc += 1;
     }
 
     let mut out = Vec::new();
-    let mut offenders: Vec<(usize, u32)> = worst.into_iter().collect();
-    offenders.sort_unstable();
-    for (index, start) in offenders {
+    for (index, start) in worst {
         let t = Transfer::from_instruction(index, &program[index])
-            .expect("walk only records transfer instructions");
-        match config.banks[t.bank.index()] {
-            // Tier A already reported unmapped banks.
-            BankModel::Unmapped => {}
-            model => {
+            .expect("the walk resolves only transfers");
+        match (config.banks[t.bank.index()], t.offset) {
+            // Tier A already reported unmapped banks and immediate
+            // offsets.
+            (BankModel::Unmapped, _) | (_, TransferOffset::Immediate(_)) => {}
+            (model, TransferOffset::Register(_)) => {
                 let capacity = model.capacity().expect("mapped banks have a capacity");
                 if start + u32::from(t.burst.words()) > capacity {
                     out.push(overflow_diag(&t, start, capacity));
@@ -157,13 +123,13 @@ fn walk(program: &Program, config: &VerifyConfig) -> Vec<Diagnostic> {
             }
         }
     }
-    if let Some(pc) = exhausted {
+    if let Some(pc) = walk.exhausted() {
         out.push(Diagnostic {
             severity: Severity::Warning,
             kind: DiagKind::AnalysisBudget,
             index: pc,
             message: format!(
-                "bounds walk stopped after {WALK_FUEL} instructions without reaching eop"
+                "bounds walk stopped after {WALK_BUDGET} instructions without reaching eop"
             ),
             hint: "the program may not terminate; check the loop counters".into(),
         });

@@ -17,10 +17,11 @@
 //! [`Diagnostic`]s:
 //!
 //! 1. **Bank bounds** — every transfer checked against the declared
-//!    [`VerifyConfig`] bank sizes, including worst-case loop trip
-//!    counts (register-offset transfers are walked concretely — the
-//!    controller's registers are deterministic from reset, so the
-//!    worst offset is exact, not widened);
+//!    [`VerifyConfig`] bank sizes: an immediate offset as `offset +
+//!    burst`, a register offset at the worst offset the shared
+//!    [`ControlState`] walk from reset ([`Program::walk`]) issues —
+//!    the controller executes the same definition, so the bound is
+//!    exact, not widened;
 //! 2. **Launch/join hazards** — double launch, `wrac` with nothing
 //!    pending, `execn` never joined before `eop`;
 //! 3. **DMA/accelerator races** — transfers touching a bank that
@@ -33,6 +34,8 @@
 //! an implicit join, so the software-pipelined overlap idiom
 //! (`mvtcr`/`execn`/`mvfcr`/`djnz` with no `wrac`) stays
 //! warning-only.
+//!
+//! [`ControlState`]: ouessant_isa::control::ControlState
 //!
 //! ## Example
 //!
@@ -163,6 +166,27 @@ mod tests {
         );
         // 15872 + 8*64 = 16384 exactly: fits.
         assert!(a.is_clean(), "{a}");
+    }
+
+    #[test]
+    fn bounds_walk_past_its_budget_warns_once_where_it_stopped() {
+        // 16383 x 16383 inner passes run far past the walk's budget.
+        let a = run("ldc R0,16383\nouter: ldc R1,16383\n\
+             inner: mvtcr BANK1,O0,DMA1,FIFO0\naddo O0,-1\ndjnz R1,inner\ndjnz R0,outer\n\
+             execs\nmvfc BANK2,0,DMA1,FIFO0\neop");
+        let budget: Vec<_> = a
+            .diagnostics()
+            .iter()
+            .filter(|d| d.kind == DiagKind::AnalysisBudget)
+            .collect();
+        assert_eq!(budget.len(), 1, "{a}");
+        assert_eq!(budget[0].severity, Severity::Warning);
+        // After `ldc R0`, each outer pass executes 1 + 3 * 16383 + 1 =
+        // 49151 instructions. Instruction 2 000 000 is number
+        // 1 999 999 - 40 * 49151 = 33959 of the 41st pass: its
+        // `ldc R1`, 11319 inner triples, then the `addo` at pc 3.
+        assert_eq!(budget[0].index, 3);
+        assert_eq!(a.error_count(), 0, "{a}");
     }
 
     #[test]

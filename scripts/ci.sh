@@ -34,11 +34,13 @@ echo "==> cargo test (offline, all workspace members; chaos, liveness and lockst
 cargo test -q --offline --workspace
 
 # Debug builds panic on integer overflow where release builds wrap, so
-# the sim crate's address arithmetic and the controller's offset and
-# countdown arithmetic are also checked as they ship.
-echo "==> cargo test --release -p ouessant-sim -p ouessant (overflow wraps instead of panicking)"
+# the sim crate's address arithmetic, the controller's countdown
+# arithmetic and the loop-counter and offset arithmetic of
+# `ouessant_isa::control` are also checked as they ship.
+echo "==> cargo test --release -p ouessant-sim -p ouessant -p ouessant-isa (overflow wraps instead of panicking)"
 cargo test -q --offline --release -p ouessant-sim
 cargo test -q --offline --release -p ouessant
+cargo test -q --offline --release -p ouessant-isa
 
 # Every line but the `host:` wall-clock ones is simulated, hence pinned.
 echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
