@@ -363,16 +363,37 @@ impl Ocp {
         window.extend_run(bus, limit, PICKUP_TICKS, later);
     }
 
-    /// The window of a leap loop that owns this coprocessor alone among
-    /// the masters that can issue: [`BusWindow::plan`] over its
-    /// [`Ocp::window_issue`], chains allowed, with its whole run.
-    #[must_use]
-    pub fn window_on(&self, bus: &dyn SystemBus) -> BusWindow {
-        let (mut window, later) = BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain));
-        if let Some(later) = later {
-            Ocp::extend_run(bus, &mut window, None, later);
+    /// Leaps this coprocessor and `bus` over the ticks before its next
+    /// event, at most `limit` of them, for a loop in which it is the
+    /// only master on `bus` that can issue. The window is
+    /// [`BusWindow::plan`] over its [`Ocp::window_issue`], chains
+    /// allowed, with its whole run. The horizon is [`Ocp::horizon_on`]
+    /// merged with the tick after the window's bus event (see
+    /// [`ouessant_sim::observed_horizon`]), so a leap ends on the tick of
+    /// the bus's next event at the latest. A quiescent coprocessor leaps
+    /// `limit`. Returns the ticks leapt, 0 when the next tick is an
+    /// event.
+    pub fn leap(&mut self, bus: &mut dyn SystemBus, limit: u64) -> u64 {
+        let window = match BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain)) {
+            (mut window, Some(later)) => {
+                Ocp::extend_run(bus, &mut window, None, later);
+                window
+            }
+            (window, None) => window,
+        };
+        let horizon = ouessant_sim::min_horizon(
+            self.horizon_on(bus, &window),
+            ouessant_sim::observed_horizon(window.event()),
+        );
+        let skip = horizon.map_or(limit, |h| h.count().saturating_sub(1).min(limit));
+        if skip > 0 {
+            window.leap(bus, skip, |bus, who, ticks| {
+                if who.includes(self.bus_master()) {
+                    self.advance(Cycle::new(ticks), bus);
+                }
+            });
         }
-        window
+        skip
     }
 
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
@@ -961,13 +982,11 @@ mod tests {
         leap_pair(slow, fast, max)
     }
 
-    /// Runs `slow` single-stepped and `fast` leaping every window
-    /// [`Ocp::horizon_on`] (merged with the window's bus event, through
-    /// [`ouessant_sim::observed_horizon`]) allows and stepping where it
-    /// allows none, as `Farm::leap_or_tick` does, comparing
-    /// [`Fixture::observed`] after every leap and every tick. Returns
-    /// the cycle the run ended on (done or faulted, counted from the
-    /// call), the fault, and the leaps taken.
+    /// Runs `slow` single-stepped and `fast` through [`Ocp::leap`],
+    /// stepping where it leaps none, as `Farm::leap_or_tick` does,
+    /// comparing [`Fixture::observed`] after every leap and every tick.
+    /// Returns the cycle the run ended on (done or faulted, counted
+    /// from the call), the fault, and the leaps taken.
     fn leap_pair<B: SystemBus>(
         mut slow: Fixture<B>,
         mut fast: Fixture<B>,
@@ -975,21 +994,10 @@ mod tests {
     ) -> (u64, Option<ExecError>, Vec<Leap>) {
         let (mut cycle, mut leaps) = (0, Vec::new());
         while cycle < max {
-            let window = fast.ocp.window_on(&fast.bus);
-            let h = ouessant_sim::min_horizon(
-                fast.ocp.horizon_on(&fast.bus, &window),
-                ouessant_sim::observed_horizon(window.event()),
-            );
-            let skip = h.map_or(0, |h| h.count() - 1).min(max - cycle - 1);
+            let from = fast.ocp.controller().state().clone();
+            let pc = fast.ocp.controller().pc();
+            let skip = fast.ocp.leap(&mut fast.bus, max - cycle - 1);
             if skip > 0 {
-                let from = fast.ocp.controller().state().clone();
-                let pc = fast.ocp.controller().pc();
-                let ocp = &mut fast.ocp;
-                window.leap(&mut fast.bus, skip, |bus, who, ticks| {
-                    if who.includes(ocp.bus_master()) {
-                        ocp.advance(Cycle::new(ticks), bus);
-                    }
-                });
                 for _ in 0..skip {
                     slow.step();
                 }
@@ -1183,7 +1191,7 @@ mod tests {
             *fx.ocp.controller().state() == TransferBusWait
                 && fx.bus.poll(fx.ocp.bus_master()) == PortState::Pending
         };
-        let (mut fx, _) = start_pair(
+        let (mut slow, mut fx) = start_pair(
             || {
                 offload(
                     fixture(Box::new(PassthroughRac::new(0))),
@@ -1192,16 +1200,14 @@ mod tests {
             },
             in_flight,
         );
-        let window = fx.ocp.window_on(&fx.bus);
-        let h = fx
-            .ocp
-            .horizon_on(&fx.bus, &window)
-            .expect("a burst is in flight");
-        assert_eq!(Some(h), ouessant_sim::observed_horizon(fx.bus.horizon()));
-        // The bus completes on tick `h - 1`; the pickup is tick `h`.
-        for _ in 1..h.count() {
-            fx.step();
+        let event = fx.bus.horizon().expect("a burst is in flight");
+        // The leap ends on the bus's completion; the pickup is the tick
+        // after it.
+        assert_eq!(fx.ocp.leap(&mut fx.bus, u64::MAX), event.count());
+        for _ in 0..event.count() {
+            slow.step();
         }
+        assert_eq!(fx.observed(), slow.observed());
         assert_eq!(fx.bus.poll(fx.ocp.bus_master()), PortState::Complete);
         assert_eq!(*fx.ocp.controller().state(), TransferBusWait);
         fx.step();

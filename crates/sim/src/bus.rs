@@ -1088,11 +1088,11 @@ impl Bus {
     /// [`BusSlave::fault_free`] slave: the beats move in one slave call,
     /// and `now`, the busy cycles and the master's grants (one per
     /// sub-burst still to start), beats and completed transactions are
-    /// charged in closed form, by the [`SlaveTiming::sub_burst_cycles`]
-    /// rule [`Bus::horizon`] reads. Nobody else requests, so nobody is
-    /// charged contention. With the trace on, every grant, sub-burst
-    /// boundary and the completion are recorded on the cycles stepping
-    /// would record them. Returns the cycles run, or `None` (and runs
+    /// charged in closed form, the cycles as [`Bus::horizon`] reads the
+    /// completion. Nobody else requests, so nobody is charged
+    /// contention. With the trace on, every grant, sub-burst boundary
+    /// and the completion are recorded on the cycles stepping would
+    /// record them. Returns the cycles run, or `None` (and runs
     /// nothing) when the bus is contended, the slave may fault or the
     /// transaction does not complete within `n`.
     fn finish_alone(&mut self, n: u64) -> Option<u64> {
@@ -1110,24 +1110,21 @@ impl Bus {
         if !timing.fault_free {
             return None;
         }
-        let (head, in_flight) = self.in_flight().map_or((0, 0), |f| (f.cycles(), f.beats));
-        let max = u64::from(self.config.max_burst_beats);
-        let left = u64::from(txn.remaining() - in_flight);
-        let tail = match left % max {
-            0 => 0,
-            beats => timing.sub_burst_cycles(beats),
-        };
-        let cycles = head + left / max * timing.sub_burst_cycles(max) + tail;
+        // Alone on a slave that never faults, the bus's next event is
+        // the completion.
+        let cycles = self.next_event(None)?.count();
         if cycles > n {
             return None;
         }
+        let (head, in_flight) = self.in_flight().map_or((0, 0), |f| (f.cycles(), f.beats));
+        let left = u64::from(txn.remaining() - in_flight);
         if self.trace.is_enabled() {
             self.trace_sub_bursts(owner, head, left, timing);
         }
         let port = &mut self.masters[owner];
         let mut txn = port.outstanding.take().expect("requesting");
         let (moved, _) = txn.move_beats(&mut self.slaves, txn.remaining());
-        port.stats.grants += left.div_ceil(max);
+        port.stats.grants += left.div_ceil(u64::from(self.config.max_burst_beats));
         port.stats.beats += u64::from(moved);
         self.active = None;
         self.last_grantee = owner;

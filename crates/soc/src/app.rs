@@ -190,7 +190,7 @@ fn run_offload(
     soc.load_words(l.input, input)?;
     let config_cycles = soc.configure(
         &[(0, l.program), (1, l.input), (2, l.output)],
-        program.len() as u32,
+        u32::try_from(program.len()).map_err(|e| AppError::Microcode(e.to_string()))?,
     )?;
     let report = soc.start_and_wait(50_000_000)?;
     let outputs = soc.read_words(l.output, words_out)?;
@@ -224,12 +224,9 @@ pub fn idct_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError>
         .collect();
     let words: Vec<u32> = coeffs.iter().map(|&c| c as u32).collect();
 
-    let program = offload_microcode(
-        BLOCK_LEN as u32,
-        BLOCK_LEN as u32,
-        config.burst.min(BLOCK_LEN as u16),
-        0,
-    )?;
+    #[allow(clippy::cast_possible_truncation)] // an 8x8 block: 64 words
+    let block = BLOCK_LEN as u16;
+    let program = offload_microcode(block.into(), block.into(), config.burst.min(block), 0)?;
     let (machine_cycles, words_moved, hw_out) = run_offload(
         Box::new(IdctRac::new()),
         config,
@@ -281,7 +278,7 @@ pub fn dft_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError> 
         .flat_map(|&(re, im)| [re as u32, im as u32])
         .collect();
 
-    let words_each_way = (n * 2) as u32;
+    let words_each_way = u32::try_from(n * 2).map_err(|e| AppError::Microcode(e.to_string()))?;
     let program = offload_microcode(words_each_way, words_each_way, config.burst, 0)?;
     // Size the FIFOs to the workload ("FIFO memory is … strongly
     // dependent on the accelerator"): the whole block must fit before
@@ -406,7 +403,7 @@ pub fn accelerated_dft(
         .iter()
         .flat_map(|&(re, im)| [to_q15(re) as u32, to_q15(im) as u32])
         .collect();
-    let words_each_way = (n * 2) as u32;
+    let words_each_way = u32::try_from(n * 2).map_err(|e| AppError::Microcode(e.to_string()))?;
     let program = offload_microcode(words_each_way, words_each_way, config.burst, 0)?;
     let (_cycles, _words, out) = run_offload(
         Box::new(DftRac::new(n)),

@@ -195,8 +195,10 @@ impl OuessantDevice {
     /// input and output banks sized to the driver buffers, everything
     /// else unmapped, FIFO depth from the SoC configuration.
     fn verify_config(&self) -> VerifyConfig {
-        let words = self.buffer_words as u32;
-        VerifyConfig::job_map(words, words, words).with_fifo_depth(self.fifo_depth as u32)
+        // Saturated, a bank or FIFO is still larger than any burst.
+        let words = u32::try_from(self.buffer_words).unwrap_or(u32::MAX);
+        let depth = u32::try_from(self.fifo_depth).unwrap_or(u32::MAX);
+        VerifyConfig::job_map(words, words, words).with_fifo_depth(depth)
     }
 
     /// Loads microcode into the device's program buffer, after running
@@ -235,7 +237,7 @@ impl OuessantDevice {
         let words = program.to_words();
         self.check_len(words.len())?;
         self.soc.load_words(self.program_at, &words)?;
-        self.microcode_len = Some(program.len() as u32);
+        self.microcode_len = Some(u32::try_from(program.len()).expect("at most 1024 instructions"));
         Ok(())
     }
 

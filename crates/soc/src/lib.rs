@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod alloc;
 pub mod app;

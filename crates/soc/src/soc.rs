@@ -290,61 +290,34 @@ impl Soc {
 
         let mut run_cycles = 0u64;
         let mut polls = 0u64;
-        let mut poll_outstanding = false;
+        // The cycle the next poll issues on; none while one is in flight.
         let mut next_poll = match self.config.completion {
             CompletionMode::Polling { interval } => interval,
             CompletionMode::Interrupt => u64::MAX,
         };
 
         loop {
-            // Event-horizon fast-forward: leap over cycles that provably
-            // cannot change observable state, so the tick below always
-            // lands on (or before) the next event. Clamped to the
-            // timeout boundary and, in polling mode, to the next poll
-            // issue so both fire at the identical simulated cycle as
-            // cycle-by-cycle stepping.
-            if self.config.fast_forward {
-                // The OCP ticks before the bus, so it sees a bus event
-                // only on the next tick; an outstanding CPU poll is read
-                // right after `tick_system`, on the event tick itself.
-                // The window may hold the OCP's next run of transfers,
-                // whose last completion is then its bus event.
-                let window = self.ocp.window_on(&self.bus);
-                let bus = if poll_outstanding {
-                    window.event()
-                } else {
-                    ouessant_sim::observed_horizon(window.event())
-                };
-                let horizon =
-                    ouessant_sim::min_horizon(self.ocp.horizon_on(&self.bus, &window), bus);
-                // A quiescent system (e.g. a program that halted without
-                // setting D) still times out: leap straight to budget.
-                let mut skip = horizon.map_or(u64::MAX, |h| u64::from(h).saturating_sub(1));
-                skip = skip.min(max_cycles.saturating_sub(run_cycles));
-                if let CompletionMode::Polling { .. } = self.config.completion {
-                    if !poll_outstanding {
-                        // The poll issues when the post-tick cycle count
-                        // reaches `next_poll`, so stop the leap one short.
-                        skip = skip.min(next_poll.saturating_sub(run_cycles).saturating_sub(1));
-                    }
+            // Event-horizon fast-forward, clamped to the timeout boundary
+            // and the next poll issue. A leap ends on the tick of any bus
+            // event at the latest, so the CPU reads its port after a leap
+            // as after a tick, on the cycle cycle-by-cycle stepping would.
+            let limit = max_cycles.min(next_poll).saturating_sub(run_cycles);
+            let leapt = if self.config.fast_forward {
+                self.ocp.leap(&mut self.bus, limit)
+            } else {
+                0
+            };
+            if leapt > 0 {
+                run_cycles += leapt;
+            } else {
+                self.tick_system();
+                run_cycles += 1;
+                if run_cycles > max_cycles {
+                    return Err(SocError::Timeout { budget: max_cycles });
                 }
-                if skip > 0 {
-                    let ocp = &mut self.ocp;
-                    window.leap(&mut self.bus, skip, |bus, who, ticks| {
-                        if who.includes(ocp.bus_master()) {
-                            ocp.advance(ouessant_sim::Cycle::new(ticks), bus);
-                        }
-                    });
-                    run_cycles += skip;
+                if let Some(fault) = self.ocp.fault() {
+                    return Err(SocError::Ocp(fault.clone()));
                 }
-            }
-            self.tick_system();
-            run_cycles += 1;
-            if run_cycles > max_cycles {
-                return Err(SocError::Timeout { budget: max_cycles });
-            }
-            if let Some(fault) = self.ocp.fault() {
-                return Err(SocError::Ocp(fault.clone()));
             }
             match self.config.completion {
                 CompletionMode::Interrupt => {
@@ -358,28 +331,27 @@ impl Soc {
                         break;
                     }
                 }
-                CompletionMode::Polling { interval } => {
-                    if poll_outstanding {
-                        if self.bus.poll(self.cpu) == PortState::Complete {
-                            let c = self
-                                .bus
-                                .take_completion(self.cpu)
-                                .expect("completion present")?;
-                            poll_outstanding = false;
-                            polls += 1;
-                            if c.data[0] & ouessant::regs::CTRL_D != 0 {
-                                break;
-                            }
-                            next_poll = run_cycles + interval;
+                CompletionMode::Polling { interval } => match self.bus.poll(self.cpu) {
+                    PortState::Complete => {
+                        let c = self
+                            .bus
+                            .take_completion(self.cpu)
+                            .expect("completion present")?;
+                        polls += 1;
+                        if c.data[0] & ouessant::regs::CTRL_D != 0 {
+                            break;
                         }
-                    } else if run_cycles >= next_poll {
+                        next_poll = run_cycles + interval;
+                    }
+                    PortState::Idle if run_cycles >= next_poll => {
                         self.bus.try_begin(
                             self.cpu,
                             TxnRequest::read_word(self.config.ocp_base + ouessant::regs::REG_CTRL),
                         )?;
-                        poll_outstanding = true;
+                        next_poll = u64::MAX;
                     }
-                }
+                    _ => {}
+                },
             }
         }
 
@@ -552,9 +524,11 @@ mod tests {
             ] {
                 for completion in [
                     CompletionMode::Interrupt,
+                    CompletionMode::Polling { interval: 0 },
+                    CompletionMode::Polling { interval: 1 },
                     CompletionMode::Polling { interval: 50 },
                 ] {
-                    let run = |fast_forward: bool| {
+                    let run = |fast_forward: bool, max_cycles: u64| {
                         let config = SocConfig {
                             sram,
                             completion,
@@ -585,17 +559,50 @@ mod tests {
                                 program.len() as u32,
                             )
                             .unwrap();
-                            let report = soc.start_and_wait(1_000_000).unwrap();
+                            let report = soc.start_and_wait(max_cycles);
+                            let failed = report.is_err();
                             per_run.push((report, soc.read_words(ram + 0x2000, words).unwrap()));
+                            if failed {
+                                break;
+                            }
                         }
                         (per_run, soc.bus().stats(), soc.ocp().stats())
                     };
-                    let fast = run(true);
-                    let slow = run(false);
+                    let fast = run(true, 1_000_000);
+                    let slow = run(false, 1_000_000);
                     assert_eq!(
                         fast, slow,
                         "fast-forward must be bit-exact ({name}, {sram:?}, {completion:?})"
                     );
+                    assert!(
+                        slow.0.iter().all(|(report, _)| report.is_ok()),
+                        "{name} ran"
+                    );
+                    if name == "passthrough" && sram == SramConfig::default() {
+                        // Budgets that end on or next to the tick the
+                        // CPU observes completion, and a sample of those
+                        // that end inside a leap (the `wait`): both
+                        // modes must time out, or finish, on the
+                        // identical cycle.
+                        let stepped = slow.0[0].0.as_ref().unwrap().run_cycles;
+                        let mut outcomes = (false, false);
+                        let inside = (1..stepped - 3).step_by(16);
+                        for max_cycles in inside.chain(stepped - 3..=stepped + 1) {
+                            let fast = run(true, max_cycles);
+                            let slow = run(false, max_cycles);
+                            assert_eq!(
+                                fast, slow,
+                                "fast-forward must time out identically \
+                                 ({completion:?}, budget {max_cycles})"
+                            );
+                            match slow.0[0].0 {
+                                Ok(_) => outcomes.0 = true,
+                                Err(SocError::Timeout { .. }) => outcomes.1 = true,
+                                Err(ref e) => panic!("unexpected {e}"),
+                            }
+                        }
+                        assert_eq!(outcomes, (true, true), "{completion:?}: both outcomes");
+                    }
                     if name == "dpr_swap" {
                         let out = &fast.0[0].1;
                         assert_eq!(out[1], (0xBEEF_0001u32).wrapping_mul(3), "x3 config ran");

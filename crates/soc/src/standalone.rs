@@ -74,7 +74,7 @@ impl StandaloneSystem {
                 .expect("bank strap values validated by caller");
         }
         ocp.regs()
-            .set_prog_size(program.len() as u32)
+            .set_prog_size(u32::try_from(program.len()).expect("at most 1024 instructions"))
             .expect("program length validated by Program");
         Self { bus, ocp, runs: 0 }
     }

@@ -28,12 +28,13 @@ const SCALE_BITS: u32 = 14;
 /// Extra precision bits between the two 1-D passes (matches the RAC).
 const PASS_BITS: u32 = 3;
 
+#[allow(clippy::cast_possible_truncation)] // |v| <= 1/2: at most 2^13
 fn cos_table() -> [[i32; 8]; 8] {
     let mut t = [[0i32; 8]; 8];
     for (u, row) in t.iter_mut().enumerate() {
         let cu = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
         for (x, e) in row.iter_mut().enumerate() {
-            let v = cu / 2.0 * ((2 * x as u32 + 1) as f64 * u as f64 * PI / 16.0).cos();
+            let v = cu / 2.0 * ((2 * x + 1) as f64 * u as f64 * PI / 16.0).cos();
             *e = (v * f64::from(1 << SCALE_BITS)).round() as i32;
         }
     }
@@ -131,7 +132,9 @@ pub fn sw_idct_8x8(cpu: &mut CostModel, coeffs: &[i32]) -> Vec<i32> {
         let out = idct_1d_fast(cpu, &table, &col, SCALE_BITS + PASS_BITS);
         for r in 0..8 {
             cpu.store(1);
-            result[r * 8 + c] = out[r] as i32;
+            #[allow(clippy::cast_possible_truncation)] // wraps to 32 bits, as the RAC does
+            let word = out[r] as i32;
+            result[r * 8 + c] = word;
         }
     }
     result

@@ -206,10 +206,17 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             if cmd == "check" {
+                let mut walk = program.walk();
+                let words: u64 = walk
+                    .by_ref()
+                    .map(|(pc, _)| u64::from(program[pc].words_transferred()))
+                    .sum();
+                let cut = walk.exhausted().map_or(String::new(), |pc| {
+                    format!(" (a lower bound: the walk's budget ran out at pc {pc})")
+                });
                 eprintln!(
-                    "{input}: {} instructions, {} data words transferred",
-                    program.len(),
-                    program.static_words_transferred()
+                    "{input}: {} instructions, {words} data words transferred{cut}",
+                    program.len()
                 );
                 return ExitCode::SUCCESS;
             }

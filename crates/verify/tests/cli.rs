@@ -73,6 +73,34 @@ fn check_reports_statistics() {
 }
 
 #[test]
+fn check_marks_a_count_cut_by_the_walk_budget() {
+    let src = temp_path("budget.s");
+    // 16383 x 16383 passes of a DMA8 load: far past the walk's budget.
+    fs::write(
+        &src,
+        "ldc R0,16383\nouter: ldc R1,16383\ninner: mvtc BANK1,0,DMA8,FIFO0\n\
+         djnz R1,inner\ndjnz R0,outer\neop\n",
+    )
+    .unwrap();
+    let out = ouas().arg("check").arg(&src).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stderr).unwrap();
+    // After `ldc R0`, each outer pass executes 1 + 2 * 16383 + 1 =
+    // 32768 instructions. Instruction 2 000 000 is number
+    // 1 999 999 - 61 * 32768 = 1151 of the 62nd pass: its `ldc R1`
+    // and 575 inner pairs, so the budget runs out in front of the
+    // `mvtc` at pc 2, after 61 * 16383 + 575 loads of 8 words.
+    assert!(
+        text.contains(
+            "6 instructions, 7999504 data words transferred \
+             (a lower bound: the walk's budget ran out at pc 2)"
+        ),
+        "{text}"
+    );
+    fs::remove_file(src).ok();
+}
+
+#[test]
 fn syntax_error_reports_line_and_fails() {
     let src = temp_path("d.s");
     fs::write(&src, "nop\nfrobnicate\neop\n").unwrap();
