@@ -28,8 +28,9 @@ pub trait BlockKernel {
     /// time not considered".
     fn latency(&self, op: u16) -> u64;
 
-    /// Computes the output block from one input block.
-    fn compute(&mut self, op: u16, input: &[u32]) -> Vec<u32>;
+    /// Computes the output block of one input block, appending it to
+    /// `output`, which arrives empty.
+    fn compute(&mut self, op: u16, input: &[u32], output: &mut Vec<u32>);
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +51,9 @@ pub struct BlockRac<K: BlockKernel> {
     kernel: K,
     state: State,
     op: u16,
+    /// The input block of the current operation; like `staged_output`,
+    /// kept across operations so that neither is allocated per block.
+    block: Vec<u32>,
     staged_output: Vec<u32>,
     drained: usize,
     /// Completed operations since reset.
@@ -64,6 +68,7 @@ impl<K: BlockKernel> BlockRac<K> {
             kernel,
             state: State::Idle,
             op: 0,
+            block: Vec::new(),
             staged_output: Vec::new(),
             drained: 0,
             ops_done: 0,
@@ -119,11 +124,13 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
             State::Collecting => {
                 let needed = self.kernel.input_len(self.op);
                 if io.inputs[0].len() >= needed {
-                    let mut block = Vec::with_capacity(needed);
+                    self.block.clear();
                     io.inputs[0]
-                        .pop_into(needed, &mut block)
+                        .pop_into(needed, &mut self.block)
                         .expect("length checked");
-                    self.staged_output = self.kernel.compute(self.op, &block);
+                    self.staged_output.clear();
+                    self.kernel
+                        .compute(self.op, &self.block, &mut self.staged_output);
                     self.drained = 0;
                     // The collect cycle itself counts as the first busy
                     // cycle; remaining latency follows.
@@ -222,8 +229,8 @@ mod tests {
         fn latency(&self, _op: u16) -> u64 {
             10
         }
-        fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
-            vec![input.iter().copied().fold(0u32, u32::wrapping_add)]
+        fn compute(&mut self, _op: u16, input: &[u32], output: &mut Vec<u32>) {
+            output.push(input.iter().copied().fold(0u32, u32::wrapping_add));
         }
     }
 
@@ -269,8 +276,8 @@ mod tests {
             fn latency(&self, _op: u16) -> u64 {
                 1
             }
-            fn compute(&mut self, _op: u16, _input: &[u32]) -> Vec<u32> {
-                (0..8).collect()
+            fn compute(&mut self, _op: u16, _input: &[u32], output: &mut Vec<u32>) {
+                output.extend(0..8);
             }
         }
         let mut s = RacSocket::new(Box::new(BlockRac::from_kernel(Producer)), 4);

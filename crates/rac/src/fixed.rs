@@ -21,12 +21,14 @@ pub const Q15_ONE: i32 = 1 << Q15_BITS;
 /// assert_eq!(sat32(-7), -7);
 /// ```
 #[must_use]
+#[allow(clippy::cast_possible_truncation)] // clamped to the `i32` range first
 pub fn sat32(v: i64) -> i32 {
     v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
 }
 
 /// Saturates an `i64` into the `i16` range.
 #[must_use]
+#[allow(clippy::cast_possible_truncation)] // clamped to the `i16` range first
 pub fn sat16(v: i64) -> i16 {
     v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16
 }
@@ -47,6 +49,7 @@ pub fn q15_mul(a: i32, b: i32) -> i32 {
 
 /// Converts a float in `[-1, 1)` to Q15 (rounded, saturated).
 #[must_use]
+#[allow(clippy::cast_possible_truncation)] // a float-to-int `as` saturates, as `sat32` does
 pub fn to_q15(v: f64) -> i32 {
     sat32((v * f64::from(Q15_ONE)).round() as i64)
 }

@@ -42,8 +42,10 @@ fn cos_table() -> &'static [[i32; 8]; 8] {
         for (u, row) in t.iter_mut().enumerate() {
             let cu = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
             for (x, e) in row.iter_mut().enumerate() {
-                let v = cu / 2.0 * ((2 * x as u32 + 1) as f64 * u as f64 * PI / 16.0).cos();
-                *e = (v * f64::from(1 << SCALE_BITS)).round() as i32;
+                let v = cu / 2.0 * ((2 * x + 1) as f64 * u as f64 * PI / 16.0).cos();
+                #[allow(clippy::cast_possible_truncation)] // |v| ≤ 1/2, so |e| ≤ 2^13
+                let scaled = (v * f64::from(1 << SCALE_BITS)).round() as i32;
+                *e = scaled;
             }
         }
         t
@@ -66,7 +68,7 @@ pub fn idct_2d_f64(coeffs: &[f64]) -> Vec<f64> {
             let mut acc = 0.0;
             for (u, &s) in input.iter().enumerate() {
                 let cu = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
-                acc += cu / 2.0 * s * ((2 * x as u32 + 1) as f64 * u as f64 * PI / 16.0).cos();
+                acc += cu / 2.0 * s * ((2 * x + 1) as f64 * u as f64 * PI / 16.0).cos();
             }
             *o = acc;
         }
@@ -107,32 +109,7 @@ pub fn idct_2d_f64(coeffs: &[f64]) -> Vec<f64> {
 #[must_use]
 pub fn idct_2d_fixed(coeffs: &[i32]) -> Vec<i32> {
     assert_eq!(coeffs.len(), BLOCK_LEN, "an 8x8 block has 64 coefficients");
-    let table = cos_table();
-    // Pass 1 (rows): keep PASS_BITS extra fraction bits.
-    let mut tmp = [0i64; BLOCK_LEN];
-    for r in 0..8 {
-        for x in 0..8 {
-            let mut acc: i64 = 0;
-            for u in 0..8 {
-                acc += i64::from(coeffs[r * 8 + u]) * i64::from(table[u][x]);
-            }
-            let shift = SCALE_BITS - PASS_BITS;
-            tmp[r * 8 + x] = (acc + (1 << (shift - 1))) >> shift;
-        }
-    }
-    // Pass 2 (columns): remove table scale plus the extra pass bits.
-    let mut out = vec![0i32; BLOCK_LEN];
-    for c in 0..8 {
-        for x in 0..8 {
-            let mut acc: i64 = 0;
-            for u in 0..8 {
-                acc += tmp[u * 8 + c] * i64::from(table[u][x]);
-            }
-            let shift = SCALE_BITS + PASS_BITS;
-            out[x * 8 + c] = ((acc + (1 << (shift - 1))) >> shift) as i32;
-        }
-    }
-    out
+    idct_2d(|i| coeffs[i]).to_vec()
 }
 
 /// [`idct_2d_fixed`] on the wire format: one two's-complement
@@ -144,11 +121,50 @@ pub fn idct_2d_fixed(coeffs: &[i32]) -> Vec<i32> {
 /// Panics if `words` is not 64 words long.
 #[must_use]
 pub fn idct_words(words: &[u32]) -> Vec<u32> {
-    let coeffs: Vec<i32> = words.iter().map(|&w| w as i32).collect();
-    idct_2d_fixed(&coeffs)
-        .into_iter()
-        .map(|v| v as u32)
-        .collect()
+    let mut out = Vec::with_capacity(BLOCK_LEN);
+    idct_words_into(words, &mut out);
+    out
+}
+
+/// [`idct_words`], appending the samples to `out`.
+fn idct_words_into(words: &[u32], out: &mut Vec<u32>) {
+    assert_eq!(words.len(), BLOCK_LEN, "an 8x8 block has 64 coefficients");
+    out.extend(idct_2d(|i| words[i] as i32).map(|v| v as u32));
+}
+
+/// The data path of [`idct_2d_fixed`] over the coefficients
+/// `coeff(0..64)`, in row-major order.
+fn idct_2d(coeff: impl Fn(usize) -> i32) -> [i32; BLOCK_LEN] {
+    let table = cos_table();
+    // Pass 1 (rows): keep PASS_BITS extra fraction bits.
+    let mut tmp = [0i64; BLOCK_LEN];
+    for r in 0..8 {
+        for x in 0..8 {
+            let mut acc: i64 = 0;
+            for (u, row) in table.iter().enumerate() {
+                acc += i64::from(coeff(r * 8 + u)) * i64::from(row[x]);
+            }
+            let shift = SCALE_BITS - PASS_BITS;
+            tmp[r * 8 + x] = (acc + (1 << (shift - 1))) >> shift;
+        }
+    }
+    // Pass 2 (columns): remove table scale plus the extra pass bits.
+    let mut out = [0i32; BLOCK_LEN];
+    for c in 0..8 {
+        for x in 0..8 {
+            let mut acc: i64 = 0;
+            for u in 0..8 {
+                acc += tmp[u * 8 + c] * i64::from(table[u][x]);
+            }
+            let shift = SCALE_BITS + PASS_BITS;
+            // The output word keeps the low 32 bits; JPEG-range
+            // coefficients give samples far inside `i32`.
+            #[allow(clippy::cast_possible_truncation)]
+            let sample = ((acc + (1 << (shift - 1))) >> shift) as i32;
+            out[x * 8 + c] = sample;
+        }
+    }
+    out
 }
 
 /// Kernel description driving [`BlockRac`].
@@ -168,8 +184,8 @@ impl BlockKernel for IdctKernel {
         IDCT_LATENCY
     }
 
-    fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
-        idct_words(input)
+    fn compute(&mut self, _op: u16, input: &[u32], output: &mut Vec<u32>) {
+        idct_words_into(input, output);
     }
 }
 

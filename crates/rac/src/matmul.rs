@@ -68,14 +68,11 @@ impl BlockKernel for MatMulKernel {
         matmul_latency(usize::from(op).clamp(1, MAX_DIM))
     }
 
-    fn compute(&mut self, op: u16, input: &[u32]) -> Vec<u32> {
+    fn compute(&mut self, op: u16, input: &[u32], output: &mut Vec<u32>) {
         let n = usize::from(op).clamp(1, MAX_DIM);
         let a: Vec<i32> = input[..n * n].iter().map(|&w| w as i32).collect();
         let b: Vec<i32> = input[n * n..].iter().map(|&w| w as i32).collect();
-        matmul_i32(n, &a, &b)
-            .into_iter()
-            .map(|v| v as u32)
-            .collect()
+        output.extend(matmul_i32(n, &a, &b).into_iter().map(|v| v as u32));
     }
 }
 

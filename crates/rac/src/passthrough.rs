@@ -134,12 +134,13 @@ impl Rac for PassthroughRac {
             return; // idle ticks are no-ops
         }
         let n = cycles.count();
+        let words = usize::try_from(n).expect("the horizon counted at most the waiting words");
         let scale = self.scale;
         io.inputs[0]
-            .move_into(n as usize, &mut io.outputs[0], |w| w.wrapping_mul(scale))
+            .move_into(words, &mut io.outputs[0], |w| w.wrapping_mul(scale))
             .expect("horizon counted the waiting words and the output space");
         self.tick_count += n;
-        self.to_consume = self.to_consume.saturating_sub(n as usize);
+        self.to_consume = self.to_consume.saturating_sub(words);
     }
 }
 
@@ -280,7 +281,8 @@ impl Rac for WideFunctionRac {
         // Drain serializer into the 32-bit output FIFO.
         while self.serializer.has_output() && !io.outputs[0].is_full() {
             let w = self.serializer.pop().expect("has_output checked");
-            io.outputs[0].push(w as u32).expect("checked not full");
+            let w = u32::try_from(w).expect("the serializer emits 32-bit words");
+            io.outputs[0].push(w).expect("checked not full");
         }
         if self.operands_left == 0 && !self.serializer.has_output() {
             self.busy = false; // end_op

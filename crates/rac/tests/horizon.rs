@@ -296,8 +296,8 @@ impl BlockKernel for Latency {
     fn latency(&self, _op: u16) -> u64 {
         self.0
     }
-    fn compute(&mut self, _op: u16, input: &[u32]) -> Vec<u32> {
-        vec![input[0] + input[1]]
+    fn compute(&mut self, _op: u16, input: &[u32], output: &mut Vec<u32>) {
+        output.push(input[0] + input[1]);
     }
 }
 

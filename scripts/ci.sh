@@ -35,12 +35,14 @@ cargo test -q --offline --workspace
 
 # Debug builds panic on integer overflow where release builds wrap, so
 # the sim crate's address arithmetic, the controller's countdown
-# arithmetic and the loop-counter and offset arithmetic of
-# `ouessant_isa::control` are also checked as they ship.
-echo "==> cargo test --release -p ouessant-sim -p ouessant -p ouessant-isa (overflow wraps instead of panicking)"
+# arithmetic, the loop-counter and offset arithmetic of
+# `ouessant_isa::control` and the DFT's unclamped `i32` butterflies
+# (checked against the exact oracle) are also checked as they ship.
+echo "==> cargo test --release -p ouessant-sim -p ouessant -p ouessant-isa -p ouessant-rac (overflow wraps instead of panicking)"
 cargo test -q --offline --release -p ouessant-sim
 cargo test -q --offline --release -p ouessant
 cargo test -q --offline --release -p ouessant-isa
+cargo test -q --offline --release -p ouessant-rac
 
 # Every line but the `host:` wall-clock ones is simulated, hence pinned.
 echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
