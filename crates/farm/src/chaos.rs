@@ -257,7 +257,8 @@ impl FaultPlan {
                     one_in: c.bitstream_one_in,
                     hit: Injection::Bitstream {
                         worker: wi,
-                        slot: worker.loaded_config() as u16,
+                        slot: u16::try_from(worker.loaded_config())
+                            .expect("config index fits rcfg operand"),
                         available: worker.caps().len(),
                     },
                 }),

@@ -51,7 +51,7 @@ use ouessant::{ExecError, Ocp};
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
 use ouessant_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{min_horizon, BusWindow};
+use ouessant_sim::{min_horizon, BusWindow, Cycle, SystemBus};
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
 
@@ -424,9 +424,15 @@ impl Farm {
         }
     }
 
+    /// Where the next worker's register window is mapped.
+    fn next_ocp_base(&self) -> u32 {
+        let index = u32::try_from(self.workers.len()).expect("a worker index fits u32");
+        OCP_BASE + index * OCP_STRIDE
+    }
+
     /// Adds a fixed-function worker for `kind`; returns its pool index.
     pub fn add_worker(&mut self, kind: JobKind) -> usize {
-        let base = OCP_BASE + (self.workers.len() as u32) * OCP_STRIDE;
+        let base = self.next_ocp_base();
         self.workers.push(Worker::fixed(
             &mut self.bus,
             base,
@@ -443,7 +449,7 @@ impl Farm {
     ///
     /// Panics if `configs` is empty or repeats a kind.
     pub fn add_dpr_worker(&mut self, configs: &[(JobKind, u64)]) -> usize {
-        let base = OCP_BASE + (self.workers.len() as u32) * OCP_STRIDE;
+        let base = self.next_ocp_base();
         self.workers.push(Worker::reconfigurable(
             &mut self.bus,
             base,
@@ -617,7 +623,7 @@ impl Farm {
             }
             let input_words = u32::try_from(spec.input.len()).unwrap_or(u32::MAX);
             let config = VerifyConfig::job_map(
-                program.len() as u32 + 1,
+                u32::try_from(program.len() + 1).expect("checked against the limit above"),
                 input_words,
                 spec.kind.output_words(input_words),
             )
@@ -676,7 +682,7 @@ impl Farm {
         self.sweep_liveness(now);
         self.dispatch();
         for w in &mut self.workers {
-            w.tick(&mut self.bus);
+            w.ocp.tick(&mut self.bus);
         }
         // A one-cycle window, rolled after the workers tick (so no
         // controller is at a pickup) and landed at once.
@@ -909,7 +915,7 @@ impl Farm {
         window.leap(&mut self.bus, leap, |bus, who, ticks| {
             for w in &mut self.workers {
                 if who.includes(w.ocp.bus_master()) {
-                    w.advance(ticks, bus);
+                    w.ocp.advance(Cycle::new(ticks), bus);
                 }
             }
         });
@@ -940,15 +946,16 @@ impl Farm {
             .iter()
             .map(|w| {
                 let stats = self.bus.master_stats(w.ocp.bus_master());
+                let busy_cycles = w.busy_cycles(total_cycles);
                 WorkerReport {
                     name: w.name().to_string(),
                     jobs: w.jobs_served(),
                     swaps: w.swaps(),
-                    busy_cycles: w.busy_cycles(),
+                    busy_cycles,
                     utilization: if total_cycles == 0 {
                         0.0
                     } else {
-                        w.busy_cycles() as f64 / total_cycles as f64
+                        busy_cycles as f64 / total_cycles as f64
                     },
                     bus_grants: stats.grants,
                     bus_beats: stats.beats,
@@ -1098,7 +1105,7 @@ impl Farm {
                 None => build_program(job_kind, input_words, target, worker.loaded_config()),
             };
             let Some(regions) = self.lease_regions(
-                program.len() as u32,
+                u32::try_from(program.len()).expect("at most 1024 instructions"),
                 input_words,
                 job_kind.output_words(input_words),
             ) else {
@@ -1195,12 +1202,13 @@ impl Farm {
     /// Harvests finished jobs: reads back outputs, frees regions and
     /// finishes the jobs.
     fn collect_completions(&mut self) {
+        let now = self.now();
         for wi in 0..self.workers.len() {
             if !self.workers[wi].ocp.poll_completion() {
                 continue;
             }
             let done = self.workers[wi]
-                .note_completion()
+                .note_completion(now)
                 .expect("completion event implies an active job");
             let mut output = Vec::with_capacity(done.output_words as usize);
             self.bus
@@ -1248,7 +1256,7 @@ impl Farm {
                 self.ledger.hangs_detected += 1;
                 self.ledger.aborts += 1;
             }
-            let dead_job = self.workers[wi].take_faulted_job().map(|done| {
+            let dead_job = self.workers[wi].take_job(now).map(|done| {
                 // The leak fix: a dead job's leases go back to the
                 // allocator the moment the fault is absorbed, exactly
                 // as a completion would return them.
@@ -1367,7 +1375,7 @@ impl Farm {
                 // A faulted worker's job is the fault path's to settle.
                 continue;
             }
-            let Some(done) = self.workers[wi].abort_active(&mut self.bus) else {
+            let Some(done) = self.workers[wi].abort_active(&mut self.bus, now) else {
                 continue;
             };
             self.ledger.aborts += 1;

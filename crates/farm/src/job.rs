@@ -51,8 +51,12 @@ impl JobKind {
     #[must_use]
     pub fn required_input_words(&self) -> Option<u32> {
         match self {
+            #[allow(clippy::cast_possible_truncation)] // BLOCK_LEN is 64.
             JobKind::Idct => Some(BLOCK_LEN as u32),
-            JobKind::Dft { points } => Some(2 * *points as u32),
+            // A size past `u32` saturates: no payload matches it.
+            JobKind::Dft { points } => {
+                Some(u32::try_from(points.saturating_mul(2)).unwrap_or(u32::MAX))
+            }
             JobKind::Copy { .. } => None,
         }
     }

@@ -100,6 +100,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod chaos;
 pub mod farm;

@@ -40,17 +40,16 @@ impl LatencyStats {
         samples.sort_unstable();
         let count = samples.len() as u64;
         let sum: u128 = samples.iter().map(|&s| u128::from(s)).sum();
-        let rank = |p: u64| -> u64 {
+        let rank = |p: usize| -> u64 {
             // Nearest-rank: ceil(p/100 * n), 1-based.
-            let n = samples.len() as u64;
-            let r = (p * n).div_ceil(100).max(1);
-            samples[(r - 1) as usize]
+            let r = (p * samples.len()).div_ceil(100).max(1);
+            samples[r - 1]
         };
         Self {
             count,
             min: samples[0],
             max: samples[samples.len() - 1],
-            mean: (sum / u128::from(count)) as u64,
+            mean: u64::try_from(sum / u128::from(count)).expect("a mean of u64 samples is a u64"),
             p50: rank(50),
             p95: rank(95),
             p99: rank(99),
@@ -77,7 +76,10 @@ pub struct WorkerReport {
     pub jobs: u64,
     /// Bitstream swaps paid.
     pub swaps: u64,
-    /// Cycles with a job on the worker.
+    /// Cycles with a job on the worker: the sum, over its jobs, of the
+    /// span from dispatch to the cycle the job left it (completed,
+    /// faulted or aborted), the job still in flight counted up to the
+    /// report.
     pub busy_cycles: u64,
     /// `busy_cycles / total_cycles`.
     pub utilization: f64,

@@ -46,7 +46,7 @@ use ouessant_rac::dft::DftRac;
 use ouessant_rac::idct::IdctRac;
 use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
-use ouessant_rac::slot::{ReconfigurableSlot, ICAP_BYTES_PER_CYCLE};
+use ouessant_rac::slot::ReconfigurableSlot;
 use ouessant_sim::bus::{Bus, BusError, TxnShape};
 use ouessant_sim::{min_horizon, BusWindow, Cycle, WindowIssue};
 use ouessant_soc::alloc::Region;
@@ -277,7 +277,9 @@ pub struct Worker {
     pub(crate) active: Option<ActiveJob>,
     jobs_served: u64,
     swaps: u64,
-    busy_cycles: u64,
+    /// The summed spans of the jobs that have left this worker (see
+    /// [`Worker::take_job`]).
+    served_span: u64,
     // ── health / fault containment ──
     health: WorkerHealth,
     /// Cycle stamps of faults inside the circuit-breaker window.
@@ -310,7 +312,7 @@ impl Worker {
             active: None,
             jobs_served: 0,
             swaps: 0,
-            busy_cycles: 0,
+            served_span: 0,
             health: WorkerHealth::Healthy,
             recent_faults: VecDeque::new(),
             quarantine_until: None,
@@ -350,7 +352,6 @@ impl Worker {
         );
         let mut slot = ReconfigurableSlot::new();
         let mut caps = Vec::with_capacity(configs.len());
-        let mut swap_cycles = Vec::with_capacity(configs.len());
         for &(kind, bytes) in configs {
             assert!(
                 !caps.contains(&kind),
@@ -358,8 +359,10 @@ impl Worker {
             );
             slot = slot.with_config(rac_for(kind), bytes);
             caps.push(kind);
-            swap_cycles.push(bytes / ICAP_BYTES_PER_CYCLE);
         }
+        let swap_cycles = (0..caps.len())
+            .map(|i| slot.reconfig_cycles(i).expect("configuration just added"))
+            .collect();
         let ocp = Ocp::attach(bus, base, Box::new(slot), OcpConfig { fifo_depth });
         ocp.regs().set_irq_enabled(true);
         Self::base_state(format!("dpr@{base:#010x}"), ocp, caps, swap_cycles)
@@ -433,10 +436,10 @@ impl Worker {
         self.swaps
     }
 
-    /// Cycles this worker spent with a job on it.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+    /// Cycles this worker spent with a job on it up to cycle `now`:
+    /// the spans of the jobs that left it, plus the one in flight.
+    pub(crate) fn busy_cycles(&self, now: u64) -> u64 {
+        self.served_span + self.active.as_ref().map_or(0, |a| now - a.started_at)
     }
 
     /// The current `rcfg` cost to capability `i` (0 when loaded).
@@ -509,7 +512,7 @@ impl Worker {
             .expect("allocator regions are word-aligned");
         regs.set_bank(OUTPUT_BANK, regions.output.base())
             .expect("allocator regions are word-aligned");
-        regs.set_prog_size(program.len() as u32)
+        regs.set_prog_size(u32::try_from(program.len()).expect("at most 1024 instructions"))
             .expect("program length is validated");
         regs.start();
 
@@ -532,25 +535,6 @@ impl Worker {
             contention_at_start: bus.master_stats(self.ocp.bus_master()).contention_cycles,
             job,
         });
-    }
-
-    /// Advances the worker one cycle.
-    pub(crate) fn tick(&mut self, bus: &mut Bus) {
-        self.ocp.tick(bus);
-        if self.active.is_some() {
-            self.busy_cycles += 1;
-        }
-    }
-
-    /// Bulk-applies `cycles` provably-pure ticks (a DMA pickup on the
-    /// first of them retires its completion on `bus`). Only sound
-    /// inside a window bounded by [`Worker::horizon_at`]; leaves the
-    /// worker bit-identical to `cycles` calls of [`Worker::tick`].
-    pub(crate) fn advance(&mut self, cycles: u64, bus: &mut Bus) {
-        self.ocp.advance(Cycle::new(cycles), bus);
-        if self.active.is_some() {
-            self.busy_cycles += cycles;
-        }
     }
 
     /// The run of transfers this worker's OCP can issue inside the
@@ -604,9 +588,22 @@ impl Worker {
         )
     }
 
-    /// Completion accounting hook for the farm's poll loop.
-    pub(crate) fn note_completion(&mut self) -> Option<ActiveJob> {
+    /// Takes the job off the worker at cycle `now`, closing its span:
+    /// the worker was busy with it from `started_at` to `now`. The
+    /// completion and fault paths take it after the bus tick that ends
+    /// the job's last cycle, a deadline abort before the workers tick,
+    /// so in all three `now − started_at` counts the cycles it held the
+    /// worker.
+    pub(crate) fn take_job(&mut self, now: u64) -> Option<ActiveJob> {
         let done = self.active.take()?;
+        self.served_span += now - done.started_at;
+        Some(done)
+    }
+
+    /// Takes a completed job off the worker at cycle `now` and counts
+    /// it as served.
+    pub(crate) fn note_completion(&mut self, now: u64) -> Option<ActiveJob> {
+        let done = self.take_job(now)?;
         self.jobs_served += 1;
         Some(done)
     }
@@ -619,13 +616,6 @@ impl Worker {
         self.ocp.fault().map(WorkerFaultKind::classify)
     }
 
-    /// Takes the job that was on the worker when it faulted (the farm
-    /// frees its leases and decides retry vs. permanent failure).
-    /// Unlike [`Worker::note_completion`], does not count a served job.
-    pub(crate) fn take_faulted_job(&mut self) -> Option<ActiveJob> {
-        self.active.take()
-    }
-
     /// Whether the controller FSM is wedged (frozen by the silent-hang
     /// chaos seam) — surfaced in stall diagnostics.
     #[must_use]
@@ -633,8 +623,9 @@ impl Worker {
         self.ocp.is_wedged()
     }
 
-    /// Host-side cancel of the in-flight job (deadline enforcement):
-    /// takes the job off the worker and drives [`Ocp::abort`]. Not a
+    /// Host-side cancel of the in-flight job at cycle `now` (deadline
+    /// enforcement): takes the job off the worker and drives
+    /// [`Ocp::abort`]. Not a
     /// *worker* fault — the circuit breaker is untouched; a healthy
     /// worker aborted for a late job goes straight back into service.
     ///
@@ -642,8 +633,8 @@ impl Worker {
     /// flight) the worker drains it through the normal recovery path
     /// and is unschedulable until [`Worker::advance_health`] completes
     /// it.
-    pub(crate) fn abort_active(&mut self, bus: &mut Bus) -> Option<ActiveJob> {
-        let done = self.active.take()?;
+    pub(crate) fn abort_active(&mut self, bus: &mut Bus, now: u64) -> Option<ActiveJob> {
+        let done = self.take_job(now)?;
         if self.ocp.abort(bus) {
             // Clean immediate abort: the RAC slot was reset to
             // configuration 0, mirror it.
@@ -670,7 +661,8 @@ impl Worker {
             self.recent_faults.pop_front();
         }
         self.recent_faults.push_back(now);
-        let tripped = self.probation || self.recent_faults.len() as u32 >= cfg.quarantine_threshold;
+        let in_window = u32::try_from(self.recent_faults.len()).unwrap_or(u32::MAX);
+        let tripped = self.probation || in_window >= cfg.quarantine_threshold;
         if tripped {
             self.health = WorkerHealth::Quarantined;
             self.quarantine_until = cfg.quarantine_cooldown.map(|c| now + c);

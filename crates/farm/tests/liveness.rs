@@ -204,6 +204,58 @@ fn deadline_abort_returns_worker_to_service() {
     );
 }
 
+/// A deadline abort closes its job's span on the abort cycle: the
+/// worker's busy time is the aborted span up to that cycle plus the
+/// span of the job it served next, stepped or fast-forwarded.
+#[test]
+fn busy_time_includes_an_aborted_span_up_to_the_abort() {
+    let deadline = DFT1K.core_latency_estimate() + 100;
+    for fast_forward in [false, true] {
+        let mut farm = Farm::new(
+            FarmConfig {
+                fifo_depth: 4096,
+                fast_forward,
+                liveness: LivenessConfig {
+                    early_drop: true,
+                    ..LivenessConfig::default()
+                },
+                ..FarmConfig::default()
+            },
+            Box::new(FifoPolicy::new()),
+        );
+        farm.add_worker(DFT1K);
+        let mut rng = XorShift64::new(7);
+        farm.submit(JobSpec::new(DFT1K, payload(DFT1K, &mut rng)).with_deadline(deadline))
+            .unwrap();
+        farm.submit(JobSpec::new(DFT1K, payload(DFT1K, &mut rng)))
+            .unwrap();
+        farm.run_until_idle(10_000_000).expect("must drain");
+
+        let report = farm.report();
+        assert_eq!(report.aborts, 1, "fast_forward {fast_forward}");
+        let records = farm.records();
+        let aborted = records
+            .iter()
+            .find(|r| matches!(r.outcome, JobOutcome::DeadlineMissed { .. }))
+            .expect("one aborted job");
+        let served = records
+            .iter()
+            .find(|r| r.outcome.is_completed())
+            .expect("one served job");
+        assert_eq!(
+            aborted.completed_at,
+            deadline + 1,
+            "aborted on the first cycle past its deadline"
+        );
+        assert!(aborted.started_at < aborted.completed_at);
+        assert_eq!(
+            report.workers[0].busy_cycles,
+            (aborted.completed_at - aborted.started_at) + (served.completed_at - served.started_at),
+            "fast_forward {fast_forward}"
+        );
+    }
+}
+
 /// Overload shedding: past the watermark, below-floor work is refused
 /// at admission; at capacity, a priority submission evicts the
 /// youngest lowest-class queued job and the eviction is recorded.

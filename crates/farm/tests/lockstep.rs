@@ -238,7 +238,7 @@ fn fingerprint(farm: &Farm, cycles_run: u64) -> Fingerprint {
             .map(|(w, wr)| WorkerKey {
                 jobs: w.jobs_served(),
                 swaps: w.swaps(),
-                busy_cycles: w.busy_cycles(),
+                busy_cycles: wr.busy_cycles,
                 bus_grants: wr.bus_grants,
                 bus_beats: wr.bus_beats,
                 contention_cycles: wr.contention_cycles,

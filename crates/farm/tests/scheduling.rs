@@ -475,3 +475,81 @@ fn heterogeneous_pool_serves_mixed_load_bit_exactly() {
     );
     assert_eq!(report.alloc.words_in_use, 0, "all job regions returned");
 }
+
+/// The busy time `farm`'s report gives each worker, checked against its
+/// records: the spans `completed_at − started_at` of the jobs it served,
+/// plus `now − since` for a job still on it that started on cycle
+/// `since` (one entry per worker).
+fn assert_busy_is_served_spans(farm: &Farm, in_flight_since: &[Option<u64>]) {
+    let report = farm.report();
+    for (wi, w) in report.workers.iter().enumerate() {
+        let served: u64 = farm
+            .records()
+            .iter()
+            .filter(|r| r.worker == wi && r.outcome.is_completed())
+            .map(|r| r.completed_at - r.started_at)
+            .sum();
+        let open = in_flight_since[wi].map_or(0, |since| farm.now() - since);
+        assert_eq!(
+            w.busy_cycles,
+            served + open,
+            "worker {wi} at cycle {}",
+            farm.now()
+        );
+    }
+}
+
+/// A worker's busy time is the spans of the jobs it served. On a calm
+/// pool a single-stepped farm is checked after every tick, including
+/// the job still in flight, and a fast-forwarded twin every 97 cycles
+/// (a run cut by its fuel stops mid-job), with the in-flight start
+/// cycles the stepped twin observed; both are checked again at idle.
+#[test]
+fn busy_time_is_the_sum_of_served_spans_in_both_stepping_modes() {
+    let build = |fast_forward: bool| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            Box::new(FifoPolicy::new()),
+        );
+        farm.add_worker(IDCT);
+        farm.add_worker(DFT64);
+        farm.add_dpr_worker(&[(IDCT, 4_000), (COPY3, 4_000)]);
+        let mut rng = XorShift64::new(11);
+        for i in 0..12 {
+            let kind = [IDCT, DFT64, COPY3][i % 3];
+            farm.submit(JobSpec::new(kind, payload(kind, &mut rng)))
+                .unwrap();
+        }
+        farm
+    };
+    let mut stepped = build(false);
+    let mut leaping = build(true);
+    let mut since = vec![None; stepped.workers().len()];
+    let mut in_flight_seen = false;
+    loop {
+        let cut = leaping.run_until_idle(97);
+        while stepped.now() < leaping.now() {
+            let now = stepped.now();
+            stepped.tick();
+            for (s, w) in since.iter_mut().zip(stepped.workers()) {
+                *s = if w.is_idle() { None } else { s.or(Some(now)) };
+            }
+            assert_busy_is_served_spans(&stepped, &since);
+        }
+        in_flight_seen |= since.iter().any(Option::is_some);
+        assert_busy_is_served_spans(&leaping, &since);
+        if cut.is_ok() {
+            break;
+        }
+    }
+    assert!(in_flight_seen, "a fuel cut landed mid-job");
+    assert_eq!(leaping.in_flight(), 0);
+    assert_eq!(leaping.report().jobs_completed, 12);
+    assert!(leaping.skipped_cycles() > 0, "the twin leapt");
+    for farm in [&stepped, &leaping] {
+        assert_busy_is_served_spans(farm, &[None, None, None]);
+    }
+}

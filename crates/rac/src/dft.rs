@@ -423,12 +423,6 @@ impl BlockRac<DftKernel> {
     pub fn latency(&self) -> u64 {
         dft_latency(self.points())
     }
-
-    /// Transforms completed since the last reset.
-    #[must_use]
-    pub fn transforms_done(&self) -> u64 {
-        self.ops_done()
-    }
 }
 
 #[cfg(test)]

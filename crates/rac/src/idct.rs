@@ -218,12 +218,6 @@ impl BlockRac<IdctKernel> {
     pub fn new() -> Self {
         Self::from_kernel(IdctKernel)
     }
-
-    /// Blocks processed since the last reset.
-    #[must_use]
-    pub fn blocks_done(&self) -> u64 {
-        self.ops_done()
-    }
 }
 
 impl Default for BlockRac<IdctKernel> {

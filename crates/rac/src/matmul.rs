@@ -106,12 +106,6 @@ impl BlockRac<MatMulKernel> {
     pub fn new() -> Self {
         Self::from_kernel(MatMulKernel)
     }
-
-    /// Products computed since reset.
-    #[must_use]
-    pub fn products_done(&self) -> u64 {
-        self.ops_done()
-    }
 }
 
 impl Default for BlockRac<MatMulKernel> {

@@ -143,6 +143,14 @@ impl ReconfigurableSlot {
         self.configs.iter().position(|c| c.rac.name() == name)
     }
 
+    /// The full bitstream-load cost of configuration `index`, in
+    /// cycles: what an `rcfg` to it costs from any other configuration.
+    /// `None` for unknown indices.
+    #[must_use]
+    pub fn reconfig_cycles(&self, index: usize) -> Option<u64> {
+        self.configs.get(index).map(|c| c.reconfig_cycles)
+    }
+
     /// The cycles an `rcfg` to configuration `index` would cost *right
     /// now*: the full bitstream load for a different configuration, the
     /// one-cycle settle for a reload of the active one. `None` for
@@ -152,12 +160,8 @@ impl ReconfigurableSlot {
     /// jobs is worth delaying a pending swap.
     #[must_use]
     pub fn swap_cost(&self, index: usize) -> Option<u64> {
-        let config = self.configs.get(index)?;
-        Some(if index == self.active {
-            1
-        } else {
-            config.reconfig_cycles
-        })
+        let cycles = self.reconfig_cycles(index)?;
+        Some(if index == self.active { 1 } else { cycles })
     }
 
     /// Whether a bitstream load is still in progress.
@@ -390,6 +394,10 @@ mod tests {
         let _ = s.reconfigure(1);
         assert_eq!(s.swap_cost(1), Some(1), "now active");
         assert_eq!(s.swap_cost(0), Some(1_000));
+        // The full load cost does not depend on what is loaded.
+        assert_eq!(s.reconfig_cycles(1), Some(2_000));
+        assert_eq!(s.reconfig_cycles(0), Some(1_000));
+        assert_eq!(s.reconfig_cycles(2), None);
     }
 
     #[test]

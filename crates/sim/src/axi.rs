@@ -50,9 +50,11 @@ pub trait SystemBus {
     fn tick(&mut self);
 
     /// Current simulation time.
+    #[must_use]
     fn now(&self) -> Cycle;
 
     /// Samples a master port.
+    #[must_use]
     fn poll(&self, master: MasterId) -> PortState;
 
     /// Retires a finished transaction.
@@ -60,6 +62,7 @@ pub trait SystemBus {
 
     /// The finished transaction [`SystemBus::take_completion`] would
     /// retire next, left in place.
+    #[must_use]
     fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>>;
 
     /// Un-timed read for test setup / inspection.
@@ -79,6 +82,7 @@ pub trait SystemBus {
     fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError>;
 
     /// Aggregate statistics.
+    #[must_use]
     fn stats(&self) -> BusStats;
 
     /// The earliest future cycle (as a 1-based offset from now) at
@@ -89,6 +93,7 @@ pub trait SystemBus {
     /// `Some(k)` = "ticks `1..k` are pure, tick `k` is the event";
     /// `None` = quiescent (no master is requesting). See the
     /// [`event`](crate::event) module for the whole contract.
+    #[must_use]
     fn horizon(&self) -> Option<Cycle>;
 
     /// The [`SystemBus::horizon`] the bus would have right after
@@ -99,6 +104,7 @@ pub trait SystemBus {
     /// reject the burst (a completion waiting on `master`'s port aside).
     /// The default declines every request, which keeps each issue a
     /// stepped event.
+    #[must_use]
     fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
         let _ = (master, shape);
         None

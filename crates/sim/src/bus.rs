@@ -839,24 +839,6 @@ impl Bus {
         self.config
     }
 
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Registers a master; the returned id is also its fixed priority
-    /// (lower = higher priority).
-    pub fn register_master(&mut self, name: &str) -> MasterId {
-        self.masters.push(MasterPort {
-            name: name.to_string(),
-            outstanding: None,
-            completion: None,
-            stats: MasterStats::default(),
-        });
-        MasterId(self.masters.len() - 1)
-    }
-
     /// Number of registered masters.
     #[must_use]
     pub fn num_masters(&self) -> usize {
@@ -893,27 +875,6 @@ impl Bus {
         self.slaves.add(base, Box::new(device));
     }
 
-    /// Direct, un-timed access to a mapped slave for test setup and
-    /// result inspection (does not consume bus cycles).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
-    /// slave's fault.
-    pub fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        self.slaves.debug_read(addr)
-    }
-
-    /// Direct, un-timed write to a mapped slave (test setup only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Unaligned`], [`BusError::Unmapped`] or the
-    /// slave's fault.
-    pub fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        self.slaves.debug_write(addr, value)
-    }
-
     /// Un-timed read of `count` consecutive words from `addr`, appended
     /// to `out`: one [`Bus::debug_read`] per word, with each slave's
     /// share of the range copied in one [`BusSlave::read_words`] call.
@@ -947,74 +908,6 @@ impl Bus {
         self.slaves.debug_write_words(addr, data)
     }
 
-    /// Raises a bus request for `master`.
-    ///
-    /// Validation (alignment, mapping, boundary) happens immediately;
-    /// timing starts at the next [`Bus::tick`].
-    ///
-    /// # Errors
-    ///
-    /// See [`BusError`]. On `Err` nothing is queued.
-    pub fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
-        let port = self.masters.get(master.0).ok_or(BusError::UnknownMaster)?;
-        let busy = port.outstanding.is_some() || port.completion.is_some();
-        let slave_idx = self.slaves.validate(&req, busy)?;
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.now,
-                "bus",
-                format!(
-                    "{} requests {} of {} beats at {:#010x}",
-                    self.masters[master.0].name, req.shape.kind, req.shape.beats, req.shape.addr
-                ),
-            );
-        }
-        self.masters[master.0].outstanding = Some(Txn::new(req, slave_idx, self.now));
-        Ok(())
-    }
-
-    /// Samples a master port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `master` was not registered on this bus.
-    #[must_use]
-    pub fn poll(&self, master: MasterId) -> PortState {
-        let port = &self.masters[master.0];
-        if port.completion.is_some() {
-            PortState::Complete
-        } else if port.outstanding.is_some() {
-            PortState::Pending
-        } else {
-            PortState::Idle
-        }
-    }
-
-    /// Retires a finished transaction, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a [`BusError::Fault`] recorded when a slave faulted
-    /// mid-burst.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `master` was not registered on this bus.
-    pub fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>> {
-        self.masters[master.0].completion.take()
-    }
-
-    /// The finished transaction [`Bus::take_completion`] would retire,
-    /// left in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `master` was not registered on this bus.
-    #[must_use]
-    pub fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
-        self.masters[master.0].completion.as_ref()
-    }
-
     /// Charges `cycles` contention cycles to every requesting master
     /// other than `owner`.
     ///
@@ -1038,11 +931,6 @@ impl Bus {
     /// beats left (AHB INCR16 splitting).
     fn sub_burst_beats(&self, remaining: u16) -> u16 {
         remaining.min(self.config.max_burst_beats)
-    }
-
-    /// Advances the bus by one clock cycle.
-    pub fn tick(&mut self) {
-        self.run(1);
     }
 
     /// Runs `n` clock cycles, leaving the bus exactly as `n` calls to
@@ -1090,12 +978,14 @@ impl Bus {
     /// sub-burst still to start), beats and completed transactions are
     /// charged in closed form, the cycles as [`Bus::horizon`] reads the
     /// completion. Nobody else requests, so nobody is charged
-    /// contention. With the trace on, every grant, sub-burst boundary
-    /// and the completion are recorded on the cycles stepping would
-    /// record them. Returns the cycles run, or `None` (and runs
-    /// nothing) when the bus is contended, the slave may fault or the
-    /// transaction does not complete within `n`.
+    /// contention. Returns the cycles run, or `None` (and runs nothing)
+    /// when the trace is on (the stepping loop records every grant,
+    /// sub-burst boundary and completion), the bus is contended, the
+    /// slave may fault or the transaction does not complete within `n`.
     fn finish_alone(&mut self, n: u64) -> Option<u64> {
+        if self.trace.is_enabled() {
+            return None;
+        }
         let mut requesting =
             (0..self.masters.len()).filter(|&i| self.masters[i].outstanding.is_some());
         let owner = requesting.next()?;
@@ -1116,11 +1006,8 @@ impl Bus {
         if cycles > n {
             return None;
         }
-        let (head, in_flight) = self.in_flight().map_or((0, 0), |f| (f.cycles(), f.beats));
+        let in_flight = self.in_flight().map_or(0, |f| f.beats);
         let left = u64::from(txn.remaining() - in_flight);
-        if self.trace.is_enabled() {
-            self.trace_sub_bursts(owner, head, left, timing);
-        }
         let port = &mut self.masters[owner];
         let mut txn = port.outstanding.take().expect("requesting");
         let (moved, _) = txn.move_beats(&mut self.slaves, txn.remaining());
@@ -1131,45 +1018,6 @@ impl Bus {
         self.elapse_busy(cycles);
         self.complete(owner, txn);
         Some(cycles)
-    }
-
-    /// Records the trace entries of the rest of `owner`'s transaction
-    /// but its completion: the boundary ending the sub-burst in flight,
-    /// `head` cycles from now (none when nothing is in flight), then the
-    /// grant and, but for the last, the boundary of each sub-burst that
-    /// moves the `left` beats after it.
-    fn trace_sub_bursts(&mut self, owner: usize, head: u64, mut left: u64, timing: SlaveTiming) {
-        let max = u64::from(self.config.max_burst_beats);
-        let mut at = self.now + Cycle::new(head);
-        if head > 0 && left > 0 {
-            self.trace_boundary(at, owner);
-        }
-        while left > 0 {
-            self.trace_grant(at + Cycle::new(1), owner);
-            let beats = left.min(max);
-            at += Cycle::new(timing.sub_burst_cycles(beats));
-            left -= beats;
-            if left > 0 {
-                self.trace_boundary(at, owner);
-            }
-        }
-    }
-
-    /// Records the grant of the bus to `owner` on cycle `at`.
-    fn trace_grant(&mut self, at: Cycle, owner: usize) {
-        if self.trace.is_enabled() {
-            let msg = format!("grant to {}", self.masters[owner].name);
-            self.trace.record(at, "bus", msg);
-        }
-    }
-
-    /// Records the end of one of `owner`'s sub-bursts on cycle `at`,
-    /// its transaction still queued.
-    fn trace_boundary(&mut self, at: Cycle, owner: usize) {
-        if self.trace.is_enabled() {
-            let msg = format!("{} sub-burst boundary", self.masters[owner].name);
-            self.trace.record(at, "bus", msg);
-        }
     }
 
     /// Retires `owner`'s transaction `txn`, whose last beat moved on the
@@ -1198,7 +1046,10 @@ impl Bus {
         self.elapse_busy(1);
         self.masters[winner].stats.grants += 1;
         self.last_grantee = winner;
-        self.trace_grant(self.now, winner);
+        if self.trace.is_enabled() {
+            let msg = format!("grant to {}", self.masters[winner].name);
+            self.trace.record(self.now, "bus", msg);
+        }
         self.active = Some(ActiveGrant {
             master: winner,
             phase: Phase::Granted,
@@ -1292,8 +1143,9 @@ impl Bus {
         } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
             self.complete(owner, txn);
-        } else {
-            self.trace_boundary(self.now, owner);
+        } else if self.trace.is_enabled() {
+            let msg = format!("{} sub-burst boundary", port.name);
+            self.trace.record(self.now, "bus", msg);
         }
         ran
     }
@@ -1334,23 +1186,6 @@ impl Bus {
             assert!(fuel > 0, "bus transaction did not complete");
         }
         self.take_completion(master).expect("completion present")
-    }
-
-    /// Aggregate statistics: the grants, beats and contention cycles
-    /// are the sums of the per-master ones.
-    #[must_use]
-    pub fn stats(&self) -> BusStats {
-        let mut stats = BusStats {
-            cycles: self.now.count(),
-            busy_cycles: self.busy_cycles,
-            ..BusStats::default()
-        };
-        for p in &self.masters {
-            stats.grants += p.stats.grants;
-            stats.beats += p.stats.beats;
-            stats.contention_cycles += p.stats.contention_cycles;
-        }
-        stats
     }
 }
 
@@ -1442,46 +1277,6 @@ impl Bus {
         })
     }
 
-    /// The fast-forward horizon (see [`SystemBus::horizon`] for the
-    /// contract): the tick of the next transaction completion, or of
-    /// the next beat on a slave that is not [`BusSlave::fault_free`] if
-    /// that comes first, so a fault lands on its exact cycle. `None`
-    /// when no master is requesting: idle ticks only advance `now`.
-    ///
-    /// Until then the requesting set cannot change: a master begins or
-    /// retires a transaction only in its own tick, which its own horizon
-    /// already counts as an event. So the window's timing is fixed by
-    /// the protocol: the rest of the current sub-burst, then the
-    /// rotation of grants, each sub-burst taking a grant cycle,
-    /// an address cycle and `beat_offset` data cycles. O(masters), no
-    /// allocation.
-    #[must_use]
-    pub fn horizon(&self) -> Option<Cycle> {
-        self.next_event(None)
-    }
-
-    /// The horizon the bus would have if `master` issued a request of
-    /// `shape` now, before this cycle's tick: [`Bus::horizon`] right
-    /// after [`Bus::try_begin`], worked out in closed form (no clone,
-    /// O(masters)). `None` when the burst fails the checks `try_begin`
-    /// makes of it (see [`BusError`]; a write's payload length is the
-    /// one check that needs the payload). A completion still waiting on
-    /// `master`'s port is ignored: it does not move the timing, and a
-    /// master picks its last burst up before it issues the next one.
-    ///
-    /// On an idle bus the answer does not depend on `now`, so an issue
-    /// `k` idle ticks ahead completes `k` ticks later.
-    #[must_use]
-    pub fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
-        let port = self.masters.get(master.0)?;
-        let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
-        self.next_event(Some(Issuer {
-            master: master.0,
-            beats: shape.beats,
-            slave_idx,
-        }))
-    }
-
     /// The sub-burst that holds the bus, if any: see [`InFlight`].
     fn in_flight(&self) -> Option<InFlight> {
         let ActiveGrant { master, phase } = self.active?;
@@ -1568,67 +1363,131 @@ impl Bus {
         }
         Some(Cycle::new(cycles))
     }
-
-    /// Replays `cycles` ticks (see [`SystemBus::advance`]): grants,
-    /// address phases, wait states, beats and sub-burst releases, with
-    /// every statistic, contention charge and trace entry on the cycle
-    /// `tick` would put it.
-    pub fn advance(&mut self, cycles: Cycle) {
-        self.run(cycles.count());
-    }
 }
 
 impl SystemBus for Bus {
+    /// The returned id is also the master's fixed priority (lower =
+    /// higher priority).
     fn register_master(&mut self, name: &str) -> MasterId {
-        Bus::register_master(self, name)
+        self.masters.push(MasterPort {
+            name: name.to_string(),
+            outstanding: None,
+            completion: None,
+            stats: MasterStats::default(),
+        });
+        MasterId(self.masters.len() - 1)
     }
 
     fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn BusSlave>) {
         self.slaves.add(base, device);
     }
 
+    /// Validation (alignment, mapping, boundary) happens immediately;
+    /// timing starts at the next tick. On `Err` nothing is queued.
     fn try_begin(&mut self, master: MasterId, req: TxnRequest) -> Result<(), BusError> {
-        Bus::try_begin(self, master, req)
+        let port = self.masters.get(master.0).ok_or(BusError::UnknownMaster)?;
+        let busy = port.outstanding.is_some() || port.completion.is_some();
+        let slave_idx = self.slaves.validate(&req, busy)?;
+        if self.trace.is_enabled() {
+            self.trace.record(
+                self.now,
+                "bus",
+                format!(
+                    "{} requests {} of {} beats at {:#010x}",
+                    self.masters[master.0].name, req.shape.kind, req.shape.beats, req.shape.addr
+                ),
+            );
+        }
+        self.masters[master.0].outstanding = Some(Txn::new(req, slave_idx, self.now));
+        Ok(())
     }
 
     fn tick(&mut self) {
-        Bus::tick(self);
+        self.run(1);
     }
 
     fn now(&self) -> Cycle {
-        Bus::now(self)
+        self.now
     }
 
+    // Panics on a master not registered on this bus, as do
+    // `take_completion` and `peek_completion`.
     fn poll(&self, master: MasterId) -> PortState {
-        Bus::poll(self, master)
+        let port = &self.masters[master.0];
+        if port.completion.is_some() {
+            PortState::Complete
+        } else if port.outstanding.is_some() {
+            PortState::Pending
+        } else {
+            PortState::Idle
+        }
     }
 
+    /// A slave that faulted mid-burst is reported as
+    /// [`BusError::Fault`].
     fn take_completion(&mut self, master: MasterId) -> Option<Result<Completion, BusError>> {
-        Bus::take_completion(self, master)
+        self.masters[master.0].completion.take()
     }
 
     fn peek_completion(&self, master: MasterId) -> Option<&Result<Completion, BusError>> {
-        Bus::peek_completion(self, master)
+        self.masters[master.0].completion.as_ref()
     }
 
     fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
-        Bus::debug_read(self, addr)
+        self.slaves.debug_read(addr)
     }
 
     fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
-        Bus::debug_write(self, addr, value)
+        self.slaves.debug_write(addr, value)
     }
 
+    /// The grants, beats and contention cycles are the sums of the
+    /// per-master ones.
     fn stats(&self) -> BusStats {
-        Bus::stats(self)
+        let mut stats = BusStats {
+            cycles: self.now.count(),
+            busy_cycles: self.busy_cycles,
+            ..BusStats::default()
+        };
+        for p in &self.masters {
+            stats.grants += p.stats.grants;
+            stats.beats += p.stats.beats;
+            stats.contention_cycles += p.stats.contention_cycles;
+        }
+        stats
     }
 
+    /// The tick of the next transaction completion, or of the next beat
+    /// on a slave that is not [`BusSlave::fault_free`] if that comes
+    /// first, so a fault lands on its exact cycle.
+    ///
+    /// Until then the requesting set cannot change: a master begins or
+    /// retires a transaction only in its own tick, which its own horizon
+    /// already counts as an event. So the window's timing is fixed by
+    /// the protocol: the rest of the current sub-burst, then the
+    /// rotation of grants, each sub-burst taking a grant cycle,
+    /// an address cycle and `beat_offset` data cycles. O(masters), no
+    /// allocation.
     fn horizon(&self) -> Option<Cycle> {
-        Bus::horizon(self)
+        self.next_event(None)
     }
 
+    /// Worked out in closed form (no clone, O(masters)). A write's
+    /// payload length is the one `try_begin` check that needs the
+    /// payload, so the shape cannot make it. A completion still waiting
+    /// on `master`'s port does not move the timing, and a master picks
+    /// its last burst up before it issues the next one.
+    ///
+    /// On an idle bus the answer does not depend on `now`, so an issue
+    /// `k` idle ticks ahead completes `k` ticks later.
     fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
-        Bus::horizon_with(self, master, shape)
+        let port = self.masters.get(master.0)?;
+        let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
+        self.next_event(Some(Issuer {
+            master: master.0,
+            beats: shape.beats,
+            slave_idx,
+        }))
     }
 
     fn never_faults(&self, shape: TxnShape) -> bool {
@@ -1637,8 +1496,11 @@ impl SystemBus for Bus {
             .is_ok_and(|i| self.slaves.timing(i).fault_free)
     }
 
+    /// Grants, address phases, wait states, beats and sub-burst
+    /// releases, with every statistic, contention charge and trace entry
+    /// on the cycle `tick` would put it.
     fn advance(&mut self, cycles: Cycle) {
-        Bus::advance(self, cycles);
+        self.run(cycles.count());
     }
 }
 

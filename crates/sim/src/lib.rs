@@ -36,6 +36,7 @@
 //! ```
 //! use ouessant_sim::bus::{Bus, BusConfig, TxnRequest};
 //! use ouessant_sim::memory::{Sram, SramConfig};
+//! use ouessant_sim::SystemBus;
 //!
 //! let mut bus = Bus::new(BusConfig::default());
 //! let master = bus.register_master("cpu");

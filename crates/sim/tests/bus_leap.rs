@@ -11,8 +11,9 @@
 //! [`BusStats`] and every master's [`MasterStats`]; at the end, the
 //! memory contents must match too. Every scenario runs twice: with the
 //! [`Trace`] on, where the traces (every request, grant, sub-burst
-//! boundary, completion and fault, with its cycle) must match as well,
-//! and with it off, which takes the closed form's untraced path.
+//! boundary, completion and fault, with its cycle) must match as well
+//! and the leaps step every cycle in bulk, and with it off, which is
+//! where the closed form runs.
 //!
 //! Every issue of either twin also checks the issue what-if against the
 //! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
@@ -25,7 +26,7 @@ use ouessant_sim::bus::{
     PortState, SlaveFault, TxnRequest,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{Cycle, Trace, TraceEvent, XorShift64};
+use ouessant_sim::{Cycle, SystemBus, Trace, TraceEvent, XorShift64};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;
@@ -530,12 +531,12 @@ fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
     assert_eq!(first.bus.beats, 5);
 }
 
-/// A lone master's back-to-back bursts: the leaping-through twin runs
-/// each transaction that fits its leap in one closed-form step, over
-/// every sub-burst length and wait-state configuration, and keeps
-/// stepping the beats on the faulting slave. Grants, beats, busy cycles,
-/// completions, memory and (traced) every grant and sub-burst boundary
-/// must match the ticked twin.
+/// A lone master's back-to-back bursts: the untraced leaping-through
+/// twin runs each transaction that fits its leap in one closed-form
+/// step, over every sub-burst length and wait-state configuration, and
+/// keeps stepping the beats on the faulting slave. Grants, beats, busy
+/// cycles, completions, memory and (traced) every grant and sub-burst
+/// boundary must match the ticked twin.
 #[test]
 fn a_lone_master_s_back_to_back_bursts_match_ticking() {
     let (mut txns, mut multi, mut faulted, mut flaky) = (0, 0, 0, 0);

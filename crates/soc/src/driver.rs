@@ -215,25 +215,6 @@ impl OuessantDevice {
         if analysis.has_errors() {
             return Err(DriverError::RejectedMicrocode(analysis));
         }
-        self.load_microcode_raw(program)
-    }
-
-    /// Loads microcode without running the static analyzer.
-    ///
-    /// Only available behind the `unchecked-microcode` feature: the
-    /// fault-injection suites need to plant microcode the analyzer
-    /// would (correctly) reject and watch the hardware cope.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::BufferOverrun`] if the program exceeds the
-    /// buffer, or a propagated [`SocError`].
-    #[cfg(feature = "unchecked-microcode")]
-    pub fn load_microcode_unchecked(&mut self, program: &Program) -> Result<(), DriverError> {
-        self.load_microcode_raw(program)
-    }
-
-    fn load_microcode_raw(&mut self, program: &Program) -> Result<(), DriverError> {
         let words = program.to_words();
         self.check_len(words.len())?;
         self.soc.load_words(self.program_at, &words)?;
@@ -418,16 +399,6 @@ mod tests {
         let bad = assemble("mvtc BANK1,16256,DMA256,FIFO0\nexecs\neop").unwrap();
         let err = dev.load_microcode(&bad).unwrap_err();
         assert!(err.to_string().contains("bank-overflow"), "{err}");
-    }
-
-    #[cfg(feature = "unchecked-microcode")]
-    #[test]
-    fn unchecked_load_bypasses_the_analyzer() {
-        let mut dev = OuessantDevice::open(Box::new(PassthroughRac::new(0)), OsModel::Baremetal);
-        let bad = assemble("mvtc BANK1,16256,DMA256,FIFO0\nexecs\neop").unwrap();
-        assert!(dev.load_microcode(&bad).is_err());
-        dev.load_microcode_unchecked(&bad)
-            .expect("the bypass must load what the analyzer rejects");
     }
 
     #[test]

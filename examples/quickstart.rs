@@ -10,6 +10,7 @@ use ouessant_isa::{assemble, disassemble};
 use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_sim::bus::{Bus, BusConfig};
 use ouessant_sim::memory::{Sram, SramConfig};
+use ouessant_sim::SystemBus;
 
 const RAM: u32 = 0x4000_0000;
 const OCP: u32 = 0x8000_0000;

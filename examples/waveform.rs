@@ -14,7 +14,7 @@ use ouessant_rac::idct::IdctRac;
 use ouessant_sim::bus::{Bus, BusConfig};
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_sim::vcd::VcdWriter;
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, SystemBus};
 
 const RAM: u32 = 0x4000_0000;
 const OCP: u32 = 0x8000_0000;

@@ -151,10 +151,10 @@ fn oversized_burst_for_fifo_deadlock_is_detectable() {
 fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     // The driver's static gate and the runtime agree. A 256-word burst
     // from word offset 16256 overruns the 16384-word bank window: the
-    // analyzer rejects the load, and forcing the same program past the
-    // gate with the fault-injection bypass reproduces the exact
-    // failure it prevents — the DMA runs off the end of mapped SRAM
-    // and the controller faults.
+    // analyzer rejects the load, and running the same program on a
+    // `Soc` with the driver's memory map reproduces the exact failure
+    // it prevents — the DMA runs off the end of mapped SRAM and the
+    // controller faults.
     use ouessant_soc::{DriverError, OsModel, OuessantDevice};
     let config = SocConfig {
         // Exactly the driver's three 16384-word buffers, so the
@@ -173,10 +173,18 @@ fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     assert!(matches!(err, DriverError::RejectedMicrocode(_)), "{err:?}");
     assert!(err.to_string().contains("bank-overflow"), "{err}");
 
-    dev.load_microcode_unchecked(&program)
-        .expect("the bypass loads what the gate rejects");
-    match dev.submit_and_wait() {
-        Err(DriverError::Soc(SocError::Ocp(fault))) => {
+    // The driver's map: program at RAM, input at +0x4000, output at
+    // +0x2_0000.
+    let mut soc = Soc::new(Box::new(PassthroughRac::new(0)), config);
+    let ram = soc.config().ram_base;
+    soc.load_words(ram, &program.to_words()).unwrap();
+    soc.configure(
+        &[(0, ram), (1, ram + 0x4000), (2, ram + 0x2_0000)],
+        program.len() as u32,
+    )
+    .unwrap();
+    match soc.start_and_wait(100_000) {
+        Err(SocError::Ocp(fault)) => {
             assert!(matches!(fault, ExecError::Bus(_)), "{fault:?}");
         }
         other => panic!("expected the controller to fault, got {other:?}"),

@@ -9,7 +9,7 @@ use ouessant_rac::passthrough::{PassthroughRac, WideFunctionRac};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Bus, BusConfig, TxnRequest};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::WidthAdapter;
+use ouessant_sim::{SystemBus, WidthAdapter};
 
 const RAM: u32 = 0x4000_0000;
 const OCP: u32 = 0x8000_0000;
