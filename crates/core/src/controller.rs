@@ -163,8 +163,12 @@ pub enum ControllerState {
     RacWait,
     /// `wait` instruction counting down.
     WaitCycles {
-        /// Cycles remaining.
-        left: u16,
+        /// The bus cycle of the tick that retires it: the `Execute`
+        /// tick's cycle plus the instruction's count. A leap dispatches
+        /// only a run's issues, with the bus on the issue's cycle (see
+        /// [`BusWindow::leap`]), so a `wait` is always dispatched on a
+        /// tick whose bus cycle is its own.
+        until: u64,
     },
     /// `sync` instruction waiting for all FIFOs to drain.
     SyncWait,
@@ -197,45 +201,18 @@ impl ControllerState {
     }
 }
 
-/// Statistics the controller gathers per program run (the measurements
-/// behind the paper's §V-B transfer-efficiency analysis).
+/// The controller's cumulative progress counters. The OCP watchdog
+/// reads the first two as its progress signature, the debug register
+/// window publishes them, and [`Ocp::tick`](crate::Ocp::tick) sees a
+/// run complete on the tick `runs_completed` moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ControllerStats {
-    /// Cycles from observing the S bit to setting D (whole offload).
-    pub active_cycles: u64,
-    /// Cycles spent loading the program from memory.
-    pub program_load_cycles: u64,
-    /// Data words moved by mvtc/mvfc (excludes the program fetch).
-    pub words_transferred: u64,
-    /// Cycles during which a data transfer was in flight on the bus.
-    pub transfer_cycles: u64,
-    /// Cycles spent waiting for the RAC.
-    pub rac_wait_cycles: u64,
     /// Instructions retired.
     pub instructions_retired: u64,
+    /// Data words moved by mvtc/mvfc (excludes the program fetch).
+    pub words_transferred: u64,
     /// Completed program runs.
     pub runs_completed: u64,
-}
-
-impl ControllerStats {
-    /// Bus cycles per data word: `transfer_cycles / words_transferred`,
-    /// the cycles a data burst was in flight divided by the words it
-    /// moved (0 before any transfer).
-    ///
-    /// It excludes the fetch/decode/issue cycles of the transfer
-    /// instructions, any wait for FIFO space or occupancy, and the RAC
-    /// compute time. It is therefore not the end-to-end figure behind
-    /// the paper's §V-B "around 1.5 cycles per word": the ROADMAP item
-    /// on per-cycle attribution inside the OCP and bus records that the
-    /// Table I definition gives 1.41 cy/word while an end-to-end DMA64
-    /// offload costs 1.911 cy/word.
-    #[must_use]
-    pub fn cycles_per_word(&self) -> f64 {
-        if self.words_transferred == 0 {
-            return 0.0;
-        }
-        self.transfer_cycles as f64 / self.words_transferred as f64
-    }
 }
 
 /// The FSM's walk to its next `Execute` through ticks of its own (see
@@ -380,7 +357,7 @@ impl Controller {
     }
 
     /// Freezes the FSM mid-handshake without faulting it: the state
-    /// (and every countdown inside it) stops dead, exactly like a DMA
+    /// stops dead (a wedged `wait` never retires), exactly like a DMA
     /// or FIFO handshake whose partner never answers. Only the
     /// watchdog, an injected fault, or a host abort gets out. No-op
     /// unless the controller is active.
@@ -658,6 +635,12 @@ impl Controller {
     /// carry on. When the entry the walk reaches does not decode, its
     /// `Fetch` or `Decode` tick faults (`PcOverrun`, `BadInstruction`)
     /// and so single-steps, and only a pickup before it leaps.
+    ///
+    /// A `wait` answers the tick on its retire cycle, `RacWait` and
+    /// `ReconfigWait` the socket's. Every tick before the event either
+    /// walks or leaves the FSM where it stands, so a leap replays
+    /// nothing for the controller beyond its walk (see
+    /// [`Ocp::advance`](crate::Ocp::advance)).
     #[must_use]
     pub fn horizon(
         &self,
@@ -675,23 +658,25 @@ impl Controller {
         }
         match &self.state {
             ControllerState::Idle | ControllerState::Faulted(_) => None,
-            ControllerState::WaitCycles { left } => Some(Cycle::new(u64::from(*left).max(1))),
-            // Ticks in RacWait only bump `rac_wait_cycles`, and ticks in
-            // ReconfigWait do nothing, until the socket deasserts busy —
-            // at the end of the Table I compute latency or the bitstream
-            // load — so the socket's own horizon bounds the window. Once
-            // busy is low (a `wrac` after the RAC finished), the next
-            // tick retires. A busy socket that is quiescent (a RAC
-            // starved of input) never deasserts busy: the watchdog, or
-            // the embedding OCP's single-step safety net, bounds that.
+            // The tick on bus cycle `until` retires the `wait`.
+            ControllerState::WaitCycles { until } => {
+                Some(Cycle::new(until + 1 - bus.now().count()))
+            }
+            // Ticks in RacWait and ReconfigWait do nothing until the
+            // socket deasserts busy — at the end of the Table I compute
+            // latency or the bitstream load — so the socket's own
+            // horizon bounds the window. Once busy is low (a `wrac`
+            // after the RAC finished), the next tick retires. A busy
+            // socket that is quiescent (a RAC starved of input) never
+            // deasserts busy: the watchdog, or the embedding OCP's
+            // single-step safety net, bounds that.
             ControllerState::RacWait | ControllerState::ReconfigWait if !socket.busy() => {
                 Some(Cycle::new(1))
             }
             ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
-            // While the burst is in flight each tick only charges a
-            // transfer or program-load cycle, and the port cannot be
-            // seen to complete before the tick after the bus's next
-            // event.
+            // While the burst is in flight ticks do nothing, and the
+            // port cannot be seen to complete before the tick after the
+            // bus's next event.
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {
@@ -722,43 +707,24 @@ impl Controller {
             && matches!(self.dma.peek_completion(bus), Some(Ok(_)))
     }
 
-    /// Replays `cycles` countdown ticks inside a window bounded by
-    /// [`Controller::horizon`]: the per-state counters move exactly as
-    /// `cycles` real ticks would have moved them. Only the states a tick
-    /// leaves in place qualify: `WaitCycles`, `RacWait`, `ReconfigWait`,
-    /// `TransferBusWait` or `LoadProgram` with the burst still in
-    /// flight, `Idle`, `Faulted`, and any wedged state. The ticks that
-    /// move the FSM (its walk) are the controller's own, which the
-    /// embedding [`Ocp::advance`](crate::Ocp::advance) steps first.
-    pub fn advance(&mut self, cycles: Cycle) {
-        let n = cycles.count();
-        if self.is_active() {
-            self.stats.active_cycles += n;
-        }
-        if self.wedged {
-            // Frozen: mirror the wedged `step_fsm` early return — only
-            // the active counter moves.
-            return;
-        }
-        match &mut self.state {
-            // Idle / faulted ticks change nothing (a start cannot be
-            // pending, or the horizon was 1), and the slot counts the
-            // bitstream load down itself.
-            ControllerState::Idle | ControllerState::Faulted(_) | ControllerState::ReconfigWait => {
+    /// Whether the next `ticks` ticks leave the FSM where it stands, as
+    /// the ticks of a leap after the walk must: in `Idle`, `Faulted`,
+    /// `RacWait`, `ReconfigWait`, `TransferBusWait` or `LoadProgram`
+    /// with the burst still in flight, any wedged state, or `WaitCycles`
+    /// short of the tick that retires it.
+    pub(crate) fn holds_for(&self, ticks: u64, bus: &dyn SystemBus) -> bool {
+        self.wedged
+            || match self.state {
+                ControllerState::Idle
+                | ControllerState::Faulted(_)
+                | ControllerState::RacWait
+                | ControllerState::ReconfigWait => true,
+                ControllerState::WaitCycles { until } => bus.now().count() + ticks <= until,
+                ControllerState::TransferBusWait | ControllerState::LoadProgram => {
+                    self.dma.is_pending(bus)
+                }
+                _ => false,
             }
-            ControllerState::WaitCycles { left } => {
-                let n = u16::try_from(n).ok().filter(|&n| n < *left);
-                *left -= n.expect("advanced past the wait window");
-            }
-            // Waiting on `end_op`: each skipped tick would have charged
-            // one RAC-wait cycle.
-            ControllerState::RacWait => self.stats.rac_wait_cycles += n,
-            // Burst still in flight: likewise one transfer or
-            // program-load cycle per skipped tick.
-            ControllerState::TransferBusWait => self.stats.transfer_cycles += n,
-            ControllerState::LoadProgram => self.stats.program_load_cycles += n,
-            s => debug_assert!(n == 0, "advance in non-pure state {s:?}"),
-        }
     }
 
     /// Publishes the FSM state, pc, retired instructions and
@@ -801,13 +767,9 @@ impl Controller {
         socket: &mut RacSocket,
         irq: &IrqLine,
     ) {
-        if self.is_active() {
-            self.stats.active_cycles += 1;
-        }
         if self.wedged {
-            // Frozen handshake: the state (and any countdown inside
-            // it) holds; per-state statistics do not accrue because no
-            // work is happening.
+            // Frozen handshake: the state holds. A wedge ends only in a
+            // fault or a reset, so a wedged `wait` never resumes.
             return;
         }
         match std::mem::replace(&mut self.state, ControllerState::Idle) {
@@ -821,7 +783,6 @@ impl Controller {
                             return;
                         }
                     };
-                    self.stats.active_cycles += 1; // count the start cycle
                     self.control = ControlState::default();
                     if self.preloaded {
                         // Standalone mode (§VI): the microcode sits in an
@@ -881,19 +842,18 @@ impl Controller {
                 let t = self.current_transfer().expect("transfer in progress");
                 self.try_issue_transfer(t, bus, regs, socket);
             }
-            ControllerState::RacWait => {
-                self.stats.rac_wait_cycles += 1;
+            state @ (ControllerState::RacWait | ControllerState::ReconfigWait) => {
                 if socket.busy() {
-                    self.state = ControllerState::RacWait;
+                    self.state = state;
                 } else {
                     self.retire();
                 }
             }
-            ControllerState::WaitCycles { left } => {
-                if left > 1 {
-                    self.state = ControllerState::WaitCycles { left: left - 1 };
-                } else {
+            ControllerState::WaitCycles { until } => {
+                if bus.now().count() >= until {
                     self.retire();
+                } else {
+                    self.state = ControllerState::WaitCycles { until };
                 }
             }
             ControllerState::SyncWait => {
@@ -903,13 +863,6 @@ impl Controller {
                     self.state = ControllerState::SyncWait;
                 }
             }
-            ControllerState::ReconfigWait => {
-                if socket.busy() {
-                    self.state = ControllerState::ReconfigWait;
-                } else {
-                    self.retire();
-                }
-            }
             ControllerState::Faulted(e) => {
                 self.state = ControllerState::Faulted(e);
             }
@@ -917,10 +870,9 @@ impl Controller {
     }
 
     /// One `LoadProgram` or `TransferBusWait` tick (`state` is the
-    /// state the tick started in): charges the load or transfer cycle
-    /// and, once the port has completed, picks the burst up — the
-    /// program is predecoded, or a read's payload lands in its input
-    /// FIFO and the transfer retires.
+    /// state the tick started in): once the port has completed, it picks
+    /// the burst up — the program is predecoded, or a read's payload
+    /// lands in its input FIFO and the transfer retires.
     fn await_burst(
         &mut self,
         state: ControllerState,
@@ -928,11 +880,6 @@ impl Controller {
         socket: &mut RacSocket,
     ) {
         let loading = state == ControllerState::LoadProgram;
-        if loading {
-            self.stats.program_load_cycles += 1;
-        } else {
-            self.stats.transfer_cycles += 1;
-        }
         match self.dma.take_completion(bus) {
             None => self.state = state,
             Some(Err(e)) => self.set_fault(e.into()),
@@ -1007,7 +954,9 @@ impl Controller {
                 if cycles == 0 {
                     self.retire();
                 } else {
-                    self.state = ControllerState::WaitCycles { left: cycles };
+                    self.state = ControllerState::WaitCycles {
+                        until: bus.now().count() + u64::from(cycles),
+                    };
                 }
             }
             Instruction::Sync => {
@@ -1101,7 +1050,7 @@ mod tests {
             ControllerState::TransferFifoWait,
             ControllerState::TransferBusWait,
             ControllerState::RacWait,
-            ControllerState::WaitCycles { left: 1 },
+            ControllerState::WaitCycles { until: 1 },
             ControllerState::SyncWait,
             ControllerState::ReconfigWait,
             ControllerState::Faulted(ExecError::PcOverrun { pc: 0 }),

@@ -471,9 +471,10 @@ impl Ocp {
     /// controller's walk says the next tick moves its FSM (the pickup of
     /// a burst that completed without error, `Fetch`, `Decode`, and a
     /// run's issue in `Execute`), the controller steps that tick itself
-    /// and the watchdog applies its per-tick rule. The ticks left
-    /// are countdowns, replayed in bulk by [`Controller::advance`] and
-    /// the watchdog, and the debug register window is refreshed once.
+    /// and the watchdog applies its per-tick rule. The ticks left leave
+    /// the controller where it stands (a `wait` counts to its retire
+    /// cycle, a burst stays in flight), so only the watchdog counts
+    /// them down, and the debug register window is refreshed once.
     /// Completion needs no replay — `eop` is never inside a window. A
     /// pickup retires the port's completion on `bus` and an issue
     /// begins a burst there: call it inside [`BusWindow::leap`], which
@@ -497,9 +498,13 @@ impl Ocp {
             self.watch();
             rest -= 1;
         }
-        self.controller.advance(Cycle::new(rest));
+        debug_assert!(
+            rest == 0 || self.controller.holds_for(rest, bus),
+            "advanced {rest} ticks past the walk in {:?}",
+            self.controller.state()
+        );
         self.controller.publish_debug(&self.regs);
-        // Countdown ticks make no progress. The horizon keeps the bite
+        // The ticks left make no progress. The horizon keeps the bite
         // itself on a stepped tick.
         if let Some(wd) = &mut self.watchdog {
             if self.controller.is_active() {
@@ -848,13 +853,83 @@ mod tests {
         let wait_prog = assemble("wait 100\neop").unwrap();
         fx.load_program(&wait_prog);
         let wait_cycles = fx.run(10_000);
-        // wait adds its 100 cycles plus one fetch/decode pair (+1 for
-        // the extra program word in the load burst).
-        let delta = wait_cycles - base_cycles;
-        assert!(
-            (100..=110).contains(&delta),
-            "wait 100 added {delta} cycles"
-        );
+        // `wait 100` adds its own `Fetch`, `Decode` and `Execute`, the
+        // 100 ticks to the one that retires it, and the load burst's
+        // extra beat for its program word.
+        assert_eq!(wait_cycles - base_cycles, 3 + 100 + 1);
+    }
+
+    /// `wait n` leapt against `wait n` stepped, from its `Execute`
+    /// tick, with leap limits that end inside the wait: the twins
+    /// observe the same after every leap and tick, and both retire the
+    /// `wait` on tick `n + 1` (`wait 0` retires in its `Execute`).
+    #[test]
+    fn wait_leaps_retire_on_the_stepped_cycle() {
+        use ControllerState::WaitCycles;
+        let limits = [1, 2, 5, 31, 1_000, 0, 7];
+        for n in [0u16, 1, 2, 3, 100, 16_383] {
+            let (slow, fast) = start_wait(n);
+            let mut limit = limits.iter().copied().cycle();
+            let (cycle, fault, leaps) =
+                leap_pair_with(slow, fast, u64::from(n) + 10, || limit.next().unwrap_or(0));
+            assert_eq!(fault, None, "wait {n}");
+            // No leap retires the `wait`: both twins step its retire
+            // tick, and observe the same after it.
+            let in_wait = leaps
+                .iter()
+                .filter(|(from, _, _)| matches!(from, WaitCycles { .. }));
+            for leap in in_wait.clone() {
+                assert!(matches!(leap.2, WaitCycles { .. }), "wait {n}: {leap:?}");
+            }
+            assert_eq!(in_wait.count() > 0, n > 1, "wait {n}: {leaps:?}");
+            // That tick is `n + 1`, then come the `eop`'s `Fetch`,
+            // `Decode` and `Execute`.
+            let retire = if n == 0 { 1 } else { u64::from(n) + 1 };
+            assert_eq!(cycle, retire + 3, "wait {n}");
+        }
+    }
+
+    /// A wedge injected mid-`wait` freezes it for good: with the
+    /// watchdog armed at the wedge, both twins bite on the same tick,
+    /// `budget` ticks later, even when the `wait` would have retired
+    /// first.
+    #[test]
+    fn a_wedged_wait_never_retires_and_bites_on_the_stepped_cycle() {
+        for (into, budget) in [(1, 30), (40, 30), (40, 200), (99, 2)] {
+            let (mut slow, mut fast) = start_wait(100);
+            for _ in 0..into {
+                slow.step();
+                fast.step();
+            }
+            assert!(matches!(
+                fast.ocp.controller().state(),
+                ControllerState::WaitCycles { .. }
+            ));
+            for fx in [&mut slow, &mut fast] {
+                fx.ocp.inject_wedge();
+                fx.ocp.arm_watchdog(budget);
+            }
+            let (cycle, fault, _) = leap_pair(slow, fast, 1_000);
+            assert_eq!(
+                (cycle, fault),
+                (budget, Some(ExecError::Hang { budget })),
+                "wedged {into} ticks into the wait, budget {budget}"
+            );
+        }
+    }
+
+    /// Twin fixtures running `wait n` then `eop`, single-stepped to the
+    /// `wait`'s `Execute` tick.
+    fn start_wait(n: u16) -> (Fixture, Fixture) {
+        let source = format!("wait {n}\neop");
+        start_pair(
+            || {
+                let mut fx = fixture(Box::new(PassthroughRac::new(0)));
+                fx.load_program(&assemble(&source).unwrap());
+                fx
+            },
+            |fx| *fx.ocp.controller().state() == ControllerState::Execute,
+        )
     }
 
     #[test]
@@ -988,15 +1063,25 @@ mod tests {
     /// Returns the cycle the run ended on (done or faulted, counted
     /// from the call), the fault, and the leaps taken.
     fn leap_pair<B: SystemBus>(
+        slow: Fixture<B>,
+        fast: Fixture<B>,
+        max: u64,
+    ) -> (u64, Option<ExecError>, Vec<Leap>) {
+        leap_pair_with(slow, fast, max, || u64::MAX)
+    }
+
+    /// [`leap_pair`], with each leap at most `limit()` ticks long.
+    fn leap_pair_with<B: SystemBus>(
         mut slow: Fixture<B>,
         mut fast: Fixture<B>,
         max: u64,
+        mut limit: impl FnMut() -> u64,
     ) -> (u64, Option<ExecError>, Vec<Leap>) {
         let (mut cycle, mut leaps) = (0, Vec::new());
         while cycle < max {
             let from = fast.ocp.controller().state().clone();
             let pc = fast.ocp.controller().pc();
-            let skip = fast.ocp.leap(&mut fast.bus, max - cycle - 1);
+            let skip = fast.ocp.leap(&mut fast.bus, limit().min(max - cycle - 1));
             if skip > 0 {
                 for _ in 0..skip {
                     slow.step();

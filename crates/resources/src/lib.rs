@@ -22,6 +22,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Narrowing casts must be proven in range (`try_from`, or a local
+// allow that says why); test code is exempt.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod device;
 pub mod estimate;

@@ -48,6 +48,9 @@ impl TimingReport {
 
     /// The maximum clock frequency implied by the critical path.
     #[must_use]
+    // The period is at least `CLOCK_OVERHEAD_NS`, so the quotient is
+    // finite, positive and far below `u64::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn fmax(&self) -> Frequency {
         let (_, depth) = self.critical_path();
         let period_ns = f64::from(depth) * NS_PER_LEVEL + CLOCK_OVERHEAD_NS;

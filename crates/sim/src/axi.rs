@@ -305,7 +305,7 @@ impl SystemBus for AxiBus {
     }
 
     fn tick(&mut self) {
-        self.now = self.now.next();
+        self.now += Cycle::new(1);
         let setup = self.config.channel_setup_cycles;
         for channel in [&mut self.read, &mut self.write] {
             channel.tick(self.now, setup, &mut self.slaves, &mut self.completions);

@@ -444,8 +444,6 @@ pub struct MasterStats {
     pub grants: u64,
     /// Data beats completed on this master's behalf.
     pub beats: u64,
-    /// Transactions retired without fault.
-    pub txns_completed: u64,
     /// Cycles spent requesting while another master held the bus, as
     /// counted by [`BusStats::contention_cycles`] (wait-state cycles of
     /// the owner charge nothing).
@@ -1037,7 +1035,6 @@ impl Bus {
             );
         }
         port.completion = Some(Ok(completion));
-        port.stats.txns_completed += 1;
     }
 
     /// The arbitration cycle that grants the bus to `winner`. Returns
@@ -1785,8 +1782,6 @@ mod tests {
         let o = bus.master_stats(ocp);
         assert_eq!(c.beats, 32);
         assert_eq!(o.beats, 8);
-        assert_eq!(c.txns_completed, 1);
-        assert_eq!(o.txns_completed, 1);
         assert_eq!(c.grants, 2); // 32 beats = 2 sub-bursts
         assert_eq!(o.grants, 1);
         // Fixed priority: the OCP waited while the CPU held the bus.

@@ -37,12 +37,6 @@ impl Cycle {
         self.0
     }
 
-    /// Advances by one cycle.
-    #[must_use]
-    pub fn next(self) -> Self {
-        Self(self.0 + 1)
-    }
-
     /// Saturating subtraction.
     #[must_use]
     pub fn saturating_sub(self, rhs: Self) -> Self {
@@ -154,14 +148,6 @@ impl Frequency {
         let nanos = (u128::from(cycles.count()) * 1_000_000_000) / u128::from(self.hz);
         std::time::Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
-
-    /// Number of cycles elapsed in `duration` at this frequency
-    /// (rounded down, saturating at `u64::MAX`).
-    #[must_use]
-    pub fn cycles_in(self, duration: std::time::Duration) -> Cycle {
-        let cycles = duration.as_nanos() * u128::from(self.hz) / 1_000_000_000;
-        Cycle::new(u64::try_from(cycles).unwrap_or(u64::MAX))
-    }
 }
 
 impl Default for Frequency {
@@ -192,7 +178,6 @@ mod tests {
         let b = Cycle::new(3);
         assert_eq!((a + b).count(), 13);
         assert_eq!((a - b).count(), 7);
-        assert_eq!(a.next().count(), 11);
         let mut c = a;
         c += b;
         assert_eq!(c.count(), 13);
@@ -216,12 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_conversion_round_trip() {
+    fn duration_conversion() {
         let clk = Frequency::mhz(50);
         let c = Cycle::new(600_000); // the paper's software DFT
-        let d = clk.duration_of(c);
-        assert_eq!(d.as_millis(), 12);
-        assert_eq!(clk.cycles_in(d), c);
+        assert_eq!(clk.duration_of(c).as_millis(), 12);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! 96-bit result back into three words.
 //!
 //! [`SyncFifo`] is the plain same-width queue with `full`/`empty`
-//! semantics and occupancy statistics; [`WidthAdapter`] adds the width
-//! conversion on top of a bit-granular buffer.
+//! semantics; [`WidthAdapter`] adds the width conversion on top of a
+//! bit-granular buffer.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -64,22 +64,6 @@ pub struct SyncFifo<T> {
     name: String,
     capacity: usize,
     items: VecDeque<T>,
-    stats: FifoStats,
-}
-
-/// Occupancy statistics of a FIFO, for sizing studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FifoStats {
-    /// Total pushes accepted.
-    pub pushes: u64,
-    /// Total pops served.
-    pub pops: u64,
-    /// High-water mark of occupancy.
-    pub max_occupancy: usize,
-    /// Pushes rejected because the FIFO was full.
-    pub overflows: u64,
-    /// Pops rejected because the FIFO was empty.
-    pub underflows: u64,
 }
 
 impl<T> SyncFifo<T> {
@@ -95,7 +79,6 @@ impl<T> SyncFifo<T> {
             name: name.to_string(),
             capacity,
             items: VecDeque::with_capacity(capacity),
-            stats: FifoStats::default(),
         }
     }
 
@@ -140,15 +123,12 @@ impl<T> SyncFifo<T> {
     /// # Errors
     ///
     /// [`FifoError::Overflow`] if the FIFO is full; the item is dropped
-    /// (as it would be on a mis-driven `wr_en`) and the overflow is
-    /// counted in [`FifoStats`].
+    /// (as it would be on a mis-driven `wr_en`).
     pub fn push(&mut self, item: T) -> Result<(), FifoError> {
         if self.is_full() {
-            self.stats.overflows += 1;
             return Err(FifoError::Overflow);
         }
         self.items.push_back(item);
-        self.note_pushes(1);
         Ok(())
     }
 
@@ -158,64 +138,51 @@ impl<T> SyncFifo<T> {
     ///
     /// [`FifoError::Underflow`] if the FIFO is empty.
     pub fn pop(&mut self) -> Result<T, FifoError> {
-        match self.items.pop_front() {
-            Some(item) => {
-                self.stats.pops += 1;
-                Ok(item)
-            }
-            None => {
-                self.stats.underflows += 1;
-                Err(FifoError::Underflow)
-            }
-        }
+        self.items.pop_front().ok_or(FifoError::Underflow)
     }
 
-    /// Appends every item of `items`, in order, with the contents and
-    /// statistics of one [`SyncFifo::push`] per item.
+    /// Appends every item of `items`, in order, with the contents of one
+    /// [`SyncFifo::push`] per item.
     ///
     /// # Errors
     ///
     /// [`FifoError::Overflow`] if they do not all fit: nothing is
-    /// pushed, and the rejection is counted once.
+    /// pushed.
     pub fn push_slice(&mut self, items: &[T]) -> Result<(), FifoError>
     where
         T: Clone,
     {
         if items.len() > self.space() {
-            self.stats.overflows += 1;
             return Err(FifoError::Overflow);
         }
         self.items.extend(items.iter().cloned());
-        self.note_pushes(items.len());
         Ok(())
     }
 
     /// Removes the `n` oldest items, appending them to `out` in order,
-    /// with the statistics of `n` [`SyncFifo::pop`]s.
+    /// as `n` [`SyncFifo::pop`]s would.
     ///
     /// # Errors
     ///
     /// [`FifoError::Underflow`] if fewer than `n` are held: nothing is
-    /// popped, and the rejection is counted once.
+    /// popped.
     pub fn pop_into(&mut self, n: usize, out: &mut Vec<T>) -> Result<(), FifoError> {
         if n > self.items.len() {
-            self.stats.underflows += 1;
             return Err(FifoError::Underflow);
         }
         out.extend(self.items.drain(..n));
-        self.stats.pops += n as u64;
         Ok(())
     }
 
     /// Moves the `n` oldest items into `dst`, mapped through `f`, with
-    /// the contents and statistics of `n` pairs of [`SyncFifo::pop`]
-    /// here and [`SyncFifo::push`] there.
+    /// the contents of `n` pairs of [`SyncFifo::pop`] here and
+    /// [`SyncFifo::push`] there.
     ///
     /// # Errors
     ///
-    /// [`FifoError::Underflow`] (counted here) if fewer than `n` items
-    /// are held, else [`FifoError::Overflow`] (counted in `dst`) if
-    /// `dst` has less than `n` space: nothing moves.
+    /// [`FifoError::Underflow`] if fewer than `n` items are held, else
+    /// [`FifoError::Overflow`] if `dst` has less than `n` space:
+    /// nothing moves.
     pub fn move_into<U>(
         &mut self,
         n: usize,
@@ -223,25 +190,13 @@ impl<T> SyncFifo<T> {
         f: impl FnMut(T) -> U,
     ) -> Result<(), FifoError> {
         if n > self.items.len() {
-            self.stats.underflows += 1;
             return Err(FifoError::Underflow);
         }
         if n > dst.space() {
-            dst.stats.overflows += 1;
             return Err(FifoError::Overflow);
         }
         dst.items.extend(self.items.drain(..n).map(f));
-        self.stats.pops += n as u64;
-        dst.note_pushes(n);
         Ok(())
-    }
-
-    /// Counts `n` accepted pushes that brought the FIFO to its current
-    /// occupancy (occupancy only rises over a run of pushes, so its
-    /// high-water mark is the end of the run).
-    fn note_pushes(&mut self, n: usize) {
-        self.stats.pushes += n as u64;
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.items.len());
     }
 
     /// Peeks at the oldest item without removing it.
@@ -253,12 +208,6 @@ impl<T> SyncFifo<T> {
     /// Removes every item.
     pub fn clear(&mut self) {
         self.items.clear();
-    }
-
-    /// Occupancy statistics gathered so far.
-    #[must_use]
-    pub fn stats(&self) -> FifoStats {
-        self.stats
     }
 }
 
@@ -296,7 +245,6 @@ pub struct WidthAdapter {
     out_width: u32,
     capacity_bits: usize,
     bits: VecDeque<bool>,
-    stats: FifoStats,
 }
 
 impl WidthAdapter {
@@ -325,7 +273,6 @@ impl WidthAdapter {
             out_width,
             capacity_bits,
             bits: VecDeque::with_capacity(capacity_bits),
-            stats: FifoStats::default(),
         }
     }
 
@@ -390,14 +337,11 @@ impl WidthAdapter {
     /// [`FifoError::Overflow`] if the buffer cannot hold the word.
     pub fn push(&mut self, word: u128) -> Result<(), FifoError> {
         if self.is_full() {
-            self.stats.overflows += 1;
             return Err(FifoError::Overflow);
         }
         for bit in 0..self.in_width {
             self.bits.push_back((word >> bit) & 1 == 1);
         }
-        self.stats.pushes += 1;
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.bits.len());
         Ok(())
     }
 
@@ -405,7 +349,6 @@ impl WidthAdapter {
     /// `out_width` bits are buffered.
     pub fn pop(&mut self) -> Option<u128> {
         if !self.has_output() {
-            self.stats.underflows += 1;
             return None;
         }
         let mut word: u128 = 0;
@@ -414,19 +357,12 @@ impl WidthAdapter {
                 word |= 1 << bit;
             }
         }
-        self.stats.pops += 1;
         Some(word)
     }
 
     /// Discards all buffered bits.
     pub fn clear(&mut self) {
         self.bits.clear();
-    }
-
-    /// Statistics gathered so far.
-    #[must_use]
-    pub fn stats(&self) -> FifoStats {
-        self.stats
     }
 }
 
@@ -453,12 +389,8 @@ mod tests {
         let mut f = SyncFifo::new("t", 1);
         f.push(9).unwrap();
         assert_eq!(f.push(10), Err(FifoError::Overflow));
-        f.pop().unwrap();
+        assert_eq!(f.pop(), Ok(9));
         assert_eq!(f.pop(), Err(FifoError::Underflow));
-        let s = f.stats();
-        assert_eq!(s.overflows, 1);
-        assert_eq!(s.underflows, 1);
-        assert_eq!(s.max_occupancy, 1);
     }
 
     #[test]
@@ -475,8 +407,8 @@ mod tests {
     }
 
     /// Random runs of bulk operations against the same runs of single
-    /// ones: equal contents and equal statistics after every step, and
-    /// a rejected bulk operation moves nothing.
+    /// ones: equal contents after every step, and a rejected bulk
+    /// operation moves nothing.
     #[test]
     fn bulk_operations_equal_runs_of_single_ones() {
         let mut rng = crate::rng::XorShift64::new(0xF1F0);
@@ -487,7 +419,6 @@ mod tests {
             for _ in 0..40 {
                 let n = rng.gen_range_u32(0..cap as u32 + 2) as usize;
                 let (before_a, before_b) = (contents(&bulk_a), contents(&bulk_b));
-                let (stats_a, stats_b) = (bulk_a.stats(), bulk_b.stats());
                 let result = match rng.gen_range_u32(0..3) {
                     0 => {
                         let items = rng.vec_u32(n);
@@ -520,23 +451,10 @@ mod tests {
                         r
                     }
                 };
-                match result {
-                    Ok(()) => {
-                        assert_eq!(bulk_a.stats(), one_a.stats());
-                        assert_eq!(bulk_b.stats(), one_b.stats());
-                    }
-                    Err(e) => {
-                        // Nothing moved; the rejection is counted once,
-                        // on the side that refused.
-                        assert_eq!(contents(&bulk_a), before_a);
-                        assert_eq!(contents(&bulk_b), before_b);
-                        let counted = |s: FifoStats| s.overflows + s.underflows;
-                        let rejected = counted(bulk_a.stats()) + counted(bulk_b.stats());
-                        assert_eq!(rejected, counted(stats_a) + counted(stats_b) + 1, "{e}");
-                        // Align the single-step twins' rejection counts.
-                        one_a.stats = bulk_a.stats();
-                        one_b.stats = bulk_b.stats();
-                    }
+                if let Err(e) = result {
+                    // Nothing moved.
+                    assert_eq!(contents(&bulk_a), before_a, "{e}");
+                    assert_eq!(contents(&bulk_b), before_b, "{e}");
                 }
                 assert_eq!(contents(&bulk_a), contents(&one_a));
                 assert_eq!(contents(&bulk_b), contents(&one_b));
@@ -545,23 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn push_slice_raises_the_high_water_mark() {
+    fn bulk_operations_reject_what_does_not_fit() {
         let mut f = SyncFifo::new("t", 8);
         f.push_slice(&[1, 2, 3]).unwrap();
         let mut out = Vec::new();
         f.pop_into(2, &mut out).unwrap();
         f.push_slice(&[4]).unwrap();
         assert_eq!(out, [1, 2]);
-        assert_eq!(
-            f.stats(),
-            FifoStats {
-                pushes: 4,
-                pops: 2,
-                max_occupancy: 3,
-                overflows: 0,
-                underflows: 0,
-            }
-        );
         assert_eq!(f.push_slice(&[0; 7]), Err(FifoError::Overflow));
         assert_eq!(f.pop_into(3, &mut out), Err(FifoError::Underflow));
         assert_eq!(contents(&f), [3, 4]);

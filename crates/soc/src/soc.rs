@@ -125,10 +125,6 @@ pub struct OffloadReport {
     pub run_cycles: u64,
     /// Data words the OCP moved.
     pub words_transferred: u64,
-    /// The OCP's own busy time (program load + transfers + RAC).
-    pub ocp_active_cycles: u64,
-    /// Cycles the RAC kept the controller waiting.
-    pub rac_wait_cycles: u64,
     /// Status polls the CPU issued (polling mode only).
     pub polls: u64,
 }
@@ -358,13 +354,10 @@ impl Soc {
         // The CPU has seen the run finish: consume the completion so the
         // OCP's horizon stops single-stepping for it in the next run.
         self.ocp.poll_completion();
-        let stats = self.ocp.stats();
         Ok(OffloadReport {
             config_cycles,
             run_cycles,
-            words_transferred: stats.words_transferred,
-            ocp_active_cycles: stats.active_cycles,
-            rac_wait_cycles: stats.rac_wait_cycles,
+            words_transferred: self.ocp.stats().words_transferred,
             polls,
         })
     }

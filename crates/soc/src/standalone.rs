@@ -187,8 +187,9 @@ mod tests {
 
     #[test]
     fn no_program_fetch_from_memory() {
-        // The program was preloaded: bank 0 is never configured and the
-        // run must still succeed (no bank-0 translation happens).
+        // The program was preloaded and bank 0 is never configured: a
+        // microcode fetch would fail to translate bank 0 and fault the
+        // run, so a run that succeeds fetched nothing over the bus.
         let mut sys = StandaloneSystem::new(
             Box::new(PassthroughRac::new(0)),
             &copy_program(),
@@ -196,11 +197,6 @@ mod tests {
         );
         sys.load_words(0x4000_1000, &[1; 16]).unwrap();
         sys.run_once(100_000).unwrap();
-        assert_eq!(
-            sys.ocp().stats().program_load_cycles,
-            0,
-            "standalone mode must not fetch microcode over the bus"
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn dpr_phases_cycles(blocks_per_phase: u16) -> Result<u64, Box<dyn Error>> {
     soc.load_words(ram + 0x4000, &input)?;
     soc.configure(
         &[(0, ram), (1, ram + 0x4000), (2, ram + 0x2_0000)],
-        program.len() as u32,
+        u32::try_from(program.len())?,
     )?;
     Ok(soc.start_and_wait(100_000_000)?.run_cycles)
 }
@@ -239,7 +239,7 @@ pub fn paper_report() -> Result<String, Box<dyn Error>> {
     for n in [16usize, 64, 256, 1024] {
         let row = dft_experiment(&ExperimentConfig {
             dft_points: n,
-            burst: 64.min((n * 2) as u16),
+            burst: 64.min(u16::try_from(n * 2)?),
             ..ExperimentConfig::paper_linux()
         })?;
         writeln!(
