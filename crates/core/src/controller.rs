@@ -28,7 +28,7 @@ use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN, NUM_FIFOS};
 use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
-use ouessant_sim::{observed_horizon, BusWindow, Cycle, SystemBus, WindowIssue};
+use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
 
 use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
@@ -168,7 +168,7 @@ pub enum ControllerState {
         /// only a run's issues, with the bus on the issue's cycle (see
         /// [`BusWindow::leap`]), so a `wait` is always dispatched on a
         /// tick whose bus cycle is its own.
-        until: u64,
+        until: Instant,
     },
     /// `sync` instruction waiting for all FIFOs to drain.
     SyncWait,
@@ -642,26 +642,19 @@ impl Controller {
     /// nothing for the controller beyond its walk (see
     /// [`Ocp::advance`](crate::Ocp::advance)).
     #[must_use]
-    pub fn horizon(
-        &self,
-        socket: &RacSocket,
-        bus: &dyn SystemBus,
-        window: &BusWindow,
-    ) -> Option<Cycle> {
+    pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus, window: &BusWindow) -> Horizon {
         if self.wedged {
             // A wedged FSM never changes state on its own; only the
             // watchdog (merged by the embedding OCP) bounds the window.
-            return None;
+            return Horizon::QUIESCENT;
         }
         if window.issue_of(self.master()).is_some() {
-            return observed_horizon(window.event());
+            return Horizon::observed(window.event());
         }
         match &self.state {
-            ControllerState::Idle | ControllerState::Faulted(_) => None,
+            ControllerState::Idle | ControllerState::Faulted(_) => Horizon::QUIESCENT,
             // The tick on bus cycle `until` retires the `wait`.
-            ControllerState::WaitCycles { until } => {
-                Some(Cycle::new(until + 1 - bus.now().count()))
-            }
+            ControllerState::WaitCycles { until } => Horizon::starting_at(*until, bus.now()),
             // Ticks in RacWait and ReconfigWait do nothing until the
             // socket deasserts busy — at the end of the Table I compute
             // latency or the bitstream load — so the socket's own
@@ -671,7 +664,7 @@ impl Controller {
             // deasserts busy: the watchdog, or the embedding OCP's
             // single-step safety net, bounds that.
             ControllerState::RacWait | ControllerState::ReconfigWait if !socket.busy() => {
-                Some(Cycle::new(1))
+                Horizon::NEXT_TICK
             }
             ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
             // While the burst is in flight ticks do nothing, and the
@@ -680,17 +673,17 @@ impl Controller {
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {
-                observed_horizon(window.event())
+                Horizon::observed(window.event())
             }
-            _ => Some(Cycle::new(match self.walk(socket, bus) {
+            _ => Horizon::after(match self.walk(socket, bus) {
                 Some(Walk {
                     ticks,
                     insn: Some(_),
                     ..
-                }) => ticks + 1,
-                Some(Walk { ticks, .. }) => ticks.saturating_sub(2) + 1,
-                None => 1,
-            })),
+                }) => ticks,
+                Some(Walk { ticks, .. }) => ticks.saturating_sub(2),
+                None => 0,
+            }),
         }
     }
 
@@ -719,7 +712,7 @@ impl Controller {
                 | ControllerState::Faulted(_)
                 | ControllerState::RacWait
                 | ControllerState::ReconfigWait => true,
-                ControllerState::WaitCycles { until } => bus.now().count() + ticks <= until,
+                ControllerState::WaitCycles { until } => bus.now() + Cycle::new(ticks) <= until,
                 ControllerState::TransferBusWait | ControllerState::LoadProgram => {
                     self.dma.is_pending(bus)
                 }
@@ -850,7 +843,7 @@ impl Controller {
                 }
             }
             ControllerState::WaitCycles { until } => {
-                if bus.now().count() >= until {
+                if bus.now() >= until {
                     self.retire();
                 } else {
                     self.state = ControllerState::WaitCycles { until };
@@ -955,7 +948,7 @@ impl Controller {
                     self.retire();
                 } else {
                     self.state = ControllerState::WaitCycles {
-                        until: bus.now().count() + u64::from(cycles),
+                        until: bus.now() + Cycle::new(u64::from(cycles)),
                     };
                 }
             }
@@ -1050,7 +1043,9 @@ mod tests {
             ControllerState::TransferFifoWait,
             ControllerState::TransferBusWait,
             ControllerState::RacWait,
-            ControllerState::WaitCycles { until: 1 },
+            ControllerState::WaitCycles {
+                until: Instant::new(1),
+            },
             ControllerState::SyncWait,
             ControllerState::ReconfigWait,
             ControllerState::Faulted(ExecError::PcOverrun { pc: 0 }),

@@ -6,9 +6,11 @@
 //! transfers, one interrupt line, and a `tick` to advance everything one
 //! clock cycle.
 
+use std::num::NonZeroU64;
+
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
-use ouessant_sim::{BusWindow, Cycle, SystemBus, WindowIssue};
+use ouessant_sim::{BusWindow, Cycle, Horizon, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
@@ -357,7 +359,7 @@ impl Ocp {
     pub fn extend_run(
         bus: &dyn SystemBus,
         window: &mut BusWindow,
-        limit: Option<Cycle>,
+        limit: Horizon,
         later: impl IntoIterator<Item = TxnShape>,
     ) {
         window.extend_run(bus, limit, PICKUP_TICKS, later);
@@ -369,23 +371,22 @@ impl Ocp {
     /// [`BusWindow::plan`] over its [`Ocp::window_issue`], chains
     /// allowed, with its whole run. The horizon is [`Ocp::horizon_on`]
     /// merged with the tick after the window's bus event (see
-    /// [`ouessant_sim::observed_horizon`]), so a leap ends on the tick of
-    /// the bus's next event at the latest. A quiescent coprocessor leaps
-    /// `limit`. Returns the ticks leapt, 0 when the next tick is an
-    /// event.
+    /// [`Horizon::observed`]), so a leap ends on the tick of the bus's
+    /// next event at the latest, and the leap is its
+    /// [`Horizon::leap_bound`]: `limit` for a quiescent coprocessor.
+    /// Returns the ticks leapt, 0 when the next tick is an event.
     pub fn leap(&mut self, bus: &mut dyn SystemBus, limit: u64) -> u64 {
         let window = match BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain)) {
             (mut window, Some(later)) => {
-                Ocp::extend_run(bus, &mut window, None, later);
+                Ocp::extend_run(bus, &mut window, Horizon::QUIESCENT, later);
                 window
             }
             (window, None) => window,
         };
-        let horizon = ouessant_sim::min_horizon(
-            self.horizon_on(bus, &window),
-            ouessant_sim::observed_horizon(window.event()),
-        );
-        let skip = horizon.map_or(limit, |h| h.count().saturating_sub(1).min(limit));
+        let skip = self
+            .horizon_on(bus, &window)
+            .min(Horizon::observed(window.event()))
+            .leap_bound(limit);
         if skip > 0 {
             window.leap(bus, skip, |bus, who, ticks| {
                 if who.includes(self.bus_master()) {
@@ -403,13 +404,12 @@ impl Ocp {
     /// RAC's compute countdown and the bitstream load) and the
     /// window's bus event (so a DMA burst in flight, or one the window
     /// issues, exposes the tick after the bus's next event, the first
-    /// the controller can see it on, see
-    /// [`ouessant_sim::observed_horizon`]), combined with the socket's
-    /// own horizon. Two guards apply:
+    /// the controller can see it on, see [`Horizon::observed`]),
+    /// combined with the socket's own horizon. Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an unpolled completion
     ///   forces single-stepping (the next tick is an event);
-    /// * an *active* controller whose combined horizon is `None` (e.g.
+    /// * an *active* controller whose combined horizon is quiescent (e.g.
     ///   `exec` waiting on a RAC starved of input) also single-steps —
     ///   the OCP never declares a busy worker quiescent, it just stops
     ///   predicting.
@@ -430,14 +430,14 @@ impl Ocp {
     /// (or, unarmed, quiescence) is the honest horizon and a hang
     /// window can be leapt in one go.
     #[must_use]
-    pub fn horizon_on(&self, bus: &dyn SystemBus, window: &BusWindow) -> Option<Cycle> {
+    pub fn horizon_on(&self, bus: &dyn SystemBus, window: &BusWindow) -> Horizon {
         if self.completed || self.regs.start_pending() {
-            return Some(Cycle::new(1));
+            return Horizon::NEXT_TICK;
         }
-        let mut h = ouessant_sim::min_horizon(
-            self.controller.horizon(&self.socket, bus, window),
-            self.socket.horizon(),
-        );
+        let mut h = self
+            .controller
+            .horizon(&self.socket, bus, window)
+            .min(self.socket.horizon());
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
                 let walk = self.controller.walk(&self.socket, bus);
@@ -456,11 +456,12 @@ impl Ocp {
                             due
                         }
                     });
-                h = ouessant_sim::min_horizon(h, Some(Cycle::new(bite)));
+                let bite = NonZeroU64::new(bite).expect("a bite is a tick ahead at the earliest");
+                h = h.min(Horizon::in_ticks(bite));
             }
         }
-        if h.is_none() && self.controller.is_active() && !self.controller.is_wedged() {
-            return Some(Cycle::new(1));
+        if h == Horizon::QUIESCENT && self.controller.is_active() && !self.controller.is_wedged() {
+            return Horizon::NEXT_TICK;
         }
         h
     }
@@ -527,6 +528,7 @@ mod tests {
     use ouessant_sim::bus::{Bus, BusConfig};
     use ouessant_sim::fifo::SyncFifo;
     use ouessant_sim::memory::{Sram, SramConfig};
+    use ouessant_sim::XorShift64;
 
     const RAM_BASE: Addr = 0x4000_0000;
     const OCP_BASE: Addr = 0x8000_0000;
@@ -1183,6 +1185,200 @@ mod tests {
         );
     }
 
+    /// Seeds of [`drawn_slave_maps_leap_as_they_step`].
+    const DRAWN_SEEDS: u64 = 300;
+
+    /// Drawn single-OCP systems, leapt against stepped, each to its
+    /// `eop` or its first fault (see [`DrawnSystem`]).
+    #[test]
+    fn drawn_slave_maps_leap_as_they_step() {
+        let (mut faults, mut leaps) = (0, 0);
+        for seed in 1..=DRAWN_SEEDS {
+            let system = DrawnSystem::draw(seed);
+            let run =
+                std::panic::catch_unwind(|| leap_against_steps(|| system.fixture(), 1_000_000));
+            let (_, fault, taken) = run.unwrap_or_else(|_| panic!("seed {seed}: {system:#?}"));
+            faults += u64::from(fault.is_some());
+            leaps += taken.len();
+        }
+        // The draw reaches both ends of a run, and leaps on the way.
+        assert!((DRAWN_SEEDS / 10..DRAWN_SEEDS * 9 / 10).contains(&faults));
+        assert!(leaps as u64 > 10 * DRAWN_SEEDS);
+    }
+
+    /// Base of the drawn systems' slave that faults past a drawn word.
+    const FLAKY_BASE: Addr = 0x9000_0000;
+
+    /// Words in the flaky slave's window.
+    const FLAKY_WORDS: u32 = 512;
+
+    /// A slave that faults from word `limit` of its window on, and so
+    /// is not [`BusSlave::fault_free`](ouessant_sim::bus::BusSlave::fault_free):
+    /// the bus stops every leap at its beats.
+    struct Flaky {
+        words: Vec<u32>,
+        limit: u32,
+        wait: u32,
+    }
+
+    impl Flaky {
+        fn word(&mut self, offset: u32) -> Result<&mut u32, ouessant_sim::bus::SlaveFault> {
+            let i = offset / 4;
+            match self.words.get_mut(i as usize).filter(|_| i < self.limit) {
+                Some(w) => Ok(w),
+                None => Err(ouessant_sim::bus::SlaveFault {
+                    reason: format!("word {i} not implemented"),
+                }),
+            }
+        }
+    }
+
+    impl ouessant_sim::bus::BusSlave for Flaky {
+        fn name(&self) -> &str {
+            "flaky"
+        }
+        fn size(&self) -> u32 {
+            FLAKY_WORDS * 4
+        }
+        fn read_word(&mut self, offset: u32) -> Result<u32, ouessant_sim::bus::SlaveFault> {
+            self.word(offset).map(|w| *w)
+        }
+        fn write_word(
+            &mut self,
+            offset: u32,
+            value: u32,
+        ) -> Result<(), ouessant_sim::bus::SlaveFault> {
+            self.word(offset).map(|w| *w = value)
+        }
+        fn first_access_wait_states(&self) -> u32 {
+            self.wait
+        }
+    }
+
+    /// A single-OCP system drawn from a seed: the bus's sub-burst
+    /// length and arbiter; a slave map of the program's SRAM with drawn
+    /// wait states, the [`Flaky`] slave, the OCP's own register window
+    /// and unmapped holes (above the SRAM and at `0x6000_0000`); banks
+    /// 1–4 on the SRAM and 5–7 on any of these; and a program of
+    /// offloads through a pass-through RAC, `wait`s and `nop`s. An offload is a run of
+    /// back-to-back reads, the `execs` of their words and a run of
+    /// writes. A write never targets the register window, so the OCP
+    /// never rewrites its own configuration. One system in four arms
+    /// the watchdog.
+    #[derive(Debug)]
+    struct DrawnSystem {
+        bus: BusConfig,
+        ram: SramConfig,
+        flaky: (u32, u32),
+        banks: [Addr; 7],
+        delay: u64,
+        watchdog: Option<u64>,
+        source: String,
+    }
+
+    impl DrawnSystem {
+        fn draw(seed: u64) -> Self {
+            use ouessant_sim::bus::ArbiterPolicy;
+            let mut rng = XorShift64::new(seed);
+            let bus = BusConfig {
+                max_burst_beats: [1, 4, 16][rng.gen_range_u32(0..3) as usize],
+                arbiter: if rng.gen_bool() {
+                    ArbiterPolicy::FixedPriority
+                } else {
+                    ArbiterPolicy::RoundRobin
+                },
+            };
+            let ram = SramConfig {
+                first_access_wait_states: rng.gen_range_u32(0..4),
+                sequential_wait_states: rng.gen_range_u32(0..3),
+            };
+            let flaky = (
+                rng.gen_range_u32(0..FLAKY_WORDS + 1),
+                rng.gen_range_u32(0..4),
+            );
+            // Banks 1-4 on the SRAM, 5-7 on any slave or hole.
+            let banks: [Addr; 7] = std::array::from_fn(|b| match (b, rng.gen_range_u32(0..5)) {
+                (0..=3, _) => RAM_BASE + 0x1000 * rng.gen_range_u32(1..15),
+                (_, 0 | 1) => FLAKY_BASE,
+                (_, 2) => OCP_BASE,
+                (_, 3) => RAM_BASE + 0x10000 - 4 * rng.gen_range_u32(1..64),
+                _ => 0x6000_0000,
+            });
+            // One transfer in five goes to banks 5-7.
+            let bank = |rng: &mut XorShift64, write: bool| loop {
+                let b = if rng.gen_range_u32(0..5) == 0 {
+                    rng.gen_range_u32(5..8)
+                } else {
+                    rng.gen_range_u32(1..5)
+                };
+                if !(write && banks[b as usize - 1] == OCP_BASE) {
+                    break b;
+                }
+            };
+            let mut source = String::new();
+            for _ in 0..rng.gen_range_u32(1..5) {
+                let lens: Vec<u32> = (0..rng.gen_range_u32(1..4))
+                    .map(|_| rng.gen_range_u32(1..33))
+                    .collect();
+                for (write, op) in [(false, "mvtc"), (true, "mvfc")] {
+                    for &n in &lens {
+                        let (b, off) = (bank(&mut rng, write), rng.gen_range_u32(0..40));
+                        source += &format!("{op} BANK{b},{off},DMA{n},FIFO0\n");
+                    }
+                    if !write {
+                        source += &format!("execs {}\n", lens.iter().sum::<u32>());
+                    }
+                }
+                match rng.gen_range_u32(0..4) {
+                    0 => source += &format!("wait {}\n", rng.gen_range_u32(0..30)),
+                    1 => source += "nop\n",
+                    _ => {}
+                }
+            }
+            source += "eop";
+            Self {
+                bus,
+                ram,
+                flaky,
+                banks,
+                delay: u64::from(rng.gen_range_u32(0..3)),
+                watchdog: (rng.gen_range_u32(0..4) == 0)
+                    .then(|| u64::from(rng.gen_range_u32(5..200))),
+                source,
+            }
+        }
+
+        fn fixture(&self) -> Fixture {
+            let mut bus = Bus::new(self.bus);
+            let _cpu = bus.register_master("cpu");
+            bus.add_slave(RAM_BASE, Sram::with_words(16384, self.ram));
+            bus.add_slave(
+                FLAKY_BASE,
+                Flaky {
+                    words: (0..FLAKY_WORDS).collect(),
+                    limit: self.flaky.0,
+                    wait: self.flaky.1,
+                },
+            );
+            let rac = Box::new(PassthroughRac::scaling(3, self.delay));
+            let mut fx = Fixture {
+                ocp: Ocp::attach(&mut bus, OCP_BASE, rac, OcpConfig::default()),
+                bus,
+            };
+            for i in 0..16384u32 {
+                fx.bus.debug_write(RAM_BASE + i * 4, i ^ 0x5A5A).unwrap();
+            }
+            fx.load_program(&assemble(&self.source).unwrap());
+            for (b, &base) in (1..).zip(&self.banks) {
+                fx.ocp.regs().set_bank(b, base).unwrap();
+            }
+            if let Some(budget) = self.watchdog {
+                fx.ocp.arm_watchdog(budget);
+            }
+            fx
+        }
+    }
+
     /// `fx` loaded with the program `source`, bank 1 on the input data
     /// and bank 2 on the output area.
     fn offload<B: SystemBus>(mut fx: Fixture<B>, source: &str) -> Fixture<B> {
@@ -1225,8 +1421,12 @@ mod tests {
             }
         }
 
-        fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
-            (self.left > 0 && !inputs[0].is_empty()).then_some(Cycle::new(1))
+        fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Horizon {
+            if self.left > 0 && !inputs[0].is_empty() {
+                Horizon::NEXT_TICK
+            } else {
+                Horizon::QUIESCENT
+            }
         }
     }
 
@@ -1285,11 +1485,11 @@ mod tests {
             },
             in_flight,
         );
-        let event = fx.bus.horizon().expect("a burst is in flight");
+        let event = fx.bus.horizon().ticks().expect("a burst is in flight");
         // The leap ends on the bus's completion; the pickup is the tick
         // after it.
-        assert_eq!(fx.ocp.leap(&mut fx.bus, u64::MAX), event.count());
-        for _ in 0..event.count() {
+        assert_eq!(fx.ocp.leap(&mut fx.bus, u64::MAX), event);
+        for _ in 0..event {
             slow.step();
         }
         assert_eq!(fx.observed(), slow.observed());
@@ -1401,7 +1601,7 @@ mod tests {
         let in_burst = |fx: &Fixture| *fx.ocp.controller().state() == TransferBusWait;
         let completed =
             |fx: &Fixture| in_burst(fx) && fx.bus.poll(fx.ocp.bus_master()) == PortState::Complete;
-        let completing = |fx: &Fixture| in_burst(fx) && fx.bus.horizon() == Some(Cycle::new(1));
+        let completing = |fx: &Fixture| in_burst(fx) && fx.bus.horizon() == Horizon::NEXT_TICK;
         let armed = |until: &dyn Fn(&Fixture) -> bool, budget: u64| {
             let (mut slow, mut fast) = start_pair(build, until);
             slow.ocp.arm_watchdog(budget);

@@ -51,7 +51,7 @@ use ouessant::{ExecError, Ocp};
 use ouessant_isa::operands::MAX_PROGRAM_LEN;
 use ouessant_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{min_horizon, BusWindow, Cycle, SystemBus};
+use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus};
 use ouessant_soc::alloc::{AllocError, BankAllocator};
 use ouessant_verify::{verify, VerifyConfig};
 
@@ -61,7 +61,7 @@ use crate::policy::{SchedPolicy, WorkerView};
 use crate::queue::{PendingJob, SubmitError, SubmitQueue};
 use crate::stats::{FarmReport, LatencyStats, Ledger, WorkerReport};
 use crate::worker::{
-    adapt_custom_program, build_program, due_at, JobRegions, Worker, WorkerFaultKind, WorkerHealth,
+    adapt_custom_program, build_program, JobRegions, Worker, WorkerFaultKind, WorkerHealth,
 };
 
 /// Fault-handling policy: retry budget, circuit breaker, quarantine.
@@ -783,9 +783,8 @@ impl Farm {
         Ok(self.now() - start)
     }
 
-    /// The earliest future tick (1-based offset from now) at which any
-    /// observable farm state can change, or `None` when fully
-    /// quiescent. The minimum over:
+    /// The earliest future tick at which any observable farm state can
+    /// change. The minimum over:
     ///
     /// * dispatch — pending work plus a dispatchable worker means the
     ///   very next tick may launch a job (or charge an alloc stall),
@@ -795,18 +794,21 @@ impl Farm {
     ///   on its DMA burst defers to the bus, and an armed watchdog's
     ///   expiry rides the OCP horizon, so a hang inside a skipped
     ///   window fires at the identical cycle in both modes);
-    /// * every parked retry's unpark tick;
-    /// * with [`LivenessConfig::early_drop`] on, the queue's earliest
-    ///   hopeless threshold, every parked deadline's drop tick and
-    ///   every in-flight deadline's abort tick;
-    /// * an armed chaos squat's release tick (bounds the leap so
-    ///   `run_until_idle` observes the release at the exact cycle
-    ///   single-stepping would, and terminates then);
+    /// * every parked retry's unpark tick, the first whose pre-tick
+    ///   cycle reaches its `ready_at`;
+    /// * with [`LivenessConfig::early_drop`] on, the drop tick of the
+    ///   queue's earliest hopeless threshold and of every parked
+    ///   deadline's, and every in-flight deadline's abort tick: the
+    ///   first whose pre-tick cycle passes it;
+    /// * an armed chaos squat's release tick, the first whose pre-tick
+    ///   cycle reaches it (bounds the leap so `run_until_idle` observes
+    ///   the release at the exact cycle single-stepping would, and
+    ///   terminates then);
     /// * the tick after the shared bus's next event. Everything that
     ///   reads a port or a fault ticks before the bus (the back half of
     ///   [`Farm::tick`] reads only OCP flags, and a recovering worker
     ///   single-steps), so a completion joins the window before its
-    ///   pickup (see [`ouessant_sim::observed_horizon`]).
+    ///   pickup (see [`Horizon::observed`]).
     ///
     /// The bus side is planned once, as a [`BusWindow`] every worker
     /// reads: a worker may issue a run of transfers inside the window,
@@ -817,11 +819,11 @@ impl Farm {
     /// first tick and a chain changes it later. The run is planned last,
     /// as far as every other term reaches: a window that may chain has
     /// an idle bus, so no other worker's horizon reads it.
-    fn idle_horizon(&self) -> (Option<u64>, BusWindow) {
+    fn idle_horizon(&self) -> (Horizon, BusWindow) {
         if self.may_dispatch() {
-            return (Some(1), BusWindow::default());
+            return (Horizon::NEXT_TICK, BusWindow::default());
         }
-        let now = self.now();
+        let now = self.bus.now();
         let (mut window, later) = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
             self.workers
                 .iter()
@@ -829,51 +831,40 @@ impl Farm {
         });
         let issuer = window.issuer();
         let is_issuer = |w: &Worker| Some(w.ocp.bus_master()) == issuer;
-        let mut h = None;
+        let mut h = Horizon::QUIESCENT;
         for w in self.workers.iter().filter(|w| !is_issuer(w)) {
-            h = min_horizon(
-                h,
-                w.horizon_at(now, &self.config.faults, &self.bus, &window),
-            );
+            h = h.min(w.horizon_at(now, &self.config.faults, &self.bus, &window));
         }
+        let reaching = |at| Horizon::starting_at(Instant::new(at), now);
+        let passing = |at| Horizon::starting_after(Instant::new(at), now);
         for p in &self.parked {
-            // Unpark happens in the tick whose pre-tick cycle first
-            // satisfies `ready_at <= now`.
-            h = min_horizon(h, due_at(p.ready_at + 1, now));
+            h = h.min(reaching(p.ready_at));
         }
         if self.config.liveness.early_drop {
-            // Deadline events: a queued/parked drop fires in the tick
-            // whose pre-tick cycle first satisfies `now > threshold`
-            // (i.e. at `threshold + 1`); an in-flight abort likewise at
-            // `deadline + 1`.
             for threshold in self
                 .parked
                 .iter()
                 .filter_map(|p| p.job.hopeless_after())
                 .chain(self.queue.earliest_hopeless())
             {
-                h = min_horizon(h, due_at(threshold + 2, now));
+                h = h.min(passing(threshold));
             }
             for w in &self.workers {
                 if let Some(d) = w.active.as_ref().and_then(|a| a.job.deadline) {
-                    h = min_horizon(h, due_at(d + 2, now));
+                    h = h.min(passing(d));
                 }
             }
         }
         if let Some(release_at) = self.chaos.as_ref().and_then(FaultPlan::squat_release_at) {
-            h = min_horizon(h, due_at(release_at + 1, now));
+            h = h.min(reaching(release_at));
         }
         if let Some(w) = self.workers.iter().find(|w| is_issuer(w)) {
             if let Some(later) = later {
                 Ocp::extend_run(&self.bus, &mut window, h, later);
             }
-            h = min_horizon(
-                h,
-                w.horizon_at(now, &self.config.faults, &self.bus, &window),
-            );
+            h = h.min(w.horizon_at(now, &self.config.faults, &self.bus, &window));
         }
-        h = min_horizon(h, ouessant_sim::observed_horizon(window.event()));
-        (h.map(u64::from), window)
+        (h.min(Horizon::observed(window.event())), window)
     }
 
     /// One fast-forward step: leap over the provably-pure window in
@@ -897,10 +888,7 @@ impl Farm {
         let now = self.now();
         let remaining = fuel - (now - start);
         let (horizon, window) = self.idle_horizon();
-        let bound = match horizon {
-            Some(h) => (h - 1).min(remaining),
-            None => remaining,
-        };
+        let bound = horizon.leap_bound(remaining);
         if bound == 0 {
             self.tick();
             return;
@@ -1531,7 +1519,7 @@ mod tests {
                 if first_tick.len() >= 2 {
                     // Two first-tick issuers: neither issues, so the
                     // window is the one tick that issues both.
-                    assert_eq!((h, window.issuer()), (Some(1), None));
+                    assert_eq!((h, window.issuer()), (Horizon::NEXT_TICK, None));
                     ties += 1;
                 } else if let [(issuer, 0)] = first_tick[..] {
                     let chains = candidates(&farm, true);
@@ -1541,7 +1529,7 @@ mod tests {
                         // window in front of it.
                         let issuer = farm.workers[issuer].ocp.bus_master();
                         assert_eq!(window.issuer(), Some(issuer));
-                        assert!(h.is_some_and(|h| h <= prefix + 1), "{other}: {h:?}");
+                        assert!(h.ticks().is_some_and(|h| h <= prefix + 1), "{other}: {h:?}");
                         bounded += 1;
                     }
                 }

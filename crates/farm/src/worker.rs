@@ -48,7 +48,7 @@ use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
 use ouessant_rac::slot::ReconfigurableSlot;
 use ouessant_sim::bus::{Bus, BusError, TxnShape};
-use ouessant_sim::{min_horizon, BusWindow, Cycle, WindowIssue};
+use ouessant_sim::{BusWindow, Horizon, Instant, WindowIssue};
 use ouessant_soc::alloc::Region;
 
 use crate::farm::FaultConfig;
@@ -164,13 +164,6 @@ pub(crate) struct JobRegions {
     pub prog: Region,
     pub input: Region,
     pub output: Region,
-}
-
-/// The horizon, seen from cycle `now`, of an event due when the cycle
-/// reaches `at`: at least 1, since an event already due lands on the
-/// next tick.
-pub(crate) fn due_at(at: u64, now: u64) -> Option<Cycle> {
-    Some(Cycle::new(at.saturating_sub(now).max(1)))
 }
 
 /// Builds one job's microcode: optional `rcfg`, input transfer,
@@ -552,9 +545,8 @@ impl Worker {
         self.ocp.window_issue(bus, chain)
     }
 
-    /// The earliest future tick (1-based offset from cycle `now`) at
-    /// which this worker's observable state can change, or `None` if it
-    /// is quiescent. Combines the OCP's horizon on the shared `bus` in
+    /// The earliest future tick, seen from cycle `now`, at which this
+    /// worker's observable state can change. Combines the OCP's horizon on the shared `bus` in
     /// the farm's `window` (which reaches the tick after the bus's next
     /// event while the worker's own DMA burst is in flight, or when the
     /// window issues one) with the worker's health timers, which
@@ -569,23 +561,23 @@ impl Worker {
     ///   `degraded_since + fault_window`.
     pub(crate) fn horizon_at(
         &self,
-        now: u64,
+        now: Instant,
         cfg: &FaultConfig,
         bus: &Bus,
         window: &BusWindow,
-    ) -> Option<Cycle> {
+    ) -> Horizon {
         if self.recovering || (self.ocp.fault().is_some() && !self.fault_acknowledged) {
-            return Some(Cycle::new(1));
+            return Horizon::NEXT_TICK;
         }
         let timer = match self.health {
             WorkerHealth::Quarantined => self.quarantine_until,
-            WorkerHealth::Degraded => Some(self.degraded_since + cfg.fault_window),
+            WorkerHealth::Degraded => Some(self.degraded_since.saturating_add(cfg.fault_window)),
             WorkerHealth::Healthy => None,
         };
-        min_horizon(
-            self.ocp.horizon_on(bus, window),
-            timer.and_then(|at| due_at(at, now)),
-        )
+        let lift = timer.map_or(Horizon::QUIESCENT, |at| {
+            Horizon::ending_at(Instant::new(at), now)
+        });
+        self.ocp.horizon_on(bus, window).min(lift)
     }
 
     /// Takes the job off the worker at cycle `now`, closing its span:

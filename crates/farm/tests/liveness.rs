@@ -109,6 +109,40 @@ fn unwatched_wedge_stalls_with_diagnosable_error() {
     );
 }
 
+/// A deadline at the end of time never fires, and both stepping modes
+/// agree on it: the fast-forward loop's abort and drop horizons
+/// saturate instead of overflowing.
+#[test]
+fn deadlines_at_the_end_of_time_never_fire_in_either_mode() {
+    for deadline in [u64::MAX, u64::MAX - 1] {
+        let [stepped, leapt] = [false, true].map(|fast_forward| {
+            let mut farm = Farm::new(
+                FarmConfig {
+                    fast_forward,
+                    liveness: LivenessConfig {
+                        early_drop: true,
+                        ..LivenessConfig::default()
+                    },
+                    ..FarmConfig::default()
+                },
+                Box::new(FifoPolicy::new()),
+            );
+            farm.add_worker(IDCT);
+            let mut rng = XorShift64::new(7);
+            for _ in 0..2 {
+                let spec = JobSpec::new(IDCT, payload(IDCT, &mut rng)).with_deadline(deadline);
+                farm.submit(spec).unwrap();
+            }
+            let cycles = farm.run_until_idle(1_000_000).expect("both jobs finish");
+            let records = farm.records();
+            assert_eq!(records.len(), 2);
+            assert!(records.iter().all(|r| r.outcome.is_completed()));
+            (cycles, format!("{records:?}"))
+        });
+        assert_eq!(stepped, leapt, "deadline {deadline}");
+    }
+}
+
 /// Early drop: queued jobs whose deadline is already unmeetable are
 /// reaped before they waste a worker, and an in-flight job past its
 /// deadline is aborted — without punishing the worker's breaker.

@@ -905,7 +905,7 @@ fn chaos_dice_follow_first_tick_issues() {
 }
 
 /// Pins how many cycles of one job still single-step, per kind, so a
-/// horizon that falls back to `Some(1)` fails here even though every
+/// horizon that falls back to the next tick fails here even though every
 /// lockstep check stays green. Every DMA burst of a lone job meets an
 /// idle bus, so it issues inside a window: what steps is the launch,
 /// the `exec` dispatch, its `end_op` retire and the `eop`, whatever the

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use ouessant_sim::fifo::SyncFifo;
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, Horizon};
 
 use crate::rac::{Rac, RacIo};
 
@@ -165,23 +165,24 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
         }
     }
 
-    fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Horizon {
         match self.state {
-            State::Idle => None,
+            State::Idle => Horizon::QUIESCENT,
             // The collect tick, then the latency countdown, only move
             // words nobody else reads inside the window; the drain that
             // raises `end_op` is the event. Short of a block, ticks
             // change nothing until the controller delivers more words,
             // which is its own event.
-            State::Collecting => (inputs[0].len() >= self.kernel.input_len(self.op)).then(|| {
+            State::Collecting if inputs[0].len() >= self.kernel.input_len(self.op) => {
                 let lat = self.kernel.latency(self.op).saturating_sub(1);
-                Cycle::new(2 + lat.max(1))
-            }),
+                Horizon::after(1 + lat.max(1))
+            }
+            State::Collecting => Horizon::QUIESCENT,
             // `cycles_left` ticks (one for a zero-latency kernel) reach
             // `Draining`; the tick after drains.
-            State::Computing { cycles_left } => Some(Cycle::new(cycles_left.max(1) + 1)),
+            State::Computing { cycles_left } => Horizon::after(cycles_left.max(1)),
             // The drain pushes the outputs and drops `busy`.
-            State::Draining => Some(Cycle::new(1)),
+            State::Draining => Horizon::NEXT_TICK,
         }
     }
 

@@ -8,7 +8,7 @@
 //! FIFO arrangement of Figure 2.
 
 use ouessant_sim::fifo::{SyncFifo, WidthAdapter};
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, Horizon};
 
 use crate::rac::{Rac, RacIo};
 
@@ -118,15 +118,15 @@ impl Rac for PassthroughRac {
     /// takes the last waiting word (and may raise `end_op`) or the
     /// first one that finds the output full. A pipeline delay, a word
     /// in flight or an empty input single-steps.
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
         if !self.busy {
-            return None;
+            return Horizon::QUIESCENT;
         }
         let waiting = inputs[0].len();
         if self.delay > 0 || !self.in_flight.is_empty() || waiting == 0 {
-            return Some(Cycle::new(1));
+            return Horizon::NEXT_TICK;
         }
-        Some(Cycle::new(waiting.min(outputs[0].space() + 1) as u64))
+        Horizon::after((waiting - 1).min(outputs[0].space()) as u64)
     }
 
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {

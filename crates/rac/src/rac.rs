@@ -9,9 +9,10 @@
 
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU64;
 
 use ouessant_sim::fifo::{FifoError, SyncFifo};
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, Horizon};
 
 /// Error type for RAC harness operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +125,8 @@ pub trait Rac {
     }
 
     /// Fast-forward horizon (see `ouessant_sim::event`): the
-    /// earliest future tick, as a 1-based offset from now, at which the
-    /// accelerator's observable state can change, given a read-only
-    /// view of the socket's FIFOs.
+    /// earliest future tick at which the accelerator's observable state
+    /// can change, given a read-only view of the socket's FIFOs.
     ///
     /// Inside a busy accelerator's window nobody else touches those
     /// FIFOs, and nobody reads them: the controller moves words only
@@ -137,18 +137,18 @@ pub trait Rac {
     /// block's collect) as pure ticks and leave the event to the tick
     /// that empties, fills or ends something.
     ///
-    /// The default is maximally conservative — `Some(1)` while busy
-    /// (single-step every cycle), `None` when idle (idle ticks must be
-    /// no-ops, which holds for every in-tree RAC). Accelerators with a
+    /// The default is maximally conservative — the next tick while busy
+    /// (single-step every cycle), quiescent when idle (idle ticks must
+    /// be no-ops, which holds for every in-tree RAC). Accelerators with a
     /// collect-compute-drain cycle (e.g. [`crate::block::BlockRac`]) or
     /// a closed-form stream (e.g. [`crate::passthrough::PassthroughRac`])
     /// override this to expose the whole window.
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
         let _ = (inputs, outputs);
         if self.busy() {
-            Some(Cycle::new(1))
+            Horizon::NEXT_TICK
         } else {
-            None
+            Horizon::QUIESCENT
         }
     }
 
@@ -156,7 +156,9 @@ pub trait Rac {
     /// leaving the accelerator and `io` exactly as `cycles` calls of
     /// [`Rac::tick`] would.
     ///
-    /// Callers guarantee `cycles ≤ horizon() - 1` (or the RAC is idle).
+    /// Callers guarantee the ticks are pure: `cycles` is within
+    /// [`Horizon::leap_bound`] of [`Rac::horizon`] (any count while
+    /// idle).
     /// The default is a no-op, correct for RACs whose idle `tick` does
     /// not touch state; RACs that override [`Rac::horizon`] with a
     /// wider window override this to replay it.
@@ -415,9 +417,9 @@ impl RacSocket {
     /// earlier), otherwise the wrapped accelerator's horizon over the
     /// socket's FIFOs.
     #[must_use]
-    pub fn horizon(&self) -> Option<Cycle> {
-        if self.stall_left > 0 {
-            return Some(Cycle::new(self.stall_left));
+    pub fn horizon(&self) -> Horizon {
+        if let Some(stall) = NonZeroU64::new(self.stall_left) {
+            return Horizon::in_ticks(stall);
         }
         self.rac.horizon(&self.inputs, &self.outputs)
     }

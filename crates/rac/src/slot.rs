@@ -8,8 +8,10 @@
 //! that is currently "loaded", and charges a bitstream-transfer latency
 //! on every swap (triggered by the extension ISA's `rcfg` instruction).
 
+use std::num::NonZeroU64;
+
 use ouessant_sim::fifo::SyncFifo;
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, Horizon};
 
 use crate::rac::{Rac, RacIo, ReconfigResponse};
 
@@ -230,14 +232,14 @@ impl Rac for ReconfigurableSlot {
         self.active_mut().tick(io);
     }
 
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Option<Cycle> {
-        if self.loading_left > 0 {
+    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
+        if let Some(left) = NonZeroU64::new(self.loading_left) {
             // The bitstream load is a pure countdown; the region going
             // live again is the event.
-            return Some(Cycle::new(self.loading_left));
+            return Horizon::in_ticks(left);
         }
         if self.configs.is_empty() {
-            return None;
+            return Horizon::QUIESCENT;
         }
         self.configs[self.active].rac.horizon(inputs, outputs)
     }

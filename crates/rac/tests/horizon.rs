@@ -24,7 +24,7 @@ use ouessant_rac::rac::{Rac, RacIo};
 use ouessant_rac::slot::ReconfigurableSlot;
 use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::rng::XorShift64;
-use ouessant_sim::Cycle;
+use ouessant_sim::{Cycle, Horizon};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
@@ -115,7 +115,7 @@ struct Observed {
     inputs: String,
     outputs: String,
     busy: bool,
-    horizon: Option<Cycle>,
+    horizon: Horizon,
 }
 
 impl Twin {
@@ -160,7 +160,7 @@ impl Twin {
         self.rac.advance(Cycle::new(cycles), &mut io);
     }
 
-    fn horizon(&self) -> Option<Cycle> {
+    fn horizon(&self) -> Horizon {
         self.rac.horizon(&self.inputs, &self.outputs)
     }
 
@@ -230,7 +230,7 @@ fn advance_matches_ticking_below_the_horizon() {
         act(live.draw_io(&mut rng), &mut live, &mut log);
         act(Action::Start(scenario.op), &mut live, &mut log);
         for _ in 0..24 {
-            let Some(h) = live.horizon().map(Cycle::count) else {
+            let Some(h) = live.horizon().ticks() else {
                 // A block short of words waits for more; at the end of
                 // the operation, refill and start the next `exec`.
                 act(live.draw_io(&mut rng), &mut live, &mut log);
@@ -274,13 +274,16 @@ fn streaming_passthrough_answers_in_closed_form() {
         }
         rac.start(0);
         assert_eq!(
-            rac.horizon(&inputs, &outputs),
-            Some(Cycle::new(expected)),
+            rac.horizon(&inputs, &outputs).ticks(),
+            Some(expected),
             "{waiting} waiting, {space} free"
         );
     }
     let idle = PassthroughRac::new(0);
-    assert_eq!(idle.horizon(&[SyncFifo::new("in0", 1)], &[]), None);
+    assert_eq!(
+        idle.horizon(&[SyncFifo::new("in0", 1)], &[]),
+        Horizon::QUIESCENT
+    );
 }
 
 /// A one-word-in, one-word-out kernel of a chosen latency.
@@ -316,7 +319,7 @@ fn block_rac_leaps_from_exec_to_its_drain() {
         });
         // Short of a block: quiescent, and ticks change nothing.
         let starved = twin.observe();
-        assert_eq!(starved.horizon, None, "latency {lat}");
+        assert_eq!(starved.horizon, Horizon::QUIESCENT, "latency {lat}");
         for _ in 0..5 {
             twin.apply(&Action::Tick);
         }
@@ -329,15 +332,15 @@ fn block_rac_leaps_from_exec_to_its_drain() {
             pushes: vec![6],
         });
         let drain = 2 + lat.saturating_sub(1).max(1);
-        assert_eq!(twin.horizon(), Some(Cycle::new(drain)), "latency {lat}");
+        assert_eq!(twin.horizon().ticks(), Some(drain), "latency {lat}");
         twin.apply(&Action::Tick);
         // `Computing { c }` with `c = lat - 1` answers `max(c, 1) + 1`.
         let computing = lat.saturating_sub(1).max(1) + 1;
-        assert_eq!(twin.horizon(), Some(Cycle::new(computing)), "latency {lat}");
+        assert_eq!(twin.horizon().ticks(), Some(computing), "latency {lat}");
         for left in (1..computing).rev() {
             twin.apply(&Action::Tick);
             assert!(twin.rac.busy() && twin.outputs[0].is_empty());
-            assert_eq!(twin.horizon(), Some(Cycle::new(left)), "latency {lat}");
+            assert_eq!(twin.horizon().ticks(), Some(left), "latency {lat}");
         }
         twin.apply(&Action::Tick);
         assert!(!twin.rac.busy(), "latency {lat}: end_op on tick {drain}");

@@ -22,7 +22,10 @@ use crate::bus::{
     Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, SlaveMap, Txn, TxnKind,
     TxnRequest, TxnShape,
 };
-use crate::clock::Cycle;
+use std::num::NonZeroU64;
+
+use crate::clock::{Cycle, Instant};
+use crate::event::Horizon;
 
 /// Object-safe façade over a system bus, implemented by the AHB-like
 /// [`crate::bus::Bus`] and the AXI-like [`AxiBus`].
@@ -51,7 +54,7 @@ pub trait SystemBus {
 
     /// Current simulation time.
     #[must_use]
-    fn now(&self) -> Cycle;
+    fn now(&self) -> Instant;
 
     /// Samples a master port.
     #[must_use]
@@ -85,27 +88,23 @@ pub trait SystemBus {
     #[must_use]
     fn stats(&self) -> BusStats;
 
-    /// The earliest future cycle (as a 1-based offset from now) at
-    /// which the bus's observable state can change: a transaction
-    /// completes or a slave faults.
-    ///
-    /// `Some(1)` = "may change on the very next tick" (single-step);
-    /// `Some(k)` = "ticks `1..k` are pure, tick `k` is the event";
-    /// `None` = quiescent (no master is requesting). See the
+    /// The earliest future tick at which the bus's observable state
+    /// can change: a transaction completes or a slave faults.
+    /// Quiescent when no master is requesting. See the
     /// [`event`](crate::event) module for the whole contract.
     #[must_use]
-    fn horizon(&self) -> Option<Cycle>;
+    fn horizon(&self) -> Horizon;
 
-    /// The [`SystemBus::horizon`] the bus would have right after
-    /// `master` issues a burst of `shape`, before this cycle's tick, or
-    /// `None`. It lets a master issue inside a fast-forward window
+    /// The tick of the [`SystemBus::horizon`] the bus would have right
+    /// after `master` issues a burst of `shape`, before this cycle's
+    /// tick, or `None` when it declines to say. It lets a master issue inside a fast-forward window
     /// instead of on a stepped tick (see [`BusWindow`](crate::event::BusWindow)),
     /// so an answer must be exact, and `None` whenever `try_begin` would
     /// reject the burst (a completion waiting on `master`'s port aside).
     /// The default declines every request, which keeps each issue a
     /// stepped event.
     #[must_use]
-    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
+    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
         let _ = (master, shape);
         None
     }
@@ -125,7 +124,7 @@ pub trait SystemBus {
     /// Callers must guarantee `cycles ≤ horizon()` (a quiescent bus
     /// accepts any count): nothing observes a bus event on the tick it
     /// happens, so an owner may leap through it (see
-    /// [`observed_horizon`](crate::event::observed_horizon)), and no
+    /// [`Horizon::observed`]), and no
     /// master calls [`SystemBus::try_begin`] or
     /// [`SystemBus::take_completion`] in between. Afterwards the bus is
     /// bit-identical to having been `tick()`ed `cycles` times.
@@ -173,7 +172,7 @@ impl Channel {
     /// completion to its master.
     fn tick(
         &mut self,
-        now: Cycle,
+        now: Instant,
         setup: u32,
         slaves: &mut SlaveMap,
         completions: &mut [Vec<Result<Completion, BusError>>],
@@ -247,7 +246,7 @@ impl Channel {
 #[derive(Debug)]
 pub struct AxiBus {
     config: AxiConfig,
-    now: Cycle,
+    now: Instant,
     read: Channel,
     write: Channel,
     completions: Vec<Vec<Result<Completion, BusError>>>,
@@ -261,7 +260,7 @@ impl AxiBus {
     pub fn new(config: AxiConfig) -> Self {
         Self {
             config,
-            now: Cycle::ZERO,
+            now: Instant::default(),
             read: Channel::default(),
             write: Channel::default(),
             completions: Vec::new(),
@@ -315,7 +314,7 @@ impl SystemBus for AxiBus {
         }
     }
 
-    fn now(&self) -> Cycle {
+    fn now(&self) -> Instant {
         self.now
     }
 
@@ -361,20 +360,23 @@ impl SystemBus for AxiBus {
         }
     }
 
-    /// `Some(1)` while either channel is active or any master has a
-    /// transaction queued on either channel; `None` when both channels
-    /// are drained — idle ticks only advance `now` (pending completions
-    /// are inert until a master collects them).
-    fn horizon(&self) -> Option<Cycle> {
-        (self.read.is_busy() || self.write.is_busy()).then_some(Cycle::new(1))
+    /// The next tick while either channel is active or any master has
+    /// a transaction queued on either channel; quiescent when both
+    /// channels are drained — idle ticks only advance `now` (pending
+    /// completions are inert until a master collects them).
+    fn horizon(&self) -> Horizon {
+        if self.read.is_busy() || self.write.is_busy() {
+            Horizon::NEXT_TICK
+        } else {
+            Horizon::QUIESCENT
+        }
     }
 
     /// Idle ticks in O(1). A busy bus is advanced through at most its
-    /// event tick (its owner leaps to
-    /// [`observed_horizon`](crate::event::observed_horizon)), which
+    /// event tick (its owner leaps to [`Horizon::observed`]), which
     /// replays as a real tick.
     fn advance(&mut self, cycles: Cycle) {
-        if self.horizon().is_some() {
+        if self.horizon() != Horizon::QUIESCENT {
             for _ in 0..cycles.count() {
                 self.tick();
             }

@@ -36,9 +36,11 @@
 
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::axi::SystemBus;
-use crate::clock::Cycle;
+use crate::clock::{Cycle, Instant};
+use crate::event::Horizon;
 use crate::trace::Trace;
 
 /// A byte address on the system bus.
@@ -183,9 +185,9 @@ pub struct Completion {
     /// Read data (empty for writes).
     pub data: Vec<u32>,
     /// Cycle at which [`Bus::try_begin`] accepted the request.
-    pub issued_at: Cycle,
+    pub issued_at: Instant,
     /// Cycle at which the final beat completed.
-    pub completed_at: Cycle,
+    pub completed_at: Instant,
     /// Total cycles from issue to completion.
     pub cycles: u64,
 }
@@ -458,13 +460,13 @@ pub(crate) struct Txn {
     req: TxnRequest,
     beats_done: u16,
     read_data: Vec<u32>,
-    issued_at: Cycle,
+    issued_at: Instant,
     pub(crate) slave_idx: usize,
 }
 
 impl Txn {
     /// Accepts `req` at cycle `now`, bound for slave `slave_idx`.
-    pub(crate) fn new(req: TxnRequest, slave_idx: usize, now: Cycle) -> Self {
+    pub(crate) fn new(req: TxnRequest, slave_idx: usize, now: Instant) -> Self {
         let capacity = match req.shape.kind {
             TxnKind::Read => usize::from(req.shape.beats),
             TxnKind::Write => 0,
@@ -526,14 +528,14 @@ impl Txn {
     }
 
     /// The completion of a transaction whose last beat moved at `now`.
-    pub(crate) fn finish(self, now: Cycle) -> Completion {
+    pub(crate) fn finish(self, now: Instant) -> Completion {
         Completion {
             kind: self.req.shape.kind,
             addr: self.req.shape.addr,
             data: self.read_data,
             issued_at: self.issued_at,
             completed_at: now,
-            cycles: now.count() - self.issued_at.count(),
+            cycles: (now - self.issued_at).count(),
         }
     }
 }
@@ -799,7 +801,7 @@ impl SlaveMap {
 #[derive(Debug)]
 pub struct Bus {
     config: BusConfig,
-    now: Cycle,
+    now: Instant,
     masters: Vec<MasterPort>,
     slaves: SlaveMap,
     active: Option<ActiveGrant>,
@@ -821,7 +823,7 @@ impl Bus {
         assert!(config.max_burst_beats > 0, "sub-bursts need a beat");
         Self {
             config,
-            now: Cycle::ZERO,
+            now: Instant::default(),
             masters: Vec::new(),
             slaves: SlaveMap::default(),
             active: None,
@@ -1000,7 +1002,7 @@ impl Bus {
         }
         // Alone on a slave that never faults, the bus's next event is
         // the completion.
-        let cycles = self.next_event(None)?.count();
+        let cycles = self.next_event(None)?.get();
         if cycles > n {
             return None;
         }
@@ -1299,20 +1301,21 @@ impl Bus {
         })
     }
 
-    /// [`Bus::horizon`] with `issuer`'s request added to the requesting
-    /// set.
-    fn next_event(&self, issuer: Option<Issuer>) -> Option<Cycle> {
+    /// The tick of [`Bus::horizon`] with `issuer`'s request added to
+    /// the requesting set, `None` when nobody requests.
+    fn next_event(&self, issuer: Option<Issuer>) -> Option<NonZeroU64> {
+        let tick = |cycles| Some(NonZeroU64::new(cycles).expect("a bus event is a tick ahead"));
         let max = u64::from(self.config.max_burst_beats);
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;
         let mut in_flight = 0;
         if let Some(f) = self.in_flight() {
             if !f.timing.fault_free {
-                return Some(Cycle::new(f.address + beat_offset(f.wait, 0, 1)));
+                return tick(f.address + beat_offset(f.wait, 0, 1));
             }
             cycles = f.cycles();
             if f.beats == f.remaining {
-                return Some(Cycle::new(cycles));
+                return tick(cycles);
             }
             in_flight = f.beats;
         }
@@ -1358,7 +1361,7 @@ impl Bus {
                 .map(|r| r.timing.sub_burst_cycles(max))
                 .sum::<u64>();
         }
-        Some(Cycle::new(cycles))
+        tick(cycles)
     }
 }
 
@@ -1403,7 +1406,7 @@ impl SystemBus for Bus {
         self.run(1);
     }
 
-    fn now(&self) -> Cycle {
+    fn now(&self) -> Instant {
         self.now
     }
 
@@ -1465,8 +1468,9 @@ impl SystemBus for Bus {
     /// rotation of grants, each sub-burst taking a grant cycle,
     /// an address cycle and `beat_offset` data cycles. O(masters), no
     /// allocation.
-    fn horizon(&self) -> Option<Cycle> {
+    fn horizon(&self) -> Horizon {
         self.next_event(None)
+            .map_or(Horizon::QUIESCENT, Horizon::in_ticks)
     }
 
     /// Worked out in closed form (no clone, O(masters)). A write's
@@ -1477,7 +1481,7 @@ impl SystemBus for Bus {
     ///
     /// On an idle bus the answer does not depend on `now`, so an issue
     /// `k` idle ticks ahead completes `k` ticks later.
-    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<Cycle> {
+    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
         let port = self.masters.get(master.0)?;
         let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
         self.next_event(Some(Issuer {
@@ -1809,19 +1813,19 @@ mod tests {
                 },
             ),
         );
-        assert_eq!(bus.horizon(), None);
+        assert_eq!(bus.horizon(), Horizon::QUIESCENT);
         bus.try_begin(m, TxnRequest::read(0, 4)).unwrap();
         // Grant + address + (3 waits + beat) + 3 × (1 wait + beat): the
         // completion is 12 cycles out, `wait_states_charged`' total.
-        assert_eq!(bus.horizon(), Some(Cycle::new(12)));
+        assert_eq!(bus.horizon().ticks(), Some(12));
         bus.advance(Cycle::new(11));
-        assert_eq!(bus.horizon(), Some(Cycle::new(1)));
+        assert_eq!(bus.horizon().ticks(), Some(1));
         assert!(bus.poll(m).is_pending());
         bus.tick();
         let c = bus.take_completion(m).unwrap().unwrap();
         assert_eq!(c.cycles, 12);
         assert_eq!(bus.stats().beats, 4);
-        assert_eq!(bus.horizon(), None);
+        assert_eq!(bus.horizon(), Horizon::QUIESCENT);
     }
 
     #[test]
@@ -1854,13 +1858,13 @@ mod tests {
             bus.try_begin(ids[0], TxnRequest::read(0, 10)).unwrap();
             bus.try_begin(ids[1], TxnRequest::write(0x80, vec![7; 5]))
                 .unwrap();
-            assert_eq!(bus.horizon(), Some(Cycle::new(at)), "{arbiter:?}");
+            assert_eq!(bus.horizon().ticks(), Some(at), "{arbiter:?}");
             let mut ticks = 0;
             while ids.iter().all(|&m| bus.poll(m).is_pending()) {
                 bus.tick();
                 ticks += 1;
                 if ticks < at {
-                    assert_eq!(bus.horizon(), Some(Cycle::new(at - ticks)));
+                    assert_eq!(bus.horizon().ticks(), Some(at - ticks));
                 }
             }
             assert_eq!(ticks, at, "{arbiter:?}");
@@ -2112,7 +2116,7 @@ mod tests {
         let req = TxnRequest::read(0x4000_0000, 40);
         // Idle: a lone request, its sub-bursts back to back.
         let alone = bus.horizon_with(m, req.shape());
-        assert_eq!(alone, Some(Cycle::new(2 * (2 + 16) + 2 + 8)));
+        assert_eq!(alone.map(NonZeroU64::get), Some(2 * (2 + 16) + 2 + 8));
         // A waiting completion does not move it; an outstanding burst
         // makes the issue fail.
         bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
@@ -2134,7 +2138,7 @@ mod tests {
         bus.tick();
         let what_if = bus.horizon_with(m, req.shape());
         bus.try_begin(m, req).unwrap();
-        assert_eq!(what_if, bus.horizon());
+        assert_eq!(what_if.map(Horizon::in_ticks), Some(bus.horizon()));
         // Rejections match `try_begin`'s.
         assert_eq!(
             bus.horizon_with(other, TxnRequest::read(0x4000_0000, 1).shape()),

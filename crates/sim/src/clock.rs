@@ -2,29 +2,18 @@
 //!
 //! Every result in the paper's Table I is reported in *cycles* at a
 //! 50 MHz system clock; [`Frequency`] converts between the two so the
-//! benches can print both.
+//! benches can print both. A span of cycles is a [`Cycle`], a point on
+//! the bus clock an [`Instant`].
 
 use std::fmt;
-use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
-/// A count of clock cycles (also used as an absolute timestamp).
-///
-/// ```
-/// use ouessant_sim::Cycle;
-///
-/// let a = Cycle::new(100);
-/// let b = a + Cycle::new(50);
-/// assert_eq!(b.count(), 150);
-/// assert_eq!((b - a).count(), 50);
-/// ```
+/// A span of clock cycles: the time between two [`Instant`]s, or the
+/// ticks a component leaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {
-    /// Cycle zero.
-    pub const ZERO: Cycle = Cycle(0);
-
     /// Wraps a raw cycle count.
     #[must_use]
     pub fn new(count: u64) -> Self {
@@ -36,62 +25,73 @@ impl Cycle {
     pub fn count(self) -> u64 {
         self.0
     }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub fn saturating_sub(self, rhs: Self) -> Self {
-        Self(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl Add for Cycle {
-    type Output = Cycle;
-
-    fn add(self, rhs: Cycle) -> Cycle {
-        Cycle(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycle {
-    fn add_assign(&mut self, rhs: Cycle) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for Cycle {
-    type Output = Cycle;
-
-    /// # Panics
-    ///
-    /// Panics in debug builds if `rhs > self` (cycle counts cannot be
-    /// negative); use [`Cycle::saturating_sub`] when underflow is
-    /// expected.
-    fn sub(self, rhs: Cycle) -> Cycle {
-        Cycle(self.0 - rhs.0)
-    }
-}
-
-impl Sum for Cycle {
-    fn sum<I: Iterator<Item = Cycle>>(iter: I) -> Cycle {
-        Cycle(iter.map(|c| c.0).sum())
-    }
-}
-
-impl From<u64> for Cycle {
-    fn from(v: u64) -> Self {
-        Cycle(v)
-    }
-}
-
-impl From<Cycle> for u64 {
-    fn from(c: Cycle) -> u64 {
-        c.0
-    }
 }
 
 impl fmt::Display for Cycle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} cy", self.0)
+    }
+}
+
+/// An absolute cycle of the bus clock: the cycle count since reset.
+///
+/// Two instants differ by a [`Cycle`] span, and a span moves an
+/// instant:
+///
+/// ```
+/// use ouessant_sim::{Cycle, Instant};
+///
+/// let issued = Instant::new(100);
+/// let completed = issued + Cycle::new(18);
+/// assert_eq!(completed - issued, Cycle::new(18));
+/// ```
+///
+/// Adding two instants means nothing, so it does not compile:
+///
+/// ```compile_fail
+/// use ouessant_sim::Instant;
+///
+/// let _ = Instant::new(100) + Instant::new(18);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct Instant(u64);
+
+impl Instant {
+    /// The instant `cycle` cycles after reset.
+    #[must_use]
+    pub const fn new(cycle: u64) -> Self {
+        Self(cycle)
+    }
+
+    /// The cycles since reset.
+    #[must_use]
+    pub const fn count(self) -> u64 {
+        self.0
+    }
+}
+
+impl Add<Cycle> for Instant {
+    type Output = Instant;
+
+    fn add(self, rhs: Cycle) -> Instant {
+        Instant(self.0 + rhs.0)
+    }
+}
+
+impl AddAssign<Cycle> for Instant {
+    fn add_assign(&mut self, rhs: Cycle) {
+        self.0 += rhs.0;
+    }
+}
+
+impl Sub for Instant {
+    type Output = Cycle;
+
+    /// # Panics
+    ///
+    /// Panics in debug builds if `rhs` is later than `self`.
+    fn sub(self, rhs: Instant) -> Cycle {
+        Cycle(self.0 - rhs.0)
     }
 }
 
@@ -173,25 +173,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycle_arithmetic() {
-        let a = Cycle::new(10);
-        let b = Cycle::new(3);
-        assert_eq!((a + b).count(), 13);
-        assert_eq!((a - b).count(), 7);
-        let mut c = a;
-        c += b;
-        assert_eq!(c.count(), 13);
-    }
-
-    #[test]
-    fn cycle_saturating_sub() {
-        assert_eq!(Cycle::new(3).saturating_sub(Cycle::new(10)), Cycle::ZERO);
-    }
-
-    #[test]
-    fn cycle_sum() {
-        let total: Cycle = [1u64, 2, 3].into_iter().map(Cycle::new).sum();
-        assert_eq!(total.count(), 6);
+    fn instants_differ_by_spans() {
+        let mut t = Instant::new(10);
+        t += Cycle::new(3);
+        assert_eq!(t, Instant::new(13));
+        assert_eq!(t - Instant::new(10), Cycle::new(3));
+        assert_eq!(Instant::default() + Cycle::new(7), Instant::new(7));
     }
 
     #[test]

@@ -27,40 +27,45 @@
 //!
 //! For a component whose per-cycle behaviour is `tick()`:
 //!
-//! * `horizon()` returns the earliest *future* cycle, as an
-//!   offset from now, at which the component's observable state can
-//!   change. `Some(k)` (with `k ≥ 1`) means the next `k - 1` ticks are
-//!   **pure**: nothing another component can observe changes before
-//!   tick `k`, which is the first that may (retire an FSM state,
-//!   complete a bus transaction, raise an interrupt …). A pure tick may
-//!   still change the component's own state — counters, countdowns,
-//!   even data a bus burst moves between a master's transaction and a
-//!   slave — as long as no other component can read it before tick `k`.
-//!   `Some(1)` is always a safe answer for a busy component — it simply
-//!   forces the driver to single-step. `None` means the component is
-//!   quiescent: no number of ticks will ever change its observable
-//!   state (it still tolerates `advance`, which must
-//!   replay idle ticks).
-//! * `advance(n)` replays `n` ticks exactly, under the
-//!   promise that all of them are pure, i.e. `n ≤ horizon() - 1` (or
-//!   the component is quiescent). After `advance(n)` the component must
-//!   be **bit-identical** to the state after `n` real `tick()` calls —
-//!   including cycle counters, utilization statistics, countdowns and
-//!   any data moved — so that a fast-forwarded run and a cycle-by-cycle
-//!   run can never be told apart. Countdowns replay in O(1); work that
-//!   moves data (a bus burst's beats) is replayed in bulk, skipping only
-//!   the per-tick overhead.
+//! * `horizon()` returns a [`Horizon`]: the earliest *future* tick at
+//!   which the component's observable state can change. A horizon of
+//!   `k` ticks means the next `k - 1` ticks are **pure**: nothing
+//!   another component can observe changes before tick `k`, which is
+//!   the first that may (retire an FSM state, complete a bus
+//!   transaction, raise an interrupt …). A pure tick may still change
+//!   the component's own state — counters, countdowns, even data a bus
+//!   burst moves between a master's transaction and a slave — as long
+//!   as no other component can read it before tick `k`.
+//!   [`Horizon::NEXT_TICK`] is always a safe answer for a busy
+//!   component — it simply forces the driver to single-step.
+//!   [`Horizon::QUIESCENT`] means no number of ticks will ever change
+//!   its observable state (it still tolerates `advance`, which must
+//!   replay idle ticks). The type has no zero horizon.
+//! * `advance(n)` replays `n` ticks exactly, under the promise that
+//!   all of them are pure, i.e. `n` is within [`Horizon::leap_bound`]
+//!   (`horizon() − 1` ticks, any count when quiescent). After
+//!   `advance(n)` the component must be **bit-identical** to the state
+//!   after `n` real `tick()` calls — including cycle counters,
+//!   utilization statistics, countdowns and any data moved — so that a
+//!   fast-forwarded run and a cycle-by-cycle run can never be told
+//!   apart. Countdowns replay in O(1); work that moves data (a bus
+//!   burst's beats) is replayed in bulk, skipping only the per-tick
+//!   overhead.
 //!
-//! A driver combines horizons with [`min_horizon`] (treating `None` as
-//! +∞), leaps `min - 1` cycles with `advance`, then executes the event
-//! cycle with a real `tick()`. Components may *underestimate* their
-//! horizon (costing speed, never correctness); they must never
-//! overestimate it.
+//! A driver combines horizons with [`Ord::min`] (quiescent is the
+//! largest), leaps [`Horizon::leap_bound`] cycles with `advance`, then
+//! executes the event cycle with a real `tick()`. Components may
+//! *underestimate* their horizon (costing speed, never correctness);
+//! they must never overestimate it. An event due at an absolute cycle
+//! takes the constructor of its firing rule ([`Horizon::starting_at`],
+//! [`Horizon::starting_after`], [`Horizon::ending_at`]), each of which
+//! saturates, so a timer at the end of time leaps as far as the clock
+//! goes instead of overflowing.
 //!
 //! One rule refines this for the bus: nothing observes a bus event on
 //! the tick it happens. Masters tick before the bus and read their
 //! ports in their own tick, so a bus's owner merges its horizon through
-//! [`observed_horizon`] (one tick later) and leaps *through* the bus's
+//! [`Horizon::observed`] (one tick later) and leaps *through* the bus's
 //! event tick; a bus's `advance` accepts `n ≤ horizon()` for that.
 //!
 //! A window may also hold one master's *run* (see [`BusWindow`]): the
@@ -76,39 +81,160 @@
 //! its issue and the burst, then the bus over the burst. On an
 //! otherwise idle bus each burst is one closed-form step of the bus.
 
+use std::cmp::Ordering;
+use std::num::NonZeroU64;
+
 use crate::axi::SystemBus;
 use crate::bus::{MasterId, TxnKind, TxnShape};
-use crate::clock::Cycle;
+use crate::clock::{Cycle, Instant};
 
-/// Combines two horizons, treating `None` as "never" (+∞).
+/// When a component's observable state can next change, seen from the
+/// current cycle: the fast-forward contract as a type.
 ///
-/// The result is the earlier of the two events: the horizon a driver
-/// must respect when it owns both components.
-#[must_use]
-pub fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (Some(x), None) | (None, Some(x)) => Some(x),
-        (None, None) => None,
+/// A horizon is one of three cases: the next tick
+/// ([`Horizon::NEXT_TICK`]), the tick `n ≥ 2` ticks from now, or never
+/// ([`Horizon::QUIESCENT`]). A horizon of `k` ticks promises that the
+/// `k − 1` ticks before tick `k` are pure, so a driver may leap
+/// [`Horizon::leap_bound`] ticks and step the event itself. Horizons
+/// order by when their event comes, quiescent last, so the horizon of
+/// two components is the [`Ord::min`] of theirs. The default is
+/// quiescent.
+///
+/// A component states when its event fires with the constructor that
+/// names its rule ([`Horizon::starting_at`], [`Horizon::starting_after`],
+/// [`Horizon::ending_at`] for an absolute cycle, [`Horizon::after`] for
+/// a count of pure ticks, [`Horizon::observed`] for a bus event), so no
+/// caller writes an offset. No horizon is zero ticks away: an event is
+/// always on a tick still to come.
+///
+/// ```compile_fail
+/// use ouessant_sim::Horizon;
+///
+/// let _ = Horizon::in_ticks(0);
+/// ```
+///
+/// ```
+/// use ouessant_sim::{Horizon, Instant};
+///
+/// let now = Instant::new(100);
+/// // An event due once the clock has passed cycle 104 fires on the
+/// // tick that starts at 105, the sixth from now.
+/// let deadline = Horizon::starting_after(Instant::new(104), now);
+/// assert_eq!(deadline.ticks(), Some(6));
+/// assert_eq!(deadline.min(Horizon::QUIESCENT), deadline);
+/// assert_eq!(deadline.leap_bound(3), 3);
+/// assert_eq!(deadline.leap_bound(100), 5);
+/// assert_eq!(deadline.at(now), Some(Instant::new(106)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Horizon(Option<NonZeroU64>);
+
+impl Horizon {
+    /// The next tick may change observable state: the driver steps it.
+    pub const NEXT_TICK: Horizon = Horizon(Some(NonZeroU64::MIN));
+
+    /// No number of ticks changes observable state.
+    pub const QUIESCENT: Horizon = Horizon(None);
+
+    /// The event is on the `ticks`-th tick from now.
+    #[must_use]
+    pub const fn in_ticks(ticks: NonZeroU64) -> Self {
+        Self(Some(ticks))
+    }
+
+    /// The event is on the tick after `pure` pure ticks (saturating).
+    #[must_use]
+    pub const fn after(pure: u64) -> Self {
+        Self(Some(NonZeroU64::MIN.saturating_add(pure)))
+    }
+
+    /// The first tick, from `now`, whose pre-tick cycle reaches `at`: a
+    /// rule checked at the start of a tick as `now >= at` (a parked
+    /// retry's unpark, the chaos squat's release, a `wait`'s retire).
+    /// An event already due fires on the next tick.
+    #[must_use]
+    pub fn starting_at(at: Instant, now: Instant) -> Self {
+        Self::due(at.count().saturating_add(1), now)
+    }
+
+    /// The first tick, from `now`, whose pre-tick cycle passes `at`: a
+    /// rule checked at the start of a tick as `now > at` (a deadline's
+    /// drop or abort).
+    #[must_use]
+    pub fn starting_after(at: Instant, now: Instant) -> Self {
+        Self::due(at.count().saturating_add(2), now)
+    }
+
+    /// The first tick, from `now`, whose post-tick cycle reaches `at`: a
+    /// timer checked after the clock moves (a quarantine's lift, a
+    /// degraded worker's heal).
+    #[must_use]
+    pub fn ending_at(at: Instant, now: Instant) -> Self {
+        Self::due(at.count(), now)
+    }
+
+    /// The tick whose post-tick cycle is `end`, at least the next one.
+    /// Saturated rules land early, which is safe: a horizon may
+    /// underestimate, never overestimate.
+    fn due(end: u64, now: Instant) -> Self {
+        Self::after(end.saturating_sub(now.count()).saturating_sub(1))
+    }
+
+    /// The first tick at which an owner that ticks *before* the bus can
+    /// observe `bus_event`, the bus's [`SystemBus::horizon`]: the tick
+    /// after it.
+    ///
+    /// A master reads its port in its own tick, which runs before the
+    /// bus's, so a completion (or a slave fault) the bus records in tick
+    /// `c` is first seen in tick `c + 1`. The completion tick is
+    /// therefore pure for everyone but the bus, and an owner may leap
+    /// through it: the bus replays its own event inside
+    /// [`SystemBus::advance`]. An owner that reads a port *after* the
+    /// bus ticks (a CPU polling inside the same cycle) must keep the
+    /// raw horizon instead.
+    #[must_use]
+    pub fn observed(bus_event: Horizon) -> Self {
+        Self(bus_event.0.map(|k| k.saturating_add(1)))
+    }
+
+    /// The event's tick as an offset from now, `None` when quiescent.
+    #[must_use]
+    pub fn ticks(self) -> Option<u64> {
+        self.0.map(NonZeroU64::get)
+    }
+
+    /// The cycle the clock reads once the event's tick has run, `None`
+    /// when quiescent.
+    #[must_use]
+    pub fn at(self, now: Instant) -> Option<Instant> {
+        self.ticks()
+            .map(|k| Instant::new(now.count().saturating_add(k)))
+    }
+
+    /// The ticks a driver may leap before it steps the event: the pure
+    /// ticks in front of it, at most `limit`, and `limit` when
+    /// quiescent. 0 means step the next tick.
+    #[must_use]
+    pub fn leap_bound(self, limit: u64) -> u64 {
+        self.ticks().map_or(limit, |k| (k - 1).min(limit))
     }
 }
 
-/// The first tick at which an owner that ticks *before* the bus can
-/// observe the bus event at `bus_event` (the bus's
-/// [`SystemBus::horizon`]): the tick
-/// after it.
-///
-/// A master reads its port in its own tick, which runs before the
-/// bus's, so a completion (or a slave fault) the bus records in tick
-/// `c` is first seen in tick `c + 1`. The completion tick is therefore
-/// pure for everyone but the bus, and an owner may leap through it:
-/// the bus replays its own event inside
-/// [`SystemBus::advance`]. An
-/// owner that reads a port *after* the bus ticks (a CPU polling
-/// inside the same cycle) must keep the raw horizon instead.
-#[must_use]
-pub fn observed_horizon(bus_event: Option<Cycle>) -> Option<Cycle> {
-    bus_event.map(|c| c + Cycle::new(1))
+impl Ord for Horizon {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self.0, other.0) {
+            (Some(a), Some(b)) => a.cmp(&b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => Ordering::Equal,
+        }
+    }
+}
+
+impl PartialOrd for Horizon {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A transfer a bus master can issue inside a fast-forward window: its
@@ -189,7 +315,7 @@ impl Advancing {
 ///   event, and ends the run in front of it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BusWindow {
-    event: Option<Cycle>,
+    event: Horizon,
     /// The run's first burst, as a candidate and on the window's ticks.
     issue: Option<(WindowIssue, RunBurst)>,
     /// The run's later bursts.
@@ -214,7 +340,7 @@ impl BusWindow {
         I: IntoIterator<Item = (WindowIssue, R)>,
     {
         let event = bus.horizon();
-        let chain = chains && event.is_none();
+        let chain = chains && event == Horizon::QUIESCENT;
         let mut first: Option<(WindowIssue, R)> = None;
         let mut tied = false;
         for (c, rest) in candidates(chain) {
@@ -237,11 +363,11 @@ impl BusWindow {
                 let first = RunBurst {
                     kind: i.shape.kind,
                     issue: i.prefix + 1,
-                    event: h.count() + i.prefix,
-                    completes: event.is_none() && bus.never_faults(i.shape),
+                    event: h.get() + i.prefix,
+                    completes: event == Horizon::QUIESCENT && bus.never_faults(i.shape),
                 };
                 let window = Self {
-                    event: Some(Cycle::new(first.event)),
+                    event: Horizon::after(first.event - 1),
                     issue: Some((i, first)),
                     later: Vec::new(),
                     chain,
@@ -273,7 +399,7 @@ impl BusWindow {
     pub fn extend_run(
         &mut self,
         bus: &dyn SystemBus,
-        limit: Option<Cycle>,
+        limit: Horizon,
         gap: u64,
         later: impl IntoIterator<Item = TxnShape>,
     ) {
@@ -282,7 +408,7 @@ impl BusWindow {
         };
         // Whether a burst can follow `b` inside the window: the issuer
         // picks `b` up on the tick after its event, before `limit`.
-        let continues = |b: &RunBurst| b.completes && limit.is_none_or(|l| b.event + 1 < l.count());
+        let continues = |b: &RunBurst| b.completes && limit.ticks().is_none_or(|l| b.event + 1 < l);
         let mut last = *self.later.last().unwrap_or(&first);
         if !continues(&last) {
             return;
@@ -295,7 +421,7 @@ impl BusWindow {
             last = RunBurst {
                 kind: shape.kind,
                 issue: at,
-                event: at - 1 + h.count(),
+                event: at - 1 + h.get(),
                 completes: bus.never_faults(shape),
             };
             self.later.push(last);
@@ -303,14 +429,14 @@ impl BusWindow {
                 break;
             }
         }
-        self.event = Some(Cycle::new(last.event));
+        self.event = Horizon::after(last.event - 1);
     }
 
     /// The bus's next event, as an offset from now, with the window's
     /// run included: the run's last completion when it has one, and
     /// what every master waiting on the bus defers to.
     #[must_use]
-    pub fn event(&self) -> Option<Cycle> {
+    pub fn event(&self) -> Horizon {
         self.event
     }
 
@@ -369,7 +495,7 @@ impl BusWindow {
             let end = b.event.min(n);
             masters(bus, Advancing::Issuer(issue.master), end - done);
             debug_assert!(
-                end < b.issue || bus.horizon() == Some(Cycle::new(b.event + 1 - b.issue)),
+                end < b.issue || bus.horizon() == Horizon::after(b.event - b.issue),
                 "the issuer issues its run's burst on the tick planned for it"
             );
             bus.advance(Cycle::new(end - before));
@@ -383,13 +509,75 @@ impl BusWindow {
 mod tests {
     use super::*;
 
+    fn ticks(n: u64) -> Horizon {
+        Horizon::in_ticks(NonZeroU64::new(n).expect("a horizon is at least one tick"))
+    }
+
     #[test]
-    fn min_horizon_treats_none_as_infinity() {
-        let c = |n| Some(Cycle::new(n));
-        assert_eq!(min_horizon(c(5), c(3)), c(3));
-        assert_eq!(min_horizon(c(5), None), c(5));
-        assert_eq!(min_horizon(None, c(7)), c(7));
-        assert_eq!(min_horizon(None, None), None);
+    fn the_earlier_horizon_wins_and_quiescent_is_last() {
+        assert_eq!(ticks(5).min(ticks(3)), ticks(3));
+        assert_eq!(ticks(5).min(Horizon::QUIESCENT), ticks(5));
+        assert_eq!(Horizon::QUIESCENT.min(ticks(7)), ticks(7));
+        assert_eq!(
+            Horizon::QUIESCENT.min(Horizon::QUIESCENT),
+            Horizon::QUIESCENT
+        );
+        assert!(Horizon::NEXT_TICK < ticks(2) && ticks(u64::MAX) < Horizon::QUIESCENT);
+        assert_eq!(Horizon::after(0), Horizon::NEXT_TICK);
+        assert_eq!(Horizon::after(u64::MAX), ticks(u64::MAX));
+    }
+
+    #[test]
+    fn each_firing_rule_lands_on_its_tick() {
+        let now = Instant::new(10);
+        // Pre-tick cycle reaches `at`: the tick starting at 12 is the third.
+        assert_eq!(Horizon::starting_at(Instant::new(12), now), ticks(3));
+        // Pre-tick cycle passes `at`: the tick starting at 13.
+        assert_eq!(Horizon::starting_after(Instant::new(12), now), ticks(4));
+        // Post-tick cycle reaches `at`: the tick ending at 12.
+        assert_eq!(Horizon::ending_at(Instant::new(12), now), ticks(2));
+        // Each rule on the tick that first satisfies it, by stepping.
+        for at in 0..20 {
+            let at = Instant::new(at);
+            let first = |holds: &dyn Fn(u64, u64) -> bool| {
+                (1..).find(|&k| holds(now.count() + k - 1, now.count() + k))
+            };
+            let due = |h: Horizon| h.ticks();
+            assert_eq!(
+                due(Horizon::starting_at(at, now)),
+                first(&|pre, _| pre >= at.count())
+            );
+            assert_eq!(
+                due(Horizon::starting_after(at, now)),
+                first(&|pre, _| pre > at.count())
+            );
+            assert_eq!(
+                due(Horizon::ending_at(at, now)),
+                first(&|_, post| post >= at.count())
+            );
+        }
+        // At the end of time every rule saturates instead of overflowing.
+        let end = Instant::new(u64::MAX);
+        for h in [
+            Horizon::starting_at(end, now),
+            Horizon::starting_after(end, now),
+            Horizon::ending_at(end, now),
+        ] {
+            assert_eq!(h, ticks(u64::MAX - 10));
+        }
+        assert_eq!(Horizon::starting_after(end, end), Horizon::NEXT_TICK);
+    }
+
+    #[test]
+    fn a_driver_leaps_the_pure_ticks_within_its_limit() {
+        assert_eq!(Horizon::NEXT_TICK.leap_bound(100), 0);
+        assert_eq!(ticks(7).leap_bound(100), 6);
+        assert_eq!(ticks(7).leap_bound(4), 4);
+        assert_eq!(Horizon::QUIESCENT.leap_bound(100), 100);
+        let now = Instant::new(5);
+        assert_eq!(ticks(7).at(now), Some(Instant::new(12)));
+        assert_eq!(ticks(u64::MAX).at(now), Some(Instant::new(u64::MAX)));
+        assert_eq!(Horizon::QUIESCENT.at(now), None);
     }
 
     mod window {
@@ -449,8 +637,8 @@ mod tests {
         /// master's pickup, `Fetch` and `Decode`.
         const GAP: u64 = 3;
 
-        fn at(cycles: u64) -> Option<Cycle> {
-            Some(Cycle::new(cycles))
+        fn at(cycles: u64) -> Horizon {
+            super::ticks(cycles)
         }
 
         /// A read of [`shape`] issued on tick `issue`, which completes
@@ -486,7 +674,7 @@ mod tests {
 
         /// The window of `first` on `bus`, with `n` more bursts of its
         /// run drawn up to `limit`.
-        fn run(bus: &Bus, first: WindowIssue, n: usize, limit: Option<Cycle>) -> BusWindow {
+        fn run(bus: &Bus, first: WindowIssue, n: usize, limit: Horizon) -> BusWindow {
             let (mut w, rest) = BusWindow::plan(bus, true, |_| [(first, later(n))]);
             w.extend_run(bus, limit, GAP, rest.expect("the bus answers"));
             w
@@ -495,7 +683,7 @@ mod tests {
         #[test]
         fn runs_add_later_bursts_on_an_idle_bus_up_to_the_limit() {
             let (mut bus, [a, b, _]) = bus();
-            let w = run(&bus, issue(a, 2), 2, None);
+            let w = run(&bus, issue(a, 2), 2, Horizon::QUIESCENT);
             // Each later burst issues on the 4th tick after the last
             // completion: the master's pickup, `Fetch` and `Decode`
             // come first.
@@ -527,14 +715,24 @@ mod tests {
             let unmapped = TxnRequest::read(0x10_0000, 4).shape();
             let mut drawn = 0;
             let bursts = [shape(), unmapped, shape()].into_iter();
-            w.extend_run(&bus, None, GAP, bursts.inspect(|_| drawn += 1));
+            w.extend_run(
+                &bus,
+                Horizon::QUIESCENT,
+                GAP,
+                bursts.inspect(|_| drawn += 1),
+            );
             assert_eq!((bursts_of(&w, a), drawn), (run3[..2].to_vec(), 2));
             // Chains off, or a master requesting: no later burst joins.
             let (mut w, rest) = BusWindow::plan(&bus, false, |_| [(issue(a, 0), later(2))]);
-            w.extend_run(&bus, None, GAP, rest.expect("the bus answers"));
+            w.extend_run(
+                &bus,
+                Horizon::QUIESCENT,
+                GAP,
+                rest.expect("the bus answers"),
+            );
             assert_eq!(bursts_of(&w, a), [burst(1, ALONE)]);
             bus.try_begin(b, TxnRequest::read(0, 4)).unwrap();
-            let w = run(&bus, issue(a, 0), 2, None);
+            let w = run(&bus, issue(a, 0), 2, Horizon::QUIESCENT);
             assert_eq!(bursts_of(&w, a).len(), 1);
         }
 
@@ -557,11 +755,11 @@ mod tests {
                     ..issue(a, 0)
                 },
                 2,
-                None,
+                Horizon::QUIESCENT,
             );
             assert_eq!((bursts_of(&w, a), w.event()), (vec![first_beat(1)], at(3)));
             let (mut w, _) = BusWindow::plan(&bus, true, |_| lone(vec![issue(a, 0)]));
-            w.extend_run(&bus, None, GAP, [risky, shape()]);
+            w.extend_run(&bus, Horizon::QUIESCENT, GAP, [risky, shape()]);
             let then = ALONE + GAP + 1;
             assert_eq!(
                 (bursts_of(&w, a), w.event()),
@@ -577,9 +775,9 @@ mod tests {
         #[test]
         fn a_leap_replays_the_run_one_burst_at_a_time() {
             let (bus0, [a, b, _]) = bus();
-            let w = run(&bus0, issue(a, 2), 2, None);
+            let w = run(&bus0, issue(a, 2), 2, Horizon::QUIESCENT);
             let run = bursts_of(&w, a);
-            for n in 1..=w.event().map_or(0, Cycle::count) {
+            for n in 1..=w.event().ticks().unwrap_or(0) {
                 let (mut bus, _) = bus();
                 let mut steps = Vec::new();
                 w.leap(&mut bus, n, |bus, who, ticks| {
@@ -659,7 +857,8 @@ mod tests {
             assert_eq!((w.issuer(), w.event()), (None, bus.horizon()));
             let w = plan(&bus, true, vec![issue(a, 0)]);
             assert_eq!(w.issuer(), Some(a));
-            assert_eq!(w.event(), bus.horizon_with(a, issue(a, 0).shape));
+            let alone = bus.horizon_with(a, issue(a, 0).shape);
+            assert_eq!(Some(w.event()), alone.map(Horizon::in_ticks));
             assert_eq!(w.event(), at(ALONE));
         }
 
@@ -680,8 +879,9 @@ mod tests {
 
     #[test]
     fn a_bus_event_is_observed_on_the_next_tick() {
-        assert_eq!(observed_horizon(Some(Cycle::new(1))), Some(Cycle::new(2)));
-        assert_eq!(observed_horizon(Some(Cycle::new(9))), Some(Cycle::new(10)));
-        assert_eq!(observed_horizon(None), None);
+        assert_eq!(Horizon::observed(Horizon::NEXT_TICK), ticks(2));
+        assert_eq!(Horizon::observed(ticks(9)), ticks(10));
+        assert_eq!(Horizon::observed(ticks(u64::MAX)), ticks(u64::MAX));
+        assert_eq!(Horizon::observed(Horizon::QUIESCENT), Horizon::QUIESCENT);
     }
 }

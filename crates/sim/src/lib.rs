@@ -69,8 +69,8 @@ pub use axi::{AxiBus, AxiConfig, SystemBus};
 pub use bus::{
     Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest, TxnShape,
 };
-pub use clock::{Cycle, Frequency};
-pub use event::{min_horizon, observed_horizon, Advancing, BusWindow, RunBurst, WindowIssue};
+pub use clock::{Cycle, Frequency, Instant};
+pub use event::{Advancing, BusWindow, Horizon, RunBurst, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

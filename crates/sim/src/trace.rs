@@ -7,13 +7,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::clock::Cycle;
+use crate::clock::Instant;
 
 /// One traced event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time of the event.
-    pub cycle: Cycle,
+    pub cycle: Instant,
     /// Component that emitted it (e.g. `"bus"`, `"ocp.controller"`).
     pub source: String,
     /// Human-readable description.
@@ -37,10 +37,10 @@ impl fmt::Display for TraceEvent {
 /// # Examples
 ///
 /// ```
-/// use ouessant_sim::{Cycle, Trace};
+/// use ouessant_sim::{Instant, Trace};
 ///
 /// let mut trace = Trace::enabled(16);
-/// trace.record(Cycle::new(3), "bus", "grant to master 1");
+/// trace.record(Instant::new(3), "bus", "grant to master 1");
 /// assert_eq!(trace.events().len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -82,7 +82,7 @@ impl Trace {
 
     /// Records an event (no-op when disabled). The oldest event is
     /// dropped once the limit is reached.
-    pub fn record(&mut self, cycle: Cycle, source: &str, message: impl Into<String>) {
+    pub fn record(&mut self, cycle: Instant, source: &str, message: impl Into<String>) {
         if !self.enabled {
             return;
         }
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(Cycle::new(1), "x", "hello");
+        t.record(Instant::new(1), "x", "hello");
         assert!(t.events().is_empty());
         assert!(!t.is_enabled());
     }
@@ -138,9 +138,9 @@ mod tests {
     #[test]
     fn enabled_trace_records_and_evicts() {
         let mut t = Trace::enabled(2);
-        t.record(Cycle::new(1), "a", "one");
-        t.record(Cycle::new(2), "a", "two");
-        t.record(Cycle::new(3), "b", "three");
+        t.record(Instant::new(1), "a", "one");
+        t.record(Instant::new(2), "a", "two");
+        t.record(Instant::new(3), "b", "three");
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.events()[0].message, "two");
@@ -149,9 +149,9 @@ mod tests {
     #[test]
     fn source_filter() {
         let mut t = Trace::enabled(8);
-        t.record(Cycle::new(1), "bus", "grant");
-        t.record(Cycle::new(2), "ocp.controller", "fetch");
-        t.record(Cycle::new(3), "ocp.interface", "xlate");
+        t.record(Instant::new(1), "bus", "grant");
+        t.record(Instant::new(2), "ocp.controller", "fetch");
+        t.record(Instant::new(3), "ocp.interface", "xlate");
         assert_eq!(t.from_source("ocp").count(), 2);
         assert_eq!(t.from_source("bus").count(), 1);
     }
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn display_format() {
         let e = TraceEvent {
-            cycle: Cycle::new(7),
+            cycle: Instant::new(7),
             source: "bus".into(),
             message: "grant".into(),
         };
@@ -172,8 +172,8 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut t = Trace::enabled(1);
-        t.record(Cycle::new(1), "a", "x");
-        t.record(Cycle::new(2), "a", "y");
+        t.record(Instant::new(1), "a", "x");
+        t.record(Instant::new(2), "a", "y");
         t.clear();
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);

@@ -11,15 +11,15 @@
 //!
 //! ```
 //! use ouessant_sim::vcd::VcdWriter;
-//! use ouessant_sim::Cycle;
+//! use ouessant_sim::Instant;
 //!
 //! let mut vcd = VcdWriter::new("ocp");
 //! let state = vcd.add_signal("controller_state", 4);
 //! let busy = vcd.add_signal("rac_busy", 1);
-//! vcd.change(Cycle::new(0), state, 0);
-//! vcd.change(Cycle::new(0), busy, 0);
-//! vcd.change(Cycle::new(5), state, 2);
-//! vcd.change(Cycle::new(7), busy, 1);
+//! vcd.change(Instant::new(0), state, 0);
+//! vcd.change(Instant::new(0), busy, 0);
+//! vcd.change(Instant::new(5), state, 2);
+//! vcd.change(Instant::new(7), busy, 1);
 //! let text = vcd.render();
 //! assert!(text.contains("$var wire 4"));
 //! assert!(text.contains("#5"));
@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::clock::Cycle;
+use crate::clock::Instant;
 
 /// Handle to a declared VCD signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,7 +101,7 @@ impl VcdWriter {
     /// # Panics
     ///
     /// Panics if `signal` was not declared by this writer.
-    pub fn change(&mut self, at: Cycle, signal: SignalId, value: u64) {
+    pub fn change(&mut self, at: Instant, signal: SignalId, value: u64) {
         assert!(signal.0 < self.signals.len(), "unknown signal");
         self.changes
             .entry(at.count())
@@ -197,9 +197,9 @@ mod tests {
         let mut vcd = VcdWriter::new("top");
         let clk = vcd.add_signal("clk", 1);
         let bus = vcd.add_signal("bus", 8);
-        vcd.change(Cycle::new(0), clk, 1);
-        vcd.change(Cycle::new(0), bus, 0xA5);
-        vcd.change(Cycle::new(3), clk, 0);
+        vcd.change(Instant::new(0), clk, 1);
+        vcd.change(Instant::new(0), bus, 0xA5);
+        vcd.change(Instant::new(3), clk, 0);
         let text = vcd.render();
         assert!(text.contains("#0\n"));
         assert!(text.contains("1!"));
@@ -212,7 +212,7 @@ mod tests {
         let mut vcd = VcdWriter::new("top");
         let s = vcd.add_signal("s", 1);
         for t in 0..10 {
-            vcd.change(Cycle::new(t), s, 1); // never transitions after t=0
+            vcd.change(Instant::new(t), s, 1); // never transitions after t=0
         }
         let text = vcd.render();
         assert_eq!(
@@ -227,8 +227,8 @@ mod tests {
     fn out_of_order_recording_sorts() {
         let mut vcd = VcdWriter::new("top");
         let s = vcd.add_signal("s", 4);
-        vcd.change(Cycle::new(20), s, 2);
-        vcd.change(Cycle::new(5), s, 1);
+        vcd.change(Instant::new(20), s, 2);
+        vcd.change(Instant::new(5), s, 1);
         let text = vcd.render();
         let p5 = text.find("#5").expect("timestamp 5 present");
         let p20 = text.find("#20").expect("timestamp 20 present");
@@ -239,7 +239,7 @@ mod tests {
     fn values_masked_to_width() {
         let mut vcd = VcdWriter::new("top");
         let s = vcd.add_signal("s", 4);
-        vcd.change(Cycle::new(0), s, 0xFF);
+        vcd.change(Instant::new(0), s, 0xFF);
         let text = vcd.render();
         assert!(text.contains("b1111 "), "masked to 4 bits:\n{text}");
     }
@@ -270,6 +270,6 @@ mod tests {
         let mut b = VcdWriter::new("b");
         let sig = a.add_signal("s", 1);
         let _ = &mut b;
-        b.change(Cycle::new(0), sig, 1);
+        b.change(Instant::new(0), sig, 1);
     }
 }

@@ -21,12 +21,14 @@
 //! the bus rejects), and on an idle bus the what-if taken ahead of the
 //! issue, any number of idle cycles before, must not change.
 
+use std::num::NonZeroU64;
+
 use ouessant_sim::bus::{
     ArbiterPolicy, Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats,
     PortState, SlaveFault, TxnRequest,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{Cycle, SystemBus, Trace, TraceEvent, XorShift64};
+use ouessant_sim::{Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent, XorShift64};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;
@@ -247,7 +249,7 @@ fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
 /// the horizon right after the issue, a rejected variant of the
 /// request has none (and queues nothing), and `ahead` — a what-if
 /// taken on the idle bus some cycles before — matches too.
-fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Option<Cycle>>) {
+fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Option<NonZeroU64>>) {
     for bad in rejected_variants(&req) {
         assert_eq!(bus.horizon_with(m, bad.shape()), None, "{bad:?}");
         assert!(bus.try_begin(m, bad).is_err());
@@ -256,8 +258,8 @@ fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Opti
     let what_if = bus.horizon_with(m, req.shape());
     bus.try_begin(m, req).expect("scripted request is valid");
     assert_eq!(
-        what_if,
-        bus.horizon(),
+        what_if.map(Horizon::in_ticks),
+        Some(bus.horizon()),
         "what-if at cycle {}",
         bus.now().count()
     );
@@ -320,7 +322,7 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
     let mut what_ifs = (0, 0);
     // The what-if of the next issue on an idle bus, taken when the bus
     // went idle, per master.
-    let mut ahead: Vec<Option<Option<Cycle>>> = vec![None; ids.len()];
+    let mut ahead: Vec<Option<Option<NonZeroU64>>> = vec![None; ids.len()];
     loop {
         let now = bus.now().count();
         for (i, &m) in ids.iter().enumerate() {
@@ -337,7 +339,7 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
                 issue_at[i] = s.scripts[i].get(next[i]).map(|step| now + step.delay);
             }
             if bus.poll(m) == PortState::Idle && issue_at[i].is_some_and(|t| t <= now) {
-                let idle = bus.horizon().is_none();
+                let idle = bus.horizon() == Horizon::QUIESCENT;
                 let ahead = ahead[i].take().filter(|_| idle);
                 what_ifs.0 += 1;
                 what_ifs.1 += u64::from(ahead.is_some());
@@ -361,7 +363,7 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
         // Leap the bus's pure window, but never past a cycle at which
         // the harness issues a request.
         let through = u64::from(drive == Drive::Through);
-        let mut window = bus.horizon().map_or(u64::MAX, |h| h.count() - 1 + through);
+        let mut window = bus.horizon().ticks().map_or(u64::MAX, |h| h - 1 + through);
         if let Some(t) = next_issue {
             window = window.min(t - now - 1 + through);
         }
@@ -511,14 +513,14 @@ fn faulting_slave_pins_the_horizon_and_faults_on_its_beat() {
     let (mut bus, ids) = build(&s, true);
     bus.try_begin(ids[0], s.scripts[0][0].req.clone()).unwrap();
     // Grant, address and 2 wait states: the first beat is at cycle 5.
-    assert_eq!(bus.horizon(), Some(Cycle::new(5)));
+    assert_eq!(bus.horizon().at(bus.now()), Some(Instant::new(5)));
     while bus.poll(ids[0]).is_pending() {
-        let h = bus.horizon().expect("a request is pending").count();
+        let at = bus.horizon().at(bus.now()).expect("a request is pending");
         let next_beat = 5 + bus.stats().beats;
         assert!(
-            bus.now().count() + h <= next_beat,
-            "horizon {h} at cycle {} reaches past the beat at {next_beat}",
-            bus.now().count()
+            at.count() <= next_beat,
+            "horizon at cycle {} reaches past the beat at {next_beat}",
+            at.count()
         );
         bus.tick();
     }

@@ -14,7 +14,7 @@ use ouessant_rac::idct::IdctRac;
 use ouessant_sim::bus::{Bus, BusConfig};
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_sim::vcd::VcdWriter;
-use ouessant_sim::{Cycle, SystemBus};
+use ouessant_sim::{Instant, SystemBus};
 
 const RAM: u32 = 0x4000_0000;
 const OCP: u32 = 0x8000_0000;
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while !ocp.regs().done() {
         ocp.tick(&mut bus);
         bus.tick();
-        let t = Cycle::new(cycle);
+        let t = Instant::new(cycle);
         vcd.change(t, sig_state, u64::from(ocp.controller().state().id()));
         vcd.change(t, sig_pc, u64::from(ocp.controller().pc()));
         vcd.change(t, sig_busy, u64::from(ocp.socket().busy()));

@@ -61,4 +61,12 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/perfbench-da
     cargo test -q --release --offline --manifest-path perfbench/Cargo.toml \
     --test benchmark stepping_modes_agree_on_every_farm_workload
 
+# Every simulated perfbench metric (both trace modes, seed 1) is
+# pinned; a change that means to move one re-blesses the goldens.
+echo "==> perfbench golden (deterministic metrics, diffed against tests/golden/perfbench/)"
+bash scripts/perfbench_golden.sh
+
+echo "==> A/B harness statistics self-test"
+bash scripts/ab.sh --self-test
+
 echo "==> CI green"
