@@ -6,8 +6,6 @@
 //! transfers, one interrupt line, and a `tick` to advance everything one
 //! clock cycle.
 
-use std::num::NonZeroU64;
-
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
 use ouessant_sim::{BusWindow, Cycle, Horizon, SystemBus, WindowIssue};
@@ -456,8 +454,7 @@ impl Ocp {
                             due
                         }
                     });
-                let bite = NonZeroU64::new(bite).expect("a bite is a tick ahead at the earliest");
-                h = h.min(Horizon::in_ticks(bite));
+                h = h.min(Horizon::after(bite - 1));
             }
         }
         if h == Horizon::QUIESCENT && self.controller.is_active() && !self.controller.is_wedged() {

@@ -1304,7 +1304,8 @@ impl Bus {
     /// The tick of [`Bus::horizon`] with `issuer`'s request added to
     /// the requesting set, `None` when nobody requests.
     fn next_event(&self, issuer: Option<Issuer>) -> Option<NonZeroU64> {
-        let tick = |cycles| Some(NonZeroU64::new(cycles).expect("a bus event is a tick ahead"));
+        // Every path counts at least one beat's cycle (`beat_offset`).
+        let tick = |cycles: u64| Some(NonZeroU64::MIN.saturating_add(cycles - 1));
         let max = u64::from(self.config.max_burst_beats);
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;

@@ -105,7 +105,9 @@ use crate::clock::{Cycle, Instant};
 /// [`Horizon::ending_at`] for an absolute cycle, [`Horizon::after`] for
 /// a count of pure ticks, [`Horizon::observed`] for a bus event), so no
 /// caller writes an offset. No horizon is zero ticks away: an event is
-/// always on a tick still to come.
+/// always on a tick still to come, so the one constructor from a tick
+/// count, [`Horizon::in_ticks`], takes a [`NonZeroU64`], and
+/// [`Horizon::after`] and the rule constructors are built on it.
 ///
 /// ```compile_fail
 /// use ouessant_sim::Horizon;
@@ -142,10 +144,11 @@ impl Horizon {
         Self(Some(ticks))
     }
 
-    /// The event is on the tick after `pure` pure ticks (saturating).
+    /// The event is on the tick after `pure` pure ticks (saturating):
+    /// [`Horizon::in_ticks`] for a count that may be 0.
     #[must_use]
     pub const fn after(pure: u64) -> Self {
-        Self(Some(NonZeroU64::MIN.saturating_add(pure)))
+        Self::in_ticks(NonZeroU64::MIN.saturating_add(pure))
     }
 
     /// The first tick, from `now`, whose pre-tick cycle reaches `at`: a

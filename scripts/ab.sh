@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Paired A/B runs of the benchmark between two revisions.
 #
-#     bash scripts/ab.sh [--pairs N] [--seconds S] [--workloads W,W] \
-#         [--out DIR] <base-rev> [<head-rev>]
+#     bash scripts/ab.sh [--out DIR] <base-rev> [<head-rev>]
 #     bash scripts/ab.sh --self-test
 #
 # Exports each revision with `git archive` into DIR (default
 # ${TMPDIR:-/tmp}/ouessant-ab), builds its benchmark there offline,
-# then runs every workload N times per revision (default 10) with
-# `--seed 1 --seconds S --trace 0` (default S = 4), in ABBA order so
-# that a host drifting in speed weighs on both sides alike. Prints, per
+# then runs every workload 10 times per revision with `--seed 1
+# --seconds 4 --trace 0`, in ABBA order so that a host drifting in
+# speed weighs on both sides alike. Prints, per
 # workload and end-to-end metric of BENCHMARK.json, each side's median
 # and quartiles, the ratio of the medians (head over base), and the
 # pairs in which head beat base, and marks a metric whose ratio is
@@ -23,6 +22,10 @@
 # scripts/perfbench_golden.sh pins them exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/perfbench_json.sh
+
+PAIRS=10
+RUN_SECONDS=4
 
 # Statistics over the runs, in awk. Input lines: `workload metric
 # better bound side pair value`; side is A or B. Quartiles interpolate
@@ -125,17 +128,11 @@ self_test() {
     echo "ab.sh self-test passed"
 }
 
-pairs=10
-seconds=4
-workloads=mixed-backlog,chaos-deadline,sparse-idle,paper-repro
 out=${TMPDIR:-/tmp}/ouessant-ab
 revs=()
 while (($#)); do
     case $1 in
         --self-test) self_test; exit 0 ;;
-        --pairs) pairs=$2; shift 2 ;;
-        --seconds) seconds=$2; shift 2 ;;
-        --workloads) workloads=$2; shift 2 ;;
         --out) out=$2; shift 2 ;;
         -*) echo "unknown option $1" >&2; exit 2 ;;
         *) revs+=("$1"); shift ;;
@@ -170,34 +167,36 @@ metrics=$(sed -n '/"end_to_end"/,/]/p' BENCHMARK.json |
 
 runs="$out/runs.txt"
 : >"$runs"
-IFS=, read -r -a names <<<"$workloads"
-for workload in "${names[@]}"; do
-    for ((i = 1; i <= pairs; i++)); do
+for workload in "${WORKLOADS[@]}"; do
+    for ((i = 1; i <= PAIRS; i++)); do
         # ABBA: A first in odd pairs, B first in even ones.
         order=(A B)
         if ((i % 2 == 0)); then order=(B A); fi
         for side in "${order[@]}"; do
             bin=$bin_a
             if [[ $side == B ]]; then bin=$bin_b; fi
-            json_line=$("$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 | tail -n 1) || true
-            if ! grep -q '"correct": true, "attempted": [0-9]*, "failed": 0' <<<"$json_line"; then
-                echo "$workload pair $i side $side: run not correct or not all completed: $json_line" >&2
+            declare -A got=()
+            while read -r name value; do
+                got[$name]=$value
+            done < <("$bin" --workload "$workload" --seed 1 --seconds "$RUN_SECONDS" --trace 0 |
+                tail -n 1 | perfbench_metrics)
+            if [[ ${got[correct]:-} != true || ${got[failed]:-} != 0 ]]; then
+                echo "$workload pair $i side $side: run not correct or not all completed" >&2
                 exit 1
             fi
             while read -r name better bound; do
-                value=$(grep -oE "\"$name\": \\{\"value\": [^,]+" <<<"$json_line" | sed -E 's/.*: //')
-                echo "$workload $name $better $bound $side $i $value" >>"$runs"
+                echo "$workload $name $better $bound $side $i ${got[$name]}" >>"$runs"
             done <<<"$metrics"
         done
-        echo "$workload: pair $i of $pairs done" >&2
+        echo "$workload: pair $i of $PAIRS done" >&2
     done
 done
 
 stats=$(awk "$STATS" "$runs")
 kind="A/B"
 if [[ $base == "$head" ]]; then kind="A/A (noise floor)"; fi
-echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $pairs ABBA pairs per workload, --seed 1 --seconds $seconds --trace 0"
+echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload, --seed 1 --seconds $RUN_SECONDS --trace 0"
 echo "workload        metric                   base median [q1, q3]      head median [q1, q3]    head/base wins"
 table <<<"$stats"
-json "$base" "$head" "$pairs" "$seconds" <<<"$stats" >"$out/ab-summary.json"
+json "$base" "$head" "$PAIRS" "$RUN_SECONDS" <<<"$stats" >"$out/ab-summary.json"
 echo "summary: $out/ab-summary.json; runs: $runs"

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Golden of every deterministic perfbench metric.
 #
-#     bash scripts/perfbench_golden.sh [BINARY]
+#     bash scripts/perfbench_golden.sh
 #
-# Runs the benchmark binary (default: perfbench/target/release/
-# ouessant-perfbench, built here first) on every workload with
+# Builds the benchmark, runs it on every workload with
 # `--seed 1 --seconds 1`, once with `--trace 0` and once with
 # `--trace 1`, keeps the metrics that are simulated (hence repeat
 # exactly at any run length) at the full precision of the JSON line,
@@ -18,37 +17,30 @@
 # and names every moved metric in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/perfbench_json.sh
 
-WORKLOADS=(mixed-backlog chaos-deadline sparse-idle paper-repro)
 GOLDEN_DIR=tests/golden/perfbench
 
-# The deterministic metrics of each trace mode, as `grep -E` patterns
-# over their names.
+# The deterministic metrics of each trace mode, as extended regular
+# expressions over their names.
 UNTRACED='^(sim_cycles|job_latency_cycles_p50|job_latency_cycles_p99|completed_frac|paper_max_err_pct)$'
 TRACED='^(farm\.ff\.skipped_frac|farm\.queue\..*|farm\.worker\..*|farm\.alloc_stalls|farm\.fault\..*|farm\.liveness\..*|sim\.bus\..*|rac\.compute_share)$'
 
-bin=${1:-}
-if [[ -z $bin ]]; then
-    cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
-    bin=perfbench/target/release/ouessant-perfbench
-fi
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+bin=perfbench/target/release/ouessant-perfbench
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-# `metrics TRACE PATTERN`: the JSON line of one run as `name value`
-# lines, `correct` and `failed` first, then the metrics PATTERN keeps,
-# in the order the benchmark prints them.
+# `metrics TRACE PATTERN`: one run as `name value` lines, `correct`
+# and `failed` first, then the metrics PATTERN keeps, in the order the
+# benchmark prints them.
 metrics() {
-    local json
-    json=$("$bin" --workload "$workload" --seed 1 --seconds 1 --trace "$1" \
-        --trace-out "$scratch/trace.json" | tail -n 1)
     echo "--trace $1"
-    grep -oE '"(correct|failed)": [a-z0-9]+' <<<"$json" | tr -d '":'
-    grep -oE '"[a-z0-9_.]+": \{"value": [^,]+' <<<"$json" \
-        | sed -E 's/^"([^"]+)": \{"value": (.*)$/\1 \2/' \
-        | while read -r name value; do
-            if grep -qE "$2" <<<"$name"; then echo "$name $value"; fi
+    "$bin" --workload "$workload" --seed 1 --seconds 1 --trace "$1" \
+        --trace-out "$scratch/trace.json" | tail -n 1 | perfbench_metrics |
+        while read -r name value; do
+            if [[ $name =~ ^(correct|failed)$ || $name =~ $2 ]]; then echo "$name $value"; fi
         done
 }
 
