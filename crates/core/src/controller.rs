@@ -19,6 +19,16 @@
 //! The simulator decodes the program store once, when it is loaded, so
 //! the `Decode` cycle is a table read and a fetch/decode pair ahead of a
 //! decodable word is a pure two-cycle window for fast-forward.
+//!
+//! For fast-forward the controller states which of its ticks it walks
+//! through on its own (`Controller::walk`): a burst's pickup, `Fetch`
+//! and `Decode`, and, unless chaos is armed, the `exec` that starts an
+//! idle RAC, the compute it starts and the `end_op` retire on the RAC's
+//! last tick (as far as the socket tells them, see
+//! [`RacSocket::outlook_after_start`] and [`RacSocket::outlook`]), and
+//! a `wait`'s dispatch and retire. So a whole job leaps but for its
+//! launch and its `eop`: [`Controller::horizon`] runs on through each
+//! walk and through the transfers a window issues.
 
 use std::error::Error;
 use std::fmt;
@@ -164,10 +174,10 @@ pub enum ControllerState {
     /// `wait` instruction counting down.
     WaitCycles {
         /// The bus cycle of the tick that retires it: the `Execute`
-        /// tick's cycle plus the instruction's count. A leap dispatches
-        /// only a run's issues, with the bus on the issue's cycle (see
-        /// [`BusWindow::leap`]), so a `wait` is always dispatched on a
-        /// tick whose bus cycle is its own.
+        /// tick's cycle plus the instruction's count. A leap that walks
+        /// the `Execute` gives it that cycle as the leap's first plus
+        /// the ticks before it, since the bus stands at the leap's start
+        /// or on an issue's cycle (see [`BusWindow::leap`]).
         until: Instant,
     },
     /// `sync` instruction waiting for all FIFOs to drain.
@@ -220,7 +230,7 @@ pub struct ControllerStats {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Walk {
     /// Ticks before the `Execute` tick.
-    pub(crate) ticks: u64,
+    ticks: u64,
     /// The program entry the `Execute` tick dispatches.
     pc: u16,
     /// Its instruction, `None` when the entry lies past the program or
@@ -229,9 +239,19 @@ pub(crate) struct Walk {
     /// The input FIFO a read pickup on the way pushes its words into,
     /// with their count.
     pushed: Option<(FifoId, usize)>,
-    /// Whether the walk's first tick picks a transfer up, which
-    /// retires it: observable progress.
-    pub(crate) retires: bool,
+    /// When the walk passes an `end_op` retire, the words output FIFO 0
+    /// gains from the RAC up to it; the RAC is idle after it.
+    drained: Option<usize>,
+    /// The walk's ticks that retire an instruction (a transfer's pickup,
+    /// an `end_op` retire, a `wait`'s), ascending: observable progress.
+    retires: [Option<u64>; 2],
+}
+
+impl Walk {
+    /// The walk's ticks that retire an instruction, ascending.
+    pub(crate) fn retires(&self) -> impl Iterator<Item = u64> {
+        self.retires.into_iter().flatten()
+    }
 }
 
 /// Ticks a pickup takes to the next `Execute`: the pickup itself, then
@@ -239,11 +259,14 @@ pub(crate) struct Walk {
 pub(crate) const PICKUP_TICKS: u64 = 3;
 
 /// The words the bursts of a run push into each input FIFO and pop from
-/// each output FIFO ahead of an issue, which its issue check counts.
+/// each output FIFO ahead of an issue, and the words the RAC pushes into
+/// each output FIFO up to an `end_op` retire the walk passes, which the
+/// issue check counts.
 #[derive(Debug, Clone, Copy, Default)]
 struct FifoLedger {
     pushed: [usize; NUM_FIFOS as usize],
     popped: [usize; NUM_FIFOS as usize],
+    drained: [usize; NUM_FIFOS as usize],
 }
 
 impl FifoLedger {
@@ -436,43 +459,127 @@ impl Controller {
     /// program or does not decode, so its `Fetch` or `Decode` faults. A
     /// read pickup into a busy socket walks nowhere: the RAC would see
     /// its FIFOs change inside its own window. Neither does a wedged
-    /// FSM. Whether the next tick walks is also whether a leap steps it
-    /// (see [`Ocp::advance`](crate::Ocp::advance)).
-    pub(crate) fn walk(&self, socket: &RacSocket, bus: &dyn SystemBus) -> Option<Walk> {
+    /// FSM.
+    ///
+    /// With `walks` (chaos off, see [`BusWindow::chains`]) the walk also
+    /// crosses the handshakes around a compute, each through the retire
+    /// of its instruction and the next `Fetch` and `Decode`:
+    ///
+    /// * `RacWait` or `ReconfigWait`, through the ticks it holds, when
+    ///   the socket tells the tick that ends its operation
+    ///   ([`RacSocket::outlook`]; the next one when it is idle): the
+    ///   RAC's last tick and the retire are one tick;
+    /// * `WaitCycles`, through the ticks it holds to its retire, and the
+    ///   `Execute` of `wait n`, which retires `n` ticks after it (in it
+    ///   for `wait 0`);
+    /// * the `Execute` of an `exec` into an idle socket that tells when
+    ///   the operation it starts ends ([`RacSocket::outlook_after_start`],
+    ///   counting a read pickup's words as landed): the start, the
+    ///   compute, and the retire on the RAC's last tick. A walk that
+    ///   changes the FIFOs otherwise first (an `end_op` retire, a read
+    ///   into another FIFO) stops in front of it. Without an end, the
+    ///   `exec` still starts inside a window, see
+    ///   [`Controller::horizon`].
+    pub(crate) fn walk(
+        &self,
+        socket: &RacSocket,
+        bus: &dyn SystemBus,
+        walks: bool,
+    ) -> Option<Walk> {
         let entry = self.entries(bus);
         let to = |ticks: u64, pc: u16| Walk {
             ticks,
             pc,
             insn: entry(pc),
             pushed: None,
-            retires: false,
+            drained: None,
+            retires: [None; 2],
         };
-        match &self.state {
-            _ if self.wedged => None,
-            ControllerState::Execute => Some(Walk {
-                insn: self.current,
-                ..to(0, self.pc)
-            }),
-            ControllerState::Decode => Some(to(1, self.pc)),
-            ControllerState::Fetch => Some(to(2, self.pc)),
+        // The instruction at `pc` retires on tick `at`, then `Fetch`
+        // and `Decode` of the next.
+        let retire_at = |at: u64| Walk {
+            retires: [Some(at), None],
+            ..to(at.saturating_add(2), self.pc + 1)
+        };
+        let walk = match &self.state {
+            _ if self.wedged => return None,
+            ControllerState::Execute => match self.current {
+                Some(Instruction::Wait { cycles }) if walks => retire_at(u64::from(cycles) + 1),
+                insn => Walk {
+                    insn,
+                    ..to(0, self.pc)
+                },
+            },
+            ControllerState::Decode => to(1, self.pc),
+            ControllerState::Fetch => to(2, self.pc),
             ControllerState::TransferBusWait => {
                 let Some(Ok(c)) = self.dma.peek_completion(bus) else {
                     return None;
                 };
                 let pushed = self.pending_read.map(|fifo| (fifo, c.data.len()));
-                (pushed.is_none() || !socket.busy()).then_some(Walk {
+                if pushed.is_some() && socket.busy() {
+                    return None;
+                }
+                Walk {
                     pushed,
-                    retires: true,
-                    ..to(PICKUP_TICKS, self.pc + 1)
-                })
+                    ..retire_at(1)
+                }
             }
             ControllerState::LoadProgram => {
                 let Some(Ok(_)) = self.dma.peek_completion(bus) else {
                     return None;
                 };
-                Some(to(PICKUP_TICKS, 0))
+                to(PICKUP_TICKS, 0)
             }
-            _ => None,
+            ControllerState::WaitCycles { until } if walks => {
+                retire_at(Horizon::starting_at(*until, bus.now()).ticks()?)
+            }
+            ControllerState::RacWait | ControllerState::ReconfigWait if walks => {
+                let (at, drained) = if socket.busy() {
+                    let outlook = socket.outlook();
+                    (outlook.horizon.ticks()?, outlook.ends?)
+                } else {
+                    (1, 0)
+                };
+                Walk {
+                    drained: Some(drained),
+                    ..retire_at(at)
+                }
+            }
+            _ => return None,
+        };
+        if !walks {
+            return Some(walk);
+        }
+        // On through an `exec` the walk reaches, when its end is known.
+        let Walk {
+            ticks,
+            pc,
+            insn: Some(Instruction::Exec { op }),
+            pushed,
+            drained: None,
+            retires: [first, None],
+        } = walk
+        else {
+            return Some(walk);
+        };
+        let landed = match pushed {
+            None => 0,
+            Some((fifo, words)) if fifo.index() == 0 => words,
+            Some(_) => return Some(walk),
+        };
+        let outlook = socket.outlook_after_start(op, landed);
+        match (socket.busy(), outlook.horizon.ticks(), outlook.ends) {
+            (false, Some(compute), Some(words)) => {
+                let at = ticks.saturating_add(1).saturating_add(compute);
+                Some(Walk {
+                    drained: Some(words),
+                    pushed,
+                    retires: [first, Some(at)],
+                    ..to(at.saturating_add(2), pc + 1)
+                })
+            }
+            _ => Some(walk),
         }
     }
 
@@ -519,8 +626,7 @@ impl Controller {
         let ready = if t.to_coprocessor {
             socket.input_space(fifo).saturating_sub(ledger.pushed[fifo]) >= words
         } else {
-            socket
-                .output_available(fifo)
+            (socket.output_available(fifo) + ledger.drained[fifo])
                 .saturating_sub(ledger.popped[fifo])
                 >= words
         };
@@ -533,11 +639,14 @@ impl Controller {
     ///
     /// The first is the `Execute` of `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on
     /// the window's first tick, or, with `chain`, the one the FSM
-    /// reaches through ticks of its own (its walk: a transfer pickup or
-    /// the program load's, then `Fetch` and `Decode`). Only an issue the
-    /// tick would make qualifies; [`BusWindow::plan`] then asks the bus
-    /// about its burst's shape. The RAC must be idle, so nothing but the
-    /// controller touches its FIFOs in the window.
+    /// reaches through ticks of its own (its walk, see
+    /// `Controller::walk`: a transfer pickup, the program load's, an
+    /// `end_op` retire or a `wait`, then `Fetch` and `Decode`). Only an
+    /// issue the tick would make qualifies; [`BusWindow::plan`] then
+    /// asks the bus about its burst's shape. The RAC must be idle, or
+    /// end its operation on the walk's first tick (the words its drain
+    /// pushes count for an `mvfc`), so nothing but the controller
+    /// touches its FIFOs in the window.
     ///
     /// Each later one is the next program entry, issued 3 ticks (its
     /// pickup, `Fetch` and `Decode`) after the last one's completion,
@@ -559,14 +668,19 @@ impl Controller {
         regs: &'a RegsHandle,
         chain: bool,
     ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
-        let walk = self.walk(socket, bus)?;
-        if socket.busy() || (walk.ticks > 0 && !chain) {
+        // Without chains only an `Execute` can issue: on the first tick.
+        if !chain && !matches!(self.state, ControllerState::Execute) {
+            return None;
+        }
+        let walk = self.walk(socket, bus, chain)?;
+        if socket.busy() && walk.drained.is_none() {
             return None;
         }
         let mut ledger = FifoLedger::default();
         if let Some((fifo, words)) = walk.pushed {
             ledger.count(true, fifo, words);
         }
+        ledger.drained[0] = walk.drained.unwrap_or(0);
         let first = WindowIssue {
             master: self.master(),
             prefix: walk.ticks,
@@ -632,41 +746,52 @@ impl Controller {
     /// Otherwise the window follows the FSM's walk to its next
     /// `Execute`, whose dispatch is the event: a finished burst is
     /// picked up as the window's first tick, and `Fetch` and `Decode`
-    /// carry on. When the entry the walk reaches does not decode, its
-    /// `Fetch` or `Decode` tick faults (`PcOverrun`, `BadInstruction`)
-    /// and so single-steps, and only a pickup before it leaps.
+    /// carry on; with [`BusWindow::chains`], so do an `exec`, the
+    /// compute and the `end_op` retire after it, and a `wait` (see
+    /// `Controller::walk`). When the entry the walk reaches does not
+    /// decode, its `Fetch` or `Decode` tick faults (`PcOverrun`,
+    /// `BadInstruction`) and so single-steps, and only the ticks before
+    /// it leap.
     ///
-    /// A `wait` answers the tick on its retire cycle, `RacWait` and
-    /// `ReconfigWait` the socket's. Every tick before the event either
+    /// With [`BusWindow::chains`], the `Execute` of an `exec` into an
+    /// idle socket that does not tell its end is no event either,
+    /// unless the walk there starts with an `end_op` retire or lands a
+    /// read in an input FIFO other than 0: the start is one more tick
+    /// of the window, and the socket's horizon after it
+    /// ([`RacSocket::outlook_after_start`], counting the read's words)
+    /// follows. Without, a `wait` answers the tick that retires it.
+    ///
+    /// `RacWait` and `ReconfigWait` answer the socket's horizon unless
+    /// it tells that its event ends the operation, which the retire's
+    /// walk then crosses (with chaos armed: until the socket is idle,
+    /// and then the next tick). Every tick before the event either
     /// walks or leaves the FSM where it stands, so a leap replays
     /// nothing for the controller beyond its walk (see
     /// [`Ocp::advance`](crate::Ocp::advance)).
+    ///
+    /// The answer is the coprocessor's, the socket's own horizon merged
+    /// in: a RAC computes beside an FSM that walks (after `execn`). A
+    /// retire's walk leaves it out, since its first tick is the
+    /// socket's event and idles it.
     #[must_use]
     pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus, window: &BusWindow) -> Horizon {
         if self.wedged {
             // A wedged FSM never changes state on its own; only the
-            // watchdog (merged by the embedding OCP) bounds the window.
-            return Horizon::QUIESCENT;
+            // socket and the watchdog (merged by the embedding OCP)
+            // bound the window.
+            return socket.horizon();
         }
         if window.issue_of(self.master()).is_some() {
+            // The socket is idle, or its end is inside the walk.
             return Horizon::observed(window.event());
         }
-        match &self.state {
+        let walks = window.chains();
+        let own = match &self.state {
             ControllerState::Idle | ControllerState::Faulted(_) => Horizon::QUIESCENT,
             // The tick on bus cycle `until` retires the `wait`.
-            ControllerState::WaitCycles { until } => Horizon::starting_at(*until, bus.now()),
-            // Ticks in RacWait and ReconfigWait do nothing until the
-            // socket deasserts busy — at the end of the Table I compute
-            // latency or the bitstream load — so the socket's own
-            // horizon bounds the window. Once busy is low (a `wrac`
-            // after the RAC finished), the next tick retires. A busy
-            // socket that is quiescent (a RAC starved of input) never
-            // deasserts busy: the watchdog, or the embedding OCP's
-            // single-step safety net, bounds that.
-            ControllerState::RacWait | ControllerState::ReconfigWait if !socket.busy() => {
-                Horizon::NEXT_TICK
+            ControllerState::WaitCycles { until } if !walks => {
+                Horizon::starting_at(*until, bus.now())
             }
-            ControllerState::RacWait | ControllerState::ReconfigWait => socket.horizon(),
             // While the burst is in flight ticks do nothing, and the
             // port cannot be seen to complete before the tick after the
             // bus's next event.
@@ -675,16 +800,55 @@ impl Controller {
             {
                 Horizon::observed(window.event())
             }
-            _ => Horizon::after(match self.walk(socket, bus) {
+            // Ticks in RacWait and ReconfigWait do nothing until the
+            // socket deasserts busy — at the end of the Table I compute
+            // latency or the bitstream load — so the socket's own
+            // horizon bounds the window, unless the walk crosses its
+            // end. A busy socket that is quiescent (a RAC starved of
+            // input) never deasserts busy: the watchdog, or the
+            // embedding OCP's single-step safety net, bounds that.
+            ControllerState::RacWait | ControllerState::ReconfigWait if !walks && socket.busy() => {
+                return socket.horizon();
+            }
+            _ => match self.walk(socket, bus, walks) {
+                // An `exec` whose end the socket does not tell starts
+                // inside the window, which runs on to the socket's
+                // event.
                 Some(Walk {
                     ticks,
-                    insn: Some(_),
+                    insn: Some(Instruction::Exec { op }),
+                    pushed,
+                    drained: None,
                     ..
-                }) => ticks,
-                Some(Walk { ticks, .. }) => ticks.saturating_sub(2),
-                None => 0,
-            }),
-        }
+                }) if walks && !socket.busy() && pushed.is_none_or(|(f, _)| f.index() == 0) => {
+                    let landed = pushed.map_or(0, |(_, words)| words);
+                    socket
+                        .outlook_after_start(op, landed)
+                        .horizon
+                        .later(ticks.saturating_add(1))
+                }
+                Some(walk) => {
+                    let own = match walk.insn {
+                        Some(_) => Horizon::after(walk.ticks),
+                        None => Horizon::after(walk.ticks.saturating_sub(2)),
+                    };
+                    // The RAC's end, its own event, is inside the walk,
+                    // and leaves it idle.
+                    if walk.drained.is_some() {
+                        return own;
+                    }
+                    own
+                }
+                // A busy socket that does not tell its end.
+                None => match self.state {
+                    ControllerState::RacWait | ControllerState::ReconfigWait if socket.busy() => {
+                        return socket.horizon();
+                    }
+                    _ => Horizon::NEXT_TICK,
+                },
+            },
+        };
+        own.min(socket.horizon())
     }
 
     /// Whether the next tick picks up a burst that completed without
@@ -700,24 +864,30 @@ impl Controller {
             && matches!(self.dma.peek_completion(bus), Some(Ok(_)))
     }
 
-    /// Whether the next `ticks` ticks leave the FSM where it stands, as
-    /// the ticks of a leap after the walk must: in `Idle`, `Faulted`,
-    /// `RacWait`, `ReconfigWait`, `TransferBusWait` or `LoadProgram`
-    /// with the burst still in flight, any wedged state, or `WaitCycles`
-    /// short of the tick that retires it.
-    pub(crate) fn holds_for(&self, ticks: u64, bus: &dyn SystemBus) -> bool {
-        self.wedged
-            || match self.state {
-                ControllerState::Idle
-                | ControllerState::Faulted(_)
-                | ControllerState::RacWait
-                | ControllerState::ReconfigWait => true,
-                ControllerState::WaitCycles { until } => bus.now() + Cycle::new(ticks) <= until,
-                ControllerState::TransferBusWait | ControllerState::LoadProgram => {
-                    self.dma.is_pending(bus)
-                }
-                _ => false,
+    /// The ticks from `now` that leave the FSM where it stands, 0 when
+    /// the next one moves it: `u64::MAX` in `Idle`, `Faulted`, any
+    /// wedged state, and `TransferBusWait` or `LoadProgram` with the
+    /// burst still in flight (a window ends before the tick any of them
+    /// leaves); a `WaitCycles` holds up to the tick that retires it, and
+    /// a `RacWait` or `ReconfigWait` up to the busy socket's event,
+    /// which may be its last tick and the retire.
+    pub(crate) fn holds(&self, socket: &RacSocket, bus: &dyn SystemBus, now: Instant) -> u64 {
+        if self.wedged {
+            return u64::MAX;
+        }
+        match self.state {
+            ControllerState::Idle | ControllerState::Faulted(_) => u64::MAX,
+            ControllerState::RacWait | ControllerState::ReconfigWait if socket.busy() => {
+                socket.horizon().leap_bound(u64::MAX)
             }
+            ControllerState::WaitCycles { until } => until.count().saturating_sub(now.count()),
+            ControllerState::TransferBusWait | ControllerState::LoadProgram
+                if self.dma.is_pending(bus) =>
+            {
+                u64::MAX
+            }
+            _ => 0,
+        }
     }
 
     /// Publishes the FSM state, pc, retired instructions and
@@ -744,14 +914,16 @@ impl Controller {
         socket: &mut RacSocket,
         irq: &IrqLine,
     ) {
-        self.step_fsm(bus, regs, socket, irq);
+        let now = bus.now();
+        self.step_fsm(bus, regs, socket, irq, now);
         self.publish_debug(regs);
     }
 
-    /// One FSM step; the public [`Controller::tick`] wraps it so the
-    /// debug registers are refreshed on every exit path, and
+    /// One FSM step on the tick that starts on cycle `now`; the public
+    /// [`Controller::tick`] wraps it so the debug registers are
+    /// refreshed on every exit path, and
     /// [`Ocp::advance`](crate::Ocp::advance) takes it for the ticks of a
-    /// leap that walk.
+    /// leap that walk, whose bus may stand ahead of them.
     #[allow(clippy::too_many_lines)] // one arm per FSM state, kept together deliberately
     pub(crate) fn step_fsm(
         &mut self,
@@ -759,6 +931,7 @@ impl Controller {
         regs: &RegsHandle,
         socket: &mut RacSocket,
         irq: &IrqLine,
+        now: Instant,
     ) {
         if self.wedged {
             // Frozen handshake: the state holds. A wedge ends only in a
@@ -829,7 +1002,7 @@ impl Controller {
             },
             ControllerState::Execute => {
                 let insn = self.current.expect("decode set current");
-                self.dispatch(insn, bus, regs, socket, irq);
+                self.dispatch(insn, bus, regs, socket, irq, now);
             }
             ControllerState::TransferFifoWait => {
                 let t = self.current_transfer().expect("transfer in progress");
@@ -843,7 +1016,7 @@ impl Controller {
                 }
             }
             ControllerState::WaitCycles { until } => {
-                if bus.now() >= until {
+                if now >= until {
                     self.retire();
                 } else {
                     self.state = ControllerState::WaitCycles { until };
@@ -903,6 +1076,7 @@ impl Controller {
         regs: &RegsHandle,
         socket: &mut RacSocket,
         irq: &IrqLine,
+        now: Instant,
     ) {
         match insn {
             Instruction::Nop => self.retire(),
@@ -948,7 +1122,7 @@ impl Controller {
                     self.retire();
                 } else {
                     self.state = ControllerState::WaitCycles {
-                        until: bus.now() + Cycle::new(u64::from(cycles)),
+                        until: now + Cycle::new(u64::from(cycles)),
                     };
                 }
             }

@@ -5,10 +5,17 @@
 //! for the configuration registers, one bus master for the DMA
 //! transfers, one interrupt line, and a `tick` to advance everything one
 //! clock cycle.
+//!
+//! Fast-forward leaps an OCP over the ticks before its next event
+//! ([`Ocp::horizon_on`], [`Ocp::advance`], [`Ocp::leap`]). A leap runs
+//! each tick the controller walks through (a pickup, `Fetch`, `Decode`,
+//! a transfer's issue, an `exec`'s start, an `end_op` retire, a `wait`)
+//! as [`Ocp::tick`] does, socket first, and leaps the socket over the
+//! ticks between, so of one job only the launch and the `eop` step.
 
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
-use ouessant_sim::{BusWindow, Cycle, Horizon, SystemBus, WindowIssue};
+use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
@@ -367,16 +374,21 @@ impl Ocp {
     /// event, at most `limit` of them, for a loop in which it is the
     /// only master on `bus` that can issue. The window is
     /// [`BusWindow::plan`] over its [`Ocp::window_issue`], chains
-    /// allowed, with its whole run. The horizon is [`Ocp::horizon_on`]
+    /// allowed, with its run as far as the leap can reach: an issue
+    /// past `limit` (after a long walk through a compute) is left out,
+    /// and so are the bursts past it. The horizon is [`Ocp::horizon_on`]
     /// merged with the tick after the window's bus event (see
     /// [`Horizon::observed`]), so a leap ends on the tick of the bus's
     /// next event at the latest, and the leap is its
     /// [`Horizon::leap_bound`]: `limit` for a quiescent coprocessor.
     /// Returns the ticks leapt, 0 when the next tick is an event.
     pub fn leap(&mut self, bus: &mut dyn SystemBus, limit: u64) -> u64 {
-        let window = match BusWindow::plan(bus, true, |chain| self.window_issue(bus, chain)) {
+        let reachable = |(issue, _): &(WindowIssue, _)| issue.prefix < limit;
+        let window = match BusWindow::plan(bus, true, |chain| {
+            self.window_issue(bus, chain).filter(reachable)
+        }) {
             (mut window, Some(later)) => {
-                Ocp::extend_run(bus, &mut window, Horizon::QUIESCENT, later);
+                Ocp::extend_run(bus, &mut window, Horizon::after(limit), later);
                 window
             }
             (window, None) => window,
@@ -386,9 +398,9 @@ impl Ocp {
             .min(Horizon::observed(window.event()))
             .leap_bound(limit);
         if skip > 0 {
-            window.leap(bus, skip, |bus, who, ticks| {
+            window.leap(bus, skip, |bus, who, from, ticks| {
                 if who.includes(self.bus_master()) {
-                    self.advance(Cycle::new(ticks), bus);
+                    self.advance(from, Cycle::new(ticks), bus);
                 }
             });
         }
@@ -397,13 +409,13 @@ impl Ocp {
 
     /// The fast-forward horizon of the whole coprocessor on `bus` (see
     /// [`ouessant_sim::event`] for the contract), in the window
-    /// `window` its leap loop planned: the controller's horizon, refined
-    /// with the socket's (so `RacWait` and `ReconfigWait` expose the
-    /// RAC's compute countdown and the bitstream load) and the
-    /// window's bus event (so a DMA burst in flight, or one the window
-    /// issues, exposes the tick after the bus's next event, the first
-    /// the controller can see it on, see [`Horizon::observed`]),
-    /// combined with the socket's own horizon. Two guards apply:
+    /// `window` its leap loop planned: the controller's horizon, which
+    /// holds the socket's (so `RacWait` and `ReconfigWait` expose the
+    /// RAC's compute countdown and the bitstream load, and an `exec`
+    /// the compute it starts) and the window's bus event (so a DMA
+    /// burst in flight, or one the window issues, exposes the tick
+    /// after the bus's next event, the first the controller can see it
+    /// on, see [`Horizon::observed`]). Two guards apply:
     ///
     /// * an armed-but-unconsumed S bit or an unpolled completion
     ///   forces single-stepping (the next tick is an event);
@@ -419,10 +431,11 @@ impl Ocp {
     /// each progress tick reached before the bite reloads the
     /// countdown, so the bound is the last such tick plus the budget.
     /// The progress ticks are read off the plan the leap replays: the
-    /// walk's first tick when it picks a transfer up, then each burst
-    /// of the window's run (see [`BusWindow::run_of`]), whose `mvfc`
-    /// issue moves its words and whose pickup, the tick after its
-    /// completion, retires it. A *wedged* controller is the one
+    /// walk's ticks that retire an instruction (a transfer's pickup, an
+    /// `end_op` retire, a `wait`'s), then each burst of the window's
+    /// run (see [`BusWindow::run_of`]), whose `mvfc` issue moves its
+    /// words and whose pickup, the tick after its completion, retires
+    /// it. A *wedged* controller is the one
     /// active state exempt from the single-step safety net: it
     /// provably cannot transition by itself, so the watchdog budget
     /// (or, unarmed, quiescence) is the honest horizon and a hang
@@ -432,28 +445,22 @@ impl Ocp {
         if self.completed || self.regs.start_pending() {
             return Horizon::NEXT_TICK;
         }
-        let mut h = self
-            .controller
-            .horizon(&self.socket, bus, window)
-            .min(self.socket.horizon());
+        let mut h = self.controller.horizon(&self.socket, bus, window);
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
-                let walk = self.controller.walk(&self.socket, bus);
-                let pickup = walk.filter(|w| w.retires).map(|_| 1);
+                let walk = self.controller.walk(&self.socket, bus, window.chains());
+                let retires = walk.into_iter().flat_map(|w| w.retires());
                 let run = window.run_of(self.bus_master()).flat_map(|b| {
                     let write = (b.kind == TxnKind::Write).then_some(b.issue);
                     write.into_iter().chain(b.completes.then_some(b.event + 1))
                 });
-                let bite = pickup
-                    .into_iter()
-                    .chain(run)
-                    .fold(wd.remaining.max(1), |due, tick| {
-                        if tick <= due {
-                            tick + wd.budget
-                        } else {
-                            due
-                        }
-                    });
+                let bite = retires.chain(run).fold(wd.remaining.max(1), |due, tick| {
+                    if tick <= due {
+                        tick + wd.budget
+                    } else {
+                        due
+                    }
+                });
                 h = h.min(Horizon::after(bite - 1));
             }
         }
@@ -463,53 +470,59 @@ impl Ocp {
         h
     }
 
-    /// Replays `cycles` ticks inside a window bounded by
-    /// [`Ocp::horizon_on`], leaving the coprocessor as `cycles` real
-    /// ticks would have. The socket leaps first. Then, while the
-    /// controller's walk says the next tick moves its FSM (the pickup of
-    /// a burst that completed without error, `Fetch`, `Decode`, and a
-    /// run's issue in `Execute`), the controller steps that tick itself
-    /// and the watchdog applies its per-tick rule. The ticks left leave
-    /// the controller where it stands (a `wait` counts to its retire
-    /// cycle, a burst stays in flight), so only the watchdog counts
-    /// them down, and the debug register window is refreshed once.
-    /// Completion needs no replay — `eop` is never inside a window. A
-    /// pickup retires the port's completion on `bus` and an issue
-    /// begins a burst there: call it inside [`BusWindow::leap`], which
-    /// advances the issuer of a run once per burst, with the bus on the
-    /// issue's cycle, and advances the bus over the burst afterwards.
-    pub fn advance(&mut self, cycles: Cycle, bus: &mut dyn SystemBus) {
-        // A read pickup only fills the input FIFOs of an idle socket
-        // (the walk stops in front of it otherwise), and an issue only
-        // reads or drains the FIFOs of an idle one, whose window
-        // ignores them, so the socket may leap first.
-        self.socket.advance(cycles);
-        let mut rest = cycles.count();
-        while rest > 0 && self.controller.walk(&self.socket, bus).is_some() {
-            let executes = *self.controller.state() == ControllerState::Execute;
-            self.controller
-                .step_fsm(bus, &self.regs, &mut self.socket, &self.irq);
-            debug_assert!(
-                !executes || *self.controller.state() == ControllerState::TransferBusWait,
-                "an in-window dispatch is one of the run's issues"
-            );
-            self.watch();
-            rest -= 1;
-        }
-        debug_assert!(
-            rest == 0 || self.controller.holds_for(rest, bus),
-            "advanced {rest} ticks past the walk in {:?}",
-            self.controller.state()
-        );
-        self.controller.publish_debug(&self.regs);
-        // The ticks left make no progress. The horizon keeps the bite
-        // itself on a stepped tick.
-        if let Some(wd) = &mut self.watchdog {
-            if self.controller.is_active() {
-                debug_assert!(rest < wd.remaining, "advanced past the watchdog bite");
-                wd.remaining -= rest;
+    /// Replays `cycles` ticks, the first starting on cycle `from`,
+    /// inside a window bounded by [`Ocp::horizon_on`], leaving the
+    /// coprocessor as `cycles` real ticks would have. Each tick that
+    /// moves the controller's FSM (its walk: a pickup, `Fetch`,
+    /// `Decode`, a run's issue, an `exec`'s start, an `end_op` retire,
+    /// a `wait`'s `Execute` and retire) runs as [`Ocp::tick`] runs it:
+    /// the socket ticks, then the controller steps, then the watchdog
+    /// applies its per-tick rule. Between them the FSM holds (see
+    /// `Controller::holds`), so the socket leaps those ticks and only
+    /// the watchdog counts them down. The debug register window is
+    /// refreshed once. Completion needs no replay — `eop` is never
+    /// inside a window. A pickup retires the port's completion on `bus`
+    /// and an issue begins a burst there: call it inside
+    /// [`BusWindow::leap`], which advances the issuer of a run once per
+    /// burst, with the bus on the issue's cycle, and advances the bus
+    /// over the burst afterwards. A walked `wait` takes its cycle from
+    /// `from`, not from the bus.
+    pub fn advance(&mut self, from: Instant, cycles: Cycle, bus: &mut dyn SystemBus) {
+        let mut now = from;
+        let end = from + cycles;
+        while now < end {
+            let hold = self
+                .controller
+                .holds(&self.socket, bus, now)
+                .min((end - now).count());
+            if hold == 0 {
+                self.socket.tick();
+                self.controller
+                    .step_fsm(bus, &self.regs, &mut self.socket, &self.irq, now);
+                debug_assert!(
+                    !matches!(
+                        self.controller.state(),
+                        ControllerState::Idle | ControllerState::Faulted(_)
+                    ),
+                    "a leap stepped an event: {:?}",
+                    self.controller.state()
+                );
+                self.watch();
+                now += Cycle::new(1);
+                continue;
             }
+            self.socket.advance(Cycle::new(hold));
+            // The held ticks make no progress. The horizon keeps the
+            // bite itself on a stepped tick.
+            if let Some(wd) = &mut self.watchdog {
+                if self.controller.is_active() {
+                    debug_assert!(hold < wd.remaining, "advanced past the watchdog bite");
+                    wd.remaining -= hold;
+                }
+            }
+            now += Cycle::new(hold);
         }
+        self.controller.publish_debug(&self.regs);
     }
 }
 
@@ -517,7 +530,7 @@ impl Ocp {
 mod tests {
     use super::*;
     use ouessant_isa::{assemble, Program, ProgramBuilder};
-    use ouessant_rac::idct::{idct_2d_fixed, IdctRac};
+    use ouessant_rac::idct::{idct_2d_fixed, IdctRac, IDCT_LATENCY};
     use ouessant_rac::passthrough::PassthroughRac;
     use ouessant_rac::rac::RacIo;
     use ouessant_sim::axi::{AxiBus, AxiConfig};
@@ -859,12 +872,14 @@ mod tests {
     }
 
     /// `wait n` leapt against `wait n` stepped, from its `Execute`
-    /// tick, with leap limits that end inside the wait: the twins
-    /// observe the same after every leap and tick, and both retire the
-    /// `wait` on tick `n + 1` (`wait 0` retires in its `Execute`).
+    /// tick, with leap limits that end inside the wait and past it: the
+    /// twins observe the same after every leap and tick, a leap walks
+    /// out of the wait through its retire on tick `n + 1` (`wait 0`
+    /// retires in its `Execute`), and both dispatch the `eop` three
+    /// ticks later.
     #[test]
     fn wait_leaps_retire_on_the_stepped_cycle() {
-        use ControllerState::WaitCycles;
+        use ControllerState::{Decode, Execute, Fetch, WaitCycles};
         let limits = [1, 2, 5, 31, 1_000, 0, 7];
         for n in [0u16, 1, 2, 3, 100, 16_383] {
             let (slow, fast) = start_wait(n);
@@ -872,17 +887,11 @@ mod tests {
             let (cycle, fault, leaps) =
                 leap_pair_with(slow, fast, u64::from(n) + 10, || limit.next().unwrap_or(0));
             assert_eq!(fault, None, "wait {n}");
-            // No leap retires the `wait`: both twins step its retire
-            // tick, and observe the same after it.
-            let in_wait = leaps
-                .iter()
-                .filter(|(from, _, _)| matches!(from, WaitCycles { .. }));
-            for leap in in_wait.clone() {
-                assert!(matches!(leap.2, WaitCycles { .. }), "wait {n}: {leap:?}");
-            }
-            assert_eq!(in_wait.count() > 0, n > 1, "wait {n}: {leaps:?}");
-            // That tick is `n + 1`, then come the `eop`'s `Fetch`,
-            // `Decode` and `Execute`.
+            let out_of_wait = leaps.iter().any(|(from, pc, to)| {
+                matches!((from, pc), (Execute, 0) | (WaitCycles { .. }, _))
+                    && matches!(to, Fetch | Decode | Execute)
+            });
+            assert!(out_of_wait, "wait {n}: {leaps:?}");
             let retire = if n == 0 { 1 } else { u64::from(n) + 1 };
             assert_eq!(cycle, retire + 3, "wait {n}");
         }
@@ -1192,8 +1201,7 @@ mod tests {
         let (mut faults, mut leaps) = (0, 0);
         for seed in 1..=DRAWN_SEEDS {
             let system = DrawnSystem::draw(seed);
-            let run =
-                std::panic::catch_unwind(|| leap_against_steps(|| system.fixture(), 1_000_000));
+            let run = std::panic::catch_unwind(|| system.leap_against_steps());
             let (_, fault, taken) = run.unwrap_or_else(|_| panic!("seed {seed}: {system:#?}"));
             faults += u64::from(fault.is_some());
             leaps += taken.len();
@@ -1256,20 +1264,28 @@ mod tests {
     /// length and arbiter; a slave map of the program's SRAM with drawn
     /// wait states, the [`Flaky`] slave, the OCP's own register window
     /// and unmapped holes (above the SRAM and at `0x6000_0000`); banks
-    /// 1–4 on the SRAM and 5–7 on any of these; and a program of
-    /// offloads through a pass-through RAC, `wait`s and `nop`s. An offload is a run of
-    /// back-to-back reads, the `execs` of their words and a run of
-    /// writes. A write never targets the register window, so the OCP
-    /// never rewrites its own configuration. One system in four arms
-    /// the watchdog.
+    /// 1–4 on the SRAM and 5–7 on any of these; a RAC, a pass-through
+    /// with a drawn delay or the IDCT; and a program of offloads, `wait`s
+    /// and `nop`s. An offload is a run of back-to-back reads, a launch
+    /// and a run of writes; the launch is `execs` of the read words, the
+    /// same after a `wait`, or `execn` then `wrac` with a `wait` between
+    /// or none. The IDCT's runs move one 64-word block. A write never
+    /// targets the register window, so the OCP never rewrites its own
+    /// configuration. One system in four arms the watchdog: half of
+    /// them at the start, with a budget of 5 to 199 cycles, half on the
+    /// `Fetch` of the first launch, with a budget that ends inside its
+    /// compute or at its `end_op` retire.
     #[derive(Debug)]
     struct DrawnSystem {
         bus: BusConfig,
         ram: SramConfig,
         flaky: (u32, u32),
         banks: [Addr; 7],
-        delay: u64,
-        watchdog: Option<u64>,
+        /// The pass-through's delay, `None` for the IDCT.
+        delay: Option<u64>,
+        /// The watchdog's budget, and the pc of the instruction on
+        /// whose `Fetch` it is armed (`None`: at the start).
+        watchdog: Option<(u64, Option<u16>)>,
         source: String,
     }
 
@@ -1312,18 +1328,46 @@ mod tests {
                     break b;
                 }
             };
+            let delay = (rng.gen_range_u32(0..4) > 0).then(|| u64::from(rng.gen_range_u32(0..3)));
             let mut source = String::new();
+            // The first launch's pc and the cycles from its `Fetch` to
+            // its compute's end.
+            let mut first_launch = None;
             for _ in 0..rng.gen_range_u32(1..5) {
-                let lens: Vec<u32> = (0..rng.gen_range_u32(1..4))
-                    .map(|_| rng.gen_range_u32(1..33))
-                    .collect();
+                let lens: Vec<u32> = match delay {
+                    Some(_) => (0..rng.gen_range_u32(1..4))
+                        .map(|_| rng.gen_range_u32(1..33))
+                        .collect(),
+                    None => {
+                        let cut = rng.gen_range_u32(1..64);
+                        if rng.gen_bool() {
+                            vec![64]
+                        } else {
+                            vec![cut, 64 - cut]
+                        }
+                    }
+                };
+                let words = lens.iter().sum::<u32>();
                 for (write, op) in [(false, "mvtc"), (true, "mvfc")] {
                     for &n in &lens {
                         let (b, off) = (bank(&mut rng, write), rng.gen_range_u32(0..40));
                         source += &format!("{op} BANK{b},{off},DMA{n},FIFO0\n");
                     }
                     if !write {
-                        source += &format!("execs {}\n", lens.iter().sum::<u32>());
+                        let wait = rng.gen_range_u32(0..30);
+                        let form = rng.gen_range_u32(0..4);
+                        let pc = source.lines().count() + usize::from(form == 0);
+                        let compute = match delay {
+                            Some(d) => u64::from(words) + d,
+                            None => IDCT_LATENCY + 1,
+                        };
+                        first_launch.get_or_insert((pc as u16, 3 + compute));
+                        source += &match form {
+                            0 => format!("wait {wait}\nexecs {words}\n"),
+                            1 => format!("execn {words}\nwait {wait}\nwrac\n"),
+                            2 => format!("execn {words}\nwrac\n"),
+                            _ => format!("execs {words}\n"),
+                        };
                     }
                 }
                 match rng.gen_range_u32(0..4) {
@@ -1333,14 +1377,19 @@ mod tests {
                 }
             }
             source += "eop";
+            let watchdog = match rng.gen_range_u32(0..8) {
+                0 => Some((u64::from(rng.gen_range_u32(5..200)), None)),
+                1 => first_launch
+                    .map(|(pc, gap)| (gap - 3 + u64::from(rng.gen_range_u32(0..7)), Some(pc))),
+                _ => None,
+            };
             Self {
                 bus,
                 ram,
                 flaky,
                 banks,
-                delay: u64::from(rng.gen_range_u32(0..3)),
-                watchdog: (rng.gen_range_u32(0..4) == 0)
-                    .then(|| u64::from(rng.gen_range_u32(5..200))),
+                delay,
+                watchdog,
                 source,
             }
         }
@@ -1357,7 +1406,10 @@ mod tests {
                     wait: self.flaky.1,
                 },
             );
-            let rac = Box::new(PassthroughRac::scaling(3, self.delay));
+            let rac: Box<dyn Rac> = match self.delay {
+                Some(delay) => Box::new(PassthroughRac::scaling(3, delay)),
+                None => Box::new(IdctRac::new()),
+            };
             let mut fx = Fixture {
                 ocp: Ocp::attach(&mut bus, OCP_BASE, rac, OcpConfig::default()),
                 bus,
@@ -1369,10 +1421,29 @@ mod tests {
             for (b, &base) in (1..).zip(&self.banks) {
                 fx.ocp.regs().set_bank(b, base).unwrap();
             }
-            if let Some(budget) = self.watchdog {
+            if let Some((budget, None)) = self.watchdog {
                 fx.ocp.arm_watchdog(budget);
             }
             fx
+        }
+
+        /// [`leap_against_steps`] on the system, the watchdog armed on
+        /// the `Fetch` of its first launch if the draw says so.
+        fn leap_against_steps(&self) -> (u64, Option<ExecError>, Vec<Leap>) {
+            let Some((budget, Some(pc))) = self.watchdog else {
+                return leap_against_steps(|| self.fixture(), 1_000_000);
+            };
+            let (mut slow, mut fast) = start_pair(
+                || self.fixture(),
+                |fx| {
+                    let controller = fx.ocp.controller();
+                    fx.ocp.fault().is_some()
+                        || (controller.pc() == pc && *controller.state() == ControllerState::Fetch)
+                },
+            );
+            slow.ocp.arm_watchdog(budget);
+            fast.ocp.arm_watchdog(budget);
+            leap_pair(slow, fast, 1_000_000)
         }
     }
 
@@ -1429,14 +1500,16 @@ mod tests {
 
     #[test]
     fn transfer_pickups_leap_through_fetch_and_decode() {
-        use ControllerState::{Execute, Fetch, LoadProgram, TransferBusWait};
-        // The program load, the mvtc into an idle RAC (pc 0) and the
-        // mvfc out of a finished one (pc 2) each leap to the dispatch
-        // of the next instruction, on both buses. On the AHB-like bus,
-        // which answers the issue what-if, the load's window runs on
-        // through the mvtc's issue into its burst, and so does the
-        // window from the Fetch of the mvfc after `execs`; the AXI-like
-        // bus declines it, so those issues stay stepped events.
+        use ControllerState::{Execute, LoadProgram, TransferBusWait};
+        // The program load and the mvfc out of a finished RAC (pc 2)
+        // each leap to the dispatch of the next instruction, and the
+        // mvtc into an idle one (pc 0) on through the `execs` start, the
+        // compute and its `end_op` retire to the mvfc's, on both buses.
+        // On the AHB-like bus, which answers the issue what-if, the
+        // load's window runs on through the mvtc's issue into its
+        // burst, and the mvtc's pickup through the mvfc's issue into its
+        // burst; the AXI-like bus declines it, so those issues stay
+        // stepped events.
         let source = "mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop";
         let passthrough = || Box::new(PassthroughRac::new(0));
         let (_, ahb_fault, ahb) =
@@ -1448,12 +1521,12 @@ mod tests {
             },
             10_000,
         );
-        let pickups = [(TransferBusWait, 0, Execute), (TransferBusWait, 2, Execute)];
+        let pickups = [(TransferBusWait, 2, Execute)];
         let ahb_expected = [
             (LoadProgram, 0, TransferBusWait),
-            (Fetch, 2, TransferBusWait),
+            (TransferBusWait, 0, TransferBusWait),
         ];
-        let axi_expected = [(LoadProgram, 0, Execute)];
+        let axi_expected = [(LoadProgram, 0, Execute), (TransferBusWait, 0, Execute)];
         for (fault, leaps, expected) in [
             (ahb_fault, ahb, &ahb_expected[..]),
             (axi_fault, axi, &axi_expected[..]),
@@ -1842,11 +1915,12 @@ mod tests {
 
     #[test]
     fn each_transfer_run_leaps_in_one_window_on_an_idle_bus() {
-        use ControllerState::{Execute, Fetch, LoadProgram, RacWait, TransferBusWait};
+        use ControllerState::{Execute, LoadProgram, TransferBusWait};
         // 16 `mvtc` of 256 words, `execs`, 16 `mvfc` of 256 words: each
         // run is one window, from the walk to its first issue through
         // its last completion, and the pickup after it walks to the
-        // next `Execute`.
+        // next `Execute`, or on through the `execs` start, the compute
+        // and its `end_op` retire into the `mvfc` run.
         let source = format!(
             "{}execs 4096\n{}eop",
             bursts("mvtc", 1, 16, 256),
@@ -1859,11 +1933,117 @@ mod tests {
             [
                 (LoadProgram, 7, LoadProgram),
                 (LoadProgram, 7, TransferBusWait),
-                (TransferBusWait, 15, Execute),
-                (RacWait, 16, RacWait),
-                (Fetch, 17, TransferBusWait),
+                (TransferBusWait, 15, TransferBusWait),
                 (TransferBusWait, 32, Execute),
             ]
+        );
+    }
+
+    /// One whole job on an idle bus, leapt as `Farm::leap_or_tick`
+    /// leaps (the stepped twin checks every iteration): only its launch
+    /// and its `eop` step. Between them, windows end only where the
+    /// controller first sees a burst's completion, so the last `mvtc`'s
+    /// pickup runs on through the `exec`, the compute, its `end_op`
+    /// retire and the `mvfc` run in one window; a `wait` in front of
+    /// the `exec` opens that window instead. Each iteration is recorded
+    /// as the state and pc it starts from and the state a leap ends in,
+    /// `None` for a stepped tick.
+    #[test]
+    fn one_job_steps_only_its_launch_and_its_eop() {
+        use ControllerState::{Execute, Idle, LoadProgram, TransferBusWait};
+        type Iteration = (ControllerState, u16, Option<ControllerState>);
+        type Job = (&'static str, fn() -> Box<dyn Rac>, Vec<Iteration>);
+        let idct = "mvtc BANK1,0,DMA64,FIFO0\nexecs\nmvfc BANK2,0,DMA64,FIFO0\neop";
+        let sleeping = "mvtc BANK1,0,DMA16,FIFO0\nwait 50\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop";
+        let pipe = || -> Box<dyn Rac> { Box::new(PassthroughRac::scaling(3, 0)) };
+        let idct_rac = || -> Box<dyn Rac> { Box::new(IdctRac::new()) };
+        let job: [Job; 2] = [
+            (
+                idct,
+                idct_rac,
+                vec![
+                    (Idle, 0, None),
+                    (LoadProgram, 0, Some(LoadProgram)),
+                    (LoadProgram, 0, Some(TransferBusWait)),
+                    (TransferBusWait, 0, Some(TransferBusWait)),
+                    (TransferBusWait, 2, Some(Execute)),
+                    (Execute, 3, None),
+                ],
+            ),
+            (
+                sleeping,
+                pipe,
+                vec![
+                    (Idle, 0, None),
+                    (LoadProgram, 0, Some(LoadProgram)),
+                    (LoadProgram, 0, Some(TransferBusWait)),
+                    (TransferBusWait, 0, Some(Execute)),
+                    (Execute, 1, Some(TransferBusWait)),
+                    (TransferBusWait, 3, Some(Execute)),
+                    (Execute, 4, None),
+                ],
+            ),
+        ];
+        for (source, rac, expected) in job {
+            let (mut slow, mut fast) = start_pair(|| offload(fixture(rac()), source), |_| true);
+            let mut iterations = Vec::new();
+            while !fast.ocp.regs().done() {
+                let controller = fast.ocp.controller();
+                let from = (controller.state().clone(), controller.pc());
+                let skip = fast.ocp.leap(&mut fast.bus, u64::MAX);
+                let to = if skip == 0 {
+                    fast.step();
+                    slow.step();
+                    None
+                } else {
+                    for _ in 0..skip {
+                        slow.step();
+                    }
+                    Some(fast.ocp.controller().state().clone())
+                };
+                assert_eq!(fast.observed(), slow.observed(), "{source}");
+                iterations.push((from.0, from.1, to));
+            }
+            assert_eq!(iterations, expected, "{source}");
+        }
+    }
+
+    /// A kernel whose compute never ends in any run: a walk through it
+    /// and the `mvfc` run after it saturate instead of overflowing, and
+    /// a leap still takes its limit, against the stepped twin.
+    #[test]
+    fn a_walk_through_an_endless_compute_saturates() {
+        use ouessant_rac::block::{BlockKernel, BlockRac};
+        struct Endless;
+        impl BlockKernel for Endless {
+            fn name(&self) -> &str {
+                "endless"
+            }
+            fn input_len(&self, _op: u16) -> usize {
+                4
+            }
+            fn output_len(&self, _op: u16) -> Option<usize> {
+                Some(4)
+            }
+            fn latency(&self, _op: u16) -> u64 {
+                u64::MAX
+            }
+            fn compute(&mut self, _op: u16, input: &[u32], output: &mut Vec<u32>) {
+                output.extend_from_slice(input);
+            }
+        }
+        let source = "mvtc BANK1,0,DMA4,FIFO0\nexecs\nmvfc BANK2,0,DMA4,FIFO0\neop";
+        let build = || offload(fixture(Box::new(BlockRac::from_kernel(Endless))), source);
+        let (slow, fast) = start_pair(build, |_| true);
+        let (cycle, fault, leaps) = leap_pair_with(slow, fast, 5_000, || 1_000);
+        assert_eq!((cycle, fault), (5_000, None));
+        assert!(
+            leaps.contains(&(
+                ControllerState::TransferBusWait,
+                0,
+                ControllerState::RacWait
+            )),
+            "{leaps:?}"
         );
     }
 

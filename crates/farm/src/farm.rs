@@ -900,10 +900,10 @@ impl Farm {
             .roll_chaos(now..now + bound, window.issuer(), work_pending)
             .unwrap_or(bound);
         debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
-        window.leap(&mut self.bus, leap, |bus, who, ticks| {
+        window.leap(&mut self.bus, leap, |bus, who, from, ticks| {
             for w in &mut self.workers {
                 if who.includes(w.ocp.bus_master()) {
-                    w.ocp.advance(Cycle::new(ticks), bus);
+                    w.ocp.advance(from, Cycle::new(ticks), bus);
                 }
             }
         });

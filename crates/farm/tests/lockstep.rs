@@ -904,52 +904,116 @@ fn chaos_dice_follow_first_tick_issues() {
     assert!(fast.hangs_detected > 0, "a wedge must trip the watchdog");
 }
 
-/// Pins how many cycles of one job still single-step, per kind, so a
-/// horizon that falls back to the next tick fails here even though every
+/// Runs `spec` alone on a farm of the one worker `add` builds, with
+/// `fifo_depth`-word FIFOs and `chaos` armed when given, in both
+/// stepping modes (see [`assert_lockstep`]), and returns how many
+/// cycles the fast-forward run stepped.
+fn stepped_cycles_of_one_job(
+    spec: JobSpec,
+    fifo_depth: usize,
+    add: &dyn Fn(&mut Farm),
+    chaos: Option<&ChaosConfig>,
+    label: &str,
+) -> u64 {
+    let build = |fast_forward| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                fifo_depth,
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy("fifo"),
+        );
+        add(&mut farm);
+        if let Some(config) = chaos {
+            farm.arm_chaos(FaultPlan::new(config.clone()));
+        }
+        farm
+    };
+    let (_, report) = assert_lockstep(&build, &[spec], label);
+    report.total_cycles - report.skipped_cycles
+}
+
+/// Pins how many cycles of one job still single-step, so a horizon
+/// that falls back to the next tick fails here even though every
 /// lockstep check stays green. Every DMA burst of a lone job meets an
-/// idle bus, so it issues inside a window: what steps is the launch,
-/// the `exec` dispatch, its `end_op` retire and the `eop`, whatever the
-/// payload size — a 4096-point DFT's 128 bursts step no more than a
-/// 64-point one's 2.
+/// idle bus, so it issues inside a window, and the `exec`, its
+/// `end_op` retire and a `wait` walk inside windows too: what steps is
+/// the launch and the `eop`, whatever the kind and the payload size (a
+/// 4096-point DFT's 128 bursts step no more than a 64-point one's 2),
+/// and for sparse-idle's custom shape (`mvtc`, `wait`, `exec`, `mvfc`,
+/// `eop`). A DPR swap adds the `rcfg` dispatch. With chaos armed the
+/// walks stay off, as chains do: the pinned count is the one before
+/// they existed.
 #[test]
 fn one_job_steps_a_pinned_number_of_cycles() {
     const DFT4K: JobKind = JobKind::Dft { points: 4096 };
     let mut rng = XorShift64::new(WORKLOAD_SEED);
-    let mut stepped_by_kind = Vec::new();
     let default_depth = FarmConfig::default().fifo_depth;
-    for (kind, fifo_depth, stepped) in [
-        (IDCT, default_depth, 4),
-        (DFT64, default_depth, 4),
-        (COPY3, default_depth, 4),
-        (DFT4K, 8192, 4),
+    let mut stepped_by_kind = Vec::new();
+    let worker = |kind| {
+        move |farm: &mut Farm| {
+            farm.add_worker(kind);
+        }
+    };
+    for (kind, fifo_depth) in [
+        (IDCT, default_depth),
+        (DFT64, default_depth),
+        (COPY3, default_depth),
+        (DFT4K, 8192),
     ] {
         let spec = JobSpec::new(kind, payload(kind, &mut rng));
-        let build = |fast_forward| {
-            let mut farm = Farm::new(
-                FarmConfig {
-                    fifo_depth,
-                    fast_forward,
-                    ..FarmConfig::default()
-                },
-                policy("fifo"),
-            );
-            farm.add_worker(kind);
-            farm
-        };
-        let (_, report) = assert_lockstep(&build, &[spec], &format!("one {kind}"));
-        let steps = report.total_cycles - report.skipped_cycles;
-        assert_eq!(
-            steps, stepped,
-            "{kind}: stepped cycles of {}",
-            report.total_cycles
-        );
+        let label = format!("one {kind}");
+        let steps = stepped_cycles_of_one_job(spec, fifo_depth, &worker(kind), None, &label);
+        assert_eq!(steps, 2, "{kind}");
         stepped_by_kind.push(steps);
     }
     assert_eq!(
         stepped_by_kind[1], stepped_by_kind[3],
         "a 4096-point DFT steps more cycles than a 64-point one: a burst on an idle bus stepped"
     );
+    let copy = |rng: &mut XorShift64| payload(COPY3, rng);
+    let sleeping = sleeping_copy(copy(&mut rng), [8_000, 0]);
+    let steps = stepped_cycles_of_one_job(
+        sleeping,
+        default_depth,
+        &worker(COPY3),
+        None,
+        "sleeping copy",
+    );
+    assert_eq!(steps, 2, "sparse-idle's custom shape");
+    // A COPY3 job on a DPR worker loaded with the IDCT swaps first.
+    let dpr = |farm: &mut Farm| {
+        farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
+    };
+    let swap = JobSpec::new(COPY3, copy(&mut rng));
+    let steps = stepped_cycles_of_one_job(swap, default_depth, &dpr, None, "DPR swap");
+    assert_eq!(steps, DPR_SWAP_STEPS, "a job behind an `rcfg`");
+    // Dice armed that never hit in this run: the walks stay off.
+    let calm_dice = ChaosConfig {
+        seed: 0x0CA1_D1CE,
+        controller_one_in: u32::MAX,
+        bus_one_in: u32::MAX,
+        bitstream_one_in: 0,
+        alloc_one_in: 0,
+        alloc_hold: 0,
+        wedge_one_in: u32::MAX,
+        slow_one_in: u32::MAX,
+        slow_stall: 1,
+    };
+    let spec = JobSpec::new(IDCT, payload(IDCT, &mut rng));
+    let chaos = Some(&calm_dice);
+    let steps = stepped_cycles_of_one_job(spec, default_depth, &worker(IDCT), chaos, "chaos armed");
+    assert_eq!(steps, CHAOS_ARMED_STEPS, "one IDCT job with chaos armed");
 }
+
+/// Stepped cycles of a job behind a DPR swap: the launch, the `rcfg`
+/// dispatch and the `eop`.
+const DPR_SWAP_STEPS: u64 = 3;
+
+/// Stepped cycles of one IDCT job with chaos armed, as before walks
+/// through `exec`, `end_op` and `wait` existed.
+const CHAOS_ARMED_STEPS: u64 = 4;
 
 /// The dispatch-epoch regression: a heterogeneous pool whose IDCT
 /// worker sits idle for most of the run while compute-bound DFT jobs

@@ -13,7 +13,7 @@ use std::fmt;
 use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::{Cycle, Horizon};
 
-use crate::rac::{Rac, RacIo};
+use crate::rac::{Outlook, Rac, RacIo};
 
 /// The data path and timing of a block-processing accelerator.
 pub trait BlockKernel {
@@ -27,6 +27,15 @@ pub trait BlockKernel {
     /// required number of cycles to process data \[with\] data transfer
     /// time not considered".
     fn latency(&self, op: u16) -> u64;
+
+    /// Words produced per operation, if the kernel knows before it
+    /// computes (then [`BlockKernel::compute`] produces exactly that
+    /// many): it lets a leap run from `exec` through the drain. The
+    /// default, `None`, is always safe.
+    fn output_len(&self, op: u16) -> Option<usize> {
+        let _ = op;
+        None
+    }
 
     /// Computes the output block of one input block, appending it to
     /// `output`, which arrives empty.
@@ -86,6 +95,31 @@ impl<K: BlockKernel> BlockRac<K> {
     pub fn ops_done(&self) -> u64 {
         self.ops_done
     }
+
+    /// The horizon of `Collecting` operation `op` with `waiting` words
+    /// in the input FIFO: with the whole block there, the collect tick
+    /// and the latency countdown only move words nobody else reads
+    /// inside the window, and the drain that raises `end_op` is the
+    /// event. Short of a block, ticks change nothing until the
+    /// controller delivers more words, which is its own event.
+    fn collect_horizon(&self, op: u16, waiting: usize) -> Horizon {
+        if waiting < self.kernel.input_len(op) {
+            return Horizon::QUIESCENT;
+        }
+        let lat = self.kernel.latency(op).saturating_sub(1);
+        Horizon::after(1 + lat.max(1))
+    }
+
+    /// The outlook of `horizon`, whose event drains `left` words (`None`
+    /// when no drain is due or its size is not known yet): the drain
+    /// ends the operation when they all fit the output FIFO, which
+    /// nothing else fills inside a window.
+    fn drain_outlook(horizon: Horizon, left: Option<usize>, outputs: &[SyncFifo<u32>]) -> Outlook {
+        Outlook {
+            horizon,
+            ends: left.filter(|&words| words <= outputs[0].space()),
+        }
+    }
 }
 
 impl<K: BlockKernel> fmt::Debug for BlockRac<K> {
@@ -131,6 +165,12 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
                     self.staged_output.clear();
                     self.kernel
                         .compute(self.op, &self.block, &mut self.staged_output);
+                    debug_assert!(
+                        self.kernel
+                            .output_len(self.op)
+                            .is_none_or(|n| n == self.staged_output.len()),
+                        "the kernel produced another count than its output_len"
+                    );
                     self.drained = 0;
                     // The collect cycle itself counts as the first busy
                     // cycle; remaining latency follows.
@@ -168,22 +208,38 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
     fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Horizon {
         match self.state {
             State::Idle => Horizon::QUIESCENT,
-            // The collect tick, then the latency countdown, only move
-            // words nobody else reads inside the window; the drain that
-            // raises `end_op` is the event. Short of a block, ticks
-            // change nothing until the controller delivers more words,
-            // which is its own event.
-            State::Collecting if inputs[0].len() >= self.kernel.input_len(self.op) => {
-                let lat = self.kernel.latency(self.op).saturating_sub(1);
-                Horizon::after(1 + lat.max(1))
-            }
-            State::Collecting => Horizon::QUIESCENT,
+            State::Collecting => self.collect_horizon(self.op, inputs[0].len()),
             // `cycles_left` ticks (one for a zero-latency kernel) reach
             // `Draining`; the tick after drains.
             State::Computing { cycles_left } => Horizon::after(cycles_left.max(1)),
             // The drain pushes the outputs and drops `busy`.
             State::Draining => Horizon::NEXT_TICK,
         }
+    }
+
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
+        let horizon = self.horizon(inputs, outputs);
+        let left = match self.state {
+            State::Idle => None,
+            State::Collecting => horizon.ticks().and(self.kernel.output_len(self.op)),
+            State::Computing { .. } | State::Draining => {
+                Some(self.staged_output.len() - self.drained)
+            }
+        };
+        Self::drain_outlook(horizon, left, outputs)
+    }
+
+    /// `exec` finds the whole block in the FIFO, or waits for more.
+    fn outlook_after_start(
+        &self,
+        op: u16,
+        landed: usize,
+        inputs: &[SyncFifo<u32>],
+        outputs: &[SyncFifo<u32>],
+    ) -> Outlook {
+        let horizon = self.collect_horizon(op, inputs[0].len() + landed);
+        let left = horizon.ticks().and(self.kernel.output_len(op));
+        Self::drain_outlook(horizon, left, outputs)
     }
 
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {

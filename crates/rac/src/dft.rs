@@ -359,6 +359,10 @@ impl BlockKernel for DftKernel {
         self.points * 2
     }
 
+    fn output_len(&self, _op: u16) -> Option<usize> {
+        Some(self.points * 2)
+    }
+
     fn latency(&self, _op: u16) -> u64 {
         dft_latency(self.points)
     }

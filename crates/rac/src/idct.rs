@@ -180,6 +180,10 @@ impl BlockKernel for IdctKernel {
         BLOCK_LEN
     }
 
+    fn output_len(&self, _op: u16) -> Option<usize> {
+        Some(BLOCK_LEN)
+    }
+
     fn latency(&self, _op: u16) -> u64 {
         IDCT_LATENCY
     }

@@ -64,6 +64,11 @@ impl BlockKernel for MatMulKernel {
         2 * n * n
     }
 
+    fn output_len(&self, op: u16) -> Option<usize> {
+        let n = usize::from(op).clamp(1, MAX_DIM);
+        Some(n * n)
+    }
+
     fn latency(&self, op: u16) -> u64 {
         matmul_latency(usize::from(op).clamp(1, MAX_DIM))
     }

@@ -10,7 +10,7 @@
 use ouessant_sim::fifo::{SyncFifo, WidthAdapter};
 use ouessant_sim::{Cycle, Horizon};
 
-use crate::rac::{Rac, RacIo};
+use crate::rac::{Outlook, Rac, RacIo};
 
 /// A streaming RAC that forwards each input word to the output after a
 /// configurable pipeline delay, optionally multiplying it.
@@ -122,11 +122,31 @@ impl Rac for PassthroughRac {
         if !self.busy {
             return Horizon::QUIESCENT;
         }
-        let waiting = inputs[0].len();
-        if self.delay > 0 || !self.in_flight.is_empty() || waiting == 0 {
-            return Horizon::NEXT_TICK;
+        self.stream_horizon(inputs[0].len(), outputs)
+    }
+
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
+        Outlook {
+            horizon: self.horizon(inputs, outputs),
+            ends: self
+                .stream_ends(inputs[0].len(), self.to_consume, outputs)
+                .filter(|_| self.busy),
         }
-        Horizon::after((waiting - 1).min(outputs[0].space()) as u64)
+    }
+
+    /// An idle pipe has nothing in flight, so a start streams at once.
+    fn outlook_after_start(
+        &self,
+        op: u16,
+        landed: usize,
+        inputs: &[SyncFifo<u32>],
+        outputs: &[SyncFifo<u32>],
+    ) -> Outlook {
+        let waiting = inputs[0].len() + landed;
+        Outlook {
+            horizon: self.stream_horizon(waiting, outputs),
+            ends: self.stream_ends(waiting, usize::from(op), outputs),
+        }
     }
 
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
@@ -141,6 +161,35 @@ impl Rac for PassthroughRac {
             .expect("horizon counted the waiting words and the output space");
         self.tick_count += n;
         self.to_consume = self.to_consume.saturating_sub(words);
+    }
+}
+
+impl PassthroughRac {
+    /// The horizon of a busy pipe with `waiting` input words: the
+    /// zero-delay closed form, or the next tick.
+    fn stream_horizon(&self, waiting: usize, outputs: &[SyncFifo<u32>]) -> Horizon {
+        if self.delay > 0 || !self.in_flight.is_empty() || waiting == 0 {
+            return Horizon::NEXT_TICK;
+        }
+        Horizon::after((waiting - 1).min(outputs[0].space()) as u64)
+    }
+
+    /// Whether the event of [`PassthroughRac::stream_horizon`] ends the
+    /// operation, with `to_consume` words still owed, and the words it
+    /// moves by then: the zero-delay stream takes its last waiting word
+    /// with no word owed past it and every word finding output space;
+    /// with none waiting, the next tick ends it unless a word is owed.
+    fn stream_ends(
+        &self,
+        waiting: usize,
+        to_consume: usize,
+        outputs: &[SyncFifo<u32>],
+    ) -> Option<usize> {
+        if self.delay > 0 || !self.in_flight.is_empty() {
+            return None;
+        }
+        let fits = waiting <= outputs[0].space() && to_consume <= waiting;
+        (fits && (waiting > 0 || to_consume == 0)).then_some(waiting)
     }
 }
 

@@ -152,6 +152,40 @@ pub trait Rac {
         }
     }
 
+    /// [`Rac::horizon`] with what its tick does to `end_op`: whether it
+    /// drops [`Rac::busy`], and the words output FIFO 0 gains up to it
+    /// (see [`Outlook`]). A controller waiting on `end_op` retires on
+    /// that tick, so it may leap on through the retire and plan the
+    /// transfers after it, counting those words.
+    ///
+    /// The default answers [`Rac::horizon`] and does not tell (`ends:
+    /// None`), which is always safe: the retire steps. An accelerator
+    /// that tells takes the horizon from [`Rac::horizon`], so the two
+    /// cannot disagree.
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
+        self.horizon(inputs, outputs).into()
+    }
+
+    /// The [`Rac::outlook`] the accelerator would have right after
+    /// [`Rac::start`]`(op)` on these FIFOs with `landed` more words in
+    /// input FIFO 0, asked of an idle accelerator: what a controller
+    /// needs to leap an `exec` together with the compute it launches
+    /// (and with the pickup of the read that lands the last input words
+    /// a few ticks before). Counted from the tick after the start.
+    ///
+    /// The default is the next tick, not telling, which is always safe:
+    /// the tick after the start steps.
+    fn outlook_after_start(
+        &self,
+        op: u16,
+        landed: usize,
+        inputs: &[SyncFifo<u32>],
+        outputs: &[SyncFifo<u32>],
+    ) -> Outlook {
+        let _ = (op, landed, inputs, outputs);
+        Horizon::NEXT_TICK.into()
+    }
+
     /// Bulk-applies `cycles` provably-pure ticks on the socket's FIFOs,
     /// leaving the accelerator and `io` exactly as `cycles` calls of
     /// [`Rac::tick`] would.
@@ -164,6 +198,29 @@ pub trait Rac {
     /// wider window override this to replay it.
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
         let _ = (cycles, io);
+    }
+}
+
+/// A RAC's next event as whoever waits on its `end_op` sees it (see
+/// [`Rac::outlook`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outlook {
+    /// The accelerator's horizon (see [`Rac::horizon`]).
+    pub horizon: Horizon,
+    /// `Some(words)` when the horizon's tick drops busy (raises
+    /// `end_op`), with the words output FIFO 0 gains over the ticks up
+    /// to and including it, and no other output FIFO any; `None` when
+    /// it does not, or the accelerator does not tell.
+    pub ends: Option<usize>,
+}
+
+impl From<Horizon> for Outlook {
+    /// A horizon whose tick is not told to end the operation.
+    fn from(horizon: Horizon) -> Self {
+        Self {
+            horizon,
+            ends: None,
+        }
     }
 }
 
@@ -422,6 +479,35 @@ impl RacSocket {
             return Horizon::in_ticks(stall);
         }
         self.rac.horizon(&self.inputs, &self.outputs)
+    }
+
+    /// The socket's horizon with what its tick does to `end_op` (see
+    /// [`Rac::outlook`]): while a stall is injected, its countdown,
+    /// which ends busy when the frozen accelerator is idle.
+    #[must_use]
+    pub fn outlook(&self) -> Outlook {
+        if self.stall_left > 0 {
+            return Outlook {
+                horizon: self.horizon(),
+                ends: (!self.rac.busy()).then_some(0),
+            };
+        }
+        self.rac.outlook(&self.inputs, &self.outputs)
+    }
+
+    /// The socket's [`RacSocket::outlook`] right after
+    /// [`RacSocket::start`]`(op)`, with `landed` more words pushed into
+    /// input FIFO 0 first, asked while it is idle (see
+    /// [`Rac::outlook_after_start`]): the next tick, not telling, while
+    /// a stall is injected, since the frozen accelerator would not
+    /// start counting.
+    #[must_use]
+    pub fn outlook_after_start(&self, op: u16, landed: usize) -> Outlook {
+        if self.stall_left > 0 {
+            return Horizon::NEXT_TICK.into();
+        }
+        self.rac
+            .outlook_after_start(op, landed, &self.inputs, &self.outputs)
     }
 
     /// Bulk-applies `cycles` pure ticks: forwards to the accelerator —

@@ -13,7 +13,7 @@ use std::num::NonZeroU64;
 use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::{Cycle, Horizon};
 
-use crate::rac::{Rac, RacIo, ReconfigResponse};
+use crate::rac::{Outlook, Rac, RacIo, ReconfigResponse};
 
 /// Default ICAP-style reconfiguration throughput used to derive a load
 /// latency from a bitstream size: 4 bytes per cycle (32-bit ICAP).
@@ -242,6 +242,37 @@ impl Rac for ReconfigurableSlot {
             return Horizon::QUIESCENT;
         }
         self.configs[self.active].rac.horizon(inputs, outputs)
+    }
+
+    /// The load's last tick ends busy for the freshly reset
+    /// configuration; once loaded, the active configuration answers.
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
+        let Some(active) = self.configs.get(self.active) else {
+            return Horizon::QUIESCENT.into();
+        };
+        if self.loading_left == 0 {
+            return active.rac.outlook(inputs, outputs);
+        }
+        Outlook {
+            horizon: self.horizon(inputs, outputs),
+            ends: (!active.rac.busy()).then_some(0),
+        }
+    }
+
+    /// A start during a load waits for the region: the next tick.
+    fn outlook_after_start(
+        &self,
+        op: u16,
+        landed: usize,
+        inputs: &[SyncFifo<u32>],
+        outputs: &[SyncFifo<u32>],
+    ) -> Outlook {
+        match self.configs.get(self.active) {
+            Some(c) if self.loading_left == 0 => {
+                c.rac.outlook_after_start(op, landed, inputs, outputs)
+            }
+            _ => Horizon::NEXT_TICK.into(),
+        }
     }
 
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {

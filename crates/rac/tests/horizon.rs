@@ -17,10 +17,11 @@
 
 use ouessant_rac::block::{BlockKernel, BlockRac};
 use ouessant_rac::dft::DftRac;
+use ouessant_rac::fir::FirRac;
 use ouessant_rac::idct::IdctRac;
 use ouessant_rac::matmul::MatMulRac;
-use ouessant_rac::passthrough::PassthroughRac;
-use ouessant_rac::rac::{Rac, RacIo};
+use ouessant_rac::passthrough::{PassthroughRac, WideFunctionRac};
+use ouessant_rac::rac::{Outlook, Rac, RacIo, RacSocket};
 use ouessant_rac::slot::ReconfigurableSlot;
 use ouessant_sim::fifo::SyncFifo;
 use ouessant_sim::rng::XorShift64;
@@ -346,4 +347,389 @@ fn block_rac_leaps_from_exec_to_its_drain() {
         assert!(!twin.rac.busy(), "latency {lat}: end_op on tick {drain}");
         assert_eq!(twin.outputs[0].pop(), Ok(11));
     }
+}
+
+/// One accelerator under the start and `end_op` queries: a socket of
+/// `depth`-word FIFOs around it, `waiting` words in input FIFO 0 and
+/// `landed` more pushed between the prediction and the start (a read
+/// the controller picks up first), and the `exec` operand `op`.
+struct StartCase {
+    name: &'static str,
+    rac: fn() -> Box<dyn Rac>,
+    depth: usize,
+    waiting: usize,
+    landed: usize,
+    op: u16,
+    /// Whether the accelerator tells, after the start, the tick that
+    /// ends the operation. One that keeps the default answer (the next
+    /// tick, not telling) or whose operation does not end on its
+    /// horizon's tick (a starved stream, a block short of words) does
+    /// not.
+    tells: bool,
+}
+
+impl StartCase {
+    /// The socket with its input words in place, and a stall of
+    /// `stall` cycles injected.
+    fn socket(&self, stall: u64) -> RacSocket {
+        let mut socket = RacSocket::new((self.rac)(), self.depth);
+        let words: Vec<u32> = (0..self.waiting as u32).map(|w| w * 7 + 1).collect();
+        socket
+            .push_inputs(0, &words)
+            .expect("the case fits its FIFO");
+        socket.inject_stall(stall);
+        socket
+    }
+
+    /// The words the prediction counts as landed, pushed.
+    fn land(&self, socket: &mut RacSocket) {
+        let words: Vec<u32> = (0..self.landed as u32).map(|w| w ^ 0x55).collect();
+        socket.push_inputs(0, &words).expect("the landed words fit");
+    }
+}
+
+/// Everything of a socket another layer could read.
+fn seen(socket: &RacSocket) -> (String, bool, Horizon) {
+    (format!("{socket:?}"), socket.busy(), socket.horizon())
+}
+
+/// The `k` checked inside a window of `h`, ascending: every one for a
+/// short window; the first and last 16 and 16 drawn ones between for a
+/// long one (a 4096-point DFT computes for 55 349 cycles, and each
+/// leaping twin pays its transform).
+fn ks(h: u64, rng: &mut XorShift64) -> Vec<u64> {
+    if h <= 512 {
+        return (1..h).collect();
+    }
+    let mut ks: Vec<u64> = (1..=16).chain(h - 16..h).collect();
+    ks.extend((0..16).map(|_| 17 + rng.gen_range_u64(0..h - 33)));
+    ks.sort_unstable();
+    ks
+}
+
+/// A socket ticked one tick at a time, holding it to every end it
+/// announces ([`RacSocket::outlook`] with `ends: Some(words)`): busy
+/// stays high until the announced tick, drops on it, and output FIFO 0
+/// has gained the announced words by then.
+struct EndWatch {
+    label: &'static str,
+    /// Ticks so far.
+    t: u64,
+    /// Announced ends still due: (tick, output occupancy then).
+    due: Vec<(u64, usize)>,
+    /// Announced ends held to, a repeat (a socket repeats an end on
+    /// every tick before it) counted as it comes.
+    kept: usize,
+}
+
+impl EndWatch {
+    fn new(label: &'static str) -> Self {
+        Self {
+            label,
+            t: 0,
+            due: Vec::new(),
+            kept: 0,
+        }
+    }
+
+    /// Holds `socket` to the end `outlook` announces, counted from now.
+    fn expect(&mut self, outlook: Outlook, socket: &RacSocket) {
+        if let (Some(h), Some(words)) = (outlook.horizon.ticks(), outlook.ends) {
+            let end = (self.t + h, socket.output_available(0) + words);
+            if self.due.last() == Some(&end) {
+                // The same end again, one tick closer.
+                self.kept += 1;
+            } else {
+                self.due.push(end);
+            }
+        }
+    }
+
+    /// Ticks once, after holding the socket to its own announcement.
+    /// Returns whether busy dropped on the tick.
+    fn tick(&mut self, socket: &mut RacSocket) -> bool {
+        let busy = socket.busy();
+        if busy {
+            self.expect(socket.outlook(), socket);
+        }
+        socket.tick();
+        self.t += 1;
+        let (t, label) = (self.t, self.label);
+        for &(at, held) in &self.due {
+            if t < at {
+                assert!(
+                    socket.busy(),
+                    "{label}: busy dropped on tick {t}, before {at}"
+                );
+            } else if t == at {
+                assert!(
+                    !socket.busy(),
+                    "{label}: busy on tick {t}, announced to drop"
+                );
+                assert_eq!(socket.output_available(0), held, "{label}: drained words");
+            }
+        }
+        let before = self.due.len();
+        self.due.retain(|&(at, _)| at > t);
+        self.kept += before - self.due.len();
+        busy && !socket.busy()
+    }
+}
+
+fn start_cases() -> Vec<StartCase> {
+    let case = |name, rac, depth, waiting, landed, op, tells| StartCase {
+        name,
+        rac,
+        depth,
+        waiting,
+        landed,
+        op,
+        tells,
+    };
+    fn wide() -> Box<dyn Rac> {
+        Box::new(WideFunctionRac::new("lane_swap", 96, 96, 3, |v| {
+            v.rotate_left(32)
+        }))
+    }
+    fn idct_slot() -> Box<dyn Rac> {
+        let mut slot = ReconfigurableSlot::new()
+            .with_config(Box::new(PassthroughRac::new(0)), 400)
+            .with_config(Box::new(IdctRac::new()), 120);
+        let _ = slot.reconfigure(1);
+        // Load it, as the `rcfg` before the `exec` does.
+        let mut io = RacIo {
+            inputs: &mut [SyncFifo::new("in0", 1)],
+            outputs: &mut [SyncFifo::new("out0", 1)],
+        };
+        while slot.busy() {
+            slot.tick(&mut io);
+        }
+        Box::new(slot)
+    }
+    vec![
+        case("idct", || Box::new(IdctRac::new()), 64, 64, 0, 0, true),
+        case(
+            "idct, landed",
+            || Box::new(IdctRac::new()),
+            64,
+            40,
+            24,
+            0,
+            true,
+        ),
+        case(
+            "idct, short",
+            || Box::new(IdctRac::new()),
+            64,
+            40,
+            0,
+            0,
+            false,
+        ),
+        case("dft64", || Box::new(DftRac::new(64)), 128, 128, 0, 0, true),
+        case(
+            "dft4096",
+            || Box::new(DftRac::new(4096)),
+            8192,
+            8000,
+            192,
+            0,
+            true,
+        ),
+        case(
+            "matmul 3",
+            || Box::new(MatMulRac::new()),
+            32,
+            18,
+            0,
+            3,
+            true,
+        ),
+        case(
+            "pipe",
+            || Box::new(PassthroughRac::scaling(3, 0)),
+            16,
+            5,
+            3,
+            8,
+            true,
+        ),
+        case(
+            "pipe, op 0",
+            || Box::new(PassthroughRac::new(0)),
+            16,
+            16,
+            0,
+            0,
+            true,
+        ),
+        case(
+            "pipe, empty",
+            || Box::new(PassthroughRac::new(0)),
+            16,
+            0,
+            0,
+            0,
+            true,
+        ),
+        case(
+            "pipe, starved",
+            || Box::new(PassthroughRac::new(0)),
+            16,
+            2,
+            0,
+            9,
+            false,
+        ),
+        case(
+            "pipe, delayed",
+            || Box::new(PassthroughRac::new(2)),
+            16,
+            6,
+            0,
+            6,
+            false,
+        ),
+        case("wide", wide, 64, 6, 0, 2, false),
+        case("fir", || Box::new(FirRac::new()), 64, 8, 0, 8, false),
+        case("idct in a loaded slot", idct_slot, 64, 64, 0, 0, true),
+    ]
+}
+
+/// The `exec` twins, RAC by RAC: twin A starts and ticks `k` times,
+/// twin B starts and trusts the prediction `h` (see
+/// `RacSocket::outlook_after_start`), leaping `k`; for every `k < h`
+/// (sampled in a long window, see [`ks`]) they are equal and busy is
+/// high. Busy drops on tick `h` itself, with the announced words in
+/// output FIFO 0, where the prediction tells the end, and not before
+/// `h` otherwise. Every tick holds the socket to the ends it announces
+/// on the way (see [`EndWatch`]), and a second `exec` right after the
+/// first, with the first's outputs still in the FIFO, drains into less
+/// space.
+#[test]
+fn exec_predictions_hold_for_every_rac() {
+    let mut rng = XorShift64::new(0x57A2_7E0C);
+    for case in start_cases() {
+        let label = case.name;
+        let idle = case.socket(0);
+        let outlook = idle.outlook_after_start(case.op, case.landed);
+        assert_eq!(outlook.ends.is_some(), case.tells, "{label}: {outlook:?}");
+        let Some(h) = outlook.horizon.ticks() else {
+            continue;
+        };
+        let started = || {
+            let mut socket = case.socket(0);
+            case.land(&mut socket);
+            socket.start(case.op);
+            socket
+        };
+        let (mut ticked, mut t) = (started(), 0);
+        for k in ks(h, &mut rng) {
+            while t < k {
+                ticked.tick();
+                t += 1;
+                assert!(ticked.busy(), "{label}: busy dropped on tick {t} < {h}");
+            }
+            let mut leapt = started();
+            leapt.advance(Cycle::new(k));
+            assert_eq!(seen(&ticked), seen(&leapt), "{label}: {k} of {h}");
+        }
+        let mut socket = started();
+        let mut watch = EndWatch::new(label);
+        watch.expect(outlook, &socket);
+        let mut dropped_at = None;
+        for _ in 0..h + 64 {
+            if watch.tick(&mut socket) {
+                dropped_at = Some(watch.t);
+                break;
+            }
+        }
+        assert!(
+            dropped_at.is_none_or(|t| t >= h),
+            "{label}: {dropped_at:?} < {h}"
+        );
+        if case.tells {
+            assert_eq!(dropped_at, Some(h), "{label}: end_op on the predicted tick");
+        }
+        // A second operation on the first's leftovers, where the
+        // output FIFO keeps the first's results.
+        if dropped_at.is_some() {
+            socket
+                .push_inputs(0, &vec![3; socket.input_space(0)])
+                .unwrap();
+            socket.start(case.op);
+            for _ in 0..2 * h + 64 {
+                watch.tick(&mut socket);
+            }
+        }
+        assert!(
+            watch.kept > 0 || !case.tells,
+            "{label}: no end announced and kept"
+        );
+    }
+}
+
+/// A stalled socket answers the next tick after a start, and tells no
+/// end while its accelerator is busy; a stall over an idle one, and a
+/// slot's load, tell their last tick, which drains no words.
+#[test]
+fn stalls_and_loads_tell_their_end() {
+    let idct = StartCase {
+        name: "idct",
+        rac: || Box::new(IdctRac::new()),
+        depth: 64,
+        waiting: 64,
+        landed: 0,
+        op: 0,
+        tells: true,
+    };
+    let mut stalled = idct.socket(5);
+    let after_start = stalled.outlook_after_start(0, 0);
+    assert_eq!(
+        (after_start.horizon, after_start.ends),
+        (Horizon::NEXT_TICK, None)
+    );
+    let ticks = |n| Horizon::in_ticks(std::num::NonZeroU64::new(n).unwrap());
+    assert_eq!(
+        (stalled.outlook().horizon, stalled.outlook().ends),
+        (ticks(5), Some(0))
+    );
+    stalled.start(0);
+    assert_eq!(
+        (stalled.outlook().horizon, stalled.outlook().ends),
+        (ticks(5), None)
+    );
+    let mut watch = EndWatch::new("stalled");
+    for _ in 0..5 {
+        assert!(!watch.tick(&mut stalled));
+    }
+    assert_eq!(stalled.stall_left(), 0);
+    while !watch.tick(&mut stalled) {}
+    assert!(
+        watch.kept > 0,
+        "the IDCT tells its end once the stall is over"
+    );
+    let mut idle_stall = idct.socket(3);
+    let mut watch = EndWatch::new("an idle stall");
+    while !watch.tick(&mut idle_stall) {}
+    assert_eq!((watch.t, watch.kept), (3, 3));
+
+    let slot = ReconfigurableSlot::new()
+        .with_config(Box::new(PassthroughRac::new(0)), 400)
+        .with_config(Box::new(IdctRac::new()), 120);
+    let mut socket = RacSocket::new(Box::new(slot), 64);
+    let ouessant_rac::rac::ReconfigResponse::Started { cycles } = socket.reconfigure(1) else {
+        panic!("configuration 1 exists");
+    };
+    let mut watch = EndWatch::new("loading");
+    for _ in 0..cycles {
+        let after_start = socket.outlook_after_start(0, 64);
+        assert_eq!(
+            (after_start.horizon, after_start.ends),
+            (Horizon::NEXT_TICK, None)
+        );
+        watch.tick(&mut socket);
+    }
+    assert!(!socket.busy());
+    assert_eq!((watch.t, watch.kept), (cycles, cycles as usize));
 }

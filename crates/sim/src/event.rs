@@ -200,6 +200,15 @@ impl Horizon {
         Self(bus_event.0.map(|k| k.saturating_add(1)))
     }
 
+    /// This horizon as seen `ticks` ticks earlier: its event `ticks`
+    /// ticks further away (saturating), quiescent still quiescent. A
+    /// component that ends up, after `ticks` ticks of its own, where
+    /// another's horizon applies answers it this way.
+    #[must_use]
+    pub fn later(self, ticks: u64) -> Self {
+        Self(self.0.map(|k| k.saturating_add(ticks)))
+    }
+
     /// The event's tick as an offset from now, `None` when quiescent.
     #[must_use]
     pub fn ticks(self) -> Option<u64> {
@@ -324,6 +333,7 @@ pub struct BusWindow {
     /// The run's later bursts.
     later: Vec<RunBurst>,
     chain: bool,
+    chains: bool,
 }
 
 impl BusWindow {
@@ -365,8 +375,8 @@ impl BusWindow {
             Some((i, h, rest)) => {
                 let first = RunBurst {
                     kind: i.shape.kind,
-                    issue: i.prefix + 1,
-                    event: h.get() + i.prefix,
+                    issue: i.prefix.saturating_add(1),
+                    event: h.get().saturating_add(i.prefix),
                     completes: event == Horizon::QUIESCENT && bus.never_faults(i.shape),
                 };
                 let window = Self {
@@ -374,12 +384,14 @@ impl BusWindow {
                     issue: Some((i, first)),
                     later: Vec::new(),
                     chain,
+                    chains,
                 };
                 (window, Some(rest))
             }
             None => (
                 Self {
                     event,
+                    chains,
                     ..Self::default()
                 },
                 None,
@@ -411,7 +423,9 @@ impl BusWindow {
         };
         // Whether a burst can follow `b` inside the window: the issuer
         // picks `b` up on the tick after its event, before `limit`.
-        let continues = |b: &RunBurst| b.completes && limit.ticks().is_none_or(|l| b.event + 1 < l);
+        let continues = |b: &RunBurst| {
+            b.completes && limit.ticks().is_none_or(|l| b.event.saturating_add(1) < l)
+        };
         let mut last = *self.later.last().unwrap_or(&first);
         if !continues(&last) {
             return;
@@ -420,11 +434,11 @@ impl BusWindow {
             let Some(h) = bus.horizon_with(issue.master, shape) else {
                 break;
             };
-            let at = last.event + gap + 1;
+            let at = last.event.saturating_add(gap + 1);
             last = RunBurst {
                 kind: shape.kind,
                 issue: at,
-                event: at - 1 + h.get(),
+                event: (at - 1).saturating_add(h.get()),
                 completes: bus.never_faults(shape),
             };
             self.later.push(last);
@@ -441,6 +455,16 @@ impl BusWindow {
     #[must_use]
     pub fn event(&self) -> Horizon {
         self.event
+    }
+
+    /// Whether the leap loop lets a master carry on through ticks of
+    /// its own inside the window, past a change of what chaos dice it
+    /// would roll (the `chains` of [`BusWindow::plan`]): off while chaos
+    /// is armed. Chained issues follow it, and so do the controller's
+    /// walks through a RAC start, an `end_op` retire and a `wait`.
+    #[must_use]
+    pub fn chains(&self) -> bool {
+        self.chains
     }
 
     /// The first burst of the window's run, if `master` issues it.
@@ -469,7 +493,10 @@ impl BusWindow {
     /// Leaps `bus` and the masters on it over the first `n` ticks of
     /// the window, which must not pass the window's event. `masters`
     /// advances the masters a step names (see [`Advancing`]) over the
-    /// ticks it is given, and may issue on the bus. Every master but the
+    /// ticks it is given, from the cycle the step's first tick starts
+    /// on, and may issue on the bus. That cycle is the bus's own only
+    /// for the first step: the bus meets each issue on its cycle, so it
+    /// may stand ahead of the issuer's first tick. Every master but the
     /// issuer advances first, over all `n` ticks: inside the window
     /// none of them touches the bus or the issuer's side of it. Then
     /// the run replays one burst at a time, in the one order that puts
@@ -481,9 +508,10 @@ impl BusWindow {
         &self,
         bus: &mut B,
         n: u64,
-        mut masters: impl FnMut(&mut B, Advancing, u64),
+        mut masters: impl FnMut(&mut B, Advancing, Instant, u64),
     ) {
-        masters(bus, Advancing::AllBut(self.issuer()), n);
+        let start = bus.now();
+        masters(bus, Advancing::AllBut(self.issuer()), start, n);
         let mut done = 0;
         let Some((issue, _)) = &self.issue else {
             bus.advance(Cycle::new(n));
@@ -496,7 +524,8 @@ impl BusWindow {
             let before = (b.issue - 1).min(n);
             bus.advance(Cycle::new(before - done));
             let end = b.event.min(n);
-            masters(bus, Advancing::Issuer(issue.master), end - done);
+            let from = start + Cycle::new(done);
+            masters(bus, Advancing::Issuer(issue.master), from, end - done);
             debug_assert!(
                 end < b.issue || bus.horizon() == Horizon::after(b.event - b.issue),
                 "the issuer issues its run's burst on the tick planned for it"
@@ -581,6 +610,11 @@ mod tests {
         assert_eq!(ticks(7).at(now), Some(Instant::new(12)));
         assert_eq!(ticks(u64::MAX).at(now), Some(Instant::new(u64::MAX)));
         assert_eq!(Horizon::QUIESCENT.at(now), None);
+        // Seen from earlier, an event is further away; never is never.
+        assert_eq!(ticks(3).later(2), ticks(5));
+        assert_eq!(Horizon::NEXT_TICK.later(0), Horizon::NEXT_TICK);
+        assert_eq!(ticks(u64::MAX).later(1), ticks(u64::MAX));
+        assert_eq!(Horizon::QUIESCENT.later(4), Horizon::QUIESCENT);
     }
 
     mod window {
@@ -783,7 +817,7 @@ mod tests {
             for n in 1..=w.event().ticks().unwrap_or(0) {
                 let (mut bus, _) = bus();
                 let mut steps = Vec::new();
-                w.leap(&mut bus, n, |bus, who, ticks| {
+                w.leap(&mut bus, n, |bus, who, from, ticks| {
                     if who == Advancing::Issuer(a) {
                         // The issuer picks its last burst up, then issues
                         // the next on the step's first cycle, if the leap
@@ -793,15 +827,19 @@ mod tests {
                             bus.try_begin(a, TxnRequest::read(0x40, 4)).unwrap();
                         }
                     }
-                    steps.push((who, ticks, bus.now().count()));
+                    steps.push((who, ticks, bus.now().count(), from.count()));
                 });
                 assert_eq!(bus.now().count(), n, "leap of {n}");
-                assert_eq!(steps[0], (Advancing::AllBut(Some(a)), n, 0));
+                assert_eq!(steps[0], (Advancing::AllBut(Some(a)), n, 0, 0));
                 let issuer = &steps[1..];
                 assert_eq!(issuer.iter().map(|s| s.1).sum::<u64>(), n, "leap of {n}");
+                let mut from = 0;
                 for (step, b) in issuer.iter().zip(&run) {
-                    // The bus meets each issue on its own cycle.
+                    // The bus meets each issue on its own cycle, and
+                    // each step starts where the last one ended.
                     assert_eq!(step.2, (b.issue - 1).min(n), "leap of {n}");
+                    assert_eq!(step.3, from, "leap of {n}");
+                    from += step.1;
                 }
                 // One step per burst whose ticks the leap enters.
                 let entered = 1 + run.iter().filter(|b| b.event < n).count();
@@ -817,7 +855,9 @@ mod tests {
         fn one_issue_per_window_the_earliest_and_never_a_tie() {
             let (bus, [a, b, c]) = bus();
             let plan = |issues| plan(&bus, true, issues);
-            assert_eq!(plan(vec![]), BusWindow::default());
+            let none = plan(vec![]);
+            assert_eq!((none.issuer(), none.event()), (None, Horizon::QUIESCENT));
+            assert!(none.chains() && !BusWindow::default().chains());
             let w = plan(vec![issue(a, 3), issue(b, 0)]);
             assert_eq!((w.issuer(), w.event()), (Some(b), at(ALONE)));
             assert_eq!(bursts_of(&w, b), [burst(1, ALONE)]);
@@ -849,7 +889,7 @@ mod tests {
                 assert!(!chain);
                 lone(vec![issue(a, 3)])
             });
-            assert_eq!(w, BusWindow::default());
+            assert_eq!((w.issuer(), w.chains()), (None, false));
             // A master requesting: chains are left out, first-tick
             // issues still count the requester ahead of them.
             bus.try_begin(b, TxnRequest::read(0, 4)).unwrap();
@@ -872,11 +912,11 @@ mod tests {
                 shape: TxnRequest::read(0x10_0000, 4).shape(),
                 ..issue(a, 0)
             };
-            assert_eq!(plan(&bus, true, vec![unmapped]), BusWindow::default());
+            assert_eq!(plan(&bus, true, vec![unmapped]).issuer(), None);
             let mut axi = AxiBus::new(AxiConfig::default());
             let m = axi.register_master("m");
             axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
-            assert_eq!(plan(&axi, true, vec![issue(m, 0)]), BusWindow::default());
+            assert_eq!(plan(&axi, true, vec![issue(m, 0)]).issuer(), None);
         }
     }
 

@@ -36,13 +36,16 @@ cargo test -q --offline --workspace
 # Debug builds panic on integer overflow where release builds wrap, so
 # the sim crate's address arithmetic, the controller's countdown
 # arithmetic, the loop-counter and offset arithmetic of
-# `ouessant_isa::control` and the DFT's unclamped `i32` butterflies
-# (checked against the exact oracle) are also checked as they ship.
-echo "==> cargo test --release -p ouessant-sim -p ouessant -p ouessant-isa -p ouessant-rac (overflow wraps instead of panicking)"
+# `ouessant_isa::control`, the DFT's unclamped `i32` butterflies
+# (checked against the exact oracle) and the window arithmetic of the
+# farm's and the Soc's leap loops are also checked as they ship.
+echo "==> cargo test --release -p ouessant-sim -p ouessant -p ouessant-isa -p ouessant-rac -p ouessant-farm -p ouessant-soc (overflow wraps instead of panicking)"
 cargo test -q --offline --release -p ouessant-sim
 cargo test -q --offline --release -p ouessant
 cargo test -q --offline --release -p ouessant-isa
 cargo test -q --offline --release -p ouessant-rac
+cargo test -q --offline --release -p ouessant-farm
+cargo test -q --offline --release -p ouessant-soc
 
 # Every line but the `host:` wall-clock ones is simulated, hence pinned.
 echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/farm_demo.txt)"
