@@ -21,15 +21,17 @@
 //! decodable word is a pure two-cycle window for fast-forward.
 //!
 //! For fast-forward the controller states which of its ticks it walks
-//! through on its own (`Controller::walk`): a burst's pickup, `Fetch`
-//! and `Decode`, and, unless chaos is armed, the `exec` that starts an
-//! idle RAC, the compute it starts and the `end_op` retire on the RAC's
-//! last tick (as far as the socket tells them, see
-//! [`RacSocket::outlook_after_start`] and [`RacSocket::outlook`]), and
-//! a `wait`'s dispatch and retire. So a whole job leaps but for its
-//! launch and its `eop`: [`Controller::horizon`] runs on through each
-//! walk and through the transfers a window issues.
+//! through on its own, and the event its walk ends on
+//! (`Controller::walk`): a burst's pickup, `Fetch`, `Decode` and a
+//! `wait`, and, unless chaos is armed, the `exec` that starts an idle
+//! RAC, the compute it starts and the `end_op` retire on the RAC's last
+//! tick (as far as the socket tells them, see
+//! [`RacSocket::outlook_after_start`] and [`RacSocket::outlook`]). So a
+//! whole job leaps but for its launch and its `eop`: the controller's
+//! horizon is its walk's event, or the bus event of the transfers a
+//! window issues.
 
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
@@ -225,7 +227,7 @@ pub struct ControllerStats {
     pub runs_completed: u64,
 }
 
-/// The FSM's walk to its next `Execute` through ticks of its own (see
+/// The FSM's walk to its next event through ticks of its own (see
 /// [`Controller::walk`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Walk {
@@ -245,9 +247,30 @@ pub(crate) struct Walk {
     /// The walk's ticks that retire an instruction (a transfer's pickup,
     /// an `end_op` retire, a `wait`'s), ascending: observable progress.
     retires: [Option<u64>; 2],
+    /// The walk's event: the `Execute` tick; the `Fetch` tick of an
+    /// entry without an instruction, whose `Fetch` or `Decode` faults;
+    /// or, for an `exec` into an idle socket that does not tell its
+    /// end, the socket's horizon after the start.
+    event: Horizon,
 }
 
 impl Walk {
+    /// The walk to the `Execute` of entry `pc`, holding `insn`, after
+    /// `ticks` ticks: that tick is its event, or, without an
+    /// instruction, the `Fetch` two ticks before.
+    fn reaching(ticks: u64, pc: u16, insn: Option<Instruction>) -> Self {
+        let pure = ticks.saturating_sub(if insn.is_some() { 0 } else { 2 });
+        Self {
+            ticks,
+            pc,
+            insn,
+            pushed: None,
+            drained: None,
+            retires: [None; 2],
+            event: Horizon::after(pure),
+        }
+    }
+
     /// The walk's ticks that retire an instruction, ascending.
     pub(crate) fn retires(&self) -> impl Iterator<Item = u64> {
         self.retires.into_iter().flatten()
@@ -450,36 +473,38 @@ impl Controller {
         self.state = ControllerState::Fetch;
     }
 
-    /// The walk the FSM makes to its next `Execute` through ticks of
-    /// its own, if it makes one: 0 ticks in `Execute`, 1 from `Decode`,
-    /// 2 from `Fetch`, 3 from the pickup of a burst that completed
-    /// without error in `TransferBusWait` or `LoadProgram` (which leads
-    /// to the next instruction or to word 0 of the loaded program). The
-    /// instruction is `None` when the entry reached lies past the
-    /// program or does not decode, so its `Fetch` or `Decode` faults. A
-    /// read pickup into a busy socket walks nowhere: the RAC would see
-    /// its FIFOs change inside its own window. Neither does a wedged
-    /// FSM.
+    /// The walk the FSM makes to its next event through ticks of its
+    /// own, if it makes one. It runs to the next `Execute`: 0 ticks in
+    /// `Execute`, 1 from `Decode`, 2 from `Fetch`, 3 from the pickup of
+    /// a burst that completed without error in `TransferBusWait` or
+    /// `LoadProgram` (which leads to the next instruction or to word 0
+    /// of the loaded program), and, from a `wait`'s `Execute` or its
+    /// `WaitCycles`, through the ticks it holds, its retire (`n` ticks
+    /// after the `Execute` of `wait n`, in it for `wait 0`), `Fetch`
+    /// and `Decode`. That `Execute` is the walk's event, unless the
+    /// entry reached lies past the program or does not decode: then its
+    /// `Fetch` or `Decode` faults, and the `Fetch` is the event. A read
+    /// pickup into a busy socket walks nowhere: the RAC would see its
+    /// FIFOs change inside its own window. Neither does a wedged FSM.
     ///
-    /// With `walks` (chaos off, see [`BusWindow::chains`]) the walk also
-    /// crosses the handshakes around a compute, each through the retire
-    /// of its instruction and the next `Fetch` and `Decode`:
+    /// A `wait` rolls the chaos dice `Fetch` and `Decode` roll, so it
+    /// walks with chaos armed. With `walks` (chaos off, see
+    /// [`BusWindow::chains`]) the walk also crosses the handshakes
+    /// around a compute, whose dice differ, each through the retire of
+    /// its instruction and the next `Fetch` and `Decode`:
     ///
     /// * `RacWait` or `ReconfigWait`, through the ticks it holds, when
     ///   the socket tells the tick that ends its operation
     ///   ([`RacSocket::outlook`]; the next one when it is idle): the
     ///   RAC's last tick and the retire are one tick;
-    /// * `WaitCycles`, through the ticks it holds to its retire, and the
-    ///   `Execute` of `wait n`, which retires `n` ticks after it (in it
-    ///   for `wait 0`);
     /// * the `Execute` of an `exec` into an idle socket that tells when
     ///   the operation it starts ends ([`RacSocket::outlook_after_start`],
     ///   counting a read pickup's words as landed): the start, the
-    ///   compute, and the retire on the RAC's last tick. A walk that
-    ///   changes the FIFOs otherwise first (an `end_op` retire, a read
-    ///   into another FIFO) stops in front of it. Without an end, the
-    ///   `exec` still starts inside a window, see
-    ///   [`Controller::horizon`].
+    ///   compute, and the retire on the RAC's last tick. Without an end,
+    ///   the start is the walk's last tick, and the socket's horizon
+    ///   after it is the event. A walk that changes the FIFOs otherwise
+    ///   first (an `end_op` retire, a read into another FIFO) stops in
+    ///   front of the `exec`.
     pub(crate) fn walk(
         &self,
         socket: &RacSocket,
@@ -487,14 +512,7 @@ impl Controller {
         walks: bool,
     ) -> Option<Walk> {
         let entry = self.entries(bus);
-        let to = |ticks: u64, pc: u16| Walk {
-            ticks,
-            pc,
-            insn: entry(pc),
-            pushed: None,
-            drained: None,
-            retires: [None; 2],
-        };
+        let to = |ticks: u64, pc: u16| Walk::reaching(ticks, pc, entry(pc));
         // The instruction at `pc` retires on tick `at`, then `Fetch`
         // and `Decode` of the next.
         let retire_at = |at: u64| Walk {
@@ -504,11 +522,8 @@ impl Controller {
         let walk = match &self.state {
             _ if self.wedged => return None,
             ControllerState::Execute => match self.current {
-                Some(Instruction::Wait { cycles }) if walks => retire_at(u64::from(cycles) + 1),
-                insn => Walk {
-                    insn,
-                    ..to(0, self.pc)
-                },
+                Some(Instruction::Wait { cycles }) => retire_at(u64::from(cycles) + 1),
+                insn => Walk::reaching(0, self.pc, insn),
             },
             ControllerState::Decode => to(1, self.pc),
             ControllerState::Fetch => to(2, self.pc),
@@ -531,7 +546,7 @@ impl Controller {
                 };
                 to(PICKUP_TICKS, 0)
             }
-            ControllerState::WaitCycles { until } if walks => {
+            ControllerState::WaitCycles { until } => {
                 retire_at(Horizon::starting_at(*until, bus.now()).ticks()?)
             }
             ControllerState::RacWait | ControllerState::ReconfigWait if walks => {
@@ -548,10 +563,10 @@ impl Controller {
             }
             _ => return None,
         };
-        if !walks {
+        if !walks || socket.busy() {
             return Some(walk);
         }
-        // On through an `exec` the walk reaches, when its end is known.
+        // On through an `exec` the walk reaches.
         let Walk {
             ticks,
             pc,
@@ -559,6 +574,7 @@ impl Controller {
             pushed,
             drained: None,
             retires: [first, None],
+            ..
         } = walk
         else {
             return Some(walk);
@@ -569,18 +585,22 @@ impl Controller {
             Some(_) => return Some(walk),
         };
         let outlook = socket.outlook_after_start(op, landed);
-        match (socket.busy(), outlook.horizon.ticks(), outlook.ends) {
-            (false, Some(compute), Some(words)) => {
-                let at = ticks.saturating_add(1).saturating_add(compute);
-                Some(Walk {
+        let start = ticks.saturating_add(1);
+        Some(match (outlook.horizon.ticks(), outlook.ends) {
+            (Some(compute), Some(words)) => {
+                let at = start.saturating_add(compute);
+                Walk {
                     drained: Some(words),
                     pushed,
                     retires: [first, Some(at)],
                     ..to(at.saturating_add(2), pc + 1)
-                })
+                }
             }
-            _ => Some(walk),
-        }
+            _ => Walk {
+                event: outlook.horizon.later(start),
+                ..walk
+            },
+        })
     }
 
     /// The program entries as the FSM's next `Decode` ticks will find
@@ -672,7 +692,9 @@ impl Controller {
         if !chain && !matches!(self.state, ControllerState::Execute) {
             return None;
         }
-        let walk = self.walk(socket, bus, chain)?;
+        let walk = self
+            .walk(socket, bus, chain)
+            .filter(|w| chain || w.ticks == 0)?;
         if socket.busy() && walk.drained.is_none() {
             return None;
         }
@@ -730,125 +752,70 @@ impl Controller {
     /// The fast-forward horizon (see [`ouessant_sim::event`] for the
     /// contract), given the RAC socket, the bus the controller waits on
     /// and the bus side of the window, which its leap loop planned for
-    /// every master at once (see [`BusWindow::plan`]).
+    /// every master at once (see [`BusWindow::plan`]). `walk` holds the
+    /// FSM's walk (see `Controller::walk`) once it is followed, for the
+    /// embedding OCP to reuse; only the last arm follows it.
     ///
-    /// `Idle` reports quiescent *from the controller's own view*: a
-    /// pending S bit lives in the register file, so the embedding OCP
-    /// checks `start_pending` before trusting `None`.
-    ///
-    /// A burst in flight defers to the window's bus event: the port
-    /// cannot be seen to complete before the tick after it. When the
-    /// window issues this controller's transfers (its
-    /// [`Controller::window_issue`]), the window runs through the issues
-    /// and their bursts on the same terms: its event is the run's last
-    /// burst's.
-    ///
-    /// Otherwise the window follows the FSM's walk to its next
-    /// `Execute`, whose dispatch is the event: a finished burst is
-    /// picked up as the window's first tick, and `Fetch` and `Decode`
-    /// carry on; with [`BusWindow::chains`], so do an `exec`, the
-    /// compute and the `end_op` retire after it, and a `wait` (see
-    /// `Controller::walk`). When the entry the walk reaches does not
-    /// decode, its `Fetch` or `Decode` tick faults (`PcOverrun`,
-    /// `BadInstruction`) and so single-steps, and only the ticks before
-    /// it leap.
-    ///
-    /// With [`BusWindow::chains`], the `Execute` of an `exec` into an
-    /// idle socket that does not tell its end is no event either,
-    /// unless the walk there starts with an `end_op` retire or lands a
-    /// read in an input FIFO other than 0: the start is one more tick
-    /// of the window, and the socket's horizon after it
-    /// ([`RacSocket::outlook_after_start`], counting the read's words)
-    /// follows. Without, a `wait` answers the tick that retires it.
-    ///
-    /// `RacWait` and `ReconfigWait` answer the socket's horizon unless
-    /// it tells that its event ends the operation, which the retire's
-    /// walk then crosses (with chaos armed: until the socket is idle,
-    /// and then the next tick). Every tick before the event either
-    /// walks or leaves the FSM where it stands, so a leap replays
-    /// nothing for the controller beyond its walk (see
-    /// [`Ocp::advance`](crate::Ocp::advance)).
+    /// * `Idle` reports quiescent *from the controller's own view*: a
+    ///   pending S bit lives in the register file, so the embedding OCP
+    ///   checks `start_pending` before trusting it.
+    /// * A wedged FSM never changes state on its own: only the socket
+    ///   and the watchdog (merged by the embedding OCP) bound the
+    ///   window.
+    /// * A burst in flight, and the transfers the window issues for this
+    ///   controller (its [`Controller::window_issue`]), defer to the
+    ///   window's bus event: the port cannot be seen to complete before
+    ///   the tick after it.
+    /// * Otherwise the walk's event. A state that walks nowhere steps,
+    ///   unless it waits on a busy socket that does not tell its end
+    ///   (`RacWait`, `ReconfigWait`): those ticks do nothing until the
+    ///   socket deasserts busy, so the socket's horizon bounds the
+    ///   window. A busy socket that is quiescent (a RAC starved of
+    ///   input) never deasserts busy: the watchdog, or the embedding
+    ///   OCP's single-step safety net, bounds that.
     ///
     /// The answer is the coprocessor's, the socket's own horizon merged
     /// in: a RAC computes beside an FSM that walks (after `execn`). A
-    /// retire's walk leaves it out, since its first tick is the
+    /// walk through the RAC's end leaves it out, since that tick is the
     /// socket's event and idles it.
-    #[must_use]
-    pub fn horizon(&self, socket: &RacSocket, bus: &dyn SystemBus, window: &BusWindow) -> Horizon {
+    pub(crate) fn horizon(
+        &self,
+        socket: &RacSocket,
+        bus: &dyn SystemBus,
+        window: &BusWindow,
+        walk: &OnceCell<Option<Walk>>,
+    ) -> Horizon {
         if self.wedged {
-            // A wedged FSM never changes state on its own; only the
-            // socket and the watchdog (merged by the embedding OCP)
-            // bound the window.
-            return socket.horizon();
+            return socket.outlook().horizon;
         }
         if window.issue_of(self.master()).is_some() {
-            // The socket is idle, or its end is inside the walk.
             return Horizon::observed(window.event());
         }
-        let walks = window.chains();
         let own = match &self.state {
             ControllerState::Idle | ControllerState::Faulted(_) => Horizon::QUIESCENT,
-            // The tick on bus cycle `until` retires the `wait`.
-            ControllerState::WaitCycles { until } if !walks => {
-                Horizon::starting_at(*until, bus.now())
-            }
-            // While the burst is in flight ticks do nothing, and the
-            // port cannot be seen to complete before the tick after the
-            // bus's next event.
             ControllerState::TransferBusWait | ControllerState::LoadProgram
                 if self.dma.is_pending(bus) =>
             {
                 Horizon::observed(window.event())
             }
-            // Ticks in RacWait and ReconfigWait do nothing until the
-            // socket deasserts busy — at the end of the Table I compute
-            // latency or the bitstream load — so the socket's own
-            // horizon bounds the window, unless the walk crosses its
-            // end. A busy socket that is quiescent (a RAC starved of
-            // input) never deasserts busy: the watchdog, or the
-            // embedding OCP's single-step safety net, bounds that.
-            ControllerState::RacWait | ControllerState::ReconfigWait if !walks && socket.busy() => {
-                return socket.horizon();
-            }
-            _ => match self.walk(socket, bus, walks) {
-                // An `exec` whose end the socket does not tell starts
-                // inside the window, which runs on to the socket's
-                // event.
-                Some(Walk {
-                    ticks,
-                    insn: Some(Instruction::Exec { op }),
-                    pushed,
-                    drained: None,
-                    ..
-                }) if walks && !socket.busy() && pushed.is_none_or(|(f, _)| f.index() == 0) => {
-                    let landed = pushed.map_or(0, |(_, words)| words);
-                    socket
-                        .outlook_after_start(op, landed)
-                        .horizon
-                        .later(ticks.saturating_add(1))
+            state => match (
+                walk.get_or_init(|| self.walk(socket, bus, window.chains())),
+                state,
+            ) {
+                // The RAC's end, its own event, is inside the walk, and
+                // leaves it idle.
+                (Some(w), _) if w.drained.is_some() => return w.event,
+                (Some(w), _) => w.event,
+                // The busy socket's horizon bounds the window.
+                (None, ControllerState::RacWait | ControllerState::ReconfigWait)
+                    if socket.busy() =>
+                {
+                    Horizon::QUIESCENT
                 }
-                Some(walk) => {
-                    let own = match walk.insn {
-                        Some(_) => Horizon::after(walk.ticks),
-                        None => Horizon::after(walk.ticks.saturating_sub(2)),
-                    };
-                    // The RAC's end, its own event, is inside the walk,
-                    // and leaves it idle.
-                    if walk.drained.is_some() {
-                        return own;
-                    }
-                    own
-                }
-                // A busy socket that does not tell its end.
-                None => match self.state {
-                    ControllerState::RacWait | ControllerState::ReconfigWait if socket.busy() => {
-                        return socket.horizon();
-                    }
-                    _ => Horizon::NEXT_TICK,
-                },
+                (None, _) => return Horizon::NEXT_TICK,
             },
         };
-        own.min(socket.horizon())
+        own.min(socket.outlook().horizon)
     }
 
     /// Whether the next tick picks up a burst that completed without
@@ -878,7 +845,7 @@ impl Controller {
         match self.state {
             ControllerState::Idle | ControllerState::Faulted(_) => u64::MAX,
             ControllerState::RacWait | ControllerState::ReconfigWait if socket.busy() => {
-                socket.horizon().leap_bound(u64::MAX)
+                socket.outlook().horizon.leap_bound(u64::MAX)
             }
             ControllerState::WaitCycles { until } => until.count().saturating_sub(now.count()),
             ControllerState::TransferBusWait | ControllerState::LoadProgram

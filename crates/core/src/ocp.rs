@@ -13,6 +13,8 @@
 //! as [`Ocp::tick`] does, socket first, and leaps the socket over the
 //! ticks between, so of one job only the launch and the `eop` step.
 
+use std::cell::OnceCell;
+
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
 use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
@@ -435,7 +437,9 @@ impl Ocp {
     /// `end_op` retire, a `wait`'s), then each burst of the window's
     /// run (see [`BusWindow::run_of`]), whose `mvfc` issue moves its
     /// words and whose pickup, the tick after its completion, retires
-    /// it. A *wedged* controller is the one
+    /// it. The walk is the one the controller's horizon followed, and
+    /// is followed here only when that answer did not need it, so one
+    /// call walks the FSM at most once. A *wedged* controller is the one
     /// active state exempt from the single-step safety net: it
     /// provably cannot transition by itself, so the watchdog budget
     /// (or, unarmed, quiescence) is the honest horizon and a hang
@@ -445,11 +449,13 @@ impl Ocp {
         if self.completed || self.regs.start_pending() {
             return Horizon::NEXT_TICK;
         }
-        let mut h = self.controller.horizon(&self.socket, bus, window);
+        let walk = OnceCell::new();
+        let mut h = self.controller.horizon(&self.socket, bus, window, &walk);
         if let Some(wd) = &self.watchdog {
             if self.controller.is_active() {
-                let walk = self.controller.walk(&self.socket, bus, window.chains());
-                let retires = walk.into_iter().flat_map(|w| w.retires());
+                let walk =
+                    walk.get_or_init(|| self.controller.walk(&self.socket, bus, window.chains()));
+                let retires = walk.iter().flat_map(|w| w.retires());
                 let run = window.run_of(self.bus_master()).flat_map(|b| {
                     let write = (b.kind == TxnKind::Write).then_some(b.issue);
                     write.into_iter().chain(b.completes.then_some(b.event + 1))
@@ -532,7 +538,7 @@ mod tests {
     use ouessant_isa::{assemble, Program, ProgramBuilder};
     use ouessant_rac::idct::{idct_2d_fixed, IdctRac, IDCT_LATENCY};
     use ouessant_rac::passthrough::PassthroughRac;
-    use ouessant_rac::rac::RacIo;
+    use ouessant_rac::rac::{Outlook, RacIo};
     use ouessant_sim::axi::{AxiBus, AxiConfig};
     use ouessant_sim::bus::BusError;
     use ouessant_sim::bus::{Bus, BusConfig};
@@ -1489,11 +1495,11 @@ mod tests {
             }
         }
 
-        fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Horizon {
+        fn outlook(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Outlook {
             if self.left > 0 && !inputs[0].is_empty() {
-                Horizon::NEXT_TICK
+                Horizon::NEXT_TICK.into()
             } else {
-                Horizon::QUIESCENT
+                Horizon::QUIESCENT.into()
             }
         }
     }
@@ -1945,19 +1951,24 @@ mod tests {
     /// controller first sees a burst's completion, so the last `mvtc`'s
     /// pickup runs on through the `exec`, the compute, its `end_op`
     /// retire and the `mvfc` run in one window; a `wait` in front of
-    /// the `exec` opens that window instead. Each iteration is recorded
+    /// the `exec` opens that window instead. A RAC that does not tell
+    /// its end (a pipe with a delay) starts inside that window, which
+    /// ends on the start tick, and steps each tick it is busy after it.
+    /// Each iteration is recorded
     /// as the state and pc it starts from and the state a leap ends in,
     /// `None` for a stepped tick.
     #[test]
     fn one_job_steps_only_its_launch_and_its_eop() {
-        use ControllerState::{Execute, Idle, LoadProgram, TransferBusWait};
+        use ControllerState::{Execute, Fetch, Idle, LoadProgram, RacWait, TransferBusWait};
         type Iteration = (ControllerState, u16, Option<ControllerState>);
         type Job = (&'static str, fn() -> Box<dyn Rac>, Vec<Iteration>);
         let idct = "mvtc BANK1,0,DMA64,FIFO0\nexecs\nmvfc BANK2,0,DMA64,FIFO0\neop";
         let sleeping = "mvtc BANK1,0,DMA16,FIFO0\nwait 50\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\neop";
+        let untold = "mvtc BANK1,0,DMA4,FIFO0\nexecs 4\nmvfc BANK2,0,DMA4,FIFO0\neop";
         let pipe = || -> Box<dyn Rac> { Box::new(PassthroughRac::scaling(3, 0)) };
+        let delayed = || -> Box<dyn Rac> { Box::new(PassthroughRac::new(1)) };
         let idct_rac = || -> Box<dyn Rac> { Box::new(IdctRac::new()) };
-        let job: [Job; 2] = [
+        let job: [Job; 3] = [
             (
                 idct,
                 idct_rac,
@@ -1981,6 +1992,24 @@ mod tests {
                     (Execute, 1, Some(TransferBusWait)),
                     (TransferBusWait, 3, Some(Execute)),
                     (Execute, 4, None),
+                ],
+            ),
+            (
+                untold,
+                delayed,
+                vec![
+                    (Idle, 0, None),
+                    (LoadProgram, 0, Some(LoadProgram)),
+                    (LoadProgram, 0, Some(TransferBusWait)),
+                    (TransferBusWait, 0, Some(RacWait)),
+                    (RacWait, 1, None),
+                    (RacWait, 1, None),
+                    (RacWait, 1, None),
+                    (RacWait, 1, None),
+                    (RacWait, 1, None),
+                    (Fetch, 2, Some(TransferBusWait)),
+                    (TransferBusWait, 2, Some(Execute)),
+                    (Execute, 3, None),
                 ],
             ),
         ];

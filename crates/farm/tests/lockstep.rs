@@ -943,8 +943,10 @@ fn stepped_cycles_of_one_job(
 /// 4096-point DFT's 128 bursts step no more than a 64-point one's 2),
 /// and for sparse-idle's custom shape (`mvtc`, `wait`, `exec`, `mvfc`,
 /// `eop`). A DPR swap adds the `rcfg` dispatch. With chaos armed the
-/// walks stay off, as chains do: the pinned count is the one before
-/// they existed.
+/// walks through the `exec` and its `end_op` retire stay off, as chains
+/// do, since they change the chaos dice a worker rolls; a `wait` rolls
+/// the dice `Fetch` and `Decode` roll, so it still walks, and the
+/// custom shape steps no more than an IDCT job.
 #[test]
 fn one_job_steps_a_pinned_number_of_cycles() {
     const DFT4K: JobKind = JobKind::Dft { points: 4096 };
@@ -1005,15 +1007,61 @@ fn one_job_steps_a_pinned_number_of_cycles() {
     let chaos = Some(&calm_dice);
     let steps = stepped_cycles_of_one_job(spec, default_depth, &worker(IDCT), chaos, "chaos armed");
     assert_eq!(steps, CHAOS_ARMED_STEPS, "one IDCT job with chaos armed");
+    let sleeping = sleeping_copy(copy(&mut rng), [8_000, 0]);
+    let label = "sleeping copy, chaos armed";
+    let steps = stepped_cycles_of_one_job(sleeping, default_depth, &worker(COPY3), chaos, label);
+    assert_eq!(
+        steps, CHAOS_ARMED_STEPS,
+        "a `wait` stepped with chaos armed"
+    );
 }
 
 /// Stepped cycles of a job behind a DPR swap: the launch, the `rcfg`
 /// dispatch and the `eop`.
 const DPR_SWAP_STEPS: u64 = 3;
 
-/// Stepped cycles of one IDCT job with chaos armed, as before walks
-/// through `exec`, `end_op` and `wait` existed.
+/// Stepped cycles of one job with chaos armed: the launch, the `exec`,
+/// the `end_op` retire and the `eop`. A `wait` walks.
 const CHAOS_ARMED_STEPS: u64 = 4;
+
+/// Controller upsets landing inside walked `wait`s: with chaos armed, a
+/// `wait`'s `Execute`, countdown and retire walk inside windows (they
+/// roll the controller die alone, as `Fetch` and `Decode` do), so each
+/// hit there cuts a leap and must land on the cycle single-stepping
+/// lands it on.
+#[test]
+fn controller_upsets_inside_walked_waits_are_bit_exact() {
+    let mut rng = XorShift64::new(0x3A17_D1CE);
+    let specs: Vec<JobSpec> = (0..32)
+        .map(|_| {
+            let n = rng.gen_range_u32(8..64);
+            let input = words(n, &mut rng);
+            let pre_wait = rng.gen_range_u32(1..8_000) as u16;
+            let post_wait = rng.gen_range_u32(1..8_000) as u16;
+            sleeping_copy(input, [pre_wait, post_wait])
+        })
+        .collect();
+    let config = ChaosConfig {
+        seed: 0x5EE9_FA11,
+        controller_one_in: 30_000,
+        bus_one_in: 0,
+        bitstream_one_in: 0,
+        alloc_one_in: 0,
+        alloc_hold: 0,
+        wedge_one_in: 0,
+        slow_one_in: 0,
+        slow_stall: 0,
+    };
+    let build = redundant_pool("round-robin", liveness_watched(), Some(config));
+    let (fast, report) = assert_lockstep(&build, &specs, "controller upsets in walked waits");
+    let stats = fast.chaos.expect("campaign was armed");
+    assert!(stats.controller_faults > 0, "no upset landed: {stats:?}");
+    assert!(
+        report.skipped_fraction() >= 0.99,
+        "only {:.2}% leaped",
+        report.skipped_fraction() * 100.0
+    );
+}
 
 /// The dispatch-epoch regression: a heterogeneous pool whose IDCT
 /// worker sits idle for most of the run while compute-bound DFT jobs

@@ -205,28 +205,19 @@ impl<K: BlockKernel> Rac for BlockRac<K> {
         }
     }
 
-    fn horizon(&self, inputs: &[SyncFifo<u32>], _outputs: &[SyncFifo<u32>]) -> Horizon {
-        match self.state {
-            State::Idle => Horizon::QUIESCENT,
-            State::Collecting => self.collect_horizon(self.op, inputs[0].len()),
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
+        let horizon = match self.state {
+            State::Idle => return Horizon::QUIESCENT.into(),
+            // A collecting block stands where its start left it.
+            State::Collecting => return self.outlook_after_start(self.op, 0, inputs, outputs),
             // `cycles_left` ticks (one for a zero-latency kernel) reach
             // `Draining`; the tick after drains.
             State::Computing { cycles_left } => Horizon::after(cycles_left.max(1)),
             // The drain pushes the outputs and drops `busy`.
             State::Draining => Horizon::NEXT_TICK,
-        }
-    }
-
-    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
-        let horizon = self.horizon(inputs, outputs);
-        let left = match self.state {
-            State::Idle => None,
-            State::Collecting => horizon.ticks().and(self.kernel.output_len(self.op)),
-            State::Computing { .. } | State::Draining => {
-                Some(self.staged_output.len() - self.drained)
-            }
         };
-        Self::drain_outlook(horizon, left, outputs)
+        let left = self.staged_output.len() - self.drained;
+        Self::drain_outlook(horizon, Some(left), outputs)
     }
 
     /// `exec` finds the whole block in the FIFO, or waits for more.

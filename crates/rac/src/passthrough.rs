@@ -118,20 +118,11 @@ impl Rac for PassthroughRac {
     /// takes the last waiting word (and may raise `end_op`) or the
     /// first one that finds the output full. A pipeline delay, a word
     /// in flight or an empty input single-steps.
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
-        if !self.busy {
-            return Horizon::QUIESCENT;
-        }
-        self.stream_horizon(inputs[0].len(), outputs)
-    }
-
     fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
-        Outlook {
-            horizon: self.horizon(inputs, outputs),
-            ends: self
-                .stream_ends(inputs[0].len(), self.to_consume, outputs)
-                .filter(|_| self.busy),
+        if !self.busy {
+            return Horizon::QUIESCENT.into();
         }
+        self.stream_outlook(inputs[0].len(), self.to_consume, outputs)
     }
 
     /// An idle pipe has nothing in flight, so a start streams at once.
@@ -142,11 +133,7 @@ impl Rac for PassthroughRac {
         inputs: &[SyncFifo<u32>],
         outputs: &[SyncFifo<u32>],
     ) -> Outlook {
-        let waiting = inputs[0].len() + landed;
-        Outlook {
-            horizon: self.stream_horizon(waiting, outputs),
-            ends: self.stream_ends(waiting, usize::from(op), outputs),
-        }
+        self.stream_outlook(inputs[0].len() + landed, usize::from(op), outputs)
     }
 
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
@@ -165,31 +152,28 @@ impl Rac for PassthroughRac {
 }
 
 impl PassthroughRac {
-    /// The horizon of a busy pipe with `waiting` input words: the
-    /// zero-delay closed form, or the next tick.
-    fn stream_horizon(&self, waiting: usize, outputs: &[SyncFifo<u32>]) -> Horizon {
-        if self.delay > 0 || !self.in_flight.is_empty() || waiting == 0 {
-            return Horizon::NEXT_TICK;
-        }
-        Horizon::after((waiting - 1).min(outputs[0].space()) as u64)
-    }
-
-    /// Whether the event of [`PassthroughRac::stream_horizon`] ends the
-    /// operation, with `to_consume` words still owed, and the words it
-    /// moves by then: the zero-delay stream takes its last waiting word
-    /// with no word owed past it and every word finding output space;
-    /// with none waiting, the next tick ends it unless a word is owed.
-    fn stream_ends(
+    /// The outlook of a busy pipe with `waiting` input words and
+    /// `to_consume` words still owed: the zero-delay closed form, whose
+    /// event ends the operation when it takes the last waiting word with
+    /// no word owed past it and every word finding output space (the
+    /// next tick ends it with none waiting and none owed), having moved
+    /// those words; a delay or a word in flight answers the next tick,
+    /// not telling.
+    fn stream_outlook(
         &self,
         waiting: usize,
         to_consume: usize,
         outputs: &[SyncFifo<u32>],
-    ) -> Option<usize> {
+    ) -> Outlook {
         if self.delay > 0 || !self.in_flight.is_empty() {
-            return None;
+            return Horizon::NEXT_TICK.into();
         }
-        let fits = waiting <= outputs[0].space() && to_consume <= waiting;
-        (fits && (waiting > 0 || to_consume == 0)).then_some(waiting)
+        let space = outputs[0].space();
+        let fits = waiting <= space && to_consume <= waiting;
+        Outlook {
+            horizon: Horizon::after(waiting.saturating_sub(1).min(space) as u64),
+            ends: (fits && (waiting > 0 || to_consume == 0)).then_some(waiting),
+        }
     }
 }
 

@@ -124,9 +124,14 @@ pub trait Rac {
         ReconfigResponse::Unsupported
     }
 
-    /// Fast-forward horizon (see `ouessant_sim::event`): the
-    /// earliest future tick at which the accelerator's observable state
-    /// can change, given a read-only view of the socket's FIFOs.
+    /// Fast-forward outlook (see `ouessant_sim::event`): the earliest
+    /// future tick at which the accelerator's observable state can
+    /// change, given a read-only view of the socket's FIFOs, and what
+    /// that tick does to `end_op` (see [`Outlook`]). A controller
+    /// waiting on `end_op` retires on the tick that drops
+    /// [`Rac::busy`], so when the outlook tells it, the controller may
+    /// leap on through the retire and plan the transfers after it,
+    /// counting the words the tick drains.
     ///
     /// Inside a busy accelerator's window nobody else touches those
     /// FIFOs, and nobody reads them: the controller moves words only
@@ -137,33 +142,20 @@ pub trait Rac {
     /// block's collect) as pure ticks and leave the event to the tick
     /// that empties, fills or ends something.
     ///
-    /// The default is maximally conservative — the next tick while busy
-    /// (single-step every cycle), quiescent when idle (idle ticks must
-    /// be no-ops, which holds for every in-tree RAC). Accelerators with a
+    /// The default is maximally conservative and always safe: the next
+    /// tick while busy (single-step every cycle), quiescent when idle
+    /// (idle ticks must be no-ops, which holds for every in-tree RAC),
+    /// and no end told (the retire steps). Accelerators with a
     /// collect-compute-drain cycle (e.g. [`crate::block::BlockRac`]) or
     /// a closed-form stream (e.g. [`crate::passthrough::PassthroughRac`])
-    /// override this to expose the whole window.
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
+    /// override this to expose the whole window and its end.
+    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
         let _ = (inputs, outputs);
         if self.busy() {
-            Horizon::NEXT_TICK
+            Horizon::NEXT_TICK.into()
         } else {
-            Horizon::QUIESCENT
+            Horizon::QUIESCENT.into()
         }
-    }
-
-    /// [`Rac::horizon`] with what its tick does to `end_op`: whether it
-    /// drops [`Rac::busy`], and the words output FIFO 0 gains up to it
-    /// (see [`Outlook`]). A controller waiting on `end_op` retires on
-    /// that tick, so it may leap on through the retire and plan the
-    /// transfers after it, counting those words.
-    ///
-    /// The default answers [`Rac::horizon`] and does not tell (`ends:
-    /// None`), which is always safe: the retire steps. An accelerator
-    /// that tells takes the horizon from [`Rac::horizon`], so the two
-    /// cannot disagree.
-    fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
-        self.horizon(inputs, outputs).into()
     }
 
     /// The [`Rac::outlook`] the accelerator would have right after
@@ -191,21 +183,20 @@ pub trait Rac {
     /// [`Rac::tick`] would.
     ///
     /// Callers guarantee the ticks are pure: `cycles` is within
-    /// [`Horizon::leap_bound`] of [`Rac::horizon`] (any count while
-    /// idle).
-    /// The default is a no-op, correct for RACs whose idle `tick` does
-    /// not touch state; RACs that override [`Rac::horizon`] with a
-    /// wider window override this to replay it.
+    /// [`Horizon::leap_bound`] of the [`Rac::outlook`]'s horizon (any
+    /// count while idle). The default is a no-op, correct for RACs whose
+    /// idle `tick` does not touch state; RACs that override
+    /// [`Rac::outlook`] with a wider window override this to replay it.
     fn advance(&mut self, cycles: Cycle, io: &mut RacIo<'_>) {
         let _ = (cycles, io);
     }
 }
 
-/// A RAC's next event as whoever waits on its `end_op` sees it (see
-/// [`Rac::outlook`]).
+/// A RAC's fast-forward window: when its next event comes, and what
+/// that tick does to `end_op` (see [`Rac::outlook`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outlook {
-    /// The accelerator's horizon (see [`Rac::horizon`]).
+    /// The accelerator's fast-forward horizon.
     pub horizon: Horizon,
     /// `Some(words)` when the horizon's tick drops busy (raises
     /// `end_op`), with the words output FIFO 0 gains over the ticks up
@@ -469,26 +460,16 @@ impl RacSocket {
         cycles
     }
 
-    /// Fast-forward horizon of the socket: the stall countdown while
-    /// one is injected (the frozen accelerator cannot change state any
-    /// earlier), otherwise the wrapped accelerator's horizon over the
-    /// socket's FIFOs.
-    #[must_use]
-    pub fn horizon(&self) -> Horizon {
-        if let Some(stall) = NonZeroU64::new(self.stall_left) {
-            return Horizon::in_ticks(stall);
-        }
-        self.rac.horizon(&self.inputs, &self.outputs)
-    }
-
-    /// The socket's horizon with what its tick does to `end_op` (see
-    /// [`Rac::outlook`]): while a stall is injected, its countdown,
-    /// which ends busy when the frozen accelerator is idle.
+    /// The socket's fast-forward outlook (see [`Rac::outlook`]): while a
+    /// stall is injected, its countdown (the frozen accelerator cannot
+    /// change state any earlier), which ends busy when the frozen
+    /// accelerator is idle; otherwise the wrapped accelerator's outlook
+    /// over the socket's FIFOs.
     #[must_use]
     pub fn outlook(&self) -> Outlook {
-        if self.stall_left > 0 {
+        if let Some(stall) = NonZeroU64::new(self.stall_left) {
             return Outlook {
-                horizon: self.horizon(),
+                horizon: Horizon::in_ticks(stall),
                 ends: (!self.rac.busy()).then_some(0),
             };
         }

@@ -232,29 +232,19 @@ impl Rac for ReconfigurableSlot {
         self.active_mut().tick(io);
     }
 
-    fn horizon(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Horizon {
-        if let Some(left) = NonZeroU64::new(self.loading_left) {
-            // The bitstream load is a pure countdown; the region going
-            // live again is the event.
-            return Horizon::in_ticks(left);
-        }
-        if self.configs.is_empty() {
-            return Horizon::QUIESCENT;
-        }
-        self.configs[self.active].rac.horizon(inputs, outputs)
-    }
-
-    /// The load's last tick ends busy for the freshly reset
-    /// configuration; once loaded, the active configuration answers.
+    /// The bitstream load is a pure countdown, and the region going
+    /// live again is the event: its last tick ends busy for the freshly
+    /// reset configuration. Once loaded, the active configuration
+    /// answers.
     fn outlook(&self, inputs: &[SyncFifo<u32>], outputs: &[SyncFifo<u32>]) -> Outlook {
         let Some(active) = self.configs.get(self.active) else {
             return Horizon::QUIESCENT.into();
         };
-        if self.loading_left == 0 {
+        let Some(left) = NonZeroU64::new(self.loading_left) else {
             return active.rac.outlook(inputs, outputs);
-        }
+        };
         Outlook {
-            horizon: self.horizon(inputs, outputs),
+            horizon: Horizon::in_ticks(left),
             ends: (!active.rac.busy()).then_some(0),
         }
     }

@@ -9,8 +9,10 @@
 //! the controller's transfers would. At every window with horizon `h`
 //! and for every `k < h`, twin A ticks `k` times and twin B calls
 //! `advance(k)`; both FIFOs (contents and statistics), `busy` and the
-//! next horizon must be equal, and stay equal while both tick on
-//! through the event.
+//! next outlook must be equal, and stay equal while both tick on
+//! through the event. Every end an outlook tells, and every end
+//! `outlook_after_start` tells before a start, is held to the live
+//! twin's ticks.
 //!
 //! A `Box<dyn Rac>` cannot be cloned, so twins are rebuilt from the
 //! scenario and replayed through its action log.
@@ -116,7 +118,7 @@ struct Observed {
     inputs: String,
     outputs: String,
     busy: bool,
-    horizon: Horizon,
+    outlook: Outlook,
 }
 
 impl Twin {
@@ -161,8 +163,20 @@ impl Twin {
         self.rac.advance(Cycle::new(cycles), &mut io);
     }
 
+    fn outlook(&self) -> Outlook {
+        self.rac.outlook(&self.inputs, &self.outputs)
+    }
+
     fn horizon(&self) -> Horizon {
-        self.rac.horizon(&self.inputs, &self.outputs)
+        self.outlook().horizon
+    }
+
+    /// The end `outlook` tells, if it tells one: the tick from now on
+    /// which busy drops, and output FIFO 0's occupancy then.
+    fn told_end(&self, outlook: Outlook) -> Option<(u64, usize)> {
+        let words = outlook.ends?;
+        let at = outlook.horizon.ticks().expect("an end is on a tick");
+        Some((at, self.outputs[0].len() + words))
     }
 
     fn observe(&self) -> Observed {
@@ -170,7 +184,7 @@ impl Twin {
             inputs: format!("{:?}", self.inputs),
             outputs: format!("{:?}", self.outputs),
             busy: self.rac.busy(),
-            horizon: self.horizon(),
+            outlook: self.outlook(),
         }
     }
 
@@ -219,24 +233,77 @@ fn act(action: Action, live: &mut Twin, log: &mut Vec<Action>) {
     log.push(action);
 }
 
+/// An end an outlook told the live twin: ticks left to it, output FIFO
+/// 0's occupancy then, and whether `outlook_after_start` told it.
+type Due = (u64, usize, bool);
+
+/// Starts `op` on the live twin, first holding it to the end
+/// `outlook_after_start` tells for it.
+fn start(op: u16, live: &mut Twin, log: &mut Vec<Action>, due: &mut Vec<Due>) {
+    let predicted = live
+        .rac
+        .outlook_after_start(op, 0, &live.inputs, &live.outputs);
+    due.extend(live.told_end(predicted).map(|(at, held)| (at, held, true)));
+    act(Action::Start(op), live, log);
+}
+
+/// Ticks the live twin once, holding it to every end in `due`: busy
+/// stays high before it and drops on it, with the told words in output
+/// FIFO 0. Returns the ends reached, the `outlook_after_start` ones
+/// second.
+fn tick_held(
+    scenario: &Scenario,
+    live: &mut Twin,
+    log: &mut Vec<Action>,
+    due: &mut Vec<Due>,
+) -> (usize, usize) {
+    act(Action::Tick, live, log);
+    let mut reached = (0, 0);
+    for (left, held, after_start) in due.iter_mut() {
+        *left -= 1;
+        assert_eq!(
+            live.rac.busy(),
+            *left > 0,
+            "{scenario:?}: busy {} ticks before a told end",
+            *left
+        );
+        if *left == 0 {
+            assert_eq!(live.outputs[0].len(), *held, "{scenario:?}: drained words");
+            if *after_start {
+                reached.1 += 1;
+            } else {
+                reached.0 += 1;
+            }
+        }
+    }
+    due.retain(|&(left, ..)| left > 0);
+    reached
+}
+
 #[test]
 fn advance_matches_ticking_below_the_horizon() {
     let mut rng = XorShift64::new(0x4AC_1EAF);
     let mut leapt_passthrough = 0;
     let mut leapt_block = 0;
+    let (mut ends_held, mut starts_held) = (0, 0);
     for _ in 0..96 {
         let scenario = Scenario::draw(&mut rng);
         let mut live = Twin::replay(&scenario, &[]);
         let mut log = Vec::new();
+        // A told end holds for the FIFOs it was told on: a transfer
+        // between windows drops the ends still due.
+        let mut due = Vec::new();
         act(live.draw_io(&mut rng), &mut live, &mut log);
-        act(Action::Start(scenario.op), &mut live, &mut log);
+        start(scenario.op, &mut live, &mut log, &mut due);
         for _ in 0..24 {
-            let Some(h) = live.horizon().ticks() else {
+            let outlook = live.outlook();
+            let Some(h) = outlook.horizon.ticks() else {
                 // A block short of words waits for more; at the end of
                 // the operation, refill and start the next `exec`.
                 act(live.draw_io(&mut rng), &mut live, &mut log);
+                due.clear();
                 if !live.rac.busy() {
-                    act(Action::Start(scenario.op), &mut live, &mut log);
+                    start(scenario.op, &mut live, &mut log, &mut due);
                 }
                 continue;
             };
@@ -246,17 +313,25 @@ fn advance_matches_ticking_below_the_horizon() {
             } else {
                 leapt_block += checked;
             }
+            due.extend(live.told_end(outlook).map(|(at, held)| (at, held, false)));
             for _ in 0..h {
-                act(Action::Tick, &mut live, &mut log);
+                let (ends, starts) = tick_held(&scenario, &mut live, &mut log, &mut due);
+                ends_held += ends;
+                starts_held += starts;
             }
             if rng.gen_bool() {
                 act(live.draw_io(&mut rng), &mut live, &mut log);
+                due.clear();
             }
         }
     }
     assert!(
         leapt_passthrough > 500 && leapt_block > 500,
         "scenarios too tame: {leapt_passthrough} passthrough and {leapt_block} block leaps"
+    );
+    assert!(
+        ends_held > 150 && starts_held > 40,
+        "too few ends told: {ends_held} by outlooks and {starts_held} by starts"
     );
 }
 
@@ -275,15 +350,15 @@ fn streaming_passthrough_answers_in_closed_form() {
         }
         rac.start(0);
         assert_eq!(
-            rac.horizon(&inputs, &outputs).ticks(),
+            rac.outlook(&inputs, &outputs).horizon.ticks(),
             Some(expected),
             "{waiting} waiting, {space} free"
         );
     }
     let idle = PassthroughRac::new(0);
     assert_eq!(
-        idle.horizon(&[SyncFifo::new("in0", 1)], &[]),
-        Horizon::QUIESCENT
+        idle.outlook(&[SyncFifo::new("in0", 1)], &[]),
+        Horizon::QUIESCENT.into()
     );
 }
 
@@ -320,7 +395,7 @@ fn block_rac_leaps_from_exec_to_its_drain() {
         });
         // Short of a block: quiescent, and ticks change nothing.
         let starved = twin.observe();
-        assert_eq!(starved.horizon, Horizon::QUIESCENT, "latency {lat}");
+        assert_eq!(starved.outlook.horizon, Horizon::QUIESCENT, "latency {lat}");
         for _ in 0..5 {
             twin.apply(&Action::Tick);
         }
@@ -389,8 +464,8 @@ impl StartCase {
 }
 
 /// Everything of a socket another layer could read.
-fn seen(socket: &RacSocket) -> (String, bool, Horizon) {
-    (format!("{socket:?}"), socket.busy(), socket.horizon())
+fn seen(socket: &RacSocket) -> (String, bool, Outlook) {
+    (format!("{socket:?}"), socket.busy(), socket.outlook())
 }
 
 /// The `k` checked inside a window of `h`, ascending: every one for a

@@ -16,12 +16,14 @@
 //! [`horizon`](SystemBus::horizon) and
 //! [`advance`](SystemBus::advance), which `Bus` and
 //! `AxiBus` implement, so an OCP can ask whatever bus it sits on. The
-//! OCP layers state the same contract through their own
-//! `horizon`/`advance` methods (the `Rac` trait's, then inherent ones
-//! on `RacSocket`, `Controller` and `Ocp`), because their horizons
-//! depend on the socket and the bus around them. Each layer states a
-//! pure window once: a controller waiting on its RAC defers to the
-//! socket's countdown rather than keeping a second one.
+//! OCP layers state the same contract through one query each, because
+//! their horizons depend on the socket and the bus around them: a RAC's
+//! `outlook` (its horizon, and whether that tick ends its operation)
+//! and `advance`, which `RacSocket` wraps; the controller's walk, which
+//! answers the event it walks to; and `Ocp::horizon_on` and
+//! `Ocp::advance`. Each layer states a pure window once: a controller
+//! waiting on its RAC defers to the socket's countdown rather than
+//! keeping a second one.
 //!
 //! # Contract
 //!
@@ -460,8 +462,10 @@ impl BusWindow {
     /// Whether the leap loop lets a master carry on through ticks of
     /// its own inside the window, past a change of what chaos dice it
     /// would roll (the `chains` of [`BusWindow::plan`]): off while chaos
-    /// is armed. Chained issues follow it, and so do the controller's
-    /// walks through a RAC start, an `end_op` retire and a `wait`.
+    /// is armed. It covers only the crossings whose dice differ: chained
+    /// issues follow it, and so do the controller's walks through a RAC
+    /// start and an `end_op` retire, but not a walk whose dice stay the
+    /// same (`Fetch`, `Decode`, a `wait`).
     #[must_use]
     pub fn chains(&self) -> bool {
         self.chains

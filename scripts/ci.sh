@@ -72,4 +72,7 @@ bash scripts/perfbench_golden.sh
 echo "==> A/B harness statistics self-test"
 bash scripts/ab.sh --self-test
 
+echo "==> line-count classifier self-test"
+bash scripts/loc.sh --self-test
+
 echo "==> CI green"
