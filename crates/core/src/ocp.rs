@@ -502,6 +502,7 @@ impl Ocp {
                 .holds(&self.socket, bus, now)
                 .min((end - now).count());
             if hold == 0 {
+                let before = self.controller.state().id();
                 self.socket.tick();
                 self.controller
                     .step_fsm(bus, &self.regs, &mut self.socket, &self.irq, now);
@@ -511,6 +512,15 @@ impl Ocp {
                         ControllerState::Idle | ControllerState::Faulted(_)
                     ),
                     "a leap stepped an event: {:?}",
+                    self.controller.state()
+                );
+                // Every tick of a walk moves the FSM on; a tick that
+                // stays put is a held one, so the walk's event was told
+                // late.
+                debug_assert_ne!(
+                    self.controller.state().id(),
+                    before,
+                    "a leap stepped a tick that moved nothing: {:?}",
                     self.controller.state()
                 );
                 self.watch();

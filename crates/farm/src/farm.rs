@@ -372,8 +372,6 @@ pub struct Farm {
     /// Set by a fault under `fail_fast`; `run_until_idle` converts it
     /// into an `Err` at the end of the tick.
     fault_abort: Option<(usize, WorkerFaultKind)>,
-    /// Reusable per-worker swap-cost buffers for dispatch.
-    swap_scratch: Vec<Vec<u64>>,
     /// The last dispatch epoch on which the policy placed nothing.
     idle_epoch: IdleEpoch,
     /// Reusable injection buffer for the chaos plan.
@@ -418,7 +416,6 @@ impl Farm {
             parked: Vec::new(),
             chaos: None,
             fault_abort: None,
-            swap_scratch: Vec::new(),
             idle_epoch: IdleEpoch::default(),
             injection_scratch: Vec::new(),
         }
@@ -1037,14 +1034,7 @@ impl Farm {
             return;
         }
         let now = self.now();
-        // The per-worker swap-cost buffers are scratch owned by the
-        // farm — dispatch must not allocate fresh Vecs per round.
-        let mut swap_costs = std::mem::take(&mut self.swap_scratch);
-        swap_costs.resize_with(self.workers.len(), Vec::new);
         loop {
-            for (w, buf) in self.workers.iter().zip(swap_costs.iter_mut()) {
-                w.fill_swap_costs(buf);
-            }
             let views: Vec<WorkerView<'_>> = self
                 .workers
                 .iter()
@@ -1056,7 +1046,7 @@ impl Farm {
                     idle: w.is_dispatchable(),
                     caps: w.caps(),
                     loaded: w.loaded_config(),
-                    swap_costs: &swap_costs[i],
+                    swap_costs: w.swap_cycles(),
                 })
                 .collect();
             let Some(pick) = self.policy.pick(now, self.queue.pending(), &views) else {
@@ -1116,7 +1106,6 @@ impl Farm {
                 regions,
             );
         }
-        self.swap_scratch = swap_costs;
     }
 
     /// Leases the three regions of one job, unwinding on partial

@@ -37,8 +37,9 @@ pub struct WorkerView<'a> {
     pub caps: &'a [JobKind],
     /// The capability index currently loaded in the fabric.
     pub loaded: usize,
-    /// Cycles an `rcfg` to capability `i` costs right now (0 or 1 when
-    /// `i` is already loaded, the full bitstream load otherwise).
+    /// The full bitstream load of capability `i`, in cycles. What
+    /// serving a kind costs is [`WorkerView::swap_cost_for`]: nothing
+    /// when it is loaded, this load otherwise.
     pub swap_costs: &'a [u64],
 }
 

@@ -435,22 +435,10 @@ impl Worker {
         self.served_span + self.active.as_ref().map_or(0, |a| now - a.started_at)
     }
 
-    /// The current `rcfg` cost to capability `i` (0 when loaded).
-    #[must_use]
-    pub(crate) fn swap_cost_now(&self, i: usize) -> u64 {
-        if i == self.loaded {
-            0
-        } else {
-            self.swap_cycles[i]
-        }
-    }
-
-    /// Fills `out` with the per-capability swap costs for the policy
-    /// view (a reusable scratch buffer — dispatch runs every cycle and
-    /// must not allocate per tick).
-    pub(crate) fn fill_swap_costs(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend((0..self.caps.len()).map(|i| self.swap_cost_now(i)));
+    /// The full bitstream-load cost per capability (0 for
+    /// fixed-function).
+    pub(crate) fn swap_cycles(&self) -> &[u64] {
+        &self.swap_cycles
     }
 
     /// The loaded capability index.

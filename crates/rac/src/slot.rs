@@ -153,19 +153,6 @@ impl ReconfigurableSlot {
         self.configs.get(index).map(|c| c.reconfig_cycles)
     }
 
-    /// The cycles an `rcfg` to configuration `index` would cost *right
-    /// now*: the full bitstream load for a different configuration, the
-    /// one-cycle settle for a reload of the active one. `None` for
-    /// unknown indices.
-    ///
-    /// Schedulers use this to decide whether batching more same-kind
-    /// jobs is worth delaying a pending swap.
-    #[must_use]
-    pub fn swap_cost(&self, index: usize) -> Option<u64> {
-        let cycles = self.reconfig_cycles(index)?;
-        Some(if index == self.active { 1 } else { cycles })
-    }
-
     /// Whether a bitstream load is still in progress.
     #[must_use]
     pub fn is_loading(&self) -> bool {
@@ -411,12 +398,7 @@ mod tests {
         assert_eq!(s.config_name(2), None);
         assert_eq!(s.find_config("passthrough"), Some(0));
         assert_eq!(s.find_config("nope"), None);
-        assert_eq!(s.swap_cost(0), Some(1), "reload of active is a settle");
-        assert_eq!(s.swap_cost(1), Some(2_000), "8000 bytes / 4 per cycle");
-        assert_eq!(s.swap_cost(9), None);
         let _ = s.reconfigure(1);
-        assert_eq!(s.swap_cost(1), Some(1), "now active");
-        assert_eq!(s.swap_cost(0), Some(1_000));
         // The full load cost does not depend on what is loaded.
         assert_eq!(s.reconfig_cycles(1), Some(2_000));
         assert_eq!(s.reconfig_cycles(0), Some(1_000));

@@ -41,7 +41,7 @@ use std::num::NonZeroU64;
 use crate::axi::SystemBus;
 use crate::clock::{Cycle, Instant};
 use crate::event::Horizon;
-use crate::trace::Trace;
+use crate::trace::{BusEvent, Trace};
 
 /// A byte address on the system bus.
 pub type Addr = u32;
@@ -244,7 +244,7 @@ impl Error for SlaveFault {}
 /// burst by those values: they must not change while the slave is
 /// mapped.
 pub trait BusSlave {
-    /// Name used in traces and error messages.
+    /// Name used in error messages and debug output.
     fn name(&self) -> &str;
 
     /// Size of the slave's address window in bytes.
@@ -807,7 +807,7 @@ pub struct Bus {
     active: Option<ActiveGrant>,
     last_grantee: usize,
     busy_cycles: u64,
-    /// Shared trace (disabled by default).
+    /// The event record (disabled by default).
     pub trace: Trace,
 }
 
@@ -938,7 +938,7 @@ impl Bus {
     /// in one step when it fits (see [`Bus::finish_alone`]), otherwise
     /// grant and address cycles one at a time, wait states and beats in
     /// bulk, with every completion, fault, release and grant (and its
-    /// trace entry) on its own cycle. Sound for any `n` as long as no
+    /// trace event) on its own cycle. Sound for any `n` as long as no
     /// master calls [`Bus::try_begin`] or [`Bus::take_completion`] in
     /// between, which is what the fast-forward contract guarantees.
     fn run(&mut self, mut n: u64) {
@@ -1023,20 +1023,10 @@ impl Bus {
     /// Retires `owner`'s transaction `txn`, whose last beat moved on the
     /// cycle just run: its completion waits on the port.
     fn complete(&mut self, owner: usize, txn: Txn) {
-        let beats = txn.req.shape.beats;
         let completion = txn.finish(self.now);
-        let port = &mut self.masters[owner];
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.now,
-                "bus",
-                format!(
-                    "{} completes {} ({} beats, {} cy)",
-                    port.name, completion.kind, beats, completion.cycles
-                ),
-            );
-        }
-        port.completion = Some(Ok(completion));
+        self.trace
+            .record(self.now, MasterId(owner), BusEvent::Complete);
+        self.masters[owner].completion = Some(Ok(completion));
     }
 
     /// The arbitration cycle that grants the bus to `winner`. Returns
@@ -1045,10 +1035,8 @@ impl Bus {
         self.elapse_busy(1);
         self.masters[winner].stats.grants += 1;
         self.last_grantee = winner;
-        if self.trace.is_enabled() {
-            let msg = format!("grant to {}", self.masters[winner].name);
-            self.trace.record(self.now, "bus", msg);
-        }
+        self.trace
+            .record(self.now, MasterId(winner), BusEvent::Grant);
         self.active = Some(ActiveGrant {
             master: winner,
             phase: Phase::Granted,
@@ -1133,18 +1121,16 @@ impl Bus {
         let port = &mut self.masters[owner];
         let txn = port.outstanding.as_ref().expect("present");
         if let Some(fault) = fault {
-            if self.trace.is_enabled() {
-                let msg = format!("fault at {:#010x}", txn.req.shape.addr);
-                self.trace.record(self.now, "bus", msg);
-            }
+            self.trace
+                .record(self.now, MasterId(owner), BusEvent::Fault);
             port.outstanding = None;
             port.completion = Some(Err(BusError::Fault(fault)));
         } else if txn.is_done() {
             let txn = port.outstanding.take().expect("present");
             self.complete(owner, txn);
-        } else if self.trace.is_enabled() {
-            let msg = format!("{} sub-burst boundary", port.name);
-            self.trace.record(self.now, "bus", msg);
+        } else {
+            self.trace
+                .record(self.now, MasterId(owner), BusEvent::SubBurstEnd);
         }
         ran
     }
@@ -1389,16 +1375,8 @@ impl SystemBus for Bus {
         let port = self.masters.get(master.0).ok_or(BusError::UnknownMaster)?;
         let busy = port.outstanding.is_some() || port.completion.is_some();
         let slave_idx = self.slaves.validate(&req, busy)?;
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.now,
-                "bus",
-                format!(
-                    "{} requests {} of {} beats at {:#010x}",
-                    self.masters[master.0].name, req.shape.kind, req.shape.beats, req.shape.addr
-                ),
-            );
-        }
+        self.trace
+            .record(self.now, master, BusEvent::Request(req.shape));
         self.masters[master.0].outstanding = Some(Txn::new(req, slave_idx, self.now));
         Ok(())
     }
@@ -1499,7 +1477,7 @@ impl SystemBus for Bus {
     }
 
     /// Grants, address phases, wait states, beats and sub-burst
-    /// releases, with every statistic, contention charge and trace entry
+    /// releases, with every statistic, contention charge and trace event
     /// on the cycle `tick` would put it.
     fn advance(&mut self, cycles: Cycle) {
         self.run(cycles.count());

@@ -18,7 +18,7 @@
 //!   channels (the paper's announced Zynq/AXI4 integration);
 //! * [`memory`] — an SRAM model with configurable first-access and
 //!   sequential-beat wait states;
-//! * [`trace`] — optional event tracing shared by all components;
+//! * [`trace`] — the bus's optional record of typed events;
 //! * [`event`] — the fast-forward contract: components declare their
 //!   next observable event so driver loops can leap over provably-idle
 //!   cycles instead of ticking through them (for a bus, through
@@ -74,5 +74,5 @@ pub use event::{Advancing, BusWindow, Horizon, RunBurst, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;
-pub use trace::{Trace, TraceEvent};
+pub use trace::{BusEvent, Trace, TraceEvent};
 pub use vcd::{SignalId, VcdWriter};

@@ -10,10 +10,12 @@
 //! completion itself (data, `issued_at`, `completed_at`), the aggregate
 //! [`BusStats`] and every master's [`MasterStats`]; at the end, the
 //! memory contents must match too. Every scenario runs twice: with the
-//! [`Trace`] on, where the traces (every request, grant, sub-burst
-//! boundary, completion and fault, with its cycle) must match as well
-//! and the leaps step every cycle in bulk, and with it off, which is
-//! where the closed form runs.
+//! [`Trace`] on, where the typed [`TraceEvent`]s (every request, grant,
+//! sub-burst end, completion and fault, with its cycle and master) must
+//! match as well and the leaps step every cycle in bulk, and with it
+//! off, which is where the closed form runs. The traced, ticked twin's
+//! events are also checked against the bus's other records: the
+//! grants counted in [`MasterStats`] and the completions observed.
 //!
 //! Every issue of either twin also checks the issue what-if against the
 //! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
@@ -28,7 +30,7 @@ use ouessant_sim::bus::{
     PortState, SlaveFault, TxnRequest,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent, XorShift64};
+use ouessant_sim::{BusEvent, Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent, XorShift64};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;
@@ -276,7 +278,7 @@ fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Opti
 fn build(s: &Scenario, traced: bool) -> (Bus, Vec<MasterId>) {
     let mut bus = Bus::new(s.config);
     if traced {
-        bus.trace = Trace::enabled(1 << 20);
+        bus.trace = Trace::enabled();
     }
     let ids = (0..s.scripts.len())
         .map(|i| bus.register_master(&format!("m{i}")))
@@ -380,11 +382,10 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
     let memory = (0..SRAM_WORDS)
         .map(|i| bus.debug_read(SRAM_BASE + i * 4).unwrap())
         .collect();
-    assert_eq!(bus.trace.dropped(), 0, "trace ring too small");
     Run {
         observations,
         memory,
-        trace: bus.trace.events().iter().cloned().collect(),
+        trace: bus.trace.events().to_vec(),
         cycles: bus.now().count(),
         leaped,
         what_ifs,
@@ -420,6 +421,81 @@ fn assert_twins_agree(s: &Scenario, seed: u64) -> (Run, Run) {
     traced.expect("the traced twins ran")
 }
 
+/// Checks the traced, ticked `run`'s events against the bus's other
+/// records, per master: its grants number [`MasterStats::grants`]; each
+/// grant closes with exactly one sub-burst end, completion or fault
+/// before its next grant; each completion or fault lies on the cycle
+/// the harness observed the completion (`completed_at` for a
+/// completion); and a completion lies as far after the master's last
+/// request as its `completed_at` lies after its `issued_at`. Returns
+/// the sub-burst ends, completions and faults checked.
+fn assert_trace_matches_records(run: &Run, seed: u64) -> [u64; 3] {
+    let mut closes = [0; 3];
+    let stats = &run
+        .observations
+        .last()
+        .expect("every script completes")
+        .masters;
+    for (m, stats) in stats.iter().enumerate() {
+        let mut observed = run.observations.iter().filter(|o| o.master == m);
+        let (mut grants, mut open, mut request) = (0, false, None);
+        for e in run.trace.iter().filter(|e| e.master.index() == m) {
+            let at = e.cycle.count();
+            let what = match e.what {
+                BusEvent::Request(shape) => {
+                    assert!(
+                        request.is_none(),
+                        "seed {seed}: M{m} requests twice at {at}"
+                    );
+                    request = Some((e.cycle, shape));
+                    continue;
+                }
+                BusEvent::Grant => {
+                    assert!(!open, "seed {seed}: M{m} granted again at {at}");
+                    grants += 1;
+                    open = true;
+                    continue;
+                }
+                what => what,
+            };
+            assert!(open, "seed {seed}: M{m}'s {what:?} at {at} closes no grant");
+            open = false;
+            if what == BusEvent::SubBurstEnd {
+                closes[0] += 1;
+                continue;
+            }
+            let o = observed.next().expect("a traced completion was observed");
+            assert_eq!(at, o.now, "seed {seed}: M{m}'s {what:?} is off its cycle");
+            let (requested, shape) = request.take().expect("a completion follows a request");
+            match &o.completion {
+                Ok(c) => {
+                    assert_eq!(what, BusEvent::Complete, "seed {seed}: M{m} at {at}");
+                    assert_eq!(c.completed_at, e.cycle, "seed {seed}: M{m} at {at}");
+                    assert_eq!(
+                        c.completed_at - c.issued_at,
+                        e.cycle - requested,
+                        "seed {seed}: M{m}'s request at {}",
+                        requested.count()
+                    );
+                    assert_eq!((c.kind, c.addr), (shape.kind, shape.addr));
+                    closes[1] += 1;
+                }
+                Err(_) => {
+                    assert_eq!(what, BusEvent::Fault, "seed {seed}: M{m} at {at}");
+                    closes[2] += 1;
+                }
+            }
+        }
+        assert!(!open, "seed {seed}: M{m}'s last grant never closed");
+        assert!(
+            observed.next().is_none(),
+            "seed {seed}: M{m}: untraced completion"
+        );
+        assert_eq!(grants, stats.grants, "seed {seed}: M{m}'s grants");
+    }
+    closes
+}
+
 fn faults(run: &Run) -> usize {
     run.observations
         .iter()
@@ -438,6 +514,30 @@ fn leaping_the_bus_matches_ticking_it() {
     }
     assert!(leaped > 100_000, "the bus barely leaped ({leaped} cycles)");
     assert!(faulted > 0, "no scenario exercised a slave fault");
+}
+
+/// The typed trace of every scenario family's traced, ticked twin
+/// agrees with the grant counts and the completions the harness saw
+/// (see [`assert_trace_matches_records`]). The twins are compared only
+/// with each other, so this is what pins the trace's cycles.
+#[test]
+fn the_trace_matches_the_grants_and_the_completions() {
+    let mut closes = [0; 3];
+    for seed in 1..=300u64 {
+        for s in [scenario(seed), contended(seed), lone(seed)] {
+            let ticked = run(&s, Drive::Tick, true);
+            for (total, n) in closes
+                .iter_mut()
+                .zip(assert_trace_matches_records(&ticked, seed))
+            {
+                *total += n;
+            }
+        }
+    }
+    let [sub_bursts, completions, faults] = closes;
+    assert!(sub_bursts > 100_000, "only {sub_bursts} sub-burst ends");
+    assert!(completions > 5_000, "only {completions} completions");
+    assert!(faults > 200, "only {faults} faults");
 }
 
 /// The issue what-if, checked at every issue of both twins of every

@@ -52,6 +52,15 @@ echo "==> chaos + hang campaign demo (fixed seeds, diffed against tests/golden/f
 cargo run --release --offline --example farm_demo -- --chaos-seed 0xC4A05EED --hang-seed 0x0CEA4A46 \
     | grep -v '^host:' | diff -u tests/golden/farm_demo.txt -
 
+# Clippy builds every example; running each once makes a panic in one
+# fail the gate too.
+echo "==> examples (release, each run once)"
+for example in quickstart jpeg_pipeline sdr_dft table1 resource_report hls_codegen \
+    standalone_pipeline waveform reproduce_all; do
+    echo "    $example"
+    cargo run -q --release --offline --example "$example" > /dev/null
+done
+
 echo "==> perfbench checks (fast-forward vs single-step, metric-name contract)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
