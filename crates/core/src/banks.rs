@@ -62,44 +62,28 @@ impl fmt::Display for TranslateError {
 
 impl Error for TranslateError {}
 
-/// The translation unit: the adder + bank multiplexer of Figure 3.
+/// The translation unit, the adder + bank multiplexer of Figure 3:
+/// translates `bank` + word `word_offset` into a system byte address.
 ///
 /// Stateless; reads the bank base registers out of the shared
 /// [`RegisterFile`] at translation time, which is what makes bank
 /// placement a *runtime* decision.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BankTranslation;
-
-impl BankTranslation {
-    /// Creates the translation unit.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
+///
+/// # Errors
+///
+/// [`TranslateError::UnconfiguredBank`] if the bank register is 0,
+/// [`TranslateError::AddressOverflow`] on 32-bit overflow.
+pub fn translate(regs: &RegisterFile, bank: Bank, word_offset: u32) -> Result<u32, TranslateError> {
+    let base = regs.bank_base(bank.index());
+    if base == 0 {
+        return Err(TranslateError::UnconfiguredBank { bank: bank.value() });
     }
-
-    /// Translates `bank` + word `offset` into a system byte address.
-    ///
-    /// # Errors
-    ///
-    /// [`TranslateError::UnconfiguredBank`] if the bank register is 0,
-    /// [`TranslateError::AddressOverflow`] on 32-bit overflow.
-    pub fn translate(
-        &self,
-        regs: &RegisterFile,
-        bank: Bank,
-        word_offset: u32,
-    ) -> Result<u32, TranslateError> {
-        let base = regs.bank_base(bank.index());
-        if base == 0 {
-            return Err(TranslateError::UnconfiguredBank { bank: bank.value() });
-        }
-        let byte_offset = u64::from(word_offset) * 4;
-        let addr = u64::from(base) + byte_offset;
-        u32::try_from(addr).map_err(|_| TranslateError::AddressOverflow {
-            bank: bank.value(),
-            offset: word_offset,
-        })
-    }
+    let byte_offset = u64::from(word_offset) * 4;
+    let addr = u64::from(base) + byte_offset;
+    u32::try_from(addr).map_err(|_| TranslateError::AddressOverflow {
+        bank: bank.value(),
+        offset: word_offset,
+    })
 }
 
 #[cfg(test)]
@@ -115,17 +99,15 @@ mod tests {
     #[test]
     fn base_plus_word_offset() {
         let regs = regs_with_bank(1, 0x4000_1000);
-        let t = BankTranslation::new();
-        let addr = t.translate(&regs, Bank::new(1).unwrap(), 64).unwrap();
+        let addr = translate(&regs, Bank::new(1).unwrap(), 64).unwrap();
         assert_eq!(addr, 0x4000_1000 + 64 * 4);
     }
 
     #[test]
     fn unconfigured_bank_rejected() {
         let regs = RegisterFile::new();
-        let t = BankTranslation::new();
         assert_eq!(
-            t.translate(&regs, Bank::new(5).unwrap(), 0),
+            translate(&regs, Bank::new(5).unwrap(), 0),
             Err(TranslateError::UnconfiguredBank { bank: 5 })
         );
     }
@@ -133,9 +115,8 @@ mod tests {
     #[test]
     fn overflow_rejected() {
         let regs = regs_with_bank(2, 0xFFFF_FFF0);
-        let t = BankTranslation::new();
         assert_eq!(
-            t.translate(&regs, Bank::new(2).unwrap(), 16),
+            translate(&regs, Bank::new(2).unwrap(), 16),
             Err(TranslateError::AddressOverflow {
                 bank: 2,
                 offset: 16
@@ -147,11 +128,10 @@ mod tests {
     fn runtime_reconfiguration_takes_effect() {
         // "Banks location can then be configured at runtime."
         let mut regs = regs_with_bank(1, 0x1000);
-        let t = BankTranslation::new();
         let b = Bank::new(1).unwrap();
-        assert_eq!(t.translate(&regs, b, 0).unwrap(), 0x1000);
+        assert_eq!(translate(&regs, b, 0).unwrap(), 0x1000);
         regs.bus_write(crate::regs::REG_BANK0 + 4, 0x2000);
-        assert_eq!(t.translate(&regs, b, 0).unwrap(), 0x2000);
+        assert_eq!(translate(&regs, b, 0).unwrap(), 0x2000);
     }
 
     #[test]

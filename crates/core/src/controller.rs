@@ -42,7 +42,7 @@ use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
 use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
 
-use crate::banks::{BankTranslation, TranslateError, PROGRAM_BANK};
+use crate::banks::{self, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
 use crate::regs::RegsHandle;
 
@@ -310,7 +310,6 @@ impl FifoLedger {
 pub struct Controller {
     state: ControllerState,
     dma: DmaPort,
-    xlate: BankTranslation,
     /// The program store, decoded once when it is loaded: entry `pc`
     /// is what the `Decode` cycle yields for the word at `pc`.
     program: Vec<Result<Instruction, DecodeError>>,
@@ -332,7 +331,6 @@ impl Controller {
         Self {
             state: ControllerState::Idle,
             dma,
-            xlate: BankTranslation::new(),
             program: Vec::new(),
             pc: 0,
             current: None,
@@ -650,7 +648,7 @@ impl Controller {
                 .saturating_sub(ledger.popped[fifo])
                 >= words
         };
-        ready.then(|| regs.with(|r| self.xlate.translate(r, t.bank, self.control.offset(t))))
+        ready.then(|| regs.with(|r| banks::translate(r, t.bank, self.control.offset(t))))
     }
 
     /// The run of transfers this controller can issue inside the next
@@ -929,7 +927,7 @@ impl Controller {
                         .ok()
                         .and_then(|b| Bank::new(b).ok());
                     let bank0 = bank0.expect("bank 0 valid");
-                    let addr = match regs.with(|r| self.xlate.translate(r, bank0, 0)) {
+                    let addr = match regs.with(|r| banks::translate(r, bank0, 0)) {
                         Ok(a) => a,
                         Err(e) => {
                             self.set_fault(e.into());

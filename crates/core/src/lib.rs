@@ -86,7 +86,7 @@ pub mod interface;
 pub mod ocp;
 pub mod regs;
 
-pub use banks::{BankTranslation, TranslateError};
+pub use banks::TranslateError;
 pub use controller::{Controller, ControllerState, ExecError};
 pub use interface::{IrqLine, RegSlavePort};
 pub use ocp::{Ocp, OcpConfig};

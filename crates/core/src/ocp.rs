@@ -1277,7 +1277,7 @@ mod tests {
     }
 
     /// A single-OCP system drawn from a seed: the bus's sub-burst
-    /// length and arbiter; a slave map of the program's SRAM with drawn
+    /// length; a slave map of the program's SRAM with drawn
     /// wait states, the [`Flaky`] slave, the OCP's own register window
     /// and unmapped holes (above the SRAM and at `0x6000_0000`); banks
     /// 1–4 on the SRAM and 5–7 on any of these; a RAC, a pass-through
@@ -1307,16 +1307,14 @@ mod tests {
 
     impl DrawnSystem {
         fn draw(seed: u64) -> Self {
-            use ouessant_sim::bus::ArbiterPolicy;
             let mut rng = XorShift64::new(seed);
             let bus = BusConfig {
                 max_burst_beats: [1, 4, 16][rng.gen_range_u32(0..3) as usize],
-                arbiter: if rng.gen_bool() {
-                    ArbiterPolicy::FixedPriority
-                } else {
-                    ArbiterPolicy::RoundRobin
-                },
             };
+            // This coin once picked the arbiter. Drawing it still keeps
+            // every seed on the system it drew before, apart from its
+            // arbiter.
+            rng.gen_bool();
             let ram = SramConfig {
                 first_access_wait_states: rng.gen_range_u32(0..4),
                 sequential_wait_states: rng.gen_range_u32(0..3),

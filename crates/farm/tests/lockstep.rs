@@ -19,7 +19,7 @@ use ouessant_farm::{
     RoundRobinPolicy, SchedPolicy, WorkerHealth,
 };
 use ouessant_isa::{assemble, ProgramBuilder};
-use ouessant_sim::bus::{ArbiterPolicy, BusConfig, BusStats};
+use ouessant_sim::bus::{BusConfig, BusStats};
 use ouessant_sim::XorShift64;
 
 const IDCT: JobKind = JobKind::Idct;
@@ -302,21 +302,18 @@ fn calm_campaign_is_bit_exact_under_every_policy() {
     }
 }
 
-/// Round-robin arbitration with 4-beat sub-bursts: every DMA burst
-/// re-arbitrates several times, mostly against other workers' bursts,
-/// so a leap crosses many grants, address phases and sub-burst
-/// releases. Bit-exact under every policy, and the leaps must reach
-/// the transaction's completion rather than stop at each sub-burst.
+/// 4-beat sub-bursts: every DMA burst re-arbitrates several times,
+/// often against other workers' bursts, so a leap crosses many grants,
+/// address phases and sub-burst releases. Bit-exact under every policy,
+/// and the leaps must reach the transaction's completion rather than
+/// stop at each sub-burst.
 #[test]
-fn round_robin_short_sub_burst_campaign_is_bit_exact() {
+fn short_sub_burst_campaign_is_bit_exact() {
     let specs = workload(48, WORKLOAD_SEED);
-    let bus = BusConfig {
-        max_burst_beats: 4,
-        arbiter: ArbiterPolicy::RoundRobin,
-    };
+    let bus = BusConfig { max_burst_beats: 4 };
     for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
         let build = redundant_pool_on(bus, policy_name, LivenessConfig::default(), None);
-        let (fast, report) = assert_lockstep(&build, &specs, &format!("RR bus, {policy_name}"));
+        let (fast, report) = assert_lockstep(&build, &specs, &format!("4-beat bus, {policy_name}"));
         assert!(
             fast.bus.contention_cycles > 0,
             "workers never contended ({policy_name})"

@@ -7,6 +7,9 @@
 //! on:
 //!
 //! * a single shared data path with one active transaction at a time;
+//! * fixed-priority arbitration: the lowest [`MasterId`] that requests
+//!   wins (the paper's Leon3 CPU is registered first and thus outranks
+//!   the OCP);
 //! * an arbitration cycle (grant) followed by an address cycle;
 //! * data beats of one word per cycle plus per-slave wait states (a
 //!   higher first-access penalty models the external SRAM of the
@@ -21,10 +24,13 @@
 //! port, and [`Bus::take_completion`] retires the finished transaction.
 //!
 //! For fast-forward, [`Bus::horizon`] is the next transaction
-//! completion, and [`Bus::advance`] leaps to it (or through it, since
-//! no master sees it before the next tick) through every grant, address
-//! phase, wait state, beat and re-arbitration on the way; a lone
-//! requester's whole transaction is one closed-form step.
+//! completion: the rest of the sub-burst holding the bus, then the
+//! whole transaction of the top requester, which wins every
+//! re-arbitration until it completes. [`Bus::advance`] leaps to it (or
+//! through it, since no master sees it before the next tick) through
+//! every grant, address phase, wait state, beat and re-arbitration on
+//! the way; a lone requester's whole transaction is one closed-form
+//! step.
 //! [`Bus::horizon_with`] answers the same question with one more burst
 //! issued, given by its [`TxnShape`], so a master's issue can sit
 //! inside a leap too.
@@ -389,32 +395,18 @@ impl Error for BusError {
     }
 }
 
-/// Arbitration policy between requesting masters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArbiterPolicy {
-    /// Lower [`MasterId`] always wins (AHB-style fixed priority; the
-    /// paper's Leon3 CPU is registered first and thus outranks the OCP).
-    #[default]
-    FixedPriority,
-    /// Rotating priority starting after the last grantee.
-    RoundRobin,
-}
-
 /// Static bus parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusConfig {
     /// Maximum beats per sub-burst before re-arbitration (AHB INCR16
     /// ⇒ 16).
     pub max_burst_beats: u16,
-    /// Arbitration policy.
-    pub arbiter: ArbiterPolicy,
 }
 
 impl Default for BusConfig {
     fn default() -> Self {
         Self {
             max_burst_beats: 16,
-            arbiter: ArbiterPolicy::default(),
         }
     }
 }
@@ -805,7 +797,6 @@ pub struct Bus {
     masters: Vec<MasterPort>,
     slaves: SlaveMap,
     active: Option<ActiveGrant>,
-    last_grantee: usize,
     busy_cycles: u64,
     /// The event record (disabled by default).
     pub trace: Trace,
@@ -827,7 +818,6 @@ impl Bus {
             masters: Vec::new(),
             slaves: SlaveMap::default(),
             active: None,
-            last_grantee: 0,
             busy_cycles: 0,
             trace: Trace::disabled(),
         }
@@ -1014,7 +1004,6 @@ impl Bus {
         port.stats.grants += left.div_ceil(u64::from(self.config.max_burst_beats));
         port.stats.beats += u64::from(moved);
         self.active = None;
-        self.last_grantee = owner;
         self.elapse_busy(cycles);
         self.complete(owner, txn);
         Some(cycles)
@@ -1034,7 +1023,6 @@ impl Bus {
     fn grant(&mut self, winner: usize) -> u64 {
         self.elapse_busy(1);
         self.masters[winner].stats.grants += 1;
-        self.last_grantee = winner;
         self.trace
             .record(self.now, MasterId(winner), BusEvent::Grant);
         self.active = Some(ActiveGrant {
@@ -1135,17 +1123,9 @@ impl Bus {
         ran
     }
 
+    /// The lowest master that is requesting: fixed priority.
     fn arbitrate(&self) -> Option<usize> {
-        let n = self.masters.len();
-        if n == 0 {
-            return None;
-        }
-        match self.config.arbiter {
-            ArbiterPolicy::FixedPriority => (0..n).find(|&i| self.masters[i].outstanding.is_some()),
-            ArbiterPolicy::RoundRobin => (1..=n)
-                .map(|d| (self.last_grantee + d) % n)
-                .find(|&i| self.masters[i].outstanding.is_some()),
-        }
+        (0..self.masters.len()).find(|&i| self.masters[i].outstanding.is_some())
     }
 
     /// Runs the bus until `master`'s transaction completes, returning
@@ -1177,6 +1157,8 @@ impl Bus {
 /// The sub-burst holding the bus, as [`Bus::horizon`] and the lone
 /// requester's closed form see it.
 struct InFlight {
+    /// The master that owns it.
+    master: usize,
     /// Its slave's timing.
     timing: SlaveTiming,
     /// Beats its transaction has left, this sub-burst's included.
@@ -1195,18 +1177,6 @@ impl InFlight {
     fn cycles(&self) -> u64 {
         self.address + beat_offset(self.wait, self.timing.seq_wait, u64::from(self.beats))
     }
-}
-
-/// A master granted in the rounds of re-arbitration ahead, as
-/// [`Bus::horizon`] sees it.
-#[derive(Clone, Copy)]
-struct Requester {
-    /// Its place in every round (0 is granted first).
-    pos: usize,
-    /// Beats left once the current sub-burst ends.
-    left: u64,
-    /// Its slave's timing.
-    timing: SlaveTiming,
 }
 
 /// A request [`Bus::horizon_with`] adds to the requesting set: its
@@ -1231,37 +1201,6 @@ impl Bus {
         }
     }
 
-    /// The masters granted after the current sub-burst, whose owner (the
-    /// last grantee) has `in_flight` beats in it, with `issuer`'s
-    /// request added. The requesting set is fixed in a fast-forward
-    /// window, so every re-arbitration has a fixed winner: fixed
-    /// priority re-grants the top requester until it completes, and
-    /// round robin grants every requester one sub-burst per round, in
-    /// the order [`Bus::arbitrate`] rotates through them.
-    fn rotation(
-        &self,
-        in_flight: u16,
-        issuer: Option<Issuer>,
-    ) -> impl Iterator<Item = Requester> + '_ {
-        let n = self.masters.len();
-        let granted = match self.config.arbiter {
-            ArbiterPolicy::FixedPriority => {
-                let top = (0..n).find(|&i| self.request(i, issuer).is_some());
-                top.map_or(0..0, |i| i..i + 1)
-            }
-            ArbiterPolicy::RoundRobin => 0..n,
-        };
-        granted.filter_map(move |i| {
-            let (remaining, slave_idx) = self.request(i, issuer)?;
-            let in_flight = if i == self.last_grantee { in_flight } else { 0 };
-            Some(Requester {
-                pos: (i + n - self.last_grantee - 1) % n,
-                left: u64::from(remaining - in_flight),
-                timing: self.slaves.timing(slave_idx),
-            })
-        })
-    }
-
     /// The sub-burst that holds the bus, if any: see [`InFlight`].
     fn in_flight(&self) -> Option<InFlight> {
         let ActiveGrant { master, phase } = self.active?;
@@ -1279,6 +1218,7 @@ impl Bus {
             } => (0, wait_left, sub_beats_left),
         };
         Some(InFlight {
+            master,
             timing,
             remaining,
             address,
@@ -1288,14 +1228,15 @@ impl Bus {
     }
 
     /// The tick of [`Bus::horizon`] with `issuer`'s request added to
-    /// the requesting set, `None` when nobody requests.
+    /// the requesting set, `None` when nobody requests: the rest of the
+    /// owner's sub-burst, then the top requester's whole transaction,
+    /// since fixed priority re-grants it until it completes.
     fn next_event(&self, issuer: Option<Issuer>) -> Option<NonZeroU64> {
         // Every path counts at least one beat's cycle (`beat_offset`).
         let tick = |cycles: u64| Some(NonZeroU64::MIN.saturating_add(cycles - 1));
-        let max = u64::from(self.config.max_burst_beats);
         // Cycles to the end of the owner's current sub-burst.
         let mut cycles = 0;
-        let mut in_flight = 0;
+        let mut owner = None;
         if let Some(f) = self.in_flight() {
             if !f.timing.fault_free {
                 return tick(f.address + beat_offset(f.wait, 0, 1));
@@ -1304,50 +1245,24 @@ impl Bus {
             if f.beats == f.remaining {
                 return tick(cycles);
             }
-            in_flight = f.beats;
+            owner = Some((f.master, f.beats));
         }
-        // Over the rounds ahead: the first to complete (fewest
-        // sub-bursts left, then earliest in the round), the cycles of a
-        // round of full sub-bursts, the earliest faulting requester and
-        // the earliest requester of all.
-        let mut round = 0;
-        let mut first: Option<((u64, usize), Requester)> = None;
-        let mut faulting: Option<Requester> = None;
-        let mut earliest = usize::MAX;
-        for r in self.rotation(in_flight, issuer) {
-            round += r.timing.sub_burst_cycles(max);
-            let key = (r.left.div_ceil(max), r.pos);
-            if first.is_none_or(|(f, _)| key < f) {
-                first = Some((key, r));
-            }
-            if !r.timing.fault_free && faulting.is_none_or(|f| r.pos < f.pos) {
-                faulting = Some(r);
-            }
-            earliest = earliest.min(r.pos);
+        let (top, (remaining, slave_idx)) =
+            (0..self.masters.len()).find_map(|i| Some((i, self.request(i, issuer)?)))?;
+        let timing = self.slaves.timing(slave_idx);
+        if !timing.fault_free {
+            // Its first beat may fault.
+            return tick(cycles + timing.sub_burst_cycles(1));
         }
-        let ((sub_bursts, pos), completer) = first?;
-        // A faulting requester granted before the completer's last
-        // sub-burst stops the walk at its first beat.
-        let (rounds, target) = match faulting {
-            Some(f) if sub_bursts > 1 || f.pos <= pos => (0, f),
-            _ => (sub_bursts - 1, completer),
+        // Only the owner's own transaction has beats in flight.
+        let in_flight = match owner {
+            Some((master, beats)) if master == top => beats,
+            _ => 0,
         };
-        cycles += rounds * round;
-        let beat = if target.timing.fault_free {
-            target.left - rounds * max
-        } else {
-            1
-        };
-        cycles += target.timing.sub_burst_cycles(beat);
-        // The requesters granted before the target in its round (none
-        // when it is the earliest, a lone requester always).
-        if target.pos > earliest {
-            cycles += self
-                .rotation(in_flight, issuer)
-                .filter(|r| r.pos < target.pos)
-                .map(|r| r.timing.sub_burst_cycles(max))
-                .sum::<u64>();
-        }
+        let left = u64::from(remaining - in_flight);
+        let max = u64::from(self.config.max_burst_beats);
+        let full = (left - 1) / max;
+        cycles += full * timing.sub_burst_cycles(max) + timing.sub_burst_cycles(left - full * max);
         tick(cycles)
     }
 }
@@ -1443,10 +1358,10 @@ impl SystemBus for Bus {
     /// Until then the requesting set cannot change: a master begins or
     /// retires a transaction only in its own tick, which its own horizon
     /// already counts as an event. So the window's timing is fixed by
-    /// the protocol: the rest of the current sub-burst, then the
-    /// rotation of grants, each sub-burst taking a grant cycle,
-    /// an address cycle and `beat_offset` data cycles. O(masters), no
-    /// allocation.
+    /// the protocol: the rest of the current sub-burst, then the top
+    /// requester's sub-bursts back to back through its completion, each
+    /// taking a grant cycle, an address cycle and `beat_offset` data
+    /// cycles. O(masters), no allocation.
     fn horizon(&self) -> Horizon {
         self.next_event(None)
             .map_or(Horizon::QUIESCENT, Horizon::in_ticks)
@@ -1646,38 +1561,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_alternates() {
-        let mut bus = Bus::new(BusConfig {
-            arbiter: ArbiterPolicy::RoundRobin,
-            ..BusConfig::default()
-        });
-        let a = bus.register_master("a");
-        let b = bus.register_master("b");
-        bus.add_slave(0, Sram::with_words(256, SramConfig::no_wait()));
-        // Issue many single transfers from both; each should make
-        // progress without starvation.
-        let mut done_a = 0;
-        let mut done_b = 0;
-        bus.try_begin(a, TxnRequest::read_word(0)).unwrap();
-        bus.try_begin(b, TxnRequest::read_word(4)).unwrap();
-        for _ in 0..200 {
-            bus.tick();
-            if bus.poll(a).is_complete() {
-                bus.take_completion(a).unwrap().unwrap();
-                done_a += 1;
-                bus.try_begin(a, TxnRequest::read_word(0)).unwrap();
-            }
-            if bus.poll(b).is_complete() {
-                bus.take_completion(b).unwrap().unwrap();
-                done_b += 1;
-                bus.try_begin(b, TxnRequest::read_word(4)).unwrap();
-            }
-        }
-        assert!(done_a > 10 && done_b > 10);
-        assert!((i64::from(done_a) - i64::from(done_b)).abs() <= 1);
-    }
-
-    #[test]
     fn slave_fault_mid_burst_reported() {
         struct Flaky;
         impl BusSlave for Flaky {
@@ -1729,10 +1612,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sub-bursts need a beat")]
     fn zero_beat_sub_bursts_are_rejected() {
-        let _ = Bus::new(BusConfig {
-            max_burst_beats: 0,
-            ..BusConfig::default()
-        });
+        let _ = Bus::new(BusConfig { max_burst_beats: 0 });
     }
 
     #[test]
@@ -1807,49 +1687,72 @@ mod tests {
         assert_eq!(bus.horizon(), Horizon::QUIESCENT);
     }
 
+    /// Two masters on sub-bursts of 4 beats over SRAM with 2 first and
+    /// 1 sequential wait states: a full sub-burst is grant + address +
+    /// 2 waits + 4 beats + 3 waits = 11 cycles.
+    fn two_masters_on_short_sub_bursts() -> (Bus, [MasterId; 2]) {
+        let mut bus = Bus::new(BusConfig { max_burst_beats: 4 });
+        let ids = [bus.register_master("a"), bus.register_master("b")];
+        bus.add_slave(
+            0,
+            Sram::with_words(
+                64,
+                SramConfig {
+                    first_access_wait_states: 2,
+                    sequential_wait_states: 1,
+                },
+            ),
+        );
+        (bus, ids)
+    }
+
+    /// Ticks until `done` completes, checking the horizon counts down to
+    /// `at` and that nothing completes before; returns the ticks run.
+    fn tick_to_completion(bus: &mut Bus, ids: [MasterId; 2], done: MasterId, at: u64) -> u64 {
+        let mut ticks = 0;
+        while ids.iter().all(|&m| bus.poll(m).is_pending()) {
+            bus.tick();
+            ticks += 1;
+            if ticks < at {
+                assert_eq!(bus.horizon().ticks(), Some(at - ticks));
+            }
+        }
+        assert!(bus.poll(done).is_complete());
+        ticks
+    }
+
     #[test]
     fn horizon_spans_re_arbitrations_to_the_first_completion() {
-        // Sub-bursts of 4 beats, 2 first and 1 sequential wait states:
-        // a full sub-burst is grant + address + 2 waits + 4 beats + 3
-        // waits = 11 cycles. `a` needs 4 + 4 + 2 beats, `b` 4 + 1.
-        for (arbiter, first, at) in [
-            // `a` outranks `b` and keeps the bus: 11 + 11 + 7.
-            (ArbiterPolicy::FixedPriority, 0, 29),
-            // `b` goes first (rotation starts after M0), then they
-            // alternate: b 11, a 11, b 2 + 2 waits + 1 beat = 27.
-            (ArbiterPolicy::RoundRobin, 1, 27),
-        ] {
-            let mut bus = Bus::new(BusConfig {
-                max_burst_beats: 4,
-                arbiter,
-            });
-            let ids = [bus.register_master("a"), bus.register_master("b")];
-            bus.add_slave(
-                0,
-                Sram::with_words(
-                    64,
-                    SramConfig {
-                        first_access_wait_states: 2,
-                        sequential_wait_states: 1,
-                    },
-                ),
-            );
-            bus.try_begin(ids[0], TxnRequest::read(0, 10)).unwrap();
-            bus.try_begin(ids[1], TxnRequest::write(0x80, vec![7; 5]))
-                .unwrap();
-            assert_eq!(bus.horizon().ticks(), Some(at), "{arbiter:?}");
-            let mut ticks = 0;
-            while ids.iter().all(|&m| bus.poll(m).is_pending()) {
-                bus.tick();
-                ticks += 1;
-                if ticks < at {
-                    assert_eq!(bus.horizon().ticks(), Some(at - ticks));
-                }
-            }
-            assert_eq!(ticks, at, "{arbiter:?}");
-            assert!(bus.poll(ids[first]).is_complete(), "{arbiter:?}");
-            assert_eq!(bus.stats().grants, 3, "{arbiter:?}");
+        let (mut bus, [a, b]) = two_masters_on_short_sub_bursts();
+        // `a` needs 4 + 4 + 2 beats and outranks `b`, so it keeps the
+        // bus: 11 + 11 + 7.
+        bus.try_begin(a, TxnRequest::read(0, 10)).unwrap();
+        bus.try_begin(b, TxnRequest::write(0x80, vec![7; 5]))
+            .unwrap();
+        assert_eq!(bus.horizon().ticks(), Some(29));
+        assert_eq!(tick_to_completion(&mut bus, [a, b], a, 29), 29);
+        assert_eq!(bus.stats().grants, 3);
+    }
+
+    /// The owner of the bus is not its top requester: `b` holds a
+    /// sub-burst when `a` issues, so only `a`'s own beats count once
+    /// `b`'s sub-burst ends.
+    #[test]
+    fn horizon_behind_a_lower_priority_owner_counts_the_top_requester_whole() {
+        let (mut bus, [a, b]) = two_masters_on_short_sub_bursts();
+        bus.try_begin(b, TxnRequest::read(0, 10)).unwrap();
+        // Grant, address and the first of 2 wait states.
+        for _ in 0..3 {
+            bus.tick();
         }
+        bus.try_begin(a, TxnRequest::write(0x80, vec![7; 5]))
+            .unwrap();
+        // `b`'s sub-burst has 1 wait + 4 beats + 3 waits = 8 cycles
+        // left, then `a` takes 11 + (grant + address + 2 waits + 1
+        // beat) = 16.
+        assert_eq!(bus.horizon().ticks(), Some(24));
+        assert_eq!(tick_to_completion(&mut bus, [a, b], a, 24), 24);
+        assert!(bus.poll(b).is_pending());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`fifo`] — synchronous FIFOs and the paper's *variable width* FIFOs
 //!   with serializing/deserializing behaviour (Figure 2's 32 ↔ 96-bit
 //!   example);
-//! * [`bus`] — an AHB-like system bus: arbiter, one outstanding
-//!   transaction, burst transfers split into sub-bursts, per-slave wait
-//!   states;
+//! * [`bus`] — an AHB-like system bus: fixed-priority arbiter, one
+//!   outstanding transaction, burst transfers split into sub-bursts,
+//!   per-slave wait states;
 //! * [`axi`] — an AXI-lite-like alternative with independent read/write
 //!   channels (the paper's announced Zynq/AXI4 integration);
 //! * [`memory`] — an SRAM model with configurable first-access and

@@ -30,6 +30,9 @@ use std::fmt::Write as _;
 
 use crate::clock::Instant;
 
+/// One cycle of the paper's 50 MHz clock.
+const TIMESCALE: &str = "20 ns";
+
 /// Handle to a declared VCD signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignalId(usize);
@@ -49,7 +52,6 @@ struct SignalDef {
 #[derive(Debug, Clone)]
 pub struct VcdWriter {
     module: String,
-    timescale: String,
     signals: Vec<SignalDef>,
     /// cycle -> (signal, value), later recordings override earlier ones
     /// in the same cycle.
@@ -63,17 +65,9 @@ impl VcdWriter {
     pub fn new(module: &str) -> Self {
         Self {
             module: module.to_string(),
-            timescale: "20 ns".to_string(),
             signals: Vec::new(),
             changes: BTreeMap::new(),
         }
-    }
-
-    /// Overrides the timescale string (e.g. `"1 ns"`).
-    #[must_use]
-    pub fn with_timescale(mut self, timescale: &str) -> Self {
-        self.timescale = timescale.to_string();
-        self
     }
 
     /// Declares a signal of `width` bits.
@@ -134,7 +128,7 @@ impl VcdWriter {
         let _ = writeln!(out, "$version");
         let _ = writeln!(out, "    ouessant-sim VCD writer");
         let _ = writeln!(out, "$end");
-        let _ = writeln!(out, "$timescale {} $end", self.timescale);
+        let _ = writeln!(out, "$timescale {TIMESCALE} $end");
         let _ = writeln!(out, "$scope module {} $end", self.module);
         for (i, s) in self.signals.iter().enumerate() {
             let _ = writeln!(
