@@ -17,6 +17,13 @@
 //! events are also checked against the bus's other records: the
 //! grants counted in [`MasterStats`] and the completions observed.
 //!
+//! The twins alone show only that a leap never passes an event. So on
+//! scenarios without the faulting slave, where every event is a
+//! completion, a leap of the whole horizon that no issue cuts short
+//! must also leave a port `Complete`: at once in the twin that leaps
+//! through the event, and after the event tick in the twin that leaps
+//! up to it. A horizon that comes too early fails that.
+//!
 //! Every issue of either twin also checks the issue what-if against the
 //! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
 //! equal [`Bus::horizon`] right after it (and be `None` for a request
@@ -358,9 +365,8 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
         if let Some(t) = next_issue {
             window = window.min(t - now - 1 + through);
         }
-        // The horizon is tight, not only safe: with every slave fault
-        // free, its event is a completion, so a leap of the whole
-        // horizon that no issue clips ends with a port `Complete`.
+        // With every slave fault free, a leap of the whole horizon ends
+        // on a completion (see the module documentation).
         let tight = !s.with_flaky && full == Some(window);
         let mut check_tight = |bus: &Bus| {
             assert!(
@@ -578,10 +584,11 @@ fn the_issue_what_if_matches_the_bus_after_the_issue() {
 }
 
 /// 2–4 masters hold multi-sub-burst transactions at once, so every leap
-/// crosses grants, address phases and re-arbitrations. On SRAM-only scenarios the only cycles left to
-/// tick are completions and the harness's issue cycles, so the leaping
-/// twin must leap most of the run: a horizon that fell back to one
-/// cycle (or stopped at sub-burst boundaries) fails the floor.
+/// crosses grants, address phases and re-arbitrations. On SRAM-only
+/// scenarios the only cycles left to tick are completions and the
+/// harness's issue cycles, so the leaping twin must leap most of the
+/// run: a horizon that fell back to one cycle (or stopped at sub-burst
+/// boundaries) fails the floor.
 #[test]
 fn contended_multi_sub_burst_leaps_match_ticking() {
     let mut faulted = 0;
