@@ -238,13 +238,6 @@ impl Ocp {
         self.watchdog = None;
     }
 
-    /// Cycles left before the armed watchdog bites (`None` when
-    /// disarmed).
-    #[must_use]
-    pub fn watchdog_remaining(&self) -> Option<u64> {
-        self.watchdog.map(|w| w.remaining)
-    }
-
     /// Host-side cancel of a running job: disarms the watchdog, faults
     /// an active controller with [`ExecError::Aborted`], and drives the
     /// [`Ocp::try_recover`] machinery (drain in-flight DMA, reset the
@@ -549,7 +542,7 @@ mod tests {
     use ouessant_rac::idct::{idct_2d_fixed, IdctRac, IDCT_LATENCY};
     use ouessant_rac::passthrough::PassthroughRac;
     use ouessant_rac::rac::{Outlook, RacIo};
-    use ouessant_sim::axi::{AxiBus, AxiConfig};
+    use ouessant_sim::axi::AxiBus;
     use ouessant_sim::bus::BusError;
     use ouessant_sim::bus::{Bus, BusConfig};
     use ouessant_sim::fifo::SyncFifo;
@@ -620,7 +613,7 @@ mod tests {
                 dbg,
                 self.ocp.controller().state().clone(),
                 self.ocp.stats(),
-                self.ocp.watchdog_remaining(),
+                self.ocp.watchdog.map(|w| w.remaining),
                 (socket.input_space(0), socket.output_available(0)),
             )
         }
@@ -1530,7 +1523,7 @@ mod tests {
             leap_against_steps(|| offload(fixture(passthrough()), source), 10_000);
         let (_, axi_fault, axi) = leap_against_steps(
             || {
-                let bus = AxiBus::new(AxiConfig::default());
+                let bus = AxiBus::new();
                 offload(fixture_on(bus, passthrough()), source)
             },
             10_000,

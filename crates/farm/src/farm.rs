@@ -23,10 +23,9 @@
 //! ([`LivenessConfig`]) covers the quiet failure modes:
 //!
 //! * **watchdogs** — every launched job arms a no-progress watchdog on
-//!   its worker ([`JobSpec::cycles_budget`], or
-//!   [`LivenessConfig::default_cycles_budget`]); a wedged handshake or
-//!   runaway loop surfaces as [`WorkerFaultKind::Hang`] and rides the
-//!   same retry/quarantine machinery as a crash;
+//!   its worker ([`LivenessConfig::default_cycles_budget`]); a wedged
+//!   handshake or runaway loop surfaces as [`WorkerFaultKind::Hang`]
+//!   and rides the same retry/quarantine machinery as a crash;
 //! * **deadlines** — with [`LivenessConfig::early_drop`] on, queued
 //!   and parked jobs that can no longer meet their deadline are
 //!   dropped before they waste a worker, and in-flight jobs past
@@ -42,7 +41,6 @@
 //! [`JobOutcome::FailedPermanent`]: crate::job::JobOutcome::FailedPermanent
 //! [`JobOutcome::DeadlineMissed`]: crate::job::JobOutcome::DeadlineMissed
 //! [`JobOutcome::ShedOverload`]: crate::job::JobOutcome::ShedOverload
-//! [`JobSpec::cycles_budget`]: crate::job::JobSpec::cycles_budget
 
 use std::error::Error;
 use std::fmt;
@@ -108,12 +106,14 @@ impl Default for FaultConfig {
 /// behaviour bit-for-bit.
 #[derive(Debug, Clone, Default)]
 pub struct LivenessConfig {
-    /// Watchdog budget armed on every launched job that does not carry
-    /// its own [`JobSpec::cycles_budget`](crate::job::JobSpec). `None`
-    /// leaves such jobs unwatched. The budget must absorb the longest
-    /// legitimate progress-free window a job can sit in — a worst-case
-    /// DPR bitstream load plus the accelerator's compute latency —
-    /// or healthy jobs will be shot.
+    /// Watchdog budget armed on every launched job: the longest window
+    /// without observable progress (a retired instruction or a
+    /// transferred word) a job is allowed before its worker's watchdog
+    /// aborts it with [`WorkerFaultKind::Hang`]. `None` leaves jobs
+    /// unwatched. The budget must absorb the longest legitimate
+    /// progress-free window a job can sit in — a worst-case DPR
+    /// bitstream load plus the accelerator's compute latency — or
+    /// healthy jobs will be shot.
     pub default_cycles_budget: Option<u64>,
     /// Deadline enforcement: each tick, drop queued/parked jobs that
     /// can no longer meet their deadline (submission deadline minus
@@ -1091,20 +1091,17 @@ impl Farm {
                 self.ledger.alloc_stalls += 1;
                 break;
             };
-            let mut job = self.queue.take(pick.queue_index);
-            // Resolve the effective watchdog budget (per-job override,
-            // else the pool default) before the job reaches the worker.
-            job.cycles_budget = job
-                .cycles_budget
-                .or(self.config.liveness.default_cycles_budget);
-            self.workers[pick.worker_index].launch(
-                &mut self.bus,
-                now,
-                job,
-                &program,
-                target,
-                regions,
-            );
+            let job = self.queue.take(pick.queue_index);
+            let worker = &mut self.workers[pick.worker_index];
+            worker.launch(&mut self.bus, now, job, &program, target, regions);
+            // Arm (or disarm) the hang watchdog for this job. The budget
+            // must absorb a worst-case DPR bitstream load — `rcfg` is a
+            // legitimate progress-free window the watchdog cannot see
+            // inside.
+            match self.config.liveness.default_cycles_budget {
+                Some(budget) => worker.ocp.arm_watchdog(budget),
+                None => worker.ocp.disarm_watchdog(),
+            }
         }
     }
 

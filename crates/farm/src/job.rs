@@ -120,14 +120,6 @@ pub struct JobSpec {
     ///
     /// [`LivenessConfig::early_drop`]: crate::farm::LivenessConfig::early_drop
     pub deadline: Option<u64>,
-    /// Per-job watchdog budget in cycles: the longest window without
-    /// observable progress (a retired instruction or a transferred
-    /// word) the job is allowed before the worker's watchdog aborts it
-    /// with [`WorkerFaultKind::Hang`]. `None` falls back to the farm's
-    /// [`LivenessConfig::default_cycles_budget`].
-    ///
-    /// [`LivenessConfig::default_cycles_budget`]: crate::farm::LivenessConfig::default_cycles_budget
-    pub cycles_budget: Option<u64>,
     /// Client-supplied microcode replacing the farm's canonical
     /// program for this job, if any.
     ///
@@ -151,7 +143,6 @@ impl JobSpec {
             input,
             priority: 0,
             deadline: None,
-            cycles_budget: None,
             microcode: None,
         }
     }
@@ -167,13 +158,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_deadline(mut self, deadline: u64) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets a per-job watchdog budget (see [`JobSpec::cycles_budget`]).
-    #[must_use]
-    pub fn with_cycles_budget(mut self, budget: u64) -> Self {
-        self.cycles_budget = Some(budget);
         self
     }
 

@@ -57,10 +57,10 @@
 //! ## Liveness
 //!
 //! Crashes are loud; hangs are silent. [`LivenessConfig`] arms the
-//! quiet-failure defenses: per-job no-progress *watchdogs*
-//! ([`JobSpec::cycles_budget`] or a pool default) that abort a wedged
-//! worker and route the job through the same retry machinery as a
-//! crash ([`WorkerFaultKind::Hang`]); *deadline enforcement* that
+//! quiet-failure defenses: per-job no-progress *watchdogs* (one
+//! pool-wide budget) that abort a wedged worker and route the job
+//! through the same retry machinery as a crash
+//! ([`WorkerFaultKind::Hang`]); *deadline enforcement* that
 //! drops hopeless queued work and host-aborts overdue in-flight work;
 //! and graceful *overload shedding* past a queue watermark
 //! ([`SubmitError::ShedOverload`]), with priority classes ordering
@@ -68,8 +68,6 @@
 //! wedged handshakes and slowed RACs — stall instead of crashing to
 //! exercise exactly these paths. Watchdog expiries and deadlines
 //! register as event horizons, so fast-forward stays bit-exact.
-//!
-//! [`JobSpec::cycles_budget`]: crate::job::JobSpec::cycles_budget
 //!
 //! ## Example
 //!

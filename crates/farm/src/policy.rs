@@ -316,7 +316,6 @@ mod tests {
             submitted_at,
             priority: 0,
             deadline: None,
-            cycles_budget: None,
             attempts: 0,
             avoid_worker: None,
             input: vec![0],

@@ -133,9 +133,6 @@ pub struct PendingJob {
     pub priority: u8,
     /// Absolute-cycle deadline, if any.
     pub deadline: Option<u64>,
-    /// Per-job watchdog budget, if any (see
-    /// [`JobSpec::cycles_budget`]).
-    pub cycles_budget: Option<u64>,
     /// Dispatch attempts already consumed by this job (0 on first
     /// admission; bumped each time a worker fault hands it back).
     pub attempts: u32,
@@ -374,7 +371,6 @@ impl SubmitQueue {
             submitted_at: now,
             priority: spec.priority,
             deadline: spec.deadline,
-            cycles_budget: spec.cycles_budget,
             attempts: 0,
             avoid_worker: None,
             input: spec.input,

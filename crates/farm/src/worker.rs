@@ -497,16 +497,6 @@ impl Worker {
             .expect("program length is validated");
         regs.start();
 
-        // Arm (or disarm) the hang watchdog for this job. The farm has
-        // already folded the pool default into `job.cycles_budget`; the
-        // budget must absorb a worst-case DPR bitstream load — `rcfg`
-        // is a legitimate progress-free window the watchdog cannot see
-        // inside.
-        match job.cycles_budget {
-            Some(budget) => self.ocp.arm_watchdog(budget),
-            None => self.ocp.disarm_watchdog(),
-        }
-
         let output_words = job.kind.output_words(job.input_words);
         self.active = Some(ActiveJob {
             started_at: now,

@@ -4,7 +4,6 @@
 //! that round-trips to the identical [`Program`] — a property verified
 //! exhaustively by this crate's property tests.
 
-use crate::instruction::Instruction;
 use crate::program::Program;
 
 /// Renders a program as assembler source, one instruction per line,
@@ -31,16 +30,6 @@ pub fn disassemble(program: &Program) -> String {
         out.push_str(&format!("{insn}    ; [{idx}] {:#010x}\n", insn.encode()));
     }
     out
-}
-
-/// Renders a single instruction word, or an explanatory placeholder if
-/// it does not decode.
-#[must_use]
-pub fn disassemble_word(word: u32) -> String {
-    match Instruction::decode(word) {
-        Ok(insn) => insn.to_string(),
-        Err(e) => format!(".word {word:#010x} ; {e}"),
-    }
 }
 
 #[cfg(test)]
@@ -83,18 +72,5 @@ mod tests {
         let p = assemble(src).unwrap();
         let text = disassemble(&p);
         assert_eq!(assemble(&text).unwrap(), p);
-    }
-
-    #[test]
-    fn bad_word_is_rendered_as_data() {
-        let text = disassemble_word(31u32 << 27);
-        assert!(text.starts_with(".word"));
-        assert!(text.contains("reserved opcode"));
-    }
-
-    #[test]
-    fn good_word_is_rendered_as_instruction() {
-        let p = assemble("eop").unwrap();
-        assert_eq!(disassemble_word(p.to_words()[0]), "eop");
     }
 }

@@ -91,9 +91,6 @@ impl Opcode {
         Opcode::Rcfg,
     ];
 
-    /// The four instructions implemented by the DATE 2016 paper.
-    pub const BASELINE: [Opcode; 4] = [Opcode::Mvtc, Opcode::Mvfc, Opcode::Exec, Opcode::Eop];
-
     /// Decodes a 5-bit field into an opcode.
     ///
     /// Returns `None` for the 16 reserved encodings (a real controller
@@ -145,33 +142,6 @@ impl Opcode {
             return Some(Opcode::Exec);
         }
         Self::ALL.iter().copied().find(|op| op.mnemonic() == lower)
-    }
-
-    /// Whether this opcode belongs to the minimal DATE 2016 instruction
-    /// set (as opposed to the announced extension surface).
-    #[must_use]
-    pub fn is_baseline(self) -> bool {
-        Self::BASELINE.contains(&self)
-    }
-
-    /// Whether this opcode moves data over the system bus (the two DMA
-    /// kinds of the paper's "data transfers instructions" category).
-    #[must_use]
-    pub fn is_transfer(self) -> bool {
-        matches!(
-            self,
-            Opcode::Mvtc | Opcode::Mvfc | Opcode::Mvtcr | Opcode::Mvfcr
-        )
-    }
-
-    /// Whether this opcode belongs to the paper's "execution management"
-    /// category.
-    #[must_use]
-    pub fn is_execution_management(self) -> bool {
-        matches!(
-            self,
-            Opcode::Exec | Opcode::Execn | Opcode::Wrac | Opcode::Eop | Opcode::Sync | Opcode::Halt
-        )
     }
 }
 
@@ -236,30 +206,6 @@ mod tests {
     fn unknown_mnemonic() {
         assert_eq!(Opcode::from_mnemonic("frobnicate"), None);
         assert_eq!(Opcode::from_mnemonic(""), None);
-    }
-
-    #[test]
-    fn baseline_set_matches_paper() {
-        assert!(Opcode::Mvtc.is_baseline());
-        assert!(Opcode::Mvfc.is_baseline());
-        assert!(Opcode::Exec.is_baseline());
-        assert!(Opcode::Eop.is_baseline());
-        assert!(!Opcode::Djnz.is_baseline());
-        assert_eq!(
-            Opcode::ALL.iter().filter(|op| op.is_baseline()).count(),
-            4,
-            "the paper implements exactly four instructions"
-        );
-    }
-
-    #[test]
-    fn categories_are_disjoint() {
-        for op in Opcode::ALL {
-            assert!(
-                !(op.is_transfer() && op.is_execution_management()),
-                "{op} is in both categories"
-            );
-        }
     }
 
     #[test]

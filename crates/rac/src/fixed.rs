@@ -26,13 +26,6 @@ pub fn sat32(v: i64) -> i32 {
     v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
 }
 
-/// Saturates an `i64` into the `i16` range.
-#[must_use]
-#[allow(clippy::cast_possible_truncation)] // clamped to the `i16` range first
-pub fn sat16(v: i64) -> i16 {
-    v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16
-}
-
 /// Multiplies two Q15 values, rounding to nearest (ties away from zero
 /// avoided: simple add-half rounding as hardware multipliers do).
 ///
@@ -60,21 +53,6 @@ pub fn from_q15(v: i32) -> f64 {
     f64::from(v) / f64::from(Q15_ONE)
 }
 
-/// Packs a complex Q15 sample into the two 32-bit memory words the DFT
-/// microcode transfers (real word first, then imaginary — the layout
-/// that makes 256 complex points occupy 512 words, giving the paper's
-/// 1024 words for input plus output).
-#[must_use]
-pub fn pack_complex(re: i32, im: i32) -> [u32; 2] {
-    [re as u32, im as u32]
-}
-
-/// Unpacks a complex sample from its two memory words.
-#[must_use]
-pub fn unpack_complex(words: [u32; 2]) -> (i32, i32) {
-    (words[0] as i32, words[1] as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,9 +61,6 @@ mod tests {
     fn saturation_bounds() {
         assert_eq!(sat32(i64::MAX), i32::MAX);
         assert_eq!(sat32(i64::MIN), i32::MIN);
-        assert_eq!(sat16(40_000), i16::MAX);
-        assert_eq!(sat16(-40_000), i16::MIN);
-        assert_eq!(sat16(123), 123);
     }
 
     #[test]
@@ -107,11 +82,5 @@ mod tests {
     fn to_q15_saturates() {
         assert_eq!(to_q15(10.0), 10 * Q15_ONE); // fits in i32, no clamp needed
         assert_eq!(to_q15(100000.0), i32::MAX);
-    }
-
-    #[test]
-    fn complex_pack_round_trip() {
-        let (re, im) = (-12345, 6789);
-        assert_eq!(unpack_complex(pack_complex(re, im)), (re, im));
     }
 }

@@ -295,12 +295,6 @@ impl RacSocket {
         self.inputs.len()
     }
 
-    /// Number of output FIFOs.
-    #[must_use]
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Pushes one word into input FIFO `index` (the controller side of
     /// `mvtc`).
     ///

@@ -105,18 +105,6 @@ impl ReconfigurableSlot {
         self
     }
 
-    /// Number of configurations.
-    #[must_use]
-    pub fn num_configs(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// The active configuration's index.
-    #[must_use]
-    pub fn active_index(&self) -> usize {
-        self.active
-    }
-
     /// The active configuration's accelerator name.
     ///
     /// # Panics
@@ -133,30 +121,12 @@ impl ReconfigurableSlot {
         self.swaps
     }
 
-    /// The accelerator name of configuration `index`, if it exists.
-    #[must_use]
-    pub fn config_name(&self, index: usize) -> Option<&str> {
-        self.configs.get(index).map(|c| c.rac.name())
-    }
-
-    /// The configuration index whose accelerator is called `name`.
-    #[must_use]
-    pub fn find_config(&self, name: &str) -> Option<usize> {
-        self.configs.iter().position(|c| c.rac.name() == name)
-    }
-
     /// The full bitstream-load cost of configuration `index`, in
     /// cycles: what an `rcfg` to it costs from any other configuration.
     /// `None` for unknown indices.
     #[must_use]
     pub fn reconfig_cycles(&self, index: usize) -> Option<u64> {
         self.configs.get(index).map(|c| c.reconfig_cycles)
-    }
-
-    /// Whether a bitstream load is still in progress.
-    #[must_use]
-    pub fn is_loading(&self) -> bool {
-        self.loading_left > 0
     }
 
     fn active_mut(&mut self) -> &mut dyn Rac {
@@ -305,9 +275,8 @@ mod tests {
     #[test]
     fn starts_with_config_zero() {
         let s = slot();
-        assert_eq!(s.active_index(), 0);
         assert_eq!(s.active_name(), "passthrough");
-        assert!(!s.is_loading());
+        assert!(!s.busy(), "no bitstream load at reset");
     }
 
     #[test]
@@ -317,16 +286,20 @@ mod tests {
             ReconfigResponse::Started { cycles } => assert_eq!(cycles, 2_000),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.active_index(), 1);
-        assert!(s.is_loading());
+        assert_eq!(s.active_name(), "scale_x3");
         assert!(s.busy(), "region dark during bitstream load");
+        assert_eq!(
+            s.outlook(&[], &[]).horizon.ticks(),
+            Some(2_000),
+            "load in progress"
+        );
     }
 
     #[test]
     fn bad_slot_reported() {
         let mut s = slot();
         assert_eq!(s.reconfigure(7), ReconfigResponse::BadSlot { available: 2 });
-        assert_eq!(s.active_index(), 0, "active config unchanged");
+        assert_eq!(s.active_name(), "passthrough", "active config unchanged");
     }
 
     #[test]
@@ -392,12 +365,8 @@ mod tests {
     }
 
     #[test]
-    fn swap_queries_report_cost_and_names() {
+    fn reconfig_cycles_report_the_full_load_cost() {
         let mut s = slot();
-        assert_eq!(s.config_name(0), Some("passthrough"));
-        assert_eq!(s.config_name(2), None);
-        assert_eq!(s.find_config("passthrough"), Some(0));
-        assert_eq!(s.find_config("nope"), None);
         let _ = s.reconfigure(1);
         // The full load cost does not depend on what is loaded.
         assert_eq!(s.reconfig_cycles(1), Some(2_000));
@@ -410,8 +379,8 @@ mod tests {
         let mut s = slot();
         let _ = s.reconfigure(1);
         s.reset();
-        assert_eq!(s.active_index(), 0);
-        assert!(!s.is_loading());
+        assert_eq!(s.active_name(), "passthrough");
+        assert!(!s.busy(), "reset ends the bitstream load");
         assert_eq!(s.swaps(), 0);
     }
 }

@@ -131,21 +131,9 @@ pub trait SystemBus {
     fn advance(&mut self, cycles: Cycle);
 }
 
-/// AXI bus parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AxiConfig {
-    /// Cycles consumed by the address-channel handshake before the first
-    /// beat (ARVALID/ARREADY or AWVALID/AWREADY plus one pipeline stage).
-    pub channel_setup_cycles: u32,
-}
-
-impl Default for AxiConfig {
-    fn default() -> Self {
-        Self {
-            channel_setup_cycles: 2,
-        }
-    }
-}
+/// Cycles consumed by the address-channel handshake before the first
+/// beat (ARVALID/ARREADY or AWVALID/AWREADY plus one pipeline stage).
+const CHANNEL_SETUP_CYCLES: u32 = 2;
 
 /// The transaction a channel is moving, and the cycles before its next
 /// beat: address-channel setup first, then the slave's wait states.
@@ -173,7 +161,6 @@ impl Channel {
     fn tick(
         &mut self,
         now: Instant,
-        setup: u32,
         slaves: &mut SlaveMap,
         completions: &mut [Vec<Result<Completion, BusError>>],
     ) {
@@ -183,7 +170,7 @@ impl Channel {
                 self.grants += 1;
                 self.active = Some(ChannelActive {
                     master,
-                    setup_left: setup,
+                    setup_left: CHANNEL_SETUP_CYCLES,
                     wait_left: slaves.timing(txn.slave_idx).first_wait,
                 });
             }
@@ -228,11 +215,11 @@ impl Channel {
 /// A read and a write proceeding in the same cycles:
 ///
 /// ```
-/// use ouessant_sim::axi::{AxiBus, AxiConfig, SystemBus};
+/// use ouessant_sim::axi::{AxiBus, SystemBus};
 /// use ouessant_sim::bus::TxnRequest;
 /// use ouessant_sim::memory::{Sram, SramConfig};
 ///
-/// let mut bus = AxiBus::new(AxiConfig::default());
+/// let mut bus = AxiBus::new();
 /// let m = bus.register_master("dma");
 /// bus.add_slave_boxed(0, Box::new(Sram::with_words(256, SramConfig::no_wait())));
 ///
@@ -243,9 +230,8 @@ impl Channel {
 /// }
 /// # Ok::<(), ouessant_sim::bus::BusError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AxiBus {
-    config: AxiConfig,
     now: Instant,
     read: Channel,
     write: Channel,
@@ -257,22 +243,8 @@ pub struct AxiBus {
 impl AxiBus {
     /// Creates an empty AXI bus.
     #[must_use]
-    pub fn new(config: AxiConfig) -> Self {
-        Self {
-            config,
-            now: Instant::default(),
-            read: Channel::default(),
-            write: Channel::default(),
-            completions: Vec::new(),
-            slaves: SlaveMap::default(),
-            busy_cycles: 0,
-        }
-    }
-
-    /// Per-channel beat counts `(read, write)`, for tests.
-    #[must_use]
-    pub fn channel_beats(&self) -> (u64, u64) {
-        (self.read.beats, self.write.beats)
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -305,9 +277,8 @@ impl SystemBus for AxiBus {
 
     fn tick(&mut self) {
         self.now += Cycle::new(1);
-        let setup = self.config.channel_setup_cycles;
         for channel in [&mut self.read, &mut self.write] {
-            channel.tick(self.now, setup, &mut self.slaves, &mut self.completions);
+            channel.tick(self.now, &mut self.slaves, &mut self.completions);
         }
         if self.read.active.is_some() || self.write.active.is_some() {
             self.busy_cycles += 1;
@@ -392,7 +363,7 @@ mod tests {
     use crate::memory::{Sram, SramConfig};
 
     fn axi_with_sram() -> (AxiBus, MasterId) {
-        let mut bus = AxiBus::new(AxiConfig::default());
+        let mut bus = AxiBus::new();
         let m = bus.register_master("dma");
         bus.add_slave_boxed(0, Box::new(Sram::with_words(1024, SramConfig::no_wait())));
         (bus, m)
@@ -434,8 +405,8 @@ mod tests {
         // 64 beats each; channels run concurrently, so total is far less
         // than a serialized 128+ beats.
         assert!(total < 100, "channels should overlap, took {total}");
-        let (r, w) = bus.channel_beats();
-        assert_eq!((r, w), (64, 64));
+        let stats = bus.stats();
+        assert_eq!((stats.grants, stats.beats), (2, 128));
     }
 
     #[test]
@@ -507,7 +478,7 @@ mod tests {
             );
         }
         rejections(&mut crate::bus::Bus::new(crate::bus::BusConfig::default()));
-        rejections(&mut AxiBus::new(AxiConfig::default()));
+        rejections(&mut AxiBus::new());
     }
 
     #[test]
@@ -526,6 +497,6 @@ mod tests {
             assert_eq!(bus.debug_read(0).unwrap(), 5);
         }
         exercise(&mut crate::bus::Bus::new(crate::bus::BusConfig::default()));
-        exercise(&mut AxiBus::new(AxiConfig::default()));
+        exercise(&mut AxiBus::new());
     }
 }

@@ -215,12 +215,6 @@ impl PortState {
     pub fn is_pending(self) -> bool {
         matches!(self, PortState::Pending)
     }
-
-    /// Whether [`Bus::take_completion`] would return `Some`.
-    #[must_use]
-    pub fn is_complete(self) -> bool {
-        matches!(self, PortState::Complete)
-    }
 }
 
 /// A fault raised by a slave during a beat.
@@ -534,7 +528,6 @@ impl Txn {
 
 #[derive(Debug)]
 struct MasterPort {
-    name: String,
     outstanding: Option<Txn>,
     completion: Option<Result<Completion, BusError>>,
     stats: MasterStats,
@@ -827,22 +820,6 @@ impl Bus {
     #[must_use]
     pub fn config(&self) -> BusConfig {
         self.config
-    }
-
-    /// Number of registered masters.
-    #[must_use]
-    pub fn num_masters(&self) -> usize {
-        self.masters.len()
-    }
-
-    /// The name `master` was registered under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `master` was not registered on this bus.
-    #[must_use]
-    pub fn master_name(&self, master: MasterId) -> &str {
-        &self.masters[master.0].name
     }
 
     /// Per-master statistics (grants, beats, contention).
@@ -1269,10 +1246,9 @@ impl Bus {
 
 impl SystemBus for Bus {
     /// The returned id is also the master's fixed priority (lower =
-    /// higher priority).
-    fn register_master(&mut self, name: &str) -> MasterId {
+    /// higher priority). The name is not kept.
+    fn register_master(&mut self, _name: &str) -> MasterId {
         self.masters.push(MasterPort {
-            name: name.to_string(),
             outstanding: None,
             completion: None,
             stats: MasterStats::default(),
@@ -1595,7 +1571,7 @@ mod tests {
     fn overlapping_slaves_panic() {
         let buses: [Box<dyn SystemBus>; 2] = [
             Box::new(Bus::new(BusConfig::default())),
-            Box::new(crate::axi::AxiBus::new(crate::axi::AxiConfig::default())),
+            Box::new(crate::axi::AxiBus::new()),
         ];
         for mut bus in buses {
             bus.add_slave_boxed(0, Box::new(Sram::with_words(256, SramConfig::no_wait())));
@@ -1654,8 +1630,6 @@ mod tests {
             c.contention_cycles + o.contention_cycles,
             bus.stats().contention_cycles
         );
-        assert_eq!(bus.master_name(ocp), "ocp");
-        assert_eq!(bus.num_masters(), 2);
     }
 
     #[test]
@@ -1717,7 +1691,7 @@ mod tests {
                 assert_eq!(bus.horizon().ticks(), Some(at - ticks));
             }
         }
-        assert!(bus.poll(done).is_complete());
+        assert_eq!(bus.poll(done), PortState::Complete);
         ticks
     }
 
@@ -1986,9 +1960,7 @@ mod tests {
                 .expect("a full-length burst is valid");
         }
         check(&mut Bus::new(BusConfig::default()));
-        check(&mut crate::axi::AxiBus::new(
-            crate::axi::AxiConfig::default(),
-        ));
+        check(&mut crate::axi::AxiBus::new());
     }
 
     #[test]

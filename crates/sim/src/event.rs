@@ -623,7 +623,7 @@ mod tests {
 
     mod window {
         use super::super::*;
-        use crate::axi::{AxiBus, AxiConfig};
+        use crate::axi::AxiBus;
         use crate::bus::{Bus, BusConfig, TxnRequest};
         use crate::memory::{Sram, SramConfig};
 
@@ -808,7 +808,7 @@ mod tests {
             );
             // A bus that declines every what-if never says a burst
             // cannot fault.
-            let axi = AxiBus::new(AxiConfig::default());
+            let axi = AxiBus::new();
             assert!(bus.never_faults(shape()) && !bus.never_faults(risky));
             assert!(!axi.never_faults(shape()));
         }
@@ -917,7 +917,7 @@ mod tests {
                 ..issue(a, 0)
             };
             assert_eq!(plan(&bus, true, vec![unmapped]).issuer(), None);
-            let mut axi = AxiBus::new(AxiConfig::default());
+            let mut axi = AxiBus::new();
             let m = axi.register_master("m");
             axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
             assert_eq!(plan(&axi, true, vec![issue(m, 0)]).issuer(), None);

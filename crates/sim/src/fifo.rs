@@ -294,12 +294,6 @@ impl WidthAdapter {
         self.out_width
     }
 
-    /// Bits currently buffered.
-    #[must_use]
-    pub fn bits_buffered(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Whether a push of one input word would overflow.
     #[must_use]
     pub fn is_full(&self) -> bool {
@@ -316,12 +310,6 @@ impl WidthAdapter {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.bits.is_empty()
-    }
-
-    /// Number of complete output words available.
-    #[must_use]
-    pub fn output_words_available(&self) -> usize {
-        self.bits.len() / self.out_width as usize
     }
 
     /// Number of input words that can still be pushed.
@@ -545,8 +533,10 @@ mod tests {
         for i in 0..6 {
             f.push(i).unwrap();
         }
-        assert_eq!(f.output_words_available(), 2);
         assert!(f.is_full());
+        // 192 bits buffered: exactly two 96-bit output words.
+        assert!(f.pop().is_some() && f.pop().is_some());
+        assert!(f.is_empty());
     }
 
     #[test]
@@ -556,11 +546,11 @@ mod tests {
         f.push(0x0403_0201).unwrap();
         f.push(0x0807_0605).unwrap();
         f.push(0x0C0B_0A09).unwrap();
-        assert_eq!(f.output_words_available(), 4);
         assert_eq!(f.pop().unwrap(), 0x03_0201);
         assert_eq!(f.pop().unwrap(), 0x06_0504);
         assert_eq!(f.pop().unwrap(), 0x09_0807);
         assert_eq!(f.pop().unwrap(), 0x0C_0B0A);
+        assert!(f.is_empty());
     }
 
     #[test]

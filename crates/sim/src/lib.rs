@@ -65,7 +65,7 @@ pub mod rng;
 pub mod trace;
 pub mod vcd;
 
-pub use axi::{AxiBus, AxiConfig, SystemBus};
+pub use axi::{AxiBus, SystemBus};
 pub use bus::{
     Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest, TxnShape,
 };

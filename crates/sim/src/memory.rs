@@ -92,12 +92,6 @@ impl Sram {
         self
     }
 
-    /// Capacity in words.
-    #[must_use]
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Reads the word at `index` (word-granular, un-timed).
     ///
     /// # Errors
@@ -130,42 +124,6 @@ impl Sram {
         SlaveFault {
             reason: format!("word index {index} out of range ({})", self.words.len()),
         }
-    }
-
-    /// Copies `data` into memory starting at word `index`.
-    ///
-    /// # Errors
-    ///
-    /// [`SlaveFault`] if the slice does not fit.
-    pub fn store_slice(&mut self, index: usize, data: &[u32]) -> Result<(), SlaveFault> {
-        if index + data.len() > self.words.len() {
-            return Err(SlaveFault {
-                reason: format!(
-                    "slice of {} words at index {index} exceeds memory of {} words",
-                    data.len(),
-                    self.words.len()
-                ),
-            });
-        }
-        self.words[index..index + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
-    /// Reads `count` words starting at word `index`.
-    ///
-    /// # Errors
-    ///
-    /// [`SlaveFault`] if the range is out of bounds.
-    pub fn load_slice(&self, index: usize, count: usize) -> Result<Vec<u32>, SlaveFault> {
-        if index + count > self.words.len() {
-            return Err(SlaveFault {
-                reason: format!(
-                    "range of {count} words at index {index} exceeds memory of {} words",
-                    self.words.len()
-                ),
-            });
-        }
-        Ok(self.words[index..index + count].to_vec())
     }
 }
 
@@ -252,15 +210,6 @@ mod tests {
         let mut ram = Sram::with_words(4, SramConfig::no_wait());
         assert!(ram.load(4).is_err());
         assert!(ram.store(4, 0).is_err());
-    }
-
-    #[test]
-    fn slice_helpers() {
-        let mut ram = Sram::with_words(8, SramConfig::no_wait());
-        ram.store_slice(2, &[1, 2, 3]).unwrap();
-        assert_eq!(ram.load_slice(2, 3).unwrap(), vec![1, 2, 3]);
-        assert!(ram.store_slice(6, &[1, 2, 3]).is_err());
-        assert!(ram.load_slice(6, 3).is_err());
     }
 
     #[test]

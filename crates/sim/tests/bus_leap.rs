@@ -279,8 +279,9 @@ fn build(s: &Scenario, traced: bool) -> (Bus, Vec<MasterId>) {
         .collect();
     let mut sram = Sram::with_words(SRAM_WORDS as usize, s.sram);
     let mut rng = XorShift64::new(0x5EED);
-    sram.store_slice(0, &rng.vec_u32(SRAM_WORDS as usize))
-        .unwrap();
+    for (i, word) in rng.vec_u32(SRAM_WORDS as usize).into_iter().enumerate() {
+        sram.store(i, word).unwrap();
+    }
     bus.add_slave(SRAM_BASE, sram);
     if s.with_flaky {
         bus.add_slave(
@@ -370,7 +371,7 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
         let tight = !s.with_flaky && full == Some(window);
         let mut check_tight = |bus: &Bus| {
             assert!(
-                ids.iter().any(|&m| bus.poll(m).is_complete()),
+                ids.iter().any(|&m| bus.poll(m) == PortState::Complete),
                 "a leap of the whole horizon from cycle {now} completed nothing"
             );
             full_leaps += 1;

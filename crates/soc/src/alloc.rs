@@ -103,7 +103,6 @@ pub struct AllocStats {
 #[derive(Debug)]
 pub struct BankAllocator {
     base: Addr,
-    words: u32,
     /// Free extents as `(word_offset, words)`, sorted by offset,
     /// non-adjacent (frees coalesce).
     free: Vec<(u32, u32)>,
@@ -126,42 +125,16 @@ impl BankAllocator {
         assert!(words > 0, "allocator window must be non-empty");
         Self {
             base,
-            words,
             free: vec![(0, words)],
             leased: Vec::new(),
             stats: AllocStats::default(),
         }
     }
 
-    /// Total managed words.
-    #[must_use]
-    pub fn capacity_words(&self) -> u32 {
-        self.words
-    }
-
     /// The largest single allocation that would currently succeed.
     #[must_use]
     pub fn largest_free(&self) -> u32 {
         self.free.iter().map(|&(_, len)| len).max().unwrap_or(0)
-    }
-
-    /// Number of leases currently outstanding.
-    ///
-    /// A serving layer that promises "no leaked banks" can assert this
-    /// hits zero at idle — it catches leaks that `words_in_use == 0`
-    /// alone would (vacuously) also catch, but reads as intent.
-    #[must_use]
-    pub fn outstanding_leases(&self) -> usize {
-        self.leased.len()
-    }
-
-    /// Whether the allocator is exhausted for a request of `words`
-    /// (no free extent fits). A cheap pre-flight check for admission
-    /// paths that want to surface exhaustion without consuming an
-    /// attempt or bumping the failure counter.
-    #[must_use]
-    pub fn would_exhaust(&self, words: u32) -> bool {
-        words == 0 || self.largest_free() < words
     }
 
     /// Current statistics.
@@ -367,13 +340,11 @@ mod tests {
         // surface a caller could consult.
         let mut a = BankAllocator::new(0, 256);
         let mut leases = Vec::new();
-        while !a.would_exhaust(64) {
+        while a.largest_free() >= 64 {
             leases.push(a.alloc(64).unwrap());
         }
         assert_eq!(leases.len(), 4);
         assert_eq!(a.largest_free(), 0);
-        assert_eq!(a.outstanding_leases(), 4);
-        assert!(a.would_exhaust(1));
         assert_eq!(
             a.alloc(1),
             Err(AllocError::OutOfMemory {
@@ -381,12 +352,13 @@ mod tests {
                 largest_free: 0
             })
         );
-        assert_eq!(a.stats().failures, 1, "would_exhaust probes are free");
+        assert_eq!(a.stats().failures, 1, "largest_free probes are free");
         assert_eq!(a.stats().words_in_use, 256);
         for r in leases {
             a.free(r).unwrap();
         }
-        assert_eq!(a.outstanding_leases(), 0);
+        assert_eq!(a.stats().words_in_use, 0);
+        assert_eq!(a.largest_free(), 256);
     }
 
     #[test]
@@ -399,13 +371,13 @@ mod tests {
         let prog = a.alloc(8).unwrap();
         let input = a.alloc(64).unwrap();
         let output = a.alloc(56).unwrap();
-        assert!(a.would_exhaust(64), "pool exhausted while the job runs");
+        assert_eq!(a.largest_free(), 0, "pool exhausted while the job runs");
         assert!(a.alloc(64).is_err());
         // Fault: free in an arbitrary order, as the fault handler does.
         a.free(output).unwrap();
         a.free(prog).unwrap();
         a.free(input).unwrap();
-        assert!(!a.would_exhaust(128), "release coalesced the window");
+        assert_eq!(a.largest_free(), 128, "release coalesced the window");
         let retry = a.alloc(128).unwrap();
         assert_eq!(retry.base(), 0);
         a.free(retry).unwrap();
@@ -419,11 +391,11 @@ mod tests {
         let mut a = BankAllocator::new(0, 96);
         let dead_worker: Vec<Region> = (0..3).map(|_| a.alloc(16).unwrap()).collect();
         let survivor = a.alloc(48).unwrap();
-        assert_eq!(a.outstanding_leases(), 4);
+        assert_eq!(a.stats().words_in_use, 96);
         for r in dead_worker {
             a.free(r).unwrap();
         }
-        assert_eq!(a.outstanding_leases(), 1, "survivor's lease untouched");
+        assert_eq!(a.stats().words_in_use, 48, "survivor's lease untouched");
         // The quarantined worker's extents serve the next job intact.
         let next = a.alloc(48).unwrap();
         assert_eq!(next.base(), 0, "first-fit reuses the freed run");

@@ -97,21 +97,6 @@ impl CpuCosts {
         }
     }
 
-    /// An idealized single-cycle machine (for sensitivity studies).
-    #[must_use]
-    pub fn ideal() -> Self {
-        Self {
-            alu: 1,
-            mul: 1,
-            load: 1,
-            store: 1,
-            branch: 1,
-            call: 1,
-            fadd: 1,
-            fmul: 1,
-        }
-    }
-
     /// Total cycles of `counts` under these costs.
     #[must_use]
     pub fn cycles_of(&self, counts: OpCounts) -> u64 {
@@ -277,11 +262,15 @@ mod tests {
 
     #[test]
     fn reset_keeps_costs() {
-        let mut cpu = CostModel::new(CpuCosts::ideal());
+        let costs = CpuCosts {
+            mul: 1,
+            ..CpuCosts::leon3()
+        };
+        let mut cpu = CostModel::new(costs);
         cpu.alu(100);
         cpu.reset();
         assert_eq!(cpu.cycles(), 0);
-        assert_eq!(cpu.costs(), CpuCosts::ideal());
+        assert_eq!(cpu.costs(), costs);
     }
 
     #[test]

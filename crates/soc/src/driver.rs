@@ -178,12 +178,6 @@ impl OuessantDevice {
         self.os
     }
 
-    /// Capacity of the input/output buffers, in words.
-    #[must_use]
-    pub fn buffer_capacity(&self) -> usize {
-        self.buffer_words
-    }
-
     /// Cumulative OS cycles charged since `open` (including the open
     /// itself).
     #[must_use]
@@ -362,15 +356,21 @@ mod tests {
     #[test]
     fn oversized_buffer_access_rejected() {
         let mut dev = OuessantDevice::open(Box::new(PassthroughRac::new(0)), OsModel::Baremetal);
-        let too_big = vec![0u32; dev.buffer_capacity() + 1];
+        let Err(DriverError::BufferOverrun { capacity, .. }) = dev.read_output(usize::MAX) else {
+            panic!("an unbounded read must overrun");
+        };
+        let too_big = vec![0u32; capacity + 1];
         assert!(matches!(
             dev.write_input(&too_big),
             Err(DriverError::BufferOverrun { .. })
         ));
         assert!(matches!(
-            dev.read_output(dev.buffer_capacity() + 1),
+            dev.read_output(capacity + 1),
             Err(DriverError::BufferOverrun { .. })
         ));
+        // The full buffer itself fits both ways.
+        assert!(dev.write_input(&too_big[1..]).is_ok());
+        assert!(dev.read_output(capacity).is_ok());
     }
 
     #[test]

@@ -107,13 +107,6 @@ impl OsModel {
             } => 2 * syscall + driver + cache + words * per_word,
         }
     }
-
-    /// Whether data copies scale with the transfer size under this
-    /// model.
-    #[must_use]
-    pub fn copies_data(&self) -> bool {
-        matches!(self, OsModel::LinuxCopy { .. })
-    }
 }
 
 impl fmt::Display for OsModel {
@@ -147,7 +140,6 @@ mod tests {
     fn mmap_overhead_is_size_independent() {
         let os = OsModel::linux_mmap();
         assert_eq!(os.invocation_overhead(0), os.invocation_overhead(100_000));
-        assert!(!os.copies_data());
     }
 
     #[test]
@@ -156,7 +148,6 @@ mod tests {
         let small = os.invocation_overhead(128);
         let large = os.invocation_overhead(1024);
         assert_eq!(large - small, (1024 - 128) * LINUX_COPY_CYCLES_PER_WORD);
-        assert!(os.copies_data());
     }
 
     #[test]

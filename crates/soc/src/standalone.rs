@@ -129,20 +129,6 @@ impl StandaloneSystem {
         Ok(cycles)
     }
 
-    /// Runs `n` back-to-back program executions (continuous streaming),
-    /// returning the total cycles.
-    ///
-    /// # Errors
-    ///
-    /// As [`StandaloneSystem::run_once`].
-    pub fn run_repeatedly(&mut self, n: u64, max_cycles_each: u64) -> Result<u64, SocError> {
-        let mut total = 0;
-        for _ in 0..n {
-            total += self.run_once(max_cycles_each)?;
-        }
-        Ok(total)
-    }
-
     /// Completed program runs.
     #[must_use]
     pub fn runs(&self) -> u64 {
@@ -207,7 +193,9 @@ mod tests {
             &[(1, 0x4000_1000), (2, 0x4000_2000)],
         );
         sys.load_words(0x4000_1000, &[7; 16]).unwrap();
-        sys.run_repeatedly(5, 100_000).unwrap();
+        for _ in 0..5 {
+            sys.run_once(100_000).unwrap();
+        }
         assert_eq!(sys.runs(), 5);
         assert_eq!(sys.ocp().stats().runs_completed, 5);
     }

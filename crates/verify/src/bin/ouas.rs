@@ -93,7 +93,8 @@ fn parse_bank_flag(spec: &str, config: &mut VerifyConfig) -> Result<(), String> 
         .parse()
         .map_err(|_| format!("`{bank}` is not a bank number"))?;
     if bank >= config.banks.len() {
-        return Err(format!("bank {bank} out of range (0..=7)"));
+        let last = config.banks.len() - 1;
+        return Err(format!("bank {bank} out of range (0..={last})"));
     }
     config.banks[bank] = match model {
         "unmapped" => BankModel::Unmapped,

@@ -86,13 +86,6 @@ impl VerifyConfig {
         self.fifo_depth = Some(words);
         self
     }
-
-    /// Sets one bank's model.
-    #[must_use]
-    pub fn with_bank(mut self, bank: usize, model: BankModel) -> Self {
-        self.banks[bank] = model;
-        self
-    }
 }
 
 #[cfg(test)]

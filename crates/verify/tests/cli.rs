@@ -290,3 +290,14 @@ fn bad_analyzer_flag_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
 }
+
+#[test]
+fn first_bank_past_the_last_is_refused_with_the_range() {
+    let out = ouas()
+        .args(["verify", "--bank", "8=4", "whatever.s"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bank 8 out of range (0..=7)"), "{stderr}");
+}

@@ -84,4 +84,10 @@ bash scripts/ab.sh --self-test
 echo "==> line-count classifier self-test"
 bash scripts/loc.sh --self-test
 
+echo "==> public surface (every pub fn only tests call is on scripts/surface.allow)"
+bash scripts/surface.sh
+
+echo "==> public-surface check self-test"
+bash scripts/surface.sh --self-test
+
 echo "==> CI green"

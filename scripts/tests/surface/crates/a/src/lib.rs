@@ -1,0 +1,58 @@
+//! Fixture crate for `scripts/surface.sh --self-test`.
+//!
+//! ```
+//! a::documented();
+//! ```
+//!
+//! A mention of `in_prose` outside a doc example is not a call.
+
+/// Called from crate b.
+pub fn called_elsewhere() {}
+
+/// Named only in prose: in_prose.
+pub fn in_prose() {}
+
+/// Called from the doc example above.
+pub fn documented() {}
+
+/// Allowed: a deliberate seam.
+pub fn hook() {}
+
+/// Allowed, but crate b calls it: a stale entry.
+pub fn allowed_and_called() {}
+
+/// Not `pub`: out of scope.
+pub(crate) fn internal() {}
+
+/// A `const fn` is a `pub fn` too.
+pub const fn constant() -> u32 {
+    0
+}
+
+pub struct Widget;
+
+impl Widget {
+    /// Called as a method from the example.
+    pub fn method(&self) {}
+
+    /// Its only call is in a comment: // Widget.unused_method()
+    pub fn unused_method(&self) {}
+}
+
+fn private() {}
+
+/// Called only by the unit test below and by tests/it.rs.
+pub fn only_tests() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::only_tests();
+        super::in_prose();
+        super::constant();
+    }
+}
+
+/// After the first `#[cfg(test)]`: not scanned.
+pub fn after_tests() {}

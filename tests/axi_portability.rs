@@ -9,7 +9,7 @@ use ouessant::ocp::{Ocp, OcpConfig};
 use ouessant_isa::assemble;
 use ouessant_rac::idct::{idct_2d_fixed, IdctRac};
 use ouessant_rac::passthrough::PassthroughRac;
-use ouessant_sim::axi::{AxiBus, AxiConfig};
+use ouessant_sim::axi::AxiBus;
 use ouessant_sim::bus::{Bus, BusConfig};
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_sim::SystemBus;
@@ -66,7 +66,7 @@ fn same_ocp_runs_on_ahb_and_axi() {
     let _cpu = SystemBus::register_master(&mut ahb, "cpu");
     let (ahb_out, ahb_cycles) = run_on(&mut ahb, &coeffs);
 
-    let mut axi = AxiBus::new(AxiConfig::default());
+    let mut axi = AxiBus::new();
     let _cpu = axi.register_master("cpu");
     let (axi_out, axi_cycles) = run_on(&mut axi, &coeffs);
 
@@ -142,7 +142,7 @@ fn axi_concurrent_channels_speed_up_split_traffic() {
     let _ = SystemBus::register_master(&mut ahb, "cpu");
     let ahb_cycles = run(&mut ahb);
 
-    let mut axi = AxiBus::new(AxiConfig::default());
+    let mut axi = AxiBus::new();
     let _ = axi.register_master("cpu");
     let axi_cycles = run(&mut axi);
 

@@ -33,7 +33,7 @@ fn figure1_structure() {
     assert_eq!(ocp.base(), OCP); // bus interface: mapped slave window
     assert!(!ocp.controller().is_active()); // controller: idle FSM
     assert_eq!(ocp.socket().num_inputs(), 1); // RAC behind FIFO interfaces
-    assert_eq!(ocp.socket().num_outputs(), 1);
+    assert_eq!(ocp.socket().rac().num_output_fifos(), 1);
 
     // The bus interface is the *only* bus-visible part: the register
     // window responds, the controller/RAC are not memory-mapped.
