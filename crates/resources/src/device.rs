@@ -93,17 +93,6 @@ mod tests {
     use super::*;
     use crate::estimate::{estimate_ocp, ocp_overhead, OcpParams};
 
-    /// A smaller Artix-7 35T, for headroom checks.
-    fn artix7_35t() -> Device {
-        Device {
-            name: "xc7a35t".to_string(),
-            lut: 20_800,
-            ff: 41_600,
-            bram18: 100,
-            dsp: 90,
-        }
-    }
-
     #[test]
     fn ocp_overhead_is_tiny_on_the_papers_device() {
         // "very low footprint": the OCP must be a small fraction of the
@@ -125,12 +114,19 @@ mod tests {
         .total()
             + rac_estimate(RacKind::SpiralDft { points: 256 });
         assert!(Device::artix7_100t().fits(total));
-        assert!(artix7_35t().fits(total), "even the 35T has room");
+        let artix7_35t = Device {
+            name: "xc7a35t".to_string(),
+            lut: 20_800,
+            ff: 41_600,
+            bram18: 100,
+            dsp: 90,
+        };
+        assert!(artix7_35t.fits(total), "even the 35T has room");
     }
 
     #[test]
     fn oversized_design_does_not_fit() {
-        let device = artix7_35t();
+        let device = Device::artix7_100t();
         let huge = Resources::new(1_000_000, 0, 0, 0);
         assert!(!device.fits(huge));
     }

@@ -13,8 +13,8 @@
 # outside a `fn <name>` definition. Code in a doc example (a ``` block
 # of `///` or `//!` comments) counts, since it shows how the function
 # is meant to be used; other comments do not. Names are matched as
-# words, not resolved by type, so two functions of one name shield each
-# other: the check can miss a function, but never flags a called one.
+# words, not resolved by type, so a function shares the callers of
+# every other function of its name.
 #
 # Each line of scripts/surface.allow is `<path> <name> <reason>`; `#`
 # starts a comment line. An entry without a reason, or one that names
