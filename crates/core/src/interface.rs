@@ -202,7 +202,7 @@ mod tests {
     fn slave_port_visible_through_bus() {
         let regs = RegsHandle::new();
         let mut bus = Bus::new(BusConfig::default());
-        let cpu = bus.register_master("cpu");
+        let cpu = bus.register_master();
         bus.add_slave(0x8000_0000, RegSlavePort::new(regs.clone()));
         bus.try_begin(
             cpu,
@@ -229,7 +229,7 @@ mod tests {
     fn dma_port_round_trip() {
         use ouessant_sim::memory::{Sram, SramConfig};
         let mut bus = Bus::new(BusConfig::default());
-        let m = bus.register_master("ocp");
+        let m = bus.register_master();
         bus.add_slave(0, Sram::with_words(64, SramConfig::no_wait()));
         let dma = DmaPort::new(m);
         dma.begin_write(&mut bus, 0, vec![1, 2, 3]).unwrap();

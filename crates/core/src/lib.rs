@@ -41,7 +41,7 @@
 //! use ouessant_sim::SystemBus;
 //!
 //! let mut bus = Bus::new(BusConfig::default());
-//! let _cpu = bus.register_master("cpu");
+//! let _cpu = bus.register_master();
 //! bus.add_slave(0x4000_0000, Sram::with_words(4096, SramConfig::no_wait()));
 //! let mut ocp = Ocp::attach(&mut bus, 0x8000_0000, Box::new(PassthroughRac::new(0)),
 //!                           OcpConfig::default());

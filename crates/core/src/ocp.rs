@@ -112,7 +112,7 @@ impl Ocp {
     ) -> Self {
         let regs = RegsHandle::new();
         bus.add_slave_boxed(base, Box::new(RegSlavePort::new(regs.clone())));
-        let master = bus.register_master("ocp");
+        let master = bus.register_master();
         let controller = Controller::new(DmaPort::new(master));
         let socket = RacSocket::new(rac, config.fifo_depth);
         Self {
@@ -566,7 +566,7 @@ mod tests {
     }
 
     fn fixture_with<B: SystemBus>(mut bus: B, rac: Box<dyn Rac>, config: OcpConfig) -> Fixture<B> {
-        let _cpu = bus.register_master("cpu");
+        let _cpu = bus.register_master();
         bus.add_slave_boxed(
             RAM_BASE,
             Box::new(Sram::with_words(16384, SramConfig::no_wait())),
@@ -1403,7 +1403,7 @@ mod tests {
 
         fn fixture(&self) -> Fixture {
             let mut bus = Bus::new(self.bus);
-            let _cpu = bus.register_master("cpu");
+            let _cpu = bus.register_master();
             bus.add_slave(RAM_BASE, Sram::with_words(16384, self.ram));
             bus.add_slave(
                 FLAKY_BASE,

@@ -395,7 +395,7 @@ impl Farm {
     #[must_use]
     pub fn new(config: FarmConfig, policy: Box<dyn SchedPolicy>) -> Self {
         let mut bus = Bus::new(config.bus);
-        let _host = bus.register_master("host");
+        let _host = bus.register_master();
         bus.add_slave(
             config.shared_base,
             Sram::with_words(config.shared_words as usize, config.sram),

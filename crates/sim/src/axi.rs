@@ -37,7 +37,7 @@ use crate::event::Horizon;
 /// master waiting on its burst defer to the bus when fast-forwarding.
 pub trait SystemBus {
     /// Registers a master and returns its id.
-    fn register_master(&mut self, name: &str) -> MasterId;
+    fn register_master(&mut self) -> MasterId;
 
     /// Maps a boxed slave at `base`.
     fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn BusSlave>);
@@ -220,7 +220,7 @@ impl Channel {
 /// use ouessant_sim::memory::{Sram, SramConfig};
 ///
 /// let mut bus = AxiBus::new();
-/// let m = bus.register_master("dma");
+/// let m = bus.register_master();
 /// bus.add_slave_boxed(0, Box::new(Sram::with_words(256, SramConfig::no_wait())));
 ///
 /// bus.try_begin(m, TxnRequest::write(0x00, vec![7; 16]))?;
@@ -249,8 +249,7 @@ impl AxiBus {
 }
 
 impl SystemBus for AxiBus {
-    /// The name is not kept: the AXI model records no trace.
-    fn register_master(&mut self, _name: &str) -> MasterId {
+    fn register_master(&mut self) -> MasterId {
         self.read.slots.push(None);
         self.write.slots.push(None);
         self.completions.push(Vec::new());
@@ -364,7 +363,7 @@ mod tests {
 
     fn axi_with_sram() -> (AxiBus, MasterId) {
         let mut bus = AxiBus::new();
-        let m = bus.register_master("dma");
+        let m = bus.register_master();
         bus.add_slave_boxed(0, Box::new(Sram::with_words(1024, SramConfig::no_wait())));
         (bus, m)
     }
@@ -451,7 +450,7 @@ mod tests {
     #[test]
     fn validation_mirrors_ahb() {
         fn rejections(bus: &mut dyn SystemBus) {
-            let m = bus.register_master("m");
+            let m = bus.register_master();
             bus.add_slave_boxed(0, Box::new(Sram::with_words(1024, SramConfig::no_wait())));
             let crossing = |addr, beats| BusError::CrossesSlaveBoundary { addr, beats };
             for (req, err) in [
@@ -484,7 +483,7 @@ mod tests {
     #[test]
     fn system_bus_trait_object_works_for_both() {
         fn exercise(bus: &mut dyn SystemBus) {
-            let m = bus.register_master("m");
+            let m = bus.register_master();
             bus.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
             bus.try_begin(m, TxnRequest::write_word(0, 5)).unwrap();
             let mut fuel = 1000;

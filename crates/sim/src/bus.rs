@@ -1246,8 +1246,8 @@ impl Bus {
 
 impl SystemBus for Bus {
     /// The returned id is also the master's fixed priority (lower =
-    /// higher priority). The name is not kept.
-    fn register_master(&mut self, _name: &str) -> MasterId {
+    /// higher priority).
+    fn register_master(&mut self) -> MasterId {
         self.masters.push(MasterPort {
             outstanding: None,
             completion: None,
@@ -1382,7 +1382,7 @@ mod tests {
 
     fn bus_with_sram() -> (Bus, MasterId) {
         let mut bus = Bus::new(BusConfig::default());
-        let m = bus.register_master("cpu");
+        let m = bus.register_master();
         bus.add_slave(0x4000_0000, Sram::with_words(1024, SramConfig::no_wait()));
         (bus, m)
     }
@@ -1433,7 +1433,7 @@ mod tests {
     #[test]
     fn wait_states_charged() {
         let mut bus = Bus::new(BusConfig::default());
-        let m = bus.register_master("cpu");
+        let m = bus.register_master();
         bus.add_slave(
             0,
             Sram::with_words(
@@ -1515,8 +1515,8 @@ mod tests {
     #[test]
     fn fixed_priority_prefers_lower_id() {
         let mut bus = Bus::new(BusConfig::default());
-        let cpu = bus.register_master("cpu");
-        let ocp = bus.register_master("ocp");
+        let cpu = bus.register_master();
+        let ocp = bus.register_master();
         bus.add_slave(0, Sram::with_words(256, SramConfig::no_wait()));
         bus.try_begin(ocp, TxnRequest::read(0, 16)).unwrap();
         bus.try_begin(cpu, TxnRequest::read_word(0x40)).unwrap();
@@ -1560,7 +1560,7 @@ mod tests {
             }
         }
         let mut bus = Bus::new(BusConfig::default());
-        let m = bus.register_master("cpu");
+        let m = bus.register_master();
         bus.add_slave(0, Flaky);
         bus.try_begin(m, TxnRequest::read(0, 4)).unwrap();
         let err = bus.run_to_completion(m).unwrap_err();
@@ -1606,8 +1606,8 @@ mod tests {
     #[test]
     fn per_master_stats_attribute_grants_beats_and_contention() {
         let mut bus = Bus::new(BusConfig::default());
-        let cpu = bus.register_master("cpu");
-        let ocp = bus.register_master("ocp");
+        let cpu = bus.register_master();
+        let ocp = bus.register_master();
         bus.add_slave(0, Sram::with_words(256, SramConfig::no_wait()));
         bus.try_begin(cpu, TxnRequest::write(0, vec![0; 32]))
             .unwrap();
@@ -1635,7 +1635,7 @@ mod tests {
     #[test]
     fn horizon_reaches_the_transaction_completion() {
         let mut bus = Bus::new(BusConfig::default());
-        let m = bus.register_master("cpu");
+        let m = bus.register_master();
         bus.add_slave(
             0,
             Sram::with_words(
@@ -1666,7 +1666,7 @@ mod tests {
     /// 2 waits + 4 beats + 3 waits = 11 cycles.
     fn two_masters_on_short_sub_bursts() -> (Bus, [MasterId; 2]) {
         let mut bus = Bus::new(BusConfig { max_burst_beats: 4 });
-        let ids = [bus.register_master("a"), bus.register_master("b")];
+        let ids = [bus.register_master(), bus.register_master()];
         bus.add_slave(
             0,
             Sram::with_words(
@@ -1732,8 +1732,8 @@ mod tests {
     #[test]
     fn wait_state_cycles_charge_no_contention() {
         let mut bus = Bus::new(BusConfig::default());
-        let a = bus.register_master("a");
-        let b = bus.register_master("b");
+        let a = bus.register_master();
+        let b = bus.register_master();
         bus.add_slave(
             0,
             Sram::with_words(
@@ -1808,7 +1808,7 @@ mod tests {
             TxnRequest::write(0, vec![1, 2, 3, 4, 5, 6]),
         ] {
             let mut bus = Bus::new(BusConfig::default());
-            let m = bus.register_master("cpu");
+            let m = bus.register_master();
             bus.add_slave(0, Holey);
             bus.try_begin(m, req.clone()).unwrap();
             // Grant, address, two good beats and the faulting third.
@@ -1939,7 +1939,7 @@ mod tests {
     #[test]
     fn write_payloads_longer_than_a_burst_are_rejected() {
         fn check(bus: &mut dyn SystemBus) {
-            let m = bus.register_master("dma");
+            let m = bus.register_master();
             bus.add_slave_boxed(0, Box::new(Sram::with_words(70_000, SramConfig::no_wait())));
             for words in [65_536, 65_537] {
                 let req = TxnRequest::write(0, vec![7; words]);
@@ -1966,7 +1966,7 @@ mod tests {
     #[test]
     fn the_issue_what_if_equals_the_horizon_after_the_issue() {
         let (mut bus, m) = bus_with_sram();
-        let other = bus.register_master("dma");
+        let other = bus.register_master();
         let req = TxnRequest::read(0x4000_0000, 40);
         // Idle: a lone request, its sub-bursts back to back.
         let alone = bus.horizon_with(m, req.shape());

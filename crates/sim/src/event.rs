@@ -631,7 +631,7 @@ mod tests {
         /// slave that may fault at [`MAY_FAULT`].
         fn bus() -> (Bus, [MasterId; 3]) {
             let mut bus = Bus::new(BusConfig::default());
-            let ids = ["a", "b", "c"].map(|n| bus.register_master(n));
+            let ids = [(); 3].map(|()| bus.register_master());
             bus.add_slave(0, Sram::with_words(1024, SramConfig::no_wait()));
             bus.add_slave(MAY_FAULT, MayFault);
             (bus, ids)
@@ -918,7 +918,7 @@ mod tests {
             };
             assert_eq!(plan(&bus, true, vec![unmapped]).issuer(), None);
             let mut axi = AxiBus::new();
-            let m = axi.register_master("m");
+            let m = axi.register_master();
             axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
             assert_eq!(plan(&axi, true, vec![issue(m, 0)]).issuer(), None);
         }

@@ -39,7 +39,7 @@
 //! use ouessant_sim::SystemBus;
 //!
 //! let mut bus = Bus::new(BusConfig::default());
-//! let master = bus.register_master("cpu");
+//! let master = bus.register_master();
 //! bus.add_slave(0x4000_0000, Sram::with_words(0x1000, SramConfig::default()));
 //!
 //! bus.try_begin(master, TxnRequest::write(0x4000_0000, vec![1, 2, 3, 4]))?;

@@ -50,7 +50,7 @@ pub struct TraceEvent {
 ///
 /// let mut bus = Bus::new(BusConfig::default());
 /// bus.trace = Trace::enabled();
-/// let cpu = bus.register_master("cpu");
+/// let cpu = bus.register_master();
 /// bus.add_slave(0, Sram::with_words(16, SramConfig::no_wait()));
 /// bus.try_begin(cpu, TxnRequest::read(0, 1)).unwrap();
 /// bus.tick();

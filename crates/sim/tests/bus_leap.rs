@@ -275,7 +275,7 @@ fn build(s: &Scenario, traced: bool) -> (Bus, Vec<MasterId>) {
         bus.trace = Trace::enabled();
     }
     let ids = (0..s.scripts.len())
-        .map(|i| bus.register_master(&format!("m{i}")))
+        .map(|_| bus.register_master())
         .collect();
     let mut sram = Sram::with_words(SRAM_WORDS as usize, s.sram);
     let mut rng = XorShift64::new(0x5EED);

@@ -151,7 +151,7 @@ impl Soc {
     #[must_use]
     pub fn new(rac: Box<dyn Rac>, config: SocConfig) -> Self {
         let mut bus = Bus::new(config.bus);
-        let cpu = bus.register_master("cpu");
+        let cpu = bus.register_master();
         bus.add_slave(
             config.ram_base,
             Sram::with_words(config.sram_words, config.sram),

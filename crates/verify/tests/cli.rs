@@ -283,21 +283,16 @@ fn verify_accepts_assembled_hex() {
 
 #[test]
 fn bad_analyzer_flag_is_a_usage_error() {
-    let out = ouas()
-        .args(["verify", "--bank", "9=64", "whatever.s"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
-}
-
-#[test]
-fn first_bank_past_the_last_is_refused_with_the_range() {
-    let out = ouas()
-        .args(["verify", "--bank", "8=4", "whatever.s"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bank 8 out of range (0..=7)"), "{stderr}");
+    for (arg, bank) in [("9=64", 9), ("8=4", 8)] {
+        let out = ouas()
+            .args(["verify", "--bank", arg, "whatever.s"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bank {bank} out of range (0..=7)")),
+            "{stderr}"
+        );
+    }
 }

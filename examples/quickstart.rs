@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Platform: an AHB-like bus with SRAM, as on the paper's Leon3.
     let mut bus = Bus::new(BusConfig::default());
-    let _cpu = bus.register_master("cpu");
+    let _cpu = bus.register_master();
     bus.add_slave(RAM, Sram::with_words(8192, SramConfig::default()));
 
     // 3. The OCP: here wrapping a simple passthrough accelerator, so the

@@ -21,7 +21,7 @@ const OCP: u32 = 0x8000_0000;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bus = Bus::new(BusConfig::default());
-    let _cpu = bus.register_master("cpu");
+    let _cpu = bus.register_master();
     bus.add_slave(RAM, Sram::with_words(8192, SramConfig::default()));
     let mut ocp = Ocp::attach(
         &mut bus,

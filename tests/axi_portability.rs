@@ -63,11 +63,11 @@ fn same_ocp_runs_on_ahb_and_axi() {
     let expected = idct_2d_fixed(&coeffs);
 
     let mut ahb = Bus::new(BusConfig::default());
-    let _cpu = SystemBus::register_master(&mut ahb, "cpu");
+    let _cpu = SystemBus::register_master(&mut ahb);
     let (ahb_out, ahb_cycles) = run_on(&mut ahb, &coeffs);
 
     let mut axi = AxiBus::new();
-    let _cpu = axi.register_master("cpu");
+    let _cpu = axi.register_master();
     let (axi_out, axi_cycles) = run_on(&mut axi, &coeffs);
 
     // Identical functional results on both interconnects.
@@ -139,11 +139,11 @@ fn axi_concurrent_channels_speed_up_split_traffic() {
     };
 
     let mut ahb = Bus::new(BusConfig::default());
-    let _ = SystemBus::register_master(&mut ahb, "cpu");
+    let _ = SystemBus::register_master(&mut ahb);
     let ahb_cycles = run(&mut ahb);
 
     let mut axi = AxiBus::new();
-    let _ = axi.register_master("cpu");
+    let _ = axi.register_master();
     let axi_cycles = run(&mut axi);
 
     // Both complete; report-style sanity rather than a strict ordering

@@ -16,7 +16,7 @@ const OCP_BASE: u32 = 0x8000_0000;
 
 fn fixture() -> (Bus, Ocp) {
     let mut bus = Bus::new(BusConfig::default());
-    let _cpu = SystemBus::register_master(&mut bus, "cpu");
+    let _cpu = SystemBus::register_master(&mut bus);
     bus.add_slave(RAM, Sram::with_words(4096, SramConfig::no_wait()));
     let ocp = Ocp::attach(
         &mut bus,

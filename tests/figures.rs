@@ -20,7 +20,7 @@ const OCP: u32 = 0x8000_0000;
 #[test]
 fn figure1_structure() {
     let mut bus = Bus::new(BusConfig::default());
-    let _cpu = bus.register_master("cpu");
+    let _cpu = bus.register_master();
     bus.add_slave(RAM, Sram::with_words(1024, SramConfig::no_wait()));
     let ocp = Ocp::attach(
         &mut bus,
@@ -82,7 +82,7 @@ fn figure2_serialization() {
 #[test]
 fn figure3_register_map() {
     let mut bus = Bus::new(BusConfig::default());
-    let cpu = bus.register_master("cpu");
+    let cpu = bus.register_master();
     bus.add_slave(RAM, Sram::with_words(1024, SramConfig::no_wait()));
     let ocp = Ocp::attach(
         &mut bus,

@@ -21,7 +21,7 @@ const OCP_B: u32 = 0x8001_0000;
 #[test]
 fn two_ocps_share_one_bus_and_run_concurrently() {
     let mut bus = Bus::new(BusConfig::default());
-    let _cpu = SystemBus::register_master(&mut bus, "cpu");
+    let _cpu = SystemBus::register_master(&mut bus);
     bus.add_slave(RAM, Sram::with_words(1 << 15, SramConfig::default()));
 
     // OCP A: IDCT. OCP B: passthrough copy. Different programs,
@@ -125,7 +125,7 @@ fn cpu_computes_while_ocp_runs() {
     // OCP." The CPU does a memcpy of an unrelated buffer while the OCP
     // moves its own data.
     let mut bus = Bus::new(BusConfig::default());
-    let cpu = SystemBus::register_master(&mut bus, "cpu");
+    let cpu = SystemBus::register_master(&mut bus);
     bus.add_slave(RAM, Sram::with_words(1 << 15, SramConfig::default()));
     let mut ocp = Ocp::attach(
         &mut bus,
