@@ -6,6 +6,8 @@
 //! computation and waits for the results." This module is that program,
 //! for both of the paper's workloads, plus the software-only variants —
 //! which together regenerate **Table I** and the in-text §V-B numbers.
+//! Every offload goes through the §IV driver, [`OuessantDevice`], which
+//! charges the OS overhead.
 
 use std::error::Error;
 use std::fmt;
@@ -14,19 +16,18 @@ use ouessant_isa::{Program, ProgramBuilder};
 use ouessant_rac::dft::{dft_latency, DftRac};
 use ouessant_rac::fixed::to_q15;
 use ouessant_rac::idct::{IdctRac, BLOCK_LEN, IDCT_LATENCY};
-use ouessant_rac::rac::Rac;
-use ouessant_sim::bus::Addr;
 
 use crate::cpu::{CostModel, CpuCosts};
+use crate::driver::{DriverError, DriverStats, OuessantDevice};
 use crate::os::OsModel;
-use crate::soc::{CompletionMode, Soc, SocConfig, SocError};
+use crate::soc::{CompletionMode, SocConfig};
 use crate::sw::{sw_fft_f64, sw_idct_8x8};
 
 /// Error type of the experiment runners.
 #[derive(Debug)]
 pub enum AppError {
-    /// The underlying full-system run failed.
-    Soc(SocError),
+    /// The offload through the driver failed.
+    Driver(DriverError),
     /// Building the microcode failed (invalid parameters).
     Microcode(String),
 }
@@ -34,7 +35,7 @@ pub enum AppError {
 impl fmt::Display for AppError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AppError::Soc(e) => write!(f, "{e}"),
+            AppError::Driver(e) => write!(f, "{e}"),
             AppError::Microcode(m) => write!(f, "microcode generation failed: {m}"),
         }
     }
@@ -43,15 +44,15 @@ impl fmt::Display for AppError {
 impl Error for AppError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            AppError::Soc(e) => Some(e),
+            AppError::Driver(e) => Some(e),
             AppError::Microcode(_) => None,
         }
     }
 }
 
-impl From<SocError> for AppError {
-    fn from(e: SocError) -> Self {
-        AppError::Soc(e)
+impl From<DriverError> for AppError {
+    fn from(e: DriverError) -> Self {
+        AppError::Driver(e)
     }
 }
 
@@ -121,10 +122,26 @@ pub struct Table1Row {
     pub gain: f64,
     /// Machine-level breakdown (before OS overhead).
     pub machine_cycles: u64,
-    /// OS overhead applied.
+    /// OS overhead the driver charged.
     pub os_overhead: u64,
     /// Data words moved.
     pub words: u64,
+}
+
+impl Table1Row {
+    fn new(name: &str, latency: u64, stats: DriverStats, sw_cycles: u64) -> Self {
+        let hw_cycles = stats.total_cycles();
+        Self {
+            name: name.to_string(),
+            latency,
+            hw_cycles,
+            sw_cycles,
+            gain: sw_cycles as f64 / hw_cycles as f64,
+            machine_cycles: stats.machine_cycles,
+            os_overhead: stats.os_cycles,
+            words: stats.words_transferred,
+        }
+    }
 }
 
 impl fmt::Display for Table1Row {
@@ -137,27 +154,10 @@ impl fmt::Display for Table1Row {
     }
 }
 
-/// Memory layout used by the generated microcode: program in bank 0,
-/// input in bank 1, output in bank 2 (exactly Figure 4's bank usage).
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    program: Addr,
-    input: Addr,
-    output: Addr,
-}
-
-fn layout(soc: &SocConfig) -> Layout {
-    let ram = soc.ram_base;
-    Layout {
-        program: ram,
-        input: ram + 0x4000,
-        output: ram + 0x1_0000,
-    }
-}
-
 /// Generates the offload microcode for a workload moving `words_in`
 /// words to the RAC and `words_out` back, in `burst`-word chunks — the
-/// generalized Figure 4 program.
+/// generalized Figure 4 program, on the driver's banks: input in bank 1,
+/// output in bank 2.
 fn offload_microcode(
     words_in: u32,
     words_out: u32,
@@ -173,32 +173,6 @@ fn offload_microcode(
         .eop()
         .finish()
         .map_err(|e| AppError::Microcode(e.to_string()))
-}
-
-/// Runs one offload end to end and returns `(machine_cycles, words,
-/// outputs)`.
-fn run_offload(
-    rac: Box<dyn Rac>,
-    config: &ExperimentConfig,
-    program: &Program,
-    input: &[u32],
-    words_out: usize,
-) -> Result<(u64, u64, Vec<u32>), AppError> {
-    let mut soc = Soc::new(rac, config.soc);
-    let l = layout(&config.soc);
-    soc.load_words(l.program, &program.to_words())?;
-    soc.load_words(l.input, input)?;
-    let config_cycles = soc.configure(
-        &[(0, l.program), (1, l.input), (2, l.output)],
-        u32::try_from(program.len()).map_err(|e| AppError::Microcode(e.to_string()))?,
-    )?;
-    let report = soc.start_and_wait(50_000_000)?;
-    let outputs = soc.read_words(l.output, words_out)?;
-    Ok((
-        config_cycles + report.machine_cycles(),
-        report.words_transferred,
-        outputs,
-    ))
 }
 
 /// A deterministic pseudo-random generator shared by the experiments
@@ -227,15 +201,11 @@ pub fn idct_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError>
     #[allow(clippy::cast_possible_truncation)] // an 8x8 block: 64 words
     let block = BLOCK_LEN as u16;
     let program = offload_microcode(block.into(), block.into(), config.burst.min(block), 0)?;
-    let (machine_cycles, words_moved, hw_out) = run_offload(
-        Box::new(IdctRac::new()),
-        config,
-        &program,
-        &words,
-        BLOCK_LEN,
-    )?;
-    let os_overhead = config.os.invocation_overhead(words_moved);
-    let hw_cycles = machine_cycles + os_overhead;
+    let mut dev = OuessantDevice::open_with_config(Box::new(IdctRac::new()), config.os, config.soc);
+    dev.load_microcode(&program)?;
+    dev.write_input(&words)?;
+    let stats = dev.submit_and_wait()?;
+    let hw_out = dev.read_output(BLOCK_LEN)?;
 
     let mut cpu = CostModel::new(config.cpu);
     let sw_out = sw_idct_8x8(&mut cpu, &coeffs);
@@ -245,16 +215,7 @@ pub fn idct_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError>
     let hw_out_i32: Vec<i32> = hw_out.iter().map(|&w| w as i32).collect();
     assert_eq!(hw_out_i32, sw_out, "HW/SW IDCT must agree bit-for-bit");
 
-    Ok(Table1Row {
-        name: "IDCT".to_string(),
-        latency: IDCT_LATENCY,
-        hw_cycles,
-        sw_cycles,
-        gain: sw_cycles as f64 / hw_cycles as f64,
-        machine_cycles,
-        os_overhead,
-        words: words_moved,
-    })
+    Ok(Table1Row::new("IDCT", IDCT_LATENCY, stats, sw_cycles))
 }
 
 /// The DFT row of Table I: one 256-point transform offloaded through
@@ -283,18 +244,12 @@ pub fn dft_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError> 
     // Size the FIFOs to the workload ("FIFO memory is … strongly
     // dependent on the accelerator"): the whole block must fit before
     // `exec` launches the core.
-    let mut config = *config;
-    config.soc.ocp.fifo_depth = config.soc.ocp.fifo_depth.max(words_each_way as usize);
-    let (machine_cycles, words_moved, _hw_out) = run_offload(
-        Box::new(DftRac::new(n)),
-        &config,
-        &program,
-        &words,
-        words.len(),
-    )?;
-    let config = &config;
-    let os_overhead = config.os.invocation_overhead(words_moved);
-    let hw_cycles = machine_cycles + os_overhead;
+    let mut soc = config.soc;
+    soc.ocp.fifo_depth = soc.ocp.fifo_depth.max(words_each_way as usize);
+    let mut dev = OuessantDevice::open_with_config(Box::new(DftRac::new(n)), config.os, soc);
+    dev.load_microcode(&program)?;
+    dev.write_input(&words)?;
+    let stats = dev.submit_and_wait()?;
 
     let mut cpu = CostModel::new(config.cpu);
     let float_in: Vec<(f64, f64)> = samples
@@ -309,16 +264,7 @@ pub fn dft_experiment(config: &ExperimentConfig) -> Result<Table1Row, AppError> 
     let _ = sw_fft_f64(&mut cpu, &float_in);
     let sw_cycles = cpu.cycles();
 
-    Ok(Table1Row {
-        name: "DFT".to_string(),
-        latency: dft_latency(n),
-        hw_cycles,
-        sw_cycles,
-        gain: sw_cycles as f64 / hw_cycles as f64,
-        machine_cycles,
-        os_overhead,
-        words: words_moved,
-    })
+    Ok(Table1Row::new("DFT", dft_latency(n), stats, sw_cycles))
 }
 
 /// Regenerates the paper's **Table I** (both rows, Linux/mmap,
@@ -372,17 +318,19 @@ pub fn transfer_experiment(
         config.burst,
         u16::try_from(words_each_way).unwrap_or(0),
     )?;
-    let (machine_cycles, words, out) = run_offload(
-        Box::new(PassthroughRac::new(0)),
-        config,
-        &program,
-        &input,
-        input.len(),
-    )?;
-    assert_eq!(out, input, "passthrough must deliver the data unchanged");
+    let mut dev =
+        OuessantDevice::open_with_config(Box::new(PassthroughRac::new(0)), config.os, config.soc);
+    dev.load_microcode(&program)?;
+    dev.write_input(&input)?;
+    let stats = dev.submit_and_wait()?;
+    assert_eq!(
+        dev.read_output(input.len())?,
+        input,
+        "passthrough must deliver the data unchanged"
+    );
     Ok(TransferReport {
-        machine_cycles,
-        words,
+        machine_cycles: stats.machine_cycles,
+        words: stats.words_transferred,
         burst: config.burst,
     })
 }
@@ -405,14 +353,12 @@ pub fn accelerated_dft(
         .collect();
     let words_each_way = u32::try_from(n * 2).map_err(|e| AppError::Microcode(e.to_string()))?;
     let program = offload_microcode(words_each_way, words_each_way, config.burst, 0)?;
-    let (_cycles, _words, out) = run_offload(
-        Box::new(DftRac::new(n)),
-        config,
-        &program,
-        &samples,
-        samples.len(),
-    )?;
-    Ok(out
+    let mut dev = OuessantDevice::open_with_config(Box::new(DftRac::new(n)), config.os, config.soc);
+    dev.load_microcode(&program)?;
+    dev.write_input(&samples)?;
+    dev.submit_and_wait()?;
+    Ok(dev
+        .read_output(samples.len())?
         .chunks_exact(2)
         .map(|w| {
             (

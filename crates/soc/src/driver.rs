@@ -12,10 +12,15 @@
 //! of every crossing charged according to the configured [`OsModel`]:
 //!
 //! * [`OuessantDevice::open`] — `open(2)` + buffer setup (one-time);
-//! * [`OuessantDevice::write_input`]-style buffer accesses: free under the mmap
-//!   driver (shared pages), `copy_from_user` under the copying driver;
-//! * [`OuessantDevice::submit_and_wait`] — the ioctl/read pair: two
-//!   syscalls + driver bookkeeping + cache management, then the offload.
+//! * [`OuessantDevice::write_input`] and [`OuessantDevice::read_output`]
+//!   — plain accesses to the shared buffers;
+//! * [`OuessantDevice::submit_and_wait`] — the ioctl/read pair, charged
+//!   [`OsModel::invocation_overhead`] of the words the offload moved:
+//!   two syscalls + driver bookkeeping + cache management, plus the
+//!   per-word copies of the copying driver.
+//!
+//! Table I, §V-B and ablations A1–A5 run through this driver
+//! ([`crate::app`]).
 
 use std::error::Error;
 use std::fmt;
@@ -32,10 +37,39 @@ use crate::soc::{Soc, SocConfig, SocError};
 /// the mmap driver) the `mmap(2)` call, in cycles.
 pub const OPEN_COST_CYCLES: u64 = 2_500;
 
-/// The device's shared buffers, as bank assignments.
-const PROGRAM_BANK: u8 = 0;
-const INPUT_BANK: u8 = 1;
-const OUTPUT_BANK: u8 = 2;
+/// One of the device's shared buffers: the bank that maps it, its byte
+/// offset from the start of RAM and its size in words.
+#[derive(Clone, Copy)]
+struct Buffer {
+    bank: u8,
+    offset: Addr,
+    words: u32,
+}
+
+impl Buffer {
+    fn at(self, ram: Addr) -> Addr {
+        ram + self.offset
+    }
+}
+
+/// The device's memory map. The program buffer ends where the input
+/// buffer starts; the verifier is told these sizes, so admitted
+/// microcode cannot reach a neighbouring buffer.
+const PROGRAM: Buffer = Buffer {
+    bank: 0,
+    offset: 0,
+    words: 0x1000,
+};
+const INPUT: Buffer = Buffer {
+    bank: 1,
+    offset: 0x4000,
+    words: 0x4000,
+};
+const OUTPUT: Buffer = Buffer {
+    bank: 2,
+    offset: 0x2_0000,
+    words: 0x4000,
+};
 
 /// Errors surfaced by the driver API.
 #[derive(Debug)]
@@ -98,7 +132,8 @@ impl From<SocError> for DriverError {
 pub struct DriverStats {
     /// Machine cycles of the offload itself.
     pub machine_cycles: u64,
-    /// OS cycles charged (syscalls, driver, cache, copies).
+    /// OS cycles charged: [`OsModel::invocation_overhead`] of
+    /// `words_transferred` (syscalls, driver, cache, copies).
     pub os_cycles: u64,
     /// Words moved by the OCP.
     pub words_transferred: u64,
@@ -136,10 +171,7 @@ pub struct OuessantDevice {
     soc: Soc,
     os: OsModel,
     microcode_len: Option<u32>,
-    program_at: Addr,
-    input_at: Addr,
-    output_at: Addr,
-    buffer_words: usize,
+    ram: Addr,
     fifo_depth: usize,
     /// Cumulative OS cycles charged since `open`.
     os_cycles_total: u64,
@@ -156,26 +188,14 @@ impl OuessantDevice {
     /// Opens the device on a specific SoC configuration.
     #[must_use]
     pub fn open_with_config(rac: Box<dyn Rac>, os: OsModel, config: SocConfig) -> Self {
-        let fifo_depth = config.ocp.fifo_depth;
-        let soc = Soc::new(rac, config);
-        let ram = config.ram_base;
         Self {
-            soc,
+            soc: Soc::new(rac, config),
             os,
             microcode_len: None,
-            program_at: ram,
-            input_at: ram + 0x4000,
-            output_at: ram + 0x2_0000,
-            buffer_words: 0x1_0000 / 4,
-            fifo_depth,
+            ram: config.ram_base,
+            fifo_depth: config.ocp.fifo_depth,
             os_cycles_total: OPEN_COST_CYCLES,
         }
-    }
-
-    /// The OS model in effect.
-    #[must_use]
-    pub fn os(&self) -> OsModel {
-        self.os
     }
 
     /// Cumulative OS cycles charged since `open` (including the open
@@ -189,10 +209,9 @@ impl OuessantDevice {
     /// input and output banks sized to the driver buffers, everything
     /// else unmapped, FIFO depth from the SoC configuration.
     fn verify_config(&self) -> VerifyConfig {
-        // Saturated, a bank or FIFO is still larger than any burst.
-        let words = u32::try_from(self.buffer_words).unwrap_or(u32::MAX);
+        // Saturated, a FIFO is still larger than any burst.
         let depth = u32::try_from(self.fifo_depth).unwrap_or(u32::MAX);
-        VerifyConfig::job_map(words, words, words).with_fifo_depth(depth)
+        VerifyConfig::job_map(PROGRAM.words, INPUT.words, OUTPUT.words).with_fifo_depth(depth)
     }
 
     /// Loads microcode into the device's program buffer, after running
@@ -210,51 +229,33 @@ impl OuessantDevice {
             return Err(DriverError::RejectedMicrocode(analysis));
         }
         let words = program.to_words();
-        self.check_len(words.len())?;
-        self.soc.load_words(self.program_at, &words)?;
+        check_len(PROGRAM, words.len())?;
+        self.soc.load_words(PROGRAM.at(self.ram), &words)?;
         self.microcode_len = Some(u32::try_from(program.len()).expect("at most 1024 instructions"));
         Ok(())
     }
 
-    fn check_len(&self, len: usize) -> Result<(), DriverError> {
-        if len > self.buffer_words {
-            Err(DriverError::BufferOverrun {
-                requested: len,
-                capacity: self.buffer_words,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Writes the input buffer. Under the mmap driver this is a plain
-    /// store into shared pages (no OS cost); under the copying driver
-    /// the words cross the user/kernel boundary.
+    /// Writes the input buffer. Its OS cost, if any, is charged at
+    /// [`OuessantDevice::submit_and_wait`].
     ///
     /// # Errors
     ///
     /// [`DriverError::BufferOverrun`] or a propagated [`SocError`].
     pub fn write_input(&mut self, words: &[u32]) -> Result<(), DriverError> {
-        self.check_len(words.len())?;
-        if let OsModel::LinuxCopy { per_word, .. } = self.os {
-            self.os_cycles_total += words.len() as u64 * per_word;
-        }
-        self.soc.load_words(self.input_at, words)?;
+        check_len(INPUT, words.len())?;
+        self.soc.load_words(INPUT.at(self.ram), words)?;
         Ok(())
     }
 
-    /// Reads the output buffer (same copy rules as
+    /// Reads the output buffer (charged like
     /// [`OuessantDevice::write_input`]).
     ///
     /// # Errors
     ///
     /// [`DriverError::BufferOverrun`] or a propagated [`SocError`].
     pub fn read_output(&mut self, words: usize) -> Result<Vec<u32>, DriverError> {
-        self.check_len(words)?;
-        if let OsModel::LinuxCopy { per_word, .. } = self.os {
-            self.os_cycles_total += words as u64 * per_word;
-        }
-        Ok(self.soc.read_words(self.output_at, words)?)
+        check_len(OUTPUT, words)?;
+        Ok(self.soc.read_words(OUTPUT.at(self.ram), words)?)
     }
 
     /// Submits the offload and blocks until completion — the driver's
@@ -267,17 +268,11 @@ impl OuessantDevice {
     pub fn submit_and_wait(&mut self) -> Result<DriverStats, DriverError> {
         let prog_len = self.microcode_len.ok_or(DriverError::NoMicrocode)?;
         let config_cycles = self.soc.configure(
-            &[
-                (PROGRAM_BANK, self.program_at),
-                (INPUT_BANK, self.input_at),
-                (OUTPUT_BANK, self.output_at),
-            ],
+            &[PROGRAM, INPUT, OUTPUT].map(|b| (b.bank, b.at(self.ram))),
             prog_len,
         )?;
         let report = self.soc.start_and_wait(100_000_000)?;
-        // The fixed OS crossing; per-word copy costs were charged at the
-        // buffer accesses (where the copies actually happen).
-        let os_cycles = self.os.invocation_overhead(0);
+        let os_cycles = self.os.invocation_overhead(report.words_transferred);
         self.os_cycles_total += os_cycles;
         Ok(DriverStats {
             machine_cycles: config_cycles + report.machine_cycles(),
@@ -285,11 +280,17 @@ impl OuessantDevice {
             words_transferred: report.words_transferred,
         })
     }
+}
 
-    /// The underlying system, for inspection.
-    #[must_use]
-    pub fn soc(&self) -> &Soc {
-        &self.soc
+fn check_len(buffer: Buffer, len: usize) -> Result<(), DriverError> {
+    let capacity = buffer.words as usize;
+    if len > capacity {
+        Err(DriverError::BufferOverrun {
+            requested: len,
+            capacity,
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -334,23 +335,35 @@ mod tests {
     }
 
     #[test]
-    fn copying_driver_charges_buffer_accesses() {
-        let mut mmap_dev =
-            OuessantDevice::open(Box::new(PassthroughRac::new(0)), OsModel::linux_mmap());
-        let mut copy_dev =
-            OuessantDevice::open(Box::new(PassthroughRac::new(0)), OsModel::linux_copy());
-        for dev in [&mut mmap_dev, &mut copy_dev] {
+    fn copying_driver_charges_each_moved_word_at_submit() {
+        // 16 words in and 16 out: the copying driver adds 4 cycles for
+        // each of the 32 words to the mmap driver's fixed crossing.
+        for (os, expected) in [
+            (OsModel::linux_mmap(), 3_000),
+            (OsModel::linux_copy(), 3_000 + 4 * 32),
+        ] {
+            let mut dev = OuessantDevice::open(Box::new(PassthroughRac::new(0)), os);
             dev.load_microcode(&program()).unwrap();
             dev.write_input(&[1; 16]).unwrap();
-            dev.submit_and_wait().unwrap();
-            let _ = dev.read_output(16).unwrap();
+            let stats = dev.submit_and_wait().unwrap();
+            assert_eq!(stats.os_cycles, expected, "{os}");
         }
-        assert!(
-            copy_dev.os_cycles_total() > mmap_dev.os_cycles_total(),
-            "copies must cost extra: {} vs {}",
-            copy_dev.os_cycles_total(),
-            mmap_dev.os_cycles_total()
-        );
+    }
+
+    #[test]
+    fn program_buffer_ends_where_the_input_buffer_starts() {
+        // The program buffer holds 4096 words; a burst past them would
+        // write into the input buffer.
+        let mut dev = OuessantDevice::open(Box::new(PassthroughRac::new(0)), OsModel::Baremetal);
+        let overflowing =
+            assemble("mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK0,4096,DMA16,FIFO0\neop")
+                .unwrap();
+        let err = dev.load_microcode(&overflowing).unwrap_err();
+        assert!(err.to_string().contains("bank-overflow"), "{err}");
+        let last_words =
+            assemble("mvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK0,4080,DMA16,FIFO0\neop")
+                .unwrap();
+        dev.load_microcode(&last_words).unwrap();
     }
 
     #[test]

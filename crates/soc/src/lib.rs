@@ -16,9 +16,14 @@
 //!   comparison (§IV);
 //! * [`soc`] — the assembled system: CPU master + SRAM + OCP on the
 //!   AHB-like bus, with polling- or interrupt-based completion;
+//! * [`driver`] — the §IV driver API, [`OuessantDevice`]: buffers,
+//!   microcode verification, submit and wait, with the OS overhead
+//!   charged per offload;
 //! * [`app`] — the application layer that reproduces Table I and the
-//!   in-text results: `accelerated_idct`, `accelerated_dft`, their
-//!   software twins, and `table1()`;
+//!   in-text results through the driver: `idct_experiment`,
+//!   `dft_experiment`, `transfer_experiment`, `accelerated_dft` and
+//!   `table1()`;
+//! * [`standalone`] — processor-free systems with the microcode in ROM;
 //! * [`alloc`] — a first-fit shared-SRAM bank allocator used by the
 //!   `ouessant-farm` serving layer to carve per-job regions.
 //!

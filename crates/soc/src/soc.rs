@@ -114,8 +114,8 @@ impl From<BusError> for SocError {
     }
 }
 
-/// Cycle accounting of one offload, at machine level (OS overhead is
-/// layered on top by [`crate::app`]).
+/// Cycle accounting of one offload, at machine level (the OS overhead
+/// is charged by [`crate::driver::OuessantDevice`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OffloadReport {
     /// Cycles the CPU spent writing configuration registers and the

@@ -15,8 +15,8 @@
 use ouessant_isa::assemble;
 use ouessant_rac::idct::{IdctRac, BLOCK_LEN};
 use ouessant_soc::cpu::CostModel;
+use ouessant_soc::driver::OuessantDevice;
 use ouessant_soc::os::OsModel;
-use ouessant_soc::soc::{Soc, SocConfig};
 use ouessant_soc::sw::sw_idct_8x8;
 
 /// A 64×64-pixel synthetic image: 8×8 = 64 coefficient blocks.
@@ -67,18 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program.len()
     );
 
-    // Build the SoC around the IDCT RAC.
-    let mut soc = Soc::new(Box::new(IdctRac::new()), SocConfig::default());
-    let ram = soc.config().ram_base;
-    let (prog_at, in_at, out_at) = (ram, ram + 0x4000, ram + 0x2_0000);
-    soc.load_words(prog_at, &program.to_words())?;
+    // Offload the whole image through the Linux driver.
+    let mut dev = OuessantDevice::open(Box::new(IdctRac::new()), OsModel::linux_mmap());
+    dev.load_microcode(&program)?;
     let flat: Vec<u32> = blocks.iter().flatten().map(|&c| c as u32).collect();
-    soc.load_words(in_at, &flat)?;
-    soc.configure(
-        &[(0, prog_at), (1, in_at), (2, out_at)],
-        program.len() as u32,
-    )?;
-    let report = soc.start_and_wait(10_000_000)?;
+    dev.write_input(&flat)?;
+    let stats = dev.submit_and_wait()?;
 
     // Software decode of the same image.
     let mut cpu = CostModel::leon3();
@@ -86,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sw_cycles = cpu.cycles();
 
     // Verify: the offloaded pixels are bit-exact with software.
-    let hw_flat = soc.read_words(out_at, BLOCKS * BLOCK_LEN)?;
+    let hw_flat = dev.read_output(BLOCKS * BLOCK_LEN)?;
     for (bi, sw_block) in sw_pixels.iter().enumerate() {
         for (i, &sw) in sw_block.iter().enumerate() {
             let hw = hw_flat[bi * BLOCK_LEN + i] as i32;
@@ -94,14 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let os = OsModel::linux_mmap();
-    let hw_cycles = report.machine_cycles() + os.invocation_overhead(report.words_transferred);
+    let hw_cycles = stats.total_cycles();
     println!("image: {BLOCKS} blocks of {BLOCK_LEN} coefficients");
     println!(
         "hardware: {hw_cycles} cycles total ({} machine + {} Linux), {} words moved",
-        report.machine_cycles(),
-        os.invocation_overhead(report.words_transferred),
-        report.words_transferred
+        stats.machine_cycles, stats.os_cycles, stats.words_transferred
     );
     println!("software: {sw_cycles} cycles");
     println!(

@@ -19,8 +19,8 @@ use ouessant_rac::dft::DftRac;
 use ouessant_rac::fixed::{from_q15, to_q15};
 use ouessant_sim::{Cycle, Frequency};
 use ouessant_soc::cpu::CostModel;
+use ouessant_soc::driver::OuessantDevice;
 use ouessant_soc::os::OsModel;
-use ouessant_soc::soc::{Soc, SocConfig};
 use ouessant_soc::sw::sw_fft_f64;
 
 const N: usize = 256;
@@ -56,12 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program.len()
     );
 
-    let mut soc = Soc::new(Box::new(DftRac::new(N)), SocConfig::default());
-    let ram = soc.config().ram_base;
-    let (prog_at, in_at, out_at) = (ram, ram + 0x4000, ram + 0x1_0000);
-    soc.load_words(prog_at, &program.to_words())?;
+    let mut dev = OuessantDevice::open(Box::new(DftRac::new(N)), OsModel::linux_mmap());
+    dev.load_microcode(&program)?;
 
-    let os = OsModel::linux_mmap();
     let clock = Frequency::PAPER_SYSTEM_CLOCK;
     let mut hw_total = 0u64;
     let mut sw_total = 0u64;
@@ -72,16 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .flat_map(|&(re, im)| [to_q15(re) as u32, to_q15(im) as u32])
             .collect();
-        soc.load_words(in_at, &words)?;
-        soc.configure(
-            &[(0, prog_at), (1, in_at), (2, out_at)],
-            program.len() as u32,
-        )?;
-        let report = soc.start_and_wait(10_000_000)?;
-        hw_total += report.machine_cycles() + os.invocation_overhead(report.words_transferred);
+        dev.write_input(&words)?;
+        hw_total += dev.submit_and_wait()?.total_cycles();
 
         // Read the spectrum back and pick peaks.
-        let out = soc.read_words(out_at, N * 2)?;
+        let out = dev.read_output(N * 2)?;
         let spectrum: Vec<f64> = out
             .chunks_exact(2)
             .map(|w| {

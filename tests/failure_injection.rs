@@ -157,9 +157,9 @@ fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     // controller faults.
     use ouessant_soc::{DriverError, OsModel, OuessantDevice};
     let config = SocConfig {
-        // Exactly the driver's three 16384-word buffers, so the
-        // overrunning burst leaves mapped memory instead of silently
-        // reading a neighbour.
+        // SRAM ends where the driver's 16384-word output buffer ends,
+        // so the overrunning burst leaves mapped memory instead of
+        // silently reading past the buffer.
         sram_words: 3 * 16384,
         ..SocConfig::default()
     };
@@ -173,8 +173,8 @@ fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     assert!(matches!(err, DriverError::RejectedMicrocode(_)), "{err:?}");
     assert!(err.to_string().contains("bank-overflow"), "{err}");
 
-    // The driver's map: program at RAM, input at +0x4000, output at
-    // +0x2_0000.
+    // The driver's map: a 4096-word program buffer at RAM, 16384-word
+    // input and output buffers at +0x4000 and +0x2_0000.
     let mut soc = Soc::new(Box::new(PassthroughRac::new(0)), config);
     let ram = soc.config().ram_base;
     soc.load_words(ram, &program.to_words()).unwrap();
