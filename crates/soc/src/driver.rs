@@ -46,12 +46,6 @@ struct Buffer {
     words: u32,
 }
 
-impl Buffer {
-    fn at(self, ram: Addr) -> Addr {
-        ram + self.offset
-    }
-}
-
 /// The device's memory map. The program buffer ends where the input
 /// buffer starts; the verifier is told these sizes, so admitted
 /// microcode cannot reach a neighbouring buffer.
@@ -171,8 +165,6 @@ pub struct OuessantDevice {
     soc: Soc,
     os: OsModel,
     microcode_len: Option<u32>,
-    ram: Addr,
-    fifo_depth: usize,
     /// Cumulative OS cycles charged since `open`.
     os_cycles_total: u64,
 }
@@ -192,8 +184,6 @@ impl OuessantDevice {
             soc: Soc::new(rac, config),
             os,
             microcode_len: None,
-            ram: config.ram_base,
-            fifo_depth: config.ocp.fifo_depth,
             os_cycles_total: OPEN_COST_CYCLES,
         }
     }
@@ -205,12 +195,16 @@ impl OuessantDevice {
         self.os_cycles_total
     }
 
+    fn addr(&self, buffer: Buffer) -> Addr {
+        self.soc.config().ram_base + buffer.offset
+    }
+
     /// The static-analyzer view of this device's memory map: program,
     /// input and output banks sized to the driver buffers, everything
     /// else unmapped, FIFO depth from the SoC configuration.
     fn verify_config(&self) -> VerifyConfig {
         // Saturated, a FIFO is still larger than any burst.
-        let depth = u32::try_from(self.fifo_depth).unwrap_or(u32::MAX);
+        let depth = u32::try_from(self.soc.config().ocp.fifo_depth).unwrap_or(u32::MAX);
         VerifyConfig::job_map(PROGRAM.words, INPUT.words, OUTPUT.words).with_fifo_depth(depth)
     }
 
@@ -230,7 +224,7 @@ impl OuessantDevice {
         }
         let words = program.to_words();
         check_len(PROGRAM, words.len())?;
-        self.soc.load_words(PROGRAM.at(self.ram), &words)?;
+        self.soc.load_words(self.addr(PROGRAM), &words)?;
         self.microcode_len = Some(u32::try_from(program.len()).expect("at most 1024 instructions"));
         Ok(())
     }
@@ -243,7 +237,7 @@ impl OuessantDevice {
     /// [`DriverError::BufferOverrun`] or a propagated [`SocError`].
     pub fn write_input(&mut self, words: &[u32]) -> Result<(), DriverError> {
         check_len(INPUT, words.len())?;
-        self.soc.load_words(INPUT.at(self.ram), words)?;
+        self.soc.load_words(self.addr(INPUT), words)?;
         Ok(())
     }
 
@@ -255,7 +249,7 @@ impl OuessantDevice {
     /// [`DriverError::BufferOverrun`] or a propagated [`SocError`].
     pub fn read_output(&mut self, words: usize) -> Result<Vec<u32>, DriverError> {
         check_len(OUTPUT, words)?;
-        Ok(self.soc.read_words(OUTPUT.at(self.ram), words)?)
+        Ok(self.soc.read_words(self.addr(OUTPUT), words)?)
     }
 
     /// Submits the offload and blocks until completion — the driver's
@@ -268,7 +262,7 @@ impl OuessantDevice {
     pub fn submit_and_wait(&mut self) -> Result<DriverStats, DriverError> {
         let prog_len = self.microcode_len.ok_or(DriverError::NoMicrocode)?;
         let config_cycles = self.soc.configure(
-            &[PROGRAM, INPUT, OUTPUT].map(|b| (b.bank, b.at(self.ram))),
+            &[PROGRAM, INPUT, OUTPUT].map(|b| (b.bank, self.addr(b))),
             prog_len,
         )?;
         let report = self.soc.start_and_wait(100_000_000)?;
