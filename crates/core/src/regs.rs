@@ -167,12 +167,6 @@ impl RegisterFile {
         }
     }
 
-    /// The control register value.
-    #[must_use]
-    pub fn ctrl(&self) -> u32 {
-        self.ctrl
-    }
-
     /// Whether the D (done) bit is set.
     #[must_use]
     pub fn done(&self) -> bool {
@@ -359,7 +353,7 @@ mod tests {
         assert!(!r.done(), "starting clears D");
         assert!(r.take_start());
         assert!(!r.take_start(), "start is consumed once");
-        assert_eq!(r.ctrl() & CTRL_S, 0, "S auto-clears on launch");
+        assert_eq!(r.ctrl & CTRL_S, 0, "S auto-clears on launch");
     }
 
     #[test]

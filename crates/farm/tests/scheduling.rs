@@ -354,7 +354,7 @@ fn unsafe_custom_microcode_rejected_without_disturbing_in_flight_jobs() {
     let unjoined = ProgramBuilder::new()
         .transfer_to_coprocessor(1, 0, 48, 16, 0)
         .unwrap()
-        .execn()
+        .push(Instruction::Execn { op: 0 })
         .eop()
         .finish()
         .unwrap();

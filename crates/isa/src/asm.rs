@@ -69,13 +69,6 @@ impl AssembleError {
         Self { line, kind }
     }
 
-    /// The 1-based source line of the failure (0 for whole-program
-    /// validation failures).
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
     /// The failure detail.
     #[must_use]
     pub fn kind(&self) -> &AssembleErrorKind {
@@ -530,7 +523,7 @@ mod tests {
     fn duplicate_label_rejected() {
         let err = assemble("a:\nnop\na:\neop").unwrap_err();
         assert!(matches!(err.kind(), AssembleErrorKind::DuplicateLabel(_)));
-        assert_eq!(err.line(), 3);
+        assert_eq!(err.line, 3);
     }
 
     #[test]
@@ -543,7 +536,7 @@ mod tests {
     fn unknown_mnemonic_rejected() {
         let err = assemble("frob BANK1\neop").unwrap_err();
         assert!(matches!(err.kind(), AssembleErrorKind::UnknownMnemonic(_)));
-        assert_eq!(err.line(), 1);
+        assert_eq!(err.line, 1);
     }
 
     #[test]

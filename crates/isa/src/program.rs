@@ -306,12 +306,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends `nop`.
-    #[must_use]
-    pub fn nop(self) -> Self {
-        self.push(Instruction::Nop)
-    }
-
     /// Appends one `mvtc`.
     ///
     /// # Errors
@@ -416,28 +410,10 @@ impl ProgramBuilder {
         self.push(Instruction::Exec { op })
     }
 
-    /// Appends `execn` (launch without waiting).
-    #[must_use]
-    pub fn execn(self) -> Self {
-        self.push(Instruction::Execn { op: 0 })
-    }
-
-    /// Appends `wrac`.
-    #[must_use]
-    pub fn wrac(self) -> Self {
-        self.push(Instruction::Wrac)
-    }
-
     /// Appends `eop`.
     #[must_use]
     pub fn eop(self) -> Self {
         self.push(Instruction::Eop)
-    }
-
-    /// Appends `halt`.
-    #[must_use]
-    pub fn halt(self) -> Self {
-        self.push(Instruction::Halt)
     }
 
     /// Appends `sync`.

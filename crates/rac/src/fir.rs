@@ -60,12 +60,6 @@ impl FirRac {
             taps_loaded: false,
         }
     }
-
-    /// Currently loaded taps (for inspection).
-    #[must_use]
-    pub fn taps(&self) -> &[i32] {
-        &self.taps
-    }
 }
 
 impl Default for FirRac {

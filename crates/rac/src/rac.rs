@@ -408,12 +408,6 @@ impl RacSocket {
         self.stall_left = self.stall_left.saturating_add(cycles);
     }
 
-    /// Cycles left of injected stall.
-    #[must_use]
-    pub fn stall_left(&self) -> u64 {
-        self.stall_left
-    }
-
     /// Forwards a reconfiguration request to the accelerator.
     pub fn reconfigure(&mut self, slot: u16) -> ReconfigResponse {
         self.rac.reconfigure(slot)

@@ -54,15 +54,6 @@ impl Device {
             dsp_pct: pct(used.dsp, self.dsp),
         }
     }
-
-    /// Whether `used` fits on the device at all.
-    #[must_use]
-    pub fn fits(&self, used: Resources) -> bool {
-        used.lut <= self.lut
-            && used.ff <= self.ff
-            && used.bram18 <= self.bram18
-            && used.dsp <= self.dsp
-    }
 }
 
 /// Utilization percentages.
@@ -104,6 +95,14 @@ mod tests {
         assert!(u.ff_pct < 1.0, "FF {:.2}%", u.ff_pct);
     }
 
+    /// Whether `used` fits on `device` at all.
+    fn fits(device: &Device, used: Resources) -> bool {
+        used.lut <= device.lut
+            && used.ff <= device.ff
+            && used.bram18 <= device.bram18
+            && used.dsp <= device.dsp
+    }
+
     #[test]
     fn full_ocp_with_dft_fits_both_devices() {
         use crate::estimate::{rac_estimate, RacKind};
@@ -113,7 +112,7 @@ mod tests {
         })
         .total()
             + rac_estimate(RacKind::SpiralDft { points: 256 });
-        assert!(Device::artix7_100t().fits(total));
+        assert!(fits(&Device::artix7_100t(), total));
         let artix7_35t = Device {
             name: "xc7a35t".to_string(),
             lut: 20_800,
@@ -121,14 +120,14 @@ mod tests {
             bram18: 100,
             dsp: 90,
         };
-        assert!(artix7_35t.fits(total), "even the 35T has room");
+        assert!(fits(&artix7_35t, total), "even the 35T has room");
     }
 
     #[test]
     fn oversized_design_does_not_fit() {
         let device = Device::artix7_100t();
         let huge = Resources::new(1_000_000, 0, 0, 0);
-        assert!(!device.fits(huge));
+        assert!(!fits(&device, huge));
     }
 
     #[test]

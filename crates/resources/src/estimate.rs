@@ -93,12 +93,6 @@ impl ResourceReport {
         self.components.push((name.to_string(), r));
     }
 
-    /// The component lines, in insertion order.
-    #[must_use]
-    pub fn components(&self) -> &[(String, Resources)] {
-        &self.components
-    }
-
     /// The report total.
     #[must_use]
     pub fn total(&self) -> Resources {
@@ -325,7 +319,7 @@ mod tests {
     /// The report line of the component called `name`.
     fn component(report: &ResourceReport, name: &str) -> Option<Resources> {
         report
-            .components()
+            .components
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, r)| *r)
@@ -439,7 +433,7 @@ mod tests {
     #[test]
     fn report_total_is_component_sum() {
         let report = estimate_ocp(&OcpParams::default());
-        let manual: Resources = report.components().iter().map(|(_, r)| *r).sum();
+        let manual: Resources = report.components.iter().map(|(_, r)| *r).sum();
         assert_eq!(report.total(), manual);
     }
 

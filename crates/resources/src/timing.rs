@@ -40,12 +40,6 @@ impl TimingReport {
         (name, *depth)
     }
 
-    /// All analyzed paths.
-    #[must_use]
-    pub fn paths(&self) -> &[(String, u32)] {
-        &self.paths
-    }
-
     /// The maximum clock frequency implied by the critical path.
     #[must_use]
     // The period is at least `CLOCK_OVERHEAD_NS`, so the quotient is
@@ -134,7 +128,7 @@ mod tests {
             ..OcpParams::default()
         });
         let flag_depth = |r: &TimingReport| {
-            r.paths()
+            r.paths
                 .iter()
                 .find(|(n, _)| n == "fifo.flags")
                 .map(|(_, d)| *d)

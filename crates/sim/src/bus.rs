@@ -155,12 +155,6 @@ impl TxnRequest {
         self.shape.addr
     }
 
-    /// Number of data beats.
-    #[must_use]
-    pub fn beats(&self) -> u16 {
-        self.shape.beats
-    }
-
     /// The request's shape: what the bus times and checks it by.
     #[must_use]
     pub fn shape(&self) -> TxnShape {
@@ -1943,7 +1937,7 @@ mod tests {
             bus.add_slave_boxed(0, Box::new(Sram::with_words(70_000, SramConfig::no_wait())));
             for words in [65_536, 65_537] {
                 let req = TxnRequest::write(0, vec![7; words]);
-                assert_eq!(req.beats(), u16::MAX);
+                assert_eq!(req.shape().beats, u16::MAX);
                 assert_eq!(
                     bus.try_begin(m, req),
                     Err(BusError::PayloadLength {

@@ -6,8 +6,28 @@
 //! first-access and sequential wait states; the defaults are calibrated
 //! so a DMA64 burst through the default bus comes out near the paper's
 //! ≈1.5 cycles/word (§V-B).
+//!
+//! The store is paged: a table of optional 4 KiB pages, each allocated
+//! zeroed on its first write. A page never written reads as zeros and
+//! costs one null pointer, so building a memory costs O(pages) pointers
+//! and a run pays only for the pages it writes.
 
 use crate::bus::{BusSlave, SlaveFault};
+
+/// Words per page of the store (4 KiB).
+const PAGE_WORDS: usize = 1024;
+
+/// One page of the store.
+type Page = Box<[u32; PAGE_WORDS]>;
+
+/// A new page of zeros; cold, since a page is allocated once.
+#[cold]
+fn zeroed_page() -> Page {
+    vec![0; PAGE_WORDS]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page-sized slice")
+}
 
 /// SRAM timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +72,10 @@ impl Default for SramConfig {
 
 /// A word-addressed SRAM, usable directly or as a bus slave.
 ///
+/// Every word reads as zero until it is written. The words live in
+/// 4 KiB pages allocated on their first write, so a memory costs one
+/// pointer per page plus 4 KiB for each page written.
+///
 /// # Examples
 ///
 /// ```
@@ -64,13 +88,17 @@ impl Default for SramConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sram {
-    words: Vec<u32>,
+    /// Page `p` holds words `p * PAGE_WORDS ..`; `None` until written.
+    pages: Vec<Option<Page>>,
+    /// The memory's size in words; the last page may extend past it.
+    words: usize,
     config: SramConfig,
     name: String,
 }
 
 impl Sram {
-    /// An SRAM of `words` zero-initialized 32-bit words.
+    /// An SRAM of `words` zero-initialized 32-bit words. No page is
+    /// allocated until it is written.
     ///
     /// # Panics
     ///
@@ -79,7 +107,8 @@ impl Sram {
     pub fn with_words(words: usize, config: SramConfig) -> Self {
         assert!(words > 0, "memory must be non-empty");
         Self {
-            words: vec![0; words],
+            pages: vec![None; words.div_ceil(PAGE_WORDS)],
+            words,
             config,
             name: "sram".to_string(),
         }
@@ -98,10 +127,12 @@ impl Sram {
     ///
     /// [`SlaveFault`] if `index` is out of range.
     pub fn load(&self, index: usize) -> Result<u32, SlaveFault> {
-        self.words
-            .get(index)
-            .copied()
-            .ok_or_else(|| self.out_of_range(index))
+        if index >= self.words {
+            return Err(self.out_of_range(index));
+        }
+        Ok(self.pages[index / PAGE_WORDS]
+            .as_ref()
+            .map_or(0, |page| page[index % PAGE_WORDS]))
     }
 
     /// Writes the word at `index` (word-granular, un-timed).
@@ -110,19 +141,27 @@ impl Sram {
     ///
     /// [`SlaveFault`] if `index` is out of range.
     pub fn store(&mut self, index: usize, value: u32) -> Result<(), SlaveFault> {
-        match self.words.get_mut(index) {
-            Some(w) => {
-                *w = value;
-                Ok(())
-            }
-            None => Err(self.out_of_range(index)),
+        if index >= self.words {
+            return Err(self.out_of_range(index));
         }
+        self.page_mut(index / PAGE_WORDS)[index % PAGE_WORDS] = value;
+        Ok(())
+    }
+
+    /// Page `p`, allocated zeroed if it was never written.
+    fn page_mut(&mut self, p: usize) -> &mut [u32; PAGE_WORDS] {
+        self.pages[p].get_or_insert_with(zeroed_page)
+    }
+
+    /// How many of the `count` words from `start` exist.
+    fn present(&self, start: usize, count: usize) -> usize {
+        self.words.saturating_sub(start).min(count)
     }
 
     /// The fault of a word access at `index`, past the end.
     fn out_of_range(&self, index: usize) -> SlaveFault {
         SlaveFault {
-            reason: format!("word index {index} out of range ({})", self.words.len()),
+            reason: format!("word index {index} out of range ({})", self.words),
         }
     }
 }
@@ -133,7 +172,7 @@ impl BusSlave for Sram {
     }
 
     fn size(&self) -> u32 {
-        u32::try_from(self.words.len() * 4).expect("an SRAM window fits the 32-bit address space")
+        u32::try_from(self.words * 4).expect("an SRAM window fits the 32-bit address space")
     }
 
     fn read_word(&mut self, offset: u32) -> Result<u32, SlaveFault> {
@@ -144,9 +183,10 @@ impl BusSlave for Sram {
         self.store((offset / 4) as usize, value)
     }
 
-    /// One bounds check and one slice copy; an out-of-range tail copies
-    /// the words that exist and faults as `read_word` would on the
-    /// first one missing.
+    /// One bounds check and one slice copy per page touched (zeros
+    /// for a page never written); an out-of-range tail copies the words
+    /// that exist and faults as `read_word` would on the first one
+    /// missing.
     fn read_words(
         &mut self,
         offset: u32,
@@ -154,9 +194,16 @@ impl BusSlave for Sram {
         out: &mut Vec<u32>,
     ) -> Result<(), SlaveFault> {
         let start = (offset / 4) as usize;
-        let present = self.words.len().saturating_sub(start).min(count);
-        if present > 0 {
-            out.extend_from_slice(&self.words[start..start + present]);
+        let present = self.present(start, count);
+        let (mut at, end) = (start, start + present);
+        while at < end {
+            let o = at % PAGE_WORDS;
+            let n = (PAGE_WORDS - o).min(end - at);
+            match &self.pages[at / PAGE_WORDS] {
+                Some(page) => out.extend_from_slice(&page[o..o + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            at += n;
         }
         if present < count {
             return Err(self.out_of_range(start + present));
@@ -164,14 +211,19 @@ impl BusSlave for Sram {
         Ok(())
     }
 
-    /// One bounds check and one slice copy; an out-of-range tail writes
-    /// the words that fit and faults as `write_word` would on the first
-    /// one that does not.
+    /// One bounds check and one slice copy per page touched; an
+    /// out-of-range tail writes the words that fit and faults as
+    /// `write_word` would on the first one that does not.
     fn write_words(&mut self, offset: u32, data: &[u32]) -> Result<(), (usize, SlaveFault)> {
         let start = (offset / 4) as usize;
-        let present = self.words.len().saturating_sub(start).min(data.len());
-        if present > 0 {
-            self.words[start..start + present].copy_from_slice(&data[..present]);
+        let present = self.present(start, data.len());
+        let (mut at, end) = (start, start + present);
+        while at < end {
+            let o = at % PAGE_WORDS;
+            let n = (PAGE_WORDS - o).min(end - at);
+            let from = at - start;
+            self.page_mut(at / PAGE_WORDS)[o..o + n].copy_from_slice(&data[from..from + n]);
+            at += n;
         }
         if present < data.len() {
             return Err((present, self.out_of_range(start + present)));
@@ -221,43 +273,147 @@ mod tests {
         assert_eq!(BusSlave::size(&ram), 32);
     }
 
-    /// Every range of a small memory, in range or running off its end:
-    /// the bulk calls move the words and return the fault the per-word
-    /// calls would, on the first word out of range.
+    /// The pages of `ram` that are allocated.
+    fn allocated(ram: &Sram) -> Vec<usize> {
+        (0..ram.pages.len())
+            .filter(|&p| ram.pages[p].is_some())
+            .collect()
+    }
+
+    /// Reads then writes `count` words at word `start` of a copy of
+    /// `ram`, once through the bulk calls and once word by word: both
+    /// move the same words and return the fault the per-word calls
+    /// would, on the first word out of range. After the write, every
+    /// word of both copies holds the data in range and its old value
+    /// elsewhere. A read allocates no page; a write allocates exactly
+    /// the pages it covers.
+    fn bulk_matches_per_word(ram: &Sram, start: usize, count: usize) {
+        let offset = u32::try_from(start * 4).unwrap();
+        let at = |i: usize| offset + u32::try_from(i * 4).unwrap();
+        let data: Vec<u32> = (0..count as u32).map(|i| 0xA0 + i).collect();
+        let mut bulk = ram.clone();
+        let mut single = ram.clone();
+        let before = allocated(ram);
+
+        let read_both = |bulk: &mut Sram, single: &mut Sram, what: &str| {
+            let mut bulk_out = vec![1];
+            let bulk_read = bulk.read_words(offset, count, &mut bulk_out);
+            let mut single_out = vec![1];
+            let single_read = (0..count).try_for_each(|i| {
+                single_out.push(single.read_word(at(i))?);
+                Ok(())
+            });
+            assert_eq!(bulk_read, single_read, "{what} {start}+{count}");
+            assert_eq!(bulk_out, single_out, "{what} {start}+{count}");
+        };
+
+        read_both(&mut bulk, &mut single, "read");
+        assert_eq!(allocated(&bulk), before, "read {start}+{count} allocates");
+        assert_eq!(allocated(&single), before, "read {start}+{count} allocates");
+
+        let bulk_write = bulk.write_words(offset, &data);
+        let single_write = data
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, &w)| single.write_word(at(i), w).map_err(|e| (i, e)));
+        assert_eq!(bulk_write, single_write, "write {start}+{count}");
+        let end = ram.words.min(start + count);
+        for index in 0..ram.words {
+            let want = if (start..end).contains(&index) {
+                Ok(data[index - start])
+            } else {
+                ram.load(index)
+            };
+            assert_eq!(
+                bulk.load(index),
+                want,
+                "write {start}+{count}, word {index}"
+            );
+            assert_eq!(
+                single.load(index),
+                want,
+                "write {start}+{count}, word {index}"
+            );
+        }
+        let mut covered = before;
+        covered.extend((start..end).map(|i| i / PAGE_WORDS));
+        covered.sort_unstable();
+        covered.dedup();
+        assert_eq!(allocated(&bulk), covered, "write {start}+{count}");
+        assert_eq!(allocated(&single), covered, "write {start}+{count}");
+
+        read_both(&mut bulk, &mut single, "read back");
+    }
+
+    /// Every range of a small memory, in range or running off its end.
     #[test]
     fn bulk_words_equal_per_word_calls() {
         const WORDS: usize = 6;
-        for start in 0..WORDS as u32 + 2 {
+        let ram = Sram::with_words(WORDS, SramConfig::no_wait());
+        for start in 0..WORDS + 2 {
             for count in 0..WORDS + 3 {
-                let offset = start * 4;
-                let data: Vec<u32> = (0..count as u32).map(|i| 0xA0 + i).collect();
-                let mut bulk = Sram::with_words(WORDS, SramConfig::no_wait());
-                let mut single = bulk.clone();
-
-                let bulk_write = bulk.write_words(offset, &data);
-                let single_write = data.iter().enumerate().try_for_each(|(i, &w)| {
-                    single
-                        .write_word(offset + (i as u32) * 4, w)
-                        .map_err(|e| (i, e))
-                });
-                assert_eq!(bulk_write, single_write, "write {start}+{count}");
-                assert_eq!(bulk.words, single.words, "write {start}+{count}");
-
-                let mut bulk_out = vec![1];
-                let bulk_read = bulk.read_words(offset, count, &mut bulk_out);
-                let mut single_out = vec![1];
-                let single_read = (0..count).try_for_each(|i| {
-                    single_out.push(single.read_word(offset + (i as u32) * 4)?);
-                    Ok(())
-                });
-                assert_eq!(bulk_read, single_read, "read {start}+{count}");
-                assert_eq!(bulk_out, single_out, "read {start}+{count}");
+                bulk_matches_per_word(&ram, start, count);
             }
         }
-        let mut ram = Sram::with_words(WORDS, SramConfig::no_wait());
+        let mut ram = ram;
         let (index, fault) = ram.write_words(16, &[0; 4]).unwrap_err();
         assert_eq!(index, 2);
         assert_eq!(fault.reason, "word index 6 out of range (6)");
+    }
+
+    /// Ranges of a 2.5-page memory whose first page alone was written:
+    /// within a page, straddling one or two page boundaries, starting
+    /// on a page never written, and running off the end mid-page.
+    #[test]
+    fn bulk_words_equal_per_word_calls_across_pages() {
+        const WORDS: usize = PAGE_WORDS * 5 / 2;
+        let mut ram = Sram::with_words(WORDS, SramConfig::no_wait());
+        assert_eq!(ram.pages.len(), 3);
+        assert!(allocated(&ram).is_empty(), "a new memory has no page");
+        ram.store(5, 7).unwrap();
+        ram.store(PAGE_WORDS - 1, 9).unwrap();
+        assert_eq!(allocated(&ram), [0]);
+        let starts = [
+            0,
+            1,
+            PAGE_WORDS - 2,
+            PAGE_WORDS - 1,
+            PAGE_WORDS,
+            PAGE_WORDS + 1,
+            2 * PAGE_WORDS - 1,
+            2 * PAGE_WORDS,
+            WORDS - 3,
+            WORDS - 1,
+            WORDS,
+            WORDS + 1,
+        ];
+        let counts = [
+            0,
+            1,
+            2,
+            3,
+            16,
+            64,
+            PAGE_WORDS,
+            PAGE_WORDS + 2,
+            WORDS,
+            WORDS + 1,
+        ];
+        for start in starts {
+            for count in counts {
+                bulk_matches_per_word(&ram, start, count);
+            }
+        }
+        let (index, fault) = ram
+            .write_words(4 * (WORDS as u32 - 2), &[3; 5])
+            .unwrap_err();
+        assert_eq!(index, 2);
+        assert_eq!(
+            fault.reason,
+            format!("word index {WORDS} out of range ({WORDS})")
+        );
+        assert_eq!(ram.load(WORDS - 1), Ok(3));
+        assert_eq!(allocated(&ram), [0, 2]);
     }
 
     #[test]

@@ -234,7 +234,7 @@ struct Run {
 /// Requests the bus must reject, derived from `req`: unaligned, and
 /// running past the end of the address map.
 fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
-    let beats = req.beats();
+    let beats = req.shape().beats;
     [
         TxnRequest::read(req.addr() + 2, beats),
         TxnRequest::read(SRAM_BASE + (SRAM_WORDS - 1) * 4, 2),
@@ -664,7 +664,7 @@ fn a_lone_master_s_back_to_back_bursts_match_ticking() {
         txns += ticked.observations.len();
         multi += s.scripts[0]
             .iter()
-            .filter(|step| step.req.beats() > s.config.max_burst_beats)
+            .filter(|step| step.req.shape().beats > s.config.max_burst_beats)
             .count();
         faulted += faults(&ticked);
         flaky += u64::from(s.with_flaky);

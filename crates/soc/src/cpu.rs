@@ -192,18 +192,6 @@ impl CostModel {
         self.counts.fmul += n;
     }
 
-    /// The accumulated operation counts.
-    #[must_use]
-    pub fn counts(&self) -> OpCounts {
-        self.counts
-    }
-
-    /// The per-op costs in effect.
-    #[must_use]
-    pub fn costs(&self) -> CpuCosts {
-        self.costs
-    }
-
     /// Total cycles accumulated so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -257,7 +245,7 @@ mod tests {
         cpu.fadd(2);
         cpu.fmul(1);
         assert_eq!(cpu.cycles(), 2 * 45 + 60);
-        assert_eq!(cpu.counts().fadd, 2);
+        assert_eq!(cpu.counts.fadd, 2);
     }
 
     #[test]
@@ -270,7 +258,7 @@ mod tests {
         cpu.alu(100);
         cpu.reset();
         assert_eq!(cpu.cycles(), 0);
-        assert_eq!(cpu.costs(), costs);
+        assert_eq!(cpu.costs, costs);
     }
 
     #[test]

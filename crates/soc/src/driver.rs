@@ -11,7 +11,8 @@
 //! [`OuessantDevice`] is that driver's API surface, with the cycle cost
 //! of every crossing charged according to the configured [`OsModel`]:
 //!
-//! * [`OuessantDevice::open`] — `open(2)` + buffer setup (one-time);
+//! * [`OuessantDevice::open`] — `open(2)` + buffer setup (one-time and
+//!   not charged: Table I times the offload, not the open);
 //! * [`OuessantDevice::write_input`] and [`OuessantDevice::read_output`]
 //!   — plain accesses to the shared buffers;
 //! * [`OuessantDevice::submit_and_wait`] — the ioctl/read pair, charged
@@ -32,10 +33,6 @@ use ouessant_verify::{verify, Analysis, VerifyConfig};
 
 use crate::os::OsModel;
 use crate::soc::{Soc, SocConfig, SocError};
-
-/// One-time cost of `open(2)` plus driver buffer allocation and (for
-/// the mmap driver) the `mmap(2)` call, in cycles.
-pub const OPEN_COST_CYCLES: u64 = 2_500;
 
 /// One of the device's shared buffers: the bank that maps it, its byte
 /// offset from the start of RAM and its size in words.
@@ -64,6 +61,14 @@ const OUTPUT: Buffer = Buffer {
     offset: 0x2_0000,
     words: 0x4000,
 };
+
+/// The device's bank map on a SoC whose RAM starts at `ram_base`: the
+/// `(bank, address)` of the program, input and output buffers, in that
+/// order, as [`Soc::configure`] takes it.
+#[must_use]
+pub fn bank_map(ram_base: Addr) -> [(u8, Addr); 3] {
+    [PROGRAM, INPUT, OUTPUT].map(|b| (b.bank, ram_base + b.offset))
+}
 
 /// Errors surfaced by the driver API.
 #[derive(Debug)]
@@ -165,8 +170,6 @@ pub struct OuessantDevice {
     soc: Soc,
     os: OsModel,
     microcode_len: Option<u32>,
-    /// Cumulative OS cycles charged since `open`.
-    os_cycles_total: u64,
 }
 
 impl OuessantDevice {
@@ -184,15 +187,7 @@ impl OuessantDevice {
             soc: Soc::new(rac, config),
             os,
             microcode_len: None,
-            os_cycles_total: OPEN_COST_CYCLES,
         }
-    }
-
-    /// Cumulative OS cycles charged since `open` (including the open
-    /// itself).
-    #[must_use]
-    pub fn os_cycles_total(&self) -> u64 {
-        self.os_cycles_total
     }
 
     fn addr(&self, buffer: Buffer) -> Addr {
@@ -261,13 +256,11 @@ impl OuessantDevice {
     /// or a propagated [`SocError`] (fault, timeout).
     pub fn submit_and_wait(&mut self) -> Result<DriverStats, DriverError> {
         let prog_len = self.microcode_len.ok_or(DriverError::NoMicrocode)?;
-        let config_cycles = self.soc.configure(
-            &[PROGRAM, INPUT, OUTPUT].map(|b| (b.bank, self.addr(b))),
-            prog_len,
-        )?;
+        let config_cycles = self
+            .soc
+            .configure(&bank_map(self.soc.config().ram_base), prog_len)?;
         let report = self.soc.start_and_wait(100_000_000)?;
         let os_cycles = self.os.invocation_overhead(report.words_transferred);
-        self.os_cycles_total += os_cycles;
         Ok(DriverStats {
             machine_cycles: config_cycles + report.machine_cycles(),
             os_cycles,
@@ -415,10 +408,9 @@ mod tests {
         for round in 0..3u32 {
             let input: Vec<u32> = (0..16).map(|i| round * 100 + i).collect();
             dev.write_input(&input).unwrap();
-            dev.submit_and_wait().unwrap();
+            let stats = dev.submit_and_wait().unwrap();
+            assert_eq!(stats.os_cycles, 3_000, "round {round}: one crossing each");
             assert_eq!(dev.read_output(16).unwrap(), input, "round {round}");
         }
-        // open + 3 × crossing.
-        assert_eq!(dev.os_cycles_total(), OPEN_COST_CYCLES + 3 * 3_000);
     }
 }

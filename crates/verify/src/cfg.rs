@@ -2,10 +2,10 @@
 //!
 //! The only branch instruction is `djnz`, which either falls through
 //! (counter exhausted) or jumps to its absolute target; `eop` and
-//! `halt` terminate the program. The CFG is therefore a vector of
-//! successor lists plus a reachability bitmap computed from entry 0 —
-//! enough for the worklist dataflow of the hazard checks and for
-//! dead-code reporting.
+//! `halt` terminate the program. The CFG is therefore one flat array of
+//! successors, sliced per instruction by start indices, plus a
+//! reachability bitmap computed from entry 0 — enough for the worklist
+//! dataflow of the hazard checks and for dead-code reporting.
 
 use ouessant_isa::{Instruction, Program};
 
@@ -14,7 +14,10 @@ use crate::diag::{DiagKind, Diagnostic, Severity};
 /// The control-flow graph of one program.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    succs: Vec<Vec<usize>>,
+    /// Every instruction's successors, in program order.
+    succs: Vec<usize>,
+    /// Instruction `pc`'s successors are `succs[starts[pc]..starts[pc + 1]]`.
+    starts: Vec<usize>,
     reachable: Vec<bool>,
 }
 
@@ -23,51 +26,44 @@ impl Cfg {
     #[must_use]
     pub fn build(program: &Program) -> Self {
         let len = program.len();
-        let mut succs = Vec::with_capacity(len);
+        let mut succs = Vec::with_capacity(2 * len);
+        let mut starts = Vec::with_capacity(len + 1);
+        starts.push(0);
         for (pc, insn) in program.iter().enumerate() {
-            let s = match insn {
-                Instruction::Eop | Instruction::Halt => Vec::new(),
-                Instruction::Djnz { target, .. } => {
-                    // Fall through on an exhausted counter, branch
-                    // otherwise; both edges always exist statically.
-                    let mut s = Vec::with_capacity(2);
-                    if pc + 1 < len {
-                        s.push(pc + 1);
-                    }
-                    let t = target.index();
-                    if t < len && !s.contains(&t) {
-                        s.push(t);
-                    }
-                    s
+            // Every instruction but a terminator falls through; a
+            // `djnz` falls through on an exhausted counter and
+            // branches otherwise, and both edges exist statically.
+            if !matches!(insn, Instruction::Eop | Instruction::Halt) && pc + 1 < len {
+                succs.push(pc + 1);
+            }
+            if let Instruction::Djnz { target, .. } = insn {
+                let t = target.index();
+                if t < len && t != pc + 1 {
+                    succs.push(t);
                 }
-                _ => {
-                    if pc + 1 < len {
-                        vec![pc + 1]
-                    } else {
-                        Vec::new()
-                    }
-                }
-            };
-            succs.push(s);
+            }
+            starts.push(succs.len());
         }
-
-        let mut reachable = vec![false; len];
+        let mut cfg = Self {
+            succs,
+            starts,
+            reachable: vec![false; len],
+        };
         let mut stack = vec![0usize];
         while let Some(pc) = stack.pop() {
-            if pc >= len || reachable[pc] {
+            if pc >= len || cfg.reachable[pc] {
                 continue;
             }
-            reachable[pc] = true;
-            stack.extend(succs[pc].iter().copied());
+            cfg.reachable[pc] = true;
+            stack.extend_from_slice(cfg.successors(pc));
         }
-
-        Self { succs, reachable }
+        cfg
     }
 
     /// Successor program counters of `pc`.
     #[must_use]
     pub fn successors(&self, pc: usize) -> &[usize] {
-        &self.succs[pc]
+        &self.succs[self.starts[pc]..self.starts[pc + 1]]
     }
 
     /// Whether any path from entry reaches `pc`.
@@ -79,14 +75,14 @@ impl Cfg {
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.reachable.len()
     }
 
     /// Whether the program is empty (cannot happen for a validated
     /// [`Program`], but keeps clippy's `len`-without-`is_empty` happy).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.reachable.is_empty()
     }
 
     /// Dead-code warnings: one per unreachable instruction.

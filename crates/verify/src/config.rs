@@ -55,16 +55,6 @@ impl Default for VerifyConfig {
 }
 
 impl VerifyConfig {
-    /// No size information at all: bounds checking is reduced to the
-    /// offset-field range the ISA already enforces.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        Self {
-            banks: [BankModel::Unbounded; NUM_BANKS as usize],
-            fifo_depth: None,
-        }
-    }
-
     /// The standard job memory map used by the driver and the farm:
     /// bank 0 holds the program, bank 1 the input, bank 2 the output,
     /// banks 3–7 are unmapped.

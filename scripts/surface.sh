@@ -9,12 +9,14 @@
 # scripts/surface.allow does not name. A file's non-test code is its
 # lines before its first `#[cfg(test)]`, as in loc.sh.
 #
-# A function counts as called when its name is a word of that code
-# outside a `fn <name>` definition. Code in a doc example (a ``` block
-# of `///` or `//!` comments) counts, since it shows how the function
-# is meant to be used; other comments do not. Names are matched as
-# words, not resolved by type, so a function shares the callers of
-# every other function of its name.
+# A function counts as called when that code names it as a call or a
+# path: `<name>(`, `<name>::<` or `::<name>`, outside a `fn <name>`
+# definition. A bare word is not a call, so a module, field or local
+# of the same name does not keep a function alive. Code in a doc
+# example (a ``` block of `///` or `//!` comments) counts, since it
+# shows how the function is meant to be used; other comments do not.
+# Names are matched as text, not resolved by type, so a function
+# shares the callers of every other function of its name.
 #
 # Each line of scripts/surface.allow is `<path> <name> <reason>`; `#`
 # starts a comment line. An entry without a reason, or one that names
@@ -51,8 +53,18 @@ FILENAME == allow {
     if (fence) sub(/^[ \t]*\/\/[\/!]/, "", line)
     sub(/\/\/.*/, "", line)
     gsub(/(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/, " ", line)
-    words = split(line, w, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= words; i++) called[w[i]] = 1
+    rest = line
+    while (match(rest, /[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
+        name = substr(rest, RSTART, RLENGTH)
+        sub(/(\(|::<)$/, "", name)
+        called[name] = 1
+        rest = substr(rest, RSTART + RLENGTH)
+    }
+    rest = line
+    while (match(rest, /::[A-Za-z_][A-Za-z0-9_]*/)) {
+        called[substr(rest, RSTART + 2, RLENGTH - 2)] = 1
+        rest = substr(rest, RSTART + RLENGTH)
+    }
 }
 END {
     for (i = 1; i <= n; i++) {

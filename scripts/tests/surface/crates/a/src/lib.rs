@@ -41,6 +41,13 @@ impl Widget {
 
 fn private() {}
 
+/// Shares its name with crate b's module, field and local; none of
+/// them is a call.
+pub fn settings() {}
+
+/// Named by its path as a value in crate b: a use, not a call.
+pub fn as_value() {}
+
 /// Called only by the unit test below and by tests/it.rs.
 pub fn only_tests() {}
 

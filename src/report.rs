@@ -22,6 +22,7 @@ use ouessant_resources::{
 use ouessant_sim::memory::SramConfig;
 use ouessant_sim::Frequency;
 use ouessant_soc::app::{dft_experiment, idct_experiment, transfer_experiment, ExperimentConfig};
+use ouessant_soc::driver::bank_map;
 use ouessant_soc::os::OsModel;
 use ouessant_soc::soc::{CompletionMode, Soc, SocConfig};
 
@@ -55,14 +56,12 @@ fn dpr_phases_cycles(blocks_per_phase: u16) -> Result<u64, Box<dyn Error>> {
         .with_config(Box::new(PassthroughRac::new(0)), DPR_BITSTREAM_BYTES)
         .with_config(Box::new(PassthroughRac::scaling(3, 0)), DPR_BITSTREAM_BYTES);
     let mut soc = Soc::new(Box::new(slot), SocConfig::default());
-    let ram = soc.config().ram_base;
-    soc.load_words(ram, &program.to_words())?;
+    let banks = bank_map(soc.config().ram_base);
+    let [(_, program_at), (_, input_at), _] = banks;
+    soc.load_words(program_at, &program.to_words())?;
     let input: Vec<u32> = (0..u32::from(blocks_per_phase) * 16).collect();
-    soc.load_words(ram + 0x4000, &input)?;
-    soc.configure(
-        &[(0, ram), (1, ram + 0x4000), (2, ram + 0x2_0000)],
-        u32::try_from(program.len())?,
-    )?;
+    soc.load_words(input_at, &input)?;
+    soc.configure(&banks, u32::try_from(program.len())?)?;
     Ok(soc.start_and_wait(100_000_000)?.run_cycles)
 }
 

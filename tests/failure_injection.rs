@@ -155,6 +155,7 @@ fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     // `Soc` with the driver's memory map reproduces the exact failure
     // it prevents — the DMA runs off the end of mapped SRAM and the
     // controller faults.
+    use ouessant_soc::driver::bank_map;
     use ouessant_soc::{DriverError, OsModel, OuessantDevice};
     let config = SocConfig {
         // SRAM ends where the driver's 16384-word output buffer ends,
@@ -173,16 +174,11 @@ fn driver_gate_blocks_microcode_the_bypass_proves_faults() {
     assert!(matches!(err, DriverError::RejectedMicrocode(_)), "{err:?}");
     assert!(err.to_string().contains("bank-overflow"), "{err}");
 
-    // The driver's map: a 4096-word program buffer at RAM, 16384-word
-    // input and output buffers at +0x4000 and +0x2_0000.
+    // The driver's map: program, input and output buffers.
     let mut soc = Soc::new(Box::new(PassthroughRac::new(0)), config);
-    let ram = soc.config().ram_base;
-    soc.load_words(ram, &program.to_words()).unwrap();
-    soc.configure(
-        &[(0, ram), (1, ram + 0x4000), (2, ram + 0x2_0000)],
-        program.len() as u32,
-    )
-    .unwrap();
+    let banks = bank_map(soc.config().ram_base);
+    soc.load_words(banks[0].1, &program.to_words()).unwrap();
+    soc.configure(&banks, program.len() as u32).unwrap();
     match soc.start_and_wait(100_000) {
         Err(SocError::Ocp(fault)) => {
             assert!(matches!(fault, ExecError::Bus(_)), "{fault:?}");
