@@ -46,9 +46,11 @@
 //!
 //! [`AllocError::OutOfMemory`]: ouessant_soc::alloc::AllocError::OutOfMemory
 
+use std::ops::Range;
+
 use ouessant::ExecError;
 use ouessant_sim::bus::{Bus, BusError, MasterId, SlaveFault};
-use ouessant_sim::rng::XorShift64;
+use ouessant_sim::rng::{OneIn, XorShift64};
 use ouessant_soc::alloc::{BankAllocator, Region};
 
 use crate::worker::Worker;
@@ -147,6 +149,43 @@ impl ChaosStats {
     pub fn worker_faults(&self) -> u64 {
         self.controller_faults + self.bus_faults + self.bitstream_faults
     }
+
+    /// Counts one landed injection against its seam.
+    fn count(&mut self, hit: Injection) {
+        let count = match hit {
+            Injection::Bitstream { .. } => &mut self.bitstream_faults,
+            Injection::Bus { .. } => &mut self.bus_faults,
+            Injection::Controller { .. } => &mut self.controller_faults,
+            Injection::Wedge { .. } => &mut self.wedges,
+            Injection::SlowRac { .. } => &mut self.rac_stalls,
+        };
+        *count += 1;
+    }
+}
+
+/// Every seam's odds, made once per plan; `None` disarms a seam.
+#[derive(Debug, Clone, Copy)]
+struct SeamOdds {
+    controller: Option<OneIn>,
+    bus: Option<OneIn>,
+    bitstream: Option<OneIn>,
+    alloc: Option<OneIn>,
+    wedge: Option<OneIn>,
+    slow: Option<OneIn>,
+}
+
+impl SeamOdds {
+    fn new(c: &ChaosConfig) -> Self {
+        let odds = |n: u32| (n > 0).then(|| OneIn::new(n));
+        Self {
+            controller: odds(c.controller_one_in),
+            bus: odds(c.bus_one_in),
+            bitstream: odds(c.bitstream_one_in),
+            alloc: odds(c.alloc_one_in),
+            wedge: odds(c.wedge_one_in),
+            slow: odds(c.slow_one_in),
+        }
+    }
 }
 
 /// An allocator squat in progress.
@@ -184,7 +223,7 @@ pub(crate) enum Injection {
 /// cycle and the injection a hit lands.
 #[derive(Debug, Clone, Copy)]
 struct Die {
-    one_in: u32,
+    odds: OneIn,
     hit: Injection,
 }
 
@@ -196,6 +235,7 @@ struct Die {
 pub struct FaultPlan {
     rng: XorShift64,
     config: ChaosConfig,
+    odds: SeamOdds,
     stats: ChaosStats,
     squat: Option<Squat>,
     /// The armed dice of the current window (reused across windows).
@@ -208,6 +248,7 @@ impl FaultPlan {
     pub fn new(config: ChaosConfig) -> Self {
         Self {
             rng: XorShift64::new(config.seed),
+            odds: SeamOdds::new(&config),
             config,
             stats: ChaosStats::default(),
             squat: None,
@@ -221,14 +262,10 @@ impl FaultPlan {
         self.stats
     }
 
-    fn roll(&mut self, one_in: u32) -> bool {
-        one_in > 0 && self.rng.gen_range_u32(0..one_in) == 0
-    }
-
     /// Lists the window's armed dice, in the order every cycle rolls
     /// them: workers by pool index, and for each its crash die, then
-    /// its wedge die, then its slow-RAC die. A die with `one_in = 0`
-    /// would draw nothing, so it is left out.
+    /// its wedge die, then its slow-RAC die. A disarmed seam draws
+    /// nothing, so its die is left out.
     ///
     /// Each worker's dice follow the category of the state it is in
     /// after the window's first tick, which a window keeps to its end
@@ -238,7 +275,7 @@ impl FaultPlan {
     /// tick picks up, counts as `Fetch`, and the `issuer`, whose
     /// `Execute` begins its burst on that tick, as `TransferBusWait`.
     fn arm_dice(&mut self, workers: &[Worker], bus: &Bus, issuer: Option<MasterId>) {
-        let c = &self.config;
+        let (c, odds) = (&self.config, &self.odds);
         self.dice.clear();
         for (wi, worker) in workers.iter().enumerate() {
             if worker.active.is_none() || worker.ocp.fault().is_some() || worker.ocp.is_wedged() {
@@ -252,28 +289,25 @@ impl FaultPlan {
             } else {
                 controller.state()
             };
+            let die = |odds: Option<OneIn>, hit| odds.map(|odds| Die { odds, hit });
             let crash = match state {
-                ControllerState::ReconfigWait => Some(Die {
-                    one_in: c.bitstream_one_in,
-                    hit: Injection::Bitstream {
+                ControllerState::ReconfigWait => die(
+                    odds.bitstream,
+                    Injection::Bitstream {
                         worker: wi,
                         slot: u16::try_from(worker.loaded_config())
                             .expect("config index fits rcfg operand"),
                         available: worker.caps().len(),
                     },
-                }),
-                ControllerState::LoadProgram | ControllerState::TransferBusWait => Some(Die {
-                    one_in: c.bus_one_in,
-                    hit: Injection::Bus { worker: wi },
-                }),
+                ),
+                ControllerState::LoadProgram | ControllerState::TransferBusWait => {
+                    die(odds.bus, Injection::Bus { worker: wi })
+                }
                 ControllerState::Idle | ControllerState::Faulted(_) => None,
                 // Fetch, Decode and Execute share this category (and no
                 // stall die below), so a fetch/decode leap keeps the
                 // dice constant across its window.
-                _ => Some(Die {
-                    one_in: c.controller_one_in,
-                    hit: Injection::Controller { worker: wi },
-                }),
+                _ => die(odds.controller, Injection::Controller { worker: wi }),
             };
             // The wedge seam targets handshake states — places a real
             // FSM can deadlock on a peer that never answers.
@@ -285,68 +319,20 @@ impl FaultPlan {
                     | ControllerState::SyncWait
                     | ControllerState::RacWait
             )
-            .then_some(Die {
-                one_in: c.wedge_one_in,
-                hit: Injection::Wedge { worker: wi },
-            });
-            let slow = matches!(state, ControllerState::RacWait).then_some(Die {
-                one_in: c.slow_one_in,
-                hit: Injection::SlowRac {
-                    worker: wi,
-                    stall: c.slow_stall,
-                },
-            });
-            self.dice.extend(
-                [crash, wedge, slow]
-                    .into_iter()
-                    .flatten()
-                    .filter(|d| d.one_in > 0),
-            );
-        }
-    }
-
-    /// Rolls one cycle of the armed dice without touching any worker,
-    /// pushing the hits onto `out`, then the allocator squat. Squat
-    /// release and take still happen here (they only touch the
-    /// allocator), so the squat timeline is exact even when the farm
-    /// replays a skipped window through this method.
-    fn roll_cycle(
-        &mut self,
-        now: u64,
-        alloc: &mut BankAllocator,
-        work_pending: bool,
-        out: &mut Vec<Injection>,
-    ) {
-        for die in &self.dice {
-            if self.rng.gen_range_u32(0..die.one_in) == 0 {
-                let count = match die.hit {
-                    Injection::Bitstream { .. } => &mut self.stats.bitstream_faults,
-                    Injection::Bus { .. } => &mut self.stats.bus_faults,
-                    Injection::Controller { .. } => &mut self.stats.controller_faults,
-                    Injection::Wedge { .. } => &mut self.stats.wedges,
-                    Injection::SlowRac { .. } => &mut self.stats.rac_stalls,
-                };
-                *count += 1;
-                out.push(die.hit);
-            }
-        }
-
-        if let Some(squat) = &self.squat {
-            if now >= squat.release_at {
-                let squat = self.squat.take().expect("checked above");
-                alloc.free(squat.lease).expect("squat lease is live");
-            }
-        }
-        if self.squat.is_none() && work_pending && self.roll(self.config.alloc_one_in) {
-            let words = alloc.largest_free();
-            if words > 0 {
-                let lease = alloc.alloc(words).expect("largest_free is allocatable");
-                self.squat = Some(Squat {
-                    lease,
-                    release_at: now + self.config.alloc_hold,
-                });
-                self.stats.alloc_squats += 1;
-            }
+            .then(|| die(odds.wedge, Injection::Wedge { worker: wi }))
+            .flatten();
+            let slow = matches!(state, ControllerState::RacWait)
+                .then(|| {
+                    die(
+                        odds.slow,
+                        Injection::SlowRac {
+                            worker: wi,
+                            stall: c.slow_stall,
+                        },
+                    )
+                })
+                .flatten();
+            self.dice.extend([crash, wedge, slow].into_iter().flatten());
         }
     }
 
@@ -385,36 +371,102 @@ impl FaultPlan {
         }
     }
 
-    /// Replays the dice of the cycles in `window`, stopping after the
+    /// Replays the cycles of `window` in tick order, stopping after the
     /// first cycle that injects. Returns the number of cycles consumed
-    /// (at least one, at most the whole window); hits land on `out`.
+    /// (at most the whole window); hits land on `out`.
+    ///
+    /// Each cycle runs `dispatch` first, then the armed dice, then the
+    /// allocator squat: its release and its take touch only the
+    /// allocator, so the squat timeline is exact in a leap too. A window
+    /// that stalls dispatch passes the cycle's pick and failed lease as
+    /// `dispatch`, which ends the window in front of a cycle by
+    /// returning `false`; every other window passes `|_, _| true`.
     ///
     /// Worker states are read but never written, before the window's
     /// first tick: the dice are listed once, from the state each worker
     /// will be in after that tick (`issuer` is the worker whose
     /// transfer the window issues on it, if any), and the list is
     /// rolled every cycle — exactly the dice single-stepping would
-    /// roll.
+    /// roll, drawn from the same stream.
     #[allow(clippy::too_many_arguments)] // the window, the pool it reads and the ledger it writes
     pub(crate) fn fast_forward(
         &mut self,
-        window: std::ops::Range<u64>,
+        window: Range<u64>,
         workers: &[Worker],
         bus: &Bus,
         issuer: Option<MasterId>,
         alloc: &mut BankAllocator,
         work_pending: bool,
         out: &mut Vec<Injection>,
+        dispatch: impl FnMut(u64, &mut BankAllocator) -> bool,
     ) -> u64 {
         self.arm_dice(workers, bus, issuer);
+        self.roll_window(window, alloc, work_pending, out, dispatch)
+    }
+
+    /// The kernel of [`FaultPlan::fast_forward`], over the listed dice.
+    /// The generator lives in a local for the whole window and is
+    /// written back once.
+    fn roll_window(
+        &mut self,
+        window: Range<u64>,
+        alloc: &mut BankAllocator,
+        work_pending: bool,
+        out: &mut Vec<Injection>,
+        mut dispatch: impl FnMut(u64, &mut BankAllocator) -> bool,
+    ) -> u64 {
+        let mut rng = self.rng.clone();
         let start = window.start;
-        for now in window.clone() {
-            self.roll_cycle(now, alloc, work_pending, out);
-            if !out.is_empty() {
-                return now - start + 1;
+        let mut end = window.end;
+        for now in window {
+            if !dispatch(now, alloc) {
+                end = now;
+                break;
+            }
+            let mut hit = false;
+            for die in &self.dice {
+                if rng.one_in(die.odds) {
+                    hit = true;
+                    self.stats.count(die.hit);
+                    out.push(die.hit);
+                }
+            }
+            self.roll_squat(now, &mut rng, alloc, work_pending);
+            if hit {
+                end = now + 1;
+                break;
             }
         }
-        window.end - start
+        self.rng = rng;
+        end - start
+    }
+
+    /// One cycle of the allocator squat: a due release, then (while
+    /// work is pending and no squat is held) the squat die.
+    fn roll_squat(
+        &mut self,
+        now: u64,
+        rng: &mut XorShift64,
+        alloc: &mut BankAllocator,
+        work_pending: bool,
+    ) {
+        if let Some(squat) = self.squat.take_if(|s| now >= s.release_at) {
+            alloc.free(squat.lease).expect("squat lease is live");
+        }
+        let Some(odds) = self.odds.alloc else {
+            return;
+        };
+        if self.squat.is_none() && work_pending && rng.one_in(odds) {
+            let words = alloc.largest_free();
+            if words > 0 {
+                let lease = alloc.alloc(words).expect("largest_free is allocatable");
+                self.squat = Some(Squat {
+                    lease,
+                    release_at: now + self.config.alloc_hold,
+                });
+                self.stats.alloc_squats += 1;
+            }
+        }
     }
 
     /// When the held squat (if any) will release its lease.
@@ -434,5 +486,272 @@ impl FaultPlan {
         if let Some(squat) = self.squat.take() {
             alloc.free(squat.lease).expect("squat lease is live");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl FaultPlan {
+        /// The per-cycle roller the kernel replaced, kept as its oracle:
+        /// every die through `gen_range_u32` and a 64-bit `%`.
+        fn roll(&mut self, one_in: u32) -> bool {
+            one_in > 0 && self.rng.gen_range_u32(0..one_in) == 0
+        }
+
+        fn roll_cycle(
+            &mut self,
+            dice: &[(u32, Injection)],
+            now: u64,
+            alloc: &mut BankAllocator,
+            work_pending: bool,
+            out: &mut Vec<Injection>,
+        ) {
+            for &(one_in, hit) in dice {
+                if self.rng.gen_range_u32(0..one_in) == 0 {
+                    self.stats.count(hit);
+                    out.push(hit);
+                }
+            }
+            if let Some(squat) = &self.squat {
+                if now >= squat.release_at {
+                    let squat = self.squat.take().expect("checked above");
+                    alloc.free(squat.lease).expect("squat lease is live");
+                }
+            }
+            if self.squat.is_none() && work_pending && self.roll(self.config.alloc_one_in) {
+                let words = alloc.largest_free();
+                if words > 0 {
+                    let lease = alloc.alloc(words).expect("largest_free is allocatable");
+                    self.squat = Some(Squat {
+                        lease,
+                        release_at: now + self.config.alloc_hold,
+                    });
+                    self.stats.alloc_squats += 1;
+                }
+            }
+        }
+
+        /// The oracle's window: one `roll_cycle` a cycle, stopping after
+        /// the first that injects.
+        fn oracle_window(
+            &mut self,
+            dice: &[(u32, Injection)],
+            window: Range<u64>,
+            alloc: &mut BankAllocator,
+            work_pending: bool,
+            out: &mut Vec<Injection>,
+        ) -> u64 {
+            let start = window.start;
+            for now in window.clone() {
+                self.roll_cycle(dice, now, alloc, work_pending, out);
+                if !out.is_empty() {
+                    return now - start + 1;
+                }
+            }
+            window.end - start
+        }
+    }
+
+    /// The xorshift64* output multiplier and its inverse mod 2^64.
+    const MUL: u64 = 0x2545_F491_4F6C_DD1D;
+
+    /// The seed whose generator draws `x` first (`x` nonzero): the
+    /// output multiply and the three xorshift steps run backwards.
+    fn seed_drawing(x: u64) -> u64 {
+        let mut inv = MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)));
+        }
+        let undo_right = |y: u64, s: u32| (0..64 / s).fold(y, |v, _| y ^ (v >> s));
+        let undo_left = |y: u64, s: u32| (0..64 / s).fold(y, |v, _| y ^ (v << s));
+        let seed = undo_right(undo_left(undo_right(x.wrapping_mul(inv), 27), 25), 12);
+        assert_eq!(XorShift64::new(seed).next_u64(), x, "seed search");
+        seed
+    }
+
+    /// The squat a scenario starts with.
+    #[derive(Debug, Clone, Copy)]
+    enum SquatStart {
+        None,
+        /// Held past the window's end.
+        Held,
+        /// Held, released inside the window.
+        Releasing,
+    }
+
+    /// One drawn kernel-vs-oracle case.
+    #[derive(Debug, Clone)]
+    struct Scenario {
+        config: ChaosConfig,
+        dice: Vec<(u32, Injection)>,
+        window: Range<u64>,
+        /// The cycle `dispatch` ends the window in front of, if any.
+        stop_at: Option<u64>,
+        squat: SquatStart,
+        /// Words leased before the window, fragmenting the allocator.
+        leases: Vec<u32>,
+        work_pending: bool,
+    }
+
+    impl Scenario {
+        fn draw(r: &mut XorShift64) -> Self {
+            const ODDS: [u32; 9] = [1, 2, 3, 5, 8, 64, 1_000, u32::MAX - 1, u32::MAX];
+            let mut pick = |xs: &[u32]| xs[r.gen_range_u32(0..xs.len() as u32) as usize];
+            let alloc_one_in = pick(&[0, 1, 2, 7, 40, 1_000]);
+            let alloc_hold = u64::from(pick(&[1, 3, 25, 100]));
+            let len = r.gen_range_u32(0..6) as usize;
+            let dice = (0..len)
+                .map(|i| {
+                    let hit = match r.gen_range_u32(0..5) {
+                        0 => Injection::Bitstream {
+                            worker: i,
+                            slot: 1,
+                            available: 2,
+                        },
+                        1 => Injection::Bus { worker: i },
+                        2 => Injection::Controller { worker: i },
+                        3 => Injection::Wedge { worker: i },
+                        _ => Injection::SlowRac {
+                            worker: i,
+                            stall: 9,
+                        },
+                    };
+                    (ODDS[r.gen_range_u32(0..ODDS.len() as u32) as usize], hit)
+                })
+                .collect();
+            let start = r.gen_range_u64(0..10_000);
+            let window = start..start + r.gen_range_u64(1..300);
+            let stop_at = r.gen_bool().then(|| r.gen_range_u64(window.clone()));
+            let squat = match r.gen_range_u32(0..3) {
+                0 => SquatStart::None,
+                1 => SquatStart::Held,
+                _ => SquatStart::Releasing,
+            };
+            let leases = (0..r.gen_range_u32(0..4))
+                .map(|_| r.gen_range_u32(1..400))
+                .collect();
+            Self {
+                config: ChaosConfig {
+                    seed: r.next_u64(),
+                    alloc_one_in,
+                    alloc_hold,
+                    ..ChaosConfig::hang(0)
+                },
+                dice,
+                window,
+                stop_at,
+                squat,
+                leases,
+                work_pending: r.next_u64() % 4 != 0,
+            }
+        }
+
+        /// A fresh plan and allocator in the scenario's starting state.
+        fn build(&self) -> (FaultPlan, BankAllocator) {
+            let mut alloc = BankAllocator::new(0, 1024);
+            for &words in &self.leases {
+                // Leaked on purpose: they only shape the free list.
+                let _ = alloc.alloc(words);
+            }
+            let mut plan = FaultPlan::new(self.config.clone());
+            let release_at = match self.squat {
+                SquatStart::None => None,
+                SquatStart::Held => Some(self.window.end + 1),
+                SquatStart::Releasing => Some((self.window.start + self.window.end) / 2),
+            };
+            if let Some(release_at) = release_at {
+                if let Ok(lease) = alloc.alloc(alloc.largest_free().min(100).max(1)) {
+                    plan.squat = Some(Squat { lease, release_at });
+                }
+            }
+            (plan, alloc)
+        }
+
+        /// Runs the kernel and the oracle from equal starts and asserts
+        /// every observable agrees. Returns the cycles consumed.
+        fn check(&self) -> u64 {
+            let (mut kernel, mut k_alloc) = self.build();
+            kernel.dice = self
+                .dice
+                .iter()
+                .map(|&(n, hit)| Die {
+                    odds: OneIn::new(n),
+                    hit,
+                })
+                .collect();
+            let mut k_out = Vec::new();
+            let stop_at = self.stop_at.unwrap_or(u64::MAX);
+            let consumed = kernel.roll_window(
+                self.window.clone(),
+                &mut k_alloc,
+                self.work_pending,
+                &mut k_out,
+                |now, _| now < stop_at,
+            );
+
+            let (mut oracle, mut o_alloc) = self.build();
+            let mut o_out = Vec::new();
+            let end = self.window.end.min(stop_at.max(self.window.start));
+            let expected = oracle.oracle_window(
+                &self.dice,
+                self.window.start..end,
+                &mut o_alloc,
+                self.work_pending,
+                &mut o_out,
+            );
+            assert_eq!(consumed, expected, "consumed cycles: {self:?}");
+            assert_eq!(k_out, o_out, "injections: {self:?}");
+            assert_eq!(kernel.stats, oracle.stats, "stats: {self:?}");
+            assert_eq!(kernel.rng, oracle.rng, "generator state: {self:?}");
+            assert_eq!(
+                format!("{:?}", kernel.squat),
+                format!("{:?}", oracle.squat),
+                "squat: {self:?}"
+            );
+            assert_eq!(
+                format!("{k_alloc:?}"),
+                format!("{o_alloc:?}"),
+                "allocator: {self:?}"
+            );
+            consumed
+        }
+    }
+
+    #[test]
+    fn kernel_rolls_exactly_like_the_per_cycle_oracle() {
+        let mut r = XorShift64::new(0xD1CE);
+        let (mut empty, mut first, mut last, mut squats, mut released) = (0, 0, 0, 0, 0);
+        for _ in 0..4_000 {
+            let mut case = Scenario::draw(&mut r);
+            empty += usize::from(case.dice.is_empty());
+            let (mut plan, mut alloc) = case.build();
+            let mut out = Vec::new();
+            let consumed = plan.oracle_window(
+                &case.dice,
+                case.window.clone(),
+                &mut alloc,
+                case.work_pending,
+                &mut out,
+            );
+            squats += plan.stats.alloc_squats;
+            released += u64::from(matches!(case.squat, SquatStart::Releasing));
+            if !out.is_empty() {
+                // The same draws, with the hit on the window's last cycle.
+                case.window.end = case.window.start + consumed;
+                last += 1;
+            }
+            if let Some(&(n, _)) = case.dice.first() {
+                if r.gen_bool() {
+                    // The first draw is `n`'s largest multiple: a hit on the
+                    // window's first cycle, at the compare's boundary.
+                    case.config.seed = seed_drawing(u64::MAX - u64::MAX % u64::from(n));
+                    first += 1;
+                }
+            }
+            case.check();
+        }
+        assert!(empty > 0 && first > 0 && last > 0 && squats > 0 && released > 0);
     }
 }

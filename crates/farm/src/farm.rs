@@ -713,6 +713,7 @@ impl Farm {
             &mut self.alloc,
             work_pending,
             &mut self.injection_scratch,
+            |_, _| true,
         ))
     }
 
@@ -1580,6 +1581,7 @@ mod tests {
                         &mut BankAllocator::new(0, 1024),
                         false,
                         &mut out,
+                        |_, _| true,
                     );
                     out.into_iter()
                         .filter(|inj| match *inj {

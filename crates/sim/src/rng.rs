@@ -93,6 +93,14 @@ impl XorShift64 {
         (i64::from(range.start) + off) as i32
     }
 
+    /// One draw with [`OneIn`] odds: exactly the draw of
+    /// `gen_range_u32(0..n) == 0` for the `n` the odds were made from,
+    /// with the 64-bit `%` replaced by a multiply, a rotate and a
+    /// compare.
+    pub fn one_in(&mut self, odds: OneIn) -> bool {
+        odds.hits(self.next_u64())
+    }
+
     /// A fair coin.
     pub fn gen_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
@@ -101,6 +109,67 @@ impl XorShift64 {
     /// `count` uniform words.
     pub fn vec_u32(&mut self, count: usize) -> Vec<u32> {
         (0..count).map(|_| self.next_u32()).collect()
+    }
+}
+
+/// Odds of one in `n`, precomputed for [`XorShift64::one_in`].
+///
+/// `x % n == 0` is tested without a division (Hacker's Delight
+/// §10-17): with `n = d·2^k`, `d` odd and `inv = d⁻¹ mod 2^64`, `x` is a
+/// multiple of `n` exactly when `(x·inv).rotate_right(k)` is at most
+/// `u64::MAX / n`. The multiply maps the multiples of `d` onto
+/// `0..=u64::MAX / d` and every other `x` above it; the rotate moves a
+/// nonzero low bit, left by a missing factor of two, to the top.
+///
+/// # Examples
+///
+/// ```
+/// use ouessant_sim::rng::{OneIn, XorShift64};
+///
+/// let odds = OneIn::new(6);
+/// let mut a = XorShift64::new(9);
+/// let mut b = a.clone();
+/// for _ in 0..100 {
+///     assert_eq!(a.one_in(odds), b.gen_range_u32(0..6) == 0);
+/// }
+/// assert_eq!(a, b); // one draw each
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OneIn {
+    inv: u64,
+    shift: u32,
+    limit: u64,
+}
+
+impl OneIn {
+    /// Odds of one in `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero (as `gen_range_u32(0..0)` does).
+    #[must_use]
+    pub const fn new(n: u32) -> Self {
+        assert!(n > 0, "empty range");
+        let shift = n.trailing_zeros();
+        let d = (n >> shift) as u64;
+        // Newton's iteration doubles the correct low bits of an inverse;
+        // an odd `d` is its own inverse to 3 bits, so five steps reach 96.
+        let mut inv = d;
+        let mut step = 0;
+        while step < 5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(d.wrapping_mul(inv)));
+            step += 1;
+        }
+        Self {
+            inv,
+            shift,
+            limit: u64::MAX / n as u64,
+        }
+    }
+
+    /// Whether `x` is a multiple of `n`.
+    fn hits(self, x: u64) -> bool {
+        x.wrapping_mul(self.inv).rotate_right(self.shift) <= self.limit
     }
 }
 
@@ -142,5 +211,55 @@ mod tests {
             seen[r.gen_range_u32(0..8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets hit: {seen:?}");
+    }
+
+    /// The divisors the odds are checked at: the small ones, every
+    /// power of two a `u32` holds, the chaos seams' rates and the
+    /// largest.
+    fn boundary_divisors() -> Vec<u32> {
+        let mut ns = vec![1, 2, 3, 10_000, 18_000, 25_000, 60_000];
+        ns.extend((0..32).map(|k| 1u32 << k));
+        ns.extend([u32::MAX - 1, u32::MAX]);
+        ns
+    }
+
+    #[test]
+    fn one_in_is_the_remainder_test() {
+        let mut r = XorShift64::new(0x0DD5);
+        for n in boundary_divisors() {
+            let odds = OneIn::new(n);
+            let n64 = u64::from(n);
+            let top = u64::MAX - u64::MAX % n64;
+            let mut xs = vec![0, n64, 2 * n64, 3 * n64, n64 - 1, n64 + 1, u64::MAX, top];
+            xs.extend([top - n64, top - 1, top.wrapping_add(1)]);
+            xs.extend((0..2_000).map(|_| r.next_u64()));
+            // Drawn multiples, and their neighbours.
+            for _ in 0..2_000 {
+                let m = r.next_u64() / n64 * n64;
+                xs.extend([m, m.wrapping_add(1), m.wrapping_sub(1)]);
+            }
+            for x in xs {
+                assert_eq!(odds.hits(x), x % n64 == 0, "x = {x:#x}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_in_draws_like_gen_range() {
+        for n in boundary_divisors() {
+            let odds = OneIn::new(n);
+            let mut a = XorShift64::new(u64::from(n));
+            let mut b = a.clone();
+            for _ in 0..1_000 {
+                assert_eq!(a.one_in(odds), b.gen_range_u32(0..n) == 0, "n = {n}");
+                assert_eq!(a, b, "one draw each, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn one_in_zero_panics() {
+        let _ = OneIn::new(0);
     }
 }
