@@ -26,8 +26,6 @@ pub const REG_PROG_SIZE: u32 = 0x04;
 /// Byte offset of the first bank base register (bank *k* lives at
 /// `0x08 + 4k`, so bank 7 is at `0x24` as in Figure 3).
 pub const REG_BANK0: u32 = 0x08;
-/// Number of configuration registers (control + size + 8 banks).
-pub const NUM_CONFIG_REGS: u32 = 10;
 
 /// Control-register bit S: start the coprocessor.
 pub const CTRL_S: u32 = 1 << 0;
@@ -325,7 +323,6 @@ mod tests {
         assert_eq!(REG_PROG_SIZE, 0x4);
         assert_eq!(REG_BANK0, 0x8);
         assert_eq!(REG_BANK0 + 4 * 7, 0x24); // bank 7 at 0x24, as drawn
-        assert_eq!(NUM_CONFIG_REGS, 10);
     }
 
     #[test]

@@ -195,6 +195,35 @@ struct Squat {
     release_at: u64,
 }
 
+impl Squat {
+    /// Squats on `alloc`'s largest free extent, if there is one, until
+    /// `release_at`, counting it in `stats`; returns the release cycle.
+    #[cold]
+    fn take(
+        squat: &mut Option<Squat>,
+        stats: &mut ChaosStats,
+        alloc: &mut BankAllocator,
+        release_at: u64,
+    ) -> Option<u64> {
+        let words = alloc.largest_free();
+        if words == 0 {
+            return None;
+        }
+        let lease = alloc.alloc(words).expect("largest_free is allocatable");
+        *squat = Some(Squat { lease, release_at });
+        stats.alloc_squats += 1;
+        Some(release_at)
+    }
+
+    /// Gives a held squat's lease back to `alloc`.
+    #[cold]
+    fn release(squat: &mut Option<Squat>, alloc: &mut BankAllocator) {
+        if let Some(squat) = squat.take() {
+            alloc.free(squat.lease).expect("squat lease is live");
+        }
+    }
+}
+
 /// One worker fault the campaign decided to inject.
 ///
 /// Rolling and applying are split so the farm's fast-forward path can
@@ -405,8 +434,9 @@ impl FaultPlan {
     }
 
     /// The kernel of [`FaultPlan::fast_forward`], over the listed dice.
-    /// The generator lives in a local for the whole window and is
-    /// written back once.
+    /// The generator and the squat's release cycle live in locals for
+    /// the whole window and are written back once; a hit, a squat's
+    /// take and its release leave the loop's hot path.
     fn roll_window(
         &mut self,
         window: Range<u64>,
@@ -415,7 +445,19 @@ impl FaultPlan {
         out: &mut Vec<Injection>,
         mut dispatch: impl FnMut(u64, &mut BankAllocator) -> bool,
     ) -> u64 {
-        let mut rng = self.rng.clone();
+        let Self {
+            rng: plan_rng,
+            config,
+            odds,
+            stats,
+            squat,
+            dice,
+        } = self;
+        let mut rng = plan_rng.clone();
+        // The squat die draws only while work is pending and no squat
+        // is held.
+        let squat_odds = odds.alloc.filter(|_| work_pending);
+        let mut release_at = squat.as_ref().map(|s| s.release_at);
         let start = window.start;
         let mut end = window.end;
         for now in window {
@@ -424,49 +466,28 @@ impl FaultPlan {
                 break;
             }
             let mut hit = false;
-            for die in &self.dice {
+            for die in dice.iter() {
                 if rng.one_in(die.odds) {
                     hit = true;
-                    self.stats.count(die.hit);
-                    out.push(die.hit);
+                    land(stats, die.hit, out);
                 }
             }
-            self.roll_squat(now, &mut rng, alloc, work_pending);
+            if release_at.is_some_and(|at| now >= at) {
+                Squat::release(squat, alloc);
+                release_at = None;
+            }
+            if let (None, Some(odds)) = (release_at, squat_odds) {
+                if rng.one_in(odds) {
+                    release_at = Squat::take(squat, stats, alloc, now + config.alloc_hold);
+                }
+            }
             if hit {
                 end = now + 1;
                 break;
             }
         }
-        self.rng = rng;
+        *plan_rng = rng;
         end - start
-    }
-
-    /// One cycle of the allocator squat: a due release, then (while
-    /// work is pending and no squat is held) the squat die.
-    fn roll_squat(
-        &mut self,
-        now: u64,
-        rng: &mut XorShift64,
-        alloc: &mut BankAllocator,
-        work_pending: bool,
-    ) {
-        if let Some(squat) = self.squat.take_if(|s| now >= s.release_at) {
-            alloc.free(squat.lease).expect("squat lease is live");
-        }
-        let Some(odds) = self.odds.alloc else {
-            return;
-        };
-        if self.squat.is_none() && work_pending && rng.one_in(odds) {
-            let words = alloc.largest_free();
-            if words > 0 {
-                let lease = alloc.alloc(words).expect("largest_free is allocatable");
-                self.squat = Some(Squat {
-                    lease,
-                    release_at: now + self.config.alloc_hold,
-                });
-                self.stats.alloc_squats += 1;
-            }
-        }
     }
 
     /// When the held squat (if any) will release its lease.
@@ -483,10 +504,15 @@ impl FaultPlan {
 
     /// Releases a held squat early (end of run).
     pub(crate) fn release_squat(&mut self, alloc: &mut BankAllocator) {
-        if let Some(squat) = self.squat.take() {
-            alloc.free(squat.lease).expect("squat lease is live");
-        }
+        Squat::release(&mut self.squat, alloc);
     }
+}
+
+/// Counts a die's hit and queues its injection.
+#[cold]
+fn land(stats: &mut ChaosStats, hit: Injection, out: &mut Vec<Injection>) {
+    stats.count(hit);
+    out.push(hit);
 }
 
 #[cfg(test)]
@@ -644,7 +670,7 @@ mod tests {
                 stop_at,
                 squat,
                 leases,
-                work_pending: r.next_u64() % 4 != 0,
+                work_pending: !r.next_u64().is_multiple_of(4),
             }
         }
 
@@ -662,7 +688,7 @@ mod tests {
                 SquatStart::Releasing => Some((self.window.start + self.window.end) / 2),
             };
             if let Some(release_at) = release_at {
-                if let Ok(lease) = alloc.alloc(alloc.largest_free().min(100).max(1)) {
+                if let Ok(lease) = alloc.alloc(alloc.largest_free().clamp(1, 100)) {
                     plan.squat = Some(Squat { lease, release_at });
                 }
             }

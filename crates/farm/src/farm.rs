@@ -55,7 +55,7 @@ use ouessant_verify::{verify, VerifyConfig};
 
 use crate::chaos::{ChaosStats, FaultPlan};
 use crate::job::{FailReason, JobId, JobKind, JobOutcome, JobRecord, JobSpec};
-use crate::policy::{SchedPolicy, WorkerView};
+use crate::policy::{Assignment, SchedPolicy, WorkerView};
 use crate::queue::{PendingJob, SubmitError, SubmitQueue};
 use crate::stats::{FarmReport, LatencyStats, Ledger, WorkerReport};
 use crate::worker::{
@@ -293,23 +293,48 @@ struct ParkedJob {
     ready_at: u64,
 }
 
-/// The dispatch epoch at which the policy last placed nothing: the
-/// queue's membership version plus every worker's `(dispatchable,
-/// loaded config)`. By the [`SchedPolicy::pick`] contract a pass
-/// depends on nothing else, so while the epoch is unchanged dispatch
-/// would pass again and can be skipped outright.
+/// The words of one job's three leases: program, input, output.
+type LeaseShape = [u32; 3];
+
+/// What the last dispatch round that placed nothing ran into.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum EpochEnd {
+    /// Nothing recorded yet.
+    #[default]
+    Unrecorded,
+    /// The policy passed.
+    Pass,
+    /// The policy picked, and the lease failed (an alloc stall).
+    Stall,
+}
+
+/// The dispatch epoch at which the last dispatch round placed nothing:
+/// the queue's membership version plus every worker's `(dispatchable,
+/// loaded config)`, and what ended the round.
+///
+/// By the [`SchedPolicy::pick`] contract a pass depends on nothing
+/// else, so while the epoch is unchanged dispatch would pass again and
+/// can be skipped outright. A stall also depends on the allocator, so
+/// a stall record also keeps its free list and, per picked pair, the
+/// lease shape that failed on it. While both hold, every pick the
+/// policy makes of a remembered pair fails its lease again: dispatch
+/// still runs, but a leap can run it for each cycle without building a
+/// program or ticking a worker.
 #[derive(Debug, Default)]
 struct IdleEpoch {
-    recorded: bool,
+    end: EpochEnd,
     queue_version: u64,
     workers: Vec<(bool, usize)>,
+    /// A stall's free list.
+    free: Vec<(u32, u32)>,
+    /// A stall's failed lease shape of each pair picked on it.
+    shapes: Vec<(Assignment, LeaseShape)>,
 }
 
 impl IdleEpoch {
-    /// Whether the policy is known to place nothing right now.
+    /// Whether the queue and the workers are as recorded.
     fn holds(&self, queue: &SubmitQueue, workers: &[Worker]) -> bool {
-        self.recorded
-            && self.queue_version == queue.version()
+        self.queue_version == queue.version()
             && self.workers.len() == workers.len()
             && self
                 .workers
@@ -318,9 +343,55 @@ impl IdleEpoch {
                 .all(|(&key, w)| key == Self::worker_key(w))
     }
 
+    /// Whether the policy is known to place nothing right now.
+    fn passes(&self, queue: &SubmitQueue, workers: &[Worker]) -> bool {
+        self.end == EpochEnd::Pass && self.holds(queue, workers)
+    }
+
+    /// Whether the recorded stall holds: the queue, the workers and the
+    /// allocator's free list are as they were when it was recorded.
+    fn stalls(&self, queue: &SubmitQueue, workers: &[Worker], alloc: &BankAllocator) -> bool {
+        self.end == EpochEnd::Stall
+            && self.holds(queue, workers)
+            && self.free == alloc.free_extents()
+    }
+
+    /// The failed lease shape of `pick` in the recorded stall.
+    fn shape_of(&self, pick: Assignment) -> Option<LeaseShape> {
+        self.shapes
+            .iter()
+            .find_map(|&(p, shape)| (p == pick).then_some(shape))
+    }
+
     /// Records that the policy just passed on the current epoch.
-    fn record(&mut self, queue: &SubmitQueue, workers: &[Worker]) {
-        self.recorded = true;
+    fn record_pass(&mut self, queue: &SubmitQueue, workers: &[Worker]) {
+        self.set(EpochEnd::Pass, queue, workers);
+    }
+
+    /// Records that `pick`'s lease of `shape` just failed on `alloc`:
+    /// one more pair of a stall that still holds, or a new stall.
+    fn record_stall(
+        &mut self,
+        queue: &SubmitQueue,
+        workers: &[Worker],
+        alloc: &BankAllocator,
+        pick: Assignment,
+        shape: LeaseShape,
+    ) {
+        if !self.stalls(queue, workers, alloc) {
+            self.set(EpochEnd::Stall, queue, workers);
+            self.free.clear();
+            self.free.extend_from_slice(alloc.free_extents());
+            self.shapes.clear();
+        }
+        if self.shape_of(pick).is_none() {
+            self.shapes.push((pick, shape));
+        }
+    }
+
+    /// Records the current epoch, ended by `end`.
+    fn set(&mut self, end: EpochEnd, queue: &SubmitQueue, workers: &[Worker]) {
+        self.end = end;
         self.queue_version = queue.version();
         self.workers.clear();
         self.workers.extend(workers.iter().map(Self::worker_key));
@@ -674,10 +745,16 @@ impl Farm {
     /// the chaos plan (if armed), the bus, completion collection,
     /// fault handling, health transitions.
     pub fn tick(&mut self) {
+        self.step(None);
+    }
+
+    /// [`Farm::tick`], whose dispatch takes `picked` as the policy's
+    /// first pick when a leap already made it.
+    fn step(&mut self, picked: Option<Assignment>) {
         let now = self.now();
         self.unpark_ready(now);
         self.sweep_liveness(now);
-        self.dispatch();
+        self.dispatch(picked);
         for w in &mut self.workers {
             w.ocp.tick(&mut self.bus);
         }
@@ -787,7 +864,10 @@ impl Farm {
     /// * dispatch — pending work plus a dispatchable worker means the
     ///   very next tick may launch a job (or charge an alloc stall),
     ///   unless the policy already passed on the current dispatch
-    ///   epoch (see [`IdleEpoch`]);
+    ///   epoch, or the epoch's recorded stall still holds (see
+    ///   [`IdleEpoch`]): then no tick of the window launches, and the
+    ///   leap runs each cycle's stalled dispatch itself. The third
+    ///   value says which (`true` for a stall window);
     /// * every worker's OCP and health-timer horizon (a worker waiting
     ///   on its DMA burst defers to the bus, and an armed watchdog's
     ///   expiry rides the OCP horizon, so a hang inside a skipped
@@ -817,9 +897,14 @@ impl Farm {
     /// first tick and a chain changes it later. The run is planned last,
     /// as far as every other term reaches: a window that may chain has
     /// an idle bus, so no other worker's horizon reads it.
-    fn idle_horizon(&self) -> (Horizon, BusWindow) {
-        if self.may_dispatch() {
-            return (Horizon::NEXT_TICK, BusWindow::default());
+    fn idle_horizon(&self) -> (Horizon, BusWindow, bool) {
+        let stalled = self.may_dispatch();
+        if stalled
+            && !self
+                .idle_epoch
+                .stalls(&self.queue, &self.workers, &self.alloc)
+        {
+            return (Horizon::NEXT_TICK, BusWindow::default(), false);
         }
         let now = self.bus.now();
         let (mut window, later) = BusWindow::plan(&self.bus, self.chaos.is_none(), |chain| {
@@ -862,7 +947,7 @@ impl Farm {
             }
             h = h.min(w.horizon_at(now, &self.config.faults, &self.bus, &window));
         }
-        (h.min(Horizon::observed(window.event())), window)
+        (h.min(Horizon::observed(window.event())), window, stalled)
     }
 
     /// One fast-forward step: leap over the provably-pure window in
@@ -881,11 +966,12 @@ impl Farm {
     /// of the window (identical RNG stream to single-stepping); the
     /// leap stops at the first cycle that injects, the injections land
     /// there, and the fault machinery runs exactly as it would have in
-    /// that tick.
+    /// that tick. In a stall window each cycle's dispatch runs in front
+    /// of its dice (see [`Farm::roll_stall_window`]).
     fn leap_or_tick(&mut self, start: u64, fuel: u64) {
         let now = self.now();
         let remaining = fuel - (now - start);
-        let (horizon, window) = self.idle_horizon();
+        let (horizon, window, stalled) = self.idle_horizon();
         let bound = horizon.leap_bound(remaining);
         if bound == 0 {
             self.tick();
@@ -894,18 +980,24 @@ impl Farm {
         // Frozen for the whole window: queue/park/in-flight membership
         // only changes at events, which the horizon excludes.
         let work_pending = self.work_pending();
-        let leap = self
-            .roll_chaos(now..now + bound, window.issuer(), work_pending)
-            .unwrap_or(bound);
-        debug_assert!((1..=bound).contains(&leap), "leap within the pure window");
-        window.leap(&mut self.bus, leap, |bus, who, from, ticks| {
-            for w in &mut self.workers {
-                if who.includes(w.ocp.bus_master()) {
-                    w.ocp.advance(from, Cycle::new(ticks), bus);
+        let (leap, picked) = if stalled {
+            self.roll_stall_window(now..now + bound, window.issuer(), work_pending)
+        } else {
+            let leap = self.roll_chaos(now..now + bound, window.issuer(), work_pending);
+            (leap.unwrap_or(bound), None)
+        };
+        debug_assert!(leap <= bound, "leap within the pure window");
+        debug_assert!(leap > 0 || picked.is_some(), "an empty leap steps its pick");
+        if leap > 0 {
+            window.leap(&mut self.bus, leap, |bus, who, from, ticks| {
+                for w in &mut self.workers {
+                    if who.includes(w.ocp.bus_master()) {
+                        w.ocp.advance(from, Cycle::new(ticks), bus);
+                    }
                 }
-            }
-        });
-        self.ledger.skipped_cycles += leap;
+            });
+            self.ledger.skipped_cycles += leap;
+        }
         if !self.injection_scratch.is_empty() {
             // The dice hit at the last leaped cycle: land the faults
             // and run the back half of that tick (no OCP finishes
@@ -913,6 +1005,80 @@ impl Farm {
             FaultPlan::apply(&mut self.workers, &self.injection_scratch);
             self.settle_faults();
         }
+        if picked.is_some() {
+            // The window ended in front of a pick no lease shape is
+            // remembered for: that cycle steps, with the pick the
+            // policy already made for it. It is inside the pure window
+            // (`leap < bound <= remaining`), so its fuel is there.
+            self.step(picked);
+        }
+    }
+
+    /// Rolls a window in which every cycle's dispatch stalls (see
+    /// [`IdleEpoch`]): each cycle asks the policy for its pick with the
+    /// cycle's `now`, retries the pick's remembered failed lease and
+    /// charges the stall, then rolls the chaos dice, in tick order.
+    /// Returns the cycles consumed and, when the window ended in front
+    /// of a pick with no remembered shape, that pick.
+    ///
+    /// The window also ends after a cycle whose chaos squat took (or
+    /// released) memory, since the next lease would meet another free
+    /// list. The injections land in the scratch, as for
+    /// [`Farm::roll_chaos`].
+    fn roll_stall_window(
+        &mut self,
+        cycles: std::ops::Range<u64>,
+        issuer: Option<MasterId>,
+        work_pending: bool,
+    ) -> (u64, Option<Assignment>) {
+        self.injection_scratch.clear();
+        let views = worker_views(&self.workers);
+        let (policy, queue, epoch) = (&mut self.policy, &self.queue, &self.idle_epoch);
+        let stalls = &mut self.ledger.alloc_stalls;
+        let mut seen = self.alloc.stats();
+        let mut picked = None;
+        let dispatch = |now, alloc: &mut BankAllocator| {
+            if alloc.stats() != seen {
+                return false;
+            }
+            let pick = policy
+                .pick(now, queue.pending(), &views)
+                .expect("a policy that picked on this epoch picks again (SchedPolicy::pick)");
+            let Some(shape) = epoch.shape_of(pick) else {
+                picked = Some(pick);
+                return false;
+            };
+            assert!(
+                lease_regions(alloc, shape).is_none(),
+                "a lease that failed on this free list succeeded on it"
+            );
+            *stalls += 1;
+            seen = alloc.stats();
+            true
+        };
+        let start = cycles.start;
+        let leap = match self.chaos.as_mut() {
+            Some(plan) => plan.fast_forward(
+                cycles,
+                &self.workers,
+                &self.bus,
+                issuer,
+                &mut self.alloc,
+                work_pending,
+                &mut self.injection_scratch,
+                dispatch,
+            ),
+            None => {
+                let mut dispatch = dispatch;
+                let end = cycles.end;
+                cycles
+                    .into_iter()
+                    .find(|&now| !dispatch(now, &mut self.alloc))
+                    .unwrap_or(end)
+                    - start
+            }
+        };
+        (leap, picked)
     }
 
     /// Simulated cycles covered by fast-forward leaps so far.
@@ -1014,11 +1180,13 @@ impl Farm {
 
     /// Whether a dispatch round now could place a job or charge an
     /// alloc stall: work is queued, some worker is dispatchable, and
-    /// the policy has not already passed on this dispatch epoch.
+    /// the policy has not already passed on this dispatch epoch. A
+    /// recorded stall does not stop dispatch; it lets a leap run it
+    /// (see [`Farm::idle_horizon`]).
     fn may_dispatch(&self) -> bool {
         !self.queue.is_empty()
             && self.workers.iter().any(Worker::is_dispatchable)
-            && !self.idle_epoch.holds(&self.queue, &self.workers)
+            && !self.idle_epoch.passes(&self.queue, &self.workers)
     }
 
     /// One scheduling round: asks the policy for assignments until it
@@ -1028,30 +1196,25 @@ impl Farm {
     /// against the dispatch epoch ([`IdleEpoch`]), and until the queue
     /// membership, a worker's availability or a loaded configuration
     /// changes the round returns before building any policy view. An
-    /// alloc stall is a pick, not a pass, so it records nothing and the
-    /// next tick retries (and counts another stall).
-    fn dispatch(&mut self) {
+    /// alloc stall is a pick, not a pass: the next tick retries (and
+    /// counts another stall). It is recorded as the epoch's stall, with
+    /// the free list and the pick's failed lease shape, so that a leap
+    /// can retry it each cycle without a tick (see
+    /// [`Farm::idle_horizon`]). `picked` is a first pick the policy
+    /// already made for this cycle, in a leap that ended in front of it.
+    fn dispatch(&mut self, mut picked: Option<Assignment>) {
         if !self.may_dispatch() {
+            debug_assert!(picked.is_none(), "a pick carried past its epoch");
             return;
         }
         let now = self.now();
         loop {
-            let views: Vec<WorkerView<'_>> = self
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(i, w)| WorkerView {
-                    index: i,
-                    // "Idle" to a policy means *can take a job now*:
-                    // recovering and quarantined workers are busy.
-                    idle: w.is_dispatchable(),
-                    caps: w.caps(),
-                    loaded: w.loaded_config(),
-                    swap_costs: w.swap_cycles(),
-                })
-                .collect();
-            let Some(pick) = self.policy.pick(now, self.queue.pending(), &views) else {
-                self.idle_epoch.record(&self.queue, &self.workers);
+            let views = worker_views(&self.workers);
+            let pick = picked
+                .take()
+                .or_else(|| self.policy.pick(now, self.queue.pending(), &views));
+            let Some(pick) = pick else {
+                self.idle_epoch.record_pass(&self.queue, &self.workers);
                 break;
             };
             let worker = &self.workers[pick.worker_index];
@@ -1083,13 +1246,16 @@ impl Farm {
                 Some(custom) => adapt_custom_program(custom, target, worker.loaded_config()),
                 None => build_program(job_kind, input_words, target, worker.loaded_config()),
             };
-            let Some(regions) = self.lease_regions(
+            let shape = [
                 u32::try_from(program.len()).expect("at most 1024 instructions"),
                 input_words,
                 job_kind.output_words(input_words),
-            ) else {
+            ];
+            let Some(regions) = lease_regions(&mut self.alloc, shape) else {
                 // Memory pressure: leave the job queued; retry next cycle.
                 self.ledger.alloc_stalls += 1;
+                self.idle_epoch
+                    .record_stall(&self.queue, &self.workers, &self.alloc, pick, shape);
                 break;
             };
             let job = self.queue.take(pick.queue_index);
@@ -1104,34 +1270,6 @@ impl Farm {
                 None => worker.ocp.disarm_watchdog(),
             }
         }
-    }
-
-    /// Leases the three regions of one job, unwinding on partial
-    /// failure.
-    fn lease_regions(&mut self, prog: u32, input: u32, output: u32) -> Option<JobRegions> {
-        let prog = self.alloc.alloc(prog).ok()?;
-        let input = match self.alloc.alloc(input) {
-            Ok(r) => r,
-            Err(AllocError::OutOfMemory { .. }) => {
-                self.alloc.free(prog).expect("just leased");
-                return None;
-            }
-            Err(e) => unreachable!("validated request: {e}"),
-        };
-        let output = match self.alloc.alloc(output) {
-            Ok(r) => r,
-            Err(AllocError::OutOfMemory { .. }) => {
-                self.alloc.free(prog).expect("just leased");
-                self.alloc.free(input).expect("just leased");
-                return None;
-            }
-            Err(e) => unreachable!("validated request: {e}"),
-        };
-        Some(JobRegions {
-            prog,
-            input,
-            output,
-        })
     }
 
     /// The enriched out-of-fuel error: per-worker health plus the
@@ -1439,6 +1577,52 @@ impl Farm {
     }
 }
 
+/// Every worker as its policy sees it.
+fn worker_views(workers: &[Worker]) -> Vec<WorkerView<'_>> {
+    workers
+        .iter()
+        .enumerate()
+        .map(|(i, w)| WorkerView {
+            index: i,
+            // "Idle" to a policy means *can take a job now*:
+            // recovering and quarantined workers are busy.
+            idle: w.is_dispatchable(),
+            caps: w.caps(),
+            loaded: w.loaded_config(),
+            swap_costs: w.swap_cycles(),
+        })
+        .collect()
+}
+
+/// Leases the three regions of one job of `shape` from `alloc`,
+/// unwinding on partial failure.
+fn lease_regions(alloc: &mut BankAllocator, shape: LeaseShape) -> Option<JobRegions> {
+    let [prog, input, output] = shape;
+    let prog = alloc.alloc(prog).ok()?;
+    let input = match alloc.alloc(input) {
+        Ok(r) => r,
+        Err(AllocError::OutOfMemory { .. }) => {
+            alloc.free(prog).expect("just leased");
+            return None;
+        }
+        Err(e) => unreachable!("validated request: {e}"),
+    };
+    let output = match alloc.alloc(output) {
+        Ok(r) => r,
+        Err(AllocError::OutOfMemory { .. }) => {
+            alloc.free(prog).expect("just leased");
+            alloc.free(input).expect("just leased");
+            return None;
+        }
+        Err(e) => unreachable!("validated request: {e}"),
+    };
+    Some(JobRegions {
+        prog,
+        input,
+        output,
+    })
+}
+
 /// Whether `job` can no longer meet its deadline even if dispatched
 /// this very tick — by the kind's (optimistic, core-latency-only)
 /// service estimate. Optimism is deliberate: a hopeful job is given
@@ -1502,7 +1686,7 @@ mod tests {
             let mut farm = skewed_pool(wait, None);
             while farm.in_flight() > 0 || farm.queue_len() > 0 {
                 let first_tick = candidates(&farm, false);
-                let (h, window) = farm.idle_horizon();
+                let (h, window, _) = farm.idle_horizon();
                 if first_tick.len() >= 2 {
                     // Two first-tick issuers: neither issues, so the
                     // window is the one tick that issues both.
@@ -1554,7 +1738,7 @@ mod tests {
         let mut issues = 0;
         let mut farm = skewed_pool(0, Some(quiet));
         while farm.in_flight() > 0 || farm.queue_len() > 0 {
-            let (_, window) = farm.idle_horizon();
+            let (_, window, _) = farm.idle_horizon();
             let issue = window.issuer().and_then(|m| window.issue_of(m));
             assert_eq!(
                 issue.map_or(0, |i| i.prefix),

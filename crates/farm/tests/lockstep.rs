@@ -367,6 +367,94 @@ fn chaos_matrix_sweep_is_bit_exact() {
     }
 }
 
+/// Alloc stalls leap: with only the allocator seam armed, and holding
+/// its squats long, most of the campaign is jobs waiting on shared
+/// memory. Every policy replays bit-exact, `AllocStats` and
+/// `alloc_stalls` included (round-robin's cursor and dpr-affinity's
+/// `now` advance on each stalled cycle's pick), and a squat's run of
+/// stalls costs a few steps, not one per stalled cycle: the campaign
+/// steps barely more cycles than the same jobs without the seam.
+#[test]
+fn alloc_stall_windows_are_bit_exact_and_leap() {
+    let specs = workload(240, WORKLOAD_SEED);
+    let quiet = ChaosConfig {
+        seed: 0x5717_A11C,
+        controller_one_in: 0,
+        bus_one_in: 0,
+        bitstream_one_in: 0,
+        alloc_one_in: 0,
+        alloc_hold: 20_000,
+        wedge_one_in: 0,
+        slow_one_in: 0,
+        slow_stall: 0,
+    };
+    let squatting = ChaosConfig {
+        alloc_one_in: 2_000,
+        ..quiet.clone()
+    };
+    let stepped = |report: &FarmReport| report.total_cycles - report.skipped_cycles;
+    for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
+        let calm = redundant_pool(policy_name, LivenessConfig::default(), Some(quiet.clone()));
+        let (_, calm) = run_campaign(&calm, &specs, true);
+        let build = redundant_pool(
+            policy_name,
+            LivenessConfig::default(),
+            Some(squatting.clone()),
+        );
+        let (fast, report) =
+            assert_lockstep(&build, &specs, &format!("alloc stalls, {policy_name}"));
+        let squats = fast.chaos.expect("campaign was armed").alloc_squats;
+        assert!(
+            fast.alloc_stalls > 5_000,
+            "{policy_name}: only {} stalled cycles",
+            fast.alloc_stalls
+        );
+        let extra = stepped(&report).saturating_sub(stepped(&calm));
+        assert!(
+            extra <= 8 * squats,
+            "{policy_name}: {extra} more stepped cycles than without the seam, \
+             over {} stalled cycles and {squats} squats",
+            fast.alloc_stalls
+        );
+    }
+}
+
+/// Without chaos, a pool whose shared memory holds fewer jobs than it
+/// has workers stalls on its own leases: those stalls leap too (all
+/// but a few of the cycles are stalled, and far fewer are stepped),
+/// and replay bit-exact under every policy.
+#[test]
+fn memory_pressure_stalls_are_bit_exact_without_chaos() {
+    let specs = workload(96, WORKLOAD_SEED);
+    for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
+        let build = |fast_forward| {
+            let mut farm = Farm::new(
+                FarmConfig {
+                    queue_capacity: 512,
+                    shared_words: 512,
+                    faults: FAULTS,
+                    fast_forward,
+                    ..FarmConfig::default()
+                },
+                policy(policy_name),
+            );
+            farm.add_worker(IDCT);
+            farm.add_worker(DFT64);
+            farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
+            farm.add_dpr_worker(&[(COPY3, 40_000), (DFT64, 60_000)]);
+            farm
+        };
+        let (fast, report) =
+            assert_lockstep(&build, &specs, &format!("memory pressure, {policy_name}"));
+        let stepped = report.total_cycles - report.skipped_cycles;
+        assert!(
+            fast.alloc_stalls > 10 * stepped,
+            "{policy_name}: {stepped} stepped cycles for {} stalled ones",
+            fast.alloc_stalls
+        );
+    }
+}
+
 /// All four seams armed at once, full acceptance-campaign scale.
 #[test]
 fn full_chaos_campaign_is_bit_exact() {

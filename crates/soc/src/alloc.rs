@@ -137,6 +137,13 @@ impl BankAllocator {
         self.free.iter().map(|&(_, len)| len).max().unwrap_or(0)
     }
 
+    /// The free extents as `(word_offset, words)`, sorted by offset.
+    /// Two allocators with equal free lists answer every request alike.
+    #[must_use]
+    pub fn free_extents(&self) -> &[(u32, u32)] {
+        &self.free
+    }
+
     /// Current statistics.
     #[must_use]
     pub fn stats(&self) -> AllocStats {

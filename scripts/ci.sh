@@ -85,7 +85,7 @@ bash scripts/ab.sh --self-test
 echo "==> line-count classifier self-test"
 bash scripts/loc.sh --self-test
 
-echo "==> public surface (every pub fn only tests call is on scripts/surface.allow)"
+echo "==> public surface (every pub fn, const or static only tests use is on scripts/surface.allow)"
 bash scripts/surface.sh
 
 echo "==> public-surface check self-test"

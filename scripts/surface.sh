@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Public functions that only tests call.
+# Public functions and constants that only tests use.
 #
 #     bash scripts/surface.sh
 #     bash scripts/surface.sh --self-test
 #
-# Lists each `pub fn` in the non-test code of crates/*/src, src/,
-# examples/ and perfbench/src that nothing in that code calls and that
-# scripts/surface.allow does not name. A file's non-test code is its
-# lines before its first `#[cfg(test)]`, as in loc.sh.
+# Lists each `pub fn`, `pub const` and `pub static` in the non-test
+# code of crates/*/src, src/, examples/ and perfbench/src that nothing
+# in that code calls or reads and that scripts/surface.allow does not
+# name. A file's non-test code is its lines before its first
+# `#[cfg(test)]`, as in loc.sh.
 #
 # A function counts as called when that code names it as a call or a
 # path: `<name>(`, `<name>::<` or `::<name>`, outside a `fn <name>`
@@ -18,10 +19,14 @@
 # Names are matched as text, not resolved by type, so a function
 # shares the callers of every other function of its name.
 #
+# A constant or static counts as read when its name appears as a word
+# anywhere in that code outside its own definition, with the same
+# rules for comments and doc examples.
+#
 # Each line of scripts/surface.allow is `<path> <name> <reason>`; `#`
 # starts a comment line. An entry without a reason, or one that names
-# no uncalled `pub fn` (the function is gone or now has a caller), is
-# reported too, so the list stays exact.
+# no unused `pub` item (it is gone or now has a user), is reported
+# too, so the list stays exact.
 #
 # Prints one line per finding and exits 1 if there is any.
 # `--self-test` runs the check over the fixed tree scripts/tests/surface
@@ -49,6 +54,17 @@ FILENAME == allow {
         key[n] = FILENAME " " name
         fname[n] = name
     }
+    if (match(line, /^[ \t]*pub (const|static( mut)?) [A-Za-z_][A-Za-z0-9_]*[ \t]*:/)) {
+        name = substr(line, RSTART, RLENGTH)
+        sub(/[ \t]*:$/, "", name)
+        sub(/.* /, "", name)
+        n++
+        where[n] = FILENAME ":" FNR
+        key[n] = FILENAME " " name
+        fname[n] = name
+        konst[n] = 1
+        line = substr(line, RSTART + RLENGTH)
+    }
     if (line ~ /^[ \t]*\/\/[\/!][ \t]*```/) { fence = !fence; next }
     if (fence) sub(/^[ \t]*\/\/[\/!]/, "", line)
     sub(/\/\/.*/, "", line)
@@ -65,14 +81,19 @@ FILENAME == allow {
         called[substr(rest, RSTART + 2, RLENGTH - 2)] = 1
         rest = substr(rest, RSTART + RLENGTH)
     }
+    rest = line
+    while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        word[substr(rest, RSTART, RLENGTH)] = 1
+        rest = substr(rest, RSTART + RLENGTH)
+    }
 }
 END {
     for (i = 1; i <= n; i++) {
-        if (fname[i] in called) continue
+        if (konst[i] ? (fname[i] in word) : (fname[i] in called)) continue
         if (key[i] in entry) needed[key[i]] = 1
         else print where[i] " " fname[i]
     }
-    for (k in entry) if (!(k in needed)) print allow ":" entry[k] ": " k ": no uncalled pub fn by that name"
+    for (k in entry) if (!(k in needed)) print allow ":" entry[k] ": " k ": no unused pub item by that name"
 }'
 
 # Prints the findings for the tree at $1 against its allow-list $2
@@ -101,8 +122,8 @@ case "${1:-}" in
         status=0
         scan . scripts/surface.allow || status=$?
         case "$status" in
-            0) echo "surface.sh: every uncalled pub fn is on scripts/surface.allow" ;;
-            1) echo "surface.sh: delete each function above, or allow it with a reason" >&2 ;;
+            0) echo "surface.sh: every unused pub item is on scripts/surface.allow" ;;
+            1) echo "surface.sh: delete each item above, or allow it with a reason" >&2 ;;
         esac
         exit "$status"
         ;;

@@ -2,6 +2,7 @@
 //!
 //! ```
 //! a::documented();
+//! assert_eq!(a::SHOWN, 2);
 //! ```
 //!
 //! A mention of `in_prose` outside a doc example is not a call.
@@ -51,6 +52,27 @@ pub fn as_value() {}
 /// Called only by the unit test below and by tests/it.rs.
 pub fn only_tests() {}
 
+/// Read by crate b.
+pub const READ: u32 = 1;
+
+/// Read by the doc example above.
+pub const SHOWN: u32 = 2;
+
+/// Read by the next constant's definition.
+pub const BASE: u32 = 3;
+
+/// Derived from another; read by nothing.
+pub const DERIVED: u32 = BASE + 1;
+
+/// Named only in prose and by the unit test below: UNREAD.
+pub const UNREAD: u32 = 5;
+
+/// A static is a constant to the check: read by crate b.
+pub static GREETING: &str = "hi";
+
+/// Read by nothing.
+pub static mut COUNTER: u32 = 0;
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -58,6 +80,7 @@ mod tests {
         super::only_tests();
         super::in_prose();
         super::constant();
+        assert_eq!(super::UNREAD, 5);
     }
 }
 

@@ -15,4 +15,5 @@ fn main() {
     let settings = Config { settings: settings::LEVEL };
     let _ = settings.settings;
     let _hook: fn() = a::as_value;
+    let _ = (a::READ, a::GREETING);
 }
