@@ -340,27 +340,26 @@ impl FaultPlan {
             };
             // The wedge seam targets handshake states — places a real
             // FSM can deadlock on a peer that never answers.
-            let wedge = matches!(
+            let handshake = matches!(
                 state,
                 ControllerState::LoadProgram
                     | ControllerState::TransferFifoWait
                     | ControllerState::TransferBusWait
                     | ControllerState::SyncWait
                     | ControllerState::RacWait
-            )
-            .then(|| die(odds.wedge, Injection::Wedge { worker: wi }))
-            .flatten();
-            let slow = matches!(state, ControllerState::RacWait)
-                .then(|| {
-                    die(
-                        odds.slow,
-                        Injection::SlowRac {
-                            worker: wi,
-                            stall: c.slow_stall,
-                        },
-                    )
-                })
-                .flatten();
+            );
+            let wedge = die(
+                odds.wedge.filter(|_| handshake),
+                Injection::Wedge { worker: wi },
+            );
+            let slow = die(
+                odds.slow
+                    .filter(|_| matches!(state, ControllerState::RacWait)),
+                Injection::SlowRac {
+                    worker: wi,
+                    stall: c.slow_stall,
+                },
+            );
             self.dice.extend([crash, wedge, slow].into_iter().flatten());
         }
     }
@@ -434,9 +433,10 @@ impl FaultPlan {
     }
 
     /// The kernel of [`FaultPlan::fast_forward`], over the listed dice.
-    /// The generator and the squat's release cycle live in locals for
-    /// the whole window and are written back once; a hit, a squat's
-    /// take and its release leave the loop's hot path.
+    /// The generator lives in a local for the whole window and is
+    /// written back once, the held squat's release cycle is kept in
+    /// another, and a hit, a squat's take and its release leave the
+    /// loop's hot path.
     fn roll_window(
         &mut self,
         window: Range<u64>,

@@ -1021,10 +1021,9 @@ impl Farm {
     /// Returns the cycles consumed and, when the window ended in front
     /// of a pick with no remembered shape, that pick.
     ///
-    /// The window also ends after a cycle whose chaos squat took (or
-    /// released) memory, since the next lease would meet another free
-    /// list. The injections land in the scratch, as for
-    /// [`Farm::roll_chaos`].
+    /// The window also ends after a cycle whose chaos squat took
+    /// memory, since the next lease would meet another free list. The
+    /// injections land in the scratch, as for [`Farm::roll_chaos`].
     fn roll_stall_window(
         &mut self,
         cycles: std::ops::Range<u64>,
@@ -1038,6 +1037,10 @@ impl Farm {
         let mut seen = self.alloc.stats();
         let mut picked = None;
         let dispatch = |now, alloc: &mut BankAllocator| {
+            // A squat took memory on the previous cycle. A remembered
+            // shape fails again on the free list it failed on; that it
+            // fails on a smaller one too follows only from how
+            // first-fit places leases, which the leap does not rely on.
             if alloc.stats() != seen {
                 return false;
             }

@@ -419,40 +419,93 @@ fn alloc_stall_windows_are_bit_exact_and_leap() {
     }
 }
 
-/// Without chaos, a pool whose shared memory holds fewer jobs than it
-/// has workers stalls on its own leases: those stalls leap too (all
-/// but a few of the cycles are stalled, and far fewer are stepped),
-/// and replay bit-exact under every policy.
+/// A pool whose shared memory holds fewer jobs than it has workers
+/// stalls on its own leases: those stalls leap too (far fewer cycles
+/// are stepped than stalled), and replay bit-exact under every policy.
+/// With the allocator seam armed, squats are also taken inside such
+/// windows, shrinking the free list the next cycle's lease meets.
 #[test]
-fn memory_pressure_stalls_are_bit_exact_without_chaos() {
+fn memory_pressure_stalls_are_bit_exact() {
     let specs = workload(96, WORKLOAD_SEED);
-    for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
-        let build = |fast_forward| {
-            let mut farm = Farm::new(
-                FarmConfig {
-                    queue_capacity: 512,
-                    shared_words: 512,
-                    faults: FAULTS,
-                    fast_forward,
-                    ..FarmConfig::default()
-                },
-                policy(policy_name),
+    let squats = ChaosConfig {
+        seed: 0x5A_0A75,
+        controller_one_in: 0,
+        bus_one_in: 0,
+        bitstream_one_in: 0,
+        alloc_one_in: 400,
+        alloc_hold: 1_000,
+        wedge_one_in: 0,
+        slow_one_in: 0,
+        slow_stall: 0,
+    };
+    for chaos in [None, Some(squats)] {
+        for policy_name in ["fifo", "round-robin", "dpr-affinity"] {
+            let build = |fast_forward| {
+                let mut farm = Farm::new(
+                    FarmConfig {
+                        queue_capacity: 512,
+                        shared_words: 512,
+                        faults: FAULTS,
+                        fast_forward,
+                        ..FarmConfig::default()
+                    },
+                    policy(policy_name),
+                );
+                farm.add_worker(IDCT);
+                farm.add_worker(DFT64);
+                farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
+                farm.add_dpr_worker(&[(COPY3, 40_000), (DFT64, 60_000)]);
+                if let Some(config) = &chaos {
+                    farm.arm_chaos(FaultPlan::new(config.clone()));
+                }
+                farm
+            };
+            let tag = format!("memory pressure, {policy_name}, squats {}", chaos.is_some());
+            let (fast, report) = assert_lockstep(&build, &specs, &tag);
+            let stepped = report.total_cycles - report.skipped_cycles;
+            assert!(
+                fast.alloc_stalls > 10 * stepped,
+                "{tag}: {stepped} stepped cycles for {} stalled ones",
+                fast.alloc_stalls
             );
-            farm.add_worker(IDCT);
-            farm.add_worker(DFT64);
-            farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
-            farm.add_dpr_worker(&[(COPY3, 40_000), (DFT64, 60_000)]);
-            farm
-        };
-        let (fast, report) =
-            assert_lockstep(&build, &specs, &format!("memory pressure, {policy_name}"));
-        let stepped = report.total_cycles - report.skipped_cycles;
-        assert!(
-            fast.alloc_stalls > 10 * stepped,
-            "{policy_name}: {stepped} stepped cycles for {} stalled ones",
-            fast.alloc_stalls
-        );
+        }
     }
+}
+
+/// Round-robin moves its cursor on every stalled pick, so with two
+/// idle workers its stalled picks alternate between them. The window
+/// ends in front of the first pick of a pair not yet stalled on, that
+/// cycle steps with the pick already made, and once both pairs are
+/// remembered the stalls leap: bit-exact, which fails if the stepped
+/// cycle asked the policy again (the cursor would move twice).
+#[test]
+fn alternating_stalled_picks_are_bit_exact_and_leap() {
+    let mut rng = XorShift64::new(WORKLOAD_SEED);
+    let specs: Vec<JobSpec> = (0..6)
+        .map(|_| JobSpec::new(COPY3, payload(COPY3, &mut rng)))
+        .collect();
+    let build = |fast_forward| {
+        let mut farm = Farm::new(
+            FarmConfig {
+                // Room for one copy job's three leases, not two.
+                shared_words: 150,
+                fast_forward,
+                ..FarmConfig::default()
+            },
+            policy("round-robin"),
+        );
+        for _ in 0..3 {
+            farm.add_worker(COPY3);
+        }
+        farm
+    };
+    let (fast, report) = assert_lockstep(&build, &specs, "alternating stalls");
+    let stepped = report.total_cycles - report.skipped_cycles;
+    assert!(
+        fast.alloc_stalls > 10 * stepped,
+        "{stepped} stepped cycles for {} stalled ones",
+        fast.alloc_stalls
+    );
 }
 
 /// All four seams armed at once, full acceptance-campaign scale.
