@@ -307,7 +307,7 @@ impl FaultPlan {
         let (c, odds) = (&self.config, &self.odds);
         self.dice.clear();
         for (wi, worker) in workers.iter().enumerate() {
-            if worker.active.is_none() || worker.ocp.fault().is_some() || worker.ocp.is_wedged() {
+            if worker.is_idle() || worker.ocp.fault().is_some() || worker.ocp.is_wedged() {
                 continue;
             }
             let controller = worker.ocp.controller();

@@ -46,7 +46,7 @@ use std::error::Error;
 use std::fmt;
 
 use ouessant::{ExecError, Ocp};
-use ouessant_isa::operands::MAX_PROGRAM_LEN;
+use ouessant_isa::{operands::MAX_PROGRAM_LEN, Instruction};
 use ouessant_sim::bus::{Bus, BusConfig, BusStats, MasterId};
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus};
@@ -77,9 +77,11 @@ pub struct FaultConfig {
     /// Faults within one window that trip the breaker and quarantine
     /// the worker.
     pub quarantine_threshold: u32,
-    /// Cycles a quarantine lasts before the worker is re-admitted on
-    /// probation (one more fault re-quarantines instantly). `None`
-    /// makes every quarantine permanent.
+    /// Cycles a quarantine lasts, from the fault that tripped it,
+    /// before the worker is re-admitted on probation (one more fault
+    /// re-quarantines instantly). A fault during the quarantine
+    /// neither ends nor extends it. `None` makes every quarantine
+    /// permanent.
     pub quarantine_cooldown: Option<u64>,
     /// Restore the pre-fault-tolerance behaviour: the first worker
     /// fault aborts [`Farm::run_until_idle`] with
@@ -657,9 +659,12 @@ impl Farm {
     /// farm's job memory map before they can take a queue slot:
     /// programs with error-severity diagnostics (out-of-bounds
     /// transfers, unjoined launches, DMA races, …) are bounced with
-    /// [`SubmitError::RejectedMicrocode`], so one hostile or buggy
-    /// client can never corrupt another job's shared-memory regions or
-    /// wedge a worker.
+    /// [`SubmitError::RejectedMicrocode`]. Programs holding `rcfg` or
+    /// `halt` are bounced with [`SubmitError::ReservedInstruction`]:
+    /// the farm owns each worker's DPR slot, and waits for the D bit
+    /// only `eop` sets. So one hostile or buggy client can never corrupt
+    /// another job's shared-memory regions or output, or wedge a
+    /// worker.
     ///
     /// # Errors
     ///
@@ -689,6 +694,18 @@ impl Farm {
                     limit,
                 });
             }
+            // The farm is the only issuer of `rcfg` (its mirror of each
+            // worker's loaded configuration relies on it), and a run
+            // must end in `eop`: a halted controller is idle without
+            // the D bit, so neither completion nor a watchdog frees
+            // its worker.
+            if let Some((index, &instruction)) = program
+                .iter()
+                .enumerate()
+                .find(|(_, insn)| matches!(insn, Instruction::Rcfg { .. } | Instruction::Halt))
+            {
+                return Err(SubmitError::ReservedInstruction { index, instruction });
+            }
             let input_words = u32::try_from(spec.input.len()).unwrap_or(u32::MAX);
             let config = VerifyConfig::job_map(
                 u32::try_from(program.len() + 1).expect("checked against the limit above"),
@@ -706,7 +723,7 @@ impl Farm {
         // Admission asks for a *live* capable worker: a kind whose only
         // workers died permanently is rejected up front rather than
         // admitted into a queue it can never leave.
-        let serviceable = self.kind_serviceable(spec.kind);
+        let serviceable = serviceable(&self.workers, spec.kind, None);
         let payload_limit = u32::try_from(self.config.fifo_depth).unwrap_or(u32::MAX);
         let id = JobId(self.next_id);
         let now = self.now();
@@ -721,23 +738,6 @@ impl Farm {
             self.finish(job, 0, now, JobOutcome::ShedOverload, None);
         }
         Ok(admitted)
-    }
-
-    /// Whether any worker that is not permanently dead can serve
-    /// `kind` (quarantined-with-cooldown workers count: they will be
-    /// back).
-    fn kind_serviceable(&self, kind: JobKind) -> bool {
-        self.workers
-            .iter()
-            .any(|w| !w.is_permanently_dead() && w.caps().contains(&kind))
-    }
-
-    /// Whether a live worker *other than* `except` can serve `kind`.
-    fn alternative_worker_exists(&self, kind: JobKind, except: usize) -> bool {
-        self.workers
-            .iter()
-            .enumerate()
-            .any(|(i, w)| i != except && !w.is_permanently_dead() && w.caps().contains(&kind))
     }
 
     /// Advances the pool one clock cycle: unpark due retries, sweep
@@ -933,7 +933,7 @@ impl Farm {
                 h = h.min(passing(threshold));
             }
             for w in &self.workers {
-                if let Some(d) = w.active.as_ref().and_then(|a| a.job.deadline) {
+                if let Some(d) = w.active().and_then(|a| a.job.deadline) {
                     h = h.min(passing(d));
                 }
             }
@@ -1324,7 +1324,7 @@ impl Farm {
                 continue;
             }
             let done = self.workers[wi]
-                .note_completion(now)
+                .take_job(now)
                 .expect("completion event implies an active job");
             let mut output = Vec::with_capacity(done.output_words as usize);
             self.bus
@@ -1358,13 +1358,10 @@ impl Farm {
     fn handle_faults(&mut self) {
         let now = self.now();
         for wi in 0..self.workers.len() {
-            let Some(kind) = self.workers[wi].fault() else {
+            let Some(kind) = self.workers[wi].unabsorbed_fault() else {
+                // No fault, or one still draining that was absorbed.
                 continue;
             };
-            if self.workers[wi].fault_acknowledged() {
-                // Still draining a fault we already processed.
-                continue;
-            }
             if matches!(kind, WorkerFaultKind::Hang { .. }) {
                 // The watchdog bit: the abort it forces (drain, reset,
                 // breaker, retry) is the crash path below — only the
@@ -1379,9 +1376,8 @@ impl Farm {
                 self.free_leases(done.regions);
                 done.job
             });
-
+            let tripped = self.workers[wi].absorb_fault(now, &self.config.faults);
             if self.config.faults.fail_fast {
-                self.workers[wi].acknowledge_fault();
                 if let Some(mut job) = dead_job {
                     job.attempts += 1;
                     self.fail_job(job, wi, now, FailReason::Fault(kind.clone()));
@@ -1392,8 +1388,6 @@ impl Farm {
                 continue;
             }
 
-            let tripped = self.workers[wi].record_fault(now, &self.config.faults);
-            self.workers[wi].begin_recovery();
             if tripped && self.workers[wi].is_permanently_dead() {
                 self.reap_hopeless_jobs(now);
             }
@@ -1406,17 +1400,13 @@ impl Farm {
             job.attempts += 1;
             if job.attempts >= self.config.faults.max_attempts {
                 self.fail_job(job, wi, now, FailReason::Fault(kind));
-            } else if !self.kind_serviceable(job.kind) {
+            } else if !serviceable(&self.workers, job.kind, None) {
                 self.fail_job(job, wi, now, FailReason::NoServiceableWorker);
             } else {
                 // Prefer a different worker; if this one is the only
                 // survivor, allow it again (better a same-worker retry
                 // than a lost job).
-                job.avoid_worker = if self.alternative_worker_exists(job.kind, wi) {
-                    Some(wi)
-                } else {
-                    None
-                };
+                job.avoid_worker = serviceable(&self.workers, job.kind, Some(wi)).then_some(wi);
                 let ready_at = now + self.config.faults.retry_backoff * u64::from(job.attempts);
                 self.parked.push(ParkedJob { job, ready_at });
                 self.ledger.retries += 1;
@@ -1428,23 +1418,16 @@ impl Farm {
     /// (re-checking serviceability: the pool may have shrunk while
     /// they waited).
     fn unpark_ready(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.parked.len() {
-            if self.parked[i].ready_at > now {
-                i += 1;
-                continue;
-            }
-            let ParkedJob { mut job, .. } = self.parked.remove(i);
-            if !self.kind_serviceable(job.kind) {
+        let ready: Vec<ParkedJob> = self.parked.extract_if(.., |p| p.ready_at <= now).collect();
+        for ParkedJob { mut job, .. } in ready {
+            if !serviceable(&self.workers, job.kind, None) {
                 let last_worker = job.avoid_worker.unwrap_or(0);
                 self.fail_job(job, last_worker, now, FailReason::NoServiceableWorker);
                 continue;
             }
-            if let Some(avoid) = job.avoid_worker {
-                if !self.alternative_worker_exists(job.kind, avoid) {
-                    job.avoid_worker = None;
-                }
-            }
+            job.avoid_worker = job
+                .avoid_worker
+                .filter(|&avoid| serviceable(&self.workers, job.kind, Some(avoid)));
             self.queue.requeue(job);
         }
     }
@@ -1467,24 +1450,21 @@ impl Farm {
         // The queue indexes its earliest hopeless threshold, so the
         // O(queue) reap only runs on ticks where it removes something.
         if self.queue.earliest_hopeless().is_some_and(|t| now > t) {
-            for job in self.queue.reap_expired(|job| deadline_hopeless(job, now)) {
+            for job in self.queue.reap(|job| deadline_hopeless(job, now)) {
                 self.drop_deadline_missed(job, 0, now);
             }
         }
-        let mut i = 0;
-        while i < self.parked.len() {
-            if !deadline_hopeless(&self.parked[i].job, now) {
-                i += 1;
-                continue;
-            }
-            let ParkedJob { job, .. } = self.parked.remove(i);
+        let hopeless: Vec<ParkedJob> = self
+            .parked
+            .extract_if(.., |p| deadline_hopeless(&p.job, now))
+            .collect();
+        for ParkedJob { job, .. } in hopeless {
             let worker = job.avoid_worker.unwrap_or(0);
             self.drop_deadline_missed(job, worker, now);
         }
         for wi in 0..self.workers.len() {
             let overdue = self.workers[wi]
-                .active
-                .as_ref()
+                .active()
                 .and_then(|a| a.job.deadline)
                 .is_some_and(|d| now > d);
             if !overdue || self.workers[wi].ocp.fault().is_some() {
@@ -1514,23 +1494,16 @@ impl Farm {
     /// Fails every queued and parked job whose kind lost its last
     /// live worker — recorded, not stranded.
     fn reap_hopeless_jobs(&mut self, now: u64) {
-        let alive: Vec<JobKind> = self
-            .workers
-            .iter()
-            .filter(|w| !w.is_permanently_dead())
-            .flat_map(|w| w.caps().iter().copied())
+        let workers = &self.workers;
+        let dead = self.queue.reap(|job| !serviceable(workers, job.kind, None));
+        let stranded: Vec<ParkedJob> = self
+            .parked
+            .extract_if(.., |p| !serviceable(workers, p.job.kind, None))
             .collect();
-        let dead = self.queue.reap_unserviceable(|kind| alive.contains(&kind));
         for job in dead {
             self.fail_job(job, 0, now, FailReason::NoServiceableWorker);
         }
-        let mut i = 0;
-        while i < self.parked.len() {
-            if alive.contains(&self.parked[i].job.kind) {
-                i += 1;
-                continue;
-            }
-            let ParkedJob { job, .. } = self.parked.remove(i);
+        for ParkedJob { job, .. } in stranded {
             let last_worker = job.avoid_worker.unwrap_or(0);
             self.fail_job(job, last_worker, now, FailReason::NoServiceableWorker);
         }
@@ -1578,6 +1551,16 @@ impl Farm {
         self.ledger.finish(&record);
         self.completed.push(record);
     }
+}
+
+/// Whether a worker of `workers` other than `except` that is not
+/// permanently dead can serve `kind` (quarantined-with-cooldown workers
+/// count: they will be back).
+fn serviceable(workers: &[Worker], kind: JobKind, except: Option<usize>) -> bool {
+    workers
+        .iter()
+        .enumerate()
+        .any(|(i, w)| Some(i) != except && !w.is_permanently_dead() && w.caps().contains(&kind))
 }
 
 /// Every worker as its policy sees it.

@@ -16,9 +16,10 @@
 //!   bounced at submission, custom microcode
 //!   ([`JobSpec::with_microcode`]) is run through the
 //!   `ouessant-verify` static analyzer and rejected with its
-//!   diagnostics on any error ([`SubmitError::RejectedMicrocode`]),
-//!   and a full queue answers [`SubmitError::QueueFull`]
-//!   (backpressure);
+//!   diagnostics on any error ([`SubmitError::RejectedMicrocode`]) or
+//!   refused if it holds an `rcfg` or `halt`, which only the farm may
+//!   issue ([`SubmitError::ReservedInstruction`]), and a full queue
+//!   answers [`SubmitError::QueueFull`] (backpressure);
 //! * [`policy`] — pluggable scheduling via [`SchedPolicy`]:
 //!   [`FifoPolicy`], [`RoundRobinPolicy`], and [`DprAffinityPolicy`]
 //!   (batch jobs onto workers whose loaded configuration matches,

@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use ouessant_isa::Program;
+use ouessant_isa::{Instruction, Program};
 use ouessant_verify::Analysis;
 
 use crate::job::{JobId, JobKind, JobSpec};
@@ -64,6 +64,16 @@ pub enum SubmitError {
         /// Instructions admissible.
         limit: usize,
     },
+    /// The job's custom microcode holds an instruction only the farm
+    /// may issue: `rcfg` (the farm owns each worker's DPR slot and
+    /// prepends its own) or `halt` (a run must end in the `eop` whose
+    /// D bit the farm waits for).
+    ReservedInstruction {
+        /// Index of the first such instruction.
+        index: usize,
+        /// The instruction.
+        instruction: Instruction,
+    },
     /// Overload shedding: the queue is past its load-shedding
     /// watermark and the job's priority class is below the floor, so
     /// admission is refused to keep headroom for important work.
@@ -106,6 +116,11 @@ impl fmt::Display for SubmitError {
                 f,
                 "custom microcode has {len} instructions, more than the {limit} the farm \
                  can place (one slot is reserved for a DPR `rcfg` prepend)"
+            ),
+            SubmitError::ReservedInstruction { index, instruction } => write!(
+                f,
+                "custom microcode holds `{instruction}` at instruction {index}; only the farm \
+                 issues it"
             ),
             SubmitError::ShedOverload { queued, watermark } => write!(
                 f,
@@ -412,35 +427,16 @@ impl SubmitQueue {
         std::mem::take(&mut self.shed_out)
     }
 
-    /// Evicts every queued job matching `expired` (the liveness
-    /// sweep's can-no-longer-meet-its-deadline predicate), returning
-    /// the evictions for the farm to record.
-    pub(crate) fn reap_expired(
-        &mut self,
-        expired: impl Fn(&PendingJob) -> bool,
-    ) -> Vec<PendingJob> {
-        self.evict(expired)
-    }
-
-    /// Evicts every queued job whose kind no worker can serve any more
-    /// (called when a worker dies permanently). Returns the evicted
-    /// jobs so the farm can record them as failed rather than strand
-    /// them.
-    pub(crate) fn reap_unserviceable(
-        &mut self,
-        serviceable: impl Fn(JobKind) -> bool,
-    ) -> Vec<PendingJob> {
-        self.evict(|job| !serviceable(job.kind))
-    }
-
-    /// Moves every job matching `evict` out of the queue, in queue
+    /// Moves every job matching `reap` out of the queue, in queue
     /// order, keeping the survivors' order (one rotation through the
-    /// deque: no clones, no reallocation).
-    fn evict(&mut self, evict: impl Fn(&PendingJob) -> bool) -> Vec<PendingJob> {
+    /// deque: no clones, no reallocation). The farm reaps jobs that can
+    /// no longer meet their deadline, and jobs whose kind lost its last
+    /// live worker; it records each reaped job.
+    pub(crate) fn reap(&mut self, reap: impl Fn(&PendingJob) -> bool) -> Vec<PendingJob> {
         let mut dead = Vec::new();
         for _ in 0..self.jobs.len() {
             let job = self.jobs.pop_front().expect("rotating a counted deque");
-            if evict(&job) {
+            if reap(&job) {
                 dead.push(job);
             } else {
                 self.jobs.push_back(job);
@@ -600,13 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn reap_expired_removes_matching_jobs() {
+    fn reap_removes_matching_jobs() {
         let mut q = SubmitQueue::new(8);
         for i in 0..4u64 {
             let spec = idct_spec().with_deadline(100 + i);
             q.submit(JobId(i), spec, 0, 1024, true).unwrap();
         }
-        let dead = q.reap_expired(|j| j.deadline.is_some_and(|d| d < 102));
+        let dead = q.reap(|j| j.deadline.is_some_and(|d| d < 102));
         let dead_ids: Vec<u64> = dead.iter().map(|j| j.id.0).collect();
         assert_eq!(dead_ids, vec![0, 1]);
         assert_eq!(q.len(), 2);
@@ -636,12 +632,11 @@ mod tests {
         assert_eq!(q.version(), 5);
 
         // Reaps that remove nothing are not changes.
-        assert!(q.reap_expired(|_| false).is_empty());
-        assert!(q.reap_unserviceable(|_| true).is_empty());
+        assert!(q.reap(|_| false).is_empty());
         assert_eq!(q.version(), 5);
 
         // Removing the earliest deadline moves the index to the next.
-        let dead = q.reap_expired(|j| j.id == JobId(1));
+        let dead = q.reap(|j| j.id == JobId(1));
         assert_eq!(dead[0].id, JobId(1));
         assert_eq!((q.version(), q.earliest_hopeless()), (6, Some(936)));
 
@@ -651,7 +646,7 @@ mod tests {
 
         q.requeue(taken);
         assert_eq!((q.version(), q.earliest_hopeless()), (8, Some(936)));
-        assert_eq!(q.reap_unserviceable(|_| false).len(), 2);
+        assert_eq!(q.reap(|_| true).len(), 2);
         assert_eq!((q.version(), q.len()), (9, 0));
     }
 }

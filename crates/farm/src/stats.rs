@@ -246,9 +246,9 @@ impl Ledger {
         let class = match error {
             SubmitError::QueueFull { .. } => &mut self.rejected_full,
             SubmitError::ShedOverload { .. } => &mut self.rejected_shed,
-            SubmitError::RejectedMicrocode { .. } | SubmitError::MicrocodeTooLong { .. } => {
-                &mut self.rejected_unsafe
-            }
+            SubmitError::RejectedMicrocode { .. }
+            | SubmitError::MicrocodeTooLong { .. }
+            | SubmitError::ReservedInstruction { .. } => &mut self.rejected_unsafe,
             SubmitError::EmptyPayload
             | SubmitError::BadPayload { .. }
             | SubmitError::PayloadTooLarge { .. }

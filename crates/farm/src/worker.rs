@@ -10,7 +10,10 @@
 //! That placement is the swap-safety argument: `rcfg` only ever
 //! executes at the *head* of a program on a worker the dispatcher just
 //! observed idle, so a swap can never touch a configuration with a job
-//! in flight.
+//! in flight. Admission makes the farm the only issuer of `rcfg`: it
+//! refuses custom microcode that holds one (or a `halt`, which would
+//! end a run without the D bit the farm waits for), so the worker's
+//! host-side mirror of its loaded configuration stays exact.
 //!
 //! ## Fault containment
 //!
@@ -18,23 +21,38 @@
 //! burst, a poisoned bitstream during an `rcfg`, a decode fault in
 //! hostile microcode, or an injected chaos fault. The paper's OCP is
 //! built so that such a death never takes the host down; this module
-//! carries that isolation into the pool with a per-worker health state
-//! machine:
+//! carries that isolation into the pool with two state machines per
+//! worker, each one enum, so no two fields can disagree.
+//!
+//! Its *duty* says what the controller is doing:
 //!
 //! ```text
-//!   Healthy ──fault──► Degraded ──breaker trips──► Quarantined
-//!      ▲                   │  ▲                        │
-//!      └──window clean─────┘  └──cooldown (probation)──┘
+//!   Idle ──launch──► Running ──eop, or an abort that lands at once──► Idle
+//!   Idle, Running ──fault, or an abort still draining──► Recovering
+//!   Recovering ──Ocp::try_recover succeeds──► Idle
+//!   Idle, Running ──fault, fail-fast──► Held   (left faulted for postmortem)
+//! ```
+//!
+//! Its *breaker* says whether the dispatcher may use it:
+//!
+//! ```text
+//!   Healthy, Degraded ──fault──► Degraded, or Quarantined once the
+//!                                faults in the window reach the threshold
+//!   Degraded on probation ──fault──► Quarantined
+//!   Quarantined ──fault──► Quarantined   (cooldown unchanged)
+//!   Quarantined ──cooldown over, recovery done──► Degraded on probation
+//!   Degraded ──a window without faults──► Healthy
 //! ```
 //!
 //! Every fault is classified into a structured [`WorkerFaultKind`] and
 //! counted against a faults-in-window circuit breaker; tripping it
 //! quarantines the worker (permanently, unless a cooldown is
-//! configured). Recovery drains the dead job's DMA, resets the
-//! controller FSM, the RAC and both FIFOs — so no word of the dead job
-//! can ever leak into the next one — and, for a DPR worker, leaves the
-//! slot back in configuration 0 (a bitstream load after a fault is
-//! never trusted).
+//! configured). A fault while quarantined is counted but leaves the
+//! quarantine and its cooldown as they are. Recovery drains the dead
+//! job's DMA, resets the controller FSM, the RAC and both FIFOs — so no
+//! word of the dead job can ever leak into the next one — and, for a
+//! DPR worker, leaves the slot back in configuration 0 (a bitstream
+//! load after a fault is never trusted).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -256,6 +274,35 @@ pub(crate) struct ActiveJob {
     pub contention_at_start: u64,
 }
 
+/// What a worker's controller is doing (see the module doc's diagram).
+#[derive(Debug)]
+enum Duty {
+    /// No job on it; the breaker decides whether it may take one.
+    Idle,
+    /// Serving a job.
+    Running(ActiveJob),
+    /// Draining an absorbed fault, or an abort a DMA burst held up:
+    /// unschedulable until [`Ocp::try_recover`] succeeds.
+    Recovering,
+    /// Fail-fast mode: the fault was absorbed and the controller is
+    /// left in its faulted state for postmortem.
+    Held,
+}
+
+/// A worker's circuit breaker (see the module doc's diagram).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Breaker {
+    /// No faults inside the window.
+    Healthy,
+    /// Faulted at `since`, or fresh out of quarantine then: a clean
+    /// window from `since` restores `Healthy`. On probation one more
+    /// fault trips the breaker at once.
+    Degraded { since: u64, probation: bool },
+    /// Not schedulable until the cooldown lifts it at `until` — never,
+    /// if `None`.
+    Quarantined { until: Option<u64> },
+}
+
 /// One pool member: an OCP plus its capability table and health state.
 #[derive(Debug)]
 pub struct Worker {
@@ -265,31 +312,20 @@ pub struct Worker {
     /// Full bitstream-load cost per capability (0 for fixed-function).
     swap_cycles: Vec<u64>,
     /// Host-side mirror of the loaded configuration index. Accurate
-    /// because this worker is the only issuer of `rcfg` on its slot.
+    /// because this worker is the only issuer of `rcfg` on its slot
+    /// (admission refuses client microcode holding one).
     loaded: usize,
-    pub(crate) active: Option<ActiveJob>,
-    jobs_served: u64,
+    /// Swaps this worker's dispatches paid for; unlike the slot's own
+    /// count, reloads of the loaded configuration are not in it.
     swaps: u64,
     /// The summed spans of the jobs that have left this worker (see
     /// [`Worker::take_job`]).
     served_span: u64,
-    // ── health / fault containment ──
-    health: WorkerHealth,
-    /// Cycle stamps of faults inside the circuit-breaker window.
+    duty: Duty,
+    breaker: Breaker,
+    /// Cycle stamps of faults inside the circuit-breaker window (empty
+    /// unless `Degraded`).
     recent_faults: VecDeque<u64>,
-    /// When the current quarantine lifts, if ever.
-    quarantine_until: Option<u64>,
-    /// Fresh out of quarantine: one more fault re-opens the breaker
-    /// immediately.
-    probation: bool,
-    /// When the worker last entered `Degraded` (fault or probation);
-    /// a clean window from here restores `Healthy`.
-    degraded_since: u64,
-    /// Worker is draining its DMA/RAC after a fault and cannot serve.
-    recovering: bool,
-    /// The current fault has been harvested by the farm (guards
-    /// double-processing while the controller is still `Faulted`).
-    fault_acknowledged: bool,
     faults_total: u64,
     quarantines_total: u64,
 }
@@ -302,17 +338,11 @@ impl Worker {
             caps,
             swap_cycles,
             loaded: 0,
-            active: None,
-            jobs_served: 0,
             swaps: 0,
             served_span: 0,
-            health: WorkerHealth::Healthy,
+            duty: Duty::Idle,
+            breaker: Breaker::Healthy,
             recent_faults: VecDeque::new(),
-            quarantine_until: None,
-            probation: false,
-            degraded_since: 0,
-            recovering: false,
-            fault_acknowledged: false,
             faults_total: 0,
             quarantines_total: 0,
         }
@@ -376,20 +406,33 @@ impl Worker {
     /// Whether the worker has no job on it this cycle.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.active.is_none()
+        !matches!(self.duty, Duty::Running(_))
     }
 
-    /// Whether the dispatcher may place a job on this worker: idle,
-    /// not draining a fault, and not quarantined.
+    /// The job on this worker, if one is running.
+    pub(crate) fn active(&self) -> Option<&ActiveJob> {
+        match &self.duty {
+            Duty::Running(job) => Some(job),
+            Duty::Idle | Duty::Recovering | Duty::Held => None,
+        }
+    }
+
+    /// Whether the dispatcher may place a job on this worker: its duty
+    /// is `Idle` (no job, no fault draining or held) and its breaker is
+    /// not quarantined.
     #[must_use]
     pub fn is_dispatchable(&self) -> bool {
-        self.active.is_none() && !self.recovering && self.health != WorkerHealth::Quarantined
+        matches!(self.duty, Duty::Idle) && !matches!(self.breaker, Breaker::Quarantined { .. })
     }
 
     /// The worker's current health state.
     #[must_use]
     pub fn health(&self) -> WorkerHealth {
-        self.health
+        match self.breaker {
+            Breaker::Healthy => WorkerHealth::Healthy,
+            Breaker::Degraded { .. } => WorkerHealth::Degraded,
+            Breaker::Quarantined { .. } => WorkerHealth::Quarantined,
+        }
     }
 
     /// Total faults this worker has suffered.
@@ -408,19 +451,23 @@ impl Worker {
     /// again.
     #[must_use]
     pub fn is_permanently_dead(&self) -> bool {
-        self.health == WorkerHealth::Quarantined && self.quarantine_until.is_none()
+        self.breaker == Breaker::Quarantined { until: None }
     }
 
-    /// Whether the farm already harvested the current fault.
-    #[must_use]
-    pub(crate) fn fault_acknowledged(&self) -> bool {
-        self.fault_acknowledged
+    /// The controller fault the farm has not absorbed yet, classified
+    /// by seam (see [`Worker::absorb_fault`]).
+    pub(crate) fn unabsorbed_fault(&self) -> Option<WorkerFaultKind> {
+        match self.duty {
+            Duty::Idle | Duty::Running(_) => self.fault(),
+            Duty::Recovering | Duty::Held => None,
+        }
     }
 
-    /// Jobs completed on this worker.
+    /// Jobs completed on this worker: the runs its controller ended
+    /// with `eop`. The farm collects each on the tick it retires.
     #[must_use]
     pub fn jobs_served(&self) -> u64 {
-        self.jobs_served
+        self.ocp.stats().runs_completed
     }
 
     /// Bitstream swaps this worker has paid for.
@@ -432,7 +479,7 @@ impl Worker {
     /// Cycles this worker spent with a job on it up to cycle `now`:
     /// the spans of the jobs that left it, plus the one in flight.
     pub(crate) fn busy_cycles(&self, now: u64) -> u64 {
-        self.served_span + self.active.as_ref().map_or(0, |a| now - a.started_at)
+        self.served_span + self.active().map_or(0, |a| now - a.started_at)
     }
 
     /// The full bitstream-load cost per capability (0 for
@@ -498,7 +545,7 @@ impl Worker {
         regs.start();
 
         let output_words = job.kind.output_words(job.input_words);
-        self.active = Some(ActiveJob {
+        self.duty = Duty::Running(ActiveJob {
             started_at: now,
             swapped,
             regions,
@@ -517,7 +564,7 @@ impl Worker {
         bus: &'a Bus,
         chain: bool,
     ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
-        if self.recovering || self.ocp.fault().is_some() {
+        if matches!(self.duty, Duty::Recovering) || self.ocp.fault().is_some() {
             return None;
         }
         self.ocp.window_issue(bus, chain)
@@ -533,10 +580,10 @@ impl Worker {
     /// * a recovering worker retries [`Ocp::try_recover`] every tick,
     ///   and a fault the farm has not absorbed yet (one injected
     ///   between ticks) is handled on the next, so both single-step;
-    /// * a timed quarantine lifts when the post-tick cycle reaches
-    ///   `quarantine_until`;
+    /// * a timed quarantine lifts when the post-tick cycle reaches its
+    ///   `until`;
     /// * a degraded worker heals when the post-tick cycle reaches
-    ///   `degraded_since + fault_window`.
+    ///   `since + fault_window`.
     pub(crate) fn horizon_at(
         &self,
         now: Instant,
@@ -544,13 +591,13 @@ impl Worker {
         bus: &Bus,
         window: &BusWindow,
     ) -> Horizon {
-        if self.recovering || (self.ocp.fault().is_some() && !self.fault_acknowledged) {
+        if matches!(self.duty, Duty::Recovering) || self.unabsorbed_fault().is_some() {
             return Horizon::NEXT_TICK;
         }
-        let timer = match self.health {
-            WorkerHealth::Quarantined => self.quarantine_until,
-            WorkerHealth::Degraded => Some(self.degraded_since.saturating_add(cfg.fault_window)),
-            WorkerHealth::Healthy => None,
+        let timer = match self.breaker {
+            Breaker::Quarantined { until } => until,
+            Breaker::Degraded { since, .. } => Some(since.saturating_add(cfg.fault_window)),
+            Breaker::Healthy => None,
         };
         let lift = timer.map_or(Horizon::QUIESCENT, |at| {
             Horizon::ending_at(Instant::new(at), now)
@@ -565,17 +612,16 @@ impl Worker {
     /// so in all three `now − started_at` counts the cycles it held the
     /// worker.
     pub(crate) fn take_job(&mut self, now: u64) -> Option<ActiveJob> {
-        let done = self.active.take()?;
-        self.served_span += now - done.started_at;
-        Some(done)
-    }
-
-    /// Takes a completed job off the worker at cycle `now` and counts
-    /// it as served.
-    pub(crate) fn note_completion(&mut self, now: u64) -> Option<ActiveJob> {
-        let done = self.take_job(now)?;
-        self.jobs_served += 1;
-        Some(done)
+        match std::mem::replace(&mut self.duty, Duty::Idle) {
+            Duty::Running(done) => {
+                self.served_span += now - done.started_at;
+                Some(done)
+            }
+            other => {
+                self.duty = other;
+                None
+            }
+        }
     }
 
     /// The controller fault that killed this worker, if any, classified
@@ -610,7 +656,7 @@ impl Worker {
             // configuration 0, mirror it.
             self.loaded = 0;
         } else {
-            self.begin_recovery();
+            self.duty = Duty::Recovering;
         }
         Some(done)
     }
@@ -619,75 +665,227 @@ impl Worker {
     ///
     /// Returns `true` when this fault trips the breaker (the worker
     /// just entered quarantine). A fault during probation re-opens the
-    /// breaker immediately.
-    pub(crate) fn record_fault(&mut self, now: u64, cfg: &FaultConfig) -> bool {
+    /// breaker immediately; one while quarantined changes nothing but
+    /// the count.
+    fn record_fault(&mut self, now: u64, cfg: &FaultConfig) -> bool {
         self.faults_total += 1;
+        let on_probation = match self.breaker {
+            Breaker::Quarantined { .. } => return false,
+            Breaker::Degraded { probation, .. } => probation,
+            Breaker::Healthy => false,
+        };
         let window_start = now.saturating_sub(cfg.fault_window);
-        while self
-            .recent_faults
-            .front()
-            .is_some_and(|&at| at < window_start)
-        {
-            self.recent_faults.pop_front();
-        }
+        self.recent_faults.retain(|&at| at >= window_start);
         self.recent_faults.push_back(now);
         let in_window = u32::try_from(self.recent_faults.len()).unwrap_or(u32::MAX);
-        let tripped = self.probation || in_window >= cfg.quarantine_threshold;
-        if tripped {
-            self.health = WorkerHealth::Quarantined;
-            self.quarantine_until = cfg.quarantine_cooldown.map(|c| now + c);
-            self.probation = false;
+        let tripped = on_probation || in_window >= cfg.quarantine_threshold;
+        self.breaker = if tripped {
             self.recent_faults.clear();
             self.quarantines_total += 1;
+            Breaker::Quarantined {
+                until: cfg.quarantine_cooldown.map(|c| now + c),
+            }
         } else {
-            self.health = WorkerHealth::Degraded;
-            self.degraded_since = now;
-        }
+            Breaker::Degraded {
+                since: now,
+                probation: false,
+            }
+        };
         tripped
     }
 
-    /// Starts draining the fault: the worker is unschedulable until
+    /// Absorbs the controller's fault at cycle `now`, its dead job
+    /// already taken off, and counts it. Failing fast, the worker is
+    /// held in its faulted state for postmortem and the breaker is left
+    /// alone; otherwise the fault is counted against the breaker and
+    /// recovery starts, leaving the worker unschedulable until
     /// [`Ocp::try_recover`] succeeds (DMA burst retired, FSM, RAC and
-    /// FIFOs reset).
-    pub(crate) fn begin_recovery(&mut self) {
-        self.recovering = true;
-        self.fault_acknowledged = true;
-    }
-
-    /// Counts the fault and marks it harvested without touching the
-    /// breaker or recovering (fail-fast mode: the controller is left
-    /// in its faulted state for postmortem).
-    pub(crate) fn acknowledge_fault(&mut self) {
-        self.faults_total += 1;
-        self.fault_acknowledged = true;
+    /// FIFOs reset). Returns whether the breaker tripped.
+    pub(crate) fn absorb_fault(&mut self, now: u64, cfg: &FaultConfig) -> bool {
+        debug_assert!(self.active().is_none(), "the dead job is taken off first");
+        if cfg.fail_fast {
+            self.faults_total += 1;
+            self.duty = Duty::Held;
+            return false;
+        }
+        self.duty = Duty::Recovering;
+        self.record_fault(now, cfg)
     }
 
     /// One health-state step at cycle `now`: finish a pending recovery,
     /// lift an expired quarantine into probation, and restore `Healthy`
     /// after a clean window.
     pub(crate) fn advance_health(&mut self, bus: &mut Bus, now: u64, cfg: &FaultConfig) {
-        if self.recovering && self.ocp.try_recover(bus) {
-            self.recovering = false;
-            self.fault_acknowledged = false;
+        if matches!(self.duty, Duty::Recovering) && self.ocp.try_recover(bus) {
+            self.duty = Duty::Idle;
             // Recovery resets the RAC slot; a DPR worker is back in
             // configuration 0 and the host mirror must follow.
             self.loaded = 0;
         }
-        if self.health == WorkerHealth::Quarantined
-            && !self.recovering
-            && self.quarantine_until.is_some_and(|until| now >= until)
-        {
-            self.health = WorkerHealth::Degraded;
-            self.quarantine_until = None;
-            self.probation = true;
-            self.degraded_since = now;
+        if let Breaker::Quarantined { until: Some(until) } = self.breaker {
+            // A quarantine lifts only once the drain is done.
+            if now >= until && !matches!(self.duty, Duty::Recovering) {
+                self.breaker = Breaker::Degraded {
+                    since: now,
+                    probation: true,
+                };
+            }
         }
-        if self.health == WorkerHealth::Degraded
-            && now.saturating_sub(self.degraded_since) >= cfg.fault_window
-        {
-            self.health = WorkerHealth::Healthy;
-            self.probation = false;
-            self.recent_faults.clear();
+        if let Breaker::Degraded { since, .. } = self.breaker {
+            if now.saturating_sub(since) >= cfg.fault_window {
+                self.breaker = Breaker::Healthy;
+                self.recent_faults.clear();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ouessant_sim::bus::BusConfig;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// A fault recorded at this cycle.
+        Fault(u64),
+        /// A health step at this cycle.
+        Advance(u64),
+    }
+    use Step::{Advance, Fault};
+
+    /// Every breaker transition, from a fresh idle worker: the steps
+    /// taken, and the breaker and quarantine count they leave.
+    #[test]
+    fn breaker_transitions() {
+        let timed = FaultConfig {
+            fault_window: 100,
+            quarantine_threshold: 2,
+            quarantine_cooldown: Some(1_000),
+            ..FaultConfig::default()
+        };
+        let permanent = FaultConfig {
+            quarantine_cooldown: None,
+            ..timed
+        };
+        let degraded = |since, probation| Breaker::Degraded { since, probation };
+        let quarantined = |until| Breaker::Quarantined { until };
+        let tripped: &[Step] = &[Fault(10), Fault(20)];
+        let on_probation: &[Step] = &[Fault(10), Fault(20), Advance(1_020)];
+        let table: [(&str, &FaultConfig, Vec<Step>, Breaker, u64); 11] = [
+            (
+                "a fault below the threshold degrades",
+                &timed,
+                vec![Fault(10)],
+                degraded(10, false),
+                0,
+            ),
+            (
+                "faults in the window reaching the threshold quarantine",
+                &timed,
+                tripped.to_vec(),
+                quarantined(Some(1_020)),
+                1,
+            ),
+            (
+                "a fault past the window starts the count over",
+                &timed,
+                vec![Fault(10), Fault(200)],
+                degraded(200, false),
+                0,
+            ),
+            (
+                "the quarantine holds until its cooldown ends",
+                &timed,
+                [tripped, &[Advance(1_019)]].concat(),
+                quarantined(Some(1_020)),
+                1,
+            ),
+            (
+                "the cooldown lifts it to probation",
+                &timed,
+                on_probation.to_vec(),
+                degraded(1_020, true),
+                1,
+            ),
+            (
+                "a fault on probation trips the breaker at once",
+                &timed,
+                [on_probation, &[Fault(1_030)]].concat(),
+                quarantined(Some(2_030)),
+                2,
+            ),
+            (
+                "a window short of clean keeps it degraded",
+                &timed,
+                vec![Fault(10), Advance(109)],
+                degraded(10, false),
+                0,
+            ),
+            (
+                "a clean window heals",
+                &timed,
+                vec![Fault(10), Advance(110)],
+                Breaker::Healthy,
+                0,
+            ),
+            (
+                "a clean window on probation heals",
+                &timed,
+                [on_probation, &[Advance(1_120)]].concat(),
+                Breaker::Healthy,
+                1,
+            ),
+            (
+                "without a cooldown the quarantine is permanent",
+                &permanent,
+                [tripped, &[Advance(u64::MAX)]].concat(),
+                quarantined(None),
+                1,
+            ),
+            (
+                "a fault while quarantined keeps the quarantine and its cooldown",
+                &timed,
+                [tripped, &[Fault(30)]].concat(),
+                quarantined(Some(1_020)),
+                1,
+            ),
+        ];
+        for (name, cfg, steps, breaker, quarantines) in table {
+            let mut bus = Bus::new(BusConfig::default());
+            let mut worker = Worker::fixed(&mut bus, 0x8000_0000, JobKind::Copy { scale: 3 }, 64);
+            let (mut faults, mut trips) = (0, 0);
+            for step in steps {
+                match step {
+                    Fault(at) => {
+                        faults += 1;
+                        trips += u64::from(worker.record_fault(at, cfg));
+                    }
+                    Advance(at) => worker.advance_health(&mut bus, at, cfg),
+                }
+            }
+            assert_eq!(worker.breaker, breaker, "{name}");
+            assert_eq!(worker.quarantines_total(), quarantines, "{name}");
+            assert_eq!(trips, quarantines, "{name}: a trip is reported once");
+            assert_eq!(worker.faults_total(), faults, "{name}");
+            let quarantined = matches!(breaker, Breaker::Quarantined { .. });
+            assert_eq!(worker.is_dispatchable(), !quarantined, "{name}");
+            assert_eq!(
+                worker.is_permanently_dead(),
+                breaker == Breaker::Quarantined { until: None },
+                "{name}"
+            );
+            assert_eq!(
+                worker.recent_faults.is_empty(),
+                !matches!(
+                    breaker,
+                    Breaker::Degraded {
+                        probation: false,
+                        ..
+                    }
+                ),
+                "{name}: fault stamps are kept only while they can trip the breaker"
+            );
         }
     }
 }

@@ -400,6 +400,61 @@ fn breaker_permanently_quarantines_flaky_worker() {
     assert_eq!(farm.report().jobs_completed, 3);
 }
 
+/// A fault on a worker already in quarantine is counted, but the
+/// worker stays quarantined and its cooldown still runs from the trip:
+/// it gains no job before then.
+#[test]
+fn fault_while_quarantined_keeps_the_worker_out() {
+    const COOLDOWN: u64 = 10_000_000;
+    let mut farm = Farm::new(
+        FarmConfig {
+            faults: FaultConfig {
+                quarantine_threshold: 2,
+                quarantine_cooldown: Some(COOLDOWN),
+                ..FaultConfig::default()
+            },
+            ..FarmConfig::default()
+        },
+        Box::new(FifoPolicy::new()),
+    );
+    farm.add_worker(COPY3);
+    let upset = || ExecError::Injected {
+        cause: "test: upset",
+    };
+    // Two faults on the idle worker trip the breaker; each is absorbed
+    // and recovered on the tick after its injection.
+    for _ in 0..2 {
+        farm.inject_worker_fault(0, upset());
+        farm.tick();
+    }
+    let tripped_at = farm.now();
+    assert_eq!(farm.workers()[0].health(), WorkerHealth::Quarantined);
+    for _ in 0..1_000 {
+        farm.tick();
+    }
+    farm.inject_worker_fault(0, upset());
+    farm.tick();
+    let worker = &farm.workers()[0];
+    assert_eq!(worker.faults_total(), 3, "the third fault is counted");
+    assert_eq!(worker.health(), WorkerHealth::Quarantined);
+    assert!(
+        !worker.is_dispatchable(),
+        "a quarantined worker takes no job"
+    );
+    assert_eq!(worker.quarantines_total(), 1);
+
+    let mut rng = XorShift64::new(5);
+    farm.submit(JobSpec::new(COPY3, payload(COPY3, &mut rng)))
+        .unwrap();
+    farm.run_until_idle(2 * COOLDOWN).unwrap();
+    let started = farm.records()[0].started_at;
+    assert!(
+        (tripped_at + COOLDOWN..tripped_at + COOLDOWN + 1_000).contains(&started),
+        "the job waits out the cooldown counted from the trip: started at {started}, \
+         tripped at {tripped_at}"
+    );
+}
+
 // ───────────────────────── the chaos matrix ─────────────────────────
 
 /// One matrix cell: a campaign with exactly one seam armed, under one

@@ -434,6 +434,72 @@ fn custom_microcode_loop_survives_dpr_rcfg_prepend() {
     assert_eq!(farm.records()[0].output, COPY3.expected_output(&input));
 }
 
+/// The 64-word scaling copy, its microcode written out, behind `head`.
+fn copy64_program(head: &[Instruction], tail: Instruction) -> Program {
+    head.iter()
+        .fold(ProgramBuilder::new(), |b, &insn| b.push(insn))
+        .mvtc(1, 0, 64, 0)
+        .unwrap()
+        .execs_op(64)
+        .mvfc(2, 0, 64, 0)
+        .unwrap()
+        .push(tail)
+        .finish()
+        .unwrap()
+}
+
+#[test]
+fn custom_rcfg_is_refused_so_the_farm_owns_the_slot() {
+    // Admitted, a client's `rcfg 0` behind the farm's own `rcfg 1`
+    // reloaded the IDCT while the farm's mirror said copy, and the
+    // next plain copy job came back as the IDCT of its input.
+    let mut farm = Farm::new(FarmConfig::default(), Box::new(FifoPolicy::new()));
+    farm.add_dpr_worker(&[(IDCT, 40_000), (COPY3, 40_000)]);
+    let input: Vec<u32> = (1..=64).collect();
+    let reload = copy64_program(&[Instruction::Rcfg { slot: 0 }], Instruction::Eop);
+    assert_eq!(
+        farm.submit(JobSpec::new(COPY3, input.clone()).with_microcode(reload)),
+        Err(SubmitError::ReservedInstruction {
+            index: 0,
+            instruction: Instruction::Rcfg { slot: 0 },
+        })
+    );
+    let plain = farm.submit(JobSpec::new(COPY3, input.clone())).unwrap();
+    farm.run_until_idle(1_000_000).unwrap();
+
+    let record = farm.records().iter().find(|r| r.id == plain).unwrap();
+    assert_eq!(record.output, COPY3.expected_output(&input));
+    let report = farm.report();
+    assert_eq!(report.rejected_unsafe, 1);
+    assert_eq!(report.jobs_completed, 1);
+}
+
+#[test]
+fn custom_halt_is_refused_so_no_worker_is_stranded() {
+    // Admitted, a `halt` left the controller idle without the D bit:
+    // the job never completed, no watchdog counts an idle controller,
+    // and every later job waited behind it.
+    let mut farm = Farm::new(FarmConfig::default(), Box::new(FifoPolicy::new()));
+    farm.add_worker(COPY3);
+    let input: Vec<u32> = (1..=64).collect();
+    let halting = copy64_program(&[], Instruction::Halt);
+    assert_eq!(
+        farm.submit(JobSpec::new(COPY3, input.clone()).with_microcode(halting)),
+        Err(SubmitError::ReservedInstruction {
+            index: 3,
+            instruction: Instruction::Halt,
+        })
+    );
+    farm.submit(JobSpec::new(COPY3, input.clone())).unwrap();
+    farm.run_until_idle(2_000_000).unwrap();
+
+    let report = farm.report();
+    assert_eq!(report.rejected_unsafe, 1);
+    assert_eq!(report.jobs_completed, 1);
+    assert_eq!(farm.records()[0].output, COPY3.expected_output(&input));
+    assert!(farm.workers()[0].is_dispatchable());
+}
+
 #[test]
 fn heterogeneous_pool_serves_mixed_load_bit_exactly() {
     // The tentpole end-to-end shape: three workers (fixed IDCT, fixed

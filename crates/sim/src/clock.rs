@@ -2,7 +2,7 @@
 //!
 //! Every result in the paper's Table I is reported in *cycles* at a
 //! 50 MHz system clock; [`Frequency`] converts between the two so the
-//! benches can print both. A span of cycles is a [`Cycle`], a point on
+//! reports can give both. A span of cycles is a [`Cycle`], a point on
 //! the bus clock an [`Instant`].
 
 use std::fmt;

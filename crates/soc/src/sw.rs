@@ -234,8 +234,8 @@ pub fn sw_fft_f64(cpu: &mut CostModel, input: &[(f64, f64)]) -> Vec<(f64, f64)> 
 
 /// A direct (O(N²)) software DFT, charged the same way — the *naive*
 /// baseline that a "time-optimized" implementation (the FFT above)
-/// improves on. Used by the benches to show the optimization headroom
-/// inside the software column itself.
+/// improves on. The tests check the FFT against it, and it shows the
+/// optimization headroom inside the software column itself.
 #[must_use]
 pub fn sw_dft_direct_f64(cpu: &mut CostModel, input: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let n = input.len();
