@@ -1045,7 +1045,7 @@ impl Farm {
                 return false;
             }
             let pick = policy
-                .pick(now, queue.pending(), &views)
+                .pick(now, queue, &views)
                 .expect("a policy that picked on this epoch picks again (SchedPolicy::pick)");
             let Some(shape) = epoch.shape_of(pick) else {
                 picked = Some(pick);
@@ -1139,11 +1139,12 @@ impl Farm {
             .collect();
         per_kind.sort();
         let wall = ledger.host_wall.as_secs_f64();
+        let jobs_completed = workers.iter().map(|w| w.jobs).sum::<u64>();
         FarmReport {
             policy: self.policy.name().to_string(),
             total_cycles,
             jobs_admitted: self.next_id,
-            jobs_completed: ledger.completed,
+            jobs_completed,
             jobs_failed_permanent: ledger.failed_permanent,
             jobs_deadline_missed: ledger.deadline_missed,
             jobs_shed: ledger.shed,
@@ -1163,7 +1164,7 @@ impl Farm {
             throughput_jobs_per_mcycle: if total_cycles == 0 {
                 0.0
             } else {
-                ledger.completed as f64 * 1.0e6 / total_cycles as f64
+                jobs_completed as f64 * 1.0e6 / total_cycles as f64
             },
             swaps: workers.iter().map(|w| w.swaps).sum(),
             deadline_misses: ledger.late,
@@ -1215,7 +1216,7 @@ impl Farm {
             let views = worker_views(&self.workers);
             let pick = picked
                 .take()
-                .or_else(|| self.policy.pick(now, self.queue.pending(), &views));
+                .or_else(|| self.policy.pick(now, &self.queue, &views));
             let Some(pick) = pick else {
                 self.idle_epoch.record_pass(&self.queue, &self.workers);
                 break;
@@ -1227,12 +1228,18 @@ impl Farm {
                 self.policy.name(),
                 pick.worker_index
             );
+            let job = self.queue.get(pick.job).unwrap_or_else(|| {
+                panic!(
+                    "policy {} named a job that is not queued",
+                    self.policy.name()
+                )
+            });
             assert!(
-                self.queue.pending()[pick.queue_index].allows_worker(pick.worker_index),
+                job.allows_worker(pick.worker_index),
                 "policy {} put a retry back on the worker that faulted it",
                 self.policy.name()
             );
-            let job_kind = self.queue.pending()[pick.queue_index].kind;
+            let job_kind = job.kind;
             let target = worker
                 .caps()
                 .iter()
@@ -1244,8 +1251,8 @@ impl Farm {
                         pick.worker_index
                     )
                 });
-            let input_words = self.queue.pending()[pick.queue_index].input_words;
-            let program = match &self.queue.pending()[pick.queue_index].microcode {
+            let input_words = job.input_words;
+            let program = match &job.microcode {
                 Some(custom) => adapt_custom_program(custom, target, worker.loaded_config()),
                 None => build_program(job_kind, input_words, target, worker.loaded_config()),
             };
@@ -1261,7 +1268,7 @@ impl Farm {
                     .record_stall(&self.queue, &self.workers, &self.alloc, pick, shape);
                 break;
             };
-            let job = self.queue.take(pick.queue_index);
+            let job = self.queue.take(pick.job);
             let worker = &mut self.workers[pick.worker_index];
             worker.launch(&mut self.bus, now, job, &program, target, regions);
             // Arm (or disarm) the hang watchdog for this job. The budget

@@ -115,7 +115,7 @@ pub use job::{FailReason, JobId, JobKind, JobOutcome, JobRecord, JobSpec};
 pub use policy::{
     Assignment, DprAffinityPolicy, FifoPolicy, RoundRobinPolicy, SchedPolicy, WorkerView,
 };
-pub use queue::{PendingJob, SubmitError, SubmitQueue};
+pub use queue::{PendingJob, QueueKey, SubmitError, SubmitQueue};
 pub use stats::{FarmReport, LatencyStats, WorkerReport};
 pub use worker::{Worker, WorkerFaultKind, WorkerHealth};
 

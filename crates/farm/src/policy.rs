@@ -1,14 +1,21 @@
 //! Pluggable scheduling policies.
 //!
-//! A policy sees the pending queue (submission order) and a snapshot of
-//! every worker, and names one `(job, worker)` pairing at a time; the
-//! farm calls [`SchedPolicy::pick`] repeatedly until the policy passes.
-//! A pass is remembered: the farm does not ask again until the queue's
+//! A policy sees the [`SubmitQueue`] and a snapshot of every worker, and
+//! names one `(job, worker)` pairing at a time; the farm calls
+//! [`SchedPolicy::pick`] repeatedly until the policy passes. A pass is
+//! remembered: the farm does not ask again until the queue's
 //! membership, a worker's availability or a loaded DPR configuration
-//! changes (see the contract on [`SchedPolicy::pick`]). Three policies
-//! ship with the crate:
+//! changes (see the contract on [`SchedPolicy::pick`]).
 //!
-//! * [`FifoPolicy`] — serve in arrival order on the first capable idle
+//! The queue keeps one lane per job kind, in queue order (priority
+//! class, then insertion), and answers per kind:
+//! [`SubmitQueue::first_for`] gives the oldest job of some kinds that a
+//! worker may take, and [`SubmitQueue::first_runnable`] the oldest job
+//! that some idle worker can take. A pick costs the workers times the
+//! kinds they serve, not the queue's depth. An [`Assignment`] names
+//! its job by [`PendingJob::key`]. Three policies ship with the crate:
+//!
+//! * [`FifoPolicy`] — serve in queue order on the first capable idle
 //!   worker;
 //! * [`RoundRobinPolicy`] — rotate across workers to spread load;
 //! * [`DprAffinityPolicy`] — batch jobs onto workers whose loaded DPR
@@ -20,10 +27,8 @@
 //! worker is the only one left, in which case the farm clears the
 //! constraint before requeueing).
 
-use std::collections::VecDeque;
-
 use crate::job::JobKind;
-use crate::queue::PendingJob;
+use crate::queue::{PendingJob, QueueKey, SubmitQueue};
 
 /// A scheduler's snapshot of one worker.
 #[derive(Debug, Clone, Copy)]
@@ -69,12 +74,13 @@ impl WorkerView<'_> {
     }
 }
 
-/// One scheduling decision: run queue entry `queue_index` on worker
+/// One scheduling decision: run the queued job `job` on worker
 /// `worker_index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
-    /// Index into the pending queue shown to the policy.
-    pub queue_index: usize,
+    /// The job, by the [`PendingJob::key`] it has in the queue shown to
+    /// the policy.
+    pub job: QueueKey,
     /// Index into the worker pool.
     pub worker_index: usize,
 }
@@ -88,6 +94,12 @@ pub trait SchedPolicy {
     fn name(&self) -> &str;
 
     /// Names one dispatch, or `None` to pass this cycle.
+    ///
+    /// The policy sees the queue through its per-kind queries
+    /// ([`SubmitQueue::first_for`], [`SubmitQueue::first_runnable`],
+    /// [`SubmitQueue::oldest_submission`]) and every worker through a
+    /// [`WorkerView`]. The [`Assignment`] it returns names a queued job
+    /// by its [`PendingJob::key`] and a worker by its pool index.
     ///
     /// Called repeatedly within a cycle: after each accepted
     /// assignment the farm re-invokes `pick` with the dispatched job
@@ -110,12 +122,12 @@ pub trait SchedPolicy {
     fn pick(
         &mut self,
         now: u64,
-        queue: &VecDeque<PendingJob>,
+        queue: &SubmitQueue,
         workers: &[WorkerView<'_>],
     ) -> Option<Assignment>;
 }
 
-/// Serve in strict arrival order: the oldest job that has *some* idle
+/// Serve in strict queue order: the oldest job that has *some* idle
 /// capable worker runs first (a job whose kind has no idle worker is
 /// skipped, so heterogeneous pools don't head-of-line block).
 #[derive(Debug, Default)]
@@ -137,21 +149,18 @@ impl SchedPolicy for FifoPolicy {
     fn pick(
         &mut self,
         _now: u64,
-        queue: &VecDeque<PendingJob>,
+        queue: &SubmitQueue,
         workers: &[WorkerView<'_>],
     ) -> Option<Assignment> {
-        for (qi, job) in queue.iter().enumerate() {
-            if let Some(w) = workers
-                .iter()
-                .find(|w| w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some())
-            {
-                return Some(Assignment {
-                    queue_index: qi,
-                    worker_index: w.index,
-                });
-            }
-        }
-        None
+        let job = queue.first_runnable(workers, |_| true)?;
+        let w = workers
+            .iter()
+            .find(|w| w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some())
+            .expect("a runnable job has a worker");
+        Some(Assignment {
+            job: job.key(),
+            worker_index: w.index,
+        })
     }
 }
 
@@ -178,7 +187,7 @@ impl SchedPolicy for RoundRobinPolicy {
     fn pick(
         &mut self,
         _now: u64,
-        queue: &VecDeque<PendingJob>,
+        queue: &SubmitQueue,
         workers: &[WorkerView<'_>],
     ) -> Option<Assignment> {
         if workers.is_empty() {
@@ -189,13 +198,10 @@ impl SchedPolicy for RoundRobinPolicy {
             if !w.idle {
                 continue;
             }
-            if let Some(qi) = queue
-                .iter()
-                .position(|job| job.allows_worker(w.index) && w.supports(job.kind).is_some())
-            {
+            if let Some(job) = queue.first_for(w.caps, w.index) {
                 self.cursor = (w.index + 1) % workers.len();
                 return Some(Assignment {
-                    queue_index: qi,
+                    job: job.key(),
                     worker_index: w.index,
                 });
             }
@@ -234,11 +240,31 @@ impl DprAffinityPolicy {
     pub fn with_patience(patience: u64) -> Self {
         Self { patience }
     }
+
+    /// Whether a job submitted at `submitted_at` is over patience.
+    fn overdue(&self, now: u64, submitted_at: u64) -> bool {
+        now.saturating_sub(submitted_at) > self.patience
+    }
 }
 
 impl Default for DprAffinityPolicy {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// `job` on the idle worker allowed to take it that pays the cheapest
+/// load, the lowest index among equals.
+fn cheapest(job: &PendingJob, workers: &[WorkerView<'_>]) -> Assignment {
+    let (_, worker_index) = workers
+        .iter()
+        .filter(|w| w.idle && job.allows_worker(w.index))
+        .filter_map(|w| w.swap_cost_for(job.kind).map(|c| (c, w.index)))
+        .min()
+        .expect("a runnable job has a worker");
+    Assignment {
+        job: job.key(),
+        worker_index,
     }
 }
 
@@ -250,85 +276,156 @@ impl SchedPolicy for DprAffinityPolicy {
     fn pick(
         &mut self,
         now: u64,
-        queue: &VecDeque<PendingJob>,
+        queue: &SubmitQueue,
         workers: &[WorkerView<'_>],
     ) -> Option<Assignment> {
         // 1. Starvation guard: the oldest over-patience job runs now,
-        //    on the cheapest idle worker that can take it.
-        for (qi, job) in queue.iter().enumerate() {
-            if now.saturating_sub(job.submitted_at) <= self.patience {
-                continue;
-            }
-            let best = workers
-                .iter()
-                .filter(|w| w.idle && job.allows_worker(w.index))
-                .filter_map(|w| w.swap_cost_for(job.kind).map(|c| (c, w.index)))
-                .min();
-            if let Some((_, wi)) = best {
-                return Some(Assignment {
-                    queue_index: qi,
-                    worker_index: wi,
-                });
+        //    on the cheapest idle worker that can take it. The lanes
+        //    are walked for it only when some job is over patience.
+        if queue
+            .oldest_submission()
+            .is_some_and(|t| self.overdue(now, t))
+        {
+            if let Some(job) =
+                queue.first_runnable(workers, |job| self.overdue(now, job.submitted_at))
+            {
+                return Some(cheapest(job, workers));
             }
         }
         // 2. Affinity: an idle worker takes the oldest job matching its
         //    loaded configuration (zero swap).
         for w in workers.iter().filter(|w| w.idle) {
-            if let Some(qi) = queue
-                .iter()
-                .position(|job| job.allows_worker(w.index) && job.kind == w.loaded_kind())
-            {
+            if let Some(job) = queue.first_for(&[w.loaded_kind()], w.index) {
                 return Some(Assignment {
-                    queue_index: qi,
+                    job: job.key(),
                     worker_index: w.index,
                 });
             }
         }
         // 3. No affine work anywhere: swap for the oldest runnable job,
         //    paying the cheapest load available.
-        for (qi, job) in queue.iter().enumerate() {
-            let best = workers
-                .iter()
-                .filter(|w| w.idle && job.allows_worker(w.index))
-                .filter_map(|w| w.swap_cost_for(job.kind).map(|c| (c, w.index)))
-                .min();
-            if let Some((_, wi)) = best {
-                return Some(Assignment {
-                    queue_index: qi,
-                    worker_index: wi,
-                });
-            }
-        }
-        None
+        let job = queue.first_runnable(workers, |_| true)?;
+        Some(cheapest(job, workers))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobId;
-
-    fn job(id: u64, kind: JobKind, submitted_at: u64) -> PendingJob {
-        PendingJob {
-            id: JobId(id),
-            kind,
-            input_words: 1,
-            submitted_at,
-            priority: 0,
-            deadline: None,
-            attempts: 0,
-            avoid_worker: None,
-            input: vec![0],
-            microcode: None,
-        }
-    }
+    use crate::job::{JobId, JobSpec};
 
     const IDCT: JobKind = JobKind::Idct;
     const DFT: JobKind = JobKind::Dft { points: 64 };
 
+    /// The linear picks the lane queries replaced, each a walk of the
+    /// whole queue in order: the reference the policies are checked
+    /// against.
+    mod oracle {
+        use super::super::{Assignment, WorkerView};
+        use crate::queue::PendingJob;
+
+        fn runnable_on(job: &PendingJob, w: &WorkerView<'_>) -> bool {
+            w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some()
+        }
+
+        fn cheapest(job: &PendingJob, workers: &[WorkerView<'_>]) -> Option<Assignment> {
+            let (_, worker_index) = workers
+                .iter()
+                .filter(|w| w.idle && job.allows_worker(w.index))
+                .filter_map(|w| w.swap_cost_for(job.kind).map(|c| (c, w.index)))
+                .min()?;
+            Some(Assignment {
+                job: job.key(),
+                worker_index,
+            })
+        }
+
+        pub(super) fn fifo(
+            queue: &[&PendingJob],
+            workers: &[WorkerView<'_>],
+        ) -> Option<Assignment> {
+            queue.iter().find_map(|job| {
+                let w = workers.iter().find(|w| runnable_on(job, w))?;
+                Some(Assignment {
+                    job: job.key(),
+                    worker_index: w.index,
+                })
+            })
+        }
+
+        pub(super) fn round_robin(
+            cursor: &mut usize,
+            queue: &[&PendingJob],
+            workers: &[WorkerView<'_>],
+        ) -> Option<Assignment> {
+            for off in 0..workers.len() {
+                let w = &workers[(*cursor + off) % workers.len()];
+                if !w.idle {
+                    continue;
+                }
+                if let Some(job) = queue.iter().find(|job| runnable_on(job, w)) {
+                    *cursor = (w.index + 1) % workers.len();
+                    return Some(Assignment {
+                        job: job.key(),
+                        worker_index: w.index,
+                    });
+                }
+            }
+            None
+        }
+
+        pub(super) fn dpr_affinity(
+            patience: u64,
+            now: u64,
+            queue: &[&PendingJob],
+            workers: &[WorkerView<'_>],
+        ) -> Option<Assignment> {
+            let overdue = queue
+                .iter()
+                .filter(|job| now.saturating_sub(job.submitted_at) > patience);
+            if let Some(pick) = overdue.into_iter().find_map(|job| cheapest(job, workers)) {
+                return Some(pick);
+            }
+            for w in workers.iter().filter(|w| w.idle) {
+                if let Some(job) = queue
+                    .iter()
+                    .find(|job| job.allows_worker(w.index) && job.kind == w.loaded_kind())
+                {
+                    return Some(Assignment {
+                        job: job.key(),
+                        worker_index: w.index,
+                    });
+                }
+            }
+            queue.iter().find_map(|job| cheapest(job, workers))
+        }
+    }
+
+    /// Admits a job of `kind` with `priority` at cycle `at`.
+    fn submit(queue: &mut SubmitQueue, id: u64, kind: JobKind, at: u64, priority: u8) {
+        let words = kind.required_input_words().unwrap_or(8) as usize;
+        let spec = JobSpec::new(kind, vec![0; words]).with_priority(priority);
+        // Refusals (a full queue, shedding) are part of the draw.
+        let _ = queue.submit(JobId(id), spec, at, 4096, true);
+    }
+
+    /// A queue of `(kind, submitted_at)` jobs, ids in order.
+    fn queue_of(jobs: &[(JobKind, u64)]) -> SubmitQueue {
+        let mut queue = SubmitQueue::new(16);
+        for (id, &(kind, at)) in (0..).zip(jobs) {
+            submit(&mut queue, id, kind, at, 0);
+        }
+        queue
+    }
+
+    /// The id of the job `pick` names.
+    fn picked_id(queue: &SubmitQueue, pick: Assignment) -> u64 {
+        queue.get(pick.job).expect("a queued job").id.0
+    }
+
     #[test]
     fn fifo_respects_arrival_order_and_capability() {
-        let queue: VecDeque<PendingJob> = vec![job(0, DFT, 0), job(1, IDCT, 1)].into();
+        let queue = queue_of(&[(DFT, 0), (IDCT, 1)]);
         let idct_caps = [IDCT];
         let costs = [0u64];
         // Only an IDCT worker is idle: the DFT head is skipped.
@@ -340,13 +437,13 @@ mod tests {
             swap_costs: &costs,
         }];
         let pick = FifoPolicy::new().pick(2, &queue, &workers).unwrap();
-        assert_eq!(pick.queue_index, 1);
+        assert_eq!(picked_id(&queue, pick), 1);
         assert_eq!(pick.worker_index, 0);
     }
 
     #[test]
     fn round_robin_rotates_workers() {
-        let queue: VecDeque<PendingJob> = vec![job(0, IDCT, 0), job(1, IDCT, 0)].into();
+        let queue = queue_of(&[(IDCT, 0), (IDCT, 0)]);
         let caps = [IDCT];
         let costs = [0u64];
         let workers: Vec<WorkerView<'_>> = (0..2)
@@ -367,7 +464,7 @@ mod tests {
 
     #[test]
     fn affinity_prefers_loaded_kind_over_older_job() {
-        let queue: VecDeque<PendingJob> = vec![job(0, DFT, 0), job(1, IDCT, 5)].into();
+        let queue = queue_of(&[(DFT, 0), (IDCT, 5)]);
         let caps = [IDCT, DFT];
         let costs = [10_000u64, 10_000];
         let workers = [WorkerView {
@@ -378,12 +475,16 @@ mod tests {
             swap_costs: &costs,
         }];
         let pick = DprAffinityPolicy::new().pick(10, &queue, &workers).unwrap();
-        assert_eq!(pick.queue_index, 1, "newer IDCT batched before older DFT");
+        assert_eq!(
+            picked_id(&queue, pick),
+            1,
+            "newer IDCT batched before older DFT"
+        );
     }
 
     #[test]
     fn affinity_swaps_when_no_affine_work_left() {
-        let queue: VecDeque<PendingJob> = vec![job(0, DFT, 0)].into();
+        let queue = queue_of(&[(DFT, 0)]);
         let caps = [IDCT, DFT];
         let costs = [10_000u64, 10_000];
         let workers = [WorkerView {
@@ -394,14 +495,15 @@ mod tests {
             swap_costs: &costs,
         }];
         let pick = DprAffinityPolicy::new().pick(10, &queue, &workers).unwrap();
-        assert_eq!(pick.queue_index, 0);
+        assert_eq!(picked_id(&queue, pick), 0);
     }
 
     #[test]
     fn policies_honor_avoid_worker() {
-        let mut bounced = job(0, IDCT, 0);
+        let mut queue = queue_of(&[(IDCT, 0)]);
+        let mut bounced = queue.take(queue.in_order()[0].key());
         bounced.avoid_worker = Some(0);
-        let queue: VecDeque<PendingJob> = vec![bounced].into();
+        queue.requeue(bounced);
         let caps = [IDCT];
         let costs = [0u64];
         let workers: Vec<WorkerView<'_>> = (0..2)
@@ -428,7 +530,7 @@ mod tests {
     fn affinity_patience_overrides_batching() {
         // An old DFT job plus endless fresh IDCT work: patience forces
         // the DFT through.
-        let queue: VecDeque<PendingJob> = vec![job(0, DFT, 0), job(1, IDCT, 990)].into();
+        let queue = queue_of(&[(DFT, 0), (IDCT, 990)]);
         let caps = [IDCT, DFT];
         let costs = [10_000u64, 10_000];
         let workers = [WorkerView {
@@ -441,14 +543,18 @@ mod tests {
         let pick = DprAffinityPolicy::with_patience(100)
             .pick(1_000, &queue, &workers)
             .unwrap();
-        assert_eq!(pick.queue_index, 0, "over-patience job served first");
+        assert_eq!(picked_id(&queue, pick), 0, "over-patience job served first");
     }
 
     /// The [`SchedPolicy::pick`] contract the farm's dispatch memo
     /// rests on, over seeded random queues and pools: every policy
     /// passes exactly when no (idle, allowed, capable) pair exists,
     /// whatever `now`, its patience or its own state, and every pick it
-    /// makes is such a pair.
+    /// makes is such a pair. Each pick, and round-robin's cursor, also
+    /// equals the linear oracle's. The queues are built through the
+    /// queue's own operations: admissions in three priority classes
+    /// (some refused or shed by overload), retries that avoid a worker,
+    /// reaps and dispatches.
     #[test]
     fn policies_pass_exactly_when_no_runnable_pair_exists() {
         use ouessant_sim::rng::XorShift64;
@@ -461,7 +567,8 @@ mod tests {
         ];
         let mut rng = XorShift64::new(0x0E55_A417);
         let mut round_robin = RoundRobinPolicy::new();
-        let (mut passes, mut picks) = (0, 0);
+        let mut oracle_cursor = 0;
+        let (mut passes, mut picks, mut shed) = (0, 0, 0);
         for _ in 0..4_000 {
             let n_workers = rng.gen_range_u32(1..6) as usize;
             let pool: Vec<(Vec<JobKind>, Vec<u64>, usize, bool)> = (0..n_workers)
@@ -485,21 +592,47 @@ mod tests {
                     swap_costs: costs,
                 })
                 .collect();
-            let queue: VecDeque<PendingJob> = (0..rng.gen_range_u32(0..7))
-                .map(|i| {
-                    let kind = KINDS[rng.gen_range_u32(0..4) as usize];
-                    let mut j = job(u64::from(i), kind, rng.gen_range_u64(0..50_000));
-                    if rng.gen_range_u32(0..3) == 0 {
-                        j.avoid_worker = Some(rng.gen_range_u32(0..n_workers as u32) as usize);
+            let capacity = rng.gen_range_u32(1..8);
+            let mut queue = SubmitQueue::new(capacity as usize);
+            if rng.gen_bool() {
+                let watermark = rng.gen_range_u32(0..capacity + 1) as usize;
+                queue.set_overload_policy(Some(watermark), rng.gen_range_u32(0..3) as u8);
+            }
+            for id in 0..u64::from(rng.gen_range_u32(0..12)) {
+                let jobs = queue.in_order();
+                let key = (!jobs.is_empty())
+                    .then(|| jobs[rng.gen_range_u32(0..jobs.len() as u32) as usize].key());
+                match (rng.gen_range_u32(0..8), key) {
+                    (0 | 1, Some(key)) => {
+                        // A worker fault bounces a job back.
+                        let mut job = queue.take(key);
+                        job.attempts += 1;
+                        job.avoid_worker = (rng.gen_range_u32(0..4) != 0)
+                            .then(|| rng.gen_range_u32(0..n_workers as u32) as usize);
+                        queue.requeue(job);
                     }
-                    j
-                })
-                .collect();
+                    (2, Some(key)) => {
+                        queue.take(key);
+                    }
+                    (3, Some(_)) => {
+                        let (m, r) = (rng.gen_range_u64(2..5), rng.gen_range_u64(0..2));
+                        queue.reap(|job| job.id.0 % m == r);
+                    }
+                    _ => {
+                        let kind = KINDS[rng.gen_range_u32(0..4) as usize];
+                        let at = rng.gen_range_u64(0..50_000);
+                        submit(&mut queue, id, kind, at, rng.gen_range_u32(0..3) as u8);
+                    }
+                }
+            }
+            shed += queue.take_shed().len();
+            let in_order = queue.in_order();
             let runnable = |a: Assignment| {
-                let (job, w) = (&queue[a.queue_index], &workers[a.worker_index]);
+                let job = queue.get(a.job).expect("a pick names a queued job");
+                let w = &workers[a.worker_index];
                 w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some()
             };
-            let exists = queue.iter().any(|job| {
+            let exists = in_order.iter().any(|job| {
                 workers
                     .iter()
                     .any(|w| w.idle && job.allows_worker(w.index) && w.supports(job.kind).is_some())
@@ -507,23 +640,37 @@ mod tests {
             let patience = rng.gen_range_u64(0..20_000);
             for now in [0, rng.gen_range_u64(0..100_000), u64::MAX / 2] {
                 let verdicts = [
-                    FifoPolicy::new().pick(now, &queue, &workers),
-                    round_robin.pick(now, &queue, &workers),
-                    DprAffinityPolicy::with_patience(patience).pick(now, &queue, &workers),
+                    (
+                        FifoPolicy::new().pick(now, &queue, &workers),
+                        oracle::fifo(&in_order, &workers),
+                    ),
+                    (
+                        round_robin.pick(now, &queue, &workers),
+                        oracle::round_robin(&mut oracle_cursor, &in_order, &workers),
+                    ),
+                    (
+                        DprAffinityPolicy::with_patience(patience).pick(now, &queue, &workers),
+                        oracle::dpr_affinity(patience, now, &in_order, &workers),
+                    ),
                 ];
-                for (policy, verdict) in ["fifo", "round-robin", "dpr-affinity"]
+                for (policy, (verdict, want)) in ["fifo", "round-robin", "dpr-affinity"]
                     .into_iter()
                     .zip(verdicts)
                 {
                     assert_eq!(
                         verdict.is_some(),
                         exists,
-                        "{policy} at now={now}: pick {verdict:?} on queue {queue:?}"
+                        "{policy} at now={now}: pick {verdict:?} on queue {in_order:?}"
                     );
                     if let Some(a) = verdict {
                         assert!(runnable(a), "{policy} picked an unrunnable pair {a:?}");
                     }
+                    assert_eq!(
+                        verdict, want,
+                        "{policy} at now={now} differs from the linear pick on queue {in_order:?}"
+                    );
                 }
+                assert_eq!(round_robin.cursor, oracle_cursor, "round-robin's cursor");
             }
             if exists {
                 picks += 1;
@@ -533,8 +680,8 @@ mod tests {
         }
         // The generator must cover both verdicts well.
         assert!(
-            passes > 500 && picks > 500,
-            "{passes} passes, {picks} picks"
+            passes > 500 && picks > 500 && shed > 0,
+            "{passes} passes, {picks} picks, {shed} shed"
         );
     }
 }

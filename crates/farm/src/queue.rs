@@ -5,7 +5,8 @@
 //! to back off — and malformed payloads are rejected *before* they
 //! consume a slot, so one bad client cannot poison the pool.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -13,6 +14,7 @@ use ouessant_isa::{Instruction, Program};
 use ouessant_verify::Analysis;
 
 use crate::job::{JobId, JobKind, JobSpec};
+use crate::policy::WorkerView;
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,13 +160,30 @@ pub struct PendingJob {
     pub(crate) input: Vec<u32>,
     /// Verified custom microcode, if the client supplied any.
     pub(crate) microcode: Option<Program>,
+    /// Place in queue order, set at each insertion.
+    order: Order,
 }
+
+/// A place in queue order: priority class first (higher first), then
+/// insertion sequence. Unique among queued jobs.
+type Order = (Reverse<u8>, u64);
 
 impl PendingJob {
     /// Whether the scheduler may place this job on worker `index`.
     #[must_use]
     pub fn allows_worker(&self, index: usize) -> bool {
         self.avoid_worker != Some(index)
+    }
+
+    /// This job's name in the queue, for an
+    /// [`Assignment`](crate::policy::Assignment). It names the job only
+    /// while the job is queued: a requeued job gets a new one.
+    #[must_use]
+    pub fn key(&self) -> QueueKey {
+        QueueKey {
+            kind: self.kind,
+            order: self.order,
+        }
     }
 
     /// The last cycle at which this job could still meet its deadline
@@ -178,12 +197,42 @@ impl PendingJob {
     }
 }
 
+/// A queued job's name: the lane it waits in (its kind) and its place
+/// in queue order. Get one from [`PendingJob::key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueKey {
+    kind: JobKind,
+    order: Order,
+}
+
+/// The queued jobs of one kind, sorted by [`Order`].
+#[derive(Debug)]
+struct Lane {
+    kind: JobKind,
+    jobs: VecDeque<PendingJob>,
+}
+
+impl Lane {
+    fn position(&self, order: Order) -> Option<usize> {
+        self.jobs.binary_search_by_key(&order, |j| j.order).ok()
+    }
+}
+
 /// A bounded, priority-ordered queue of admitted jobs.
 ///
-/// Jobs are kept sorted by priority class (higher first), stable by
-/// arrival within a class — an all-default-priority workload is a pure
-/// FIFO. Policies see the queue in that order; removal by index keeps
-/// out-of-order dispatch (e.g. DPR-affinity batching) cheap.
+/// Queue order is priority class (higher first), stable by insertion
+/// within a class: an all-default-priority workload is a pure FIFO. A
+/// requeued retry is inserted anew, behind its class. The queue keeps
+/// one *lane* per job kind, each sorted in queue order, so a policy
+/// asks per kind instead of walking every job:
+/// [`SubmitQueue::first_for`] answers "the oldest job of these kinds
+/// this worker may take" from the lane heads, and
+/// [`SubmitQueue::first_runnable`] answers "the oldest job some idle
+/// worker can take" with one walk of the workers per lane. A policy
+/// names its pick by [`PendingJob::key`], which the queue finds by
+/// binary search in the job's lane. Lanes are kept once made: admission
+/// needs a capable worker, so there are at most as many as the pool
+/// has distinct capabilities.
 ///
 /// With an overload policy configured
 /// ([`SubmitQueue::set_overload_policy`]) the queue degrades
@@ -195,13 +244,15 @@ impl PendingJob {
 /// them.
 ///
 /// Every membership change (admission, requeue, eviction, dispatch,
-/// reap) bumps a version number, and the queue keeps the earliest
-/// deadline-drop threshold of its jobs up to date, so the farm can tell
+/// reap) bumps a version number, and the queue indexes its jobs'
+/// deadline-drop thresholds and submission cycles, so the farm can tell
 /// in O(1) whether anything changed since its last dispatch round and
 /// when the next deadline drop is due.
 #[derive(Debug)]
 pub struct SubmitQueue {
-    jobs: VecDeque<PendingJob>,
+    lanes: Vec<Lane>,
+    /// Jobs queued over all lanes.
+    len: usize,
     capacity: usize,
     /// Load-shedding watermark (`None` = shedding disabled).
     shed_watermark: Option<usize>,
@@ -213,9 +264,12 @@ pub struct SubmitQueue {
     peak_depth: usize,
     /// Membership version, bumped on every insertion and removal.
     version: u64,
-    /// Earliest hopeless threshold among the queued jobs, recomputed
-    /// whenever `version` moves.
-    earliest_hopeless: Option<u64>,
+    /// Insertions so far: the next insertion's sequence number.
+    inserted: u64,
+    /// `(hopeless_after, order)` of every queued job with a deadline.
+    hopeless: BTreeSet<(u64, Order)>,
+    /// `(submitted_at, order)` of every queued job.
+    submitted: BTreeSet<(u64, Order)>,
 }
 
 impl SubmitQueue {
@@ -228,14 +282,17 @@ impl SubmitQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         Self {
-            jobs: VecDeque::with_capacity(capacity),
+            lanes: Vec::new(),
+            len: 0,
             capacity,
             shed_watermark: None,
             shed_floor: 1,
             shed_out: Vec::new(),
             peak_depth: 0,
             version: 0,
-            earliest_hopeless: None,
+            inserted: 0,
+            hopeless: BTreeSet::new(),
+            submitted: BTreeSet::new(),
         }
     }
 
@@ -253,13 +310,13 @@ impl SubmitQueue {
     /// Jobs currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.len == 0
     }
 
     /// The configured capacity.
@@ -284,28 +341,72 @@ impl SubmitQueue {
 
     /// The earliest cycle after which some queued job is hopeless (the
     /// minimum [`PendingJob::hopeless_after`]); `None` when no queued
-    /// job carries a deadline. O(1): maintained on every membership
-    /// change.
+    /// job carries a deadline. Kept in an index updated on every
+    /// insertion and removal.
     #[must_use]
     pub(crate) fn earliest_hopeless(&self) -> Option<u64> {
-        self.earliest_hopeless
+        self.hopeless.first().map(|&(t, _)| t)
     }
 
-    /// Records a membership change: bumps the version and refreshes the
-    /// deadline index.
-    fn changed(&mut self) {
-        self.version += 1;
-        self.earliest_hopeless = self
-            .jobs
-            .iter()
-            .filter_map(PendingJob::hopeless_after)
-            .min();
-    }
-
-    /// The queued jobs in submission order (for policies).
+    /// The earliest [`PendingJob::submitted_at`] among the queued jobs,
+    /// `None` when the queue is empty.
     #[must_use]
-    pub fn pending(&self) -> &VecDeque<PendingJob> {
-        &self.jobs
+    pub fn oldest_submission(&self) -> Option<u64> {
+        self.submitted.first().map(|&(t, _)| t)
+    }
+
+    /// The queued job `key` names, if it is still queued.
+    #[must_use]
+    pub(crate) fn get(&self, key: QueueKey) -> Option<&PendingJob> {
+        let lane = self.lane(key.kind)?;
+        lane.position(key.order).map(|i| &lane.jobs[i])
+    }
+
+    /// The first job in queue order whose kind is one of `kinds` and
+    /// that [allows](PendingJob::allows_worker) worker `worker`: the
+    /// head of each kind's lane, past any retries that avoid `worker`.
+    #[must_use]
+    pub fn first_for(&self, kinds: &[JobKind], worker: usize) -> Option<&PendingJob> {
+        kinds
+            .iter()
+            .filter_map(|&kind| {
+                let lane = self.lane(kind)?;
+                lane.jobs.iter().find(|job| job.allows_worker(worker))
+            })
+            .min_by_key(|job| job.order)
+    }
+
+    /// The first job in queue order that passes `admit` and that some
+    /// worker of `workers` can take now: one that is
+    /// [idle](WorkerView::idle), [supports](WorkerView::supports) the
+    /// job's kind and is [allowed](PendingJob::allows_worker) by it.
+    /// Each lane walks the workers once; the walk down a lane stops at
+    /// its first admitted job, unless a lone capable idle worker is
+    /// avoided by the jobs in front of it.
+    pub fn first_runnable(
+        &self,
+        workers: &[WorkerView<'_>],
+        admit: impl Fn(&PendingJob) -> bool,
+    ) -> Option<&PendingJob> {
+        self.lanes
+            .iter()
+            .filter_map(|lane| {
+                let mut capable = workers
+                    .iter()
+                    .filter(|w| w.idle && w.supports(lane.kind).is_some());
+                let first = capable.next()?.index;
+                // Two capable workers cannot both be avoided.
+                let lone = capable.next().is_none();
+                lane.jobs
+                    .iter()
+                    .find(|job| (!lone || job.allows_worker(first)) && admit(job))
+            })
+            .min_by_key(|job| job.order)
+    }
+
+    /// The lane of `kind`, if one was ever made.
+    fn lane(&self, kind: JobKind) -> Option<&Lane> {
+        self.lanes.iter().find(|lane| lane.kind == kind)
     }
 
     /// Validates and admits `spec` at cycle `now`.
@@ -349,28 +450,25 @@ impl SubmitQueue {
             return Err(SubmitError::NoCapableWorker { kind: spec.kind });
         }
         if let Some(watermark) = self.shed_watermark {
-            if self.jobs.len() >= watermark && spec.priority < self.shed_floor {
+            if self.len >= watermark && spec.priority < self.shed_floor {
                 return Err(SubmitError::ShedOverload {
-                    queued: self.jobs.len(),
+                    queued: self.len,
                     watermark,
                 });
             }
         }
-        if self.jobs.len() >= self.capacity {
+        if self.len >= self.capacity {
             // Overload mode: a higher-priority submission may displace
             // the youngest strictly-lower-class queued job (retries
             // are immune — a displaced retry would turn one worker
             // fault into a lost job).
-            let victim = self.shed_watermark.and_then(|_| {
-                self.jobs
-                    .iter()
-                    .rposition(|j| j.attempts == 0 && j.priority < spec.priority)
-            });
+            let victim = self
+                .shed_watermark
+                .and_then(|_| self.shed_victim(spec.priority));
             match victim {
-                Some(idx) => {
-                    let evicted = self.jobs.remove(idx).expect("rposition is in range");
+                Some(key) => {
+                    let evicted = self.take(key);
                     self.shed_out.push(evicted);
-                    self.changed();
                 }
                 None => {
                     return Err(SubmitError::QueueFull {
@@ -379,7 +477,7 @@ impl SubmitQueue {
                 }
             }
         }
-        self.insert_by_class(PendingJob {
+        self.insert(PendingJob {
             id,
             kind: spec.kind,
             input_words: got,
@@ -390,22 +488,62 @@ impl SubmitQueue {
             avoid_worker: None,
             input: spec.input,
             microcode: spec.microcode,
+            order: (Reverse(0), 0),
         });
-        self.peak_depth = self.peak_depth.max(self.jobs.len());
         Ok(id)
     }
 
-    /// Inserts `job` behind every queued job of its class or higher:
-    /// the queue stays sorted by priority (descending), stable by
-    /// insertion within a class.
-    fn insert_by_class(&mut self, job: PendingJob) {
-        let pos = self
-            .jobs
+    /// The youngest queued job of the lowest class below `priority`
+    /// that is not a retry: the last such job in queue order. Each lane
+    /// ends in its lowest classes, so each walks back only over the
+    /// jobs below `priority`.
+    fn shed_victim(&self, priority: u8) -> Option<QueueKey> {
+        self.lanes
             .iter()
-            .position(|j| j.priority < job.priority)
-            .unwrap_or(self.jobs.len());
-        self.jobs.insert(pos, job);
-        self.changed();
+            .filter_map(|lane| {
+                lane.jobs
+                    .iter()
+                    .rev()
+                    .take_while(|j| j.priority < priority)
+                    .find(|j| j.attempts == 0)
+            })
+            .max_by_key(|job| job.order)
+            .map(PendingJob::key)
+    }
+
+    /// Inserts `job` behind every queued job of its class or higher: it
+    /// gets the next sequence number, and its lane stays sorted.
+    fn insert(&mut self, mut job: PendingJob) {
+        job.order = (Reverse(job.priority), self.inserted);
+        self.inserted += 1;
+        if let Some(t) = job.hopeless_after() {
+            self.hopeless.insert((t, job.order));
+        }
+        self.submitted.insert((job.submitted_at, job.order));
+        let lane = match self.lanes.iter().position(|lane| lane.kind == job.kind) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane {
+                    kind: job.kind,
+                    jobs: VecDeque::new(),
+                });
+                self.lanes.last_mut().expect("just pushed")
+            }
+        };
+        let at = lane.jobs.partition_point(|j| j.order < job.order);
+        lane.jobs.insert(at, job);
+        self.len += 1;
+        self.peak_depth = self.peak_depth.max(self.len);
+        self.version += 1;
+    }
+
+    /// Drops a job that left its lane from the count and the indexes.
+    fn unindex(&mut self, job: &PendingJob) {
+        if let Some(t) = job.hopeless_after() {
+            self.hopeless.remove(&(t, job.order));
+        }
+        self.submitted.remove(&(job.submitted_at, job.order));
+        self.len -= 1;
     }
 
     /// Puts a fault-bounced job back in line for another attempt (in
@@ -416,8 +554,7 @@ impl SubmitQueue {
     /// queue would turn one worker fault into a lost job. As a result
     /// `peak_depth` may briefly exceed `capacity` under heavy faulting.
     pub(crate) fn requeue(&mut self, job: PendingJob) {
-        self.insert_by_class(job);
-        self.peak_depth = self.peak_depth.max(self.jobs.len());
+        self.insert(job);
     }
 
     /// Drains the jobs evicted by overload shedding since the last
@@ -428,39 +565,60 @@ impl SubmitQueue {
     }
 
     /// Moves every job matching `reap` out of the queue, in queue
-    /// order, keeping the survivors' order (one rotation through the
-    /// deque: no clones, no reallocation). The farm reaps jobs that can
+    /// order, keeping the survivors' order (one rotation through each
+    /// lane: no clones, no reallocation). The farm reaps jobs that can
     /// no longer meet their deadline, and jobs whose kind lost its last
-    /// live worker; it records each reaped job.
+    /// live worker; it records each reaped job. Bumps the version once
+    /// if anything was reaped.
     pub(crate) fn reap(&mut self, reap: impl Fn(&PendingJob) -> bool) -> Vec<PendingJob> {
         let mut dead = Vec::new();
-        for _ in 0..self.jobs.len() {
-            let job = self.jobs.pop_front().expect("rotating a counted deque");
-            if reap(&job) {
-                dead.push(job);
-            } else {
-                self.jobs.push_back(job);
+        for lane in &mut self.lanes {
+            for _ in 0..lane.jobs.len() {
+                let job = lane.jobs.pop_front().expect("rotating a counted deque");
+                if reap(&job) {
+                    dead.push(job);
+                } else {
+                    lane.jobs.push_back(job);
+                }
             }
         }
         if !dead.is_empty() {
-            self.changed();
+            dead.sort_unstable_by_key(|job| job.order);
+            for job in &dead {
+                self.unindex(job);
+            }
+            self.version += 1;
         }
         dead
     }
 
-    /// Removes and returns the job at `index` (dispatch).
+    /// Removes and returns the job `key` names (dispatch).
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range — policies must return indices
-    /// into the queue they were shown.
-    pub fn take(&mut self, index: usize) -> PendingJob {
-        let job = self
-            .jobs
-            .remove(index)
-            .expect("policy returned an out-of-range queue index");
-        self.changed();
+    /// Panics if no queued job has `key`: policies must name jobs of
+    /// the queue they were shown.
+    pub fn take(&mut self, key: QueueKey) -> PendingJob {
+        let lane = self
+            .lanes
+            .iter_mut()
+            .find(|lane| lane.kind == key.kind)
+            .expect("policy named a kind with no queued job");
+        let at = lane
+            .position(key.order)
+            .expect("policy named a job that is not queued");
+        let job = lane.jobs.remove(at).expect("position is in range");
+        self.unindex(&job);
+        self.version += 1;
         job
+    }
+
+    /// Every queued job, in queue order.
+    #[cfg(test)]
+    pub(crate) fn in_order(&self) -> Vec<&PendingJob> {
+        let mut jobs: Vec<&PendingJob> = self.lanes.iter().flat_map(|lane| &lane.jobs).collect();
+        jobs.sort_unstable_by_key(|job| job.order);
+        jobs
     }
 }
 
@@ -525,9 +683,9 @@ mod tests {
         for i in 0..3 {
             q.submit(JobId(i), idct_spec(), i, 1024, true).unwrap();
         }
-        let taken = q.take(1);
+        let taken = q.take(q.in_order()[1].key());
         assert_eq!(taken.id, JobId(1));
-        let left: Vec<u64> = q.pending().iter().map(|j| j.id.0).collect();
+        let left: Vec<u64> = q.in_order().iter().map(|j| j.id.0).collect();
         assert_eq!(left, vec![0, 2]);
     }
 
@@ -538,7 +696,7 @@ mod tests {
             q.submit(JobId(i), idct_spec().with_priority(prio), i, 1024, true)
                 .unwrap();
         }
-        let order: Vec<u64> = q.pending().iter().map(|j| j.id.0).collect();
+        let order: Vec<u64> = q.in_order().iter().map(|j| j.id.0).collect();
         // Descending by class, stable by arrival within a class.
         assert_eq!(order, vec![1, 3, 2, 0, 4]);
     }
@@ -577,7 +735,7 @@ mod tests {
         let shed = q.take_shed();
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].id, JobId(2));
-        let order: Vec<u64> = q.pending().iter().map(|j| j.id.0).collect();
+        let order: Vec<u64> = q.in_order().iter().map(|j| j.id.0).collect();
         assert_eq!(order, vec![3, 0, 1]);
         // A submission with nothing strictly below it displaces
         // nothing (eviction needs a strictly-lower class).
@@ -640,7 +798,7 @@ mod tests {
         assert_eq!(dead[0].id, JobId(1));
         assert_eq!((q.version(), q.earliest_hopeless()), (6, Some(936)));
 
-        let taken = q.take(1);
+        let taken = q.take(q.in_order()[1].key());
         assert_eq!(taken.id, JobId(0));
         assert_eq!((q.version(), q.earliest_hopeless()), (7, None));
 

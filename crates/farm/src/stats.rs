@@ -117,7 +117,8 @@ pub struct FarmReport {
     /// (rejected submissions never consume a queue slot and are
     /// counted separately).
     pub jobs_admitted: u64,
-    /// Jobs completed.
+    /// Jobs completed: the sum of the workers' runs ended with `eop`
+    /// ([`WorkerReport::jobs`]).
     pub jobs_completed: u64,
     /// Admitted jobs the farm gave up on (retry budget exhausted or no
     /// serviceable worker left).
@@ -186,13 +187,14 @@ pub struct FarmReport {
 /// The farm's books: every count since [`Farm::new`] that no other
 /// state already holds. Job outcomes enter through
 /// [`Ledger::finish`] and rejections through [`Ledger::reject`], one
-/// call per finished job or refused submission, so the report's
-/// books equation holds by construction.
+/// call per finished job or refused submission. Completions are not
+/// counted here: the report takes them from the workers' controllers,
+/// so its books equation checks the ledger's other outcomes against
+/// them.
 ///
 /// [`Farm::new`]: crate::Farm::new
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    pub completed: u64,
     pub failed_permanent: u64,
     pub deadline_missed: u64,
     pub shed: u64,
@@ -225,7 +227,6 @@ impl Ledger {
     pub(crate) fn finish(&mut self, record: &JobRecord) {
         match record.outcome {
             JobOutcome::Completed { .. } => {
-                self.completed += 1;
                 if !record.met_deadline() {
                     self.late += 1;
                 }

@@ -110,7 +110,10 @@ fn serve_in_batches(farm: &mut Farm, specs: Vec<JobSpec>, batches: usize) -> Vec
             "every admitted job ends completed, failed, missed or shed — none stranded"
         );
         let sum = |f: fn(&WorkerReport) -> u64| report.workers.iter().map(f).sum::<u64>();
-        assert_eq!(sum(|w| w.jobs), report.jobs_completed);
+        // `jobs_completed` is the controllers' count; the ledger's
+        // per-kind completions come from the records.
+        let per_kind = report.per_kind.iter().map(|(_, n)| n).sum::<u64>();
+        assert_eq!(per_kind, report.jobs_completed);
         assert_eq!(sum(|w| w.faults), report.worker_faults);
         assert_eq!(sum(|w| w.quarantines), report.quarantines);
         records.extend(farm.take_records());

@@ -4,11 +4,13 @@
 #     bash scripts/ab.sh [--out DIR] <base-rev> [<head-rev>]
 #     bash scripts/ab.sh --self-test
 #
-# Exports each revision with `git archive` into DIR (default
-# ${TMPDIR:-/tmp}/ouessant-ab), builds its benchmark there offline,
-# then runs every workload 10 times per revision with `--seed 1
-# --seconds 4 --trace 0`, in ABBA order so that a host drifting in
-# speed weighs on both sides alike. Prints, per
+# Exports each revision with `git archive` into DIR/src (default DIR
+# ${TMPDIR:-/tmp}/ouessant-ab), builds its benchmark there offline and
+# copies the binary out to DIR/bin-<sha>, so that both revisions are
+# built at the same path (the build path alone moves the benchmark's
+# throughput by up to 10%). Then it runs every workload 10 times per
+# revision with `--seed 1 --seconds 4 --trace 0`, in ABBA order so
+# that a host drifting in speed weighs on both sides alike. Prints, per
 # workload and end-to-end metric of BENCHMARK.json, each side's median
 # and quartiles, the ratio of the medians (head over base), and the
 # pairs in which head beat base, and marks a metric whose ratio is
@@ -146,17 +148,19 @@ base=$(git rev-parse --verify "${revs[0]}^{commit}")
 head=$(git rev-parse --verify "${revs[1]:-HEAD}^{commit}")
 mkdir -p "$out"
 
-# `build REV`: the benchmark binary of REV, built once per commit.
+# `build REV`: the benchmark binary of REV, built once per commit, at
+# the one build path every revision shares.
 build() {
-    local dir="$out/src-$1"
-    if [[ ! -x $dir/perfbench/target/release/ouessant-perfbench ]]; then
+    local dir="$out/src" bin="$out/bin-$1"
+    if [[ ! -x $bin ]]; then
         rm -rf "$dir"
         mkdir -p "$dir"
         git archive "$1" | tar -x -C "$dir"
         echo "building $(git rev-parse --short "$1") in $dir" >&2
         cargo build --release --offline --quiet --manifest-path "$dir/perfbench/Cargo.toml" >&2
+        cp "$dir/perfbench/target/release/ouessant-perfbench" "$bin"
     fi
-    echo "$dir/perfbench/target/release/ouessant-perfbench"
+    echo "$bin"
 }
 bin_a=$(build "$base")
 bin_b=$(build "$head")
