@@ -12,8 +12,11 @@
 //! [`SubmitQueue::first_for`] gives the oldest job of some kinds that a
 //! worker may take, and [`SubmitQueue::first_runnable`] the oldest job
 //! that some idle worker can take. A pick costs the workers times the
-//! kinds they serve, not the queue's depth. An [`Assignment`] names
-//! its job by [`PendingJob::key`]. Three policies ship with the crate:
+//! kinds they serve, plus the retries it skips that avoid a worker, not
+//! the queue's depth (only [`DprAffinityPolicy`]'s patience pass walks
+//! the lanes, and only while some job is over patience). An
+//! [`Assignment`] names its job by [`PendingJob::key`]. Three policies
+//! ship with the crate:
 //!
 //! * [`FifoPolicy`] — serve in queue order on the first capable idle
 //!   worker;
