@@ -162,15 +162,25 @@ impl<T> SyncFifo<T> {
     /// Removes the `n` oldest items, appending them to `out` in order,
     /// as `n` [`SyncFifo::pop`]s would.
     ///
+    /// The ring holds its items in at most two contiguous runs, so the
+    /// `n` items are copied as one or two slices, not one at a time.
+    ///
     /// # Errors
     ///
     /// [`FifoError::Underflow`] if fewer than `n` are held: nothing is
     /// popped.
-    pub fn pop_into(&mut self, n: usize, out: &mut Vec<T>) -> Result<(), FifoError> {
+    pub fn pop_into(&mut self, n: usize, out: &mut Vec<T>) -> Result<(), FifoError>
+    where
+        T: Copy,
+    {
         if n > self.items.len() {
             return Err(FifoError::Underflow);
         }
-        out.extend(self.items.drain(..n));
+        let (front, back) = self.items.as_slices();
+        let head = n.min(front.len());
+        out.extend_from_slice(&front[..head]);
+        out.extend_from_slice(&back[..n - head]);
+        self.items.drain(..n);
         Ok(())
     }
 
@@ -394,12 +404,20 @@ mod tests {
         f.items.iter().cloned().collect()
     }
 
+    /// Whether taking the `n` oldest items reads past the ring's wrap
+    /// point, the second of [`VecDeque::as_slices`]' runs.
+    fn crosses_wrap<T>(f: &SyncFifo<T>, n: usize) -> bool {
+        n > f.items.as_slices().0.len()
+    }
+
     /// Random runs of bulk operations against the same runs of single
     /// ones: equal contents after every step, and a rejected bulk
-    /// operation moves nothing.
+    /// operation moves nothing. Enough pops and moves read across the
+    /// ring's wrap point to cover the two-run copy.
     #[test]
     fn bulk_operations_equal_runs_of_single_ones() {
         let mut rng = crate::rng::XorShift64::new(0xF1F0);
+        let mut wrapped = 0;
         for _ in 0..200 {
             let cap = rng.gen_range_u32(1..9) as usize;
             let (mut bulk_a, mut bulk_b) = (SyncFifo::new("a", cap), SyncFifo::new("b", cap));
@@ -420,8 +438,10 @@ mod tests {
                     }
                     1 => {
                         let mut out = vec![7];
+                        let crosses = crosses_wrap(&bulk_a, n);
                         let r = bulk_a.pop_into(n, &mut out);
                         if r.is_ok() {
+                            wrapped += usize::from(crosses);
                             let single: Vec<u32> = (0..n).map(|_| one_a.pop().unwrap()).collect();
                             assert_eq!(out[1..], single[..]);
                         } else {
@@ -430,8 +450,10 @@ mod tests {
                         r
                     }
                     _ => {
+                        let crosses = crosses_wrap(&bulk_a, n);
                         let r = bulk_a.move_into(n, &mut bulk_b, |w| w ^ 0xFF);
                         if r.is_ok() {
+                            wrapped += usize::from(crosses);
                             for _ in 0..n {
                                 one_b.push(one_a.pop().unwrap() ^ 0xFF).unwrap();
                             }
@@ -448,6 +470,11 @@ mod tests {
                 assert_eq!(contents(&bulk_b), contents(&one_b));
             }
         }
+        // 108 on this seed.
+        assert!(
+            wrapped >= 50,
+            "only {wrapped} bulk pops and moves crossed the wrap"
+        );
     }
 
     #[test]

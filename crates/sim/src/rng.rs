@@ -66,7 +66,7 @@ impl XorShift64 {
         assert!(range.start < range.end, "empty range");
         let span = u64::from(range.end - range.start);
         #[allow(clippy::cast_possible_truncation)] // below `span`, a `u32` difference
-        let off = (self.next_u64() % span) as u32;
+        let off = below(self.next_u64(), span) as u32;
         range.start + off
     }
 
@@ -77,7 +77,7 @@ impl XorShift64 {
     /// Panics if `range` is empty.
     pub fn gen_range_u64(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "empty range");
-        range.start + self.next_u64() % (range.end - range.start)
+        range.start + below(self.next_u64(), range.end - range.start)
     }
 
     /// A uniform draw from `range` over `i32` (empty ranges panic).
@@ -89,7 +89,7 @@ impl XorShift64 {
     pub fn gen_range_i32(&mut self, range: std::ops::Range<i32>) -> i32 {
         assert!(range.start < range.end, "empty range");
         let span = (i64::from(range.end) - i64::from(range.start)) as u64;
-        let off = (self.next_u64() % span) as i64;
+        let off = below(self.next_u64(), span) as i64;
         (i64::from(range.start) + off) as i32
     }
 
@@ -109,6 +109,16 @@ impl XorShift64 {
     /// `count` uniform words.
     pub fn vec_u32(&mut self, count: usize) -> Vec<u32> {
         (0..count).map(|_| self.next_u32()).collect()
+    }
+}
+
+/// `x % span`, taken as a mask when `span` is a power of two (the two
+/// are equal there, and the mask needs no division).
+fn below(x: u64, span: u64) -> u64 {
+    if span.is_power_of_two() {
+        x & (span - 1)
+    } else {
+        x % span
     }
 }
 
@@ -253,6 +263,40 @@ mod tests {
             for _ in 0..1_000 {
                 assert_eq!(a.one_in(odds), b.gen_range_u32(0..n) == 0, "n = {n}");
                 assert_eq!(a, b, "one draw each, n = {n}");
+            }
+        }
+    }
+
+    /// The mask taken at power-of-two spans draws what the remainder
+    /// does: each range draw against `x % span` of the same word, at
+    /// every power of two its type spans and their neighbours.
+    #[test]
+    fn gen_range_is_the_remainder_of_one_draw() {
+        for seed in 1..=64u64 {
+            let mut r = XorShift64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for k in 0..64 {
+                for span in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                    if span == 0 {
+                        continue;
+                    }
+                    let x = r.clone().next_u64();
+                    let start = seed.min(u64::MAX - span);
+                    assert_eq!(r.gen_range_u64(start..start + span), start + x % span);
+                    let start = seed.saturating_sub(1);
+                    if let Ok(end) = u32::try_from(start + span) {
+                        let x = r.clone().next_u64();
+                        let want = start + x % span;
+                        let got = r.gen_range_u32(u32::try_from(start).unwrap()..end);
+                        assert_eq!(u64::from(got), want, "span {span}");
+                    }
+                    let start = -i128::from(seed * 1000);
+                    if let Ok(end) = i32::try_from(start + i128::from(span)) {
+                        let x = r.clone().next_u64();
+                        let want = start + i128::from(x % span);
+                        let got = r.gen_range_i32(i32::try_from(start).unwrap()..end);
+                        assert_eq!(i128::from(got), want, "span {span}");
+                    }
+                }
             }
         }
     }

@@ -315,6 +315,13 @@ impl Soc {
                     return Err(SocError::Ocp(fault.clone()));
                 }
             }
+            if !ie {
+                // A polling CPU learns of the end from a poll's CTRL.D,
+                // not from the OCP's completion flag: consume the flag
+                // at once, or the OCP's horizon single-steps for it
+                // until the next poll.
+                self.ocp.poll_completion();
+            }
             match self.config.completion {
                 CompletionMode::Interrupt => {
                     if self.ocp.irq().is_raised() {
@@ -499,12 +506,28 @@ mod tests {
             "rcfg 1\nmvtc BANK1,0,DMA16,FIFO0\nexecs 16\nmvfc BANK2,0,DMA16,FIFO0\nrcfg 0\neop",
         )
         .unwrap();
+        // Ablation A1's shortest and longest bursts: 512 words each way
+        // through the passthrough in DMA8 and DMA256 transfers.
+        let transfer = |burst: u16| {
+            ProgramBuilder::new()
+                .transfer_to_coprocessor(1, 0, 512, burst, 0)
+                .unwrap()
+                .execs_op(512)
+                .transfer_from_coprocessor(2, 0, 512, burst, 0)
+                .unwrap()
+                .eop()
+                .finish()
+                .unwrap()
+        };
+        let (dma8, dma256) = (transfer(8), transfer(256));
         // (name, program, words per direction, back-to-back runs)
-        let cases: [(&str, &Program, usize, u32); 4] = [
+        let cases: [(&str, &Program, usize, u32); 6] = [
             ("passthrough", &passthrough, 16, 1),
             ("dft256", &dft, 512, 1),
             ("passthrough_delay5", &passthrough, 16, 2),
             ("dpr_swap", &dpr, 16, 1),
+            ("dma8", &dma8, 512, 1),
+            ("dma256", &dma256, 512, 1),
         ];
         for (name, program, words, runs) in cases {
             for sram in [
@@ -520,6 +543,9 @@ mod tests {
                     CompletionMode::Polling { interval: 0 },
                     CompletionMode::Polling { interval: 1 },
                     CompletionMode::Polling { interval: 50 },
+                    // Ablation A2's two polling periods.
+                    CompletionMode::Polling { interval: 16 },
+                    CompletionMode::Polling { interval: 1024 },
                 ] {
                     let run = |fast_forward: bool, max_cycles: u64| {
                         let config = SocConfig {

@@ -20,6 +20,7 @@
 //! access, one branch per loop iteration).
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 use crate::cpu::CostModel;
 
@@ -183,12 +184,7 @@ pub fn sw_fft_f64(cpu: &mut CostModel, input: &[(f64, f64)]) -> Vec<(f64, f64)> 
 
     // Twiddle table (precomputed once per program in a real decoder; we
     // charge the loads at use sites, not the trigonometry here).
-    let twiddle: Vec<(f64, f64)> = (0..n / 2)
-        .map(|k| {
-            let angle = -2.0 * PI * k as f64 / n as f64;
-            (angle.cos(), angle.sin())
-        })
-        .collect();
+    let twiddle = twiddles(n);
 
     let mut half = 1usize;
     for _ in 0..stages {
@@ -230,6 +226,21 @@ pub fn sw_fft_f64(cpu: &mut CostModel, input: &[(f64, f64)]) -> Vec<(f64, f64)> 
         v.1 *= inv_n;
     }
     data
+}
+
+/// The `n`-point FFT's twiddles `e^{-2πik/n}`, `k < n/2`, built once per
+/// size, on first use.
+fn twiddles(n: usize) -> &'static [(f64, f64)] {
+    static TABLES: [OnceLock<Vec<(f64, f64)>>; usize::BITS as usize] =
+        [const { OnceLock::new() }; usize::BITS as usize];
+    TABLES[n.trailing_zeros() as usize].get_or_init(|| {
+        (0..n / 2)
+            .map(|k| {
+                let angle = -2.0 * PI * k as f64 / n as f64;
+                (angle.cos(), angle.sin())
+            })
+            .collect()
+    })
 }
 
 /// A direct (O(N²)) software DFT, charged the same way — the *naive*

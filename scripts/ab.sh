@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired A/B runs of the benchmark between two revisions.
 #
-#     bash scripts/ab.sh [--out DIR] <base-rev> [<head-rev>]
+#     bash scripts/ab.sh [--out DIR] [--seed N] [--workload NAME] <base-rev> [<head-rev>]
 #     bash scripts/ab.sh --self-test
 #
 # Exports each revision with `git archive` into DIR/src (default DIR
@@ -9,8 +9,10 @@
 # copies the binary out to DIR/bin-<sha>, so that both revisions are
 # built at the same path (the build path alone moves the benchmark's
 # throughput by up to 10%). Then it runs every workload 10 times per
-# revision with `--seed 1 --seconds 4 --trace 0`, in ABBA order so
-# that a host drifting in speed weighs on both sides alike. Prints, per
+# revision with `--seed N --seconds 4 --trace 0` (seed 1 unless
+# `--seed` names another, so a claim can be checked on a seed it was
+# not made on), in ABBA order so that a host drifting in speed weighs
+# on both sides alike. `--workload NAME` runs that workload only. Prints, per
 # workload and end-to-end metric of BENCHMARK.json, each side's median
 # and quartiles, the ratio of the medians (head over base), and the
 # pairs in which head beat base, and marks a metric whose ratio is
@@ -83,9 +85,10 @@ table() {
     }'
 }
 
-# The statistics lines on stdin as a JSON object keyed by workload.
+# `json BASE HEAD PAIRS SECONDS SEED`: the statistics lines on stdin as
+# a JSON object keyed by workload.
 json() {
-    awk -v base="$1" -v head="$2" -v pairs="$3" -v seconds="$4" '
+    awk -v base="$1" -v head="$2" -v pairs="$3" -v seconds="$4" -v seed="$5" '
     function side(m, l, h) { return "{\"median\": " m ", \"q1\": " l ", \"q3\": " h "}" }
     {
         if ($1 != w) {
@@ -100,8 +103,8 @@ json() {
     }
     END {
         if (w != "") body = body "}"
-        printf "{\"base\": \"%s\", \"head\": \"%s\", \"pairs\": %d, \"seconds\": %s, \"workloads\": {%s}}\n",
-            base, head, pairs, seconds, body
+        printf "{\"base\": \"%s\", \"head\": \"%s\", \"pairs\": %d, \"seconds\": %s, \"seed\": %s, \"workloads\": {%s}}\n",
+            base, head, pairs, seconds, seed, body
     }'
 }
 
@@ -121,25 +124,76 @@ self_test() {
         printf 'ab.sh statistics self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
     fi
-    got=$(json base head 4 1 <<<"$want")
-    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false}}}}'
+    got=$(json base head 4 1 7 <<<"$want")
+    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "seed": 7, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false}}}}'
     if [[ $got != "$want" ]]; then
         printf 'ab.sh JSON self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
     fi
+    parse_args --seed 7 --workload sparse-idle base
+    got="$seed ${workloads[*]} ${revs[*]}"
+    want="7 sparse-idle base"
+    if [[ $got != "$want" ]]; then
+        printf 'ab.sh options self-test failed:\n got: %s\n want: %s\n' "$got" "$want" >&2
+        exit 1
+    fi
+    parse_args --out d base head
+    got="$out $seed ${workloads[*]} ${revs[*]}"
+    want="d 1 ${WORKLOADS[*]} base head"
+    if [[ $got != "$want" ]]; then
+        printf 'ab.sh defaults self-test failed:\n got: %s\n want: %s\n' "$got" "$want" >&2
+        exit 1
+    fi
+    for bad in "--seed x" "--seed -1" "--seed" "--workload nope" "--workload" "--bogus"; do
+        if (parse_args $bad base) 2>/dev/null; then
+            echo "ab.sh options self-test failed: '$bad' accepted" >&2
+            exit 1
+        fi
+    done
     echo "ab.sh self-test passed"
 }
 
-out=${TMPDIR:-/tmp}/ouessant-ab
-revs=()
-while (($#)); do
-    case $1 in
-        --self-test) self_test; exit 0 ;;
-        --out) out=$2; shift 2 ;;
-        -*) echo "unknown option $1" >&2; exit 2 ;;
-        *) revs+=("$1"); shift ;;
-    esac
-done
+# `parse_args ARG...`: sets out, seed, workloads and revs from the
+# command line; fails on an unknown option, a seed that is not a
+# non-negative integer or a workload the benchmark does not have.
+parse_args() {
+    out=${TMPDIR:-/tmp}/ouessant-ab
+    seed=1
+    workloads=("${WORKLOADS[@]}")
+    revs=()
+    while (($#)); do
+        case $1 in
+            --out | --seed | --workload)
+                if (($# < 2)); then
+                    echo "$1 needs a value" >&2
+                    return 2
+                fi
+                case $1 in
+                    --out) out=$2 ;;
+                    --seed) seed=$2 ;;
+                    --workload) workloads=("$2") ;;
+                esac
+                shift 2
+                ;;
+            -*) echo "unknown option $1" >&2; return 2 ;;
+            *) revs+=("$1"); shift ;;
+        esac
+    done
+    if [[ ! $seed =~ ^[0-9]+$ ]]; then
+        echo "--seed takes a non-negative integer, not '$seed'" >&2
+        return 2
+    fi
+    if [[ " ${WORKLOADS[*]} " != *" ${workloads[0]} "* ]]; then
+        echo "no workload '${workloads[0]}'; the workloads: ${WORKLOADS[*]}" >&2
+        return 2
+    fi
+}
+
+if [[ ${1:-} == --self-test ]]; then
+    self_test
+    exit 0
+fi
+parse_args "$@" || exit 2
 if ((${#revs[@]} < 1 || ${#revs[@]} > 2)); then
     sed -n '2,/^set/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
     exit 2
@@ -171,7 +225,7 @@ metrics=$(sed -n '/"end_to_end"/,/]/p' BENCHMARK.json |
 
 runs="$out/runs.txt"
 : >"$runs"
-for workload in "${WORKLOADS[@]}"; do
+for workload in "${workloads[@]}"; do
     for ((i = 1; i <= PAIRS; i++)); do
         # ABBA: A first in odd pairs, B first in even ones.
         order=(A B)
@@ -182,7 +236,7 @@ for workload in "${WORKLOADS[@]}"; do
             declare -A got=()
             while read -r name value; do
                 got[$name]=$value
-            done < <("$bin" --workload "$workload" --seed 1 --seconds "$RUN_SECONDS" --trace 0 |
+            done < <("$bin" --workload "$workload" --seed "$seed" --seconds "$RUN_SECONDS" --trace 0 |
                 tail -n 1 | perfbench_metrics)
             if [[ ${got[correct]:-} != true || ${got[failed]:-} != 0 ]]; then
                 echo "$workload pair $i side $side: run not correct or not all completed" >&2
@@ -199,8 +253,8 @@ done
 stats=$(awk "$STATS" "$runs")
 kind="A/B"
 if [[ $base == "$head" ]]; then kind="A/A (noise floor)"; fi
-echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload, --seed 1 --seconds $RUN_SECONDS --trace 0"
+echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload, --seed $seed --seconds $RUN_SECONDS --trace 0"
 echo "workload        metric                   base median [q1, q3]      head median [q1, q3]    head/base wins"
 table <<<"$stats"
-json "$base" "$head" "$PAIRS" "$RUN_SECONDS" <<<"$stats" >"$out/ab-summary.json"
+json "$base" "$head" "$PAIRS" "$RUN_SECONDS" "$seed" <<<"$stats" >"$out/ab-summary.json"
 echo "summary: $out/ab-summary.json; runs: $runs"
