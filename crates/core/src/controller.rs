@@ -40,7 +40,7 @@ use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN, NUM_FIFOS};
 use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
-use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
+use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, RunBurst, SystemBus, WindowIssue};
 
 use crate::banks::{self, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
@@ -852,6 +852,84 @@ impl Controller {
                 u64::MAX
             }
             _ => 0,
+        }
+    }
+
+    /// Replays `bursts`, whole later bursts of the run whose burst in
+    /// flight has completed on the port, in one step, leaving the FSM
+    /// where stepping would: on the last burst in `TransferBusWait`,
+    /// its completion waiting on the port. Each burst costs its data
+    /// move: the pickup of the burst before it lands a read's words in
+    /// their input FIFO, and a write's issue pops its payload, both
+    /// handed through the bus's [`SystemBus::replay_run`], which charges
+    /// the bursts in closed form. The socket advances once per burst,
+    /// over its ticks, before its words move, as the ticks in front of
+    /// each of a stepped burst's FIFO moves would tick it. The pc, the statistics and the latched
+    /// instruction move once: every burst's pickup retires an
+    /// instruction, and a later burst has an immediate offset, so no
+    /// offset register moves. Returns the ticks from the last progress
+    /// tick (a pickup, or a write's issue) to the run's end, for the
+    /// watchdog.
+    pub(crate) fn replay_run(
+        &mut self,
+        bus: &mut dyn SystemBus,
+        socket: &mut RacSocket,
+        origin: Instant,
+        bursts: &[RunBurst],
+    ) -> u64 {
+        let Some(Ok(picked)) = self.dma.take_completion(bus) else {
+            unreachable!("a run step starts on a completed burst");
+        };
+        if let Some(fifo) = self.pending_read.take() {
+            socket
+                .push_inputs(fifo.index(), &picked.data)
+                .expect("space reserved before issue");
+            self.stats.words_transferred += picked.data.len() as u64;
+        }
+        let master = self.master();
+        let first = usize::from(self.pc) + 1;
+        let transfers = &self.program[first..first + bursts.len()];
+        let transfer = |k: usize| {
+            let insn = transfers[k].as_ref().expect("the plan decoded the run");
+            let t = Transfer::from_instruction(0, insn).expect("a run holds transfers");
+            debug_assert!(matches!(t.offset, TransferOffset::Immediate(_)));
+            t
+        };
+        let last = bursts.len() - 1;
+        let mut moved = 0;
+        bus.replay_run(master, origin, bursts, &mut |k, words| {
+            // From the last burst's completion: its pickup, `Fetch`,
+            // `Decode`, the issue and the burst.
+            let b = &bursts[k];
+            socket.advance(Cycle::new(b.event + 1 + PICKUP_TICKS - b.issue));
+            let t = transfer(k);
+            if t.to_coprocessor {
+                // The last read's words wait on the port for its pickup.
+                if k < last {
+                    socket
+                        .push_inputs(t.fifo.index(), words)
+                        .expect("the plan counted the space");
+                    moved += words.len() as u64;
+                }
+            } else {
+                let n = usize::from(t.burst.words());
+                socket
+                    .pop_outputs(t.fifo.index(), n, words)
+                    .expect("the plan counted the words");
+                moved += n as u64;
+            }
+        });
+        let t = transfer(last);
+        self.stats.instructions_retired += bursts.len() as u64;
+        self.stats.words_transferred += moved;
+        self.pc += u16::try_from(bursts.len()).expect("a run lies in the program store");
+        self.current = transfers[last].as_ref().ok().copied();
+        self.pending_read = t.to_coprocessor.then_some(t.fifo);
+        let b = &bursts[last];
+        if t.to_coprocessor {
+            b.event + PICKUP_TICKS - b.issue
+        } else {
+            b.event - b.issue
         }
     }
 

@@ -17,7 +17,7 @@ use std::cell::OnceCell;
 
 use ouessant_rac::rac::{Rac, RacSocket};
 use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
-use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
+use ouessant_sim::{Advancing, BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
@@ -394,9 +394,7 @@ impl Ocp {
             .leap_bound(limit);
         if skip > 0 {
             window.leap(bus, skip, |bus, who, from, ticks| {
-                if who.includes(self.bus_master()) {
-                    self.advance(from, Cycle::new(ticks), bus);
-                }
+                self.advance(who, from, Cycle::new(ticks), bus);
             });
         }
         skip
@@ -450,7 +448,7 @@ impl Ocp {
                     walk.get_or_init(|| self.controller.walk(&self.socket, bus, window.chains()));
                 let retires = walk.iter().flat_map(|w| w.retires());
                 let run = window.run_of(self.bus_master()).flat_map(|b| {
-                    let write = (b.kind == TxnKind::Write).then_some(b.issue);
+                    let write = (b.shape.kind == TxnKind::Write).then_some(b.issue);
                     write.into_iter().chain(b.completes.then_some(b.event + 1))
                 });
                 let bite = retires.chain(run).fold(wd.remaining.max(1), |due, tick| {
@@ -469,24 +467,61 @@ impl Ocp {
         h
     }
 
-    /// Replays `cycles` ticks, the first starting on cycle `from`,
-    /// inside a window bounded by [`Ocp::horizon_on`], leaving the
-    /// coprocessor as `cycles` real ticks would have. Each tick that
-    /// moves the controller's FSM (its walk: a pickup, `Fetch`,
-    /// `Decode`, a run's issue, an `exec`'s start, an `end_op` retire,
-    /// a `wait`'s `Execute` and retire) runs as [`Ocp::tick`] runs it:
-    /// the socket ticks, then the controller steps, then the watchdog
-    /// applies its per-tick rule. Between them the FSM holds (see
+    /// Replays this coprocessor's part of `step`, one step of
+    /// [`BusWindow::leap`]: `cycles` ticks, the first starting on cycle
+    /// `from`, inside a window bounded by [`Ocp::horizon_on`], leaving
+    /// the coprocessor as `cycles` real ticks would have. A step that
+    /// does not advance it (see [`Advancing::includes`]) does nothing.
+    ///
+    /// A run step ([`Advancing::Run`]) replays whole later bursts of
+    /// the run in one go: per burst only its data move (see
+    /// `Controller::replay_run`), then the watchdog and the debug
+    /// register window once, the watchdog reloaded by the run's last
+    /// progress tick (the pickup of its last burst's predecessor, or a
+    /// write's issue), which the window ends before the bite of.
+    ///
+    /// Any other step walks and holds. Each tick that moves the
+    /// controller's FSM (its walk: a pickup, `Fetch`, `Decode`, a run's
+    /// issue, an `exec`'s start, an `end_op` retire, a `wait`'s
+    /// `Execute` and retire) runs as [`Ocp::tick`] runs it: the socket
+    /// ticks, then the controller steps, then the watchdog applies its
+    /// per-tick rule. Between them the FSM holds (see
     /// `Controller::holds`), so the socket leaps those ticks and only
     /// the watchdog counts them down. The debug register window is
     /// refreshed once. Completion needs no replay — `eop` is never
     /// inside a window. A pickup retires the port's completion on `bus`
-    /// and an issue begins a burst there: call it inside
-    /// [`BusWindow::leap`], which advances the issuer of a run once per
-    /// burst, with the bus on the issue's cycle, and advances the bus
-    /// over the burst afterwards. A walked `wait` takes its cycle from
-    /// `from`, not from the bus.
-    pub fn advance(&mut self, from: Instant, cycles: Cycle, bus: &mut dyn SystemBus) {
+    /// and an issue begins a burst there: [`BusWindow::leap`] advances
+    /// the issuer of a burst with the bus on the issue's cycle, and
+    /// advances the bus over the burst afterwards. A walked `wait`
+    /// takes its cycle from `from`, not from the bus.
+    pub fn advance(
+        &mut self,
+        step: Advancing<'_>,
+        from: Instant,
+        cycles: Cycle,
+        bus: &mut dyn SystemBus,
+    ) {
+        if !step.includes(self.bus_master()) {
+            return;
+        }
+        if let Advancing::Run { origin, bursts, .. } = step {
+            let since = self
+                .controller
+                .replay_run(bus, &mut self.socket, origin, bursts);
+            debug_assert_eq!(
+                bus.now(),
+                from + cycles,
+                "a run step ends on its last completion"
+            );
+            if let Some(wd) = &mut self.watchdog {
+                debug_assert!(since < wd.budget, "advanced past the watchdog bite");
+                let stats = self.controller.stats();
+                wd.progress = (stats.instructions_retired, stats.words_transferred);
+                wd.remaining = wd.budget - since;
+            }
+            self.controller.publish_debug(&self.regs);
+            return;
+        }
         let mut now = from;
         let end = from + cycles;
         while now < end {
@@ -2204,6 +2239,434 @@ mod tests {
         let (_, fault, watched) = leap_against_steps(build(Some(budget)), 10_000);
         assert_eq!(fault, None);
         assert_eq!(watched, unwatched);
+    }
+
+    /// A bus that counts the bursts it replays in one step
+    /// ([`SystemBus::replay_run`]), and otherwise is the [`Bus`] it
+    /// wraps.
+    struct Counted {
+        bus: Bus,
+        cpu: ouessant_sim::bus::MasterId,
+        bulk: usize,
+    }
+
+    impl SystemBus for Counted {
+        fn register_master(&mut self) -> ouessant_sim::bus::MasterId {
+            self.bus.register_master()
+        }
+        fn add_slave_boxed(&mut self, base: Addr, device: Box<dyn ouessant_sim::bus::BusSlave>) {
+            self.bus.add_slave_boxed(base, device);
+        }
+        fn try_begin(
+            &mut self,
+            master: ouessant_sim::bus::MasterId,
+            req: ouessant_sim::bus::TxnRequest,
+        ) -> Result<(), BusError> {
+            self.bus.try_begin(master, req)
+        }
+        fn tick(&mut self) {
+            SystemBus::tick(&mut self.bus);
+        }
+        fn now(&self) -> Instant {
+            self.bus.now()
+        }
+        fn poll(&self, master: ouessant_sim::bus::MasterId) -> ouessant_sim::bus::PortState {
+            self.bus.poll(master)
+        }
+        fn take_completion(
+            &mut self,
+            master: ouessant_sim::bus::MasterId,
+        ) -> Option<Result<ouessant_sim::bus::Completion, BusError>> {
+            self.bus.take_completion(master)
+        }
+        fn peek_completion(
+            &self,
+            master: ouessant_sim::bus::MasterId,
+        ) -> Option<&Result<ouessant_sim::bus::Completion, BusError>> {
+            self.bus.peek_completion(master)
+        }
+        fn debug_read(&mut self, addr: Addr) -> Result<u32, BusError> {
+            self.bus.debug_read(addr)
+        }
+        fn debug_write(&mut self, addr: Addr, value: u32) -> Result<(), BusError> {
+            self.bus.debug_write(addr, value)
+        }
+        fn stats(&self) -> ouessant_sim::bus::BusStats {
+            self.bus.stats()
+        }
+        fn horizon(&self) -> Horizon {
+            self.bus.horizon()
+        }
+        fn horizon_with(
+            &self,
+            master: ouessant_sim::bus::MasterId,
+            shape: TxnShape,
+        ) -> Option<std::num::NonZeroU64> {
+            self.bus.horizon_with(master, shape)
+        }
+        fn never_faults(&self, shape: TxnShape) -> bool {
+            self.bus.never_faults(shape)
+        }
+        fn replays_runs(&self) -> bool {
+            self.bus.replays_runs()
+        }
+        fn replay_run(
+            &mut self,
+            master: ouessant_sim::bus::MasterId,
+            origin: Instant,
+            bursts: &[ouessant_sim::RunBurst],
+            data: &mut dyn FnMut(usize, &mut Vec<u32>),
+        ) {
+            self.bulk += bursts.len();
+            self.bus.replay_run(master, origin, bursts, data);
+        }
+        fn advance(&mut self, cycles: Cycle) {
+            self.bus.advance(cycles);
+        }
+    }
+
+    /// What a drawn run's twins are compared on after every leap and
+    /// every tick: [`Fixture::observed`] (the debug window, FSM state,
+    /// statistics, watchdog and FIFO occupancy), the pc, the bus's
+    /// statistics and both masters'.
+    #[derive(Debug, Clone, PartialEq)]
+    struct RunView {
+        ocp: (
+            [u32; 4],
+            ControllerState,
+            ControllerStats,
+            Option<u64>,
+            (usize, usize),
+        ),
+        pc: u16,
+        bus: ouessant_sim::bus::BusStats,
+        masters: [ouessant_sim::bus::MasterStats; 2],
+    }
+
+    impl Fixture<Counted> {
+        fn run_view(&self) -> RunView {
+            RunView {
+                ocp: self.observed(),
+                pc: self.ocp.controller().pc(),
+                bus: self.bus.stats(),
+                masters: [self.bus.cpu, self.ocp.bus_master()]
+                    .map(|m| self.bus.bus.master_stats(m)),
+            }
+        }
+    }
+
+    /// Seeds of [`drawn_runs_replay_in_bulk_as_they_step`].
+    const RUN_SEEDS: u64 = 40;
+
+    /// The most words a drawn run moves.
+    const RUN_WORDS: u32 = 2048;
+
+    /// Words of the drawn runs' input area (bank 1, at word 1024 of the
+    /// RAM) and output area (bank 2, at word 8192).
+    const IN_WORDS: u32 = 7168;
+    const OUT_WORDS: u32 = 8192;
+
+    /// Bus cycles of a lone burst of `words` words, from its issue
+    /// through its completion: one grant, one address cycle and the
+    /// beats of each sub-burst.
+    fn burst_cycles(words: u32, bus: BusConfig, ram: SramConfig) -> u64 {
+        let (max, first, seq) = (
+            u32::from(bus.max_burst_beats),
+            ram.first_access_wait_states,
+            ram.sequential_wait_states,
+        );
+        let sub = |beats: u32| u64::from(2 + first + beats + (beats - 1) * seq);
+        let full = (words - 1) / max;
+        u64::from(full) * sub(max) + sub(words - full * max)
+    }
+
+    /// A drawn system around a pass-through (delay 0, scaling by 3)
+    /// whose FIFOs hold the words of its input run, or one or two more:
+    /// a run of reads into input FIFO 0, the stream, then a run of
+    /// writes from output FIFO 0. Each run has 2 to 130 bursts of 1 to
+    /// 256 words, most of them one drawn length, at drawn offsets;
+    /// together the reads move at most [`RUN_WORDS`], and the writes at
+    /// most what the reads moved. The stream is `execs` (it ends before
+    /// the writes, which then run back to back through a FIFO as
+    /// shallow as the run) or, one draw in four, `execn`, with a `wrac`
+    /// after the writes, so the writes start while the pass-through
+    /// streams into the output FIFO. The bus has sub-bursts of 1, 4 or
+    /// 16 beats and an SRAM with 0–7 first and 0–2 sequential wait
+    /// states. Three draws in four arm the watchdog on the `Fetch` of
+    /// one run's first burst, with a budget that bites one tick before,
+    /// on, or one tick after the pickup that ends the longest gap
+    /// between the run's progress ticks.
+    #[derive(Debug)]
+    struct DrawnRun {
+        bus: BusConfig,
+        ram: SramConfig,
+        depth: usize,
+        streams: bool,
+        /// Each burst's word offset and words, reads then writes.
+        reads: Vec<(u32, u32)>,
+        writes: Vec<(u32, u32)>,
+        /// The watchdog's budget and the pc on whose `Fetch` it is armed.
+        watchdog: Option<(u64, u16)>,
+    }
+
+    impl DrawnRun {
+        fn draw(seed: u64) -> Self {
+            let mut rng = XorShift64::new(seed);
+            let bus = BusConfig {
+                max_burst_beats: [1, 4, 16][rng.gen_range_u32(0..3) as usize],
+            };
+            let ram = SramConfig {
+                first_access_wait_states: rng.gen_range_u32(0..8),
+                sequential_wait_states: rng.gen_range_u32(0..3),
+            };
+            let reads = drawn_bursts(&mut rng, RUN_WORDS, IN_WORDS);
+            let moved: u32 = reads.iter().map(|r| r.1).sum();
+            let writes = drawn_bursts(&mut rng, moved, OUT_WORDS);
+            let streams = rng.gen_range_u32(0..4) == 0;
+            let depth = moved as usize + rng.gen_range_u32(0..3) as usize;
+            let watchdog = (rng.gen_range_u32(0..4) > 0).then(|| {
+                let write = rng.gen_bool();
+                let (bursts, pc, pickup) = if write {
+                    (&writes, reads.len() + 1, 0)
+                } else {
+                    (&reads, 0, PICKUP_TICKS)
+                };
+                let gap = bursts
+                    .iter()
+                    .map(|b| burst_cycles(b.1, bus, ram) + pickup)
+                    .max()
+                    .expect("a run has bursts");
+                let budget = gap + u64::from(rng.gen_range_u32(0..3)) - 1;
+                (budget, u16::try_from(pc).expect("a short program"))
+            });
+            Self {
+                bus,
+                ram,
+                depth,
+                streams,
+                reads,
+                writes,
+                watchdog,
+            }
+        }
+
+        fn program(&self) -> Program {
+            let transfers = |op: &str, bank: u8, bursts: &[(u32, u32)]| -> String {
+                bursts
+                    .iter()
+                    .map(|(offset, words)| format!("{op} BANK{bank},{offset},DMA{words},FIFO0\n"))
+                    .collect()
+            };
+            let moved: u32 = self.reads.iter().map(|r| r.1).sum();
+            let (start, end) = if self.streams {
+                (format!("execn {moved}\n"), "wrac\n")
+            } else {
+                (format!("execs {moved}\n"), "")
+            };
+            let source = format!(
+                "{}{start}{}{end}eop",
+                transfers("mvtc", 1, &self.reads),
+                transfers("mvfc", 2, &self.writes)
+            );
+            assemble(&source).unwrap()
+        }
+
+        fn fixture(&self, program: &Program) -> Fixture<Counted> {
+            let mut inner = Bus::new(self.bus);
+            let cpu = inner.register_master();
+            inner.add_slave(RAM_BASE, Sram::with_words(16384, self.ram));
+            let mut bus = Counted {
+                bus: inner,
+                cpu,
+                bulk: 0,
+            };
+            let rac = Box::new(PassthroughRac::scaling(3, 0));
+            let config = OcpConfig {
+                fifo_depth: self.depth,
+            };
+            let mut fx = Fixture {
+                ocp: Ocp::attach(&mut bus, OCP_BASE, rac, config),
+                bus,
+            };
+            let input: Vec<u32> = (0..IN_WORDS).map(|i| i ^ 0x5A5A).collect();
+            fx.bus
+                .bus
+                .debug_write_words(RAM_BASE + 0x1000, &input)
+                .unwrap();
+            fx.load_program(program);
+            fx.ocp.regs().set_bank(1, RAM_BASE + 0x1000).unwrap();
+            fx.ocp.regs().set_bank(2, RAM_BASE + 0x8000).unwrap();
+            fx
+        }
+    }
+
+    /// A run of 2 to 130 bursts (at most `total`) of 1 to 256 words
+    /// that move at most `total` words, each at a drawn word offset in
+    /// an area of `area` words: three bursts in four have one drawn
+    /// length.
+    fn drawn_bursts(rng: &mut XorShift64, total: u32, area: u32) -> Vec<(u32, u32)> {
+        let count = rng.gen_range_u32(2..131).min(total);
+        let cap = (total / count).clamp(1, 256);
+        let base = rng.gen_range_u32(1..cap + 1);
+        (0..count)
+            .map(|_| {
+                let words = if rng.gen_range_u32(0..4) == 0 {
+                    rng.gen_range_u32(1..cap + 1)
+                } else {
+                    base
+                };
+                (rng.gen_range_u32(0..area - words + 1), words)
+            })
+            .collect()
+    }
+
+    /// The drawn system's stepped twin: every cycle's view from the
+    /// start to its `eop` or fault, the cycle it arms the watchdog on,
+    /// and the RAM at the end.
+    struct Stepped {
+        views: Vec<RunView>,
+        armed_at: u64,
+        memory: Vec<u32>,
+    }
+
+    fn memory_of(fx: &mut Fixture<Counted>) -> Vec<u32> {
+        let mut words = Vec::new();
+        fx.bus
+            .bus
+            .debug_read_words(RAM_BASE, 16384, &mut words)
+            .unwrap();
+        words
+    }
+
+    impl DrawnRun {
+        fn stepped(&self, program: &Program) -> Stepped {
+            let mut fx = self.fixture(program);
+            fx.ocp.regs().start();
+            let mut views = vec![fx.run_view()];
+            let mut armed_at = 0;
+            let mut armed = self.watchdog.is_none();
+            while views.len() < 1_000_000 {
+                if !armed {
+                    let (budget, pc) = self.watchdog.expect("drawn");
+                    let c = fx.ocp.controller();
+                    if c.pc() == pc && *c.state() == ControllerState::Fetch {
+                        fx.ocp.arm_watchdog(budget);
+                        armed_at = views.len() as u64 - 1;
+                        armed = true;
+                        *views.last_mut().expect("a view") = fx.run_view();
+                    }
+                }
+                fx.step();
+                views.push(fx.run_view());
+                if fx.ocp.fault().is_some() || fx.ocp.regs().done() {
+                    break;
+                }
+            }
+            Stepped {
+                views,
+                armed_at,
+                memory: memory_of(&mut fx),
+            }
+        }
+
+        /// The leapt twin against `stepped`: it steps to the watchdog's
+        /// arming, then leaps as [`Ocp::leap`] allows, stepping where it
+        /// leaps none, no leap passing the cycle `cut`, and is compared
+        /// after every leap and tick, and on its RAM at the end. Returns
+        /// the bursts it replayed in one step.
+        fn leapt(&self, program: &Program, stepped: &Stepped, cut: Option<u64>) -> usize {
+            let mut fx = self.fixture(program);
+            fx.ocp.regs().start();
+            let end = stepped.views.len() as u64 - 1;
+            let mut cycle = 0;
+            while cycle < stepped.armed_at {
+                fx.step();
+                cycle += 1;
+            }
+            if let Some((budget, _)) = self.watchdog {
+                fx.ocp.arm_watchdog(budget);
+            }
+            while cycle < end {
+                let limit = cut.filter(|&c| c > cycle).unwrap_or(end) - cycle;
+                let skip = fx.ocp.leap(&mut fx.bus, limit);
+                if skip == 0 {
+                    fx.step();
+                }
+                cycle += skip.max(1);
+                assert_eq!(
+                    fx.run_view(),
+                    stepped.views[cycle as usize],
+                    "cycle {cycle}, cut {cut:?}"
+                );
+            }
+            assert!(memory_of(&mut fx) == stepped.memory, "memory, cut {cut:?}");
+            fx.bus.bulk
+        }
+
+        /// The cycles of the last two bursts of the run at pcs `pcs`:
+        /// from the pickup before them through the last one's pickup.
+        fn last_two(
+            &self,
+            stepped: &Stepped,
+            pcs: std::ops::Range<u16>,
+        ) -> std::ops::RangeInclusive<u64> {
+            let at = |pc: u16| {
+                stepped
+                    .views
+                    .iter()
+                    .position(|v| v.pc >= pc)
+                    .unwrap_or(stepped.views.len() - 1) as u64
+            };
+            at(pcs.end - 2)..=at(pcs.end)
+        }
+    }
+
+    /// Drawn runs (see [`DrawnRun`]) leapt against stepped: once
+    /// leaping freely, and once for each tick of each run's last two
+    /// bursts with the leap cut there, every twin agreeing with the
+    /// stepped one after every leap and tick and on the RAM at the end.
+    #[test]
+    fn drawn_runs_replay_in_bulk_as_they_step() {
+        let (mut bulk, mut bites, mut cuts) = (0, 0, 0);
+        for seed in 1..=RUN_SEEDS {
+            let system = DrawnRun::draw(seed);
+            let program = system.program();
+            let check = std::panic::AssertUnwindSafe(|| {
+                let stepped = system.stepped(&program);
+                let mut replayed = system.leapt(&program, &stepped, None);
+                let reads = u16::try_from(system.reads.len()).unwrap();
+                let writes = u16::try_from(system.writes.len()).unwrap();
+                let runs = [0..reads, reads + 1..reads + 1 + writes];
+                let mut ticks = 0;
+                for pcs in runs {
+                    for cut in system.last_two(&stepped, pcs) {
+                        replayed += system.leapt(&program, &stepped, Some(cut));
+                        ticks += 1;
+                    }
+                }
+                let fault = stepped.views.last().map(|v| v.ocp.1.clone());
+                let bit = matches!(
+                    fault,
+                    Some(ControllerState::Faulted(ExecError::Hang { .. }))
+                );
+                (replayed, bit, ticks)
+            });
+            let (replayed, bit, ticks) = std::panic::catch_unwind(check)
+                .unwrap_or_else(|_| panic!("seed {seed}: {system:#?}"));
+            bulk += replayed;
+            bites += usize::from(bit);
+            cuts += ticks;
+        }
+        // The draw bites and spares, and replays runs in bulk on the way.
+        assert!(
+            (2..RUN_SEEDS as usize / 2).contains(&bites),
+            "{bites} bites"
+        );
+        assert!(
+            bulk > 5000 * RUN_SEEDS as usize,
+            "{bulk} bursts replayed in bulk"
+        );
+        assert!(cuts > 100 * RUN_SEEDS as usize, "{cuts} cuts");
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! [`JobOutcome::DeadlineMissed`]: crate::job::JobOutcome::DeadlineMissed
 //! [`JobOutcome::ShedOverload`]: crate::job::JobOutcome::ShedOverload
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -449,6 +451,10 @@ pub struct Farm {
     idle_epoch: IdleEpoch,
     /// Reusable injection buffer for the chaos plan.
     injection_scratch: Vec<crate::chaos::Injection>,
+    /// The built-in programs dispatch has built, encoded, by job kind,
+    /// input words and the `rcfg` slot they start with (none on the
+    /// loaded configuration): each is built once per farm.
+    programs: HashMap<(JobKind, u32, Option<usize>), Vec<u32>>,
 }
 
 impl fmt::Debug for Farm {
@@ -491,6 +497,7 @@ impl Farm {
             fault_abort: None,
             idle_epoch: IdleEpoch::default(),
             injection_scratch: Vec::new(),
+            programs: HashMap::new(),
         }
     }
 
@@ -991,9 +998,7 @@ impl Farm {
         if leap > 0 {
             window.leap(&mut self.bus, leap, |bus, who, from, ticks| {
                 for w in &mut self.workers {
-                    if who.includes(w.ocp.bus_master()) {
-                        w.ocp.advance(from, Cycle::new(ticks), bus);
-                    }
+                    w.ocp.advance(who, from, Cycle::new(ticks), bus);
                 }
             });
             self.ledger.skipped_cycles += leap;
@@ -1252,9 +1257,14 @@ impl Farm {
                     )
                 });
             let input_words = job.input_words;
-            let program = match &job.microcode {
-                Some(custom) => adapt_custom_program(custom, target, worker.loaded_config()),
-                None => build_program(job_kind, input_words, target, worker.loaded_config()),
+            let rcfg = (target != worker.loaded_config()).then_some(target);
+            let program: Cow<'_, [u32]> = match &job.microcode {
+                Some(custom) => Cow::Owned(adapt_custom_program(custom, rcfg).to_words()),
+                None => Cow::Borrowed(
+                    self.programs
+                        .entry((job_kind, input_words, rcfg))
+                        .or_insert_with(|| build_program(job_kind, input_words, rcfg).to_words()),
+                ),
             };
             let shape = [
                 u32::try_from(program.len()).expect("at most 1024 instructions"),

@@ -54,6 +54,7 @@
 //! DPR worker, leaves the slot back in configuration 0 (a bitstream
 //! load after a fault is never trusted).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -184,17 +185,13 @@ pub(crate) struct JobRegions {
     pub output: Region,
 }
 
-/// Builds one job's microcode: optional `rcfg`, input transfer,
+/// Builds one job's microcode: an `rcfg` of slot `rcfg` when the job
+/// runs on a configuration other than the loaded one, input transfer,
 /// execute, output transfer, `eop`.
-pub(crate) fn build_program(
-    kind: JobKind,
-    input_words: u32,
-    target_config: usize,
-    loaded_config: usize,
-) -> Program {
+pub(crate) fn build_program(kind: JobKind, input_words: u32, rcfg: Option<usize>) -> Program {
     let mut b = ProgramBuilder::new();
-    if target_config != loaded_config {
-        b = b.rcfg(u16::try_from(target_config).expect("config index fits rcfg operand"));
+    if let Some(slot) = rcfg {
+        b = b.rcfg(u16::try_from(slot).expect("config index fits rcfg operand"));
     }
     b = b
         .transfer_to_coprocessor(INPUT_BANK, 0, input_words, CHUNK, 0)
@@ -215,27 +212,23 @@ pub(crate) fn build_program(
         .expect("farm programs are structurally valid")
 }
 
-/// Adapts verified client microcode to the worker it will run on:
-/// serving it on a configuration other than the loaded one prepends an
-/// `rcfg`, which shifts every instruction index by one, so `djnz`
-/// branch targets are rebased to match.
+/// Adapts verified client microcode to the worker it will run on: as
+/// it is, borrowed, on the loaded configuration; serving it on another
+/// prepends an `rcfg` of slot `rcfg`, which shifts every instruction
+/// index by one, so `djnz` branch targets are rebased to match.
 ///
 /// Admission guarantees the headroom: custom programs are capped one
 /// instruction below [`MAX_PROGRAM_LEN`], so both the prepend and the
 /// `target + 1` rebase stay in range.
 ///
 /// [`MAX_PROGRAM_LEN`]: ouessant_isa::operands::MAX_PROGRAM_LEN
-pub(crate) fn adapt_custom_program(
-    program: &Program,
-    target_config: usize,
-    loaded_config: usize,
-) -> Program {
-    if target_config == loaded_config {
-        return program.clone();
-    }
+pub(crate) fn adapt_custom_program(program: &Program, rcfg: Option<usize>) -> Cow<'_, Program> {
+    let Some(slot) = rcfg else {
+        return Cow::Borrowed(program);
+    };
     let mut insns = Vec::with_capacity(program.len() + 1);
     insns.push(Instruction::Rcfg {
-        slot: u16::try_from(target_config).expect("config index fits rcfg operand"),
+        slot: u16::try_from(slot).expect("config index fits rcfg operand"),
     });
     for insn in program.iter() {
         insns.push(match *insn {
@@ -247,7 +240,7 @@ pub(crate) fn adapt_custom_program(
             other => other,
         });
     }
-    Program::new(insns).expect("one instruction of headroom was reserved at admission")
+    Cow::Owned(Program::new(insns).expect("one instruction of headroom was reserved at admission"))
 }
 
 /// The RAC instance serving one capability.
@@ -505,15 +498,16 @@ impl Worker {
     /// payload into the leased regions, programs the bank registers and
     /// pulls the start bit. The job's first cycle is the *next* `tick`.
     ///
-    /// `program` is the microcode the farm built with [`build_program`]
-    /// for this worker's current `loaded_config` (the farm sizes the
-    /// program region from it, so it is built exactly once).
+    /// `program` is the encoded microcode the farm built with
+    /// [`build_program`] (or adapted with [`adapt_custom_program`]) for
+    /// this worker's current `loaded_config`; the farm sizes the
+    /// program region from it.
     pub(crate) fn launch(
         &mut self,
         bus: &mut Bus,
         now: u64,
         job: PendingJob,
-        program: &Program,
+        program: &[u32],
         target: usize,
         regions: JobRegions,
     ) {
@@ -529,7 +523,7 @@ impl Worker {
         // untimed debug writes — the timed cost of the host's own bus
         // traffic is the OS/driver model's concern (ouessant-soc), not
         // the pool's.
-        bus.debug_write_words(regions.prog.base(), &program.to_words())
+        bus.debug_write_words(regions.prog.base(), program)
             .expect("program region is mapped SRAM");
         bus.debug_write_words(regions.input.base(), &job.input)
             .expect("input region is mapped SRAM");

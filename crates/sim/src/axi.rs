@@ -25,7 +25,7 @@ use crate::bus::{
 use std::num::NonZeroU64;
 
 use crate::clock::{Cycle, Instant};
-use crate::event::Horizon;
+use crate::event::{Horizon, RunBurst};
 
 /// Object-safe façade over a system bus, implemented by the AHB-like
 /// [`crate::bus::Bus`] and the AXI-like [`AxiBus`].
@@ -117,6 +117,44 @@ pub trait SystemBus {
     fn never_faults(&self, shape: TxnShape) -> bool {
         let _ = shape;
         false
+    }
+
+    /// Whether [`SystemBus::replay_run`] replays a run's whole bursts
+    /// in one step, which is what lets a leap replay them without
+    /// issuing each one (see [`BusWindow::leap`](crate::event::BusWindow::leap)).
+    /// The default says no, and so does a bus that records each
+    /// transaction in a trace: such a bus meets every burst of a run
+    /// through its own issue and [`SystemBus::advance`].
+    fn replays_runs(&self) -> bool {
+        false
+    }
+
+    /// Replays `bursts`, whole later bursts of `master`'s run, in one
+    /// step, on a bus that stands on the completion of the run's burst
+    /// before them, which `master` has picked up, with nothing else
+    /// requesting. Each burst issues and completes on the window ticks
+    /// its [`RunBurst`] names, counted from `origin`. `data(k, words)`
+    /// is called once per burst, in order: before a write's beats move,
+    /// to append its payload to the empty `words`; after a read's beats
+    /// move, with the words read. Afterwards the bus is as if each
+    /// burst had been issued with [`SystemBus::try_begin`] on its cycle
+    /// and [`SystemBus::advance`]d through, and only the last one's
+    /// completion taken: it waits on `master`'s port, a read's with the
+    /// words last handed to `data`.
+    ///
+    /// Called only when [`SystemBus::replays_runs`] says yes, for
+    /// bursts [`SystemBus::horizon_with`] timed on an idle bus, each of
+    /// which [`SystemBus::never_faults`]. The default, for a bus that
+    /// never says yes, is never called.
+    fn replay_run(
+        &mut self,
+        master: MasterId,
+        origin: Instant,
+        bursts: &[RunBurst],
+        data: &mut dyn FnMut(usize, &mut Vec<u32>),
+    ) {
+        let _ = (master, origin, bursts, data);
+        unreachable!("only a bus that replays runs is asked to replay one");
     }
 
     /// Replays `cycles` ticks in bulk.

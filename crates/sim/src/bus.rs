@@ -46,7 +46,7 @@ use std::num::NonZeroU64;
 
 use crate::axi::SystemBus;
 use crate::clock::{Cycle, Instant};
-use crate::event::Horizon;
+use crate::event::{Horizon, RunBurst};
 use crate::trace::{BusEvent, Trace};
 
 /// A byte address on the system bus.
@@ -1359,6 +1359,86 @@ impl SystemBus for Bus {
         self.slaves
             .span(shape, false)
             .is_ok_and(|i| self.slaves.timing(i).fault_free)
+    }
+
+    /// Yes while the trace is off: a traced bus records every request,
+    /// grant and completion of a run on its own cycle.
+    fn replays_runs(&self) -> bool {
+        !self.trace.is_enabled()
+    }
+
+    /// Each burst's beats move in one slave call. Its timing is the one
+    /// [`SystemBus::advance`] charges a lone requester's whole burst
+    /// with in one step, in closed form for the whole run: `now` moves to the last
+    /// completion, the busy cycles by each burst's issue-to-completion
+    /// cycles, and `master`'s grants (one per sub-burst) and beats by
+    /// the run's. Nobody else requests, so nobody is charged contention.
+    fn replay_run(
+        &mut self,
+        master: MasterId,
+        origin: Instant,
+        bursts: &[RunBurst],
+        data: &mut dyn FnMut(usize, &mut Vec<u32>),
+    ) {
+        debug_assert!(
+            self.replays_runs()
+                && self.active.is_none()
+                && self.masters.iter().all(|p| p.outstanding.is_none())
+                && self.masters[master.0].completion.is_none(),
+            "a run replays on an idle bus, its last pickup made"
+        );
+        let max = u64::from(self.config.max_burst_beats);
+        let (mut grants, mut beats, mut busy) = (0, 0, 0);
+        let mut words = Vec::new();
+        for (k, b) in bursts.iter().enumerate() {
+            let shape = b.shape;
+            let idx = self
+                .slaves
+                .span(shape, false)
+                .expect("the plan checked the burst");
+            let slave = &mut self.slaves.slaves[idx];
+            debug_assert!(slave.timing.fault_free, "a run's slave never faults");
+            let offset = shape.addr - slave.base;
+            words.clear();
+            match shape.kind {
+                TxnKind::Read => {
+                    slave
+                        .device
+                        .read_words(offset, usize::from(shape.beats), &mut words)
+                        .expect("a fault-free slave moves every beat");
+                    data(k, &mut words);
+                }
+                TxnKind::Write => {
+                    data(k, &mut words);
+                    debug_assert_eq!(words.len(), usize::from(shape.beats), "one word per beat");
+                    slave
+                        .device
+                        .write_words(offset, &words)
+                        .expect("a fault-free slave moves every beat");
+                }
+            }
+            grants += u64::from(shape.beats).div_ceil(max);
+            beats += u64::from(shape.beats);
+            busy += b.event + 1 - b.issue;
+        }
+        let last = bursts.last().expect("a run step replays a burst");
+        self.now = origin + Cycle::new(last.event);
+        self.busy_cycles += busy;
+        let port = &mut self.masters[master.0];
+        port.stats.grants += grants;
+        port.stats.beats += beats;
+        let issued_at = origin + Cycle::new(last.issue - 1);
+        if last.shape.kind == TxnKind::Write {
+            words.clear();
+        }
+        port.completion = Some(Ok(Completion {
+            kind: last.shape.kind,
+            addr: last.shape.addr,
+            data: words,
+            issued_at,
+            completed_at: self.now,
+            cycles: (self.now - issued_at).count(),
+        }));
     }
 
     /// Grants, address phases, wait states, beats and sub-burst

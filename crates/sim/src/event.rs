@@ -87,7 +87,7 @@ use std::cmp::Ordering;
 use std::num::NonZeroU64;
 
 use crate::axi::SystemBus;
-use crate::bus::{MasterId, TxnKind, TxnShape};
+use crate::bus::{MasterId, TxnShape};
 use crate::clock::{Cycle, Instant};
 
 /// When a component's observable state can next change, seen from the
@@ -271,8 +271,9 @@ pub struct WindowIssue {
 /// tick 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBurst {
-    /// Read or write.
-    pub kind: TxnKind,
+    /// Its kind, address and beats: what the bus moves when it replays
+    /// the burst in one step (see [`SystemBus::replay_run`]).
+    pub shape: TxnShape,
     /// The tick its master issues it on.
     pub issue: u64,
     /// The tick of the bus's first event after the issue.
@@ -285,21 +286,36 @@ pub struct RunBurst {
     pub completes: bool,
 }
 
-/// The masters one step of [`BusWindow::leap`] advances.
+/// The masters one step of [`BusWindow::leap`] advances, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Advancing {
-    /// The run's issuer alone, over the ticks of one of its bursts.
+pub enum Advancing<'a> {
+    /// The run's issuer alone, over the ticks of one of its bursts:
+    /// through its walk and its issue, which begins the burst on the
+    /// bus.
     Issuer(MasterId),
+    /// The run's issuer alone, over `bursts`, the later bursts of its
+    /// run that the leap reaches whole, in one step: the issuer picks
+    /// up the burst before them and hands every burst's words to the
+    /// bus, which replays them with [`SystemBus::replay_run`]. Their
+    /// ticks count from `origin`, the cycle the window starts on.
+    Run {
+        /// The issuer.
+        master: MasterId,
+        /// The cycle before the window's first tick.
+        origin: Instant,
+        /// The bursts, on the window's ticks.
+        bursts: &'a [RunBurst],
+    },
     /// Every master but the run's issuer (if any), over the whole leap.
     AllBut(Option<MasterId>),
 }
 
-impl Advancing {
+impl Advancing<'_> {
     /// Whether this step advances `master`.
     #[must_use]
     pub fn includes(self, master: MasterId) -> bool {
         match self {
-            Advancing::Issuer(m) => m == master,
+            Advancing::Issuer(m) | Advancing::Run { master: m, .. } => m == master,
             Advancing::AllBut(issuer) => issuer != Some(master),
         }
     }
@@ -376,7 +392,7 @@ impl BusWindow {
         {
             Some((i, h, rest)) => {
                 let first = RunBurst {
-                    kind: i.shape.kind,
+                    shape: i.shape,
                     issue: i.prefix.saturating_add(1),
                     event: h.get().saturating_add(i.prefix),
                     completes: event == Horizon::QUIESCENT && bus.never_faults(i.shape),
@@ -438,7 +454,7 @@ impl BusWindow {
             };
             let at = last.event.saturating_add(gap + 1);
             last = RunBurst {
-                kind: shape.kind,
+                shape,
                 issue: at,
                 event: (at - 1).saturating_add(h.get()),
                 completes: bus.never_faults(shape),
@@ -502,40 +518,83 @@ impl BusWindow {
     /// for the first step: the bus meets each issue on its cycle, so it
     /// may stand ahead of the issuer's first tick. Every master but the
     /// issuer advances first, over all `n` ticks: inside the window
-    /// none of them touches the bus or the issuer's side of it. Then
-    /// the run replays one burst at a time, in the one order that puts
-    /// each issue on its own cycle: the bus over the ticks before the
-    /// issue, the issuer through its issue and the burst, then the bus
-    /// over the burst, so the issuer still sees it in flight on its
-    /// last tick.
-    pub fn leap<B: SystemBus + ?Sized>(
-        &self,
+    /// none of them touches the bus or the issuer's side of it.
+    ///
+    /// Then the run replays. The later bursts the leap reaches whole,
+    /// each of which completes, replay in one [`Advancing::Run`] step
+    /// when the bus replays runs ([`SystemBus::replays_runs`]): the
+    /// issuer moves each one's words and the bus charges them in closed
+    /// form. The run's first burst, a burst the leap cuts, and every
+    /// burst on a bus that does not replay runs (a traced one) replay
+    /// alone, in the one order that puts the issue on its own cycle:
+    /// the bus over the ticks before the issue, the issuer
+    /// ([`Advancing::Issuer`]) through its issue and the burst, then
+    /// the bus over the burst, so the issuer still sees it in flight
+    /// on its last tick.
+    pub fn leap<'w, B: SystemBus + ?Sized>(
+        &'w self,
         bus: &mut B,
         n: u64,
-        mut masters: impl FnMut(&mut B, Advancing, Instant, u64),
+        mut masters: impl FnMut(&mut B, Advancing<'w>, Instant, u64),
     ) {
         let start = bus.now();
         masters(bus, Advancing::AllBut(self.issuer()), start, n);
-        let mut done = 0;
-        let Some((issue, _)) = &self.issue else {
+        let Some((issue, first)) = &self.issue else {
             bus.advance(Cycle::new(n));
             return;
         };
-        for b in self.run_of(issue.master) {
-            if done == n {
-                break;
+        let master = issue.master;
+        let bulk = bus.replays_runs();
+        // The run's next burst to replay: `first`, then `later[i - 1]`.
+        let (mut done, mut i) = (0, 0);
+        while done < n {
+            let whole = if bulk && i > 0 {
+                self.later[i - 1..]
+                    .iter()
+                    .take_while(|b| b.completes && b.event <= n)
+                    .count()
+            } else {
+                0
+            };
+            if whole > 0 {
+                let bursts = &self.later[i - 1..i - 1 + whole];
+                let end = bursts[whole - 1].event;
+                let step = Advancing::Run {
+                    master,
+                    origin: start,
+                    bursts,
+                };
+                masters(bus, step, start + Cycle::new(done), end - done);
+                debug_assert_eq!(
+                    bus.now(),
+                    start + Cycle::new(end),
+                    "a run step leaves the bus on its last completion"
+                );
+                (done, i) = (end, i + whole);
+                continue;
             }
+            let Some(b) = (if i == 0 {
+                Some(first)
+            } else {
+                self.later.get(i - 1)
+            }) else {
+                break;
+            };
             let before = (b.issue - 1).min(n);
             bus.advance(Cycle::new(before - done));
             let end = b.event.min(n);
-            let from = start + Cycle::new(done);
-            masters(bus, Advancing::Issuer(issue.master), from, end - done);
+            masters(
+                bus,
+                Advancing::Issuer(master),
+                start + Cycle::new(done),
+                end - done,
+            );
             debug_assert!(
                 end < b.issue || bus.horizon() == Horizon::after(b.event - b.issue),
                 "the issuer issues its run's burst on the tick planned for it"
             );
             bus.advance(Cycle::new(end - before));
-            done = end;
+            (done, i) = (end, i + 1);
         }
         bus.advance(Cycle::new(n - done));
     }
@@ -686,7 +745,7 @@ mod tests {
         /// on tick `event`.
         fn burst(issue: u64, event: u64) -> RunBurst {
             RunBurst {
-                kind: TxnKind::Read,
+                shape: shape(),
                 issue,
                 event,
                 completes: true,
@@ -786,6 +845,7 @@ mod tests {
             // first or a later one.
             let risky = TxnRequest::read(MAY_FAULT, 4).shape();
             let first_beat = |issue| RunBurst {
+                shape: risky,
                 completes: false,
                 ..burst(issue, issue + 2)
             };
@@ -813,46 +873,108 @@ mod tests {
             assert!(!axi.never_faults(shape()));
         }
 
+        /// Leaps a fresh bus of [`bus`], traced or not, over the first
+        /// `n` ticks of `w`, `a`'s run of reads of [`shape`], as its
+        /// issuer would: each step picks its last burst up, then an
+        /// issuer step issues its burst if the leap reaches it, and a
+        /// run step replays its bursts. Returns the bus and the steps,
+        /// each with its ticks and the cycles the bus and its first tick
+        /// start on.
+        fn leap_run(
+            w: &BusWindow,
+            n: u64,
+            traced: bool,
+        ) -> (Bus, Vec<(Advancing<'_>, u64, u64, u64)>) {
+            let (mut bus, [a, _, _]) = bus();
+            if traced {
+                bus.trace = crate::trace::Trace::enabled();
+            }
+            let run = bursts_of(w, a);
+            let (mut steps, mut next) = (Vec::new(), 0);
+            w.leap(&mut bus, n, |bus, who, from, ticks| {
+                steps.push((who, ticks, bus.now().count(), from.count()));
+                if who == Advancing::AllBut(Some(a)) {
+                    return;
+                }
+                let _ = bus.take_completion(a);
+                match who {
+                    Advancing::Run { origin, bursts, .. } => {
+                        bus.replay_run(a, origin, bursts, &mut |_, _| {});
+                        next += bursts.len();
+                    }
+                    _ if run[next].issue <= n => {
+                        bus.try_begin(a, TxnRequest::read(0x40, 4)).unwrap();
+                        next += 1;
+                    }
+                    _ => {}
+                }
+            });
+            (bus, steps)
+        }
+
         #[test]
-        fn a_leap_replays_the_run_one_burst_at_a_time() {
+        fn a_leap_replays_the_run_s_whole_later_bursts_in_one_step() {
             let (bus0, [a, b, _]) = bus();
-            let w = run(&bus0, issue(a, 2), 2, Horizon::QUIESCENT);
+            let w = run(&bus0, issue(a, 2), 3, Horizon::QUIESCENT);
             let run = bursts_of(&w, a);
             for n in 1..=w.event().ticks().unwrap_or(0) {
-                let (mut bus, _) = bus();
-                let mut steps = Vec::new();
-                w.leap(&mut bus, n, |bus, who, from, ticks| {
-                    if who == Advancing::Issuer(a) {
-                        // The issuer picks its last burst up, then issues
-                        // the next on the step's first cycle, if the leap
-                        // reaches it.
-                        let _ = bus.take_completion(a);
-                        if run[steps.len() - 1].issue <= n {
-                            bus.try_begin(a, TxnRequest::read(0x40, 4)).unwrap();
-                        }
-                    }
-                    steps.push((who, ticks, bus.now().count(), from.count()));
-                });
-                assert_eq!(bus.now().count(), n, "leap of {n}");
-                assert_eq!(steps[0], (Advancing::AllBut(Some(a)), n, 0, 0));
-                let issuer = &steps[1..];
-                assert_eq!(issuer.iter().map(|s| s.1).sum::<u64>(), n, "leap of {n}");
-                let mut from = 0;
-                for (step, b) in issuer.iter().zip(&run) {
-                    // The bus meets each issue on its own cycle, and
-                    // each step starts where the last one ended.
-                    assert_eq!(step.2, (b.issue - 1).min(n), "leap of {n}");
-                    assert_eq!(step.3, from, "leap of {n}");
-                    from += step.1;
+                let (traced, steps) = leap_run(&w, n, true);
+                let (bulk, bulk_steps) = leap_run(&w, n, false);
+                // Both leave the bus as stepping would: on its cycle,
+                // with the same statistics and the same completion.
+                for bus in [&traced, &bulk] {
+                    assert_eq!(bus.now().count(), n, "leap of {n}");
                 }
-                // One step per burst whose ticks the leap enters.
-                let entered = 1 + run.iter().filter(|b| b.event < n).count();
-                assert_eq!(issuer.len(), entered.min(run.len()), "leap of {n}");
+                assert_eq!(bulk.stats(), traced.stats(), "leap of {n}");
+                assert_eq!(bulk.master_stats(a), traced.master_stats(a));
+                assert_eq!(bulk.peek_completion(a), traced.peek_completion(a));
+                for steps in [&steps, &bulk_steps] {
+                    assert_eq!(steps[0], (Advancing::AllBut(Some(a)), n, 0, 0));
+                    let issuer = &steps[1..];
+                    assert_eq!(issuer.iter().map(|s| s.1).sum::<u64>(), n, "leap of {n}");
+                    // Each step starts where the last one ended.
+                    let mut from = 0;
+                    for step in issuer {
+                        assert_eq!(step.3, from, "leap of {n}");
+                        from += step.1;
+                    }
+                }
+                // Traced: one step per burst whose ticks the leap
+                // enters, and the bus meets each issue on its own cycle.
+                let entered = (1 + run.iter().filter(|b| b.event < n).count()).min(run.len());
+                assert_eq!(steps.len(), 1 + entered, "leap of {n}");
+                for (step, b) in steps[1..].iter().zip(&run) {
+                    assert_eq!(step.0, Advancing::Issuer(a));
+                    assert_eq!(step.2, (b.issue - 1).min(n), "leap of {n}");
+                }
+                // Untraced: the first burst alone, the later bursts the
+                // leap reaches whole in one run step, then the one it
+                // cuts alone.
+                let whole = run[1..].iter().filter(|b| b.event <= n).count();
+                let mut expected = vec![Advancing::Issuer(a)];
+                if whole > 0 {
+                    expected.push(Advancing::Run {
+                        master: a,
+                        origin: Instant::new(0),
+                        bursts: &run[1..=whole],
+                    });
+                }
+                if run[whole].event < n && whole + 1 < run.len() {
+                    expected.push(Advancing::Issuer(a));
+                }
+                let kinds: Vec<_> = bulk_steps[1..].iter().map(|s| s.0).collect();
+                assert_eq!(kinds, expected, "leap of {n}");
             }
             assert!(Advancing::AllBut(Some(a)).includes(b));
             assert!(!Advancing::AllBut(Some(a)).includes(a));
             assert!(Advancing::AllBut(None).includes(a));
             assert!(!Advancing::Issuer(a).includes(b));
+            let step = Advancing::Run {
+                master: a,
+                origin: Instant::new(0),
+                bursts: &run,
+            };
+            assert!(step.includes(a) && !step.includes(b));
         }
 
         #[test]
