@@ -21,12 +21,14 @@
 # medians (head over base), and the pairs in which head beat base, and
 # marks a metric whose ratio is worse than its bound; with more than one
 # layout, also the ratio of the medians at each layout and their spread
-# (the largest less the smallest). Writes the same as JSON to
-# DIR/ab-summary.json.
+# (the largest less the smallest). Writes the same, with each side's
+# median at each layout, as JSON to DIR/ab-summary.json.
 #
 # <head-rev> defaults to HEAD. Given the same revision twice, the tool
 # runs it against itself (A/A): the spread it reports is the host's
-# noise floor, the smallest effect a claim can resolve on it.
+# noise floor, the smallest effect a claim can resolve on it, and with
+# `--layouts` the medians at each layout show how far the build path
+# alone moves the benchmark (the layout floor).
 #
 # The deterministic metrics are not compared here: the golden of
 # scripts/perfbench_golden.sh pins them exactly.
@@ -41,7 +43,7 @@ RUN_SECONDS=4
 # better bound side pair value layout`; side is A or B, layout 1 to K.
 # Quartiles interpolate linearly between order statistics. Each output
 # line ends with the ratio of the medians at each layout, comma
-# separated, and their spread.
+# separated, their spread, and each side's medians at each layout.
 STATS='
 function sort_(v, n,   i, j, t) {
     for (i = 2; i <= n; i++) {
@@ -83,23 +85,24 @@ END {
         worse = ratio != "inf" && ((better[key] == "higher" && ratio < 1 - bound[key]) ||
                                    (better[key] == "lower" && ratio > 1 + bound[key]))
         # The ratio of the medians over the pairs run at each layout.
-        per = ""; lo = ""; hi = ""
+        per = ""; lo = ""; hi = ""; meds["A"] = ""; meds["B"] = ""
         for (l = 1; l <= layouts[key]; l++) {
             for (s = 1; s <= 2; s++) {
                 side = s == 1 ? "A" : "B"; m = 0
                 for (i = 1; i <= n; i++) if (layout[key, i] == l) v[++m] = val[key, side, i]
                 sort_(v, m)
                 lmed[side] = q(v, m, 0.5)
+                meds[side] = meds[side] (l > 1 ? "," : "") sprintf("%.6g", lmed[side])
             }
             r = ratio_(lmed["A"], lmed["B"])
             per = per (l > 1 ? "," : "") (r == "inf" ? "inf" : sprintf("%.4f", r))
             if (r != "inf" && (lo == "" || r < lo)) lo = r
             if (r != "inf" && (hi == "" || r > hi)) hi = r
         }
-        printf "%s %s %.6g %.6g %.6g %.6g %.6g %.6g %s %d %d %s %s %.4f\n", name[1], name[2],
+        printf "%s %s %.6g %.6g %.6g %.6g %.6g %.6g %s %d %d %s %s %.4f %s %s\n", name[1], name[2],
             med["A"], q1["A"], q3["A"], med["B"], q1["B"], q3["B"],
             ratio == "inf" ? "inf" : sprintf("%.4f", ratio), wins, n, worse ? "OVER-BOUND" : "ok",
-            per, hi - lo
+            per, hi - lo, meds["A"], meds["B"]
     }
 }'
 
@@ -133,7 +136,8 @@ json() {
         body = body (first ? "" : ", ") "\"" $2 "\": {\"a\": " side($3, $4, $5) \
             ", \"b\": " side($6, $7, $8) ", \"ratio\": " ($9 == "inf" ? "null" : $9) \
             ", \"wins\": " $10 ", \"n\": " $11 ", \"within_bound\": " ($12 == "ok" ? "true" : "false") \
-            ", \"layout_ratios\": " list($13) ", \"layout_spread\": " $14 "}"
+            ", \"layout_ratios\": " list($13) ", \"layout_spread\": " $14 \
+            ", \"layout_medians\": {\"a\": " list($15) ", \"b\": " list($16) "}}"
         first = 0
     }
     END {
@@ -156,14 +160,14 @@ self_test() {
         "w t lower 0.01 A 3 5 1" "w t lower 0.01 B 3 6 1" \
         "w t lower 0.01 A 4 5 2" "w t lower 0.01 B 4 6 2")
     got=$(awk "$STATS" <<<"$runs")
-    want=$'w m 13 11.5 15.5 13.5 11 17.25 1.0385 3 4 ok 1.1250,1.0000 0.1250\nw t 5 5 5 6 6 6 1.2000 0 4 OVER-BOUND 1.2000,1.2000 0.0000'
+    want=$'w m 13 11.5 15.5 13.5 11 17.25 1.0385 3 4 ok 1.1250,1.0000 0.1250 12,16 13.5,16\nw t 5 5 5 6 6 6 1.2000 0 4 OVER-BOUND 1.2000,1.2000 0.0000 5,5 6,6'
     if [[ $got != "$want" ]]; then
         printf 'ab.sh statistics self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
     fi
     # At one layout, its ratio is the ratio of the medians.
     got=$(sed 's/ [12]$/ 1/' <<<"$runs" | awk "$STATS")
-    want=$'w m 13 11.5 15.5 13.5 11 17.25 1.0385 3 4 ok 1.0385 0.0000\nw t 5 5 5 6 6 6 1.2000 0 4 OVER-BOUND 1.2000 0.0000'
+    want=$'w m 13 11.5 15.5 13.5 11 17.25 1.0385 3 4 ok 1.0385 0.0000 13 13.5\nw t 5 5 5 6 6 6 1.2000 0 4 OVER-BOUND 1.2000 0.0000 5 6'
     if [[ $got != "$want" ]]; then
         printf 'ab.sh one-layout self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
@@ -174,7 +178,7 @@ self_test() {
         exit 1
     fi
     got=$(awk "$STATS" <<<"$runs" | json base head 4 1 7 2)
-    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "seed": 7, "layouts": 2, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true, "layout_ratios": [1.1250, 1.0000], "layout_spread": 0.1250}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false, "layout_ratios": [1.2000, 1.2000], "layout_spread": 0.0000}}}}'
+    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "seed": 7, "layouts": 2, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true, "layout_ratios": [1.1250, 1.0000], "layout_spread": 0.1250, "layout_medians": {"a": [12, 16], "b": [13.5, 16]}}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false, "layout_ratios": [1.2000, 1.2000], "layout_spread": 0.0000, "layout_medians": {"a": [5, 5], "b": [6, 6]}}}}}'
     if [[ $got != "$want" ]]; then
         printf 'ab.sh JSON self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
