@@ -862,21 +862,18 @@ impl Controller {
     /// move: the pickup of the burst before it lands a read's words in
     /// their input FIFO, and a write's issue pops its payload, both
     /// handed through the bus's [`SystemBus::replay_run`], which charges
-    /// the bursts in closed form. The socket advances once per burst,
-    /// over its ticks, before its words move, as the ticks in front of
-    /// each of a stepped burst's FIFO moves would tick it. The pc, the statistics and the latched
-    /// instruction move once: every burst's pickup retires an
-    /// instruction, and a later burst has an immediate offset, so no
-    /// offset register moves. Returns the ticks from the last progress
-    /// tick (a pickup, or a write's issue) to the run's end, for the
-    /// watchdog.
+    /// the bursts in closed form. The socket advances over each burst's
+    /// ticks before its words move, as stepping ticks it. The pc, the
+    /// statistics and the latched instruction move once: every burst's
+    /// pickup retires an instruction, and a later burst has an
+    /// immediate offset, so no offset register moves.
     pub(crate) fn replay_run(
         &mut self,
         bus: &mut dyn SystemBus,
         socket: &mut RacSocket,
         origin: Instant,
         bursts: &[RunBurst],
-    ) -> u64 {
+    ) {
         let Some(Ok(picked)) = self.dma.take_completion(bus) else {
             unreachable!("a run step starts on a completed burst");
         };
@@ -925,12 +922,6 @@ impl Controller {
         self.pc += u16::try_from(bursts.len()).expect("a run lies in the program store");
         self.current = transfers[last].as_ref().ok().copied();
         self.pending_read = t.to_coprocessor.then_some(t.fifo);
-        let b = &bursts[last];
-        if t.to_coprocessor {
-            b.event + PICKUP_TICKS - b.issue
-        } else {
-            b.event - b.issue
-        }
     }
 
     /// Publishes the FSM state, pc, retired instructions and

@@ -505,8 +505,7 @@ impl Ocp {
             return;
         }
         if let Advancing::Run { origin, bursts, .. } = step {
-            let since = self
-                .controller
+            self.controller
                 .replay_run(bus, &mut self.socket, origin, bursts);
             debug_assert_eq!(
                 bus.now(),
@@ -514,6 +513,14 @@ impl Ocp {
                 "a run step ends on its last completion"
             );
             if let Some(wd) = &mut self.watchdog {
+                // Ticks since the run's last progress tick: the last
+                // burst's issue for a write, else the pickup in front of
+                // it.
+                let b = bursts.last().expect("a run step replays a burst");
+                let since = match b.shape.kind {
+                    TxnKind::Write => b.event - b.issue,
+                    TxnKind::Read => b.event + PICKUP_TICKS - b.issue,
+                };
                 debug_assert!(since < wd.budget, "advanced past the watchdog bite");
                 let stats = self.controller.stats();
                 wd.progress = (stats.instructions_retired, stats.words_transferred);

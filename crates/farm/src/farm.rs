@@ -965,9 +965,10 @@ impl Farm {
     /// picks it up on the next window's first cycle, inside that leap.
     /// A worker the window issues for begins its run of bursts inside
     /// the leap too: the other workers advance over the whole leap,
-    /// then the run replays one burst at a time (see
-    /// [`BusWindow::leap`]), so each request meets the bus on its own
-    /// cycle. With chaos armed, the
+    /// then the run replays (see [`BusWindow::leap`]): its first burst
+    /// and a burst the leap cuts alone, so each of those requests meets
+    /// the bus on its own cycle, and the bursts between in one step.
+    /// With chaos armed, the
     /// plan lists the window's armed dice once, from each worker's
     /// state after that first cycle, and rolls the list for every cycle
     /// of the window (identical RNG stream to single-stepping); the

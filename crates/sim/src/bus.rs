@@ -1369,10 +1369,11 @@ impl SystemBus for Bus {
 
     /// Each burst's beats move in one slave call. Its timing is the one
     /// [`SystemBus::advance`] charges a lone requester's whole burst
-    /// with in one step, in closed form for the whole run: `now` moves to the last
-    /// completion, the busy cycles by each burst's issue-to-completion
-    /// cycles, and `master`'s grants (one per sub-burst) and beats by
-    /// the run's. Nobody else requests, so nobody is charged contention.
+    /// with in one step, in closed form for the whole run: `now` moves
+    /// to the last completion, the busy cycles by each burst's
+    /// issue-to-completion cycles, and `master`'s grants (one per
+    /// sub-burst) and beats by the run's. Nobody else requests, so
+    /// nobody is charged contention.
     fn replay_run(
         &mut self,
         master: MasterId,

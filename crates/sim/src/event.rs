@@ -77,11 +77,14 @@
 //! an idle bus, adds each later burst after the ticks its master takes
 //! to get from one completion to the next issue, as far as the rest of
 //! the window reaches and only while each burst's event is its
-//! completion (a slave that may fault is watched beat by beat). [`BusWindow::leap`] then advances every other
-//! master over the window once, and replays the run one burst at a
-//! time: the bus over the ticks before the issue, the issuer through
-//! its issue and the burst, then the bus over the burst. On an
-//! otherwise idle bus each burst is one closed-form step of the bus.
+//! completion (a slave that may fault is watched beat by beat).
+//! [`BusWindow::leap`] then advances every other master over the window
+//! once, and replays the run: its first burst alone (the bus over the
+//! ticks before the issue, the issuer through its issue and the burst,
+//! then the bus over the burst), the later bursts it reaches whole in
+//! one step ([`SystemBus::replay_run`]: a data move per burst, the
+//! timing in closed form), and a burst it cuts alone, as the first. A
+//! bus that records every transaction replays each burst alone.
 
 use std::cmp::Ordering;
 use std::num::NonZeroU64;
