@@ -548,7 +548,14 @@ impl BusWindow {
         };
         let master = issue.master;
         let bulk = bus.replays_runs();
-        // The run's next burst to replay: `first`, then `later[i - 1]`.
+        // The run's `i`-th burst: `first`, then `later[i - 1]`.
+        let burst = |i: usize| {
+            if i == 0 {
+                Some(first)
+            } else {
+                self.later.get(i - 1)
+            }
+        };
         let (mut done, mut i) = (0, 0);
         while done < n {
             let whole = if bulk && i > 0 {
@@ -576,11 +583,7 @@ impl BusWindow {
                 (done, i) = (end, i + whole);
                 continue;
             }
-            let Some(b) = (if i == 0 {
-                Some(first)
-            } else {
-                self.later.get(i - 1)
-            }) else {
+            let Some(b) = burst(i) else {
                 break;
             };
             let before = (b.issue - 1).min(n);
