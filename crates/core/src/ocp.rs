@@ -16,7 +16,7 @@
 use std::cell::OnceCell;
 
 use ouessant_rac::rac::{Rac, RacSocket};
-use ouessant_sim::bus::{Addr, TxnKind, TxnShape};
+use ouessant_sim::bus::{Addr, Polls, TxnKind, TxnShape};
 use ouessant_sim::{Advancing, BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
@@ -377,7 +377,30 @@ impl Ocp {
     /// next event at the latest, and the leap is its
     /// [`Horizon::leap_bound`]: `limit` for a quiescent coprocessor.
     /// Returns the ticks leapt, 0 when the next tick is an event.
-    pub fn leap(&mut self, bus: &mut dyn SystemBus, limit: u64) -> u64 {
+    ///
+    /// `polls` are the status reads of the bus's other master (a CPU
+    /// polling `CTRL`): the bus times them inside the window (see
+    /// [`SystemBus::set_polls`]), so they neither end it nor wait for
+    /// it, and they come back with the reads the window took and the
+    /// state of their master's port at its end (a read outstanding, or
+    /// the cycle the next one is requested on).
+    pub fn leap(
+        &mut self,
+        bus: &mut dyn SystemBus,
+        limit: u64,
+        polls: Option<&mut Polls>,
+    ) -> u64 {
+        let Some(polls) = polls else {
+            return self.leap_window(bus, limit);
+        };
+        bus.set_polls(Some(*polls));
+        let skip = self.leap_window(bus, limit);
+        *polls = bus.set_polls(None).expect("installed above");
+        skip
+    }
+
+    /// [`Ocp::leap`] on the bus as it stands.
+    fn leap_window(&mut self, bus: &mut dyn SystemBus, limit: u64) -> u64 {
         let reachable = |(issue, _): &(WindowIssue, _)| issue.prefix < limit;
         let window = match BusWindow::plan(bus, true, |chain| {
             self.window_issue(bus, chain).filter(reachable)
@@ -1135,7 +1158,7 @@ mod tests {
         while cycle < max {
             let from = fast.ocp.controller().state().clone();
             let pc = fast.ocp.controller().pc();
-            let skip = fast.ocp.leap(&mut fast.bus, limit().min(max - cycle - 1));
+            let skip = fast.ocp.leap(&mut fast.bus, limit().min(max - cycle - 1), None);
             if skip > 0 {
                 for _ in 0..skip {
                     slow.step();
@@ -1602,7 +1625,7 @@ mod tests {
         let event = fx.bus.horizon().ticks().expect("a burst is in flight");
         // The leap ends on the bus's completion; the pickup is the tick
         // after it.
-        assert_eq!(fx.ocp.leap(&mut fx.bus, u64::MAX), event);
+        assert_eq!(fx.ocp.leap(&mut fx.bus, u64::MAX, None), event);
         for _ in 0..event {
             slow.step();
         }
@@ -2057,7 +2080,7 @@ mod tests {
             while !fast.ocp.regs().done() {
                 let controller = fast.ocp.controller();
                 let from = (controller.state().clone(), controller.pc());
-                let skip = fast.ocp.leap(&mut fast.bus, u64::MAX);
+                let skip = fast.ocp.leap(&mut fast.bus, u64::MAX, None);
                 let to = if skip == 0 {
                     fast.step();
                     slow.step();
@@ -2593,7 +2616,7 @@ mod tests {
             }
             while cycle < end {
                 let limit = cut.filter(|&c| c > cycle).unwrap_or(end) - cycle;
-                let skip = fx.ocp.leap(&mut fx.bus, limit);
+                let skip = fx.ocp.leap(&mut fx.bus, limit, None);
                 if skip == 0 {
                     fx.step();
                 }

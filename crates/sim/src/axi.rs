@@ -19,8 +19,8 @@
 //! paper's portability claim as a compile-time fact.
 
 use crate::bus::{
-    Addr, BusError, BusSlave, BusStats, Completion, MasterId, PortState, SlaveMap, Txn, TxnKind,
-    TxnRequest, TxnShape,
+    Addr, BusError, BusSlave, BusStats, Completion, MasterId, Polls, PortState, SlaveMap, Txn,
+    TxnKind, TxnRequest, TxnShape,
 };
 use std::num::NonZeroU64;
 
@@ -117,6 +117,53 @@ pub trait SystemBus {
     fn never_faults(&self, shape: TxnShape) -> bool {
         let _ = shape;
         false
+    }
+
+    /// The burst of `shape` that `master` issues on tick `issue` of a
+    /// window that starts now, timed as [`SystemBus::horizon_with`]
+    /// times an issue: the tick of its event, counted from now, and
+    /// whether that event is its completion. `after` is the burst of
+    /// the same run in front of it, on whose completion the bus is idle
+    /// but for its installed [`Polls`]; without it the burst is the
+    /// run's first, and issues on tick 1 unless the bus is idle but for
+    /// polls. `None` where [`SystemBus::horizon_with`] declines.
+    ///
+    /// The default, for a bus without polls, reads the what-if once: an
+    /// idle bus times a burst alike wherever it issues, and its event
+    /// is its completion on a slave that [`SystemBus::never_faults`].
+    fn time_burst(
+        &self,
+        master: MasterId,
+        shape: TxnShape,
+        issue: u64,
+        after: Option<&RunBurst>,
+    ) -> Option<RunBurst> {
+        let h = self.horizon_with(master, shape)?;
+        Some(RunBurst {
+            shape,
+            issue,
+            event: (issue - 1).saturating_add(h.get()),
+            completes: (after.is_some() || self.horizon() == Horizon::QUIESCENT)
+                && self.never_faults(shape),
+            poll: 0,
+        })
+    }
+
+    /// Installs `polls`, a master's status reads, for the window to
+    /// come, or removes them with `None`, and returns the polls it held.
+    /// While they are installed, the bus requests, grants and takes
+    /// each read itself (see [`Polls`]): its [`SystemBus::horizon`] and
+    /// what-ifs count the reads' contention but not their completions,
+    /// and [`SystemBus::advance`] and [`SystemBus::replay_run`] run
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// The default, for a bus that cannot time polls, panics when given
+    /// some.
+    fn set_polls(&mut self, polls: Option<Polls>) -> Option<Polls> {
+        assert!(polls.is_none(), "this bus does not time polls");
+        None
     }
 
     /// Whether [`SystemBus::replay_run`] replays a run's whole bursts

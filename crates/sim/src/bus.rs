@@ -432,6 +432,46 @@ pub struct MasterStats {
     pub contention_cycles: u64,
 }
 
+/// A master's status reads inside fast-forward windows: one-word reads
+/// of `addr`, each requested `every` cycles after the cycle the last
+/// one completed on, which the master only counts.
+///
+/// Installed on a [`Bus`] for one window ([`SystemBus::set_polls`]),
+/// the reads are a requester the bus times itself, in its contended
+/// loop (see [`Bus::advance`](SystemBus::advance)): it requests each
+/// read on its cycle, grants it by fixed priority against the other
+/// master, and charges its grant, beat, busy cycles and contention as
+/// stepping does. A read that completes is taken and counted in
+/// `taken`, its word unread, unless `stop`: then it ends the window on
+/// its cycle, its completion left on the port for the master to see.
+/// So a read must have no side effect and never fault, and its data
+/// must not matter while `stop` is off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Polls {
+    /// The polling master.
+    pub master: MasterId,
+    /// The word each read fetches.
+    pub addr: Addr,
+    /// Cycles from a read's completion to the request of the next, at
+    /// least 1.
+    pub every: u64,
+    /// The cycle the next read is requested on (it stands from the
+    /// tick after), `None` while one is outstanding.
+    pub next: Option<Instant>,
+    /// Whether a completed read ends the window.
+    pub stop: bool,
+    /// Reads taken inside windows.
+    pub taken: u64,
+}
+
+/// Installed [`Polls`], with their slave's index and timing.
+#[derive(Debug, Clone, Copy)]
+struct PollLane {
+    polls: Polls,
+    slave_idx: usize,
+    timing: SlaveTiming,
+}
+
 /// An accepted transaction, as both bus models hold it from
 /// `try_begin` to its completion: the request, its progress and the
 /// slave [`SlaveMap::validate`] found for it.
@@ -785,6 +825,7 @@ pub struct Bus {
     slaves: SlaveMap,
     active: Option<ActiveGrant>,
     busy_cycles: u64,
+    polls: Option<PollLane>,
     /// The event record (disabled by default).
     pub trace: Trace,
 }
@@ -806,6 +847,7 @@ impl Bus {
             slaves: SlaveMap::default(),
             active: None,
             busy_cycles: 0,
+            polls: None,
             trace: Trace::disabled(),
         }
     }
@@ -1220,21 +1262,342 @@ impl Bus {
         }
         let (top, (remaining, slave_idx)) =
             (0..self.masters.len()).find_map(|i| Some((i, self.request(i, issuer)?)))?;
-        let timing = self.slaves.timing(slave_idx);
-        if !timing.fault_free {
-            // Its first beat may fault.
-            return tick(cycles + timing.sub_burst_cycles(1));
-        }
         // Only the owner's own transaction has beats in flight.
         let in_flight = match owner {
             Some((master, beats)) if master == top => beats,
             _ => 0,
         };
         let left = u64::from(remaining - in_flight);
+        tick(cycles + self.lone_cycles(self.slaves.timing(slave_idx), left))
+    }
+
+    /// Cycles from the first grant of a transaction with `left` beats
+    /// on a slave of `timing`, alone on the bus, to its event: its
+    /// completion, its sub-bursts back to back, or its first beat on a
+    /// slave that may fault.
+    fn lone_cycles(&self, timing: SlaveTiming, left: u64) -> u64 {
+        if !timing.fault_free {
+            return timing.sub_burst_cycles(1);
+        }
         let max = u64::from(self.config.max_burst_beats);
         let full = (left - 1) / max;
-        cycles += full * timing.sub_burst_cycles(max) + timing.sub_burst_cycles(left - full * max);
-        tick(cycles)
+        full * timing.sub_burst_cycles(max) + timing.sub_burst_cycles(left - full * max)
+    }
+}
+
+/// A master's request as the contended loop sees it: the cycle it is
+/// made on (it stands from the tick after; 0 for one made before the
+/// window), the beats its transaction has left (0: none), and its
+/// slave's timing.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    from: u64,
+    beats: u16,
+    timing: SlaveTiming,
+}
+
+impl Lane {
+    const NONE: Lane = Lane {
+        from: 0,
+        beats: 0,
+        timing: SlaveTiming {
+            first_wait: 0,
+            seq_wait: 0,
+            fault_free: true,
+        },
+    };
+}
+
+/// The contended loop's view of a bus of two masters, one of them
+/// polling: the cycle it stands on, the sub-burst holding it (its
+/// master and the cycle of its last beat), and each master's request,
+/// by index, the poller's next read included.
+#[derive(Debug, Clone, Copy)]
+struct Contest {
+    now: u64,
+    held: Option<(usize, u64)>,
+    lanes: [Lane; 2],
+}
+
+/// The event a dry run of the contended loop ends on: its cycle,
+/// whether it is the other master's completion (else its beat that
+/// may fault, or a read the polls stop at), and the loop's state then.
+type ContestEvent = (u64, bool, Contest);
+
+/// Ticks of the rest of a sub-burst, from cycle `base` (`address` 1
+/// when its address cycle is still to come, `wait` wait states before
+/// its next beat, `beats` beats left), that charge contention to a
+/// master whose request is made on cycle `from`: the address cycle and
+/// every beat but the last, from the tick after `from` on.
+fn charged(base: u64, address: u64, wait: u32, seq_wait: u32, beats: u16, from: u64) -> u64 {
+    let address_tick = u64::from(address == 1 && base + 1 > from);
+    let before = from
+        .checked_sub(base + address)
+        .map_or(0, |d| beats_within(wait, seq_wait, d));
+    let non_final = u64::from(beats) - 1;
+    address_tick + non_final - before.min(non_final)
+}
+
+impl Bus {
+    /// The polls and the other master's index.
+    fn poll_lanes(lane: &PollLane) -> (usize, usize) {
+        let p = lane.polls.master.0;
+        (p, 1 - p)
+    }
+
+    /// The contended loop's state as the bus stands, or the cycle of
+    /// its event when that is the next beat of the other master's
+    /// sub-burst in flight on a slave that may fault.
+    fn contest_now(&self, lane: &PollLane) -> Result<Contest, u64> {
+        let now = self.now.count();
+        let (p, o) = Self::poll_lanes(lane);
+        let mut lanes = [Lane::NONE; 2];
+        for (m, l) in lanes.iter_mut().enumerate() {
+            if let Some(txn) = &self.masters[m].outstanding {
+                *l = Lane {
+                    from: 0,
+                    beats: txn.remaining(),
+                    timing: self.slaves.timing(txn.slave_idx),
+                };
+            }
+        }
+        if let Some(next) = lane.polls.next {
+            lanes[p] = Lane {
+                from: next.count(),
+                beats: 1,
+                timing: lane.timing,
+            };
+        }
+        let mut held = None;
+        if let Some(f) = self.in_flight() {
+            if f.master == o && !f.timing.fault_free {
+                return Err(now + f.address + beat_offset(f.wait, 0, 1));
+            }
+            lanes[f.master].beats -= f.beats;
+            held = Some((f.master, now + f.cycles()));
+        }
+        Ok(Contest { now, held, lanes })
+    }
+
+    /// The contended loop, dry, from `s` to its first event: the other
+    /// master's completion, or its first beat on a slave that may
+    /// fault, or, when the polls stop at one, a read's completion.
+    /// One step per sub-burst: when the bus is released, the lower
+    /// master with a request standing holds it through its next
+    /// sub-burst; a read that completes is followed by the next, `every`
+    /// cycles on. `None` when the polls alone are left and never stop.
+    fn contest(&self, lane: &PollLane, mut s: Contest) -> Option<ContestEvent> {
+        let (p, o) = Self::poll_lanes(lane);
+        let max = self.config.max_burst_beats;
+        loop {
+            if let Some((m, end)) = s.held.take() {
+                s.now = end;
+                if s.lanes[m].beats == 0 {
+                    if m == o || lane.polls.stop {
+                        return Some((end, m == o, s));
+                    }
+                    s.lanes[p] = Lane {
+                        from: end + lane.polls.every,
+                        beats: 1,
+                        timing: lane.timing,
+                    };
+                }
+                continue;
+            }
+            if s.lanes[o].beats == 0 && !lane.polls.stop {
+                return None;
+            }
+            let standing = |m: usize| s.lanes[m].beats > 0 && s.lanes[m].from <= s.now;
+            let Some(m) = (0..2).find(|&m| standing(m)) else {
+                s.now = (0..2)
+                    .filter(|&m| s.lanes[m].beats > 0)
+                    .map(|m| s.lanes[m].from)
+                    .min()?;
+                continue;
+            };
+            let l = s.lanes[m];
+            if m == o && !l.timing.fault_free {
+                return Some((s.now + l.timing.sub_burst_cycles(1), false, s));
+            }
+            let beats = l.beats.min(max);
+            s.lanes[m].beats -= beats;
+            s.held = Some((m, s.now + l.timing.sub_burst_cycles(u64::from(beats))));
+        }
+    }
+
+    /// Runs `n` cycles with the polls installed: the contended loop,
+    /// one step per sub-burst or idle stretch. A step runs in closed
+    /// form (grant, beats, busy cycles and each master's statistics
+    /// charged as stepping charges them, the other master's beats moved
+    /// in one slave call, a read taken unread) when it ends within `n`
+    /// on the bus's own slave timing; otherwise, and on a traced bus,
+    /// the stepping FSM runs it, with the poll's read requested on its
+    /// cycle.
+    fn contend(&mut self, n: u64) {
+        let lane = self.polls.expect("polls installed");
+        let (p, o) = Self::poll_lanes(&lane);
+        let end = self.now.count() + n;
+        loop {
+            let lane = self.polls.expect("polls installed");
+            let now = self.now.count();
+            if now == end {
+                return;
+            }
+            let phantom = lane.polls.next.map(Instant::count);
+            // The step: the rest of the sub-burst holding the bus, or
+            // the next one granted, as (owner, its grant's cycle if it
+            // is still to come, the rest as `InFlight` fields).
+            let step = match self.in_flight() {
+                Some(f) => Some((f.master, None, f)),
+                None => {
+                    let standing = |m: usize| {
+                        self.masters[m].outstanding.is_some()
+                            || (m == p && phantom.is_some_and(|c| c <= now))
+                    };
+                    match (0..2).find(|&m| standing(m)) {
+                        Some(m) => {
+                            let (remaining, timing) = match &self.masters[m].outstanding {
+                                Some(txn) => (txn.remaining(), self.slaves.timing(txn.slave_idx)),
+                                None => (1, lane.timing),
+                            };
+                            let f = InFlight {
+                                master: m,
+                                timing,
+                                remaining,
+                                address: 1,
+                                wait: timing.first_wait,
+                                beats: self.sub_burst_beats(remaining),
+                            };
+                            Some((m, Some(now), f))
+                        }
+                        None => None,
+                    }
+                }
+            };
+            let Some((owner, grant, f)) = step else {
+                // Idle up to the next read's request.
+                let until = phantom.map_or(end, |c| c.min(end));
+                self.now = Instant::new(until);
+                continue;
+            };
+            let cycles = u64::from(grant.is_some()) + f.cycles();
+            let completes = f.beats == f.remaining;
+            let closed = !self.trace.is_enabled()
+                && now + cycles <= end
+                && (owner == p || f.timing.fault_free)
+                && !(owner == p && lane.polls.stop);
+            if !closed {
+                self.fsm_step((now + cycles).min(end));
+                continue;
+            }
+            // The other master's request, and the cycle it is made on.
+            let other = 1 - owner;
+            let from = if self.masters[other].outstanding.is_some() {
+                Some(0)
+            } else if other == p {
+                phantom
+            } else {
+                None
+            };
+            let base = grant.map_or(now, |g| g + 1);
+            if let Some(from) = from {
+                let grant_tick = grant.map_or(0, |g| u64::from(g + 1 > from));
+                let seq = f.timing.seq_wait;
+                self.masters[other].stats.contention_cycles +=
+                    grant_tick + charged(base, f.address, f.wait, seq, f.beats, from);
+            }
+            self.active = None;
+            self.elapse_busy(cycles);
+            let port = &mut self.masters[owner];
+            port.stats.grants += u64::from(grant.is_some());
+            port.stats.beats += u64::from(f.beats);
+            if owner == o {
+                let txn = port.outstanding.as_mut().expect("the other master requests");
+                txn.move_beats(&mut self.slaves, f.beats);
+                if completes {
+                    let txn = port.outstanding.take().expect("present");
+                    self.complete(o, txn);
+                }
+                continue;
+            }
+            // A read completes: taken, its word unread.
+            port.outstanding = None;
+            if cfg!(debug_assertions) {
+                let slave = &mut self.slaves.slaves[lane.slave_idx];
+                let offset = lane.polls.addr - slave.base;
+                assert!(slave.device.read_word(offset).is_ok(), "a poll never faults");
+            }
+            let polls = &mut self.polls.as_mut().expect("installed").polls;
+            polls.taken += 1;
+            polls.next = Some(self.now + Cycle::new(polls.every));
+        }
+    }
+
+    /// [`SystemBus::replay_run`] with polls installed: each burst
+    /// issues on its cycle and the contended loop runs through it, so
+    /// its timing is the one the plan read off the same loop.
+    fn replay_contended(
+        &mut self,
+        master: MasterId,
+        origin: Instant,
+        bursts: &[RunBurst],
+        data: &mut dyn FnMut(usize, &mut Vec<u32>),
+    ) {
+        let mut words = Vec::new();
+        for (k, b) in bursts.iter().enumerate() {
+            self.contend((origin + Cycle::new(b.issue - 1) - self.now).count());
+            let req = match b.shape.kind {
+                TxnKind::Read => TxnRequest::read(b.shape.addr, b.shape.beats),
+                TxnKind::Write => {
+                    data(k, &mut words);
+                    TxnRequest::write(b.shape.addr, std::mem::take(&mut words))
+                }
+            };
+            self.try_begin(master, req).expect("the plan checked the burst");
+            self.contend((origin + Cycle::new(b.event) - self.now).count());
+            debug_assert_eq!(
+                self.poll(master),
+                PortState::Complete,
+                "a run's burst completes on its planned cycle"
+            );
+            if b.shape.kind == TxnKind::Read {
+                let port = &mut self.masters[master.0];
+                let mut done = port.completion.take().expect("complete");
+                let read = done.as_mut().expect("a run's slave never faults");
+                data(k, &mut read.data);
+                if k + 1 == bursts.len() {
+                    self.masters[master.0].completion = Some(done);
+                }
+            } else if k + 1 < bursts.len() {
+                self.masters[master.0].completion = None;
+            }
+        }
+    }
+
+    /// One step of the contended loop through the stepping FSM, to
+    /// cycle `stop`: the poll's read is requested on its cycle if that
+    /// comes first, and a read that completes is taken, unless the
+    /// polls stop at it.
+    fn fsm_step(&mut self, stop: u64) {
+        let lane = self.polls.expect("polls installed");
+        let p = lane.polls.master;
+        if let Some(next) = lane.polls.next.filter(|c| c.count() < stop) {
+            self.run(next.count().saturating_sub(self.now.count()));
+            let req = TxnRequest::read_word(lane.polls.addr);
+            self.trace.record(self.now, p, BusEvent::Request(req.shape));
+            self.masters[p.0].outstanding = Some(Txn::new(req, lane.slave_idx, next));
+            self.polls.as_mut().expect("installed").polls.next = None;
+        }
+        self.run(stop - self.now.count());
+        if lane.polls.stop {
+            return;
+        }
+        if let Some(done) = self.masters[p.0].completion.take() {
+            let done = done.expect("a poll never faults");
+            let polls = &mut self.polls.as_mut().expect("installed").polls;
+            polls.taken += 1;
+            polls.next = Some(done.completed_at + Cycle::new(polls.every));
+        }
     }
 }
 
@@ -1267,6 +1630,7 @@ impl SystemBus for Bus {
     }
 
     fn tick(&mut self) {
+        debug_assert!(self.polls.is_none(), "polls are installed for a window");
         self.run(1);
     }
 
@@ -1332,8 +1696,20 @@ impl SystemBus for Bus {
     /// requester's sub-bursts back to back through its completion, each
     /// taking a grant cycle, an address cycle and `beat_offset` data
     /// cycles. O(masters), no allocation.
+    ///
+    /// With polls installed, their reads' completions are no events:
+    /// the contended loop runs to the other master's.
     fn horizon(&self) -> Horizon {
-        self.next_event(None)
+        let cycles = match &self.polls {
+            None => self.next_event(None).map(NonZeroU64::get),
+            Some(lane) => match self.contest_now(lane) {
+                Err(beat) => Some(beat),
+                Ok(s) => self.contest(lane, s).map(|(at, ..)| at),
+            }
+            .map(|at| at - self.now.count()),
+        };
+        cycles
+            .and_then(NonZeroU64::new)
             .map_or(Horizon::QUIESCENT, Horizon::in_ticks)
     }
 
@@ -1346,6 +1722,10 @@ impl SystemBus for Bus {
     /// On an idle bus the answer does not depend on `now`, so an issue
     /// `k` idle ticks ahead completes `k` ticks later.
     fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
+        if self.polls.is_some() {
+            let b = self.time_burst(master, shape, 1, None)?;
+            return NonZeroU64::new(b.event);
+        }
         let port = self.masters.get(master.0)?;
         let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
         self.next_event(Some(Issuer {
@@ -1353,6 +1733,95 @@ impl SystemBus for Bus {
             beats: shape.beats,
             slave_idx,
         }))
+    }
+
+    /// One address decode per burst. Without polls, a later burst of a
+    /// run issues on an idle bus and is timed in closed form; with
+    /// them, the contended loop runs from the bus as it stands, or from
+    /// `after`'s completion, through the burst's event.
+    fn time_burst(
+        &self,
+        master: MasterId,
+        shape: TxnShape,
+        issue: u64,
+        after: Option<&RunBurst>,
+    ) -> Option<RunBurst> {
+        let port = self.masters.get(master.0)?;
+        let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
+        let timing = self.slaves.timing(slave_idx);
+        let now = self.now.count();
+        let from = now + issue - 1;
+        let Some(lane) = &self.polls else {
+            let cycles = match after {
+                Some(_) => self.lone_cycles(timing, u64::from(shape.beats)),
+                None => self
+                    .next_event(Some(Issuer {
+                        master: master.0,
+                        beats: shape.beats,
+                        slave_idx,
+                    }))?
+                    .get(),
+            };
+            let idle = after.is_some() || self.masters.iter().all(|p| p.outstanding.is_none());
+            return Some(RunBurst {
+                shape,
+                issue,
+                event: from.saturating_add(cycles) - now,
+                completes: idle && timing.fault_free,
+                poll: 0,
+            });
+        };
+        let (p, o) = Self::poll_lanes(lane);
+        if master.0 != o {
+            return None;
+        }
+        let mut s = match after {
+            None => self.contest_now(lane).ok()?,
+            Some(b) => {
+                let mut lanes = [Lane::NONE; 2];
+                lanes[p] = Lane {
+                    from: now + b.poll,
+                    beats: 1,
+                    timing: lane.timing,
+                };
+                Contest {
+                    now: now + b.event,
+                    held: None,
+                    lanes,
+                }
+            }
+        };
+        s.lanes[o] = Lane {
+            from,
+            beats: shape.beats,
+            timing,
+        };
+        let (at, completes, s) = self.contest(lane, s)?;
+        Some(RunBurst {
+            shape,
+            issue,
+            event: at - now,
+            completes,
+            poll: s.lanes[p].from.saturating_sub(now),
+        })
+    }
+
+    fn set_polls(&mut self, polls: Option<Polls>) -> Option<Polls> {
+        let lane = polls.map(|polls| {
+            assert_eq!(self.masters.len(), 2, "polls share a bus of two masters");
+            assert!(polls.every > 0, "a read follows the last one's completion");
+            let shape = TxnRequest::read_word(polls.addr).shape();
+            let slave_idx = self
+                .slaves
+                .span(shape, false)
+                .expect("a poll reads a mapped word");
+            PollLane {
+                polls,
+                slave_idx,
+                timing: self.slaves.timing(slave_idx),
+            }
+        });
+        std::mem::replace(&mut self.polls, lane).map(|l| l.polls)
     }
 
     fn never_faults(&self, shape: TxnShape) -> bool {
@@ -1381,6 +1850,9 @@ impl SystemBus for Bus {
         bursts: &[RunBurst],
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
+        if self.polls.is_some() {
+            return self.replay_contended(master, origin, bursts, data);
+        }
         debug_assert!(
             self.replays_runs()
                 && self.active.is_none()
@@ -1446,7 +1918,11 @@ impl SystemBus for Bus {
     /// releases, with every statistic, contention charge and trace event
     /// on the cycle `tick` would put it.
     fn advance(&mut self, cycles: Cycle) {
-        self.run(cycles.count());
+        if self.polls.is_some() {
+            self.contend(cycles.count());
+        } else {
+            self.run(cycles.count());
+        }
     }
 }
 

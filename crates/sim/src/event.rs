@@ -287,6 +287,11 @@ pub struct RunBurst {
     /// master's completion, or a beat that may fault, and the run ends
     /// there.
     pub completes: bool,
+    /// The tick on whose end the next read of the bus's installed
+    /// [`Polls`](crate::bus::Polls) is requested, after the burst's
+    /// event (0 without polls, or for one requested before the window):
+    /// where the bus stands for the run's next burst.
+    pub poll: u64,
 }
 
 /// The masters one step of [`BusWindow::leap`] advances, and how.
@@ -391,15 +396,12 @@ impl BusWindow {
             }
         }
         let issue = first.filter(|_| !tied);
-        match issue.and_then(|(i, rest)| bus.horizon_with(i.master, i.shape).map(|h| (i, h, rest)))
-        {
-            Some((i, h, rest)) => {
-                let first = RunBurst {
-                    shape: i.shape,
-                    issue: i.prefix.saturating_add(1),
-                    event: h.get().saturating_add(i.prefix),
-                    completes: event == Horizon::QUIESCENT && bus.never_faults(i.shape),
-                };
+        let timed = issue.and_then(|(i, rest)| {
+            let first = bus.time_burst(i.master, i.shape, i.prefix.saturating_add(1), None)?;
+            Some((i, first, rest))
+        });
+        match timed {
+            Some((i, first, rest)) => {
                 let window = Self {
                     event: Horizon::after(first.event - 1),
                     issue: Some((i, first)),
@@ -452,16 +454,11 @@ impl BusWindow {
             return;
         }
         for shape in later {
-            let Some(h) = bus.horizon_with(issue.master, shape) else {
+            let at = last.event.saturating_add(gap + 1);
+            let Some(b) = bus.time_burst(issue.master, shape, at, Some(&last)) else {
                 break;
             };
-            let at = last.event.saturating_add(gap + 1);
-            last = RunBurst {
-                shape,
-                issue: at,
-                event: (at - 1).saturating_add(h.get()),
-                completes: bus.never_faults(shape),
-            };
+            last = b;
             self.later.push(last);
             if !continues(&last) {
                 break;
@@ -755,6 +752,7 @@ mod tests {
                 issue,
                 event,
                 completes: true,
+                poll: 0,
             }
         }
 

@@ -67,7 +67,8 @@ pub mod vcd;
 
 pub use axi::{AxiBus, SystemBus};
 pub use bus::{
-    Bus, BusConfig, BusError, Completion, MasterId, MasterStats, TxnKind, TxnRequest, TxnShape,
+    Bus, BusConfig, BusError, Completion, MasterId, MasterStats, Polls, TxnKind, TxnRequest,
+    TxnShape,
 };
 pub use clock::{Cycle, Frequency, Instant};
 pub use event::{Advancing, BusWindow, Horizon, RunBurst, WindowIssue};

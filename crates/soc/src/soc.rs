@@ -14,7 +14,7 @@ use ouessant::ocp::{Ocp, OcpConfig};
 use ouessant_rac::rac::Rac;
 use ouessant_sim::bus::{Addr, Bus, BusConfig, BusError, PortState, TxnRequest};
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{MasterId, SystemBus};
+use ouessant_sim::{Cycle, MasterId, Polls, SystemBus};
 
 /// How the CPU learns that the OCP finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,6 +144,9 @@ pub struct Soc {
     cpu: MasterId,
     ocp: Ocp,
     config: SocConfig,
+    /// Loop iterations of the last [`Soc::start_and_wait`]: its leaps
+    /// and ticks.
+    iterations: u64,
 }
 
 impl Soc {
@@ -165,6 +168,7 @@ impl Soc {
             cpu,
             ocp,
             config,
+            iterations: 0,
         }
     }
 
@@ -212,6 +216,26 @@ impl Soc {
         SystemBus::tick(&mut self.bus);
     }
 
+    /// Runs the system to its next event: one leap over the ticks in
+    /// front of it, at most `limit`, with `polls` inside (see
+    /// [`Ocp::leap`]), when fast-forward is on and the next tick is not
+    /// itself an event, else one tick. A leap ends on the tick of any
+    /// bus event but a poll the window takes, so the CPU reads its port
+    /// after it as after a tick, on the cycle stepping would. Returns
+    /// the cycles run.
+    fn advance(&mut self, limit: u64, polls: Option<&mut Polls>) -> u64 {
+        let leapt = if self.config.fast_forward {
+            self.ocp.leap(&mut self.bus, limit, polls)
+        } else {
+            0
+        };
+        if leapt > 0 {
+            return leapt;
+        }
+        self.tick_system();
+        1
+    }
+
     /// A timed single-word CPU write (register programming).
     ///
     /// # Errors
@@ -220,11 +244,7 @@ impl Soc {
     pub fn cpu_write(&mut self, addr: Addr, value: u32) -> Result<u64, SocError> {
         self.bus
             .try_begin(self.cpu, TxnRequest::write_word(addr, value))?;
-        let mut cycles = 0;
-        while self.bus.poll(self.cpu) == PortState::Pending {
-            self.tick_system();
-            cycles += 1;
-        }
+        let cycles = self.cpu_wait();
         self.bus
             .take_completion(self.cpu)
             .expect("completion present")?;
@@ -238,16 +258,22 @@ impl Soc {
     /// Propagates bus errors.
     pub fn cpu_read(&mut self, addr: Addr) -> Result<(u32, u64), SocError> {
         self.bus.try_begin(self.cpu, TxnRequest::read_word(addr))?;
-        let mut cycles = 0;
-        while self.bus.poll(self.cpu) == PortState::Pending {
-            self.tick_system();
-            cycles += 1;
-        }
+        let cycles = self.cpu_wait();
         let c = self
             .bus
             .take_completion(self.cpu)
             .expect("completion present")?;
         Ok((c.data[0], cycles))
+    }
+
+    /// Runs the system until the CPU's access completes, returning the
+    /// cycles it took.
+    fn cpu_wait(&mut self) -> u64 {
+        let mut cycles = 0;
+        while self.bus.poll(self.cpu) == PortState::Pending {
+            cycles += self.advance(u64::MAX, None);
+        }
+        cycles
     }
 
     /// Programs the OCP (banks + program size) through timed register
@@ -280,81 +306,78 @@ impl Soc {
     /// if `max_cycles` elapse first.
     pub fn start_and_wait(&mut self, max_cycles: u64) -> Result<OffloadReport, SocError> {
         let ie = matches!(self.config.completion, CompletionMode::Interrupt);
+        let ctrl = self.config.ocp_base + ouessant::regs::REG_CTRL;
         let ctrl_value = ouessant::regs::CTRL_S | if ie { ouessant::regs::CTRL_IE } else { 0 };
-        let config_cycles =
-            self.cpu_write(self.config.ocp_base + ouessant::regs::REG_CTRL, ctrl_value)?;
+        let config_cycles = self.cpu_write(ctrl, ctrl_value)?;
 
-        let mut run_cycles = 0u64;
-        let mut polls = 0u64;
-        // The cycle the next poll issues on; none while one is in flight.
-        let mut next_poll = match self.config.completion {
-            CompletionMode::Polling { interval } => interval,
-            CompletionMode::Interrupt => u64::MAX,
+        // A polling CPU reads CTRL `interval` cycles after the start
+        // write, then `interval` cycles after it sees each read complete
+        // (one at the least: it looks at a completion on its own cycle).
+        let mut polls = match self.config.completion {
+            CompletionMode::Polling { interval } => {
+                let every = interval.max(1);
+                Some(Polls {
+                    master: self.cpu,
+                    addr: ctrl,
+                    every,
+                    next: Some(self.bus.now() + Cycle::new(every)),
+                    stop: false,
+                    taken: 0,
+                })
+            }
+            CompletionMode::Interrupt => None,
         };
-
+        let mut run_cycles = 0u64;
+        // Reads the CPU saw complete itself; windows take the others.
+        let mut seen = 0u64;
+        self.iterations = 0;
         loop {
-            // Event-horizon fast-forward, clamped to the timeout boundary
-            // and the next poll issue. A leap ends on the tick of any bus
-            // event at the latest, so the CPU reads its port after a leap
-            // as after a tick, on the cycle cycle-by-cycle stepping would.
-            let limit = max_cycles.min(next_poll).saturating_sub(run_cycles);
-            let leapt = if self.config.fast_forward {
-                self.ocp.leap(&mut self.bus, limit)
-            } else {
-                0
+            self.iterations += 1;
+            if let Some(p) = &mut polls {
+                // Only `eop` sets D, and it ends every window, so a read
+                // inside one finds D clear and the window takes it. Once
+                // D is set, a read ends the window: the CPU looks at it.
+                p.stop = self.ocp.regs().done();
+            }
+            run_cycles += self.advance(max_cycles - run_cycles, polls.as_mut());
+            if run_cycles > max_cycles {
+                return Err(SocError::Timeout { budget: max_cycles });
+            }
+            if let Some(fault) = self.ocp.fault() {
+                return Err(SocError::Ocp(fault.clone()));
+            }
+            let Some(p) = &mut polls else {
+                if self.ocp.irq().is_raised() {
+                    // Interrupt handler: acknowledge, then read CTRL.
+                    self.ocp.poll_completion();
+                    let (ctrl, ack_cycles) = self.cpu_read(ctrl)?;
+                    run_cycles += ack_cycles;
+                    debug_assert!(ctrl & ouessant::regs::CTRL_D != 0);
+                    break;
+                }
+                continue;
             };
-            if leapt > 0 {
-                run_cycles += leapt;
-            } else {
-                self.tick_system();
-                run_cycles += 1;
-                if run_cycles > max_cycles {
-                    return Err(SocError::Timeout { budget: max_cycles });
-                }
-                if let Some(fault) = self.ocp.fault() {
-                    return Err(SocError::Ocp(fault.clone()));
-                }
-            }
-            if !ie {
-                // A polling CPU learns of the end from a poll's CTRL.D,
-                // not from the OCP's completion flag: consume the flag
-                // at once, or the OCP's horizon single-steps for it
-                // until the next poll.
-                self.ocp.poll_completion();
-            }
-            match self.config.completion {
-                CompletionMode::Interrupt => {
-                    if self.ocp.irq().is_raised() {
-                        // Interrupt handler: acknowledge by reading CTRL.
-                        self.ocp.irq().clear();
-                        let (ctrl, ack_cycles) =
-                            self.cpu_read(self.config.ocp_base + ouessant::regs::REG_CTRL)?;
-                        run_cycles += ack_cycles;
-                        debug_assert!(ctrl & ouessant::regs::CTRL_D != 0);
+            // A polling CPU learns of the end from a read's CTRL.D, not
+            // from the OCP's completion flag: consume the flag at once,
+            // or the OCP's horizon single-steps for it.
+            self.ocp.poll_completion();
+            match self.bus.poll(self.cpu) {
+                PortState::Complete => {
+                    let c = self
+                        .bus
+                        .take_completion(self.cpu)
+                        .expect("completion present")?;
+                    seen += 1;
+                    if c.data[0] & ouessant::regs::CTRL_D != 0 {
                         break;
                     }
+                    p.next = Some(self.bus.now() + Cycle::new(p.every));
                 }
-                CompletionMode::Polling { interval } => match self.bus.poll(self.cpu) {
-                    PortState::Complete => {
-                        let c = self
-                            .bus
-                            .take_completion(self.cpu)
-                            .expect("completion present")?;
-                        polls += 1;
-                        if c.data[0] & ouessant::regs::CTRL_D != 0 {
-                            break;
-                        }
-                        next_poll = run_cycles + interval;
-                    }
-                    PortState::Idle if run_cycles >= next_poll => {
-                        self.bus.try_begin(
-                            self.cpu,
-                            TxnRequest::read_word(self.config.ocp_base + ouessant::regs::REG_CTRL),
-                        )?;
-                        next_poll = u64::MAX;
-                    }
-                    _ => {}
-                },
+                PortState::Idle if p.next.is_some_and(|at| at <= self.bus.now()) => {
+                    self.bus.try_begin(self.cpu, TxnRequest::read_word(ctrl))?;
+                    p.next = None;
+                }
+                _ => {}
             }
         }
 
@@ -365,7 +388,7 @@ impl Soc {
             config_cycles,
             run_cycles,
             words_transferred: self.ocp.stats().words_transferred,
-            polls,
+            polls: seen + polls.map_or(0, |p| p.taken),
         })
     }
 }
@@ -628,6 +651,50 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The loop iterations (leaps and ticks) of one `start_and_wait`,
+    /// which no build setting moves: ablation A2's DFT offload under
+    /// each completion mode, pinned as measured. Polls inside windows
+    /// took polling-16 from 413 to its count here.
+    #[test]
+    fn an_offload_s_loop_iterations_are_pinned() {
+        use ouessant_isa::ProgramBuilder;
+        use ouessant_rac::dft::DftRac;
+
+        let program = ProgramBuilder::new()
+            .transfer_to_coprocessor(1, 0, 512, 64, 0)
+            .unwrap()
+            .execs_op(0)
+            .transfer_from_coprocessor(2, 0, 512, 64, 0)
+            .unwrap()
+            .eop()
+            .finish()
+            .unwrap();
+        for (completion, run_cycles, iterations) in [
+            (CompletionMode::Interrupt, 3916, 6),
+            (CompletionMode::Polling { interval: 16 }, 4078, 7),
+            (CompletionMode::Polling { interval: 1024 }, 4108, 7),
+        ] {
+            let config = SocConfig {
+                completion,
+                ..SocConfig::default()
+            };
+            let mut soc = Soc::new(Box::new(DftRac::new(256)), config);
+            let ram = soc.config().ram_base;
+            soc.load_words(ram, &program.to_words()).unwrap();
+            soc.configure(
+                &[(0, ram), (1, ram + 0x1000), (2, ram + 0x2000)],
+                program.len() as u32,
+            )
+            .unwrap();
+            let report = soc.start_and_wait(1_000_000).unwrap();
+            assert_eq!(
+                (report.run_cycles, soc.iterations),
+                (run_cycles, iterations),
+                "{completion:?}"
+            );
         }
     }
 
