@@ -1441,6 +1441,13 @@ impl Bus {
             let lane = self.polls.expect("polls installed");
             let now = self.now.count();
             if now == end {
+                // A read requested by the end, and not yet granted,
+                // stands on its port, as stepping leaves it: one
+                // requested on the last cycle comes before any issue
+                // the other master makes on it, in its next tick.
+                if let Some(next) = lane.polls.next.filter(|c| c.count() <= end) {
+                    self.request_poll(next);
+                }
                 return;
             }
             let phantom = lane.polls.next.map(Instant::count);
@@ -1533,6 +1540,17 @@ impl Bus {
         }
     }
 
+    /// Puts the polls' read, requested on cycle `at`, on its port: the
+    /// request stepping would have made then.
+    fn request_poll(&mut self, at: Instant) {
+        let lane = self.polls.as_mut().expect("polls installed");
+        lane.polls.next = None;
+        let (p, slave_idx) = (lane.polls.master, lane.slave_idx);
+        let req = TxnRequest::read_word(lane.polls.addr);
+        self.trace.record(at, p, BusEvent::Request(req.shape));
+        self.masters[p.0].outstanding = Some(Txn::new(req, slave_idx, at));
+    }
+
     /// [`SystemBus::replay_run`] with polls installed: each burst
     /// issues on its cycle and the contended loop runs through it, so
     /// its timing is the one the plan read off the same loop.
@@ -1583,10 +1601,7 @@ impl Bus {
         let p = lane.polls.master;
         if let Some(next) = lane.polls.next.filter(|c| c.count() < stop) {
             self.run(next.count().saturating_sub(self.now.count()));
-            let req = TxnRequest::read_word(lane.polls.addr);
-            self.trace.record(self.now, p, BusEvent::Request(req.shape));
-            self.masters[p.0].outstanding = Some(Txn::new(req, lane.slave_idx, next));
-            self.polls.as_mut().expect("installed").polls.next = None;
+            self.request_poll(next);
         }
         self.run(stop - self.now.count());
         if lane.polls.stop {

@@ -33,11 +33,14 @@
 use std::num::NonZeroU64;
 
 use ouessant_sim::bus::{
-    Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats, PortState,
-    SlaveFault, TxnRequest,
+    Bus, BusConfig, BusError, BusSlave, BusStats, Completion, MasterId, MasterStats, Polls,
+    PortState, SlaveFault, TxnKind, TxnRequest, TxnShape,
 };
 use ouessant_sim::memory::{Sram, SramConfig};
-use ouessant_sim::{BusEvent, Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent, XorShift64};
+use ouessant_sim::{
+    Advancing, BusEvent, BusWindow, Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent,
+    WindowIssue, XorShift64,
+};
 
 const SRAM_BASE: u32 = 0x4000_0000;
 const SRAM_WORDS: u32 = 4096;
@@ -673,4 +676,317 @@ fn a_lone_master_s_back_to_back_bursts_match_ticking() {
     assert!(multi > 500, "only {multi} multi-sub-burst transactions");
     assert!(faulted > 0, "no scenario exercised a slave fault");
     assert!(flaky > 30, "only {flaky} scenarios map the faulting slave");
+}
+
+/// A status register: one word that reads without wait states or side
+/// effects but, like an OCP's register window, does not promise
+/// [`BusSlave::fault_free`].
+struct Status;
+
+const STATUS_BASE: u32 = 0x8000_0000;
+
+impl BusSlave for Status {
+    fn name(&self) -> &str {
+        "status"
+    }
+    fn size(&self) -> u32 {
+        4
+    }
+    fn read_word(&mut self, _: u32) -> Result<u32, SlaveFault> {
+        Ok(0x5)
+    }
+    fn write_word(&mut self, _: u32, _: u32) -> Result<(), SlaveFault> {
+        Ok(())
+    }
+}
+
+/// Contended runs: master 0 polls a word every `every` cycles at the
+/// top priority while master 1, below it, runs DMA bursts back to back,
+/// each requested 3 cycles after the last one's completion (an OCP's
+/// pickup, `Fetch` and `Decode`).
+struct PolledRun {
+    config: BusConfig,
+    sram: SramConfig,
+    /// The polled word: the status register or a word of the SRAM.
+    poll_addr: u32,
+    every: u64,
+    /// The cycles the first read and the first burst are requested on.
+    first_poll: u64,
+    first_burst: u64,
+    /// The run: each burst's shape and, for a write, its payload.
+    bursts: Vec<(TxnShape, Vec<u32>)>,
+}
+
+fn polled_run(seed: u64) -> PolledRun {
+    let mut rng = XorShift64::new(seed);
+    let config = BusConfig {
+        max_burst_beats: [1u16, 2, 3, 4, 8, 16][rng.gen_range_u32(0..6) as usize],
+    };
+    let sram = wait_states(&mut rng);
+    let poll_addr = if rng.gen_range_u32(0..3) == 0 {
+        SRAM_BASE + 4 * rng.gen_range_u32(0..SRAM_WORDS)
+    } else {
+        STATUS_BASE
+    };
+    // A polling period of 0–40 cycles, as a CPU's interval.
+    let every = rng.gen_range_u64(0..41).max(1);
+    let first_poll = rng.gen_range_u64(1..30);
+    let first_burst = rng.gen_range_u64(0..30);
+    let bursts = (0..1 + rng.gen_range_u32(0..12))
+        .map(|_| {
+            let beats = 1 + rng.gen_range_u32(0..64);
+            let addr = SRAM_BASE + 4 * rng.gen_range_u32(0..SRAM_WORDS - beats + 1);
+            if rng.gen_bool() {
+                (TxnRequest::read(addr, beats as u16).shape(), Vec::new())
+            } else {
+                let words = rng.vec_u32(beats as usize);
+                (TxnRequest::write(addr, words.clone()).shape(), words)
+            }
+        })
+        .collect();
+    PolledRun {
+        config,
+        sram,
+        poll_addr,
+        every,
+        first_poll,
+        first_burst,
+        bursts,
+    }
+}
+
+impl PolledRun {
+    fn bus(&self, traced: bool) -> (Bus, MasterId, MasterId) {
+        let mut bus = Bus::new(self.config);
+        if traced {
+            bus.trace = Trace::enabled();
+        }
+        let (p, o) = (bus.register_master(), bus.register_master());
+        bus.add_slave(SRAM_BASE, Sram::with_words(SRAM_WORDS as usize, self.sram));
+        bus.add_slave(STATUS_BASE, Status);
+        (bus, p, o)
+    }
+
+    fn request(&self, k: usize) -> TxnRequest {
+        let (shape, words) = &self.bursts[k];
+        match shape.kind {
+            TxnKind::Read => TxnRequest::read(shape.addr, shape.beats),
+            TxnKind::Write => TxnRequest::write(shape.addr, words.clone()),
+        }
+    }
+}
+
+/// What both twins of a polled run must agree on at a cycle: the bus's
+/// statistics, each master's, the reads completed (one waiting on the
+/// poller's port included), whether one is outstanding, and the DMA
+/// master's port.
+#[derive(Debug, PartialEq)]
+struct PolledSnap {
+    bus: BusStats,
+    poller: MasterStats,
+    dma: MasterStats,
+    reads: u64,
+    read_pending: bool,
+    dma_port: Option<Result<Completion, BusError>>,
+    dma_pending: bool,
+}
+
+fn polled_snap(bus: &Bus, p: MasterId, o: MasterId, reads: u64) -> PolledSnap {
+    PolledSnap {
+        bus: bus.stats(),
+        poller: bus.master_stats(p),
+        dma: bus.master_stats(o),
+        reads: reads + u64::from(bus.poll(p) == PortState::Complete),
+        read_pending: bus.poll(p) == PortState::Pending,
+        dma_port: bus.peek_completion(o).cloned(),
+        dma_pending: bus.poll(o) == PortState::Pending,
+    }
+}
+
+/// The stepped twin: both masters act on every cycle, before the bus
+/// ticks. Returns the snapshot of every cycle, the trace and memory.
+fn polled_stepped(s: &PolledRun, traced: bool) -> (Vec<PolledSnap>, Vec<TraceEvent>, Vec<u32>) {
+    let (mut bus, p, o) = s.bus(traced);
+    let (mut reads, mut next_read) = (0, Some(s.first_poll));
+    let (mut issued, mut next_burst) = (0, Some(s.first_burst));
+    let mut snaps = Vec::new();
+    loop {
+        let now = bus.now().count();
+        if bus.poll(p) == PortState::Complete {
+            bus.take_completion(p).unwrap().unwrap();
+            reads += 1;
+            next_read = Some(now + s.every);
+        }
+        if bus.poll(p) == PortState::Idle && next_read.is_some_and(|c| c <= now) {
+            bus.try_begin(p, TxnRequest::read_word(s.poll_addr)).unwrap();
+            next_read = None;
+        }
+        snaps.push(polled_snap(&bus, p, o, reads));
+        if bus.poll(o) == PortState::Complete {
+            bus.take_completion(o).unwrap().unwrap();
+            if issued == s.bursts.len() {
+                break;
+            }
+            next_burst = Some(now + 3);
+        }
+        if next_burst == Some(now) {
+            bus.try_begin(o, s.request(issued)).unwrap();
+            issued += 1;
+            next_burst = None;
+        }
+        bus.tick();
+    }
+    let mut memory = Vec::new();
+    bus.debug_read_words(SRAM_BASE, SRAM_WORDS as usize, &mut memory)
+        .unwrap();
+    (snaps, bus.trace.events().to_vec(), memory)
+}
+
+/// How much of a polled run the leaping twin leapt.
+#[derive(Default)]
+struct PolledLeaps {
+    leaps: u64,
+    /// Leaps in which both masters moved beats.
+    both: u64,
+    /// Bursts replayed in a run step.
+    bulk: u64,
+}
+
+/// The leaping twin: the polls installed on the bus, the DMA master's
+/// run planned into windows ([`BusWindow::plan`],
+/// [`BusWindow::extend_run`]) and leapt, each leap drawn up to the
+/// window's event. Every leap must end where the stepped twin stood on
+/// that cycle, and a leap through the event must end on the DMA
+/// master's completion.
+fn polled_leapt(
+    s: &PolledRun,
+    traced: bool,
+    seed: u64,
+    snaps: &[PolledSnap],
+) -> (PolledLeaps, Vec<TraceEvent>, Vec<u32>) {
+    let (mut bus, p, o) = s.bus(traced);
+    let mut rng = XorShift64::new(seed ^ 0x1EA9);
+    let mut polls = Polls {
+        master: p,
+        addr: s.poll_addr,
+        every: s.every,
+        next: Some(Instant::new(s.first_poll)),
+        stop: false,
+        taken: 0,
+    };
+    let (mut issued, mut done_at) = (0, None::<u64>);
+    let mut stats = PolledLeaps::default();
+    loop {
+        let now = bus.now().count();
+        // The poller, as a CPU after a leap: the windows take every
+        // read, and request those due by their last cycle.
+        assert!(
+            bus.poll(p) != PortState::Complete && polls.next.is_none_or(|c| c.count() > now),
+            "seed {seed}: cycle {now} left a read to the poller"
+        );
+        assert_eq!(
+            polled_snap(&bus, p, o, polls.taken),
+            snaps[now as usize],
+            "seed {seed}, traced {traced}: cycle {now}"
+        );
+        if let Some(Ok(c)) = bus.take_completion(o) {
+            done_at = Some(c.completed_at.count());
+        }
+        if issued == s.bursts.len() && bus.poll(o) == PortState::Idle {
+            break;
+        }
+        bus.set_polls(Some(polls));
+        let candidate = (bus.poll(o) == PortState::Idle && issued < s.bursts.len()).then(|| {
+            let at = done_at.map_or(s.first_burst, |c| c + 3);
+            let issue = WindowIssue {
+                master: o,
+                prefix: at - now,
+                shape: s.bursts[issued].0,
+            };
+            (issue, s.bursts[issued + 1..].iter().map(|b| b.0))
+        });
+        let (mut w, later) = BusWindow::plan(&bus, true, |_| candidate);
+        if let Some(later) = later {
+            w.extend_run(&bus, Horizon::QUIESCENT, 3, later);
+        }
+        let event = w.event().ticks().expect("the DMA master has work");
+        let n = if rng.gen_bool() {
+            event
+        } else {
+            1 + rng.gen_range_u64(0..event)
+        };
+        let run: Vec<_> = w.run_of(o).copied().collect();
+        let before = (polls.taken, bus.master_stats(o).beats);
+        let mut next = 0;
+        w.leap(&mut bus, n, |bus, who, _, _| {
+            if who == Advancing::AllBut(Some(o)) {
+                return;
+            }
+            if let Some(Ok(c)) = bus.take_completion(o) {
+                done_at = Some(c.completed_at.count());
+            }
+            match who {
+                Advancing::Run { origin, bursts, .. } => {
+                    let first = issued;
+                    bus.replay_run(o, origin, bursts, &mut |k, words| {
+                        words.extend_from_slice(&s.bursts[first + k].1);
+                    });
+                    issued += bursts.len();
+                    next += bursts.len();
+                    stats.bulk += bursts.len() as u64;
+                }
+                _ if run.get(next).is_some_and(|b| b.issue <= n) => {
+                    bus.try_begin(o, s.request(issued)).unwrap();
+                    issued += 1;
+                    next += 1;
+                }
+                _ => {}
+            }
+        });
+        polls = bus.set_polls(None).expect("installed");
+        stats.leaps += 1;
+        stats.both += u64::from(polls.taken > before.0 && bus.master_stats(o).beats > before.1);
+        if n == event {
+            assert_eq!(
+                bus.poll(o),
+                PortState::Complete,
+                "seed {seed}: a leap through the window's event ends on the DMA completion"
+            );
+        }
+    }
+    let mut memory = Vec::new();
+    bus.debug_read_words(SRAM_BASE, SRAM_WORDS as usize, &mut memory)
+        .unwrap();
+    (stats, bus.trace.events().to_vec(), memory)
+}
+
+/// A top-priority master polling a word inside the windows of a lower
+/// master's DMA run: the bus times the reads itself (its contended
+/// loop), closed form untraced and through its stepping FSM traced.
+/// Every leap, cut anywhere up to its window's event, must leave both
+/// masters' statistics, the bus's, the reads completed and both ports
+/// as stepping does; traced, the events must match too, and the memory
+/// at the end.
+#[test]
+fn polls_inside_a_dma_run_s_windows_match_stepping() {
+    let (mut leaps, mut both, mut bulk, mut status) = (0, 0, 0, 0);
+    for seed in 1..=300u64 {
+        let s = polled_run(seed);
+        status += u64::from(s.poll_addr == STATUS_BASE);
+        for traced in [false, true] {
+            let (snaps, trace, memory) = polled_stepped(&s, traced);
+            let (stats, leapt_trace, leapt_memory) = polled_leapt(&s, traced, seed, &snaps);
+            assert_eq!(leapt_trace, trace, "seed {seed}, traced {traced}");
+            assert_eq!(leapt_memory, memory, "seed {seed}, traced {traced}");
+            leaps += stats.leaps;
+            both += stats.both;
+            bulk += stats.bulk;
+        }
+    }
+    assert!(
+        both * 2 >= leaps,
+        "only {both} of {leaps} leaps hold both masters' beats"
+    );
+    assert!(bulk > 600, "only {bulk} bursts replayed in run steps");
+    assert!(status > 150, "only {status} runs poll the status register");
 }

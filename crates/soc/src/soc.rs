@@ -569,6 +569,12 @@ mod tests {
                     // Ablation A2's two polling periods.
                     CompletionMode::Polling { interval: 16 },
                     CompletionMode::Polling { interval: 1024 },
+                    // Periods prime to every sub-burst's length, so the
+                    // reads inside a window land on each of its phases.
+                    CompletionMode::Polling { interval: 2 },
+                    CompletionMode::Polling { interval: 3 },
+                    CompletionMode::Polling { interval: 5 },
+                    CompletionMode::Polling { interval: 7 },
                 ] {
                     let run = |fast_forward: bool, max_cycles: u64| {
                         let config = SocConfig {
@@ -620,22 +626,28 @@ mod tests {
                         slow.0.iter().all(|(report, _)| report.is_ok()),
                         "{name} ran"
                     );
-                    if name == "passthrough" && sram == SramConfig::default() {
-                        // Budgets that end on or next to the tick the
-                        // CPU observes completion, and a sample of those
-                        // that end inside a leap (the `wait`): both
-                        // modes must time out, or finish, on the
-                        // identical cycle.
+                    // Budgets that end on or next to the tick the CPU
+                    // observes completion, and a sample of those that
+                    // end inside a leap (the `wait`, and at polling-16
+                    // the windows that hold both the OCP's bursts and
+                    // the CPU's reads): both modes must time out, or
+                    // finish, on the identical cycle.
+                    let stride = match (name, completion) {
+                        ("passthrough", _) => Some(16),
+                        ("dft256" | "dma8", CompletionMode::Polling { interval: 16 }) => Some(29),
+                        _ => None,
+                    };
+                    if let Some(stride) = stride.filter(|_| sram == SramConfig::default()) {
                         let stepped = slow.0[0].0.as_ref().unwrap().run_cycles;
                         let mut outcomes = (false, false);
-                        let inside = (1..stepped - 3).step_by(16);
+                        let inside = (1..stepped - 3).step_by(stride);
                         for max_cycles in inside.chain(stepped - 3..=stepped + 1) {
                             let fast = run(true, max_cycles);
                             let slow = run(false, max_cycles);
                             assert_eq!(
                                 fast, slow,
                                 "fast-forward must time out identically \
-                                 ({completion:?}, budget {max_cycles})"
+                                 ({name}, {completion:?}, budget {max_cycles})"
                             );
                             match slow.0[0].0 {
                                 Ok(_) => outcomes.0 = true,
