@@ -384,12 +384,7 @@ impl Ocp {
     /// it, and they come back with the reads the window took and the
     /// state of their master's port at its end (a read outstanding, or
     /// the cycle the next one is requested on).
-    pub fn leap(
-        &mut self,
-        bus: &mut dyn SystemBus,
-        limit: u64,
-        polls: Option<&mut Polls>,
-    ) -> u64 {
+    pub fn leap(&mut self, bus: &mut dyn SystemBus, limit: u64, polls: Option<&mut Polls>) -> u64 {
         let Some(polls) = polls else {
             return self.leap_window(bus, limit);
         };
@@ -1158,7 +1153,9 @@ mod tests {
         while cycle < max {
             let from = fast.ocp.controller().state().clone();
             let pc = fast.ocp.controller().pc();
-            let skip = fast.ocp.leap(&mut fast.bus, limit().min(max - cycle - 1), None);
+            let skip = fast
+                .ocp
+                .leap(&mut fast.bus, limit().min(max - cycle - 1), None);
             if skip > 0 {
                 for _ in 0..skip {
                     slow.step();

@@ -1519,7 +1519,10 @@ impl Bus {
             port.stats.grants += u64::from(grant.is_some());
             port.stats.beats += u64::from(f.beats);
             if owner == o {
-                let txn = port.outstanding.as_mut().expect("the other master requests");
+                let txn = port
+                    .outstanding
+                    .as_mut()
+                    .expect("the other master requests");
                 txn.move_beats(&mut self.slaves, f.beats);
                 if completes {
                     let txn = port.outstanding.take().expect("present");
@@ -1532,7 +1535,10 @@ impl Bus {
             if cfg!(debug_assertions) {
                 let slave = &mut self.slaves.slaves[lane.slave_idx];
                 let offset = lane.polls.addr - slave.base;
-                assert!(slave.device.read_word(offset).is_ok(), "a poll never faults");
+                assert!(
+                    slave.device.read_word(offset).is_ok(),
+                    "a poll never faults"
+                );
             }
             let polls = &mut self.polls.as_mut().expect("installed").polls;
             polls.taken += 1;
@@ -1571,7 +1577,8 @@ impl Bus {
                     TxnRequest::write(b.shape.addr, std::mem::take(&mut words))
                 }
             };
-            self.try_begin(master, req).expect("the plan checked the burst");
+            self.try_begin(master, req)
+                .expect("the plan checked the burst");
             self.contend((origin + Cycle::new(b.event) - self.now).count());
             debug_assert_eq!(
                 self.poll(master),

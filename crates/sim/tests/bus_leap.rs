@@ -818,7 +818,8 @@ fn polled_stepped(s: &PolledRun, traced: bool) -> (Vec<PolledSnap>, Vec<TraceEve
             next_read = Some(now + s.every);
         }
         if bus.poll(p) == PortState::Idle && next_read.is_some_and(|c| c <= now) {
-            bus.try_begin(p, TxnRequest::read_word(s.poll_addr)).unwrap();
+            bus.try_begin(p, TxnRequest::read_word(s.poll_addr))
+                .unwrap();
             next_read = None;
         }
         snaps.push(polled_snap(&bus, p, o, reads));
