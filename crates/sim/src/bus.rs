@@ -1557,45 +1557,126 @@ impl Bus {
         self.masters[p.0].outstanding = Some(Txn::new(req, slave_idx, at));
     }
 
-    /// [`SystemBus::replay_run`] with polls installed: each burst
-    /// issues on its cycle and the contended loop runs through it, so
-    /// its timing is the one the plan read off the same loop.
-    fn replay_contended(
+    /// How many of `bursts`, the rest of a run from origin `origin`,
+    /// no poll's read reaches: all of them without polls or with the
+    /// reads stopped, else those that complete by the cycle the next
+    /// read is requested on, and none while one is outstanding.
+    fn alone_through(&self, origin: Instant, bursts: &[RunBurst]) -> usize {
+        let Some(lane) = &self.polls else {
+            return bursts.len();
+        };
+        if self.masters[lane.polls.master.0].outstanding.is_some() {
+            return 0;
+        }
+        lane.polls.next.map_or(bursts.len(), |at| {
+            bursts
+                .iter()
+                .take_while(|b| origin + Cycle::new(b.event) <= at)
+                .count()
+        })
+    }
+
+    /// Replays `bursts`, the run's bursts from its `first`-th, whose
+    /// master is alone on an idle bus through them, in closed form (see
+    /// [`SystemBus::replay_run`]).
+    fn replay_alone(
         &mut self,
         master: MasterId,
         origin: Instant,
         bursts: &[RunBurst],
+        first: usize,
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
+        debug_assert!(
+            self.replays_runs()
+                && self.active.is_none()
+                && self.masters.iter().all(|p| p.outstanding.is_none())
+                && self.masters[master.0].completion.is_none(),
+            "a run replays on an idle bus, its last pickup made"
+        );
+        let max = u64::from(self.config.max_burst_beats);
+        let (mut grants, mut beats, mut busy) = (0, 0, 0);
         let mut words = Vec::new();
         for (k, b) in bursts.iter().enumerate() {
-            self.contend((origin + Cycle::new(b.issue - 1) - self.now).count());
-            let req = match b.shape.kind {
-                TxnKind::Read => TxnRequest::read(b.shape.addr, b.shape.beats),
-                TxnKind::Write => {
-                    data(k, &mut words);
-                    TxnRequest::write(b.shape.addr, std::mem::take(&mut words))
-                }
-            };
-            self.try_begin(master, req)
+            let shape = b.shape;
+            let idx = self
+                .slaves
+                .span(shape, false)
                 .expect("the plan checked the burst");
-            self.contend((origin + Cycle::new(b.event) - self.now).count());
-            debug_assert_eq!(
-                self.poll(master),
-                PortState::Complete,
-                "a run's burst completes on its planned cycle"
-            );
-            if b.shape.kind == TxnKind::Read {
-                let port = &mut self.masters[master.0];
-                let mut done = port.completion.take().expect("complete");
-                let read = done.as_mut().expect("a run's slave never faults");
-                data(k, &mut read.data);
-                if k + 1 == bursts.len() {
-                    self.masters[master.0].completion = Some(done);
+            let slave = &mut self.slaves.slaves[idx];
+            debug_assert!(slave.timing.fault_free, "a run's slave never faults");
+            let offset = shape.addr - slave.base;
+            words.clear();
+            match shape.kind {
+                TxnKind::Read => {
+                    slave
+                        .device
+                        .read_words(offset, usize::from(shape.beats), &mut words)
+                        .expect("a fault-free slave moves every beat");
+                    data(first + k, &mut words);
                 }
-            } else if k + 1 < bursts.len() {
-                self.masters[master.0].completion = None;
+                TxnKind::Write => {
+                    data(first + k, &mut words);
+                    debug_assert_eq!(words.len(), usize::from(shape.beats), "one word per beat");
+                    slave
+                        .device
+                        .write_words(offset, &words)
+                        .expect("a fault-free slave moves every beat");
+                }
             }
+            grants += u64::from(shape.beats).div_ceil(max);
+            beats += u64::from(shape.beats);
+            busy += b.event + 1 - b.issue;
+        }
+        let last = bursts.last().expect("a run step replays a burst");
+        self.now = origin + Cycle::new(last.event);
+        self.busy_cycles += busy;
+        let port = &mut self.masters[master.0];
+        port.stats.grants += grants;
+        port.stats.beats += beats;
+        let issued_at = origin + Cycle::new(last.issue - 1);
+        if last.shape.kind == TxnKind::Write {
+            words.clear();
+        }
+        port.completion = Some(Ok(Completion {
+            kind: last.shape.kind,
+            addr: last.shape.addr,
+            data: words,
+            issued_at,
+            completed_at: self.now,
+            cycles: (self.now - issued_at).count(),
+        }));
+    }
+
+    /// Replays `b`, the run's `k`-th burst, which a poll's read
+    /// reaches: it issues on its cycle and the contended loop runs
+    /// through it, so its timing is the one the plan read off the same
+    /// loop.
+    fn replay_contended(
+        &mut self,
+        master: MasterId,
+        origin: Instant,
+        b: &RunBurst,
+        k: usize,
+        data: &mut dyn FnMut(usize, &mut Vec<u32>),
+    ) {
+        self.contend((origin + Cycle::new(b.issue - 1) - self.now).count());
+        let req = match b.shape.kind {
+            TxnKind::Read => TxnRequest::read(b.shape.addr, b.shape.beats),
+            TxnKind::Write => {
+                let mut words = Vec::new();
+                data(k, &mut words);
+                TxnRequest::write(b.shape.addr, words)
+            }
+        };
+        self.try_begin(master, req)
+            .expect("the plan checked the burst");
+        self.contend((origin + Cycle::new(b.event) - self.now).count());
+        let done = self.masters[master.0].completion.as_mut();
+        let done = done.expect("a run's burst completes on its planned cycle");
+        let done = done.as_mut().expect("a run's slave never faults");
+        if b.shape.kind == TxnKind::Read {
+            data(k, &mut done.data);
         }
     }
 
@@ -1860,11 +1941,13 @@ impl SystemBus for Bus {
 
     /// Each burst's beats move in one slave call. Its timing is the one
     /// [`SystemBus::advance`] charges a lone requester's whole burst
-    /// with in one step, in closed form for the whole run: `now` moves
-    /// to the last completion, the busy cycles by each burst's
-    /// issue-to-completion cycles, and `master`'s grants (one per
-    /// sub-burst) and beats by the run's. Nobody else requests, so
-    /// nobody is charged contention.
+    /// with in one step, in closed form for the bursts no poll's read
+    /// reaches (all of them without polls): `now` moves to the last
+    /// completion, the busy cycles by each burst's issue-to-completion
+    /// cycles, and `master`'s grants (one per sub-burst) and beats by
+    /// theirs; nobody else requests, so nobody is charged contention.
+    /// A burst a read reaches issues on its cycle and runs through the
+    /// contended loop.
     fn replay_run(
         &mut self,
         master: MasterId,
@@ -1872,68 +1955,21 @@ impl SystemBus for Bus {
         bursts: &[RunBurst],
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
-        if self.polls.is_some() {
-            return self.replay_contended(master, origin, bursts, data);
-        }
-        debug_assert!(
-            self.replays_runs()
-                && self.active.is_none()
-                && self.masters.iter().all(|p| p.outstanding.is_none())
-                && self.masters[master.0].completion.is_none(),
-            "a run replays on an idle bus, its last pickup made"
-        );
-        let max = u64::from(self.config.max_burst_beats);
-        let (mut grants, mut beats, mut busy) = (0, 0, 0);
-        let mut words = Vec::new();
-        for (k, b) in bursts.iter().enumerate() {
-            let shape = b.shape;
-            let idx = self
-                .slaves
-                .span(shape, false)
-                .expect("the plan checked the burst");
-            let slave = &mut self.slaves.slaves[idx];
-            debug_assert!(slave.timing.fault_free, "a run's slave never faults");
-            let offset = shape.addr - slave.base;
-            words.clear();
-            match shape.kind {
-                TxnKind::Read => {
-                    slave
-                        .device
-                        .read_words(offset, usize::from(shape.beats), &mut words)
-                        .expect("a fault-free slave moves every beat");
-                    data(k, &mut words);
-                }
-                TxnKind::Write => {
-                    data(k, &mut words);
-                    debug_assert_eq!(words.len(), usize::from(shape.beats), "one word per beat");
-                    slave
-                        .device
-                        .write_words(offset, &words)
-                        .expect("a fault-free slave moves every beat");
-                }
+        let mut k = 0;
+        while k < bursts.len() {
+            let alone = self.alone_through(origin, &bursts[k..]);
+            if alone > 0 {
+                self.replay_alone(master, origin, &bursts[k..k + alone], k, data);
+                k += alone;
+            } else {
+                self.replay_contended(master, origin, &bursts[k], k, data);
+                k += 1;
             }
-            grants += u64::from(shape.beats).div_ceil(max);
-            beats += u64::from(shape.beats);
-            busy += b.event + 1 - b.issue;
+            if k < bursts.len() {
+                // The issuer picks the burst up before its next one.
+                self.masters[master.0].completion = None;
+            }
         }
-        let last = bursts.last().expect("a run step replays a burst");
-        self.now = origin + Cycle::new(last.event);
-        self.busy_cycles += busy;
-        let port = &mut self.masters[master.0];
-        port.stats.grants += grants;
-        port.stats.beats += beats;
-        let issued_at = origin + Cycle::new(last.issue - 1);
-        if last.shape.kind == TxnKind::Write {
-            words.clear();
-        }
-        port.completion = Some(Ok(Completion {
-            kind: last.shape.kind,
-            addr: last.shape.addr,
-            data: words,
-            issued_at,
-            completed_at: self.now,
-            cycles: (self.now - issued_at).count(),
-        }));
     }
 
     /// Grants, address phases, wait states, beats and sub-burst
