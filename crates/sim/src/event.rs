@@ -72,9 +72,10 @@
 //!
 //! A window may also hold one master's *run* (see [`BusWindow`]): the
 //! DMA bursts it issues back to back while nothing else touches the
-//! bus. The leap loop works out the bus's horizon with the first burst
-//! added ([`SystemBus::horizon_with`], given its [`TxnShape`]) and, on
-//! an idle bus, adds each later burst after the ticks its master takes
+//! bus but installed polls (see [`Polls`](crate::bus::Polls)). The leap
+//! loop asks the bus to time the first burst ([`SystemBus::time_burst`],
+//! given its [`TxnShape`]) and, on a bus idle but for its polls, adds
+//! each later burst after the ticks its master takes
 //! to get from one completion to the next issue, as far as the rest of
 //! the window reaches and only while each burst's event is its
 //! completion (a slave that may fault is watched beat by beat).
@@ -282,8 +283,8 @@ pub struct RunBurst {
     /// The tick of the bus's first event after the issue.
     pub event: u64,
     /// Whether that event is the burst's completion, which its master
-    /// picks up on the tick after: so on an idle bus, for a burst
-    /// [`SystemBus::never_faults`]. Otherwise it may be another
+    /// picks up on the tick after: so on a bus idle but for its polls,
+    /// for a burst [`SystemBus::never_faults`]. Otherwise it may be another
     /// master's completion, or a beat that may fault, and the run ends
     /// there.
     pub completes: bool,
@@ -344,11 +345,12 @@ impl Advancing<'_> {
 ///   state the issue meets is the one it has now;
 /// * the issuer's later bursts join its run (see
 ///   [`BusWindow::extend_run`]) only on such an idle bus, where nothing
-///   but the issuer requests until the window ends, so each burst's
-///   timing does not depend on when it issues, and only after a burst
-///   whose event is its completion (see [`RunBurst::completes`]), so
-///   the issuer picks it up on the tick after;
-/// * the bus must answer [`SystemBus::horizon_with`] for every burst
+///   but the issuer (and the bus's installed polls, whose phase each
+///   burst hands the next, [`RunBurst::poll`]) requests until the
+///   window ends, and only after a burst whose event is its completion
+///   (see [`RunBurst::completes`]), so the issuer picks it up on the
+///   tick after;
+/// * the bus must answer [`SystemBus::time_burst`] for every burst
 ///   of the run: a request it declines or would reject stays a stepped
 ///   event, and ends the run in front of it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -426,9 +428,8 @@ impl BusWindow {
     /// order, each issued `gap` ticks after the last one's completion.
     /// A burst joins only in a window that may chain (see
     /// [`BusWindow`]), after a burst that completes, and only if the
-    /// bus answers [`SystemBus::horizon_with`] for it; the run ends at
-    /// the first that does not. On an idle bus that answer does not
-    /// depend on `now`, so it times the burst wherever it issues.
+    /// bus answers [`SystemBus::time_burst`] for it, after the burst
+    /// in front of it; the run ends at the first that does not.
     /// Bursts are drawn only while the run's last pickup comes before
     /// tick `limit`, the rest of the merged horizon: a leap never
     /// reaches past it, so the plan pays for at most one burst it does
