@@ -2319,15 +2319,20 @@ mod tests {
         fn horizon(&self) -> Horizon {
             self.bus.horizon()
         }
-        fn horizon_with(
+        fn time_burst(
             &self,
             master: ouessant_sim::bus::MasterId,
             shape: TxnShape,
-        ) -> Option<std::num::NonZeroU64> {
-            self.bus.horizon_with(master, shape)
+            issue: u64,
+            after: Option<&ouessant_sim::RunBurst>,
+        ) -> Option<ouessant_sim::RunBurst> {
+            self.bus.time_burst(master, shape, issue, after)
         }
-        fn never_faults(&self, shape: TxnShape) -> bool {
-            self.bus.never_faults(shape)
+        fn set_polls(
+            &mut self,
+            polls: Option<ouessant_sim::bus::Polls>,
+        ) -> Option<ouessant_sim::bus::Polls> {
+            self.bus.set_polls(polls)
         }
         fn replays_runs(&self) -> bool {
             self.bus.replays_runs()

@@ -22,7 +22,6 @@ use crate::bus::{
     Addr, BusError, BusSlave, BusStats, Completion, MasterId, Polls, PortState, SlaveMap, Txn,
     TxnKind, TxnRequest, TxnShape,
 };
-use std::num::NonZeroU64;
 
 use crate::clock::{Cycle, Instant};
 use crate::event::{Horizon, RunBurst};
@@ -95,42 +94,23 @@ pub trait SystemBus {
     #[must_use]
     fn horizon(&self) -> Horizon;
 
-    /// The tick of the [`SystemBus::horizon`] the bus would have right
-    /// after `master` issues a burst of `shape`, before this cycle's
-    /// tick, or `None` when it declines to say. It lets a master issue inside a fast-forward window
-    /// instead of on a stepped tick (see [`BusWindow`](crate::event::BusWindow)),
-    /// so an answer must be exact, and `None` whenever `try_begin` would
-    /// reject the burst (a completion waiting on `master`'s port aside).
-    /// The default declines every request, which keeps each issue a
-    /// stepped event.
-    #[must_use]
-    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
-        let _ = (master, shape);
-        None
-    }
-
-    /// Whether a burst of `shape` is bound for a slave that never
-    /// faults (see [`BusSlave::fault_free`]). Alone on the bus, such a
-    /// burst's [`SystemBus::horizon_with`] is its completion; any
-    /// other's may be an earlier beat, which could fault. The default
-    /// says no.
-    fn never_faults(&self, shape: TxnShape) -> bool {
-        let _ = shape;
-        false
-    }
-
     /// The burst of `shape` that `master` issues on tick `issue` of a
-    /// window that starts now, timed as [`SystemBus::horizon_with`]
-    /// times an issue: the tick of its event, counted from now, and
-    /// whether that event is its completion. `after` is the burst of
-    /// the same run in front of it, on whose completion the bus is idle
-    /// but for its installed [`Polls`]; without it the burst is the
-    /// run's first, and issues on tick 1 unless the bus is idle but for
-    /// polls. `None` where [`SystemBus::horizon_with`] declines.
+    /// window that starts now, before this cycle's tick: the tick of
+    /// the bus's first event after the issue ([`SystemBus::horizon`]
+    /// with the burst added), counted from now, and whether that event
+    /// is its completion. `after` is the burst of the same run in
+    /// front of it, on whose completion the bus is idle but for its
+    /// installed [`Polls`]; without it the burst is the run's first,
+    /// and issues on tick 1 unless the bus is idle but for polls (an
+    /// idle bus times a burst alike wherever it issues).
     ///
-    /// The default, for a bus without polls, reads the what-if once: an
-    /// idle bus times a burst alike wherever it issues, and its event
-    /// is its completion on a slave that [`SystemBus::never_faults`].
+    /// It lets a master issue inside a fast-forward window instead of
+    /// on a stepped tick (see [`BusWindow`](crate::event::BusWindow)),
+    /// so an answer must be exact, and `None` whenever `try_begin`
+    /// would reject the burst (a completion waiting on `master`'s port
+    /// aside). The default declines every burst, which keeps each
+    /// issue a stepped event.
+    #[must_use]
     fn time_burst(
         &self,
         master: MasterId,
@@ -138,15 +118,8 @@ pub trait SystemBus {
         issue: u64,
         after: Option<&RunBurst>,
     ) -> Option<RunBurst> {
-        let h = self.horizon_with(master, shape)?;
-        Some(RunBurst {
-            shape,
-            issue,
-            event: (issue - 1).saturating_add(h.get()),
-            completes: (after.is_some() || self.horizon() == Horizon::QUIESCENT)
-                && self.never_faults(shape),
-            poll: 0,
-        })
+        let _ = (master, shape, issue, after);
+        None
     }
 
     /// Installs `polls`, a master's status reads, for the window to
@@ -190,9 +163,8 @@ pub trait SystemBus {
     /// words last handed to `data`.
     ///
     /// Called only when [`SystemBus::replays_runs`] says yes, for
-    /// bursts [`SystemBus::horizon_with`] timed on an idle bus, each of
-    /// which [`SystemBus::never_faults`]. The default, for a bus that
-    /// never says yes, is never called.
+    /// bursts [`SystemBus::time_burst`] timed as completing. The
+    /// default, for a bus that never says yes, is never called.
     fn replay_run(
         &mut self,
         master: MasterId,

@@ -31,9 +31,9 @@
 //! every grant, address phase, wait state, beat and re-arbitration on
 //! the way; a lone requester's whole transaction is one closed-form
 //! step.
-//! [`Bus::horizon_with`] answers the same question with one more burst
-//! issued, given by its [`TxnShape`], so a master's issue can sit
-//! inside a leap too.
+//! [`Bus::time_burst`](SystemBus::time_burst) answers the same
+//! question with one more burst issued, given by its [`TxnShape`], so a
+//! master's issue can sit inside a leap too.
 //!
 //! The address map (`SlaveMap`: decode, the span check `try_begin` and
 //! the what-if share, slave timing read at mapping, debug access) and
@@ -164,7 +164,7 @@ impl TxnRequest {
 
 /// A request without its payload: all the bus times a burst and checks
 /// where it lands by, so a master can ask about a burst before it has
-/// the words it will write ([`Bus::horizon_with`]).
+/// the words it will write ([`SystemBus::time_burst`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnShape {
     /// Read or write.
@@ -1192,7 +1192,7 @@ impl InFlight {
     }
 }
 
-/// A request [`Bus::horizon_with`] adds to the requesting set: its
+/// A request [`SystemBus::time_burst`] adds to the requesting set: its
 /// master's index, its beats and the slave it is bound for.
 #[derive(Clone, Copy)]
 struct Issuer {
@@ -1558,13 +1558,11 @@ impl Bus {
     }
 
     /// How many of `bursts`, the rest of a run from origin `origin`,
-    /// no poll's read reaches: all of them without polls or with the
+    /// the installed polls' reads do not reach: all of them with the
     /// reads stopped, else those that complete by the cycle the next
     /// read is requested on, and none while one is outstanding.
     fn alone_through(&self, origin: Instant, bursts: &[RunBurst]) -> usize {
-        let Some(lane) = &self.polls else {
-            return bursts.len();
-        };
+        let lane = self.polls.as_ref().expect("polls installed");
         if self.masters[lane.polls.master.0].outstanding.is_some() {
             return 0;
         }
@@ -1816,32 +1814,16 @@ impl SystemBus for Bus {
             .map_or(Horizon::QUIESCENT, Horizon::in_ticks)
     }
 
-    /// Worked out in closed form (no clone, O(masters)). A write's
-    /// payload length is the one `try_begin` check that needs the
-    /// payload, so the shape cannot make it. A completion still waiting
-    /// on `master`'s port does not move the timing, and a master picks
-    /// its last burst up before it issues the next one.
-    ///
-    /// On an idle bus the answer does not depend on `now`, so an issue
-    /// `k` idle ticks ahead completes `k` ticks later.
-    fn horizon_with(&self, master: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
-        if self.polls.is_some() {
-            let b = self.time_burst(master, shape, 1, None)?;
-            return NonZeroU64::new(b.event);
-        }
-        let port = self.masters.get(master.0)?;
-        let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
-        self.next_event(Some(Issuer {
-            master: master.0,
-            beats: shape.beats,
-            slave_idx,
-        }))
-    }
-
-    /// One address decode per burst. Without polls, a later burst of a
-    /// run issues on an idle bus and is timed in closed form; with
-    /// them, the contended loop runs from the bus as it stands, or from
-    /// `after`'s completion, through the burst's event.
+    /// One address decode per burst, no clone. Without polls, the first
+    /// burst is timed in closed form (O(masters)) on the bus as it
+    /// stands, and a later burst of a run, which issues on an idle bus,
+    /// in closed form alone; with them, the contended loop runs from
+    /// the bus as it stands, or from `after`'s completion, through the
+    /// burst's event. A write's payload length is the one `try_begin`
+    /// check that needs the payload, so the shape cannot make it. A
+    /// completion still waiting on `master`'s port does not move the
+    /// timing, and a master picks its last burst up before it issues
+    /// the next one.
     fn time_burst(
         &self,
         master: MasterId,
@@ -1927,12 +1909,6 @@ impl SystemBus for Bus {
         std::mem::replace(&mut self.polls, lane).map(|l| l.polls)
     }
 
-    fn never_faults(&self, shape: TxnShape) -> bool {
-        self.slaves
-            .span(shape, false)
-            .is_ok_and(|i| self.slaves.timing(i).fault_free)
-    }
-
     /// Yes while the trace is off: a traced bus records every request,
     /// grant and completion of a run on its own cycle.
     fn replays_runs(&self) -> bool {
@@ -1955,6 +1931,10 @@ impl SystemBus for Bus {
         bursts: &[RunBurst],
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
+        if self.polls.is_none() {
+            self.replay_alone(master, origin, bursts, 0, data);
+            return;
+        }
         let mut k = 0;
         while k < bursts.len() {
             let alone = self.alone_through(origin, &bursts[k..]);
@@ -2577,14 +2557,17 @@ mod tests {
         let (mut bus, m) = bus_with_sram();
         let other = bus.register_master();
         let req = TxnRequest::read(0x4000_0000, 40);
+        let shape = req.shape();
+        // The event of an issue on the window's first tick.
+        let what_if = |bus: &Bus, m, shape| bus.time_burst(m, shape, 1, None).map(|b| b.event);
         // Idle: a lone request, its sub-bursts back to back.
-        let alone = bus.horizon_with(m, req.shape());
-        assert_eq!(alone.map(NonZeroU64::get), Some(2 * (2 + 16) + 2 + 8));
+        let alone = what_if(&bus, m, shape);
+        assert_eq!(alone, Some(2 * (2 + 16) + 2 + 8));
         // A waiting completion does not move it; an outstanding burst
         // makes the issue fail.
         bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
             .unwrap();
-        assert_eq!(bus.horizon_with(m, req.shape()), None);
+        assert_eq!(what_if(&bus, m, shape), None);
         bus.run_to_completion(m).unwrap();
         bus.try_begin(m, TxnRequest::read_word(0x4000_0000))
             .unwrap();
@@ -2592,21 +2575,19 @@ mod tests {
         bus.tick();
         bus.tick();
         assert_eq!(bus.poll(m), PortState::Complete);
-        assert_eq!(bus.horizon_with(m, req.shape()), alone);
+        assert_eq!(what_if(&bus, m, shape), alone);
         bus.take_completion(m);
         // Behind another master's burst, as `try_begin` then `horizon`
         // has it.
         bus.try_begin(other, TxnRequest::read(0x4000_0100, 20))
             .unwrap();
         bus.tick();
-        let what_if = bus.horizon_with(m, req.shape());
+        let behind = what_if(&bus, m, shape);
         bus.try_begin(m, req).unwrap();
-        assert_eq!(what_if.map(Horizon::in_ticks), Some(bus.horizon()));
+        assert_eq!(behind.map(|e| Horizon::after(e - 1)), Some(bus.horizon()));
         // Rejections match `try_begin`'s.
-        assert_eq!(
-            bus.horizon_with(other, TxnRequest::read(0x4000_0000, 1).shape()),
-            None
-        );
-        assert_eq!(bus.horizon_with(m, TxnRequest::read_word(3).shape()), None);
+        let busy = TxnRequest::read(0x4000_0000, 1).shape();
+        assert_eq!(what_if(&bus, other, busy), None);
+        assert_eq!(what_if(&bus, m, TxnRequest::read_word(3).shape()), None);
     }
 }

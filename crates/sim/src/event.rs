@@ -284,9 +284,10 @@ pub struct RunBurst {
     pub event: u64,
     /// Whether that event is the burst's completion, which its master
     /// picks up on the tick after: so on a bus idle but for its polls,
-    /// for a burst [`SystemBus::never_faults`]. Otherwise it may be another
-    /// master's completion, or a beat that may fault, and the run ends
-    /// there.
+    /// for a burst on a slave that never faults (see
+    /// [`BusSlave::fault_free`](crate::bus::BusSlave::fault_free)).
+    /// Otherwise it may be another master's completion, or a beat that
+    /// may fault, and the run ends there.
     pub completes: bool,
     /// The tick on whose end the next read of the bus's installed
     /// [`Polls`](crate::bus::Polls) is requested, after the burst's
@@ -871,11 +872,18 @@ mod tests {
                 (bursts_of(&w, a), w.event()),
                 (vec![burst(1, ALONE), first_beat(then)], at(then + 2))
             );
-            // A bus that declines every what-if never says a burst
-            // cannot fault.
-            let axi = AxiBus::new();
-            assert!(bus.never_faults(shape()) && !bus.never_faults(risky));
-            assert!(!axi.never_faults(shape()));
+            // On an idle bus, a burst's event is its completion only
+            // on a slave that never faults; a bus that declines every
+            // what-if times no burst.
+            let completes = |shape| bus.time_burst(a, shape, 1, None).map(|b| b.completes);
+            assert_eq!(
+                (completes(shape()), completes(risky)),
+                (Some(true), Some(false))
+            );
+            let mut axi = AxiBus::new();
+            let m = axi.register_master();
+            axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
+            assert_eq!(axi.time_burst(m, shape(), 1, None), None);
         }
 
         /// Leaps a fresh bus of [`bus`], traced or not, over the first
@@ -1031,8 +1039,8 @@ mod tests {
             assert_eq!((w.issuer(), w.event()), (None, bus.horizon()));
             let w = plan(&bus, true, vec![issue(a, 0)]);
             assert_eq!(w.issuer(), Some(a));
-            let alone = bus.horizon_with(a, issue(a, 0).shape);
-            assert_eq!(Some(w.event()), alone.map(Horizon::in_ticks));
+            let alone = bus.time_burst(a, issue(a, 0).shape, 1, None);
+            assert_eq!(Some(w.event()), alone.map(|b| Horizon::after(b.event - 1)));
             assert_eq!(w.event(), at(ALONE));
         }
 

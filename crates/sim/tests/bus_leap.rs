@@ -25,10 +25,11 @@
 //! up to it. A horizon that comes too early fails that.
 //!
 //! Every issue of either twin also checks the issue what-if against the
-//! bus itself: [`Bus::horizon_with`] before [`Bus::try_begin`] must
-//! equal [`Bus::horizon`] right after it (and be `None` for a request
-//! the bus rejects), and on an idle bus the what-if taken ahead of the
-//! issue, any number of idle cycles before, must not change.
+//! bus itself: [`SystemBus::time_burst`]'s event for an issue on the
+//! window's first tick, before [`Bus::try_begin`], must equal
+//! [`Bus::horizon`] right after it (and be `None` for a request the bus
+//! rejects), and on an idle bus the what-if taken ahead of the issue,
+//! any number of idle cycles before, must not change.
 
 use std::num::NonZeroU64;
 
@@ -244,31 +245,33 @@ fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
     ]
 }
 
+/// The tick of the bus's first event if `m` issued a burst of `shape`
+/// now, as [`SystemBus::time_burst`] times it.
+fn what_if(bus: &Bus, m: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
+    bus.time_burst(m, shape, 1, None)
+        .and_then(|b| NonZeroU64::new(b.event))
+}
+
 /// Issues `req` for master `m`, checking the what-if first: it equals
 /// the horizon right after the issue, a rejected variant of the
 /// request has none (and queues nothing), and `ahead` — a what-if
 /// taken on the idle bus some cycles before — matches too.
 fn issue_checked(bus: &mut Bus, m: MasterId, req: TxnRequest, ahead: Option<Option<NonZeroU64>>) {
     for bad in rejected_variants(&req) {
-        assert_eq!(bus.horizon_with(m, bad.shape()), None, "{bad:?}");
+        assert_eq!(what_if(bus, m, bad.shape()), None, "{bad:?}");
         assert!(bus.try_begin(m, bad).is_err());
         assert_eq!(bus.poll(m), PortState::Idle);
     }
-    let what_if = bus.horizon_with(m, req.shape());
+    let timed = what_if(bus, m, req.shape());
     bus.try_begin(m, req).expect("scripted request is valid");
     assert_eq!(
-        what_if.map(Horizon::in_ticks),
+        timed.map(Horizon::in_ticks),
         Some(bus.horizon()),
         "what-if at cycle {}",
         bus.now().count()
     );
     if let Some(ahead) = ahead {
-        assert_eq!(
-            ahead,
-            what_if,
-            "what-if ahead of cycle {}",
-            bus.now().count()
-        );
+        assert_eq!(ahead, timed, "what-if ahead of cycle {}", bus.now().count());
     }
 }
 
@@ -357,7 +360,7 @@ fn run(s: &Scenario, drive: Drive, traced: bool) -> Run {
             // Idle until the next issue: its what-if holds from here.
             for (i, &m) in ids.iter().enumerate() {
                 if issue_at[i] == next_issue && ahead[i].is_none() {
-                    ahead[i] = Some(bus.horizon_with(m, s.scripts[i][next[i]].req.shape()));
+                    ahead[i] = Some(what_if(&bus, m, s.scripts[i][next[i]].req.shape()));
                 }
             }
         }
