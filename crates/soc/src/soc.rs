@@ -667,33 +667,56 @@ mod tests {
     }
 
     /// The loop iterations (leaps and ticks) of one `start_and_wait`,
-    /// which no build setting moves: ablation A2's DFT offload under
-    /// each completion mode, pinned as measured. Polls inside windows
-    /// took polling-16 from 413 to its count here.
+    /// which no build setting moves, pinned as measured with each run's
+    /// cycles: ablation A2's DFT offload under each completion mode,
+    /// and ablation A1's shortest and longest bursts (512 words each
+    /// way through the passthrough in DMA8 and DMA256 transfers) with
+    /// an interrupt and polling every 16 cycles. Polls inside windows
+    /// took A2's polling-16 from 413 iterations to its count here.
     #[test]
     fn an_offload_s_loop_iterations_are_pinned() {
-        use ouessant_isa::ProgramBuilder;
+        use ouessant_isa::{Program, ProgramBuilder};
         use ouessant_rac::dft::DftRac;
 
-        let program = ProgramBuilder::new()
-            .transfer_to_coprocessor(1, 0, 512, 64, 0)
-            .unwrap()
-            .execs_op(0)
-            .transfer_from_coprocessor(2, 0, 512, 64, 0)
-            .unwrap()
-            .eop()
-            .finish()
-            .unwrap();
-        for (completion, run_cycles, iterations) in [
-            (CompletionMode::Interrupt, 3916, 6),
-            (CompletionMode::Polling { interval: 16 }, 4078, 7),
-            (CompletionMode::Polling { interval: 1024 }, 4108, 7),
-        ] {
+        let offload = |burst: u16, op: u16| {
+            ProgramBuilder::new()
+                .transfer_to_coprocessor(1, 0, 512, burst, 0)
+                .unwrap()
+                .execs_op(op)
+                .transfer_from_coprocessor(2, 0, 512, burst, 0)
+                .unwrap()
+                .eop()
+                .finish()
+                .unwrap()
+        };
+        let (dft, dma8, dma256) = (offload(64, 0), offload(8, 512), offload(256, 512));
+        let dft_rac = || -> Box<dyn Rac> { Box::new(DftRac::new(256)) };
+        let pipe = || -> Box<dyn Rac> { Box::new(PassthroughRac::new(0)) };
+        let interrupt = CompletionMode::Interrupt;
+        let polling = |interval| CompletionMode::Polling { interval };
+        type Case<'a> = (
+            &'a str,
+            &'a Program,
+            fn() -> Box<dyn Rac>,
+            CompletionMode,
+            u64,
+            u64,
+        );
+        let cases: [Case<'_>; 7] = [
+            ("A2 DFT", &dft, dft_rac, interrupt, 3916, 6),
+            ("A2 DFT", &dft, dft_rac, polling(16), 4078, 7),
+            ("A2 DFT", &dft, dft_rac, polling(1024), 4108, 7),
+            ("A1 DMA8", &dma8, pipe, interrupt, 2745, 6),
+            ("A1 DMA8", &dma8, pipe, polling(16), 3144, 7),
+            ("A1 DMA256", &dma256, pipe, interrupt, 1889, 6),
+            ("A1 DMA256", &dma256, pipe, polling(16), 2084, 7),
+        ];
+        for (name, program, rac, completion, run_cycles, iterations) in cases {
             let config = SocConfig {
                 completion,
                 ..SocConfig::default()
             };
-            let mut soc = Soc::new(Box::new(DftRac::new(256)), config);
+            let mut soc = Soc::new(rac(), config);
             let ram = soc.config().ram_base;
             soc.load_words(ram, &program.to_words()).unwrap();
             soc.configure(
@@ -705,7 +728,7 @@ mod tests {
             assert_eq!(
                 (report.run_cycles, soc.iterations),
                 (run_cycles, iterations),
-                "{completion:?}"
+                "{name}, {completion:?}"
             );
         }
     }
