@@ -16,9 +16,11 @@
 //!   time: transfers occupy the bus for their burst, `exec` waits for the
 //!   RAC, register operations take a single cycle.
 //!
-//! The simulator decodes the program store once, when it is loaded, so
-//! the `Decode` cycle is a table read and a fetch/decode pair ahead of a
-//! decodable word is a pure two-cycle window for fast-forward.
+//! The simulator translates the program store once, when it is loaded
+//! (see the `store` module), so the `Decode` cycle is a table read, a
+//! fetch/decode pair ahead of a decodable word is a pure two-cycle
+//! window for fast-forward, and a stretch of equal transfers is planned
+//! and replayed as one segment of DMA bursts.
 //!
 //! For fast-forward the controller states which of its ticks it walks
 //! through on its own, and the event its walk ends on
@@ -31,20 +33,24 @@
 //! horizon is its walk's event, or the bus event of the transfers a
 //! window issues.
 
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
 use ouessant_isa::control::{ControlState, Flow};
 use ouessant_isa::operands::{Bank, FifoId, MAX_PROGRAM_LEN, NUM_FIFOS};
-use ouessant_isa::{DecodeError, Instruction, Transfer, TransferOffset};
+use ouessant_isa::{DecodeError, Instruction, Transfer};
 use ouessant_rac::rac::RacSocket;
 use ouessant_sim::bus::{Addr, BusError, MasterId, TxnKind, TxnShape};
-use ouessant_sim::{BusWindow, Cycle, Horizon, Instant, RunBurst, SystemBus, WindowIssue};
+use ouessant_sim::{
+    BusWindow, Cycle, Horizon, Instant, RunSegment, Strided, SystemBus, WindowIssue,
+};
 
 use crate::banks::{self, TranslateError, PROGRAM_BANK};
 use crate::interface::{DmaPort, IrqLine};
 use crate::regs::RegsHandle;
+use crate::store::{ProgramStore, StridedRun};
 
 /// A fatal condition that stops the controller (debug-visible; the D bit
 /// is *not* set, so the host driver times out and reads the state
@@ -293,6 +299,18 @@ struct FifoLedger {
 }
 
 impl FifoLedger {
+    /// The words transfer `t`'s FIFO side has ready once the words
+    /// counted ahead of it have landed or left: the space in its input
+    /// FIFO, or the words in its output FIFO.
+    fn room(&self, t: &Transfer, socket: &RacSocket) -> usize {
+        let fifo = t.fifo.index();
+        if t.to_coprocessor {
+            socket.input_space(fifo).saturating_sub(self.pushed[fifo])
+        } else {
+            (socket.output_available(fifo) + self.drained[fifo]).saturating_sub(self.popped[fifo])
+        }
+    }
+
     /// Counts `words` pushed into input FIFO `fifo` (a read) or popped
     /// from output FIFO `fifo` (a write).
     fn count(&mut self, read: bool, fifo: FifoId, words: usize) {
@@ -310,9 +328,9 @@ impl FifoLedger {
 pub struct Controller {
     state: ControllerState,
     dma: DmaPort,
-    /// The program store, decoded once when it is loaded: entry `pc`
-    /// is what the `Decode` cycle yields for the word at `pc`.
-    program: Vec<Result<Instruction, DecodeError>>,
+    /// The program store, translated once when it is loaded: entry
+    /// `pc` is what the `Decode` cycle yields for the word at `pc`.
+    program: ProgramStore,
     pc: u16,
     current: Option<Instruction>,
     /// The input FIFO the read in flight fills (`None` for a write,
@@ -331,7 +349,7 @@ impl Controller {
         Self {
             state: ControllerState::Idle,
             dma,
-            program: Vec::new(),
+            program: ProgramStore::default(),
             pc: 0,
             current: None,
             pending_read: None,
@@ -389,7 +407,7 @@ impl Controller {
     /// (standalone mode: the paper's §VI mentions "standalone operation
     /// … to provide control for processor-free designs").
     pub fn preload_program(&mut self, words: &[u32]) {
-        self.program = predecode(words);
+        self.program.reload(words);
         self.preloaded = true;
     }
 
@@ -606,19 +624,29 @@ impl Controller {
     /// decode. That is the program store, unless a program load waits to
     /// be picked up: then it is the program the pickup stores.
     fn entries<'a>(&'a self, bus: &'a dyn SystemBus) -> impl Fn(u16) -> Option<Instruction> + 'a {
-        let loaded = match self.state {
-            ControllerState::LoadProgram => match self.dma.peek_completion(bus) {
-                Some(Ok(c)) => Some(&c.data),
-                _ => None,
-            },
+        let loaded = self.loading(bus);
+        move |pc| match loaded {
+            Some(words) => Instruction::decode(*words.get(usize::from(pc))?).ok(),
+            None => self.program.entry(pc)?.as_ref().ok().copied(),
+        }
+    }
+
+    /// The words a program load waiting to be picked up stores, if one
+    /// does.
+    fn loading<'a>(&self, bus: &'a dyn SystemBus) -> Option<&'a [u32]> {
+        match (&self.state, self.dma.peek_completion(bus)) {
+            (ControllerState::LoadProgram, Some(Ok(c))) => Some(&c.data),
             _ => None,
-        };
-        move |pc| {
-            let pc = usize::from(pc);
-            match loaded {
-                Some(words) => words.get(pc).and_then(|&w| Instruction::decode(w).ok()),
-                None => self.program.get(pc)?.as_ref().ok().copied(),
-            }
+        }
+    }
+
+    /// The program store the FSM's next `Decode` ticks will find: its
+    /// own, unless a program load waits to be picked up that brings
+    /// other words, which are then translated here.
+    fn store<'a>(&'a self, bus: &'a dyn SystemBus) -> Cow<'a, ProgramStore> {
+        match self.loading(bus) {
+            Some(words) if !self.program.holds(words) => Cow::Owned(ProgramStore::load(words)),
+            _ => Cow::Borrowed(&self.program),
         }
     }
 
@@ -639,21 +667,13 @@ impl Controller {
         regs: &RegsHandle,
         ledger: &FifoLedger,
     ) -> Option<Result<Addr, TranslateError>> {
-        let words = usize::from(t.burst.words());
-        let fifo = t.fifo.index();
-        let ready = if t.to_coprocessor {
-            socket.input_space(fifo).saturating_sub(ledger.pushed[fifo]) >= words
-        } else {
-            (socket.output_available(fifo) + ledger.drained[fifo])
-                .saturating_sub(ledger.popped[fifo])
-                >= words
-        };
+        let ready = ledger.room(t, socket) >= usize::from(t.burst.words());
         ready.then(|| regs.with(|r| banks::translate(r, t.bank, self.control.offset(t))))
     }
 
     /// The run of transfers this controller can issue inside the next
     /// fast-forward window (see [`BusWindow`]): its first issue, and
-    /// the bursts of the later ones, lazily.
+    /// the bursts of the later ones, lazily, stretch by stretch.
     ///
     /// The first is the `Execute` of `mvtc`/`mvfc`/`mvtcr`/`mvfcr` on
     /// the window's first tick, or, with `chain`, the one the FSM
@@ -666,18 +686,19 @@ impl Controller {
     /// pushes count for an `mvfc`), so nothing but the controller
     /// touches its FIFOs in the window.
     ///
-    /// Each later one is the next program entry, issued 3 ticks (its
-    /// pickup, `Fetch` and `Decode`) after the last one's completion,
-    /// as the program the FSM will find holds it (see
-    /// `Controller::entries`). The iterator starts from the first
-    /// issue's entry and FIFO words. Like the first, each must pass the
+    /// The later ones are the program entries after it, each issued 3
+    /// ticks (its pickup, `Fetch` and `Decode`) after the last one's
+    /// completion, as the program the FSM will find holds them (see
+    /// `Controller::store`), one strided run of the store at a time
+    /// (see `Controller::strided`). Like the first, each must pass the
     /// issue check once the words of the pickup and of the bursts ahead
     /// of it have landed or left, and its bank must translate; unlike
     /// it, it must have an immediate offset, which no issue before it
-    /// moves. [`BusWindow::extend_run`] then asks the bus about its
-    /// burst's shape. The RAC stays idle: a run holds no `exec`. The run
-    /// ends at the first entry that does not qualify (a `djnz` or any
-    /// other instruction among them), which then steps as any other.
+    /// moves. [`BusWindow::extend_run`] then asks the bus about the
+    /// bursts' shapes. The RAC stays idle: a run holds no `exec`. The
+    /// run ends at the first entry that does not qualify (a `djnz` or
+    /// any other instruction among them), which then steps as any
+    /// other.
     #[must_use]
     pub fn window_issue<'a>(
         &'a self,
@@ -685,7 +706,7 @@ impl Controller {
         bus: &'a dyn SystemBus,
         regs: &'a RegsHandle,
         chain: bool,
-    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
+    ) -> Option<(WindowIssue, impl Iterator<Item = Strided> + 'a)> {
         // Without chains only an `Execute` can issue: on the first tick.
         if !chain && !matches!(self.state, ControllerState::Execute) {
             return None;
@@ -704,21 +725,91 @@ impl Controller {
         let first = WindowIssue {
             master: self.master(),
             prefix: walk.ticks,
-            shape: self.issue(walk.insn, socket, regs, &mut ledger, false)?,
+            shape: self.issue(walk.insn, socket, regs, &mut ledger)?,
         };
-        let entry = self.entries(bus);
-        let mut pc = walk.pc;
-        let later = std::iter::from_fn(move || {
-            pc += 1;
-            self.issue(entry(pc), socket, regs, &mut ledger, true)
-        });
+        let later = self.later(self.store(bus), walk.pc + 1, socket, regs, ledger);
         Some((first, later))
+    }
+
+    /// The later issues of a run from entry `pc` of `store` on, each
+    /// strided run of the store at most one [`Strided`], with `ledger`
+    /// counting the words of the issues ahead of them.
+    fn later<'a>(
+        &'a self,
+        store: Cow<'a, ProgramStore>,
+        pc: u16,
+        socket: &'a RacSocket,
+        regs: &'a RegsHandle,
+        mut ledger: FifoLedger,
+    ) -> impl Iterator<Item = Strided> + 'a {
+        let mut next = Some(pc);
+        std::iter::from_fn(move || {
+            let pc = next.take()?;
+            let run = store.run(pc)?;
+            let bursts = self.strided(&run, socket, regs, &mut ledger)?;
+            if bursts.count == u32::from(run.count) {
+                next = pc.checked_add(run.count);
+            }
+            Some(bursts)
+        })
+    }
+
+    /// The bursts of the first transfers of `run` that issue one after
+    /// another: those whose words the FIFO side has room for (one
+    /// division), once the words `ledger` counts have landed or left,
+    /// and whose offsets translate (the first and the last checked,
+    /// since the offsets ascend). `None` when the first does not. Their
+    /// words join the ledger.
+    fn strided(
+        &self,
+        run: &StridedRun,
+        socket: &RacSocket,
+        regs: &RegsHandle,
+        ledger: &mut FifoLedger,
+    ) -> Option<Strided> {
+        let t = &run.transfer;
+        let words = t.burst.words();
+        let room = ledger.room(t, socket) / usize::from(words);
+        let fit = u32::try_from(room).map_or(u32::from(run.count), |r| r.min(u32::from(run.count)));
+        let offset = self.control.offset(t);
+        let (addr, count) = regs.with(|r| {
+            let translate = |j: u32| banks::translate(r, t.bank, offset + j * run.stride).ok();
+            let addr = translate(0)?;
+            // Past the address space's end only the overflowing offsets
+            // fail: the ones that translate are a prefix.
+            let count = if fit <= 1 || translate(fit - 1).is_some() {
+                fit
+            } else {
+                (1..fit).find(|&j| translate(j).is_none()).unwrap_or(fit)
+            };
+            Some((addr, count))
+        })?;
+        if count == 0 {
+            return None;
+        }
+        ledger.count(
+            t.to_coprocessor,
+            t.fifo,
+            usize::from(words) * count as usize,
+        );
+        Some(Strided {
+            shape: TxnShape {
+                kind: if t.to_coprocessor {
+                    TxnKind::Read
+                } else {
+                    TxnKind::Write
+                },
+                addr,
+                beats: words,
+            },
+            stride: run.stride * 4,
+            count,
+        })
     }
 
     /// The burst `insn` issues, if it is a transfer the tick would
     /// issue: it passes the issue check, counting the words `ledger`
-    /// holds, and its bank translates. A `later` issue of a run must
-    /// also have an immediate offset. The issue's words join the
+    /// holds, and its bank translates. The issue's words join the
     /// ledger.
     fn issue(
         &self,
@@ -726,12 +817,8 @@ impl Controller {
         socket: &RacSocket,
         regs: &RegsHandle,
         ledger: &mut FifoLedger,
-        later: bool,
     ) -> Option<TxnShape> {
         let t = Transfer::from_instruction(0, &insn?)?;
-        if later && !matches!(t.offset, TransferOffset::Immediate(_)) {
-            return None;
-        }
         let addr = self.issue_check(&t, socket, regs, ledger)?.ok()?;
         let words = t.burst.words();
         ledger.count(t.to_coprocessor, t.fifo, usize::from(words));
@@ -744,6 +831,29 @@ impl Controller {
             kind,
             addr,
             beats: words,
+        })
+    }
+
+    /// The later issues of a run from entry `pc` on, planned one
+    /// program entry at a time, as the planner did before the store
+    /// was translated: the oracle `Controller::later` must equal burst
+    /// by burst.
+    #[cfg(test)]
+    fn later_oracle<'a>(
+        &'a self,
+        entry: impl Fn(u16) -> Option<Instruction> + 'a,
+        pc: u16,
+        socket: &'a RacSocket,
+        regs: &'a RegsHandle,
+        mut ledger: FifoLedger,
+    ) -> impl Iterator<Item = TxnShape> + 'a {
+        let mut pc = pc;
+        std::iter::from_fn(move || {
+            let insn = entry(pc)?;
+            pc += 1;
+            let t = Transfer::from_instruction(0, &insn)?;
+            t.start_offset()?;
+            self.issue(Some(insn), socket, regs, &mut ledger)
         })
     }
 
@@ -855,24 +965,28 @@ impl Controller {
         }
     }
 
-    /// Replays `bursts`, whole later bursts of the run whose burst in
+    /// Replays `segment`, whole later bursts of the run whose burst in
     /// flight has completed on the port, in one step, leaving the FSM
     /// where stepping would: on the last burst in `TransferBusWait`,
-    /// its completion waiting on the port. Each burst costs its data
-    /// move: the pickup of the burst before it lands a read's words in
-    /// their input FIFO, and a write's issue pops its payload, both
-    /// handed through the bus's [`SystemBus::replay_run`], which charges
-    /// the bursts in closed form. The socket advances over each burst's
-    /// ticks before its words move, as stepping ticks it. The pc, the
-    /// statistics and the latched instruction move once: every burst's
-    /// pickup retires an instruction, and a later burst has an
-    /// immediate offset, so no offset register moves.
+    /// its completion waiting on the port. The segment is the next
+    /// entries' strided run, or its first transfers (see
+    /// `ProgramStore`): one transfer tells every burst's direction,
+    /// FIFO and words. Each burst costs its data move: the pickup of
+    /// the burst before it lands a read's words in their input FIFO,
+    /// and a write's issue pops its payload, both handed through the
+    /// bus's [`SystemBus::replay_run`], which charges the bursts in
+    /// closed form. The socket advances once, over every burst's ticks,
+    /// before the words move: the RAC is idle through a run (a run
+    /// holds no `exec`), and an idle RAC's ticks leave its FIFOs alone.
+    /// The pc, the statistics and the latched instruction move once:
+    /// every burst's pickup retires an instruction, and a later burst
+    /// has an immediate offset, so no offset register moves.
     pub(crate) fn replay_run(
         &mut self,
         bus: &mut dyn SystemBus,
         socket: &mut RacSocket,
         origin: Instant,
-        bursts: &[RunBurst],
+        segment: RunSegment,
     ) {
         let Some(Ok(picked)) = self.dma.take_completion(bus) else {
             unreachable!("a run step starts on a completed burst");
@@ -883,44 +997,42 @@ impl Controller {
                 .expect("space reserved before issue");
             self.stats.words_transferred += picked.data.len() as u64;
         }
-        let master = self.master();
-        let first = usize::from(self.pc) + 1;
-        let transfers = &self.program[first..first + bursts.len()];
-        let transfer = |k: usize| {
-            let insn = transfers[k].as_ref().expect("the plan decoded the run");
-            let t = Transfer::from_instruction(0, insn).expect("a run holds transfers");
-            debug_assert!(matches!(t.offset, TransferOffset::Immediate(_)));
-            t
-        };
-        let last = bursts.len() - 1;
-        let mut moved = 0;
-        bus.replay_run(master, origin, bursts, &mut |k, words| {
-            // From the last burst's completion: its pickup, `Fetch`,
-            // `Decode`, the issue and the burst.
-            let b = &bursts[k];
-            socket.advance(Cycle::new(b.event + 1 + PICKUP_TICKS - b.issue));
-            let t = transfer(k);
-            if t.to_coprocessor {
-                // The last read's words wait on the port for its pickup.
-                if k < last {
-                    socket
-                        .push_inputs(t.fifo.index(), words)
-                        .expect("the plan counted the space");
-                    moved += words.len() as u64;
-                }
-            } else {
-                let n = usize::from(t.burst.words());
+        let run = self.program.run(self.pc + 1);
+        let t = run.expect("the plan translated the run").transfer;
+        debug_assert!(
+            run.is_some_and(|r| segment.count <= u32::from(r.count)
+                && (segment.count == 1 || segment.stride == r.stride * 4)),
+            "a segment is the next entries' strided run"
+        );
+        debug_assert!(!socket.busy(), "the RAC idles through a run");
+        // From the last burst's completion: its pickup, `Fetch`,
+        // `Decode`, the issue and the burst.
+        let b = segment.first;
+        let count = u64::from(segment.count);
+        socket.advance(Cycle::new(count * (b.event + 1 + PICKUP_TICKS - b.issue)));
+        let (fifo, words) = (t.fifo.index(), usize::from(t.burst.words()));
+        let last = segment.count as usize - 1;
+        bus.replay_run(self.master(), origin, segment, &mut |k, data| {
+            if !t.to_coprocessor {
                 socket
-                    .pop_outputs(t.fifo.index(), n, words)
+                    .pop_outputs(fifo, words, data)
                     .expect("the plan counted the words");
-                moved += n as u64;
+            } else if k < last {
+                // The last read's words wait on the port for its pickup.
+                socket
+                    .push_inputs(fifo, data)
+                    .expect("the plan counted the space");
             }
         });
-        let t = transfer(last);
-        self.stats.instructions_retired += bursts.len() as u64;
-        self.stats.words_transferred += moved;
-        self.pc += u16::try_from(bursts.len()).expect("a run lies in the program store");
-        self.current = transfers[last].as_ref().ok().copied();
+        let moved = if t.to_coprocessor { count - 1 } else { count };
+        self.stats.instructions_retired += count;
+        self.stats.words_transferred += moved * u64::from(t.burst.words());
+        self.pc += u16::try_from(segment.count).expect("a run lies in the program store");
+        self.current = self
+            .program
+            .entry(self.pc)
+            .and_then(|e| e.as_ref().ok())
+            .copied();
         self.pending_read = t.to_coprocessor.then_some(t.fifo);
     }
 
@@ -1022,7 +1134,7 @@ impl Controller {
                 }
                 self.state = ControllerState::Decode;
             }
-            ControllerState::Decode => match self.program[usize::from(self.pc)] {
+            ControllerState::Decode => match *self.program.entry(self.pc).expect("fetched") {
                 Ok(insn) => {
                     self.current = Some(insn);
                     self.state = ControllerState::Execute;
@@ -1084,7 +1196,7 @@ impl Controller {
             None => self.state = state,
             Some(Err(e)) => self.set_fault(e.into()),
             Some(Ok(c)) if loading => {
-                self.program = predecode(&c.data);
+                self.program.reload(&c.data);
                 self.pc = 0;
                 self.state = ControllerState::Fetch;
             }
@@ -1231,11 +1343,6 @@ impl Controller {
     }
 }
 
-/// Decodes a program store once, entry by entry.
-fn predecode(words: &[u32]) -> Vec<Result<Instruction, DecodeError>> {
-    words.iter().map(|&w| Instruction::decode(w)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1270,6 +1377,104 @@ mod tests {
         assert!(e.to_string().contains("program size"));
         let e = ExecError::PcOverrun { pc: 7 };
         assert!(e.to_string().contains('7'));
+    }
+
+    /// A drawn program of up to 64 entries before its `eop`: mostly
+    /// transfers of a few shapes (banks 1, 2 and the unconfigured 3,
+    /// FIFOs 0 and 1, bursts of 1 to 64 words, each offset the last
+    /// one's plus a stride of 0, the burst, past it, or backwards),
+    /// most of the last one's shape, a few at a drawn offset, among
+    /// register-offset transfers, `nop`s and `wait`s.
+    fn drawn_program(rng: &mut ouessant_sim::XorShift64) -> Vec<u32> {
+        let mut source = String::new();
+        let (mut shape, mut step, mut offset) = (("mvtc", 1, 0, 4), 4, 0);
+        for _ in 0..rng.gen_range_u32(1..65) {
+            let pick = rng.gen_range_u32(0..32);
+            if pick < 3 {
+                shape = (
+                    ["mvtc", "mvfc"][rng.gen_range_u32(0..2) as usize],
+                    [1, 1, 2, 3][rng.gen_range_u32(0..4) as usize],
+                    [0, 0, 0, 1][rng.gen_range_u32(0..4) as usize],
+                    [1, 4, 16, 64][rng.gen_range_u32(0..4) as usize],
+                );
+                step = [0, 1, 1, 2, -1][rng.gen_range_u32(0..5) as usize] * shape.3
+                    + i32::from(rng.gen_range_u32(0..4) == 0);
+            }
+            let (dir, bank, fifo, words) = shape;
+            match pick {
+                30 => source.push_str("nop\n"),
+                31 => source.push_str("wait 3\n"),
+                29 => source.push_str(&format!("{dir}r BANK{bank},O0,DMA{words},FIFO{fifo}\n")),
+                _ => {
+                    offset = if pick == 28 {
+                        rng.gen_range_u32(0..200) as i32
+                    } else {
+                        (offset + step).clamp(0, 16383)
+                    };
+                    source.push_str(&format!(
+                        "{dir} BANK{bank},{offset},DMA{words},FIFO{fifo}\n"
+                    ));
+                }
+            }
+        }
+        source.push_str("eop");
+        ouessant_isa::assemble(&source).unwrap().to_words()
+    }
+
+    /// For drawn programs, FIFO fills and ledgers, and every entry pc,
+    /// the runs the translated store plans equal, burst by burst, the
+    /// ones the per-instruction planner plans: bank 2 sits near the end
+    /// of the address space, so some of its offsets do not translate.
+    #[test]
+    fn the_translated_planner_matches_the_per_instruction_one() {
+        use ouessant_rac::passthrough::PassthroughRac;
+        use ouessant_sim::bus::{Bus, BusConfig};
+
+        let (mut bursts, mut long) = (0, 0);
+        for seed in 1..=300 {
+            let mut rng = ouessant_sim::XorShift64::new(seed);
+            let words = drawn_program(&mut rng);
+            let master = Bus::new(BusConfig::default()).register_master();
+            let mut c = Controller::new(DmaPort::new(master));
+            c.preload_program(&words);
+            let regs = RegsHandle::new();
+            regs.set_bank(1, 0x4000_0000).unwrap();
+            regs.set_bank(2, 0xFFFF_FC00).unwrap();
+            let depth = rng.gen_range_u32(1..2000) as usize;
+            let mut socket = RacSocket::new(Box::new(PassthroughRac::new(0)), depth);
+            let (out, inp) = (
+                rng.gen_range_u32(0..depth as u32 + 1),
+                rng.gen_range_u32(0..depth as u32 / 4 + 1),
+            );
+            socket.push_inputs(0, &vec![7; out as usize]).unwrap();
+            socket.start(u16::try_from(out).unwrap());
+            socket.run_until_done(10_000);
+            socket.push_inputs(0, &vec![9; inp as usize]).unwrap();
+            let mut ledger = FifoLedger::default();
+            ledger.pushed[0] = rng.gen_range_u32(0..65) as usize;
+            ledger.popped[0] = rng.gen_range_u32(0..65) as usize;
+            ledger.drained[0] = rng.gen_range_u32(0..65) as usize;
+            let entry = |pc: u16| c.program.entry(pc)?.as_ref().ok().copied();
+            for pc in 0..u16::try_from(words.len()).unwrap() {
+                let store = Cow::Borrowed(&c.program);
+                let translated: Vec<TxnShape> = c
+                    .later(store, pc, &socket, &regs, ledger)
+                    .inspect(|b| long += usize::from(b.count >= 8))
+                    .flat_map(|b| {
+                        (0..b.count).map(move |j| TxnShape {
+                            addr: b.shape.addr + j * b.stride,
+                            ..b.shape
+                        })
+                    })
+                    .collect();
+                let oracle: Vec<TxnShape> =
+                    c.later_oracle(entry, pc, &socket, &regs, ledger).collect();
+                assert_eq!(translated, oracle, "seed {seed}, pc {pc}");
+                bursts += oracle.len();
+            }
+        }
+        assert!(bursts > 15_000, "{bursts} bursts planned");
+        assert!(long > 400, "{long} strides of 8 bursts or more");
     }
 
     // Full FSM behaviour is exercised through the Ocp in ocp.rs tests

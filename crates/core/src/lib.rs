@@ -85,6 +85,7 @@ pub mod hls;
 pub mod interface;
 pub mod ocp;
 pub mod regs;
+mod store;
 
 pub use banks::TranslateError;
 pub use controller::{Controller, ControllerState, ExecError};

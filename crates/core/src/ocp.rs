@@ -16,8 +16,11 @@
 use std::cell::OnceCell;
 
 use ouessant_rac::rac::{Rac, RacSocket};
-use ouessant_sim::bus::{Addr, Polls, TxnKind, TxnShape};
-use ouessant_sim::{Advancing, BusWindow, Cycle, Horizon, Instant, SystemBus, WindowIssue};
+use ouessant_sim::bus::{Addr, Polls, TxnKind};
+use ouessant_sim::{
+    Advancing, BusWindow, Cycle, Horizon, Instant, RunBurst, RunSegment, Strided, SystemBus,
+    WindowIssue,
+};
 
 use crate::controller::{Controller, ControllerState, ControllerStats, ExecError, PICKUP_TICKS};
 use crate::interface::{DmaPort, IrqLine, RegSlavePort};
@@ -347,7 +350,7 @@ impl Ocp {
         &'a self,
         bus: &'a dyn SystemBus,
         chain: bool,
-    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
+    ) -> Option<(WindowIssue, impl Iterator<Item = Strided> + 'a)> {
         self.controller
             .window_issue(&self.socket, bus, &self.regs, chain)
     }
@@ -360,7 +363,7 @@ impl Ocp {
         bus: &dyn SystemBus,
         window: &mut BusWindow,
         limit: Horizon,
-        later: impl IntoIterator<Item = TxnShape>,
+        later: impl IntoIterator<Item = Strided>,
     ) {
         window.extend_run(bus, limit, PICKUP_TICKS, later);
     }
@@ -446,7 +449,7 @@ impl Ocp {
     /// `end_op` retire, a `wait`'s), then each burst of the window's
     /// run (see [`BusWindow::run_of`]), whose `mvfc` issue moves its
     /// words and whose pickup, the tick after its completion, retires
-    /// it. The walk is the one the controller's horizon followed, and
+    /// it, read off each segment of equal bursts in O(1). The walk is the one the controller's horizon followed, and
     /// is followed here only when that answer did not need it, so one
     /// call walks the FSM at most once. A *wedged* controller is the one
     /// active state exempt from the single-step safety net: it
@@ -465,17 +468,10 @@ impl Ocp {
                 let walk =
                     walk.get_or_init(|| self.controller.walk(&self.socket, bus, window.chains()));
                 let retires = walk.iter().flat_map(|w| w.retires());
-                let run = window.run_of(self.bus_master()).flat_map(|b| {
-                    let write = (b.shape.kind == TxnKind::Write).then_some(b.issue);
-                    write.into_iter().chain(b.completes.then_some(b.event + 1))
-                });
-                let bite = retires.chain(run).fold(wd.remaining.max(1), |due, tick| {
-                    if tick <= due {
-                        tick + wd.budget
-                    } else {
-                        due
-                    }
-                });
+                let due = reload(wd.remaining.max(1), wd.budget, retires);
+                let bite = window
+                    .run_of(self.bus_master())
+                    .fold(due, |due, s| reload_over(due, wd.budget, &s));
                 h = h.min(Horizon::after(bite - 1));
             }
         }
@@ -514,7 +510,7 @@ impl Ocp {
     /// takes its cycle from `from`, not from the bus.
     pub fn advance(
         &mut self,
-        step: Advancing<'_>,
+        step: Advancing,
         from: Instant,
         cycles: Cycle,
         bus: &mut dyn SystemBus,
@@ -522,14 +518,17 @@ impl Ocp {
         if !step.includes(self.bus_master()) {
             return;
         }
-        if let Advancing::Run { origin, bursts, .. } = step {
+        if let Advancing::Run {
+            origin, segment, ..
+        } = step
+        {
             self.controller
-                .replay_run(bus, &mut self.socket, origin, bursts);
+                .replay_run(bus, &mut self.socket, origin, segment);
             if let Some(wd) = &mut self.watchdog {
                 // Ticks since the run's last progress tick: the last
                 // burst's issue for a write, else the pickup in front of
                 // it.
-                let b = bursts.last().expect("a run step replays a burst");
+                let b = segment.last();
                 let since = match b.shape.kind {
                     TxnKind::Write => b.event - b.issue,
                     TxnKind::Read => b.event + PICKUP_TICKS - b.issue,
@@ -588,6 +587,38 @@ impl Ocp {
         }
         self.controller.publish_debug(&self.regs);
     }
+}
+
+/// The tick a watchdog whose countdown ends on tick `due` bites on
+/// once each of the ascending progress `ticks` it reaches reloads its
+/// `budget`.
+fn reload(due: u64, budget: u64, ticks: impl IntoIterator<Item = u64>) -> u64 {
+    ticks.into_iter().fold(
+        due,
+        |due, tick| if tick <= due { tick + budget } else { due },
+    )
+}
+
+/// [`reload`] over the progress ticks of `segment`, equal bursts of a
+/// window's run: each write's issue, which moves its words, and each
+/// pickup, the tick after a completion, which retires a transfer. The
+/// ticks repeat every period, so once the countdown reaches the second
+/// burst's pickup it reaches every pickup after it, and the bite is
+/// the last one's plus the budget: O(1) for the whole segment.
+fn reload_over(due: u64, budget: u64, segment: &RunSegment) -> u64 {
+    let ticks = |b: RunBurst| {
+        let write = (b.shape.kind == TxnKind::Write).then_some(b.issue);
+        write.into_iter().chain(b.completes.then_some(b.event + 1))
+    };
+    let mut due = reload(due, budget, ticks(segment.first));
+    if segment.count > 1 {
+        let second = segment.burst(1);
+        due = reload(due, budget, ticks(second));
+        if segment.count > 2 && due == second.event + 1 + budget {
+            due = segment.last().event + 1 + budget;
+        }
+    }
+    due
 }
 
 #[cfg(test)]
@@ -2264,13 +2295,25 @@ mod tests {
     }
 
     /// A bus that counts the bursts it replays in one step
-    /// ([`SystemBus::replay_run`]), and otherwise is the [`Bus`] it
+    /// ([`SystemBus::replay_run`]), those of them in segments of
+    /// [`LONG`] bursts or more, and the calls of its what-if
+    /// ([`SystemBus::time_burst`]), and otherwise is the [`Bus`] it
     /// wraps.
+    #[derive(Default)]
+    struct Counts {
+        bulk: usize,
+        long: usize,
+        timed: usize,
+    }
+
     struct Counted {
         bus: Bus,
         cpu: ouessant_sim::bus::MasterId,
-        bulk: usize,
+        counts: std::cell::RefCell<Counts>,
     }
+
+    /// A segment this long is a long one.
+    const LONG: u32 = 8;
 
     impl SystemBus for Counted {
         fn register_master(&mut self) -> ouessant_sim::bus::MasterId {
@@ -2322,11 +2365,13 @@ mod tests {
         fn time_burst(
             &self,
             master: ouessant_sim::bus::MasterId,
-            shape: TxnShape,
+            bursts: Strided,
             issue: u64,
-            after: Option<&ouessant_sim::RunBurst>,
-        ) -> Option<ouessant_sim::RunBurst> {
-            self.bus.time_burst(master, shape, issue, after)
+            gap: u64,
+            after: Option<&RunBurst>,
+        ) -> Option<RunSegment> {
+            self.counts.borrow_mut().timed += 1;
+            self.bus.time_burst(master, bursts, issue, gap, after)
         }
         fn set_polls(
             &mut self,
@@ -2341,11 +2386,16 @@ mod tests {
             &mut self,
             master: ouessant_sim::bus::MasterId,
             origin: Instant,
-            bursts: &[ouessant_sim::RunBurst],
+            segment: RunSegment,
             data: &mut dyn FnMut(usize, &mut Vec<u32>),
         ) {
-            self.bulk += bursts.len();
-            self.bus.replay_run(master, origin, bursts, data);
+            let mut counts = self.counts.borrow_mut();
+            counts.bulk += segment.count as usize;
+            if segment.count >= LONG {
+                counts.long += segment.count as usize;
+            }
+            drop(counts);
+            self.bus.replay_run(master, origin, segment, data);
         }
         fn advance(&mut self, cycles: Cycle) {
             self.bus.advance(cycles);
@@ -2382,8 +2432,13 @@ mod tests {
         }
     }
 
-    /// Seeds of [`drawn_runs_replay_in_bulk_as_they_step`].
+    /// Seeds of [`drawn_runs_replay_in_bulk_as_they_step`] whose bursts
+    /// lie at drawn offsets.
     const RUN_SEEDS: u64 = 40;
+
+    /// Seeds after [`RUN_SEEDS`] whose bursts are laid out at one
+    /// stride (see [`laid_out_bursts`]).
+    const STRIDED_SEEDS: u64 = 40;
 
     /// The most words a drawn run moves.
     const RUN_WORDS: u32 = 2048;
@@ -2413,9 +2468,10 @@ mod tests {
     /// whose FIFOs hold the words of its input run, or one or two more:
     /// a run of reads into input FIFO 0, the stream, then a run of
     /// writes from output FIFO 0. Each run has 2 to 130 bursts of 1 to
-    /// 256 words, most of them one drawn length, at drawn offsets;
-    /// together the reads move at most [`RUN_WORDS`], and the writes at
-    /// most what the reads moved. The stream is `execs` (it ends before
+    /// 256 words, most of them one drawn length, at drawn offsets, or,
+    /// for a seed past [`RUN_SEEDS`], all of one length at one stride
+    /// (see [`laid_out_bursts`]); together the reads move at most
+    /// [`RUN_WORDS`], and the writes at most what the reads moved. The stream is `execs` (it ends before
     /// the writes, which then run back to back through a FIFO as
     /// shallow as the run) or, one draw in four, `execn`, with a `wrac`
     /// after the writes, so the writes start while the pass-through
@@ -2449,9 +2505,14 @@ mod tests {
                 first_access_wait_states: rng.gen_range_u32(0..8),
                 sequential_wait_states: rng.gen_range_u32(0..3),
             };
-            let reads = drawn_bursts(&mut rng, RUN_WORDS, IN_WORDS);
+            let bursts = if seed > RUN_SEEDS {
+                laid_out_bursts
+            } else {
+                drawn_bursts
+            };
+            let reads = bursts(&mut rng, RUN_WORDS, IN_WORDS);
             let moved: u32 = reads.iter().map(|r| r.1).sum();
-            let writes = drawn_bursts(&mut rng, moved, OUT_WORDS);
+            let writes = bursts(&mut rng, moved, OUT_WORDS);
             let streams = rng.gen_range_u32(0..4) == 0;
             let depth = moved as usize + rng.gen_range_u32(0..3) as usize;
             let watchdog = (rng.gen_range_u32(0..4) > 0).then(|| {
@@ -2508,7 +2569,7 @@ mod tests {
             let mut bus = Counted {
                 bus: inner,
                 cpu,
-                bulk: 0,
+                counts: std::cell::RefCell::default(),
             };
             let rac = Box::new(PassthroughRac::scaling(3, 0));
             let config = OcpConfig {
@@ -2548,6 +2609,24 @@ mod tests {
                 (rng.gen_range_u32(0..area - words + 1), words)
             })
             .collect()
+    }
+
+    /// A run of 2 to 130 bursts (at most `total`) of one drawn length
+    /// of 1 to 256 words that move at most `total` words, at one stride
+    /// in an area of `area` words from a drawn offset: back to back,
+    /// all at one offset (stride 0), or apart by a drawn stride past
+    /// the burst's length, as far as the area allows.
+    fn laid_out_bursts(rng: &mut XorShift64, total: u32, area: u32) -> Vec<(u32, u32)> {
+        let count = rng.gen_range_u32(2..131).min(total);
+        let words = rng.gen_range_u32(1..(total / count).clamp(1, 256) + 1);
+        let stride = match rng.gen_range_u32(0..3) {
+            0 => words,
+            1 => 0,
+            _ => words + rng.gen_range_u32(1..words + 2),
+        }
+        .min((area - words) / (count - 1));
+        let start = rng.gen_range_u32(0..area - words - (count - 1) * stride + 1);
+        (0..count).map(|i| (start + i * stride, words)).collect()
     }
 
     /// The drawn system's stepped twin: every cycle's view from the
@@ -2603,12 +2682,13 @@ mod tests {
         /// arming, then leaps as [`Ocp::leap`] allows, stepping where it
         /// leaps none, no leap passing the cycle `cut`, and is compared
         /// after every leap and tick, and on its RAM at the end. Returns
-        /// the bursts it replayed in one step.
-        fn leapt(&self, program: &Program, stepped: &Stepped, cut: Option<u64>) -> usize {
+        /// its bus's [`Counts`], and the most what-if calls one leap's
+        /// window made.
+        fn leapt(&self, program: &Program, stepped: &Stepped, cut: Option<u64>) -> (Counts, usize) {
             let mut fx = self.fixture(program);
             fx.ocp.regs().start();
             let end = stepped.views.len() as u64 - 1;
-            let mut cycle = 0;
+            let (mut cycle, mut most) = (0, 0);
             while cycle < stepped.armed_at {
                 fx.step();
                 cycle += 1;
@@ -2618,7 +2698,9 @@ mod tests {
             }
             while cycle < end {
                 let limit = cut.filter(|&c| c > cycle).unwrap_or(end) - cycle;
+                let timed = fx.bus.counts.borrow().timed;
                 let skip = fx.ocp.leap(&mut fx.bus, limit, None);
+                most = most.max(fx.bus.counts.borrow().timed - timed);
                 if skip == 0 {
                     fx.step();
                 }
@@ -2630,7 +2712,7 @@ mod tests {
                 );
             }
             assert!(memory_of(&mut fx) == stepped.memory, "memory, cut {cut:?}");
-            fx.bus.bulk
+            (fx.bus.counts.take(), most)
         }
 
         /// The cycles of the last two bursts of the run at pcs `pcs`:
@@ -2655,23 +2737,25 @@ mod tests {
     /// leaping freely, and once for each tick of each run's last two
     /// bursts with the leap cut there, every twin agreeing with the
     /// stepped one after every leap and tick and on the RAM at the end.
+    /// The runs laid out at one stride replay long segments, and plan
+    /// each window's run with at most three what-if calls, however
+    /// many bursts it holds.
     #[test]
     fn drawn_runs_replay_in_bulk_as_they_step() {
         let (mut bulk, mut bites, mut cuts) = (0, 0, 0);
-        for seed in 1..=RUN_SEEDS {
+        let (mut long, mut most) = (0, 0);
+        for seed in 1..=RUN_SEEDS + STRIDED_SEEDS {
             let system = DrawnRun::draw(seed);
             let program = system.program();
             let check = std::panic::AssertUnwindSafe(|| {
                 let stepped = system.stepped(&program);
-                let mut replayed = system.leapt(&program, &stepped, None);
+                let mut counts = vec![system.leapt(&program, &stepped, None)];
                 let reads = u16::try_from(system.reads.len()).unwrap();
                 let writes = u16::try_from(system.writes.len()).unwrap();
                 let runs = [0..reads, reads + 1..reads + 1 + writes];
-                let mut ticks = 0;
                 for pcs in runs {
                     for cut in system.last_two(&stepped, pcs) {
-                        replayed += system.leapt(&program, &stepped, Some(cut));
-                        ticks += 1;
+                        counts.push(system.leapt(&program, &stepped, Some(cut)));
                     }
                 }
                 let fault = stepped.views.last().map(|v| v.ocp.1.clone());
@@ -2679,13 +2763,19 @@ mod tests {
                     fault,
                     Some(ControllerState::Faulted(ExecError::Hang { .. }))
                 );
-                (replayed, bit, ticks)
+                (counts, bit)
             });
-            let (replayed, bit, ticks) = std::panic::catch_unwind(check)
+            let (counts, bit) = std::panic::catch_unwind(check)
                 .unwrap_or_else(|_| panic!("seed {seed}: {system:#?}"));
-            bulk += replayed;
-            bites += usize::from(bit);
-            cuts += ticks;
+            let replayed: usize = counts.iter().map(|c| c.0.bulk).sum();
+            if seed <= RUN_SEEDS {
+                bulk += replayed;
+                bites += usize::from(bit);
+                cuts += counts.len() - 1;
+            } else {
+                long += counts.iter().map(|c| c.0.long).sum::<usize>();
+                most = counts.iter().map(|c| c.1).fold(most, usize::max);
+            }
         }
         // The draw bites and spares, and replays runs in bulk on the way.
         assert!(
@@ -2697,6 +2787,11 @@ mod tests {
             "{bulk} bursts replayed in bulk"
         );
         assert!(cuts > 100 * RUN_SEEDS as usize, "{cuts} cuts");
+        assert!(
+            long > 5000 * STRIDED_SEEDS as usize,
+            "{long} bursts replayed in segments of {LONG} or more"
+        );
+        assert!(most <= 3, "a window's run took {most} what-if calls");
     }
 
     #[test]

@@ -66,8 +66,8 @@ use ouessant_rac::idct::IdctRac;
 use ouessant_rac::passthrough::PassthroughRac;
 use ouessant_rac::rac::Rac;
 use ouessant_rac::slot::ReconfigurableSlot;
-use ouessant_sim::bus::{Bus, BusError, TxnShape};
-use ouessant_sim::{BusWindow, Horizon, Instant, WindowIssue};
+use ouessant_sim::bus::{Bus, BusError};
+use ouessant_sim::{BusWindow, Horizon, Instant, Strided, WindowIssue};
 use ouessant_soc::alloc::Region;
 
 use crate::farm::FaultConfig;
@@ -557,7 +557,7 @@ impl Worker {
         &'a self,
         bus: &'a Bus,
         chain: bool,
-    ) -> Option<(WindowIssue, impl Iterator<Item = TxnShape> + 'a)> {
+    ) -> Option<(WindowIssue, impl Iterator<Item = Strided> + 'a)> {
         if matches!(self.duty, Duty::Recovering) || self.ocp.fault().is_some() {
             return None;
         }

@@ -20,11 +20,11 @@
 
 use crate::bus::{
     Addr, BusError, BusSlave, BusStats, Completion, MasterId, Polls, PortState, SlaveMap, Txn,
-    TxnKind, TxnRequest, TxnShape,
+    TxnKind, TxnRequest,
 };
 
 use crate::clock::{Cycle, Instant};
-use crate::event::{Horizon, RunBurst};
+use crate::event::{Horizon, RunBurst, RunSegment, Strided};
 
 /// Object-safe façade over a system bus, implemented by the AHB-like
 /// [`crate::bus::Bus`] and the AXI-like [`AxiBus`].
@@ -94,31 +94,39 @@ pub trait SystemBus {
     #[must_use]
     fn horizon(&self) -> Horizon;
 
-    /// The burst of `shape` that `master` issues on tick `issue` of a
-    /// window that starts now, before this cycle's tick: the tick of
-    /// the bus's first event after the issue ([`SystemBus::horizon`]
-    /// with the burst added), counted from now, and whether that event
-    /// is its completion. `after` is the burst of the same run in
-    /// front of it, on whose completion the bus is idle but for its
+    /// The first bursts of `bursts` that `master` issues, the first on
+    /// tick `issue` of a window that starts now, before this cycle's
+    /// tick, each later one `gap` ticks after the last one's event:
+    /// each one's tick of the bus's first event after its issue
+    /// ([`SystemBus::horizon`] with the burst added), counted from now,
+    /// and whether that event is its completion, as a segment of at
+    /// least one burst. `after` is the burst of the same run in front
+    /// of them, on whose completion the bus is idle but for its
     /// installed [`Polls`]; without it the burst is the run's first,
     /// and issues on tick 1 unless the bus is idle but for polls (an
     /// idle bus times a burst alike wherever it issues).
     ///
+    /// A bus may time fewer bursts than `bursts` holds: the master asks
+    /// again for the rest, after the last one it timed. It stops at a
+    /// burst that `try_begin` would reject, and the next call, on that
+    /// burst, is `None`.
+    ///
     /// It lets a master issue inside a fast-forward window instead of
     /// on a stepped tick (see [`BusWindow`](crate::event::BusWindow)),
     /// so an answer must be exact, and `None` whenever `try_begin`
-    /// would reject the burst (a completion waiting on `master`'s port
-    /// aside). The default declines every burst, which keeps each
+    /// would reject the first burst (a completion waiting on `master`'s
+    /// port aside). The default declines every burst, which keeps each
     /// issue a stepped event.
     #[must_use]
     fn time_burst(
         &self,
         master: MasterId,
-        shape: TxnShape,
+        bursts: Strided,
         issue: u64,
+        gap: u64,
         after: Option<&RunBurst>,
-    ) -> Option<RunBurst> {
-        let _ = (master, shape, issue, after);
+    ) -> Option<RunSegment> {
+        let _ = (master, bursts, issue, gap, after);
         None
     }
 
@@ -149,18 +157,18 @@ pub trait SystemBus {
         false
     }
 
-    /// Replays `bursts`, whole later bursts of `master`'s run, in one
+    /// Replays `segment`, whole later bursts of `master`'s run, in one
     /// step, on a bus that stands on the completion of the run's burst
     /// before them, which `master` has picked up, with nothing else
     /// requesting. Each burst issues and completes on the window ticks
-    /// its [`RunBurst`] names, counted from `origin`. `data(k, words)`
-    /// is called once per burst, in order: before a write's beats move,
-    /// to append its payload to the empty `words`; after a read's beats
-    /// move, with the words read. Afterwards the bus is as if each
-    /// burst had been issued with [`SystemBus::try_begin`] on its cycle
-    /// and [`SystemBus::advance`]d through, and only the last one's
-    /// completion taken: it waits on `master`'s port, a read's with the
-    /// words last handed to `data`.
+    /// the segment names, counted from `origin`. `data(k, words)` is
+    /// called once per burst, in order (`k` from 0): before a write's
+    /// beats move, to append its payload to the empty `words`; after a
+    /// read's beats move, with the words read. Afterwards the bus is as
+    /// if each burst had been issued with [`SystemBus::try_begin`] on
+    /// its cycle and [`SystemBus::advance`]d through, and only the last
+    /// one's completion taken: it waits on `master`'s port, a read's
+    /// with the words last handed to `data`.
     ///
     /// Called only when [`SystemBus::replays_runs`] says yes, for
     /// bursts [`SystemBus::time_burst`] timed as completing. The
@@ -169,10 +177,10 @@ pub trait SystemBus {
         &mut self,
         master: MasterId,
         origin: Instant,
-        bursts: &[RunBurst],
+        segment: RunSegment,
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
-        let _ = (master, origin, bursts, data);
+        let _ = (master, origin, segment, data);
         unreachable!("only a bus that replays runs is asked to replay one");
     }
 

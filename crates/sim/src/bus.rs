@@ -46,7 +46,7 @@ use std::num::NonZeroU64;
 
 use crate::axi::SystemBus;
 use crate::clock::{Cycle, Instant};
-use crate::event::{Horizon, RunBurst};
+use crate::event::{Horizon, RunBurst, RunSegment, Strided};
 use crate::trace::{BusEvent, Trace};
 
 /// A byte address on the system bus.
@@ -718,6 +718,24 @@ impl SlaveMap {
         Ok(idx)
     }
 
+    /// How many of `bursts`, the first of which [`SlaveMap::span`]
+    /// binds to slave `idx`, lie inside that slave's window, aligned:
+    /// a prefix, since their addresses ascend from the first, so each
+    /// is bound for the same slave. One bound check for them all.
+    pub(crate) fn within(&self, idx: usize, bursts: Strided) -> u32 {
+        if !bursts.stride.is_multiple_of(4) {
+            return 1;
+        }
+        let shape = bursts.shape;
+        let room = self.slaves[idx].end() - u64::from(shape.addr) - u64::from(shape.beats) * 4;
+        let more = room
+            .checked_div(u64::from(bursts.stride))
+            .unwrap_or(u64::MAX);
+        u32::try_from(more)
+            .map_or(u32::MAX, |m| m.saturating_add(1))
+            .min(bursts.count)
+    }
+
     /// The slave a request is bound for: [`SlaveMap::span`] of its
     /// shape, and a write must carry exactly one payload word per beat.
     pub(crate) fn validate(&self, req: &TxnRequest, busy: bool) -> Result<usize, BusError> {
@@ -1386,10 +1404,29 @@ impl Bus {
     /// master with a request standing holds it through its next
     /// sub-burst; a read that completes is followed by the next, `every`
     /// cycles on. `None` when the polls alone are left and never stop.
+    ///
+    /// It ends: each step advances the clock or retires a beat, and
+    /// the other master, once it requests, waits on one read at most,
+    /// since the next read stands only `every ≥ 1` cycles after the
+    /// last one's completion, when the bus has re-arbitrated. A debug
+    /// build checks both at every step, so a loop that would spin
+    /// panics with its state instead.
     fn contest(&self, lane: &PollLane, mut s: Contest) -> Option<ContestEvent> {
         let (p, o) = Self::poll_lanes(lane);
         let max = self.config.max_burst_beats;
+        let (mut last, mut reads_waited) = (None, 0);
         loop {
+            if cfg!(debug_assertions) {
+                let here = (
+                    s.now,
+                    s.lanes.map(|l| u32::from(l.beats)).iter().sum::<u32>(),
+                );
+                debug_assert!(
+                    last.is_none_or(|(now, beats)| here.0 > now || here.1 < beats),
+                    "a contended step advances the clock or retires a beat: {s:?}"
+                );
+                last = Some(here);
+            }
             if let Some((m, end)) = s.held.take() {
                 s.now = end;
                 if s.lanes[m].beats == 0 {
@@ -1419,6 +1456,15 @@ impl Bus {
             if m == o && !l.timing.fault_free {
                 return Some((s.now + l.timing.sub_burst_cycles(1), false, s));
             }
+            reads_waited = if m == p && standing(o) {
+                reads_waited + 1
+            } else {
+                0
+            };
+            debug_assert!(
+                reads_waited <= 1,
+                "the other master waits on one read at most: {s:?}"
+            );
             let beats = l.beats.min(max);
             s.lanes[m].beats -= beats;
             s.held = Some((m, s.now + l.timing.sub_burst_cycles(u64::from(beats))));
@@ -1432,14 +1478,25 @@ impl Bus {
     /// in one slave call, a read taken unread) when it ends within `n`
     /// on the bus's own slave timing; otherwise, and on a traced bus,
     /// the stepping FSM runs it, with the poll's read requested on its
-    /// cycle.
+    /// cycle. A debug build checks that each step advances the clock or
+    /// retires a beat.
     fn contend(&mut self, n: u64) {
         let lane = self.polls.expect("polls installed");
         let (p, o) = Self::poll_lanes(&lane);
         let end = self.now.count() + n;
+        let mut last = None;
         loop {
             let lane = self.polls.expect("polls installed");
             let now = self.now.count();
+            if cfg!(debug_assertions) {
+                // Each step advances the clock or retires a beat.
+                let here = (now, self.masters.iter().map(|m| m.stats.beats).sum::<u64>());
+                debug_assert!(
+                    last.is_none_or(|(then, beats)| here.0 > then || here.1 > beats),
+                    "a contended step advances the clock or retires a beat at cycle {now}"
+                );
+                last = Some(here);
+            }
             if now == end {
                 // A read requested by the end, and not yet granted,
                 // stands on its port, as stepping leaves it: one
@@ -1557,32 +1614,27 @@ impl Bus {
         self.masters[p.0].outstanding = Some(Txn::new(req, slave_idx, at));
     }
 
-    /// How many of `bursts`, the rest of a run from origin `origin`,
-    /// the installed polls' reads do not reach: all of them with the
-    /// reads stopped, else those that complete by the cycle the next
-    /// read is requested on, and none while one is outstanding.
-    fn alone_through(&self, origin: Instant, bursts: &[RunBurst]) -> usize {
+    /// Whether the installed polls' reads leave `b`, a burst of a run
+    /// from origin `origin`, alone: always with the reads stopped, else
+    /// when it completes by the cycle the next read is requested on,
+    /// and never while one is outstanding.
+    fn alone_through(&self, origin: Instant, b: &RunBurst) -> bool {
         let lane = self.polls.as_ref().expect("polls installed");
-        if self.masters[lane.polls.master.0].outstanding.is_some() {
-            return 0;
-        }
-        lane.polls.next.map_or(bursts.len(), |at| {
-            bursts
-                .iter()
-                .take_while(|b| origin + Cycle::new(b.event) <= at)
-                .count()
-        })
+        self.masters[lane.polls.master.0].outstanding.is_none()
+            && lane
+                .polls
+                .next
+                .is_none_or(|at| origin + Cycle::new(b.event) <= at)
     }
 
-    /// Replays `bursts`, the run's bursts from its `first`-th, whose
-    /// master is alone on an idle bus through them, in closed form (see
-    /// [`SystemBus::replay_run`]).
+    /// Replays `segment`, whose master is alone on an idle bus through
+    /// it, in closed form (see [`SystemBus::replay_run`]): one address
+    /// decode, then each burst's words at its offset.
     fn replay_alone(
         &mut self,
         master: MasterId,
         origin: Instant,
-        bursts: &[RunBurst],
-        first: usize,
+        segment: RunSegment,
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
         debug_assert!(
@@ -1592,52 +1644,57 @@ impl Bus {
                 && self.masters[master.0].completion.is_none(),
             "a run replays on an idle bus, its last pickup made"
         );
-        let max = u64::from(self.config.max_burst_beats);
-        let (mut grants, mut beats, mut busy) = (0, 0, 0);
+        let shape = segment.first.shape;
+        let idx = self
+            .slaves
+            .span(shape, false)
+            .expect("the plan checked the burst");
+        let slave = &mut self.slaves.slaves[idx];
+        debug_assert!(slave.timing.fault_free, "a run's slave never faults");
+        debug_assert!(
+            segment.count == 1
+                || u64::from(segment.last().shape.addr) + u64::from(shape.beats) * 4 <= slave.end(),
+            "the plan checked the segment's span"
+        );
+        let beats = usize::from(shape.beats);
         let mut words = Vec::new();
-        for (k, b) in bursts.iter().enumerate() {
-            let shape = b.shape;
-            let idx = self
-                .slaves
-                .span(shape, false)
-                .expect("the plan checked the burst");
-            let slave = &mut self.slaves.slaves[idx];
-            debug_assert!(slave.timing.fault_free, "a run's slave never faults");
-            let offset = shape.addr - slave.base;
+        let mut offset = shape.addr - slave.base;
+        for k in 0..segment.count {
             words.clear();
             match shape.kind {
                 TxnKind::Read => {
                     slave
                         .device
-                        .read_words(offset, usize::from(shape.beats), &mut words)
+                        .read_words(offset, beats, &mut words)
                         .expect("a fault-free slave moves every beat");
-                    data(first + k, &mut words);
+                    data(k as usize, &mut words);
                 }
                 TxnKind::Write => {
-                    data(first + k, &mut words);
-                    debug_assert_eq!(words.len(), usize::from(shape.beats), "one word per beat");
+                    data(k as usize, &mut words);
+                    debug_assert_eq!(words.len(), beats, "one word per beat");
                     slave
                         .device
                         .write_words(offset, &words)
                         .expect("a fault-free slave moves every beat");
                 }
             }
-            grants += u64::from(shape.beats).div_ceil(max);
-            beats += u64::from(shape.beats);
-            busy += b.event + 1 - b.issue;
+            offset = offset.wrapping_add(segment.stride);
         }
-        let last = bursts.last().expect("a run step replays a burst");
+        let count = u64::from(segment.count);
+        let max = u64::from(self.config.max_burst_beats);
+        let b = segment.first;
+        let last = segment.last();
         self.now = origin + Cycle::new(last.event);
-        self.busy_cycles += busy;
+        self.busy_cycles += count * (b.event + 1 - b.issue);
         let port = &mut self.masters[master.0];
-        port.stats.grants += grants;
-        port.stats.beats += beats;
+        port.stats.grants += count * u64::from(shape.beats).div_ceil(max);
+        port.stats.beats += count * u64::from(shape.beats);
         let issued_at = origin + Cycle::new(last.issue - 1);
-        if last.shape.kind == TxnKind::Write {
+        if shape.kind == TxnKind::Write {
             words.clear();
         }
         port.completion = Some(Ok(Completion {
-            kind: last.shape.kind,
+            kind: shape.kind,
             addr: last.shape.addr,
             data: words,
             issued_at,
@@ -1646,16 +1703,14 @@ impl Bus {
         }));
     }
 
-    /// Replays `b`, the run's `k`-th burst, which a poll's read
-    /// reaches: it issues on its cycle and the contended loop runs
-    /// through it, so its timing is the one the plan read off the same
-    /// loop.
+    /// Replays `b`, a burst of a run that a poll's read reaches: it
+    /// issues on its cycle and the contended loop runs through it, so
+    /// its timing is the one the plan read off the same loop.
     fn replay_contended(
         &mut self,
         master: MasterId,
         origin: Instant,
         b: &RunBurst,
-        k: usize,
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
         self.contend((origin + Cycle::new(b.issue - 1) - self.now).count());
@@ -1663,7 +1718,7 @@ impl Bus {
             TxnKind::Read => TxnRequest::read(b.shape.addr, b.shape.beats),
             TxnKind::Write => {
                 let mut words = Vec::new();
-                data(k, &mut words);
+                data(0, &mut words);
                 TxnRequest::write(b.shape.addr, words)
             }
         };
@@ -1674,7 +1729,7 @@ impl Bus {
         let done = done.expect("a run's burst completes on its planned cycle");
         let done = done.as_mut().expect("a run's slave never faults");
         if b.shape.kind == TxnKind::Read {
-            data(k, &mut done.data);
+            data(0, &mut done.data);
         }
     }
 
@@ -1814,23 +1869,27 @@ impl SystemBus for Bus {
             .map_or(Horizon::QUIESCENT, Horizon::in_ticks)
     }
 
-    /// One address decode per burst, no clone. Without polls, the first
-    /// burst is timed in closed form (O(masters)) on the bus as it
-    /// stands, and a later burst of a run, which issues on an idle bus,
-    /// in closed form alone; with them, the contended loop runs from
-    /// the bus as it stands, or from `after`'s completion, through the
-    /// burst's event. A write's payload length is the one `try_begin`
-    /// check that needs the payload, so the shape cannot make it. A
-    /// completion still waiting on `master`'s port does not move the
-    /// timing, and a master picks its last burst up before it issues
-    /// the next one.
+    /// One address decode and one bound check per call, no clone.
+    /// Without polls, the first burst is timed in closed form
+    /// (O(masters)) on the bus as it stands, and the later bursts of a
+    /// run, which issue on an idle bus, in closed form alone: each is
+    /// its shape's lone cycles after its issue, so all of `bursts` that
+    /// the slave holds are one segment, in O(1). With polls, the
+    /// contended loop runs from the bus as it stands, or from `after`'s
+    /// completion, through one burst's event, which is the segment. A
+    /// write's payload length is the one `try_begin` check that needs
+    /// the payload, so the shape cannot make it. A completion still
+    /// waiting on `master`'s port does not move the timing, and a
+    /// master picks its last burst up before it issues the next one.
     fn time_burst(
         &self,
         master: MasterId,
-        shape: TxnShape,
+        bursts: Strided,
         issue: u64,
+        gap: u64,
         after: Option<&RunBurst>,
-    ) -> Option<RunBurst> {
+    ) -> Option<RunSegment> {
+        let shape = bursts.shape;
         let port = self.masters.get(master.0)?;
         let slave_idx = self.slaves.span(shape, port.outstanding.is_some()).ok()?;
         let timing = self.slaves.timing(slave_idx);
@@ -1848,12 +1907,24 @@ impl SystemBus for Bus {
                     .get(),
             };
             let idle = after.is_some() || self.masters.iter().all(|p| p.outstanding.is_none());
-            return Some(RunBurst {
+            let first = RunBurst {
                 shape,
                 issue,
                 event: from.saturating_add(cycles) - now,
                 completes: idle && timing.fault_free,
                 poll: 0,
+            };
+            // Only later bursts that complete follow each other alone.
+            let count = if after.is_some() && first.completes {
+                self.slaves.within(slave_idx, bursts)
+            } else {
+                1
+            };
+            return Some(RunSegment {
+                first,
+                stride: bursts.stride,
+                period: cycles + gap,
+                count,
             });
         };
         let (p, o) = Self::poll_lanes(lane);
@@ -1882,13 +1953,13 @@ impl SystemBus for Bus {
             timing,
         };
         let (at, completes, s) = self.contest(lane, s)?;
-        Some(RunBurst {
+        Some(RunSegment::one(RunBurst {
             shape,
             issue,
             event: at - now,
             completes,
             poll: s.lanes[p].from.saturating_sub(now),
-        })
+        }))
     }
 
     fn set_polls(&mut self, polls: Option<Polls>) -> Option<Polls> {
@@ -1922,33 +1993,20 @@ impl SystemBus for Bus {
     /// completion, the busy cycles by each burst's issue-to-completion
     /// cycles, and `master`'s grants (one per sub-burst) and beats by
     /// theirs; nobody else requests, so nobody is charged contention.
-    /// A burst a read reaches issues on its cycle and runs through the
-    /// contended loop.
+    /// A burst a read reaches, which is a segment of its own, issues on
+    /// its cycle and runs through the contended loop.
     fn replay_run(
         &mut self,
         master: MasterId,
         origin: Instant,
-        bursts: &[RunBurst],
+        segment: RunSegment,
         data: &mut dyn FnMut(usize, &mut Vec<u32>),
     ) {
-        if self.polls.is_none() {
-            self.replay_alone(master, origin, bursts, 0, data);
-            return;
-        }
-        let mut k = 0;
-        while k < bursts.len() {
-            let alone = self.alone_through(origin, &bursts[k..]);
-            if alone > 0 {
-                self.replay_alone(master, origin, &bursts[k..k + alone], k, data);
-                k += alone;
-            } else {
-                self.replay_contended(master, origin, &bursts[k], k, data);
-                k += 1;
-            }
-            if k < bursts.len() {
-                // The issuer picks the burst up before its next one.
-                self.masters[master.0].completion = None;
-            }
+        if self.polls.is_none() || self.alone_through(origin, &segment.first) {
+            self.replay_alone(master, origin, segment, data);
+        } else {
+            debug_assert_eq!(segment.count, 1, "a polled run is one-burst segments");
+            self.replay_contended(master, origin, &segment.first, data);
         }
     }
 
@@ -2559,7 +2617,10 @@ mod tests {
         let req = TxnRequest::read(0x4000_0000, 40);
         let shape = req.shape();
         // The event of an issue on the window's first tick.
-        let what_if = |bus: &Bus, m, shape| bus.time_burst(m, shape, 1, None).map(|b| b.event);
+        let what_if = |bus: &Bus, m, shape| {
+            let first = bus.time_burst(m, Strided::one(shape), 1, 0, None);
+            first.map(|s| s.first.event)
+        };
         // Idle: a lone request, its sub-bursts back to back.
         let alone = what_if(&bus, m, shape);
         assert_eq!(alone, Some(2 * (2 + 16) + 2 + 8));

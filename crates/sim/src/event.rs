@@ -296,31 +296,171 @@ pub struct RunBurst {
     pub poll: u64,
 }
 
+/// Equal bursts of a master's run, as the master plans them: the first
+/// one's shape, and `count` bursts of its kind and beats, each `stride`
+/// bytes after the last. A master states a stretch of its program this
+/// way once (see [`BusWindow::extend_run`]), so the bus times and
+/// replays the stretch in one step instead of one burst at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Strided {
+    /// The first burst's kind, address and beats.
+    pub shape: TxnShape,
+    /// Bytes from one burst's address to the next's.
+    pub stride: u32,
+    /// The bursts, at least 1.
+    pub count: u32,
+}
+
+impl Strided {
+    /// One burst of `shape`.
+    #[must_use]
+    pub fn one(shape: TxnShape) -> Self {
+        Self {
+            shape,
+            stride: 0,
+            count: 1,
+        }
+    }
+
+    /// The bursts after the first `n` of them, `n < count`.
+    fn skip(self, n: u32) -> Self {
+        debug_assert!(n < self.count, "a stride keeps a burst");
+        Self {
+            shape: TxnShape {
+                addr: self.shape.addr + n * self.stride,
+                ..self.shape
+            },
+            count: self.count - n,
+            ..self
+        }
+    }
+}
+
+/// Equal bursts of a window's run, as the bus timed them: the first,
+/// then `count − 1` more, each `stride` bytes and `period` ticks after
+/// the last (see [`SystemBus::time_burst`]). Every burst completes
+/// when the first does, and only a segment of one burst holds a poll's
+/// phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSegment {
+    /// The first burst, on the window's ticks.
+    pub first: RunBurst,
+    /// Bytes from one burst's address to the next's.
+    pub stride: u32,
+    /// Ticks from one burst's issue, and event, to the next's.
+    pub period: u64,
+    /// The bursts, at least 1.
+    pub count: u32,
+}
+
+impl RunSegment {
+    /// The segment of `first` alone.
+    #[must_use]
+    pub fn one(first: RunBurst) -> Self {
+        Self {
+            first,
+            stride: 0,
+            period: 0,
+            count: 1,
+        }
+    }
+
+    /// Its `j`-th burst, `j < count`.
+    #[must_use]
+    pub fn burst(&self, j: u32) -> RunBurst {
+        debug_assert!(j < self.count, "burst {j} of a segment of {}", self.count);
+        let ticks = u64::from(j) * self.period;
+        RunBurst {
+            shape: TxnShape {
+                addr: self.first.shape.addr + j * self.stride,
+                ..self.first.shape
+            },
+            issue: self.first.issue + ticks,
+            event: self.first.event + ticks,
+            ..self.first
+        }
+    }
+
+    /// Its last burst.
+    #[must_use]
+    pub fn last(&self) -> RunBurst {
+        self.burst(self.count - 1)
+    }
+
+    /// The `count` bursts from its `from`-th on.
+    #[must_use]
+    pub fn part(&self, from: u32, count: u32) -> Self {
+        debug_assert!(
+            count > 0 && from + count <= self.count,
+            "a part of the segment"
+        );
+        Self {
+            first: self.burst(from),
+            count,
+            ..*self
+        }
+    }
+
+    /// How many of its bursts from the `from`-th on a leap of `n`
+    /// ticks reaches whole: each whose event, its completion, is on
+    /// tick `n` at the latest.
+    fn reached(&self, from: u32, n: u64) -> u32 {
+        let b = self.burst(from);
+        if !b.completes || b.event > n {
+            return 0;
+        }
+        let more = (n - b.event).checked_div(self.period).unwrap_or(u64::MAX);
+        u32::try_from(more)
+            .map_or(u32::MAX, |m| m.saturating_add(1))
+            .min(self.count - from)
+    }
+
+    /// How many of its bursts a run draws before tick `limit`: the
+    /// first, and each after a burst its master picks up (the tick
+    /// after its completion) before `limit`.
+    fn drawn(&self, limit: Horizon) -> u32 {
+        let Some(l) = limit.ticks() else {
+            return self.count;
+        };
+        // Burst `j` is picked up on tick `first.event + j·period + 1`.
+        let more = l
+            .checked_sub(self.first.event.saturating_add(2))
+            .map_or(0, |slack| {
+                slack
+                    .checked_div(self.period)
+                    .map_or(u64::MAX, |k| k.saturating_add(1))
+            });
+        u32::try_from(more)
+            .map_or(u32::MAX, |m| m.saturating_add(1))
+            .min(self.count)
+    }
+}
+
 /// The masters one step of [`BusWindow::leap`] advances, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Advancing<'a> {
+pub enum Advancing {
     /// The run's issuer alone, over the ticks of one of its bursts:
     /// through its walk and its issue, which begins the burst on the
     /// bus.
     Issuer(MasterId),
-    /// The run's issuer alone, over `bursts`, the later bursts of its
-    /// run that the leap reaches whole, in one step: the issuer picks
-    /// up the burst before them and hands every burst's words to the
-    /// bus, which replays them with [`SystemBus::replay_run`]. Their
-    /// ticks count from `origin`, the cycle the window starts on.
+    /// The run's issuer alone, over `segment`, later bursts of its run
+    /// that the leap reaches whole, in one step: the issuer picks up
+    /// the burst before them and hands every burst's words to the bus,
+    /// which replays them with [`SystemBus::replay_run`]. Their ticks
+    /// count from `origin`, the cycle the window starts on.
     Run {
         /// The issuer.
         master: MasterId,
         /// The cycle before the window's first tick.
         origin: Instant,
         /// The bursts, on the window's ticks.
-        bursts: &'a [RunBurst],
+        segment: RunSegment,
     },
     /// Every master but the run's issuer (if any), over the whole leap.
     AllBut(Option<MasterId>),
 }
 
-impl Advancing<'_> {
+impl Advancing {
     /// Whether this step advances `master`.
     #[must_use]
     pub fn includes(self, master: MasterId) -> bool {
@@ -345,12 +485,13 @@ impl Advancing<'_> {
 ///   the leap loop allows chains and no master is requesting, so the bus
 ///   state the issue meets is the one it has now;
 /// * the issuer's later bursts join its run (see
-///   [`BusWindow::extend_run`]) only on such an idle bus, where nothing
-///   but the issuer (and the bus's installed polls, whose phase each
-///   burst hands the next, [`RunBurst::poll`]) requests until the
-///   window ends, and only after a burst whose event is its completion
-///   (see [`RunBurst::completes`]), so the issuer picks it up on the
-///   tick after;
+///   [`BusWindow::extend_run`]), as segments of equal bursts
+///   ([`RunSegment`]), only on such an idle bus, where nothing but the
+///   issuer (and the bus's installed polls, whose phase each burst
+///   hands the next, [`RunBurst::poll`]) requests until the window
+///   ends, and only after a burst whose event is its completion (see
+///   [`RunBurst::completes`]), so the issuer picks it up on the tick
+///   after;
 /// * the bus must answer [`SystemBus::time_burst`] for every burst
 ///   of the run: a request it declines or would reject stays a stepped
 ///   event, and ends the run in front of it.
@@ -359,8 +500,8 @@ pub struct BusWindow {
     event: Horizon,
     /// The run's first burst, as a candidate and on the window's ticks.
     issue: Option<(WindowIssue, RunBurst)>,
-    /// The run's later bursts.
-    later: Vec<RunBurst>,
+    /// The run's later bursts, segment by segment.
+    later: Vec<RunSegment>,
     chain: bool,
     chains: bool,
 }
@@ -400,8 +541,9 @@ impl BusWindow {
         }
         let issue = first.filter(|_| !tied);
         let timed = issue.and_then(|(i, rest)| {
-            let first = bus.time_burst(i.master, i.shape, i.prefix.saturating_add(1), None)?;
-            Some((i, first, rest))
+            let one = Strided::one(i.shape);
+            let first = bus.time_burst(i.master, one, i.prefix.saturating_add(1), 0, None)?;
+            Some((i, first.first, rest))
         });
         match timed {
             Some((i, first, rest)) => {
@@ -430,18 +572,20 @@ impl BusWindow {
     /// A burst joins only in a window that may chain (see
     /// [`BusWindow`]), after a burst that completes, and only if the
     /// bus answers [`SystemBus::time_burst`] for it, after the burst
-    /// in front of it; the run ends at the first that does not.
-    /// Bursts are drawn only while the run's last pickup comes before
-    /// tick `limit`, the rest of the merged horizon: a leap never
-    /// reaches past it, so the plan pays for at most one burst it does
-    /// not replay, and draws none when the first burst reaches it. The
-    /// window's event becomes the last burst's.
+    /// in front of it; the run ends at the first that does not. The
+    /// bus times a stretch of `later` at once, all of it on a bus idle
+    /// but for the issuer, so a run of equal bursts costs one call.
+    /// Bursts join only while the run's last pickup comes before tick
+    /// `limit`, the rest of the merged horizon: a leap never reaches
+    /// past it, so the plan holds at most one burst it does not
+    /// replay, and none when the first burst reaches it. The window's
+    /// event becomes the last burst's.
     pub fn extend_run(
         &mut self,
         bus: &dyn SystemBus,
         limit: Horizon,
         gap: u64,
-        later: impl IntoIterator<Item = TxnShape>,
+        later: impl IntoIterator<Item = Strided>,
     ) {
         let Some((issue, first)) = self.issue.filter(|_| self.chain) else {
             return;
@@ -451,19 +595,27 @@ impl BusWindow {
         let continues = |b: &RunBurst| {
             b.completes && limit.ticks().is_none_or(|l| b.event.saturating_add(1) < l)
         };
-        let mut last = *self.later.last().unwrap_or(&first);
+        let mut last = self.later.last().map_or(first, RunSegment::last);
         if !continues(&last) {
             return;
         }
-        for shape in later {
-            let at = last.event.saturating_add(gap + 1);
-            let Some(b) = bus.time_burst(issue.master, shape, at, Some(&last)) else {
-                break;
-            };
-            last = b;
-            self.later.push(last);
-            if !continues(&last) {
-                break;
+        'run: for mut bursts in later {
+            loop {
+                let at = last.event.saturating_add(gap + 1);
+                let Some(timed) = bus.time_burst(issue.master, bursts, at, gap, Some(&last)) else {
+                    break 'run;
+                };
+                let drawn = timed.drawn(limit);
+                let joined = timed.part(0, drawn);
+                last = joined.last();
+                self.later.push(joined);
+                if drawn < timed.count || !continues(&last) {
+                    break 'run;
+                }
+                if drawn == bursts.count {
+                    break;
+                }
+                bursts = bursts.skip(drawn);
             }
         }
         self.event = Horizon::after(last.event - 1);
@@ -498,12 +650,14 @@ impl BusWindow {
             .filter(|i| i.master == master)
     }
 
-    /// The bursts of the window's run, in order, if `master` issues
-    /// them (else none).
-    pub fn run_of(&self, master: MasterId) -> impl Iterator<Item = &RunBurst> {
+    /// The window's run in segments, in order, if `master` issues it
+    /// (else none): its first burst alone, then its later bursts.
+    pub fn run_of(&self, master: MasterId) -> impl Iterator<Item = RunSegment> + '_ {
         let run = self.issue.as_ref().filter(|(i, _)| i.master == master);
         let later = run.map_or(&[][..], |_| &self.later[..]);
-        run.map(|(_, first)| first).into_iter().chain(later)
+        run.map(|&(_, first)| RunSegment::one(first))
+            .into_iter()
+            .chain(later.iter().copied())
     }
 
     /// The master that issues in the window, if any.
@@ -522,22 +676,23 @@ impl BusWindow {
     /// issuer advances first, over all `n` ticks: inside the window
     /// none of them touches the bus or the issuer's side of it.
     ///
-    /// Then the run replays. The later bursts the leap reaches whole,
-    /// each of which completes, replay in one [`Advancing::Run`] step
-    /// when the bus replays runs ([`SystemBus::replays_runs`]): the
-    /// issuer moves each one's words and the bus charges them in closed
-    /// form. The run's first burst, a burst the leap cuts, and every
-    /// burst on a bus that does not replay runs (a traced one) replay
-    /// alone, in the one order that puts the issue on its own cycle:
-    /// the bus over the ticks before the issue, the issuer
-    /// ([`Advancing::Issuer`]) through its issue and the burst, then
-    /// the bus over the burst, so the issuer still sees it in flight
-    /// on its last tick.
-    pub fn leap<'w, B: SystemBus + ?Sized>(
-        &'w self,
+    /// Then the run replays. The later bursts of a segment that the
+    /// leap reaches whole, each of which completes, replay in one
+    /// [`Advancing::Run`] step when the bus replays runs
+    /// ([`SystemBus::replays_runs`]): the issuer moves each one's words
+    /// and the bus charges them in closed form. Which bursts the leap
+    /// reaches is arithmetic on the segment. The run's first burst, a
+    /// burst the leap cuts, and every burst on a bus that does not
+    /// replay runs (a traced one) replay alone, in the one order that
+    /// puts the issue on its own cycle: the bus over the ticks before
+    /// the issue, the issuer ([`Advancing::Issuer`]) through its issue
+    /// and the burst, then the bus over the burst, so the issuer still
+    /// sees it in flight on its last tick.
+    pub fn leap<B: SystemBus + ?Sized>(
+        &self,
         bus: &mut B,
         n: u64,
-        mut masters: impl FnMut(&mut B, Advancing<'w>, Instant, u64),
+        mut masters: impl FnMut(&mut B, Advancing, Instant, u64),
     ) {
         let start = bus.now();
         masters(bus, Advancing::AllBut(self.issuer()), start, n);
@@ -547,31 +702,28 @@ impl BusWindow {
         };
         let master = issue.master;
         let bulk = bus.replays_runs();
-        // The run's `i`-th burst: `first`, then `later[i - 1]`.
-        let burst = |i: usize| {
+        // The run's `i`-th segment: `first` alone, then `later[i - 1]`.
+        let segment = |i: usize| {
             if i == 0 {
-                Some(first)
+                Some(RunSegment::one(*first))
             } else {
-                self.later.get(i - 1)
+                self.later.get(i - 1).copied()
             }
         };
-        let (mut done, mut i) = (0, 0);
+        // The leap stands after burst `j` of segment `i`, on tick `done`.
+        let (mut done, mut i, mut j) = (0, 0, 0);
         while done < n {
-            let whole = if bulk && i > 0 {
-                self.later[i - 1..]
-                    .iter()
-                    .take_while(|b| b.completes && b.event <= n)
-                    .count()
-            } else {
-                0
+            let Some(s) = segment(i) else {
+                break;
             };
+            let whole = if bulk && i > 0 { s.reached(j, n) } else { 0 };
             if whole > 0 {
-                let bursts = &self.later[i - 1..i - 1 + whole];
-                let end = bursts[whole - 1].event;
+                let segment = s.part(j, whole);
+                let end = segment.last().event;
                 let step = Advancing::Run {
                     master,
                     origin: start,
-                    bursts,
+                    segment,
                 };
                 masters(bus, step, start + Cycle::new(done), end - done);
                 debug_assert_eq!(
@@ -579,27 +731,30 @@ impl BusWindow {
                     start + Cycle::new(end),
                     "a run step leaves the bus on its last completion"
                 );
-                (done, i) = (end, i + whole);
-                continue;
+                done = end;
+                j += whole;
+            } else {
+                let b = s.burst(j);
+                let before = (b.issue - 1).min(n);
+                bus.advance(Cycle::new(before - done));
+                let end = b.event.min(n);
+                masters(
+                    bus,
+                    Advancing::Issuer(master),
+                    start + Cycle::new(done),
+                    end - done,
+                );
+                debug_assert!(
+                    end < b.issue || bus.horizon() == Horizon::after(b.event - b.issue),
+                    "the issuer issues its run's burst on the tick planned for it"
+                );
+                bus.advance(Cycle::new(end - before));
+                done = end;
+                j += 1;
             }
-            let Some(b) = burst(i) else {
-                break;
-            };
-            let before = (b.issue - 1).min(n);
-            bus.advance(Cycle::new(before - done));
-            let end = b.event.min(n);
-            masters(
-                bus,
-                Advancing::Issuer(master),
-                start + Cycle::new(done),
-                end - done,
-            );
-            debug_assert!(
-                end < b.issue || bus.horizon() == Horizon::after(b.event - b.issue),
-                "the issuer issues its run's burst on the tick planned for it"
-            );
-            bus.advance(Cycle::new(end - before));
-            (done, i) = (end, i + 1);
+            if j == s.count {
+                (i, j) = (i + 1, 0);
+            }
         }
         bus.advance(Cycle::new(n - done));
     }
@@ -760,16 +915,24 @@ mod tests {
 
         /// The bursts of `w`'s run that `master` issues.
         fn bursts_of(w: &BusWindow, master: MasterId) -> Vec<RunBurst> {
-            w.run_of(master).copied().collect()
+            w.run_of(master)
+                .flat_map(|s| (0..s.count).map(move |j| s.burst(j)))
+                .collect()
         }
 
-        /// The rest of a run: `n` more bursts of [`shape`].
-        fn later(n: usize) -> impl Iterator<Item = TxnShape> {
-            std::iter::repeat_n(shape(), n)
+        /// The rest of a run: `n` more bursts of [`shape`], at its
+        /// address.
+        fn later(n: u32) -> impl Iterator<Item = Strided> {
+            (n > 0)
+                .then_some(Strided {
+                    count: n,
+                    ..Strided::one(shape())
+                })
+                .into_iter()
         }
 
         /// The candidates `issues`, each the whole of its run.
-        fn lone(issues: Vec<WindowIssue>) -> Vec<(WindowIssue, [TxnShape; 0])> {
+        fn lone(issues: Vec<WindowIssue>) -> Vec<(WindowIssue, [Strided; 0])> {
             issues.into_iter().map(|i| (i, [])).collect()
         }
 
@@ -780,7 +943,7 @@ mod tests {
 
         /// The window of `first` on `bus`, with `n` more bursts of its
         /// run drawn up to `limit`.
-        fn run(bus: &Bus, first: WindowIssue, n: usize, limit: Horizon) -> BusWindow {
+        fn run(bus: &Bus, first: WindowIssue, n: u32, limit: Horizon) -> BusWindow {
             let (mut w, rest) = BusWindow::plan(bus, true, |_| [(first, later(n))]);
             w.extend_run(bus, limit, GAP, rest.expect("the bus answers"));
             w
@@ -820,7 +983,7 @@ mod tests {
             let (mut w, _) = BusWindow::plan(&bus, true, |_| lone(vec![issue(a, 2)]));
             let unmapped = TxnRequest::read(0x10_0000, 4).shape();
             let mut drawn = 0;
-            let bursts = [shape(), unmapped, shape()].into_iter();
+            let bursts = [shape(), unmapped, shape()].map(Strided::one).into_iter();
             w.extend_run(
                 &bus,
                 Horizon::QUIESCENT,
@@ -866,7 +1029,12 @@ mod tests {
             );
             assert_eq!((bursts_of(&w, a), w.event()), (vec![first_beat(1)], at(3)));
             let (mut w, _) = BusWindow::plan(&bus, true, |_| lone(vec![issue(a, 0)]));
-            w.extend_run(&bus, Horizon::QUIESCENT, GAP, [risky, shape()]);
+            w.extend_run(
+                &bus,
+                Horizon::QUIESCENT,
+                GAP,
+                [risky, shape()].map(Strided::one),
+            );
             let then = ALONE + GAP + 1;
             assert_eq!(
                 (bursts_of(&w, a), w.event()),
@@ -875,7 +1043,10 @@ mod tests {
             // On an idle bus, a burst's event is its completion only
             // on a slave that never faults; a bus that declines every
             // what-if times no burst.
-            let completes = |shape| bus.time_burst(a, shape, 1, None).map(|b| b.completes);
+            let completes = |shape| {
+                let first = bus.time_burst(a, Strided::one(shape), 1, 0, None);
+                first.map(|s| s.first.completes)
+            };
             assert_eq!(
                 (completes(shape()), completes(risky)),
                 (Some(true), Some(false))
@@ -883,7 +1054,7 @@ mod tests {
             let mut axi = AxiBus::new();
             let m = axi.register_master();
             axi.add_slave_boxed(0, Box::new(Sram::with_words(64, SramConfig::no_wait())));
-            assert_eq!(axi.time_burst(m, shape(), 1, None), None);
+            assert_eq!(axi.time_burst(m, Strided::one(shape()), 1, 0, None), None);
         }
 
         /// Leaps a fresh bus of [`bus`], traced or not, over the first
@@ -893,11 +1064,7 @@ mod tests {
         /// run step replays its bursts. Returns the bus and the steps,
         /// each with its ticks and the cycles the bus and its first tick
         /// start on.
-        fn leap_run(
-            w: &BusWindow,
-            n: u64,
-            traced: bool,
-        ) -> (Bus, Vec<(Advancing<'_>, u64, u64, u64)>) {
+        fn leap_run(w: &BusWindow, n: u64, traced: bool) -> (Bus, Vec<(Advancing, u64, u64, u64)>) {
             let (mut bus, [a, _, _]) = bus();
             if traced {
                 bus.trace = crate::trace::Trace::enabled();
@@ -911,9 +1078,11 @@ mod tests {
                 }
                 let _ = bus.take_completion(a);
                 match who {
-                    Advancing::Run { origin, bursts, .. } => {
-                        bus.replay_run(a, origin, bursts, &mut |_, _| {});
-                        next += bursts.len();
+                    Advancing::Run {
+                        origin, segment, ..
+                    } => {
+                        bus.replay_run(a, origin, segment, &mut |_, _| {});
+                        next += segment.count as usize;
                     }
                     _ if run[next].issue <= n => {
                         bus.try_begin(a, TxnRequest::read(0x40, 4)).unwrap();
@@ -966,10 +1135,11 @@ mod tests {
                 let whole = run[1..].iter().filter(|b| b.event <= n).count();
                 let mut expected = vec![Advancing::Issuer(a)];
                 if whole > 0 {
+                    let later = w.run_of(a).nth(1).expect("a segment of later bursts");
                     expected.push(Advancing::Run {
                         master: a,
                         origin: Instant::new(0),
-                        bursts: &run[1..=whole],
+                        segment: later.part(0, u32::try_from(whole).unwrap()),
                     });
                 }
                 if run[whole].event < n && whole + 1 < run.len() {
@@ -985,7 +1155,7 @@ mod tests {
             let step = Advancing::Run {
                 master: a,
                 origin: Instant::new(0),
-                bursts: &run,
+                segment: RunSegment::one(run[0]),
             };
             assert!(step.includes(a) && !step.includes(b));
         }
@@ -1039,8 +1209,11 @@ mod tests {
             assert_eq!((w.issuer(), w.event()), (None, bus.horizon()));
             let w = plan(&bus, true, vec![issue(a, 0)]);
             assert_eq!(w.issuer(), Some(a));
-            let alone = bus.time_burst(a, issue(a, 0).shape, 1, None);
-            assert_eq!(Some(w.event()), alone.map(|b| Horizon::after(b.event - 1)));
+            let alone = bus.time_burst(a, Strided::one(issue(a, 0).shape), 1, 0, None);
+            assert_eq!(
+                Some(w.event()),
+                alone.map(|s| Horizon::after(s.first.event - 1))
+            );
             assert_eq!(w.event(), at(ALONE));
         }
 

@@ -71,7 +71,7 @@ pub use bus::{
     TxnShape,
 };
 pub use clock::{Cycle, Frequency, Instant};
-pub use event::{Advancing, BusWindow, Horizon, RunBurst, WindowIssue};
+pub use event::{Advancing, BusWindow, Horizon, RunBurst, RunSegment, Strided, WindowIssue};
 pub use fifo::{FifoError, SyncFifo, WidthAdapter};
 pub use memory::{Sram, SramConfig};
 pub use rng::XorShift64;

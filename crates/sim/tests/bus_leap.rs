@@ -39,7 +39,7 @@ use ouessant_sim::bus::{
 };
 use ouessant_sim::memory::{Sram, SramConfig};
 use ouessant_sim::{
-    Advancing, BusEvent, BusWindow, Cycle, Horizon, Instant, SystemBus, Trace, TraceEvent,
+    Advancing, BusEvent, BusWindow, Cycle, Horizon, Instant, Strided, SystemBus, Trace, TraceEvent,
     WindowIssue, XorShift64,
 };
 
@@ -248,8 +248,8 @@ fn rejected_variants(req: &TxnRequest) -> [TxnRequest; 2] {
 /// The tick of the bus's first event if `m` issued a burst of `shape`
 /// now, as [`SystemBus::time_burst`] times it.
 fn what_if(bus: &Bus, m: MasterId, shape: TxnShape) -> Option<NonZeroU64> {
-    bus.time_burst(m, shape, 1, None)
-        .and_then(|b| NonZeroU64::new(b.event))
+    bus.time_burst(m, Strided::one(shape), 1, 0, None)
+        .and_then(|s| NonZeroU64::new(s.first.event))
 }
 
 /// Issues `req` for master `m`, checking the what-if first: it equals
@@ -907,7 +907,10 @@ fn polled_leapt(
                 prefix: at - now,
                 shape: s.bursts[issued].0,
             };
-            (issue, s.bursts[issued + 1..].iter().map(|b| b.0))
+            (
+                issue,
+                s.bursts[issued + 1..].iter().map(|b| Strided::one(b.0)),
+            )
         });
         let (mut w, later) = BusWindow::plan(&bus, true, |_| candidate);
         if let Some(later) = later {
@@ -919,7 +922,10 @@ fn polled_leapt(
         } else {
             1 + rng.gen_range_u64(0..event)
         };
-        let run: Vec<_> = w.run_of(o).copied().collect();
+        let run: Vec<_> = w
+            .run_of(o)
+            .flat_map(|s| (0..s.count).map(move |j| s.burst(j)))
+            .collect();
         let before = (polls.taken, bus.master_stats(o).beats);
         let mut next = 0;
         w.leap(&mut bus, n, |bus, who, _, _| {
@@ -930,14 +936,16 @@ fn polled_leapt(
                 done_at = Some(c.completed_at.count());
             }
             match who {
-                Advancing::Run { origin, bursts, .. } => {
+                Advancing::Run {
+                    origin, segment, ..
+                } => {
                     let first = issued;
-                    bus.replay_run(o, origin, bursts, &mut |k, words| {
+                    bus.replay_run(o, origin, segment, &mut |k, words| {
                         words.extend_from_slice(&s.bursts[first + k].1);
                     });
-                    issued += bursts.len();
-                    next += bursts.len();
-                    stats.bulk += bursts.len() as u64;
+                    issued += segment.count as usize;
+                    next += segment.count as usize;
+                    stats.bulk += u64::from(segment.count);
                 }
                 _ if run.get(next).is_some_and(|b| b.issue <= n) => {
                     bus.try_begin(o, s.request(issued)).unwrap();

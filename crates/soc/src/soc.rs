@@ -616,7 +616,13 @@ mod tests {
                         }
                         (per_run, soc.bus().stats(), soc.ocp().stats())
                     };
-                    let fast = run(true, 1_000_000);
+                    // A leap that breaks the bus's contract panics inside
+                    // it (a debug build checks that the contended loop
+                    // ends): name the case.
+                    let fast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run(true, 1_000_000)
+                    }))
+                    .unwrap_or_else(|_| panic!("leapt {name}, {sram:?}, {completion:?}"));
                     let slow = run(false, 1_000_000);
                     assert_eq!(
                         fast, slow,

@@ -12,9 +12,11 @@
 # such paths, DIR/src-1 to DIR/src-K, the same K for both sides, and
 # runs pair i on the binaries built at path (i - 1) mod K + 1, so a
 # ratio that holds at every layout is not one path's luck. Then it runs
-# every workload 10 times per revision with `--seed N --seconds 4
-# --trace 0` (seed 1 unless `--seed` names another, so a claim can be
-# checked on a seed it was not made on), in ABBA order so that a host
+# every workload 10 times per revision with `--seconds 4 --trace 0`,
+# at the benchmark's own default seed, the one BENCHMARK.json's command
+# runs, unless `--seed N` names another (decimal, or hex as `0x...`, as
+# the benchmark reads it), so a claim can be checked on a seed it was
+# not made on, in ABBA order so that a host
 # drifting in speed weighs on both sides alike. `--workload NAME` runs
 # that workload only. Prints, per workload and end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the ratio of the
@@ -142,7 +144,7 @@ json() {
     }
     END {
         if (w != "") body = body "}"
-        printf "{\"base\": \"%s\", \"head\": \"%s\", \"pairs\": %d, \"seconds\": %s, \"seed\": %s, \"layouts\": %d, \"workloads\": {%s}}\n",
+        printf "{\"base\": \"%s\", \"head\": \"%s\", \"pairs\": %d, \"seconds\": %s, \"seed\": \"%s\", \"layouts\": %d, \"workloads\": {%s}}\n",
             base, head, pairs, seconds, seed, layouts, body
     }'
 }
@@ -178,7 +180,7 @@ self_test() {
         exit 1
     fi
     got=$(awk "$STATS" <<<"$runs" | json base head 4 1 7 2)
-    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "seed": 7, "layouts": 2, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true, "layout_ratios": [1.1250, 1.0000], "layout_spread": 0.1250, "layout_medians": {"a": [12, 16], "b": [13.5, 16]}}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false, "layout_ratios": [1.2000, 1.2000], "layout_spread": 0.0000, "layout_medians": {"a": [5, 5], "b": [6, 6]}}}}}'
+    want='{"base": "base", "head": "head", "pairs": 4, "seconds": 1, "seed": "7", "layouts": 2, "workloads": {"w": {"m": {"a": {"median": 13, "q1": 11.5, "q3": 15.5}, "b": {"median": 13.5, "q1": 11, "q3": 17.25}, "ratio": 1.0385, "wins": 3, "n": 4, "within_bound": true, "layout_ratios": [1.1250, 1.0000], "layout_spread": 0.1250, "layout_medians": {"a": [12, 16], "b": [13.5, 16]}}, "t": {"a": {"median": 5, "q1": 5, "q3": 5}, "b": {"median": 6, "q1": 6, "q3": 6}, "ratio": 1.2000, "wins": 0, "n": 4, "within_bound": false, "layout_ratios": [1.2000, 1.2000], "layout_spread": 0.0000, "layout_medians": {"a": [5, 5], "b": [6, 6]}}}}}'
     if [[ $got != "$want" ]]; then
         printf 'ab.sh JSON self-test failed:\n got:\n%s\n want:\n%s\n' "$got" "$want" >&2
         exit 1
@@ -190,14 +192,21 @@ self_test() {
         printf 'ab.sh options self-test failed:\n got: %s\n want: %s\n' "$got" "$want" >&2
         exit 1
     fi
+    for hex in 0xBE4C2016 0xbe4c_2016 1_000; do
+        if ! (parse_args --seed "$hex" base) 2>/dev/null; then
+            echo "ab.sh options self-test failed: '--seed $hex' refused" >&2
+            exit 1
+        fi
+    done
     parse_args --out d base head
-    got="$out $seed ${workloads[*]} $layouts ${revs[*]}"
-    want="d 1 ${WORKLOADS[*]} 1 base head"
+    got="$out ${seed:-default} ${workloads[*]} $layouts ${revs[*]}"
+    want="d default ${WORKLOADS[*]} 1 base head"
     if [[ $got != "$want" ]]; then
         printf 'ab.sh defaults self-test failed:\n got: %s\n want: %s\n' "$got" "$want" >&2
         exit 1
     fi
-    for bad in "--seed x" "--seed -1" "--seed" "--workload nope" "--workload" "--bogus" \
+    for bad in "--seed x" "--seed -1" "--seed" "--seed 0x" "--seed 0xg1" "--seed 1x" \
+        "--workload nope" "--workload" "--bogus" \
         "--layouts 0" "--layouts x" "--layouts 11" "--layouts"; do
         if (parse_args $bad base) 2>/dev/null; then
             echo "ab.sh options self-test failed: '$bad' accepted" >&2
@@ -208,12 +217,13 @@ self_test() {
 }
 
 # `parse_args ARG...`: sets out, seed, workloads, layouts and revs from
-# the command line; fails on an unknown option, a seed that is not a
-# non-negative integer, a workload the benchmark does not have or a
-# layout count outside 1 to PAIRS.
+# the command line (seed empty: the benchmark's default); fails on an
+# unknown option, a seed that is not a non-negative integer in decimal
+# or `0x` hex, a workload the benchmark does not have or a layout count
+# outside 1 to PAIRS.
 parse_args() {
     out=${TMPDIR:-/tmp}/ouessant-ab
-    seed=1
+    seed=
     workloads=("${WORKLOADS[@]}")
     layouts=1
     revs=()
@@ -236,8 +246,8 @@ parse_args() {
             *) revs+=("$1"); shift ;;
         esac
     done
-    if [[ ! $seed =~ ^[0-9]+$ ]]; then
-        echo "--seed takes a non-negative integer, not '$seed'" >&2
+    if [[ -n $seed && ! $seed =~ ^([0-9][0-9_]*|0x[0-9a-fA-F][0-9a-fA-F_]*)$ ]]; then
+        echo "--seed takes a non-negative integer, decimal or 0x hex, not '$seed'" >&2
         return 2
     fi
     if [[ ! $layouts =~ ^[0-9]+$ ]] || ((layouts < 1 || layouts > PAIRS)); then
@@ -302,7 +312,7 @@ for workload in "${workloads[@]}"; do
             declare -A got=()
             while read -r name value; do
                 got[$name]=$value
-            done < <("$bin" --workload "$workload" --seed "$seed" --seconds "$RUN_SECONDS" --trace 0 |
+            done < <("$bin" --workload "$workload" ${seed:+--seed "$seed"} --seconds "$RUN_SECONDS" --trace 0 |
                 tail -n 1 | perfbench_metrics)
             if [[ ${got[correct]:-} != true || ${got[failed]:-} != 0 ]]; then
                 echo "$workload pair $i side $side: run not correct or not all completed" >&2
@@ -319,8 +329,8 @@ done
 stats=$(awk "$STATS" "$runs")
 kind="A/B"
 if [[ $base == "$head" ]]; then kind="A/A (noise floor)"; fi
-echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload over $layouts build layout(s), --seed $seed --seconds $RUN_SECONDS --trace 0"
+echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload over $layouts build layout(s), ${seed:+--seed $seed }--seconds $RUN_SECONDS --trace 0${seed:- at the benchmark's default seed}"
 echo "workload        metric                   base median [q1, q3]      head median [q1, q3]    head/base wins"
 table <<<"$stats"
-json "$base" "$head" "$PAIRS" "$RUN_SECONDS" "$seed" "$layouts" <<<"$stats" >"$out/ab-summary.json"
+json "$base" "$head" "$PAIRS" "$RUN_SECONDS" "${seed:-default}" "$layouts" <<<"$stats" >"$out/ab-summary.json"
 echo "summary: $out/ab-summary.json; runs: $runs"
