@@ -53,7 +53,6 @@ pub mod dft;
 pub mod fir;
 pub mod fixed;
 pub mod idct;
-pub mod matmul;
 pub mod passthrough;
 pub mod rac;
 pub mod slot;
@@ -61,7 +60,6 @@ pub mod slot;
 pub use dft::DftRac;
 pub use fir::FirRac;
 pub use idct::IdctRac;
-pub use matmul::MatMulRac;
 pub use passthrough::{PassthroughRac, WideFunctionRac};
 pub use rac::{Rac, RacError, RacIo, RacSocket, ReconfigResponse};
 pub use slot::ReconfigurableSlot;

@@ -2,7 +2,8 @@
 //! socket's FIFOs.
 //!
 //! Each scenario draws a RAC (`PassthroughRac` with delay 0/1/3 and
-//! scale 1/3, or one of the `BlockRac` kernels, bare or inside a
+//! scale 1/3, or a `BlockRac` kernel: the IDCT, the DFT, or [`Square`],
+//! whose block size follows the op, bare or inside a
 //! `ReconfigurableSlot` that first loads it), FIFO depths small enough
 //! for the output to fill, and random fills. The scenario then walks
 //! window by window, moving words in and out between windows the way
@@ -21,7 +22,6 @@ use ouessant_rac::block::{BlockKernel, BlockRac};
 use ouessant_rac::dft::DftRac;
 use ouessant_rac::fir::FirRac;
 use ouessant_rac::idct::IdctRac;
-use ouessant_rac::matmul::MatMulRac;
 use ouessant_rac::passthrough::{PassthroughRac, WideFunctionRac};
 use ouessant_rac::rac::{Outlook, Rac, RacIo, RacSocket};
 use ouessant_rac::slot::ReconfigurableSlot;
@@ -34,7 +34,45 @@ enum Kind {
     Passthrough { delay: u64, scale: u32 },
     Idct,
     Dft,
-    MatMul,
+    Square,
+}
+
+/// A block kernel whose block size follows the op, as a matrix
+/// multiply's does: `exec n` takes two `n×n` blocks of words and gives
+/// one, after `4n² + n + 8` cycles (a systolic row of `n` MACs with its
+/// loads and unloads). Each output word is the wrapping sum of the two
+/// input words at its index.
+#[derive(Debug)]
+struct Square;
+
+impl Square {
+    fn side(op: u16) -> usize {
+        usize::from(op).clamp(1, 64)
+    }
+}
+
+impl BlockKernel for Square {
+    fn name(&self) -> &str {
+        "square"
+    }
+
+    fn input_len(&self, op: u16) -> usize {
+        2 * Self::side(op).pow(2)
+    }
+
+    fn output_len(&self, op: u16) -> Option<usize> {
+        Some(Self::side(op).pow(2))
+    }
+
+    fn latency(&self, op: u16) -> u64 {
+        let n = Self::side(op) as u64;
+        4 * n * n + n + 8
+    }
+
+    fn compute(&mut self, op: u16, input: &[u32], output: &mut Vec<u32>) {
+        let (a, b) = input.split_at(Self::side(op).pow(2));
+        output.extend(a.iter().zip(b).map(|(x, y)| x.wrapping_add(*y)));
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +89,7 @@ impl Scenario {
         let kind = match rng.gen_range_u32(0..6) {
             0 => Kind::Idct,
             1 => Kind::Dft,
-            2 => Kind::MatMul,
+            2 => Kind::Square,
             _ => Kind::Passthrough {
                 delay: [0, 1, 3][rng.gen_range_u32(0..3) as usize],
                 scale: [1, 3][rng.gen_range_u32(0..2) as usize],
@@ -61,7 +99,7 @@ impl Scenario {
         let (block_in, block_out, op) = match kind {
             Kind::Idct => (64, 64, 0),
             Kind::Dft => (16, 16, 0),
-            Kind::MatMul => {
+            Kind::Square => {
                 let n = rng.gen_range_u32(1..4) as usize;
                 (2 * n * n, n * n, n as u16)
             }
@@ -81,7 +119,7 @@ impl Scenario {
             Kind::Passthrough { delay, scale } => Box::new(PassthroughRac::scaling(scale, delay)),
             Kind::Idct => Box::new(IdctRac::new()),
             Kind::Dft => Box::new(DftRac::new(8)),
-            Kind::MatMul => Box::new(MatMulRac::new()),
+            Kind::Square => Box::new(BlockRac::from_kernel(Square)),
         };
         if !self.in_slot {
             return rac;
@@ -612,8 +650,8 @@ fn start_cases() -> Vec<StartCase> {
             true,
         ),
         case(
-            "matmul 3",
-            || Box::new(MatMulRac::new()),
+            "square 3",
+            || Box::new(BlockRac::from_kernel(Square)),
             32,
             18,
             0,
