@@ -834,29 +834,6 @@ impl Controller {
         })
     }
 
-    /// The later issues of a run from entry `pc` on, planned one
-    /// program entry at a time, as the planner did before the store
-    /// was translated: the oracle `Controller::later` must equal burst
-    /// by burst.
-    #[cfg(test)]
-    fn later_oracle<'a>(
-        &'a self,
-        entry: impl Fn(u16) -> Option<Instruction> + 'a,
-        pc: u16,
-        socket: &'a RacSocket,
-        regs: &'a RegsHandle,
-        mut ledger: FifoLedger,
-    ) -> impl Iterator<Item = TxnShape> + 'a {
-        let mut pc = pc;
-        std::iter::from_fn(move || {
-            let insn = entry(pc)?;
-            pc += 1;
-            let t = Transfer::from_instruction(0, &insn)?;
-            t.start_offset()?;
-            self.issue(Some(insn), socket, regs, &mut ledger)
-        })
-    }
-
     /// The fast-forward horizon (see [`ouessant_sim::event`] for the
     /// contract), given the RAC socket, the bus the controller waits on
     /// and the bus side of the window, which its leap loop planned for
@@ -1377,6 +1354,30 @@ mod tests {
         assert!(e.to_string().contains("program size"));
         let e = ExecError::PcOverrun { pc: 7 };
         assert!(e.to_string().contains('7'));
+    }
+
+    impl Controller {
+        /// The later issues of a run from entry `pc` on, planned one
+        /// program entry at a time, as the planner did before the store
+        /// was translated: the oracle `Controller::later` must equal burst
+        /// by burst.
+        fn later_oracle<'a>(
+            &'a self,
+            entry: impl Fn(u16) -> Option<Instruction> + 'a,
+            pc: u16,
+            socket: &'a RacSocket,
+            regs: &'a RegsHandle,
+            mut ledger: FifoLedger,
+        ) -> impl Iterator<Item = TxnShape> + 'a {
+            let mut pc = pc;
+            std::iter::from_fn(move || {
+                let insn = entry(pc)?;
+                pc += 1;
+                let t = Transfer::from_instruction(0, &insn)?;
+                t.start_offset()?;
+                self.issue(Some(insn), socket, regs, &mut ledger)
+            })
+        }
     }
 
     /// A drawn program of up to 64 entries before its `eop`: mostly

@@ -2615,7 +2615,10 @@ mod tests {
     /// of 1 to 256 words that move at most `total` words, at one stride
     /// in an area of `area` words from a drawn offset: back to back,
     /// all at one offset (stride 0), or apart by a drawn stride past
-    /// the burst's length, as far as the area allows.
+    /// the burst's length, as far as the area allows. One draw in two
+    /// of bursts longer than a word lets the last burst cross the
+    /// area's end by one word, which for the writes is the end of the
+    /// RAM: the bus rejects that burst, and the run faults on it.
     fn laid_out_bursts(rng: &mut XorShift64, total: u32, area: u32) -> Vec<(u32, u32)> {
         let count = rng.gen_range_u32(2..131).min(total);
         let words = rng.gen_range_u32(1..(total / count).clamp(1, 256) + 1);
@@ -2625,7 +2628,12 @@ mod tests {
             _ => words + rng.gen_range_u32(1..words + 2),
         }
         .min((area - words) / (count - 1));
-        let start = rng.gen_range_u32(0..area - words - (count - 1) * stride + 1);
+        let room = area - words - (count - 1) * stride;
+        let start = if words > 1 && rng.gen_bool() {
+            room + 1
+        } else {
+            rng.gen_range_u32(0..room + 1)
+        };
         (0..count).map(|i| (start + i * stride, words)).collect()
     }
 
@@ -2737,13 +2745,14 @@ mod tests {
     /// leaping freely, and once for each tick of each run's last two
     /// bursts with the leap cut there, every twin agreeing with the
     /// stepped one after every leap and tick and on the RAM at the end.
-    /// The runs laid out at one stride replay long segments, and plan
-    /// each window's run with at most three what-if calls, however
-    /// many bursts it holds.
+    /// The runs laid out at one stride replay long segments, plan each
+    /// window's run with at most three what-if calls, however many
+    /// bursts it holds, and some of them fault on a burst that crosses
+    /// the RAM's end.
     #[test]
     fn drawn_runs_replay_in_bulk_as_they_step() {
         let (mut bulk, mut bites, mut cuts) = (0, 0, 0);
-        let (mut long, mut most) = (0, 0);
+        let (mut long, mut most, mut crossed) = (0, 0, 0);
         for seed in 1..=RUN_SEEDS + STRIDED_SEEDS {
             let system = DrawnRun::draw(seed);
             let program = system.program();
@@ -2759,22 +2768,24 @@ mod tests {
                     }
                 }
                 let fault = stepped.views.last().map(|v| v.ocp.1.clone());
-                let bit = matches!(
-                    fault,
-                    Some(ControllerState::Faulted(ExecError::Hang { .. }))
-                );
-                (counts, bit)
+                (counts, fault)
             });
-            let (counts, bit) = std::panic::catch_unwind(check)
+            let (counts, fault) = std::panic::catch_unwind(check)
                 .unwrap_or_else(|_| panic!("seed {seed}: {system:#?}"));
             let replayed: usize = counts.iter().map(|c| c.0.bulk).sum();
+            let faulted = |hang: bool| match &fault {
+                Some(ControllerState::Faulted(ExecError::Hang { .. })) => hang,
+                Some(ControllerState::Faulted(ExecError::Bus(_))) => !hang,
+                _ => false,
+            };
             if seed <= RUN_SEEDS {
                 bulk += replayed;
-                bites += usize::from(bit);
+                bites += usize::from(faulted(true));
                 cuts += counts.len() - 1;
             } else {
                 long += counts.iter().map(|c| c.0.long).sum::<usize>();
                 most = counts.iter().map(|c| c.1).fold(most, usize::max);
+                crossed += usize::from(faulted(false));
             }
         }
         // The draw bites and spares, and replays runs in bulk on the way.
@@ -2792,6 +2803,7 @@ mod tests {
             "{long} bursts replayed in segments of {LONG} or more"
         );
         assert!(most <= 3, "a window's run took {most} what-if calls");
+        assert!(crossed >= 6, "only {crossed} runs cross the RAM's end");
     }
 
     #[test]

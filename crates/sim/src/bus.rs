@@ -2034,6 +2034,50 @@ mod tests {
         (bus, m)
     }
 
+    /// Equal later bursts are timed in one call as far as their slave
+    /// holds them, each one period (its lone cycles and the gap) after
+    /// the last; the next call, on the first burst past the slave's
+    /// end, declines. An unaligned stride times the first burst alone.
+    #[test]
+    fn a_stretch_of_bursts_is_timed_as_far_as_its_slave_holds_it() {
+        let (bus, m) = bus_with_sram();
+        let at = |word: u32| 0x4000_0000 + word * 4;
+        let after = RunBurst {
+            shape: TxnRequest::read(at(0), 4).shape(),
+            issue: 1,
+            event: 6,
+            completes: true,
+            poll: 0,
+        };
+        // (first word, stride in bytes, bursts asked, bursts timed)
+        for (word, stride, count, timed) in [
+            (1000, 32, 10, 3),
+            (1004, 32, 10, 3),
+            (1005, 32, 10, 2),
+            (1020, 0, 10, 10),
+            (0, 4096, 10, 1),
+            (0, 2, 10, 1),
+        ] {
+            let bursts = Strided {
+                shape: TxnRequest::read(at(word), 4).shape(),
+                stride,
+                count,
+            };
+            let s = bus.time_burst(m, bursts, 10, 3, Some(&after)).unwrap();
+            assert_eq!((s.count, s.period), (timed, 6 + 3), "{bursts:?}");
+            assert_eq!((s.first.issue, s.first.event), (10, 15), "{bursts:?}");
+            assert_eq!(s.last().event, 15 + u64::from(timed - 1) * 9, "{bursts:?}");
+            if timed < count {
+                let rest = Strided {
+                    shape: TxnRequest::read(at(word) + timed * stride, 4).shape(),
+                    count: count - timed,
+                    ..bursts
+                };
+                assert_eq!(bus.time_burst(m, rest, 10, 3, Some(&after)), None);
+            }
+        }
+    }
+
     #[test]
     fn single_write_then_read() {
         let (mut bus, m) = bus_with_sram();
