@@ -727,25 +727,27 @@ impl Controller {
             prefix: walk.ticks,
             shape: self.issue(walk.insn, socket, regs, &mut ledger)?,
         };
-        let later = self.later(self.store(bus), walk.pc + 1, socket, regs, ledger);
+        let later = self.later(bus, walk.pc + 1, socket, regs, ledger);
         Some((first, later))
     }
 
-    /// The later issues of a run from entry `pc` of `store` on, each
-    /// strided run of the store at most one [`Strided`], with `ledger`
-    /// counting the words of the issues ahead of them.
+    /// The later issues of a run from entry `pc` on, of the program
+    /// the FSM will find on `bus` (see `Controller::store`, asked once
+    /// a later issue is), each strided run of the store at most one
+    /// [`Strided`], with `ledger` counting the words of the issues
+    /// ahead of them.
     fn later<'a>(
         &'a self,
-        store: Cow<'a, ProgramStore>,
+        bus: &'a dyn SystemBus,
         pc: u16,
         socket: &'a RacSocket,
         regs: &'a RegsHandle,
         mut ledger: FifoLedger,
     ) -> impl Iterator<Item = Strided> + 'a {
-        let mut next = Some(pc);
+        let (mut store, mut next) = (None, Some(pc));
         std::iter::from_fn(move || {
             let pc = next.take()?;
-            let run = store.run(pc)?;
+            let run = store.get_or_insert_with(|| self.store(bus)).run(pc)?;
             let bursts = self.strided(&run, socket, regs, &mut ledger)?;
             if bursts.count == u32::from(run.count) {
                 next = pc.checked_add(run.count);
@@ -793,15 +795,7 @@ impl Controller {
             usize::from(words) * count as usize,
         );
         Some(Strided {
-            shape: TxnShape {
-                kind: if t.to_coprocessor {
-                    TxnKind::Read
-                } else {
-                    TxnKind::Write
-                },
-                addr,
-                beats: words,
-            },
+            shape: burst_shape(t, addr),
             stride: run.stride * 4,
             count,
         })
@@ -820,18 +814,8 @@ impl Controller {
     ) -> Option<TxnShape> {
         let t = Transfer::from_instruction(0, &insn?)?;
         let addr = self.issue_check(&t, socket, regs, ledger)?.ok()?;
-        let words = t.burst.words();
-        ledger.count(t.to_coprocessor, t.fifo, usize::from(words));
-        let kind = if t.to_coprocessor {
-            TxnKind::Read
-        } else {
-            TxnKind::Write
-        };
-        Some(TxnShape {
-            kind,
-            addr,
-            beats: words,
-        })
+        ledger.count(t.to_coprocessor, t.fifo, usize::from(t.burst.words()));
+        Some(burst_shape(&t, addr))
     }
 
     /// The fast-forward horizon (see [`ouessant_sim::event`] for the
@@ -1320,6 +1304,21 @@ impl Controller {
     }
 }
 
+/// The burst transfer `t` makes at bus address `addr`: a read for
+/// `mvtc`, a write for `mvfc`.
+fn burst_shape(t: &Transfer, addr: Addr) -> TxnShape {
+    let kind = if t.to_coprocessor {
+        TxnKind::Read
+    } else {
+        TxnKind::Write
+    };
+    TxnShape {
+        kind,
+        addr,
+        beats: t.burst.words(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1435,7 +1434,8 @@ mod tests {
         for seed in 1..=300 {
             let mut rng = ouessant_sim::XorShift64::new(seed);
             let words = drawn_program(&mut rng);
-            let master = Bus::new(BusConfig::default()).register_master();
+            let mut bus = Bus::new(BusConfig::default());
+            let master = bus.register_master();
             let mut c = Controller::new(DmaPort::new(master));
             c.preload_program(&words);
             let regs = RegsHandle::new();
@@ -1457,9 +1457,8 @@ mod tests {
             ledger.drained[0] = rng.gen_range_u32(0..65) as usize;
             let entry = |pc: u16| c.program.entry(pc)?.as_ref().ok().copied();
             for pc in 0..u16::try_from(words.len()).unwrap() {
-                let store = Cow::Borrowed(&c.program);
                 let translated: Vec<TxnShape> = c
-                    .later(store, pc, &socket, &regs, ledger)
+                    .later(&bus, pc, &socket, &regs, ledger)
                     .inspect(|b| long += usize::from(b.count >= 8))
                     .flat_map(|b| {
                         (0..b.count).map(move |j| TxnShape {

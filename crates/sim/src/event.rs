@@ -75,17 +75,20 @@
 //! bus but installed polls (see [`Polls`](crate::bus::Polls)). The leap
 //! loop asks the bus to time the first burst ([`SystemBus::time_burst`],
 //! given its [`TxnShape`]) and, on a bus idle but for its polls, adds
-//! each later burst after the ticks its master takes
-//! to get from one completion to the next issue, as far as the rest of
-//! the window reaches and only while each burst's event is its
-//! completion (a slave that may fault is watched beat by beat).
-//! [`BusWindow::leap`] then advances every other master over the window
-//! once, and replays the run: its first burst alone (the bus over the
-//! ticks before the issue, the issuer through its issue and the burst,
-//! then the bus over the burst), the later bursts it reaches whole in
-//! one step ([`SystemBus::replay_run`]: a data move per burst, the
-//! timing in closed form), and a burst it cuts alone, as the first. A
-//! bus that records every transaction replays each burst alone.
+//! the later bursts, each after the ticks its master takes to get from
+//! one completion to the next issue, as far as the rest of the window
+//! reaches and only while each burst's event is its completion (a slave
+//! that may fault is watched beat by beat). The master states them as
+//! stretches of equal bursts ([`Strided`]), and the bus times a stretch
+//! at once, as a [`RunSegment`], wherever no poll's read can land
+//! between its bursts. [`BusWindow::leap`] then advances every other
+//! master over the window once, and replays the run: its first burst
+//! alone (the bus over the ticks before the issue, the issuer through
+//! its issue and the burst, then the bus over the burst), the later
+//! bursts of each segment it reaches whole in one step
+//! ([`SystemBus::replay_run`]: a data move per burst, the timing in
+//! closed form), and a burst it cuts alone, as the first. A bus that
+//! records every transaction replays each burst alone.
 
 use std::cmp::Ordering;
 use std::num::NonZeroU64;

@@ -329,7 +329,9 @@ done
 stats=$(awk "$STATS" "$runs")
 kind="A/B"
 if [[ $base == "$head" ]]; then kind="A/A (noise floor)"; fi
-echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload over $layouts build layout(s), ${seed:+--seed $seed }--seconds $RUN_SECONDS --trace 0${seed:- at the benchmark's default seed}"
+seeded="at the benchmark's default seed"
+if [[ -n $seed ]]; then seeded="--seed $seed"; fi
+echo "$kind: base $(git rev-parse --short "$base"), head $(git rev-parse --short "$head"); $PAIRS ABBA pairs per workload over $layouts build layout(s), $seeded --seconds $RUN_SECONDS --trace 0"
 echo "workload        metric                   base median [q1, q3]      head median [q1, q3]    head/base wins"
 table <<<"$stats"
 json "$base" "$head" "$PAIRS" "$RUN_SECONDS" "${seed:-default}" "$layouts" <<<"$stats" >"$out/ab-summary.json"
