@@ -449,9 +449,10 @@ impl Ocp {
     /// `end_op` retire, a `wait`'s), then each burst of the window's
     /// run (see [`BusWindow::run_of`]), whose `mvfc` issue moves its
     /// words and whose pickup, the tick after its completion, retires
-    /// it, read off each segment of equal bursts in O(1). The walk is the one the controller's horizon followed, and
-    /// is followed here only when that answer did not need it, so one
-    /// call walks the FSM at most once. A *wedged* controller is the one
+    /// it, read off each segment of equal bursts in O(1). The walk is
+    /// the one the controller's horizon followed, and is followed here
+    /// only when that answer did not need it, so one call walks the
+    /// FSM at most once. A *wedged* controller is the one
     /// active state exempt from the single-step safety net: it
     /// provably cannot transition by itself, so the watchdog budget
     /// (or, unarmed, quiescence) is the honest horizon and a hang
@@ -2315,6 +2316,9 @@ mod tests {
     /// A segment this long is a long one.
     const LONG: u32 = 8;
 
+    /// The words of a drawn run's RAM (see [`DrawnRun`]).
+    const RUN_RAM_WORDS: usize = 16384;
+
     impl SystemBus for Counted {
         fn register_master(&mut self) -> ouessant_sim::bus::MasterId {
             self.bus.register_master()
@@ -2371,7 +2375,17 @@ mod tests {
             after: Option<&RunBurst>,
         ) -> Option<RunSegment> {
             self.counts.borrow_mut().timed += 1;
-            self.bus.time_burst(master, bursts, issue, gap, after)
+            let segment = self.bus.time_burst(master, bursts, issue, gap, after)?;
+            // A run moves words from and to the RAM alone, so a plan
+            // that counts a burst past its end fails here, in a release
+            // build too, though no leap reaches that burst.
+            let last = segment.burst(segment.count - 1).shape;
+            let end = u64::from(last.addr) + u64::from(last.beats) * 4;
+            assert!(
+                last.addr >= RAM_BASE && end <= u64::from(RAM_BASE) + RUN_RAM_WORDS as u64 * 4,
+                "a planned burst lies outside the RAM: {last:?}"
+            );
+            Some(segment)
         }
         fn set_polls(
             &mut self,
@@ -2471,8 +2485,9 @@ mod tests {
     /// 256 words, most of them one drawn length, at drawn offsets, or,
     /// for a seed past [`RUN_SEEDS`], all of one length at one stride
     /// (see [`laid_out_bursts`]); together the reads move at most
-    /// [`RUN_WORDS`], and the writes at most what the reads moved. The stream is `execs` (it ends before
-    /// the writes, which then run back to back through a FIFO as
+    /// [`RUN_WORDS`], and the writes at most what the reads moved. The
+    /// stream is `execs` (it ends before the writes, which then run
+    /// back to back through a FIFO as
     /// shallow as the run) or, one draw in four, `execn`, with a `wrac`
     /// after the writes, so the writes start while the pass-through
     /// streams into the output FIFO. The bus has sub-bursts of 1, 4 or
@@ -2565,7 +2580,7 @@ mod tests {
         fn fixture(&self, program: &Program) -> Fixture<Counted> {
             let mut inner = Bus::new(self.bus);
             let cpu = inner.register_master();
-            inner.add_slave(RAM_BASE, Sram::with_words(16384, self.ram));
+            inner.add_slave(RAM_BASE, Sram::with_words(RUN_RAM_WORDS, self.ram));
             let mut bus = Counted {
                 bus: inner,
                 cpu,
@@ -2650,7 +2665,7 @@ mod tests {
         let mut words = Vec::new();
         fx.bus
             .bus
-            .debug_read_words(RAM_BASE, 16384, &mut words)
+            .debug_read_words(RAM_BASE, RUN_RAM_WORDS, &mut words)
             .unwrap();
         words
     }
