@@ -27,36 +27,48 @@ pub(crate) struct StridedRun {
     pub(crate) count: u16,
 }
 
-/// A program store: the words loaded, each entry as the `Decode` cycle
-/// yields it, and each entry's strided run.
+/// A program store: the words loaded, and each entry as the `Decode`
+/// cycle yields it with its strided run. Both are boxed slices: a
+/// store is replaced whole, never grown, and every controller holds
+/// one, so it stays four words wide.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProgramStore {
-    words: Vec<u32>,
-    entries: Vec<Result<Instruction, DecodeError>>,
-    runs: Vec<Option<StridedRun>>,
+    words: Box<[u32]>,
+    entries: Box<[Entry]>,
+}
+
+/// An entry of a [`ProgramStore`].
+#[derive(Debug, Clone)]
+struct Entry {
+    decoded: Result<Instruction, DecodeError>,
+    run: Option<StridedRun>,
 }
 
 impl ProgramStore {
     /// Translates `words`: decodes each entry, then finds each entry's
     /// strided run, from the last entry back, so each costs O(1).
     pub(crate) fn load(words: &[u32]) -> Self {
-        let entries: Vec<_> = words.iter().map(|&w| Instruction::decode(w)).collect();
+        let mut entries: Box<[Entry]> = words
+            .iter()
+            .map(|&w| Entry {
+                decoded: Instruction::decode(w),
+                run: None,
+            })
+            .collect();
         let transfer = |e: &Result<Instruction, DecodeError>| {
             let t = Transfer::from_instruction(0, e.as_ref().ok()?)?;
             Some((t, t.start_offset()?))
         };
-        let mut runs: Vec<Option<StridedRun>> = vec![None; entries.len()];
         for pc in (0..entries.len()).rev() {
-            let Some((t, offset)) = transfer(&entries[pc]) else {
+            let Some((t, offset)) = transfer(&entries[pc].decoded) else {
                 continue;
             };
             // The next entry's run, if its transfers are this one's
             // kind and its offset is at or after this one's: this entry
             // joins its stride, or starts a stretch of two at another.
-            let (stride, count) = runs
+            let (stride, count) = entries
                 .get(pc + 1)
-                .copied()
-                .flatten()
+                .and_then(|e| e.run)
                 .and_then(|next| {
                     let n = next.transfer;
                     let stride = n.start_offset()?.checked_sub(offset)?;
@@ -73,16 +85,15 @@ impl ProgramStore {
                     ))
                 })
                 .unwrap_or((0, 1));
-            runs[pc] = Some(StridedRun {
+            entries[pc].run = Some(StridedRun {
                 transfer: t,
                 stride,
                 count,
             });
         }
         Self {
-            words: words.to_vec(),
+            words: words.into(),
             entries,
-            runs,
         }
     }
 
@@ -97,7 +108,7 @@ impl ProgramStore {
 
     /// Whether the store holds exactly the program `words`.
     pub(crate) fn holds(&self, words: &[u32]) -> bool {
-        self.words == words
+        *self.words == *words
     }
 
     /// Empties the store.
@@ -112,12 +123,12 @@ impl ProgramStore {
 
     /// Entry `pc`, as the `Decode` cycle yields it.
     pub(crate) fn entry(&self, pc: u16) -> Option<&Result<Instruction, DecodeError>> {
-        self.entries.get(usize::from(pc))
+        self.entries.get(usize::from(pc)).map(|e| &e.decoded)
     }
 
     /// The strided run from entry `pc`, if it is a transfer with an
     /// immediate offset.
     pub(crate) fn run(&self, pc: u16) -> Option<StridedRun> {
-        self.runs.get(usize::from(pc)).copied().flatten()
+        self.entries.get(usize::from(pc)).and_then(|e| e.run)
     }
 }
